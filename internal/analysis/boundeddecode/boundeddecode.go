@@ -11,6 +11,11 @@
 // or method set also exports the same name with a Bound suffix — the
 // caller picked the unbounded variant where a bounded one exists.
 //
+// The structural scans that replaced eager decoding on the exchange
+// legs (homenc.ScanVectorBound and friends: bounds checked, nothing
+// built) are the same entry point under another name, so Scan* calls
+// fall under the same rule.
+//
 // Escape hatch: `//lint:unbounded <reason>` for call sites whose input
 // is provably not attacker-controlled (e.g. decoding a local key file).
 package boundeddecode
@@ -26,7 +31,7 @@ import (
 // Analyzer is the boundeddecode analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "boundeddecode",
-	Doc:  "flags unbounded Unmarshal calls on network-reachable paths where a ...Bound variant exists",
+	Doc:  "flags unbounded Unmarshal/Scan calls on network-reachable paths where a ...Bound variant exists",
 	Run:  run,
 }
 
@@ -49,7 +54,7 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			name := fn.Name()
-			if !strings.HasPrefix(name, "Unmarshal") || strings.HasSuffix(name, "Bound") {
+			if !(strings.HasPrefix(name, "Unmarshal") || strings.HasPrefix(name, "Scan")) || strings.HasSuffix(name, "Bound") {
 				return true
 			}
 			if bounded := boundSibling(pass, sel, fn); bounded != "" {

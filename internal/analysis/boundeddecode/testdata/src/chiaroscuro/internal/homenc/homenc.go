@@ -26,3 +26,13 @@ func (s *Share) UnmarshalText(data []byte) error {
 	s.b = append([]byte(nil), data...)
 	return nil
 }
+
+// ScanVector has a Bound sibling: the structural scans are decoders too.
+func ScanVector(data []byte) (int, error) { return ScanVectorBound(data, 1<<20) }
+
+func ScanVectorBound(data []byte, maxLen int) (int, error) {
+	if len(data) > maxLen {
+		return 0, errors.New("too large")
+	}
+	return len(data), nil
+}

@@ -35,3 +35,11 @@ func decodeTrustedKeyFile(b []byte) error {
 	var c homenc.Ciphertext
 	return c.UnmarshalBinary(b) //lint:unbounded local key file read at startup, not attacker-controlled
 }
+
+func scanVector(b []byte) (int, error) {
+	return homenc.ScanVector(b) // want `unbounded ScanVector on a network-reachable path; use homenc.ScanVectorBound with explicit caps`
+}
+
+func scanVectorBounded(b []byte) (int, error) {
+	return homenc.ScanVectorBound(b, 64)
+}

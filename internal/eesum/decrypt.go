@@ -103,19 +103,32 @@ func (d *Decryption) dimWorkers() int {
 // exchanges over disjoint node pairs may run concurrently.
 func (d *Decryption) ConcurrentExchangeSafe() bool { return true }
 
+// appliedShare remembers the last vector one node's key-share was
+// applied to within an exchange, and the result.
+type appliedShare struct {
+	cts []homenc.Ciphertext
+	ps  []homenc.PartialDecryption
+}
+
 // apply computes the key-share of node from over node to's current
 // ciphertexts and stores it in to's set (at most once per share,
-// Section 4.2.3).
-func (d *Decryption) apply(to, from sim.NodeID) {
+// Section 4.2.3). After an adoption both sides hold the same ciphertext
+// vector, so the share already applied for one side (last) is reused
+// for the other instead of being recomputed.
+func (d *Decryption) apply(to, from sim.NodeID, last *appliedShare) {
 	idx := d.ownIdx[from]
 	if !DecNeeds(d.parts[to], d.threshold, idx) {
 		return
 	}
-	ps, err := DecPartials(d.sch, idx, d.states[to].CTs, d.dimWorkers())
-	if err != nil {
-		return // share indices validated at construction, cannot happen
+	cts := d.states[to].CTs
+	if last.ps == nil || &last.cts[0] != &cts[0] {
+		ps, err := DecPartials(d.sch, idx, cts, d.dimWorkers())
+		if err != nil {
+			return // share indices validated at construction, cannot happen
+		}
+		*last = appliedShare{cts: cts, ps: ps}
 	}
-	d.parts[to][idx] = ps
+	d.parts[to][idx] = last.ps
 }
 
 // Exchange performs one epidemic decryption exchange.
@@ -131,11 +144,12 @@ func (d *Decryption) Exchange(a, b sim.NodeID, full bool) {
 	}
 	// Each side applies its own key-share to the other's ciphertexts,
 	// and to its own state.
-	d.apply(a, b)
-	d.apply(a, a)
+	var byA, byB appliedShare
+	d.apply(a, b, &byB)
+	d.apply(a, a, &byA)
 	if full {
-		d.apply(b, a)
-		d.apply(b, b)
+		d.apply(b, a, &byA)
+		d.apply(b, b, &byB)
 	}
 }
 

@@ -151,8 +151,10 @@ func DimWorkers(dim, workers int) int {
 func DecAdopts(mine, theirs int) bool { return theirs > mine }
 
 // DecNeeds reports whether a state with the given gathered partials
-// still wants key-share idx: below the threshold and not yet present.
-func DecNeeds(parts map[int][]homenc.PartialDecryption, threshold, idx int) bool {
+// (in whatever form the caller holds them: values, wire images, scanned
+// views) still wants key-share idx: below the threshold and not yet
+// present.
+func DecNeeds[V any](parts map[int]V, threshold, idx int) bool {
 	if len(parts) >= threshold {
 		return false
 	}
@@ -190,8 +192,8 @@ func DecPartials(sch homenc.Scheme, idx int, cts []homenc.Ciphertext, workers in
 // keeps the lowest share indices: truncating by map iteration order
 // would make which shares survive — and every downstream state —
 // nondeterministic across runs of the same seed.
-func CopyParts(parts map[int][]homenc.PartialDecryption, threshold int) map[int][]homenc.PartialDecryption {
-	dst := make(map[int][]homenc.PartialDecryption, threshold)
+func CopyParts[V any](parts map[int]V, threshold int) map[int]V {
+	dst := make(map[int]V, threshold)
 	if len(parts) <= threshold {
 		//lint:orderfree whole-map copy into a map: every entry lands regardless of order
 		for k, v := range parts {

@@ -278,9 +278,10 @@ func (h *Host) serve() {
 }
 
 // serveConn reads one frame and routes it: targeted frames go to the
-// virtual node they name (which takes connection ownership — the
-// remaining exchange legs travel on it), untargeted frames are
-// membership traffic the host answers itself against the shared book.
+// virtual node they name (which takes ownership of the connection — the
+// remaining exchange legs travel on it — and of the frame's pooled
+// buffer), untargeted frames are membership traffic the host answers
+// itself against the shared book.
 func (h *Host) serveConn(conn net.Conn) {
 	defer h.wg.Done()
 	_ = conn.SetReadDeadline(time.Now().Add(h.cfg.ExchangeTimeout))

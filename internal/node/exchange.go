@@ -2,7 +2,6 @@ package node
 
 import (
 	"errors"
-	"fmt"
 	"math/big"
 	"net"
 	"time"
@@ -17,17 +16,45 @@ import (
 // proposal, and the decryption state. Only the exchange currently being
 // processed by the main loop touches it, so no locking is needed.
 type iterState struct {
-	means eesum.SumState
-	noise eesum.SumState
+	means sumSide
+	noise sumSide
 	ctrS  float64
 	ctrW  float64
 
 	corID  uint64
 	corVec []float64
 
-	decCTs   []homenc.Ciphertext
+	decCTs   *homenc.Vector
 	decOmega *big.Int
-	decParts map[int][]homenc.PartialDecryption
+	decParts map[int]*homenc.Partials
+}
+
+// sumSide is an EESum state plus the wire image of its ciphertext
+// vector, so a state journaled at its commit and sent on the next
+// exchange — or checkpointed unchanged all through the later phases —
+// is encoded once. The state is replaced wholesale, never modified in
+// place: a new sumSide starts without an image.
+type sumSide struct {
+	eesum.SumState
+	vec *homenc.Vector // wraps SumState.CTs; nil until first sent or journaled
+}
+
+func (s *sumSide) wire() wireproto.SumSide {
+	if s.vec == nil {
+		s.vec = homenc.NewVector(s.CTs)
+	}
+	return wireproto.SumSide{CTs: s.vec, Omega: s.Omega, Epoch: s.Epoch}
+}
+
+// sumOut is the iteration's sum-phase state as an exchange leg (or a
+// journal checkpoint, with a zero header) sends it.
+func (st *iterState) sumOut(hdr wireproto.ExchangeHdr) *wireproto.SumOut {
+	return &wireproto.SumOut{Hdr: hdr, Means: st.means.wire(), Noise: st.noise.wire(), CtrSigma: st.ctrS, CtrOmega: st.ctrW}
+}
+
+// decOut is the iteration's decryption state in sending form.
+func (st *iterState) decOut(hdr wireproto.ExchangeHdr, fresh *homenc.Partials) *wireproto.DecMsg {
+	return &wireproto.DecMsg{Hdr: hdr, CTs: st.decCTs, Omega: st.decOmega, Parts: st.decParts, Fresh: fresh}
 }
 
 // hdrFor stamps an exchange header for a scheduled slot.
@@ -139,6 +166,7 @@ func (nd *Node) respondWith(s slot, from int, serve func(in inbound) tryOutcome)
 		}
 		out := serve(in)
 		_ = in.conn.Close()
+		in.frame.Release()
 		switch out {
 		case tryCommitted, tryHalf:
 			return
@@ -220,15 +248,18 @@ func dialOutcome(err error) tryOutcome {
 // — saying nothing and letting the responder's fin timeout fire — is
 // what a genuine crash produces, with the identical half-completed
 // outcome.
-func (nd *Node) sendFin(conn net.Conn, kind byte, hdr wireproto.ExchangeHdr, s slot, full bool, payload func(wireproto.ExchangeHdr) []byte) {
+func (nd *Node) sendFin(conn net.Conn, kind byte, hdr wireproto.ExchangeHdr, s slot, full bool, msg func(wireproto.ExchangeHdr) wireproto.Message) {
 	if nd.crashes(LegFin, s) {
 		return // simulated crash between the merge and FIN
 	}
 	if !full {
 		hdr.Flags |= wireproto.FlagAbort
 	}
-	_ = nd.writeFrame(conn, kind, payload(hdr))
+	_ = nd.writeMsg(conn, kind, -1, msg(hdr))
 }
+
+// bareFin is the payload of a sum or dissemination commit leg.
+func bareFin(h wireproto.ExchangeHdr) wireproto.Message { return wireproto.Fin{Hdr: h} }
 
 // --- sum phase (encrypted means + noise lockstep + counter) ---
 
@@ -243,38 +274,36 @@ func (nd *Node) initiateSum(st *iterState, peer int, s slot, full bool) {
 			return tryHalf
 		}
 		hdr := nd.hdrFor(s, peer)
-		req := wireproto.SumMsg{Hdr: hdr, Means: st.means, Noise: st.noise, CtrSigma: st.ctrS, CtrOmega: st.ctrW}
 		// Request legs carry the destination index so a multiplexed
 		// listener can route them; later legs ride the routed connection.
-		if err := nd.writeFrameTo(conn, wireproto.KindSumReq, peer, wireproto.MarshalSum(req)); err != nil {
+		if err := nd.writeMsg(conn, wireproto.KindSumReq, peer, st.sumOut(hdr)); err != nil {
 			return tryRetry
 		}
 		f, err := nd.readFrame(conn)
+		defer f.Release()
 		if err != nil || f.Kind != wireproto.KindSumResp {
 			return tryRetry
 		}
-		resp, err := wireproto.UnmarshalSum(f.Payload, nd.lim)
+		resp, err := wireproto.ScanSum(f.Payload, nd.lim)
 		if err != nil || !nd.validSumState(resp.Means, len(st.means.CTs)) || !nd.validSumState(resp.Noise, len(st.noise.CTs)) {
 			return tryReject
 		}
 		// Initiator half: the commit point. Applied exactly once — no
 		// failure after this line is ever retried (the sim's
 		// Exchange(a, b, *) a-side).
-		st.means = eesum.MergeSum(nd.cfg.Scheme, st.means, resp.Means, nd.dimWk)
-		st.noise = eesum.MergeSum(nd.cfg.Scheme, st.noise, resp.Noise, nd.dimWk)
+		st.means = sumSide{SumState: eesum.MergeSum(nd.cfg.Scheme, st.means.SumState, resp.Means.State(), nd.dimWk)}
+		st.noise = sumSide{SumState: eesum.MergeSum(nd.cfg.Scheme, st.noise.SumState, resp.Noise.State(), nd.dimWk)}
 		st.ctrS, st.ctrW = (st.ctrS+resp.CtrSigma)/2, (st.ctrW+resp.CtrOmega)/2
 		nd.counters.Initiated.Add(1)
 		nd.journalCommit(s, st, true)
-		nd.sendFin(conn, wireproto.KindSumFin, hdr, s, full, func(h wireproto.ExchangeHdr) []byte {
-			return wireproto.MarshalFin(wireproto.Fin{Hdr: h})
-		})
+		nd.sendFin(conn, wireproto.KindSumFin, hdr, s, full, bareFin)
 		return tryCommitted
 	})
 }
 
 func (nd *Node) respondSum(st *iterState, s slot, from int) {
 	nd.respondWith(s, from, func(in inbound) tryOutcome {
-		req, err := wireproto.UnmarshalSum(in.frame.Payload, nd.lim)
+		req, err := wireproto.ScanSum(in.frame.Payload, nd.lim)
 		if err != nil || int(req.Hdr.From) != from ||
 			!nd.validSumState(req.Means, len(st.means.CTs)) || !nd.validSumState(req.Noise, len(st.noise.CTs)) {
 			return tryReject
@@ -282,8 +311,7 @@ func (nd *Node) respondSum(st *iterState, s slot, from int) {
 		if nd.crashes(LegResp, s) {
 			return tryHalf
 		}
-		resp := wireproto.SumMsg{Hdr: req.Hdr, Means: st.means, Noise: st.noise, CtrSigma: st.ctrS, CtrOmega: st.ctrW}
-		if err := nd.writeFrame(in.conn, wireproto.KindSumResp, wireproto.MarshalSum(resp)); err != nil {
+		if err := nd.writeMsg(in.conn, wireproto.KindSumResp, -1, st.sumOut(req.Hdr)); err != nil {
 			return tryRetry
 		}
 		fin, out := nd.awaitFin(in.conn, wireproto.KindSumFin)
@@ -295,8 +323,8 @@ func (nd *Node) respondSum(st *iterState, s slot, from int) {
 		}
 		// Responder half (the sim's Exchange b-side under full=true); the
 		// merge arguments keep (initiator, responder) order on both sides.
-		st.means = eesum.MergeSum(nd.cfg.Scheme, req.Means, st.means, nd.dimWk)
-		st.noise = eesum.MergeSum(nd.cfg.Scheme, req.Noise, st.noise, nd.dimWk)
+		st.means = sumSide{SumState: eesum.MergeSum(nd.cfg.Scheme, req.Means.State(), st.means.SumState, nd.dimWk)}
+		st.noise = sumSide{SumState: eesum.MergeSum(nd.cfg.Scheme, req.Noise.State(), st.noise.SumState, nd.dimWk)}
 		st.ctrS, st.ctrW = (req.CtrSigma+st.ctrS)/2, (req.CtrOmega+st.ctrW)/2
 		nd.counters.Responded.Add(1)
 		nd.journalCommit(s, st, false)
@@ -310,6 +338,7 @@ func (nd *Node) respondSum(st *iterState, s slot, from int) {
 func (nd *Node) awaitFin(conn net.Conn, wantKind byte) (wireproto.ExchangeHdr, tryOutcome) {
 	_ = conn.SetReadDeadline(time.Now().Add(nd.cfg.FinTimeout))
 	f, err := nd.readFrame(conn)
+	defer f.Release()
 	if err != nil || f.Kind != wantKind {
 		return wireproto.ExchangeHdr{}, tryFinLost
 	}
@@ -334,10 +363,11 @@ func (nd *Node) initiateDiss(st *iterState, peer int, s slot, full bool) {
 		}
 		hdr := nd.hdrFor(s, peer)
 		req := wireproto.DissMsg{Hdr: hdr, ID: st.corID, Vec: st.corVec}
-		if err := nd.writeFrameTo(conn, wireproto.KindDissReq, peer, wireproto.MarshalDiss(req)); err != nil {
+		if err := nd.writeMsg(conn, wireproto.KindDissReq, peer, &req); err != nil {
 			return tryRetry
 		}
 		f, err := nd.readFrame(conn)
+		defer f.Release()
 		if err != nil || f.Kind != wireproto.KindDissResp {
 			return tryRetry
 		}
@@ -351,9 +381,7 @@ func (nd *Node) initiateDiss(st *iterState, peer int, s slot, full bool) {
 		}
 		nd.counters.Initiated.Add(1)
 		nd.journalCommit(s, st, true)
-		nd.sendFin(conn, wireproto.KindDissFin, hdr, s, full, func(h wireproto.ExchangeHdr) []byte {
-			return wireproto.MarshalFin(wireproto.Fin{Hdr: h})
-		})
+		nd.sendFin(conn, wireproto.KindDissFin, hdr, s, full, bareFin)
 		return tryCommitted
 	})
 }
@@ -368,7 +396,7 @@ func (nd *Node) respondDiss(st *iterState, s slot, from int) {
 			return tryHalf
 		}
 		resp := wireproto.DissMsg{Hdr: req.Hdr, ID: st.corID, Vec: st.corVec}
-		if err := nd.writeFrame(in.conn, wireproto.KindDissResp, wireproto.MarshalDiss(resp)); err != nil {
+		if err := nd.writeMsg(in.conn, wireproto.KindDissResp, -1, &resp); err != nil {
 			return tryRetry
 		}
 		fin, out := nd.awaitFin(in.conn, wireproto.KindDissFin)
@@ -389,6 +417,101 @@ func (nd *Node) respondDiss(st *iterState, s slot, from int) {
 
 // --- epidemic decryption phase ---
 
+// ownShare applies this node's key-share to a ciphertext vector. A
+// failure cannot happen (share indices are validated at construction)
+// and, as in the simulator, just leaves the share unapplied.
+func (nd *Node) ownShare(cts []homenc.Ciphertext) *homenc.Partials {
+	ps, err := eesum.DecPartials(nd.cfg.Scheme, nd.share, cts, nd.dimWk)
+	if err != nil {
+		return nil
+	}
+	return homenc.NewPartials(ps)
+}
+
+// adoptDec replaces this side's decryption state with the peer's,
+// detaching it from the frame it arrived in: the adopted vectors keep
+// the images they came with. cts is the peer's ciphertext vector,
+// already detached.
+func adoptDec(st *iterState, peer wireproto.DecView, cts *homenc.Vector, tau int) {
+	st.decCTs, st.decOmega = cts, peer.Omega()
+	st.decParts = make(map[int]*homenc.Partials, tau)
+	//lint:orderfree whole-map conversion of the already-capped copy: every entry lands regardless of order
+	for idx, ps := range eesum.CopyParts(peer.Parts, tau) {
+		st.decParts[idx] = ps.Copy()
+	}
+}
+
+// decExchange is the part of a decryption exchange both roles share,
+// with this node as "me" and the other side as "peer" (the sim's
+// Exchange(a, b, full) seen from either end). Adoption decisions depend
+// only on pre-exchange states, and after an adoption both sides hold
+// the same ciphertext vector, so this node's key-share is applied to it
+// once and serves both the peer (fresh) and this side's own state.
+type decExchange struct {
+	peer       wireproto.DecView
+	iAdopt     bool           // this side adopts the peer's state
+	peerAdopts bool           // the peer adopts this side's state
+	adopted    *homenc.Vector // the peer's ciphertexts, detached (only when iAdopt)
+	fresh      *homenc.Partials
+}
+
+// prepareDec computes, before anything is mutated, this node's
+// key-share over the peer's post-adoption ciphertexts — the payload of
+// the response or fin leg — if the peer's post-adoption state wants it.
+// An initiator whose exchange is scheduled to end half-completed
+// (!full) sends the peer nothing and computes nothing for it.
+func (nd *Node) prepareDec(st *iterState, peer wireproto.DecView, full bool) decExchange {
+	tau := nd.cfg.Scheme.Threshold()
+	x := decExchange{
+		peer:       peer,
+		iAdopt:     eesum.DecAdopts(len(st.decParts), len(peer.Parts)),
+		peerAdopts: eesum.DecAdopts(len(peer.Parts), len(st.decParts)),
+	}
+	if x.iAdopt {
+		x.adopted = peer.CTs.Copy()
+	}
+	switch {
+	case !full:
+	case x.peerAdopts:
+		if eesum.DecNeeds(st.decParts, tau, nd.share) {
+			x.fresh = nd.ownShare(st.decCTs.Values())
+		}
+	case !eesum.DecNeeds(peer.Parts, tau, nd.share):
+	case x.iAdopt:
+		x.fresh = nd.ownShare(x.adopted.Values())
+	default:
+		x.fresh = nd.ownShare(peer.CTs.Values())
+	}
+	return x
+}
+
+// commitDec applies this side's transition (the sim's adopt, apply(me,
+// peer), apply(me, me)): the commit point, applied exactly once.
+// peerFresh is the peer's key-share over this side's post-adoption
+// ciphertexts, as it arrived on the response or fin leg.
+func (nd *Node) commitDec(st *iterState, x decExchange, peerShare int, peerFresh homenc.PartialsView) {
+	tau := nd.cfg.Scheme.Threshold()
+	if x.iAdopt {
+		adoptDec(st, x.peer, x.adopted, tau)
+	}
+	if peerFresh.Len() > 0 && eesum.DecNeeds(st.decParts, tau, peerShare) {
+		if validPartials(peerFresh, peerShare, st.decCTs.Len()) {
+			st.decParts[peerShare] = peerFresh.Copy()
+		} else {
+			nd.counters.Rejected.Add(1)
+		}
+	}
+	if eesum.DecNeeds(st.decParts, tau, nd.share) {
+		own := x.fresh
+		if own == nil || !(x.iAdopt || x.peerAdopts) {
+			own = nd.ownShare(st.decCTs.Values())
+		}
+		if own != nil {
+			st.decParts[nd.share] = own
+		}
+	}
+}
+
 func (nd *Node) initiateDec(st *iterState, peer int, s slot, full bool) {
 	nd.initiateWith(peer, s, func() tryOutcome {
 		conn, err := nd.dial(peer)
@@ -400,66 +523,28 @@ func (nd *Node) initiateDec(st *iterState, peer int, s slot, full bool) {
 			return tryHalf
 		}
 		hdr := nd.hdrFor(s, peer)
-		req := wireproto.DecMsg{Hdr: hdr, CTs: st.decCTs, Omega: st.decOmega, Parts: st.decParts}
-		if err := nd.writeFrameTo(conn, wireproto.KindDecReq, peer, wireproto.MarshalDec(req)); err != nil {
+		if err := nd.writeMsg(conn, wireproto.KindDecReq, peer, st.decOut(hdr, nil)); err != nil {
 			return tryRetry
 		}
 		f, err := nd.readFrame(conn)
+		defer f.Release()
 		if err != nil || f.Kind != wireproto.KindDecResp {
 			return tryRetry
 		}
-		resp, err := wireproto.UnmarshalDec(f.Payload, nd.lim)
-		if err != nil || !validDecState(resp, len(st.decCTs), nd.cfg.Scheme.NumShares()) {
+		resp, err := wireproto.ScanDec(f.Payload, nd.lim)
+		if err != nil || !validDecState(resp, st.decCTs.Len(), nd.cfg.Scheme.NumShares()) {
 			return tryReject
 		}
-		tau := nd.cfg.Scheme.Threshold()
-		peerShare := peer + 1
-
-		// Everything below mirrors the sim's Exchange(a, b, full) with this
-		// node as a. Adoption decisions and the fin-leg partials depend only
-		// on pre-exchange states, so compute them before mutating anything.
-		aAdopts := eesum.DecAdopts(len(st.decParts), len(resp.Parts))
-		peerAdopts := eesum.DecAdopts(len(resp.Parts), len(st.decParts))
-
-		// FIN payload: this side's key-share applied to the responder's
-		// post-adoption ciphertexts (the sim's apply(b, a); adoption copies
-		// pre-exchange state, so pre-state is the right input).
-		var freshForPeer []homenc.PartialDecryption
-		if full {
-			peerPostCTs, peerPostParts := resp.CTs, resp.Parts
-			if peerAdopts {
-				peerPostCTs, peerPostParts = st.decCTs, st.decParts
-			}
-			if eesum.DecNeeds(peerPostParts, tau, nd.share) {
-				if ps, err := eesum.DecPartials(nd.cfg.Scheme, nd.share, peerPostCTs, nd.dimWk); err == nil {
-					freshForPeer = ps
-				}
-			}
-		}
-
-		// a-side transition (adopt, apply(a,b), apply(a,a)): the commit
-		// point — applied exactly once.
-		if aAdopts {
-			st.decCTs, st.decOmega = resp.CTs, resp.Omega
-			st.decParts = eesum.CopyParts(resp.Parts, tau)
-		}
-		if len(resp.Fresh) > 0 && eesum.DecNeeds(st.decParts, tau, peerShare) {
-			if ps, err := validPartials(resp.Fresh, peerShare, len(st.decCTs)); err == nil {
-				st.decParts[peerShare] = ps
-			} else {
-				nd.counters.Rejected.Add(1)
-			}
-		}
-		if eesum.DecNeeds(st.decParts, tau, nd.share) {
-			if ps, err := eesum.DecPartials(nd.cfg.Scheme, nd.share, st.decCTs, nd.dimWk); err == nil {
-				st.decParts[nd.share] = ps
-			}
-		}
+		// The fin leg carries this side's key-share over the responder's
+		// post-adoption ciphertexts (the sim's apply(b, a)); a
+		// half-completed exchange sends none.
+		x := nd.prepareDec(st, resp, full)
+		nd.commitDec(st, x, peer+1, resp.Fresh)
 		nd.counters.Initiated.Add(1)
 		nd.journalCommit(s, st, true)
 
-		nd.sendFin(conn, wireproto.KindDecFin, hdr, s, full, func(h wireproto.ExchangeHdr) []byte {
-			return wireproto.MarshalDec(wireproto.DecMsg{Hdr: h, Fresh: freshForPeer})
+		nd.sendFin(conn, wireproto.KindDecFin, hdr, s, full, func(h wireproto.ExchangeHdr) wireproto.Message {
+			return &wireproto.DecMsg{Hdr: h, Fresh: x.fresh}
 		})
 		return tryCommitted
 	})
@@ -467,111 +552,69 @@ func (nd *Node) initiateDec(st *iterState, peer int, s slot, full bool) {
 
 func (nd *Node) respondDec(st *iterState, s slot, from int) {
 	nd.respondWith(s, from, func(in inbound) tryOutcome {
-		req, err := wireproto.UnmarshalDec(in.frame.Payload, nd.lim)
-		if err != nil || int(req.Hdr.From) != from || !validDecState(req, len(st.decCTs), nd.cfg.Scheme.NumShares()) {
+		req, err := wireproto.ScanDec(in.frame.Payload, nd.lim)
+		if err != nil || int(req.Hdr.From) != from || !validDecState(req, st.decCTs.Len(), nd.cfg.Scheme.NumShares()) {
 			return tryReject
 		}
 		if nd.crashes(LegResp, s) {
 			return tryHalf
 		}
-		tau := nd.cfg.Scheme.Threshold()
-		myPartsPre, reqParts := len(st.decParts), len(req.Parts)
-
-		// This side's key-share over the initiator's post-adoption
-		// ciphertexts (the sim's apply(a, b)), computed before any commit.
-		reqAdopts := eesum.DecAdopts(reqParts, myPartsPre)
-		initPostCTs, initPostParts := req.CTs, req.Parts
-		if reqAdopts {
-			initPostCTs = st.decCTs
-			initPostParts = st.decParts
-		}
-		var fresh []homenc.PartialDecryption
-		if eesum.DecNeeds(initPostParts, tau, nd.share) {
-			if ps, err := eesum.DecPartials(nd.cfg.Scheme, nd.share, initPostCTs, nd.dimWk); err == nil {
-				fresh = ps
-			}
-		}
-		resp := wireproto.DecMsg{Hdr: req.Hdr, CTs: st.decCTs, Omega: st.decOmega, Parts: st.decParts, Fresh: fresh}
-		if err := nd.writeFrame(in.conn, wireproto.KindDecResp, wireproto.MarshalDec(resp)); err != nil {
+		// The response carries this side's key-share over the initiator's
+		// post-adoption ciphertexts (the sim's apply(a, b)), computed
+		// before any commit.
+		x := nd.prepareDec(st, req, true)
+		if err := nd.writeMsg(in.conn, wireproto.KindDecResp, -1, st.decOut(req.Hdr, x.fresh)); err != nil {
 			return tryRetry
 		}
 		_ = in.conn.SetReadDeadline(time.Now().Add(nd.cfg.FinTimeout))
 		f, err := nd.readFrame(in.conn)
+		defer f.Release()
 		if err != nil || f.Kind != wireproto.KindDecFin {
 			return tryFinLost
 		}
-		fin, err := wireproto.UnmarshalDec(f.Payload, nd.lim)
+		fin, err := wireproto.ScanDec(f.Payload, nd.lim)
 		if err != nil {
 			return tryReject
 		}
 		if fin.Hdr.Flags&wireproto.FlagAbort != 0 {
 			return tryHalf
 		}
-
-		// b-side commit (sim's adopt(b,a), apply(b,a), apply(b,b)):
-		// applied exactly once.
-		if eesum.DecAdopts(myPartsPre, reqParts) {
-			st.decCTs, st.decOmega = req.CTs, req.Omega
-			st.decParts = eesum.CopyParts(req.Parts, tau)
-		}
-		fromShare := from + 1
-		if len(fin.Fresh) > 0 && eesum.DecNeeds(st.decParts, tau, fromShare) {
-			if ps, err := validPartials(fin.Fresh, fromShare, len(st.decCTs)); err == nil {
-				st.decParts[fromShare] = ps
-			} else {
-				nd.counters.Rejected.Add(1)
-			}
-		}
-		if eesum.DecNeeds(st.decParts, tau, nd.share) {
-			if ps, err := eesum.DecPartials(nd.cfg.Scheme, nd.share, st.decCTs, nd.dimWk); err == nil {
-				st.decParts[nd.share] = ps
-			}
-		}
+		nd.commitDec(st, x, from+1, fin.Fresh)
 		nd.counters.Responded.Add(1)
 		nd.journalCommit(s, st, false)
 		return tryCommitted
 	})
 }
 
-// validPartials checks a fresh partial vector claims the expected share
-// index on every element and covers the full vector.
-func validPartials(ps []homenc.PartialDecryption, share, dim int) ([]homenc.PartialDecryption, error) {
-	if len(ps) != dim {
-		return nil, fmt.Errorf("node: %d partials for a %d-vector", len(ps), dim)
-	}
-	for _, p := range ps {
-		if p.Index != share || p.V == nil {
-			return nil, fmt.Errorf("node: partial claims share %d, want %d", p.Index, share)
-		}
-	}
-	return ps, nil
+// validPartials checks a scanned partial vector claims the expected
+// share index on every element and covers the full vector.
+func validPartials(ps homenc.PartialsView, share, dim int) bool {
+	got, uniform := ps.Share()
+	return ps.Len() == dim && uniform && got == share
 }
 
 // validDecState vets a peer's decryption state before any of it can be
-// adopted: the ciphertext vector covers the full dimension, the weight
-// is present, and every gathered partial set is a full-length vector
-// under its claimed share index — a malformed map must not be able to
-// panic CombineParts after adoption.
-func validDecState(m wireproto.DecMsg, dim, numShares int) bool {
-	if len(m.CTs) != dim || m.Omega == nil {
+// adopted: the ciphertext vector covers the full dimension and every
+// gathered partial set is a full-length vector under its claimed share
+// index — a malformed map must not be able to panic CombineParts after
+// adoption.
+func validDecState(m wireproto.DecView, dim, numShares int) bool {
+	if m.CTs.Len() != dim {
 		return false
 	}
 	//lint:orderfree pure validation: rejects on any bad entry, order cannot change the verdict
 	for idx, ps := range m.Parts {
-		if idx < 1 || idx > numShares {
-			return false
-		}
-		if _, err := validPartials(ps, idx, dim); err != nil {
+		if idx < 1 || idx > numShares || !validPartials(ps, idx, dim) {
 			return false
 		}
 	}
 	return true
 }
 
-// validSumState vets a peer's EESum state: full dimension, weight
-// present, and an epoch within the deployment's headroom bound — a
-// hostile epoch would otherwise drive a 2^(epoch diff) ciphertext
-// rescaling of unbounded cost.
-func (nd *Node) validSumState(st eesum.SumState, dim int) bool {
-	return len(st.CTs) == dim && st.Omega != nil && st.Epoch >= 0 && st.Epoch <= nd.maxEpoch
+// validSumState vets a peer's EESum state: full dimension and an epoch
+// within the deployment's headroom bound — a hostile epoch would
+// otherwise drive a 2^(epoch diff) ciphertext rescaling of unbounded
+// cost. Nothing of the state has been materialized yet.
+func (nd *Node) validSumState(st wireproto.SumSideView, dim int) bool {
+	return st.CTs.Len() == dim && st.Epoch >= 0 && st.Epoch <= nd.maxEpoch
 }

@@ -791,8 +791,10 @@ func (nd *Node) handleConn(conn net.Conn) {
 // Deliver hands the node one frame read off a connection the node does
 // not own the accept loop for — the mux.Host route-in path. The node
 // takes ownership of the connection (response legs travel back on it,
-// and shutdown closes it); the frame's wire bytes are credited here, so
-// byte accounting matches a connection the node read itself.
+// and shutdown closes it) and of the frame's pooled buffer (the caller
+// must not touch or release f afterwards); the frame's wire bytes are
+// credited here, so byte accounting matches a connection the node read
+// itself.
 func (nd *Node) Deliver(conn net.Conn, f wireproto.Frame) {
 	conn = nd.track(conn)
 	nd.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(f.Target, len(f.Payload))))
@@ -800,8 +802,9 @@ func (nd *Node) Deliver(conn net.Conn, f wireproto.Frame) {
 }
 
 // dispatch routes one decoded inbound frame. The exchange-request kinds
-// park the connection with the registry for the main protocol loop;
-// every other kind is a self-contained round trip handled here.
+// park the connection — and the frame, which the main protocol loop
+// releases once it has served the request — with the registry; every
+// other kind is a self-contained round trip handled here.
 func (nd *Node) dispatch(conn net.Conn, f wireproto.Frame) {
 	if f.Epoch != nd.epoch || (f.Target >= 0 && f.Target != nd.cfg.Index) {
 		nd.counters.Rejected.Add(1)
@@ -903,23 +906,27 @@ func phaseOfKind(kind byte) int {
 	}
 }
 
-// writeFrame and readFrame wrap the wire layer with byte accounting.
-// A malformed or over-limit frame — as opposed to a connection dying
-// mid-frame — additionally counts toward BadFrames: hostile input is
-// accounted separately from network weather, and the offending
-// connection is always dropped by the caller.
+// writeFrame, writeMsg and readFrame wrap the wire layer with byte
+// accounting. A malformed or over-limit frame — as opposed to a
+// connection dying mid-frame — additionally counts toward BadFrames:
+// hostile input is accounted separately from network weather, and the
+// offending connection is always dropped by the caller.
 func (nd *Node) writeFrame(conn net.Conn, kind byte, payload []byte) error {
-	return nd.writeFrameTo(conn, kind, -1, payload)
+	err := wireproto.WriteFrame(conn, kind, nd.epoch, payload)
+	if err == nil {
+		nd.counters.BytesSent.Add(int64(wireproto.FrameWireSize(-1, len(payload))))
+	}
+	return err
 }
 
-// writeFrameTo writes a frame addressed to a population index (< 0:
+// writeMsg writes an exchange leg addressed to a population index (< 0:
 // untargeted), so a multiplexed listener on the far side can route it
 // without decoding the payload. Exchange request legs carry the target;
 // every later leg travels on an already-routed connection.
-func (nd *Node) writeFrameTo(conn net.Conn, kind byte, target int, payload []byte) error {
-	err := wireproto.WriteFrameTarget(conn, kind, nd.epoch, target, payload)
+func (nd *Node) writeMsg(conn net.Conn, kind byte, target int, m wireproto.Message) error {
+	n, err := wireproto.WriteMessage(conn, kind, nd.epoch, target, m)
 	if err == nil {
-		nd.counters.BytesSent.Add(int64(wireproto.FrameWireSize(target, len(payload))))
+		nd.counters.BytesSent.Add(int64(n))
 	}
 	return err
 }
@@ -1065,7 +1072,7 @@ func (nd *Node) peerUnreachable(peer int) bool {
 // encryptState builds this participant's initial EESum state for one
 // phase: its encrypted vector, weight 1 on participant 0 (Section 3.2
 // footnote 5), epoch 0.
-func (nd *Node) encryptState(vec []*big.Int) eesum.SumState {
+func (nd *Node) encryptState(vec []*big.Int) sumSide {
 	cts := make([]homenc.Ciphertext, len(vec))
 	for j, v := range vec {
 		cts[j] = nd.cfg.Scheme.Encrypt(v)
@@ -1074,5 +1081,5 @@ func (nd *Node) encryptState(vec []*big.Int) eesum.SumState {
 	if nd.cfg.Index == 0 {
 		omega = big.NewInt(1)
 	}
-	return eesum.SumState{CTs: cts, Omega: omega, Epoch: 0}
+	return sumSide{SumState: eesum.SumState{CTs: cts, Omega: omega, Epoch: 0}}
 }

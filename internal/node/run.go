@@ -229,19 +229,23 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 		for j, x := range st.corVec {
 			cor[j] = new(big.Int).Neg(nd.codec.Encode(x))
 		}
+		// Both updates rewrite ciphertext slots in place, so they run on
+		// clones: a state whose wire image is cached is never modified.
 		// Packing is linear, so the packed negated correction subtracts
 		// exactly per slot.
-		if err := eesum.AddEncryptedState(nd.cfg.Scheme, st.noise, nd.pack.Pack(cor), nd.dimWk); err != nil {
+		noise, means := st.noise.Clone(), st.means.Clone()
+		if err := eesum.AddEncryptedState(nd.cfg.Scheme, noise, nd.pack.Pack(cor), nd.dimWk); err != nil {
 			return nil, nil, err
 		}
-		if err := eesum.PerturbState(nd.cfg.Scheme, st.means, st.noise); err != nil {
+		if err := eesum.PerturbState(nd.cfg.Scheme, means, noise); err != nil {
 			return nil, nil, fmt.Errorf("node %d: %w", nd.cfg.Index, err)
 		}
+		st.noise, st.means = sumSide{SumState: noise}, sumSide{SumState: means}
 
 		// --- Algorithm 3 (c): epidemic threshold decryption over the wire.
-		st.decCTs = st.means.CTs
+		st.decCTs = homenc.NewVector(st.means.CTs)
 		st.decOmega = st.means.Omega
-		st.decParts = make(map[int][]homenc.PartialDecryption, nd.cfg.Scheme.Threshold())
+		st.decParts = make(map[int]*homenc.Partials, nd.cfg.Scheme.Threshold())
 	}
 	nd.phaseNow.Store(int64(phaseDec))
 	nd.runPhase(it, phaseDec, nd.cfg.Proto.DecryptCycles, st, after)
@@ -251,7 +255,12 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 	if len(st.decParts) < tau {
 		return nil, nil, fmt.Errorf("node %d: gathered %d of %d key-shares in the fixed decryption budget", nd.cfg.Index, len(st.decParts), tau)
 	}
-	ms, err := eesum.CombineParts(nd.cfg.Scheme, st.decCTs, st.decParts, tau, nd.dimWk)
+	parts := make(map[int][]homenc.PartialDecryption, len(st.decParts))
+	//lint:orderfree whole-map conversion: every entry lands regardless of order
+	for idx, ps := range st.decParts {
+		parts[idx] = ps.Values()
+	}
+	ms, err := eesum.CombineParts(nd.cfg.Scheme, st.decCTs.Values(), parts, tau, nd.dimWk)
 	if err != nil {
 		return nil, nil, err
 	}

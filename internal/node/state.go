@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"chiaroscuro/internal/core"
-	"chiaroscuro/internal/homenc"
+	"chiaroscuro/internal/eesum"
 	"chiaroscuro/internal/journal"
 	"chiaroscuro/internal/timeseries"
 	"chiaroscuro/internal/wireproto"
@@ -165,9 +165,11 @@ func (e *senc) str(s string) {
 	e.u32(uint32(len(s)))
 	e.b = append(e.b, s...)
 }
-func (e *senc) blob(p []byte) {
-	e.u32(uint32(len(p)))
-	e.b = append(e.b, p...)
+
+// msg appends a length-prefixed wire message, encoded in place.
+func (e *senc) msg(m wireproto.Message) {
+	e.u32(uint32(m.Size()))
+	e.b = m.AppendTo(e.b)
 }
 
 type sdec struct {
@@ -417,32 +419,40 @@ func minInt(a, b int) int {
 // checkpointRecord is one commit point's full iteration state. The
 // three protocol segments reuse the wire codecs (with zeroed exchange
 // headers): the journal speaks the same canonical encoding as the wire,
-// so the bounded decoders and their fuzzing cover both.
+// so the bounded decoders and their fuzzing cover both — and so a
+// checkpoint is written from the state's cached wire images rather than
+// re-encoded at every commit, and a replayed checkpoint hands the
+// restored state the journal's bytes as its images.
 type checkpointRecord struct {
 	pos      slot
-	sum      wireproto.SumMsg
-	diss     wireproto.DissMsg
-	dec      wireproto.DecMsg
+	st       *iterState // fields of phases pos had not reached stay unset
 	counters wireproto.Counters
 }
 
+// countersSize is the encoded size of a wireproto.Counters snapshot
+// (a capacity hint: encodeCounters is what defines the record).
+const countersSize = 11 * 8
+
 func encodeCheckpoint(s slot, st *iterState, ctrs wireproto.Counters) []byte {
-	var e senc
+	sum := st.sumOut(wireproto.ExchangeHdr{})
+	diss := &wireproto.DissMsg{ID: st.corID, Vec: st.corVec}
+	dec := st.decOut(wireproto.ExchangeHdr{}, nil)
+	e := senc{b: make([]byte, 0, 4*4+3*4+sum.Size()+diss.Size()+dec.Size()+countersSize)}
 	e.u32(uint32(s.iter))
 	e.u32(uint32(s.phase))
 	e.u32(uint32(s.cycle))
 	e.u32(uint32(s.seq))
-	e.blob(wireproto.MarshalSum(wireproto.SumMsg{
-		Means: st.means, Noise: st.noise, CtrSigma: st.ctrS, CtrOmega: st.ctrW,
-	}))
-	e.blob(wireproto.MarshalDiss(wireproto.DissMsg{ID: st.corID, Vec: st.corVec}))
-	e.blob(wireproto.MarshalDec(wireproto.DecMsg{
-		CTs: st.decCTs, Omega: st.decOmega, Parts: st.decParts,
-	}))
+	e.msg(sum)
+	e.msg(diss)
+	e.msg(dec)
 	encodeCounters(&e, ctrs)
 	return e.b
 }
 
+// decodeCheckpoint rebuilds the live iteration state from a checkpoint.
+// Fields belonging to phases the checkpoint had not reached yet stay
+// unset: the resumed iterate computes them at the phase boundary
+// exactly as an uncrashed run would.
 func decodeCheckpoint(p []byte, lim wireproto.Limits) (checkpointRecord, error) {
 	d := sdec{b: p}
 	r := checkpointRecord{pos: slot{
@@ -461,40 +471,41 @@ func decodeCheckpoint(p []byte, lim wireproto.Limits) (checkpointRecord, error) 
 	if r.pos.phase < phaseSum || r.pos.phase > phaseDec {
 		return checkpointRecord{}, fmt.Errorf("%w: checkpoint phase %d out of range", journal.ErrCorrupt, r.pos.phase)
 	}
-	var err error
-	if r.sum, err = wireproto.UnmarshalSum(sumB, lim); err != nil {
+	sum, err := wireproto.ScanSum(sumB, lim)
+	if err != nil {
 		return checkpointRecord{}, fmt.Errorf("%w: checkpoint sum segment: %v", journal.ErrCorrupt, err)
 	}
-	if r.diss, err = wireproto.UnmarshalDiss(dissB, lim); err != nil {
+	diss, err := wireproto.UnmarshalDiss(dissB, lim)
+	if err != nil {
 		return checkpointRecord{}, fmt.Errorf("%w: checkpoint diss segment: %v", journal.ErrCorrupt, err)
 	}
-	if r.dec, err = wireproto.UnmarshalDec(decB, lim); err != nil {
+	dec, err := wireproto.ScanDec(decB, lim)
+	if err != nil {
 		return checkpointRecord{}, fmt.Errorf("%w: checkpoint dec segment: %v", journal.ErrCorrupt, err)
+	}
+	r.st = &iterState{
+		means: restoreSumSide(sum.Means),
+		noise: restoreSumSide(sum.Noise),
+		ctrS:  sum.CtrSigma,
+		ctrW:  sum.CtrOmega,
+	}
+	if r.pos.phase >= phaseDiss {
+		r.st.corID, r.st.corVec = diss.ID, diss.Vec
+	}
+	if r.pos.phase >= phaseDec {
+		adoptDec(r.st, dec, dec.CTs.Copy(), len(dec.Parts))
 	}
 	return r, nil
 }
 
-// restoreIterState rebuilds the live iteration state from a checkpoint.
-// Fields belonging to phases the checkpoint had not reached yet stay
-// unset: the resumed iterate computes them at the phase boundary
-// exactly as an uncrashed run would.
-func restoreIterState(ck checkpointRecord) *iterState {
-	st := &iterState{
-		means: ck.sum.Means,
-		noise: ck.sum.Noise,
-		ctrS:  ck.sum.CtrSigma,
-		ctrW:  ck.sum.CtrOmega,
+// restoreSumSide detaches a journaled EESum state from the record it
+// was scanned in; the journal's bytes become its wire image.
+func restoreSumSide(v wireproto.SumSideView) sumSide {
+	side := v.Copy()
+	return sumSide{
+		SumState: eesum.SumState{CTs: side.CTs.Values(), Omega: side.Omega, Epoch: side.Epoch},
+		vec:      side.CTs,
 	}
-	if ck.pos.phase >= phaseDiss {
-		st.corID, st.corVec = ck.diss.ID, ck.diss.Vec
-	}
-	if ck.pos.phase >= phaseDec {
-		st.decCTs, st.decOmega, st.decParts = ck.dec.CTs, ck.dec.Omega, ck.dec.Parts
-		if st.decParts == nil {
-			st.decParts = make(map[int][]homenc.PartialDecryption)
-		}
-	}
-	return st
 }
 
 // --- append paths ---
@@ -583,7 +594,7 @@ func (nd *Node) attachState(st *State) error {
 		if ck.pos.iter == itRec.iter {
 			pos := ck.pos
 			rp.pos = &pos
-			rp.st = restoreIterState(ck)
+			rp.st = ck.st
 			ctrs = ck.counters
 			nd.resumeAnn.Iter = uint32(pos.iter)
 			nd.resumeAnn.Phase = uint32(pos.phase)

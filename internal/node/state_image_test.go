@@ -1,0 +1,79 @@
+package node
+
+import (
+	"bytes"
+	"math/big"
+	"testing"
+
+	"chiaroscuro/internal/eesum"
+	"chiaroscuro/internal/homenc"
+	"chiaroscuro/internal/wireproto"
+)
+
+// TestCheckpointReseedsImages pins the journal side of the wire images:
+// a replayed checkpoint hands the restored state the journal's own
+// bytes as its images, so the resumed peer's next checkpoint (and its
+// next send) encodes nothing again, writes the identical record, and
+// still materializes the values the protocol continues from.
+func TestCheckpointReseedsImages(t *testing.T) {
+	vec := func(base int64) []homenc.Ciphertext {
+		cts := make([]homenc.Ciphertext, 6)
+		for i := range cts {
+			cts[i] = homenc.Ciphertext{V: big.NewInt((base + int64(i)) << 33)}
+		}
+		cts[2].V = new(big.Int).Neg(cts[2].V)
+		return cts
+	}
+	partials := func(share int) *homenc.Partials {
+		ps := make([]homenc.PartialDecryption, 6)
+		for i := range ps {
+			ps[i] = homenc.PartialDecryption{Index: share, V: big.NewInt(int64(share*100 + i))}
+		}
+		return homenc.NewPartials(ps)
+	}
+	st := &iterState{
+		means:    sumSide{SumState: eesum.SumState{CTs: vec(10), Omega: big.NewInt(12), Epoch: 7}},
+		noise:    sumSide{SumState: eesum.SumState{CTs: vec(50), Omega: big.NewInt(12), Epoch: 7}},
+		ctrS:     3.5,
+		ctrW:     0.25,
+		corID:    99,
+		corVec:   []float64{1, -2, 3},
+		decCTs:   homenc.NewVector(vec(90)),
+		decOmega: big.NewInt(12),
+		decParts: map[int]*homenc.Partials{2: partials(2), 5: partials(5)},
+	}
+	pos := slot{iter: 1, phase: phaseDec, cycle: 4, seq: 1}
+	ctrs := wireproto.Counters{Initiated: 8, Responded: 9, BytesSent: 1234}
+	lim := wireproto.NewLimits(64, 6, 3, 12)
+
+	record := encodeCheckpoint(pos, st, ctrs)
+	ck, err := decodeCheckpoint(record, lim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.pos != pos || ck.counters != ctrs {
+		t.Fatalf("restored position/counters (%+v, %+v), want (%+v, %+v)", ck.pos, ck.counters, pos, ctrs)
+	}
+
+	before := homenc.ReadWireStats()
+	again := encodeCheckpoint(ck.pos, ck.st, ck.counters)
+	after := homenc.ReadWireStats()
+	if !bytes.Equal(record, again) {
+		t.Fatal("a checkpoint written from the restored state differs from the one it was restored from")
+	}
+	if sends, builds := after.Sends-before.Sends, after.Builds-before.Builds; sends != 5 || builds != 0 {
+		t.Fatalf("re-encoding the restored state sent %d vectors and encoded %d of them, want 5 and 0", sends, builds)
+	}
+
+	for j, want := range st.means.CTs {
+		if got := ck.st.means.CTs[j].V; got.Cmp(want.V) != 0 {
+			t.Fatalf("restored means[%d] = %v, want %v", j, got, want.V)
+		}
+	}
+	if got := ck.st.decParts[5].Values()[3]; got.Index != 5 || got.V.Int64() != 503 {
+		t.Fatalf("restored partial = %+v", got)
+	}
+	if got := ck.st.decCTs.Values()[2].V; got.Cmp(st.decCTs.Values()[2].V) != 0 {
+		t.Fatalf("restored decryption ciphertext = %v", got)
+	}
+}

@@ -1,0 +1,83 @@
+package wireproto
+
+import (
+	"bytes"
+	"math/big"
+	"testing"
+
+	"chiaroscuro/internal/eesum"
+	"chiaroscuro/internal/homenc"
+)
+
+// decRoundTripState is a decryption state of the vnode benchmark's
+// shape: 50 ciphertexts, τ = 5 gathered partial vectors.
+func decRoundTripState() *DecMsg {
+	const dim, tau = 50, 5
+	vals := make([]int64, dim)
+	for i := range vals {
+		vals[i] = int64(i+1) << 40
+	}
+	m := &DecMsg{
+		Hdr:   ExchangeHdr{Iter: 1, Cycle: 3, Seq: 2, From: 0, To: 1},
+		CTs:   homenc.NewVector(cts(vals...)),
+		Omega: big.NewInt(400),
+		Parts: map[int]*homenc.Partials{},
+	}
+	for share := 1; share <= tau; share++ {
+		m.Parts[share] = homenc.NewPartials(partials(share, vals...))
+	}
+	return m
+}
+
+// TestFrameRoundTripAllocs puts a ceiling on what one frame costs once
+// the images exist and the pool is warm. A decryption leg — write,
+// read, scan, release — must not allocate per integer at all (the eager
+// path paid ~5 allocations for each of its 300 integers); a sum leg
+// still materializes both vectors for the merge, but as slabs, not per
+// element.
+func TestFrameRoundTripAllocs(t *testing.T) {
+	lim := NewLimits(64, 50, 5, 400)
+	var buf bytes.Buffer
+	roundTrip := func(kind byte, m Message, scan func([]byte) error) func() {
+		return func() {
+			buf.Reset()
+			if _, err := WriteMessage(&buf, kind, 7, 1, m); err != nil {
+				t.Fatal(err)
+			}
+			f, err := ReadFrame(&buf, lim.MaxFrameLen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := scan(f.Payload); err != nil {
+				t.Fatal(err)
+			}
+			f.Release()
+		}
+	}
+
+	dec := roundTrip(KindDecReq, decRoundTripState(), func(p []byte) error {
+		_, err := ScanDec(p, lim)
+		return err
+	})
+	if got := testing.AllocsPerRun(100, dec); got > 6 {
+		t.Errorf("dec frame round trip: %v allocs, ceiling 6", got)
+	}
+
+	state := func(shift uint) eesum.SumState {
+		vals := make([]int64, 50)
+		for i := range vals {
+			vals[i] = int64(i+1) << shift
+		}
+		return eesum.SumState{CTs: cts(vals...), Omega: big.NewInt(3), Epoch: 5}
+	}
+	sum := roundTrip(KindSumReq, &SumOut{Means: SideOf(state(40)), Noise: SideOf(state(20))}, func(p []byte) error {
+		v, err := ScanSum(p, lim)
+		if err == nil {
+			_, _ = v.Means.State(), v.Noise.State()
+		}
+		return err
+	})
+	if got := testing.AllocsPerRun(100, sum); got > 16 {
+		t.Errorf("sum frame round trip: %v allocs, ceiling 16", got)
+	}
+}

@@ -1,9 +1,11 @@
 package wireproto
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 
 	"chiaroscuro/internal/eesum"
 	"chiaroscuro/internal/homenc"
@@ -29,13 +31,18 @@ type ExchangeHdr struct {
 // produces the same half-completed outcome via the fin timeout.
 const FlagAbort byte = 0x01
 
-func (h ExchangeHdr) encode(e *enc) {
+// hdrSize is the encoded size of an ExchangeHdr.
+const hdrSize = 5*4 + 1
+
+func (h ExchangeHdr) appendTo(dst []byte) []byte {
+	e := enc{b: dst}
 	e.u32(h.Iter)
 	e.u32(h.Cycle)
 	e.u32(h.Seq)
 	e.u32(h.From)
 	e.u32(h.To)
 	e.u8(h.Flags)
+	return e.b
 }
 
 func decodeHdr(d *dec) ExchangeHdr {
@@ -237,6 +244,7 @@ func UnmarshalLeave(data []byte) (Leave, error) {
 // SumMsg carries one side's full sum-phase state: the encrypted means
 // EESum state, the encrypted noise EESum state running in lockstep, and
 // the cleartext participant counter piggybacking on the same exchange.
+// It is the decoded form; the exchange legs send a SumOut.
 type SumMsg struct {
 	Hdr      ExchangeHdr
 	Means    eesum.SumState
@@ -245,66 +253,122 @@ type SumMsg struct {
 	CtrOmega float64
 }
 
-func encodeSumState(e *enc, st eesum.SumState) {
-	e.u32(uint32(len(st.CTs)))
-	for _, ct := range st.CTs {
-		e.raw(homenc.MarshalInt(ct.V))
-	}
-	e.raw(homenc.MarshalInt(st.Omega))
-	e.u32(uint32(st.Epoch))
+// SumSide is one EESum state in wire-ready form: the ciphertext vector
+// carries its cached image, so a state journaled at its commit and sent
+// on the next exchange is encoded once.
+type SumSide struct {
+	CTs   *homenc.Vector
+	Omega *big.Int
+	Epoch int
 }
 
-func decodeSumState(d *dec, lim Limits) eesum.SumState {
-	n := int(d.u32())
-	if d.err == nil && n > lim.MaxDim {
-		d.fail("sum state dimension exceeds bound")
-		return eesum.SumState{}
-	}
-	st := eesum.SumState{CTs: make([]homenc.Ciphertext, 0, minInt(n, len(d.b)/5+1))}
-	for i := 0; i < n && d.err == nil; i++ {
-		st.CTs = append(st.CTs, homenc.Ciphertext{V: d.bigInt(lim.MaxCTBytes)})
-	}
-	st.Omega = d.bigInt(lim.MaxCTBytes)
-	st.Epoch = int(d.u32())
-	return st
+// SideOf wraps a plain EESum state for sending. The caller must not
+// modify st.CTs afterwards.
+func SideOf(st eesum.SumState) SumSide {
+	return SumSide{CTs: homenc.NewVector(st.CTs), Omega: st.Omega, Epoch: st.Epoch}
 }
 
-// MarshalSum encodes a SumMsg payload (KindSumReq and KindSumResp).
-func MarshalSum(m SumMsg) []byte {
-	var e enc
-	m.Hdr.encode(&e)
-	encodeSumState(&e, m.Means)
-	encodeSumState(&e, m.Noise)
+func (s SumSide) size() int { return s.CTs.WireSize() + homenc.IntWireSize(s.Omega) + 4 }
+
+func (s SumSide) appendTo(dst []byte) []byte {
+	dst = homenc.AppendInt(s.CTs.AppendTo(dst), s.Omega)
+	return binary.BigEndian.AppendUint32(dst, uint32(s.Epoch))
+}
+
+// SumOut is the sending form of a SumMsg (KindSumReq and KindSumResp).
+type SumOut struct {
+	Hdr      ExchangeHdr
+	Means    SumSide
+	Noise    SumSide
+	CtrSigma float64
+	CtrOmega float64
+}
+
+// Size implements Message.
+func (m *SumOut) Size() int { return hdrSize + m.Means.size() + m.Noise.size() + 16 }
+
+// AppendTo implements Message.
+func (m *SumOut) AppendTo(dst []byte) []byte {
+	e := enc{b: m.Noise.appendTo(m.Means.appendTo(m.Hdr.appendTo(dst)))}
 	e.f64(m.CtrSigma)
 	e.f64(m.CtrOmega)
-	return e.bytes()
+	return e.b
+}
+
+// MarshalSum encodes a SumMsg payload.
+func MarshalSum(m SumMsg) []byte {
+	return Marshal(&SumOut{Hdr: m.Hdr, Means: SideOf(m.Means), Noise: SideOf(m.Noise), CtrSigma: m.CtrSigma, CtrOmega: m.CtrOmega})
+}
+
+// SumSideView is one scanned, not yet materialized EESum state; it
+// aliases the scanned payload.
+type SumSideView struct {
+	CTs   homenc.VectorView
+	omega []byte
+	Epoch int
+}
+
+// State materializes the EESum state (independent of the payload).
+func (v SumSideView) State() eesum.SumState {
+	return eesum.SumState{CTs: v.CTs.Values(), Omega: intOf(v.omega), Epoch: v.Epoch}
+}
+
+// Copy detaches the view into an owned, wire-ready state that keeps the
+// image it arrived with.
+func (v SumSideView) Copy() SumSide {
+	return SumSide{CTs: v.CTs.Copy(), Omega: intOf(v.omega), Epoch: v.Epoch}
+}
+
+func scanSumSide(d *dec, lim Limits) SumSideView {
+	v := SumSideView{CTs: d.vector(lim.MaxDim, lim.MaxCTBytes)}
+	v.omega = d.intImage(lim.MaxCTBytes)
+	v.Epoch = int(d.u32())
+	return v
+}
+
+// SumView is the structural scan of a SumMsg payload: every bound of
+// Limits enforced, no big.Int built. It aliases the payload.
+type SumView struct {
+	Hdr      ExchangeHdr
+	Means    SumSideView
+	Noise    SumSideView
+	CtrSigma float64
+	CtrOmega float64
+}
+
+// ScanSum scans a SumMsg payload.
+func ScanSum(data []byte, lim Limits) (SumView, error) {
+	d := dec{b: data}
+	v := SumView{Hdr: decodeHdr(&d)}
+	v.Means = scanSumSide(&d, lim)
+	v.Noise = scanSumSide(&d, lim)
+	v.CtrSigma = d.f64()
+	v.CtrOmega = d.f64()
+	return v, d.done()
 }
 
 // UnmarshalSum decodes a SumMsg payload.
 func UnmarshalSum(data []byte, lim Limits) (SumMsg, error) {
-	d := dec{b: data}
-	m := SumMsg{Hdr: decodeHdr(&d)}
-	m.Means = decodeSumState(&d, lim)
-	m.Noise = decodeSumState(&d, lim)
-	m.CtrSigma = d.f64()
-	m.CtrOmega = d.f64()
-	return m, d.done()
+	v, err := ScanSum(data, lim)
+	if err != nil {
+		return SumMsg{}, err
+	}
+	return SumMsg{Hdr: v.Hdr, Means: v.Means.State(), Noise: v.Noise.State(), CtrSigma: v.CtrSigma, CtrOmega: v.CtrOmega}, nil
 }
 
-// Fin is the bare commit leg closing a sum or dissemination exchange:
-// the responder applies its half only when it arrives, which is what
-// reproduces the half-completed exchange of Section 6.1.5 when the
-// initiator (or the link) dies in between.
+// Fin is the bare commit leg closing a sum or dissemination exchange
+// (KindSumFin, KindDissFin): the responder applies its half only when
+// it arrives, which is what reproduces the half-completed exchange of
+// Section 6.1.5 when the initiator (or the link) dies in between.
 type Fin struct {
 	Hdr ExchangeHdr
 }
 
-// MarshalFin encodes a Fin payload (KindSumFin, KindDissFin).
-func MarshalFin(f Fin) []byte {
-	var e enc
-	f.Hdr.encode(&e)
-	return e.bytes()
-}
+// Size implements Message.
+func (f Fin) Size() int { return hdrSize }
+
+// AppendTo implements Message.
+func (f Fin) AppendTo(dst []byte) []byte { return f.Hdr.appendTo(dst) }
 
 // UnmarshalFin decodes a Fin payload.
 func UnmarshalFin(data []byte) (Fin, error) {
@@ -315,25 +379,27 @@ func UnmarshalFin(data []byte) (Fin, error) {
 
 // --- noise-correction dissemination ---
 
-// DissMsg carries one side's correction proposal: the random identifier
-// and the surplus correction vector (min identifier wins, Section
-// 4.2.2).
+// DissMsg carries one side's correction proposal (KindDissReq,
+// KindDissResp): the random identifier and the surplus correction
+// vector (min identifier wins, Section 4.2.2).
 type DissMsg struct {
 	Hdr ExchangeHdr
 	ID  uint64
 	Vec []float64
 }
 
-// MarshalDiss encodes a DissMsg payload (KindDissReq, KindDissResp).
-func MarshalDiss(m DissMsg) []byte {
-	var e enc
-	m.Hdr.encode(&e)
+// Size implements Message.
+func (m *DissMsg) Size() int { return hdrSize + 8 + 4 + 8*len(m.Vec) }
+
+// AppendTo implements Message.
+func (m *DissMsg) AppendTo(dst []byte) []byte {
+	e := enc{b: m.Hdr.appendTo(dst)}
 	e.u64(m.ID)
 	e.u32(uint32(len(m.Vec)))
 	for _, v := range m.Vec {
 		e.f64(v)
 	}
-	return e.bytes()
+	return e.b
 }
 
 // UnmarshalDiss decodes a DissMsg payload.
@@ -353,57 +419,45 @@ func UnmarshalDiss(data []byte, lim Limits) (DissMsg, error) {
 
 // --- epidemic decryption ---
 
-// DecMsg carries one side's epidemic decryption state — the ciphertext
-// vector it is decrypting, the weight that decodes it, and the partial
-// decryptions gathered so far — plus, on the response and fin legs,
-// the sender's own key-share applied to the receiver's (post-adoption)
-// ciphertexts. Fresh is empty on KindDecReq; CTs/Omega/Parts are empty
-// on KindDecFin.
+// DecMsg is the sending form of a decryption leg (KindDecReq,
+// KindDecResp, KindDecFin): one side's epidemic decryption state — the
+// ciphertext vector it is decrypting, the weight that decodes it, and
+// the partial decryptions gathered so far — plus, on the response and
+// fin legs, the sender's own key-share applied to the receiver's
+// (post-adoption) ciphertexts. Fresh is empty on KindDecReq;
+// CTs/Omega/Parts are empty on KindDecFin. Every vector carries its
+// cached image: a state that is re-sent unchanged, leg after leg, is
+// appended with a few copies.
 type DecMsg struct {
 	Hdr   ExchangeHdr
-	CTs   []homenc.Ciphertext
-	Omega *big.Int
-	Parts map[int][]homenc.PartialDecryption
-	Fresh []homenc.PartialDecryption
+	CTs   *homenc.Vector
+	Omega *big.Int // nil encodes as zero
+	Parts map[int]*homenc.Partials
+	Fresh *homenc.Partials
 }
 
-func encodePartials(e *enc, ps []homenc.PartialDecryption) {
-	e.u32(uint32(len(ps)))
-	for _, p := range ps {
-		e.u32(uint32(p.Index))
-		e.raw(homenc.MarshalInt(p.V))
+// Size implements Message.
+func (m *DecMsg) Size() int {
+	size := hdrSize + m.CTs.WireSize() + homenc.IntWireSize(m.omega()) + 2 + m.Fresh.WireSize()
+	for _, ps := range m.Parts {
+		size += 4 + ps.WireSize()
 	}
+	return size
 }
 
-func decodePartials(d *dec, lim Limits) []homenc.PartialDecryption {
-	n := int(d.u32())
-	if d.err == nil && n > lim.MaxDim+1 {
-		d.fail("partials vector exceeds bound")
-		return nil
-	}
-	ps := make([]homenc.PartialDecryption, 0, minInt(n, len(d.b)/9+1))
-	for i := 0; i < n && d.err == nil; i++ {
-		idx := int(d.u32())
-		v := d.bigInt(lim.MaxCTBytes)
-		ps = append(ps, homenc.PartialDecryption{Index: idx, V: v})
-	}
-	return ps
-}
+// zero stands in for the absent weight of a fin leg.
+var zero = new(big.Int)
 
-// MarshalDec encodes a DecMsg payload (KindDecReq, KindDecResp,
-// KindDecFin).
-func MarshalDec(m DecMsg) []byte {
-	var e enc
-	m.Hdr.encode(&e)
-	e.u32(uint32(len(m.CTs)))
-	for _, ct := range m.CTs {
-		e.raw(homenc.MarshalInt(ct.V))
-	}
+func (m *DecMsg) omega() *big.Int {
 	if m.Omega == nil {
-		e.raw(homenc.MarshalInt(big.NewInt(0)))
-	} else {
-		e.raw(homenc.MarshalInt(m.Omega))
+		return zero
 	}
+	return m.Omega
+}
+
+// AppendTo implements Message.
+func (m *DecMsg) AppendTo(dst []byte) []byte {
+	e := enc{b: homenc.AppendInt(m.CTs.AppendTo(m.Hdr.appendTo(dst)), m.omega())}
 	e.u16(uint16(len(m.Parts)))
 	// Canonical share-index order: encoding must not depend on map
 	// iteration order (peers compare and hash frames in tests).
@@ -411,58 +465,103 @@ func MarshalDec(m DecMsg) []byte {
 	for idx := range m.Parts {
 		idxs = append(idxs, idx)
 	}
-	sortInts(idxs)
+	slices.Sort(idxs)
 	for _, idx := range idxs {
 		e.u32(uint32(idx))
-		encodePartials(&e, m.Parts[idx])
+		e.b = m.Parts[idx].AppendTo(e.b)
 	}
-	encodePartials(&e, m.Fresh)
-	return e.bytes()
+	return m.Fresh.AppendTo(e.b)
 }
 
-// UnmarshalDec decodes a DecMsg payload.
-func UnmarshalDec(data []byte, lim Limits) (DecMsg, error) {
+// DecView is the structural scan of a DecMsg payload: every bound of
+// Limits enforced — exactly the frames an eager decode would accept —
+// with no big.Int built. It aliases the payload; what a receiver keeps
+// (an adopted state, an accepted Fresh vector) it detaches with Copy,
+// and what the crypto needs it materializes with Values.
+type DecView struct {
+	Hdr   ExchangeHdr
+	CTs   homenc.VectorView
+	omega []byte
+	Parts map[int]homenc.PartialsView
+	Fresh homenc.PartialsView
+}
+
+// Omega materializes the state's weight.
+func (v DecView) Omega() *big.Int { return intOf(v.omega) }
+
+// ScanDec scans a DecMsg payload.
+func ScanDec(data []byte, lim Limits) (DecView, error) {
 	d := dec{b: data}
-	m := DecMsg{Hdr: decodeHdr(&d)}
-	n := int(d.u32())
-	if d.err == nil && n > lim.MaxDim {
-		return m, fmt.Errorf("wireproto: ciphertext vector of %d exceeds bound %d", n, lim.MaxDim)
-	}
-	m.CTs = make([]homenc.Ciphertext, 0, minInt(n, len(d.b)/5+1))
-	for i := 0; i < n && d.err == nil; i++ {
-		m.CTs = append(m.CTs, homenc.Ciphertext{V: d.bigInt(lim.MaxCTBytes)})
-	}
-	m.Omega = d.bigInt(lim.MaxCTBytes)
+	v := DecView{Hdr: decodeHdr(&d)}
+	v.CTs = d.vector(lim.MaxDim, lim.MaxCTBytes)
+	v.omega = d.intImage(lim.MaxCTBytes)
 	nParts := int(d.u16())
 	if d.err == nil && nParts > lim.MaxParts {
-		return m, fmt.Errorf("wireproto: %d partial sets exceed bound %d", nParts, lim.MaxParts)
+		return v, fmt.Errorf("wireproto: %d partial sets exceed bound %d", nParts, lim.MaxParts)
 	}
-	m.Parts = make(map[int][]homenc.PartialDecryption, nParts)
+	v.Parts = make(map[int]homenc.PartialsView, nParts)
 	for i := 0; i < nParts && d.err == nil; i++ {
 		idx := int(d.u32())
-		ps := decodePartials(&d, lim)
+		ps := d.partials(lim.MaxDim+1, lim.MaxCTBytes)
 		if d.err == nil {
-			if _, dup := m.Parts[idx]; dup {
-				return m, errors.New("wireproto: duplicate partial share index")
+			if _, dup := v.Parts[idx]; dup {
+				return v, errors.New("wireproto: duplicate partial share index")
 			}
-			m.Parts[idx] = ps
+			v.Parts[idx] = ps
 		}
 	}
-	m.Fresh = decodePartials(&d, lim)
-	return m, d.done()
+	v.Fresh = d.partials(lim.MaxDim+1, lim.MaxCTBytes)
+	return v, d.done()
 }
 
-// bigInt consumes one homenc canonical integer from the cursor.
-func (d *dec) bigInt(maxBytes int) *big.Int {
+// vector consumes one ciphertext vector from the cursor, unbuilt.
+func (d *dec) vector(maxLen, maxBytes int) homenc.VectorView {
+	if d.err != nil {
+		return homenc.VectorView{}
+	}
+	v, rest, err := homenc.ScanVectorBound(d.b, maxLen, maxBytes)
+	if err != nil {
+		d.err = err
+		return homenc.VectorView{}
+	}
+	d.b = rest
+	return v
+}
+
+// partials consumes one partial-decryption vector from the cursor,
+// unbuilt.
+func (d *dec) partials(maxLen, maxBytes int) homenc.PartialsView {
+	if d.err != nil {
+		return homenc.PartialsView{}
+	}
+	v, rest, err := homenc.ScanPartialsBound(d.b, maxLen, maxBytes)
+	if err != nil {
+		d.err = err
+		return homenc.PartialsView{}
+	}
+	d.b = rest
+	return v
+}
+
+// intImage consumes one homenc canonical integer from the cursor and
+// returns its encoding, unbuilt.
+func (d *dec) intImage(maxBytes int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	v, rest, err := homenc.UnmarshalIntBound(d.b, maxBytes)
+	size, _, err := homenc.ScanIntBound(d.b, maxBytes)
 	if err != nil {
 		d.err = err
 		return nil
 	}
-	d.b = rest
+	img := d.b[:size]
+	d.b = d.b[size:]
+	return img
+}
+
+// intOf materializes an integer whose encoding intImage already vetted.
+func intOf(img []byte) *big.Int {
+	v, _, _ := homenc.UnmarshalIntBound(img, len(img))
 	return v
 }
 
@@ -471,13 +570,4 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func sortInts(v []int) {
-	// Insertion sort: share-index sets are tiny (≤ τ).
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

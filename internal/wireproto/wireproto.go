@@ -92,11 +92,24 @@ const (
 
 // Frame is one decoded wire frame. Target is the routed population
 // index of a Version2 frame, or -1 for an untargeted Version frame.
+// Payload lives in a pooled buffer: whoever holds the frame may call
+// Release once nothing aliases Payload anymore (a frame that is never
+// released is simply garbage-collected).
 type Frame struct {
 	Kind    byte
 	Epoch   uint64
 	Target  int
 	Payload []byte
+
+	body []byte // the pooled buffer Payload points into
+}
+
+// Release returns the frame's buffer to the pool. The caller must own
+// the frame exclusively and must have copied out everything it keeps:
+// Payload, and every view scanned from it, is dead afterwards.
+func (f *Frame) Release() {
+	putBuf(f.body)
+	f.body, f.Payload = nil, nil
 }
 
 // FrameWireSize is the on-the-wire byte count of a frame with the given
@@ -110,6 +123,23 @@ func FrameWireSize(target, payloadLen int) int {
 	return 4 + headerBytesV2 + payloadLen
 }
 
+// Message is a payload that knows its exact encoded size and appends
+// its encoding to a buffer — what lets WriteMessage build a frame in
+// place instead of framing a separately marshalled payload.
+type Message interface {
+	Size() int
+	AppendTo(dst []byte) []byte
+}
+
+// Marshal encodes a message into a fresh, exactly sized buffer.
+func Marshal(m Message) []byte { return m.AppendTo(make([]byte, 0, m.Size())) }
+
+// rawPayload is an already-encoded payload as a Message.
+type rawPayload []byte
+
+func (p rawPayload) Size() int                  { return len(p) }
+func (p rawPayload) AppendTo(dst []byte) []byte { return append(dst, p...) }
+
 // WriteFrame writes one untargeted (Version) frame.
 func WriteFrame(w io.Writer, kind byte, epoch uint64, payload []byte) error {
 	return WriteFrameTarget(w, kind, epoch, -1, payload)
@@ -119,15 +149,26 @@ func WriteFrame(w io.Writer, kind byte, epoch uint64, payload []byte) error {
 // negative target writes the classic untargeted Version frame instead,
 // so callers can thread the destination through unconditionally.
 func WriteFrameTarget(w io.Writer, kind byte, epoch uint64, target int, payload []byte) error {
-	if len(payload) > maxFrameHard-headerBytesV2 {
-		return fmt.Errorf("wireproto: payload of %d bytes exceeds the frame ceiling", len(payload))
+	_, err := WriteMessage(w, kind, epoch, target, rawPayload(payload))
+	return err
+}
+
+// WriteMessage frames m (target as for WriteFrameTarget) in a single
+// pooled buffer — the frame header is reserved ahead of the payload,
+// which the message appends in place — and emits it with one Write. It
+// returns the frame's wire size.
+func WriteMessage(w io.Writer, kind byte, epoch uint64, target int, m Message) (int, error) {
+	size := m.Size()
+	if size > maxFrameHard-headerBytesV2 {
+		return 0, fmt.Errorf("wireproto: payload of %d bytes exceeds the frame ceiling", size)
 	}
 	hdr := headerBytes
 	if target >= 0 {
 		hdr = headerBytesV2
 	}
-	buf := make([]byte, 4+hdr+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(hdr+len(payload)))
+	buf := getBuf(4 + hdr + size)[:4+hdr]
+	defer putBuf(buf)
+	binary.BigEndian.PutUint32(buf, uint32(hdr+size))
 	buf[4] = Version
 	buf[5] = kind
 	binary.BigEndian.PutUint64(buf[6:], epoch)
@@ -135,9 +176,12 @@ func WriteFrameTarget(w io.Writer, kind byte, epoch uint64, target int, payload 
 		buf[4] = Version2
 		binary.BigEndian.PutUint32(buf[14:], uint32(target))
 	}
-	copy(buf[4+hdr:], payload)
+	buf = m.AppendTo(buf)
+	if len(buf) != 4+hdr+size {
+		return 0, fmt.Errorf("wireproto: message encoded %d bytes, declared %d", len(buf)-4-hdr, size)
+	}
 	_, err := w.Write(buf)
-	return err
+	return len(buf), err
 }
 
 // ReadFrame reads one frame of either version, rejecting frames longer
@@ -158,8 +202,9 @@ func ReadFrame(r io.Reader, maxFrame int) (Frame, error) {
 	if uint64(n) > uint64(maxFrame)+headerBytesV2-headerBytes {
 		return Frame{}, fmt.Errorf("%w: frame of %d bytes exceeds limit %d", ErrMalformed, n, maxFrame)
 	}
-	body := make([]byte, n)
+	body := getBuf(int(n))
 	if _, err := io.ReadFull(r, body); err != nil {
+		putBuf(body)
 		return Frame{}, err
 	}
 	f := Frame{
@@ -167,17 +212,20 @@ func ReadFrame(r io.Reader, maxFrame int) (Frame, error) {
 		Epoch:   binary.BigEndian.Uint64(body[2:10]),
 		Target:  -1,
 		Payload: body[10:],
+		body:    body,
 	}
-	switch body[0] {
+	switch version := body[0]; version {
 	case Version:
 	case Version2:
 		if n < headerBytesV2 {
+			putBuf(body)
 			return Frame{}, fmt.Errorf("%w: targeted frame shorter than its header", ErrMalformed)
 		}
 		f.Target = int(binary.BigEndian.Uint32(body[10:14]))
 		f.Payload = body[14:]
 	default:
-		return Frame{}, fmt.Errorf("%w: version %d, want %d or %d", ErrMalformed, body[0], Version, Version2)
+		putBuf(body)
+		return Frame{}, fmt.Errorf("%w: version %d, want %d or %d", ErrMalformed, version, Version, Version2)
 	}
 	return f, nil
 }

@@ -146,54 +146,85 @@ func TestSumMsgRejectsOversizeDim(t *testing.T) {
 func TestDissAndFinRoundTrip(t *testing.T) {
 	lim := testLimits()
 	m := DissMsg{Hdr: ExchangeHdr{Iter: 2, Seq: 9, From: 1, To: 2}, ID: 0xDEAD, Vec: []float64{1.5, -2.25}}
-	got, err := UnmarshalDiss(MarshalDiss(m), lim)
+	got, err := UnmarshalDiss(Marshal(&m), lim)
 	if err != nil || got.ID != m.ID || !reflect.DeepEqual(got.Vec, m.Vec) || got.Hdr != m.Hdr {
 		t.Fatalf("diss round trip: %+v, %v", got, err)
 	}
 	f := Fin{Hdr: ExchangeHdr{Iter: 2, Cycle: 1, Seq: 9, From: 1, To: 2}}
-	gotF, err := UnmarshalFin(MarshalFin(f))
+	gotF, err := UnmarshalFin(Marshal(f))
 	if err != nil || gotF != f {
 		t.Fatalf("fin round trip: %+v, %v", gotF, err)
 	}
+}
+
+func cts(vals ...int64) []homenc.Ciphertext {
+	out := make([]homenc.Ciphertext, len(vals))
+	for i, v := range vals {
+		out[i] = homenc.Ciphertext{V: big.NewInt(v)}
+	}
+	return out
+}
+
+func partials(share int, vals ...int64) []homenc.PartialDecryption {
+	out := make([]homenc.PartialDecryption, len(vals))
+	for i, v := range vals {
+		out[i] = homenc.PartialDecryption{Index: share, V: big.NewInt(v)}
+	}
+	return out
 }
 
 func TestDecMsgRoundTrip(t *testing.T) {
 	lim := testLimits()
 	m := DecMsg{
 		Hdr:   ExchangeHdr{Iter: 1, Cycle: 4, Seq: 0, From: 2, To: 6},
-		CTs:   []homenc.Ciphertext{{V: big.NewInt(99)}, {V: big.NewInt(-100)}},
+		CTs:   homenc.NewVector(cts(99, -100)),
 		Omega: big.NewInt(8),
-		Parts: map[int][]homenc.PartialDecryption{
-			3: {{Index: 3, V: big.NewInt(11)}, {Index: 3, V: big.NewInt(12)}},
-			1: {{Index: 1, V: big.NewInt(21)}, {Index: 1, V: big.NewInt(22)}},
+		Parts: map[int]*homenc.Partials{
+			3: homenc.NewPartials(partials(3, 11, 12)),
+			1: homenc.NewPartials(partials(1, 21, 22)),
 		},
-		Fresh: []homenc.PartialDecryption{{Index: 5, V: big.NewInt(31)}, {Index: 5, V: big.NewInt(32)}},
+		Fresh: homenc.NewPartials(partials(5, 31, 32)),
 	}
-	got, err := UnmarshalDec(MarshalDec(m), lim)
+	wire := Marshal(&m)
+	if len(wire) != m.Size() {
+		t.Fatalf("encoded %d bytes, Size() = %d", len(wire), m.Size())
+	}
+	got, err := ScanDec(wire, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Hdr != m.Hdr || got.Omega.Cmp(m.Omega) != 0 || len(got.CTs) != 2 {
+	if got.Hdr != m.Hdr || got.Omega().Cmp(m.Omega) != 0 || got.CTs.Len() != 2 {
 		t.Fatalf("dec header mismatch: %+v", got)
 	}
-	if len(got.Parts) != 2 || len(got.Parts[3]) != 2 || got.Parts[1][1].V.Int64() != 22 {
+	if len(got.Parts) != 2 || got.Parts[3].Len() != 2 || got.Parts[1].Values()[1].V.Int64() != 22 {
 		t.Fatalf("parts mismatch: %+v", got.Parts)
 	}
-	if len(got.Fresh) != 2 || got.Fresh[0].Index != 5 || got.Fresh[1].V.Int64() != 32 {
-		t.Fatalf("fresh mismatch: %+v", got.Fresh)
+	if share, ok := got.Parts[3].Share(); !ok || share != 3 {
+		t.Fatalf("part set 3 claims share %d (uniform %v)", share, ok)
 	}
-	// Encoding is canonical: re-encoding the decoded message yields the
-	// identical bytes regardless of map iteration order.
-	if !bytes.Equal(MarshalDec(m), MarshalDec(got)) {
+	fresh := got.Fresh.Values()
+	if len(fresh) != 2 || fresh[0].Index != 5 || fresh[1].V.Int64() != 32 {
+		t.Fatalf("fresh mismatch: %+v", fresh)
+	}
+	// Encoding is canonical: a state rebuilt from the images it arrived
+	// in — no value materialized — re-encodes to the identical bytes,
+	// regardless of map iteration order.
+	relay := DecMsg{Hdr: got.Hdr, CTs: got.CTs.Copy(), Omega: got.Omega(), Parts: map[int]*homenc.Partials{}, Fresh: got.Fresh.Copy()}
+	for idx, ps := range got.Parts {
+		relay.Parts[idx] = ps.Copy()
+	}
+	if !bytes.Equal(wire, Marshal(&relay)) {
 		t.Fatal("dec encoding not canonical")
+	}
+	if got := relay.CTs.Values(); len(got) != 2 || got[1].V.Int64() != -100 {
+		t.Fatalf("relayed ciphertexts materialize to %+v", got)
 	}
 }
 
 func TestDecMsgRejectsDuplicateShares(t *testing.T) {
 	lim := testLimits()
 	// Hand-build a payload whose two part sets claim the same share index.
-	var e enc
-	ExchangeHdr{}.encode(&e)
+	e := enc{b: ExchangeHdr{}.appendTo(nil)}
 	e.u32(0)                                // no cts
 	e.raw(homenc.MarshalInt(big.NewInt(1))) // omega
 	e.u16(2)                                // two part sets
@@ -204,7 +235,7 @@ func TestDecMsgRejectsDuplicateShares(t *testing.T) {
 		e.raw(homenc.MarshalInt(big.NewInt(7)))
 	}
 	e.u32(0) // no fresh partials
-	if _, err := UnmarshalDec(e.bytes(), lim); err == nil {
+	if _, err := ScanDec(e.bytes(), lim); err == nil {
 		t.Fatal("duplicate share index accepted")
 	}
 }
@@ -221,7 +252,7 @@ func TestGarbagePayloadsError(t *testing.T) {
 		if _, err := UnmarshalSum(g, lim); err == nil {
 			t.Fatalf("sum accepted garbage %x", g)
 		}
-		if _, err := UnmarshalDec(g, lim); err == nil {
+		if _, err := ScanDec(g, lim); err == nil {
 			t.Fatalf("dec accepted garbage %x", g)
 		}
 		if _, err := UnmarshalDiss(g, lim); err == nil {

@@ -1,8 +1,13 @@
 package chiaroscuro
 
 import (
+	"bytes"
 	"context"
+	"math/big"
 	"testing"
+
+	"chiaroscuro/internal/homenc"
+	"chiaroscuro/internal/wireproto"
 )
 
 // benchMuxCycle drives a full 12-participant Networked run on the
@@ -49,3 +54,51 @@ func benchMuxCycle(b *testing.B, vnodes int) {
 
 func BenchmarkMuxCycleTCP(b *testing.B)       { benchMuxCycle(b, 0) }
 func BenchmarkMuxCycleInProcess(b *testing.B) { benchMuxCycle(b, 12) }
+
+// BenchmarkDecFrameRoundTrip is one decryption leg at the vnode
+// benchmark's shape (50 ciphertexts, τ = 5 gathered partial vectors) as
+// a peer in steady state pays it: write from cached wire images, read
+// into a pooled buffer, structural scan, release. Its allocs/op is the
+// per-frame allocation count BENCH_*.json tracks.
+func BenchmarkDecFrameRoundTrip(b *testing.B) {
+	const dim, tau = 50, 5
+	cts := make([]homenc.Ciphertext, dim)
+	for j := range cts {
+		cts[j] = homenc.Ciphertext{V: big.NewInt(int64(j+1) << 40)}
+	}
+	msg := &wireproto.DecMsg{
+		Hdr:   wireproto.ExchangeHdr{Iter: 1, Cycle: 3, Seq: 2, From: 0, To: 1},
+		CTs:   homenc.NewVector(cts),
+		Omega: big.NewInt(400),
+		Parts: map[int]*homenc.Partials{},
+	}
+	for share := 1; share <= tau; share++ {
+		ps := make([]homenc.PartialDecryption, dim)
+		for j := range ps {
+			ps[j] = homenc.PartialDecryption{Index: share, V: cts[j].V}
+		}
+		msg.Parts[share] = homenc.NewPartials(ps)
+	}
+	lim := wireproto.NewLimits(64, dim, tau, 400)
+	var buf bytes.Buffer
+	roundTrip := func() {
+		buf.Reset()
+		if _, err := wireproto.WriteMessage(&buf, wireproto.KindDecReq, 7, 1, msg); err != nil {
+			b.Fatal(err)
+		}
+		f, err := wireproto.ReadFrame(&buf, lim.MaxFrameLen)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := wireproto.ScanDec(f.Payload, lim); err != nil {
+			b.Fatal(err)
+		}
+		f.Release()
+	}
+	roundTrip() // build the images and warm the pool, as every frame after a peer's first is
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+}
