@@ -306,8 +306,11 @@ var emptyImage = make([]byte, 4)
 // image, or both: a vector built locally starts with values and is
 // encoded at its first send; a vector adopted from a peer starts with
 // the image it arrived in and is materialized only if the crypto needs
-// its values. A nil *Vector is the empty vector. A Vector belongs to
-// one participant's protocol loop and is not safe for concurrent use.
+// its values. A nil *Vector is the empty vector. The missing form is
+// built lazily, by whichever call needs it first, so a Vector that one
+// goroutine owns needs no locking; a Vector that several goroutines are
+// about to read must be Sealed — both forms built — before it is
+// published to them, after which every method is a pure read.
 type Vector struct {
 	n   int
 	cts []Ciphertext
@@ -338,6 +341,27 @@ func (v *Vector) Values() []Ciphertext {
 	return v.cts
 }
 
+// Seal builds whichever of the two forms is still missing, so that no
+// later call writes to the vector: the step that makes it safe to share
+// between goroutines. It costs nothing extra over the vector's life —
+// the image would be built at its first send, the values at its first
+// use.
+func (v *Vector) Seal() {
+	if v == nil {
+		return
+	}
+	v.Values()
+	v.buildImage()
+}
+
+// buildImage encodes the vector unless its image is already cached.
+func (v *Vector) buildImage() {
+	if v.img == nil {
+		wireStats.builds.Add(1)
+		v.img = appendVector(make([]byte, 0, vectorWireSize(v.cts)), v.cts)
+	}
+}
+
 // WireSize is the length of the vector's encoding.
 func (v *Vector) WireSize() int {
 	switch {
@@ -356,10 +380,7 @@ func (v *Vector) AppendTo(dst []byte) []byte {
 		return append(dst, emptyImage...)
 	}
 	wireStats.sends.Add(1)
-	if v.img == nil {
-		wireStats.builds.Add(1)
-		v.img = appendVector(make([]byte, 0, vectorWireSize(v.cts)), v.cts)
-	}
+	v.buildImage()
 	return append(dst, v.img...)
 }
 
@@ -442,7 +463,7 @@ func (v VectorView) Copy() *Vector {
 // Partials is the Vector of partial decryptions: one key-share applied
 // to every element of a ciphertext vector, with its cached wire image
 // (a count, then share index and integer per element). The same
-// ownership rules apply.
+// ownership rules apply, Seal included.
 type Partials struct {
 	n   int
 	ps  []PartialDecryption
@@ -481,6 +502,27 @@ func partialsWireSize(ps []PartialDecryption) int {
 	return size
 }
 
+// Seal builds whichever form is still missing; see Vector.Seal.
+func (p *Partials) Seal() {
+	if p == nil {
+		return
+	}
+	p.Values()
+	p.buildImage()
+}
+
+// buildImage encodes the vector unless its image is already cached.
+func (p *Partials) buildImage() {
+	if p.img == nil {
+		wireStats.builds.Add(1)
+		img := binary.BigEndian.AppendUint32(make([]byte, 0, partialsWireSize(p.ps)), uint32(len(p.ps)))
+		for _, e := range p.ps {
+			img = AppendInt(binary.BigEndian.AppendUint32(img, uint32(e.Index)), e.V)
+		}
+		p.img = img
+	}
+}
+
 // WireSize is the length of the vector's encoding.
 func (p *Partials) WireSize() int {
 	switch {
@@ -499,14 +541,7 @@ func (p *Partials) AppendTo(dst []byte) []byte {
 		return append(dst, emptyImage...)
 	}
 	wireStats.sends.Add(1)
-	if p.img == nil {
-		wireStats.builds.Add(1)
-		img := binary.BigEndian.AppendUint32(make([]byte, 0, partialsWireSize(p.ps)), uint32(len(p.ps)))
-		for _, e := range p.ps {
-			img = AppendInt(binary.BigEndian.AppendUint32(img, uint32(e.Index)), e.V)
-		}
-		p.img = img
-	}
+	p.buildImage()
 	return append(dst, p.img...)
 }
 

@@ -13,8 +13,15 @@ import (
 
 // iterState is the participant's live protocol state for one iteration:
 // the two lockstep EESum states, the cleartext counter, the correction
-// proposal, and the decryption state. Only the exchange currently being
-// processed by the main loop touches it, so no locking is needed.
+// proposal, and the decryption state. It is unlocked, under one of two
+// regimes. While an exchange can still change it, only the exchange the
+// main loop is currently processing touches it. Once the decryption
+// state is settled (see settled) nothing writes to it until the phase
+// ends: the main loop seals it and publishes it through the registry,
+// and from then on the main loop's initiator slots and the passively
+// served responder slots read it concurrently. Journal checkpoints,
+// which lazily cache the sum states' wire images, are serialized by
+// Node.commitMu.
 type iterState struct {
 	means sumSide
 	noise sumSide
@@ -55,6 +62,26 @@ func (st *iterState) sumOut(hdr wireproto.ExchangeHdr) *wireproto.SumOut {
 // decOut is the iteration's decryption state in sending form.
 func (st *iterState) decOut(hdr wireproto.ExchangeHdr, fresh *homenc.Partials) *wireproto.DecMsg {
 	return &wireproto.DecMsg{Hdr: hdr, CTs: st.decCTs, Omega: st.decOmega, Parts: st.decParts, Fresh: fresh}
+}
+
+// settled reports whether the decryption state can no longer change: τ
+// key-shares are gathered. wireproto.Limits.MaxParts caps every peer's
+// part set at τ, so such a state never adopts (no peer is more
+// advanced), never wants a share (DecNeeds is false at τ) and owes no
+// peer a fresh one it would have to compute from anything but itself —
+// prepareDec and commitDec become pure reads, and every remaining
+// exchange commutes with every other on this side.
+func (st *iterState) settled(tau int) bool { return len(st.decParts) >= tau }
+
+// seal builds both forms of every vector of the decryption state, so
+// that sending it (the image) and combining it (the values) are reads
+// from here on: a settled state is shared between goroutines.
+func (st *iterState) seal() {
+	st.decCTs.Seal()
+	//lint:orderfree every part is sealed; order is not protocol state
+	for _, ps := range st.decParts {
+		ps.Seal()
+	}
 }
 
 // hdrFor stamps an exchange header for a scheduled slot.
@@ -143,18 +170,18 @@ func (nd *Node) initiateWith(peer int, s slot, try func() tryOutcome) {
 	}
 }
 
-// respondWith drives one responder slot: await the request, serve it,
-// and — when a pre-commit connection failure suggests the initiator
-// failed before its own merge and will redial — re-await the slot
-// within its absolute deadline. The serve callback commits at most
-// once; every re-served attempt starts from the same untouched state,
-// so the response bytes are identical across attempts. from is the
-// scheduled initiator: when it is known-unreachable (crash-suspected or
-// departed) the wait is cut short instead of burning the deadline —
+// respondWith drives one responder slot in slot order: await the
+// request, serve it, and — when a pre-commit connection failure suggests
+// the initiator failed before its own merge and will redial — re-await
+// the slot within its absolute deadline. The serve callback commits at
+// most once; every re-served attempt starts from the same untouched
+// state, so the response bytes are identical across attempts. from is
+// the scheduled initiator: when it is known-unreachable (crash-suspected
+// or departed) the wait is cut short instead of burning the deadline —
 // under a restart storm those abandoned waits, 50 slots × the full
 // exchange timeout per storm, were the collapse from 227 to 1.45
 // cycles/s the crash-storm soak measured.
-func (nd *Node) respondWith(s slot, from int, serve func(in inbound) tryOutcome) {
+func (nd *Node) respondWith(s slot, from int, serve func(in *inbound) tryOutcome) {
 	defer nd.reg.release(s)
 	deadline := time.Now().Add(nd.cfg.ExchangeTimeout)
 	wait := nd.cfg.ExchangeTimeout
@@ -164,34 +191,91 @@ func (nd *Node) respondWith(s slot, from int, serve func(in inbound) tryOutcome)
 			nd.counters.Timeouts.Add(1)
 			return
 		}
-		out := serve(in)
+		out := serve(&in)
 		_ = in.conn.Close()
 		in.frame.Release()
-		switch out {
-		case tryCommitted, tryHalf:
+		if !nd.bookResponse(out, attempt, deadline) {
 			return
-		case tryReject:
-			nd.counters.Rejected.Add(1)
-			return
-		case tryAbandon:
+		}
+		wait = nd.redialWindow(out)
+	}
+}
+
+// bookResponse counts one served attempt of a responder slot and
+// reports whether the slot stays open for the initiator's redial: only
+// after a failure strictly before this side's merge, within the retry
+// budget and the slot's deadline (zero: none yet). Every other outcome
+// closes the slot.
+func (nd *Node) bookResponse(out tryOutcome, attempt int, deadline time.Time) bool {
+	switch out {
+	case tryReject:
+		nd.counters.Rejected.Add(1)
+	case tryAbandon:
+		nd.counters.Timeouts.Add(1)
+	case tryRetry, tryFinLost:
+		if attempt >= nd.policy.MaxRetries || (!deadline.IsZero() && !time.Now().Before(deadline)) {
 			nd.counters.Timeouts.Add(1)
+			return false
+		}
+		nd.counters.Retries.Add(1)
+		return true
+	}
+	return false
+}
+
+// redialWindow is how long a responder slot waits for the redial after
+// an attempt that bookResponse kept open. After a lost fin it waits only
+// for a redial already in flight: one backoff envelope, not the slot's
+// whole deadline — the far more likely reading of a lost fin is an
+// initiator that committed and died, and nobody redials a committed
+// slot.
+func (nd *Node) redialWindow(out tryOutcome) time.Duration {
+	if out == tryFinLost {
+		return 8*nd.policy.Backoff + 250*time.Millisecond
+	}
+	return nd.cfg.ExchangeTimeout
+}
+
+// servePassive serves a claimed tail slot on the goroutine that
+// delivered its request (or, for requests parked before the node
+// settled, on the main loop as it settles): the same serve, the same
+// bookkeeping and the same redial rules as respondWith, minus the wait
+// for the slot's turn. The loop only continues with a redial that
+// parked while the previous attempt was still running.
+func (nd *Node) servePassive(t *tailSlot, in inbound) {
+	for {
+		out := nd.serveDec(t.st, t.s, t.from, &in)
+		_ = in.conn.Close()
+		in.frame.Release()
+		reopen := nd.bookResponse(out, t.attempts, nd.reg.tailDeadline(t))
+		var ok bool
+		if in, ok = nd.reg.finish(t, reopen, nd.redialWindow(out)); !ok {
 			return
-		case tryRetry, tryFinLost:
-			if attempt >= nd.policy.MaxRetries || !time.Now().Before(deadline) {
-				nd.counters.Timeouts.Add(1)
-				return
-			}
-			nd.counters.Retries.Add(1)
-			if out == tryFinLost {
-				// Wait only for a redial already in flight: one backoff
-				// envelope, not the slot's whole deadline — the far more
-				// likely reading of a lost fin is an initiator that
-				// committed and died, and nobody redials a committed slot.
-				wait = 8*nd.policy.Backoff + 250*time.Millisecond
-			} else {
-				wait = nd.cfg.ExchangeTimeout
+		}
+	}
+}
+
+// awaitTail is the one wait at the end of a settled tail: the main loop
+// has walked its initiator slots and now waits, against a single
+// deadline, for whatever responder slots are still open. A slot whose
+// initiator never shows up costs one Timeouts count, as in slot order,
+// but the waits overlap instead of adding up; one whose initiator is
+// known to be unreachable is released as soon as that is known. progress
+// is called each time the wait has moved past a slot.
+func (nd *Node) awaitTail(tails []*tailSlot, progress func()) {
+	nd.reg.armTail(time.Now().Add(nd.cfg.ExchangeTimeout))
+	for _, t := range tails {
+		status := tailPending
+		for status == tailPending && !nd.stopped.Load() {
+			status = nd.reg.waitTail(t, suspicionPoll)
+			if status == tailPending && nd.peerUnreachable(t.from) && nd.reg.expireTail(t) {
+				status = tailExpired
 			}
 		}
+		if status == tailExpired {
+			nd.counters.Timeouts.Add(1)
+		}
+		progress()
 	}
 }
 
@@ -294,15 +378,14 @@ func (nd *Node) initiateSum(st *iterState, peer int, s slot, full bool) {
 		st.means = sumSide{SumState: eesum.MergeSum(nd.cfg.Scheme, st.means.SumState, resp.Means.State(), nd.dimWk)}
 		st.noise = sumSide{SumState: eesum.MergeSum(nd.cfg.Scheme, st.noise.SumState, resp.Noise.State(), nd.dimWk)}
 		st.ctrS, st.ctrW = (st.ctrS+resp.CtrSigma)/2, (st.ctrW+resp.CtrOmega)/2
-		nd.counters.Initiated.Add(1)
-		nd.journalCommit(s, st, true)
+		nd.commit(s, st, true)
 		nd.sendFin(conn, wireproto.KindSumFin, hdr, s, full, bareFin)
 		return tryCommitted
 	})
 }
 
 func (nd *Node) respondSum(st *iterState, s slot, from int) {
-	nd.respondWith(s, from, func(in inbound) tryOutcome {
+	nd.respondWith(s, from, func(in *inbound) tryOutcome {
 		req, err := wireproto.ScanSum(in.frame.Payload, nd.lim)
 		if err != nil || int(req.Hdr.From) != from ||
 			!nd.validSumState(req.Means, len(st.means.CTs)) || !nd.validSumState(req.Noise, len(st.noise.CTs)) {
@@ -326,8 +409,7 @@ func (nd *Node) respondSum(st *iterState, s slot, from int) {
 		st.means = sumSide{SumState: eesum.MergeSum(nd.cfg.Scheme, req.Means.State(), st.means.SumState, nd.dimWk)}
 		st.noise = sumSide{SumState: eesum.MergeSum(nd.cfg.Scheme, req.Noise.State(), st.noise.SumState, nd.dimWk)}
 		st.ctrS, st.ctrW = (req.CtrSigma+st.ctrS)/2, (req.CtrOmega+st.ctrW)/2
-		nd.counters.Responded.Add(1)
-		nd.journalCommit(s, st, false)
+		nd.commit(s, st, false)
 		return tryCommitted
 	})
 }
@@ -379,15 +461,14 @@ func (nd *Node) initiateDiss(st *iterState, peer int, s slot, full bool) {
 		if resp.ID < st.corID {
 			st.corID, st.corVec = resp.ID, resp.Vec
 		}
-		nd.counters.Initiated.Add(1)
-		nd.journalCommit(s, st, true)
+		nd.commit(s, st, true)
 		nd.sendFin(conn, wireproto.KindDissFin, hdr, s, full, bareFin)
 		return tryCommitted
 	})
 }
 
 func (nd *Node) respondDiss(st *iterState, s slot, from int) {
-	nd.respondWith(s, from, func(in inbound) tryOutcome {
+	nd.respondWith(s, from, func(in *inbound) tryOutcome {
 		req, err := wireproto.UnmarshalDiss(in.frame.Payload, nd.lim)
 		if err != nil || int(req.Hdr.From) != from || len(req.Vec) != len(st.corVec) {
 			return tryReject
@@ -409,8 +490,7 @@ func (nd *Node) respondDiss(st *iterState, s slot, from int) {
 		if req.ID < st.corID {
 			st.corID, st.corVec = req.ID, req.Vec
 		}
-		nd.counters.Responded.Add(1)
-		nd.journalCommit(s, st, false)
+		nd.commit(s, st, false)
 		return tryCommitted
 	})
 }
@@ -540,8 +620,7 @@ func (nd *Node) initiateDec(st *iterState, peer int, s slot, full bool) {
 		// half-completed exchange sends none.
 		x := nd.prepareDec(st, resp, full)
 		nd.commitDec(st, x, peer+1, resp.Fresh)
-		nd.counters.Initiated.Add(1)
-		nd.journalCommit(s, st, true)
+		nd.commit(s, st, true)
 
 		nd.sendFin(conn, wireproto.KindDecFin, hdr, s, full, func(h wireproto.ExchangeHdr) wireproto.Message {
 			return &wireproto.DecMsg{Hdr: h, Fresh: x.fresh}
@@ -551,39 +630,53 @@ func (nd *Node) initiateDec(st *iterState, peer int, s slot, full bool) {
 }
 
 func (nd *Node) respondDec(st *iterState, s slot, from int) {
-	nd.respondWith(s, from, func(in inbound) tryOutcome {
-		req, err := wireproto.ScanDec(in.frame.Payload, nd.lim)
-		if err != nil || int(req.Hdr.From) != from || !validDecState(req, st.decCTs.Len(), nd.cfg.Scheme.NumShares()) {
-			return tryReject
-		}
-		if nd.crashes(LegResp, s) {
-			return tryHalf
-		}
-		// The response carries this side's key-share over the initiator's
-		// post-adoption ciphertexts (the sim's apply(a, b)), computed
-		// before any commit.
-		x := nd.prepareDec(st, req, true)
-		if err := nd.writeMsg(in.conn, wireproto.KindDecResp, -1, st.decOut(req.Hdr, x.fresh)); err != nil {
-			return tryRetry
-		}
-		_ = in.conn.SetReadDeadline(time.Now().Add(nd.cfg.FinTimeout))
-		f, err := nd.readFrame(in.conn)
-		defer f.Release()
-		if err != nil || f.Kind != wireproto.KindDecFin {
-			return tryFinLost
-		}
-		fin, err := wireproto.ScanDec(f.Payload, nd.lim)
-		if err != nil {
-			return tryReject
-		}
-		if fin.Hdr.Flags&wireproto.FlagAbort != 0 {
-			return tryHalf
-		}
-		nd.commitDec(st, x, from+1, fin.Fresh)
-		nd.counters.Responded.Add(1)
-		nd.journalCommit(s, st, false)
-		return tryCommitted
-	})
+	nd.respondWith(s, from, func(in *inbound) tryOutcome { return nd.serveDec(st, s, from, in) })
+}
+
+// serveDec serves one attempt at a decryption responder slot. It is the
+// one responder half of the phase: run by the main loop in slot order
+// while st can still change, and by whichever goroutine delivered the
+// request once st is settled — when prepareDec and commitDec find
+// nothing to compute or change, and all that remains of the exchange is
+// the same validation, the same three legs and the same commit record.
+func (nd *Node) serveDec(st *iterState, s slot, from int, in *inbound) tryOutcome {
+	req, err := wireproto.ScanDec(in.frame.Payload, nd.lim)
+	if err != nil || int(req.Hdr.From) != from || !validDecState(req, st.decCTs.Len(), nd.cfg.Scheme.NumShares()) {
+		return tryReject
+	}
+	if nd.crashes(LegResp, s) {
+		return tryHalf
+	}
+	// The response carries this side's key-share over the initiator's
+	// post-adoption ciphertexts (the sim's apply(a, b)), computed
+	// before any commit.
+	x := nd.prepareDec(st, req, true)
+	hdr := req.Hdr
+	if !x.iAdopt {
+		// Nothing of the request outlives this point unless this side
+		// adopts it: hand its buffer back before the two network waits.
+		x.peer = wireproto.DecView{}
+		in.frame.Release()
+	}
+	if err := nd.writeMsg(in.conn, wireproto.KindDecResp, -1, st.decOut(hdr, x.fresh)); err != nil {
+		return tryRetry
+	}
+	_ = in.conn.SetReadDeadline(time.Now().Add(nd.cfg.FinTimeout))
+	f, err := nd.readFrame(in.conn)
+	defer f.Release()
+	if err != nil || f.Kind != wireproto.KindDecFin {
+		return tryFinLost
+	}
+	fin, err := wireproto.ScanDec(f.Payload, nd.lim)
+	if err != nil {
+		return tryReject
+	}
+	if fin.Hdr.Flags&wireproto.FlagAbort != 0 {
+		return tryHalf
+	}
+	nd.commitDec(st, x, from+1, fin.Fresh)
+	nd.commit(s, st, false)
+	return tryCommitted
 }
 
 // validPartials checks a scanned partial vector claims the expected

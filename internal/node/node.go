@@ -8,13 +8,20 @@
 // seed and protocol parameters, mirrors the simulation engine
 // (sim.Engine.DrawCycle) to derive the identical per-cycle exchange
 // schedule, and executes its own participations strictly in schedule
-// order. Exchanges that share no participant commute, and exchanges
-// sharing one are ordered identically on both sides, so the distributed
-// execution is conflict-serializable in the schedule order: a networked
-// run releases bit-identical centroids to an in-memory simulation of
-// the same seed and parameters (first iteration exactly; later
-// iterations each participant continues from its own decoded view, as
-// a real deployment must).
+// order for as long as an exchange can change its state. Exchanges that
+// share no participant commute, and exchanges sharing one are ordered
+// identically on both sides, so the distributed execution is
+// conflict-serializable in the schedule order: a networked run releases
+// bit-identical centroids to an in-memory simulation of the same seed
+// and parameters (first iteration exactly; later iterations each
+// participant continues from its own decoded view, as a real deployment
+// must). The one stretch that leaves schedule order is the tail of the
+// epidemic decryption: a participant holding τ key-shares is read-only
+// until the phase ends, so its remaining exchanges commute with one
+// another as well — it serves its responder slots the moment their
+// requests arrive and only walks its initiator slots in order (see
+// runTail), which no participant's state can tell from the serial
+// execution.
 //
 // Exchange shape. Each scheduled exchange is a three-leg round trip on
 // one TCP connection: REQ (initiator state) → RESP (responder pre-merge
@@ -219,12 +226,15 @@ type Node struct {
 
 	// state is the durable crash-recovery journal (nil: volatile node);
 	// stateErr is the first journal write failure, sticky — it halts the
-	// node, and RunContext reports it. resume/resuming/resumeAnn are
-	// decoded from the journal at attach: the point to re-enter the run
-	// at, and the KindResume announcement a relaunch sends instead of a
-	// fresh hello. stateErr and resume are touched only by the main
-	// protocol loop.
+	// node, and RunContext reports it. commitMu serializes exchange
+	// commits (counter, journal append, commit hook) and guards
+	// stateErr: in a settled tail they come from several goroutines.
+	// resume/resuming/resumeAnn are decoded from the journal at attach:
+	// the point to re-enter the run at, and the KindResume announcement
+	// a relaunch sends instead of a fresh hello. resume is touched only
+	// by the main protocol loop.
 	state     *State
+	commitMu  sync.Mutex
 	stateErr  error
 	resume    *resumePoint
 	resuming  bool
@@ -245,9 +255,12 @@ type Node struct {
 	// (config-digest mismatch). Touched only by the Join goroutine.
 	joinReject error
 
-	stop    chan struct{}
-	stopped atomic.Bool
-	wg      sync.WaitGroup
+	stop      chan struct{}
+	stopped   atomic.Bool
+	haltOnce  sync.Once
+	closeOnce sync.Once
+	lnErr     error // the listener's close error, set by halt
+	wg        sync.WaitGroup
 }
 
 // connSet tracks every open connection of a node so shutdown can close
@@ -728,30 +741,42 @@ func (nd *Node) Leave() error {
 // Section 6.1.5 failure mode.
 func (nd *Node) Crash() error { return nd.Close() }
 
+// halt is the half of Close that never blocks: it stops the listener
+// and closes every live connection and the registry, so every loop and
+// every exchange in flight fails fast. It is what a goroutine Close
+// waits for calls when the node must die under it (a commit hook's kill
+// or a dead journal during a passive commit); Close finishes the job.
+func (nd *Node) halt() {
+	nd.haltOnce.Do(func() {
+		nd.stopped.Store(true)
+		close(nd.stop)
+		if nd.ln != nil {
+			nd.lnErr = nd.ln.Close()
+		}
+		nd.live.closeAll()
+		nd.reg.close()
+	})
+}
+
 // Close stops the listener, closes every live connection and joins the
 // background loops. Closing the live conns is what makes shutdown (and
 // context cancellation) prompt: peers blocked mid-exchange fail fast
 // instead of waiting out their deadlines.
 func (nd *Node) Close() error {
-	if nd.stopped.Swap(true) {
-		return nil
-	}
-	close(nd.stop)
+	nd.halt()
 	var err error
-	if nd.ln != nil {
-		err = nd.ln.Close()
-	}
-	nd.live.closeAll()
-	nd.reg.close()
-	nd.wg.Wait()
-	// Flush and close the crash-recovery journal last: a SIGTERM that
-	// lands here (the daemon's signal handler calls Close) leaves every
-	// committed exchange durable on disk.
-	if nd.state != nil {
-		if cerr := nd.state.Close(); err == nil {
-			err = cerr
+	nd.closeOnce.Do(func() {
+		nd.wg.Wait()
+		err = nd.lnErr
+		// Flush and close the crash-recovery journal last: a SIGTERM that
+		// lands here (the daemon's signal handler calls Close) leaves
+		// every committed exchange durable on disk.
+		if nd.state != nil {
+			if cerr := nd.state.Close(); err == nil {
+				err = cerr
+			}
 		}
-	}
+	})
 	return err
 }
 
@@ -764,7 +789,9 @@ func (nd *Node) JournalLag() (entries int, bytes int64) {
 }
 
 // serve accepts connections; each is one interaction (membership round
-// trip or a full three-leg exchange owned by the main loop).
+// trip, or a full three-leg exchange — owned by the main loop once
+// parked, or served right on the connection's goroutine when it is for
+// a settled tail slot).
 func (nd *Node) serve() {
 	defer nd.wg.Done()
 	for {
@@ -794,7 +821,9 @@ func (nd *Node) handleConn(conn net.Conn) {
 // and shutdown closes it) and of the frame's pooled buffer (the caller
 // must not touch or release f afterwards); the frame's wire bytes are
 // credited here, so byte accounting matches a connection the node read
-// itself.
+// itself. Deliver returns once the frame is parked or refused — or, for
+// a request to a settled tail slot, once the whole exchange has been
+// served on the caller's goroutine.
 func (nd *Node) Deliver(conn net.Conn, f wireproto.Frame) {
 	conn = nd.track(conn)
 	nd.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(f.Target, len(f.Payload))))
@@ -802,9 +831,11 @@ func (nd *Node) Deliver(conn net.Conn, f wireproto.Frame) {
 }
 
 // dispatch routes one decoded inbound frame. The exchange-request kinds
-// park the connection — and the frame, which the main protocol loop
-// releases once it has served the request — with the registry; every
-// other kind is a self-contained round trip handled here.
+// go through the registry, which either parks the connection — and the
+// frame, which the main protocol loop releases once it has served the
+// request — or, for a settled tail slot, claims the request for service
+// right here; every other kind is a self-contained round trip handled
+// here.
 func (nd *Node) dispatch(conn net.Conn, f wireproto.Frame) {
 	if f.Epoch != nd.epoch || (f.Target >= 0 && f.Target != nd.cfg.Index) {
 		nd.counters.Rejected.Add(1)
@@ -885,9 +916,12 @@ func (nd *Node) dispatch(conn net.Conn, f wireproto.Frame) {
 			return
 		}
 		s := slot{iter: int(hdr.Iter), phase: phaseOfKind(f.Kind), cycle: int(hdr.Cycle), seq: int(hdr.Seq)}
-		// The responder's main loop owns the connection from here on.
+		// Whoever serves the request owns the connection from here on.
 		_ = conn.SetDeadline(time.Time{})
-		nd.reg.deliver(s, inbound{frame: f, conn: conn})
+		in := inbound{frame: f, conn: conn}
+		if t, _ := nd.reg.deliver(s, in); t != nil {
+			nd.servePassive(t, in)
+		}
 
 	default:
 		nd.counters.Rejected.Add(1)

@@ -337,14 +337,14 @@ func TestRegistryOrdering(t *testing.T) {
 	s0 := slot{iter: 1, phase: phaseSum, cycle: 0, seq: 0}
 	s1 := slot{iter: 1, phase: phaseSum, cycle: 0, seq: 3}
 	c1, c2 := newFakeConn(), newFakeConn()
-	if !r.deliver(s1, inbound{conn: c1}) {
+	if _, ok := r.deliver(s1, inbound{conn: c1}); !ok {
 		t.Fatal("early delivery refused")
 	}
 	if in, ok := r.await(s1, time.Second); !ok || in.conn != c1 {
 		t.Fatal("parked request not delivered")
 	}
 	r.advance(slot{iter: 1, phase: phaseDiss})
-	if r.deliver(s0, inbound{conn: c2}) {
+	if _, ok := r.deliver(s0, inbound{conn: c2}); ok {
 		t.Fatal("stale delivery accepted")
 	}
 	if !c2.closed.Load() {
@@ -352,6 +352,32 @@ func TestRegistryOrdering(t *testing.T) {
 	}
 	if _, ok := r.await(slot{iter: 2, phase: phaseSum}, 20*time.Millisecond); ok {
 		t.Fatal("await invented a request")
+	}
+}
+
+// TestRegistryAwaitParkedAllocatesNothing pins the await fast path: the
+// request is almost always parked before the responder reaches its slot
+// (initiators run ahead), and picking it up must not pay for the timer
+// only an actual wait needs.
+func TestRegistryAwaitParkedAllocatesNothing(t *testing.T) {
+	const runs = 100
+	r := newRegistry(nil)
+	slots := make([]slot, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range slots {
+		slots[i] = slot{iter: 1, phase: phaseSum, cycle: i}
+		if _, ok := r.deliver(slots[i], inbound{conn: newFakeConn()}); !ok {
+			t.Fatal("delivery refused")
+		}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, ok := r.await(slots[next], time.Second); !ok {
+			t.Fatal("parked request not returned")
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("await of a parked request allocates %.0f objects per call, want 0", allocs)
 	}
 }
 

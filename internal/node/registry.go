@@ -19,10 +19,14 @@ const (
 )
 
 // slot identifies one scheduled exchange globally: iteration, phase,
-// cycle, sequence within the cycle. Slots are totally ordered; each
-// peer processes its own participations strictly in slot order, which
-// makes the distributed execution conflict-serializable in the global
-// schedule order (exchanges not sharing a node commute).
+// cycle, sequence within the cycle. Slots are totally ordered. A peer
+// whose state an exchange can still change processes its own
+// participations strictly in slot order, which makes the distributed
+// execution conflict-serializable in the global schedule order
+// (exchanges not sharing a node commute). A peer whose decryption state
+// is settled — τ key-shares gathered, read-only until the phase ends —
+// shares nothing between its remaining slots, so they commute too and
+// run in whatever order their requests arrive (see tailSlot).
 type slot struct {
 	iter  int
 	phase int
@@ -43,38 +47,77 @@ func (s slot) before(o slot) bool {
 	return s.seq < o.seq
 }
 
-// inbound is a parked exchange request: the decoded frame and the
-// connection the response legs travel on. The responder's main loop
-// owns the connection once it consumes the entry.
+// inbound is an exchange request off the wire: the decoded frame and
+// the connection the response legs travel on. Whoever serves it — the
+// responder's main loop once it consumes a parked entry, or the
+// delivering goroutine when the slot is served passively — owns the
+// connection from then on.
 type inbound struct {
 	frame wireproto.Frame
 	conn  net.Conn
 }
 
-// registry parks inbound exchange requests until the responder's main
-// loop reaches their slot. Requests may arrive arbitrarily early (the
-// initiator runs ahead), more than once (a retrying initiator redials
-// the same slot after its connection died), or never (the initiator
-// died for good); the main loop waits with a deadline and prunes
-// entries that fall behind its position. Consuming a delivery does not
-// close a slot — the owner may re-await it while re-serving a retried
-// exchange; release tombstones the slot when its owner is done for
-// good, so a late delivery can never strand a connection in an
-// unreachable channel.
+// tailSlot is one responder slot of a settled participant's decryption
+// tail, open for passive service: a request for it is served by the
+// goroutine that delivers it, the moment it arrives. busy is the claim —
+// set under the registry lock by whoever takes a request, so a slot is
+// served by one goroutine at a time and its owner alone touches
+// attempts; a redial arriving meanwhile parks in the slot's channel for
+// the owner to pick up. A zero deadline means the slot waits as long as
+// the tail lasts (the main loop arms it once its own initiator slots are
+// through); closed slots are tombstoned like released ones.
+type tailSlot struct {
+	s        slot
+	from     int        // scheduled initiator
+	st       *iterState // the settled state it serves, read-only
+	busy     bool
+	attempts int // served attempts that ended without closing the slot
+	deadline time.Time
+	closed   bool
+}
+
+// tailStatus is what waitTail found out about a tail slot.
+type tailStatus int
+
+const (
+	tailPending tailStatus = iota // still open when the poll slice ran out
+	tailClosed                    // served to a terminal outcome (or the registry shut down)
+	tailExpired                   // nobody showed up by its deadline; tombstoned by this call
+)
+
+// registry is the rendezvous between inbound exchange requests and the
+// participant's responder slots. Requests may arrive arbitrarily early
+// (the initiator runs ahead), more than once (a retrying initiator
+// redials the same slot after its connection died), or never (the
+// initiator died for good). For a slot served in slot order the request
+// is parked until the main loop reaches it: the loop waits with a
+// deadline and prunes entries that fall behind its position. Consuming
+// a delivery does not close a slot — the owner may re-await it while
+// re-serving a retried exchange; release tombstones the slot when its
+// owner is done for good, so a late delivery can never strand a
+// connection in an unreachable channel. For a slot of a settled tail
+// the request is claimed by its deliverer instead. Which of the two
+// happens is decided under mu, and settle moves what is already parked
+// over under the same lock, so no request falls between the regimes or
+// is served twice.
 type registry struct {
 	mu      sync.Mutex
 	pending map[slot]chan inbound
-	done    map[slot]bool // consumed or abandoned slots (pruned by advance)
-	horizon slot          // the owner's current position; earlier slots are stale
+	done    map[slot]bool      // consumed or abandoned slots (pruned by advance)
+	tail    map[slot]*tailSlot // open passively-served slots
+	horizon slot               // the owner's current position; earlier slots are stale
 	closed  bool
 	stop    <-chan struct{} // closed on node shutdown; wakes blocked awaits (nil: never)
+	wake    chan struct{}   // a tail slot closed or went idle; wakes waitTail
 }
 
 func newRegistry(stop <-chan struct{}) *registry {
 	return &registry{
 		pending: make(map[slot]chan inbound),
 		done:    make(map[slot]bool),
+		tail:    make(map[slot]*tailSlot),
 		stop:    stop,
+		wake:    make(chan struct{}, 1),
 	}
 }
 
@@ -89,18 +132,25 @@ func (r *registry) channel(s slot) chan inbound {
 	return ch
 }
 
-// deliver parks a request. Requests for slots already passed, released,
-// or arriving after close are refused: the connection is closed and
-// false returned. A parked request the owner has not consumed yet is
-// replaced — the newest connection wins, because a retrying initiator
-// only redials after its previous connection died, so whatever was
-// parked before is a corpse.
-func (r *registry) deliver(s slot, in inbound) bool {
+// deliver hands a request to its slot. Requests for slots already
+// passed, released, or arriving after close are refused: the connection
+// is closed and false returned. A request for an idle tail slot is
+// claimed: the slot comes back, and the caller must serve it
+// (Node.servePassive). Anything else is parked. A parked request the
+// owner has not consumed yet is replaced — the newest connection wins,
+// because a retrying initiator only redials after its previous
+// connection died, so whatever was parked before is a corpse.
+func (r *registry) deliver(s slot, in inbound) (*tailSlot, bool) {
 	r.mu.Lock()
 	if r.closed || r.done[s] || s.before(r.horizon) {
 		r.mu.Unlock()
 		_ = in.conn.Close()
-		return false
+		return nil, false
+	}
+	if t := r.tail[s]; t != nil && !t.busy {
+		t.busy = true
+		r.mu.Unlock()
+		return t, true
 	}
 	ch := r.channel(s)
 	var stale net.Conn
@@ -114,7 +164,20 @@ func (r *registry) deliver(s slot, in inbound) bool {
 	if stale != nil {
 		_ = stale.Close()
 	}
-	return true
+	return nil, true
+}
+
+// take removes and returns the request parked for s, if any. Callers
+// hold r.mu.
+func (r *registry) take(s slot) (inbound, bool) {
+	if ch, ok := r.pending[s]; ok {
+		select {
+		case in := <-ch:
+			return in, true
+		default:
+		}
+	}
+	return inbound{}, false
 }
 
 // await blocks until a request for slot s arrives, the deadline passes,
@@ -132,13 +195,15 @@ func (r *registry) await(s slot, timeout time.Duration) (inbound, bool) {
 	}
 	ch := r.channel(s)
 	r.mu.Unlock()
+	// The request is usually there already (initiators run ahead): look
+	// before paying for a timer.
+	select {
+	case in := <-ch:
+		return in, true
+	default:
+	}
 	if timeout <= 0 {
-		select {
-		case in := <-ch:
-			return in, true
-		default:
-			return inbound{}, false
-		}
+		return inbound{}, false
 	}
 	t := time.NewTimer(timeout)
 	defer t.Stop()
@@ -164,21 +229,179 @@ func (r *registry) await(s slot, timeout time.Duration) (inbound, bool) {
 // consume is closed out.
 func (r *registry) release(s slot) {
 	r.mu.Lock()
+	r.tombstone(s)
+}
+
+// tombstone marks s done, drops r.mu — which the caller holds — and
+// closes whatever was parked for the slot.
+func (r *registry) tombstone(s slot) {
+	stale, parked := r.take(s)
 	r.done[s] = true
-	ch := r.pending[s]
 	delete(r.pending, s)
-	var stale net.Conn
-	if ch != nil {
-		select {
-		case in := <-ch:
-			stale = in.conn
-		default:
+	r.mu.Unlock()
+	if parked {
+		_ = stale.conn.Close()
+	}
+}
+
+// --- the settled tail ---
+
+// claim is a request taken for passive service together with its slot.
+type claim struct {
+	t  *tailSlot
+	in inbound
+}
+
+// settle opens the given responder slots for passive service. Requests
+// already parked for them are claimed here, under the same lock that
+// decides park-or-claim for every later arrival, and returned for the
+// caller to serve.
+func (r *registry) settle(tails []*tailSlot) []claim {
+	var parked []claim
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, t := range tails {
+		if r.closed {
+			t.closed = true
+			continue
+		}
+		r.tail[t.s] = t
+		if in, ok := r.take(t.s); ok {
+			t.busy = true
+			parked = append(parked, claim{t, in})
+		}
+	}
+	return parked
+}
+
+// closeTail tombstones a tail slot and wakes the main loop. Like
+// tombstone it is called with r.mu held and drops it.
+func (r *registry) closeTail(t *tailSlot) {
+	t.closed, t.busy = true, false
+	delete(r.tail, t.s)
+	r.signal()
+	r.tombstone(t.s)
+}
+
+// signal wakes waitTail without blocking: one pending wake-up is
+// enough, the waiter re-reads the state it waits on.
+func (r *registry) signal() {
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
+}
+
+// tailDeadline returns a claimed slot's current deadline (zero: none).
+func (r *registry) tailDeadline(t *tailSlot) time.Time {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return t.deadline
+}
+
+// finish ends the served attempt of a claimed tail slot. With reopen
+// false the slot is closed for good. Otherwise it stays claimable for
+// the initiator's redial, for at most window from now: a redial that
+// parked while the attempt ran is handed straight back to the caller,
+// still claimed; else the slot goes idle.
+func (r *registry) finish(t *tailSlot, reopen bool, window time.Duration) (inbound, bool) {
+	r.mu.Lock()
+	if t.closed { // the registry shut down under the attempt
+		r.mu.Unlock()
+		return inbound{}, false
+	}
+	if !reopen {
+		r.closeTail(t)
+		return inbound{}, false
+	}
+	t.attempts++
+	if d := time.Now().Add(window); t.deadline.IsZero() || d.Before(t.deadline) {
+		t.deadline = d
+	}
+	in, ok := r.take(t.s)
+	if !ok {
+		t.busy = false
+		r.signal()
+	}
+	r.mu.Unlock()
+	return in, ok
+}
+
+// armTail gives every open tail slot that has no earlier deadline the
+// one the main loop waits for all stragglers by.
+func (r *registry) armTail(deadline time.Time) {
+	r.mu.Lock()
+	//lint:orderfree independent per-slot update; every open slot is visited
+	for _, t := range r.tail {
+		if t.deadline.IsZero() || deadline.Before(t.deadline) {
+			t.deadline = deadline
 		}
 	}
 	r.mu.Unlock()
-	if stale != nil {
-		_ = stale.Close()
+}
+
+// tailOpenBefore reports whether any tail slot before pos is still
+// open.
+func (r *registry) tailOpenBefore(pos slot) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	//lint:orderfree existence check: the verdict does not depend on visiting order
+	for s := range r.tail {
+		if s.before(pos) {
+			return true
+		}
 	}
+	return false
+}
+
+// waitTail waits on one tail slot for at most poll: until it closes, or
+// — while no attempt is in flight — its deadline passes, in which case
+// this call tombstones it. An attempt in flight is always waited out
+// (its connection deadlines bound it): the slot's fate is its server's
+// to book. tailPending means the slice (or the node) ran out first.
+func (r *registry) waitTail(t *tailSlot, poll time.Duration) tailStatus {
+	var slice <-chan time.Time
+	for {
+		r.mu.Lock()
+		if t.closed {
+			r.mu.Unlock()
+			return tailClosed
+		}
+		if !t.busy && !t.deadline.IsZero() {
+			left := time.Until(t.deadline)
+			if left <= 0 {
+				r.closeTail(t)
+				return tailExpired
+			}
+			poll = minDur(poll, left)
+		}
+		r.mu.Unlock()
+		if slice == nil {
+			tm := time.NewTimer(poll)
+			defer tm.Stop()
+			slice = tm.C
+		}
+		select {
+		case <-r.wake: // some tail slot closed or went idle: look again
+		case <-slice:
+			return tailPending
+		case <-r.stop:
+			return tailPending
+		}
+	}
+}
+
+// expireTail tombstones a tail slot nobody is serving — the early
+// release of a slot whose initiator is known to be unreachable — and
+// reports whether it did.
+func (r *registry) expireTail(t *tailSlot) bool {
+	r.mu.Lock()
+	if t.closed || t.busy {
+		r.mu.Unlock()
+		return false
+	}
+	r.closeTail(t)
+	return true
 }
 
 // advance moves the owner's position: entries for earlier slots can
@@ -207,10 +430,17 @@ func (r *registry) advance(pos slot) {
 	r.mu.Unlock()
 }
 
-// close refuses all future deliveries and drains parked connections.
+// close refuses all future deliveries, drains parked connections and
+// closes the tail: attempts in flight die with their connections.
 func (r *registry) close() {
 	r.mu.Lock()
 	r.closed = true
+	//lint:orderfree independent per-slot close-out during shutdown
+	for s, t := range r.tail {
+		t.closed = true
+		delete(r.tail, s)
+	}
+	r.signal()
 	//lint:orderfree independent per-slot drain during shutdown
 	for s, ch := range r.pending {
 		select {

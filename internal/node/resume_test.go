@@ -25,6 +25,14 @@ import (
 // timeouts).
 func launchResumeNodes(t *testing.T, ts testSetup, victim int, dir string, hook CommitHook, crash CrashHook, policy Policy) []*Result {
 	t.Helper()
+	return launchResumeNodesInspect(t, ts, victim, dir, hook, crash, policy, nil)
+}
+
+// launchResumeNodesInspect is launchResumeNodes with a look at the
+// relaunched victim before it runs (nil: none) — what its journal
+// replayed into.
+func launchResumeNodesInspect(t *testing.T, ts testSetup, victim int, dir string, hook CommitHook, crash CrashHook, policy Policy, inspect func(relaunched *Node)) []*Result {
+	t.Helper()
 	journalPath := filepath.Join(dir, "victim.journal")
 	nodes := make([]*Node, ts.n)
 	var bootstrap string
@@ -92,6 +100,9 @@ func launchResumeNodes(t *testing.T, ts testSetup, victim int, dir string, hook 
 					return
 				}
 				t.Cleanup(func() { _ = nd2.Close() })
+				if inspect != nil {
+					inspect(nd2)
+				}
 				res, err = nd2.Run()
 				_ = nd2.Close()
 			}

@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
 
@@ -9,6 +10,7 @@ import (
 	"chiaroscuro/internal/eesum"
 	"chiaroscuro/internal/homenc"
 	"chiaroscuro/internal/kmeans"
+	"chiaroscuro/internal/sim"
 	"chiaroscuro/internal/timeseries"
 )
 
@@ -114,8 +116,8 @@ func (nd *Node) RunContext(ctx context.Context) (*Result, error) {
 		}
 		trace, next, err := nd.iterate(it, centroids, epsIter, rzIter)
 		if err != nil {
-			if nd.stateErr != nil {
-				return nil, nd.stateErr
+			if jerr := nd.journalErr(); jerr != nil {
+				return nil, jerr
 			}
 			return nil, ctxErr(ctx, err)
 		}
@@ -151,11 +153,11 @@ func ctxErr(ctx context.Context, err error) error {
 
 // iterate runs one full protocol iteration over the wire. A non-nil rz
 // resumes the iteration mid-flight from its journaled checkpoint: the
-// restored state replaces the locally-built one, every slot at or
-// before the checkpointed position is skipped (its merge is already in
-// the restored state — re-executing it would double-apply), and the
-// shared-seed noise draws the pre-crash run consumed are replayed and
-// discarded so the stream cursor advances identically. Phase-boundary
+// restored state replaces the locally-built one, every slot the journal
+// holds as committed is skipped (its merge is already in the restored
+// state — re-executing it would double-apply), and the shared-seed
+// noise draws the pre-crash run consumed are replayed and discarded so
+// the stream cursor advances identically. Phase-boundary
 // transitions the pre-crash run already performed (the correction
 // proposal, the noise perturbation) are likewise skipped — their
 // results are in the restored ciphertexts.
@@ -205,7 +207,7 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 	// --- Algorithm 3 (a): means and noise sums in lockstep, counter
 	// piggybacking, over the wire.
 	nd.phaseNow.Store(int64(phaseSum))
-	nd.runPhase(it, phaseSum, nd.cfg.Proto.Exchanges, st, after)
+	nd.runPhase(it, phaseSum, nd.cfg.Proto.Exchanges, st, rz)
 	trace.SumCycles = nd.cfg.Proto.Exchanges
 
 	// --- Algorithm 3 (b): correction proposal from own stream, min-
@@ -222,7 +224,7 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 		st.corID, st.corVec = corID, corVec
 	}
 	nd.phaseNow.Store(int64(phaseDiss))
-	nd.runPhase(it, phaseDiss, nd.cfg.Proto.DissCycles, st, after)
+	nd.runPhase(it, phaseDiss, nd.cfg.Proto.DissCycles, st, rz)
 	trace.DissCycles = nd.cfg.Proto.DissCycles
 	if after == nil || after.phase < phaseDec {
 		cor := make([]*big.Int, len(st.corVec))
@@ -248,9 +250,15 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 		st.decParts = make(map[int]*homenc.Partials, nd.cfg.Scheme.Threshold())
 	}
 	nd.phaseNow.Store(int64(phaseDec))
-	nd.runPhase(it, phaseDec, nd.cfg.Proto.DecryptCycles, st, after)
+	nd.runPhase(it, phaseDec, nd.cfg.Proto.DecryptCycles, st, rz)
 	trace.DecryptCycles = nd.cfg.Proto.DecryptCycles
 
+	if nd.stopped.Load() {
+		// A node stopped inside a settled tail holds all its key-shares:
+		// without this it would go on to release, and to journal the next
+		// iteration, after its death.
+		return nil, nil, errStopped
+	}
 	tau := nd.cfg.Scheme.Threshold()
 	if len(st.decParts) < tau {
 		return nil, nil, fmt.Errorf("node %d: gathered %d of %d key-shares in the fixed decryption budget", nd.cfg.Index, len(st.decParts), tau)
@@ -283,16 +291,22 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 	return trace, next, nil
 }
 
+// errStopped is what a run returns when the node was closed under it.
+var errStopped = errors.New("node: closed during the run")
+
 // runPhase executes one phase's fixed cycle budget: every cycle's
 // schedule is drawn from the mirror engine (identical on every
 // participant), and this node's participations execute strictly in
-// schedule order. A non-nil after is the resume position: slots at or
-// before it were committed (and journaled) by the pre-crash run and are
-// skipped — the cycle is still drawn (the schedule cursor must advance)
-// and the registry horizon still moves (stale deliveries from retrying
-// peers get closed out instead of stranding connections).
-func (nd *Node) runPhase(it, phase, cycles int, st *iterState, after *slot) {
+// schedule order — until, in the decryption phase, a slot boundary finds
+// the state settled and runTail takes the rest of the phase. A non-nil
+// rz is the resume point: slots it holds as committed were executed (and
+// journaled) by the pre-crash run and are skipped — the cycle is still
+// drawn (the schedule cursor must advance) and the registry horizon
+// still moves (stale deliveries from retrying peers get closed out
+// instead of stranding connections).
+func (nd *Node) runPhase(it, phase, cycles int, st *iterState, rz *resumePoint) {
 	me := nd.cfg.Index
+	tau := nd.cfg.Scheme.Threshold()
 	for c := 0; c < cycles; c++ {
 		if nd.stopped.Load() {
 			return
@@ -306,8 +320,12 @@ func (nd *Node) runPhase(it, phase, cycles int, st *iterState, after *slot) {
 				return
 			}
 			s := slot{iter: it, phase: phase, cycle: c, seq: seq}
-			if after != nil && !after.before(s) {
+			if rz.committed(s) {
 				continue // already executed before the crash
+			}
+			if phase == phaseDec && st.settled(tau) {
+				nd.runTail(s, sched, cycles, st, rz)
+				return
 			}
 			if ex.A == me {
 				nd.initiate(phase, st, ex.B, s, ex.Full)
@@ -315,11 +333,92 @@ func (nd *Node) runPhase(it, phase, cycles int, st *iterState, after *slot) {
 				nd.respond(phase, st, s, ex.A)
 			}
 		}
-		nd.reg.advance(slot{iter: it, phase: phase, cycle: c + 1})
-		if hook := nd.cfg.Proto.Observer.Phase; hook != nil {
-			hook(it, core.Phase(phase), c+1, cycles)
+		nd.cycleDone(it, phase, c, cycles)
+	}
+}
+
+// cycleDone moves the registry horizon past cycle c and reports it.
+func (nd *Node) cycleDone(it, phase, c, cycles int) {
+	nd.reg.advance(slot{iter: it, phase: phase, cycle: c + 1})
+	if hook := nd.cfg.Proto.Observer.Phase; hook != nil {
+		hook(it, core.Phase(phase), c+1, cycles)
+	}
+}
+
+// runTail runs the rest of the decryption phase, from own slot `from`
+// of the already-drawn cycle cur on, for a participant whose state is
+// settled — read-only until the phase ends, so its remaining exchanges
+// commute with one another on this side. The remaining cycles are drawn
+// up front (the schedule cursor ends where the serial walk would leave
+// it) and the state is sealed and published: the responder slots are
+// served passively, each by the goroutine that delivers its request and
+// in whatever order they arrive, while this loop walks the initiator
+// slots — serially and in slot order, so the dial order per directed
+// pair, and with it every seeded fault verdict, is the serial
+// execution's — and then waits once for whatever responder slots are
+// still open. Cycles are reported exactly once and in order, each as
+// soon as every own slot up to it is done.
+func (nd *Node) runTail(from slot, cur []sim.Scheduled, cycles int, st *iterState, rz *resumePoint) {
+	me, it := nd.cfg.Index, from.iter
+	type dial struct {
+		s    slot
+		peer int
+		full bool
+	}
+	// A participant initiates once per cycle and is picked about once.
+	dials := make([]dial, 0, cycles-from.cycle)
+	slab := make([]tailSlot, 0, 2*(cycles-from.cycle))
+	for c := from.cycle; c < cycles; c++ {
+		sched, first := cur, from.seq
+		if c > from.cycle {
+			sched, first = nd.sched.DrawCycle(), 0
+		}
+		for seq := first; seq < len(sched); seq++ {
+			ex := sched[seq]
+			s := slot{iter: it, phase: phaseDec, cycle: c, seq: seq}
+			if (ex.A != me && ex.B != me) || rz.committed(s) {
+				continue
+			}
+			if ex.A == me {
+				dials = append(dials, dial{s, ex.B, ex.Full})
+			} else {
+				slab = append(slab, tailSlot{s: s, from: ex.A, st: st})
+			}
 		}
 	}
+	tails := make([]*tailSlot, len(slab))
+	for i := range slab {
+		tails[i] = &slab[i]
+	}
+	st.seal()
+	for _, cl := range nd.reg.settle(tails) {
+		nd.servePassive(cl.t, cl.in)
+	}
+
+	// reported cycles are done; cycle c follows once the dials have moved
+	// past it and no responder slot up to it is still open.
+	reported := from.cycle
+	report := func(through int) {
+		for reported < through && !nd.reg.tailOpenBefore(slot{iter: it, phase: phaseDec, cycle: reported + 1}) {
+			if hook := nd.cfg.Proto.Observer.Phase; hook != nil {
+				hook(it, core.Phase(phaseDec), reported+1, cycles)
+			}
+			reported++
+		}
+	}
+	for _, d := range dials {
+		if nd.stopped.Load() {
+			return
+		}
+		report(d.s.cycle)
+		nd.initiateDec(st, d.peer, d.s, d.full)
+	}
+	nd.awaitTail(tails, func() { report(cycles) })
+	if nd.stopped.Load() {
+		return
+	}
+	report(cycles)
+	nd.reg.advance(slot{iter: it, phase: phaseDec, cycle: cycles})
 }
 
 func (nd *Node) initiate(phase int, st *iterState, peer int, s slot, full bool) {

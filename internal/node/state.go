@@ -30,15 +30,22 @@ import (
 //	               state plus the committed slot. The append and fsync
 //	               happen after the merge and before the initiator's
 //	               FIN leg, which is what makes recovery exact — see
-//	               the WAL-ordering note on journalCommit.
+//	               the WAL-ordering note on Node.commit.
 //
-// Replay keeps only the newest iteration record and the newest
-// checkpoint belonging to it (an iteration record supersedes the
-// previous iteration's checkpoints). Resume then re-executes the run
-// from the top, skipping every slot at or before the checkpointed
-// position and replaying (and discarding) the shared-seed RNG draws the
-// pre-crash run consumed, so the RNG cursors, the schedule mirror and
-// the privacy accountant all sit exactly where they did at the crash.
+// Replay keeps only the newest iteration record and the checkpoints
+// belonging to it (an iteration record supersedes the previous
+// iteration's checkpoints). While a participant runs in slot order its
+// newest checkpoint says it all: every own slot at or before it is
+// done. A settled decryption tail commits its slots in whatever order
+// their requests arrive, so there a checkpoint vouches for its own slot
+// only — replay keeps the slot-order frontier (the newest checkpoint
+// written before the state was settled, the one that completed it
+// included) plus the set of slots journaled after it. Resume then
+// re-executes the run from the top, skipping every slot at or before
+// the frontier and every slot of that set, and replaying (and
+// discarding) the shared-seed RNG draws the pre-crash run consumed, so
+// the RNG cursors, the schedule mirror and the privacy accountant all
+// sit exactly where they did at the crash.
 
 // Journal record kinds.
 const (
@@ -61,7 +68,11 @@ type State struct {
 	j        *journal.Journal
 	identity *identity
 	lastIter []byte // newest iteration record payload, raw
-	lastCkpt []byte // newest checkpoint payload belonging to lastIter
+	// ckpts are the checkpoint payloads belonging to lastIter that resume
+	// may need, oldest first: only the newest one up to the decryption
+	// phase, every one from there on (attachState, which knows τ, tells
+	// the frontier from the tail). Dropped once decoded.
+	ckpts [][]byte
 }
 
 // identity pins a journal to the participant that wrote it.
@@ -97,15 +108,18 @@ func OpenState(path string) (*State, error) {
 			// A new iteration supersedes the previous iteration's
 			// checkpoints: they describe state the run has moved past.
 			st.lastIter = r.Payload
-			st.lastCkpt = nil
+			st.ckpts = nil
 		case recCheckpoint:
-			st.lastCkpt = r.Payload
+			if n := len(st.ckpts); n > 0 && !(inDecPhase(st.ckpts[n-1]) && inDecPhase(r.Payload)) {
+				st.ckpts = st.ckpts[:0]
+			}
+			st.ckpts = append(st.ckpts, r.Payload)
 		default:
 			_ = j.Close()
 			return nil, fmt.Errorf("%w: unknown state record kind %d", journal.ErrCorrupt, r.Kind)
 		}
 	}
-	if st.identity == nil && (st.lastIter != nil || st.lastCkpt != nil) {
+	if st.identity == nil && (st.lastIter != nil || st.ckpts != nil) {
 		_ = j.Close()
 		return nil, fmt.Errorf("%w: protocol records precede the identity record", journal.ErrCorrupt)
 	}
@@ -454,22 +468,9 @@ func encodeCheckpoint(s slot, st *iterState, ctrs wireproto.Counters) []byte {
 // unset: the resumed iterate computes them at the phase boundary
 // exactly as an uncrashed run would.
 func decodeCheckpoint(p []byte, lim wireproto.Limits) (checkpointRecord, error) {
-	d := sdec{b: p}
-	r := checkpointRecord{pos: slot{
-		iter:  int(d.u32()),
-		phase: int(d.u32()),
-		cycle: int(d.u32()),
-		seq:   int(d.u32()),
-	}}
-	sumB := d.blob(lim.MaxFrameLen)
-	dissB := d.blob(lim.MaxFrameLen)
-	decB := d.blob(lim.MaxFrameLen)
-	r.counters = decodeCounters(&d)
-	if err := d.done(); err != nil {
+	r, sumB, dissB, decB, err := splitCheckpoint(p, lim)
+	if err != nil {
 		return checkpointRecord{}, err
-	}
-	if r.pos.phase < phaseSum || r.pos.phase > phaseDec {
-		return checkpointRecord{}, fmt.Errorf("%w: checkpoint phase %d out of range", journal.ErrCorrupt, r.pos.phase)
 	}
 	sum, err := wireproto.ScanSum(sumB, lim)
 	if err != nil {
@@ -496,6 +497,76 @@ func decodeCheckpoint(p []byte, lim wireproto.Limits) (checkpointRecord, error) 
 		adoptDec(r.st, dec, dec.CTs.Copy(), len(dec.Parts))
 	}
 	return r, nil
+}
+
+// inDecPhase peeks at a checkpoint payload's phase field. Anything too
+// short to have one is left for decodeCheckpoint to refuse.
+func inDecPhase(p []byte) bool {
+	d := sdec{b: p}
+	d.u32()
+	return int(d.u32()) == phaseDec && d.err == nil
+}
+
+// splitCheckpoint decodes a checkpoint's fixed fields — the committed
+// slot and the counter snapshot — and bounds its three protocol
+// segments, leaving them encoded.
+func splitCheckpoint(p []byte, lim wireproto.Limits) (r checkpointRecord, sumB, dissB, decB []byte, err error) {
+	d := sdec{b: p}
+	r.pos = slot{iter: int(d.u32()), phase: int(d.u32()), cycle: int(d.u32()), seq: int(d.u32())}
+	sumB = d.blob(lim.MaxFrameLen)
+	dissB = d.blob(lim.MaxFrameLen)
+	decB = d.blob(lim.MaxFrameLen)
+	r.counters = decodeCounters(&d)
+	if err := d.done(); err != nil {
+		return checkpointRecord{}, nil, nil, nil, err
+	}
+	if r.pos.phase < phaseSum || r.pos.phase > phaseDec {
+		return checkpointRecord{}, nil, nil, nil, fmt.Errorf("%w: checkpoint phase %d out of range", journal.ErrCorrupt, r.pos.phase)
+	}
+	return r, sumB, dissB, decB, nil
+}
+
+// peekCheckpoint reads what replay needs from a checkpoint without
+// rebuilding its state: the committed slot, the counter snapshot, and
+// how many key-shares the decryption state held.
+func peekCheckpoint(p []byte, lim wireproto.Limits) (checkpointRecord, int, error) {
+	r, _, _, decB, err := splitCheckpoint(p, lim)
+	if err != nil {
+		return checkpointRecord{}, 0, err
+	}
+	dec, err := wireproto.ScanDec(decB, lim)
+	if err != nil {
+		return checkpointRecord{}, 0, fmt.Errorf("%w: checkpoint dec segment: %v", journal.ErrCorrupt, err)
+	}
+	return r, len(dec.Parts), nil
+}
+
+// replayCheckpoints splits an iteration's retained checkpoints into the
+// slot-order frontier — decoded in full: it carries the state to resume
+// with — and the set of tail slots journaled after the state settled
+// (see the file comment), and returns the newest counter snapshot.
+func replayCheckpoints(ckpts [][]byte, lim wireproto.Limits, tau int) (checkpointRecord, map[slot]bool, error) {
+	frontier, settled := 0, false
+	var tail map[slot]bool
+	var ctrs wireproto.Counters
+	for i, p := range ckpts {
+		r, parts, err := peekCheckpoint(p, lim)
+		if err != nil {
+			return checkpointRecord{}, nil, err
+		}
+		ctrs = r.counters
+		if settled && parts >= tau {
+			if tail == nil {
+				tail = make(map[slot]bool)
+			}
+			tail[r.pos] = true
+			continue
+		}
+		frontier, settled, tail = i, r.pos.phase == phaseDec && parts >= tau, nil
+	}
+	ck, err := decodeCheckpoint(ckpts[frontier], lim)
+	ck.counters = ctrs
+	return ck, tail, err
 }
 
 // restoreSumSide detaches a journaled EESum state from the record it
@@ -543,8 +614,16 @@ type resumePoint struct {
 	totalBefore float64 // budget spent by completed iterations
 	centroids   []timeseries.Series
 	traces      []core.IterationTrace
-	pos         *slot      // last committed slot, nil: resume at the iteration start
-	st          *iterState // restored live state, non-nil iff pos is
+	pos         *slot         // slot-order frontier, nil: resume at the iteration start
+	st          *iterState    // restored live state, non-nil iff pos is
+	tail        map[slot]bool // settled-tail slots committed after pos, in whatever order
+}
+
+// committed reports whether the pre-crash run journaled slot s as done:
+// re-executing it would double-apply (or, in a settled tail,
+// double-count) its commit.
+func (rz *resumePoint) committed(s slot) bool {
+	return rz != nil && rz.pos != nil && (!rz.pos.before(s) || rz.tail[s])
 }
 
 // attachState binds an opened journal to the node: a fresh journal gets
@@ -586,8 +665,9 @@ func (nd *Node) attachState(st *State) error {
 		traces:      itRec.traces,
 	}
 	ctrs := itRec.counters
-	if st.lastCkpt != nil {
-		ck, err := decodeCheckpoint(st.lastCkpt, nd.lim)
+	if len(st.ckpts) > 0 {
+		ck, tail, err := replayCheckpoints(st.ckpts, nd.lim, nd.cfg.Scheme.Threshold())
+		st.ckpts = nil
 		if err != nil {
 			return err
 		}
@@ -595,6 +675,7 @@ func (nd *Node) attachState(st *State) error {
 			pos := ck.pos
 			rp.pos = &pos
 			rp.st = ck.st
+			rp.tail = tail
 			ctrs = ck.counters
 			nd.resumeAnn.Iter = uint32(pos.iter)
 			nd.resumeAnn.Phase = uint32(pos.phase)
@@ -607,29 +688,56 @@ func (nd *Node) attachState(st *State) error {
 	return nil
 }
 
-// journalCommit makes one exchange commit durable. Ordering is the
-// whole point: the merge has been applied, the journal append+fsync
-// happens HERE, and only then does the initiator send its FIN. A crash
-// in the merge→fsync window loses at most this one merge, and both
-// directions of that loss are legal protocol outcomes: an initiator
-// that loses it never sent the FIN, so the responder never merged and
-// the exchange simply didn't happen; a responder that loses it leaves
-// the initiator committed alone — exactly the paper's Section 6.1.5
-// half-completed exchange. A resume never double-applies because it
-// skips every slot at or before the journaled position.
+// commit books one exchange commit and makes it durable. Ordering is
+// the whole point: the merge has been applied, the counter and the
+// journal append+fsync happen HERE, and only then does the initiator
+// send its FIN. A crash in the merge→fsync window loses at most this
+// one merge, and both directions of that loss are legal protocol
+// outcomes: an initiator that loses it never sent the FIN, so the
+// responder never merged and the exchange simply didn't happen; a
+// responder that loses it leaves the initiator committed alone —
+// exactly the paper's Section 6.1.5 half-completed exchange. A resume
+// never double-applies because it skips every slot the journal holds as
+// committed.
+//
+// In a settled tail commits arrive from several goroutines at once (the
+// main loop's initiator slots, the passively served responder slots);
+// commitMu serializes them, so the journal is appended by one writer at
+// a time, every checkpoint's counter snapshot covers exactly the
+// commits journaled up to and including it, and the commit hook — a
+// harness's kill switch, written for one caller — is never re-entered.
 //
 // A journal that stops taking writes halts the node instead of running
 // on: continuing un-journaled would let a later crash replay exchanges
-// the population already saw happen.
-func (nd *Node) journalCommit(s slot, st *iterState, initiator bool) {
+// the population already saw happen. The halt is the non-blocking kind:
+// a passive commit runs on a connection goroutine Close would wait for.
+func (nd *Node) commit(s slot, st *iterState, initiator bool) {
+	count := &nd.counters.Responded
+	if initiator {
+		count = &nd.counters.Initiated
+	}
+	if nd.state == nil && nd.commitHook == nil {
+		count.Add(1)
+		return
+	}
+	nd.commitMu.Lock()
+	defer nd.commitMu.Unlock()
+	count.Add(1)
 	if nd.state != nil && nd.stateErr == nil {
 		if err := nd.state.saveCheckpoint(s, st, nd.counters.Snapshot()); err != nil {
 			nd.stateErr = fmt.Errorf("node %d: journal write failed: %w", nd.cfg.Index, err)
-			_ = nd.Close()
+			nd.halt()
 			return
 		}
 	}
 	if nd.commitHook != nil && nd.commitHook(s.phase, s.iter, s.cycle, s.seq, initiator) {
-		_ = nd.Close() // simulated kill −9 at a commit point
+		nd.halt() // simulated kill −9 at a commit point
 	}
+}
+
+// journalErr returns the sticky journal write failure, if any.
+func (nd *Node) journalErr() error {
+	nd.commitMu.Lock()
+	defer nd.commitMu.Unlock()
+	return nd.stateErr
 }

@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"context"
 	"math/big"
+	"sync"
 	"testing"
+	"time"
 
+	"chiaroscuro/internal/core"
+	"chiaroscuro/internal/faultnet"
 	"chiaroscuro/internal/homenc"
+	"chiaroscuro/internal/node"
 	"chiaroscuro/internal/wireproto"
 )
 
@@ -54,6 +59,77 @@ func benchMuxCycle(b *testing.B, vnodes int) {
 
 func BenchmarkMuxCycleTCP(b *testing.B)       { benchMuxCycle(b, 0) }
 func BenchmarkMuxCycleInProcess(b *testing.B) { benchMuxCycle(b, 12) }
+
+// BenchmarkNetworkedWAN16 is one protocol iteration of a wait-bound
+// deployment: 16 TCP peers on 1024-bit degree-2 (packed) keys, τ = 5,
+// the fixed phase budget of a 16-peer population, and a seeded [0, 10 ms)
+// delay before every frame an initiator writes. Cores idle most of the
+// time, so ns/op tracks how well the runtime overlaps its waits — the
+// benchmark module's net-dj-wan workload, kept here as well so that
+// BENCH_*.json records it next to EndToEndRealCrypto12.
+func BenchmarkNetworkedWAN16(b *testing.B) {
+	const n, tau = 16, 5
+	data, _ := GenerateCER(n, 7)
+	seeds := SeedCentroids("cer", 2, 8)
+	scheme, err := NewTestScheme(1024, 2, n, tau)
+	if err != nil {
+		b.Fatal(err)
+	}
+	diss, dec := FixedPhaseCycles(n)
+	run := func(seed uint64) {
+		proto := core.Config{
+			K: 2, InitCentroids: seeds,
+			DMin: CERMin, DMax: CERMax,
+			Epsilon: 1e4, MaxIterations: 1, Exchanges: 10,
+			DissCycles: diss, DecryptCycles: dec,
+			FracBits: 24, Seed: seed, Workers: 1,
+		}
+		inj := faultnet.New(faultnet.Plan{Seed: proto.Seed, LatencyMax: 10 * time.Millisecond})
+		nodes := make([]*node.Node, n)
+		bootstrap := ""
+		for j := range nodes {
+			nd, err := node.New(node.Config{
+				Index: j, N: n, Series: data.Row(j), Scheme: scheme, Proto: proto,
+				Bootstrap: bootstrap, Dialer: inj.Node(j),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer nd.Close() // idempotent; the pass below already closed
+			nodes[j] = nd
+			if j == 0 {
+				bootstrap = nd.Addr()
+			}
+		}
+		results := make([]*node.Result, n)
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for j, nd := range nodes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[j], errs[j] = nd.Run()
+			}()
+		}
+		wg.Wait()
+		var timeouts, retries int64
+		for j, nd := range nodes {
+			_ = nd.Close() // shutdown only; the run's outcome is in results
+			if errs[j] != nil {
+				b.Fatalf("node %d: %v", j, errs[j])
+			}
+			timeouts += results[j].Counters.Timeouts
+			retries += results[j].Counters.Retries
+		}
+		if len(results[0].Centroids) == 0 || timeouts != 0 || retries != 0 {
+			b.Fatalf("released %d centroids with %d timeouts, %d retries", len(results[0].Centroids), timeouts, retries)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(uint64(i + 1))
+	}
+}
 
 // BenchmarkDecFrameRoundTrip is one decryption leg at the vnode
 // benchmark's shape (50 ciphertexts, τ = 5 gathered partial vectors) as
