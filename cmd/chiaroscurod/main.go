@@ -325,7 +325,8 @@ type virtualConfig struct {
 
 // runVirtual hosts vnodes consecutive participants (key-file index
 // onward) behind one mux listener: one accept loop, one shared address
-// book and schedule mirror, in-process pipes between co-located pairs.
+// book and schedule mirror, in-process connections between co-located
+// pairs.
 // The protocol run is bit-identical to hosting each participant in its
 // own daemon. The /progress observer rides the first hosted
 // participant; /metrics aggregates the whole host.

@@ -20,8 +20,8 @@
 //	    -sim-scheme -tau 2 -iterations 3
 //
 // The paper-scale load shape: -vnodes runs the whole population as
-// virtual nodes behind one mux listener (in-process pipes, one schedule
-// mirror), -sim-scheme swaps Damgård–Jurik for the arithmetic-faithful
+// virtual nodes behind one mux listener (in-process connections, one
+// schedule mirror), -sim-scheme swaps Damgård–Jurik for the arithmetic-faithful
 // plaintext scheme so the run measures runtime capacity instead of
 // exponentiation, and -shards splits the total population into
 // independent sub-populations run back to back — each with a seed

@@ -250,8 +250,9 @@ func (in *Injector) Node(self int) *NodeFaults {
 // WithTransport returns a copy of nf whose clean connections come from
 // dial instead of plain TCP — the fault verdicts (refuse, partition,
 // latency, cut) are layered on top unchanged. This is how a virtual
-// population runs chaos plans over in-process pipes: same decisions at
-// the same attempt ordinals, no kernel sockets.
+// population runs chaos plans over the mux host's in-process
+// connections: same decisions at the same attempt ordinals, no kernel
+// sockets.
 func (nf *NodeFaults) WithTransport(dial DialFunc) *NodeFaults {
 	return &NodeFaults{in: nf.in, self: nf.self, dial: dial}
 }

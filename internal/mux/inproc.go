@@ -1,0 +1,234 @@
+package mux
+
+import (
+	"io"
+	"net"
+	"os"
+	"sync"
+	"time"
+
+	"chiaroscuro/internal/wireproto"
+)
+
+// maxQueued is how many unread bytes a direction may hold before the
+// next Write waits for the reader. The protocol never has more than two
+// frames in flight per direction (request then fin, or response), so an
+// exchange never waits here; the bound only keeps a writer that streams
+// at a stalled reader from growing the queue without limit.
+const maxQueued = 64 << 10
+
+// inprocConn is one end of the host's in-process connection: the
+// net.Conn two co-located participants exchange over. Each direction is
+// a queue of bytes in a buffer borrowed from the frame pool — Write
+// appends and returns, Read drains, and what was written before the
+// writer's Close is delivered before io.EOF, as on TCP, which is the
+// contract internal/node's commit-point taxonomy was written against.
+//
+// Deadlines are stored values, not timers. A runtime timer exists only
+// while a goroutine is blocked in Read or Write, is stopped before that
+// call returns, and holds nothing but its own channel: whatever
+// deadlines an exchange set, a closed connection, its queues and its
+// peer are unreachable from any runtime root. A timer armed per
+// SetDeadline call whose callback reaches the connection would instead
+// keep it live until the deadline would have fired — under the
+// ten-minute exchange timeout of a large virtual population, every
+// connection dialed in the last ten minutes.
+type inprocConn struct {
+	in, out *queue
+}
+
+// newInprocPair returns the two ends of a fresh connection.
+func newInprocPair() (*inprocConn, *inprocConn) {
+	qs := new([2]queue)
+	return &inprocConn{in: &qs[0], out: &qs[1]}, &inprocConn{in: &qs[1], out: &qs[0]}
+}
+
+// queue is one direction of a connection.
+type queue struct {
+	mu  sync.Mutex
+	buf []byte // pooled; nil while nothing is queued
+	off int    // the unread bytes are buf[off:]
+
+	wclosed bool // writing end closed: io.EOF once drained
+	rclosed bool // reading end closed: queued bytes are gone, writes fail
+
+	rdl, wdl time.Time // the reader's read deadline, the writer's write deadline
+
+	// rwait and wwait are non-nil while a Read or a Write may be blocked
+	// on them; closing one wakes its waiters to look at the queue again.
+	rwait, wwait chan struct{}
+}
+
+func wake(ch *chan struct{}) {
+	if *ch != nil {
+		close(*ch)
+		*ch = nil
+	}
+}
+
+func expired(dl time.Time) bool { return !dl.IsZero() && !time.Now().Before(dl) }
+
+// block parks the caller until *ch is woken or dl passes; the caller
+// then re-examines the queue, deadline included. q.mu is held on entry
+// and on return.
+func (q *queue) block(ch *chan struct{}, dl time.Time) {
+	if *ch == nil {
+		*ch = make(chan struct{})
+	}
+	woken := *ch
+	q.mu.Unlock()
+	if dl.IsZero() {
+		<-woken
+	} else {
+		t := time.NewTimer(time.Until(dl))
+		select {
+		case <-woken:
+		case <-t.C:
+		}
+		t.Stop()
+	}
+	q.mu.Lock()
+}
+
+// release hands the queue's buffer back to the pool.
+func (q *queue) release() {
+	wireproto.PutBuf(q.buf)
+	q.buf, q.off = nil, 0
+}
+
+func (q *queue) read(p []byte) (int, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for {
+		switch {
+		case q.rclosed:
+			return 0, io.ErrClosedPipe
+		case expired(q.rdl):
+			return 0, os.ErrDeadlineExceeded
+		case q.off < len(q.buf):
+			n := copy(p, q.buf[q.off:])
+			if q.off += n; q.off == len(q.buf) {
+				q.release()
+			}
+			if len(q.buf)-q.off <= maxQueued {
+				wake(&q.wwait)
+			}
+			return n, nil
+		case q.wclosed:
+			return 0, io.EOF
+		case len(p) == 0:
+			return 0, nil
+		}
+		q.block(&q.rwait, q.rdl)
+	}
+}
+
+func (q *queue) write(p []byte) (int, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for {
+		switch {
+		case q.wclosed || q.rclosed:
+			return 0, io.ErrClosedPipe
+		case expired(q.wdl):
+			return 0, os.ErrDeadlineExceeded
+		case len(p) == 0:
+			return 0, nil
+		case len(q.buf)-q.off <= maxQueued:
+			q.push(p)
+			wake(&q.rwait)
+			return len(p), nil
+		}
+		q.block(&q.wwait, q.wdl)
+	}
+}
+
+// push appends p behind the unread bytes, making room first: in the
+// slack behind them, by moving them to the front of the buffer, or in a
+// larger buffer.
+func (q *queue) push(p []byte) {
+	unread := len(q.buf) - q.off
+	switch {
+	case q.buf == nil:
+		q.buf = wireproto.GetBuf(len(p))[:0]
+	case len(p) <= cap(q.buf)-len(q.buf):
+	case unread+len(p) <= cap(q.buf):
+		q.buf = q.buf[:copy(q.buf, q.buf[q.off:])]
+		q.off = 0
+	default:
+		grown := wireproto.GetBuf(max(unread+len(p), 2*cap(q.buf)))[:unread]
+		copy(grown, q.buf[q.off:])
+		q.release()
+		q.buf = grown
+	}
+	q.buf = append(q.buf, p...)
+}
+
+func (q *queue) closeRead() {
+	q.mu.Lock()
+	q.rclosed = true
+	q.release()
+	wake(&q.rwait)
+	wake(&q.wwait)
+	q.mu.Unlock()
+}
+
+func (q *queue) closeWrite() {
+	q.mu.Lock()
+	q.wclosed = true
+	wake(&q.rwait)
+	wake(&q.wwait)
+	q.mu.Unlock()
+}
+
+func (q *queue) setReadDeadline(t time.Time) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.rclosed {
+		return io.ErrClosedPipe
+	}
+	q.rdl = t
+	wake(&q.rwait)
+	return nil
+}
+
+func (q *queue) setWriteDeadline(t time.Time) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.wclosed {
+		return io.ErrClosedPipe
+	}
+	q.wdl = t
+	wake(&q.wwait)
+	return nil
+}
+
+func (c *inprocConn) Read(p []byte) (int, error)  { return c.in.read(p) }
+func (c *inprocConn) Write(p []byte) (int, error) { return c.out.write(p) }
+
+// Close closes this end: its own blocked calls and the peer's blocked
+// writes fail with io.ErrClosedPipe, the peer reads what was already
+// written and then io.EOF. Closing again is harmless.
+func (c *inprocConn) Close() error {
+	c.in.closeRead()
+	c.out.closeWrite()
+	return nil
+}
+
+func (c *inprocConn) SetReadDeadline(t time.Time) error  { return c.in.setReadDeadline(t) }
+func (c *inprocConn) SetWriteDeadline(t time.Time) error { return c.out.setWriteDeadline(t) }
+
+func (c *inprocConn) SetDeadline(t time.Time) error {
+	if err := c.in.setReadDeadline(t); err != nil {
+		return err
+	}
+	return c.out.setWriteDeadline(t)
+}
+
+func (c *inprocConn) LocalAddr() net.Addr  { return inprocAddr{} }
+func (c *inprocConn) RemoteAddr() net.Addr { return inprocAddr{} }
+
+type inprocAddr struct{}
+
+func (inprocAddr) Network() string { return "inproc" }
+func (inprocAddr) String() string  { return "inproc" }

@@ -14,13 +14,18 @@
 // sim.Engine per peer, one address book, one scheme instance (whose
 // randomizer pools and comb tables are already process-wide).
 //
-// Co-located pairs exchange over in-process pipe connections
-// (net.Pipe) handed out by the host's Transport dialer: same frames,
+// Co-located pairs exchange over the host's own in-process connection
+// (inprocConn), handed out by the host's Transport dialer: same frames,
 // same accounting (both ends count wireproto.FrameWireSize), no TCP —
 // so Figure 5(b) wire numbers stay honest while a single process
 // sustains populations the kernel's socket limits would otherwise cap.
-// Pairs on different hosts fall back to TCP with Version2 frames,
-// which any single chiaroscurod daemon also accepts (bump-compatible).
+// The connection is a buffered byte stream with TCP's close semantics
+// whose queues live in recycled frame-pool buffers and whose deadlines
+// are stored values rather than runtime timers, so a finished exchange
+// leaves nothing reachable: the host's heap is flat in the number of
+// exchanges ever made, whatever the exchange timeout. Pairs on
+// different hosts fall back to TCP with Version2 frames, which any
+// single chiaroscurod daemon also accepts (bump-compatible).
 //
 // Determinism is untouched: virtual nodes run the same main protocol
 // loop, mirror the same schedule, and a 12-peer population on one Host
@@ -87,6 +92,8 @@ type Host struct {
 
 	counters wireproto.CounterSet // host-side membership traffic
 
+	// mu guards nodes, and orders an in-process dial's wg.Add against
+	// Close: stopped is set under it.
 	mu    sync.Mutex
 	nodes map[int]*node.Node
 
@@ -250,7 +257,10 @@ func (h *Host) Nodes() []*node.Node {
 // Close stops the listener, closes every virtual node and live
 // connection, and joins the host's goroutines.
 func (h *Host) Close() error {
-	if h.stopped.Swap(true) {
+	h.mu.Lock()
+	already := h.stopped.Swap(true)
+	h.mu.Unlock()
+	if already {
 		return nil
 	}
 	close(h.stop)
@@ -293,22 +303,22 @@ func (h *Host) serveConn(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	if f.Epoch != h.epoch {
-		h.counters.Rejected.Add(1)
-		_ = conn.Close()
-		return
-	}
-	if f.Target >= 0 {
+	if f.Epoch == h.epoch && f.Target >= 0 {
 		h.mu.Lock()
 		nd := h.nodes[f.Target]
 		h.mu.Unlock()
-		if nd == nil {
-			h.counters.Rejected.Add(1)
-			_ = conn.Close()
+		if nd != nil {
+			_ = conn.SetDeadline(time.Time{})
+			nd.Deliver(conn, f)
 			return
 		}
-		_ = conn.SetDeadline(time.Time{})
-		nd.Deliver(conn, f)
+	}
+	// Everything below answers from decoded copies: the frame's buffer
+	// goes back to the pool on every path.
+	defer f.Release()
+	if f.Epoch != h.epoch || f.Target >= 0 {
+		h.counters.Rejected.Add(1)
+		_ = conn.Close()
 		return
 	}
 
@@ -458,6 +468,7 @@ func (h *Host) pumpOnce() bool {
 	if err != nil {
 		return true
 	}
+	defer f.Release()
 	h.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(f.Target, len(f.Payload))))
 	if f.Kind == wireproto.KindReject {
 		if r, rerr := wireproto.UnmarshalReject(f.Payload); rerr == nil {
@@ -482,9 +493,14 @@ func (h *Host) pumpOnce() bool {
 	if err := h.writeFrame(conn2, wireproto.KindView, wireproto.MarshalView(h.book.Roster())); err != nil {
 		return true
 	}
-	if f, err := wireproto.ReadFrame(conn2, h.lim.MaxFrameLen); err == nil && f.Kind == wireproto.KindView {
-		h.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(f.Target, len(f.Payload))))
-		if items, err := wireproto.UnmarshalView(f.Payload, h.lim); err == nil {
+	f2, err := wireproto.ReadFrame(conn2, h.lim.MaxFrameLen)
+	if err != nil {
+		return true
+	}
+	defer f2.Release()
+	if f2.Kind == wireproto.KindView {
+		h.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(f2.Target, len(f2.Payload))))
+		if items, err := wireproto.UnmarshalView(f2.Payload, h.lim); err == nil {
 			h.book.Merge(items)
 		}
 	}
@@ -492,10 +508,12 @@ func (h *Host) pumpOnce() bool {
 }
 
 // Transport returns the host's dialer: co-located destinations (the
-// host's own listener address) get a zero-copy in-process pipe whose
-// server end feeds the same routing path as an accepted TCP connection;
-// anything else is dialed over TCP. Byte accounting is unchanged either
-// way — both ends count the frames they write and read.
+// host's own listener address) get the host's in-process connection — a
+// buffered byte stream that costs no socket, no timer and, once closed,
+// no memory — whose server end feeds the same routing path as an
+// accepted TCP connection; anything else is dialed over TCP. Byte
+// accounting is unchanged either way — both ends count the frames they
+// write and read.
 func (h *Host) Transport() node.Dialer { return hostDialer{h} }
 
 type hostDialer struct{ h *Host }
@@ -503,11 +521,16 @@ type hostDialer struct{ h *Host }
 func (d hostDialer) Dial(peer int, addr string, timeout time.Duration) (net.Conn, error) {
 	h := d.h
 	if addr == h.addr {
+		// The serve goroutine is registered under the lock Close sets
+		// stopped under: Close's wg.Wait never races this Add.
+		h.mu.Lock()
 		if h.stopped.Load() {
+			h.mu.Unlock()
 			return nil, errors.New("mux: host closed")
 		}
-		client, server := net.Pipe()
 		h.wg.Add(1)
+		h.mu.Unlock()
+		client, server := newInprocPair()
 		go h.serveConn(h.track(server))
 		return client, nil
 	}
@@ -515,8 +538,9 @@ func (d hostDialer) Dial(peer int, addr string, timeout time.Duration) (net.Conn
 }
 
 // connSet tracks the host's open connections for prompt shutdown
-// (mirrors the node runtime's set; pipe ends additionally get closed by
-// the virtual node that took ownership — double close is harmless).
+// (mirrors the node runtime's set; in-process ends additionally get
+// closed by the virtual node that took ownership — double close is
+// harmless).
 type connSet struct {
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}

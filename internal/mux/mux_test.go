@@ -246,7 +246,7 @@ func TestVirtualChurnMatchesSimulator(t *testing.T) {
 }
 
 // TestVirtualTwoHostsBitMatchesSimulator splits the population across
-// two hosts — co-located pairs on pipes, cross-host pairs on TCP with
+// two hosts — co-located pairs in process, cross-host pairs on TCP with
 // targeted frames, rosters merged through the membership pump — and the
 // result must still bit-match the simulator.
 func TestVirtualTwoHostsBitMatchesSimulator(t *testing.T) {
@@ -286,7 +286,7 @@ func TestHostCloseNoGoroutineLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Open a routed pipe so shutdown has a live in-flight connection to
+	// Open a routed connection so shutdown has a live in-flight one to
 	// tear down, not just idle loops.
 	conn, err := h.Transport().Dial(1, h.Addr(), time.Second)
 	if err != nil {
@@ -296,6 +296,13 @@ func TestHostCloseNoGoroutineLeak(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 	_ = conn.Close()
+	waitGoroutines(t, baseline, "after Close")
+}
+
+// waitGoroutines polls until the live goroutine count is back at the
+// baseline, dumping every stack when it is not within ten seconds.
+func waitGoroutines(t *testing.T, baseline int, when string) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()
@@ -304,11 +311,78 @@ func TestHostCloseNoGoroutineLeak(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutine leak: %d before, %d after Close\n%s",
-				baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			t.Fatalf("goroutine leak: %d before, %d %s\n%s",
+				baseline, runtime.NumGoroutine(), when, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// TestDialRacesClose hammers the in-process dialer while the host shuts
+// down: a dial either gets a connection whose serve goroutine Close
+// joins, or is refused — never a WaitGroup counter raised from zero
+// under Close's Wait (a panic, or a serve goroutine Close did not wait
+// for), and nothing left running afterwards.
+func TestDialRacesClose(t *testing.T) {
+	ts := newSetup(t, 4, 0)
+	for round := 0; round < 20; round++ {
+		baseline := runtime.NumGoroutine()
+		h, err := mux.NewHost(mux.Config{N: ts.n, SeriesDim: ts.data.Dim(), Scheme: ts.scheme, Proto: ts.proto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dial := h.Transport()
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for {
+					conn, err := dial.Dial(1, h.Addr(), time.Second)
+					if err != nil {
+						return // host closed
+					}
+					_ = conn.Close()
+				}
+			}()
+		}
+		close(start)
+		time.Sleep(time.Duration(round%4) * time.Millisecond)
+		if err := h.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		wg.Wait()
+		waitGoroutines(t, baseline, "after Close")
+	}
+}
+
+// TestDialCloseAllocs caps what an in-process connection costs before a
+// byte is exchanged: the pair, the host's tracking wrapper, and the
+// serve goroutine's one blocked read (its wake channel, the timer armed
+// for it while it waits, the frame-length scratch). Queue buffers come
+// from the frame pool, deadlines are values — neither allocates.
+func TestDialCloseAllocs(t *testing.T) {
+	ts := newSetup(t, 4, 0)
+	h, err := mux.NewHost(mux.Config{N: ts.n, SeriesDim: ts.data.Dim(), Scheme: ts.scheme, Proto: ts.proto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	dial := h.Transport()
+	allocs := testing.AllocsPerRun(2000, func() {
+		conn, err := dial.Dial(1, h.Addr(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(10 * time.Minute))
+		_ = conn.Close()
+	})
+	if allocs > 10 {
+		t.Fatalf("dial + close costs %.1f allocations, want at most 10", allocs)
+	}
+	t.Logf("dial + close: %.1f allocations", allocs)
 }
 
 // TestAddNodeValidation pins the host-side provisioning checks.

@@ -834,14 +834,41 @@ func (nd *Node) Deliver(conn net.Conn, f wireproto.Frame) {
 // go through the registry, which either parks the connection — and the
 // frame, which the main protocol loop releases once it has served the
 // request — or, for a settled tail slot, claims the request for service
-// right here; every other kind is a self-contained round trip handled
-// here.
+// right here; every other kind is a self-contained round trip answered
+// from decoded copies, so the frame's buffer goes back to the pool as
+// soon as dispatch is done with it.
 func (nd *Node) dispatch(conn net.Conn, f wireproto.Frame) {
-	if f.Epoch != nd.epoch || (f.Target >= 0 && f.Target != nd.cfg.Index) {
+	switch {
+	case f.Epoch != nd.epoch || (f.Target >= 0 && f.Target != nd.cfg.Index):
 		nd.counters.Rejected.Add(1)
 		_ = conn.Close()
+
+	case f.Kind == wireproto.KindSumReq || f.Kind == wireproto.KindDissReq || f.Kind == wireproto.KindDecReq:
+		hdr, err := wireproto.PeekHdr(f.Payload)
+		if err != nil || int(hdr.To) != nd.cfg.Index || int(hdr.From) >= nd.cfg.N {
+			nd.counters.Rejected.Add(1)
+			_ = conn.Close()
+			break
+		}
+		s := slot{iter: int(hdr.Iter), phase: phaseOfKind(f.Kind), cycle: int(hdr.Cycle), seq: int(hdr.Seq)}
+		// Whoever serves the request owns the connection, and the frame,
+		// from here on.
+		_ = conn.SetDeadline(time.Time{})
+		in := inbound{frame: f, conn: conn}
+		if t, _ := nd.reg.deliver(s, in); t != nil {
+			nd.servePassive(t, in)
+		}
 		return
+
+	default:
+		nd.membership(conn, f)
 	}
+	f.Release()
+}
+
+// membership answers one hello, resume, view or leave round trip and
+// closes the connection. Nothing it keeps aliases the frame's payload.
+func (nd *Node) membership(conn net.Conn, f wireproto.Frame) {
 	switch f.Kind {
 	case wireproto.KindHello:
 		h, err := wireproto.UnmarshalHello(f.Payload, nd.lim)
@@ -907,21 +934,6 @@ func (nd *Node) dispatch(conn net.Conn, f wireproto.Frame) {
 			nd.book.MarkGone(int(l.Index))
 		}
 		_ = conn.Close()
-
-	case wireproto.KindSumReq, wireproto.KindDissReq, wireproto.KindDecReq:
-		hdr, err := wireproto.PeekHdr(f.Payload)
-		if err != nil || int(hdr.To) != nd.cfg.Index || int(hdr.From) >= nd.cfg.N {
-			nd.counters.Rejected.Add(1)
-			_ = conn.Close()
-			return
-		}
-		s := slot{iter: int(hdr.Iter), phase: phaseOfKind(f.Kind), cycle: int(hdr.Cycle), seq: int(hdr.Seq)}
-		// Whoever serves the request owns the connection from here on.
-		_ = conn.SetDeadline(time.Time{})
-		in := inbound{frame: f, conn: conn}
-		if t, _ := nd.reg.deliver(s, in); t != nil {
-			nd.servePassive(t, in)
-		}
 
 	default:
 		nd.counters.Rejected.Add(1)

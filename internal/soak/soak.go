@@ -10,8 +10,9 @@
 // Two population shapes are supported: one listener per participant
 // (the deployment shape, default) and the virtual-node shape
 // (VirtualNodes), where the whole population lives behind one
-// mux.Host and exchanges over in-process pipes — the shape that scales
-// to the paper's hundred-thousand-peer populations on one machine.
+// mux.Host and exchanges over its in-process connections — the shape
+// that scales to the paper's hundred-thousand-peer populations on one
+// machine.
 //
 // Each run advances the fault plan's seed by one, so a soak sweeps a
 // family of reproducible fault schedules; any failing run can be
@@ -68,7 +69,7 @@ type Config struct {
 	// epidemic decryption budget grows with log N, not N/3.
 	Tau int
 	// VirtualNodes runs the whole population as virtual nodes behind one
-	// mux.Host (in-process pipes) instead of one TCP listener each.
+	// mux.Host (in-process connections) instead of one TCP listener each.
 	VirtualNodes bool
 	// SimScheme swaps real Damgård–Jurik for the arithmetic-faithful
 	// plaintext scheme — same packing, framing and thresholds, no
@@ -146,6 +147,19 @@ func (c Config) withDefaults() Config {
 		c.ExchangeTimeout = 2 * time.Second
 	}
 	return c
+}
+
+// finTimeout is the responder's wait for the commit leg. Only a run that
+// models lost commit legs (churn, crashes at a leg, mid-frame cuts, a
+// restart storm) wants it short, so a responder whose initiator died
+// moves on; in a clean run the only thing a short wait can catch is a
+// busy host's scheduling delay, reported as a timeout that never
+// happened on the wire — so it is left to default to ExchangeTimeout.
+func (c Config) finTimeout() time.Duration {
+	if c.Churn > 0 || c.Plan.CrashProb > 0 || c.Plan.CutProb > 0 || c.KillProb > 0 {
+		return 400 * time.Millisecond
+	}
+	return 0
 }
 
 // Scheme builds the soak's threshold scheme: real Damgård–Jurik test
@@ -331,7 +345,7 @@ func runOnce(cfg Config, scheme homenc.Scheme, data *timeseries.Dataset, seeds [
 				Index:           i,
 				Series:          data.Row(i),
 				ExchangeTimeout: cfg.ExchangeTimeout,
-				FinTimeout:      400 * time.Millisecond,
+				FinTimeout:      cfg.finTimeout(),
 				Policy:          cfg.Policy,
 				Dialer:          nf,
 				CrashHook:       nf.Crash,
@@ -360,7 +374,7 @@ func runOnce(cfg Config, scheme homenc.Scheme, data *timeseries.Dataset, seeds [
 				Proto:           proto,
 				Bootstrap:       bootstrap,
 				ExchangeTimeout: cfg.ExchangeTimeout,
-				FinTimeout:      400 * time.Millisecond,
+				FinTimeout:      cfg.finTimeout(),
 				JoinTimeout:     30 * time.Second,
 				Policy:          cfg.Policy,
 				Dialer:          nf,
@@ -469,7 +483,7 @@ func runRestartStorm(cfg Config, scheme homenc.Scheme, data *timeseries.Dataset,
 			Proto:           proto,
 			Bootstrap:       bootstrap,
 			ExchangeTimeout: cfg.ExchangeTimeout,
-			FinTimeout:      400 * time.Millisecond,
+			FinTimeout:      cfg.finTimeout(),
 			JoinTimeout:     30 * time.Second,
 			Policy:          cfg.Policy,
 			Dialer:          nf,

@@ -8,11 +8,14 @@ import (
 // Frame buffers are recycled through a size-classed pool: every frame a
 // peer reads or writes lives in one buffer for the length of an
 // exchange leg, and at gossip rates those buffers were a quarter of all
-// allocated bytes. Classes are powers of two from 512 B to 1 MiB;
-// larger frames are allocated exactly and never retained. Each class
-// retains at most poolClassBytes of idle buffers, so the pool pins a
-// few megabytes at most — far less than the per-frame garbage it
-// replaces — however many sizes a run has seen.
+// allocated bytes. The in-process transport (internal/mux) queues the
+// bytes in flight between two co-located peers in buffers of the same
+// pool, so a frame's write buffer, queue buffer and read buffer are one
+// size class recycling among themselves. Classes are powers of two from
+// 512 B to 1 MiB; larger frames are allocated exactly and never
+// retained. Each class retains at most poolClassBytes of idle buffers,
+// so the pool pins a few megabytes at most — far less than the
+// per-frame garbage it replaces — however many sizes a run has seen.
 const (
 	poolMinShift   = 9
 	poolMaxShift   = 20
@@ -42,8 +45,9 @@ func classOf(n int) int {
 	return bits.Len(uint(n-1)) - poolMinShift
 }
 
-// getBuf returns a buffer of length n whose capacity is its class size.
-func getBuf(n int) []byte {
+// GetBuf returns a buffer of length n whose capacity is its class size
+// (exactly n beyond the largest class). Its contents are unspecified.
+func GetBuf(n int) []byte {
 	c := classOf(n)
 	if c < 0 {
 		return make([]byte, n)
@@ -60,10 +64,10 @@ func getBuf(n int) []byte {
 	return make([]byte, n, 1<<(c+poolMinShift))
 }
 
-// putBuf recycles a buffer obtained from getBuf. Anything else — nil, a
+// PutBuf recycles a buffer obtained from GetBuf. Anything else — nil, a
 // buffer an append reallocated, an over-size frame — is left to the
 // garbage collector.
-func putBuf(b []byte) {
+func PutBuf(b []byte) {
 	c := classOf(cap(b))
 	if c < 0 || cap(b) != 1<<(c+poolMinShift) {
 		return

@@ -108,7 +108,7 @@ type Frame struct {
 // the frame exclusively and must have copied out everything it keeps:
 // Payload, and every view scanned from it, is dead afterwards.
 func (f *Frame) Release() {
-	putBuf(f.body)
+	PutBuf(f.body)
 	f.body, f.Payload = nil, nil
 }
 
@@ -166,8 +166,8 @@ func WriteMessage(w io.Writer, kind byte, epoch uint64, target int, m Message) (
 	if target >= 0 {
 		hdr = headerBytesV2
 	}
-	buf := getBuf(4 + hdr + size)[:4+hdr]
-	defer putBuf(buf)
+	buf := GetBuf(4 + hdr + size)[:4+hdr]
+	defer PutBuf(buf)
 	binary.BigEndian.PutUint32(buf, uint32(hdr+size))
 	buf[4] = Version
 	buf[5] = kind
@@ -202,9 +202,9 @@ func ReadFrame(r io.Reader, maxFrame int) (Frame, error) {
 	if uint64(n) > uint64(maxFrame)+headerBytesV2-headerBytes {
 		return Frame{}, fmt.Errorf("%w: frame of %d bytes exceeds limit %d", ErrMalformed, n, maxFrame)
 	}
-	body := getBuf(int(n))
+	body := GetBuf(int(n))
 	if _, err := io.ReadFull(r, body); err != nil {
-		putBuf(body)
+		PutBuf(body)
 		return Frame{}, err
 	}
 	f := Frame{
@@ -218,13 +218,13 @@ func ReadFrame(r io.Reader, maxFrame int) (Frame, error) {
 	case Version:
 	case Version2:
 		if n < headerBytesV2 {
-			putBuf(body)
+			PutBuf(body)
 			return Frame{}, fmt.Errorf("%w: targeted frame shorter than its header", ErrMalformed)
 		}
 		f.Target = int(binary.BigEndian.Uint32(body[10:14]))
 		f.Payload = body[14:]
 	default:
-		putBuf(body)
+		PutBuf(body)
 		return Frame{}, fmt.Errorf("%w: version %d, want %d or %d", ErrMalformed, version, Version, Version2)
 	}
 	return f, nil

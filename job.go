@@ -150,7 +150,7 @@ type Options struct {
 	// VirtualNodes, when at least 2, multiplexes a Networked run's
 	// participants onto shared listeners in groups of this size (the
 	// internal/mux virtual-node runtime): co-located pairs exchange over
-	// in-process pipes, remote pairs over TCP. Released centroids are
+	// in-process connections, remote pairs over TCP. Released centroids are
 	// bit-identical to the default one-listener-per-participant shape
 	// (and to the simulator) per seed; only the socket/goroutine
 	// footprint changes. 0 or 1 keeps one listener per participant.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/big"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"chiaroscuro/internal/core"
 	"chiaroscuro/internal/faultnet"
 	"chiaroscuro/internal/homenc"
+	"chiaroscuro/internal/mux"
 	"chiaroscuro/internal/node"
 	"chiaroscuro/internal/wireproto"
 )
@@ -19,8 +21,8 @@ import (
 // simulation scheme — every frame real, no modular exponentiation — so
 // the pair below isolates the transport: one TCP listener per
 // participant versus all twelve as virtual nodes on one mux listener
-// exchanging over in-process pipes. Reported per protocol run (one
-// iteration: sum + dissemination + decryption cycles).
+// exchanging over its in-process connections. Reported per protocol run
+// (one iteration: sum + dissemination + decryption cycles).
 func benchMuxCycle(b *testing.B, vnodes int) {
 	b.Helper()
 	data, _ := GenerateCER(12, 7)
@@ -176,5 +178,66 @@ func BenchmarkDecFrameRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		roundTrip()
+	}
+}
+
+// BenchmarkInProcExchange is what one exchange between co-located
+// participants costs in the transport: dial through the host's
+// Transport, a request and a response of sum-frame size (≈ 6 KB at the
+// vnode benchmark's shape: two 50-ciphertext states of 64 bytes each),
+// close. The responder is the host's own serve goroutine answering a
+// view push — the one round trip it offers a caller that is not a
+// running participant, so there is no commit leg, and the view's decode
+// and re-encode (a fixed ≈ 40 of the allocations) ride along. Its
+// allocs/op is the per-connection allocation count BENCH_*.json tracks.
+func BenchmarkInProcExchange(b *testing.B) {
+	const n = 24
+	data, _ := GenerateCER(n, 7)
+	scheme, err := NewSimulationScheme(64, n, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	diss, dec := FixedPhaseCycles(n)
+	h, err := mux.NewHost(mux.Config{
+		N: n, SeriesDim: data.Dim(), Scheme: scheme, Epoch: 7,
+		Proto: core.Config{
+			K: 2, InitCentroids: SeedCentroids("cer", 2, 8), DMin: CERMin, DMax: CERMax,
+			Epsilon: 1e4, MaxIterations: 1, Exchanges: 10, DissCycles: diss, DecryptCycles: dec,
+			FracBits: 24, Seed: 1,
+		},
+		ExchangeTimeout: 10 * time.Minute,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer h.Close()
+	items := make([]wireproto.ViewItem, n)
+	for i := range items {
+		items[i] = wireproto.ViewItem{Index: uint32(i), Addr: strings.Repeat("a", 250), Heartbeat: 1}
+	}
+	req := wireproto.MarshalView(items)
+	lim := wireproto.NewLimits(64, 2*(data.Dim()+1), 4, n)
+	dial := h.Transport()
+	exchange := func() {
+		conn, err := dial.Dial(1, h.Addr(), time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(10 * time.Minute))
+		if err := wireproto.WriteFrame(conn, wireproto.KindView, 7, req); err != nil {
+			b.Fatal(err)
+		}
+		f, err := wireproto.ReadFrame(conn, lim.MaxFrameLen)
+		if err != nil || f.Kind != wireproto.KindView || len(f.Payload) != len(req) {
+			b.Fatalf("response of kind %d, %d bytes: %v", f.Kind, len(f.Payload), err)
+		}
+		f.Release()
+	}
+	exchange() // the book learns the roster it answers with; the pool warms
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exchange()
 	}
 }

@@ -1,7 +1,10 @@
 package chiaroscuro
 
 import (
+	"context"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestRunNetworkedMatchesRun drives the public entry points: the same
@@ -82,5 +85,49 @@ func TestRunNetworkedMultiIteration(t *testing.T) {
 		if len(c) != data.Dim() {
 			t.Fatalf("centroid length %d, want %d", len(c), data.Dim())
 		}
+	}
+}
+
+// TestVirtualJobsHeapFlat pins that a finished virtual-node job leaves
+// nothing behind: six back-to-back jobs of 64 virtual nodes under the
+// ten-minute exchange timeout large populations run with, and the live
+// heap after the sixth is what it was after the second — no connection
+// a job dialed may stay reachable (from a deadline timer, say) once it
+// is closed.
+func TestVirtualJobsHeapFlat(t *testing.T) {
+	const n = 64
+	data, _ := GenerateCER(n, 7)
+	seeds := SeedCentroids("cer", 2, 8)
+	scheme, err := NewSimulationScheme(64, n, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := make([]uint64, 7)
+	for j := 1; j <= 6; j++ {
+		job, err := NewJob(data, Options{
+			Mode: Networked, Scheme: scheme, VirtualNodes: n,
+			K: 2, InitCentroids: seeds, DMin: CERMin, DMax: CERMax,
+			Epsilon: 1e4, MaxIterations: 1, Exchanges: 10,
+			FracBits: 24, Seed: uint64(j), ExchangeTimeout: 10 * time.Minute,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := job.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Centroids) == 0 {
+			t.Fatalf("job %d released no centroids", j)
+		}
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		live[j] = ms.HeapAlloc
+	}
+	t.Logf("live heap after each job: %v", live[1:])
+	if float64(live[6]) > 1.25*float64(live[2]) {
+		t.Fatalf("live heap after each job %v: job 6 holds more than 1.25x what job 2 did", live[1:])
 	}
 }
