@@ -121,6 +121,48 @@ func BenchmarkDJCombine1024(b *testing.B) {
 	}
 }
 
+// --- The sum-phase merge (eesum.MergeSum over Scheme.MergeVec) on the
+// vector shapes of the benchmark's workloads, sides three epochs apart
+// so one is rescaled. allocs/op is the number to watch: it is per vector,
+// not per ciphertext.
+
+func benchMergeSum(b *testing.B, sch homenc.Scheme, dim int) {
+	b.Helper()
+	side := func(omega int64, epoch int) eesum.SumState {
+		cts := make([]homenc.Ciphertext, dim)
+		for j := range cts {
+			cts[j] = sch.Encrypt(big.NewInt(int64(j+1) << 40))
+		}
+		return eesum.SumState{CTs: cts, Omega: big.NewInt(omega), Epoch: epoch}
+	}
+	x, y := side(3, 4), side(5, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eesum.MergeSum(sch, x, y, 1)
+	}
+}
+
+func BenchmarkMergeSumPlain50(b *testing.B) {
+	sch, err := plain.New(nil, 64, 5, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchMergeSum(b, sch, 50)
+}
+
+func BenchmarkMergeSumDJ1024x50(b *testing.B) { benchMergeSum(b, djScheme(b, 1024), 50) }
+
+// BenchmarkMergeSumDJ1024Packed5 is the packed shape: the same 50
+// measures in five s = 2 ciphertexts.
+func BenchmarkMergeSumDJ1024Packed5(b *testing.B) {
+	sch, err := damgardjurik.NewTestScheme(1024, 2, 5, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchMergeSum(b, sch, 5)
+}
+
 // --- Ablation: the deferred-division update rule of Algorithm 2 versus
 // plaintext push-pull halving (what a non-encrypted deployment would
 // do). Measures per-cycle cost at equal population.

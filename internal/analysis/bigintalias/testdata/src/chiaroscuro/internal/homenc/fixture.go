@@ -61,3 +61,37 @@ func annotatedOwnership(cs []*big.Int) {
 	v.Add(v, big.NewInt(2)) //lint:inplace v was freshly allocated above and cs never leaves this function
 	_ = cs
 }
+
+// The slab idiom of the vector kernels: carve a value out of a shared
+// backing array, compute into it through a local, publish it last.
+
+func carve(ints []big.Int, i int) *big.Int { return &ints[i] }
+
+func carveComputePublishIsFine(a, b []*big.Int) []Ciphertext {
+	ints := make([]big.Int, len(a))
+	out := make([]Ciphertext, len(a))
+	for i := range a {
+		z := carve(ints, i)
+		z.Lsh(a[i], 3)
+		z.Add(z, b[i]) // still private: only this loop body has seen z
+		out[i].C = z
+	}
+	return out
+}
+
+func mutateSlabElementAfterPublish(a, b []*big.Int) []Ciphertext {
+	ints := make([]big.Int, len(a))
+	out := make([]Ciphertext, len(a))
+	for i := range a {
+		z := carve(ints, i)
+		z.Lsh(a[i], 3)
+		out[i].C = z
+		z.Add(z, b[i]) // want `Add mutates z in place after it was stored into shared state`
+	}
+	return out
+}
+
+func mutateSlabElementDirectly(ints []big.Int, out []Ciphertext, x *big.Int) {
+	out[0].C = &ints[0]
+	ints[0].Add(&ints[0], x) // want `Add mutates a big value held in shared struct/element state in place`
+}

@@ -154,15 +154,6 @@ func (s *Sum) State(i sim.NodeID) SumState {
 	return SumState{CTs: s.ct[i], Omega: s.omega[i], Epoch: s.epoch[i]}
 }
 
-func scaleVec(sch homenc.Scheme, in []homenc.Ciphertext, shift uint, workers int) []homenc.Ciphertext {
-	k := new(big.Int).Lsh(big.NewInt(1), shift)
-	out := make([]homenc.Ciphertext, len(in))
-	parallel.ForEach(workers, len(in), func(j int) {
-		out[j] = sch.ScalarMul(in[j], k)
-	})
-	return out
-}
-
 // AddEncrypted homomorphically adds an encrypted vector (already scaled
 // by the node's own weight) into node i's state — the "encrypted
 // perturbation" step of Algorithm 3 (line 7). The caller provides

@@ -1,0 +1,119 @@
+package eesum
+
+import (
+	"math/big"
+	"testing"
+
+	"chiaroscuro/internal/homenc"
+	"chiaroscuro/internal/homenc/damgardjurik"
+	"chiaroscuro/internal/randx"
+)
+
+// mergeOperands returns two states of dim values, three epochs apart, so
+// a merge rescales one side before adding.
+func mergeOperands(dim int, value func(rng *randx.RNG) *big.Int) (a, b SumState) {
+	rng := randx.New(31, 1)
+	side := func(omega int64, epoch int) SumState {
+		cts := make([]homenc.Ciphertext, dim)
+		for j := range cts {
+			cts[j].V = value(rng)
+		}
+		return SumState{CTs: cts, Omega: big.NewInt(omega), Epoch: epoch}
+	}
+	return side(3, 4), side(5, 7)
+}
+
+// fixedPoint draws a signed 50-bit value: an encoded measure.
+func fixedPoint(rng *randx.RNG) *big.Int { return big.NewInt(rng.Int64N(1<<50) - 1<<49) }
+
+// TestMergeSumAllocs pins the property the vector kernel exists for: a
+// merge allocates per vector, not per ciphertext. The plain merge is the
+// result slice, the two slabs and the weight (213 allocations at the
+// commit before the kernel). The Damgård–Jurik exponentiations allocate
+// inside math/big whatever the kernel does — and differently under the
+// race detector — so that merge is held against the element-wise
+// loop it replaced, measured in the same process (451; the merge itself
+// took 464 at the commit before the kernel and takes 308 with it).
+func TestMergeSumAllocs(t *testing.T) {
+	const dim = 50
+	sch := plainScheme(t, 5)
+	a, b := mergeOperands(dim, fixedPoint)
+	if got := testing.AllocsPerRun(100, func() { MergeSum(sch, a, b, 1) }); got > 8 {
+		t.Errorf("plain MergeSum of %d elements: %.0f allocations, want at most 8", dim, got)
+	}
+	dj, err := damgardjurik.NewTestScheme(1024, 1, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Full-width residues rather than encryptions: Encrypt would wake the
+	// scheme's background randomizer filler, whose allocations
+	// AllocsPerRun cannot tell from the merge's.
+	a, b = mergeOperands(dim, func(rng *randx.RNG) *big.Int {
+		v := new(big.Int)
+		for v.BitLen() < dj.NS1.BitLen() {
+			v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(rng.Uint64()))
+		}
+		return v.Mod(v, dj.NS1)
+	})
+	k := big.NewInt(1 << 3) // the sides are three epochs apart
+	elementwise := testing.AllocsPerRun(5, func() {
+		out := make([]homenc.Ciphertext, dim)
+		for j := range out {
+			out[j] = dj.Add(dj.ScalarMul(a.CTs[j], k), b.CTs[j])
+		}
+	})
+	if got := testing.AllocsPerRun(5, func() { MergeSum(dj, a, b, 1) }); got > elementwise {
+		t.Errorf("serial DJ-1024 MergeSum of %d elements: %.0f allocations, element-wise Add(ScalarMul) takes %.0f", dim, got, elementwise)
+	}
+}
+
+// TestMergeSumChunksMatchSerial: fanning the kernel out over chunks
+// changes where the values live, never the values.
+func TestMergeSumChunksMatchSerial(t *testing.T) {
+	sch := plainScheme(t, 5)
+	for _, dim := range []int{1, 2, 7, 50} {
+		a, b := mergeOperands(dim, fixedPoint)
+		want := MergeSum(sch, a, b, 1)
+		for _, workers := range []int{2, 3, 64} {
+			// Both argument orders: either side may be the staler one.
+			for _, got := range []SumState{MergeSum(sch, a, b, workers), MergeSum(sch, b, a, workers)} {
+				if got.Epoch != want.Epoch || got.Omega.Cmp(want.Omega) != 0 || len(got.CTs) != dim {
+					t.Fatalf("dim %d workers %d: state (%d, %v, %d), want (%d, %v, %d)", dim, workers, got.Epoch, got.Omega, len(got.CTs), want.Epoch, want.Omega, dim)
+				}
+				for j := range got.CTs {
+					if got.CTs[j].V.Cmp(want.CTs[j].V) != 0 {
+						t.Fatalf("dim %d workers %d: element %d = %v, want %v", dim, workers, j, got.CTs[j].V, want.CTs[j].V)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNodeNoiseStreamMatchesFamily: the one-stream derivation is the
+// family's element, draws the base source the same, and costs one stream.
+func TestNodeNoiseStreamMatchesFamily(t *testing.T) {
+	for _, tc := range []struct{ n, index int }{{1, 0}, {2, 1}, {7, 3}, {400, 0}, {400, 399}, {5, -1}} {
+		family, one := randx.New(77, 2), randx.New(77, 2)
+		streams := NodeNoiseStreams(family, tc.n)
+		own := NodeNoiseStream(one, tc.n, tc.index)
+		if family.Uint64() != one.Uint64() {
+			t.Fatalf("n=%d index=%d: base source left in a different state", tc.n, tc.index)
+		}
+		if tc.index < 0 {
+			if own != nil {
+				t.Fatalf("n=%d: a stream was built for index %d", tc.n, tc.index)
+			}
+			continue
+		}
+		for i := 0; i < 8; i++ {
+			if got, want := own.Uint64(), streams[tc.index].Uint64(); got != want {
+				t.Fatalf("n=%d index=%d: draw %d = %#x, want %#x", tc.n, tc.index, i, got, want)
+			}
+		}
+	}
+	rng := randx.New(77, 2)
+	if got := testing.AllocsPerRun(20, func() { NodeNoiseStream(rng, 400, 123) }); got > 3 {
+		t.Errorf("NodeNoiseStream(400 nodes): %.0f allocations, want at most 3", got)
+	}
+}

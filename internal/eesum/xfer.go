@@ -45,24 +45,34 @@ func (st SumState) Clone() SumState {
 // Neither input is mutated. Both sides of a full exchange adopt the
 // result (each via its own Clone when states must not alias).
 func MergeSum(sch homenc.Scheme, a, b SumState, workers int) SumState {
-	cta, ctb := a.CTs, b.CTs
-	oa, ob := a.Omega, b.Omega
-	if a.Epoch < b.Epoch {
-		cta = scaleVec(sch, cta, uint(b.Epoch-a.Epoch), workers)
-		oa = new(big.Int).Lsh(oa, uint(b.Epoch-a.Epoch))
-	} else if b.Epoch < a.Epoch {
-		ctb = scaleVec(sch, ctb, uint(a.Epoch-b.Epoch), workers)
-		ob = new(big.Int).Lsh(ob, uint(a.Epoch-b.Epoch))
+	stale, fresh := a, b
+	if b.Epoch < a.Epoch {
+		stale, fresh = b, a
 	}
-	sum := make([]homenc.Ciphertext, len(cta))
-	parallel.ForEach(workers, len(cta), func(j int) {
-		sum[j] = sch.Add(cta[j], ctb[j])
-	})
+	shift := uint(fresh.Epoch - stale.Epoch)
+	omega := new(big.Int).Lsh(stale.Omega, shift)
 	return SumState{
-		CTs:   sum,
-		Omega: new(big.Int).Add(oa, ob),
-		Epoch: max(a.Epoch, b.Epoch) + 1,
+		CTs:   mergeVec(sch, stale.CTs, shift, fresh.CTs, workers),
+		Omega: omega.Add(omega, fresh.Omega),
+		Epoch: fresh.Epoch + 1,
 	}
+}
+
+// mergeVec is sch.MergeVec fanned out over at most workers contiguous
+// chunks: each chunk is one kernel call, so one slab, and the serial
+// case is the kernel's own result with no copy.
+func mergeVec(sch homenc.Scheme, a []homenc.Ciphertext, shift uint, b []homenc.Ciphertext, workers int) []homenc.Ciphertext {
+	n := len(a)
+	chunks := min(workers, n)
+	if chunks <= 1 {
+		return sch.MergeVec(a, shift, b)
+	}
+	out := make([]homenc.Ciphertext, n)
+	parallel.ForEach(chunks, chunks, func(c int) {
+		lo, hi := c*n/chunks, (c+1)*n/chunks
+		copy(out[lo:hi], sch.MergeVec(a[lo:hi], shift, b[lo:hi]))
+	})
+	return out
 }
 
 // AddEncryptedState homomorphically adds E(v_j · st.Omega) into st.CTs
@@ -90,9 +100,7 @@ func PerturbState(sch homenc.Scheme, means, noise SumState) error {
 	if means.Omega.Cmp(noise.Omega) != 0 || means.Epoch != noise.Epoch {
 		return errors.New("eesum: means and noise states not in lockstep")
 	}
-	for j := range means.CTs {
-		means.CTs[j] = sch.Add(means.CTs[j], noise.CTs[j])
-	}
+	copy(means.CTs, sch.MergeVec(means.CTs, 0, noise.CTs))
 	return nil
 }
 
@@ -267,13 +275,32 @@ func CombineParts(sch homenc.Scheme, cts []homenc.Ciphertext, parts map[int][]ho
 // The derivation consumes a data-independent amount of the base source
 // (two values per node), so every participant of a networked deployment
 // holding the shared seed derives the identical stream family and keeps
-// only its own — while the simulator materializes all of them.
+// only its own (NodeNoiseStream) — while the simulator materializes all
+// of them.
 func NodeNoiseStreams(rng *randx.RNG, n int) []*randx.RNG {
 	out := make([]*randx.RNG, n)
 	for i := range out {
 		out[i] = rng.Split(uint64(i))
 	}
 	return out
+}
+
+// NodeNoiseStream is NodeNoiseStreams(rng, n)[index] at the cost of one
+// stream instead of n: it consumes the same 2n base draws in the same
+// order and builds only stream index. A negative index builds nothing
+// and just advances rng past one family (a resumed participant skipping
+// the iterations it already finished).
+func NodeNoiseStream(rng *randx.RNG, n, index int) *randx.RNG {
+	var own *randx.RNG
+	for i := 0; i < n; i++ {
+		if i == index {
+			own = rng.Split(uint64(i))
+			continue
+		}
+		rng.Uint64()
+		rng.Uint64()
+	}
+	return own
 }
 
 // NoiseShareVector draws one participant's noise-share vector

@@ -301,11 +301,49 @@ func (s *Scheme) randomUnit() *big.Int {
 	}
 }
 
+// mulMod sets z = x·y mod n^(s+1), the one multiplication body behind
+// +h. wide takes the double-width product and is reduced in place, quo
+// takes the quotient the reduction discards; a caller merging a vector
+// passes the same two scratch values for every element, so only the
+// modulus-width result lands in z. wide may be z itself.
+func (s *Scheme) mulMod(z, wide, quo, x, y *big.Int) {
+	wide.Mul(x, y)
+	quo.QuoRem(wide, s.NS1, wide)
+	if wide.Sign() < 0 { // Euclidean, as Mod: a peer may send a negative value
+		wide.Add(wide, s.NS1)
+	}
+	z.Set(wide)
+}
+
 // Add implements homenc.Scheme: E(a) +h E(b) = E(a)·E(b) mod n^(s+1).
 func (s *Scheme) Add(a, b homenc.Ciphertext) homenc.Ciphertext {
-	c := new(big.Int).Mul(a.V, b.V)
-	c.Mod(c, s.NS1)
-	return homenc.Ciphertext{V: c}
+	var quo big.Int
+	z := new(big.Int)
+	s.mulMod(z, z, &quo, a.V, b.V)
+	return homenc.Ciphertext{V: z}
+}
+
+// MergeVec implements homenc.Scheme: a[i]^(2^shift)·b[i] mod n^(s+1),
+// every result carved at modulus width from one slab.
+func (s *Scheme) MergeVec(a []homenc.Ciphertext, shift uint, b []homenc.Ciphertext) []homenc.Ciphertext {
+	if len(a) != len(b) {
+		panic("damgardjurik: MergeVec length mismatch")
+	}
+	w := len(s.NS1.Bits())
+	slab := homenc.NewSlab(len(a), len(a)*w)
+	out := make([]homenc.Ciphertext, len(a))
+	var k, wide, quo big.Int
+	k.Lsh(one, shift)
+	for i := range a {
+		z := slab.Carve(i, w)
+		x := a[i].V
+		if shift > 0 {
+			x = s.expNS1(x, &k)
+		}
+		s.mulMod(z, &wide, &quo, x, b[i].V)
+		out[i].V = z
+	}
+	return out
 }
 
 // ScalarMul implements homenc.Scheme: k ·h E(a) = E(a)^k mod n^(s+1).

@@ -13,6 +13,15 @@
 //     used so protocol simulations can scale to 10⁵–10⁶ nodes (the paper
 //     does the same: its large-scale latency experiments simulate the
 //     epidemic algorithms without paying for crypto at every node).
+//
+// Slab ownership. Vectors are the unit of allocation, not ciphertexts:
+// a decoded vector (wire.go) and a merged one (Scheme.MergeVec) hold all
+// their values in one Slab — one []big.Int over one []big.Word. The
+// values of such a vector share two backing arrays and live and die
+// together: keeping one ciphertext of it reachable keeps the whole
+// vector's memory. The protocol only ever holds, sends and replaces
+// whole vectors, so nothing is pinned that would not be anyway; code
+// that wants to keep a single value for long should copy it.
 package homenc
 
 import (
@@ -53,6 +62,11 @@ type Scheme interface {
 	Add(a, b Ciphertext) Ciphertext
 	// ScalarMul returns k ·h a for a non-negative integer k.
 	ScalarMul(a Ciphertext, k *big.Int) Ciphertext
+	// MergeVec returns the vector 2^shift ·h a[i] +h b[i] — the whole
+	// update rule of Algorithm 2 (rescale the staler side, add) in one
+	// pass, with every result value carved from one Slab per call. The
+	// inputs are not modified; a and b must have equal length.
+	MergeVec(a []Ciphertext, shift uint, b []Ciphertext) []Ciphertext
 	// CiphertextBytes is the wire size of one ciphertext, for the
 	// bandwidth accounting of Figure 5(b).
 	CiphertextBytes() int
@@ -65,6 +79,31 @@ type Scheme interface {
 	// Combine merges at least Threshold distinct partial decryptions of
 	// c into the plaintext (reduced into [0, PlaintextSpace())).
 	Combine(c Ciphertext, parts []PartialDecryption) (*big.Int, error)
+}
+
+// Slab backs a vector of big.Int values with two allocations: the
+// values themselves and one word slab their magnitudes are carved from.
+type Slab struct {
+	ints  []big.Int
+	words []big.Word // the part of the word slab not yet handed out
+}
+
+// NewSlab returns a slab for n values whose windows total words words.
+func NewSlab(n, words int) Slab {
+	return Slab{ints: make([]big.Int, n), words: make([]big.Word, words)}
+}
+
+// Carve returns value i, zero, over its own window of w words of the
+// slab. The window is capacity-clipped: a result of up to w words is
+// computed in place without allocating, and one that outgrows it moves
+// to a fresh array instead of growing into its neighbour. Each value is
+// carved once, and written only by the function that carved it, before
+// it is published in a Ciphertext.
+func (s *Slab) Carve(i, w int) *big.Int {
+	z := &s.ints[i]
+	z.SetBits(s.words[:0:w])
+	s.words = s.words[w:]
+	return z
 }
 
 // HeadroomEpochs returns the largest e with bound·2^e < half(space) —

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"chiaroscuro/internal/homenc"
 )
@@ -58,9 +59,57 @@ func (s *Scheme) Encrypt(m *big.Int) homenc.Ciphertext {
 	return homenc.Ciphertext{V: s.reduce(new(big.Int).Set(m))}
 }
 
+// merge sets z = 2^shift·a + b, reduced into the plaintext space. It is
+// the one addition body: Add is the shift-0 case into a fresh value,
+// MergeVec runs it into slab windows sized by mergeWords.
+func (s *Scheme) merge(z, a *big.Int, shift uint, b *big.Int) {
+	if shift == 0 {
+		z.Add(a, b)
+	} else {
+		z.Lsh(a, shift)
+		z.Add(z, b)
+	}
+	s.reduce(z)
+}
+
+// mergeWords is the window merge needs to run in place: the longer of
+// the shifted a and b, plus the carry word big.Int.Add claims before it
+// knows whether the addition carries (which also covers the word Lsh
+// claims for the bits shifted out of a's top word). One more when a
+// plaintext modulus is set: the reduction scales its dividend in place.
+func (s *Scheme) mergeWords(a *big.Int, shift uint, b *big.Int) int {
+	const W = bits.UintSize
+	w := max((a.BitLen()+int(shift)+W-1)/W, len(b.Bits())) + 1
+	if s.space != nil {
+		w++
+	}
+	return w
+}
+
 // Add implements homenc.Scheme.
 func (s *Scheme) Add(a, b homenc.Ciphertext) homenc.Ciphertext {
-	return homenc.Ciphertext{V: s.reduce(new(big.Int).Add(a.V, b.V))}
+	z := new(big.Int)
+	s.merge(z, a.V, 0, b.V)
+	return homenc.Ciphertext{V: z}
+}
+
+// MergeVec implements homenc.Scheme: every result lives in one slab.
+func (s *Scheme) MergeVec(a []homenc.Ciphertext, shift uint, b []homenc.Ciphertext) []homenc.Ciphertext {
+	if len(a) != len(b) {
+		panic("plain: MergeVec length mismatch")
+	}
+	words := 0
+	for i := range a {
+		words += s.mergeWords(a[i].V, shift, b[i].V)
+	}
+	slab := homenc.NewSlab(len(a), words)
+	out := make([]homenc.Ciphertext, len(a))
+	for i := range a {
+		z := slab.Carve(i, s.mergeWords(a[i].V, shift, b[i].V))
+		s.merge(z, a[i].V, shift, b[i].V)
+		out[i].V = z
+	}
+	return out
 }
 
 // ScalarMul implements homenc.Scheme.

@@ -234,10 +234,8 @@ const wordBytes = bits.UintSize / 8
 
 // decodeInts materializes the n integers of an already-scanned encoding
 // (each preceded by skip bytes: 0 for ciphertexts, 4 for a partial's
-// share index) into one big.Int slab over one word slab, so a vector
-// costs two allocations instead of two per element. Every magnitude
-// gets a capacity-clipped window of the word slab: an in-place
-// operation on one value can never grow into its neighbour.
+// share index) into one Slab, so a vector costs two allocations instead
+// of two per element.
 func decodeInts(b []byte, n, skip int) []big.Int {
 	words := 0
 	for p, i := b, 0; i < n; i++ {
@@ -245,14 +243,13 @@ func decodeInts(b []byte, n, skip int) []big.Int {
 		words += (m + wordBytes - 1) / wordBytes
 		p = p[skip+intHeader+m:]
 	}
-	ints := make([]big.Int, n)
-	slab := make([]big.Word, words)
-	for i := range ints {
+	slab := NewSlab(n, words)
+	for i := 0; i < n; i++ {
 		m := int(binary.BigEndian.Uint32(b[skip+1:]))
 		mag := b[skip+intHeader : skip+intHeader+m]
 		w := (m + wordBytes - 1) / wordBytes
-		abs := slab[:w:w]
-		slab = slab[w:]
+		z := slab.Carve(i, w)
+		abs := z.Bits()[:w]
 		// Little-endian words from big-endian bytes.
 		for k := range abs {
 			end := m - k*wordBytes
@@ -262,14 +259,13 @@ func decodeInts(b []byte, n, skip int) []big.Int {
 			}
 			abs[k] = x
 		}
-		z := &ints[i]
 		z.SetBits(abs)
 		if b[skip] == wireNegative {
 			z.Neg(z)
 		}
 		b = b[skip+intHeader+m:]
 	}
-	return ints
+	return slab.ints
 }
 
 // wireStats counts how often the wire images pay off; see WireStats.

@@ -82,7 +82,7 @@ func (nd *Node) RunContext(ctx context.Context) (*Result, error) {
 			_ = nd.sched.DrawCycle()
 		}
 		for it := 1; it < startIter; it++ {
-			_ = eesum.NodeNoiseStreams(nd.protoRNG, nd.cfg.N)
+			eesum.NodeNoiseStream(nd.protoRNG, nd.cfg.N, -1)
 		}
 	}
 	for it := startIter; it <= nd.cfg.Proto.MaxIterations; it++ {
@@ -173,11 +173,10 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 	}
 
 	// --- Noise streams: every participant derives the same family from
-	// the shared seed and keeps stream Index (the simulator materializes
-	// all of them). Deriving the family consumes base-RNG draws, so a
-	// resumed iteration derives it too.
-	streams := eesum.NodeNoiseStreams(nd.protoRNG, nd.cfg.N)
-	myStream := streams[nd.cfg.Index]
+	// the shared seed and builds only stream Index (the simulator
+	// materializes all of them). Deriving the family consumes base-RNG
+	// draws, so a resumed iteration derives it too.
+	myStream := eesum.NodeNoiseStream(nd.protoRNG, nd.cfg.N, nd.cfg.Index)
 	noiseCfg := eesum.NoiseConfig{
 		Lambdas: core.NoiseLambdas(k, n, epsIter, nd.cfg.Proto.SumShare, nd.cfg.Proto.DMin, nd.cfg.Proto.DMax),
 		NShares: nd.cfg.Proto.NoiseShares,

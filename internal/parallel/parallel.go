@@ -95,6 +95,12 @@ func ForEach(workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
 	var next atomic.Int64
 	work := func() {
 		for {
@@ -104,10 +110,6 @@ func ForEach(workers, n int, fn func(i int)) {
 			}
 			fn(i)
 		}
-	}
-	if workers <= 1 {
-		work()
-		return
 	}
 	bucket, _ := tokens.Load().(chan struct{})
 	var wg sync.WaitGroup
