@@ -8,7 +8,6 @@ package chiaroscuro
 //	go test -bench=. -benchmem
 
 import (
-	"context"
 	"math"
 	"math/big"
 	"runtime"
@@ -259,8 +258,8 @@ func BenchmarkEndToEndPlain64(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := Run(data, scheme, NetworkOptions{
-			K: 4, InitCentroids: seeds,
+		res, err := runMode(data, Simulated, Options{
+			Scheme: scheme, K: 4, InitCentroids: seeds,
 			DMin: CERMin, DMax: CERMax,
 			Epsilon: 1e4, MaxIterations: 2, Exchanges: 20,
 			Seed: uint64(i),
@@ -285,8 +284,8 @@ func endToEndRealCrypto12(b *testing.B, packSlots int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := Run(data, scheme, NetworkOptions{
-			K: 2, InitCentroids: seeds,
+		res, err := runMode(data, Simulated, Options{
+			Scheme: scheme, K: 2, InitCentroids: seeds,
 			DMin: CERMin, DMax: CERMax,
 			Epsilon: 1e4, MaxIterations: 1, Exchanges: 12,
 			FracBits: 24, PackSlots: packSlots, Seed: uint64(i),
@@ -312,40 +311,6 @@ func BenchmarkEndToEndRealCrypto12(b *testing.B) { endToEndRealCrypto12(b, 1) }
 // budget, halving the ciphertexts per frame. The wirebytes/node metric
 // makes the bandwidth division visible next to the time speedup.
 func BenchmarkEndToEndRealCrypto12Packed(b *testing.B) { endToEndRealCrypto12(b, 2) }
-
-// BenchmarkJobEventOverhead is EndToEndRealCrypto12 driven through the
-// unified Job API with no Events subscriber attached: its ns/op must
-// track BenchmarkEndToEndRealCrypto12 (the legacy wrapper over the
-// same engine) — the event hooks threaded through every protocol loop
-// cost one atomic load when nobody listens, nothing more
-// (BenchmarkEventBusNoSubscriber pins the per-emission cost).
-func BenchmarkJobEventOverhead(b *testing.B) {
-	data, _ := GenerateCER(12, 7)
-	seeds := SeedCentroids("cer", 2, 8)
-	for i := 0; i < b.N; i++ {
-		scheme, err := NewTestScheme(128, 4, 12, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		job, err := NewJob(data, Options{
-			Mode: Simulated, Scheme: scheme,
-			K: 2, InitCentroids: seeds,
-			DMin: CERMin, DMax: CERMax,
-			Epsilon: 1e4, MaxIterations: 1, Exchanges: 12,
-			FracBits: 24, PackSlots: 1, Seed: uint64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := job.Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Centroids) == 0 {
-			b.Fatal("no centroids")
-		}
-	}
-}
 
 // BenchmarkEventBusNoSubscriber measures one pass over every emission
 // site with no subscriber attached: each call must be a single atomic
@@ -440,7 +405,7 @@ func BenchmarkAssignCER100k(b *testing.B) {
 	seeds := datasets.SeedCentroids("cer", 50, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Cluster(data, ClusterOptions{InitCentroids: seeds, MaxIterations: 1})
+		res, err := runMode(data, Centralized, Options{InitCentroids: seeds, MaxIterations: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -36,10 +36,6 @@
 //     wire protocol, one peer runtime per series (cmd/chiaroscurod is
 //     the one-process-per-participant daemon).
 //
-// The deprecated entry points Cluster, ClusterDP, Run and RunNetworked
-// remain as thin wrappers over Job and release bit-identical centroids
-// per seed.
-//
 // The synthetic workload generators of the evaluation (CER-like smart
 // meter data, NUMED-like tumor-growth data, the A3 2-D benchmark) are
 // exposed under Generate*.

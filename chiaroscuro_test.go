@@ -13,7 +13,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	data, _ := GenerateCER(4000, 1)
 	seeds := SeedCentroids("cer", 8, 2)
 
-	base, err := Cluster(data, ClusterOptions{InitCentroids: seeds, MaxIterations: 5})
+	base, err := runMode(data, Centralized, Options{InitCentroids: seeds, MaxIterations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 		t.Fatal("baseline produced no plausible centroids")
 	}
 
-	private, err := ClusterDP(data, DPOptions{
+	private, err := runMode(data, CentralizedDP, Options{
 		InitCentroids: seeds,
 		Budget:        Greedy(math.Ln2),
 		DMin:          CERMin, DMax: CERMax,
@@ -42,7 +42,8 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	netRes, err := Run(small, scheme, NetworkOptions{
+	netRes, err := runMode(small, Simulated, Options{
+		Scheme:        scheme,
 		K:             4,
 		InitCentroids: SeedCentroids("cer", 4, 5),
 		DMin:          CERMin, DMax: CERMax,
@@ -128,20 +129,6 @@ func TestFromSeriesAndDataset(t *testing.T) {
 	nd.Append(Series{1, 2, 3})
 	if nd.Dim() != 3 {
 		t.Error("NewDataset")
-	}
-}
-
-func TestRunValidation(t *testing.T) {
-	data, _ := GenerateCER(8, 9)
-	if _, err := Run(data, nil, NetworkOptions{}); err == nil {
-		t.Error("nil scheme must fail")
-	}
-	scheme, _ := NewSimulationScheme(0, 4, 2) // too few shares
-	if _, err := Run(data, scheme, NetworkOptions{
-		K: 2, InitCentroids: SeedCentroids("cer", 2, 1),
-		DMin: CERMin, DMax: CERMax, Epsilon: 1,
-	}); err == nil {
-		t.Error("too few key-shares must fail")
 	}
 }
 

@@ -421,9 +421,9 @@ func runVirtual(vc virtualConfig) {
 	}
 	var agg wireproto.Counters
 	for _, r := range results {
-		sumCounters(&agg, r.Counters)
+		agg.Add(r.Counters)
 	}
-	sumCounters(&agg, host.Counters())
+	agg.Add(host.Counters())
 	fmt.Printf("final: %d centroids (node %d's view), ε spent %.4f, host exchanges %d (init %d / resp %d), timeouts %d, sent %.1f kB, recv %.1f kB\n",
 		len(res.Centroids), vc.kf.Index, res.TotalEpsilon, agg.Exchanges(), agg.Initiated, agg.Responded,
 		agg.Timeouts, float64(agg.BytesSent)/1024, float64(agg.BytesRecv)/1024)
@@ -549,20 +549,6 @@ func loadData(csvPath, dataset string, size int, seed uint64) (d *chiaroscuro.Da
 	return nil, 0, 0, "", fmt.Errorf("unknown dataset %q", dataset)
 }
 
-func sumCounters(dst *wireproto.Counters, c wireproto.Counters) {
-	dst.Initiated += c.Initiated
-	dst.Responded += c.Responded
-	dst.Timeouts += c.Timeouts
-	dst.Rejected += c.Rejected
-	dst.BadFrames += c.BadFrames
-	dst.Retries += c.Retries
-	dst.Suspected += c.Suspected
-	dst.Evicted += c.Evicted
-	dst.Resumed += c.Resumed
-	dst.BytesSent += c.BytesSent
-	dst.BytesRecv += c.BytesRecv
-}
-
 // serveMetrics exposes wire counters and protocol progress: Prometheus
 // text counters on /metrics, and the live protocol position — current
 // phase cycle plus every released per-iteration centroid set so far —
@@ -582,10 +568,10 @@ func serveMetrics(addr string, nodes []*node.Node, host *mux.Host, prog *progres
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		var c wireproto.Counters
 		for _, nd := range nodes {
-			sumCounters(&c, nd.Counters())
+			c.Add(nd.Counters())
 		}
 		if host != nil {
-			sumCounters(&c, host.Counters())
+			c.Add(host.Counters())
 		}
 		iter, phase := nodes[0].Progress()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")

@@ -151,18 +151,7 @@ func mergeReport(dst, rep *soak.Report) {
 	if rep.LastErr != nil {
 		dst.LastErr = rep.LastErr
 	}
-	w, a := rep.Wire, &dst.Wire
-	a.Initiated += w.Initiated
-	a.Responded += w.Responded
-	a.Timeouts += w.Timeouts
-	a.Rejected += w.Rejected
-	a.BadFrames += w.BadFrames
-	a.Retries += w.Retries
-	a.Suspected += w.Suspected
-	a.Evicted += w.Evicted
-	a.Resumed += w.Resumed
-	a.BytesSent += w.BytesSent
-	a.BytesRecv += w.BytesRecv
+	dst.Wire.Add(rep.Wire)
 	dst.Kills += rep.Kills
 	dst.Resumes += rep.Resumes
 	dst.PeakGoroutines = max(dst.PeakGoroutines, rep.PeakGoroutines)

@@ -6,8 +6,7 @@ import (
 	"chiaroscuro/internal/journal"
 )
 
-// Sentinel errors of the eager Options validation: NewJob (and the
-// legacy entry points, which build Jobs underneath) reject a bad
+// Sentinel errors of the eager Options validation: NewJob rejects a bad
 // configuration up front with one of these, instead of failing deep in
 // the protocol stack mid-run. Match with errors.Is; the returned error
 // may wrap a sentinel with the offending value.

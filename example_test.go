@@ -8,8 +8,8 @@ import (
 	"chiaroscuro"
 )
 
-// One Job, one Options struct, four run modes: the unified entry point
-// behind every legacy helper.
+// One Job, one Options struct, four run modes: every run goes through
+// NewJob.
 func ExampleNewJob() {
 	data, _ := chiaroscuro.GenerateCER(5000, 1)
 	job, err := chiaroscuro.NewJob(data, chiaroscuro.Options{
@@ -84,13 +84,18 @@ func ExampleJob_events() {
 }
 
 // The non-private baseline: plain centralized k-means.
-func ExampleCluster() {
+func ExampleNewJob_centralized() {
 	data, _ := chiaroscuro.GenerateCER(5000, 1)
-	seeds := chiaroscuro.SeedCentroids("cer", 6, 2)
-	res, err := chiaroscuro.Cluster(data, chiaroscuro.ClusterOptions{
-		InitCentroids: seeds,
+	job, err := chiaroscuro.NewJob(data, chiaroscuro.Options{
+		Mode:          chiaroscuro.Centralized,
+		InitCentroids: chiaroscuro.SeedCentroids("cer", 6, 2),
 		MaxIterations: 8,
 	})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	res, err := job.Run(context.Background())
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -100,64 +105,6 @@ func ExampleCluster() {
 	// Output:
 	// centroids: 6
 	// iterations: 8
-}
-
-// Differentially private clustering with the paper's GREEDY budget.
-func ExampleClusterDP() {
-	data, _ := chiaroscuro.GenerateCER(30000, 3)
-	seeds := chiaroscuro.SeedCentroids("cer", 8, 4)
-	res, err := chiaroscuro.ClusterDP(data, chiaroscuro.DPOptions{
-		InitCentroids: seeds,
-		Budget:        chiaroscuro.Greedy(math.Ln2),
-		DMin:          chiaroscuro.CERMin,
-		DMax:          chiaroscuro.CERMax,
-		Smooth:        true,
-		MaxIterations: 10,
-		Seed:          5,
-	})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("budget respected: %v\n", res.TotalEpsilon <= math.Ln2*(1+1e-9))
-	fmt.Printf("best iteration recorded: %v\n", res.BestIter >= 1)
-	fmt.Printf("profiles usable: %v\n", len(res.Best()) >= 1)
-	// Output:
-	// budget respected: true
-	// best iteration recorded: true
-	// profiles usable: true
-}
-
-// The fully distributed protocol over a simulated population.
-func ExampleRun() {
-	data, _ := chiaroscuro.GenerateCER(48, 6)
-	seeds := chiaroscuro.SeedCentroids("cer", 3, 7)
-	scheme, err := chiaroscuro.NewSimulationScheme(256, 48, 6)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	res, err := chiaroscuro.Run(data, scheme, chiaroscuro.NetworkOptions{
-		K:             3,
-		InitCentroids: seeds,
-		DMin:          chiaroscuro.CERMin,
-		DMax:          chiaroscuro.CERMax,
-		Epsilon:       1e5, // demo population: gentle noise
-		MaxIterations: 2,
-		Exchanges:     20,
-		Seed:          8,
-	})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("iterations: %d\n", len(res.Traces))
-	fmt.Printf("centroids released: %v\n", len(res.Centroids) >= 1)
-	fmt.Printf("gossip happened: %v\n", res.AvgMessages > 0)
-	// Output:
-	// iterations: 2
-	// centroids released: true
-	// gossip happened: true
 }
 
 // Budget strategies never exceed their ε, whatever the horizon.

@@ -1,5 +1,5 @@
 // Package boundeddecode enforces PR 2's hostile-frame hardening: on
-// network-reachable paths (node, mux, wireproto, p2p, transport), a
+// network-reachable paths (node, mux, wireproto), a
 // decoder that has a size-bounded sibling must be called through it.
 //
 // An unbounded UnmarshalBinary on an attacker-supplied frame is an

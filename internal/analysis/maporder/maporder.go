@@ -1,5 +1,5 @@
 // Package maporder flags `range` over a map in the deterministic
-// protocol packages (eesum, core, sim, node, homenc, gossip, newscast).
+// protocol packages (eesum, core, sim, node, homenc, gossip).
 //
 // Go randomizes map iteration order per run, so any map-ordered loop
 // whose effects reach protocol state — merged sums, partial-decryption

@@ -33,7 +33,6 @@ var (
 		"chiaroscuro/internal/node",
 		"chiaroscuro/internal/homenc",
 		"chiaroscuro/internal/gossip",
-		"chiaroscuro/internal/newscast",
 		"chiaroscuro/internal/journal",
 	}
 
@@ -43,8 +42,6 @@ var (
 	SeededPackages = append([]string{
 		"chiaroscuro/internal/faultnet",
 		"chiaroscuro/internal/mux",
-		"chiaroscuro/internal/transport",
-		"chiaroscuro/internal/p2p",
 		"chiaroscuro/internal/randx",
 		"chiaroscuro/internal/dp",
 		"chiaroscuro/internal/dpkmeans",
@@ -55,15 +52,14 @@ var (
 	// WallclockFreePackages are the protocol-decision packages where
 	// time.Now has no business at all: anything timing-derived there
 	// leaks schedule nondeterminism into protocol state. The network
-	// runtime packages (node, mux, transport, p2p, soak) are exempt —
-	// they legitimately stamp I/O deadlines.
+	// runtime packages (node, mux, soak) are exempt — they legitimately
+	// stamp I/O deadlines.
 	WallclockFreePackages = []string{
 		"chiaroscuro/internal/eesum",
 		"chiaroscuro/internal/core",
 		"chiaroscuro/internal/sim",
 		"chiaroscuro/internal/homenc",
 		"chiaroscuro/internal/gossip",
-		"chiaroscuro/internal/newscast",
 		"chiaroscuro/internal/faultnet",
 		"chiaroscuro/internal/dp",
 		"chiaroscuro/internal/randx",
@@ -76,8 +72,6 @@ var (
 		"chiaroscuro/internal/node",
 		"chiaroscuro/internal/mux",
 		"chiaroscuro/internal/wireproto",
-		"chiaroscuro/internal/p2p",
-		"chiaroscuro/internal/transport",
 		// The journal decodes bytes from disk, not the wire, but a
 		// tampered or corrupted state file is the same adversary shape:
 		// every decode there must be bounded.

@@ -224,7 +224,7 @@ func Run(cfg Config) (*Report, error) {
 		} else {
 			res, counters, err = runOnce(cfg, scheme, data, seeds, plan)
 		}
-		addCounters(&rep.Wire, counters)
+		rep.Wire.Add(counters)
 		if err != nil {
 			rep.Failures++
 			rep.LastErr = err
@@ -403,11 +403,10 @@ func runOnce(cfg Config, scheme homenc.Scheme, data *timeseries.Dataset, seeds [
 		<-done
 	}
 	for _, nd := range nodes {
-		c := nd.Counters()
-		addCounters(&agg, c)
+		agg.Add(nd.Counters())
 	}
 	if host != nil {
-		addCounters(&agg, host.Counters())
+		agg.Add(host.Counters())
 	}
 	for i, err := range errs {
 		if err != nil {
@@ -601,8 +600,7 @@ func runRestartStorm(cfg Config, scheme homenc.Scheme, data *timeseries.Dataset,
 	<-killerDone
 
 	for _, c := range cells {
-		agg2 := c.nd.Counters()
-		addCounters(&agg, agg2)
+		agg.Add(c.nd.Counters())
 	}
 	nKills, nResumes := int(kills.Load()), int(resumes.Load())
 	for i, err := range errs {
@@ -614,18 +612,4 @@ func runRestartStorm(cfg Config, scheme homenc.Scheme, data *timeseries.Dataset,
 		return nil, agg, nKills, nResumes, fmt.Errorf("run released no centroids")
 	}
 	return results[0], agg, nKills, nResumes, nil
-}
-
-func addCounters(dst *wireproto.Counters, c wireproto.Counters) {
-	dst.Initiated += c.Initiated
-	dst.Responded += c.Responded
-	dst.Timeouts += c.Timeouts
-	dst.Rejected += c.Rejected
-	dst.BadFrames += c.BadFrames
-	dst.Retries += c.Retries
-	dst.Suspected += c.Suspected
-	dst.Evicted += c.Evicted
-	dst.Resumed += c.Resumed
-	dst.BytesSent += c.BytesSent
-	dst.BytesRecv += c.BytesRecv
 }

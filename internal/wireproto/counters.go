@@ -73,3 +73,19 @@ func (c *CounterSet) Restore(s Counters) {
 
 // Exchanges returns the total exchange count (both roles).
 func (c Counters) Exchanges() int64 { return c.Initiated + c.Responded }
+
+// Add accumulates o into c field by field — the one place a population
+// or a run series folds its counters.
+func (c *Counters) Add(o Counters) {
+	c.Initiated += o.Initiated
+	c.Responded += o.Responded
+	c.Timeouts += o.Timeouts
+	c.Rejected += o.Rejected
+	c.BadFrames += o.BadFrames
+	c.Retries += o.Retries
+	c.Suspected += o.Suspected
+	c.Evicted += o.Evicted
+	c.Resumed += o.Resumed
+	c.BytesSent += o.BytesSent
+	c.BytesRecv += o.BytesRecv
+}

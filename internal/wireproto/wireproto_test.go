@@ -369,3 +369,23 @@ func TestRejectRoundTrip(t *testing.T) {
 		t.Fatal("hostile reject length accepted")
 	}
 }
+
+// TestCountersAdd fills every field of two Counters with distinct
+// values and checks Add sums each one, so a counter added to the struct
+// but not to Add fails here instead of vanishing from every aggregate.
+func TestCountersAdd(t *testing.T) {
+	var a, b Counters
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetInt(int64(i + 1))
+		vb.Field(i).SetInt(int64(1000 * (i + 1)))
+	}
+	sum := a
+	sum.Add(b)
+	vs := reflect.ValueOf(sum)
+	for i := 0; i < vs.NumField(); i++ {
+		if got, want := vs.Field(i).Int(), int64(1001*(i+1)); got != want {
+			t.Errorf("Add: %s = %d, want %d", vs.Type().Field(i).Name, got, want)
+		}
+	}
+}

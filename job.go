@@ -105,8 +105,8 @@ type Options struct {
 	MidFailure bool
 
 	// Seed makes the run reproducible. Released centroids are
-	// bit-identical per seed across Job and the legacy entry points,
-	// and across Simulated and Networked single-iteration runs.
+	// bit-identical per seed across Simulated and Networked
+	// single-iteration runs.
 	Seed uint64
 
 	// --- distributed knobs (Simulated and Networked modes) ---
@@ -131,8 +131,14 @@ type Options struct {
 	Newscast bool
 	// FracBits is the fixed-point encoding precision (default 30).
 	FracBits uint
-	// PackSlots controls ciphertext packing (0 auto, 1 off, >= 2
-	// demanded); see NetworkOptions.PackSlots.
+	// PackSlots controls ciphertext packing: how many fixed-point values
+	// share one plaintext (slot width = value bits + a guard band sized
+	// to the exchange budget). 0 auto-sizes from the scheme's plaintext
+	// space (packing stays off when the space has no room, e.g. any s=1
+	// key); 1 disables packing; >= 2 demands that many slots and fails
+	// when they do not fit. Packing divides per-exchange ciphertext
+	// counts and wire bytes by the pack factor; released centroids are
+	// bit-identical either way.
 	PackSlots int
 	// Workers bounds the crypto/simulation worker pool (0 = one per
 	// CPU, 1 = serial). Identical results per seed for any value.
@@ -208,6 +214,15 @@ type Result struct {
 	// run (nil in every other mode): real exchange, fault-tolerance and
 	// byte counters summed over all participants.
 	Wire *WireStats
+}
+
+// ClusterStats traces one iteration of a centralized run.
+type ClusterStats struct {
+	Iteration    int
+	Inertia      float64 // intra-cluster inertia (Definition 1)
+	Centroids    int     // live centroids
+	PostInertia  float64 // inertia against the released (perturbed) means; equals Inertia when unperturbed
+	EpsilonSpent float64
 }
 
 // WireStats aggregates the wire counters of a Networked population.
@@ -319,7 +334,7 @@ func (j *Job) Wait() (*Result, error) {
 // subscriber must consume or break: an abandoned, un-broken iterator
 // eventually applies backpressure to the run once its buffer fills. When nobody subscribes the run pays nothing — the
 // emission sites are a single atomic load (see
-// BenchmarkJobEventOverhead).
+// BenchmarkEventBusNoSubscriber).
 func (j *Job) Events() iter.Seq[Event] {
 	s := j.bus.subscribe()
 	return func(yield func(Event) bool) {
@@ -702,34 +717,21 @@ func (g *netEngine) run(ctx context.Context, em *emitter) (*Result, error) {
 		}
 	}
 	r0 := results[0]
-	wire := &WireStats{}
-	counters := make([]wireproto.Counters, 0, np+len(hosts))
+	var wire wireproto.Counters
 	for _, r := range results {
-		counters = append(counters, r.Counters)
+		wire.Add(r.Counters)
 	}
 	for _, h := range hosts {
 		// Host-side membership traffic (virtual-node runs).
-		counters = append(counters, h.Counters())
+		wire.Add(h.Counters())
 	}
-	for _, c := range counters {
-		wire.Initiated += c.Initiated
-		wire.Responded += c.Responded
-		wire.Timeouts += c.Timeouts
-		wire.Rejected += c.Rejected
-		wire.BadFrames += c.BadFrames
-		wire.Retries += c.Retries
-		wire.Suspected += c.Suspected
-		wire.Evicted += c.Evicted
-		wire.Resumed += c.Resumed
-		wire.BytesSent += c.BytesSent
-		wire.BytesRecv += c.BytesRecv
-	}
+	ws := WireStats(wire)
 	return &Result{
 		Centroids:    r0.Centroids,
 		Traces:       r0.Traces,
 		TotalEpsilon: r0.TotalEpsilon,
 		AvgMessages:  r0.AvgMessages,
 		AvgBytes:     r0.AvgBytes,
-		Wire:         wire,
+		Wire:         &ws,
 	}, nil
 }

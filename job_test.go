@@ -113,20 +113,6 @@ func TestNewJobValidationCentralized(t *testing.T) {
 	}
 }
 
-// TestLegacyWrappersSurfaceSentinels pins that the deprecated entry
-// points reject through the same typed sentinels as NewJob.
-func TestLegacyWrappersSurfaceSentinels(t *testing.T) {
-	data, _ := GenerateCER(8, 9)
-	if _, err := Cluster(data, ClusterOptions{}); !errors.Is(err, ErrNoSeeds) {
-		t.Errorf("Cluster without seeds: %v, want ErrNoSeeds", err)
-	}
-	if _, err := Run(data, nil, NetworkOptions{
-		InitCentroids: SeedCentroids("cer", 2, 1), Epsilon: 1,
-	}); !errors.Is(err, ErrNilScheme) {
-		t.Errorf("Run without scheme: %v, want ErrNilScheme", err)
-	}
-}
-
 // TestJobRunOnce pins that a Job is single-use.
 func TestJobRunOnce(t *testing.T) {
 	data, _ := GenerateCER(16, 4)
@@ -145,6 +131,16 @@ func TestJobRunOnce(t *testing.T) {
 	}
 }
 
+// runMode runs opts to completion under mode.
+func runMode(d *Dataset, mode Mode, opts Options) (*Result, error) {
+	opts.Mode = mode
+	job, err := NewJob(d, opts)
+	if err != nil {
+		return nil, err
+	}
+	return job.Run(context.Background())
+}
+
 func sameCentroids(t *testing.T, got, want []Series) {
 	t.Helper()
 	if len(got) != len(want) || len(want) == 0 {
@@ -159,53 +155,24 @@ func sameCentroids(t *testing.T, got, want []Series) {
 	}
 }
 
-// TestJobMatchesCluster pins Mode Centralized against the legacy
-// Cluster entry point: bit-identical centroids and traces.
-func TestJobMatchesCluster(t *testing.T) {
-	data, _ := GenerateCER(2000, 1)
-	seeds := SeedCentroids("cer", 6, 2)
-	want, err := Cluster(data, ClusterOptions{InitCentroids: seeds, MaxIterations: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := NewJob(data, Options{Mode: Centralized, InitCentroids: seeds, MaxIterations: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := job.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCentroids(t, got.Centroids, want.Centroids)
-	if len(got.Stats) != len(want.Stats) || got.Converged != want.Converged {
-		t.Fatalf("stats/convergence diverged: %d/%v vs %d/%v",
-			len(got.Stats), got.Converged, len(want.Stats), want.Converged)
-	}
-}
-
-// TestJobMatchesClusterDP pins Mode CentralizedDP against the legacy
-// ClusterDP entry point, per seed.
-func TestJobMatchesClusterDP(t *testing.T) {
+// TestJobEpsilonMatchesGreedyBudget pins CentralizedDP's Budget
+// default: Epsilon alone releases bit-identically to an explicit
+// Greedy(Epsilon) Budget, per seed.
+func TestJobEpsilonMatchesGreedyBudget(t *testing.T) {
 	data, _ := GenerateCER(2000, 1)
 	seeds := SeedCentroids("cer", 6, 2)
 	for _, seed := range []uint64{3, 17} {
-		want, err := ClusterDP(data, DPOptions{
+		opts := Options{
 			InitCentroids: seeds, Budget: Greedy(math.Ln2),
 			DMin: CERMin, DMax: CERMax, Smooth: true,
 			MaxIterations: 4, Churn: 0.1, Seed: seed,
-		})
+		}
+		want, err := runMode(data, CentralizedDP, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		job, err := NewJob(data, Options{
-			Mode: CentralizedDP, InitCentroids: seeds, Epsilon: math.Ln2,
-			DMin: CERMin, DMax: CERMax, Smooth: true,
-			MaxIterations: 4, Churn: 0.1, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := job.Run(context.Background())
+		opts.Budget, opts.Epsilon = nil, math.Ln2
+		got, err := runMode(data, CentralizedDP, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,80 +187,6 @@ func TestJobMatchesClusterDP(t *testing.T) {
 		for i := range want.History {
 			sameCentroids(t, got.History[i], want.History[i])
 		}
-	}
-}
-
-// TestJobMatchesRun pins Mode Simulated against the legacy Run entry
-// point: bit-identical centroids and gossip accounting per seed.
-func TestJobMatchesRun(t *testing.T) {
-	data, opts := simSetup(t)
-	want, err := Run(data, opts.Scheme, NetworkOptions{
-		K: opts.K, InitCentroids: opts.InitCentroids,
-		DMin: opts.DMin, DMax: opts.DMax, Epsilon: opts.Epsilon,
-		MaxIterations: opts.MaxIterations, Exchanges: opts.Exchanges, Seed: opts.Seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := NewJob(data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := job.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCentroids(t, got.Centroids, want.Centroids)
-	if got.AvgMessages != want.AvgMessages || got.AvgBytes != want.AvgBytes {
-		t.Fatalf("accounting diverged: %v/%v vs %v/%v",
-			got.AvgMessages, got.AvgBytes, want.AvgMessages, want.AvgBytes)
-	}
-	if got.TotalEpsilon != want.TotalEpsilon {
-		t.Fatalf("epsilon diverged: %v vs %v", got.TotalEpsilon, want.TotalEpsilon)
-	}
-}
-
-// TestJobMatchesRunNetworked pins Mode Networked against the legacy
-// RunNetworked entry point: the same seed through two real-TCP
-// populations releases bit-identical centroids.
-func TestJobMatchesRunNetworked(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full crypto e2e")
-	}
-	data, _ := GenerateCER(10, 11)
-	seeds := SeedCentroids("cer", 2, 12)
-	scheme, err := NewTestScheme(128, 4, 10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := NetworkOptions{
-		K: 2, InitCentroids: seeds,
-		DMin: CERMin, DMax: CERMax,
-		Epsilon: 1e4, MaxIterations: 1, Exchanges: 10,
-		FracBits: 24, Seed: 33, Workers: 2,
-	}
-	want, err := RunNetworked(data, scheme, NetworkedOptions{NetworkOptions: legacy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := NewJob(data, Options{
-		Mode: Networked, Scheme: scheme,
-		K: 2, InitCentroids: seeds,
-		DMin: CERMin, DMax: CERMax,
-		Epsilon: 1e4, MaxIterations: 1, Exchanges: 10,
-		FracBits: 24, Seed: 33, Workers: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := job.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCentroids(t, got.Centroids, want.Centroids)
-	if got.AvgMessages != want.AvgMessages || got.AvgBytes != want.AvgBytes {
-		t.Fatalf("accounting diverged: %v/%v vs %v/%v",
-			got.AvgMessages, got.AvgBytes, want.AvgMessages, want.AvgBytes)
 	}
 }
 

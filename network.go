@@ -1,9 +1,7 @@
 package chiaroscuro
 
 import (
-	"context"
 	"math/bits"
-	"time"
 
 	"chiaroscuro/internal/core"
 	"chiaroscuro/internal/homenc"
@@ -40,147 +38,8 @@ func NewSimulationScheme(ctBytes, nShares, tau int) (Scheme, error) {
 	return plain.New(nil, ctBytes, nShares, tau)
 }
 
-// NetworkOptions parametrizes a distributed protocol run. Zero values
-// take the paper's defaults where one exists.
-//
-// Deprecated: use Options (Mode Simulated or Networked) with NewJob,
-// which adds context cancellation and the Events stream. Run and
-// RunNetworked remain as thin wrappers and release bit-identical
-// centroids per seed.
-type NetworkOptions struct {
-	K             int      // number of clusters (paper: 50)
-	InitCentroids []Series // data-independent seeds; required
-	DMin, DMax    float64  // per-measure range (sensitivity calibration)
-
-	Epsilon float64 // total privacy budget (paper: ln 2)
-	Budget  Budget  // concentration strategy (default GREEDY)
-
-	MaxIterations int     // n_it^max (default 10)
-	Threshold     float64 // θ (0 = run all iterations)
-	Smooth        bool    // SMA smoothing of perturbed means
-
-	NoiseShares int // nν lower bound (default: population size)
-	Exchanges   int // gossip cycles per sum phase (default: Theorem 3)
-
-	// DissCycles and DecryptCycles, when positive, fix the correction-
-	// dissemination and epidemic-decryption phase lengths instead of
-	// stopping at (globally observed) convergence — the schedule a
-	// networked deployment must use, and the setting that makes a
-	// simulation cycle-for-cycle comparable to RunNetworked. Zero keeps
-	// the simulator's adaptive behavior (and, for RunNetworked, derives
-	// FixedPhaseCycles defaults).
-	DissCycles    int
-	DecryptCycles int
-
-	Churn      float64 // per-cycle disconnection probability
-	MidFailure bool    // corrupt in-flight exchanges under churn
-	Newscast   bool    // bounded Newscast views (size 30) instead of uniform sampling
-
-	FracBits uint   // fixed-point fractional bits (default 30)
-	Seed     uint64 // reproducibility
-
-	// PackSlots controls ciphertext packing: how many fixed-point values
-	// share one plaintext (slot width = value bits + a guard band sized
-	// to the exchange budget). 0 auto-sizes from the scheme's plaintext
-	// space (packing stays off when the space has no room, e.g. any s=1
-	// key); 1 disables packing; >= 2 demands that many slots and fails
-	// when they do not fit. Packing divides per-exchange ciphertext
-	// counts and wire bytes by the pack factor; released centroids are
-	// bit-identical either way.
-	PackSlots int
-
-	// Workers bounds the worker pool used for encryption fan-outs,
-	// per-dimension homomorphic loops, partial-decryption sweeps and
-	// parallel gossip cycles (0 = one worker per CPU, 1 = fully
-	// serial). Results are identical per seed for any value.
-	Workers int
-
-	// TraceQuality additionally records per-iteration inertia metrics
-	// (omniscient; for evaluation only).
-	TraceQuality bool
-}
-
-// jobOptions maps the legacy option set onto the unified one.
-func (o NetworkOptions) jobOptions(mode Mode, scheme Scheme) Options {
-	return Options{
-		Mode:          mode,
-		K:             max(o.K, 0),
-		InitCentroids: o.InitCentroids,
-		DMin:          o.DMin,
-		DMax:          o.DMax,
-		Epsilon:       o.Epsilon,
-		Budget:        o.Budget,
-		MaxIterations: max(o.MaxIterations, 0),
-		Threshold:     o.Threshold,
-		Smooth:        o.Smooth,
-		NoiseShares:   max(o.NoiseShares, 0),
-		Exchanges:     max(o.Exchanges, 0),
-		DissCycles:    max(o.DissCycles, 0),
-		DecryptCycles: max(o.DecryptCycles, 0),
-		Churn:         o.Churn,
-		MidFailure:    o.MidFailure,
-		Newscast:      o.Newscast,
-		FracBits:      o.FracBits,
-		PackSlots:     o.PackSlots,
-		Seed:          o.Seed,
-		Workers:       o.Workers,
-		TraceQuality:  o.TraceQuality,
-		Scheme:        scheme,
-	}
-}
-
 // NetworkTrace re-exports the per-iteration protocol trace.
 type NetworkTrace = core.IterationTrace
-
-// NetworkResult re-exports the distributed run outcome.
-type NetworkResult = core.Result
-
-// networkResult maps a unified Job result back onto the legacy shape.
-func networkResult(res *Result) *NetworkResult {
-	return &NetworkResult{
-		Centroids:    res.Centroids,
-		Traces:       res.Traces,
-		TotalEpsilon: res.TotalEpsilon,
-		Converged:    res.Converged,
-		AvgMessages:  res.AvgMessages,
-		AvgBytes:     res.AvgBytes,
-	}
-}
-
-// Run executes the complete Chiaroscuro protocol over a simulated
-// population: one participant per series of d, each holding one
-// key-share of scheme. The scheme must have at least d.Len() shares.
-//
-// Deprecated: use NewJob with Mode Simulated; Run is a thin wrapper
-// over it (bit-identical centroids per seed) kept for compatibility.
-func Run(d *Dataset, scheme Scheme, opts NetworkOptions) (*NetworkResult, error) {
-	job, err := NewJob(d, opts.jobOptions(Simulated, scheme))
-	if err != nil {
-		return nil, err
-	}
-	res, err := job.Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return networkResult(res), nil
-}
-
-// NetworkedOptions parametrizes RunNetworked: the shared protocol
-// options plus the wire-runtime knobs.
-//
-// Deprecated: use Options with Mode Networked and NewJob.
-type NetworkedOptions struct {
-	NetworkOptions
-
-	// ExchangeTimeout bounds every blocking exchange step on every
-	// node (default 30s).
-	ExchangeTimeout time.Duration
-
-	// VirtualNodes multiplexes participants onto shared listeners in
-	// groups of this size (see Options.VirtualNodes); 0 or 1 keeps one
-	// listener per participant.
-	VirtualNodes int
-}
 
 // FixedPhaseCycles returns deterministic phase lengths for a population
 // of np participants: enough cycles for the min-identifier
@@ -192,34 +51,4 @@ type NetworkedOptions struct {
 func FixedPhaseCycles(np int) (dissCycles, decryptCycles int) {
 	logN := bits.Len(uint(np))
 	return 6 + 2*logN, 8 + 2*logN
-}
-
-// RunNetworked executes the complete Chiaroscuro protocol over real TCP
-// connections: one listener (and one goroutine-driven peer runtime) per
-// series of d, all on the loopback interface, exchanging ciphertexts,
-// noise shares, correction proposals and partial decryptions through
-// the binary wire protocol. It returns participant 0's view, which for
-// a single-iteration run bit-matches Run on the same seed and
-// parameters (see internal/node for the determinism model).
-//
-// For one daemon process per participant — real deployments — see
-// cmd/chiaroscurod, which drives the same runtime over a key file and
-// a bootstrap address.
-//
-// Deprecated: use NewJob with Mode Networked; RunNetworked is a thin
-// wrapper over it (bit-identical centroids per seed) kept for
-// compatibility.
-func RunNetworked(d *Dataset, scheme Scheme, opts NetworkedOptions) (*NetworkResult, error) {
-	jo := opts.jobOptions(Networked, scheme)
-	jo.ExchangeTimeout = opts.ExchangeTimeout
-	jo.VirtualNodes = opts.VirtualNodes
-	job, err := NewJob(d, jo)
-	if err != nil {
-		return nil, err
-	}
-	res, err := job.Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return networkResult(res), nil
 }

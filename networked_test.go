@@ -23,18 +23,18 @@ func TestRunNetworkedMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	diss, dec := FixedPhaseCycles(data.Len())
-	opts := NetworkOptions{
-		K: 2, InitCentroids: seeds,
+	opts := Options{
+		Scheme: scheme, K: 2, InitCentroids: seeds,
 		DMin: CERMin, DMax: CERMax,
 		Epsilon: 1e4, MaxIterations: 1, Exchanges: 10,
 		DissCycles: diss, DecryptCycles: dec,
 		FracBits: 24, Seed: 33, Workers: 2,
 	}
-	want, err := Run(data, scheme, opts)
+	want, err := runMode(data, Simulated, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunNetworked(data, scheme, NetworkedOptions{NetworkOptions: opts})
+	got, err := runMode(data, Networked, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +66,12 @@ func TestRunNetworkedMultiIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunNetworked(data, scheme, NetworkedOptions{NetworkOptions: NetworkOptions{
-		K: 2, InitCentroids: seeds,
+	res, err := runMode(data, Networked, Options{
+		Scheme: scheme, K: 2, InitCentroids: seeds,
 		DMin: CERMin, DMax: CERMax,
 		Epsilon: 1e4, MaxIterations: 2, Exchanges: 8,
 		FracBits: 24, Seed: 9, Workers: 2,
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

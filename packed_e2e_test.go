@@ -19,8 +19,8 @@ func TestRunNetworkedPackedMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	diss, dec := FixedPhaseCycles(data.Len())
-	opts := NetworkOptions{
-		K: 2, InitCentroids: seeds,
+	opts := Options{
+		Scheme: scheme, K: 2, InitCentroids: seeds,
 		DMin: CERMin, DMax: CERMax,
 		Epsilon: 1e4, MaxIterations: 1, Exchanges: 10,
 		DissCycles: diss, DecryptCycles: dec,
@@ -32,11 +32,11 @@ func TestRunNetworkedPackedMatchesRun(t *testing.T) {
 		NoiseShares: 6,
 		FracBits:    24, PackSlots: 2, Seed: 44, Workers: 2,
 	}
-	want, err := Run(data, scheme, opts)
+	want, err := runMode(data, Simulated, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunNetworked(data, scheme, NetworkedOptions{NetworkOptions: opts})
+	got, err := runMode(data, Networked, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestRunNetworkedPackedMatchesRun(t *testing.T) {
 	// same options with PackSlots = 1 moves strictly more bytes.
 	unpacked := opts
 	unpacked.PackSlots = 1
-	ref, err := Run(data, scheme, unpacked)
+	ref, err := runMode(data, Simulated, unpacked)
 	if err != nil {
 		t.Fatal(err)
 	}

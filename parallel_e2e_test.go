@@ -9,7 +9,7 @@ import (
 // crypto and the given worker-pool size. The decoded protocol outputs
 // are exact integer sums, so the centroids must be bit-identical for
 // any worker count at the same seed.
-func runWithWorkers(t *testing.T, workers int) *NetworkResult {
+func runWithWorkers(t *testing.T, workers int) *Result {
 	t.Helper()
 	data, _ := GenerateCER(12, 7)
 	seeds := SeedCentroids("cer", 2, 8)
@@ -17,8 +17,8 @@ func runWithWorkers(t *testing.T, workers int) *NetworkResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(data, scheme, NetworkOptions{
-		K: 2, InitCentroids: seeds,
+	res, err := runMode(data, Simulated, Options{
+		Scheme: scheme, K: 2, InitCentroids: seeds,
 		DMin: CERMin, DMax: CERMax,
 		Epsilon: 1e4, MaxIterations: 2, Exchanges: 12,
 		Churn: 0.1, MidFailure: true,
