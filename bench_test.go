@@ -23,6 +23,7 @@ import (
 	"chiaroscuro/internal/homenc"
 	"chiaroscuro/internal/homenc/damgardjurik"
 	"chiaroscuro/internal/homenc/plain"
+	"chiaroscuro/internal/parallel"
 	"chiaroscuro/internal/randx"
 	"chiaroscuro/internal/sim"
 )
@@ -194,18 +195,35 @@ func BenchmarkAblationUpdateRuleDeferredScaling(b *testing.B) {
 	for i := range initial {
 		initial[i] = []*big.Int{codec.Encode(float64(i))}
 	}
-	s, err := eesum.NewSum(sch, initial, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := sim.New(sim.Config{N: n, Seed: 1}, &sim.UniformSampler{})
+	ps := sumParticipants(sch, codec, initial)
+	// One worker: serial cycles, like the halving arm.
+	e, err := sim.New(sim.Config{N: n, Seed: 1, Workers: 1}, &sim.UniformSampler{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.RunCycle(s.Exchange)
+		e.RunCycleOn(ps)
 	}
+}
+
+// sumCycle drives participant machines' sum exchanges from the cycle
+// engine.
+type sumCycle []*eesum.Participant
+
+func (ps sumCycle) Exchange(a, b sim.NodeID, full bool) { ps[a].ExchangeSum(ps[b], full) }
+func (sumCycle) ConcurrentExchangeSafe() bool           { return true }
+
+// sumParticipants starts one participant machine per contribution, with
+// no noise variables: a sum exchange then costs the means merge alone.
+func sumParticipants(sch homenc.Scheme, codec homenc.Codec, contributions [][]*big.Int) sumCycle {
+	env := &eesum.Env{Scheme: sch, Pack: homenc.PackedCodec{Codec: codec, Slots: 1}, Workers: parallel.Workers()}
+	ps := make(sumCycle, len(contributions))
+	for i, vec := range contributions {
+		ps[i] = eesum.NewParticipant(env, i, nil, eesum.NoiseConfig{})
+		ps[i].Start(vec)
+	}
+	return ps
 }
 
 // --- Ablation: SMA smoothing and the aberrant-mean filter (DESIGN.md §4
@@ -328,7 +346,8 @@ func BenchmarkEventBusNoSubscriber(b *testing.B) {
 	}
 }
 
-// --- Substrate benchmarks used for the EXPERIMENTS.md cost model.
+// --- Substrate benchmarks behind the cost model of benchfig's fig4 and
+// fig5 tables.
 
 func BenchmarkGossipSumCycle100k(b *testing.B) {
 	const n = 100_000
@@ -367,9 +386,10 @@ func BenchmarkGossipSumCycle100kParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkEESumCycleRealCrypto measures one parallel EESum cycle over
-// real Damgård–Jurik ciphertext vectors — the encrypted-substrate cost
-// the end-to-end runs are built from.
+// BenchmarkEESumCycleRealCrypto measures one parallel cycle of the
+// participant machines' sum exchanges over real Damgård–Jurik ciphertext
+// vectors — the encrypted-substrate cost the end-to-end runs are built
+// from.
 func BenchmarkEESumCycleRealCrypto(b *testing.B) {
 	const n, dim = 16, 25
 	sch, err := damgardjurik.NewTestScheme(128, 4, n, 4)
@@ -385,17 +405,14 @@ func BenchmarkEESumCycleRealCrypto(b *testing.B) {
 		}
 		initial[i] = vec
 	}
-	s, err := eesum.NewSum(sch, initial, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ps := sumParticipants(sch, codec, initial)
 	e, err := sim.New(sim.Config{N: n, Seed: 1}, &sim.UniformSampler{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.RunCycleOn(s)
+		e.RunCycleOn(ps)
 	}
 }
 

@@ -5,8 +5,9 @@
 //	benchfig [-scale ci|small|paper] [-seed N] [-csv] [-json DIR] <id>|all|gobench
 //
 // Experiment ids: table2, fig2a..fig2f, fig3a, fig3b, fig4a, fig4b,
-// fig5a, fig5b, fig6. See DESIGN.md §3 for the experiment index and
-// EXPERIMENTS.md for the paper-vs-measured record.
+// fig5a, fig5b, fig6. See DESIGN.md §3 for the experiment index; the
+// tables this command prints, with their notes, are the paper-vs-measured
+// record.
 //
 // With -json DIR, every experiment additionally writes a
 // machine-readable BENCH_<id>.json record (name, ns_op, row count) to

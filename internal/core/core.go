@@ -1,7 +1,10 @@
 // Package core assembles the complete Chiaroscuro execution sequence of
-// Section 4 of the paper: the Diptych data structure (Definition 6) and
-// the iterative protocol of Algorithms 1 and 3, fully distributed over a
-// simulated population of participants.
+// Section 4 of the paper — the iterative protocol of Algorithms 1 and
+// 3 — over a simulated population: one eesum.Participant machine per
+// participant, each holding its Diptych (Definition 6), driven by the
+// in-memory cycle engine. Beside the drivers it keeps what only an
+// omniscient simulation can do: stop a phase at global convergence,
+// cross-check every participant's release, and trace quality.
 //
 // Every iteration:
 //
@@ -11,7 +14,7 @@
 //     cluster's slots, a count of one, zeros elsewhere;
 //  2. Computation step (Algorithm 3) —
 //     a. the encrypted means and the encrypted noise-shares are summed
-//     by two EESum instances running in lockstep on the same gossip
+//     by two EESum states running in lockstep on the same gossip
 //     exchanges, alongside the cleartext participant counter;
 //     b. the noise surplus correction is agreed on by min-identifier
 //     dissemination and applied;
@@ -44,20 +47,6 @@ import (
 	"chiaroscuro/internal/sim"
 	"chiaroscuro/internal/timeseries"
 )
-
-// Diptych is the twofold data structure of Definition 6: cleartext
-// differentially-private centroids on one side, encrypted means on the
-// other. Each participant holds one.
-type Diptych struct {
-	// Centroids is the cleartext, perturbed centroid set C (nil entries
-	// are lost means).
-	Centroids []timeseries.Series
-	// Means is the participant's encrypted means state M: the EESum
-	// vector holding E(σ_sum) and E(σ_count) per cluster — k·(n+1)
-	// values, laid out in ⌈k·(n+1)/PackSlots⌉ packed ciphertexts — plus
-	// the cleartext weight ω (inside the EESum state).
-	Means *eesum.Sum
-}
 
 // Phase identifies one of the three gossip phases of a protocol
 // iteration (Algorithm 3): the lockstep encrypted means/noise sum, the
@@ -228,17 +217,14 @@ type Result struct {
 // Network is a simulated Chiaroscuro deployment: one participant per
 // series of the dataset.
 type Network struct {
-	cfg      Config
-	sch      homenc.Scheme
-	codec    homenc.Codec
-	pack     homenc.PackedCodec
-	data     *timeseries.Dataset
-	np       int
-	engine   *sim.Engine
-	rng      *randx.RNG
-	acct     *dp.Accountant
-	shareIdx []int
-	curIter  int // iteration in flight, read by the engine's churn hook
+	cfg     Config
+	env     *eesum.Env
+	data    *timeseries.Dataset
+	np      int
+	engine  *sim.Engine
+	rng     *randx.RNG
+	acct    *dp.Accountant
+	curIter int // iteration in flight, read by the engine's churn hook
 
 	// tamper, when set by tests, corrupts the decoded views before the
 	// Section 4.4 cross-check runs — the fault-injection hook for
@@ -274,16 +260,13 @@ func NewNetwork(data *timeseries.Dataset, sch homenc.Scheme, cfg Config) (*Netwo
 	if err != nil {
 		return nil, err
 	}
-	codec := homenc.NewCodec(cfg.FracBits)
 	nw := &Network{
-		cfg:   cfg,
-		sch:   sch,
-		codec: codec,
-		pack:  pack,
-		data:  data,
-		np:    np,
-		rng:   ProtocolRNG(cfg.Seed),
-		acct:  &dp.Accountant{Cap: cfg.Epsilon * (1 + 1e-9)},
+		cfg:  cfg,
+		env:  &eesum.Env{Scheme: sch, Pack: pack, Workers: cfg.Workers},
+		data: data,
+		np:   np,
+		rng:  ProtocolRNG(cfg.Seed),
+		acct: &dp.Accountant{Cap: cfg.Epsilon * (1 + 1e-9)},
 	}
 	ecfg := MirrorEngineConfig(cfg, np, data.Dim(), sch, pack)
 	if hook := cfg.Observer.Churn; hook != nil {
@@ -296,10 +279,6 @@ func NewNetwork(data *timeseries.Dataset, sch homenc.Scheme, cfg Config) (*Netwo
 		return nil, err
 	}
 	nw.engine = engine
-	nw.shareIdx = make([]int, np)
-	for i := range nw.shareIdx {
-		nw.shareIdx[i] = i + 1
-	}
 	return nw, nil
 }
 
@@ -364,25 +343,6 @@ func MirrorEngineConfig(cfg Config, np, seriesDim int, sch homenc.Scheme, pack h
 // (eesum.NodeNoiseStreams).
 func ProtocolRNG(seed uint64) *randx.RNG { return randx.New(seed, 0xD1F7) }
 
-// lockstep runs the encrypted means sum and the noise generation on the
-// same gossip exchanges (Algorithm 3 runs them "in background" in
-// parallel). Both legs only touch the two exchanging nodes' state, so
-// the pair inherits their concurrency safety and the engine's parallel
-// cycle mode applies.
-type lockstep struct {
-	means *eesum.Sum
-	noise *eesum.NoiseGen
-}
-
-func (l lockstep) Exchange(a, b sim.NodeID, full bool) {
-	l.means.Exchange(a, b, full)
-	l.noise.Exchange(a, b, full)
-}
-
-func (l lockstep) ConcurrentExchangeSafe() bool {
-	return l.means.ConcurrentExchangeSafe() && l.noise.ConcurrentExchangeSafe()
-}
-
 // SumAbsBound upper-bounds the absolute encoded value any EESum slot
 // can reach before epoch scaling: the global sum of measures plus the
 // worst-case noise magnitude (taken very generously at 64 λ_max). It is
@@ -401,14 +361,6 @@ func SumAbsBound(cfg Config, np, seriesDim int, codec homenc.Codec) *big.Int {
 	lambdaMax := sens / (minEps / 2)
 	bound := float64(np)*maxMeasure + 64*lambdaMax
 	return codec.Encode(bound)
-}
-
-// HeadroomBits returns how many doubling epochs fit between bound and
-// half the plaintext space — strictly below it, per the shared
-// homenc.HeadroomEpochs boundary math (this used to duplicate the
-// quotient logic, with an off-by-one at exact power-of-two quotients).
-func HeadroomBits(space, bound *big.Int) int {
-	return homenc.HeadroomEpochs(space, bound)
 }
 
 // HeadroomNeeded is the epoch headroom a full run must fit: the EESum
@@ -437,7 +389,7 @@ func PackingFor(cfg Config, np, seriesDim int, sch homenc.Scheme) (homenc.Packed
 		return pc, fmt.Errorf("core: %w", err)
 	}
 	if space := sch.PlaintextSpace(); pc.Slots == 1 && space != nil {
-		if have := HeadroomBits(space, bound); have < needed {
+		if have := homenc.HeadroomEpochs(space, bound); have < needed {
 			return pc, fmt.Errorf("core: plaintext space too small: %d epochs of headroom, need ~%d (raise key bits or the scheme degree s)", have, needed)
 		}
 	}
@@ -499,6 +451,44 @@ func (nw *Network) observePhase(it int, phase Phase, cycle, of int) {
 	}
 }
 
+// The in-memory exchangers, one per gossip phase: each runs a whole
+// exchange between two participants' machines. Sum and decryption
+// exchanges touch only their two participants, so the engine's parallel
+// cycle mode applies; a dissemination exchange is too cheap to be worth
+// a worker and runs serially.
+type (
+	sumPhase  []*eesum.Participant
+	dissPhase []*eesum.Participant
+	decPhase  []*eesum.Participant
+)
+
+func (ps sumPhase) Exchange(a, b sim.NodeID, full bool)  { ps[a].ExchangeSum(ps[b], full) }
+func (ps dissPhase) Exchange(a, b sim.NodeID, full bool) { ps[a].ExchangeCorrection(ps[b], full) }
+func (ps decPhase) Exchange(a, b sim.NodeID, full bool)  { ps[a].ExchangeDec(ps[b], full) }
+func (sumPhase) ConcurrentExchangeSafe() bool            { return true }
+func (decPhase) ConcurrentExchangeSafe() bool            { return true }
+
+// correctionAgreed reports whether every participant holds the same
+// correction proposal.
+func correctionAgreed(ps []*eesum.Participant) bool {
+	for _, p := range ps[1:] {
+		if p.CorID != ps[0].CorID {
+			return false
+		}
+	}
+	return true
+}
+
+// allSettled reports whether every participant gathered τ key-shares.
+func allSettled(ps []*eesum.Participant) bool {
+	for _, p := range ps {
+		if !p.Settled() {
+			return false
+		}
+	}
+	return true
+}
+
 // iterate runs one full Chiaroscuro iteration (Algorithms 1 and 3).
 func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.Series, epsIter float64) (*IterationTrace, []timeseries.Series, error) {
 	k := len(centroids)
@@ -506,46 +496,31 @@ func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.S
 	trace := &IterationTrace{Iteration: it, CentroidsIn: k, EpsilonSpent: epsIter}
 
 	// --- Assignment step (local, cleartext): every participant builds
-	// its encrypted means contribution, packed into the deployment's
-	// slot layout before encryption.
-	initial := make([][]*big.Int, nw.np)
-	for i := 0; i < nw.np; i++ {
-		initial[i] = nw.pack.Pack(BuildContribution(nw.data.Row(i), centroids, nw.codec))
-	}
-	meansSum, err := eesum.NewSumWorkers(nw.sch, initial, 0, nw.cfg.Workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The Diptych of Definition 6: cleartext perturbed centroids on one
-	// side, the encrypted means state on the other. Every participant
-	// conceptually holds one; the simulation shares the centroid slice
-	// and indexes the EESum per participant.
-	dip := Diptych{Centroids: centroids, Means: meansSum}
-	means := dip.Means
-
-	// --- Noise configuration: the sum coordinates use the time-series
-	// Sum sensitivity, the count coordinates sensitivity 1; the
-	// iteration budget is split between them (disjoint clusters compose
-	// in parallel, so one cluster's release prices them all).
-	lambdas := NoiseLambdas(k, n, epsIter, nw.cfg.SumShare, nw.cfg.DMin, nw.cfg.DMax)
-	noise, err := eesum.NewNoiseGen(nw.sch, nw.codec, eesum.NoiseConfig{
-		Lambdas: lambdas,
+	// its means contribution, packed into the deployment's slot layout,
+	// and starts its machine on it. The noise configuration prices the
+	// sum coordinates with the time-series Sum sensitivity and the count
+	// coordinates with sensitivity 1, splitting the iteration budget
+	// between them (disjoint clusters compose in parallel, so one
+	// cluster's release prices them all); each participant draws its
+	// noise-shares from its own stream.
+	noise := eesum.NoiseConfig{
+		Lambdas: NoiseLambdas(k, n, epsIter, nw.cfg.SumShare, nw.cfg.DMin, nw.cfg.DMax),
 		NShares: nw.cfg.NoiseShares,
-		Workers: nw.cfg.Workers,
-		Packing: nw.pack,
-	}, nw.np, nw.rng)
-	if err != nil {
-		return nil, nil, err
 	}
+	streams := eesum.NodeNoiseStreams(nw.rng, nw.np)
+	ps := make([]*eesum.Participant, nw.np)
+	parallel.ForEach(nw.cfg.Workers, nw.np, func(i int) {
+		ps[i] = eesum.NewParticipant(nw.env, i, streams[i], noise)
+		ps[i].Start(nw.env.Pack.Pack(BuildContribution(nw.data.Row(i), centroids, nw.env.Pack.Codec)))
+	})
 
 	// --- Algorithm 3 (a)+(b): means and noise sums run in lockstep on
 	// the same gossip exchanges, the counter piggybacking.
-	pair := lockstep{means, noise}
 	for c := 0; c < nw.cfg.Exchanges; c++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		nw.engine.RunCycleOn(pair)
+		nw.engine.RunCycleOn(sumPhase(ps))
 		nw.observePhase(it, PhaseSum, c+1, nw.cfg.Exchanges)
 	}
 	trace.SumCycles = nw.cfg.Exchanges
@@ -554,8 +529,8 @@ func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.S
 	// A fixed DissCycles runs the networked deployment's schedule (extra
 	// cycles past convergence are no-ops); the adaptive default stops as
 	// soon as the omniscient convergence check passes.
-	if err := noise.PrepareCorrections(); err != nil {
-		return nil, nil, err
+	for _, p := range ps {
+		p.ProposeCorrection()
 	}
 	diss := 0
 	if nw.cfg.DissCycles > 0 {
@@ -563,44 +538,32 @@ func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.S
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
 			}
-			nw.engine.RunCycle(noise.ExchangeCorrection)
+			nw.engine.RunCycleOn(dissPhase(ps))
 			nw.observePhase(it, PhaseDissemination, diss+1, nw.cfg.DissCycles)
 		}
-		if !noise.CorrectionConverged() {
+		if !correctionAgreed(ps) {
 			return nil, nil, errors.New("core: correction dissemination did not converge in the fixed cycle budget")
 		}
 	} else {
 		dissCap := 4 * nw.cfg.Exchanges
-		for ; diss < dissCap && !noise.CorrectionConverged(); diss++ {
+		for ; diss < dissCap && !correctionAgreed(ps); diss++ {
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
 			}
-			nw.engine.RunCycle(noise.ExchangeCorrection)
+			nw.engine.RunCycleOn(dissPhase(ps))
 			// Adaptive phase: the length is convergence-determined, so
 			// of = 0 (the 4x cap is a safety bound, not an expectation).
 			nw.observePhase(it, PhaseDissemination, diss+1, 0)
 		}
 	}
 	trace.DissCycles = diss
-	for i := 0; i < nw.np; i++ {
-		if err := noise.ApplyCorrection(i); err != nil {
-			return nil, nil, err
-		}
-		if err := noise.PerturbMeans(i, means); err != nil {
+	for _, p := range ps {
+		if err := p.StartDecryption(); err != nil {
 			return nil, nil, err
 		}
 	}
 
 	// --- Algorithm 3 (c): epidemic decryption of the perturbed means.
-	states := make([]eesum.DecState, nw.np)
-	for i := range states {
-		states[i] = eesum.DecState{CTs: means.Ciphertexts(i), Omega: means.Omega(i)}
-	}
-	dec, err := eesum.NewDecryption(nw.sch, states, nw.shareIdx)
-	if err != nil {
-		return nil, nil, err
-	}
-	dec.SetWorkers(nw.cfg.Workers)
 	if nw.cfg.DecryptCycles > 0 {
 		// Fixed-length phase (networked schedule): run every cycle;
 		// exchanges past completion are protocol no-ops.
@@ -608,38 +571,38 @@ func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.S
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
 			}
-			nw.engine.RunCycleOn(dec)
+			nw.engine.RunCycleOn(decPhase(ps))
 			nw.observePhase(it, PhaseDecryption, c+1, nw.cfg.DecryptCycles)
 		}
 		trace.DecryptCycles = nw.cfg.DecryptCycles
 	} else {
-		// Adaptive phase: stop as soon as every node gathered τ shares
-		// (the cycle accounting matches eesum's RunUntilDone).
+		// Adaptive phase: stop as soon as every participant gathered τ
+		// shares.
 		decCap := 64 * nw.cfg.Exchanges
 		used := decCap
 		for c := 0; c < decCap; c++ {
-			if dec.AllDone() {
+			if allSettled(ps) {
 				used = c
 				break
 			}
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
 			}
-			nw.engine.RunCycleOn(dec)
+			nw.engine.RunCycleOn(decPhase(ps))
 			// Adaptive phase: of = 0, as for the dissemination above.
 			nw.observePhase(it, PhaseDecryption, c+1, 0)
 		}
 		trace.DecryptCycles = used
 	}
-	if !dec.AllDone() {
+	if !allSettled(ps) {
 		return nil, nil, errors.New("core: epidemic decryption did not complete")
 	}
 
 	// --- Convergence step inputs: every participant decodes its own
 	// perturbed means and post-processes locally.
 	perCentroids := make([][]timeseries.Series, nw.np)
-	for i := 0; i < nw.np; i++ {
-		vals, err := dec.ValuesPacked(i, nw.pack, k*(n+1))
+	for i, p := range ps {
+		vals, err := p.Release(k * (n + 1))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -1,213 +1,11 @@
 package eesum
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"math/big"
 
-	"chiaroscuro/internal/homenc"
-	"chiaroscuro/internal/parallel"
 	"chiaroscuro/internal/sim"
 )
-
-// DecState is one participant's input to the epidemic decryption: its
-// converged ciphertext vector and the epidemic weight that decodes it.
-// The epidemic sum guarantees every participant's state decodes to
-// (approximately) the same values, which is what lets a less advanced
-// participant adopt a more advanced one's state wholesale.
-type DecState struct {
-	CTs   []homenc.Ciphertext
-	Omega *big.Int
-}
-
-// Decryption is the epidemic decryption protocol of Section 4.2.3.
-// Every participant owns one key-share (identified by its share index)
-// and accumulates partial decryptions of the ciphertext vector it
-// currently holds. During an exchange the less advanced side adopts the
-// more advanced side's whole state — ciphertexts, weight, and partials,
-// which remain mutually consistent — and each side then applies its own
-// key-share to the other's current ciphertexts if absent. A node is done
-// once τ distinct key-shares have been applied.
-type Decryption struct {
-	sch       homenc.Scheme
-	threshold int
-	dim       int
-	workers   int
-
-	ownIdx []int
-	states []DecState
-	parts  []map[int][]homenc.PartialDecryption // node -> shareIdx -> per-element partials
-}
-
-// NewDecryption starts the protocol. states[i] is participant i's
-// converged state; shareIdx[i] its key-share index (1-based, distinct).
-func NewDecryption(sch homenc.Scheme, states []DecState, shareIdx []int) (*Decryption, error) {
-	if len(states) != len(shareIdx) || len(states) == 0 {
-		return nil, errors.New("eesum: states and share indices must align and be non-empty")
-	}
-	dim := len(states[0].CTs)
-	if dim == 0 {
-		return nil, errors.New("eesum: empty ciphertext vector")
-	}
-	seen := make(map[int]bool, len(shareIdx))
-	for i, idx := range shareIdx {
-		if idx < 1 || idx > sch.NumShares() {
-			return nil, fmt.Errorf("eesum: key-share index %d out of range", idx)
-		}
-		if seen[idx] {
-			return nil, fmt.Errorf("eesum: duplicate key-share index %d", idx)
-		}
-		seen[idx] = true
-		if len(states[i].CTs) != dim {
-			return nil, errors.New("eesum: ragged ciphertext vectors")
-		}
-	}
-	d := &Decryption{
-		sch:       sch,
-		threshold: sch.Threshold(),
-		dim:       dim,
-		workers:   parallel.Workers(),
-		ownIdx:    append([]int(nil), shareIdx...),
-		states:    append([]DecState(nil), states...),
-		parts:     make([]map[int][]homenc.PartialDecryption, len(states)),
-	}
-	for i := range d.parts {
-		d.parts[i] = make(map[int][]homenc.PartialDecryption, d.threshold)
-	}
-	return d, nil
-}
-
-// SetWorkers overrides the worker count for the per-element partial-
-// decryption and combination sweeps (values below 1 force serial). It
-// returns d for chaining and must not be called mid-protocol.
-func (d *Decryption) SetWorkers(workers int) *Decryption {
-	if workers < 1 {
-		workers = 1
-	}
-	d.workers = workers
-	return d
-}
-
-// dimWorkers gates the per-element fan-out the same way Sum does.
-func (d *Decryption) dimWorkers() int {
-	if d.dim < minParallelDim {
-		return 1
-	}
-	return d.workers
-}
-
-// ConcurrentExchangeSafe marks Decryption for the simulation engine's
-// parallel cycle mode: Exchange reads and writes only the state and
-// partial sets of its two nodes (adopted slices are immutable), so
-// exchanges over disjoint node pairs may run concurrently.
-func (d *Decryption) ConcurrentExchangeSafe() bool { return true }
-
-// appliedShare remembers the last vector one node's key-share was
-// applied to within an exchange, and the result.
-type appliedShare struct {
-	cts []homenc.Ciphertext
-	ps  []homenc.PartialDecryption
-}
-
-// apply computes the key-share of node from over node to's current
-// ciphertexts and stores it in to's set (at most once per share,
-// Section 4.2.3). After an adoption both sides hold the same ciphertext
-// vector, so the share already applied for one side (last) is reused
-// for the other instead of being recomputed.
-func (d *Decryption) apply(to, from sim.NodeID, last *appliedShare) {
-	idx := d.ownIdx[from]
-	if !DecNeeds(d.parts[to], d.threshold, idx) {
-		return
-	}
-	cts := d.states[to].CTs
-	if last.ps == nil || &last.cts[0] != &cts[0] {
-		ps, err := DecPartials(d.sch, idx, cts, d.dimWorkers())
-		if err != nil {
-			return // share indices validated at construction, cannot happen
-		}
-		*last = appliedShare{cts: cts, ps: ps}
-	}
-	d.parts[to][idx] = last.ps
-}
-
-// Exchange performs one epidemic decryption exchange.
-func (d *Decryption) Exchange(a, b sim.NodeID, full bool) {
-	// Latency optimization (Section 4.2.3): the less advanced side
-	// erases its partially-decrypted state and adopts the more advanced
-	// side's — ciphertexts, weight and partials move together so the
-	// set stays consistent with the ciphertexts it decrypts.
-	if DecAdopts(len(d.parts[a]), len(d.parts[b])) {
-		d.adopt(a, b)
-	} else if full && DecAdopts(len(d.parts[b]), len(d.parts[a])) {
-		d.adopt(b, a)
-	}
-	// Each side applies its own key-share to the other's ciphertexts,
-	// and to its own state.
-	var byA, byB appliedShare
-	d.apply(a, b, &byB)
-	d.apply(a, a, &byA)
-	if full {
-		d.apply(b, a, &byA)
-		d.apply(b, b, &byB)
-	}
-}
-
-func (d *Decryption) adopt(to, from sim.NodeID) {
-	d.states[to] = d.states[from]
-	d.parts[to] = CopyParts(d.parts[from], d.threshold)
-}
-
-// Done reports whether node i gathered τ distinct key-shares.
-func (d *Decryption) Done(i sim.NodeID) bool { return len(d.parts[i]) >= d.threshold }
-
-// AllDone reports whether every node finished.
-func (d *Decryption) AllDone() bool {
-	for i := range d.parts {
-		if !d.Done(i) {
-			return false
-		}
-	}
-	return true
-}
-
-// RunUntilDone drives the engine until every node finished or maxCycles
-// elapsed, returning the cycles used.
-func (d *Decryption) RunUntilDone(e *sim.Engine, maxCycles int) int {
-	for c := 0; c < maxCycles; c++ {
-		if d.AllDone() {
-			return c
-		}
-		e.RunCycleOn(d)
-	}
-	return maxCycles
-}
-
-// Plaintexts combines node i's accumulated partials into the plaintext
-// vector of the state it currently holds. It fails below the threshold.
-func (d *Decryption) Plaintexts(i sim.NodeID) ([]*big.Int, error) {
-	return CombineParts(d.sch, d.states[i].CTs, d.parts[i], d.threshold, d.dimWorkers())
-}
-
-// Values decodes node i's decrypted plaintexts into floats using the
-// weight of the state node i currently holds.
-func (d *Decryption) Values(i sim.NodeID, codec homenc.Codec) ([]float64, error) {
-	ms, err := d.Plaintexts(i)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeState(d.sch, codec, ms, d.states[i].Omega)
-}
-
-// ValuesPacked decodes node i's decrypted packed plaintexts into the
-// dim per-slot floats. With pc.Slots == 1 it equals Values.
-func (d *Decryption) ValuesPacked(i sim.NodeID, pc homenc.PackedCodec, dim int) ([]float64, error) {
-	ms, err := d.Plaintexts(i)
-	if err != nil {
-		return nil, err
-	}
-	return DecodePackedState(d.sch, pc, ms, d.states[i].Omega, dim)
-}
 
 // DecryptionLatency is the counting-only model of the epidemic
 // decryption used for the large-population latency experiment (Figure
@@ -255,7 +53,7 @@ func NewDecryptionLatency(n, threshold int, exact bool, rng interface{ Float64()
 	return dl, nil
 }
 
-// Exchange mirrors Decryption.Exchange at the counting level.
+// Exchange mirrors Participant.ExchangeDec at the counting level.
 func (dl *DecryptionLatency) Exchange(a, b sim.NodeID, full bool) {
 	if dl.Exact {
 		if dl.count[b] > dl.count[a] {

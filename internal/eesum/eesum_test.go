@@ -8,6 +8,7 @@ import (
 	"chiaroscuro/internal/homenc"
 	"chiaroscuro/internal/homenc/damgardjurik"
 	"chiaroscuro/internal/homenc/plain"
+	"chiaroscuro/internal/randx"
 	"chiaroscuro/internal/sim"
 )
 
@@ -29,13 +30,96 @@ func newEngine(t testing.TB, n int, churn float64) *sim.Engine {
 	return e
 }
 
-// plainDecrypt returns a decryption oracle for the plain scheme.
-func plainDecrypt(c homenc.Ciphertext) (*big.Int, error) { return c.V, nil }
+// testEnv is an unpacked deployment over sch.
+func testEnv(sch homenc.Scheme, codec homenc.Codec, workers int) *Env {
+	return &Env{Scheme: sch, Pack: homenc.PackedCodec{Codec: codec, Slots: 1}, Workers: workers}
+}
+
+// population starts one participant per means contribution, each
+// drawing its noise-shares from its stream of rng's family.
+func population(env *Env, contributions [][]*big.Int, noise NoiseConfig, rng *randx.RNG) []*Participant {
+	streams := NodeNoiseStreams(rng, len(contributions))
+	ps := make([]*Participant, len(contributions))
+	for i, c := range contributions {
+		ps[i] = NewParticipant(env, i, streams[i], noise)
+		ps[i].Start(c)
+	}
+	return ps
+}
+
+// sumsOf starts participants with no noise variables: their exchanges
+// run the means sum (and the counter) alone.
+func sumsOf(env *Env, contributions [][]*big.Int) []*Participant {
+	return population(env, contributions, NoiseConfig{}, randx.New(0, 0))
+}
+
+// The phase exchangers the tests drive participants with.
+type (
+	sums        []*Participant
+	corrections []*Participant
+	decryptions []*Participant
+)
+
+func (ps sums) Exchange(a, b sim.NodeID, full bool)        { ps[a].ExchangeSum(ps[b], full) }
+func (ps corrections) Exchange(a, b sim.NodeID, full bool) { ps[a].ExchangeCorrection(ps[b], full) }
+func (ps decryptions) Exchange(a, b sim.NodeID, full bool) { ps[a].ExchangeDec(ps[b], full) }
+func (sums) ConcurrentExchangeSafe() bool                  { return true }
+func (decryptions) ConcurrentExchangeSafe() bool           { return true }
+
+// run drives cycles of x on the engine.
+func run(e *sim.Engine, cycles int, x sim.Exchanger) {
+	for c := 0; c < cycles; c++ {
+		e.RunCycleOn(x)
+	}
+}
+
+// settle drives decryption cycles until every participant gathered τ
+// key-shares or maxCycles elapsed, returning the cycles used.
+func settle(e *sim.Engine, ps []*Participant, maxCycles int) int {
+	for c := 0; c < maxCycles; c++ {
+		done := true
+		for _, p := range ps {
+			done = done && p.Settled()
+		}
+		if done {
+			return c
+		}
+		e.RunCycleOn(decryptions(ps))
+	}
+	return maxCycles
+}
+
+// uniformLambdas is a noise scale vector with a single scale.
+func uniformLambdas(dim int, lambda float64) []float64 {
+	ls := make([]float64, dim)
+	for i := range ls {
+		ls[i] = lambda
+	}
+	return ls
+}
+
+// plainDecrypt is the decryption oracle of the plain scheme.
+func plainDecrypt(c homenc.Ciphertext) *big.Int { return c.V }
+
+// estimate decodes a sum state with a non-threshold decryption oracle.
+func estimate(env *Env, st SumState, decrypt func(homenc.Ciphertext) *big.Int) ([]float64, error) {
+	ms := make([]*big.Int, len(st.CTs))
+	for j, c := range st.CTs {
+		ms[j] = decrypt(c)
+	}
+	return DecodePackedState(env.Scheme, env.Pack, ms, st.Omega, len(ms))
+}
+
+// logical is a state's first value with the epoch scaling divided out
+// but not the weight: summed over participants it is the sum's mass.
+func logical(codec homenc.Codec, st SumState) float64 {
+	return codec.Decode(st.CTs[0].V, nil) / math.Pow(2, float64(st.Epoch))
+}
 
 func TestEESumConvergesPlain(t *testing.T) {
 	const n = 64
 	codec := homenc.NewCodec(20)
-	sch := plainScheme(t, n)
+	env := testEnv(plainScheme(t, n), codec, 1)
 	initial := make([][]*big.Int, n)
 	var want0, want1 float64
 	for i := 0; i < n; i++ {
@@ -45,14 +129,10 @@ func TestEESumConvergesPlain(t *testing.T) {
 		want1 += v1
 		initial[i] = []*big.Int{codec.Encode(v0), codec.Encode(v1)}
 	}
-	s, err := NewSum(sch, initial, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(t, n, 0)
-	e.RunCycles(25, s.Exchange)
-	for i := 0; i < n; i++ {
-		est, err := s.EstimateWith(i, codec, plainDecrypt)
+	ps := sumsOf(env, initial)
+	run(newEngine(t, n, 0), 25, sums(ps))
+	for i, p := range ps {
+		est, err := estimate(env, p.Means.SumState, plainDecrypt)
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
@@ -73,6 +153,7 @@ func TestEESumConvergesDamgardJurik(t *testing.T) {
 		t.Fatal(err)
 	}
 	codec := homenc.NewCodec(16)
+	env := testEnv(sch, codec, 1)
 	initial := make([][]*big.Int, n)
 	var want float64
 	for i := 0; i < n; i++ {
@@ -80,26 +161,19 @@ func TestEESumConvergesDamgardJurik(t *testing.T) {
 		want += v
 		initial[i] = []*big.Int{codec.Encode(v)}
 	}
-	s, err := NewSum(sch, initial, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(t, n, 0)
+	ps := sumsOf(env, initial)
 	// Epochs cascade ~4 per cycle, so 18 cycles stay well inside the
 	// ~103-epoch headroom of a 128-bit key with these encodings.
-	e.RunCycles(18, s.Exchange)
+	run(newEngine(t, n, 0), 18, sums(ps))
 	maxEpoch := 0
-	for i := 0; i < n; i++ {
-		if s.Epoch(i) > maxEpoch {
-			maxEpoch = s.Epoch(i)
-		}
+	for _, p := range ps {
+		maxEpoch = max(maxEpoch, p.Means.Epoch)
 	}
-	if head := s.HeadroomExchanges(codec.Encode(want)); maxEpoch > head {
+	if head := homenc.HeadroomEpochs(sch.PlaintextSpace(), codec.Encode(want)); maxEpoch > head {
 		t.Fatalf("test exceeded plaintext headroom: epoch %d > %d", maxEpoch, head)
 	}
-	djDecrypt := func(c homenc.Ciphertext) (*big.Int, error) { return sch.Decrypt(c), nil }
 	for _, node := range []int{0, 7, 15} {
-		est, err := s.EstimateWith(node, codec, djDecrypt)
+		est, err := estimate(env, ps[node].Means.SumState, sch.Decrypt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,30 +188,24 @@ func TestEESumEpochScaling(t *testing.T) {
 	// Force an exchange between nodes at different epochs and verify the
 	// scaling rule keeps logical values consistent (Appendix C.2.1).
 	codec := homenc.NewCodec(10)
-	sch := plainScheme(t, 4)
-	initial := [][]*big.Int{
+	ps := sumsOf(testEnv(plainScheme(t, 4), codec, 1), [][]*big.Int{
 		{codec.Encode(8)}, {codec.Encode(0)}, {codec.Encode(0)}, {codec.Encode(0)},
-	}
-	s, err := NewSum(sch, initial, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	// Nodes 0,1 exchange twice; node 2 stays at epoch 0; then 0-2 exchange.
-	s.Exchange(0, 1, true)
-	s.Exchange(0, 1, true)
-	if s.Epoch(0) != 2 || s.Epoch(2) != 0 {
-		t.Fatalf("epochs = %d, %d", s.Epoch(0), s.Epoch(2))
+	ps[0].ExchangeSum(ps[1], true)
+	ps[0].ExchangeSum(ps[1], true)
+	if ps[0].Means.Epoch != 2 || ps[2].Means.Epoch != 0 {
+		t.Fatalf("epochs = %d, %d", ps[0].Means.Epoch, ps[2].Means.Epoch)
 	}
-	s.Exchange(0, 2, true)
-	if s.Epoch(0) != 3 || s.Epoch(2) != 3 {
-		t.Fatalf("after mixed exchange, epochs = %d, %d", s.Epoch(0), s.Epoch(2))
+	ps[0].ExchangeSum(ps[2], true)
+	if ps[0].Means.Epoch != 3 || ps[2].Means.Epoch != 3 {
+		t.Fatalf("after mixed exchange, epochs = %d, %d", ps[0].Means.Epoch, ps[2].Means.Epoch)
 	}
-	// Total logical mass must still be 8: logical value of node i is
-	// dec/(2^epoch)... sum over nodes of dec_i/2^epoch_i.
+	// Total logical mass must still be 8: the logical value of node i is
+	// dec_i/2^epoch_i.
 	var total float64
-	for i := 0; i < 4; i++ {
-		dec, _ := plainDecrypt(s.Ciphertexts(i)[0])
-		total += codec.Decode(dec, nil) / math.Pow(2, float64(s.Epoch(i)))
+	for _, p := range ps {
+		total += logical(codec, p.Means.SumState)
 	}
 	if math.Abs(total-8) > 1e-9 {
 		t.Errorf("logical mass = %v, want 8", total)
@@ -146,17 +214,9 @@ func TestEESumEpochScaling(t *testing.T) {
 
 func TestEESumMidFailureBreaksMass(t *testing.T) {
 	codec := homenc.NewCodec(10)
-	sch := plainScheme(t, 2)
-	s, err := NewSum(sch, [][]*big.Int{{codec.Encode(4)}, {codec.Encode(0)}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Exchange(0, 1, false) // responder never applied its half
-	dec0, _ := plainDecrypt(s.Ciphertexts(0)[0])
-	dec1, _ := plainDecrypt(s.Ciphertexts(1)[0])
-	l0 := codec.Decode(dec0, nil) / math.Pow(2, float64(s.Epoch(0)))
-	l1 := codec.Decode(dec1, nil) / math.Pow(2, float64(s.Epoch(1)))
-	if math.Abs(l0+l1-4) < 1e-12 {
+	ps := sumsOf(testEnv(plainScheme(t, 2), codec, 1), [][]*big.Int{{codec.Encode(4)}, {codec.Encode(0)}})
+	ps[0].ExchangeSum(ps[1], false) // responder never applied its half
+	if l0, l1 := logical(codec, ps[0].Means.SumState), logical(codec, ps[1].Means.SumState); math.Abs(l0+l1-4) < 1e-12 {
 		t.Error("half-exchange conserved mass; churn corruption not modeled")
 	}
 }
@@ -165,104 +225,59 @@ func TestAddEncryptedShiftsEstimate(t *testing.T) {
 	const n = 8
 	codec := homenc.NewCodec(16)
 	sch := plainScheme(t, n)
+	env := testEnv(sch, codec, 1)
 	initial := make([][]*big.Int, n)
 	for i := range initial {
 		initial[i] = []*big.Int{codec.Encode(1)}
 	}
-	s, err := NewSum(sch, initial, 0)
+	ps := sumsOf(env, initial)
+	run(newEngine(t, n, 0), 12, sums(ps))
+	before, err := estimate(env, ps[3].Means.SumState, plainDecrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(t, n, 0)
-	e.RunCycles(12, s.Exchange)
-	before, err := s.EstimateWith(3, codec, plainDecrypt)
-	if err != nil {
+	st := ps[3].Means.Clone()
+	if err := AddEncryptedState(sch, st, []*big.Int{codec.Encode(2.5)}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddEncrypted(3, []*big.Int{codec.Encode(2.5)}); err != nil {
-		t.Fatal(err)
-	}
-	after, err := s.EstimateWith(3, codec, plainDecrypt)
+	after, err := estimate(env, st, plainDecrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(after[0]-before[0]-2.5) > 1e-4 {
-		t.Errorf("AddEncrypted shifted estimate by %v, want 2.5", after[0]-before[0])
+		t.Errorf("AddEncryptedState shifted estimate by %v, want 2.5", after[0]-before[0])
 	}
 }
 
 func TestEstimateUndefinedZeroWeight(t *testing.T) {
-	codec := homenc.NewCodec(8)
-	sch := plainScheme(t, 2)
-	s, err := NewSum(sch, [][]*big.Int{{big.NewInt(1)}, {big.NewInt(2)}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.EstimateWith(1, codec, plainDecrypt); err == nil {
+	env := testEnv(plainScheme(t, 2), homenc.NewCodec(8), 1)
+	ps := sumsOf(env, [][]*big.Int{{big.NewInt(1)}, {big.NewInt(2)}})
+	if _, err := estimate(env, ps[1].Means.SumState, plainDecrypt); err == nil {
 		t.Error("zero-weight node estimate should fail")
-	}
-}
-
-func TestNewSumErrors(t *testing.T) {
-	sch := plainScheme(t, 2)
-	if _, err := NewSum(sch, [][]*big.Int{{big.NewInt(1)}}, 0); err == nil {
-		t.Error("single node must fail")
-	}
-	if _, err := NewSum(sch, [][]*big.Int{{big.NewInt(1)}, {big.NewInt(1)}}, 5); err == nil {
-		t.Error("bad weight node must fail")
-	}
-	if _, err := NewSum(sch, [][]*big.Int{{big.NewInt(1)}, {big.NewInt(1), big.NewInt(2)}}, 0); err == nil {
-		t.Error("ragged vectors must fail")
-	}
-}
-
-func TestHeadroomExchanges(t *testing.T) {
-	sch, err := plain.New(new(big.Int).Lsh(big.NewInt(1), 64), 0, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSum(sch, [][]*big.Int{{big.NewInt(1)}, {big.NewInt(1)}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// space 2^64, half 2^63, bound 2^13 -> max epoch <= 49.
-	h := s.HeadroomExchanges(new(big.Int).Lsh(big.NewInt(1), 13))
-	if h != 49 && h != 50 {
-		t.Errorf("headroom = %d, want ~50", h)
-	}
-	unlimited, err := NewSum(plainScheme(t, 2), [][]*big.Int{{big.NewInt(1)}, {big.NewInt(1)}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unlimited.HeadroomExchanges(big.NewInt(1000)) < 1<<30 {
-		t.Error("unbounded scheme should have unlimited headroom")
 	}
 }
 
 func TestEESumOverflowSafety(t *testing.T) {
 	// Running more cycles than the headroom allows on a tiny plaintext
 	// space must corrupt estimates — this test documents why protocol
-	// drivers must respect HeadroomExchanges.
+	// drivers must respect homenc.HeadroomEpochs.
 	space := new(big.Int).Lsh(big.NewInt(1), 32)
 	sch, err := plain.New(space, 0, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	codec := homenc.NewCodec(8)
+	env := testEnv(sch, codec, 1)
 	const n = 8
 	initial := make([][]*big.Int, n)
 	for i := range initial {
 		initial[i] = []*big.Int{codec.Encode(100)}
 	}
-	s, err := NewSum(sch, initial, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	headroom := s.HeadroomExchanges(codec.Encode(800))
-	e := newEngine(t, n, 0)
-	e.RunCycles(headroom*2, s.Exchange) // way past safety
-	est, err := s.EstimateWith(0, codec, func(c homenc.Ciphertext) (*big.Int, error) {
-		return homenc.Centered(c.V, space), nil
+	ps := sumsOf(env, initial)
+	headroom := homenc.HeadroomEpochs(space, codec.Encode(800))
+	run(newEngine(t, n, 0), headroom*2, sums(ps)) // way past safety
+	est, err := estimate(env, ps[0].Means.SumState, func(c homenc.Ciphertext) *big.Int {
+		return homenc.Centered(c.V, space)
 	})
 	if err == nil && math.Abs(est[0]-800) < 1 {
 		t.Skip("estimate survived overflow (possible but unlikely); headroom is conservative")

@@ -1,45 +1,11 @@
 package eesum
 
 import (
-	"math/big"
 	"testing"
 
-	"chiaroscuro/internal/homenc/plain"
 	"chiaroscuro/internal/randx"
 	"chiaroscuro/internal/sim"
 )
-
-// TestHeadroomExchangesExactPowerOfTwo pins the corrected boundary: when
-// half(space)/bound is an exact power of two, the epoch that scales the
-// bound to exactly half the space is unsafe and must not be counted.
-// The old q.BitLen()-1 logic returned one epoch too many here.
-func TestHeadroomExchangesExactPowerOfTwo(t *testing.T) {
-	// space 16 → half 8, bound 1: 1·2^2 = 4 < 8 but 1·2^3 = 8 ≮ 8.
-	sch, err := plain.New(big.NewInt(16), 0, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSum(sch, [][]*big.Int{{big.NewInt(1)}, {big.NewInt(1)}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h := s.HeadroomExchanges(big.NewInt(1)); h != 2 {
-		t.Errorf("HeadroomExchanges(bound=1, space=16) = %d, want 2 (3 scales to exactly half the space)", h)
-	}
-	// The same boundary at protocol-sized numbers: space 2^64, bound
-	// 2^13 → exactly 49 safe epochs (2^13·2^50 = 2^63 = half).
-	big64, err := plain.New(new(big.Int).Lsh(big.NewInt(1), 64), 0, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewSum(big64, [][]*big.Int{{big.NewInt(1)}, {big.NewInt(1)}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h := s2.HeadroomExchanges(new(big.Int).Lsh(big.NewInt(1), 13)); h != 49 {
-		t.Errorf("HeadroomExchanges(bound=2^13, space=2^64) = %d, want 49", h)
-	}
-}
 
 // latencyCounts runs the exact-mode decryption latency model for the
 // given cycles and returns every node's share count after each cycle.

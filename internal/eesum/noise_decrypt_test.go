@@ -12,6 +12,19 @@ import (
 	"chiaroscuro/internal/sim"
 )
 
+// zeros is a means contribution of dim encoded zeros, for tests about
+// the noise side.
+func zeros(n, dim int) [][]*big.Int {
+	out := make([][]*big.Int, n)
+	for i := range out {
+		out[i] = make([]*big.Int, dim)
+		for j := range out[i] {
+			out[i][j] = big.NewInt(0)
+		}
+	}
+	return out
+}
+
 func TestNoiseGenExactPopulation(t *testing.T) {
 	// With nν equal to the true population, no correction is needed and
 	// the aggregated noise must be Laplace(λ): check the variance over
@@ -23,26 +36,21 @@ func TestNoiseGenExactPopulation(t *testing.T) {
 	var sum2 float64
 	rng := randx.New(31, 31)
 	for trial := 0; trial < trials; trial++ {
-		sch := plainScheme(t, n)
-		g, err := NewNoiseGen(sch, codec, NoiseConfig{Lambdas: UniformLambdas(1, lambda), NShares: n}, n, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
+		env := testEnv(plainScheme(t, n), codec, 1)
+		ps := population(env, zeros(n, 1), NoiseConfig{Lambdas: uniformLambdas(1, lambda), NShares: n}, rng)
 		e, err := sim.New(sim.Config{N: n, Seed: uint64(trial), MessageBytes: 1}, &sim.UniformSampler{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.RunCycles(15, g.Exchange)
-		if err := g.PrepareCorrections(); err != nil {
-			t.Fatal(err)
-		}
+		run(e, 15, sums(ps))
 		// Surplus should be zero: corrections are all-zero vectors.
-		for i := 0; i < n; i++ {
-			if g.corVec[i][0] != 0 {
-				t.Fatalf("trial %d: node %d proposed nonzero correction %v with exact nν", trial, i, g.corVec[i][0])
+		for i, p := range ps {
+			p.ProposeCorrection()
+			if p.CorVec[0] != 0 {
+				t.Fatalf("trial %d: node %d proposed nonzero correction %v with exact nν", trial, i, p.CorVec[0])
 			}
 		}
-		est, err := g.Enc.EstimateWith(0, codec, plainDecrypt)
+		est, err := estimate(env, ps[0].Noise.SumState, plainDecrypt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,30 +70,23 @@ func TestNoiseGenSurplusCorrection(t *testing.T) {
 	const n = 32
 	const nShares = 20 // under-estimate of the population
 	codec := homenc.NewCodec(24)
-	sch := plainScheme(t, n)
-	rng := randx.New(32, 32)
-	g, err := NewNoiseGen(sch, codec, NoiseConfig{Lambdas: UniformLambdas(2, 1), NShares: nShares}, n, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := testEnv(plainScheme(t, n), codec, 1)
+	ps := population(env, zeros(n, 2), NoiseConfig{Lambdas: uniformLambdas(2, 1), NShares: nShares}, randx.New(32, 32))
 	e, err := sim.New(sim.Config{N: n, Seed: 7}, &sim.UniformSampler{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunCycles(20, g.Exchange)
+	run(e, 20, sums(ps))
 	// Counter must be near n at every node.
-	for i := 0; i < n; i++ {
-		ctr, ok := g.Ctr.Estimate(i)
-		if !ok || math.Abs(ctr-n) > 0.01 {
-			t.Fatalf("node %d: counter estimate %v (ok=%v), want %d", i, ctr, ok, n)
+	for i, p := range ps {
+		if p.CtrW <= 0 || math.Abs(p.CtrS/p.CtrW-n) > 0.01 {
+			t.Fatalf("node %d: counter σ/ω = %v/%v, want %d", i, p.CtrS, p.CtrW, n)
 		}
 	}
-	if err := g.PrepareCorrections(); err != nil {
-		t.Fatal(err)
-	}
 	nonZero := 0
-	for i := 0; i < n; i++ {
-		if g.corVec[i][0] != 0 || g.corVec[i][1] != 0 {
+	for _, p := range ps {
+		p.ProposeCorrection()
+		if p.CorVec[0] != 0 || p.CorVec[1] != 0 {
 			nonZero++
 		}
 	}
@@ -97,32 +98,35 @@ func TestNoiseGenSurplusCorrection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c := 0; c < 50 && !g.CorrectionConverged(); c++ {
-		e2.RunCycle(g.ExchangeCorrection)
+	agreed := func() bool {
+		for _, p := range ps[1:] {
+			if p.CorID != ps[0].CorID {
+				return false
+			}
+		}
+		return true
 	}
-	if !g.CorrectionConverged() {
+	for c := 0; c < 50 && !agreed(); c++ {
+		e2.RunCycleOn(corrections(ps))
+	}
+	if !agreed() {
 		t.Fatal("correction dissemination did not converge")
 	}
-	winner := g.corID[0]
-	for i := 1; i < n; i++ {
-		if g.corID[i] != winner {
-			t.Fatalf("node %d holds id %d, want %d (unicity broken)", i, g.corID[i], winner)
-		}
-	}
-	// Applying the correction shifts node 0's estimate by -correction.
-	before, err := g.Enc.EstimateWith(0, codec, plainDecrypt)
+	// Applying the correction shifts node 0's noise estimate by
+	// -correction.
+	before, err := estimate(env, ps[0].Noise.SumState, plainDecrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.ApplyCorrection(0); err != nil {
+	if err := ps[0].StartDecryption(); err != nil {
 		t.Fatal(err)
 	}
-	after, err := g.Enc.EstimateWith(0, codec, plainDecrypt)
+	after, err := estimate(env, ps[0].Noise.SumState, plainDecrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for d := 0; d < 2; d++ {
-		wantShift := -g.corVec[0][d]
+		wantShift := -ps[0].CorVec[d]
 		if math.Abs((after[d]-before[d])-wantShift) > 1e-4 {
 			t.Errorf("dim %d: correction shifted by %v, want %v", d, after[d]-before[d], wantShift)
 		}
@@ -130,49 +134,43 @@ func TestNoiseGenSurplusCorrection(t *testing.T) {
 }
 
 func TestPerturbMeansLockstep(t *testing.T) {
-	// Means and noise EESums driven by the same engine exchanges stay in
-	// lockstep, so ciphertexts add directly (Algorithm 3, line 7).
+	// The means and noise sums ride the same exchanges, so they stay in
+	// lockstep and their ciphertexts add directly (Algorithm 3, line 7).
 	const n = 16
 	codec := homenc.NewCodec(20)
-	sch := plainScheme(t, n)
-	rng := randx.New(33, 33)
+	env := testEnv(plainScheme(t, n), codec, 1)
 	meansInit := make([][]*big.Int, n)
 	for i := range meansInit {
 		meansInit[i] = []*big.Int{codec.Encode(float64(i))}
 	}
-	means, err := NewSum(sch, meansInit, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewNoiseGen(sch, codec, NoiseConfig{Lambdas: UniformLambdas(1, 2), NShares: n}, n, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := population(env, meansInit, NoiseConfig{Lambdas: uniformLambdas(1, 2), NShares: n}, randx.New(33, 33))
 	e, err := sim.New(sim.Config{N: n, Seed: 9}, &sim.UniformSampler{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunCycles(12, func(a, b sim.NodeID, full bool) {
-		means.Exchange(a, b, full)
-		g.Exchange(a, b, full)
-	})
-	meanEst, err := means.EstimateWith(4, codec, plainDecrypt)
+	run(e, 12, sums(ps))
+	p := ps[4]
+	meanEst, err := estimate(env, p.Means.SumState, plainDecrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noiseEst, err := g.Enc.EstimateWith(4, codec, plainDecrypt)
+	p.ProposeCorrection()
+	if err := p.StartDecryption(); err != nil {
+		t.Fatal(err)
+	}
+	noiseEst, err := estimate(env, p.Noise.SumState, plainDecrypt) // corrected
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.PerturbMeans(4, means); err != nil {
-		t.Fatal(err)
-	}
-	perturbed, err := means.EstimateWith(4, codec, plainDecrypt)
+	perturbed, err := estimate(env, p.Means.SumState, plainDecrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(perturbed[0]-(meanEst[0]+noiseEst[0])) > 1e-6 {
 		t.Errorf("perturbed = %v, want mean %v + noise %v", perturbed[0], meanEst[0], noiseEst[0])
+	}
+	if p.DecCTs.Values()[0].V.Cmp(p.Means.CTs[0].V) != 0 || p.DecOmega.Cmp(p.Means.Omega) != 0 {
+		t.Error("the decryption did not start on the perturbed means")
 	}
 }
 
@@ -180,15 +178,25 @@ func TestPerturbMeansOutOfLockstep(t *testing.T) {
 	codec := homenc.NewCodec(20)
 	sch := plainScheme(t, 4)
 	init := [][]*big.Int{{big.NewInt(1)}, {big.NewInt(1)}, {big.NewInt(1)}, {big.NewInt(1)}}
-	means, _ := NewSum(sch, init, 0)
-	g, err := NewNoiseGen(sch, codec, NoiseConfig{Lambdas: UniformLambdas(1, 1), NShares: 4}, 4, randx.New(1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	means.Exchange(0, 1, true) // means moved, noise did not
-	if err := g.PerturbMeans(0, means); err == nil {
+	ps := population(testEnv(sch, codec, 1), init, NoiseConfig{Lambdas: uniformLambdas(1, 1), NShares: 4}, randx.New(1, 1))
+	// The means move, the noise does not.
+	ps[0].Means = SumSide{SumState: MergeSum(sch, ps[0].Means.SumState, ps[1].Means.SumState, 1)}
+	ps[0].ProposeCorrection()
+	if err := ps[0].StartDecryption(); err == nil {
 		t.Error("out-of-lockstep perturbation must fail")
 	}
+}
+
+// decrypting gives every participant the same converged state to
+// decrypt.
+func decrypting(env *Env, n int, cts []homenc.Ciphertext) []*Participant {
+	ps := make([]*Participant, n)
+	for i := range ps {
+		ps[i] = NewParticipant(env, i, nil, NoiseConfig{})
+		ps[i].DecCTs, ps[i].DecOmega = homenc.NewVector(cts), big.NewInt(1)
+		ps[i].DecParts = make(map[int]*homenc.Partials)
+	}
+	return ps
 }
 
 func TestEpidemicDecryptionPlain(t *testing.T) {
@@ -197,39 +205,27 @@ func TestEpidemicDecryptionPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	states := make([]DecState, n)
-	idx := make([]int, n)
-	for i := range idx {
-		// Every node holds its own (here: identical) converged state.
-		states[i] = DecState{
-			CTs:   []homenc.Ciphertext{sch.Encrypt(big.NewInt(77)), sch.Encrypt(big.NewInt(-3))},
-			Omega: big.NewInt(1),
-		}
-		idx[i] = i + 1
-	}
-	d, err := NewDecryption(sch, states, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// No fractional bits: the released values are the plaintexts.
+	env := testEnv(sch, homenc.Codec{}, 1)
+	ps := decrypting(env, n, []homenc.Ciphertext{sch.Encrypt(big.NewInt(77)), sch.Encrypt(big.NewInt(-3))})
 	e, err := sim.New(sim.Config{N: n, Seed: 10}, &sim.UniformSampler{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cycles := 0
-	for ; cycles < 100 && !d.AllDone(); cycles++ {
-		e.RunCycle(d.Exchange)
-	}
-	if !d.AllDone() {
+	if settle(e, ps, 100) == 100 {
 		t.Fatal("epidemic decryption did not complete")
 	}
 	for _, node := range []int{0, 5, 11} {
-		ms, err := d.Plaintexts(node)
+		vals, err := ps[node].Release(2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ms[0].Cmp(big.NewInt(77)) != 0 || ms[1].Cmp(big.NewInt(-3)) != 0 {
-			t.Errorf("node %d decrypted %v/%v", node, ms[0], ms[1])
+		if vals[0] != 77 || vals[1] != -3 {
+			t.Errorf("node %d decrypted %v/%v", node, vals[0], vals[1])
 		}
+	}
+	if _, err := NewParticipant(env, 0, nil, NoiseConfig{}).Release(2); err == nil {
+		t.Error("a release below the threshold must fail")
 	}
 }
 
@@ -242,6 +238,7 @@ func TestEpidemicDecryptionDamgardJurik(t *testing.T) {
 		t.Fatal(err)
 	}
 	codec := homenc.NewCodec(16)
+	env := testEnv(sch, codec, 1)
 	initial := make([][]*big.Int, n)
 	var want float64
 	for i := 0; i < n; i++ {
@@ -249,32 +246,27 @@ func TestEpidemicDecryptionDamgardJurik(t *testing.T) {
 		want += v
 		initial[i] = []*big.Int{codec.Encode(v)}
 	}
-	s, err := NewSum(sch, initial, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Noise far below the encoding's resolution: what is decrypted is
+	// the sum.
+	ps := population(env, initial, NoiseConfig{Lambdas: uniformLambdas(1, 1e-9), NShares: n}, randx.New(11, 11))
 	e, err := sim.New(sim.Config{N: n, Seed: 11}, &sim.UniformSampler{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunCycles(20, s.Exchange)
+	run(e, 20, sums(ps))
 
 	// Every node decrypts its own converged state epidemically.
-	states := make([]DecState, n)
-	idx := make([]int, n)
-	for i := range idx {
-		states[i] = DecState{CTs: s.Ciphertexts(i), Omega: s.Omega(i)}
-		idx[i] = i + 1
+	for _, p := range ps {
+		p.ProposeCorrection()
+		if err := p.StartDecryption(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	d, err := NewDecryption(sch, states, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cycles := d.RunUntilDone(e, 100); cycles >= 100 {
+	if cycles := settle(e, ps, 100); cycles >= 100 {
 		t.Fatal("epidemic decryption did not complete")
 	}
 	for _, node := range []int{0, 2, 9} {
-		vals, err := d.Values(node, codec)
+		vals, err := ps[node].Release(1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,35 +274,6 @@ func TestEpidemicDecryptionDamgardJurik(t *testing.T) {
 		if math.Abs(vals[0]-want) > 1e-3*want {
 			t.Errorf("node %d: epidemic threshold decrypt = %v, want %v", node, vals[0], want)
 		}
-	}
-}
-
-func TestDecryptionErrors(t *testing.T) {
-	sch, _ := plain.New(nil, 0, 5, 2)
-	st := func() DecState {
-		return DecState{CTs: []homenc.Ciphertext{sch.Encrypt(big.NewInt(1))}, Omega: big.NewInt(1)}
-	}
-	if _, err := NewDecryption(sch, nil, nil); err == nil {
-		t.Error("empty states must fail")
-	}
-	if _, err := NewDecryption(sch, []DecState{st()}, []int{9}); err == nil {
-		t.Error("bad share index must fail")
-	}
-	if _, err := NewDecryption(sch, []DecState{st(), st()}, []int{1, 1}); err == nil {
-		t.Error("duplicate share index must fail")
-	}
-	if _, err := NewDecryption(sch, []DecState{{}}, []int{1}); err == nil {
-		t.Error("empty ciphertext vector must fail")
-	}
-	if _, err := NewDecryption(sch, []DecState{st(), {CTs: []homenc.Ciphertext{sch.Encrypt(big.NewInt(1)), sch.Encrypt(big.NewInt(2))}}}, []int{1, 2}); err == nil {
-		t.Error("ragged ciphertext vectors must fail")
-	}
-	d, err := NewDecryption(sch, []DecState{st(), st(), st()}, []int{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Plaintexts(0); err == nil {
-		t.Error("plaintexts before threshold must fail")
 	}
 }
 

@@ -20,6 +20,7 @@ func runEESum(t *testing.T, workers int, midFailure bool) []float64 {
 		t.Fatal(err)
 	}
 	codec := homenc.NewCodec(20)
+	env := testEnv(sch, codec, workers)
 	const n, dim = 8, 6
 	initial := make([][]*big.Int, n)
 	for i := range initial {
@@ -29,10 +30,7 @@ func runEESum(t *testing.T, workers int, midFailure bool) []float64 {
 		}
 		initial[i] = vec
 	}
-	s, err := NewSumWorkers(sch, initial, 0, workers)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := sumsOf(env, initial)
 	cfg := sim.Config{N: n, Seed: 99, Workers: workers}
 	if midFailure {
 		cfg.Churn = 0.15
@@ -42,10 +40,8 @@ func runEESum(t *testing.T, workers int, midFailure bool) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunCyclesOn(10, s)
-	est, err := s.EstimateWith(0, codec, func(c homenc.Ciphertext) (*big.Int, error) {
-		return sch.Decrypt(c), nil
-	})
+	run(e, 10, sums(ps))
+	est, err := estimate(env, ps[0].Means.SumState, sch.Decrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,26 +77,16 @@ func runDecryption(t *testing.T, workers int) []float64 {
 	for j := range cts {
 		cts[j] = sch.Encrypt(codec.Encode(float64(10 + j)))
 	}
-	states := make([]DecState, n)
-	shareIdx := make([]int, n)
-	for i := range states {
-		// Every node converged to the same state, as after an EESum.
-		states[i] = DecState{CTs: cts, Omega: big.NewInt(1)}
-		shareIdx[i] = i + 1
-	}
-	d, err := NewDecryption(sch, states, shareIdx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetWorkers(workers)
+	// Every node converged to the same state, as after an EESum.
+	ps := decrypting(testEnv(sch, codec, workers), n, cts)
 	e, err := sim.New(sim.Config{N: n, Seed: 5, Workers: workers}, &sim.UniformSampler{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.RunUntilDone(e, 64) == 64 && !d.AllDone() {
+	if settle(e, ps, 64) == 64 {
 		t.Fatal("decryption did not complete")
 	}
-	vals, err := d.Values(0, codec)
+	vals, err := ps[0].Release(dim)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 
 	"chiaroscuro/internal/homenc"
-	plainpkg "chiaroscuro/internal/homenc/plain"
+	"chiaroscuro/internal/homenc/plain"
 )
 
 // TestExchangeConservesLogicalMassQuick is the Appendix C.2.1 correctness
@@ -18,7 +18,7 @@ import (
 func TestExchangeConservesLogicalMassQuick(t *testing.T) {
 	codec := homenc.NewCodec(16)
 	f := func(vals [6]int16, pairs [12]uint8) bool {
-		sch, err := plainSchemeQuick(len(vals))
+		sch, err := plain.New(nil, 0, len(vals), 1)
 		if err != nil {
 			return false
 		}
@@ -29,22 +29,18 @@ func TestExchangeConservesLogicalMassQuick(t *testing.T) {
 			want += x
 			initial[i] = []*big.Int{codec.Encode(x)}
 		}
-		s, err := NewSum(sch, initial, 0)
-		if err != nil {
-			return false
-		}
+		ps := sumsOf(testEnv(sch, codec, 1), initial)
 		for _, p := range pairs {
 			a := int(p) % len(vals)
 			b := int(p>>3) % len(vals)
 			if a == b {
 				continue
 			}
-			s.Exchange(a, b, true)
+			ps[a].ExchangeSum(ps[b], true)
 		}
 		var mass float64
-		for i := range vals {
-			dec := s.Ciphertexts(i)[0].V
-			mass += codec.Decode(dec, nil) / math.Pow(2, float64(s.Epoch(i)))
+		for _, p := range ps {
+			mass += logical(codec, p.Means.SumState)
 		}
 		return math.Abs(mass-want) < 1e-6*(1+math.Abs(want))
 	}
@@ -58,7 +54,7 @@ func TestExchangeConservesLogicalMassQuick(t *testing.T) {
 func TestWeightMassConservedQuick(t *testing.T) {
 	f := func(pairs [16]uint8) bool {
 		const n = 5
-		sch, err := plainSchemeQuick(n)
+		sch, err := plain.New(nil, 0, n, 1)
 		if err != nil {
 			return false
 		}
@@ -66,36 +62,23 @@ func TestWeightMassConservedQuick(t *testing.T) {
 		for i := range initial {
 			initial[i] = []*big.Int{big.NewInt(1)}
 		}
-		s, err := NewSum(sch, initial, 0)
-		if err != nil {
-			return false
-		}
+		ps := sumsOf(testEnv(sch, homenc.NewCodec(0), 1), initial)
 		for _, p := range pairs {
 			a := int(p) % n
 			b := int(p>>4) % n
 			if a == b {
 				continue
 			}
-			s.Exchange(a, b, true)
+			ps[a].ExchangeSum(ps[b], true)
 		}
 		var mass float64
-		for i := 0; i < n; i++ {
-			w, _ := new(big.Float).SetInt(s.Omega(i)).Float64()
-			mass += w / math.Pow(2, float64(s.Epoch(i)))
+		for _, p := range ps {
+			w, _ := new(big.Float).SetInt(p.Means.Omega).Float64()
+			mass += w / math.Pow(2, float64(p.Means.Epoch))
 		}
 		return math.Abs(mass-1) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
-}
-
-func plainSchemeQuick(n int) (homenc.Scheme, error) {
-	return newPlainForTest(n)
-}
-
-// newPlainForTest builds a plain scheme without importing the package
-// again in each property.
-func newPlainForTest(n int) (homenc.Scheme, error) {
-	return plainpkg.New(nil, 0, n, 1)
 }

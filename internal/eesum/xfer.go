@@ -2,10 +2,7 @@
 // encrypted epidemic protocols (Algorithm 2 sum merge, Section 4.2.3
 // decryption adoption/partial gathering, Section 4.2.2 noise streams)
 // expressed over portable per-participant states, with no reference to
-// the simulation engine. The in-memory protocol drivers in this package
-// and the TCP runtime in internal/node both execute these exact
-// functions, which is what makes a networked run bit-reproduce a
-// simulated one at the same seed.
+// the simulation engine. Participant is built from these functions.
 
 package eesum
 
@@ -104,23 +101,10 @@ func PerturbState(sch homenc.Scheme, means, noise SumState) error {
 	return nil
 }
 
-// DecodeState decodes a decrypted plaintext vector of a SumState using
-// its weight, centering residues into the plaintext space first.
-func DecodeState(sch homenc.Scheme, codec homenc.Codec, ms []*big.Int, omega *big.Int) ([]float64, error) {
-	if omega == nil || omega.Sign() == 0 {
-		return nil, errors.New("eesum: zero weight; estimate undefined")
-	}
-	out := make([]float64, len(ms))
-	for j, m := range ms {
-		out[j] = codec.Decode(homenc.Centered(m, sch.PlaintextSpace()), omega)
-	}
-	return out, nil
-}
-
-// DecodePackedState is DecodeState for a packed SumState: the decrypted
-// plaintexts are centered, split into their dim slot values, and each
-// slot decoded with the weight. With pc.Slots == 1 it is exactly
-// DecodeState over dim plaintexts.
+// DecodePackedState decodes the decrypted plaintexts of a (possibly
+// packed) SumState: they are centered into the plaintext space, split
+// into their dim slot values, and each slot decoded with the weight.
+// With pc.Slots == 1 the plaintexts are the dim values themselves.
 func DecodePackedState(sch homenc.Scheme, pc homenc.PackedCodec, ms []*big.Int, omega *big.Int, dim int) ([]float64, error) {
 	if omega == nil || omega.Sign() == 0 {
 		return nil, errors.New("eesum: zero weight; estimate undefined")
@@ -140,8 +124,8 @@ func DecodePackedState(sch homenc.Scheme, pc homenc.PackedCodec, ms []*big.Int, 
 	return out, nil
 }
 
-// DimWorkers gates a per-dimension worker count the way the in-memory
-// protocols do: vectors too short to amortize the fan-out run serial.
+// DimWorkers gates a per-dimension worker count: vectors too short to
+// amortize the fan-out run serial.
 func DimWorkers(dim, workers int) int {
 	if dim < minParallelDim || workers < 1 {
 		return 1
@@ -269,6 +253,20 @@ func CombineParts(sch homenc.Scheme, cts []homenc.Ciphertext, parts map[int][]ho
 }
 
 // --- Noise streams (Section 4.2.2) ---
+
+// NoiseConfig parametrizes the epidemic noise generation of one
+// iteration.
+type NoiseConfig struct {
+	// Lambdas holds the Laplace scale of each protocol variable (already
+	// compensated per Lemma 2). Algorithm 3 perturbs k·(n+1) values per
+	// iteration: the k·n sum measures share one scale, the k counts
+	// another.
+	Lambdas []float64
+	NShares int // nν: assumed lower bound on contributing participants
+}
+
+// Dim returns the number of Laplace variables to produce.
+func (c NoiseConfig) Dim() int { return len(c.Lambdas) }
 
 // NodeNoiseStreams derives the per-participant noise RNG streams from
 // the protocol's base source: stream i is Split(i), drawn in node order.

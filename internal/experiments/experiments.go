@@ -5,8 +5,8 @@
 // testing.B benchmarks.
 //
 // Absolute numbers differ from the paper's (different hardware, synthetic
-// data substitutes) but the shapes are preserved; EXPERIMENTS.md records
-// the paper-vs-measured comparison for every artifact.
+// data substitutes) but the shapes are preserved; the tables cmd/benchfig
+// prints are the paper-vs-measured comparison for every artifact.
 package experiments
 
 import (

@@ -119,8 +119,7 @@ func (s *Slab) Carve(i, w int) *big.Int {
 // int is returned).
 //
 // This is the single source of truth for the protocol's plaintext
-// headroom math; eesum.Sum.HeadroomExchanges and core.HeadroomBits are
-// thin wrappers.
+// headroom math; core's pre-flight check calls it directly.
 func HeadroomEpochs(space, bound *big.Int) int {
 	maxInt := int(^uint(0) >> 1)
 	if space == nil || bound == nil || bound.Sign() <= 0 {

@@ -66,8 +66,8 @@ type Config struct {
 	// Epoch is the population epoch for the wire (0: derived from seed).
 	Epoch uint64
 	// Bootstrap is another host's (or daemon's) address; the host pumps
-	// its roster there until the shared book covers the population (""
-	// for the first/only host).
+	// its roster there until the bootstrap's roster covers the
+	// population ("" for the first/only host).
 	Bootstrap string
 	// ExchangeTimeout bounds the host's membership I/O and the read of
 	// each inbound connection's first frame (default 30s).
@@ -412,17 +412,19 @@ func (h *Host) writeFrame(conn net.Conn, kind byte, payload []byte) error {
 
 // pump is the host's membership loop: it announces itself to the
 // bootstrap (digest handshake) and pushes/merges rosters until the
-// shared book covers the population, so every co-located participant
-// joins through one connection stream instead of N hello storms.
+// bootstrap's reply to a roster push covers the population, so every
+// co-located participant joins through one connection stream instead of
+// N hello storms. This host's own book filling up is not enough: a
+// local AddNode landing during the back-off completes it without the
+// bootstrap having heard of that participant.
 func (h *Host) pump() {
 	defer h.wg.Done()
-	idle := 0
-	for h.book.Size() < h.cfg.N {
-		if !h.pumpOnce() {
-			return // rejected or shut down
+	for idle := 0; ; idle++ {
+		ok, done := h.pumpOnce()
+		if !ok || done {
+			return // rejected, shut down, or the bootstrap has everyone
 		}
 		d := 10 * time.Millisecond << min(idle, 6)
-		idle++
 		t := time.NewTimer(d/2 + h.jitter.DurationN(d/2+1))
 		select {
 		case <-h.stop:
@@ -435,15 +437,16 @@ func (h *Host) pump() {
 
 // pumpOnce performs one membership round trip with the bootstrap: a
 // digest-checked hello announcing one local participant, then a view
-// push sharing every local address. Reports false on a terminal
-// refusal or shutdown.
-func (h *Host) pumpOnce() bool {
+// push sharing every local address. ok is false on a terminal refusal
+// or shutdown; done reports that the bootstrap's reply to the push
+// named the whole population.
+func (h *Host) pumpOnce() (ok, done bool) {
 	if h.stopped.Load() {
-		return false
+		return false, false
 	}
 	conn, err := net.DialTimeout("tcp", h.cfg.Bootstrap, h.cfg.ExchangeTimeout)
 	if err != nil {
-		return true
+		return true, false
 	}
 	conn = h.track(conn)
 	defer conn.Close()
@@ -457,16 +460,16 @@ func (h *Host) pumpOnce() bool {
 	}
 	h.mu.Unlock()
 	if first < 0 {
-		return true // nothing to announce yet
+		return true, false // nothing to announce yet
 	}
 	if err := h.writeFrame(conn, wireproto.KindHello, wireproto.MarshalHello(wireproto.Hello{
 		Index: uint32(first), Addr: h.addr, N: uint32(h.cfg.N), Digest: h.digest,
 	})); err != nil {
-		return true
+		return true, false
 	}
 	f, err := wireproto.ReadFrame(conn, h.lim.MaxFrameLen)
 	if err != nil {
-		return true
+		return true, false
 	}
 	defer f.Release()
 	h.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(f.Target, len(f.Payload))))
@@ -474,7 +477,7 @@ func (h *Host) pumpOnce() bool {
 		if r, rerr := wireproto.UnmarshalReject(f.Payload); rerr == nil {
 			h.pumpErr.Store(fmt.Errorf("%w: bootstrap %s: %s", node.ErrConfigMismatch, h.cfg.Bootstrap, r.Reason))
 		}
-		return false
+		return false, false
 	}
 	if f.Kind == wireproto.KindHelloAck {
 		if items, err := wireproto.UnmarshalView(f.Payload, h.lim); err == nil {
@@ -485,26 +488,40 @@ func (h *Host) pumpOnce() bool {
 	// every co-located participant, not just the announcer.
 	conn2, err := net.DialTimeout("tcp", h.cfg.Bootstrap, h.cfg.ExchangeTimeout)
 	if err != nil {
-		return true
+		return true, false
 	}
 	conn2 = h.track(conn2)
 	defer conn2.Close()
 	_ = conn2.SetDeadline(time.Now().Add(h.cfg.ExchangeTimeout))
 	if err := h.writeFrame(conn2, wireproto.KindView, wireproto.MarshalView(h.book.Roster())); err != nil {
-		return true
+		return true, false
 	}
 	f2, err := wireproto.ReadFrame(conn2, h.lim.MaxFrameLen)
 	if err != nil {
-		return true
+		return true, false
 	}
 	defer f2.Release()
 	if f2.Kind == wireproto.KindView {
 		h.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(f2.Target, len(f2.Payload))))
 		if items, err := wireproto.UnmarshalView(f2.Payload, h.lim); err == nil {
 			h.book.Merge(items)
+			return true, covers(items, h.cfg.N)
 		}
 	}
-	return true
+	return true, false
+}
+
+// covers reports whether a roster names every participant of a
+// population of n.
+func covers(items []wireproto.ViewItem, n int) bool {
+	seen, count := make([]bool, n), 0
+	for _, it := range items {
+		if idx := int(it.Index); idx < n && !seen[idx] {
+			seen[idx] = true
+			count++
+		}
+	}
+	return count == n
 }
 
 // Transport returns the host's dialer: co-located destinations (the

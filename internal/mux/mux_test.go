@@ -266,6 +266,50 @@ func TestVirtualTwoHostsBitMatchesSimulator(t *testing.T) {
 	}
 }
 
+// TestPumpDeliversLateLocalNode pins the membership pump's stop rule: a
+// participant added to a joining host after its roster reached the
+// bootstrap — so that the addition completes the joining host's own
+// book — must still reach the bootstrap, or the bootstrap's roster stays
+// one short forever.
+func TestPumpDeliversLateLocalNode(t *testing.T) {
+	ts := newSetup(t, 12, 0)
+	newHost := func(bootstrap string) *mux.Host {
+		h, err := mux.NewHost(mux.Config{
+			N: ts.n, SeriesDim: ts.data.Dim(), Scheme: ts.scheme, Proto: ts.proto,
+			Bootstrap: bootstrap, ExchangeTimeout: 5 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = h.Close() })
+		return h
+	}
+	add := func(h *mux.Host, from, to int) {
+		for i := from; i <= to; i++ {
+			if _, err := h.AddNode(node.Config{Index: i, Series: ts.data.Row(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	awaitRoster := func(h *mux.Host, want int) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for h.RosterSize() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("bootstrap roster holds %d participants, want %d", h.RosterSize(), want)
+			}
+			runtime.Gosched()
+		}
+	}
+	a := newHost("")
+	add(a, 0, 5)
+	b := newHost(a.Addr())
+	add(b, 6, 10)
+	awaitRoster(a, 11)
+	add(b, 11, 11)
+	awaitRoster(a, 12)
+}
+
 // TestHostCloseNoGoroutineLeak pins host shutdown: accept loop, pump,
 // per-connection routers and every virtual node's loops are all joined
 // by Close (the cancel_test.go discipline, host edition).

@@ -202,8 +202,8 @@ func TestRetryRecoversExchange(t *testing.T) {
 	ndA.book.Learn(1, ndB.Addr())
 	ndB.book.Learn(0, ndA.Addr())
 
-	stA := &iterState{corID: 5, corVec: []float64{1, 2, 3}}
-	stB := &iterState{corID: 3, corVec: []float64{9, 8, 7}}
+	stA := &iterState{CorID: 5, CorVec: []float64{1, 2, 3}}
+	stB := &iterState{CorID: 3, CorVec: []float64{9, 8, 7}}
 
 	s := slot{iter: 1, phase: phaseDiss, cycle: 0, seq: 0}
 	done := make(chan struct{})
@@ -216,8 +216,8 @@ func TestRetryRecoversExchange(t *testing.T) {
 
 	// Both sides adopted the smaller correction identifier.
 	for name, st := range map[string]*iterState{"initiator": stA, "responder": stB} {
-		if st.corID != 3 || st.corVec[0] != 9 {
-			t.Fatalf("%s holds corID %d vec %v, want the exchanged 3/[9 8 7]", name, st.corID, st.corVec)
+		if st.CorID != 3 || st.CorVec[0] != 9 {
+			t.Fatalf("%s holds corID %d vec %v, want the exchanged 3/[9 8 7]", name, st.CorID, st.CorVec)
 		}
 	}
 	ca, cb := ndA.Counters(), ndB.Counters()
@@ -273,7 +273,7 @@ func TestSuspicionEvictsPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	nd.book.Learn(1, "127.0.0.1:1") // reachable on paper, refused on dial
-	st := &iterState{corVec: []float64{1}}
+	st := &iterState{CorVec: []float64{1}}
 
 	nd.initiateDiss(st, 1, slot{iter: 1, phase: phaseDiss, cycle: 0, seq: 0}, true)
 	if got := nd.book.Addr(1); got == "" {
@@ -405,9 +405,9 @@ func TestResponderSurvivesFinCut(t *testing.T) {
 	ndA.book.Learn(1, ndB.Addr())
 	ndB.book.Learn(0, ndA.Addr())
 
-	stA := &iterState{corID: 5, corVec: []float64{1}}
-	stB := &iterState{corID: 3, corVec: []float64{9}}
-	preB := stB.corID
+	stA := &iterState{CorID: 5, CorVec: []float64{1}}
+	stB := &iterState{CorID: 3, CorVec: []float64{9}}
+	preB := stB.CorID
 
 	s := slot{iter: 1, phase: phaseDiss, cycle: 0, seq: 0}
 	done := make(chan struct{})
@@ -426,7 +426,7 @@ func TestResponderSurvivesFinCut(t *testing.T) {
 	if ndA.Counters().Initiated != 1 {
 		t.Fatalf("initiator committed %d times, want 1", ndA.Counters().Initiated)
 	}
-	if stB.corID != preB {
+	if stB.CorID != preB {
 		t.Fatal("responder applied a half-completed exchange")
 	}
 	if ndB.Counters().Timeouts == 0 {

@@ -2,7 +2,6 @@ package node
 
 import (
 	"errors"
-	"math/big"
 	"net"
 	"time"
 
@@ -12,74 +11,45 @@ import (
 )
 
 // iterState is the participant's live protocol state for one iteration:
-// the two lockstep EESum states, the cleartext counter, the correction
-// proposal, and the decryption state. It is unlocked, under one of two
-// regimes. While an exchange can still change it, only the exchange the
-// main loop is currently processing touches it. Once the decryption
-// state is settled (see settled) nothing writes to it until the phase
-// ends: the main loop seals it and publishes it through the registry,
-// and from then on the main loop's initiator slots and the passively
-// served responder slots read it concurrently. Journal checkpoints,
-// which lazily cache the sum states' wire images, are serialized by
-// Node.commitMu.
-type iterState struct {
-	means sumSide
-	noise sumSide
-	ctrS  float64
-	ctrW  float64
+// the eesum machine, driven here by frames. It is unlocked, under one of
+// two regimes. While an exchange can still change it, only the exchange
+// the main loop is currently processing touches it. Once the decryption
+// state is settled (Participant.Settled) nothing writes to it until the
+// phase ends: the main loop seals it and publishes it through the
+// registry, and from then on the main loop's initiator slots and the
+// passively served responder slots read it concurrently. Journal
+// checkpoints, which lazily cache the sum states' wire images, are
+// serialized by Node.commitMu.
+type iterState = eesum.Participant
 
-	corID  uint64
-	corVec []float64
-
-	decCTs   *homenc.Vector
-	decOmega *big.Int
-	decParts map[int]*homenc.Partials
-}
-
-// sumSide is an EESum state plus the wire image of its ciphertext
-// vector, so a state journaled at its commit and sent on the next
-// exchange — or checkpointed unchanged all through the later phases —
-// is encoded once. The state is replaced wholesale, never modified in
-// place: a new sumSide starts without an image.
-type sumSide struct {
-	eesum.SumState
-	vec *homenc.Vector // wraps SumState.CTs; nil until first sent or journaled
-}
-
-func (s *sumSide) wire() wireproto.SumSide {
-	if s.vec == nil {
-		s.vec = homenc.NewVector(s.CTs)
-	}
-	return wireproto.SumSide{CTs: s.vec, Omega: s.Omega, Epoch: s.Epoch}
+// wireSide is one EESum state in sending form, over its cached image.
+func wireSide(s *eesum.SumSide) wireproto.SumSide {
+	return wireproto.SumSide{CTs: s.Vector(), Omega: s.Omega, Epoch: s.Epoch}
 }
 
 // sumOut is the iteration's sum-phase state as an exchange leg (or a
 // journal checkpoint, with a zero header) sends it.
-func (st *iterState) sumOut(hdr wireproto.ExchangeHdr) *wireproto.SumOut {
-	return &wireproto.SumOut{Hdr: hdr, Means: st.means.wire(), Noise: st.noise.wire(), CtrSigma: st.ctrS, CtrOmega: st.ctrW}
+func sumOut(st *iterState, hdr wireproto.ExchangeHdr) *wireproto.SumOut {
+	return &wireproto.SumOut{Hdr: hdr, Means: wireSide(&st.Means), Noise: wireSide(&st.Noise), CtrSigma: st.CtrS, CtrOmega: st.CtrW}
+}
+
+// sumPeer materializes a scanned sum leg as the machine's peer.
+func sumPeer(v wireproto.SumView) eesum.SumPeer {
+	return eesum.SumPeer{Means: v.Means.State(), Noise: v.Noise.State(), CtrS: v.CtrSigma, CtrW: v.CtrOmega}
 }
 
 // decOut is the iteration's decryption state in sending form.
-func (st *iterState) decOut(hdr wireproto.ExchangeHdr, fresh *homenc.Partials) *wireproto.DecMsg {
-	return &wireproto.DecMsg{Hdr: hdr, CTs: st.decCTs, Omega: st.decOmega, Parts: st.decParts, Fresh: fresh}
+func decOut(st *iterState, hdr wireproto.ExchangeHdr, fresh *homenc.Partials) *wireproto.DecMsg {
+	return &wireproto.DecMsg{Hdr: hdr, CTs: st.DecCTs, Omega: st.DecOmega, Parts: st.DecParts, Fresh: fresh}
 }
-
-// settled reports whether the decryption state can no longer change: τ
-// key-shares are gathered. wireproto.Limits.MaxParts caps every peer's
-// part set at τ, so such a state never adopts (no peer is more
-// advanced), never wants a share (DecNeeds is false at τ) and owes no
-// peer a fresh one it would have to compute from anything but itself —
-// prepareDec and commitDec become pure reads, and every remaining
-// exchange commutes with every other on this side.
-func (st *iterState) settled(tau int) bool { return len(st.decParts) >= tau }
 
 // seal builds both forms of every vector of the decryption state, so
 // that sending it (the image) and combining it (the values) are reads
 // from here on: a settled state is shared between goroutines.
-func (st *iterState) seal() {
-	st.decCTs.Seal()
+func seal(st *iterState) {
+	st.DecCTs.Seal()
 	//lint:orderfree every part is sealed; order is not protocol state
-	for _, ps := range st.decParts {
+	for _, ps := range st.DecParts {
 		ps.Seal()
 	}
 }
@@ -360,7 +330,7 @@ func (nd *Node) initiateSum(st *iterState, peer int, s slot, full bool) {
 		hdr := nd.hdrFor(s, peer)
 		// Request legs carry the destination index so a multiplexed
 		// listener can route them; later legs ride the routed connection.
-		if err := nd.writeMsg(conn, wireproto.KindSumReq, peer, st.sumOut(hdr)); err != nil {
+		if err := nd.writeMsg(conn, wireproto.KindSumReq, peer, sumOut(st, hdr)); err != nil {
 			return tryRetry
 		}
 		f, err := nd.readFrame(conn)
@@ -369,15 +339,12 @@ func (nd *Node) initiateSum(st *iterState, peer int, s slot, full bool) {
 			return tryRetry
 		}
 		resp, err := wireproto.ScanSum(f.Payload, nd.lim)
-		if err != nil || !nd.validSumState(resp.Means, len(st.means.CTs)) || !nd.validSumState(resp.Noise, len(st.noise.CTs)) {
+		if err != nil || !nd.validSumState(resp.Means, len(st.Means.CTs)) || !nd.validSumState(resp.Noise, len(st.Noise.CTs)) {
 			return tryReject
 		}
 		// Initiator half: the commit point. Applied exactly once — no
-		// failure after this line is ever retried (the sim's
-		// Exchange(a, b, *) a-side).
-		st.means = sumSide{SumState: eesum.MergeSum(nd.cfg.Scheme, st.means.SumState, resp.Means.State(), nd.dimWk)}
-		st.noise = sumSide{SumState: eesum.MergeSum(nd.cfg.Scheme, st.noise.SumState, resp.Noise.State(), nd.dimWk)}
-		st.ctrS, st.ctrW = (st.ctrS+resp.CtrSigma)/2, (st.ctrW+resp.CtrOmega)/2
+		// failure after this line is ever retried.
+		st.CommitSum(sumPeer(resp), true)
 		nd.commit(s, st, true)
 		nd.sendFin(conn, wireproto.KindSumFin, hdr, s, full, bareFin)
 		return tryCommitted
@@ -388,13 +355,13 @@ func (nd *Node) respondSum(st *iterState, s slot, from int) {
 	nd.respondWith(s, from, func(in *inbound) tryOutcome {
 		req, err := wireproto.ScanSum(in.frame.Payload, nd.lim)
 		if err != nil || int(req.Hdr.From) != from ||
-			!nd.validSumState(req.Means, len(st.means.CTs)) || !nd.validSumState(req.Noise, len(st.noise.CTs)) {
+			!nd.validSumState(req.Means, len(st.Means.CTs)) || !nd.validSumState(req.Noise, len(st.Noise.CTs)) {
 			return tryReject
 		}
 		if nd.crashes(LegResp, s) {
 			return tryHalf
 		}
-		if err := nd.writeMsg(in.conn, wireproto.KindSumResp, -1, st.sumOut(req.Hdr)); err != nil {
+		if err := nd.writeMsg(in.conn, wireproto.KindSumResp, -1, sumOut(st, req.Hdr)); err != nil {
 			return tryRetry
 		}
 		fin, out := nd.awaitFin(in.conn, wireproto.KindSumFin)
@@ -404,11 +371,9 @@ func (nd *Node) respondSum(st *iterState, s slot, from int) {
 		if fin.Flags&wireproto.FlagAbort != 0 {
 			return tryHalf // modeled mid-exchange churn
 		}
-		// Responder half (the sim's Exchange b-side under full=true); the
-		// merge arguments keep (initiator, responder) order on both sides.
-		st.means = sumSide{SumState: eesum.MergeSum(nd.cfg.Scheme, req.Means.State(), st.means.SumState, nd.dimWk)}
-		st.noise = sumSide{SumState: eesum.MergeSum(nd.cfg.Scheme, req.Noise.State(), st.noise.SumState, nd.dimWk)}
-		st.ctrS, st.ctrW = (req.CtrSigma+st.ctrS)/2, (req.CtrOmega+st.ctrW)/2
+		// Responder half: applied only once the fin says the initiator
+		// committed.
+		st.CommitSum(sumPeer(req), false)
 		nd.commit(s, st, false)
 		return tryCommitted
 	})
@@ -444,7 +409,7 @@ func (nd *Node) initiateDiss(st *iterState, peer int, s slot, full bool) {
 			return tryHalf
 		}
 		hdr := nd.hdrFor(s, peer)
-		req := wireproto.DissMsg{Hdr: hdr, ID: st.corID, Vec: st.corVec}
+		req := wireproto.DissMsg{Hdr: hdr, ID: st.CorID, Vec: st.CorVec}
 		if err := nd.writeMsg(conn, wireproto.KindDissReq, peer, &req); err != nil {
 			return tryRetry
 		}
@@ -454,13 +419,11 @@ func (nd *Node) initiateDiss(st *iterState, peer int, s slot, full bool) {
 			return tryRetry
 		}
 		resp, err := wireproto.UnmarshalDiss(f.Payload, nd.lim)
-		if err != nil || len(resp.Vec) != len(st.corVec) {
+		if err != nil || len(resp.Vec) != len(st.CorVec) {
 			return tryReject
 		}
 		// Commit point.
-		if resp.ID < st.corID {
-			st.corID, st.corVec = resp.ID, resp.Vec
-		}
+		st.CommitCorrection(resp.ID, resp.Vec)
 		nd.commit(s, st, true)
 		nd.sendFin(conn, wireproto.KindDissFin, hdr, s, full, bareFin)
 		return tryCommitted
@@ -470,13 +433,13 @@ func (nd *Node) initiateDiss(st *iterState, peer int, s slot, full bool) {
 func (nd *Node) respondDiss(st *iterState, s slot, from int) {
 	nd.respondWith(s, from, func(in *inbound) tryOutcome {
 		req, err := wireproto.UnmarshalDiss(in.frame.Payload, nd.lim)
-		if err != nil || int(req.Hdr.From) != from || len(req.Vec) != len(st.corVec) {
+		if err != nil || int(req.Hdr.From) != from || len(req.Vec) != len(st.CorVec) {
 			return tryReject
 		}
 		if nd.crashes(LegResp, s) {
 			return tryHalf
 		}
-		resp := wireproto.DissMsg{Hdr: req.Hdr, ID: st.corID, Vec: st.corVec}
+		resp := wireproto.DissMsg{Hdr: req.Hdr, ID: st.CorID, Vec: st.CorVec}
 		if err := nd.writeMsg(in.conn, wireproto.KindDissResp, -1, &resp); err != nil {
 			return tryRetry
 		}
@@ -487,9 +450,7 @@ func (nd *Node) respondDiss(st *iterState, s slot, from int) {
 		if fin.Flags&wireproto.FlagAbort != 0 {
 			return tryHalf
 		}
-		if req.ID < st.corID {
-			st.corID, st.corVec = req.ID, req.Vec
-		}
+		st.CommitCorrection(req.ID, req.Vec)
 		nd.commit(s, st, false)
 		return tryCommitted
 	})
@@ -497,98 +458,18 @@ func (nd *Node) respondDiss(st *iterState, s slot, from int) {
 
 // --- epidemic decryption phase ---
 
-// ownShare applies this node's key-share to a ciphertext vector. A
-// failure cannot happen (share indices are validated at construction)
-// and, as in the simulator, just leaves the share unapplied.
-func (nd *Node) ownShare(cts []homenc.Ciphertext) *homenc.Partials {
-	ps, err := eesum.DecPartials(nd.cfg.Scheme, nd.share, cts, nd.dimWk)
-	if err != nil {
-		return nil
+// commitDecLeg commits this side's decryption transition with the key-share
+// the peer sent on its response or fin leg. A share the state wanted but
+// that is not a valid one — a full-length vector under the peer's share
+// index — is dropped and counted as rejected.
+func (nd *Node) commitDecLeg(st *iterState, x eesum.DecPrep, peerShare int, fresh homenc.PartialsView) {
+	var ps *homenc.Partials
+	bad := fresh.Len() > 0 && !validPartials(fresh, peerShare, st.DecCTs.Len())
+	if fresh.Len() > 0 && !bad {
+		ps = fresh.Copy()
 	}
-	return homenc.NewPartials(ps)
-}
-
-// adoptDec replaces this side's decryption state with the peer's,
-// detaching it from the frame it arrived in: the adopted vectors keep
-// the images they came with. cts is the peer's ciphertext vector,
-// already detached.
-func adoptDec(st *iterState, peer wireproto.DecView, cts *homenc.Vector, tau int) {
-	st.decCTs, st.decOmega = cts, peer.Omega()
-	st.decParts = make(map[int]*homenc.Partials, tau)
-	//lint:orderfree whole-map conversion of the already-capped copy: every entry lands regardless of order
-	for idx, ps := range eesum.CopyParts(peer.Parts, tau) {
-		st.decParts[idx] = ps.Copy()
-	}
-}
-
-// decExchange is the part of a decryption exchange both roles share,
-// with this node as "me" and the other side as "peer" (the sim's
-// Exchange(a, b, full) seen from either end). Adoption decisions depend
-// only on pre-exchange states, and after an adoption both sides hold
-// the same ciphertext vector, so this node's key-share is applied to it
-// once and serves both the peer (fresh) and this side's own state.
-type decExchange struct {
-	peer       wireproto.DecView
-	iAdopt     bool           // this side adopts the peer's state
-	peerAdopts bool           // the peer adopts this side's state
-	adopted    *homenc.Vector // the peer's ciphertexts, detached (only when iAdopt)
-	fresh      *homenc.Partials
-}
-
-// prepareDec computes, before anything is mutated, this node's
-// key-share over the peer's post-adoption ciphertexts — the payload of
-// the response or fin leg — if the peer's post-adoption state wants it.
-// An initiator whose exchange is scheduled to end half-completed
-// (!full) sends the peer nothing and computes nothing for it.
-func (nd *Node) prepareDec(st *iterState, peer wireproto.DecView, full bool) decExchange {
-	tau := nd.cfg.Scheme.Threshold()
-	x := decExchange{
-		peer:       peer,
-		iAdopt:     eesum.DecAdopts(len(st.decParts), len(peer.Parts)),
-		peerAdopts: eesum.DecAdopts(len(peer.Parts), len(st.decParts)),
-	}
-	if x.iAdopt {
-		x.adopted = peer.CTs.Copy()
-	}
-	switch {
-	case !full:
-	case x.peerAdopts:
-		if eesum.DecNeeds(st.decParts, tau, nd.share) {
-			x.fresh = nd.ownShare(st.decCTs.Values())
-		}
-	case !eesum.DecNeeds(peer.Parts, tau, nd.share):
-	case x.iAdopt:
-		x.fresh = nd.ownShare(x.adopted.Values())
-	default:
-		x.fresh = nd.ownShare(peer.CTs.Values())
-	}
-	return x
-}
-
-// commitDec applies this side's transition (the sim's adopt, apply(me,
-// peer), apply(me, me)): the commit point, applied exactly once.
-// peerFresh is the peer's key-share over this side's post-adoption
-// ciphertexts, as it arrived on the response or fin leg.
-func (nd *Node) commitDec(st *iterState, x decExchange, peerShare int, peerFresh homenc.PartialsView) {
-	tau := nd.cfg.Scheme.Threshold()
-	if x.iAdopt {
-		adoptDec(st, x.peer, x.adopted, tau)
-	}
-	if peerFresh.Len() > 0 && eesum.DecNeeds(st.decParts, tau, peerShare) {
-		if validPartials(peerFresh, peerShare, st.decCTs.Len()) {
-			st.decParts[peerShare] = peerFresh.Copy()
-		} else {
-			nd.counters.Rejected.Add(1)
-		}
-	}
-	if eesum.DecNeeds(st.decParts, tau, nd.share) {
-		own := x.fresh
-		if own == nil || !(x.iAdopt || x.peerAdopts) {
-			own = nd.ownShare(st.decCTs.Values())
-		}
-		if own != nil {
-			st.decParts[nd.share] = own
-		}
+	if st.CommitDec(x, peerShare, ps) && bad {
+		nd.counters.Rejected.Add(1)
 	}
 }
 
@@ -603,7 +484,7 @@ func (nd *Node) initiateDec(st *iterState, peer int, s slot, full bool) {
 			return tryHalf
 		}
 		hdr := nd.hdrFor(s, peer)
-		if err := nd.writeMsg(conn, wireproto.KindDecReq, peer, st.decOut(hdr, nil)); err != nil {
+		if err := nd.writeMsg(conn, wireproto.KindDecReq, peer, decOut(st, hdr, nil)); err != nil {
 			return tryRetry
 		}
 		f, err := nd.readFrame(conn)
@@ -612,18 +493,17 @@ func (nd *Node) initiateDec(st *iterState, peer int, s slot, full bool) {
 			return tryRetry
 		}
 		resp, err := wireproto.ScanDec(f.Payload, nd.lim)
-		if err != nil || !validDecState(resp, st.decCTs.Len(), nd.cfg.Scheme.NumShares()) {
+		if err != nil || !validDecState(resp, st.DecCTs.Len(), nd.cfg.Scheme.NumShares()) {
 			return tryReject
 		}
 		// The fin leg carries this side's key-share over the responder's
-		// post-adoption ciphertexts (the sim's apply(b, a)); a
-		// half-completed exchange sends none.
-		x := nd.prepareDec(st, resp, full)
-		nd.commitDec(st, x, peer+1, resp.Fresh)
+		// post-adoption ciphertexts; a half-completed exchange sends none.
+		x := eesum.PrepareDec(st, resp, full)
+		nd.commitDecLeg(st, x, peer+1, resp.Fresh)
 		nd.commit(s, st, true)
 
 		nd.sendFin(conn, wireproto.KindDecFin, hdr, s, full, func(h wireproto.ExchangeHdr) wireproto.Message {
-			return &wireproto.DecMsg{Hdr: h, Fresh: x.fresh}
+			return &wireproto.DecMsg{Hdr: h, Fresh: x.Fresh}
 		})
 		return tryCommitted
 	})
@@ -636,29 +516,26 @@ func (nd *Node) respondDec(st *iterState, s slot, from int) {
 // serveDec serves one attempt at a decryption responder slot. It is the
 // one responder half of the phase: run by the main loop in slot order
 // while st can still change, and by whichever goroutine delivered the
-// request once st is settled — when prepareDec and commitDec find
+// request once st is settled — when PrepareDec and CommitDec find
 // nothing to compute or change, and all that remains of the exchange is
 // the same validation, the same three legs and the same commit record.
 func (nd *Node) serveDec(st *iterState, s slot, from int, in *inbound) tryOutcome {
 	req, err := wireproto.ScanDec(in.frame.Payload, nd.lim)
-	if err != nil || int(req.Hdr.From) != from || !validDecState(req, st.decCTs.Len(), nd.cfg.Scheme.NumShares()) {
+	if err != nil || int(req.Hdr.From) != from || !validDecState(req, st.DecCTs.Len(), nd.cfg.Scheme.NumShares()) {
 		return tryReject
 	}
 	if nd.crashes(LegResp, s) {
 		return tryHalf
 	}
 	// The response carries this side's key-share over the initiator's
-	// post-adoption ciphertexts (the sim's apply(a, b)), computed
-	// before any commit.
-	x := nd.prepareDec(st, req, true)
+	// post-adoption ciphertexts, computed before any commit. Nothing of
+	// the request outlives the preparation — a state to adopt is
+	// detached from it — so its buffer goes back before the two network
+	// waits.
+	x := eesum.PrepareDec(st, req, true)
 	hdr := req.Hdr
-	if !x.iAdopt {
-		// Nothing of the request outlives this point unless this side
-		// adopts it: hand its buffer back before the two network waits.
-		x.peer = wireproto.DecView{}
-		in.frame.Release()
-	}
-	if err := nd.writeMsg(in.conn, wireproto.KindDecResp, -1, st.decOut(hdr, x.fresh)); err != nil {
+	in.frame.Release()
+	if err := nd.writeMsg(in.conn, wireproto.KindDecResp, -1, decOut(st, hdr, x.Fresh)); err != nil {
 		return tryRetry
 	}
 	_ = in.conn.SetReadDeadline(time.Now().Add(nd.cfg.FinTimeout))
@@ -674,7 +551,7 @@ func (nd *Node) serveDec(st *iterState, s slot, from int, in *inbound) tryOutcom
 	if fin.Hdr.Flags&wireproto.FlagAbort != 0 {
 		return tryHalf
 	}
-	nd.commitDec(st, x, from+1, fin.Fresh)
+	nd.commitDecLeg(st, x, from+1, fin.Fresh)
 	nd.commit(s, st, false)
 	return tryCommitted
 }

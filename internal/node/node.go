@@ -36,7 +36,6 @@ package node
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -193,12 +192,9 @@ type Result struct {
 // Node is one live networked participant.
 type Node struct {
 	cfg      Config
-	codec    homenc.Codec
-	pack     homenc.PackedCodec // shared ciphertext slot layout (Slots == 1: packing off)
+	env      *eesum.Env // the machine's scheme, slot layout and worker bound
 	lim      wireproto.Limits
 	epoch    uint64
-	share    int // own 1-based key-share index
-	dimWk    int // worker count for per-dimension sweeps
 	maxEpoch int // EESum epoch bound a peer state may legitimately carry
 
 	ln   net.Listener // nil for external (mux-hosted) nodes
@@ -395,7 +391,6 @@ func New(cfg Config) (*Node, error) {
 		cfg.Dialer = tcpDialer{}
 	}
 
-	codec := homenc.NewCodec(cfg.Proto.FracBits)
 	// Packing layout and plaintext-headroom pre-flight: the same shared
 	// derivation the simulator performs, so every peer agrees on the
 	// slot layout (and therefore on ciphertext vector lengths).
@@ -411,15 +406,11 @@ func New(cfg Config) (*Node, error) {
 	// enforced at the use sites (validSumState, validDecState, the
 	// corVec length checks).
 	fullDim := len(kmeans.Compact(cfg.Proto.InitCentroids)) * (len(cfg.Series) + 1)
-	dim := pack.PackedLen(fullDim)
 	nd := &Node{
 		cfg:        cfg,
-		codec:      codec,
-		pack:       pack,
+		env:        &eesum.Env{Scheme: cfg.Scheme, Pack: pack, Workers: cfg.Proto.Workers},
 		lim:        wireproto.NewLimits(cfg.Scheme.CiphertextBytes(), fullDim, cfg.Scheme.Threshold(), cfg.N),
 		epoch:      cfg.Epoch,
-		share:      cfg.Index + 1,
-		dimWk:      eesum.DimWorkers(dim, cfg.Proto.Workers),
 		maxEpoch:   core.HeadroomNeeded(cfg.Proto.Exchanges),
 		digest:     ConfigDigest(cfg.Proto, cfg.N, len(cfg.Series), pack),
 		addr:       cfg.Addr,
@@ -1113,19 +1104,4 @@ func (nd *Node) peerUnreachable(peer int) bool {
 	ev := nd.evicted[peer]
 	nd.suspMu.Unlock()
 	return ev || nd.book.Addr(peer) == ""
-}
-
-// encryptState builds this participant's initial EESum state for one
-// phase: its encrypted vector, weight 1 on participant 0 (Section 3.2
-// footnote 5), epoch 0.
-func (nd *Node) encryptState(vec []*big.Int) sumSide {
-	cts := make([]homenc.Ciphertext, len(vec))
-	for j, v := range vec {
-		cts[j] = nd.cfg.Scheme.Encrypt(v)
-	}
-	omega := big.NewInt(0)
-	if nd.cfg.Index == 0 {
-		omega = big.NewInt(1)
-	}
-	return sumSide{SumState: eesum.SumState{CTs: cts, Omega: omega, Epoch: 0}}
 }

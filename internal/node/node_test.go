@@ -208,14 +208,6 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 	vecA := []*big.Int{big.NewInt(5 << 24), big.NewInt(-3 << 24), big.NewInt(7 << 24), big.NewInt(1 << 24)}
 	vecB := []*big.Int{big.NewInt(2 << 24), big.NewInt(9 << 24), big.NewInt(-4 << 24), big.NewInt(6 << 24)}
 
-	// Reference: the simulator's half-completed exchange on the same
-	// initial plaintexts.
-	ref, err := eesum.NewSumWorkers(ts.scheme, [][]*big.Int{vecA, vecB}, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Exchange(0, 1, false)
-
 	mk := func(idx int, bootstrap string) *Node {
 		cfg := Config{
 			Index: idx, N: 2,
@@ -238,15 +230,18 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 	ndB.book.Learn(0, ndA.Addr())
 
 	mkState := func(nd *Node, vec []*big.Int) *iterState {
-		return &iterState{
-			means: nd.encryptState(vec),
-			noise: nd.encryptState(vec),
-			ctrS:  1, ctrW: float64(1 - nd.cfg.Index),
-		}
+		st := eesum.NewParticipant(nd.env, nd.cfg.Index, randx.New(9, uint64(nd.cfg.Index)),
+			eesum.NoiseConfig{Lambdas: []float64{1, 1, 1, 1}, NShares: 2})
+		st.Start(vec)
+		return st
 	}
 	stA := mkState(ndA, vecA)
 	stB := mkState(ndB, vecB)
-	preB := stB.means.Clone()
+	preB := stB.Means.Clone()
+
+	// Reference: the initiator half of the same exchange, the update
+	// rule applied directly to the two initial states.
+	want := eesum.MergeSum(ts.scheme, stA.Means.SumState, stB.Means.SumState, 1)
 
 	// The initiator crashes right before the FIN leg.
 	ndA.crashHook = func(leg, phase, iter, cycle, seq int) bool { return leg == LegFin }
@@ -261,10 +256,9 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 	<-done
 
 	// Initiator holds the sim's post-exchange initiator state...
-	want := ref.State(0)
-	if stA.means.Epoch != want.Epoch || stA.means.Omega.Cmp(want.Omega) != 0 {
+	if stA.Means.Epoch != want.Epoch || stA.Means.Omega.Cmp(want.Omega) != 0 {
 		t.Fatalf("initiator epoch/omega = (%d, %v), want (%d, %v)",
-			stA.means.Epoch, stA.means.Omega, want.Epoch, want.Omega)
+			stA.Means.Epoch, stA.Means.Omega, want.Epoch, want.Omega)
 	}
 	decrypt := func(cts []homenc.Ciphertext) []*big.Int {
 		out := make([]*big.Int, len(cts))
@@ -273,7 +267,7 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 		}
 		return out
 	}
-	gotPlain := decrypt(stA.means.CTs)
+	gotPlain := decrypt(stA.Means.CTs)
 	wantPlain := decrypt(want.CTs)
 	for j := range wantPlain {
 		if gotPlain[j].Cmp(wantPlain[j]) != 0 {
@@ -281,10 +275,10 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 		}
 	}
 	// ...and the responder never applied its half.
-	if stB.means.Epoch != preB.Epoch || stB.means.Omega.Cmp(preB.Omega) != 0 {
+	if stB.Means.Epoch != preB.Epoch || stB.Means.Omega.Cmp(preB.Omega) != 0 {
 		t.Fatal("responder applied a half-completed exchange")
 	}
-	gotB := decrypt(stB.means.CTs)
+	gotB := decrypt(stB.Means.CTs)
 	preBPlain := decrypt(preB.CTs)
 	for j := range preBPlain {
 		if gotB[j].Cmp(preBPlain[j]) != 0 {

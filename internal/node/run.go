@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/big"
 
 	"chiaroscuro/internal/core"
 	"chiaroscuro/internal/eesum"
-	"chiaroscuro/internal/homenc"
 	"chiaroscuro/internal/kmeans"
 	"chiaroscuro/internal/sim"
 	"chiaroscuro/internal/timeseries"
@@ -157,50 +155,33 @@ func ctxErr(ctx context.Context, err error) error {
 // holds as committed is skipped (its merge is already in the restored
 // state — re-executing it would double-apply), and the shared-seed
 // noise draws the pre-crash run consumed are replayed and discarded so
-// the stream cursor advances identically. Phase-boundary
-// transitions the pre-crash run already performed (the correction
-// proposal, the noise perturbation) are likewise skipped — their
-// results are in the restored ciphertexts.
+// the stream cursor advances identically. Phase-boundary transitions
+// the pre-crash run already performed (the correction proposal, the
+// noise perturbation) keep their restored results.
 func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, rz *resumePoint) (*core.IterationTrace, []timeseries.Series, error) {
 	k := len(centroids)
 	n := len(nd.cfg.Series)
 	trace := &core.IterationTrace{Iteration: it, CentroidsIn: len(kmeans.Compact(centroids)), EpsilonSpent: epsIter}
-
-	var st *iterState
-	var after *slot
-	if rz != nil {
-		st, after = rz.st, rz.pos
-	}
 
 	// --- Noise streams: every participant derives the same family from
 	// the shared seed and builds only stream Index (the simulator
 	// materializes all of them). Deriving the family consumes base-RNG
 	// draws, so a resumed iteration derives it too.
 	myStream := eesum.NodeNoiseStream(nd.protoRNG, nd.cfg.N, nd.cfg.Index)
-	noiseCfg := eesum.NoiseConfig{
+	noise := eesum.NoiseConfig{
 		Lambdas: core.NoiseLambdas(k, n, epsIter, nd.cfg.Proto.SumShare, nd.cfg.Proto.DMin, nd.cfg.Proto.DMax),
 		NShares: nd.cfg.Proto.NoiseShares,
 	}
-	if st == nil {
+	var st *iterState
+	if rz != nil {
+		st = rz.st
+		st.Resume(nd.env, nd.cfg.Index, myStream, noise)
+	} else {
 		// --- Assignment step (local, cleartext). The contribution is
 		// packed into the deployment's shared slot layout before
 		// encryption; the noise shares come from this node's own stream.
-		st = &iterState{}
-		st.means = nd.encryptState(nd.pack.Pack(core.BuildContribution(nd.cfg.Series, centroids, nd.codec)))
-		shares := eesum.NoiseShareVector(myStream, noiseCfg)
-		noiseVec := make([]*big.Int, len(shares))
-		for j, x := range shares {
-			noiseVec[j] = nd.codec.Encode(x)
-		}
-		st.noise = nd.encryptState(nd.pack.Pack(noiseVec))
-		st.ctrS = 1
-		if nd.cfg.Index == 0 {
-			st.ctrW = 1
-		}
-	} else {
-		// Resume: the restored ciphertexts already contain these shares;
-		// replay the draw so the stream cursor matches the crashed run.
-		_ = eesum.NoiseShareVector(myStream, noiseCfg)
+		st = eesum.NewParticipant(nd.env, nd.cfg.Index, myStream, noise)
+		st.Start(nd.env.Pack.Pack(core.BuildContribution(nd.cfg.Series, centroids, nd.env.Pack.Codec)))
 	}
 
 	// --- Algorithm 3 (a): means and noise sums in lockstep, counter
@@ -212,42 +193,16 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 	// --- Algorithm 3 (b): correction proposal from own stream, min-
 	// identifier dissemination, local application. The counter freezes
 	// when the sum phase ends, so a resume past that point replays the
-	// proposal with the identical estimate and discards it (the restored
-	// corID/corVec may already have adopted a lower identifier).
-	est, ok := 0.0, st.ctrW > 0
-	if ok {
-		est = st.ctrS / st.ctrW
-	}
-	corID, corVec := eesum.CorrectionProposal(myStream, noiseCfg, est, ok)
-	if after == nil || after.phase < phaseDiss {
-		st.corID, st.corVec = corID, corVec
-	}
+	// proposal with the identical estimate.
+	st.ProposeCorrection()
 	nd.phaseNow.Store(int64(phaseDiss))
 	nd.runPhase(it, phaseDiss, nd.cfg.Proto.DissCycles, st, rz)
 	trace.DissCycles = nd.cfg.Proto.DissCycles
-	if after == nil || after.phase < phaseDec {
-		cor := make([]*big.Int, len(st.corVec))
-		for j, x := range st.corVec {
-			cor[j] = new(big.Int).Neg(nd.codec.Encode(x))
-		}
-		// Both updates rewrite ciphertext slots in place, so they run on
-		// clones: a state whose wire image is cached is never modified.
-		// Packing is linear, so the packed negated correction subtracts
-		// exactly per slot.
-		noise, means := st.noise.Clone(), st.means.Clone()
-		if err := eesum.AddEncryptedState(nd.cfg.Scheme, noise, nd.pack.Pack(cor), nd.dimWk); err != nil {
-			return nil, nil, err
-		}
-		if err := eesum.PerturbState(nd.cfg.Scheme, means, noise); err != nil {
-			return nil, nil, fmt.Errorf("node %d: %w", nd.cfg.Index, err)
-		}
-		st.noise, st.means = sumSide{SumState: noise}, sumSide{SumState: means}
-
-		// --- Algorithm 3 (c): epidemic threshold decryption over the wire.
-		st.decCTs = homenc.NewVector(st.means.CTs)
-		st.decOmega = st.means.Omega
-		st.decParts = make(map[int]*homenc.Partials, nd.cfg.Scheme.Threshold())
+	if err := st.StartDecryption(); err != nil {
+		return nil, nil, fmt.Errorf("node %d: %w", nd.cfg.Index, err)
 	}
+
+	// --- Algorithm 3 (c): epidemic threshold decryption over the wire.
 	nd.phaseNow.Store(int64(phaseDec))
 	nd.runPhase(it, phaseDec, nd.cfg.Proto.DecryptCycles, st, rz)
 	trace.DecryptCycles = nd.cfg.Proto.DecryptCycles
@@ -258,20 +213,10 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 		// iteration, after its death.
 		return nil, nil, errStopped
 	}
-	tau := nd.cfg.Scheme.Threshold()
-	if len(st.decParts) < tau {
-		return nil, nil, fmt.Errorf("node %d: gathered %d of %d key-shares in the fixed decryption budget", nd.cfg.Index, len(st.decParts), tau)
+	if !st.Settled() {
+		return nil, nil, fmt.Errorf("node %d: gathered %d of %d key-shares in the fixed decryption budget", nd.cfg.Index, len(st.DecParts), nd.cfg.Scheme.Threshold())
 	}
-	parts := make(map[int][]homenc.PartialDecryption, len(st.decParts))
-	//lint:orderfree whole-map conversion: every entry lands regardless of order
-	for idx, ps := range st.decParts {
-		parts[idx] = ps.Values()
-	}
-	ms, err := eesum.CombineParts(nd.cfg.Scheme, st.decCTs.Values(), parts, tau, nd.dimWk)
-	if err != nil {
-		return nil, nil, err
-	}
-	vals, err := eesum.DecodePackedState(nd.cfg.Scheme, nd.pack, ms, st.decOmega, k*(n+1))
+	vals, err := st.Release(k * (n + 1))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -305,7 +250,6 @@ var errStopped = errors.New("node: closed during the run")
 // instead of stranding connections).
 func (nd *Node) runPhase(it, phase, cycles int, st *iterState, rz *resumePoint) {
 	me := nd.cfg.Index
-	tau := nd.cfg.Scheme.Threshold()
 	for c := 0; c < cycles; c++ {
 		if nd.stopped.Load() {
 			return
@@ -322,7 +266,7 @@ func (nd *Node) runPhase(it, phase, cycles int, st *iterState, rz *resumePoint) 
 			if rz.committed(s) {
 				continue // already executed before the crash
 			}
-			if phase == phaseDec && st.settled(tau) {
+			if phase == phaseDec && st.Settled() {
 				nd.runTail(s, sched, cycles, st, rz)
 				return
 			}
@@ -389,7 +333,7 @@ func (nd *Node) runTail(from slot, cur []sim.Scheduled, cycles int, st *iterStat
 	for i := range slab {
 		tails[i] = &slab[i]
 	}
-	st.seal()
+	seal(st)
 	for _, cl := range nd.reg.settle(tails) {
 		nd.servePassive(cl.t, cl.in)
 	}

@@ -448,9 +448,9 @@ type checkpointRecord struct {
 const countersSize = 11 * 8
 
 func encodeCheckpoint(s slot, st *iterState, ctrs wireproto.Counters) []byte {
-	sum := st.sumOut(wireproto.ExchangeHdr{})
-	diss := &wireproto.DissMsg{ID: st.corID, Vec: st.corVec}
-	dec := st.decOut(wireproto.ExchangeHdr{}, nil)
+	sum := sumOut(st, wireproto.ExchangeHdr{})
+	diss := &wireproto.DissMsg{ID: st.CorID, Vec: st.CorVec}
+	dec := decOut(st, wireproto.ExchangeHdr{}, nil)
 	e := senc{b: make([]byte, 0, 4*4+3*4+sum.Size()+diss.Size()+dec.Size()+countersSize)}
 	e.u32(uint32(s.iter))
 	e.u32(uint32(s.phase))
@@ -485,16 +485,16 @@ func decodeCheckpoint(p []byte, lim wireproto.Limits) (checkpointRecord, error) 
 		return checkpointRecord{}, fmt.Errorf("%w: checkpoint dec segment: %v", journal.ErrCorrupt, err)
 	}
 	r.st = &iterState{
-		means: restoreSumSide(sum.Means),
-		noise: restoreSumSide(sum.Noise),
-		ctrS:  sum.CtrSigma,
-		ctrW:  sum.CtrOmega,
+		Means: restoreSumSide(sum.Means),
+		Noise: restoreSumSide(sum.Noise),
+		CtrS:  sum.CtrSigma,
+		CtrW:  sum.CtrOmega,
 	}
 	if r.pos.phase >= phaseDiss {
-		r.st.corID, r.st.corVec = diss.ID, diss.Vec
+		r.st.CorID, r.st.CorVec = diss.ID, diss.Vec
 	}
 	if r.pos.phase >= phaseDec {
-		adoptDec(r.st, dec, dec.CTs.Copy(), len(dec.Parts))
+		r.st.DecCTs, r.st.DecOmega, r.st.DecParts = dec.Detach(len(dec.Parts))
 	}
 	return r, nil
 }
@@ -571,12 +571,9 @@ func replayCheckpoints(ckpts [][]byte, lim wireproto.Limits, tau int) (checkpoin
 
 // restoreSumSide detaches a journaled EESum state from the record it
 // was scanned in; the journal's bytes become its wire image.
-func restoreSumSide(v wireproto.SumSideView) sumSide {
+func restoreSumSide(v wireproto.SumSideView) eesum.SumSide {
 	side := v.Copy()
-	return sumSide{
-		SumState: eesum.SumState{CTs: side.CTs.Values(), Omega: side.Omega, Epoch: side.Epoch},
-		vec:      side.CTs,
-	}
+	return eesum.SideFromVector(side.CTs, side.Omega, side.Epoch)
 }
 
 // --- append paths ---

@@ -32,15 +32,15 @@ func TestCheckpointReseedsImages(t *testing.T) {
 		return homenc.NewPartials(ps)
 	}
 	st := &iterState{
-		means:    sumSide{SumState: eesum.SumState{CTs: vec(10), Omega: big.NewInt(12), Epoch: 7}},
-		noise:    sumSide{SumState: eesum.SumState{CTs: vec(50), Omega: big.NewInt(12), Epoch: 7}},
-		ctrS:     3.5,
-		ctrW:     0.25,
-		corID:    99,
-		corVec:   []float64{1, -2, 3},
-		decCTs:   homenc.NewVector(vec(90)),
-		decOmega: big.NewInt(12),
-		decParts: map[int]*homenc.Partials{2: partials(2), 5: partials(5)},
+		Means:    eesum.SumSide{SumState: eesum.SumState{CTs: vec(10), Omega: big.NewInt(12), Epoch: 7}},
+		Noise:    eesum.SumSide{SumState: eesum.SumState{CTs: vec(50), Omega: big.NewInt(12), Epoch: 7}},
+		CtrS:     3.5,
+		CtrW:     0.25,
+		CorID:    99,
+		CorVec:   []float64{1, -2, 3},
+		DecCTs:   homenc.NewVector(vec(90)),
+		DecOmega: big.NewInt(12),
+		DecParts: map[int]*homenc.Partials{2: partials(2), 5: partials(5)},
 	}
 	pos := slot{iter: 1, phase: phaseDec, cycle: 4, seq: 1}
 	ctrs := wireproto.Counters{Initiated: 8, Responded: 9, BytesSent: 1234}
@@ -65,15 +65,15 @@ func TestCheckpointReseedsImages(t *testing.T) {
 		t.Fatalf("re-encoding the restored state sent %d vectors and encoded %d of them, want 5 and 0", sends, builds)
 	}
 
-	for j, want := range st.means.CTs {
-		if got := ck.st.means.CTs[j].V; got.Cmp(want.V) != 0 {
+	for j, want := range st.Means.CTs {
+		if got := ck.st.Means.CTs[j].V; got.Cmp(want.V) != 0 {
 			t.Fatalf("restored means[%d] = %v, want %v", j, got, want.V)
 		}
 	}
-	if got := ck.st.decParts[5].Values()[3]; got.Index != 5 || got.V.Int64() != 503 {
+	if got := ck.st.DecParts[5].Values()[3]; got.Index != 5 || got.V.Int64() != 503 {
 		t.Fatalf("restored partial = %+v", got)
 	}
-	if got := ck.st.decCTs.Values()[2].V; got.Cmp(st.decCTs.Values()[2].V) != 0 {
+	if got := ck.st.DecCTs.Values()[2].V; got.Cmp(st.DecCTs.Values()[2].V) != 0 {
 		t.Fatalf("restored decryption ciphertext = %v", got)
 	}
 }

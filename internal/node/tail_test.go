@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"chiaroscuro/internal/eesum"
 	"chiaroscuro/internal/homenc"
 	"chiaroscuro/internal/wireproto"
 )
@@ -220,16 +221,24 @@ func settledPair(t *testing.T, dialerA Dialer) (ndA, ndB *Node, stA, stB *iterSt
 	ndA, ndB = mk(0, dialerA), mk(1, nil)
 	ndA.book.Learn(1, ndB.Addr())
 	ndB.book.Learn(0, ndA.Addr())
-	cts := ndA.encryptState([]*big.Int{big.NewInt(5 << 24), big.NewInt(-3 << 24), big.NewInt(7 << 24), big.NewInt(1 << 24)}).CTs
-	settled := func() *iterState {
-		st := &iterState{decCTs: homenc.NewVector(cts), decOmega: big.NewInt(1), decParts: make(map[int]*homenc.Partials)}
-		for _, nd := range []*Node{ndA, ndB} {
-			st.decParts[nd.share] = nd.ownShare(cts)
+	var cts []homenc.Ciphertext
+	for _, v := range []int64{5 << 24, -3 << 24, 7 << 24, 1 << 24} {
+		cts = append(cts, ts.scheme.Encrypt(big.NewInt(v)))
+	}
+	settled := func(nd *Node) *iterState {
+		st := eesum.NewParticipant(nd.env, nd.cfg.Index, nil, eesum.NoiseConfig{})
+		st.DecCTs, st.DecOmega, st.DecParts = homenc.NewVector(cts), big.NewInt(1), make(map[int]*homenc.Partials)
+		for _, holder := range []*Node{ndA, ndB} {
+			ps, err := eesum.DecPartials(ts.scheme, holder.cfg.Index+1, cts, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.DecParts[holder.cfg.Index+1] = homenc.NewPartials(ps)
 		}
-		st.seal()
+		seal(st)
 		return st
 	}
-	return ndA, ndB, settled(), settled()
+	return ndA, ndB, settled(ndA), settled(ndB)
 }
 
 // respCutDialer severs the first exchange connection it opens at the

@@ -19,8 +19,9 @@ type Exchanger interface {
 // ConcurrentExchanger is the opt-in marker for the parallel cycle mode:
 // a protocol whose Exchange touches only the state of its two nodes
 // (and whose shared dependencies are concurrency-safe) may run
-// node-disjoint exchanges concurrently. eesum.Sum, eesum.Decryption,
-// eesum.NoiseGen, gossip.Sum and gossip.Dissemination opt in.
+// node-disjoint exchanges concurrently. gossip.Sum, gossip.Dissemination
+// and internal/core's sum and decryption exchangers over eesum
+// participants opt in.
 type ConcurrentExchanger interface {
 	Exchanger
 	ConcurrentExchangeSafe() bool
@@ -41,13 +42,6 @@ func (e *Engine) RunCycleOn(p Exchanger) int {
 		return e.runCycleParallel(p)
 	}
 	return e.RunCycle(p.Exchange)
-}
-
-// RunCyclesOn runs the given number of cycles through RunCycleOn.
-func (e *Engine) RunCyclesOn(cycles int, p Exchanger) {
-	for i := 0; i < cycles; i++ {
-		e.RunCycleOn(p)
-	}
 }
 
 // schedule pre-draws one cycle: churn resampling, initiator

@@ -477,7 +477,8 @@ func (m *DecMsg) AppendTo(dst []byte) []byte {
 // Limits enforced — exactly the frames an eager decode would accept —
 // with no big.Int built. It aliases the payload; what a receiver keeps
 // (an adopted state, an accepted Fresh vector) it detaches with Copy,
-// and what the crypto needs it materializes with Values.
+// and what the crypto needs it materializes with Values. It is the peer
+// of an eesum.Participant's decryption exchange (eesum.DecPeer).
 type DecView struct {
 	Hdr   ExchangeHdr
 	CTs   homenc.VectorView
@@ -488,6 +489,26 @@ type DecView struct {
 
 // Omega materializes the state's weight.
 func (v DecView) Omega() *big.Int { return intOf(v.omega) }
+
+// Gathered returns how many partial sets the state carries.
+func (v DecView) Gathered() int { return len(v.Parts) }
+
+// Wants reports whether the state still wants key-share idx.
+func (v DecView) Wants(idx, threshold int) bool { return eesum.DecNeeds(v.Parts, threshold, idx) }
+
+// Ciphertexts materializes the state's ciphertext vector.
+func (v DecView) Ciphertexts() []homenc.Ciphertext { return v.CTs.Values() }
+
+// Detach copies the state out of the payload for adoption: the vectors
+// keep the images they arrived with, and the partial sets are capped at
+// threshold (eesum.CopyParts).
+func (v DecView) Detach(threshold int) (*homenc.Vector, *big.Int, map[int]*homenc.Partials) {
+	parts := make(map[int]*homenc.Partials, threshold)
+	for idx, ps := range eesum.CopyParts(v.Parts, threshold) {
+		parts[idx] = ps.Copy()
+	}
+	return v.CTs.Copy(), v.Omega(), parts
+}
 
 // ScanDec scans a DecMsg payload.
 func ScanDec(data []byte, lim Limits) (DecView, error) {
