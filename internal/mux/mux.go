@@ -8,11 +8,14 @@
 // virtual nodes by the Version2 frame target (wireproto), so N
 // co-located peers cost one listener and one accept goroutine instead
 // of N. Untargeted (Version) frames are membership traffic — hello,
-// view gossip, leave — handled centrally against the single shared
-// address book. Expensive per-participant state is shared across the
-// host: one schedule mirror (node.ScheduleSource) instead of one
-// sim.Engine per peer, one address book, one scheme instance (whose
-// randomizer pools and comb tables are already process-wide).
+// resume, view gossip, leave — answered centrally against the single
+// shared address book by the host's node.Endpoint, the handler a
+// standalone node answers with too. Expensive per-participant state is
+// shared across the host: one schedule mirror (node.ScheduleSource)
+// instead of one sim.Engine per peer, one address book, one scheme
+// instance (whose randomizer pools and comb tables are already
+// process-wide). The host provisions the shared configuration through
+// node.Provision, as each of its virtual nodes does.
 //
 // Co-located pairs exchange over the host's own in-process connection
 // (inprocConn), handed out by the host's Transport dialer: same frames,
@@ -44,7 +47,6 @@ import (
 
 	"chiaroscuro/internal/core"
 	"chiaroscuro/internal/homenc"
-	"chiaroscuro/internal/kmeans"
 	"chiaroscuro/internal/node"
 	"chiaroscuro/internal/randx"
 	"chiaroscuro/internal/wireproto"
@@ -76,15 +78,16 @@ type Config struct {
 
 // Host is one multiplexed listener and its virtual nodes.
 type Host struct {
-	cfg    Config
-	lim    wireproto.Limits
-	epoch  uint64
-	digest uint64
-	pack   homenc.PackedCodec
+	seriesDim int    // every hosted participant's series length
+	bootstrap string // where the membership pump announces ("": none)
+	// shared is what every hosted node shares, as node.Provision checked
+	// and defaulted it, and dep what it derived from it.
+	shared node.Config
+	dep    node.Deployment
 
 	ln   net.Listener
 	addr string
-	live connSet
+	ep   *node.Endpoint // connections, membership traffic
 
 	book   *node.Book
 	sched  *node.ScheduleSource
@@ -104,73 +107,39 @@ type Host struct {
 	wg      sync.WaitGroup
 }
 
-// NewHost validates the shared configuration (the same checks every
-// virtual node would perform), starts the listener and, when a
-// bootstrap address is configured, the membership pump.
+// NewHost provisions the shared configuration exactly as each virtual
+// node does (node.Provision), starts the listener and, when a bootstrap
+// address is configured, the membership pump.
 func NewHost(cfg Config) (*Host, error) {
-	if cfg.N < 2 {
-		return nil, errors.New("mux: population must be at least 2")
-	}
-	if cfg.Scheme == nil {
-		return nil, errors.New("mux: nil scheme")
-	}
-	if cfg.Scheme.NumShares() < cfg.N {
-		return nil, fmt.Errorf("mux: scheme has %d key-shares for %d participants", cfg.Scheme.NumShares(), cfg.N)
-	}
-	if cfg.SeriesDim <= 0 {
-		return nil, errors.New("mux: series dimension must be positive")
-	}
-	if cfg.Proto.Epsilon <= 0 {
-		return nil, errors.New("mux: epsilon must be positive")
-	}
-	if cfg.Proto.Threshold != 0 {
-		return nil, errors.New("mux: networked runs use the fixed iteration schedule; set Threshold to 0")
-	}
-	if len(kmeans.Compact(cfg.Proto.InitCentroids)) == 0 {
-		return nil, kmeans.ErrNoCentroids
-	}
-	cfg.Proto = cfg.Proto.Normalize(cfg.N)
-	if cfg.Proto.DissCycles <= 0 || cfg.Proto.DecryptCycles <= 0 {
-		return nil, errors.New("mux: networked runs need fixed DissCycles and DecryptCycles")
-	}
-	if cfg.Listen == "" {
-		cfg.Listen = "127.0.0.1:0"
-	}
-	if cfg.ExchangeTimeout <= 0 {
-		cfg.ExchangeTimeout = 30 * time.Second
-	}
-	if cfg.Epoch == 0 {
-		cfg.Epoch = cfg.Proto.Seed ^ 0xC41A305C0
-	}
-	pack, err := core.PackingFor(cfg.Proto, cfg.N, cfg.SeriesDim, cfg.Scheme)
-	if err != nil {
-		return nil, fmt.Errorf("mux: %w", err)
-	}
-	sched, err := node.NewScheduleSource(cfg.Proto, cfg.N, cfg.SeriesDim, cfg.Scheme, pack)
+	shared := node.Config{N: cfg.N, Scheme: cfg.Scheme, Proto: cfg.Proto, Epoch: cfg.Epoch, Listen: cfg.Listen, ExchangeTimeout: cfg.ExchangeTimeout}
+	dep, err := node.Provision(&shared, cfg.SeriesDim)
 	if err != nil {
 		return nil, err
 	}
-	fullDim := len(kmeans.Compact(cfg.Proto.InitCentroids)) * (cfg.SeriesDim + 1)
-	ln, err := net.Listen("tcp", cfg.Listen)
+	sched, err := node.NewScheduleSource(shared.Proto, shared.N, cfg.SeriesDim, shared.Scheme, dep.Pack)
+	if err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", shared.Listen)
 	if err != nil {
 		return nil, err
 	}
 	h := &Host{
-		cfg:    cfg,
-		lim:    wireproto.NewLimits(cfg.Scheme.CiphertextBytes(), fullDim, cfg.Scheme.Threshold(), cfg.N),
-		epoch:  cfg.Epoch,
-		digest: node.ConfigDigest(cfg.Proto, cfg.N, cfg.SeriesDim, pack),
-		pack:   pack,
-		ln:     ln,
-		addr:   ln.Addr().String(),
-		book:   node.NewBook(cfg.N),
-		sched:  sched,
-		nodes:  make(map[int]*node.Node),
-		stop:   make(chan struct{}),
+		seriesDim: cfg.SeriesDim,
+		bootstrap: cfg.Bootstrap,
+		shared:    shared,
+		dep:       dep,
+		ln:        ln,
+		addr:      ln.Addr().String(),
+		book:      node.NewBook(shared.N),
+		sched:     sched,
+		nodes:     make(map[int]*node.Node),
+		stop:      make(chan struct{}),
 	}
+	h.ep = node.NewEndpoint(&h.shared, dep, h.book, &h.counters, h.reinstate)
 	// Pump pacing draws from the seeded lineage; the stream is keyed by
 	// the host's listen address so co-bootstrapping hosts decorrelate.
-	h.jitter = randx.NewJitter(cfg.Proto.Seed^0x6A177E12, addrStream(h.addr))
+	h.jitter = randx.NewJitter(shared.Proto.Seed^0x6A177E12, addrStream(h.addr))
 	h.wg.Add(1)
 	go h.serve()
 	if cfg.Bootstrap != "" {
@@ -212,19 +181,19 @@ func (h *Host) AddNode(cfg node.Config) (*node.Node, error) {
 	if h.stopped.Load() {
 		return nil, errors.New("mux: host closed")
 	}
-	cfg.N = h.cfg.N
-	cfg.Scheme = h.cfg.Scheme
+	cfg.N = h.shared.N
+	cfg.Scheme = h.shared.Scheme
 	obs := cfg.Proto.Observer // participant-specific; everything else shared
-	cfg.Proto = h.cfg.Proto
+	cfg.Proto = h.shared.Proto
 	cfg.Proto.Observer = obs
 	cfg.External = true
 	cfg.Addr = h.addr
 	cfg.Book = h.book
 	cfg.Schedule = h.sched.View()
-	cfg.Epoch = h.epoch
+	cfg.Epoch = h.shared.Epoch
 	cfg.Bootstrap = ""
-	if len(cfg.Series) != h.cfg.SeriesDim {
-		return nil, fmt.Errorf("mux: node %d series has %d points, host expects %d", cfg.Index, len(cfg.Series), h.cfg.SeriesDim)
+	if len(cfg.Series) != h.seriesDim {
+		return nil, fmt.Errorf("mux: node %d series has %d points, host expects %d", cfg.Index, len(cfg.Series), h.seriesDim)
 	}
 	if cfg.Dialer == nil {
 		cfg.Dialer = h.Transport()
@@ -268,7 +237,7 @@ func (h *Host) Close() error {
 	for _, nd := range h.Nodes() {
 		_ = nd.Close()
 	}
-	h.live.closeAll()
+	h.ep.CloseAll()
 	h.wg.Wait()
 	return err
 }
@@ -283,19 +252,19 @@ func (h *Host) serve() {
 			return // listener closed
 		}
 		h.wg.Add(1)
-		go h.serveConn(h.track(conn))
+		go h.serveConn(h.ep.Track(conn))
 	}
 }
 
 // serveConn reads one frame and routes it: targeted frames go to the
 // virtual node they name (which takes ownership of the connection — the
 // remaining exchange legs travel on it — and of the frame's pooled
-// buffer), untargeted frames are membership traffic the host answers
-// itself against the shared book.
+// buffer), untargeted frames are membership traffic the host's endpoint
+// answers against the shared book, exactly as a standalone node's does.
 func (h *Host) serveConn(conn net.Conn) {
 	defer h.wg.Done()
-	_ = conn.SetReadDeadline(time.Now().Add(h.cfg.ExchangeTimeout))
-	f, err := wireproto.ReadFrame(conn, h.lim.MaxFrameLen)
+	_ = conn.SetReadDeadline(time.Now().Add(h.shared.ExchangeTimeout))
+	f, err := wireproto.ReadFrame(conn, h.dep.Lim.MaxFrameLen)
 	if err != nil {
 		if errors.Is(err, wireproto.ErrMalformed) {
 			h.counters.BadFrames.Add(1)
@@ -303,7 +272,7 @@ func (h *Host) serveConn(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	if f.Epoch == h.epoch && f.Target >= 0 {
+	if f.Epoch == h.shared.Epoch && f.Target >= 0 {
 		h.mu.Lock()
 		nd := h.nodes[f.Target]
 		h.mu.Unlock()
@@ -316,98 +285,23 @@ func (h *Host) serveConn(conn net.Conn) {
 	// Everything below answers from decoded copies: the frame's buffer
 	// goes back to the pool on every path.
 	defer f.Release()
-	if f.Epoch != h.epoch || f.Target >= 0 {
+	if f.Epoch != h.shared.Epoch || f.Target >= 0 {
 		h.counters.Rejected.Add(1)
 		_ = conn.Close()
 		return
 	}
 
 	h.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(-1, len(f.Payload))))
-	_ = conn.SetWriteDeadline(time.Now().Add(h.cfg.ExchangeTimeout))
-	switch f.Kind {
-	case wireproto.KindHello:
-		hello, err := wireproto.UnmarshalHello(f.Payload, h.lim)
-		if err != nil || int(hello.N) != h.cfg.N || int(hello.Index) >= h.cfg.N {
-			h.counters.Rejected.Add(1)
-			_ = conn.Close()
-			return
-		}
-		if hello.Digest != 0 && hello.Digest != h.digest {
-			h.counters.Rejected.Add(1)
-			_ = h.writeFrame(conn, wireproto.KindReject, wireproto.MarshalReject(wireproto.Reject{
-				Reason: fmt.Sprintf("config digest %016x, want %016x (check population/k/frac-bits/pack-slots)", hello.Digest, h.digest),
-			}))
-			_ = conn.Close()
-			return
-		}
-		h.book.Learn(int(hello.Index), hello.Addr)
-		_ = h.writeFrame(conn, wireproto.KindHelloAck, wireproto.MarshalView(h.book.Roster()))
-		_ = conn.Close()
-
-	case wireproto.KindResume:
-		// A crash-recovered peer re-announcing itself: validate like a
-		// hello, then reinstate it with every hosted virtual node — each
-		// keeps its own suspicion overlay over the shared book, and all
-		// of them must stop fast-failing the returned peer.
-		r, err := wireproto.UnmarshalResume(f.Payload, h.lim)
-		if err != nil || int(r.N) != h.cfg.N || int(r.Index) >= h.cfg.N {
-			h.counters.Rejected.Add(1)
-			_ = conn.Close()
-			return
-		}
-		if r.Digest != 0 && r.Digest != h.digest {
-			h.counters.Rejected.Add(1)
-			_ = h.writeFrame(conn, wireproto.KindReject, wireproto.MarshalReject(wireproto.Reject{
-				Reason: fmt.Sprintf("config digest %016x, want %016x (check population/k/frac-bits/pack-slots)", r.Digest, h.digest),
-			}))
-			_ = conn.Close()
-			return
-		}
-		h.book.Learn(int(r.Index), r.Addr)
-		h.mu.Lock()
-		nodes := make([]*node.Node, 0, len(h.nodes))
-		//lint:orderfree every hosted node is reinstated; order is not protocol state
-		for _, nd := range h.nodes {
-			nodes = append(nodes, nd)
-		}
-		h.mu.Unlock()
-		for _, nd := range nodes {
-			nd.Reinstate(int(r.Index))
-		}
-		h.counters.Resumed.Add(1)
-		_ = h.writeFrame(conn, wireproto.KindResumeAck, wireproto.MarshalView(h.book.Roster()))
-		_ = conn.Close()
-
-	case wireproto.KindView:
-		items, err := wireproto.UnmarshalView(f.Payload, h.lim)
-		if err != nil {
-			h.counters.Rejected.Add(1)
-			_ = conn.Close()
-			return
-		}
-		h.book.Merge(items)
-		_ = h.writeFrame(conn, wireproto.KindView, wireproto.MarshalView(h.book.Roster()))
-		_ = conn.Close()
-
-	case wireproto.KindLeave:
-		l, err := wireproto.UnmarshalLeave(f.Payload)
-		if err == nil && int(l.Index) < h.cfg.N {
-			h.book.MarkGone(int(l.Index))
-		}
-		_ = conn.Close()
-
-	default:
-		h.counters.Rejected.Add(1)
-		_ = conn.Close()
-	}
+	h.ep.Answer(conn, f)
 }
 
-func (h *Host) writeFrame(conn net.Conn, kind byte, payload []byte) error {
-	err := wireproto.WriteFrame(conn, kind, h.epoch, payload)
-	if err == nil {
-		h.counters.BytesSent.Add(int64(wireproto.FrameWireSize(-1, len(payload))))
+// reinstate lifts a returning peer's suspicion eviction on every hosted
+// node: each keeps its own overlay over the shared book, and all of
+// them must stop fast-failing the peer.
+func (h *Host) reinstate(peer int) {
+	for _, nd := range h.Nodes() {
+		nd.Reinstate(peer)
 	}
-	return err
 }
 
 // pump is the host's membership loop: it announces itself to the
@@ -444,13 +338,6 @@ func (h *Host) pumpOnce() (ok, done bool) {
 	if h.stopped.Load() {
 		return false, false
 	}
-	conn, err := net.DialTimeout("tcp", h.cfg.Bootstrap, h.cfg.ExchangeTimeout)
-	if err != nil {
-		return true, false
-	}
-	conn = h.track(conn)
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(h.cfg.ExchangeTimeout))
 	first := -1
 	h.mu.Lock()
 	for idx := range h.nodes {
@@ -462,53 +349,20 @@ func (h *Host) pumpOnce() (ok, done bool) {
 	if first < 0 {
 		return true, false // nothing to announce yet
 	}
-	if err := h.writeFrame(conn, wireproto.KindHello, wireproto.MarshalHello(wireproto.Hello{
-		Index: uint32(first), Addr: h.addr, N: uint32(h.cfg.N), Digest: h.digest,
-	})); err != nil {
-		return true, false
-	}
-	f, err := wireproto.ReadFrame(conn, h.lim.MaxFrameLen)
-	if err != nil {
-		return true, false
-	}
-	defer f.Release()
-	h.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(f.Target, len(f.Payload))))
-	if f.Kind == wireproto.KindReject {
-		if r, rerr := wireproto.UnmarshalReject(f.Payload); rerr == nil {
-			h.pumpErr.Store(fmt.Errorf("%w: bootstrap %s: %s", node.ErrConfigMismatch, h.cfg.Bootstrap, r.Reason))
-		}
+	_, err := h.ep.Ask(-1, h.bootstrap, h.shared.ExchangeTimeout, wireproto.KindHello, wireproto.MarshalHello(wireproto.Hello{
+		Index: uint32(first), Addr: h.addr, N: uint32(h.shared.N), Digest: h.dep.Digest,
+	}))
+	if errors.Is(err, node.ErrConfigMismatch) {
+		h.pumpErr.Store(err)
 		return false, false
 	}
-	if f.Kind == wireproto.KindHelloAck {
-		if items, err := wireproto.UnmarshalView(f.Payload, h.lim); err == nil {
-			h.book.Merge(items)
-		}
+	if err != nil {
+		return true, false
 	}
 	// Second leg: push the full local roster so the far side learns
 	// every co-located participant, not just the announcer.
-	conn2, err := net.DialTimeout("tcp", h.cfg.Bootstrap, h.cfg.ExchangeTimeout)
-	if err != nil {
-		return true, false
-	}
-	conn2 = h.track(conn2)
-	defer conn2.Close()
-	_ = conn2.SetDeadline(time.Now().Add(h.cfg.ExchangeTimeout))
-	if err := h.writeFrame(conn2, wireproto.KindView, wireproto.MarshalView(h.book.Roster())); err != nil {
-		return true, false
-	}
-	f2, err := wireproto.ReadFrame(conn2, h.lim.MaxFrameLen)
-	if err != nil {
-		return true, false
-	}
-	defer f2.Release()
-	if f2.Kind == wireproto.KindView {
-		h.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(f2.Target, len(f2.Payload))))
-		if items, err := wireproto.UnmarshalView(f2.Payload, h.lim); err == nil {
-			h.book.Merge(items)
-			return true, covers(items, h.cfg.N)
-		}
-	}
-	return true, false
+	items, err := h.ep.Ask(-1, h.bootstrap, h.shared.ExchangeTimeout, wireproto.KindView, wireproto.MarshalView(h.book.Roster()))
+	return true, err == nil && covers(items, h.shared.N)
 }
 
 // covers reports whether a roster names every participant of a
@@ -548,67 +402,10 @@ func (d hostDialer) Dial(peer int, addr string, timeout time.Duration) (net.Conn
 		h.wg.Add(1)
 		h.mu.Unlock()
 		client, server := newInprocPair()
-		go h.serveConn(h.track(server))
+		go h.serveConn(h.ep.Track(server))
 		return client, nil
 	}
 	return net.DialTimeout("tcp", addr, timeout)
-}
-
-// connSet tracks the host's open connections for prompt shutdown
-// (mirrors the node runtime's set; in-process ends additionally get
-// closed by the virtual node that took ownership — double close is
-// harmless).
-type connSet struct {
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-}
-
-func (cs *connSet) add(c net.Conn) bool {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.closed {
-		return false
-	}
-	if cs.conns == nil {
-		cs.conns = make(map[net.Conn]struct{})
-	}
-	cs.conns[c] = struct{}{}
-	return true
-}
-
-func (cs *connSet) remove(c net.Conn) {
-	cs.mu.Lock()
-	delete(cs.conns, c)
-	cs.mu.Unlock()
-}
-
-func (cs *connSet) closeAll() {
-	cs.mu.Lock()
-	cs.closed = true
-	conns := cs.conns
-	cs.conns = nil
-	cs.mu.Unlock()
-	for c := range conns {
-		_ = c.Close()
-	}
-}
-
-type trackedConn struct {
-	net.Conn
-	h *Host
-}
-
-func (c *trackedConn) Close() error {
-	c.h.live.remove(c.Conn)
-	return c.Conn.Close()
-}
-
-func (h *Host) track(conn net.Conn) net.Conn {
-	if !h.live.add(conn) {
-		_ = conn.Close()
-	}
-	return &trackedConn{Conn: conn, h: h}
 }
 
 // addrStream folds an address string into a jitter stream id (FNV-1a).

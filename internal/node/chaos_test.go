@@ -209,9 +209,9 @@ func TestRetryRecoversExchange(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ndB.respondDiss(stB, s, 0)
+		ndB.respond(phaseDiss, stB, s, 0)
 	}()
-	ndA.initiateDiss(stA, 1, s, true)
+	ndA.initiate(phaseDiss, stA, 1, s, true)
 	<-done
 
 	// Both sides adopted the smaller correction identifier.
@@ -275,11 +275,11 @@ func TestSuspicionEvictsPeer(t *testing.T) {
 	nd.book.Learn(1, "127.0.0.1:1") // reachable on paper, refused on dial
 	st := &iterState{CorVec: []float64{1}}
 
-	nd.initiateDiss(st, 1, slot{iter: 1, phase: phaseDiss, cycle: 0, seq: 0}, true)
+	nd.initiate(phaseDiss, st, 1, slot{iter: 1, phase: phaseDiss, cycle: 0, seq: 0}, true)
 	if got := nd.book.Addr(1); got == "" {
 		t.Fatal("one failure already evicted the peer (SuspicionK = 2)")
 	}
-	nd.initiateDiss(st, 1, slot{iter: 1, phase: phaseDiss, cycle: 1, seq: 0}, true)
+	nd.initiate(phaseDiss, st, 1, slot{iter: 1, phase: phaseDiss, cycle: 1, seq: 0}, true)
 
 	if got := nd.book.Addr(1); got != "" {
 		// evicted: addr must be gone
@@ -295,7 +295,7 @@ func TestSuspicionEvictsPeer(t *testing.T) {
 	// The third slot fast-fails on the missing address: one timeout, no
 	// retries burned, no second eviction.
 	before := c.Timeouts
-	nd.initiateDiss(st, 1, slot{iter: 1, phase: phaseDiss, cycle: 2, seq: 0}, true)
+	nd.initiate(phaseDiss, st, 1, slot{iter: 1, phase: phaseDiss, cycle: 2, seq: 0}, true)
 	c = nd.Counters()
 	if c.Timeouts != before+1 || c.Retries != 0 {
 		t.Fatalf("evicted-peer slot recorded timeouts %d→%d retries %d, want one fast-fail and zero retries",
@@ -414,9 +414,9 @@ func TestResponderSurvivesFinCut(t *testing.T) {
 	start := time.Now()
 	go func() {
 		defer close(done)
-		ndB.respondDiss(stB, s, 0)
+		ndB.respond(phaseDiss, stB, s, 0)
 	}()
-	ndA.initiateDiss(stA, 1, s, true)
+	ndA.initiate(phaseDiss, stA, 1, s, true)
 	<-done
 	elapsed := time.Since(start)
 

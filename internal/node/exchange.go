@@ -2,7 +2,6 @@ package node
 
 import (
 	"errors"
-	"net"
 	"time"
 
 	"chiaroscuro/internal/eesum"
@@ -31,11 +30,6 @@ func wireSide(s *eesum.SumSide) wireproto.SumSide {
 // journal checkpoint, with a zero header) sends it.
 func sumOut(st *iterState, hdr wireproto.ExchangeHdr) *wireproto.SumOut {
 	return &wireproto.SumOut{Hdr: hdr, Means: wireSide(&st.Means), Noise: wireSide(&st.Noise), CtrSigma: st.CtrS, CtrOmega: st.CtrW}
-}
-
-// sumPeer materializes a scanned sum leg as the machine's peer.
-func sumPeer(v wireproto.SumView) eesum.SumPeer {
-	return eesum.SumPeer{Means: v.Means.State(), Noise: v.Noise.State(), CtrS: v.CtrSigma, CtrW: v.CtrOmega}
 }
 
 // decOut is the iteration's decryption state in sending form.
@@ -105,14 +99,15 @@ func (nd *Node) crashes(leg int, s slot) bool {
 	return nd.crashHook != nil && nd.crashHook(leg, s.phase, s.iter, s.cycle, s.seq)
 }
 
-// initiateWith drives one initiator slot under the fault policy: run
-// attempts until one commits, a terminal outcome lands, or the retry
-// budget is spent, backing off between attempts with capped jitter.
-// Suspicion strikes are charged to the peer on terminal failures and
-// cleared on commit.
-func (nd *Node) initiateWith(peer int, s slot, try func() tryOutcome) {
+// initiate drives one initiator slot of a phase's exchange under the
+// fault policy: run attempts until one commits, a terminal outcome
+// lands, or the retry budget is spent, backing off between attempts
+// with capped jitter. Suspicion strikes are charged to the peer on
+// terminal failures and cleared on commit.
+func (nd *Node) initiate(phase int, st *iterState, peer int, s slot, full bool) {
+	ex := &phases[phase]
 	for attempt := 0; ; attempt++ {
-		switch try() {
+		switch ex.initiate(nd, ex.req, st, peer, s, full) {
 		case tryCommitted:
 			nd.peerOK(peer)
 			return
@@ -140,18 +135,18 @@ func (nd *Node) initiateWith(peer int, s slot, try func() tryOutcome) {
 	}
 }
 
-// respondWith drives one responder slot in slot order: await the
-// request, serve it, and — when a pre-commit connection failure suggests
-// the initiator failed before its own merge and will redial — re-await
-// the slot within its absolute deadline. The serve callback commits at
-// most once; every re-served attempt starts from the same untouched
-// state, so the response bytes are identical across attempts. from is
-// the scheduled initiator: when it is known-unreachable (crash-suspected
-// or departed) the wait is cut short instead of burning the deadline —
-// under a restart storm those abandoned waits, 50 slots × the full
-// exchange timeout per storm, were the collapse from 227 to 1.45
-// cycles/s the crash-storm soak measured.
-func (nd *Node) respondWith(s slot, from int, serve func(in *inbound) tryOutcome) {
+// respond drives one responder slot of a phase's exchange in slot
+// order: await the request, serve it, and — when a pre-commit
+// connection failure suggests the initiator failed before its own merge
+// and will redial — re-await the slot within its absolute deadline. A
+// served attempt commits at most once; every re-served attempt starts
+// from the same untouched state, so the response bytes are identical
+// across attempts. from is the scheduled initiator: when it is
+// known-unreachable (crash-suspected or departed) the wait is cut short
+// instead of burning the deadline — under a restart storm those
+// abandoned waits, 50 slots × the full exchange timeout per storm, were
+// the collapse from 227 to 1.45 cycles/s the crash-storm soak measured.
+func (nd *Node) respond(phase int, st *iterState, s slot, from int) {
 	defer nd.reg.release(s)
 	deadline := time.Now().Add(nd.cfg.ExchangeTimeout)
 	wait := nd.cfg.ExchangeTimeout
@@ -161,14 +156,25 @@ func (nd *Node) respondWith(s slot, from int, serve func(in *inbound) tryOutcome
 			nd.counters.Timeouts.Add(1)
 			return
 		}
-		out := serve(&in)
-		_ = in.conn.Close()
-		in.frame.Release()
+		out := nd.serveSlot(phase, st, s, from, in)
 		if !nd.bookResponse(out, attempt, deadline) {
 			return
 		}
 		wait = nd.redialWindow(out)
 	}
+}
+
+// serveSlot serves one attempt at a responder slot of a phase's
+// exchange: the one responder, run by the main loop in slot order while
+// st can still change, and by whichever goroutine delivered the request
+// once st is settled (servePassive) — when preparing and committing
+// find nothing to compute or change, and all that remains of the
+// exchange is the same validation, the same three legs and the same
+// commit record. It owns in: the connection is closed and the frame
+// released.
+func (nd *Node) serveSlot(phase int, st *iterState, s slot, from int, in inbound) tryOutcome {
+	ex := &phases[phase]
+	return ex.respond(nd, ex.req, st, s, from, in)
 }
 
 // bookResponse counts one served attempt of a responder slot and
@@ -208,15 +214,13 @@ func (nd *Node) redialWindow(out tryOutcome) time.Duration {
 
 // servePassive serves a claimed tail slot on the goroutine that
 // delivered its request (or, for requests parked before the node
-// settled, on the main loop as it settles): the same serve, the same
-// bookkeeping and the same redial rules as respondWith, minus the wait
+// settled, on the main loop as it settles): the same serveSlot, the
+// same bookkeeping and the same redial rules as respond, minus the wait
 // for the slot's turn. The loop only continues with a redial that
 // parked while the previous attempt was still running.
 func (nd *Node) servePassive(t *tailSlot, in inbound) {
 	for {
-		out := nd.serveDec(t.st, t.s, t.from, &in)
-		_ = in.conn.Close()
-		in.frame.Release()
+		out := nd.serveSlot(t.s.phase, t.st, t.s, t.from, in)
 		reopen := nd.bookResponse(out, t.attempts, nd.reg.tailDeadline(t))
 		var ok bool
 		if in, ok = nd.reg.finish(t, reopen, nd.redialWindow(out)); !ok {
@@ -296,264 +300,271 @@ func dialOutcome(err error) tryOutcome {
 	return tryRetry
 }
 
-// sendFin emits the commit leg unless the crash hook kills the exchange
-// here. Modeled mid-exchange churn (full=false in the schedule) sends
-// an explicit abort so the responder resolves instantly; the slow path
-// — saying nothing and letting the responder's fin timeout fire — is
-// what a genuine crash produces, with the identical half-completed
-// outcome.
-func (nd *Node) sendFin(conn net.Conn, kind byte, hdr wireproto.ExchangeHdr, s slot, full bool, msg func(wireproto.ExchangeHdr) wireproto.Message) {
-	if nd.crashes(LegFin, s) {
-		return // simulated crash between the merge and FIN
-	}
-	if !full {
-		hdr.Flags |= wireproto.FlagAbort
-	}
-	_ = nd.writeMsg(conn, kind, -1, msg(hdr))
+// --- the exchange every phase runs ---
+
+// half is one side of a phase's exchange in flight: the peer's scanned
+// leg and whatever this side prepared from it. initiateLegs and
+// respondLegs run the legs every phase shares — dial, crash hooks, the
+// request, the response, the machine transition, the journal commit,
+// the fin — and a phase's half supplies only what differs: what its
+// legs carry, how the peer's leg is vetted and which eesum.Participant
+// transition commits it. The engine is generic over the half, so a
+// half travels by value from the scan to the commit and no scanned view
+// is boxed onto the heap. Each step's half is a variable of its own, not
+// one reassigned: the compiler then shares their stack slots, and the
+// engine's frames — under every crypto call of an exchange — stay some
+// 180 B smaller (PERF.md).
+type half[H any] interface {
+	// scan decodes and vets the peer's state leg — the request, or the
+	// response — and returns it with its header.
+	scan(nd *Node, st *iterState, payload []byte) (H, wireproto.ExchangeHdr, bool)
+	// prepare computes this side's half from both pre-exchange states,
+	// before either changes; full is false when the exchange is to end
+	// half-completed.
+	prepare(st *iterState, full bool) H
+	// holdsLeg reports whether the responder's commit still reads the
+	// request: when it does not, the request's buffer goes back to the
+	// pool before the two network waits.
+	holdsLeg() bool
+	// out is this side's state leg: the request (of the zero half) or
+	// the response.
+	out(st *iterState, hdr wireproto.ExchangeHdr) wireproto.Message
+	// fin is the initiator's commit leg, and scanFin decodes it.
+	fin(hdr wireproto.ExchangeHdr) wireproto.Message
+	scanFin(nd *Node, payload []byte) (H, wireproto.ExchangeHdr, error)
+	// commit applies this side's machine transition.
+	commit(nd *Node, st *iterState, peer int, initiator bool)
 }
 
-// bareFin is the payload of a sum or dissemination commit leg.
-func bareFin(h wireproto.ExchangeHdr) wireproto.Message { return wireproto.Fin{Hdr: h} }
-
-// --- sum phase (encrypted means + noise lockstep + counter) ---
-
-func (nd *Node) initiateSum(st *iterState, peer int, s slot, full bool) {
-	nd.initiateWith(peer, s, func() tryOutcome {
-		conn, err := nd.dial(peer)
-		if err != nil {
-			return dialOutcome(err)
-		}
-		defer conn.Close()
-		if nd.crashes(LegReq, s) {
-			return tryHalf
-		}
-		hdr := nd.hdrFor(s, peer)
-		// Request legs carry the destination index so a multiplexed
-		// listener can route them; later legs ride the routed connection.
-		if err := nd.writeMsg(conn, wireproto.KindSumReq, peer, sumOut(st, hdr)); err != nil {
-			return tryRetry
-		}
-		f, err := nd.readFrame(conn)
-		defer f.Release()
-		if err != nil || f.Kind != wireproto.KindSumResp {
-			return tryRetry
-		}
-		resp, err := wireproto.ScanSum(f.Payload, nd.lim)
-		if err != nil || !nd.validSumState(resp.Means, len(st.Means.CTs)) || !nd.validSumState(resp.Noise, len(st.Noise.CTs)) {
-			return tryReject
-		}
-		// Initiator half: the commit point. Applied exactly once — no
-		// failure after this line is ever retried.
-		st.CommitSum(sumPeer(resp), true)
-		nd.commit(s, st, true)
-		nd.sendFin(conn, wireproto.KindSumFin, hdr, s, full, bareFin)
-		return tryCommitted
-	})
+// phases holds each phase's exchange by phase rank: the kind of its
+// request leg — its response and fin are the next two kinds — and the
+// two attempts run with its half.
+var phases = [...]struct {
+	req      byte
+	initiate func(nd *Node, req byte, st *iterState, peer int, s slot, full bool) tryOutcome
+	respond  func(nd *Node, req byte, st *iterState, s slot, from int, in inbound) tryOutcome
+}{
+	phaseSum:  {wireproto.KindSumReq, initiateLegs[sumHalf], respondLegs[sumHalf]},
+	phaseDiss: {wireproto.KindDissReq, initiateLegs[dissHalf], respondLegs[dissHalf]},
+	phaseDec:  {wireproto.KindDecReq, initiateLegs[decHalf], respondLegs[decHalf]},
 }
 
-func (nd *Node) respondSum(st *iterState, s slot, from int) {
-	nd.respondWith(s, from, func(in *inbound) tryOutcome {
-		req, err := wireproto.ScanSum(in.frame.Payload, nd.lim)
-		if err != nil || int(req.Hdr.From) != from ||
-			!nd.validSumState(req.Means, len(st.Means.CTs)) || !nd.validSumState(req.Noise, len(st.Noise.CTs)) {
-			return tryReject
+// requestPhase returns the phase whose request leg is of the kind, or
+// -1.
+func requestPhase(kind byte) int {
+	for phase := range phases {
+		if phases[phase].req == kind {
+			return phase
 		}
-		if nd.crashes(LegResp, s) {
-			return tryHalf
-		}
-		if err := nd.writeMsg(in.conn, wireproto.KindSumResp, -1, sumOut(st, req.Hdr)); err != nil {
-			return tryRetry
-		}
-		fin, out := nd.awaitFin(in.conn, wireproto.KindSumFin)
-		if out != tryCommitted {
-			return out
-		}
-		if fin.Flags&wireproto.FlagAbort != 0 {
-			return tryHalf // modeled mid-exchange churn
-		}
-		// Responder half: applied only once the fin says the initiator
-		// committed.
-		st.CommitSum(sumPeer(req), false)
-		nd.commit(s, st, false)
-		return tryCommitted
-	})
-}
-
-// awaitFin reads the commit leg with the fin deadline. A clean read
-// returns tryCommitted; a lost or mistyped fin returns tryFinLost; a
-// fin that arrived but does not decode is a tryReject.
-func (nd *Node) awaitFin(conn net.Conn, wantKind byte) (wireproto.ExchangeHdr, tryOutcome) {
-	_ = conn.SetReadDeadline(time.Now().Add(nd.cfg.FinTimeout))
-	f, err := nd.readFrame(conn)
-	defer f.Release()
-	if err != nil || f.Kind != wantKind {
-		return wireproto.ExchangeHdr{}, tryFinLost
 	}
-	hdr, err := wireproto.PeekHdr(f.Payload)
+	return -1
+}
+
+// initiateLegs is one attempt at an initiator slot.
+func initiateLegs[H half[H]](nd *Node, req byte, st *iterState, peer int, s slot, full bool) tryOutcome {
+	conn, err := nd.dial(peer)
 	if err != nil {
-		return wireproto.ExchangeHdr{}, tryReject
+		return dialOutcome(err)
 	}
-	return hdr, tryCommitted
-}
-
-// --- correction dissemination phase ---
-
-func (nd *Node) initiateDiss(st *iterState, peer int, s slot, full bool) {
-	nd.initiateWith(peer, s, func() tryOutcome {
-		conn, err := nd.dial(peer)
-		if err != nil {
-			return dialOutcome(err)
-		}
-		defer conn.Close()
-		if nd.crashes(LegReq, s) {
-			return tryHalf
-		}
-		hdr := nd.hdrFor(s, peer)
-		req := wireproto.DissMsg{Hdr: hdr, ID: st.CorID, Vec: st.CorVec}
-		if err := nd.writeMsg(conn, wireproto.KindDissReq, peer, &req); err != nil {
-			return tryRetry
-		}
-		f, err := nd.readFrame(conn)
-		defer f.Release()
-		if err != nil || f.Kind != wireproto.KindDissResp {
-			return tryRetry
-		}
-		resp, err := wireproto.UnmarshalDiss(f.Payload, nd.lim)
-		if err != nil || len(resp.Vec) != len(st.CorVec) {
-			return tryReject
-		}
-		// Commit point.
-		st.CommitCorrection(resp.ID, resp.Vec)
-		nd.commit(s, st, true)
-		nd.sendFin(conn, wireproto.KindDissFin, hdr, s, full, bareFin)
-		return tryCommitted
-	})
-}
-
-func (nd *Node) respondDiss(st *iterState, s slot, from int) {
-	nd.respondWith(s, from, func(in *inbound) tryOutcome {
-		req, err := wireproto.UnmarshalDiss(in.frame.Payload, nd.lim)
-		if err != nil || int(req.Hdr.From) != from || len(req.Vec) != len(st.CorVec) {
-			return tryReject
-		}
-		if nd.crashes(LegResp, s) {
-			return tryHalf
-		}
-		resp := wireproto.DissMsg{Hdr: req.Hdr, ID: st.CorID, Vec: st.CorVec}
-		if err := nd.writeMsg(in.conn, wireproto.KindDissResp, -1, &resp); err != nil {
-			return tryRetry
-		}
-		fin, out := nd.awaitFin(in.conn, wireproto.KindDissFin)
-		if out != tryCommitted {
-			return out
-		}
-		if fin.Flags&wireproto.FlagAbort != 0 {
-			return tryHalf
-		}
-		st.CommitCorrection(req.ID, req.Vec)
-		nd.commit(s, st, false)
-		return tryCommitted
-	})
-}
-
-// --- epidemic decryption phase ---
-
-// commitDecLeg commits this side's decryption transition with the key-share
-// the peer sent on its response or fin leg. A share the state wanted but
-// that is not a valid one — a full-length vector under the peer's share
-// index — is dropped and counted as rejected.
-func (nd *Node) commitDecLeg(st *iterState, x eesum.DecPrep, peerShare int, fresh homenc.PartialsView) {
-	var ps *homenc.Partials
-	bad := fresh.Len() > 0 && !validPartials(fresh, peerShare, st.DecCTs.Len())
-	if fresh.Len() > 0 && !bad {
-		ps = fresh.Copy()
+	defer conn.Close()
+	if nd.crashes(LegReq, s) {
+		return tryHalf
 	}
-	if st.CommitDec(x, peerShare, ps) && bad {
-		nd.counters.Rejected.Add(1)
+	var zero H
+	hdr := nd.hdrFor(s, peer)
+	// Request legs carry the destination index so a multiplexed
+	// listener can route them; later legs ride the routed connection.
+	if err := nd.writeMsg(conn, req, peer, zero.out(st, hdr)); err != nil {
+		return tryRetry
 	}
+	f, err := nd.ep.read(conn)
+	defer f.Release()
+	if err != nil || f.Kind != req+1 {
+		return tryRetry
+	}
+	resp, _, ok := zero.scan(nd, st, f.Payload)
+	if !ok {
+		return tryReject
+	}
+	// Initiator half: the commit point. Applied exactly once — no
+	// failure after this line is ever retried.
+	h := resp.prepare(st, full)
+	h.commit(nd, st, peer, true)
+	nd.commit(s, st, true)
+	// The fin, unless the crash hook kills the exchange between the
+	// merge and the fin. Modeled mid-exchange churn (full=false in the
+	// schedule) sends an explicit abort so the responder resolves
+	// instantly; the slow path — saying nothing and letting the
+	// responder's fin timeout fire — is what a genuine crash produces,
+	// with the identical half-completed outcome.
+	if !nd.crashes(LegFin, s) {
+		if !full {
+			hdr.Flags |= wireproto.FlagAbort
+		}
+		_ = nd.writeMsg(conn, req+2, -1, h.fin(hdr))
+	}
+	return tryCommitted
 }
 
-func (nd *Node) initiateDec(st *iterState, peer int, s slot, full bool) {
-	nd.initiateWith(peer, s, func() tryOutcome {
-		conn, err := nd.dial(peer)
-		if err != nil {
-			return dialOutcome(err)
-		}
-		defer conn.Close()
-		if nd.crashes(LegReq, s) {
-			return tryHalf
-		}
-		hdr := nd.hdrFor(s, peer)
-		if err := nd.writeMsg(conn, wireproto.KindDecReq, peer, decOut(st, hdr, nil)); err != nil {
-			return tryRetry
-		}
-		f, err := nd.readFrame(conn)
-		defer f.Release()
-		if err != nil || f.Kind != wireproto.KindDecResp {
-			return tryRetry
-		}
-		resp, err := wireproto.ScanDec(f.Payload, nd.lim)
-		if err != nil || !validDecState(resp, st.DecCTs.Len(), nd.cfg.Scheme.NumShares()) {
-			return tryReject
-		}
-		// The fin leg carries this side's key-share over the responder's
-		// post-adoption ciphertexts; a half-completed exchange sends none.
-		x := eesum.PrepareDec(st, resp, full)
-		nd.commitDecLeg(st, x, peer+1, resp.Fresh)
-		nd.commit(s, st, true)
-
-		nd.sendFin(conn, wireproto.KindDecFin, hdr, s, full, func(h wireproto.ExchangeHdr) wireproto.Message {
-			return &wireproto.DecMsg{Hdr: h, Fresh: x.Fresh}
-		})
-		return tryCommitted
-	})
-}
-
-func (nd *Node) respondDec(st *iterState, s slot, from int) {
-	nd.respondWith(s, from, func(in *inbound) tryOutcome { return nd.serveDec(st, s, from, in) })
-}
-
-// serveDec serves one attempt at a decryption responder slot. It is the
-// one responder half of the phase: run by the main loop in slot order
-// while st can still change, and by whichever goroutine delivered the
-// request once st is settled — when PrepareDec and CommitDec find
-// nothing to compute or change, and all that remains of the exchange is
-// the same validation, the same three legs and the same commit record.
-func (nd *Node) serveDec(st *iterState, s slot, from int, in *inbound) tryOutcome {
-	req, err := wireproto.ScanDec(in.frame.Payload, nd.lim)
-	if err != nil || int(req.Hdr.From) != from || !validDecState(req, st.DecCTs.Len(), nd.cfg.Scheme.NumShares()) {
+// respondLegs is one attempt at a responder slot, serving the request
+// in, whose connection and frame it owns. A lost or mistyped fin is a
+// tryFinLost; a fin that arrived but does not decode is a tryReject.
+func respondLegs[H half[H]](nd *Node, req byte, st *iterState, s slot, from int, in inbound) tryOutcome {
+	defer in.conn.Close()
+	defer in.frame.Release()
+	var zero H
+	reqLeg, hdr, ok := zero.scan(nd, st, in.frame.Payload)
+	if !ok || int(hdr.From) != from {
 		return tryReject
 	}
 	if nd.crashes(LegResp, s) {
 		return tryHalf
 	}
-	// The response carries this side's key-share over the initiator's
-	// post-adoption ciphertexts, computed before any commit. Nothing of
-	// the request outlives the preparation — a state to adopt is
-	// detached from it — so its buffer goes back before the two network
-	// waits.
-	x := eesum.PrepareDec(st, req, true)
-	hdr := req.Hdr
-	in.frame.Release()
-	if err := nd.writeMsg(in.conn, wireproto.KindDecResp, -1, decOut(st, hdr, x.Fresh)); err != nil {
+	// The response is this side's pre-merge state, and whatever it
+	// carries for the initiator is computed before any commit.
+	h := reqLeg.prepare(st, true)
+	if !h.holdsLeg() {
+		in.frame.Release()
+	}
+	if err := nd.writeMsg(in.conn, req+1, -1, h.out(st, hdr)); err != nil {
 		return tryRetry
 	}
 	_ = in.conn.SetReadDeadline(time.Now().Add(nd.cfg.FinTimeout))
-	f, err := nd.readFrame(in.conn)
+	f, err := nd.ep.read(in.conn)
 	defer f.Release()
-	if err != nil || f.Kind != wireproto.KindDecFin {
+	if err != nil || f.Kind != req+2 {
 		return tryFinLost
 	}
-	fin, err := wireproto.ScanDec(f.Payload, nd.lim)
+	done, fin, err := h.scanFin(nd, f.Payload)
 	if err != nil {
 		return tryReject
 	}
-	if fin.Hdr.Flags&wireproto.FlagAbort != 0 {
-		return tryHalf
+	if fin.Flags&wireproto.FlagAbort != 0 {
+		return tryHalf // modeled mid-exchange churn
 	}
-	nd.commitDecLeg(st, x, from+1, fin.Fresh)
+	// Responder half: applied only once the fin says the initiator
+	// committed.
+	done.commit(nd, st, from, false)
 	nd.commit(s, st, false)
 	return tryCommitted
+}
+
+// --- sum phase (encrypted means + noise lockstep + counter) ---
+
+// sumHalf: either state leg carries the side's two EESum states and its
+// counter, the fin is bare, and either side commits Algorithm 2's update
+// rule against the other's state, read off its leg.
+type sumHalf struct{ peer wireproto.SumView }
+
+func (sumHalf) scan(nd *Node, st *iterState, payload []byte) (sumHalf, wireproto.ExchangeHdr, bool) {
+	v, err := wireproto.ScanSum(payload, nd.lim)
+	return sumHalf{v}, v.Hdr, err == nil && nd.validSumState(v.Means, len(st.Means.CTs)) && nd.validSumState(v.Noise, len(st.Noise.CTs))
+}
+
+func (h sumHalf) prepare(*iterState, bool) sumHalf { return h }
+
+func (sumHalf) holdsLeg() bool { return true }
+
+func (sumHalf) out(st *iterState, hdr wireproto.ExchangeHdr) wireproto.Message {
+	return sumOut(st, hdr)
+}
+
+func (sumHalf) fin(hdr wireproto.ExchangeHdr) wireproto.Message { return wireproto.Fin{Hdr: hdr} }
+
+func (h sumHalf) scanFin(_ *Node, payload []byte) (sumHalf, wireproto.ExchangeHdr, error) {
+	hdr, err := wireproto.PeekHdr(payload)
+	return h, hdr, err
+}
+
+func (h sumHalf) commit(_ *Node, st *iterState, _ int, initiator bool) {
+	v := h.peer
+	st.CommitSum(eesum.SumPeer{Means: v.Means.State(), Noise: v.Noise.State(), CtrS: v.CtrSigma, CtrW: v.CtrOmega}, initiator)
+}
+
+// --- correction dissemination phase ---
+
+// dissHalf: either state leg carries the side's correction proposal,
+// the fin is bare, and either side keeps the smaller identifier.
+type dissHalf struct{ peer wireproto.DissMsg }
+
+func (dissHalf) scan(nd *Node, st *iterState, payload []byte) (dissHalf, wireproto.ExchangeHdr, bool) {
+	m, err := wireproto.UnmarshalDiss(payload, nd.lim)
+	return dissHalf{m}, m.Hdr, err == nil && len(m.Vec) == len(st.CorVec)
+}
+
+func (h dissHalf) prepare(*iterState, bool) dissHalf { return h }
+
+func (dissHalf) holdsLeg() bool { return false } // the proposal is decoded, not viewed
+
+func (dissHalf) out(st *iterState, hdr wireproto.ExchangeHdr) wireproto.Message {
+	return &wireproto.DissMsg{Hdr: hdr, ID: st.CorID, Vec: st.CorVec}
+}
+
+func (dissHalf) fin(hdr wireproto.ExchangeHdr) wireproto.Message { return wireproto.Fin{Hdr: hdr} }
+
+func (h dissHalf) scanFin(_ *Node, payload []byte) (dissHalf, wireproto.ExchangeHdr, error) {
+	hdr, err := wireproto.PeekHdr(payload)
+	return h, hdr, err
+}
+
+func (h dissHalf) commit(_ *Node, st *iterState, _ int, _ bool) {
+	st.CommitCorrection(h.peer.ID, h.peer.Vec)
+}
+
+// --- epidemic decryption phase ---
+
+// decHalf: either state leg carries the side's decryption state; the
+// response and the fin carry the sender's key-share over the receiver's
+// post-adoption ciphertexts (a half-completed exchange's fin carries
+// none), and either side commits the adopt-then-apply rule with the
+// share it received.
+type decHalf struct {
+	peer wireproto.DecView // the peer's latest leg: its state, then (responder) its fin
+	prep eesum.DecPrep
+}
+
+func (decHalf) scan(nd *Node, st *iterState, payload []byte) (decHalf, wireproto.ExchangeHdr, bool) {
+	v, err := wireproto.ScanDec(payload, nd.lim)
+	return decHalf{peer: v}, v.Hdr, err == nil && validDecState(v, st.DecCTs.Len(), nd.cfg.Scheme.NumShares())
+}
+
+func (h decHalf) prepare(st *iterState, full bool) decHalf {
+	h.prep = eesum.PrepareDec(st, h.peer, full)
+	return h
+}
+
+// holdsLeg: prepare detaches a state to adopt from the request, and the
+// share the responder commits arrives on the fin.
+func (decHalf) holdsLeg() bool { return false }
+
+func (h decHalf) out(st *iterState, hdr wireproto.ExchangeHdr) wireproto.Message {
+	return decOut(st, hdr, h.prep.Fresh)
+}
+
+func (h decHalf) fin(hdr wireproto.ExchangeHdr) wireproto.Message {
+	return &wireproto.DecMsg{Hdr: hdr, Fresh: h.prep.Fresh}
+}
+
+func (h decHalf) scanFin(nd *Node, payload []byte) (decHalf, wireproto.ExchangeHdr, error) {
+	v, err := wireproto.ScanDec(payload, nd.lim)
+	h.peer = v
+	return h, v.Hdr, err
+}
+
+// commit applies the key-share the peer sent on its response or fin
+// leg. A share the state wanted but that is not a valid one — a
+// full-length vector under the peer's share index — is dropped and
+// counted as rejected.
+func (h decHalf) commit(nd *Node, st *iterState, peer int, _ bool) {
+	fresh, share := h.peer.Fresh, peer+1
+	bad := fresh.Len() > 0 && !validPartials(fresh, share, st.DecCTs.Len())
+	var ps *homenc.Partials
+	if fresh.Len() > 0 && !bad {
+		ps = fresh.Copy()
+	}
+	if st.CommitDec(h.prep, share, ps) && bad {
+		nd.counters.Rejected.Add(1)
+	}
 }
 
 // validPartials checks a scanned partial vector claims the expected

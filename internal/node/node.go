@@ -30,7 +30,18 @@
 // dies after RESP leaves the initiator with exactly the half-completed
 // state of the paper's Section 6.1.5 churn model; a FIN that never
 // arrives (initiator crash, or modeled churn's abort flag) leaves the
-// responder untouched the same way.
+// responder untouched the same way. All three phases run this one
+// exchange (initiateLegs, respondLegs); a phase only supplies what its
+// legs carry, how the peer's leg is vetted and which eesum.Participant
+// transition commits it (its half). A phase's legs are numbered from
+// its request kind: REQ, RESP and FIN are base, base+1 and base+2
+// (0x10, 0x20 and 0x30 for the sum, the dissemination and the
+// decryption).
+//
+// Membership. The hello, resume, view and leave round trips are
+// answered and asked by an Endpoint, which a mux.Host shares with its
+// virtual nodes: a standalone node and a host answer every membership
+// frame alike.
 package node
 
 import (
@@ -199,7 +210,7 @@ type Node struct {
 
 	ln   net.Listener // nil for external (mux-hosted) nodes
 	addr string
-	live connSet // every open conn, closable on shutdown
+	ep   *Endpoint // connections, framing accounting, membership
 
 	book       *Book
 	sharedBook bool // book is shared with co-located participants
@@ -216,7 +227,6 @@ type Node struct {
 	phaseNow atomic.Int64 // current phase rank, for metrics
 
 	policy     Policy
-	dialer     Dialer
 	crashHook  CrashHook
 	commitHook CommitHook
 
@@ -259,102 +269,89 @@ type Node struct {
 	wg        sync.WaitGroup
 }
 
-// connSet tracks every open connection of a node so shutdown can close
-// them all: a blocked read or write then returns immediately instead of
-// burning its full exchange deadline, which is what makes context
-// cancellation prompt.
-type connSet struct {
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
+// Deployment is what every participant of a population derives alike
+// from the shared provisioning (Provision).
+type Deployment struct {
+	Pack   homenc.PackedCodec // the slot layout ciphertext vectors travel in
+	Lim    wireproto.Limits   // the wire decoders' bounds
+	Digest uint64             // ConfigDigest, compared by the hello handshake
 }
 
-// add registers a connection; it reports false (and the caller must
-// treat the conn as dead) when the set already shut down.
-func (cs *connSet) add(c net.Conn) bool {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if cs.closed {
-		return false
-	}
-	if cs.conns == nil {
-		cs.conns = make(map[net.Conn]struct{})
-	}
-	cs.conns[c] = struct{}{}
-	return true
-}
-
-func (cs *connSet) remove(c net.Conn) {
-	cs.mu.Lock()
-	delete(cs.conns, c)
-	cs.mu.Unlock()
-}
-
-// closeAll closes every tracked connection and refuses future adds.
-func (cs *connSet) closeAll() {
-	cs.mu.Lock()
-	cs.closed = true
-	conns := cs.conns
-	cs.conns = nil
-	cs.mu.Unlock()
-	//lint:orderfree every connection is closed; close order is not protocol state
-	for c := range conns {
-		_ = c.Close()
-	}
-}
-
-// trackedConn removes itself from the node's live set on Close, so the
-// set only holds genuinely open connections.
-type trackedConn struct {
-	net.Conn
-	nd *Node
-}
-
-func (c *trackedConn) Close() error {
-	c.nd.live.remove(c.Conn)
-	return c.Conn.Close()
-}
-
-// track registers a fresh connection with the node's live set and wraps
-// it so its Close deregisters it. A conn arriving after shutdown is
-// closed immediately (subsequent I/O fails fast).
-func (nd *Node) track(conn net.Conn) net.Conn {
-	if !nd.live.add(conn) {
-		_ = conn.Close()
-	}
-	return &trackedConn{Conn: conn, nd: nd}
-}
-
-// New validates the configuration, normalizes the shared protocol
-// parameters exactly as the simulator does, and starts the listener.
-func New(cfg Config) (*Node, error) {
+// Provision validates what every participant of a population shares —
+// N, Scheme, Proto, Epoch, Listen, ExchangeTimeout and Dialer of cfg —
+// for series of seriesDim points, fills in their defaults, normalizes
+// Proto exactly as the simulator does, and derives the Deployment.
+// New and mux.NewHost both provision through it, so a host performs
+// exactly the checks each of its virtual nodes does.
+func Provision(cfg *Config, seriesDim int) (Deployment, error) {
 	if cfg.N < 2 {
-		return nil, errors.New("node: population must be at least 2")
-	}
-	if cfg.Index < 0 || cfg.Index >= cfg.N {
-		return nil, fmt.Errorf("node: index %d out of range for population %d", cfg.Index, cfg.N)
+		return Deployment{}, errors.New("node: population must be at least 2")
 	}
 	if cfg.Scheme == nil {
-		return nil, errors.New("node: nil scheme")
+		return Deployment{}, errors.New("node: nil scheme")
 	}
 	if cfg.Scheme.NumShares() < cfg.N {
-		return nil, fmt.Errorf("node: scheme has %d key-shares for %d participants", cfg.Scheme.NumShares(), cfg.N)
+		return Deployment{}, fmt.Errorf("node: scheme has %d key-shares for %d participants", cfg.Scheme.NumShares(), cfg.N)
 	}
-	if len(cfg.Series) == 0 {
-		return nil, errors.New("node: empty series")
+	if seriesDim <= 0 {
+		return Deployment{}, errors.New("node: empty series")
 	}
 	if cfg.Proto.Epsilon <= 0 {
-		return nil, errors.New("node: epsilon must be positive")
+		return Deployment{}, errors.New("node: epsilon must be positive")
 	}
 	if cfg.Proto.Threshold != 0 {
-		return nil, errors.New("node: networked runs use the fixed iteration schedule; set Threshold to 0")
+		return Deployment{}, errors.New("node: networked runs use the fixed iteration schedule; set Threshold to 0")
 	}
 	if len(kmeans.Compact(cfg.Proto.InitCentroids)) == 0 {
-		return nil, kmeans.ErrNoCentroids
+		return Deployment{}, kmeans.ErrNoCentroids
 	}
 	cfg.Proto = cfg.Proto.Normalize(cfg.N)
 	if cfg.Proto.DissCycles <= 0 || cfg.Proto.DecryptCycles <= 0 {
-		return nil, errors.New("node: networked runs need fixed DissCycles and DecryptCycles (no participant can observe global convergence)")
+		return Deployment{}, errors.New("node: networked runs need fixed DissCycles and DecryptCycles (no participant can observe global convergence)")
+	}
+	if cfg.Listen == "" {
+		cfg.Listen = "127.0.0.1:0"
+	}
+	if cfg.ExchangeTimeout <= 0 {
+		cfg.ExchangeTimeout = 30 * time.Second
+	}
+	if cfg.Epoch == 0 {
+		cfg.Epoch = cfg.Proto.Seed ^ 0xC41A305C0
+	}
+	if cfg.Dialer == nil {
+		cfg.Dialer = tcpDialer{}
+	}
+
+	// Packing layout and plaintext-headroom pre-flight: the same shared
+	// derivation the simulator performs, so every peer agrees on the
+	// slot layout (and therefore on ciphertext vector lengths).
+	pack, err := core.PackingFor(cfg.Proto, cfg.N, seriesDim, cfg.Scheme)
+	if err != nil {
+		return Deployment{}, fmt.Errorf("node: %w", err)
+	}
+	// fullDim bounds the wire decoders: the correction vectors of the
+	// dissemination phase stay unpacked (cleartext per-variable floats),
+	// so MaxDim must admit the full k·(n+1) length even when the
+	// ciphertext vectors travel packed. Exact per-phase lengths are
+	// enforced at the use sites (validSumState, validDecState, the
+	// corVec length checks).
+	fullDim := len(kmeans.Compact(cfg.Proto.InitCentroids)) * (seriesDim + 1)
+	return Deployment{
+		Pack:   pack,
+		Lim:    wireproto.NewLimits(cfg.Scheme.CiphertextBytes(), fullDim, cfg.Scheme.Threshold(), cfg.N),
+		Digest: ConfigDigest(cfg.Proto, cfg.N, seriesDim, pack),
+	}, nil
+}
+
+// New provisions the participant (Provision), validates and defaults
+// its own configuration, and starts the listener.
+func New(cfg Config) (*Node, error) {
+	dep, err := Provision(&cfg, len(cfg.Series))
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Index < 0 || cfg.Index >= cfg.N {
+		return nil, fmt.Errorf("node: index %d out of range for population %d", cfg.Index, cfg.N)
 	}
 	if cfg.External {
 		if cfg.Addr == "" {
@@ -362,12 +359,6 @@ func New(cfg Config) (*Node, error) {
 		}
 		// The host owns the listener and the membership loops.
 		cfg.ViewInterval = -1
-	}
-	if cfg.Listen == "" {
-		cfg.Listen = "127.0.0.1:0"
-	}
-	if cfg.ExchangeTimeout <= 0 {
-		cfg.ExchangeTimeout = 30 * time.Second
 	}
 	if cfg.FinTimeout <= 0 {
 		cfg.FinTimeout = cfg.ExchangeTimeout
@@ -378,47 +369,25 @@ func New(cfg Config) (*Node, error) {
 	if cfg.ViewInterval == 0 {
 		cfg.ViewInterval = 500 * time.Millisecond
 	}
-	if cfg.Epoch == 0 {
-		cfg.Epoch = cfg.Proto.Seed ^ 0xC41A305C0
-	}
 	if cfg.Policy.MaxRetries < 0 || cfg.Policy.Backoff < 0 || cfg.Policy.SuspicionK < 0 {
 		return nil, fmt.Errorf("node: negative fault policy %+v", cfg.Policy)
 	}
 	if cfg.Policy.MaxRetries > 0 && cfg.Policy.Backoff == 0 {
 		cfg.Policy.Backoff = 25 * time.Millisecond
 	}
-	if cfg.Dialer == nil {
-		cfg.Dialer = tcpDialer{}
-	}
 
-	// Packing layout and plaintext-headroom pre-flight: the same shared
-	// derivation the simulator performs, so every peer agrees on the
-	// slot layout (and therefore on ciphertext vector lengths).
-	pack, err := core.PackingFor(cfg.Proto, cfg.N, len(cfg.Series), cfg.Scheme)
-	if err != nil {
-		return nil, fmt.Errorf("node: %w", err)
-	}
-
-	// fullDim bounds the wire decoders: the correction vectors of the
-	// dissemination phase stay unpacked (cleartext per-variable floats),
-	// so MaxDim must admit the full k·(n+1) length even when the
-	// ciphertext vectors travel packed. Exact per-phase lengths are
-	// enforced at the use sites (validSumState, validDecState, the
-	// corVec length checks).
-	fullDim := len(kmeans.Compact(cfg.Proto.InitCentroids)) * (len(cfg.Series) + 1)
 	nd := &Node{
 		cfg:        cfg,
-		env:        &eesum.Env{Scheme: cfg.Scheme, Pack: pack, Workers: cfg.Proto.Workers},
-		lim:        wireproto.NewLimits(cfg.Scheme.CiphertextBytes(), fullDim, cfg.Scheme.Threshold(), cfg.N),
+		env:        &eesum.Env{Scheme: cfg.Scheme, Pack: dep.Pack, Workers: cfg.Proto.Workers},
+		lim:        dep.Lim,
 		epoch:      cfg.Epoch,
 		maxEpoch:   core.HeadroomNeeded(cfg.Proto.Exchanges),
-		digest:     ConfigDigest(cfg.Proto, cfg.N, len(cfg.Series), pack),
+		digest:     dep.Digest,
 		addr:       cfg.Addr,
 		protoRNG:   core.ProtocolRNG(cfg.Proto.Seed),
 		jitter:     randx.NewJitter(cfg.Proto.Seed^0x6A177E12, uint64(cfg.Index)),
 		acct:       &dp.Accountant{Cap: cfg.Proto.Epsilon * (1 + 1e-9)},
 		policy:     cfg.Policy,
-		dialer:     cfg.Dialer,
 		crashHook:  cfg.CrashHook,
 		commitHook: cfg.CommitHook,
 		suspect:    make(map[int]int),
@@ -448,7 +417,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	nd.sched = cfg.Schedule
 	if nd.sched == nil {
-		src, err := NewScheduleSource(cfg.Proto, cfg.N, len(cfg.Series), cfg.Scheme, pack)
+		src, err := NewScheduleSource(cfg.Proto, cfg.N, len(cfg.Series), cfg.Scheme, dep.Pack)
 		if err != nil {
 			if nd.ln != nil {
 				_ = nd.ln.Close()
@@ -471,6 +440,7 @@ func New(cfg Config) (*Node, error) {
 		nd.book = NewBook(cfg.N)
 	}
 	nd.book.AddLocal(cfg.Index, nd.addr)
+	nd.ep = NewEndpoint(&cfg, dep, nd.book, &nd.counters, nd.Reinstate)
 	nd.reg = newRegistry(nd.stop)
 	if cfg.State != nil {
 		if err := nd.attachState(cfg.State); err != nil {
@@ -611,46 +581,21 @@ func (nd *Node) helloTarget() string {
 // receivers reinstate it from suspicion rather than treating it as a
 // fresh joiner. A KindReject answer — the peer's digest differs — is
 // recorded as a sticky typed error that aborts the join: retrying
-// cannot reconcile inconsistent provisioning.
+// cannot reconcile inconsistent provisioning. A reply that does not
+// decode counts as Rejected, and the join retries.
 func (nd *Node) hello(addr string) {
-	conn, err := nd.dialAddr(addr)
-	if err != nil {
-		return
-	}
-	defer conn.Close()
-	kind, ackKind := wireproto.KindHello, wireproto.KindHelloAck
-	payload := wireproto.MarshalHello(wireproto.Hello{
+	kind, payload := wireproto.KindHello, wireproto.MarshalHello(wireproto.Hello{
 		Index: uint32(nd.cfg.Index), Addr: nd.addr, N: uint32(nd.cfg.N), Digest: nd.digest,
 	})
 	if nd.resuming {
-		kind, ackKind = wireproto.KindResume, wireproto.KindResumeAck
-		payload = wireproto.MarshalResume(nd.resumeAnn)
+		kind, payload = wireproto.KindResume, wireproto.MarshalResume(nd.resumeAnn)
 	}
-	if err := nd.writeFrame(conn, kind, payload); err != nil {
-		return
-	}
-	f, err := nd.readFrame(conn)
-	if err != nil {
-		return
-	}
-	if f.Kind == wireproto.KindReject {
-		r, rerr := wireproto.UnmarshalReject(f.Payload)
-		if rerr != nil {
-			nd.counters.Rejected.Add(1)
-			return
-		}
-		nd.joinReject = fmt.Errorf("%w: peer %s: %s", ErrConfigMismatch, addr, r.Reason)
-		return
-	}
-	if f.Kind != ackKind {
-		return
-	}
-	items, err := wireproto.UnmarshalView(f.Payload, nd.lim)
-	if err != nil {
+	switch _, err := nd.ep.Ask(-1, addr, nd.cfg.ExchangeTimeout, kind, payload); {
+	case errors.Is(err, ErrConfigMismatch):
+		nd.joinReject = err
+	case errors.Is(err, errBadReply):
 		nd.counters.Rejected.Add(1)
-		return
 	}
-	nd.book.Merge(items)
 }
 
 // resumeSweep announces the resume to every peer the roster knows,
@@ -661,22 +606,9 @@ func (nd *Node) hello(addr string) {
 func (nd *Node) resumeSweep() {
 	payload := wireproto.MarshalResume(nd.resumeAnn)
 	for _, it := range nd.book.Roster() {
-		if int(it.Index) == nd.cfg.Index || it.Addr == "" {
-			continue
+		if int(it.Index) != nd.cfg.Index && it.Addr != "" {
+			_, _ = nd.ep.Ask(int(it.Index), it.Addr, 2*time.Second, wireproto.KindResume, payload)
 		}
-		conn, err := nd.dialPeer(int(it.Index), it.Addr, 2*time.Second)
-		if err != nil {
-			continue
-		}
-		_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-		if nd.writeFrame(conn, wireproto.KindResume, payload) == nil {
-			if f, err := nd.readFrame(conn); err == nil && f.Kind == wireproto.KindResumeAck {
-				if items, err := wireproto.UnmarshalView(f.Payload, nd.lim); err == nil {
-					nd.book.Merge(items)
-				}
-			}
-		}
-		_ = conn.Close()
 	}
 }
 
@@ -691,22 +623,9 @@ func (nd *Node) viewLoop() {
 			return
 		case <-time.After(nd.cfg.ViewInterval):
 		}
-		addr := nd.helloTarget()
-		if addr == "" {
-			continue
+		if addr := nd.helloTarget(); addr != "" {
+			_, _ = nd.ep.Ask(-1, addr, nd.cfg.ExchangeTimeout, wireproto.KindView, wireproto.MarshalView(nd.book.Roster()))
 		}
-		conn, err := nd.dialAddr(addr)
-		if err != nil {
-			continue
-		}
-		if err := nd.writeFrame(conn, wireproto.KindView, wireproto.MarshalView(nd.book.Roster())); err == nil {
-			if f, err := nd.readFrame(conn); err == nil && f.Kind == wireproto.KindView {
-				if items, err := wireproto.UnmarshalView(f.Payload, nd.lim); err == nil {
-					nd.book.Merge(items)
-				}
-			}
-		}
-		_ = conn.Close()
 	}
 }
 
@@ -717,12 +636,11 @@ func (nd *Node) Leave() error {
 		if int(it.Index) == nd.cfg.Index || it.Addr == "" {
 			continue
 		}
-		conn, err := nd.dialPeer(-1, it.Addr, time.Second)
+		conn, err := nd.ep.dial(-1, it.Addr, time.Second, time.Second)
 		if err != nil {
 			continue
 		}
-		_ = conn.SetDeadline(time.Now().Add(time.Second))
-		_ = nd.writeFrame(conn, wireproto.KindLeave, wireproto.MarshalLeave(wireproto.Leave{Index: uint32(nd.cfg.Index)}))
+		_ = nd.ep.write(conn, wireproto.KindLeave, wireproto.MarshalLeave(wireproto.Leave{Index: uint32(nd.cfg.Index)}))
 		_ = conn.Close()
 	}
 	return nd.Close()
@@ -744,7 +662,7 @@ func (nd *Node) halt() {
 		if nd.ln != nil {
 			nd.lnErr = nd.ln.Close()
 		}
-		nd.live.closeAll()
+		nd.ep.CloseAll()
 		nd.reg.close()
 	})
 }
@@ -791,14 +709,14 @@ func (nd *Node) serve() {
 			return // listener closed
 		}
 		nd.wg.Add(1)
-		go nd.handleConn(nd.track(conn))
+		go nd.handleConn(nd.ep.Track(conn))
 	}
 }
 
 func (nd *Node) handleConn(conn net.Conn) {
 	defer nd.wg.Done()
 	_ = conn.SetReadDeadline(time.Now().Add(nd.cfg.ExchangeTimeout))
-	f, err := nd.readFrame(conn)
+	f, err := nd.ep.read(conn)
 	if err != nil {
 		_ = conn.Close()
 		return
@@ -816,32 +734,32 @@ func (nd *Node) handleConn(conn net.Conn) {
 // a request to a settled tail slot, once the whole exchange has been
 // served on the caller's goroutine.
 func (nd *Node) Deliver(conn net.Conn, f wireproto.Frame) {
-	conn = nd.track(conn)
+	conn = nd.ep.Track(conn)
 	nd.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(f.Target, len(f.Payload))))
 	nd.dispatch(conn, f)
 }
 
-// dispatch routes one decoded inbound frame. The exchange-request kinds
-// go through the registry, which either parks the connection — and the
+// dispatch routes one decoded inbound frame. An exchange request goes
+// through the registry, which either parks the connection — and the
 // frame, which the main protocol loop releases once it has served the
 // request — or, for a settled tail slot, claims the request for service
-// right here; every other kind is a self-contained round trip answered
-// from decoded copies, so the frame's buffer goes back to the pool as
-// soon as dispatch is done with it.
+// right here; every other kind is a membership round trip the endpoint
+// answers from decoded copies, so the frame's buffer goes back to the
+// pool as soon as dispatch is done with it.
 func (nd *Node) dispatch(conn net.Conn, f wireproto.Frame) {
-	switch {
+	switch phase := requestPhase(f.Kind); {
 	case f.Epoch != nd.epoch || (f.Target >= 0 && f.Target != nd.cfg.Index):
 		nd.counters.Rejected.Add(1)
 		_ = conn.Close()
 
-	case f.Kind == wireproto.KindSumReq || f.Kind == wireproto.KindDissReq || f.Kind == wireproto.KindDecReq:
+	case phase >= 0:
 		hdr, err := wireproto.PeekHdr(f.Payload)
 		if err != nil || int(hdr.To) != nd.cfg.Index || int(hdr.From) >= nd.cfg.N {
 			nd.counters.Rejected.Add(1)
 			_ = conn.Close()
 			break
 		}
-		s := slot{iter: int(hdr.Iter), phase: phaseOfKind(f.Kind), cycle: int(hdr.Cycle), seq: int(hdr.Seq)}
+		s := slot{iter: int(hdr.Iter), phase: phase, cycle: int(hdr.Cycle), seq: int(hdr.Seq)}
 		// Whoever serves the request owns the connection, and the frame,
 		// from here on.
 		_ = conn.SetDeadline(time.Time{})
@@ -852,108 +770,9 @@ func (nd *Node) dispatch(conn net.Conn, f wireproto.Frame) {
 		return
 
 	default:
-		nd.membership(conn, f)
+		nd.ep.Answer(conn, f)
 	}
 	f.Release()
-}
-
-// membership answers one hello, resume, view or leave round trip and
-// closes the connection. Nothing it keeps aliases the frame's payload.
-func (nd *Node) membership(conn net.Conn, f wireproto.Frame) {
-	switch f.Kind {
-	case wireproto.KindHello:
-		h, err := wireproto.UnmarshalHello(f.Payload, nd.lim)
-		if err != nil || int(h.N) != nd.cfg.N || int(h.Index) >= nd.cfg.N {
-			nd.counters.Rejected.Add(1)
-			_ = conn.Close()
-			return
-		}
-		_ = conn.SetWriteDeadline(time.Now().Add(nd.cfg.ExchangeTimeout))
-		if h.Digest != 0 && h.Digest != nd.digest {
-			nd.counters.Rejected.Add(1)
-			_ = nd.writeFrame(conn, wireproto.KindReject, wireproto.MarshalReject(wireproto.Reject{
-				Reason: fmt.Sprintf("config digest %016x, want %016x (check population/k/frac-bits/pack-slots)", h.Digest, nd.digest),
-			}))
-			_ = conn.Close()
-			return
-		}
-		nd.book.Learn(int(h.Index), h.Addr)
-		_ = nd.writeFrame(conn, wireproto.KindHelloAck, wireproto.MarshalView(nd.book.Roster()))
-		_ = conn.Close()
-
-	case wireproto.KindResume:
-		// A restarted peer re-announcing itself mid-run: same validation
-		// as a hello, but additionally lift any suspicion eviction — the
-		// peer is provably back, and fast-failing its slots would turn
-		// its recovery into a permanent hole in the schedule.
-		r, err := wireproto.UnmarshalResume(f.Payload, nd.lim)
-		if err != nil || int(r.N) != nd.cfg.N || int(r.Index) >= nd.cfg.N {
-			nd.counters.Rejected.Add(1)
-			_ = conn.Close()
-			return
-		}
-		_ = conn.SetWriteDeadline(time.Now().Add(nd.cfg.ExchangeTimeout))
-		if r.Digest != 0 && r.Digest != nd.digest {
-			nd.counters.Rejected.Add(1)
-			_ = nd.writeFrame(conn, wireproto.KindReject, wireproto.MarshalReject(wireproto.Reject{
-				Reason: fmt.Sprintf("config digest %016x, want %016x (check population/k/frac-bits/pack-slots)", r.Digest, nd.digest),
-			}))
-			_ = conn.Close()
-			return
-		}
-		nd.book.Learn(int(r.Index), r.Addr)
-		nd.Reinstate(int(r.Index))
-		nd.counters.Resumed.Add(1)
-		_ = nd.writeFrame(conn, wireproto.KindResumeAck, wireproto.MarshalView(nd.book.Roster()))
-		_ = conn.Close()
-
-	case wireproto.KindView:
-		items, err := wireproto.UnmarshalView(f.Payload, nd.lim)
-		if err != nil {
-			nd.counters.Rejected.Add(1)
-			_ = conn.Close()
-			return
-		}
-		nd.book.Merge(items)
-		_ = conn.SetWriteDeadline(time.Now().Add(nd.cfg.ExchangeTimeout))
-		_ = nd.writeFrame(conn, wireproto.KindView, wireproto.MarshalView(nd.book.Roster()))
-		_ = conn.Close()
-
-	case wireproto.KindLeave:
-		l, err := wireproto.UnmarshalLeave(f.Payload)
-		if err == nil && int(l.Index) < nd.cfg.N {
-			nd.book.MarkGone(int(l.Index))
-		}
-		_ = conn.Close()
-
-	default:
-		nd.counters.Rejected.Add(1)
-		_ = conn.Close()
-	}
-}
-
-func phaseOfKind(kind byte) int {
-	switch kind {
-	case wireproto.KindSumReq:
-		return phaseSum
-	case wireproto.KindDissReq:
-		return phaseDiss
-	default:
-		return phaseDec
-	}
-}
-
-// writeFrame, writeMsg and readFrame wrap the wire layer with byte
-// accounting. A malformed or over-limit frame — as opposed to a
-// connection dying mid-frame — additionally counts toward BadFrames:
-// hostile input is accounted separately from network weather, and the
-// offending connection is always dropped by the caller.
-func (nd *Node) writeFrame(conn net.Conn, kind byte, payload []byte) error {
-	err := wireproto.WriteFrame(conn, kind, nd.epoch, payload)
-	if err == nil {
-		nd.counters.BytesSent.Add(int64(wireproto.FrameWireSize(-1, len(payload))))
-	}
-	return err
 }
 
 // writeMsg writes an exchange leg addressed to a population index (< 0:
@@ -966,32 +785,6 @@ func (nd *Node) writeMsg(conn net.Conn, kind byte, target int, m wireproto.Messa
 		nd.counters.BytesSent.Add(int64(n))
 	}
 	return err
-}
-
-func (nd *Node) readFrame(conn net.Conn) (wireproto.Frame, error) {
-	f, err := wireproto.ReadFrame(conn, nd.lim.MaxFrameLen)
-	if err == nil {
-		nd.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(f.Target, len(f.Payload))))
-	} else if errors.Is(err, wireproto.ErrMalformed) {
-		nd.counters.BadFrames.Add(1)
-	}
-	return f, err
-}
-
-// dialAddr opens a tracked membership connection (destination index
-// unknown) with the exchange deadline set.
-func (nd *Node) dialAddr(addr string) (net.Conn, error) {
-	return nd.dialPeer(-1, addr, nd.cfg.ExchangeTimeout)
-}
-
-func (nd *Node) dialPeer(peer int, addr string, timeout time.Duration) (net.Conn, error) {
-	conn, err := nd.dialer.Dial(peer, addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	conn = nd.track(conn)
-	_ = conn.SetDeadline(time.Now().Add(nd.cfg.ExchangeTimeout))
-	return conn, nil
 }
 
 // dial opens a connection to a peer with the exchange deadline set.
@@ -1016,7 +809,7 @@ func (nd *Node) dial(idx int) (net.Conn, error) {
 			timeout = 250 * time.Millisecond
 		}
 	}
-	return nd.dialPeer(idx, addr, timeout)
+	return nd.ep.dial(idx, addr, timeout, nd.cfg.ExchangeTimeout)
 }
 
 // errNoAddress marks a dial to a peer the address book cannot resolve

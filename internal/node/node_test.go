@@ -199,66 +199,22 @@ func TestNetworkedChurnMatchesSimulator(t *testing.T) {
 }
 
 // TestCrashMidExchangeLeavesHalfCompletedState exercises the genuine
-// crash path (no abort frame, just silence): the initiator applies its
-// half after RESP, the responder times out waiting for FIN and applies
-// nothing — exactly the state the simulator's Exchange(a, b, false)
-// produces.
+// crash path (no abort frame, just silence) on every leg of every
+// phase's exchange. A crash before the request or before the response
+// leaves both sides untouched, and the side left waiting for the dead
+// leg books one timeout. A crash between the initiator's commit and its
+// FIN is the Section 6.1.5 half-completed exchange: the initiator holds
+// its merged state — exactly the simulator's Exchange(a, b, false) — and
+// the responder, whose fin wait books the timeout, applied nothing.
 func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 	ts := newSetup(t, 2, 0)
-	vecA := []*big.Int{big.NewInt(5 << 24), big.NewInt(-3 << 24), big.NewInt(7 << 24), big.NewInt(1 << 24)}
-	vecB := []*big.Int{big.NewInt(2 << 24), big.NewInt(9 << 24), big.NewInt(-4 << 24), big.NewInt(6 << 24)}
-
-	mk := func(idx int, bootstrap string) *Node {
-		cfg := Config{
-			Index: idx, N: 2,
-			Series: ts.data.Row(idx), Scheme: ts.scheme, Proto: ts.proto,
-			Bootstrap:       bootstrap,
-			ExchangeTimeout: 5 * time.Second,
-			FinTimeout:      300 * time.Millisecond,
-			ViewInterval:    -1,
-		}
-		nd, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = nd.Close() })
-		return nd
+	vecs := [][]*big.Int{
+		{big.NewInt(5 << 24), big.NewInt(-3 << 24), big.NewInt(7 << 24), big.NewInt(1 << 24)},
+		{big.NewInt(2 << 24), big.NewInt(9 << 24), big.NewInt(-4 << 24), big.NewInt(6 << 24)},
 	}
-	ndA := mk(0, "")
-	ndB := mk(1, ndA.Addr())
-	ndA.book.Learn(1, ndB.Addr())
-	ndB.book.Learn(0, ndA.Addr())
-
-	mkState := func(nd *Node, vec []*big.Int) *iterState {
-		st := eesum.NewParticipant(nd.env, nd.cfg.Index, randx.New(9, uint64(nd.cfg.Index)),
-			eesum.NoiseConfig{Lambdas: []float64{1, 1, 1, 1}, NShares: 2})
-		st.Start(vec)
-		return st
-	}
-	stA := mkState(ndA, vecA)
-	stB := mkState(ndB, vecB)
-	preB := stB.Means.Clone()
-
-	// Reference: the initiator half of the same exchange, the update
-	// rule applied directly to the two initial states.
-	want := eesum.MergeSum(ts.scheme, stA.Means.SumState, stB.Means.SumState, 1)
-
-	// The initiator crashes right before the FIN leg.
-	ndA.crashHook = func(leg, phase, iter, cycle, seq int) bool { return leg == LegFin }
-
-	s := slot{iter: 1, phase: phaseSum, cycle: 0, seq: 0}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ndB.respondSum(stB, s, 0)
-	}()
-	ndA.initiateSum(stA, 1, s, true)
-	<-done
-
-	// Initiator holds the sim's post-exchange initiator state...
-	if stA.Means.Epoch != want.Epoch || stA.Means.Omega.Cmp(want.Omega) != 0 {
-		t.Fatalf("initiator epoch/omega = (%d, %v), want (%d, %v)",
-			stA.Means.Epoch, stA.Means.Omega, want.Epoch, want.Omega)
+	var cts []homenc.Ciphertext
+	for _, v := range vecs[0] {
+		cts = append(cts, ts.scheme.Encrypt(v))
 	}
 	decrypt := func(cts []homenc.Ciphertext) []*big.Int {
 		out := make([]*big.Int, len(cts))
@@ -267,26 +223,193 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 		}
 		return out
 	}
-	gotPlain := decrypt(stA.Means.CTs)
-	wantPlain := decrypt(want.CTs)
-	for j := range wantPlain {
-		if gotPlain[j].Cmp(wantPlain[j]) != 0 {
-			t.Fatalf("initiator plaintext[%d] = %v, want %v", j, gotPlain[j], wantPlain[j])
+	samePlain := func(a, b []homenc.Ciphertext) bool {
+		pa, pb := decrypt(a), decrypt(b)
+		if len(pa) != len(pb) {
+			return false
+		}
+		for j := range pa {
+			if pa[j].Cmp(pb[j]) != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	checkSum := func(t *testing.T, who string, got, want eesum.SumState) {
+		t.Helper()
+		if got.Epoch != want.Epoch || got.Omega.Cmp(want.Omega) != 0 {
+			t.Fatalf("%s epoch/omega = (%d, %v), want (%d, %v)", who, got.Epoch, got.Omega, want.Epoch, want.Omega)
+		}
+		if !samePlain(got.CTs, want.CTs) {
+			t.Fatalf("%s plaintexts = %v, want %v", who, decrypt(got.CTs), decrypt(want.CTs))
 		}
 	}
-	// ...and the responder never applied its half.
-	if stB.Means.Epoch != preB.Epoch || stB.Means.Omega.Cmp(preB.Omega) != 0 {
-		t.Fatal("responder applied a half-completed exchange")
-	}
-	gotB := decrypt(stB.Means.CTs)
-	preBPlain := decrypt(preB.CTs)
-	for j := range preBPlain {
-		if gotB[j].Cmp(preBPlain[j]) != 0 {
-			t.Fatalf("responder plaintext[%d] changed on a half-completed exchange", j)
+	checkDec := func(t *testing.T, who string, got, want *iterState) {
+		t.Helper()
+		if got.DecOmega.Cmp(want.DecOmega) != 0 || !samePlain(got.DecCTs.Values(), want.DecCTs.Values()) {
+			t.Fatalf("%s decryption state differs from the reference", who)
+		}
+		if len(got.DecParts) != len(want.DecParts) {
+			t.Fatalf("%s holds %d key-shares, want %d", who, len(got.DecParts), len(want.DecParts))
+		}
+		//lint:orderfree pure comparison: fails on any differing entry
+		for idx, wp := range want.DecParts {
+			gv, wv := got.DecParts[idx].Values(), wp.Values()
+			if len(gv) != len(wv) {
+				t.Fatalf("%s key-share %d covers %d elements, want %d", who, idx, len(gv), len(wv))
+			}
+			for j := range wv {
+				if gv[j].Index != wv[j].Index || gv[j].V.Cmp(wv[j].V) != 0 {
+					t.Fatalf("%s key-share %d element %d differs from the reference", who, idx, j)
+				}
+			}
 		}
 	}
-	if ndB.Counters().Timeouts == 0 {
-		t.Fatal("responder did not record the fin timeout")
+
+	// Each phase builds fresh states for both sides, and a check that,
+	// after the exchange, the initiator holds exactly the simulator's
+	// Exchange(a, b, false) result when it merged and its own
+	// pre-exchange state when it did not, and that the responder holds
+	// its own pre-exchange state.
+	phases := []struct {
+		name   string
+		phase  int
+		states func(ndA, ndB *Node) (stA, stB *iterState, check func(t *testing.T, initMerged bool))
+	}{
+		{"sum", phaseSum, func(ndA, ndB *Node) (*iterState, *iterState, func(*testing.T, bool)) {
+			mk := func(nd *Node) *iterState {
+				st := eesum.NewParticipant(nd.env, nd.cfg.Index, randx.New(9, uint64(nd.cfg.Index)),
+					eesum.NoiseConfig{Lambdas: []float64{1, 1, 1, 1}, NShares: 2})
+				st.Start(vecs[nd.cfg.Index])
+				return st
+			}
+			stA, stB := mk(ndA), mk(ndB)
+			preA, preB := stA.Means.Clone(), stB.Means.Clone()
+			// Reference: the initiator half of the same exchange, the
+			// update rule applied directly to the two initial states.
+			merged := eesum.MergeSum(ts.scheme, preA, preB, 1)
+			return stA, stB, func(t *testing.T, initMerged bool) {
+				wantA := preA
+				if initMerged {
+					wantA = merged
+				}
+				checkSum(t, "initiator", stA.Means.SumState, wantA)
+				checkSum(t, "responder", stB.Means.SumState, preB)
+			}
+		}},
+		{"diss", phaseDiss, func(ndA, ndB *Node) (*iterState, *iterState, func(*testing.T, bool)) {
+			// The min-identifier rule only ever moves the larger
+			// identifier, so the initiator holds it: the responder's merge
+			// would leave its state as it was, and its Responded count
+			// stands in for it.
+			mk := func(nd *Node) *iterState {
+				id := uint64(5 - 2*nd.cfg.Index)
+				return &iterState{CorID: id, CorVec: []float64{float64(id)}}
+			}
+			stA, stB := mk(ndA), mk(ndB)
+			refA := mk(ndA)
+			refA.ExchangeCorrection(mk(ndB), false)
+			return stA, stB, func(t *testing.T, initMerged bool) {
+				check := func(who string, got, want *iterState) {
+					t.Helper()
+					if got.CorID != want.CorID || len(got.CorVec) != 1 || got.CorVec[0] != want.CorVec[0] {
+						t.Fatalf("%s correction = (%d, %v), want (%d, %v)", who, got.CorID, got.CorVec, want.CorID, want.CorVec)
+					}
+				}
+				wantA := mk(ndA)
+				if initMerged {
+					wantA = refA
+				}
+				check("initiator", stA, wantA)
+				check("responder", stB, mk(ndB))
+			}
+		}},
+		{"dec", phaseDec, func(ndA, ndB *Node) (*iterState, *iterState, func(*testing.T, bool)) {
+			mk := func(nd *Node) *iterState {
+				st := eesum.NewParticipant(nd.env, nd.cfg.Index, nil, eesum.NoiseConfig{})
+				st.DecCTs, st.DecOmega, st.DecParts = homenc.NewVector(cts), big.NewInt(1), make(map[int]*homenc.Partials)
+				return st
+			}
+			stA, stB := mk(ndA), mk(ndB)
+			// Reference: the same exchange between two in-memory
+			// participants, ending half-completed.
+			refA := mk(ndA)
+			refA.ExchangeDec(mk(ndB), false)
+			return stA, stB, func(t *testing.T, initMerged bool) {
+				wantA := mk(ndA)
+				if initMerged {
+					wantA = refA
+				}
+				checkDec(t, "initiator", stA, wantA)
+				checkDec(t, "responder", stB, mk(ndB))
+			}
+		}},
+	}
+	// The responder never merges: no row lets a FIN through. A merge is
+	// booked as one commit (Initiated, Responded) on the side that made it.
+	legs := []struct {
+		name                       string
+		leg                        int
+		initMerged                 bool
+		initTimeouts, respTimeouts int64
+	}{
+		{"req", LegReq, false, 0, 1},
+		{"resp", LegResp, false, 1, 0},
+		{"fin", LegFin, true, 0, 1},
+	}
+	for _, p := range phases {
+		t.Run(p.name, func(t *testing.T) {
+			for _, l := range legs {
+				t.Run(l.name, func(t *testing.T) {
+					mk := func(idx int) *Node {
+						nd, err := New(Config{
+							Index: idx, N: 2,
+							Series: ts.data.Row(idx), Scheme: ts.scheme, Proto: ts.proto,
+							ExchangeTimeout: time.Second,
+							FinTimeout:      300 * time.Millisecond,
+							ViewInterval:    -1,
+							// Both sides crash at the row's leg; each only
+							// ever consults the hook for the legs it sends.
+							CrashHook: func(leg, phase, iter, cycle, seq int) bool { return leg == l.leg },
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						t.Cleanup(func() { _ = nd.Close() })
+						return nd
+					}
+					ndA, ndB := mk(0), mk(1)
+					ndA.book.Learn(1, ndB.Addr())
+					ndB.book.Learn(0, ndA.Addr())
+					stA, stB, check := p.states(ndA, ndB)
+
+					s := slot{iter: 1, phase: p.phase, cycle: 0, seq: 0}
+					done := make(chan struct{})
+					go func() {
+						defer close(done)
+						ndB.respond(p.phase, stB, s, 0)
+					}()
+					ndA.initiate(p.phase, stA, 1, s, true)
+					<-done
+
+					check(t, l.initMerged)
+					ca, cb := ndA.Counters(), ndB.Counters()
+					wantInitiated := int64(0)
+					if l.initMerged {
+						wantInitiated = 1
+					}
+					if ca.Initiated != wantInitiated || ca.Timeouts != l.initTimeouts {
+						t.Fatalf("initiator initiated/timeouts = %d/%d, want %d/%d", ca.Initiated, ca.Timeouts, wantInitiated, l.initTimeouts)
+					}
+					if cb.Responded != 0 || cb.Timeouts != l.respTimeouts {
+						t.Fatalf("responder responded/timeouts = %d/%d, want 0/%d", cb.Responded, cb.Timeouts, l.respTimeouts)
+					}
+					if ca.Responded != 0 || cb.Initiated != 0 || ca.Rejected+cb.Rejected != 0 || ca.Retries+cb.Retries != 0 {
+						t.Fatalf("unexpected counters: initiator %+v, responder %+v", ca, cb)
+					}
+				})
+			}
+		})
 	}
 }
 

@@ -354,7 +354,7 @@ func (nd *Node) runTail(from slot, cur []sim.Scheduled, cycles int, st *iterStat
 			return
 		}
 		report(d.s.cycle)
-		nd.initiateDec(st, d.peer, d.s, d.full)
+		nd.initiate(phaseDec, st, d.peer, d.s, d.full)
 	}
 	nd.awaitTail(tails, func() { report(cycles) })
 	if nd.stopped.Load() {
@@ -362,26 +362,4 @@ func (nd *Node) runTail(from slot, cur []sim.Scheduled, cycles int, st *iterStat
 	}
 	report(cycles)
 	nd.reg.advance(slot{iter: it, phase: phaseDec, cycle: cycles})
-}
-
-func (nd *Node) initiate(phase int, st *iterState, peer int, s slot, full bool) {
-	switch phase {
-	case phaseSum:
-		nd.initiateSum(st, peer, s, full)
-	case phaseDiss:
-		nd.initiateDiss(st, peer, s, full)
-	default:
-		nd.initiateDec(st, peer, s, full)
-	}
-}
-
-func (nd *Node) respond(phase int, st *iterState, s slot, from int) {
-	switch phase {
-	case phaseSum:
-		nd.respondSum(st, s, from)
-	case phaseDiss:
-		nd.respondDiss(st, s, from)
-	default:
-		nd.respondDec(st, s, from)
-	}
 }

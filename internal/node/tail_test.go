@@ -276,7 +276,7 @@ func TestPassiveServeSurvivesResponseCut(t *testing.T) {
 		if claims := ndB.reg.settle(tails); len(claims) != 0 {
 			t.Fatal("settle invented a request")
 		}
-		ndA.initiateDec(stA, 1, s, true)
+		ndA.initiate(phaseDec, stA, 1, s, true)
 		ndB.awaitTail(tails, func() {})
 		if ndB.reg.waitTail(tails[0], time.Second) != tailClosed {
 			t.Fatal("served slot left open")

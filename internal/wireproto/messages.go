@@ -359,7 +359,8 @@ func UnmarshalSum(data []byte, lim Limits) (SumMsg, error) {
 // Fin is the bare commit leg closing a sum or dissemination exchange
 // (KindSumFin, KindDissFin): the responder applies its half only when
 // it arrives, which is what reproduces the half-completed exchange of
-// Section 6.1.5 when the initiator (or the link) dies in between.
+// Section 6.1.5 when the initiator (or the link) dies in between. It is
+// read with PeekHdr.
 type Fin struct {
 	Hdr ExchangeHdr
 }
@@ -369,13 +370,6 @@ func (f Fin) Size() int { return hdrSize }
 
 // AppendTo implements Message.
 func (f Fin) AppendTo(dst []byte) []byte { return f.Hdr.appendTo(dst) }
-
-// UnmarshalFin decodes a Fin payload.
-func UnmarshalFin(data []byte) (Fin, error) {
-	d := dec{b: data}
-	f := Fin{Hdr: decodeHdr(&d)}
-	return f, d.done()
-}
 
 // --- noise-correction dissemination ---
 
