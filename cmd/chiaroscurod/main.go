@@ -14,6 +14,10 @@
 //	chiaroscurod -key-file /tmp/keys/node-1.json -population 2 \
 //	    -listen 127.0.0.1:7001 -bootstrap 127.0.0.1:7000
 //
+// -vnodes N hosts the key file's participant and the N-1 after it as
+// virtual nodes behind one listener (internal/mux); plain daemons and
+// such hosts join the same population.
+//
 // SECURITY: -genkeys emits test-scheme key files (deterministic
 // precomputed primes, zero secrecy) so a population can be provisioned
 // with a copy-paste. A real deployment must provision real threshold
@@ -37,12 +41,9 @@ import (
 
 	"chiaroscuro"
 	"chiaroscuro/internal/core"
-	"chiaroscuro/internal/faultnet"
 	"chiaroscuro/internal/mux"
 	"chiaroscuro/internal/node"
-	"chiaroscuro/internal/soak"
 	"chiaroscuro/internal/timeseries"
-	"chiaroscuro/internal/wireproto"
 )
 
 // progress mirrors the node's observer callbacks for the live
@@ -131,7 +132,6 @@ func main() {
 		tau         = flag.Int("threshold", 0, "decryption threshold for -genkeys (0 = population/3, min 2)")
 		timeout     = flag.Duration("exchange-timeout", 30*time.Second, "per-exchange blocking step bound")
 		joinTimeout = flag.Duration("join-timeout", 5*time.Minute, "roster bootstrap bound")
-		soakDur     = flag.Duration("soak", 0, "run the in-process chaos soak (crash-storm profile) for this long and exit (0 = off)")
 		retries     = flag.Int("retries", 0, "exchange retry budget per slot (fault policy)")
 		suspicionK  = flag.Int("suspicion-k", 0, "evict a peer after this many consecutive exchange failures (0 = never)")
 		vnodes      = flag.Int("vnodes", 1, "host this many consecutive participants (key-file index onward) as virtual nodes behind one listener")
@@ -139,10 +139,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *soakDur > 0 {
-		runSoak(*soakDur, *population, *seed)
-		return
-	}
 	if *genkeys != "" {
 		if err := writeKeyFiles(*genkeys, *population, *keyBits, *degree, *tau); err != nil {
 			fatal(err)
@@ -167,6 +163,9 @@ func main() {
 	}
 	if data.Len() != *population {
 		fatal(fmt.Errorf("dataset has %d series for a population of %d", data.Len(), *population))
+	}
+	if *vnodes > 1 && *stateDir != "" {
+		fatal(fmt.Errorf("-state-dir needs one daemon per participant; run with -vnodes 1 to get crash recovery"))
 	}
 	seeds := chiaroscuro.SeedCentroids(kind, *k, *seed+1)
 
@@ -195,81 +194,74 @@ func main() {
 		FracBits:      *fracBits,
 		PackSlots:     *packSlots,
 		Seed:          *seed,
-	}
-	policy := node.Policy{MaxRetries: *retries, SuspicionK: *suspicionK}
-
-	if *vnodes > 1 {
-		if *stateDir != "" {
-			fatal(fmt.Errorf("-state-dir needs one daemon per participant; run without -vnodes to get crash recovery"))
-		}
-		runVirtual(virtualConfig{
-			kf: kf, scheme: scheme, data: data, proto: proto, prog: prog,
-			vnodes: *vnodes, population: *population,
-			listen: *listen, bootstrap: *bootstrap, metricsAddr: *metricsAddr,
-			timeout: *timeout, joinTimeout: *joinTimeout, policy: policy,
-		})
-		return
+		Observer:      prog.observer(),
 	}
 
-	proto.Observer = prog.observer()
 	// -state-dir: every commit point is fsynced into a per-participant
 	// journal; a daemon relaunched with the same -state-dir (after a
 	// crash, a kill -9, or a SIGTERM) resumes the run where the journal
 	// left it, announcing itself with a Resume handshake instead of
 	// rejoining from scratch. SIGTERM flushes through the same path:
 	// the node's Close closes the journal after the last synced commit.
-	var st *node.State
+	var journal func(cfg *node.Config) error
 	if *stateDir != "" {
 		if err := os.MkdirAll(*stateDir, 0o755); err != nil {
 			fatal(err)
 		}
-		st, err = node.OpenState(filepath.Join(*stateDir, fmt.Sprintf("node-%d.journal", kf.Index)))
-		if err != nil {
-			fatal(err)
-		}
-		if st.Resuming() {
-			fmt.Printf("chiaroscurod: journal %s holds a prior run; resuming\n", st.Path())
+		journal = func(cfg *node.Config) error {
+			st, err := node.OpenState(filepath.Join(*stateDir, fmt.Sprintf("node-%d.journal", cfg.Index)))
+			if err != nil {
+				return err
+			}
+			if st.Resuming() {
+				fmt.Printf("chiaroscurod: journal %s holds a prior run; resuming\n", st.Path())
+			}
+			cfg.State = st
+			return nil
 		}
 	}
-	nd, err := node.New(node.Config{
-		Index:           kf.Index,
+	// The hosted participants, key-file index onward: one listens on its
+	// own, several (-vnodes) share one mux listener, its address book and
+	// schedule mirror, and exchange in process. The run is bit-identical
+	// either way; /progress follows the first hosted participant.
+	pop, err := mux.Launch(node.Config{
 		N:               *population,
-		Series:          data.Row(kf.Index),
 		Scheme:          scheme,
 		Proto:           proto,
 		Listen:          *listen,
 		Bootstrap:       *bootstrap,
 		ExchangeTimeout: *timeout,
 		JoinTimeout:     *joinTimeout,
-		Policy:          policy,
-		State:           st,
-	})
+		Policy:          node.Policy{MaxRetries: *retries, SuspicionK: *suspicionK},
+	}, data, kf.Index, *vnodes, *vnodes, journal)
 	if err != nil {
-		if st != nil {
-			_ = st.Close()
-		}
 		fatal(err)
 	}
-	defer nd.Close()
-	fmt.Printf("chiaroscurod: node %d/%d listening on %s\n", kf.Index, *population, nd.Addr())
-
-	if *metricsAddr != "" {
-		go serveMetrics(*metricsAddr, []*node.Node{nd}, nil, prog)
+	defer pop.Close()
+	if *vnodes == 1 {
+		fmt.Printf("chiaroscurod: node %d/%d listening on %s\n", kf.Index, *population, pop.Addr())
+	} else {
+		fmt.Printf("chiaroscurod: hosting nodes %d–%d of %d on %s (virtual)\n",
+			kf.Index, kf.Index+*vnodes-1, *population, pop.Addr())
 	}
 
-	// SIGINT/SIGTERM cancel the run: the node closes its listener and
-	// every live connection, the peers time the slot out, and the daemon
-	// exits instead of hanging on half-finished exchanges.
+	if *metricsAddr != "" {
+		go serveMetrics(*metricsAddr, pop, prog)
+	}
+
+	// SIGINT/SIGTERM cancel the run: every hosted participant closes its
+	// listener and live connections, the peers time the slot out, and the
+	// daemon exits instead of hanging on half-finished exchanges.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	fmt.Printf("chiaroscurod: waiting for %d peers (bootstrap %q)\n", *population-1, *bootstrap)
-	// Join polls the roster and is not context-aware; close the node on
-	// cancellation so a SIGINT during the wait interrupts it promptly
-	// instead of sitting out the join timeout.
-	stopWatch := context.AfterFunc(ctx, func() { _ = nd.Close() })
+	fmt.Printf("chiaroscurod: waiting for %d remote peers (bootstrap %q)\n", *population-*vnodes, *bootstrap)
+	// Join polls the roster and is not context-aware; close the
+	// population on cancellation so a SIGINT during the wait interrupts
+	// it promptly instead of sitting out the join timeout.
+	stopWatch := context.AfterFunc(ctx, func() { _ = pop.Close() })
 	defer stopWatch()
-	if err := nd.Join(); err != nil {
+	if err := pop.Join(); err != nil {
 		if ctx.Err() != nil {
 			fmt.Println("chiaroscurod: interrupted while waiting for peers")
 			return
@@ -278,7 +270,7 @@ func main() {
 	}
 	fmt.Println("chiaroscurod: roster complete, protocol starting")
 	start := time.Now()
-	res, err := nd.RunContext(ctx)
+	results, err := pop.Run(ctx)
 	if errors.Is(err, context.Canceled) {
 		fmt.Println("chiaroscurod: interrupted; listener and connections closed cleanly")
 		return
@@ -287,14 +279,15 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("chiaroscurod: run complete in %s\n", time.Since(start).Round(time.Millisecond))
+	res := results[0]
 	for _, tr := range res.Traces {
 		fmt.Printf("  iter %d: centroids %d→%d, ε %.4f, cycles sum/diss/dec %d/%d/%d\n",
 			tr.Iteration, tr.CentroidsIn, tr.CentroidsOut, tr.EpsilonSpent,
 			tr.SumCycles, tr.DissCycles, tr.DecryptCycles)
 	}
-	c := res.Counters
-	fmt.Printf("final: %d centroids, ε spent %.4f, exchanges %d (init %d / resp %d), timeouts %d, sent %.1f kB, recv %.1f kB\n",
-		len(res.Centroids), res.TotalEpsilon, c.Exchanges(), c.Initiated, c.Responded,
+	c := pop.Counters()
+	fmt.Printf("final: %d centroids (node %d's view), ε spent %.4f, exchanges %d (init %d / resp %d), timeouts %d, sent %.1f kB, recv %.1f kB\n",
+		len(res.Centroids), kf.Index, res.TotalEpsilon, c.Exchanges(), c.Initiated, c.Responded,
 		c.Timeouts, float64(c.BytesSent)/1024, float64(c.BytesRecv)/1024)
 	for i, ctr := range res.Centroids {
 		preview := ctr
@@ -303,176 +296,8 @@ func main() {
 		}
 		fmt.Printf("  centroid %d: %.3f…\n", i, preview)
 	}
-	_ = nd.Leave()
-}
-
-// virtualConfig is the provisioning bundle for a -vnodes run.
-type virtualConfig struct {
-	kf          keyFile
-	scheme      chiaroscuro.Scheme
-	data        *chiaroscuro.Dataset
-	proto       core.Config
-	prog        *progress
-	vnodes      int
-	population  int
-	listen      string
-	bootstrap   string
-	metricsAddr string
-	timeout     time.Duration
-	joinTimeout time.Duration
-	policy      node.Policy
-}
-
-// runVirtual hosts vnodes consecutive participants (key-file index
-// onward) behind one mux listener: one accept loop, one shared address
-// book and schedule mirror, in-process connections between co-located
-// pairs.
-// The protocol run is bit-identical to hosting each participant in its
-// own daemon. The /progress observer rides the first hosted
-// participant; /metrics aggregates the whole host.
-func runVirtual(vc virtualConfig) {
-	if vc.kf.Index+vc.vnodes > vc.population {
-		fatal(fmt.Errorf("-vnodes %d from index %d exceeds the population of %d", vc.vnodes, vc.kf.Index, vc.population))
-	}
-	host, err := mux.NewHost(mux.Config{
-		Listen:          vc.listen,
-		N:               vc.population,
-		SeriesDim:       vc.data.Dim(),
-		Scheme:          vc.scheme,
-		Proto:           vc.proto,
-		Bootstrap:       vc.bootstrap,
-		ExchangeTimeout: vc.timeout,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	defer host.Close()
-	nodes := make([]*node.Node, vc.vnodes)
-	for v := 0; v < vc.vnodes; v++ {
-		idx := vc.kf.Index + v
-		cfg := node.Config{
-			Index:           idx,
-			Series:          vc.data.Row(idx),
-			ExchangeTimeout: vc.timeout,
-			JoinTimeout:     vc.joinTimeout,
-			Policy:          vc.policy,
-		}
-		if v == 0 {
-			cfg.Proto.Observer = vc.prog.observer()
-		}
-		nd, err := host.AddNode(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		nodes[v] = nd
-	}
-	fmt.Printf("chiaroscurod: hosting nodes %d–%d of %d on %s (virtual)\n",
-		vc.kf.Index, vc.kf.Index+vc.vnodes-1, vc.population, host.Addr())
-
-	if vc.metricsAddr != "" {
-		go serveMetrics(vc.metricsAddr, nodes, host, vc.prog)
-	}
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	stopWatch := context.AfterFunc(ctx, func() { _ = host.Close() })
-	defer stopWatch()
-
-	fmt.Printf("chiaroscurod: waiting for %d remote peers (bootstrap %q)\n",
-		vc.population-vc.vnodes, vc.bootstrap)
-	if err := nodes[0].Join(); err != nil {
-		if herr := host.Err(); herr != nil {
-			fatal(herr)
-		}
-		if ctx.Err() != nil {
-			fmt.Println("chiaroscurod: interrupted while waiting for peers")
-			return
-		}
-		fatal(err)
-	}
-	fmt.Println("chiaroscurod: roster complete, protocol starting")
-	start := time.Now()
-	results := make([]*node.Result, vc.vnodes)
-	errs := make([]error, vc.vnodes)
-	var wg sync.WaitGroup
-	for v, nd := range nodes {
-		wg.Add(1)
-		go func(v int, nd *node.Node) {
-			defer wg.Done()
-			results[v], errs[v] = nd.RunContext(ctx)
-		}(v, nd)
-	}
-	wg.Wait()
-	if errors.Is(ctx.Err(), context.Canceled) {
-		fmt.Println("chiaroscurod: interrupted; listener and connections closed cleanly")
-		return
-	}
-	for v, err := range errs {
-		if err != nil {
-			fatal(fmt.Errorf("node %d: %w", vc.kf.Index+v, err))
-		}
-	}
-	fmt.Printf("chiaroscurod: run complete in %s\n", time.Since(start).Round(time.Millisecond))
-	res := results[0]
-	for _, tr := range res.Traces {
-		fmt.Printf("  iter %d: centroids %d→%d, ε %.4f, cycles sum/diss/dec %d/%d/%d\n",
-			tr.Iteration, tr.CentroidsIn, tr.CentroidsOut, tr.EpsilonSpent,
-			tr.SumCycles, tr.DissCycles, tr.DecryptCycles)
-	}
-	var agg wireproto.Counters
-	for _, r := range results {
-		agg.Add(r.Counters)
-	}
-	agg.Add(host.Counters())
-	fmt.Printf("final: %d centroids (node %d's view), ε spent %.4f, host exchanges %d (init %d / resp %d), timeouts %d, sent %.1f kB, recv %.1f kB\n",
-		len(res.Centroids), vc.kf.Index, res.TotalEpsilon, agg.Exchanges(), agg.Initiated, agg.Responded,
-		agg.Timeouts, float64(agg.BytesSent)/1024, float64(agg.BytesRecv)/1024)
-	for i, ctr := range res.Centroids {
-		preview := ctr
-		if len(preview) > 6 {
-			preview = preview[:6]
-		}
-		fmt.Printf("  centroid %d: %.3f…\n", i, preview)
-	}
-}
-
-// runSoak runs the in-process chaos soak with the crash-storm profile:
-// refusals, mid-frame cuts, crash-at-leg storms and modeled churn over
-// a full population per run, with retries and peer suspicion on. Every
-// fault decision derives from the printed seed, so a failing soak run
-// replays exactly (cmd/soak exposes the individual knobs).
-func runSoak(d time.Duration, population int, seed uint64) {
-	fmt.Printf("chiaroscurod: soak starting — %d nodes, %s, fault seed %d (crash-storm profile)\n",
-		population, d, seed)
-	rep, err := soak.Run(soak.Config{
-		N:        population,
-		Duration: d,
-		Plan: faultnet.Plan{
-			Seed:       seed,
-			RefuseProb: 0.05,
-			CutProb:    0.03,
-			CrashProb:  0.05,
-			LatencyMax: 2 * time.Millisecond,
-		},
-		Policy: node.Policy{MaxRetries: 3, SuspicionK: 4},
-		Churn:  0.1,
-		Out:    os.Stdout,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	w := rep.Wire
-	fmt.Printf("soak: fault seed %d, %d runs (%d failed) in %s\n",
-		rep.Seed, rep.Runs, rep.Failures, rep.Elapsed.Round(time.Millisecond))
-	fmt.Printf("soak: %d cycles (%.2f cycles/sec), last run released %d centroids\n",
-		rep.Cycles, rep.CyclesPerSec(), rep.Centroids)
-	fmt.Printf("soak: exchanges %d, timeouts %d, retries %d, suspected %d, evicted %d, wire %.1f kB sent / %.1f kB received\n",
-		w.Initiated+w.Responded, w.Timeouts, w.Retries, w.Suspected, w.Evicted,
-		float64(w.BytesSent)/1024, float64(w.BytesRecv)/1024)
-	fmt.Printf("soak: peak %d goroutines, %.1f MB heap in use\n",
-		rep.PeakGoroutines, float64(rep.PeakHeapBytes)/(1024*1024))
-	if rep.Centroids == 0 || rep.Runs == rep.Failures {
-		fatal(fmt.Errorf("soak released no centroids (last error: %v)", rep.LastErr))
+	if *vnodes == 1 {
+		_ = pop.Nodes()[0].Leave()
 	}
 }
 
@@ -553,26 +378,20 @@ func loadData(csvPath, dataset string, size int, seed uint64) (d *chiaroscuro.Da
 // text counters on /metrics, and the live protocol position — current
 // phase cycle plus every released per-iteration centroid set so far —
 // as JSON on /progress (the daemon-side view of the Job event stream).
-// A virtual-node daemon passes every hosted participant plus its host:
-// the counters aggregate across all of them (host membership traffic
-// included), and the iteration/phase gauges follow the first hosted
-// participant (all stay in lockstep by construction).
-func serveMetrics(addr string, nodes []*node.Node, host *mux.Host, prog *progress) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
+// The counters aggregate across every hosted participant (a host's
+// membership traffic included), and the iteration/phase gauges follow
+// the first hosted participant (all stay in lockstep by construction).
+func serveMetrics(addr string, pop *mux.Population, prog *progress) {
+	nodes := pop.Nodes()
+	routes := http.NewServeMux()
+	routes.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(prog.snapshot())
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		var c wireproto.Counters
-		for _, nd := range nodes {
-			c.Add(nd.Counters())
-		}
-		if host != nil {
-			c.Add(host.Counters())
-		}
+	routes.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		c := pop.Counters()
 		iter, phase := nodes[0].Progress()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		fmt.Fprintf(w, "# HELP chiaroscuro_exchanges_total Completed exchanges by role.\n")
@@ -622,14 +441,14 @@ func serveMetrics(addr string, nodes []*node.Node, host *mux.Host, prog *progres
 	// running without -state-dir): enough for an operator to tell a
 	// healthy daemon from one wedged mid-phase or accumulating unsynced
 	// journal writes.
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+	routes.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		iter, phase := nodes[0].Progress()
 		entries, lagBytes := nodes[0].JournalLag()
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, "{\"status\":\"ok\",\"iteration\":%d,\"phase\":%q,\"journal_lag\":{\"entries\":%d,\"bytes\":%d}}\n",
 			iter, core.Phase(phase).String(), entries, lagBytes)
 	})
-	srv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Addr: addr, Handler: routes, ReadHeaderTimeout: 5 * time.Second}
 	if err := srv.ListenAndServe(); err != nil {
 		fmt.Fprintln(os.Stderr, "chiaroscurod: metrics:", err)
 	}

@@ -170,7 +170,11 @@ type Config struct {
 	DissCycles    int
 	DecryptCycles int
 
-	Sampler sim.Sampler // peer sampling (default uniform)
+	// Newscast samples exchange peers from bounded Newscast views (size
+	// 30) instead of uniformly. Samplers are stateful, so every engine
+	// draws from one of its own (NewSampler): one Config can provision
+	// any number of engines.
+	Newscast bool
 
 	// Observer receives progress callbacks (per-iteration releases,
 	// per-cycle phase progress, churn). Zero value: no callbacks.
@@ -238,22 +242,8 @@ type Network struct {
 // data.Len().
 func NewNetwork(data *timeseries.Dataset, sch homenc.Scheme, cfg Config) (*Network, error) {
 	np := data.Len()
-	if np < 2 {
-		return nil, errors.New("core: need at least 2 participants")
-	}
-	if len(kmeans.Compact(cfg.InitCentroids)) == 0 {
-		return nil, kmeans.ErrNoCentroids
-	}
-	for _, c := range cfg.InitCentroids {
-		if c != nil && len(c) != data.Dim() {
-			return nil, errors.New("core: centroid length does not match series length")
-		}
-	}
-	if sch.NumShares() < np {
-		return nil, fmt.Errorf("core: scheme has %d key-shares for %d participants", sch.NumShares(), np)
-	}
-	if cfg.Epsilon <= 0 {
-		return nil, errors.New("core: epsilon must be positive")
+	if err := cfg.Validate(np, data.Dim(), sch); err != nil {
+		return nil, err
 	}
 	cfg = cfg.Normalize(np)
 	pack, err := PackingFor(cfg, np, data.Dim(), sch)
@@ -274,7 +264,7 @@ func NewNetwork(data *timeseries.Dataset, sch homenc.Scheme, cfg Config) (*Netwo
 		// advances curIter — so the read is race-free.
 		ecfg.OnChurn = func(cycle, down int) { hook(nw.curIter, cycle, down, ChurnModel) }
 	}
-	engine, err := sim.New(ecfg, cfg.Sampler)
+	engine, err := sim.New(ecfg, cfg.NewSampler())
 	if err != nil {
 		return nil, err
 	}
@@ -311,10 +301,46 @@ func (cfg Config) Normalize(np int) Config {
 	if cfg.Workers == 0 {
 		cfg.Workers = parallel.Workers()
 	}
-	if cfg.Sampler == nil {
-		cfg.Sampler = &sim.UniformSampler{}
-	}
 	return cfg
+}
+
+// NewSampler returns a fresh peer sampler for one engine: a Newscast
+// sampler holds every participant's view and mutates it on each draw, so
+// engines never share one.
+func (cfg Config) NewSampler() sim.Sampler {
+	if cfg.Newscast {
+		return &sim.NewscastSampler{ViewSize: 30}
+	}
+	return &sim.UniformSampler{}
+}
+
+// Validate checks what every deployment of np participants holding
+// series of seriesDim points must satisfy, whichever driver runs it: a
+// population of at least two, a key-share per participant, a positive
+// budget, and live init centroids as long as the series. NewNetwork and
+// every networked participant (node.Provision) call it.
+func (cfg Config) Validate(np, seriesDim int, sch homenc.Scheme) error {
+	if np < 2 {
+		return errors.New("core: need at least 2 participants")
+	}
+	if sch == nil {
+		return errors.New("core: nil scheme")
+	}
+	if sch.NumShares() < np {
+		return fmt.Errorf("core: scheme has %d key-shares for %d participants", sch.NumShares(), np)
+	}
+	if cfg.Epsilon <= 0 {
+		return errors.New("core: epsilon must be positive")
+	}
+	if len(kmeans.Compact(cfg.InitCentroids)) == 0 {
+		return kmeans.ErrNoCentroids
+	}
+	for _, c := range cfg.InitCentroids {
+		if c != nil && len(c) != seriesDim {
+			return fmt.Errorf("core: centroid has %d points, series have %d", len(c), seriesDim)
+		}
+	}
+	return nil
 }
 
 // MirrorEngineConfig is the exact engine configuration a deployment of

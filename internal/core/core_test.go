@@ -10,7 +10,6 @@ import (
 	"chiaroscuro/internal/homenc/plain"
 	"chiaroscuro/internal/kmeans"
 	"chiaroscuro/internal/randx"
-	"chiaroscuro/internal/sim"
 	"chiaroscuro/internal/timeseries"
 )
 
@@ -379,7 +378,7 @@ func TestProtocolWithNewscastSampler(t *testing.T) {
 		MaxIterations: 2,
 		Exchanges:     30,
 		Seed:          82,
-		Sampler:       &sim.NewscastSampler{ViewSize: 30},
+		Newscast:      true,
 	})
 	if err != nil {
 		t.Fatal(err)

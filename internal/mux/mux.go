@@ -14,8 +14,17 @@
 // shared across the host: one schedule mirror (node.ScheduleSource)
 // instead of one sim.Engine per peer, one address book, one scheme
 // instance (whose randomizer pools and comb tables are already
-// process-wide). The host provisions the shared configuration through
-// node.Provision, as each of its virtual nodes does.
+// process-wide). NewHost takes the participants' shared node.Config and
+// provisions it through node.Provision, as each of its virtual nodes
+// does.
+//
+// Launch is the one place a population is laid out: from the shared
+// node.Config and a slice of participant indices it builds one TCP
+// listener per participant or Hosts of a given size, chains their
+// bootstraps, hands the observer to the first participant, and runs,
+// counts and closes them together (Population). The Job API's Networked
+// mode, the soak harness and chiaroscurod all stand their participants
+// up through it.
 //
 // Co-located pairs exchange over the host's own in-process connection
 // (inprocConn), handed out by the host's Transport dialer: same frames,
@@ -45,36 +54,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"chiaroscuro/internal/core"
-	"chiaroscuro/internal/homenc"
 	"chiaroscuro/internal/node"
 	"chiaroscuro/internal/randx"
 	"chiaroscuro/internal/wireproto"
 )
-
-// Config provisions one Host.
-type Config struct {
-	// Listen is the shared listener address (default "127.0.0.1:0").
-	Listen string
-	// N is the total population size (across every host).
-	N int
-	// SeriesDim is the per-participant time-series length; every
-	// participant's series must have it.
-	SeriesDim int
-	// Scheme is the shared threshold scheme (key material).
-	Scheme homenc.Scheme
-	// Proto is the shared protocol configuration (seed included).
-	Proto core.Config
-	// Epoch is the population epoch for the wire (0: derived from seed).
-	Epoch uint64
-	// Bootstrap is another host's (or daemon's) address; the host pumps
-	// its roster there until the bootstrap's roster covers the
-	// population ("" for the first/only host).
-	Bootstrap string
-	// ExchangeTimeout bounds the host's membership I/O and the read of
-	// each inbound connection's first frame (default 30s).
-	ExchangeTimeout time.Duration
-}
 
 // Host is one multiplexed listener and its virtual nodes.
 type Host struct {
@@ -107,16 +90,19 @@ type Host struct {
 	wg      sync.WaitGroup
 }
 
-// NewHost provisions the shared configuration exactly as each virtual
-// node does (node.Provision), starts the listener and, when a bootstrap
-// address is configured, the membership pump.
-func NewHost(cfg Config) (*Host, error) {
-	shared := node.Config{N: cfg.N, Scheme: cfg.Scheme, Proto: cfg.Proto, Epoch: cfg.Epoch, Listen: cfg.Listen, ExchangeTimeout: cfg.ExchangeTimeout}
-	dep, err := node.Provision(&shared, cfg.SeriesDim)
+// NewHost provisions the shared configuration of participants whose
+// series have seriesDim points exactly as each virtual node does
+// (node.Provision), starts the listener on shared.Listen and, when
+// shared.Bootstrap names another host (or daemon), the membership pump,
+// which pushes the host's roster there until the bootstrap's covers the
+// population. shared.ExchangeTimeout bounds the host's membership I/O
+// and the read of each inbound connection's first frame.
+func NewHost(shared node.Config, seriesDim int) (*Host, error) {
+	dep, err := node.Provision(&shared, seriesDim)
 	if err != nil {
 		return nil, err
 	}
-	sched, err := node.NewScheduleSource(shared.Proto, shared.N, cfg.SeriesDim, shared.Scheme, dep.Pack)
+	sched, err := node.NewScheduleSource(shared.Proto, shared.N, seriesDim, shared.Scheme, dep.Pack)
 	if err != nil {
 		return nil, err
 	}
@@ -125,8 +111,8 @@ func NewHost(cfg Config) (*Host, error) {
 		return nil, err
 	}
 	h := &Host{
-		seriesDim: cfg.SeriesDim,
-		bootstrap: cfg.Bootstrap,
+		seriesDim: seriesDim,
+		bootstrap: shared.Bootstrap,
 		shared:    shared,
 		dep:       dep,
 		ln:        ln,
@@ -142,7 +128,7 @@ func NewHost(cfg Config) (*Host, error) {
 	h.jitter = randx.NewJitter(shared.Proto.Seed^0x6A177E12, addrStream(h.addr))
 	h.wg.Add(1)
 	go h.serve()
-	if cfg.Bootstrap != "" {
+	if h.bootstrap != "" {
 		h.wg.Add(1)
 		go h.pump()
 	}

@@ -1,6 +1,7 @@
 package mux_test
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -75,102 +76,55 @@ func runSim(t *testing.T, ts testSetup) *core.Result {
 	return res
 }
 
+// launch runs the whole population through mux.Launch with listeners
+// shared by group participants and returns every participant's result.
+func launch(t *testing.T, ts testSetup, group int) []*node.Result {
+	t.Helper()
+	pop, err := mux.Launch(node.Config{
+		N:               ts.n,
+		Scheme:          ts.scheme,
+		Proto:           ts.proto,
+		ExchangeTimeout: 20 * time.Second,
+		FinTimeout:      20 * time.Second,
+		JoinTimeout:     20 * time.Second,
+	}, ts.data, 0, ts.n, group, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = pop.Close() })
+	results, err := pop.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
 // launchTCP runs the population as separate daemons: one TCP listener
 // per participant, the pre-mux deployment shape.
 func launchTCP(t *testing.T, ts testSetup) []*node.Result {
 	t.Helper()
-	nodes := make([]*node.Node, ts.n)
-	var bootstrap string
-	for i := 0; i < ts.n; i++ {
-		nd, err := node.New(node.Config{
-			Index:           i,
-			N:               ts.n,
-			Series:          ts.data.Row(i),
-			Scheme:          ts.scheme,
-			Proto:           ts.proto,
-			Bootstrap:       bootstrap,
-			ExchangeTimeout: 20 * time.Second,
-			FinTimeout:      20 * time.Second,
-			JoinTimeout:     20 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = nd.Close() })
-		nodes[i] = nd
-		if i == 0 {
-			bootstrap = nd.Addr()
-		}
-	}
-	return runAll(t, nodes)
+	return launch(t, ts, 1)
 }
 
 // launchVirtual runs the population as virtual nodes: hostSizes[h]
 // participants on host h (consecutive indices), the first host
 // bootstrapping the rest. One size covering everything is the
 // single-process shape; several exercise the cross-host v2-over-TCP
-// path and the membership pump.
+// path and the membership pump. Launch fills hosts of the first size
+// and leaves the remainder to the last one, so the sizes must say so.
 func launchVirtual(t *testing.T, ts testSetup, hostSizes ...int) []*node.Result {
 	t.Helper()
-	nodes := make([]*node.Node, 0, ts.n)
-	bootstrap := ""
-	base := 0
-	for _, size := range hostSizes {
-		h, err := mux.NewHost(mux.Config{
-			N:               ts.n,
-			SeriesDim:       ts.data.Dim(),
-			Scheme:          ts.scheme,
-			Proto:           ts.proto,
-			Bootstrap:       bootstrap,
-			ExchangeTimeout: 20 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = h.Close() })
-		for i := base; i < base+size; i++ {
-			nd, err := h.AddNode(node.Config{
-				Index:           i,
-				Series:          ts.data.Row(i),
-				ExchangeTimeout: 20 * time.Second,
-				FinTimeout:      20 * time.Second,
-				JoinTimeout:     20 * time.Second,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			nodes = append(nodes, nd)
-		}
-		if bootstrap == "" {
-			bootstrap = h.Addr()
+	group, base := hostSizes[0], 0
+	for h, size := range hostSizes {
+		if size > group || (size < group && h < len(hostSizes)-1) {
+			t.Fatalf("host sizes %v: only the last host may hold fewer than the first", hostSizes)
 		}
 		base += size
 	}
 	if base != ts.n {
 		t.Fatalf("host sizes cover %d of %d participants", base, ts.n)
 	}
-	return runAll(t, nodes)
-}
-
-func runAll(t *testing.T, nodes []*node.Node) []*node.Result {
-	t.Helper()
-	results := make([]*node.Result, len(nodes))
-	errs := make([]error, len(nodes))
-	var wg sync.WaitGroup
-	for i, nd := range nodes {
-		wg.Add(1)
-		go func(i int, nd *node.Node) {
-			defer wg.Done()
-			results[i], errs[i] = nd.Run()
-		}(i, nd)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-	}
-	return results
+	return launch(t, ts, group)
 }
 
 func assertCentroidsEqual(t *testing.T, label string, want, got []timeseries.Series) {
@@ -274,10 +228,10 @@ func TestVirtualTwoHostsBitMatchesSimulator(t *testing.T) {
 func TestPumpDeliversLateLocalNode(t *testing.T) {
 	ts := newSetup(t, 12, 0)
 	newHost := func(bootstrap string) *mux.Host {
-		h, err := mux.NewHost(mux.Config{
-			N: ts.n, SeriesDim: ts.data.Dim(), Scheme: ts.scheme, Proto: ts.proto,
+		h, err := mux.NewHost(node.Config{
+			N: ts.n, Scheme: ts.scheme, Proto: ts.proto,
 			Bootstrap: bootstrap, ExchangeTimeout: 5 * time.Second,
-		})
+		}, ts.data.Dim())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,12 +270,7 @@ func TestPumpDeliversLateLocalNode(t *testing.T) {
 func TestHostCloseNoGoroutineLeak(t *testing.T) {
 	ts := newSetup(t, 4, 0)
 	baseline := runtime.NumGoroutine()
-	h, err := mux.NewHost(mux.Config{
-		N:         ts.n,
-		SeriesDim: ts.data.Dim(),
-		Scheme:    ts.scheme,
-		Proto:     ts.proto,
-	})
+	h, err := mux.NewHost(node.Config{N: ts.n, Scheme: ts.scheme, Proto: ts.proto}, ts.data.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +320,7 @@ func TestDialRacesClose(t *testing.T) {
 	ts := newSetup(t, 4, 0)
 	for round := 0; round < 20; round++ {
 		baseline := runtime.NumGoroutine()
-		h, err := mux.NewHost(mux.Config{N: ts.n, SeriesDim: ts.data.Dim(), Scheme: ts.scheme, Proto: ts.proto})
+		h, err := mux.NewHost(node.Config{N: ts.n, Scheme: ts.scheme, Proto: ts.proto}, ts.data.Dim())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +358,7 @@ func TestDialRacesClose(t *testing.T) {
 // from the frame pool, deadlines are values — neither allocates.
 func TestDialCloseAllocs(t *testing.T) {
 	ts := newSetup(t, 4, 0)
-	h, err := mux.NewHost(mux.Config{N: ts.n, SeriesDim: ts.data.Dim(), Scheme: ts.scheme, Proto: ts.proto})
+	h, err := mux.NewHost(node.Config{N: ts.n, Scheme: ts.scheme, Proto: ts.proto}, ts.data.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +381,7 @@ func TestDialCloseAllocs(t *testing.T) {
 // TestAddNodeValidation pins the host-side provisioning checks.
 func TestAddNodeValidation(t *testing.T) {
 	ts := newSetup(t, 4, 0)
-	h, err := mux.NewHost(mux.Config{N: ts.n, SeriesDim: ts.data.Dim(), Scheme: ts.scheme, Proto: ts.proto})
+	h, err := mux.NewHost(node.Config{N: ts.n, Scheme: ts.scheme, Proto: ts.proto}, ts.data.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func TestMembershipParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = nd.Close() })
-	h, err := mux.NewHost(mux.Config{N: n, SeriesDim: data.Dim(), Scheme: scheme, Proto: proto, Epoch: membershipEpoch})
+	h, err := mux.NewHost(node.Config{N: n, Scheme: scheme, Proto: proto, Epoch: membershipEpoch}, data.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestMembershipMalformedRosterReply(t *testing.T) {
 	}
 
 	base := hellos.Load()
-	h, err := mux.NewHost(mux.Config{N: n, SeriesDim: data.Dim(), Scheme: scheme, Proto: proto, Epoch: membershipEpoch, Bootstrap: ln.Addr().String()})
+	h, err := mux.NewHost(node.Config{N: n, Scheme: scheme, Proto: proto, Epoch: membershipEpoch, Bootstrap: ln.Addr().String()}, data.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestMembershipMalformedRosterReply(t *testing.T) {
 // returning peer's eviction in all of them.
 func TestHostResumeReinstatesEveryNode(t *testing.T) {
 	n, data, scheme, proto, digest := membershipSetup(t)
-	h, err := mux.NewHost(mux.Config{N: n, SeriesDim: data.Dim(), Scheme: scheme, Proto: proto, Epoch: membershipEpoch})
+	h, err := mux.NewHost(node.Config{N: n, Scheme: scheme, Proto: proto, Epoch: membershipEpoch}, data.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}

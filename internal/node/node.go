@@ -284,26 +284,14 @@ type Deployment struct {
 // New and mux.NewHost both provision through it, so a host performs
 // exactly the checks each of its virtual nodes does.
 func Provision(cfg *Config, seriesDim int) (Deployment, error) {
-	if cfg.N < 2 {
-		return Deployment{}, errors.New("node: population must be at least 2")
-	}
-	if cfg.Scheme == nil {
-		return Deployment{}, errors.New("node: nil scheme")
-	}
-	if cfg.Scheme.NumShares() < cfg.N {
-		return Deployment{}, fmt.Errorf("node: scheme has %d key-shares for %d participants", cfg.Scheme.NumShares(), cfg.N)
-	}
 	if seriesDim <= 0 {
 		return Deployment{}, errors.New("node: empty series")
 	}
-	if cfg.Proto.Epsilon <= 0 {
-		return Deployment{}, errors.New("node: epsilon must be positive")
+	if err := cfg.Proto.Validate(cfg.N, seriesDim, cfg.Scheme); err != nil {
+		return Deployment{}, err
 	}
 	if cfg.Proto.Threshold != 0 {
 		return Deployment{}, errors.New("node: networked runs use the fixed iteration schedule; set Threshold to 0")
-	}
-	if len(kmeans.Compact(cfg.Proto.InitCentroids)) == 0 {
-		return Deployment{}, kmeans.ErrNoCentroids
 	}
 	cfg.Proto = cfg.Proto.Normalize(cfg.N)
 	if cfg.Proto.DissCycles <= 0 || cfg.Proto.DecryptCycles <= 0 {

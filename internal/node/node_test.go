@@ -447,6 +447,21 @@ func TestLeaveMarksPeerGone(t *testing.T) {
 	}
 }
 
+// TestNewRejectsMismatchedCentroids pins the shared provisioning check:
+// init centroids shorter than the participant's series are refused at
+// construction, as the simulator refuses them, rather than surfacing as
+// a length-mismatch panic once the run builds its first contribution.
+func TestNewRejectsMismatchedCentroids(t *testing.T) {
+	ts := newSetup(t, 2, 0)
+	proto := ts.proto
+	proto.InitCentroids = []timeseries.Series{{10, 10, 10}, {40, 40, 40}}
+	nd, err := New(Config{Index: 0, N: 2, Series: ts.data.Row(0), Scheme: ts.scheme, Proto: proto, ViewInterval: -1})
+	if err == nil {
+		_ = nd.Close()
+		t.Fatalf("3-point centroids accepted for a %d-point series", ts.data.Dim())
+	}
+}
+
 // TestRegistryOrdering pins the registry contract: early requests park,
 // stale requests are refused, pruning closes passed slots.
 func TestRegistryOrdering(t *testing.T) {

@@ -45,7 +45,7 @@ func NewScheduleSource(proto core.Config, np, seriesDim int, sch homenc.Scheme, 
 			src.churn(cycle/src.perIter+1, cycle, down)
 		}
 	}
-	eng, err := sim.New(ecfg, proto.Sampler)
+	eng, err := sim.New(ecfg, proto.NewSampler())
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,6 @@
-// Package soak is the chaos soak harness behind `chiaroscurod -soak`
-// and `cmd/soak`: it runs an in-process networked population — real TCP
-// listeners, real wire frames — in a loop under a seeded faultnet plan
+// Package soak is the chaos soak harness behind `cmd/soak`: it runs an
+// in-process networked population — real TCP listeners, real wire
+// frames — in a loop under a seeded faultnet plan
 // (refusals, partitions, mid-frame cuts, latency, crash storms), the
 // Section 6.1.5 churn model, and a join flood (every run boots the
 // whole population through one bootstrap peer simultaneously), and
@@ -12,7 +12,7 @@
 // (VirtualNodes), where the whole population lives behind one
 // mux.Host and exchanges over its in-process connections — the shape
 // that scales to the paper's hundred-thousand-peer populations on one
-// machine.
+// machine. mux.Launch lays out both.
 //
 // Each run advances the fault plan's seed by one, so a soak sweeps a
 // family of reproducible fault schedules; any failing run can be
@@ -20,6 +20,7 @@
 package soak
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/bits"
@@ -293,24 +294,32 @@ func sampleResources(rep *Report) (stop func()) {
 	}
 }
 
-// protoFor is the soak's shared protocol configuration for one run.
-func protoFor(cfg Config, seeds []timeseries.Series, plan faultnet.Plan) core.Config {
-	logN := bits.Len(uint(cfg.N))
-	return core.Config{
-		K:             2,
-		InitCentroids: seeds,
-		DMin:          datasets.CERMin,
-		DMax:          datasets.CERMax,
-		Epsilon:       1e4, // quality is not under test; noise must not wipe centroids
-		MaxIterations: cfg.Iterations,
-		Exchanges:     10,
-		DissCycles:    6 + 2*logN,
-		DecryptCycles: 8 + 2*logN,
-		FracBits:      24,
-		Seed:          plan.Seed,
-		Churn:         cfg.Churn,
-		MidFailure:    cfg.Churn > 0,
-		Workers:       cfg.Workers,
+// shared is the configuration every participant of one run shares.
+func (c Config) shared(scheme homenc.Scheme, seeds []timeseries.Series, plan faultnet.Plan) node.Config {
+	logN := bits.Len(uint(c.N))
+	return node.Config{
+		N:      c.N,
+		Scheme: scheme,
+		Proto: core.Config{
+			K:             2,
+			InitCentroids: seeds,
+			DMin:          datasets.CERMin,
+			DMax:          datasets.CERMax,
+			Epsilon:       1e4, // quality is not under test; noise must not wipe centroids
+			MaxIterations: c.Iterations,
+			Exchanges:     10,
+			DissCycles:    6 + 2*logN,
+			DecryptCycles: 8 + 2*logN,
+			FracBits:      24,
+			Seed:          plan.Seed,
+			Churn:         c.Churn,
+			MidFailure:    c.Churn > 0,
+			Workers:       c.Workers,
+		},
+		ExchangeTimeout: c.ExchangeTimeout,
+		FinTimeout:      c.finTimeout(),
+		JoinTimeout:     30 * time.Second,
+		Policy:          c.Policy,
 	}
 }
 
@@ -319,99 +328,27 @@ func protoFor(cfg Config, seeds []timeseries.Series, plan faultnet.Plan) core.Co
 // the protocol under the plan's faults, and returns participant 0's
 // result plus the population's aggregated counters.
 func runOnce(cfg Config, scheme homenc.Scheme, data *timeseries.Dataset, seeds []timeseries.Series, plan faultnet.Plan) (*node.Result, wireproto.Counters, error) {
-	proto := protoFor(cfg, seeds, plan)
 	inj := faultnet.New(plan)
-	var agg wireproto.Counters
-	nodes := make([]*node.Node, cfg.N)
-
-	var host *mux.Host
+	group := 1
 	if cfg.VirtualNodes {
-		h, err := mux.NewHost(mux.Config{
-			N:               cfg.N,
-			SeriesDim:       data.Dim(),
-			Scheme:          scheme,
-			Proto:           proto,
-			ExchangeTimeout: cfg.ExchangeTimeout,
-		})
-		if err != nil {
-			return nil, agg, err
+		group = cfg.N
+	}
+	pop, err := mux.Launch(cfg.shared(scheme, seeds, plan), data, 0, cfg.N, group, func(nc *node.Config) error {
+		nf := inj.Node(nc.Index)
+		if nc.Dialer != nil {
+			nf = nf.WithTransport(nc.Dialer.Dial) // faults over the host's in-process connections
 		}
-		host = h
-		defer host.Close()
-		transport := host.Transport()
-		for i := 0; i < cfg.N; i++ {
-			nf := inj.Node(i).WithTransport(transport.Dial)
-			nd, err := host.AddNode(node.Config{
-				Index:           i,
-				Series:          data.Row(i),
-				ExchangeTimeout: cfg.ExchangeTimeout,
-				FinTimeout:      cfg.finTimeout(),
-				Policy:          cfg.Policy,
-				Dialer:          nf,
-				CrashHook:       nf.Crash,
-			})
-			if err != nil {
-				return nil, agg, err
-			}
-			nodes[i] = nd
-		}
-	} else {
-		defer func() {
-			for _, nd := range nodes {
-				if nd != nil {
-					_ = nd.Close()
-				}
-			}
-		}()
-		bootstrap := ""
-		for i := 0; i < cfg.N; i++ {
-			nf := inj.Node(i)
-			nd, err := node.New(node.Config{
-				Index:           i,
-				N:               cfg.N,
-				Series:          data.Row(i),
-				Scheme:          scheme,
-				Proto:           proto,
-				Bootstrap:       bootstrap,
-				ExchangeTimeout: cfg.ExchangeTimeout,
-				FinTimeout:      cfg.finTimeout(),
-				JoinTimeout:     30 * time.Second,
-				Policy:          cfg.Policy,
-				Dialer:          nf,
-				CrashHook:       nf.Crash,
-			})
-			if err != nil {
-				return nil, agg, err
-			}
-			nodes[i] = nd
-			if i == 0 {
-				bootstrap = nd.Addr()
-			}
-		}
+		nc.Dialer, nc.CrashHook = nf, nf.Crash
+		return nil
+	})
+	if err != nil {
+		return nil, wireproto.Counters{}, err
 	}
-
-	results := make([]*node.Result, cfg.N)
-	errs := make([]error, cfg.N)
-	done := make(chan int, cfg.N)
-	for i, nd := range nodes {
-		go func(i int, nd *node.Node) {
-			results[i], errs[i] = nd.Run()
-			done <- i
-		}(i, nd)
-	}
-	for range nodes {
-		<-done
-	}
-	for _, nd := range nodes {
-		agg.Add(nd.Counters())
-	}
-	if host != nil {
-		agg.Add(host.Counters())
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, agg, fmt.Errorf("node %d: %w", i, err)
-		}
+	defer pop.Close()
+	results, err := pop.Run(context.Background())
+	agg := pop.Counters()
+	if err != nil {
+		return nil, agg, err
 	}
 	if len(results[0].Centroids) == 0 {
 		return nil, agg, fmt.Errorf("run released no centroids")
@@ -431,7 +368,7 @@ func runOnce(cfg Config, scheme homenc.Scheme, data *timeseries.Dataset, seeds [
 // predecessors' counters from the journal, so final instances carry
 // the whole history), and the kill/resume totals.
 func runRestartStorm(cfg Config, scheme homenc.Scheme, data *timeseries.Dataset, seeds []timeseries.Series, plan faultnet.Plan) (*node.Result, wireproto.Counters, int, int, error) {
-	proto := protoFor(cfg, seeds, plan)
+	shared := cfg.shared(scheme, seeds, plan)
 	inj := faultnet.New(plan)
 	var agg wireproto.Counters
 
@@ -473,22 +410,10 @@ func runRestartStorm(cfg Config, scheme homenc.Scheme, data *timeseries.Dataset,
 				break
 			}
 		}
-		nf := faults[i]
-		nd, err := node.New(node.Config{
-			Index:           i,
-			N:               cfg.N,
-			Series:          data.Row(i),
-			Scheme:          scheme,
-			Proto:           proto,
-			Bootstrap:       bootstrap,
-			ExchangeTimeout: cfg.ExchangeTimeout,
-			FinTimeout:      cfg.finTimeout(),
-			JoinTimeout:     30 * time.Second,
-			Policy:          cfg.Policy,
-			Dialer:          nf,
-			CrashHook:       nf.Crash,
-			State:           st,
-		})
+		nc := shared
+		nc.Index, nc.Series, nc.Bootstrap, nc.State = i, data.Row(i), bootstrap, st
+		nc.Dialer, nc.CrashHook = faults[i], faults[i].Crash
+		nd, err := node.New(nc)
 		if err != nil {
 			_ = st.Close()
 			return nil, err

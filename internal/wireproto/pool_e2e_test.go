@@ -1,7 +1,7 @@
 package wireproto_test
 
 import (
-	"sync"
+	"context"
 	"testing"
 	"time"
 
@@ -20,36 +20,17 @@ import (
 // one mux.Host and returns every participant's own result.
 func runVirtual(t *testing.T, data *timeseries.Dataset, scheme homenc.Scheme, proto core.Config) []*node.Result {
 	t.Helper()
-	h, err := mux.NewHost(mux.Config{
-		N: data.Len(), SeriesDim: data.Dim(), Scheme: scheme, Proto: proto,
-		ExchangeTimeout: 20 * time.Second,
-	})
+	pop, err := mux.Launch(node.Config{
+		N: data.Len(), Scheme: scheme, Proto: proto,
+		ExchangeTimeout: 20 * time.Second, FinTimeout: 20 * time.Second, JoinTimeout: 20 * time.Second,
+	}, data, 0, data.Len(), data.Len(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
-	results := make([]*node.Result, data.Len())
-	errs := make([]error, data.Len())
-	var wg sync.WaitGroup
-	for i := range results {
-		nd, err := h.AddNode(node.Config{
-			Index: i, Series: data.Row(i),
-			ExchangeTimeout: 20 * time.Second, FinTimeout: 20 * time.Second, JoinTimeout: 20 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = nd.Run()
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
+	defer pop.Close()
+	results, err := pop.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
 	return results
 }

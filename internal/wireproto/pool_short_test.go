@@ -35,14 +35,14 @@ func idleHost(t *testing.T) (*mux.Host, wireproto.Limits) {
 	for c := range seeds {
 		seeds[c] = make(timeseries.Series, data.Dim())
 	}
-	h, err := mux.NewHost(mux.Config{
-		N: n, SeriesDim: data.Dim(), Scheme: scheme, Epoch: shortEpoch,
+	h, err := mux.NewHost(node.Config{
+		N: n, Scheme: scheme, Epoch: shortEpoch,
 		Proto: core.Config{
 			K: 2, InitCentroids: seeds, DMin: datasets.CERMin, DMax: datasets.CERMax,
 			Epsilon: 1e4, MaxIterations: 1, Exchanges: 4, DissCycles: 4, DecryptCycles: 4,
 			FracBits: 24, Seed: 21,
 		},
-	})
+	}, data.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}

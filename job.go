@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,8 +14,6 @@ import (
 	"chiaroscuro/internal/mux"
 	"chiaroscuro/internal/node"
 	"chiaroscuro/internal/randx"
-	"chiaroscuro/internal/sim"
-	"chiaroscuro/internal/wireproto"
 )
 
 // Mode selects a Job's execution backend. All four run the same
@@ -532,13 +529,8 @@ func (g *dpEngine) run(ctx context.Context, em *emitter) (*Result, error) {
 // --- shared distributed configuration ---
 
 // coreConfig maps the unified Options onto the internal protocol
-// configuration, wiring the event hooks. Call once per participant:
-// the Newscast sampler is stateful and must be fresh per engine.
+// configuration, wiring the event hooks.
 func coreConfig(o Options, em *emitter) core.Config {
-	var sampler sim.Sampler
-	if o.Newscast {
-		sampler = &sim.NewscastSampler{ViewSize: 30}
-	}
 	return core.Config{
 		K:             o.K,
 		InitCentroids: o.InitCentroids,
@@ -559,7 +551,7 @@ func coreConfig(o Options, em *emitter) core.Config {
 		PackSlots:     o.PackSlots,
 		Seed:          o.Seed,
 		Workers:       o.Workers,
-		Sampler:       sampler,
+		Newscast:      o.Newscast,
 		TraceQuality:  o.TraceQuality,
 		Observer: core.Observer{
 			Iteration: func(tr core.IterationTrace, released []Series) {
@@ -610,122 +602,35 @@ type netEngine struct {
 
 func (g *netEngine) run(ctx context.Context, em *emitter) (*Result, error) {
 	np := g.data.Len()
-	policy := node.Policy{
-		MaxRetries: g.opts.FaultPolicy.MaxRetries,
-		Backoff:    g.opts.FaultPolicy.Backoff,
-		SuspicionK: g.opts.FaultPolicy.SuspicionK,
+	// The whole population, in groups of VirtualNodes behind shared mux
+	// listeners (one listener each below 2). The event stream is
+	// participant 0's view — Launch hands the Observer to the first
+	// participant only — the same participant whose view the result
+	// reports.
+	pop, err := mux.Launch(node.Config{
+		N:               np,
+		Scheme:          g.opts.Scheme,
+		Proto:           coreConfig(g.opts, em),
+		ExchangeTimeout: g.opts.ExchangeTimeout,
+		Policy: node.Policy{
+			MaxRetries: g.opts.FaultPolicy.MaxRetries,
+			Backoff:    g.opts.FaultPolicy.Backoff,
+			SuspicionK: g.opts.FaultPolicy.SuspicionK,
+		},
+	}, g.data, 0, np, g.opts.VirtualNodes, nil)
+	if err != nil {
+		return nil, fmt.Errorf("chiaroscuro: %w", err)
 	}
-	nodes := make([]*node.Node, np)
-	var hosts []*mux.Host
-	defer func() {
-		for _, nd := range nodes {
-			if nd != nil {
-				_ = nd.Close()
-			}
+	defer pop.Close()
+	results, err := pop.Run(ctx)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, err
 		}
-		for _, h := range hosts {
-			_ = h.Close()
-		}
-	}()
-	if v := g.opts.VirtualNodes; v >= 2 {
-		// Virtual-node shape: participants in groups of v behind shared
-		// mux listeners; the first host bootstraps the rest.
-		proto := coreConfig(g.opts, em)
-		obs := proto.Observer
-		proto.Observer = core.Observer{}
-		bootstrap := ""
-		for base := 0; base < np; base += v {
-			h, err := mux.NewHost(mux.Config{
-				N:               np,
-				SeriesDim:       g.data.Dim(),
-				Scheme:          g.opts.Scheme,
-				Proto:           proto,
-				Bootstrap:       bootstrap,
-				ExchangeTimeout: g.opts.ExchangeTimeout,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("chiaroscuro: mux host at %d: %w", base, err)
-			}
-			hosts = append(hosts, h)
-			for i := base; i < min(base+v, np); i++ {
-				cfg := node.Config{
-					Index:           i,
-					Series:          g.data.Row(i),
-					ExchangeTimeout: g.opts.ExchangeTimeout,
-					Policy:          policy,
-				}
-				if i == 0 {
-					// The stream is participant 0's view — the same
-					// participant whose view the networked result reports.
-					cfg.Proto.Observer = obs
-				}
-				nd, err := h.AddNode(cfg)
-				if err != nil {
-					return nil, fmt.Errorf("chiaroscuro: node %d: %w", i, err)
-				}
-				nodes[i] = nd
-			}
-			if base == 0 {
-				bootstrap = h.Addr()
-			}
-		}
-	} else {
-		bootstrap := ""
-		for i := 0; i < np; i++ {
-			proto := coreConfig(g.opts, em)
-			if i != 0 {
-				// The stream is participant 0's view — the same participant
-				// whose view the networked result reports.
-				proto.Observer = core.Observer{}
-			}
-			nd, err := node.New(node.Config{
-				Index:           i,
-				N:               np,
-				Series:          g.data.Row(i),
-				Scheme:          g.opts.Scheme,
-				Proto:           proto,
-				Bootstrap:       bootstrap,
-				ExchangeTimeout: g.opts.ExchangeTimeout,
-				Policy:          policy,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("chiaroscuro: node %d: %w", i, err)
-			}
-			nodes[i] = nd
-			if i == 0 {
-				bootstrap = nd.Addr()
-			}
-		}
-	}
-	results := make([]*node.Result, np)
-	errs := make([]error, np)
-	var wg sync.WaitGroup
-	for i, nd := range nodes {
-		wg.Add(1)
-		go func(i int, nd *node.Node) {
-			defer wg.Done()
-			results[i], errs[i] = nd.RunContext(ctx)
-		}(i, nd)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("chiaroscuro: node %d: %w", i, err)
-		}
+		return nil, fmt.Errorf("chiaroscuro: %w", err)
 	}
 	r0 := results[0]
-	var wire wireproto.Counters
-	for _, r := range results {
-		wire.Add(r.Counters)
-	}
-	for _, h := range hosts {
-		// Host-side membership traffic (virtual-node runs).
-		wire.Add(h.Counters())
-	}
-	ws := WireStats(wire)
+	ws := WireStats(pop.Counters())
 	return &Result{
 		Centroids:    r0.Centroids,
 		Traces:       r0.Traces,

@@ -5,7 +5,6 @@ import (
 	"context"
 	"math/big"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -87,41 +86,22 @@ func BenchmarkNetworkedWAN16(b *testing.B) {
 			FracBits: 24, Seed: seed, Workers: 1,
 		}
 		inj := faultnet.New(faultnet.Plan{Seed: proto.Seed, LatencyMax: 10 * time.Millisecond})
-		nodes := make([]*node.Node, n)
-		bootstrap := ""
-		for j := range nodes {
-			nd, err := node.New(node.Config{
-				Index: j, N: n, Series: data.Row(j), Scheme: scheme, Proto: proto,
-				Bootstrap: bootstrap, Dialer: inj.Node(j),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer nd.Close() // idempotent; the pass below already closed
-			nodes[j] = nd
-			if j == 0 {
-				bootstrap = nd.Addr()
-			}
+		pop, err := mux.Launch(node.Config{N: n, Scheme: scheme, Proto: proto}, data, 0, n, 1, func(cfg *node.Config) error {
+			cfg.Dialer = inj.Node(cfg.Index)
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
-		results := make([]*node.Result, n)
-		errs := make([]error, n)
-		var wg sync.WaitGroup
-		for j, nd := range nodes {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				results[j], errs[j] = nd.Run()
-			}()
+		defer pop.Close()
+		results, err := pop.Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
 		}
-		wg.Wait()
 		var timeouts, retries int64
-		for j, nd := range nodes {
-			_ = nd.Close() // shutdown only; the run's outcome is in results
-			if errs[j] != nil {
-				b.Fatalf("node %d: %v", j, errs[j])
-			}
-			timeouts += results[j].Counters.Timeouts
-			retries += results[j].Counters.Retries
+		for _, r := range results {
+			timeouts += r.Counters.Timeouts
+			retries += r.Counters.Retries
 		}
 		if len(results[0].Centroids) == 0 || timeouts != 0 || retries != 0 {
 			b.Fatalf("released %d centroids with %d timeouts, %d retries", len(results[0].Centroids), timeouts, retries)
@@ -198,15 +178,15 @@ func BenchmarkInProcExchange(b *testing.B) {
 		b.Fatal(err)
 	}
 	diss, dec := FixedPhaseCycles(n)
-	h, err := mux.NewHost(mux.Config{
-		N: n, SeriesDim: data.Dim(), Scheme: scheme, Epoch: 7,
+	h, err := mux.NewHost(node.Config{
+		N: n, Scheme: scheme, Epoch: 7,
 		Proto: core.Config{
 			K: 2, InitCentroids: SeedCentroids("cer", 2, 8), DMin: CERMin, DMax: CERMax,
 			Epsilon: 1e4, MaxIterations: 1, Exchanges: 10, DissCycles: diss, DecryptCycles: dec,
 			FracBits: 24, Seed: 1,
 		},
 		ExchangeTimeout: 10 * time.Minute,
-	})
+	}, data.Dim())
 	if err != nil {
 		b.Fatal(err)
 	}

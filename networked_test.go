@@ -53,6 +53,40 @@ func TestRunNetworkedMatchesRun(t *testing.T) {
 	}
 }
 
+// TestNetworkedNewscastVirtualMatchesSimulated pins Newscast peer
+// sampling across several mux hosts: every host mirrors the schedule
+// with its own sampler, so two hosts of six virtual nodes draw the
+// simulator's exchanges and release its centroids bit for bit. A
+// sampler shared between the hosts' mirrors would hand each a different
+// schedule, and the population would time out waiting for exchanges
+// nobody initiates.
+func TestNetworkedNewscastVirtualMatchesSimulated(t *testing.T) {
+	const n = 12
+	data, _ := GenerateCER(n, 11)
+	scheme, err := NewSimulationScheme(64, n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diss, dec := FixedPhaseCycles(n)
+	opts := Options{
+		Scheme: scheme, K: 2, InitCentroids: SeedCentroids("cer", 2, 12),
+		DMin: CERMin, DMax: CERMax,
+		Epsilon: 1e4, MaxIterations: 1, Exchanges: 10,
+		DissCycles: diss, DecryptCycles: dec,
+		FracBits: 24, Seed: 35, Workers: 2, Newscast: true,
+		VirtualNodes: n / 2, ExchangeTimeout: 3 * time.Second,
+	}
+	want, err := runMode(data, Simulated, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runMode(data, Networked, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCentroids(t, got.Centroids, want.Centroids)
+}
+
 // TestRunNetworkedMultiIteration checks the runtime survives several
 // iterations end to end (later iterations proceed from each node's own
 // decoded view, so only liveness and shape are asserted).
