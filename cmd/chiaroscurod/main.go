@@ -121,8 +121,8 @@ func main() {
 		eps         = flag.Float64("epsilon", math.Ln2, "total privacy budget")
 		maxIt       = flag.Int("iterations", 1, "protocol iterations (fixed schedule)")
 		exchanges   = flag.Int("exchanges", 0, "sum-phase gossip cycles (0 = Theorem 3 default)")
-		dissCycles  = flag.Int("diss-cycles", 0, "correction-dissemination cycles (0 = derived)")
-		decCycles   = flag.Int("decrypt-cycles", 0, "epidemic-decryption cycles (0 = derived)")
+		dissCycles  = flag.Int("diss-cycles", 0, "correction-dissemination cycles (0 = derived from population, threshold, churn)")
+		decCycles   = flag.Int("decrypt-cycles", 0, "epidemic-decryption cycles (0 = derived from population, threshold, churn)")
 		smooth      = flag.Bool("smooth", true, "SMA smoothing of perturbed means")
 		seed        = flag.Uint64("seed", 1, "shared deterministic seed (fixes the exchange schedule)")
 		fracBits    = flag.Uint("frac-bits", 24, "fixed-point fractional bits")
@@ -169,16 +169,6 @@ func main() {
 	}
 	seeds := chiaroscuro.SeedCentroids(kind, *k, *seed+1)
 
-	diss, dec := *dissCycles, *decCycles
-	if diss == 0 || dec == 0 {
-		d, e := chiaroscuro.FixedPhaseCycles(*population)
-		if diss == 0 {
-			diss = d
-		}
-		if dec == 0 {
-			dec = e
-		}
-	}
 	prog := &progress{}
 	proto := core.Config{
 		K:             *k,
@@ -189,8 +179,8 @@ func main() {
 		MaxIterations: *maxIt,
 		Smooth:        *smooth,
 		Exchanges:     *exchanges,
-		DissCycles:    diss,
-		DecryptCycles: dec,
+		DissCycles:    *dissCycles,
+		DecryptCycles: *decCycles,
 		FracBits:      *fracBits,
 		PackSlots:     *packSlots,
 		Seed:          *seed,
@@ -244,6 +234,13 @@ func main() {
 		fmt.Printf("chiaroscurod: hosting nodes %d–%d of %d on %s (virtual)\n",
 			kf.Index, kf.Index+*vnodes-1, *population, pop.Addr())
 	}
+
+	diss, dec := pop.Nodes()[0].PhaseCycles()
+	how := "derived"
+	if *dissCycles > 0 || *decCycles > 0 {
+		how = "set by flag, 0 = derived"
+	}
+	fmt.Printf("chiaroscurod: phases: diss %d, dec %d cycles (%s)\n", diss, dec, how)
 
 	if *metricsAddr != "" {
 		go serveMetrics(*metricsAddr, pop, prog)

@@ -145,6 +145,7 @@ func mergeReport(dst, rep *soak.Report) {
 	}
 	dst.Runs += rep.Runs
 	dst.Failures += rep.Failures
+	dst.Budget += rep.Budget
 	dst.Cycles += rep.Cycles
 	dst.Elapsed += rep.Elapsed
 	dst.Centroids = rep.Centroids
@@ -163,6 +164,7 @@ func printReport(rep *soak.Report) {
 		rep.Seed, rep.Runs, rep.Failures, rep.Elapsed.Round(time.Millisecond))
 	fmt.Printf("soak: %d cycles (%.2f cycles/sec), last run released %d centroids\n",
 		rep.Cycles, rep.CyclesPerSec(), rep.Centroids)
+	fmt.Printf("soak: %d runs ran out of phase cycles\n", rep.Budget)
 	w := rep.Wire
 	fmt.Printf("soak: exchanges %d (init %d / resp %d), timeouts %d, retries %d, suspected %d, evicted %d, bad frames %d\n",
 		w.Initiated+w.Responded, w.Initiated, w.Responded, w.Timeouts, w.Retries, w.Suspected, w.Evicted, w.BadFrames)

@@ -3,6 +3,7 @@ package chiaroscuro
 import (
 	"errors"
 
+	"chiaroscuro/internal/core"
 	"chiaroscuro/internal/journal"
 )
 
@@ -69,4 +70,11 @@ var (
 	// error). A journal that fails this way cannot resume the run; start
 	// the participant fresh or restore the file.
 	ErrJournalCorrupt = journal.ErrCorrupt
+	// ErrPhaseBudget fails a distributed run whose correction
+	// dissemination or epidemic decryption ended with a participant
+	// unfinished: the correction not agreed on, or fewer than τ key-shares
+	// gathered, when the phase's cycles ran out. The derived phase lengths
+	// make it a 10⁻⁶ event per phase; explicit DissCycles or
+	// DecryptCycles that are too short make it certain.
+	ErrPhaseBudget = core.ErrPhaseBudget
 )

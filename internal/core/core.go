@@ -162,11 +162,14 @@ type Config struct {
 	// DissCycles, when positive, fixes the number of correction-
 	// dissemination cycles instead of stopping at convergence, and
 	// DecryptCycles likewise fixes the epidemic-decryption phase length.
-	// Fixed lengths are how a networked deployment schedules phases —
-	// no participant can observe global convergence — so a simulation
-	// configured with the same values is cycle-for-cycle identical to a
-	// networked run at the same seed (extra cycles past convergence are
-	// protocol no-ops). Zero keeps the adaptive behavior.
+	// Fixed lengths are how a networked deployment schedules phases — no
+	// participant can observe global convergence — and node.Provision
+	// derives them with PhaseCycles when they are zero: the convergence
+	// model's lengths at a failure bound of PhaseFailureBound per phase.
+	// A simulation configured with the same values is cycle-for-cycle
+	// identical to a networked run at the same seed. Zero keeps the
+	// simulator adaptive. Either way, a phase that ends with a
+	// participant unfinished fails the run with ErrPhaseBudget.
 	DissCycles    int
 	DecryptCycles int
 
@@ -230,6 +233,11 @@ type Network struct {
 	acct    *dp.Accountant
 	curIter int // iteration in flight, read by the engine's churn hook
 
+	// dissCap and decCap bound the adaptive phases: four times the
+	// derived lengths (PhaseCycles), and never below the 4× and 64× the
+	// sum length they were before, so no adaptive run stops earlier.
+	dissCap, decCap int
+
 	// tamper, when set by tests, corrupts the decoded views before the
 	// Section 4.4 cross-check runs — the fault-injection hook for
 	// exercising deviant detection.
@@ -250,13 +258,16 @@ func NewNetwork(data *timeseries.Dataset, sch homenc.Scheme, cfg Config) (*Netwo
 	if err != nil {
 		return nil, err
 	}
+	diss, dec := PhaseCycles(np, sch.Threshold(), cfg.Churn, cfg.Newscast)
 	nw := &Network{
-		cfg:  cfg,
-		env:  &eesum.Env{Scheme: sch, Pack: pack, Workers: cfg.Workers},
-		data: data,
-		np:   np,
-		rng:  ProtocolRNG(cfg.Seed),
-		acct: &dp.Accountant{Cap: cfg.Epsilon * (1 + 1e-9)},
+		cfg:     cfg,
+		env:     &eesum.Env{Scheme: sch, Pack: pack, Workers: cfg.Workers},
+		data:    data,
+		np:      np,
+		rng:     ProtocolRNG(cfg.Seed),
+		acct:    &dp.Accountant{Cap: cfg.Epsilon * (1 + 1e-9)},
+		dissCap: max(4*diss, 4*cfg.Exchanges),
+		decCap:  max(4*dec, 64*cfg.Exchanges),
 	}
 	ecfg := MirrorEngineConfig(cfg, np, data.Dim(), sch, pack)
 	if hook := cfg.Observer.Churn; hook != nil {
@@ -515,6 +526,27 @@ func allSettled(ps []*eesum.Participant) bool {
 	return true
 }
 
+// runPhase runs one of the phases that follow the sum and returns how
+// many cycles it ran. A fixed length (the networked deployment's
+// schedule) runs every cycle, past convergence too; a zero length is
+// adaptive and stops as soon as done holds, or after limit cycles.
+func (nw *Network) runPhase(ctx context.Context, it int, phase Phase, x sim.Exchanger, fixed, limit int, done func() bool) (int, error) {
+	budget := fixed
+	if fixed <= 0 {
+		fixed, budget = 0, limit
+	}
+	c := 0
+	for ; c < budget && (fixed > 0 || !done()); c++ {
+		if err := ctx.Err(); err != nil {
+			return c, err
+		}
+		nw.engine.RunCycleOn(x)
+		// An adaptive phase's length is convergence-determined: of = 0.
+		nw.observePhase(it, phase, c+1, fixed)
+	}
+	return c, nil
+}
+
 // iterate runs one full Chiaroscuro iteration (Algorithms 1 and 3).
 func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.Series, epsIter float64) (*IterationTrace, []timeseries.Series, error) {
 	k := len(centroids)
@@ -552,37 +584,17 @@ func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.S
 	trace.SumCycles = nw.cfg.Exchanges
 
 	// Noise correction: propose, disseminate (min identifier), apply.
-	// A fixed DissCycles runs the networked deployment's schedule (extra
-	// cycles past convergence are no-ops); the adaptive default stops as
-	// soon as the omniscient convergence check passes.
 	for _, p := range ps {
 		p.ProposeCorrection()
 	}
-	diss := 0
-	if nw.cfg.DissCycles > 0 {
-		for ; diss < nw.cfg.DissCycles; diss++ {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			nw.engine.RunCycleOn(dissPhase(ps))
-			nw.observePhase(it, PhaseDissemination, diss+1, nw.cfg.DissCycles)
-		}
-		if !correctionAgreed(ps) {
-			return nil, nil, errors.New("core: correction dissemination did not converge in the fixed cycle budget")
-		}
-	} else {
-		dissCap := 4 * nw.cfg.Exchanges
-		for ; diss < dissCap && !correctionAgreed(ps); diss++ {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			nw.engine.RunCycleOn(dissPhase(ps))
-			// Adaptive phase: the length is convergence-determined, so
-			// of = 0 (the 4x cap is a safety bound, not an expectation).
-			nw.observePhase(it, PhaseDissemination, diss+1, 0)
-		}
-	}
+	diss, err := nw.runPhase(ctx, it, PhaseDissemination, dissPhase(ps), nw.cfg.DissCycles, nw.dissCap, func() bool { return correctionAgreed(ps) })
 	trace.DissCycles = diss
+	if err != nil {
+		return nil, nil, err
+	}
+	if !correctionAgreed(ps) {
+		return nil, nil, fmt.Errorf("%w: correction dissemination did not converge in %d cycles", ErrPhaseBudget, diss)
+	}
 	for _, p := range ps {
 		if err := p.StartDecryption(); err != nil {
 			return nil, nil, err
@@ -590,38 +602,13 @@ func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.S
 	}
 
 	// --- Algorithm 3 (c): epidemic decryption of the perturbed means.
-	if nw.cfg.DecryptCycles > 0 {
-		// Fixed-length phase (networked schedule): run every cycle;
-		// exchanges past completion are protocol no-ops.
-		for c := 0; c < nw.cfg.DecryptCycles; c++ {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			nw.engine.RunCycleOn(decPhase(ps))
-			nw.observePhase(it, PhaseDecryption, c+1, nw.cfg.DecryptCycles)
-		}
-		trace.DecryptCycles = nw.cfg.DecryptCycles
-	} else {
-		// Adaptive phase: stop as soon as every participant gathered τ
-		// shares.
-		decCap := 64 * nw.cfg.Exchanges
-		used := decCap
-		for c := 0; c < decCap; c++ {
-			if allSettled(ps) {
-				used = c
-				break
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			nw.engine.RunCycleOn(decPhase(ps))
-			// Adaptive phase: of = 0, as for the dissemination above.
-			nw.observePhase(it, PhaseDecryption, c+1, 0)
-		}
-		trace.DecryptCycles = used
+	dec, err := nw.runPhase(ctx, it, PhaseDecryption, decPhase(ps), nw.cfg.DecryptCycles, nw.decCap, func() bool { return allSettled(ps) })
+	trace.DecryptCycles = dec
+	if err != nil {
+		return nil, nil, err
 	}
 	if !allSettled(ps) {
-		return nil, nil, errors.New("core: epidemic decryption did not complete")
+		return nil, nil, fmt.Errorf("%w: epidemic decryption did not complete in %d cycles", ErrPhaseBudget, dec)
 	}
 
 	// --- Convergence step inputs: every participant decodes its own

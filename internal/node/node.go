@@ -280,7 +280,8 @@ type Deployment struct {
 // Provision validates what every participant of a population shares —
 // N, Scheme, Proto, Epoch, Listen, ExchangeTimeout and Dialer of cfg —
 // for series of seriesDim points, fills in their defaults, normalizes
-// Proto exactly as the simulator does, and derives the Deployment.
+// Proto exactly as the simulator does, derives the phase lengths Proto
+// leaves zero (core.PhaseCycles), and derives the Deployment.
 // New and mux.NewHost both provision through it, so a host performs
 // exactly the checks each of its virtual nodes does.
 func Provision(cfg *Config, seriesDim int) (Deployment, error) {
@@ -294,8 +295,15 @@ func Provision(cfg *Config, seriesDim int) (Deployment, error) {
 		return Deployment{}, errors.New("node: networked runs use the fixed iteration schedule; set Threshold to 0")
 	}
 	cfg.Proto = cfg.Proto.Normalize(cfg.N)
-	if cfg.Proto.DissCycles <= 0 || cfg.Proto.DecryptCycles <= 0 {
-		return Deployment{}, errors.New("node: networked runs need fixed DissCycles and DecryptCycles (no participant can observe global convergence)")
+	// No participant can observe global convergence, so every phase has a
+	// fixed length; the ones left zero come from the convergence model,
+	// which every peer evaluates on the same shared parameters.
+	diss, dec := core.PhaseCycles(cfg.N, cfg.Scheme.Threshold(), cfg.Proto.Churn, cfg.Proto.Newscast)
+	if cfg.Proto.DissCycles <= 0 {
+		cfg.Proto.DissCycles = diss
+	}
+	if cfg.Proto.DecryptCycles <= 0 {
+		cfg.Proto.DecryptCycles = dec
 	}
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
@@ -461,6 +469,13 @@ func (nd *Node) Counters() wireproto.Counters { return nd.counters.Snapshot() }
 // Progress returns the current iteration and phase rank, for metrics.
 func (nd *Node) Progress() (iter, phase int64) {
 	return nd.iterNow.Load(), nd.phaseNow.Load()
+}
+
+// PhaseCycles returns the fixed lengths of the dissemination and
+// decryption phases the participant runs, as provisioned or derived
+// (Provision).
+func (nd *Node) PhaseCycles() (diss, dec int) {
+	return nd.cfg.Proto.DissCycles, nd.cfg.Proto.DecryptCycles
 }
 
 // RosterSize returns how many participants the address book covers.

@@ -214,7 +214,7 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 		return nil, nil, errStopped
 	}
 	if !st.Settled() {
-		return nil, nil, fmt.Errorf("node %d: gathered %d of %d key-shares in the fixed decryption budget", nd.cfg.Index, len(st.DecParts), nd.cfg.Scheme.Threshold())
+		return nil, nil, fmt.Errorf("node %d: %w: gathered %d of %d key-shares in %d decryption cycles", nd.cfg.Index, core.ErrPhaseBudget, len(st.DecParts), nd.cfg.Scheme.Threshold(), nd.cfg.Proto.DecryptCycles)
 	}
 	vals, err := st.Release(k * (n + 1))
 	if err != nil {

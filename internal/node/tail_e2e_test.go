@@ -88,7 +88,7 @@ func TestSettledTailBitMatchesSimulator(t *testing.T) {
 	ts := newSetup(t, 2, 0) // for the shared protocol parameters only
 	ts.n, ts.data, ts.scheme = n, data, scheme
 	ts.proto.PackSlots = 2
-	ts.proto.DissCycles, ts.proto.DecryptCycles = 16, 18 // chiaroscuro.FixedPhaseCycles(16)
+	ts.proto.DissCycles, ts.proto.DecryptCycles = 16, 18 // a long tail: most decryption cycles run settled
 	simRes := runSim(t, ts)
 	if len(simRes.Centroids) == 0 {
 		t.Fatal("simulator produced no centroids")

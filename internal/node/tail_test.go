@@ -1,11 +1,13 @@
 package node
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/big"
 	"net"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -309,23 +311,40 @@ func TestPassiveServeSurvivesResponseCut(t *testing.T) {
 // an exchange in flight on another goroutine would die half-done. The
 // gate stages the kill. Responder serves for decryption slots of cycle
 // holdCycle or later wait at the response leg until the victim's main
-// loop sits in the request-leg hook of its own first dial of those
-// cycles — its previous dial's FIN is out, the next has sent nothing —
-// and the serves for earlier slots have committed. Then they are let
-// through one at a time, and the killAfter-th commit — FIN received,
-// journaled, nothing else in flight, the victim's own dials a cycle or
-// more behind the slots just journaled — kills: every leg held at the
-// gate, or reaching it later, is crashed.
+// loop is out of the way — sitting in the request-leg hook of its own
+// first dial of those cycles (its previous dial's FIN is out, the next
+// has sent nothing), or serving the gated slot itself — and the serves
+// for earlier slots have committed. Then they are let through one at a
+// time, and the killAfter-th commit — FIN received, journaled, nothing
+// else in flight, the victim's own dials a cycle or more behind the
+// slots just journaled — kills: every leg held at the gate, or reaching
+// it later, is crashed.
+//
+// The main loop serves a gated slot itself when the victim settles late:
+// runTail hands it the requests already parked for its tail. Such a
+// serve must not wait for the main loop's request-leg hook, which the
+// loop can only reach after the serve; the gate tells it apart by the
+// goroutine, the one that runs the request legs.
 type tailGate struct {
 	holdCycle, killAfter int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	held    bool // the main loop sits in its request-leg hook
-	token   bool // a gated responder serve is in flight
-	early   int  // responder serves for slots before holdCycle in flight
-	commits int  // commits of gated serves
+	main    uint64 // the main loop's goroutine: the one that sends request legs
+	held    bool   // the main loop sits in its request-leg hook
+	token   bool   // a gated responder serve is in flight
+	early   int    // responder serves for slots before holdCycle in flight
+	commits int    // commits of gated serves
 	killed  bool
+}
+
+// goid returns the calling goroutine's id, from its stack header.
+func goid() uint64 {
+	var buf [64]byte
+	b := buf[:runtime.Stack(buf[:], false)]
+	b = bytes.TrimPrefix(b, []byte("goroutine "))
+	id, _ := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	return id
 }
 
 func newTailGate(holdCycle, killAfter int) *tailGate {
@@ -338,14 +357,19 @@ func (g *tailGate) crash(leg, phase, iter, cycle, seq int) bool {
 	if phase != phaseDec {
 		return false
 	}
+	self := goid()
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if leg == LegReq {
+		g.main = self
+	}
 	switch {
 	case g.killed:
 	case leg == LegResp && cycle < g.holdCycle:
 		g.early++
 	case leg == LegResp:
-		for (!g.held || g.token || g.early > 0) && !g.killed {
+		onMain := self == g.main
+		for (!(g.held || onMain) || g.token || g.early > 0) && !g.killed {
 			g.cond.Wait()
 		}
 		g.token = !g.killed

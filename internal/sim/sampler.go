@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"cmp"
+	"slices"
+
 	"chiaroscuro/internal/randx"
 )
 
@@ -40,11 +43,15 @@ func (u *UniformSampler) AfterExchange(_, _ NodeID, _ *randx.RNG) {}
 type NewscastSampler struct {
 	ViewSize int
 
-	n     int
-	view  [][]int32 // peer ids per node
-	stamp [][]int32 // freshness per entry (engine cycle when inserted)
-	clock int32
+	n      int
+	view   [][]int32 // peer ids per node
+	stamp  [][]int32 // freshness per entry (engine cycle when inserted)
+	clock  int32
+	merged []descriptor // scratch of AfterExchange
 }
+
+// descriptor is one Newscast cache entry: a peer and its freshness.
+type descriptor struct{ id, st int32 }
 
 // Init implements Sampler: views bootstrap with ViewSize random peers,
 // mirroring the initial local view Λ handed out with the parameters.
@@ -90,14 +97,21 @@ func (ns *NewscastSampler) Pick(from NodeID, alive []bool, rng *randx.RNG) (Node
 	return 0, false
 }
 
-// AfterExchange implements Sampler: Newscast view merge.
-func (ns *NewscastSampler) AfterExchange(a, b NodeID, rng *randx.RNG) {
+// AfterExchange implements Sampler: Newscast view merge. The merged
+// cache keeps each peer's freshest descriptor and is ordered freshest
+// first, equal stamps on the smaller id — a total order, so views are
+// bit-reproducible per seed.
+func (ns *NewscastSampler) AfterExchange(a, b NodeID, _ *randx.RNG) {
 	ns.clock++
-	merged := make(map[int32]int32, 2*ns.ViewSize+2)
+	m := ns.merged[:0]
 	add := func(id, st int32) {
-		if prev, ok := merged[id]; !ok || st > prev {
-			merged[id] = st
+		for i := range m {
+			if m[i].id == id {
+				m[i].st = max(m[i].st, st)
+				return
+			}
 		}
+		m = append(m, descriptor{id, st})
 	}
 	for i, id := range ns.view[a] {
 		add(id, ns.stamp[a][i])
@@ -108,46 +122,30 @@ func (ns *NewscastSampler) AfterExchange(a, b NodeID, rng *randx.RNG) {
 	// Each participant advertises a fresh descriptor of itself.
 	add(int32(a), ns.clock)
 	add(int32(b), ns.clock)
-	ns.rebuild(a, merged)
-	ns.rebuild(b, merged)
+	slices.SortFunc(m, func(x, y descriptor) int {
+		if x.st != y.st {
+			return cmp.Compare(y.st, x.st)
+		}
+		return cmp.Compare(x.id, y.id)
+	})
+	ns.merged = m
+	ns.rebuild(a, m)
+	ns.rebuild(b, m)
 }
 
-// rebuild installs the freshest ViewSize entries of merged (minus self)
-// as the node's new view.
-func (ns *NewscastSampler) rebuild(node NodeID, merged map[int32]int32) {
-	type entry struct{ id, st int32 }
-	entries := make([]entry, 0, len(merged))
-	//lint:orderfree selection below totally orders entries (stamp desc, id asc tie-break)
-	for id, st := range merged {
-		if id == int32(node) {
-			continue
-		}
-		entries = append(entries, entry{id, st})
-	}
-	// Partial selection sort of the freshest ViewSize entries: views are
-	// tiny (≈30–60), so this beats a full sort's allocations. Equal
-	// stamps tie-break on the smaller id so the result does not depend
-	// on the map's randomized iteration order — per-seed runs must be
-	// bit-reproducible.
-	limit := ns.ViewSize
-	if limit > len(entries) {
-		limit = len(entries)
-	}
-	for i := 0; i < limit; i++ {
-		best := i
-		for j := i + 1; j < len(entries); j++ {
-			if entries[j].st > entries[best].st ||
-				(entries[j].st == entries[best].st && entries[j].id < entries[best].id) {
-				best = j
-			}
-		}
-		entries[i], entries[best] = entries[best], entries[i]
-	}
+// rebuild installs the freshest ViewSize entries of the ordered merged
+// cache (minus self) as the node's new view.
+func (ns *NewscastSampler) rebuild(node NodeID, merged []descriptor) {
 	ns.view[node] = ns.view[node][:0]
 	ns.stamp[node] = ns.stamp[node][:0]
-	for i := 0; i < limit; i++ {
-		ns.view[node] = append(ns.view[node], entries[i].id)
-		ns.stamp[node] = append(ns.stamp[node], entries[i].st)
+	for _, d := range merged {
+		if len(ns.view[node]) == ns.ViewSize {
+			break
+		}
+		if d.id != int32(node) {
+			ns.view[node] = append(ns.view[node], d.id)
+			ns.stamp[node] = append(ns.stamp[node], d.st)
+		}
 	}
 }
 

@@ -21,9 +21,9 @@ package soak
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -99,6 +99,7 @@ type Config struct {
 type Report struct {
 	Runs      int           // runs started
 	Failures  int           // runs that returned an error
+	Budget    int           // of those, runs a phase's cycles ran out on (core.ErrPhaseBudget)
 	Cycles    int           // gossip cycles completed (participant 0's traces)
 	Elapsed   time.Duration // wall clock of the whole soak
 	Centroids int           // centroids released by the last successful run
@@ -228,6 +229,9 @@ func Run(cfg Config) (*Report, error) {
 		rep.Wire.Add(counters)
 		if err != nil {
 			rep.Failures++
+			if errors.Is(err, core.ErrPhaseBudget) {
+				rep.Budget++
+			}
 			rep.LastErr = err
 			if cfg.Out != nil {
 				fmt.Fprintf(cfg.Out, "soak: run %d seed %d FAILED in %s: %v\n",
@@ -294,9 +298,23 @@ func sampleResources(rep *Report) (stop func()) {
 	}
 }
 
+// loss folds the fault plan into the per-cycle chance that a
+// participant loses its exchanges: modeled churn, a refused, cut,
+// crashed or partitioned exchange, or — in a restart storm — a kill,
+// whose per-tick probability bounds any one peer's per cycle. Faults the
+// retry policy recovers are counted too, so the phase lengths derived
+// from it err long.
+func (c Config) loss() float64 {
+	kept := 1.0
+	for _, p := range []float64{c.Churn, c.Plan.RefuseProb, c.Plan.CutProb, c.Plan.CrashProb, c.Plan.PartitionProb, c.KillProb} {
+		kept *= 1 - p
+	}
+	return 1 - kept
+}
+
 // shared is the configuration every participant of one run shares.
 func (c Config) shared(scheme homenc.Scheme, seeds []timeseries.Series, plan faultnet.Plan) node.Config {
-	logN := bits.Len(uint(c.N))
+	diss, dec := core.PhaseCycles(c.N, c.Tau, c.loss(), false)
 	return node.Config{
 		N:      c.N,
 		Scheme: scheme,
@@ -308,8 +326,8 @@ func (c Config) shared(scheme homenc.Scheme, seeds []timeseries.Series, plan fau
 			Epsilon:       1e4, // quality is not under test; noise must not wipe centroids
 			MaxIterations: c.Iterations,
 			Exchanges:     10,
-			DissCycles:    6 + 2*logN,
-			DecryptCycles: 8 + 2*logN,
+			DissCycles:    diss,
+			DecryptCycles: dec,
 			FracBits:      24,
 			Seed:          plan.Seed,
 			Churn:         c.Churn,

@@ -118,9 +118,13 @@ type Options struct {
 	// (default: Theorem 3).
 	Exchanges int
 	// DissCycles and DecryptCycles, when positive, fix the correction-
-	// dissemination and epidemic-decryption phase lengths (the schedule
-	// a networked deployment must use; Networked mode derives
-	// FixedPhaseCycles defaults). Zero keeps the simulator adaptive.
+	// dissemination and epidemic-decryption phase lengths, the schedule a
+	// networked deployment must use. Zero keeps the simulator adaptive;
+	// in Networked mode zero derives each length from the population, the
+	// scheme's threshold, Churn and Newscast by the gossip convergence
+	// model, at a failure probability of 10⁻⁶ per phase. A phase that
+	// ends with a participant unfinished fails the run with
+	// ErrPhaseBudget.
 	DissCycles    int
 	DecryptCycles int
 	// Newscast uses bounded Newscast views (size 30) instead of uniform
@@ -432,15 +436,6 @@ func validateOptions(d *Dataset, o *Options) error {
 	if o.Mode == Networked {
 		if o.Threshold != 0 {
 			return ErrThresholdNetworked
-		}
-		if o.DissCycles == 0 || o.DecryptCycles == 0 {
-			diss, dec := FixedPhaseCycles(d.Len())
-			if o.DissCycles == 0 {
-				o.DissCycles = diss
-			}
-			if o.DecryptCycles == 0 {
-				o.DecryptCycles = dec
-			}
 		}
 	}
 	if o.MaxIterations == 0 {

@@ -41,14 +41,16 @@ func NewSimulationScheme(ctBytes, nShares, tau int) (Scheme, error) {
 // NetworkTrace re-exports the per-iteration protocol trace.
 type NetworkTrace = core.IterationTrace
 
-// FixedPhaseCycles returns deterministic phase lengths for a population
-// of np participants: enough cycles for the min-identifier
-// dissemination and the τ-share epidemic decryption to complete with
-// ample slack (both finish in O(log np) cycles; extra cycles are
-// protocol no-ops). Networked deployments need fixed lengths — no
-// participant can observe global convergence — and a simulation
-// configured with the same values is cycle-for-cycle identical.
+// FixedPhaseCycles returns the churn-free phase lengths for a population
+// of np participants and any decryption threshold up to bits.Len(np):
+// core.PhaseCycles(np, bits.Len(np), 0, false), the gossip convergence
+// model's lengths at a failure probability of 10⁻⁶ per phase (a phase
+// that still ends unfinished fails with ErrPhaseBudget). Networked runs
+// need fixed lengths — no participant can observe global convergence —
+// and Networked mode derives its own from the scheme's threshold, the
+// churn and the peer sampler when Options leaves them zero. A simulation
+// configured with the lengths a networked run used is cycle-for-cycle
+// identical to it.
 func FixedPhaseCycles(np int) (dissCycles, decryptCycles int) {
-	logN := bits.Len(uint(np))
-	return 6 + 2*logN, 8 + 2*logN
+	return core.PhaseCycles(np, bits.Len(uint(np)), 0, false)
 }
