@@ -26,6 +26,7 @@ import (
 	"chiaroscuro/internal/parallel"
 	"chiaroscuro/internal/randx"
 	"chiaroscuro/internal/sim"
+	"chiaroscuro/internal/wireproto"
 )
 
 // benchExperiment runs one registered experiment per b.N iteration.
@@ -161,6 +162,68 @@ func BenchmarkMergeSumDJ1024Packed5(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchMergeSum(b, sch, 5)
+}
+
+// --- The sum leg as the wire runtime runs it: this side's states at rest
+// (images, as its previous commit left them), the peer's scanned off
+// its SumOut frame and merged from there, and the new states appended to
+// the next frame — the work one sum leg does between two frames. B/op is
+// the number to watch: the result images and a few headers, nothing per
+// ciphertext of either operand.
+
+func benchMergeSumFromFrame(b *testing.B, sch homenc.Scheme, dim int) {
+	b.Helper()
+	side := func(omega int64, epoch int) eesum.SumState {
+		cts := make([]homenc.Ciphertext, dim)
+		for j := range cts {
+			cts[j] = sch.Encrypt(big.NewInt(int64(j+1) << 40))
+		}
+		return eesum.SumState{CTs: cts, Omega: big.NewInt(omega), Epoch: epoch}
+	}
+	mine, theirs := side(3, 4), side(5, 7)
+	lim := wireproto.NewLimits(sch.CiphertextBytes(), dim, 3, 5)
+	rest, err := wireproto.ScanSum(wireproto.Marshal(&wireproto.SumOut{Means: wireproto.SideOf(mine), Noise: wireproto.SideOf(mine)}), lim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	means, noise := rest.Means.Copy(), rest.Noise.Copy()
+	frame := wireproto.Marshal(&wireproto.SumOut{
+		Hdr:   wireproto.ExchangeHdr{Iter: 1, Cycle: 3, Seq: 2, From: 1, To: 0},
+		Means: wireproto.SideOf(theirs), Noise: wireproto.SideOf(theirs), CtrSigma: 1, CtrOmega: 1,
+	})
+	env := &eesum.Env{Scheme: sch, Pack: homenc.PackedCodec{Codec: homenc.NewCodec(0), Slots: 1}, Workers: 1}
+	p := eesum.NewParticipant(env, 0, nil, eesum.NoiseConfig{})
+	next := make([]byte, 0, 2*len(frame))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Means, p.Noise = means, noise
+		v, err := wireproto.ScanSum(frame, lim)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.CommitSum(v.Peer(), true)
+		out := wireproto.SumOut{Means: p.Means, Noise: p.Noise, CtrSigma: p.CtrS, CtrOmega: p.CtrW}
+		next = out.AppendTo(next[:0])
+	}
+}
+
+func BenchmarkMergeSumFromFramePlain50(b *testing.B) {
+	sch, err := plain.New(nil, 64, 5, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchMergeSumFromFrame(b, sch, 50)
+}
+
+// BenchmarkMergeSumFromFrameDJ1024Packed5 is the packed shape of
+// net-dj-wan: the same 50 measures in five s = 2 ciphertexts.
+func BenchmarkMergeSumFromFrameDJ1024Packed5(b *testing.B) {
+	sch, err := damgardjurik.NewTestScheme(1024, 2, 5, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchMergeSumFromFrame(b, sch, 5)
 }
 
 // --- Ablation: the deferred-division update rule of Algorithm 2 versus

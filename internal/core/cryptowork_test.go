@@ -14,8 +14,7 @@ import (
 
 // workScheme counts the crypto work a run spends: encryptions, partial
 // decryptions, combinations, and ciphertext pairs merged by the update
-// rule. The merge count sums operand lengths rather than MergeVec calls,
-// which depend on how many chunks the worker pool splits a vector into.
+// rule (the merge count sums operand lengths).
 type workScheme struct {
 	homenc.Scheme
 	encrypt, partial, combine, merged atomic.Int64
@@ -36,9 +35,9 @@ func (s *workScheme) Combine(c homenc.Ciphertext, parts []homenc.PartialDecrypti
 	return s.Scheme.Combine(c, parts)
 }
 
-func (s *workScheme) MergeVec(a []homenc.Ciphertext, shift uint, b []homenc.Ciphertext) []homenc.Ciphertext {
-	s.merged.Add(int64(len(a)))
-	return s.Scheme.MergeVec(a, shift, b)
+func (s *workScheme) MergeVec(a homenc.Operand, shift uint, b homenc.Operand, workers int) *homenc.Vector {
+	s.merged.Add(int64(a.Len()))
+	return s.Scheme.MergeVec(a, shift, b, workers)
 }
 
 // TestSimulatorCryptoWork pins the crypto work of one simulated run on

@@ -132,7 +132,7 @@ func TestEESumConvergesPlain(t *testing.T) {
 	ps := sumsOf(env, initial)
 	run(newEngine(t, n, 0), 25, sums(ps))
 	for i, p := range ps {
-		est, err := estimate(env, p.Means.SumState, plainDecrypt)
+		est, err := estimate(env, p.Means.State(), plainDecrypt)
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
@@ -173,7 +173,7 @@ func TestEESumConvergesDamgardJurik(t *testing.T) {
 		t.Fatalf("test exceeded plaintext headroom: epoch %d > %d", maxEpoch, head)
 	}
 	for _, node := range []int{0, 7, 15} {
-		est, err := estimate(env, ps[node].Means.SumState, sch.Decrypt)
+		est, err := estimate(env, ps[node].Means.State(), sch.Decrypt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestEESumEpochScaling(t *testing.T) {
 	// dec_i/2^epoch_i.
 	var total float64
 	for _, p := range ps {
-		total += logical(codec, p.Means.SumState)
+		total += logical(codec, p.Means.State())
 	}
 	if math.Abs(total-8) > 1e-9 {
 		t.Errorf("logical mass = %v, want 8", total)
@@ -216,7 +216,7 @@ func TestEESumMidFailureBreaksMass(t *testing.T) {
 	codec := homenc.NewCodec(10)
 	ps := sumsOf(testEnv(plainScheme(t, 2), codec, 1), [][]*big.Int{{codec.Encode(4)}, {codec.Encode(0)}})
 	ps[0].ExchangeSum(ps[1], false) // responder never applied its half
-	if l0, l1 := logical(codec, ps[0].Means.SumState), logical(codec, ps[1].Means.SumState); math.Abs(l0+l1-4) < 1e-12 {
+	if l0, l1 := logical(codec, ps[0].Means.State()), logical(codec, ps[1].Means.State()); math.Abs(l0+l1-4) < 1e-12 {
 		t.Error("half-exchange conserved mass; churn corruption not modeled")
 	}
 }
@@ -232,11 +232,11 @@ func TestAddEncryptedShiftsEstimate(t *testing.T) {
 	}
 	ps := sumsOf(env, initial)
 	run(newEngine(t, n, 0), 12, sums(ps))
-	before, err := estimate(env, ps[3].Means.SumState, plainDecrypt)
+	before, err := estimate(env, ps[3].Means.State(), plainDecrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := ps[3].Means.Clone()
+	st := ps[3].Means.State()
 	if err := AddEncryptedState(sch, st, []*big.Int{codec.Encode(2.5)}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestAddEncryptedShiftsEstimate(t *testing.T) {
 func TestEstimateUndefinedZeroWeight(t *testing.T) {
 	env := testEnv(plainScheme(t, 2), homenc.NewCodec(8), 1)
 	ps := sumsOf(env, [][]*big.Int{{big.NewInt(1)}, {big.NewInt(2)}})
-	if _, err := estimate(env, ps[1].Means.SumState, plainDecrypt); err == nil {
+	if _, err := estimate(env, ps[1].Means.State(), plainDecrypt); err == nil {
 		t.Error("zero-weight node estimate should fail")
 	}
 }
@@ -276,7 +276,7 @@ func TestEESumOverflowSafety(t *testing.T) {
 	ps := sumsOf(env, initial)
 	headroom := homenc.HeadroomEpochs(space, codec.Encode(800))
 	run(newEngine(t, n, 0), headroom*2, sums(ps)) // way past safety
-	est, err := estimate(env, ps[0].Means.SumState, func(c homenc.Ciphertext) *big.Int {
+	est, err := estimate(env, ps[0].Means.State(), func(c homenc.Ciphertext) *big.Int {
 		return homenc.Centered(c.V, space)
 	})
 	if err == nil && math.Abs(est[0]-800) < 1 {

@@ -2,6 +2,7 @@ package eesum
 
 import (
 	"math/big"
+	"runtime"
 	"testing"
 
 	"chiaroscuro/internal/homenc"
@@ -23,23 +24,72 @@ func mergeOperands(dim int, value func(rng *randx.RNG) *big.Int) (a, b SumState)
 	return side(3, 4), side(5, 7)
 }
 
+// imageOf returns cts as an image-only vector: a state at rest.
+func imageOf(t *testing.T, cts []homenc.Ciphertext) *homenc.Vector {
+	t.Helper()
+	enc, err := homenc.MarshalVector(cts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _, err := homenc.ScanVectorBound(enc, len(cts), homenc.DefaultMaxIntBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.Copy()
+}
+
 // fixedPoint draws a signed 50-bit value: an encoded measure.
 func fixedPoint(rng *randx.RNG) *big.Int { return big.NewInt(rng.Int64N(1<<50) - 1<<49) }
 
+// bytesPerRun is the heap the calls to f allocate, per call.
+func bytesPerRun(runs int, f func()) float64 {
+	f() // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // TestMergeSumAllocs pins the property the vector kernel exists for: a
-// merge allocates per vector, not per ciphertext. The plain merge is the
-// result slice, the two slabs and the weight (213 allocations at the
-// commit before the kernel). The Damgård–Jurik exponentiations allocate
-// inside math/big whatever the kernel does — and differently under the
-// race detector — so that merge is held against the element-wise
-// loop it replaced, measured in the same process (451; the merge itself
-// took 464 at the commit before the kernel and takes 308 with it).
+// merge allocates per vector, not per ciphertext. The plain merge of
+// values, decoded back into values (MergeSum), is the image, the
+// decoded slab and a handful of headers (213 allocations at the commit
+// before the kernel). Fed the way a sum commit feeds it — this side's
+// state an image, the peer's a view still in its frame — it allocates
+// the result image and a small constant: decoding either operand would
+// add a 50-value slab. The Damgård–Jurik exponentiations allocate inside
+// math/big whatever the kernel does — and differently under the race
+// detector — so that merge is held against the element-wise loop it
+// replaced, measured in the same process (451; the merge itself took
+// 464 at the commit before the kernel).
 func TestMergeSumAllocs(t *testing.T) {
 	const dim = 50
 	sch := plainScheme(t, 5)
 	a, b := mergeOperands(dim, fixedPoint)
-	if got := testing.AllocsPerRun(100, func() { MergeSum(sch, a, b, 1) }); got > 8 {
-		t.Errorf("plain MergeSum of %d elements: %.0f allocations, want at most 8", dim, got)
+	if got := testing.AllocsPerRun(100, func() { MergeSum(sch, a, b, 1) }); got > 12 {
+		t.Errorf("plain MergeSum of %d elements: %.0f allocations, want at most 12", dim, got)
+	}
+	own := SumSide{CTs: imageOf(t, a.CTs), Omega: a.Omega, Epoch: a.Epoch}.Operand()
+	frame, err := homenc.MarshalVector(b.CTs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, _, err := homenc.ScanVectorBound(frame, dim, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := SumOperand{CTs: view.Operand(), Omega: b.Omega, Epoch: b.Epoch}
+	before := homenc.ReadWireStats()
+	result := mergeSum(sch, own, peer, 1)
+	const slack = 320 // the vector, the weight, the scratch words, the image's size class
+	if got, img := bytesPerRun(200, func() { mergeSum(sch, own, peer, 1) }), result.CTs.WireSize(); got > float64(img+slack) {
+		t.Errorf("plain merge of an image with a scanned view: %.0f bytes, want at most the %d-byte image + %d", got, img, slack)
+	}
+	if got := homenc.ReadWireStats().Materialized - before.Materialized; got != 0 {
+		t.Errorf("merging from a view materialized %d vectors", got)
 	}
 	dj, err := damgardjurik.NewTestScheme(1024, 1, 5, 3)
 	if err != nil {
@@ -68,21 +118,28 @@ func TestMergeSumAllocs(t *testing.T) {
 }
 
 // TestMergeSumChunksMatchSerial: fanning the kernel out over chunks
-// changes where the values live, never the values.
+// changes where the values are computed, never the values. The
+// Damgård–Jurik kernel fans out; the plain one runs serial at any
+// worker count.
 func TestMergeSumChunksMatchSerial(t *testing.T) {
-	sch := plainScheme(t, 5)
-	for _, dim := range []int{1, 2, 7, 50} {
-		a, b := mergeOperands(dim, fixedPoint)
-		want := MergeSum(sch, a, b, 1)
-		for _, workers := range []int{2, 3, 64} {
-			// Both argument orders: either side may be the staler one.
-			for _, got := range []SumState{MergeSum(sch, a, b, workers), MergeSum(sch, b, a, workers)} {
-				if got.Epoch != want.Epoch || got.Omega.Cmp(want.Omega) != 0 || len(got.CTs) != dim {
-					t.Fatalf("dim %d workers %d: state (%d, %v, %d), want (%d, %v, %d)", dim, workers, got.Epoch, got.Omega, len(got.CTs), want.Epoch, want.Omega, dim)
-				}
-				for j := range got.CTs {
-					if got.CTs[j].V.Cmp(want.CTs[j].V) != 0 {
-						t.Fatalf("dim %d workers %d: element %d = %v, want %v", dim, workers, j, got.CTs[j].V, want.CTs[j].V)
+	dj, err := damgardjurik.NewTestScheme(128, 1, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sch := range []homenc.Scheme{plainScheme(t, 5), dj} {
+		for _, dim := range []int{1, 2, 7, 50} {
+			a, b := mergeOperands(dim, fixedPoint)
+			want := MergeSum(sch, a, b, 1)
+			for _, workers := range []int{2, 3, 64} {
+				// Both argument orders: either side may be the staler one.
+				for _, got := range []SumState{MergeSum(sch, a, b, workers), MergeSum(sch, b, a, workers)} {
+					if got.Epoch != want.Epoch || got.Omega.Cmp(want.Omega) != 0 || len(got.CTs) != dim {
+						t.Fatalf("%s dim %d workers %d: state (%d, %v, %d), want (%d, %v, %d)", sch.Name(), dim, workers, got.Epoch, got.Omega, len(got.CTs), want.Epoch, want.Omega, dim)
+					}
+					for j := range got.CTs {
+						if got.CTs[j].V.Cmp(want.CTs[j].V) != 0 {
+							t.Fatalf("%s dim %d workers %d: element %d = %v, want %v", sch.Name(), dim, workers, j, got.CTs[j].V, want.CTs[j].V)
+						}
 					}
 				}
 			}

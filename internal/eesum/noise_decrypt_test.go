@@ -50,7 +50,7 @@ func TestNoiseGenExactPopulation(t *testing.T) {
 				t.Fatalf("trial %d: node %d proposed nonzero correction %v with exact nν", trial, i, p.CorVec[0])
 			}
 		}
-		est, err := estimate(env, ps[0].Noise.SumState, plainDecrypt)
+		est, err := estimate(env, ps[0].Noise.State(), plainDecrypt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,14 +114,14 @@ func TestNoiseGenSurplusCorrection(t *testing.T) {
 	}
 	// Applying the correction shifts node 0's noise estimate by
 	// -correction.
-	before, err := estimate(env, ps[0].Noise.SumState, plainDecrypt)
+	before, err := estimate(env, ps[0].Noise.State(), plainDecrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ps[0].StartDecryption(); err != nil {
 		t.Fatal(err)
 	}
-	after, err := estimate(env, ps[0].Noise.SumState, plainDecrypt)
+	after, err := estimate(env, ps[0].Noise.State(), plainDecrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestPerturbMeansLockstep(t *testing.T) {
 	}
 	run(e, 12, sums(ps))
 	p := ps[4]
-	meanEst, err := estimate(env, p.Means.SumState, plainDecrypt)
+	meanEst, err := estimate(env, p.Means.State(), plainDecrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,18 +158,18 @@ func TestPerturbMeansLockstep(t *testing.T) {
 	if err := p.StartDecryption(); err != nil {
 		t.Fatal(err)
 	}
-	noiseEst, err := estimate(env, p.Noise.SumState, plainDecrypt) // corrected
+	noiseEst, err := estimate(env, p.Noise.State(), plainDecrypt) // corrected
 	if err != nil {
 		t.Fatal(err)
 	}
-	perturbed, err := estimate(env, p.Means.SumState, plainDecrypt)
+	perturbed, err := estimate(env, p.Means.State(), plainDecrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(perturbed[0]-(meanEst[0]+noiseEst[0])) > 1e-6 {
 		t.Errorf("perturbed = %v, want mean %v + noise %v", perturbed[0], meanEst[0], noiseEst[0])
 	}
-	if p.DecCTs.Values()[0].V.Cmp(p.Means.CTs[0].V) != 0 || p.DecOmega.Cmp(p.Means.Omega) != 0 {
+	if p.DecCTs.Values()[0].V.Cmp(p.Means.State().CTs[0].V) != 0 || p.DecOmega.Cmp(p.Means.Omega) != 0 {
 		t.Error("the decryption did not start on the perturbed means")
 	}
 }
@@ -180,7 +180,7 @@ func TestPerturbMeansOutOfLockstep(t *testing.T) {
 	init := [][]*big.Int{{big.NewInt(1)}, {big.NewInt(1)}, {big.NewInt(1)}, {big.NewInt(1)}}
 	ps := population(testEnv(sch, codec, 1), init, NoiseConfig{Lambdas: uniformLambdas(1, 1), NShares: 4}, randx.New(1, 1))
 	// The means move, the noise does not.
-	ps[0].Means = SumSide{SumState: MergeSum(sch, ps[0].Means.SumState, ps[1].Means.SumState, 1)}
+	ps[0].Means = mergeSum(sch, ps[0].Means.Operand(), ps[1].Means.Operand(), 1)
 	ps[0].ProposeCorrection()
 	if err := ps[0].StartDecryption(); err == nil {
 		t.Error("out-of-lockstep perturbation must fail")

@@ -41,7 +41,7 @@ func runEESum(t *testing.T, workers int, midFailure bool) []float64 {
 		t.Fatal(err)
 	}
 	run(e, 10, sums(ps))
-	est, err := estimate(env, ps[0].Means.SumState, sch.Decrypt)
+	est, err := estimate(env, ps[0].Means.State(), sch.Decrypt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,30 +26,29 @@ type Env struct {
 // workers is the worker count of a loop over a vector of n elements.
 func (e *Env) workers(n int) int { return DimWorkers(n, e.Workers) }
 
-// SumSide is an EESum state plus the wire image of its ciphertext
-// vector, so a state journaled at its commit and sent on the next
-// exchange — or checkpointed unchanged all through the later phases — is
-// encoded once. The state is replaced wholesale, never modified in
-// place: a new SumSide starts without an image, and two participants
-// may hold the same one.
+// SumSide is one EESum state at rest: its ciphertext vector, its
+// integer weight and its epoch. The vector a merge produces is its
+// canonical wire image and nothing else — the bytes the next send and
+// the journal checkpoint want — so between exchanges a state holds no
+// big.Int values; they exist only inside the merge kernel and, once per
+// iteration, for the decryption. A state is replaced wholesale, never
+// modified in place, and two participants may hold the same one: it is
+// only ever read (Operand), never materialized into.
 type SumSide struct {
-	SumState
-	vec *homenc.Vector // wraps SumState.CTs; nil until first sent or journaled
+	CTs   *homenc.Vector
+	Omega *big.Int
+	Epoch int
 }
 
-// SideFromVector wraps a state that arrived as a vector — a journal record —
-// keeping the vector's image.
-func SideFromVector(cts *homenc.Vector, omega *big.Int, epoch int) SumSide {
-	return SumSide{SumState: SumState{CTs: cts.Values(), Omega: omega, Epoch: epoch}, vec: cts}
+// Operand returns the state as the update rule reads it.
+func (s SumSide) Operand() SumOperand {
+	return SumOperand{CTs: s.CTs.Operand(), Omega: s.Omega, Epoch: s.Epoch}
 }
 
-// Vector returns the ciphertexts as a homenc.Vector, wrapping them at
-// the first call so that later sends reuse one image.
-func (s *SumSide) Vector() *homenc.Vector {
-	if s.vec == nil {
-		s.vec = homenc.NewVector(s.CTs)
-	}
-	return s.vec
+// State returns the state in value form, its ciphertexts decoded into a
+// slab of their own: the state itself is left as it is.
+func (s SumSide) State() SumState {
+	return SumState{CTs: s.CTs.CopyValues(), Omega: s.Omega, Epoch: s.Epoch}
 }
 
 // Participant is one participant's live protocol state for one
@@ -132,33 +131,35 @@ func (p *Participant) encrypt(vec []*big.Int) SumSide {
 	if p.index == 0 {
 		omega = big.NewInt(1)
 	}
-	return SumSide{SumState: SumState{CTs: cts, Omega: omega}}
+	return SumSide{CTs: homenc.NewVector(cts), Omega: omega}
 }
 
 // --- Sum phase (Algorithm 2 on both sums, push-pull on the counter) ---
 
 // SumPeer is the other side of a sum exchange as it arrived: its two
-// EESum states and its counter.
+// EESum states, read where they are, and its counter.
 type SumPeer struct {
-	Means, Noise SumState
+	Means, Noise SumOperand
 	CtrS, CtrW   float64
 }
 
 func (p *Participant) sumPeer() SumPeer {
-	return SumPeer{Means: p.Means.SumState, Noise: p.Noise.SumState, CtrS: p.CtrS, CtrW: p.CtrW}
+	return SumPeer{Means: p.Means.Operand(), Noise: p.Noise.Operand(), CtrS: p.CtrS, CtrW: p.CtrW}
 }
 
 // CommitSum applies this side's half of a sum exchange: Algorithm 2's
 // update rule on both lockstep sums and the pairwise average on the
-// counter. Both sides compute in (initiator, responder) order.
+// counter. Both sides compute in (initiator, responder) order. The
+// peer's states are only read — a driver passes them straight from the
+// frame they arrived in — and the new states are the kernel's images.
 func (p *Participant) CommitSum(peer SumPeer, initiator bool) {
 	a, b := p.sumPeer(), peer
 	if !initiator {
 		a, b = b, a
 	}
-	sch, w := p.env.Scheme, p.env.workers(len(a.Means.CTs))
-	p.Means = SumSide{SumState: MergeSum(sch, a.Means, b.Means, w)}
-	p.Noise = SumSide{SumState: MergeSum(sch, a.Noise, b.Noise, w)}
+	sch, w := p.env.Scheme, p.env.workers(a.Means.CTs.Len())
+	p.Means = mergeSum(sch, a.Means, b.Means, w)
+	p.Noise = mergeSum(sch, a.Noise, b.Noise, w)
 	p.CtrS, p.CtrW = (a.CtrS+b.CtrS)/2, (a.CtrW+b.CtrW)/2
 }
 
@@ -223,19 +224,26 @@ func (p *Participant) StartDecryption() error {
 	for j, x := range p.CorVec {
 		cor[j] = new(big.Int).Neg(p.env.Pack.Codec.Encode(x))
 	}
-	// Both updates rewrite ciphertext slots in place, so they run on
-	// clones: a state whose image may be cached, or that another
-	// participant shares, is never modified. Packing is linear, so the
-	// packed negated correction subtracts exactly per slot.
-	noise, means := p.Noise.Clone(), p.Means.Clone()
+	// The correction rewrites ciphertext slots, so it runs on the noise
+	// state's values decoded into a slab of this participant's own: the
+	// state it replaces may be shared with another participant, and is
+	// never written. Packing is linear, so the packed negated correction
+	// subtracts exactly per slot.
+	noise := p.Noise.State()
 	if err := AddEncryptedState(sch, noise, p.env.Pack.Pack(cor), p.env.workers(len(noise.CTs))); err != nil {
 		return err
 	}
-	if err := PerturbState(sch, means, noise); err != nil {
+	corrected := SumSide{CTs: homenc.NewVector(noise.CTs), Omega: noise.Omega, Epoch: noise.Epoch}
+	means, err := PerturbState(sch, p.Means.Operand(), corrected.Operand())
+	if err != nil {
 		return err
 	}
-	p.Noise, p.Means = SumSide{SumState: noise}, SumSide{SumState: means}
-	p.DecCTs, p.DecOmega = homenc.NewVector(means.CTs), means.Omega
+	// The decryption reads the perturbed means' values on every leg: they
+	// are decoded now, once, while the vector is still this participant's
+	// alone.
+	means.CTs.Seal()
+	p.Noise, p.Means = corrected, means
+	p.DecCTs, p.DecOmega = means.CTs, means.Omega
 	p.DecParts = make(map[int]*homenc.Partials, sch.Threshold())
 	return nil
 }

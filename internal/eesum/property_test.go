@@ -40,7 +40,7 @@ func TestExchangeConservesLogicalMassQuick(t *testing.T) {
 		}
 		var mass float64
 		for _, p := range ps {
-			mass += logical(codec, p.Means.SumState)
+			mass += logical(codec, p.Means.State())
 		}
 		return math.Abs(mass-want) < 1e-6*(1+math.Abs(want))
 	}

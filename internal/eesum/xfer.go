@@ -17,59 +17,57 @@ import (
 	"chiaroscuro/internal/randx"
 )
 
-// SumState is one participant's portable EESum state: the encrypted
-// vector, the integer epidemic weight, and the deferred-division epoch.
-// Its logical value is CTs / (Omega · 2^FracBits); the 2^Epoch scaling
-// is common to numerator and weight and cancels at decode time.
+// SumState is an EESum state in value form: the encrypted vector, the
+// integer epidemic weight, and the deferred-division epoch. Its logical
+// value is CTs / (Omega · 2^FracBits); the 2^Epoch scaling is common to
+// numerator and weight and cancels at decode time. A participant keeps
+// its states as SumSides, whose vectors are images; values are for
+// callers that hold them already.
 type SumState struct {
 	CTs   []homenc.Ciphertext
 	Omega *big.Int
 	Epoch int
 }
 
-// Clone returns a deep-enough copy: the ciphertext slice and weight are
-// fresh, the (immutable) ciphertext values are shared.
-func (st SumState) Clone() SumState {
-	cts := make([]homenc.Ciphertext, len(st.CTs))
-	copy(cts, st.CTs)
-	return SumState{CTs: cts, Omega: new(big.Int).Set(st.Omega), Epoch: st.Epoch}
+// SumOperand is an EESum state as the update rule reads it: its
+// ciphertext vector in whichever form it has (SumSide.Operand for a
+// state at rest, wireproto's scanned view for a peer's state still in
+// its frame), its weight and its epoch.
+type SumOperand struct {
+	CTs   homenc.Operand
+	Omega *big.Int
+	Epoch int
 }
 
-// MergeSum is the local update rule of Algorithm 2 as a pure function of
+// MergeSum is mergeSum over states in value form, its result decoded
+// back into values. It adapts the one kernel to callers that hold values
+// — today only the benchmark's layer probe; the protocol merges
+// SumOperands.
+func MergeSum(sch homenc.Scheme, a, b SumState, workers int) SumState {
+	op := func(st SumState) SumOperand {
+		return SumOperand{CTs: homenc.ValuesOperand(st.CTs), Omega: st.Omega, Epoch: st.Epoch}
+	}
+	return mergeSum(sch, op(a), op(b), workers).State()
+}
+
+// mergeSum is the local update rule of Algorithm 2 as a pure function of
 // the two exchanging sides' states: the staler side is rescaled to the
 // fresher epoch (ciphertext exponentiation, weight shift), the vectors
 // are added homomorphically, the weights added, and the epoch advanced.
-// Neither input is mutated. Both sides of a full exchange adopt the
-// result (each via its own Clone when states must not alias).
-func MergeSum(sch homenc.Scheme, a, b SumState, workers int) SumState {
+// The operands are only read, and the result's vector is an image.
+// Both sides of a full exchange adopt the result.
+func mergeSum(sch homenc.Scheme, a, b SumOperand, workers int) SumSide {
 	stale, fresh := a, b
 	if b.Epoch < a.Epoch {
 		stale, fresh = b, a
 	}
 	shift := uint(fresh.Epoch - stale.Epoch)
 	omega := new(big.Int).Lsh(stale.Omega, shift)
-	return SumState{
-		CTs:   mergeVec(sch, stale.CTs, shift, fresh.CTs, workers),
+	return SumSide{
+		CTs:   sch.MergeVec(stale.CTs, shift, fresh.CTs, workers),
 		Omega: omega.Add(omega, fresh.Omega),
 		Epoch: fresh.Epoch + 1,
 	}
-}
-
-// mergeVec is sch.MergeVec fanned out over at most workers contiguous
-// chunks: each chunk is one kernel call, so one slab, and the serial
-// case is the kernel's own result with no copy.
-func mergeVec(sch homenc.Scheme, a []homenc.Ciphertext, shift uint, b []homenc.Ciphertext, workers int) []homenc.Ciphertext {
-	n := len(a)
-	chunks := min(workers, n)
-	if chunks <= 1 {
-		return sch.MergeVec(a, shift, b)
-	}
-	out := make([]homenc.Ciphertext, n)
-	parallel.ForEach(chunks, chunks, func(c int) {
-		lo, hi := c*n/chunks, (c+1)*n/chunks
-		copy(out[lo:hi], sch.MergeVec(a[lo:hi], shift, b[lo:hi]))
-	})
-	return out
 }
 
 // AddEncryptedState homomorphically adds E(v_j · st.Omega) into st.CTs
@@ -87,18 +85,18 @@ func AddEncryptedState(sch homenc.Scheme, st SumState, v []*big.Int, workers int
 }
 
 // PerturbState adds the noise state's ciphertexts element-wise into the
-// means state (Algorithm 3 line 7: M.s = M.s +h N.s). Both states must
-// have run in lockstep on the same exchanges, so their weights and
-// epochs agree and the ciphertexts add directly.
-func PerturbState(sch homenc.Scheme, means, noise SumState) error {
-	if len(means.CTs) != len(noise.CTs) {
-		return errors.New("eesum: dimension mismatch between means and noise")
+// means state (Algorithm 3 line 7: M.s = M.s +h N.s) and returns the
+// perturbed means. Both states must have run in lockstep on the same
+// exchanges, so their weights and epochs agree and the ciphertexts add
+// directly.
+func PerturbState(sch homenc.Scheme, means, noise SumOperand) (SumSide, error) {
+	if means.CTs.Len() != noise.CTs.Len() {
+		return SumSide{}, errors.New("eesum: dimension mismatch between means and noise")
 	}
 	if means.Omega.Cmp(noise.Omega) != 0 || means.Epoch != noise.Epoch {
-		return errors.New("eesum: means and noise states not in lockstep")
+		return SumSide{}, errors.New("eesum: means and noise states not in lockstep")
 	}
-	copy(means.CTs, sch.MergeVec(means.CTs, 0, noise.CTs))
-	return nil
+	return SumSide{CTs: sch.MergeVec(means.CTs, 0, noise.CTs, 1), Omega: means.Omega, Epoch: means.Epoch}, nil
 }
 
 // DecodePackedState decodes the decrypted plaintexts of a (possibly

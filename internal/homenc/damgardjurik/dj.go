@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"chiaroscuro/internal/homenc"
+	"chiaroscuro/internal/parallel"
 	"chiaroscuro/internal/shamir"
 )
 
@@ -302,48 +303,68 @@ func (s *Scheme) randomUnit() *big.Int {
 }
 
 // mulMod sets z = x·y mod n^(s+1), the one multiplication body behind
-// +h. wide takes the double-width product and is reduced in place, quo
-// takes the quotient the reduction discards; a caller merging a vector
-// passes the same two scratch values for every element, so only the
-// modulus-width result lands in z. wide may be z itself.
-func (s *Scheme) mulMod(z, wide, quo, x, y *big.Int) {
-	wide.Mul(x, y)
-	quo.QuoRem(wide, s.NS1, wide)
-	if wide.Sign() < 0 { // Euclidean, as Mod: a peer may send a negative value
-		wide.Add(wide, s.NS1)
+// +h. quo takes the quotient the reduction discards; a caller merging a
+// vector passes the same two scratch values for every element, so they
+// grow once and are reused. z must be neither x nor y.
+func (s *Scheme) mulMod(z, quo, x, y *big.Int) {
+	z.Mul(x, y)
+	quo.QuoRem(z, s.NS1, z)
+	if z.Sign() < 0 { // Euclidean, as Mod: a peer may send a negative value
+		z.Add(z, s.NS1)
 	}
-	z.Set(wide)
 }
 
 // Add implements homenc.Scheme: E(a) +h E(b) = E(a)·E(b) mod n^(s+1).
 func (s *Scheme) Add(a, b homenc.Ciphertext) homenc.Ciphertext {
 	var quo big.Int
 	z := new(big.Int)
-	s.mulMod(z, z, &quo, a.V, b.V)
+	s.mulMod(z, &quo, a.V, b.V)
 	return homenc.Ciphertext{V: z}
 }
 
-// MergeVec implements homenc.Scheme: a[i]^(2^shift)·b[i] mod n^(s+1),
-// every result carved at modulus width from one slab.
-func (s *Scheme) MergeVec(a []homenc.Ciphertext, shift uint, b []homenc.Ciphertext) []homenc.Ciphertext {
-	if len(a) != len(b) {
+// MergeVec implements homenc.Scheme: a[i]^(2^shift)·b[i] mod n^(s+1).
+// Every result is below the modulus, so the image is sized at modulus
+// width up front; the vector's exponentiations fan out over at most
+// workers contiguous chunks, each filling its own region of that image.
+func (s *Scheme) MergeVec(a homenc.Operand, shift uint, b homenc.Operand, workers int) *homenc.Vector {
+	n := a.Len()
+	if n != b.Len() {
 		panic("damgardjurik: MergeVec length mismatch")
 	}
-	w := len(s.NS1.Bits())
-	slab := homenc.NewSlab(len(a), len(a)*w)
-	out := make([]homenc.Ciphertext, len(a))
-	var k, wide, quo big.Int
-	k.Lsh(one, shift)
-	for i := range a {
-		z := slab.Carve(i, w)
-		x := a[i].V
-		if shift > 0 {
-			x = s.expNS1(x, &k)
-		}
-		s.mulMod(z, &wide, &quo, x, b[i].V)
-		out[i].V = z
+	width := s.CiphertextBytes()
+	out := homenc.NewVectorWriter(n, n*width)
+	chunks := min(workers, n)
+	if chunks <= 1 {
+		s.mergeInto(&out, a, shift, b)
+		return out.Vector()
 	}
-	return out
+	parts := make([]homenc.VectorWriter, chunks)
+	for c := range parts {
+		count := (c+1)*n/chunks - c*n/chunks
+		parts[c] = out.Chunk(count, count*width)
+	}
+	parallel.ForEach(chunks, chunks, func(c int) {
+		lo, hi := c*n/chunks, (c+1)*n/chunks
+		s.mergeInto(&parts[c], a.Slice(lo, hi), shift, b.Slice(lo, hi))
+	})
+	out.Join(parts)
+	return out.Vector()
+}
+
+// mergeInto appends a[i]^(2^shift)·b[i] mod n^(s+1) to w, element by
+// element, through scratch values that grow once per call.
+func (s *Scheme) mergeInto(w *homenc.VectorWriter, a homenc.Operand, shift uint, b homenc.Operand) {
+	var k, x, y, z, quo big.Int
+	k.Lsh(one, shift)
+	ra, rb := a.Reader(), b.Reader()
+	for i := 0; i < a.Len(); i++ {
+		xa := ra.Next(&x)
+		if shift > 0 {
+			xa = s.expNS1(xa, &k)
+		}
+		s.mulMod(&z, &quo, xa, rb.Next(&y))
+		w.Append(&z)
+	}
 }
 
 // ScalarMul implements homenc.Scheme: k ·h E(a) = E(a)^k mod n^(s+1).

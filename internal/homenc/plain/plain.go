@@ -59,57 +59,92 @@ func (s *Scheme) Encrypt(m *big.Int) homenc.Ciphertext {
 	return homenc.Ciphertext{V: s.reduce(new(big.Int).Set(m))}
 }
 
-// merge sets z = 2^shift·a + b, reduced into the plaintext space. It is
-// the one addition body: Add is the shift-0 case into a fresh value,
-// MergeVec runs it into slab windows sized by mergeWords.
-func (s *Scheme) merge(z, a *big.Int, shift uint, b *big.Int) {
+// merge sets z = 2^shift·a + b, reduced into the plaintext space; quo
+// takes the quotient of the reduction. It is the one addition body: Add
+// is the shift-0 case into a fresh value, MergeVec runs it into one
+// scratch value per call.
+func (s *Scheme) merge(z, quo, a *big.Int, shift uint, b *big.Int) {
 	if shift == 0 {
 		z.Add(a, b)
 	} else {
 		z.Lsh(a, shift)
 		z.Add(z, b)
 	}
-	s.reduce(z)
+	if s.space != nil {
+		quo.QuoRem(z, s.space, z)
+		if z.Sign() < 0 { // Euclidean, as Mod: a peer may send a negative value
+			z.Add(z, s.space)
+		}
+	}
 }
 
-// mergeWords is the window merge needs to run in place: the longer of
-// the shifted a and b, plus the carry word big.Int.Add claims before it
+// mergeBytes bounds the magnitude of 2^shift·a + b in bytes, from the
+// operands' magnitudes in bits: the sum is below twice the larger of its
+// terms, so one bit more than the longer of them covers it, and a
+// reduced value is below the plaintext modulus.
+func (s *Scheme) mergeBytes(a int, shift uint, b int) int {
+	n := (max(a+int(shift), b) + 1 + 7) / 8
+	if s.space != nil {
+		n = min(n, (s.space.BitLen()+7)/8)
+	}
+	return n
+}
+
+// mergeWords is the scratch merge needs to compute 2^shift·a + b in
+// place, from the operands' magnitudes in bits: the longer of the
+// shifted a and b, plus the carry word big.Int.Add claims before it
 // knows whether the addition carries (which also covers the word Lsh
 // claims for the bits shifted out of a's top word). One more when a
 // plaintext modulus is set: the reduction scales its dividend in place.
-func (s *Scheme) mergeWords(a *big.Int, shift uint, b *big.Int) int {
-	const W = bits.UintSize
-	w := max((a.BitLen()+int(shift)+W-1)/W, len(b.Bits())) + 1
+func (s *Scheme) mergeWords(a int, shift uint, b int) int {
+	w := max(words(a+int(shift)), words(b)) + 1
 	if s.space != nil {
 		w++
 	}
 	return w
 }
 
+// words is how many big.Words hold n bits.
+func words(n int) int { return (n + bits.UintSize - 1) / bits.UintSize }
+
 // Add implements homenc.Scheme.
 func (s *Scheme) Add(a, b homenc.Ciphertext) homenc.Ciphertext {
+	var quo big.Int
 	z := new(big.Int)
-	s.merge(z, a.V, 0, b.V)
+	s.merge(z, &quo, a.V, 0, b.V)
 	return homenc.Ciphertext{V: z}
 }
 
-// MergeVec implements homenc.Scheme: every result lives in one slab.
-func (s *Scheme) MergeVec(a []homenc.Ciphertext, shift uint, b []homenc.Ciphertext) []homenc.Ciphertext {
-	if len(a) != len(b) {
+// MergeVec implements homenc.Scheme. An element costs a shift and an
+// addition, so the kernel runs serial whatever workers allows. A first
+// pass over the operands' lengths sizes the result image and one scratch
+// slab — the widest element of a, of b, and of the working value — so
+// the call allocates the image, the vector and the scratch, whatever
+// the operands.
+func (s *Scheme) MergeVec(a homenc.Operand, shift uint, b homenc.Operand, _ int) *homenc.Vector {
+	n := a.Len()
+	if n != b.Len() {
 		panic("plain: MergeVec length mismatch")
 	}
-	words := 0
-	for i := range a {
-		words += s.mergeWords(a[i].V, shift, b[i].V)
+	size, wa, wb, wz := 0, 0, 0, 0
+	ra, rb := a.Reader(), b.Reader()
+	for i := 0; i < n; i++ {
+		ba, bb := ra.NextBits(), rb.NextBits()
+		size += s.mergeBytes(ba, shift, bb)
+		wa, wb, wz = max(wa, words(ba)), max(wb, words(bb)), max(wz, s.mergeWords(ba, shift, bb))
 	}
-	slab := homenc.NewSlab(len(a), words)
-	out := make([]homenc.Ciphertext, len(a))
-	for i := range a {
-		z := slab.Carve(i, s.mergeWords(a[i].V, shift, b[i].V))
-		s.merge(z, a[i].V, shift, b[i].V)
-		out[i].V = z
+	out := homenc.NewVectorWriter(n, size)
+	scratch := make([]big.Word, wa+wb+wz)
+	var x, y, z, quo big.Int
+	x.SetBits(scratch[:0:wa])
+	y.SetBits(scratch[wa : wa : wa+wb])
+	z.SetBits(scratch[wa+wb : wa+wb])
+	ra, rb = a.Reader(), b.Reader()
+	for i := 0; i < n; i++ {
+		s.merge(&z, &quo, ra.Next(&x), shift, rb.Next(&y))
+		out.Append(&z)
 	}
-	return out
+	return out.Vector()
 }
 
 // ScalarMul implements homenc.Scheme.

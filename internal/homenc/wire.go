@@ -21,11 +21,12 @@ import (
 // re-sent on every leg of every decryption cycle but changes only when
 // a share is gathered or a state adopted. Vector and Partials therefore
 // carry a cached wire image — the canonical encoding, built at the
-// first send or taken from the frame the vector arrived in — and
-// materialize big.Int values only when the crypto asks for them. The
-// receive side scans a frame structurally (ScanVectorBound and
-// friends: every bound checked, nothing allocated) into views that
-// alias the frame; Copy detaches a view into an owned Vector.
+// first send, taken from the frame the vector arrived in, or written by
+// the merge that produced it — and materialize big.Int values only when
+// the crypto asks for them. The receive side scans a frame structurally
+// (ScanVectorBound and friends: every bound checked, nothing allocated)
+// into views that alias the frame; a merge reads a view in place
+// (VectorView.Operand), and Copy detaches one into an owned Vector.
 
 const (
 	wirePositive byte = 0x01
@@ -232,9 +233,32 @@ func appendVector(dst []byte, cts []Ciphertext) []byte {
 // wordBytes is the size of one big.Word.
 const wordBytes = bits.UintSize / 8
 
+// slab backs a decoded vector of big.Int values with two allocations:
+// the values themselves and one word slab their magnitudes are carved
+// from.
+type slab struct {
+	ints  []big.Int
+	words []big.Word // the part of the word slab not yet handed out
+}
+
+// newSlab returns a slab for n values whose windows total words words.
+func newSlab(n, words int) slab {
+	return slab{ints: make([]big.Int, n), words: make([]big.Word, words)}
+}
+
+// carve returns value i, zero, over its own window of w words of the
+// slab. The window is capacity-clipped: a value that outgrows it moves
+// to a fresh array instead of growing into its neighbour.
+func (s *slab) carve(i, w int) *big.Int {
+	z := &s.ints[i]
+	z.SetBits(s.words[:0:w])
+	s.words = s.words[w:]
+	return z
+}
+
 // decodeInts materializes the n integers of an already-scanned encoding
 // (each preceded by skip bytes: 0 for ciphertexts, 4 for a partial's
-// share index) into one Slab, so a vector costs two allocations instead
+// share index) into one slab, so a vector costs two allocations instead
 // of two per element.
 func decodeInts(b []byte, n, skip int) []big.Int {
 	words := 0
@@ -243,29 +267,57 @@ func decodeInts(b []byte, n, skip int) []big.Int {
 		words += (m + wordBytes - 1) / wordBytes
 		p = p[skip+intHeader+m:]
 	}
-	slab := NewSlab(n, words)
+	vals := newSlab(n, words)
 	for i := 0; i < n; i++ {
 		m := int(binary.BigEndian.Uint32(b[skip+1:]))
-		mag := b[skip+intHeader : skip+intHeader+m]
-		w := (m + wordBytes - 1) / wordBytes
-		z := slab.Carve(i, w)
-		abs := z.Bits()[:w]
-		// Little-endian words from big-endian bytes.
-		for k := range abs {
-			end := m - k*wordBytes
-			var x big.Word
-			for _, c := range mag[max(0, end-wordBytes):end] {
-				x = x<<8 | big.Word(c)
-			}
-			abs[k] = x
-		}
-		z.SetBits(abs)
-		if b[skip] == wireNegative {
-			z.Neg(z)
-		}
-		b = b[skip+intHeader+m:]
+		b = b[skip+setInt(vals.carve(i, (m+wordBytes-1)/wordBytes), b[skip:]):]
 	}
-	return slab.ints
+	return vals.ints
+}
+
+// setInt sets z to the scanned integer encoding at the front of enc and
+// returns the encoding's size. z's words are reused when they have the
+// capacity: a carved slab window always does, and a kernel's scratch
+// value grows to its vector's widest element once.
+func setInt(z *big.Int, enc []byte) int {
+	size := intHeader + int(binary.BigEndian.Uint32(enc[1:]))
+	mag := enc[intHeader:size]
+	for len(mag) > 0 && mag[0] == 0 { // only a non-canonical encoding has them
+		mag = mag[1:]
+	}
+	m := len(mag)
+	w := (m + wordBytes - 1) / wordBytes
+	abs := z.Bits()
+	if cap(abs) < w {
+		abs = make([]big.Word, w)
+	}
+	abs = abs[:w]
+	// Little-endian words from big-endian bytes, a whole word at a time.
+	for k := range abs {
+		end := m - k*wordBytes
+		if end >= wordBytes {
+			abs[k] = bigEndianWord(mag[end-wordBytes : end])
+			continue
+		}
+		var x big.Word
+		for _, c := range mag[:end] {
+			x = x<<8 | big.Word(c)
+		}
+		abs[k] = x
+	}
+	z.SetBits(abs)
+	if enc[0] == wireNegative {
+		z.Neg(z)
+	}
+	return size
+}
+
+// bigEndianWord reads one big.Word from wordBytes big-endian bytes.
+func bigEndianWord(b []byte) big.Word {
+	if wordBytes == 8 {
+		return big.Word(binary.BigEndian.Uint64(b))
+	}
+	return big.Word(binary.BigEndian.Uint32(b))
 }
 
 // wireStats counts how often the wire images pay off; see WireStats.
@@ -277,9 +329,10 @@ var wireStats struct {
 // on — a vector is sent or received more often than it changes.
 // Sends counts vectors appended to a frame or journal record, Builds
 // how many of those had to be encoded first (the rest were served from
-// a cached image); Scanned counts non-empty vectors scanned off
-// received frames, Materialized how many scanned or adopted vectors
-// were ever turned into big.Int values.
+// a cached image, a merge's result included); Scanned counts scans of
+// non-empty vectors off received frames (a sum leg is scanned twice: to
+// vet it, and to merge from it), Materialized how many vectors were ever
+// turned into big.Int values — a merge turns none.
 type WireStats struct {
 	Sends, Builds, Scanned, Materialized int64
 }
@@ -299,14 +352,16 @@ var emptyImage = make([]byte, 4)
 
 // Vector is an immutable ciphertext vector together with its cached
 // wire image (the MarshalVector encoding). It holds its values, its
-// image, or both: a vector built locally starts with values and is
-// encoded at its first send; a vector adopted from a peer starts with
-// the image it arrived in and is materialized only if the crypto needs
-// its values. A nil *Vector is the empty vector. The missing form is
-// built lazily, by whichever call needs it first, so a Vector that one
-// goroutine owns needs no locking; a Vector that several goroutines are
-// about to read must be Sealed — both forms built — before it is
-// published to them, after which every method is a pure read.
+// image, or both: a vector encrypted locally starts with values and is
+// encoded at its first send; a vector a merge kernel produced, or one
+// adopted from a peer, starts with its image and is materialized only if
+// the crypto needs its values. A nil *Vector is the empty vector. The
+// missing form is built lazily, by whichever call needs it first, so a
+// Vector that one goroutine owns needs no locking; a Vector that several
+// goroutines are about to read must be Sealed — both forms built —
+// before it is published to them, after which every method is a pure
+// read. Operand, AppendTo of an image and CopyValues never build a form:
+// they are reads of any Vector.
 type Vector struct {
 	n   int
 	cts []Ciphertext

@@ -21,15 +21,10 @@ import (
 // serialized by Node.commitMu.
 type iterState = eesum.Participant
 
-// wireSide is one EESum state in sending form, over its cached image.
-func wireSide(s *eesum.SumSide) wireproto.SumSide {
-	return wireproto.SumSide{CTs: s.Vector(), Omega: s.Omega, Epoch: s.Epoch}
-}
-
 // sumOut is the iteration's sum-phase state as an exchange leg (or a
 // journal checkpoint, with a zero header) sends it.
 func sumOut(st *iterState, hdr wireproto.ExchangeHdr) *wireproto.SumOut {
-	return &wireproto.SumOut{Hdr: hdr, Means: wireSide(&st.Means), Noise: wireSide(&st.Noise), CtrSigma: st.CtrS, CtrOmega: st.CtrW}
+	return &wireproto.SumOut{Hdr: hdr, Means: st.Means, Noise: st.Noise, CtrSigma: st.CtrS, CtrOmega: st.CtrW}
 }
 
 // decOut is the iteration's decryption state in sending form.
@@ -453,12 +448,16 @@ func respondLegs[H half[H]](nd *Node, req byte, st *iterState, s slot, from int,
 
 // sumHalf: either state leg carries the side's two EESum states and its
 // counter, the fin is bare, and either side commits Algorithm 2's update
-// rule against the other's state, read off its leg.
-type sumHalf struct{ peer wireproto.SumView }
+// rule against the other's state, read off its leg. The half keeps the
+// leg's payload — the frame is held until the commit — rather than its
+// 184-byte scanned view, so the engine's frames under every exchange
+// stay small; the commit scans the payload again and the merge kernel
+// reads the peer's ciphertexts straight out of it.
+type sumHalf struct{ payload []byte }
 
 func (sumHalf) scan(nd *Node, st *iterState, payload []byte) (sumHalf, wireproto.ExchangeHdr, bool) {
 	v, err := wireproto.ScanSum(payload, nd.lim)
-	return sumHalf{v}, v.Hdr, err == nil && nd.validSumState(v.Means, len(st.Means.CTs)) && nd.validSumState(v.Noise, len(st.Noise.CTs))
+	return sumHalf{payload}, v.Hdr, err == nil && nd.validSumState(v.Means, st.Means.CTs.Len()) && nd.validSumState(v.Noise, st.Noise.CTs.Len())
 }
 
 func (h sumHalf) prepare(*iterState, bool) sumHalf { return h }
@@ -476,9 +475,10 @@ func (h sumHalf) scanFin(_ *Node, payload []byte) (sumHalf, wireproto.ExchangeHd
 	return h, hdr, err
 }
 
-func (h sumHalf) commit(_ *Node, st *iterState, _ int, initiator bool) {
-	v := h.peer
-	st.CommitSum(eesum.SumPeer{Means: v.Means.State(), Noise: v.Noise.State(), CtrS: v.CtrSigma, CtrW: v.CtrOmega}, initiator)
+func (h sumHalf) commit(nd *Node, st *iterState, _ int, initiator bool) {
+	// The payload passed scan unchanged, so it scans without error.
+	v, _ := wireproto.ScanSum(h.payload, nd.lim)
+	st.CommitSum(v.Peer(), initiator)
 }
 
 // --- correction dissemination phase ---

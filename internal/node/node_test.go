@@ -284,7 +284,7 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 				return st
 			}
 			stA, stB := mk(ndA), mk(ndB)
-			preA, preB := stA.Means.Clone(), stB.Means.Clone()
+			preA, preB := stA.Means.State(), stB.Means.State()
 			// Reference: the initiator half of the same exchange, the
 			// update rule applied directly to the two initial states.
 			merged := eesum.MergeSum(ts.scheme, preA, preB, 1)
@@ -293,8 +293,8 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 				if initMerged {
 					wantA = merged
 				}
-				checkSum(t, "initiator", stA.Means.SumState, wantA)
-				checkSum(t, "responder", stB.Means.SumState, preB)
+				checkSum(t, "initiator", stA.Means.State(), wantA)
+				checkSum(t, "responder", stB.Means.State(), preB)
 			}
 		}},
 		{"diss", phaseDiss, func(ndA, ndB *Node) (*iterState, *iterState, func(*testing.T, bool)) {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"chiaroscuro/internal/core"
-	"chiaroscuro/internal/eesum"
 	"chiaroscuro/internal/journal"
 	"chiaroscuro/internal/timeseries"
 	"chiaroscuro/internal/wireproto"
@@ -484,9 +483,11 @@ func decodeCheckpoint(p []byte, lim wireproto.Limits) (checkpointRecord, error) 
 	if err != nil {
 		return checkpointRecord{}, fmt.Errorf("%w: checkpoint dec segment: %v", journal.ErrCorrupt, err)
 	}
+	// The journal's bytes become the sum states' images: restoring them
+	// materializes no value.
 	r.st = &iterState{
-		Means: restoreSumSide(sum.Means),
-		Noise: restoreSumSide(sum.Noise),
+		Means: sum.Means.Copy(),
+		Noise: sum.Noise.Copy(),
 		CtrS:  sum.CtrSigma,
 		CtrW:  sum.CtrOmega,
 	}
@@ -567,13 +568,6 @@ func replayCheckpoints(ckpts [][]byte, lim wireproto.Limits, tau int) (checkpoin
 	ck, err := decodeCheckpoint(ckpts[frontier], lim)
 	ck.counters = ctrs
 	return ck, tail, err
-}
-
-// restoreSumSide detaches a journaled EESum state from the record it
-// was scanned in; the journal's bytes become its wire image.
-func restoreSumSide(v wireproto.SumSideView) eesum.SumSide {
-	side := v.Copy()
-	return eesum.SideFromVector(side.CTs, side.Omega, side.Epoch)
 }
 
 // --- append paths ---

@@ -12,9 +12,10 @@ import (
 
 // TestCheckpointReseedsImages pins the journal side of the wire images:
 // a replayed checkpoint hands the restored state the journal's own
-// bytes as its images, so the resumed peer's next checkpoint (and its
-// next send) encodes nothing again, writes the identical record, and
-// still materializes the values the protocol continues from.
+// bytes as its images — restoring materializes no vector — so the
+// resumed peer's next checkpoint (and its next send) encodes nothing
+// again, writes the identical record, and still decodes to the values
+// the protocol continues from.
 func TestCheckpointReseedsImages(t *testing.T) {
 	vec := func(base int64) []homenc.Ciphertext {
 		cts := make([]homenc.Ciphertext, 6)
@@ -32,8 +33,8 @@ func TestCheckpointReseedsImages(t *testing.T) {
 		return homenc.NewPartials(ps)
 	}
 	st := &iterState{
-		Means:    eesum.SumSide{SumState: eesum.SumState{CTs: vec(10), Omega: big.NewInt(12), Epoch: 7}},
-		Noise:    eesum.SumSide{SumState: eesum.SumState{CTs: vec(50), Omega: big.NewInt(12), Epoch: 7}},
+		Means:    eesum.SumSide{CTs: homenc.NewVector(vec(10)), Omega: big.NewInt(12), Epoch: 7},
+		Noise:    eesum.SumSide{CTs: homenc.NewVector(vec(50)), Omega: big.NewInt(12), Epoch: 7},
 		CtrS:     3.5,
 		CtrW:     0.25,
 		CorID:    99,
@@ -47,9 +48,13 @@ func TestCheckpointReseedsImages(t *testing.T) {
 	lim := wireproto.NewLimits(64, 6, 3, 12)
 
 	record := encodeCheckpoint(pos, st, ctrs)
+	restoring := homenc.ReadWireStats()
 	ck, err := decodeCheckpoint(record, lim)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := homenc.ReadWireStats().Materialized - restoring.Materialized; got != 0 {
+		t.Fatalf("restoring the checkpoint materialized %d vectors; the journal's bytes should be the states", got)
 	}
 	if ck.pos != pos || ck.counters != ctrs {
 		t.Fatalf("restored position/counters (%+v, %+v), want (%+v, %+v)", ck.pos, ck.counters, pos, ctrs)
@@ -65,8 +70,9 @@ func TestCheckpointReseedsImages(t *testing.T) {
 		t.Fatalf("re-encoding the restored state sent %d vectors and encoded %d of them, want 5 and 0", sends, builds)
 	}
 
-	for j, want := range st.Means.CTs {
-		if got := ck.st.Means.CTs[j].V; got.Cmp(want.V) != 0 {
+	restored := ck.st.Means.State().CTs
+	for j, want := range st.Means.State().CTs {
+		if got := restored[j].V; got.Cmp(want.V) != 0 {
 			t.Fatalf("restored means[%d] = %v, want %v", j, got, want.V)
 		}
 	}

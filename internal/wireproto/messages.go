@@ -253,14 +253,9 @@ type SumMsg struct {
 	CtrOmega float64
 }
 
-// SumSide is one EESum state in wire-ready form: the ciphertext vector
-// carries its cached image, so a state journaled at its commit and sent
-// on the next exchange is encoded once.
-type SumSide struct {
-	CTs   *homenc.Vector
-	Omega *big.Int
-	Epoch int
-}
+// SumSide is one EESum state in wire-ready form. A participant's state
+// at rest is already one: its vector is the image the next send appends.
+type SumSide = eesum.SumSide
 
 // SideOf wraps a plain EESum state for sending. The caller must not
 // modify st.CTs afterwards.
@@ -268,9 +263,9 @@ func SideOf(st eesum.SumState) SumSide {
 	return SumSide{CTs: homenc.NewVector(st.CTs), Omega: st.Omega, Epoch: st.Epoch}
 }
 
-func (s SumSide) size() int { return s.CTs.WireSize() + homenc.IntWireSize(s.Omega) + 4 }
+func sideSize(s SumSide) int { return s.CTs.WireSize() + homenc.IntWireSize(s.Omega) + 4 }
 
-func (s SumSide) appendTo(dst []byte) []byte {
+func appendSide(dst []byte, s SumSide) []byte {
 	dst = homenc.AppendInt(s.CTs.AppendTo(dst), s.Omega)
 	return binary.BigEndian.AppendUint32(dst, uint32(s.Epoch))
 }
@@ -285,11 +280,11 @@ type SumOut struct {
 }
 
 // Size implements Message.
-func (m *SumOut) Size() int { return hdrSize + m.Means.size() + m.Noise.size() + 16 }
+func (m *SumOut) Size() int { return hdrSize + sideSize(m.Means) + sideSize(m.Noise) + 16 }
 
 // AppendTo implements Message.
 func (m *SumOut) AppendTo(dst []byte) []byte {
-	e := enc{b: m.Noise.appendTo(m.Means.appendTo(m.Hdr.appendTo(dst)))}
+	e := enc{b: appendSide(appendSide(m.Hdr.appendTo(dst), m.Means), m.Noise)}
 	e.f64(m.CtrSigma)
 	e.f64(m.CtrOmega)
 	return e.b
@@ -319,6 +314,12 @@ func (v SumSideView) Copy() SumSide {
 	return SumSide{CTs: v.CTs.Copy(), Omega: intOf(v.omega), Epoch: v.Epoch}
 }
 
+// Operand returns the state as the update rule reads it: the ciphertexts
+// in place, in the payload (only the weight is decoded).
+func (v SumSideView) Operand() eesum.SumOperand {
+	return eesum.SumOperand{CTs: v.CTs.Operand(), Omega: intOf(v.omega), Epoch: v.Epoch}
+}
+
 func scanSumSide(d *dec, lim Limits) SumSideView {
 	v := SumSideView{CTs: d.vector(lim.MaxDim, lim.MaxCTBytes)}
 	v.omega = d.intImage(lim.MaxCTBytes)
@@ -334,6 +335,12 @@ type SumView struct {
 	Noise    SumSideView
 	CtrSigma float64
 	CtrOmega float64
+}
+
+// Peer returns the scanned side as the other side of a sum exchange,
+// read in place: valid only as long as the payload is.
+func (v SumView) Peer() eesum.SumPeer {
+	return eesum.SumPeer{Means: v.Means.Operand(), Noise: v.Noise.Operand(), CtrS: v.CtrSigma, CtrW: v.CtrOmega}
 }
 
 // ScanSum scans a SumMsg payload.
