@@ -69,8 +69,8 @@ func TestMergeSumAllocs(t *testing.T) {
 	const dim = 50
 	sch := plainScheme(t, 5)
 	a, b := mergeOperands(dim, fixedPoint)
-	if got := testing.AllocsPerRun(100, func() { MergeSum(sch, a, b, 1) }); got > 12 {
-		t.Errorf("plain MergeSum of %d elements: %.0f allocations, want at most 12", dim, got)
+	if got := testing.AllocsPerRun(100, func() { MergeSum(sch, a, b, 1) }); got > 8 {
+		t.Errorf("plain MergeSum of %d elements: %.0f allocations, want at most 8", dim, got)
 	}
 	own := SumSide{CTs: imageOf(t, a.CTs), Omega: a.Omega, Epoch: a.Epoch}.Operand()
 	frame, err := homenc.MarshalVector(b.CTs)

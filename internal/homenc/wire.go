@@ -276,48 +276,22 @@ func decodeInts(b []byte, n, skip int) []big.Int {
 }
 
 // setInt sets z to the scanned integer encoding at the front of enc and
-// returns the encoding's size. z's words are reused when they have the
-// capacity: a carved slab window always does, and a kernel's scratch
-// value grows to its vector's widest element once.
+// returns the encoding's size. SetBytes reuses z's words when they have
+// the capacity: a carved slab window always does, and a kernel's scratch
+// value grows to its vector's widest element once. SetBytes sizes its
+// words by bytes while a kernel sizes its scratch by bits (NextBits), so
+// the leading zero bytes only a non-canonical encoding has go first.
 func setInt(z *big.Int, enc []byte) int {
 	size := intHeader + int(binary.BigEndian.Uint32(enc[1:]))
 	mag := enc[intHeader:size]
-	for len(mag) > 0 && mag[0] == 0 { // only a non-canonical encoding has them
+	for len(mag) > 0 && mag[0] == 0 {
 		mag = mag[1:]
 	}
-	m := len(mag)
-	w := (m + wordBytes - 1) / wordBytes
-	abs := z.Bits()
-	if cap(abs) < w {
-		abs = make([]big.Word, w)
-	}
-	abs = abs[:w]
-	// Little-endian words from big-endian bytes, a whole word at a time.
-	for k := range abs {
-		end := m - k*wordBytes
-		if end >= wordBytes {
-			abs[k] = bigEndianWord(mag[end-wordBytes : end])
-			continue
-		}
-		var x big.Word
-		for _, c := range mag[:end] {
-			x = x<<8 | big.Word(c)
-		}
-		abs[k] = x
-	}
-	z.SetBits(abs)
+	z.SetBytes(mag)
 	if enc[0] == wireNegative {
 		z.Neg(z)
 	}
 	return size
-}
-
-// bigEndianWord reads one big.Word from wordBytes big-endian bytes.
-func bigEndianWord(b []byte) big.Word {
-	if wordBytes == 8 {
-		return big.Word(binary.BigEndian.Uint64(b))
-	}
-	return big.Word(binary.BigEndian.Uint32(b))
 }
 
 // wireStats counts how often the wire images pay off; see WireStats.
