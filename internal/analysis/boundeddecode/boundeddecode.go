@@ -2,11 +2,11 @@
 // network-reachable paths (node, mux, wireproto), a
 // decoder that has a size-bounded sibling must be called through it.
 //
-// An unbounded UnmarshalBinary on an attacker-supplied frame is an
-// allocation bomb — the length words inside the frame, not the frame
-// size, drive the allocations. The homenc wire layer therefore grew
-// UnmarshalBinaryBound / UnmarshalVectorBound / UnmarshalIntBound with
-// explicit caps. This analyzer flags any call to an Unmarshal* function
+// An unbounded decode of an attacker-supplied frame is an allocation
+// bomb — the length words inside the frame, not the frame size, drive
+// the allocations. The homenc wire layer therefore decodes only through
+// ScanVectorBound / ScanIntBound / UnmarshalIntBound, with explicit
+// caps. This analyzer flags any call to an Unmarshal* function
 // or method from a network-reachable package when the callee's package
 // or method set also exports the same name with a Bound suffix — the
 // caller picked the unbounded variant where a bounded one exists.

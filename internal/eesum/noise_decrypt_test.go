@@ -194,7 +194,7 @@ func decrypting(env *Env, n int, cts []homenc.Ciphertext) []*Participant {
 	for i := range ps {
 		ps[i] = NewParticipant(env, i, nil, NoiseConfig{})
 		ps[i].DecCTs, ps[i].DecOmega = homenc.NewVector(cts), big.NewInt(1)
-		ps[i].DecParts = make(map[int]*homenc.Partials)
+		ps[i].DecParts = make(map[int]*homenc.Vector)
 	}
 	return ps
 }

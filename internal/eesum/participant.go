@@ -71,7 +71,7 @@ type Participant struct {
 
 	DecCTs   *homenc.Vector
 	DecOmega *big.Int
-	DecParts map[int]*homenc.Partials // nil until the decryption starts
+	DecParts map[int]*homenc.Vector // nil until the decryption starts
 
 	env    *Env
 	index  int        // 0-based; the key-share index is index+1
@@ -244,7 +244,7 @@ func (p *Participant) StartDecryption() error {
 	means.CTs.Seal()
 	p.Noise, p.Means = corrected, means
 	p.DecCTs, p.DecOmega = means.CTs, means.Omega
-	p.DecParts = make(map[int]*homenc.Partials, sch.Threshold())
+	p.DecParts = make(map[int]*homenc.Vector, sch.Threshold())
 	return nil
 }
 
@@ -264,7 +264,7 @@ type DecPeer interface {
 	// Detach returns the peer's whole state for adoption — ciphertexts,
 	// weight, and the gathered partials capped at threshold (CopyParts) —
 	// independent of the peer.
-	Detach(threshold int) (*homenc.Vector, *big.Int, map[int]*homenc.Partials)
+	Detach(threshold int) (*homenc.Vector, *big.Int, map[int]*homenc.Vector)
 }
 
 // DecPrep is one side of a decryption exchange, prepared from both
@@ -273,12 +273,12 @@ type DecPrep struct {
 	// Fresh is this side's key-share over the peer's post-adoption
 	// ciphertexts — what its response or fin leg carries — or nil when
 	// the peer does not want it.
-	Fresh *homenc.Partials
+	Fresh *homenc.Vector
 
 	adopt, peerAdopts bool
 	cts               *homenc.Vector // the peer's state, detached (only when adopt)
 	omega             *big.Int
-	parts             map[int]*homenc.Partials
+	parts             map[int]*homenc.Vector
 }
 
 // PrepareDec prepares participant p's side of a decryption exchange: it
@@ -319,16 +319,13 @@ func PrepareDec[P DecPeer](p *Participant, peer P, full bool) DecPrep {
 // CommitDec applies this side's transition: adopt, then the peer's
 // key-share, then this side's own — the commit point, applied exactly
 // once. fresh is the peer's key-share over this side's post-adoption
-// ciphertexts (nil: none usable arrived). It reports whether the state
-// wanted the peer's share, so a driver can tell a dropped invalid share
-// from one nobody needed.
-func (p *Participant) CommitDec(x DecPrep, peerShare int, fresh *homenc.Partials) (wanted bool) {
+// ciphertexts (nil: none arrived).
+func (p *Participant) CommitDec(x DecPrep, peerShare int, fresh *homenc.Vector) {
 	tau, share := p.env.Scheme.Threshold(), p.share()
 	if x.adopt {
 		p.DecCTs, p.DecOmega, p.DecParts = x.cts, x.omega, x.parts
 	}
-	wanted = DecNeeds(p.DecParts, tau, peerShare)
-	if wanted && fresh != nil {
+	if fresh != nil && DecNeeds(p.DecParts, tau, peerShare) {
 		p.DecParts[peerShare] = fresh
 	}
 	if DecNeeds(p.DecParts, tau, share) {
@@ -340,7 +337,6 @@ func (p *Participant) CommitDec(x DecPrep, peerShare int, fresh *homenc.Partials
 			p.DecParts[share] = own
 		}
 	}
-	return wanted
 }
 
 // ExchangeDec runs a whole decryption exchange between initiator p and
@@ -361,19 +357,29 @@ type memPeer struct{ p *Participant }
 func (m memPeer) Gathered() int                    { return len(m.p.DecParts) }
 func (m memPeer) Wants(idx, threshold int) bool    { return DecNeeds(m.p.DecParts, threshold, idx) }
 func (m memPeer) Ciphertexts() []homenc.Ciphertext { return m.p.DecCTs.Values() }
-func (m memPeer) Detach(threshold int) (*homenc.Vector, *big.Int, map[int]*homenc.Partials) {
+func (m memPeer) Detach(threshold int) (*homenc.Vector, *big.Int, map[int]*homenc.Vector) {
 	return m.p.DecCTs, m.p.DecOmega, CopyParts(m.p.DecParts, threshold)
 }
 
-// ownShare applies this participant's key-share to a ciphertext vector.
-// A failure cannot happen for a provisioned share index; it would just
-// leave the share unapplied.
-func (p *Participant) ownShare(cts []homenc.Ciphertext) *homenc.Partials {
+// ownShare applies this participant's key-share to a ciphertext vector
+// and returns the partial decryptions as the image they are sent and
+// journaled as: the values DecPartials computed are written into it
+// and dropped. A failure cannot happen for a provisioned share index; it
+// would just leave the share unapplied.
+func (p *Participant) ownShare(cts []homenc.Ciphertext) *homenc.Vector {
 	ps, err := DecPartials(p.env.Scheme, p.share(), cts, p.env.workers(len(cts)))
 	if err != nil {
 		return nil
 	}
-	return homenc.NewPartials(ps)
+	size := 0
+	for _, x := range ps {
+		size += (x.V.BitLen() + 7) / 8
+	}
+	w := homenc.NewVectorWriter(len(ps), size)
+	for _, x := range ps {
+		w.Append(x.V)
+	}
+	return w.Vector()
 }
 
 // Settled reports whether the decryption state can no longer change: τ
@@ -392,7 +398,7 @@ func (p *Participant) Release(dim int) ([]float64, error) {
 	parts := make(map[int][]homenc.PartialDecryption, len(p.DecParts))
 	//lint:orderfree whole-map conversion: every entry lands regardless of order
 	for idx, ps := range p.DecParts {
-		parts[idx] = ps.Values()
+		parts[idx] = ps.PartialDecryptions(idx)
 	}
 	cts := p.DecCTs.Values()
 	ms, err := CombineParts(sch, cts, parts, sch.Threshold(), p.env.workers(len(cts)))

@@ -13,20 +13,25 @@ import (
 
 // Wire formats: in a deployment the Diptych's encrypted means travel
 // between devices on every gossip exchange, so ciphertexts and partial
-// decryptions need a compact canonical encoding. The format is a 1-byte
-// sign/kind tag, a 4-byte big-endian length, and the magnitude bytes.
+// decryptions need a compact canonical encoding. An integer is a 1-byte
+// sign/kind tag, a 4-byte big-endian length, and the magnitude bytes; a
+// vector is a 4-byte count and its integers. A partial decryption is an
+// element of the ciphertext group, so a key-share's partial decryptions
+// of a vector are a Vector too: the share index is the key the set is
+// held under, never repeated per element.
 //
 // Vectors that cross the wire are immutable, and most of them are sent
 // or received far more often than they change: a decryption state is
 // re-sent on every leg of every decryption cycle but changes only when
-// a share is gathered or a state adopted. Vector and Partials therefore
-// carry a cached wire image — the canonical encoding, built at the
-// first send, taken from the frame the vector arrived in, or written by
-// the merge that produced it — and materialize big.Int values only when
-// the crypto asks for them. The receive side scans a frame structurally
-// (ScanVectorBound and friends: every bound checked, nothing allocated)
-// into views that alias the frame; a merge reads a view in place
-// (VectorView.Operand), and Copy detaches one into an owned Vector.
+// a share is gathered or a state adopted. A Vector therefore carries a
+// cached wire image — the canonical encoding, built at the first send,
+// taken from the frame the vector arrived in, or written by the merge
+// (or the VectorWriter) that produced it — and materializes big.Int
+// values only when the crypto asks for them. The receive side scans a
+// frame structurally (ScanVectorBound and ScanIntBound: every bound
+// checked, nothing allocated) into views that alias the frame; a merge
+// reads a view in place (VectorView.Operand), and Copy detaches one into
+// an owned Vector.
 
 const (
 	wirePositive byte = 0x01
@@ -47,72 +52,6 @@ const DefaultMaxVectorLen = 1 << 20
 // intHeader is the tag + length prefix of one encoded integer.
 const intHeader = 5
 
-// MarshalBinary implements encoding.BinaryMarshaler for ciphertexts.
-func (c Ciphertext) MarshalBinary() ([]byte, error) {
-	if c.V == nil {
-		return nil, errors.New("homenc: nil ciphertext")
-	}
-	return MarshalInt(c.V), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler with the
-// DefaultMaxIntBytes magnitude bound.
-func (c *Ciphertext) UnmarshalBinary(data []byte) error {
-	return c.UnmarshalBinaryBound(data, DefaultMaxIntBytes)
-}
-
-// UnmarshalBinaryBound decodes a ciphertext whose magnitude must not
-// exceed maxBytes (callers on a network boundary pass the scheme's
-// actual ciphertext size, so a malicious frame cannot force a large
-// allocation).
-func (c *Ciphertext) UnmarshalBinaryBound(data []byte, maxBytes int) error {
-	v, rest, err := UnmarshalIntBound(data, maxBytes)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return errors.New("homenc: trailing bytes after ciphertext")
-	}
-	c.V = v
-	return nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler for partial
-// decryptions: a 4-byte share index followed by the value.
-func (p PartialDecryption) MarshalBinary() ([]byte, error) {
-	if p.V == nil {
-		return nil, errors.New("homenc: nil partial decryption")
-	}
-	out := make([]byte, 4, 4+IntWireSize(p.V))
-	binary.BigEndian.PutUint32(out, uint32(p.Index))
-	return AppendInt(out, p.V), nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler with the
-// DefaultMaxIntBytes magnitude bound.
-func (p *PartialDecryption) UnmarshalBinary(data []byte) error {
-	return p.UnmarshalBinaryBound(data, DefaultMaxIntBytes)
-}
-
-// UnmarshalBinaryBound decodes a partial decryption whose magnitude
-// must not exceed maxBytes.
-func (p *PartialDecryption) UnmarshalBinaryBound(data []byte, maxBytes int) error {
-	if len(data) < 4 {
-		return errors.New("homenc: short partial decryption")
-	}
-	idx := binary.BigEndian.Uint32(data)
-	v, rest, err := UnmarshalIntBound(data[4:], maxBytes)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return errors.New("homenc: trailing bytes after partial decryption")
-	}
-	p.Index = int(idx)
-	p.V = v
-	return nil
-}
-
 // MarshalVector encodes a ciphertext vector (the Diptych means payload)
 // with a count prefix.
 func MarshalVector(cts []Ciphertext) ([]byte, error) {
@@ -122,27 +61,6 @@ func MarshalVector(cts []Ciphertext) ([]byte, error) {
 		}
 	}
 	return appendVector(make([]byte, 0, vectorWireSize(cts)), cts), nil
-}
-
-// UnmarshalVector decodes a MarshalVector payload with the default
-// bounds (DefaultMaxVectorLen elements of DefaultMaxIntBytes each).
-func UnmarshalVector(data []byte) ([]Ciphertext, error) {
-	return UnmarshalVectorBound(data, DefaultMaxVectorLen, DefaultMaxIntBytes)
-}
-
-// UnmarshalVectorBound decodes a MarshalVector payload rejecting more
-// than maxLen elements or any magnitude above maxBytes — both checked
-// before allocating, so a hostile count or length prefix cannot reserve
-// memory beyond what the frame itself carries.
-func UnmarshalVectorBound(data []byte, maxLen, maxBytes int) ([]Ciphertext, error) {
-	v, rest, err := ScanVectorBound(data, maxLen, maxBytes)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, errors.New("homenc: trailing bytes after vector")
-	}
-	return v.Values(), nil
 }
 
 // IntWireSize is the encoded size of v in the canonical
@@ -161,12 +79,6 @@ func AppendInt(dst []byte, v *big.Int) []byte {
 	dst = append(slices.Grow(dst, intHeader+n), tag, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
 	v.FillBytes(dst[len(dst) : len(dst)+n])
 	return dst[:len(dst)+n]
-}
-
-// MarshalInt encodes an arbitrary big integer in the package's
-// canonical sign/length/magnitude format.
-func MarshalInt(v *big.Int) []byte {
-	return AppendInt(make([]byte, 0, IntWireSize(v)), v)
 }
 
 // ScanIntBound checks one encoded integer at the front of data without
@@ -198,7 +110,7 @@ func ScanIntBound(data []byte, maxBytes int) (size int, canonical bool, err erro
 	return intHeader + int(n), data[intHeader] != 0, nil
 }
 
-// UnmarshalIntBound decodes one MarshalInt integer from the front of
+// UnmarshalIntBound decodes one AppendInt integer from the front of
 // data, rejecting magnitudes above maxBytes before allocating, and
 // returns the remaining bytes. The bound is what protects a network
 // endpoint from a malicious frame advertising a huge integer.
@@ -257,20 +169,19 @@ func (s *slab) carve(i, w int) *big.Int {
 }
 
 // decodeInts materializes the n integers of an already-scanned encoding
-// (each preceded by skip bytes: 0 for ciphertexts, 4 for a partial's
-// share index) into one slab, so a vector costs two allocations instead
-// of two per element.
-func decodeInts(b []byte, n, skip int) []big.Int {
+// into one slab, so a vector costs two allocations instead of two per
+// element.
+func decodeInts(b []byte, n int) []big.Int {
 	words := 0
 	for p, i := b, 0; i < n; i++ {
-		m := int(binary.BigEndian.Uint32(p[skip+1:]))
+		m := int(binary.BigEndian.Uint32(p[1:]))
 		words += (m + wordBytes - 1) / wordBytes
-		p = p[skip+intHeader+m:]
+		p = p[intHeader+m:]
 	}
 	vals := newSlab(n, words)
 	for i := 0; i < n; i++ {
-		m := int(binary.BigEndian.Uint32(b[skip+1:]))
-		b = b[skip+setInt(vals.carve(i, (m+wordBytes-1)/wordBytes), b[skip:]):]
+		m := int(binary.BigEndian.Uint32(b[1:]))
+		b = b[setInt(vals.carve(i, (m+wordBytes-1)/wordBytes), b):]
 	}
 	return vals.ints
 }
@@ -321,7 +232,7 @@ func ReadWireStats() WireStats {
 	}
 }
 
-// emptyImage is the encoding of a zero-length vector of either kind.
+// emptyImage is the encoding of a zero-length vector.
 var emptyImage = make([]byte, 4)
 
 // Vector is an immutable ciphertext vector together with its cached
@@ -411,12 +322,36 @@ func (v *Vector) AppendTo(dst []byte) []byte {
 
 func decodeVector(b []byte, n int) []Ciphertext {
 	wireStats.materialized.Add(1)
-	ints := decodeInts(b, n, 0)
+	ints := decodeInts(b, n)
 	cts := make([]Ciphertext, n)
 	for i := range cts {
 		cts[i].V = &ints[i]
 	}
 	return cts
+}
+
+// PartialDecryptions returns the vector as key-share share's partial
+// decryptions — the form Combine reads a gathered share in. Like
+// CopyValues it leaves the vector as it is: the values are the vector's
+// own when it holds them, and are otherwise decoded from its image into
+// one slab of their own.
+func (v *Vector) PartialDecryptions(share int) []PartialDecryption {
+	if v.Len() == 0 {
+		return nil
+	}
+	ps := make([]PartialDecryption, v.n)
+	if v.cts != nil {
+		for i, c := range v.cts {
+			ps[i] = PartialDecryption{Index: share, V: c.V}
+		}
+		return ps
+	}
+	wireStats.materialized.Add(1)
+	ints := decodeInts(v.img[4:], v.n)
+	for i := range ps {
+		ps[i] = PartialDecryption{Index: share, V: &ints[i]}
+	}
+	return ps
 }
 
 // VectorView is a scanned, not yet materialized ciphertext vector: it
@@ -483,175 +418,4 @@ func (v VectorView) Copy() *Vector {
 		return NewVector(v.Values())
 	}
 	return &Vector{n: v.n, img: bytes.Clone(v.b)}
-}
-
-// Partials is the Vector of partial decryptions: one key-share applied
-// to every element of a ciphertext vector, with its cached wire image
-// (a count, then share index and integer per element). The same
-// ownership rules apply, Seal included.
-type Partials struct {
-	n   int
-	ps  []PartialDecryption
-	img []byte
-}
-
-// NewPartials wraps a partial-decryption vector. The caller must not
-// modify ps afterwards.
-func NewPartials(ps []PartialDecryption) *Partials { return &Partials{n: len(ps), ps: ps} }
-
-// Len returns the element count.
-func (p *Partials) Len() int {
-	if p == nil {
-		return 0
-	}
-	return p.n
-}
-
-// Values returns the partial decryptions, materializing them from the
-// image on first use. The slice is shared: callers must not modify it.
-func (p *Partials) Values() []PartialDecryption {
-	if p == nil {
-		return nil
-	}
-	if p.ps == nil && p.n > 0 {
-		p.ps = decodePartials(p.img[4:], p.n)
-	}
-	return p.ps
-}
-
-func partialsWireSize(ps []PartialDecryption) int {
-	size := 4
-	for _, p := range ps {
-		size += 4 + IntWireSize(p.V)
-	}
-	return size
-}
-
-// Seal builds whichever form is still missing; see Vector.Seal.
-func (p *Partials) Seal() {
-	if p == nil {
-		return
-	}
-	p.Values()
-	p.buildImage()
-}
-
-// buildImage encodes the vector unless its image is already cached.
-func (p *Partials) buildImage() {
-	if p.img == nil {
-		wireStats.builds.Add(1)
-		img := binary.BigEndian.AppendUint32(make([]byte, 0, partialsWireSize(p.ps)), uint32(len(p.ps)))
-		for _, e := range p.ps {
-			img = AppendInt(binary.BigEndian.AppendUint32(img, uint32(e.Index)), e.V)
-		}
-		p.img = img
-	}
-}
-
-// WireSize is the length of the vector's encoding.
-func (p *Partials) WireSize() int {
-	switch {
-	case p == nil:
-		return len(emptyImage)
-	case p.img != nil:
-		return len(p.img)
-	}
-	return partialsWireSize(p.ps)
-}
-
-// AppendTo appends the vector's encoding to dst, encoding it first if
-// no image is cached yet.
-func (p *Partials) AppendTo(dst []byte) []byte {
-	if p == nil {
-		return append(dst, emptyImage...)
-	}
-	wireStats.sends.Add(1)
-	p.buildImage()
-	return append(dst, p.img...)
-}
-
-func decodePartials(b []byte, n int) []PartialDecryption {
-	wireStats.materialized.Add(1)
-	ints := decodeInts(b, n, 4)
-	ps := make([]PartialDecryption, n)
-	for i := range ps {
-		ps[i] = PartialDecryption{Index: int(binary.BigEndian.Uint32(b)), V: &ints[i]}
-		b = b[4+intHeader+int(binary.BigEndian.Uint32(b[5:])):]
-	}
-	return ps
-}
-
-// PartialsView is a scanned, not yet materialized partial-decryption
-// vector; like VectorView it aliases the scanned buffer.
-type PartialsView struct {
-	n         int
-	share     int
-	uniform   bool
-	canonical bool
-	b         []byte
-}
-
-// ScanPartialsBound is ScanVectorBound for a partial-decryption vector.
-func ScanPartialsBound(data []byte, maxLen, maxBytes int) (PartialsView, []byte, error) {
-	if len(data) < 4 {
-		return PartialsView{}, nil, errors.New("homenc: short partials vector")
-	}
-	n := binary.BigEndian.Uint32(data)
-	if maxLen < 0 {
-		maxLen = 0
-	}
-	if uint64(n) > uint64(maxLen) {
-		return PartialsView{}, nil, fmt.Errorf("homenc: partials vector length %d exceeds bound %d", n, maxLen)
-	}
-	v := PartialsView{n: int(n), uniform: n > 0, canonical: true}
-	off := 4
-	for i := uint32(0); i < n; i++ {
-		if len(data)-off < 4 {
-			return PartialsView{}, nil, errors.New("homenc: short partial decryption")
-		}
-		share := int(binary.BigEndian.Uint32(data[off:]))
-		if i == 0 {
-			v.share = share
-		}
-		v.uniform = v.uniform && share == v.share
-		size, canon, err := ScanIntBound(data[off+4:], maxBytes)
-		if err != nil {
-			return PartialsView{}, nil, err
-		}
-		v.canonical = v.canonical && canon
-		off += 4 + size
-	}
-	if n > 0 {
-		wireStats.scanned.Add(1)
-	}
-	v.b = data[:off]
-	return v, data[off:], nil
-}
-
-// Len returns the element count.
-func (v PartialsView) Len() int { return v.n }
-
-// Share returns the key-share index every element claims, and false if
-// the vector is empty or its elements disagree.
-func (v PartialsView) Share() (int, bool) { return v.share, v.uniform }
-
-// Values materializes the partial decryptions (independent of the
-// scanned buffer).
-func (v PartialsView) Values() []PartialDecryption {
-	if v.n == 0 {
-		return nil
-	}
-	return decodePartials(v.b[4:], v.n)
-}
-
-// Copy detaches the view into an owned Partials that keeps the image
-// it arrived with (see VectorView.Copy for the non-canonical case).
-func (v PartialsView) Copy() *Partials {
-	if v.n == 0 {
-		return nil
-	}
-	if !v.canonical {
-		return NewPartials(v.Values())
-	}
-	return &Partials{n: v.n, img: bytes.Clone(v.b)}
 }

@@ -13,34 +13,37 @@ func TestCiphertextRoundTrip(t *testing.T) {
 		if neg {
 			v.Neg(v)
 		}
-		c := Ciphertext{V: v}
-		b, err := c.MarshalBinary()
-		if err != nil {
-			return false
-		}
-		var got Ciphertext
-		if err := got.UnmarshalBinary(b); err != nil {
-			return false
-		}
-		return got.V.Cmp(v) == 0
+		got, rest, err := UnmarshalIntBound(AppendInt(nil, v), DefaultMaxIntBytes)
+		return err == nil && len(rest) == 0 && got.Cmp(v) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestPartialDecryptionRoundTrip: a key-share's partial decryptions are
+// written as a vector image and read back under the share index the set
+// is held by — the index is not in the encoding.
 func TestPartialDecryptionRoundTrip(t *testing.T) {
-	p := PartialDecryption{Index: 42, V: big.NewInt(-123456789)}
-	b, err := p.MarshalBinary()
-	if err != nil {
+	vals := []*big.Int{big.NewInt(-123456789), big.NewInt(0), new(big.Int).Lsh(big.NewInt(1), 700)}
+	w := NewVectorWriter(len(vals), 100)
+	for _, v := range vals {
+		w.Append(v)
+	}
+	img := w.Vector().AppendTo(nil)
+	view, rest, err := ScanVectorBound(img, len(vals), DefaultMaxIntBytes)
+	if err != nil || len(rest) != 0 {
 		t.Fatal(err)
 	}
-	var got PartialDecryption
-	if err := got.UnmarshalBinary(b); err != nil {
-		t.Fatal(err)
-	}
-	if got.Index != 42 || got.V.Cmp(p.V) != 0 {
-		t.Errorf("round trip = %+v", got)
+	for _, got := range [][]PartialDecryption{view.Copy().PartialDecryptions(42), NewVector(view.Values()).PartialDecryptions(42)} {
+		if len(got) != len(vals) {
+			t.Fatalf("%d partials, want %d", len(got), len(vals))
+		}
+		for i, v := range vals {
+			if got[i].Index != 42 || got[i].V.Cmp(v) != 0 {
+				t.Errorf("partial %d = %+v, want (42, %v)", i, got[i], v)
+			}
+		}
 	}
 }
 
@@ -55,10 +58,11 @@ func TestVectorRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalVector(b)
-	if err != nil {
+	view, rest, err := ScanVectorBound(b, DefaultMaxVectorLen, DefaultMaxIntBytes)
+	if err != nil || len(rest) != 0 {
 		t.Fatal(err)
 	}
+	got := view.Values()
 	if len(got) != len(cts) {
 		t.Fatalf("length %d, want %d", len(got), len(cts))
 	}
@@ -70,48 +74,63 @@ func TestVectorRoundTrip(t *testing.T) {
 }
 
 func TestWireErrors(t *testing.T) {
-	var c Ciphertext
-	if _, err := c.MarshalBinary(); err == nil {
+	if _, err := MarshalVector([]Ciphertext{{}}); err == nil {
 		t.Error("nil ciphertext must not marshal")
 	}
-	if err := c.UnmarshalBinary([]byte{1, 2}); err == nil {
-		t.Error("short input must fail")
+	for _, bad := range [][]byte{
+		{1, 2},             // short
+		{9, 0, 0, 0, 0},    // bad tag
+		{1, 0, 0, 0, 5, 1}, // truncated magnitude
+	} {
+		if _, _, err := ScanIntBound(bad, DefaultMaxIntBytes); err == nil {
+			t.Errorf("integer encoding %x must fail", bad)
+		}
 	}
-	if err := c.UnmarshalBinary([]byte{9, 0, 0, 0, 0}); err == nil {
-		t.Error("bad tag must fail")
-	}
-	if err := c.UnmarshalBinary([]byte{1, 0, 0, 0, 5, 1}); err == nil {
-		t.Error("truncated magnitude must fail")
-	}
-	good, _ := Ciphertext{V: big.NewInt(5)}.MarshalBinary()
-	if err := c.UnmarshalBinary(append(good, 0)); err == nil {
-		t.Error("trailing bytes must fail")
-	}
-	var p PartialDecryption
-	if _, err := p.MarshalBinary(); err == nil {
-		t.Error("nil partial must not marshal")
-	}
-	if err := p.UnmarshalBinary([]byte{0}); err == nil {
-		t.Error("short partial must fail")
-	}
-	if _, err := UnmarshalVector([]byte{0}); err == nil {
+	if _, _, err := ScanVectorBound([]byte{0}, DefaultMaxVectorLen, DefaultMaxIntBytes); err == nil {
 		t.Error("short vector must fail")
 	}
 	huge := make([]byte, 4)
 	huge[0] = 0xFF
-	if _, err := UnmarshalVector(huge); err == nil {
+	if _, _, err := ScanVectorBound(huge, DefaultMaxVectorLen, DefaultMaxIntBytes); err == nil {
 		t.Error("implausible vector length must fail")
 	}
+	// What follows a vector is the caller's: the scan hands it back.
 	vec, _ := MarshalVector([]Ciphertext{{V: big.NewInt(1)}})
-	if _, err := UnmarshalVector(append(vec, 7)); err == nil {
-		t.Error("trailing vector bytes must fail")
+	if _, rest, err := ScanVectorBound(append(vec, 7), DefaultMaxVectorLen, DefaultMaxIntBytes); err != nil || !bytes.Equal(rest, []byte{7}) {
+		t.Errorf("trailing vector bytes: rest %x, error %v", rest, err)
 	}
 }
 
 func TestWireDeterministic(t *testing.T) {
-	a, _ := Ciphertext{V: big.NewInt(12345)}.MarshalBinary()
-	b, _ := Ciphertext{V: big.NewInt(12345)}.MarshalBinary()
+	a := AppendInt(nil, big.NewInt(12345))
+	b := AppendInt(nil, big.NewInt(12345))
 	if !bytes.Equal(a, b) {
 		t.Error("encoding not canonical")
+	}
+}
+
+// TestPartialDecryptionsAllocs pins what a gathered share costs the
+// release: decoded from its image, one integer slab (two allocations)
+// and one slice — no intermediate ciphertext vector; from values, the
+// slice alone.
+func TestPartialDecryptionsAllocs(t *testing.T) {
+	vals := make([]Ciphertext, 50)
+	for i := range vals {
+		vals[i].V = new(big.Int).Lsh(big.NewInt(int64(i+1)), 1000)
+	}
+	fromValues := NewVector(vals)
+	view, _, err := ScanVectorBound(fromValues.AppendTo(nil), len(vals), DefaultMaxIntBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromImage := view.Copy()
+	for _, c := range []struct {
+		name string
+		v    *Vector
+		max  float64
+	}{{"image", fromImage, 3}, {"values", fromValues, 1}} {
+		if got := testing.AllocsPerRun(50, func() { _ = c.v.PartialDecryptions(2) }); got > c.max {
+			t.Errorf("%s: %v allocations, want at most %v", c.name, got, c.max)
+		}
 	}
 }

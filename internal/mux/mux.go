@@ -5,9 +5,9 @@
 // populations.
 //
 // A Host owns one TCP accept loop and routes inbound frames to its
-// virtual nodes by the Version2 frame target (wireproto), so N
+// virtual nodes by the frame's target field (wireproto), so N
 // co-located peers cost one listener and one accept goroutine instead
-// of N. Untargeted (Version) frames are membership traffic — hello,
+// of N. Untargeted frames are membership traffic — hello,
 // resume, view gossip, leave — answered centrally against the single
 // shared address book by the host's node.Endpoint, the handler a
 // standalone node answers with too. Expensive per-participant state is
@@ -36,8 +36,8 @@
 // are stored values rather than runtime timers, so a finished exchange
 // leaves nothing reachable: the host's heap is flat in the number of
 // exchanges ever made, whatever the exchange timeout. Pairs on
-// different hosts fall back to TCP with Version2 frames, which any
-// single chiaroscurod daemon also accepts (bump-compatible).
+// different hosts fall back to TCP with the same frames, which any
+// single chiaroscurod daemon also accepts.
 //
 // Determinism is untouched: virtual nodes run the same main protocol
 // loop, mirror the same schedule, and a 12-peer population on one Host
@@ -277,7 +277,7 @@ func (h *Host) serveConn(conn net.Conn) {
 		return
 	}
 
-	h.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(-1, len(f.Payload))))
+	h.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(len(f.Payload))))
 	h.ep.Answer(conn, f)
 }
 

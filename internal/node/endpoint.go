@@ -74,9 +74,9 @@ func (ep *Endpoint) dial(peer int, addr string, dialTimeout, ioTimeout time.Dura
 // separately from network weather, and the offending connection is
 // always dropped by the caller.
 func (ep *Endpoint) write(conn net.Conn, kind byte, payload []byte) error {
-	err := wireproto.WriteFrame(conn, kind, ep.epoch, payload)
+	err := wireproto.WriteFrameTarget(conn, kind, ep.epoch, -1, payload)
 	if err == nil {
-		ep.counters.BytesSent.Add(int64(wireproto.FrameWireSize(-1, len(payload))))
+		ep.counters.BytesSent.Add(int64(wireproto.FrameWireSize(len(payload))))
 	}
 	return err
 }
@@ -84,7 +84,7 @@ func (ep *Endpoint) write(conn net.Conn, kind byte, payload []byte) error {
 func (ep *Endpoint) read(conn net.Conn) (wireproto.Frame, error) {
 	f, err := wireproto.ReadFrame(conn, ep.lim.MaxFrameLen)
 	if err == nil {
-		ep.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(f.Target, len(f.Payload))))
+		ep.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(len(f.Payload))))
 	} else if errors.Is(err, wireproto.ErrMalformed) {
 		ep.counters.BadFrames.Add(1)
 	}

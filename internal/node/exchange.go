@@ -28,7 +28,7 @@ func sumOut(st *iterState, hdr wireproto.ExchangeHdr) *wireproto.SumOut {
 }
 
 // decOut is the iteration's decryption state in sending form.
-func decOut(st *iterState, hdr wireproto.ExchangeHdr, fresh *homenc.Partials) *wireproto.DecMsg {
+func decOut(st *iterState, hdr wireproto.ExchangeHdr, fresh *homenc.Vector) *wireproto.DecMsg {
 	return &wireproto.DecMsg{Hdr: hdr, CTs: st.DecCTs, Omega: st.DecOmega, Parts: st.DecParts, Fresh: fresh}
 }
 
@@ -146,7 +146,7 @@ func (nd *Node) respond(phase int, st *iterState, s slot, from int) {
 	deadline := time.Now().Add(nd.cfg.ExchangeTimeout)
 	wait := nd.cfg.ExchangeTimeout
 	for attempt := 0; ; attempt++ {
-		in, ok := nd.awaitSlot(s, from, minDur(wait, time.Until(deadline)))
+		in, ok := nd.awaitSlot(s, from, min(wait, time.Until(deadline)))
 		if !ok {
 			nd.counters.Timeouts.Add(1)
 			return
@@ -248,13 +248,6 @@ func (nd *Node) awaitTail(tails []*tailSlot, progress func()) {
 	}
 }
 
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // suspicionPoll is how often a waiting responder re-checks whether the
 // initiator it awaits became unreachable.
 const suspicionPoll = 250 * time.Millisecond
@@ -271,7 +264,7 @@ const suspicionPoll = 250 * time.Millisecond
 func (nd *Node) awaitSlot(s slot, from int, timeout time.Duration) (inbound, bool) {
 	deadline := time.Now().Add(timeout)
 	for {
-		slice := minDur(suspicionPoll, time.Until(deadline))
+		slice := min(suspicionPoll, time.Until(deadline))
 		if slice <= 0 {
 			return nd.reg.await(s, 0)
 		}
@@ -324,9 +317,9 @@ type half[H any] interface {
 	// out is this side's state leg: the request (of the zero half) or
 	// the response.
 	out(st *iterState, hdr wireproto.ExchangeHdr) wireproto.Message
-	// fin is the initiator's commit leg, and scanFin decodes it.
+	// fin is the initiator's commit leg, and scanFin decodes and vets it.
 	fin(hdr wireproto.ExchangeHdr) wireproto.Message
-	scanFin(nd *Node, payload []byte) (H, wireproto.ExchangeHdr, error)
+	scanFin(nd *Node, st *iterState, payload []byte) (H, wireproto.ExchangeHdr, bool)
 	// commit applies this side's machine transition.
 	commit(nd *Node, st *iterState, peer int, initiator bool)
 }
@@ -430,8 +423,8 @@ func respondLegs[H half[H]](nd *Node, req byte, st *iterState, s slot, from int,
 	if err != nil || f.Kind != req+2 {
 		return tryFinLost
 	}
-	done, fin, err := h.scanFin(nd, f.Payload)
-	if err != nil {
+	done, fin, ok := h.scanFin(nd, st, f.Payload)
+	if !ok {
 		return tryReject
 	}
 	if fin.Flags&wireproto.FlagAbort != 0 {
@@ -470,9 +463,9 @@ func (sumHalf) out(st *iterState, hdr wireproto.ExchangeHdr) wireproto.Message {
 
 func (sumHalf) fin(hdr wireproto.ExchangeHdr) wireproto.Message { return wireproto.Fin{Hdr: hdr} }
 
-func (h sumHalf) scanFin(_ *Node, payload []byte) (sumHalf, wireproto.ExchangeHdr, error) {
+func (h sumHalf) scanFin(_ *Node, _ *iterState, payload []byte) (sumHalf, wireproto.ExchangeHdr, bool) {
 	hdr, err := wireproto.PeekHdr(payload)
-	return h, hdr, err
+	return h, hdr, err == nil
 }
 
 func (h sumHalf) commit(nd *Node, st *iterState, _ int, initiator bool) {
@@ -502,9 +495,9 @@ func (dissHalf) out(st *iterState, hdr wireproto.ExchangeHdr) wireproto.Message 
 
 func (dissHalf) fin(hdr wireproto.ExchangeHdr) wireproto.Message { return wireproto.Fin{Hdr: hdr} }
 
-func (h dissHalf) scanFin(_ *Node, payload []byte) (dissHalf, wireproto.ExchangeHdr, error) {
+func (h dissHalf) scanFin(_ *Node, _ *iterState, payload []byte) (dissHalf, wireproto.ExchangeHdr, bool) {
 	hdr, err := wireproto.PeekHdr(payload)
-	return h, hdr, err
+	return h, hdr, err == nil
 }
 
 func (h dissHalf) commit(_ *Node, st *iterState, _ int, _ bool) {
@@ -517,7 +510,7 @@ func (h dissHalf) commit(_ *Node, st *iterState, _ int, _ bool) {
 // response and the fin carry the sender's key-share over the receiver's
 // post-adoption ciphertexts (a half-completed exchange's fin carries
 // none), and either side commits the adopt-then-apply rule with the
-// share it received.
+// share it received. The share is the sender's: its index is the peer's.
 type decHalf struct {
 	peer wireproto.DecView // the peer's latest leg: its state, then (responder) its fin
 	prep eesum.DecPrep
@@ -545,47 +538,36 @@ func (h decHalf) fin(hdr wireproto.ExchangeHdr) wireproto.Message {
 	return &wireproto.DecMsg{Hdr: hdr, Fresh: h.prep.Fresh}
 }
 
-func (h decHalf) scanFin(nd *Node, payload []byte) (decHalf, wireproto.ExchangeHdr, error) {
+func (h decHalf) scanFin(nd *Node, st *iterState, payload []byte) (decHalf, wireproto.ExchangeHdr, bool) {
 	v, err := wireproto.ScanDec(payload, nd.lim)
 	h.peer = v
-	return h, v.Hdr, err
+	return h, v.Hdr, err == nil && validShare(v.Fresh, st.DecCTs.Len())
 }
 
 // commit applies the key-share the peer sent on its response or fin
-// leg. A share the state wanted but that is not a valid one — a
-// full-length vector under the peer's share index — is dropped and
-// counted as rejected.
-func (h decHalf) commit(nd *Node, st *iterState, peer int, _ bool) {
-	fresh, share := h.peer.Fresh, peer+1
-	bad := fresh.Len() > 0 && !validPartials(fresh, share, st.DecCTs.Len())
-	var ps *homenc.Partials
-	if fresh.Len() > 0 && !bad {
-		ps = fresh.Copy()
-	}
-	if st.CommitDec(h.prep, share, ps) && bad {
-		nd.counters.Rejected.Add(1)
-	}
+// leg, which scan or scanFin vetted.
+func (h decHalf) commit(_ *Node, st *iterState, peer int, _ bool) {
+	st.CommitDec(h.prep, peer+1, h.peer.Fresh.Copy())
 }
 
-// validPartials checks a scanned partial vector claims the expected
-// share index on every element and covers the full vector.
-func validPartials(ps homenc.PartialsView, share, dim int) bool {
-	got, uniform := ps.Share()
-	return ps.Len() == dim && uniform && got == share
+// validShare reports whether a key-share sent along with a leg is
+// usable: none, or one partial decryption per ciphertext.
+func validShare(fresh homenc.VectorView, dim int) bool {
+	return fresh.Len() == 0 || fresh.Len() == dim
 }
 
-// validDecState vets a peer's decryption state before any of it can be
-// adopted: the ciphertext vector covers the full dimension and every
-// gathered partial set is a full-length vector under its claimed share
-// index — a malformed map must not be able to panic CombineParts after
-// adoption.
+// validDecState vets a peer's decryption leg before any of it can be
+// adopted or applied: the ciphertext vector covers the full dimension,
+// every gathered partial set is a full-length vector under a share index
+// the deployment has, and so is the key-share it carries — a malformed
+// map must not be able to panic CombineParts after adoption.
 func validDecState(m wireproto.DecView, dim, numShares int) bool {
-	if m.CTs.Len() != dim {
+	if m.CTs.Len() != dim || !validShare(m.Fresh, dim) {
 		return false
 	}
 	//lint:orderfree pure validation: rejects on any bad entry, order cannot change the verdict
 	for idx, ps := range m.Parts {
-		if idx < 1 || idx > numShares || !validPartials(ps, idx, dim) {
+		if idx < 1 || idx > numShares || ps.Len() != dim {
 			return false
 		}
 	}

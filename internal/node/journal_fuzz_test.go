@@ -1,0 +1,214 @@
+package node
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"path/filepath"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"chiaroscuro/internal/homenc"
+	"chiaroscuro/internal/journal"
+	"chiaroscuro/internal/wireproto"
+)
+
+// journaledRecords runs a three-participant population with a durable
+// journal each and returns every checkpoint and iteration record the
+// journals hold, with the decoder limits the run used.
+func journaledRecords(tb testing.TB) (ckpts, iters [][]byte, lim wireproto.Limits) {
+	tb.Helper()
+	ts := newSetup(tb, 3, 0)
+	dir := tb.TempDir()
+	paths := make([]string, ts.n)
+	nodes := make([]*Node, ts.n)
+	var bootstrap string
+	for i := range nodes {
+		paths[i] = filepath.Join(dir, fmt.Sprintf("node-%d.journal", i))
+		st, err := OpenState(paths[i])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		nd, err := New(Config{
+			Index: i, N: ts.n,
+			Series: ts.data.Row(i), Scheme: ts.scheme, Proto: ts.proto,
+			Bootstrap:       bootstrap,
+			ExchangeTimeout: 20 * time.Second,
+			FinTimeout:      20 * time.Second,
+			JoinTimeout:     20 * time.Second,
+			ViewInterval:    200 * time.Millisecond,
+			State:           st,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		nodes[i] = nd
+		if i == 0 {
+			bootstrap = nd.Addr()
+		}
+	}
+	errs := make([]error, ts.n)
+	var wg sync.WaitGroup
+	for i, nd := range nodes {
+		wg.Add(1)
+		go func(i int, nd *Node) {
+			defer wg.Done()
+			_, errs[i] = nd.Run()
+		}(i, nd)
+	}
+	wg.Wait()
+	for _, nd := range nodes {
+		_ = nd.Close()
+	}
+	for i, err := range errs {
+		if err != nil {
+			tb.Fatalf("node %d: %v", i, err)
+		}
+	}
+	for _, path := range paths {
+		j, recs, err := journal.Open(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		_ = j.Close()
+		for _, r := range recs {
+			switch r.Kind {
+			case recCheckpoint:
+				ckpts = append(ckpts, r.Payload)
+			case recIteration:
+				iters = append(iters, r.Payload)
+			}
+		}
+	}
+	return ckpts, iters, nodes[0].lim
+}
+
+// parentLayoutCheckpoint rewrites a decryption-phase checkpoint with its
+// decryption segment in the layout before a key-share's partial
+// decryptions were a plain vector — the share index repeated before
+// every element.
+func parentLayoutCheckpoint(tb testing.TB, p []byte, lim wireproto.Limits) []byte {
+	tb.Helper()
+	ck, err := decodeCheckpoint(p, lim)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, sumB, dissB, _, err := splitCheckpoint(p, lim)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st := ck.st
+	dec := senc{b: make([]byte, 21)} // the zero exchange header
+	dec.b = homenc.AppendInt(st.DecCTs.AppendTo(dec.b), st.DecOmega)
+	dec.b = append(dec.b, byte(len(st.DecParts)>>8), byte(len(st.DecParts)))
+	idxs := make([]int, 0, len(st.DecParts))
+	for idx := range st.DecParts {
+		idxs = append(idxs, idx)
+	}
+	slices.Sort(idxs)
+	for _, idx := range idxs {
+		ps := st.DecParts[idx].PartialDecryptions(idx)
+		dec.u32(uint32(idx))
+		dec.u32(uint32(len(ps)))
+		for _, x := range ps {
+			dec.u32(uint32(x.Index))
+			dec.b = homenc.AppendInt(dec.b, x.V)
+		}
+	}
+	dec.u32(0) // no fresh partials
+	e := senc{}
+	for _, v := range []int{ck.pos.iter, ck.pos.phase, ck.pos.cycle, ck.pos.seq} {
+		e.u32(uint32(v))
+	}
+	for _, seg := range [][]byte{sumB, dissB, dec.b} {
+		e.u32(uint32(len(seg)))
+		e.b = append(e.b, seg...)
+	}
+	encodeCounters(&e, ck.counters)
+	return e.b
+}
+
+// FuzzDecodeCheckpoint: a checkpoint record — the journal's biggest
+// payload, three wire segments and a counter snapshot — never panics
+// its decoder, every refusal is journal.ErrCorrupt, and what it accepts
+// has a canonical form (the record the encoder writes for the decoded
+// state) that decodes and re-encodes to itself byte for byte. The real
+// records of a journaled run are canonical already; a record whose
+// decryption segment is in the layout that repeated the share index
+// before every partial decryption is corrupt.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	ckpts, _, lim := journaledRecords(f)
+	var withParts []byte
+	for _, p := range ckpts {
+		ck, err := decodeCheckpoint(p, lim)
+		if err != nil {
+			f.Fatalf("a journaled checkpoint does not decode: %v", err)
+		}
+		if !bytes.Equal(encodeCheckpoint(ck.pos, ck.st, ck.counters), p) {
+			f.Fatalf("a journaled checkpoint at %+v re-encodes to other bytes", ck.pos)
+		}
+		if len(ck.st.DecParts) > 0 {
+			withParts = p
+		}
+		f.Add(p)
+	}
+	if withParts == nil {
+		f.Fatal("the journaled run left no checkpoint holding a key-share")
+	}
+	parent := parentLayoutCheckpoint(f, withParts, lim)
+	if _, err := decodeCheckpoint(parent, lim); !errors.Is(err, journal.ErrCorrupt) {
+		f.Fatalf("a parent-layout decryption segment decodes with %v, want ErrCorrupt", err)
+	}
+	f.Add(parent)
+	f.Fuzz(func(t *testing.T, p []byte) {
+		ck, err := decodeCheckpoint(p, lim)
+		if err != nil {
+			if !errors.Is(err, journal.ErrCorrupt) {
+				t.Fatalf("refused with %v, which is not ErrCorrupt", err)
+			}
+			return
+		}
+		canon := encodeCheckpoint(ck.pos, ck.st, ck.counters)
+		again, err := decodeCheckpoint(canon, lim)
+		if err != nil {
+			t.Fatalf("the canonical form of an accepted checkpoint is refused: %v", err)
+		}
+		if !bytes.Equal(encodeCheckpoint(again.pos, again.st, again.counters), canon) {
+			t.Fatal("the canonical form of an accepted checkpoint re-encodes to other bytes")
+		}
+	})
+}
+
+// FuzzDecodeIteration is FuzzDecodeCheckpoint for the iteration record.
+func FuzzDecodeIteration(f *testing.F) {
+	_, iters, _ := journaledRecords(f)
+	for _, p := range iters {
+		r, err := decodeIteration(p)
+		if err != nil {
+			f.Fatalf("a journaled iteration record does not decode: %v", err)
+		}
+		if !bytes.Equal(encodeIteration(r), p) {
+			f.Fatalf("the journaled iteration record of iteration %d re-encodes to other bytes", r.iter)
+		}
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, p []byte) {
+		r, err := decodeIteration(p)
+		if err != nil {
+			if !errors.Is(err, journal.ErrCorrupt) {
+				t.Fatalf("refused with %v, which is not ErrCorrupt", err)
+			}
+			return
+		}
+		canon := encodeIteration(r)
+		again, err := decodeIteration(canon)
+		if err != nil {
+			t.Fatalf("the canonical form of an accepted record is refused: %v", err)
+		}
+		if !bytes.Equal(encodeIteration(again), canon) {
+			t.Fatal("the canonical form of an accepted record re-encodes to other bytes")
+		}
+	})
+}

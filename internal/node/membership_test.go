@@ -68,7 +68,7 @@ func ask(t *testing.T, addr string, kind byte, payload []byte) reply {
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := wireproto.WriteFrame(conn, kind, membershipEpoch, payload); err != nil {
+	if err := wireproto.WriteFrameTarget(conn, kind, membershipEpoch, -1, payload); err != nil {
 		t.Fatal(err)
 	}
 	f, err := wireproto.ReadFrame(conn, 0)
@@ -202,7 +202,7 @@ func TestMembershipMalformedRosterReply(t *testing.T) {
 					views.Add(1)
 				}
 				f.Release()
-				_ = wireproto.WriteFrame(conn, ack, membershipEpoch, []byte{0xFF})
+				_ = wireproto.WriteFrameTarget(conn, ack, membershipEpoch, -1, []byte{0xFF})
 			}
 			_ = conn.Close()
 		}

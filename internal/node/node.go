@@ -738,7 +738,7 @@ func (nd *Node) handleConn(conn net.Conn) {
 // served on the caller's goroutine.
 func (nd *Node) Deliver(conn net.Conn, f wireproto.Frame) {
 	conn = nd.ep.Track(conn)
-	nd.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(f.Target, len(f.Payload))))
+	nd.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(len(f.Payload))))
 	nd.dispatch(conn, f)
 }
 

@@ -373,7 +373,7 @@ func (r *registry) waitTail(t *tailSlot, poll time.Duration) tailStatus {
 				r.closeTail(t)
 				return tailExpired
 			}
-			poll = minDur(poll, left)
+			poll = min(poll, left)
 		}
 		r.mu.Unlock()
 		if slice == nil {

@@ -381,7 +381,7 @@ func decodeIteration(p []byte) (iterationRecord, error) {
 			d.fail("centroid length exceeds bound")
 			break
 		}
-		c := make(timeseries.Series, 0, minInt(dim, len(d.b)/8+1))
+		c := make(timeseries.Series, 0, min(dim, len(d.b)/8+1))
 		for j := 0; j < dim && d.err == nil; j++ {
 			c = append(c, d.f64())
 		}
@@ -418,13 +418,6 @@ func decodeIteration(p []byte) (iterationRecord, error) {
 		return iterationRecord{}, err
 	}
 	return r, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // --- checkpoint record ---

@@ -25,12 +25,12 @@ func TestCheckpointReseedsImages(t *testing.T) {
 		cts[2].V = new(big.Int).Neg(cts[2].V)
 		return cts
 	}
-	partials := func(share int) *homenc.Partials {
-		ps := make([]homenc.PartialDecryption, 6)
+	partials := func(share int) *homenc.Vector {
+		ps := make([]homenc.Ciphertext, 6)
 		for i := range ps {
-			ps[i] = homenc.PartialDecryption{Index: share, V: big.NewInt(int64(share*100 + i))}
+			ps[i] = homenc.Ciphertext{V: big.NewInt(int64(share*100 + i))}
 		}
-		return homenc.NewPartials(ps)
+		return homenc.NewVector(ps)
 	}
 	st := &iterState{
 		Means:    eesum.SumSide{CTs: homenc.NewVector(vec(10)), Omega: big.NewInt(12), Epoch: 7},
@@ -41,7 +41,7 @@ func TestCheckpointReseedsImages(t *testing.T) {
 		CorVec:   []float64{1, -2, 3},
 		DecCTs:   homenc.NewVector(vec(90)),
 		DecOmega: big.NewInt(12),
-		DecParts: map[int]*homenc.Partials{2: partials(2), 5: partials(5)},
+		DecParts: map[int]*homenc.Vector{2: partials(2), 5: partials(5)},
 	}
 	pos := slot{iter: 1, phase: phaseDec, cycle: 4, seq: 1}
 	ctrs := wireproto.Counters{Initiated: 8, Responded: 9, BytesSent: 1234}
@@ -76,7 +76,7 @@ func TestCheckpointReseedsImages(t *testing.T) {
 			t.Fatalf("restored means[%d] = %v, want %v", j, got, want.V)
 		}
 	}
-	if got := ck.st.DecParts[5].Values()[3]; got.Index != 5 || got.V.Int64() != 503 {
+	if got := ck.st.DecParts[5].PartialDecryptions(5)[3]; got.Index != 5 || got.V.Int64() != 503 {
 		t.Fatalf("restored partial = %+v", got)
 	}
 	if got := ck.st.DecCTs.Values()[2].V; got.Cmp(st.DecCTs.Values()[2].V) != 0 {

@@ -229,13 +229,17 @@ func settledPair(t *testing.T, dialerA Dialer) (ndA, ndB *Node, stA, stB *iterSt
 	}
 	settled := func(nd *Node) *iterState {
 		st := eesum.NewParticipant(nd.env, nd.cfg.Index, nil, eesum.NoiseConfig{})
-		st.DecCTs, st.DecOmega, st.DecParts = homenc.NewVector(cts), big.NewInt(1), make(map[int]*homenc.Partials)
+		st.DecCTs, st.DecOmega, st.DecParts = homenc.NewVector(cts), big.NewInt(1), make(map[int]*homenc.Vector)
 		for _, holder := range []*Node{ndA, ndB} {
 			ps, err := eesum.DecPartials(ts.scheme, holder.cfg.Index+1, cts, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			st.DecParts[holder.cfg.Index+1] = homenc.NewPartials(ps)
+			vals := make([]homenc.Ciphertext, len(ps))
+			for j, p := range ps {
+				vals[j].V = p.V
+			}
+			st.DecParts[holder.cfg.Index+1] = homenc.NewVector(vals)
 		}
 		seal(st)
 		return st

@@ -21,10 +21,10 @@ func decRoundTripState() *DecMsg {
 		Hdr:   ExchangeHdr{Iter: 1, Cycle: 3, Seq: 2, From: 0, To: 1},
 		CTs:   homenc.NewVector(cts(vals...)),
 		Omega: big.NewInt(400),
-		Parts: map[int]*homenc.Partials{},
+		Parts: map[int]*homenc.Vector{},
 	}
 	for share := 1; share <= tau; share++ {
-		m.Parts[share] = homenc.NewPartials(partials(share, vals...))
+		m.Parts[share] = homenc.NewVector(cts(vals...))
 	}
 	return m
 }

@@ -31,19 +31,45 @@ func ctsOf(vals ...string) []homenc.Ciphertext {
 	return out
 }
 
-func partsOf(idx int, vals ...string) *homenc.Partials {
-	out := make([]homenc.PartialDecryption, len(vals))
+func intsOf(vals ...string) []*big.Int {
+	out := make([]*big.Int, len(vals))
 	for i, s := range vals {
-		out[i] = homenc.PartialDecryption{Index: idx, V: bigOf(s)}
+		out[i] = bigOf(s)
 	}
-	return homenc.NewPartials(out)
+	return out
 }
 
-// goldenLeg is one exchange leg of the golden set.
+func vectorOf(vals []*big.Int) *homenc.Vector {
+	if vals == nil {
+		return nil
+	}
+	cts := make([]homenc.Ciphertext, len(vals))
+	for i, v := range vals {
+		cts[i].V = v
+	}
+	return homenc.NewVector(cts)
+}
+
+// decOf is the sending form of a decryption leg written out eagerly.
+func decOf(m eagerDec) *DecMsg {
+	out := &DecMsg{Hdr: m.Hdr, CTs: vectorOf(m.CTs), Omega: m.Omega, Fresh: vectorOf(m.Fresh)}
+	if m.Parts != nil {
+		out.Parts = make(map[int]*homenc.Vector, len(m.Parts))
+		for idx, ps := range m.Parts {
+			out.Parts[idx] = vectorOf(ps)
+		}
+	}
+	return out
+}
+
+// goldenLeg is one exchange leg of the golden set. A decryption leg
+// also carries its eager form, whose independent encoder the frame's
+// payload must match.
 type goldenLeg struct {
-	name string
-	kind byte
-	msg  Message
+	name  string
+	kind  byte
+	msg   Message
+	eager *eagerDec
 }
 
 // goldenLegs is the fixed message set behind testdata/golden_frames.json:
@@ -60,56 +86,61 @@ func goldenLegs() []goldenLeg {
 		CtrSigma: 12.5, CtrOmega: 0.25,
 	}
 	diss := &DissMsg{Hdr: hdr, ID: 0xDEADBEEF01, Vec: []float64{1.5, -2.25, 0, 1e-9}}
-	decReq := DecMsg{
-		Hdr: hdr, CTs: homenc.NewVector(ctsOf("99", "-100", "0xFFFFFFFFFFFFFFFFFFFF", "0")), Omega: big.NewInt(8),
-		Parts: map[int]*homenc.Partials{
-			3: partsOf(3, "11", "12", "-13", "0x1000000000000000000000000"),
-			1: partsOf(1, "21", "22", "23", "24"),
+	decReq := eagerDec{
+		Hdr: hdr, CTs: intsOf("99", "-100", "0xFFFFFFFFFFFFFFFFFFFF", "0"), Omega: big.NewInt(8),
+		Parts: map[int][]*big.Int{
+			3: intsOf("11", "12", "-13", "0x1000000000000000000000000"),
+			1: intsOf("21", "22", "23", "24"),
 		},
 	}
 	decResp := decReq
-	decResp.Fresh = partsOf(5, "31", "32", "-33", "0")
+	decResp.Fresh = intsOf("31", "32", "-33", "0")
+	decFin := eagerDec{Hdr: hdr, Fresh: intsOf("41", "42", "43", "0x7FFFFFFFFFFFFFFFFF")}
+	decAbort := eagerDec{Hdr: abort}
 	return []goldenLeg{
-		{"sum-req", KindSumReq, sum},
-		{"sum-resp", KindSumResp, sum},
-		{"sum-fin", KindSumFin, Fin{Hdr: hdr}},
-		{"sum-fin-abort", KindSumFin, Fin{Hdr: abort}},
-		{"diss-req", KindDissReq, diss},
-		{"diss-resp", KindDissResp, diss},
-		{"diss-fin", KindDissFin, Fin{Hdr: hdr}},
-		{"dec-req", KindDecReq, &decReq},
-		{"dec-resp", KindDecResp, &decResp},
-		{"dec-fin", KindDecFin, &DecMsg{Hdr: hdr, Fresh: partsOf(10, "41", "42", "43", "0x7FFFFFFFFFFFFFFFFF")}},
-		{"dec-fin-abort", KindDecFin, &DecMsg{Hdr: abort}},
+		{"sum-req", KindSumReq, sum, nil},
+		{"sum-resp", KindSumResp, sum, nil},
+		{"sum-fin", KindSumFin, Fin{Hdr: hdr}, nil},
+		{"sum-fin-abort", KindSumFin, Fin{Hdr: abort}, nil},
+		{"diss-req", KindDissReq, diss, nil},
+		{"diss-resp", KindDissResp, diss, nil},
+		{"diss-fin", KindDissFin, Fin{Hdr: hdr}, nil},
+		{"dec-req", KindDecReq, decOf(decReq), &decReq},
+		{"dec-resp", KindDecResp, decOf(decResp), &decResp},
+		{"dec-fin", KindDecFin, decOf(decFin), &decFin},
+		{"dec-fin-abort", KindDecFin, decOf(decAbort), &decAbort},
 	}
 }
 
-// TestGoldenFrames pins the wire format byte for byte: the committed
-// testdata was captured from the parent commit's eager encoder
-// (MarshalSum/MarshalDiss/MarshalDec/MarshalFin through
-// WriteFrameTarget, before wire images existed), so the image-based
-// encoder is checked against the historical bytes, not against itself.
-// Every leg is written twice — the second write is served from the
-// cached images.
+// TestGoldenFrames pins the wire format byte for byte against the
+// committed testdata, in both of a frame's uses: untargeted (the target
+// field 0xFFFFFFFF) and routed to a population index. The decryption
+// legs are also checked against the independent eager encoder of
+// scan_fuzz_test.go, so the committed bytes are not vouched for only by
+// the encoder that wrote them. Every leg is written twice — the second
+// write is served from the cached images.
 func TestGoldenFrames(t *testing.T) {
 	got := map[string]string{}
 	for _, leg := range goldenLegs() {
 		for _, v := range []struct {
 			tag    string
 			target int
-		}{{"v1", -1}, {"v2", 9}} {
+		}{{"untargeted", -1}, {"targeted", 9}} {
 			var first, second bytes.Buffer
 			for _, buf := range []*bytes.Buffer{&first, &second} {
 				n, err := WriteMessage(buf, leg.kind, 0xC0FFEE, v.target, leg.msg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if n != buf.Len() || n != FrameWireSize(v.target, leg.msg.Size()) {
-					t.Fatalf("%s/%s: wrote %d bytes, reported %d, FrameWireSize %d", leg.name, v.tag, buf.Len(), n, FrameWireSize(v.target, leg.msg.Size()))
+				if n != buf.Len() || n != FrameWireSize(leg.msg.Size()) {
+					t.Fatalf("%s/%s: wrote %d bytes, reported %d, FrameWireSize %d", leg.name, v.tag, buf.Len(), n, FrameWireSize(leg.msg.Size()))
 				}
 			}
 			if !bytes.Equal(first.Bytes(), second.Bytes()) {
 				t.Fatalf("%s/%s: cached-image write differs from the first", leg.name, v.tag)
+			}
+			if leg.eager != nil && !bytes.Equal(first.Bytes()[4+headerBytes:], eagerMarshalDec(*leg.eager)) {
+				t.Fatalf("%s/%s: payload\n%x\nthe eager encoder writes\n%x", leg.name, v.tag, first.Bytes()[4+headerBytes:], eagerMarshalDec(*leg.eager))
 			}
 			got[leg.name+"/"+v.tag] = hex.EncodeToString(first.Bytes())
 		}

@@ -204,7 +204,7 @@ func UnmarshalView(data []byte, lim Limits) ([]ViewItem, error) {
 	if d.err == nil && n > lim.MaxPeers {
 		return nil, fmt.Errorf("wireproto: view of %d items exceeds bound %d", n, lim.MaxPeers)
 	}
-	items := make([]ViewItem, 0, minInt(n, len(data)/7+1))
+	items := make([]ViewItem, 0, min(n, len(data)/7+1))
 	for i := 0; i < n; i++ {
 		it := ViewItem{Index: d.u32()}
 		it.Addr = d.str(lim.MaxAddrLen)
@@ -411,7 +411,7 @@ func UnmarshalDiss(data []byte, lim Limits) (DissMsg, error) {
 	if d.err == nil && n > lim.MaxDim {
 		return m, fmt.Errorf("wireproto: correction vector of %d exceeds bound %d", n, lim.MaxDim)
 	}
-	m.Vec = make([]float64, 0, minInt(n, len(d.b)/8+1))
+	m.Vec = make([]float64, 0, min(n, len(d.b)/8+1))
 	for i := 0; i < n && d.err == nil; i++ {
 		m.Vec = append(m.Vec, d.f64())
 	}
@@ -425,16 +425,18 @@ func UnmarshalDiss(data []byte, lim Limits) (DissMsg, error) {
 // ciphertext vector it is decrypting, the weight that decodes it, and
 // the partial decryptions gathered so far — plus, on the response and
 // fin legs, the sender's own key-share applied to the receiver's
-// (post-adoption) ciphertexts. Fresh is empty on KindDecReq;
-// CTs/Omega/Parts are empty on KindDecFin. Every vector carries its
-// cached image: a state that is re-sent unchanged, leg after leg, is
-// appended with a few copies.
+// (post-adoption) ciphertexts. A key-share's partial decryptions are a
+// vector of group elements like the ciphertexts: a gathered set is keyed
+// by its share index, and Fresh is the sender's share, implied by who
+// sent it. Fresh is empty on KindDecReq; CTs/Omega/Parts are empty on
+// KindDecFin. Every vector carries its cached image: a state that is
+// re-sent unchanged, leg after leg, is appended with a few copies.
 type DecMsg struct {
 	Hdr   ExchangeHdr
 	CTs   *homenc.Vector
 	Omega *big.Int // nil encodes as zero
-	Parts map[int]*homenc.Partials
-	Fresh *homenc.Partials
+	Parts map[int]*homenc.Vector
+	Fresh *homenc.Vector
 }
 
 // Size implements Message.
@@ -484,8 +486,8 @@ type DecView struct {
 	Hdr   ExchangeHdr
 	CTs   homenc.VectorView
 	omega []byte
-	Parts map[int]homenc.PartialsView
-	Fresh homenc.PartialsView
+	Parts map[int]homenc.VectorView
+	Fresh homenc.VectorView
 }
 
 // Omega materializes the state's weight.
@@ -503,8 +505,8 @@ func (v DecView) Ciphertexts() []homenc.Ciphertext { return v.CTs.Values() }
 // Detach copies the state out of the payload for adoption: the vectors
 // keep the images they arrived with, and the partial sets are capped at
 // threshold (eesum.CopyParts).
-func (v DecView) Detach(threshold int) (*homenc.Vector, *big.Int, map[int]*homenc.Partials) {
-	parts := make(map[int]*homenc.Partials, threshold)
+func (v DecView) Detach(threshold int) (*homenc.Vector, *big.Int, map[int]*homenc.Vector) {
+	parts := make(map[int]*homenc.Vector, threshold)
 	for idx, ps := range eesum.CopyParts(v.Parts, threshold) {
 		parts[idx] = ps.Copy()
 	}
@@ -521,10 +523,10 @@ func ScanDec(data []byte, lim Limits) (DecView, error) {
 	if d.err == nil && nParts > lim.MaxParts {
 		return v, fmt.Errorf("wireproto: %d partial sets exceed bound %d", nParts, lim.MaxParts)
 	}
-	v.Parts = make(map[int]homenc.PartialsView, nParts)
+	v.Parts = make(map[int]homenc.VectorView, nParts)
 	for i := 0; i < nParts && d.err == nil; i++ {
 		idx := int(d.u32())
-		ps := d.partials(lim.MaxDim+1, lim.MaxCTBytes)
+		ps := d.vector(lim.MaxDim+1, lim.MaxCTBytes)
 		if d.err == nil {
 			if _, dup := v.Parts[idx]; dup {
 				return v, errors.New("wireproto: duplicate partial share index")
@@ -532,7 +534,7 @@ func ScanDec(data []byte, lim Limits) (DecView, error) {
 			v.Parts[idx] = ps
 		}
 	}
-	v.Fresh = d.partials(lim.MaxDim+1, lim.MaxCTBytes)
+	v.Fresh = d.vector(lim.MaxDim+1, lim.MaxCTBytes)
 	return v, d.done()
 }
 
@@ -545,21 +547,6 @@ func (d *dec) vector(maxLen, maxBytes int) homenc.VectorView {
 	if err != nil {
 		d.err = err
 		return homenc.VectorView{}
-	}
-	d.b = rest
-	return v
-}
-
-// partials consumes one partial-decryption vector from the cursor,
-// unbuilt.
-func (d *dec) partials(maxLen, maxBytes int) homenc.PartialsView {
-	if d.err != nil {
-		return homenc.PartialsView{}
-	}
-	v, rest, err := homenc.ScanPartialsBound(d.b, maxLen, maxBytes)
-	if err != nil {
-		d.err = err
-		return homenc.PartialsView{}
 	}
 	d.b = rest
 	return v
@@ -585,11 +572,4 @@ func (d *dec) intImage(maxBytes int) []byte {
 func intOf(img []byte) *big.Int {
 	v, _, _ := homenc.UnmarshalIntBound(img, len(img))
 	return v
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

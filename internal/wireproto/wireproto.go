@@ -8,14 +8,17 @@
 // A frame is
 //
 //	uint32 BE  length of everything after this field
-//	byte       protocol version (Version or Version2)
+//	byte       protocol version (Version)
 //	byte       message kind (Kind*)
 //	uint64 BE  population epoch — identifies the run a peer belongs to;
 //	           frames from another epoch are rejected at the door
-//	uint32 BE  target population index (Version2 frames only) — lets a
+//	uint32 BE  target population index, 0xFFFFFFFF for none — lets a
 //	           multiplexed listener route the frame to a co-located
 //	           virtual node without decoding the payload
 //	payload    kind-specific binary encoding
+//
+// Every frame has this one layout, so a frame's size is its payload's
+// plus a constant (FrameWireSize).
 //
 // Every decoder takes explicit Limits so a malicious frame cannot force
 // allocations beyond what its own bytes justify; integers and
@@ -30,17 +33,10 @@ import (
 	"math"
 )
 
-// Version is the protocol version byte for untargeted frames. A peer
-// speaking an unknown version is rejected (no negotiation: populations
-// are provisioned together).
-const Version = 1
-
-// Version2 frames carry a 4-byte target population index after the
-// epoch, so a multiplexed listener hosting many virtual nodes can route
-// the frame without decoding the payload. Readers accept both versions
-// (a Version frame decodes with Target == -1), which keeps single-node
-// daemons bump-compatible with multiplexing peers.
-const Version2 = 2
+// Version is the protocol version byte. A frame of any other version —
+// the two earlier layouts included — is refused as malformed: there is
+// no negotiation, populations are provisioned together.
+const Version = 3
 
 // Message kinds.
 const (
@@ -83,15 +79,15 @@ const maxFrameHard = 1 << 28
 // it to count hostile input separately from network weather.
 var ErrMalformed = errors.New("wireproto: malformed frame")
 
-// headerBytes is the fixed frame overhead after the length prefix;
-// headerBytesV2 additionally covers the target index.
-const (
-	headerBytes   = 1 + 1 + 8
-	headerBytesV2 = headerBytes + 4
-)
+// headerBytes is the fixed frame overhead after the length prefix:
+// version, kind, epoch and target.
+const headerBytes = 1 + 1 + 8 + 4
+
+// noTarget is the target field of an untargeted frame.
+const noTarget = 0xFFFFFFFF
 
 // Frame is one decoded wire frame. Target is the routed population
-// index of a Version2 frame, or -1 for an untargeted Version frame.
+// index, or -1 for an untargeted frame.
 // Payload lives in a pooled buffer: whoever holds the frame may call
 // Release once nothing aliases Payload anymore (a frame that is never
 // released is simply garbage-collected).
@@ -113,15 +109,10 @@ func (f *Frame) Release() {
 }
 
 // FrameWireSize is the on-the-wire byte count of a frame with the given
-// target (< 0: untargeted Version frame) and payload length — the unit
-// both ends use for byte accounting, so Figure 5(b) wire numbers stay
-// honest whatever transport the frame travels on.
-func FrameWireSize(target, payloadLen int) int {
-	if target < 0 {
-		return 4 + headerBytes + payloadLen
-	}
-	return 4 + headerBytesV2 + payloadLen
-}
+// payload length — the unit both ends use for byte accounting, so
+// Figure 5(b) wire numbers stay honest whatever transport the frame
+// travels on.
+func FrameWireSize(payloadLen int) int { return 4 + headerBytes + payloadLen }
 
 // Message is a payload that knows its exact encoded size and appends
 // its encoding to a buffer — what lets WriteMessage build a frame in
@@ -140,14 +131,9 @@ type rawPayload []byte
 func (p rawPayload) Size() int                  { return len(p) }
 func (p rawPayload) AppendTo(dst []byte) []byte { return append(dst, p...) }
 
-// WriteFrame writes one untargeted (Version) frame.
-func WriteFrame(w io.Writer, kind byte, epoch uint64, payload []byte) error {
-	return WriteFrameTarget(w, kind, epoch, -1, payload)
-}
-
 // WriteFrameTarget writes one frame addressed to a population index; a
-// negative target writes the classic untargeted Version frame instead,
-// so callers can thread the destination through unconditionally.
+// negative target writes an untargeted frame, so callers can thread the
+// destination through unconditionally.
 func WriteFrameTarget(w io.Writer, kind byte, epoch uint64, target int, payload []byte) error {
 	_, err := WriteMessage(w, kind, epoch, target, rawPayload(payload))
 	return err
@@ -159,34 +145,31 @@ func WriteFrameTarget(w io.Writer, kind byte, epoch uint64, target int, payload 
 // returns the frame's wire size.
 func WriteMessage(w io.Writer, kind byte, epoch uint64, target int, m Message) (int, error) {
 	size := m.Size()
-	if size > maxFrameHard-headerBytesV2 {
+	if size > maxFrameHard-headerBytes {
 		return 0, fmt.Errorf("wireproto: payload of %d bytes exceeds the frame ceiling", size)
 	}
-	hdr := headerBytes
-	if target >= 0 {
-		hdr = headerBytesV2
-	}
-	buf := GetBuf(4 + hdr + size)[:4+hdr]
+	buf := GetBuf(FrameWireSize(size))[:4+headerBytes]
 	defer PutBuf(buf)
-	binary.BigEndian.PutUint32(buf, uint32(hdr+size))
+	binary.BigEndian.PutUint32(buf, uint32(headerBytes+size))
 	buf[4] = Version
 	buf[5] = kind
 	binary.BigEndian.PutUint64(buf[6:], epoch)
+	t := uint32(noTarget)
 	if target >= 0 {
-		buf[4] = Version2
-		binary.BigEndian.PutUint32(buf[14:], uint32(target))
+		t = uint32(target)
 	}
+	binary.BigEndian.PutUint32(buf[14:], t)
 	buf = m.AppendTo(buf)
-	if len(buf) != 4+hdr+size {
-		return 0, fmt.Errorf("wireproto: message encoded %d bytes, declared %d", len(buf)-4-hdr, size)
+	if len(buf) != FrameWireSize(size) {
+		return 0, fmt.Errorf("wireproto: message encoded %d bytes, declared %d", len(buf)-4-headerBytes, size)
 	}
 	_, err := w.Write(buf)
 	return len(buf), err
 }
 
-// ReadFrame reads one frame of either version, rejecting frames longer
-// than maxFrame (a value <= 0 uses the hard ceiling) before allocating
-// the payload.
+// ReadFrame reads one frame, rejecting frames whose header and payload
+// exceed maxFrame bytes (a value <= 0 uses the hard ceiling) before
+// allocating the payload.
 func ReadFrame(r io.Reader, maxFrame int) (Frame, error) {
 	if maxFrame <= 0 || maxFrame > maxFrameHard {
 		maxFrame = maxFrameHard
@@ -199,7 +182,7 @@ func ReadFrame(r io.Reader, maxFrame int) (Frame, error) {
 	if n < headerBytes {
 		return Frame{}, fmt.Errorf("%w: frame shorter than its header", ErrMalformed)
 	}
-	if uint64(n) > uint64(maxFrame)+headerBytesV2-headerBytes {
+	if uint64(n) > uint64(maxFrame) {
 		return Frame{}, fmt.Errorf("%w: frame of %d bytes exceeds limit %d", ErrMalformed, n, maxFrame)
 	}
 	body := GetBuf(int(n))
@@ -207,25 +190,19 @@ func ReadFrame(r io.Reader, maxFrame int) (Frame, error) {
 		PutBuf(body)
 		return Frame{}, err
 	}
+	if body[0] != Version {
+		PutBuf(body)
+		return Frame{}, fmt.Errorf("%w: version %d, want %d", ErrMalformed, body[0], Version)
+	}
 	f := Frame{
 		Kind:    body[1],
 		Epoch:   binary.BigEndian.Uint64(body[2:10]),
 		Target:  -1,
-		Payload: body[10:],
+		Payload: body[headerBytes:],
 		body:    body,
 	}
-	switch version := body[0]; version {
-	case Version:
-	case Version2:
-		if n < headerBytesV2 {
-			PutBuf(body)
-			return Frame{}, fmt.Errorf("%w: targeted frame shorter than its header", ErrMalformed)
-		}
-		f.Target = int(binary.BigEndian.Uint32(body[10:14]))
-		f.Payload = body[14:]
-	default:
-		PutBuf(body)
-		return Frame{}, fmt.Errorf("%w: version %d, want %d or %d", ErrMalformed, version, Version, Version2)
+	if t := binary.BigEndian.Uint32(body[10:14]); t != noTarget {
+		f.Target = int(t)
 	}
 	return f, nil
 }

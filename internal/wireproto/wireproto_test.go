@@ -2,6 +2,7 @@ package wireproto
 
 import (
 	"bytes"
+	"errors"
 	"math/big"
 	"reflect"
 	"strings"
@@ -16,10 +17,10 @@ func testLimits() Limits { return NewLimits(64, 16, 4, 32) }
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte{1, 2, 3, 4, 5}
-	if err := WriteFrame(&buf, KindSumReq, 42, payload); err != nil {
+	if err := WriteFrameTarget(&buf, KindSumReq, 42, -1, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, KindLeave, 42, nil); err != nil {
+	if err := WriteFrameTarget(&buf, KindLeave, 42, -1, nil); err != nil {
 		t.Fatal(err)
 	}
 	f, err := ReadFrame(&buf, 0)
@@ -40,18 +41,21 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameRejectsOversizeAndBadVersion(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, KindView, 1, make([]byte, 1024)); err != nil {
+	if err := WriteFrameTarget(&buf, KindView, 1, -1, make([]byte, 1024)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFrame(bytes.NewReader(buf.Bytes()), 100); err == nil {
-		t.Fatal("oversize frame accepted")
+	if _, err := ReadFrame(bytes.NewReader(buf.Bytes()), 100); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("oversize frame: %v, want ErrMalformed", err)
 	}
-	// Corrupt the version byte.
-	raw := buf.Bytes()
-	raw[4] = 99
-	if _, err := ReadFrame(bytes.NewReader(raw), 0); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Fatalf("bad version accepted: %v", err)
+	// Any other version byte — the two earlier layouts' included — is
+	// refused as malformed.
+	for _, version := range []byte{1, 2, 99} {
+		raw := bytes.Clone(buf.Bytes())
+		raw[4] = version
+		if _, err := ReadFrame(bytes.NewReader(raw), 0); !errors.Is(err, ErrMalformed) ||
+			!strings.Contains(err.Error(), "version") {
+			t.Fatalf("version %d: %v, want a malformed-version error", version, err)
+		}
 	}
 	// A length prefix shorter than the header is refused.
 	if _, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 2, 1, 1}), 0); err == nil {
@@ -166,25 +170,17 @@ func cts(vals ...int64) []homenc.Ciphertext {
 	return out
 }
 
-func partials(share int, vals ...int64) []homenc.PartialDecryption {
-	out := make([]homenc.PartialDecryption, len(vals))
-	for i, v := range vals {
-		out[i] = homenc.PartialDecryption{Index: share, V: big.NewInt(v)}
-	}
-	return out
-}
-
 func TestDecMsgRoundTrip(t *testing.T) {
 	lim := testLimits()
 	m := DecMsg{
 		Hdr:   ExchangeHdr{Iter: 1, Cycle: 4, Seq: 0, From: 2, To: 6},
 		CTs:   homenc.NewVector(cts(99, -100)),
 		Omega: big.NewInt(8),
-		Parts: map[int]*homenc.Partials{
-			3: homenc.NewPartials(partials(3, 11, 12)),
-			1: homenc.NewPartials(partials(1, 21, 22)),
+		Parts: map[int]*homenc.Vector{
+			3: homenc.NewVector(cts(11, 12)),
+			1: homenc.NewVector(cts(21, 22)),
 		},
-		Fresh: homenc.NewPartials(partials(5, 31, 32)),
+		Fresh: homenc.NewVector(cts(31, 32)),
 	}
 	wire := Marshal(&m)
 	if len(wire) != m.Size() {
@@ -200,17 +196,14 @@ func TestDecMsgRoundTrip(t *testing.T) {
 	if len(got.Parts) != 2 || got.Parts[3].Len() != 2 || got.Parts[1].Values()[1].V.Int64() != 22 {
 		t.Fatalf("parts mismatch: %+v", got.Parts)
 	}
-	if share, ok := got.Parts[3].Share(); !ok || share != 3 {
-		t.Fatalf("part set 3 claims share %d (uniform %v)", share, ok)
-	}
 	fresh := got.Fresh.Values()
-	if len(fresh) != 2 || fresh[0].Index != 5 || fresh[1].V.Int64() != 32 {
+	if len(fresh) != 2 || fresh[0].V.Int64() != 31 || fresh[1].V.Int64() != 32 {
 		t.Fatalf("fresh mismatch: %+v", fresh)
 	}
 	// Encoding is canonical: a state rebuilt from the images it arrived
 	// in — no value materialized — re-encodes to the identical bytes,
 	// regardless of map iteration order.
-	relay := DecMsg{Hdr: got.Hdr, CTs: got.CTs.Copy(), Omega: got.Omega(), Parts: map[int]*homenc.Partials{}, Fresh: got.Fresh.Copy()}
+	relay := DecMsg{Hdr: got.Hdr, CTs: got.CTs.Copy(), Omega: got.Omega(), Parts: map[int]*homenc.Vector{}, Fresh: got.Fresh.Copy()}
 	for idx, ps := range got.Parts {
 		relay.Parts[idx] = ps.Copy()
 	}
@@ -226,14 +219,13 @@ func TestDecMsgRejectsDuplicateShares(t *testing.T) {
 	lim := testLimits()
 	// Hand-build a payload whose two part sets claim the same share index.
 	e := enc{b: ExchangeHdr{}.appendTo(nil)}
-	e.u32(0)                                // no cts
-	e.raw(homenc.MarshalInt(big.NewInt(1))) // omega
-	e.u16(2)                                // two part sets
+	e.u32(0)                                    // no cts
+	e.raw(homenc.AppendInt(nil, big.NewInt(1))) // omega
+	e.u16(2)                                    // two part sets
 	for i := 0; i < 2; i++ {
 		e.u32(2) // same share index both times
 		e.u32(1) // one partial
-		e.u32(2)
-		e.raw(homenc.MarshalInt(big.NewInt(7)))
+		e.raw(homenc.AppendInt(nil, big.NewInt(7)))
 	}
 	e.u32(0) // no fresh partials
 	if _, err := ScanDec(e.bytes(), lim); err == nil {
@@ -282,8 +274,8 @@ func TestTargetedFrameRoundTrip(t *testing.T) {
 	if err := WriteFrameTarget(&buf, KindSumReq, 42, 7, payload); err != nil {
 		t.Fatal(err)
 	}
-	// Untargeted frames still travel as Version on the same stream.
-	if err := WriteFrame(&buf, KindSumResp, 42, payload); err != nil {
+	// Untargeted frames travel in the same layout on the same stream.
+	if err := WriteFrameTarget(&buf, KindSumResp, 42, -1, payload); err != nil {
 		t.Fatal(err)
 	}
 	f, err := ReadFrame(&buf, 0)
@@ -298,7 +290,7 @@ func TestTargetedFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f2.Target != -1 {
-		t.Fatalf("v1 frame decoded with target %d, want -1", f2.Target)
+		t.Fatalf("untargeted frame decoded with target %d, want -1", f2.Target)
 	}
 	// Target 0 is a real participant, not "no target".
 	buf.Reset()
@@ -315,33 +307,35 @@ func TestTargetedFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameWireSize(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, KindHello, 1, make([]byte, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if got := FrameWireSize(-1, 5); got != buf.Len() {
-		t.Fatalf("v1 wire size %d, want %d", got, buf.Len())
-	}
-	buf.Reset()
-	if err := WriteFrameTarget(&buf, KindHello, 1, 3, make([]byte, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if got := FrameWireSize(3, 5); got != buf.Len() {
-		t.Fatalf("v2 wire size %d, want %d", got, buf.Len())
+	for _, target := range []int{-1, 3} {
+		var buf bytes.Buffer
+		if err := WriteFrameTarget(&buf, KindHello, 1, target, make([]byte, 5)); err != nil {
+			t.Fatal(err)
+		}
+		if got := FrameWireSize(5); got != buf.Len() {
+			t.Fatalf("target %d: wire size %d, want %d", target, got, buf.Len())
+		}
 	}
 }
 
 func TestTargetedFrameAtMaxLenAccepted(t *testing.T) {
-	// The 4 extra header bytes of a targeted frame must not push a
-	// payload at exactly MaxFrameLen over the reader's bound.
+	// A frame whose header and payload take exactly MaxFrameLen bytes is
+	// read; one byte more is refused.
 	lim := testLimits()
 	var buf bytes.Buffer
-	payload := make([]byte, lim.MaxFrameLen-10) // headerBytes = 10
+	payload := make([]byte, lim.MaxFrameLen-headerBytes)
 	if err := WriteFrameTarget(&buf, KindSumReq, 1, 2, payload); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadFrame(&buf, lim.MaxFrameLen); err != nil {
 		t.Fatalf("targeted frame at the limit refused: %v", err)
+	}
+	buf.Reset()
+	if err := WriteFrameTarget(&buf, KindSumReq, 1, 2, append(payload, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadFrame(&buf, lim.MaxFrameLen); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("frame one byte past the limit: %v, want ErrMalformed", err)
 	}
 }
 

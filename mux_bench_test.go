@@ -128,14 +128,10 @@ func BenchmarkDecFrameRoundTrip(b *testing.B) {
 		Hdr:   wireproto.ExchangeHdr{Iter: 1, Cycle: 3, Seq: 2, From: 0, To: 1},
 		CTs:   homenc.NewVector(cts),
 		Omega: big.NewInt(400),
-		Parts: map[int]*homenc.Partials{},
+		Parts: map[int]*homenc.Vector{},
 	}
 	for share := 1; share <= tau; share++ {
-		ps := make([]homenc.PartialDecryption, dim)
-		for j := range ps {
-			ps[j] = homenc.PartialDecryption{Index: share, V: cts[j].V}
-		}
-		msg.Parts[share] = homenc.NewPartials(ps)
+		msg.Parts[share] = homenc.NewVector(cts)
 	}
 	lim := wireproto.NewLimits(64, dim, tau, 400)
 	var buf bytes.Buffer
@@ -205,7 +201,7 @@ func BenchmarkInProcExchange(b *testing.B) {
 		}
 		defer conn.Close()
 		_ = conn.SetDeadline(time.Now().Add(10 * time.Minute))
-		if err := wireproto.WriteFrame(conn, wireproto.KindView, 7, req); err != nil {
+		if err := wireproto.WriteFrameTarget(conn, wireproto.KindView, 7, -1, req); err != nil {
 			b.Fatal(err)
 		}
 		f, err := wireproto.ReadFrame(conn, lim.MaxFrameLen)
