@@ -8,6 +8,7 @@ package chiaroscuro
 //	go test -bench=. -benchmem
 
 import (
+	"crypto/rand"
 	"math"
 	"math/big"
 	"runtime"
@@ -83,6 +84,19 @@ func BenchmarkDJEncrypt1024(b *testing.B) {
 	}
 }
 
+// BenchmarkDJEncryptInline1024 draws every randomizer inline (a scheme
+// with Random set bypasses the pool and its background filler), so the
+// fixed-base comb's cost reaches ns/op and B/op.
+func BenchmarkDJEncryptInline1024(b *testing.B) {
+	sch := djScheme(b, 1024)
+	sch.Random = rand.Reader
+	m := big.NewInt(123456789)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sch.Encrypt(m)
+	}
+}
+
 func BenchmarkDJAdd1024(b *testing.B) {
 	sch := djScheme(b, 1024)
 	c := sch.Encrypt(big.NewInt(42))
@@ -107,6 +121,31 @@ func BenchmarkDJCombine1024(b *testing.B) {
 	sch := djScheme(b, 1024)
 	c := sch.Encrypt(big.NewInt(42))
 	parts := make([]homenc.PartialDecryption, 3)
+	for i := range parts {
+		p, err := sch.PartialDecrypt(i+1, c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		parts[i] = p
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sch.Combine(c, parts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDJCombine1024Tau4of12 combines at sim-dj's key shape: 12
+// shares, threshold 4, so Δ = 12! and every 2μ_i is 30 to 40 bits (at
+// BenchmarkDJCombine1024's 5 shares they are at most 10).
+func BenchmarkDJCombine1024Tau4of12(b *testing.B) {
+	sch, err := damgardjurik.NewTestScheme(1024, 1, 12, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := sch.Encrypt(big.NewInt(42))
+	parts := make([]homenc.PartialDecryption, 4)
 	for i := range parts {
 		p, err := sch.PartialDecrypt(i+1, c)
 		if err != nil {

@@ -34,14 +34,16 @@ type crtContext struct {
 
 	hOrdP, hOrdQ *big.Int   // |H_p| = p-1, |H_q| = q-1 (randomizer subgroups)
 	combP, combQ *combTable // fixed-base tables over generators of H_p, H_q
+
+	decExp []halves // each share's partial-decryption exponent 2Δ·s_i, reduced
 }
 
-// newCRTContext derives the constants from the factorization. random
-// seeds the subgroup-generator search (nil = crypto/rand); a
-// deterministic reader yields deterministic generators, keeping
-// ciphertexts reproducible across runs for callers that construct the
-// scheme with one.
-func newCRTContext(random io.Reader, p, q *big.Int, s int) *crtContext {
+// newCRTContext derives the constants from the factorization and the
+// shares' decryption exponents. random seeds the subgroup-generator
+// search (nil = crypto/rand); a deterministic reader yields
+// deterministic generators, keeping ciphertexts reproducible across
+// runs for callers that construct the scheme with one.
+func newCRTContext(random io.Reader, p, q *big.Int, s int, decExp []*big.Int) *crtContext {
 	c := &crtContext{p: p, q: q}
 	c.pPowS = pow(p, s)
 	c.qPowS = pow(q, s)
@@ -54,6 +56,10 @@ func newCRTContext(random io.Reader, p, q *big.Int, s int) *crtContext {
 	c.hOrdQ = new(big.Int).Sub(q, one)
 	c.combP = newCombTable(generatorH(random, p, c.pPowS, c.ps1), c.ps1, c.hOrdP.BitLen())
 	c.combQ = newCombTable(generatorH(random, q, c.qPowS, c.qs1), c.qs1, c.hOrdQ.BitLen())
+	c.decExp = make([]halves, len(decExp))
+	for i, e := range decExp {
+		c.decExp[i] = c.reduce(e)
+	}
 	return c
 }
 
@@ -65,44 +71,58 @@ func pow(b *big.Int, e int) *big.Int {
 	return out
 }
 
-// combine merges the two half-width residues x ≡ xp (mod p^(s+1)),
-// x ≡ xq (mod q^(s+1)) into x mod n^(s+1) (Garner's formula).
-func (c *crtContext) combine(xp, xq *big.Int) *big.Int {
-	t := new(big.Int).Sub(xp, xq)
-	t.Mul(t, c.qs1InvP)
-	t.Mod(t, c.ps1) // Go's Mod is Euclidean: the result is non-negative
-	t.Mul(t, c.qs1)
-	return t.Add(t, xq) // < p^(s+1)·q^(s+1) = n^(s+1) by construction
+// mod sets z = x mod m, Euclidean as Int.Mod, and returns z. The
+// quotient it discards goes to quo: a kernel reducing in a loop passes
+// the same quo every time, so it grows once instead of being allocated
+// afresh per reduction, as Int.Mod's is. z may be x.
+func mod(z, quo, x, m *big.Int) *big.Int {
+	quo.QuoRem(x, m, z)
+	if z.Sign() < 0 { // a peer may send a negative value
+		z.Add(z, m)
+	}
+	return z
+}
+
+// mulMod sets z = x·y mod m through the scratch values prod and quo,
+// and returns z. z may be x or y.
+func mulMod(z, prod, quo, x, y, m *big.Int) *big.Int {
+	return mod(z, quo, prod.Mul(x, y), m)
+}
+
+// combine sets z to the x mod n^(s+1) with x ≡ xp (mod p^(s+1)) and
+// x ≡ xq (mod q^(s+1)) (Garner's formula) through prod and quo, and
+// returns z. z may be xp, not xq.
+func (c *crtContext) combine(z, prod, quo, xp, xq *big.Int) *big.Int {
+	z.Sub(xp, xq)
+	mulMod(z, prod, quo, z, c.qs1InvP, c.ps1)
+	return z.Add(prod.Mul(z, c.qs1), xq) // < p^(s+1)·q^(s+1) = n^(s+1) by construction
+}
+
+// halves is an exponent reduced modulo the two half-width group orders.
+type halves struct{ p, q *big.Int }
+
+func (c *crtContext) reduce(e *big.Int) halves {
+	return halves{new(big.Int).Mod(e, c.ordP), new(big.Int).Mod(e, c.ordQ)}
+}
+
+// exp computes base^e mod n^(s+1) on the two half-width moduli from e's
+// reductions. The group-order reduction requires gcd(base, n) = 1, which
+// holds for every value the scheme exponentiates (ciphertexts and
+// partial decryptions are units).
+func (c *crtContext) exp(base *big.Int, e halves) *big.Int {
+	var r, prod, quo big.Int
+	xp := new(big.Int).Exp(mod(&r, &quo, base, c.ps1), e.p, c.ps1)
+	xq := new(big.Int).Exp(mod(&r, &quo, base, c.qs1), e.q, c.qs1)
+	return c.combine(xp, &prod, &quo, xp, xq)
 }
 
 // expNS1 computes base^e mod n^(s+1) for a non-negative exponent,
-// through the CRT split when it pays off. The group-order exponent
-// reduction requires gcd(base, n) = 1, which holds for every value the
-// scheme exponentiates (ciphertexts and partial decryptions are units).
+// through the CRT split when it pays off.
 func (s *Scheme) expNS1(base, e *big.Int) *big.Int {
-	c := s.crt
-	if c == nil || e.BitLen() <= crtDirectExpBits {
+	if s.crt == nil || e.BitLen() <= crtDirectExpBits {
 		return new(big.Int).Exp(base, e, s.NS1)
 	}
-	ep := new(big.Int).Mod(e, c.ordP)
-	eq := new(big.Int).Mod(e, c.ordQ)
-	xp := new(big.Int).Exp(new(big.Int).Mod(base, c.ps1), ep, c.ps1)
-	xq := new(big.Int).Exp(new(big.Int).Mod(base, c.qs1), eq, c.qs1)
-	return c.combine(xp, xq)
-}
-
-// invNS1 computes base^(-1) mod n^(s+1) on the two half-width moduli.
-func (s *Scheme) invNS1(base *big.Int) *big.Int {
-	c := s.crt
-	if c == nil {
-		return new(big.Int).ModInverse(base, s.NS1)
-	}
-	xp := new(big.Int).ModInverse(new(big.Int).Mod(base, c.ps1), c.ps1)
-	xq := new(big.Int).ModInverse(new(big.Int).Mod(base, c.qs1), c.qs1)
-	if xp == nil || xq == nil {
-		return nil
-	}
-	return c.combine(xp, xq)
+	return s.crt.exp(base, s.crt.reduce(e))
 }
 
 // newRandomizer draws a fresh encryption randomizer — the message-
@@ -135,7 +155,9 @@ func (s *Scheme) newRandomizer(random io.Reader) *big.Int {
 	if err != nil {
 		panic("damgardjurik: entropy source failed: " + err.Error())
 	}
-	return c.combine(c.combP.exp(tp), c.combQ.exp(tq))
+	var prod, quo big.Int
+	xp := c.combP.exp(new(big.Int), &prod, &quo, tp)
+	return c.combine(xp, &prod, &quo, xp, c.combQ.exp(tp, &prod, &quo, tq))
 }
 
 // generatorH finds a generator of H_p, the cyclic subgroup of n^s-th
@@ -201,16 +223,16 @@ func newCombTable(g, mod *big.Int, expBits int) *combTable {
 	return t
 }
 
-// exp computes g^e mod m for 0 <= e < 2^(4·len(tab)).
-func (t *combTable) exp(e *big.Int) *big.Int {
-	acc := big.NewInt(1)
-	scratch := new(big.Int)
+// exp sets z = g^e mod m for 0 <= e < 2^(4·len(tab)) and returns z:
+// one multiplication per non-zero 4-bit digit, all through the scratch
+// values prod and quo. z must not be e.
+func (t *combTable) exp(z, prod, quo, e *big.Int) *big.Int {
+	z.SetInt64(1)
 	for i := 0; i < len(t.tab) && 4*i < e.BitLen(); i++ {
 		d := e.Bit(4*i) | e.Bit(4*i+1)<<1 | e.Bit(4*i+2)<<2 | e.Bit(4*i+3)<<3
 		if d != 0 {
-			scratch.Mul(acc, t.tab[i][d-1])
-			acc.Mod(scratch, t.mod)
+			mulMod(z, prod, quo, z, t.tab[i][d-1], t.mod)
 		}
 	}
-	return acc
+	return z
 }

@@ -115,6 +115,9 @@ func TestScalarMulLargeExponent(t *testing.T) {
 	}
 }
 
+// TestCombTableMatchesExp runs the comb through one result and one
+// scratch back to back, so nothing may leak from one call into the next,
+// and through fresh ones, against Exp.
 func TestCombTableMatchesExp(t *testing.T) {
 	p, _, err := KnownSafePrimes(64)
 	if err != nil {
@@ -124,9 +127,23 @@ func TestCombTableMatchesExp(t *testing.T) {
 	g := generatorH(nil, p, p, ps1)
 	ord := new(big.Int).Sub(p, big.NewInt(1))
 	tab := newCombTable(g, ps1, ord.BitLen())
-	f := func(raw uint64) bool {
+	var z, prod, quo big.Int
+	check := func(es ...*big.Int) bool {
+		for _, e := range es {
+			want := new(big.Int).Exp(g, e, ps1)
+			if tab.exp(&z, &prod, &quo, e).Cmp(want) != 0 || tab.exp(new(big.Int), new(big.Int), new(big.Int), e).Cmp(want) != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	if !check(big.NewInt(0), new(big.Int).Sub(ord, big.NewInt(1)), big.NewInt(1), big.NewInt(0)) {
+		t.Error("comb disagrees with Exp at the ends of the exponent range")
+	}
+	f := func(raw, raw2 uint64) bool {
 		e := new(big.Int).Mod(new(big.Int).SetUint64(raw), ord)
-		return tab.exp(e).Cmp(new(big.Int).Exp(g, e, ps1)) == 0
+		e2 := new(big.Int).Mod(new(big.Int).SetUint64(raw2), ord)
+		return check(e, e2, e)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

@@ -21,7 +21,9 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"chiaroscuro/internal/homenc"
 	"chiaroscuro/internal/parallel"
@@ -57,9 +59,8 @@ type Scheme struct {
 
 	nShares   int
 	threshold int
-	delta     *big.Int       // Δ = nShares!
-	combInv   *big.Int       // (4Δ²)^(-1) mod N^S
-	shares    []shamir.Share // Shamir shares of d over Z_{N^S · p'q'}
+	combInv   *big.Int   // (4Δ²)^(-1) mod N^S
+	decExp    []*big.Int // decExp[i-1] = 2Δ·s_i, share i's partial-decryption exponent
 
 	d *big.Int // the full decryption exponent (kept for direct Decrypt)
 
@@ -72,6 +73,7 @@ type Scheme struct {
 	// fields cache the small-integer inverses that powOnePlusN, dLog and
 	// Decrypt previously recomputed on every call.
 	crt         *crtContext
+	lastSet     atomic.Pointer[shareSet] // Combine's most recent share set
 	pool        *randomizerPool
 	randMu      sync.Mutex   // serializes draws from a custom Random reader
 	smallInv    []*big.Int   // smallInv[i] = i^(-1) mod N^(S+1), 1 <= i <= S
@@ -157,16 +159,20 @@ func NewFromPrimes(random io.Reader, p, q *big.Int, s, nShares, threshold int) (
 		return nil, errors.New("damgardjurik: 4Δ² not invertible mod n^s (nShares too large?)")
 	}
 
+	decExp := make([]*big.Int, nShares)
+	for i, sh := range shares {
+		e := new(big.Int).Lsh(delta, 1)
+		decExp[i] = e.Mul(e, sh.Y)
+	}
 	sch := &Scheme{
 		PublicKey: pk,
 		nShares:   nShares,
 		threshold: threshold,
-		delta:     delta,
 		combInv:   combInv,
-		shares:    shares,
+		decExp:    decExp,
 		d:         d,
 		Random:    random,
-		crt:       newCRTContext(random, p, q, s),
+		crt:       newCRTContext(random, p, q, s, decExp),
 	}
 	sch.pool = newRandomizerPool(func() *big.Int { return sch.newRandomizer(nil) })
 	sch.precomputeInverses()
@@ -302,24 +308,11 @@ func (s *Scheme) randomUnit() *big.Int {
 	}
 }
 
-// mulMod sets z = x·y mod n^(s+1), the one multiplication body behind
-// +h. quo takes the quotient the reduction discards; a caller merging a
-// vector passes the same two scratch values for every element, so they
-// grow once and are reused. z must be neither x nor y.
-func (s *Scheme) mulMod(z, quo, x, y *big.Int) {
-	z.Mul(x, y)
-	quo.QuoRem(z, s.NS1, z)
-	if z.Sign() < 0 { // Euclidean, as Mod: a peer may send a negative value
-		z.Add(z, s.NS1)
-	}
-}
-
 // Add implements homenc.Scheme: E(a) +h E(b) = E(a)·E(b) mod n^(s+1).
 func (s *Scheme) Add(a, b homenc.Ciphertext) homenc.Ciphertext {
 	var quo big.Int
-	z := new(big.Int)
-	s.mulMod(z, &quo, a.V, b.V)
-	return homenc.Ciphertext{V: z}
+	z := new(big.Int).Mul(a.V, b.V)
+	return homenc.Ciphertext{V: mod(z, &quo, z, s.NS1)}
 }
 
 // MergeVec implements homenc.Scheme: a[i]^(2^shift)·b[i] mod n^(s+1).
@@ -352,18 +345,22 @@ func (s *Scheme) MergeVec(a homenc.Operand, shift uint, b homenc.Operand, worker
 }
 
 // mergeInto appends a[i]^(2^shift)·b[i] mod n^(s+1) to w, element by
-// element, through scratch values that grow once per call.
+// element, through scratch values that grow once per call. A shift in
+// the direct-exponentiation range is that many squarings, which leave
+// the same canonical residue as Exp without its per-call tables.
 func (s *Scheme) mergeInto(w *homenc.VectorWriter, a homenc.Operand, shift uint, b homenc.Operand) {
-	var k, x, y, z, quo big.Int
-	k.Lsh(one, shift)
+	var k, x, y, t, prod, quo big.Int
 	ra, rb := a.Reader(), b.Reader()
 	for i := 0; i < a.Len(); i++ {
 		xa := ra.Next(&x)
-		if shift > 0 {
-			xa = s.expNS1(xa, &k)
+		if shift < crtDirectExpBits {
+			for j := uint(0); j < shift; j++ {
+				xa = mulMod(&t, &prod, &quo, xa, xa, s.NS1)
+			}
+		} else {
+			xa = s.expNS1(xa, k.Lsh(one, shift))
 		}
-		s.mulMod(&z, &quo, xa, rb.Next(&y))
-		w.Append(&z)
+		w.Append(mulMod(&t, &prod, &quo, xa, rb.Next(&y), s.NS1))
 	}
 }
 
@@ -416,62 +413,151 @@ func (s *Scheme) Decrypt(c homenc.Ciphertext) *big.Int {
 }
 
 // PartialDecrypt implements homenc.Scheme: c_i = c^(2Δ·s_i) mod n^(s+1).
+// The exponent was reduced modulo both half orders at key construction.
 func (s *Scheme) PartialDecrypt(index int, c homenc.Ciphertext) (homenc.PartialDecryption, error) {
 	if index < 1 || index > s.nShares {
 		return homenc.PartialDecryption{}, fmt.Errorf("damgardjurik: key-share index %d out of range", index)
 	}
-	e := new(big.Int).Lsh(s.delta, 1) // 2Δ
-	e.Mul(e, s.shares[index-1].Y)
-	return homenc.PartialDecryption{
-		Index: index,
-		V:     s.expNS1(c.V, e),
-	}, nil
+	var v *big.Int
+	if s.crt != nil {
+		v = s.crt.exp(c.V, s.crt.decExp[index-1])
+	} else {
+		v = new(big.Int).Exp(c.V, s.decExp[index-1], s.NS1)
+	}
+	return homenc.PartialDecryption{Index: index, V: v}, nil
 }
 
 // Combine implements homenc.Scheme: it merges >= Threshold distinct
 // partial decryptions into the plaintext,
 //
-//	c' = Π c_i^(2μ_i) = c^(4Δ²d) = (1+n)^(4Δ²·m)  mod n^(s+1),
+//	c' = Π c_i^(2μ_i/g) = c^(4Δ²d/g) = (1+n)^(4Δ²g⁻¹·m)  mod n^(s+1),
 //
-// then m = dLog(c') · (4Δ²)^{-1} mod n^s.
+// then m = dLog(c') · g(4Δ²)^{-1} mod n^s, where g is the exponents'
+// common factor (see shareSetOf). The product is one multi-
+// exponentiation per modulus — p^(s+1) and q^(s+1) when the scheme
+// holds the factorization, n^(s+1) otherwise — whose squarings all τ
+// bases share.
 func (s *Scheme) Combine(c homenc.Ciphertext, parts []homenc.PartialDecryption) (*big.Int, error) {
-	xs := make([]int, 0, len(parts))
-	seen := make(map[int]bool, len(parts))
-	for _, p := range parts {
+	set, err := s.shareSetOf(parts)
+	if err != nil {
+		return nil, err
+	}
+	var xq, prod, quo big.Int
+	bases := make([]big.Int, len(parts))
+	acc := new(big.Int)
+	var ok bool
+	if cc := s.crt; cc == nil {
+		ok = set.power(acc, &prod, &quo, parts, s.NS1, bases)
+	} else if ok = set.power(acc, &prod, &quo, parts, cc.ps1, bases) && set.power(&xq, &prod, &quo, parts, cc.qs1, bases); ok {
+		cc.combine(acc, &prod, &quo, acc, &xq)
+	}
+	if !ok {
+		return nil, errors.New("damgardjurik: partial decryption not invertible")
+	}
+	m := s.dLog(acc)
+	m.Mul(m, set.scale)
+	return m.Mod(m, s.NS), nil
+}
+
+// shareSet is the Lagrange side of a Combine: the share indices in the
+// order they were passed, each one's exponent 2μ_i/g as a magnitude and
+// a sign, and the plaintext scale g(4Δ²)^{-1} mod n^s. It depends on
+// the indices alone, and every element of a decrypted vector is
+// combined from the same ones.
+type shareSet struct {
+	index []int
+	exp   []*big.Int // |2μ_i/g|
+	neg   []bool     // μ_i < 0
+	bits  int        // the longest magnitude's bit length
+	scale *big.Int   // g·(4Δ²)^{-1} mod n^s
+}
+
+// shareSetOf returns the share set of parts: the scheme's last one when
+// the indices match, else a new one, validated, which becomes the last.
+//
+// The coefficients 2μ_i share most of Δ as a common factor g — over
+// every 4- and 5-subset of 12 shares, exponents of 22 to 42 bits
+// shrink to 1 to 14 — and the product does not need it: Σ μ_i·s_i = Δd + K·n^s·p'q' for some integer K, and g's
+// prime factors are at most nShares, so g is a unit modulo n^s and
+// p'q'. Hence Π c_i^(2μ_i/g) still annihilates the randomizer and
+// leaves (1+n)^(4Δ²g⁻¹·m), and g returns in the plaintext scale.
+func (s *Scheme) shareSetOf(parts []homenc.PartialDecryption) (*shareSet, error) {
+	last := s.lastSet.Load()
+	if last != nil && slices.EqualFunc(last.index, parts, func(x int, p homenc.PartialDecryption) bool { return x == p.Index }) {
+		return last, nil
+	}
+	xs := make([]int, len(parts))
+	for i, p := range parts {
 		if p.Index < 1 || p.Index > s.nShares {
 			return nil, fmt.Errorf("damgardjurik: key-share index %d out of range", p.Index)
 		}
-		if seen[p.Index] {
+		// A duplicate sits within the first nShares+1 entries, so the
+		// scan is bounded by the share count whatever len(parts) is.
+		if slices.Contains(xs[:i], p.Index) {
 			return nil, fmt.Errorf("damgardjurik: duplicate key-share %d", p.Index)
 		}
-		seen[p.Index] = true
-		xs = append(xs, p.Index)
+		xs[i] = p.Index
 	}
 	if len(xs) < s.threshold {
 		return nil, errors.New("damgardjurik: not enough distinct key-shares")
 	}
-	acc := big.NewInt(1)
-	for _, p := range parts {
-		mu, err := shamir.Lambda0(xs, p.Index, s.nShares)
+	set := &shareSet{index: xs, exp: make([]*big.Int, len(xs)), neg: make([]bool, len(xs))}
+	g := new(big.Int)
+	for i, x := range xs {
+		mu, err := shamir.Lambda0(xs, x, s.nShares)
 		if err != nil {
 			return nil, err
 		}
-		e := new(big.Int).Lsh(mu, 1) // 2μ_i, possibly negative
-		base := p.V
-		if e.Sign() < 0 {
-			base = s.invNS1(p.V)
-			if base == nil {
-				return nil, errors.New("damgardjurik: partial decryption not invertible")
-			}
-			e.Neg(e)
-		}
-		term := s.expNS1(base, e)
-		acc.Mul(acc, term)
-		acc.Mod(acc, s.NS1)
+		set.neg[i] = mu.Sign() < 0
+		set.exp[i] = mu.Lsh(mu.Abs(mu), 1)
+		g.GCD(nil, nil, g, set.exp[i])
 	}
-	m := s.dLog(acc)
-	m.Mul(m, s.combInv)
-	return m.Mod(m, s.NS), nil
+	for _, e := range set.exp {
+		e.Quo(e, g)
+		set.bits = max(set.bits, e.BitLen())
+	}
+	set.scale = new(big.Int).Mod(g.Mul(g, s.combInv), s.NS)
+	s.lastSet.Store(set)
+	return set, nil
+}
+
+// power sets z = Π parts[i]^(±exp[i]) mod m, the bases first reduced
+// into bases, and reports whether the negative side was invertible. It
+// is Straus's simultaneous exponentiation: one squaring per exponent
+// bit serves every base. Bases with a negative coefficient multiply a
+// second accumulator, inverted once at the end.
+func (set *shareSet) power(z, prod, quo *big.Int, parts []homenc.PartialDecryption, m *big.Int, bases []big.Int) bool {
+	for i, p := range parts {
+		mod(&bases[i], quo, p.V, m)
+	}
+	hasNeg := slices.Contains(set.neg, true)
+	var neg big.Int
+	z.SetInt64(1)
+	neg.SetInt64(1)
+	for bit := set.bits - 1; bit >= 0; bit-- {
+		mulMod(z, prod, quo, z, z, m)
+		if hasNeg {
+			mulMod(&neg, prod, quo, &neg, &neg, m)
+		}
+		for i, e := range set.exp {
+			if e.Bit(bit) == 0 {
+				continue
+			}
+			if set.neg[i] {
+				mulMod(&neg, prod, quo, &neg, &bases[i], m)
+			} else {
+				mulMod(z, prod, quo, z, &bases[i], m)
+			}
+		}
+	}
+	if !hasNeg {
+		return true
+	}
+	if neg.ModInverse(&neg, m) == nil {
+		return false
+	}
+	mulMod(z, prod, quo, z, &neg, m)
+	return true
 }
 
 var _ homenc.Scheme = (*Scheme)(nil)
