@@ -106,6 +106,19 @@ func BenchmarkDJAdd1024(b *testing.B) {
 	}
 }
 
+// BenchmarkDJAddPublic1024 adds a public plaintext to a ciphertext
+// (the disseminated correction's path): the binomial (1+n)^m and one
+// modular multiplication, no randomizer.
+func BenchmarkDJAddPublic1024(b *testing.B) {
+	sch := djScheme(b, 1024)
+	c := sch.Encrypt(big.NewInt(42))
+	m := big.NewInt(-123456789)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sch.AddPublic(c, m)
+	}
+}
+
 func BenchmarkDJPartialDecrypt1024(b *testing.B) {
 	sch := djScheme(b, 1024)
 	c := sch.Encrypt(big.NewInt(42))

@@ -12,17 +12,22 @@ import (
 	"chiaroscuro/internal/timeseries"
 )
 
-// workScheme counts the crypto work a run spends: encryptions, partial
-// decryptions, combinations, and ciphertext pairs merged by the update
-// rule (the merge count sums operand lengths).
+// workScheme counts the crypto work a run spends: encryptions, public
+// additions, partial decryptions, combinations, and ciphertext pairs
+// merged by the update rule (the merge count sums operand lengths).
 type workScheme struct {
 	homenc.Scheme
-	encrypt, partial, combine, merged atomic.Int64
+	encrypt, addPublic, partial, combine, merged atomic.Int64
 }
 
 func (s *workScheme) Encrypt(m *big.Int) homenc.Ciphertext {
 	s.encrypt.Add(1)
 	return s.Scheme.Encrypt(m)
+}
+
+func (s *workScheme) AddPublic(a homenc.Ciphertext, m *big.Int) homenc.Ciphertext {
+	s.addPublic.Add(1)
+	return s.Scheme.AddPublic(a, m)
 }
 
 func (s *workScheme) PartialDecrypt(index int, c homenc.Ciphertext) (homenc.PartialDecryption, error) {
@@ -46,16 +51,19 @@ func (s *workScheme) MergeVec(a homenc.Operand, shift uint, b homenc.Operand, wo
 // merge once for both sides, and a key-share applied for one side of an
 // adopting decryption exchange is reused for the other. The constants
 // were measured on the population drivers the participant machine
-// replaced; any double merge or re-applied share moves them.
+// replaced; any double merge or re-applied share moves them. The
+// disseminated correction is public and added without encrypting it, so
+// encryptions are the contributions and noise-shares alone.
 func TestSimulatorCryptoWork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full crypto e2e")
 	}
 	const (
-		wantEncrypt = 900
-		wantPartial = 600
-		wantCombine = 300
-		wantMerged  = 6300
+		wantEncrypt   = 600
+		wantAddPublic = 300
+		wantPartial   = 600
+		wantCombine   = 300
+		wantMerged    = 6300
 	)
 	const np = 12
 	data, _ := datasets.GenerateCER(np, randx.New(7, 0))
@@ -97,6 +105,7 @@ func TestSimulatorCryptoWork(t *testing.T) {
 		got, want int64
 	}{
 		{"Encrypt calls", sch.encrypt.Load(), wantEncrypt},
+		{"AddPublic calls", sch.addPublic.Load(), wantAddPublic},
 		{"PartialDecrypt calls", sch.partial.Load(), wantPartial},
 		{"Combine calls", sch.combine.Load(), wantCombine},
 		{"ciphertext pairs merged", sch.merged.Load(), wantMerged},

@@ -41,8 +41,12 @@ func imageOf(t *testing.T, cts []homenc.Ciphertext) *homenc.Vector {
 // fixedPoint draws a signed 50-bit value: an encoded measure.
 func fixedPoint(rng *randx.RNG) *big.Int { return big.NewInt(rng.Int64N(1<<50) - 1<<49) }
 
-// bytesPerRun is the heap the calls to f allocate, per call.
+// bytesPerRun is the heap the calls to f allocate, per call. It
+// measures as testing.AllocsPerRun does, on one P: the heap counters are
+// process-wide, and a goroutine an earlier test left running (a
+// scheme's randomizer filler) must not be charged to f.
 func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f() // warm up
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -3,6 +3,7 @@ package eesum
 import (
 	"math"
 	"math/big"
+	"slices"
 	"testing"
 
 	"chiaroscuro/internal/homenc"
@@ -184,6 +185,74 @@ func TestPerturbMeansOutOfLockstep(t *testing.T) {
 	ps[0].ProposeCorrection()
 	if err := ps[0].StartDecryption(); err == nil {
 		t.Error("out-of-lockstep perturbation must fail")
+	}
+}
+
+// countingReader is a deterministic entropy source that counts the
+// bytes drawn from it.
+type countingReader struct {
+	state uint64
+	n     int
+}
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	for i := range p {
+		r.state = r.state*6364136223846793005 + 1442695040888963407
+		p[i] = byte(r.state >> 56)
+	}
+	r.n += len(p)
+	return len(p), nil
+}
+
+// TestStartDecryptionDrawsNoRandomness: the disseminated correction is
+// public, so subtracting it from the noise sum and adding the noise into
+// the means draw no randomizer — the scheme's entropy source is not read
+// — and the correction still shifts the noise estimate by exactly
+// -correction.
+func TestStartDecryptionDrawsNoRandomness(t *testing.T) {
+	const n, dim = 4, 3
+	p, q, err := damgardjurik.KnownSafePrimes(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	random := &countingReader{state: 5}
+	sch, err := damgardjurik.NewFromPrimes(random, p, q, 1, n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := testEnv(sch, homenc.NewCodec(16), 1)
+	// Noise-shares for two participants fewer than there are: the
+	// correction subtracts the surplus two draw.
+	ps := population(env, zeros(n, dim), NoiseConfig{Lambdas: uniformLambdas(dim, 1), NShares: n - 2}, randx.New(5, 5))
+	if random.n == 0 {
+		t.Fatal("the encryptions drew nothing from the scheme's entropy source")
+	}
+	decrypt := func(c homenc.Ciphertext) *big.Int { return homenc.Centered(sch.Decrypt(c), sch.NS) }
+	part := ps[0]
+	before, err := estimate(env, part.Noise.State(), decrypt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part.CtrW = 1.0 / n // the counter as converged: n participants
+	part.ProposeCorrection()
+	if slices.Max(part.CorVec) == 0 && slices.Min(part.CorVec) == 0 {
+		t.Fatal("the correction is zero: nothing to subtract")
+	}
+	drawn := random.n
+	if err := part.StartDecryption(); err != nil {
+		t.Fatal(err)
+	}
+	if got := random.n - drawn; got != 0 {
+		t.Errorf("StartDecryption read %d bytes of randomness, want 0", got)
+	}
+	after, err := estimate(env, part.Noise.State(), decrypt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range after {
+		if shift := after[j] - before[j]; math.Abs(shift+part.CorVec[j]) > 1e-4 {
+			t.Errorf("dim %d: correction shifted the noise estimate by %v, want %v", j, shift, -part.CorVec[j])
+		}
 	}
 }
 

@@ -70,16 +70,17 @@ func mergeSum(sch homenc.Scheme, a, b SumOperand, workers int) SumSide {
 	}
 }
 
-// AddEncryptedState homomorphically adds E(v_j · st.Omega) into st.CTs
-// in place — the "encrypted perturbation" of Algorithm 3 line 7 shape,
-// shifting the decoded estimate by exactly v.
+// AddEncryptedState homomorphically adds v_j · st.Omega into st.CTs in
+// place — the "encrypted perturbation" of Algorithm 3 line 7 shape,
+// shifting the decoded estimate by exactly v. v is public (the
+// disseminated correction travels in the clear), so it is added with
+// AddPublic: no fresh randomizer would hide anything.
 func AddEncryptedState(sch homenc.Scheme, st SumState, v []*big.Int, workers int) error {
 	if len(v) != len(st.CTs) {
 		return errors.New("eesum: dimension mismatch")
 	}
 	parallel.ForEach(workers, len(st.CTs), func(j int) {
-		scaled := new(big.Int).Mul(v[j], st.Omega)
-		st.CTs[j] = sch.Add(st.CTs[j], sch.Encrypt(scaled))
+		st.CTs[j] = sch.AddPublic(st.CTs[j], new(big.Int).Mul(v[j], st.Omega))
 	})
 	return nil
 }

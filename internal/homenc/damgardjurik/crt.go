@@ -23,7 +23,7 @@ const crtDirectExpBits = 32
 // For encryption it goes further: the randomizer factors r^(n^s) form
 // the unique cyclic subgroup of order p-1 (resp. q-1) in each half, so
 // a per-key generator plus a fixed-base comb table turn randomizer
-// sampling into ~log2(p)/4 modular multiplications with no squarings.
+// sampling into ~log2(p)/6 modular multiplications with no squarings.
 type crtContext struct {
 	p, q       *big.Int // the safe primes
 	ps1, qs1   *big.Int // p^(s+1), q^(s+1)
@@ -190,48 +190,79 @@ func generatorH(random io.Reader, p, pPowS, ps1 *big.Int) *big.Int {
 	}
 }
 
-// combWindow is the fixed-base window width: 4 bits keeps the table
-// at (bits/4)·15 entries — ≈0.25 MB per prime at the paper's 1024-bit
-// key — while replacing every squaring of a generic exponentiation
-// with a plain table-lookup multiply.
-const combWindow = 4
+// combWindow is the fixed-base window width: 6 bits keeps the table
+// at ⌈bits/6⌉·63 entries — 86·63 = 5,418 per 512-bit prime, ≈ 1 MB at
+// the paper's 1024-bit key — and replaces every squaring of a generic
+// exponentiation with one table-lookup multiply per 6 exponent bits.
+const combWindow = 6
 
 // combTable implements fixed-base modular exponentiation: tab[i][j-1]
-// holds g^(j·2^(4i)) mod m, so g^e is the product of one entry per
-// non-zero 4-bit digit of e.
+// holds g^(j·2^(6i)) mod m, so g^e is the product of one entry per
+// non-zero 6-bit digit of e. Every product it reduces has two factors
+// below m, so it reduces by Barrett's method through mu = ⌊2^(2k)/m⌋,
+// k the bit length of m, with two multiplications and no division.
 type combTable struct {
 	mod *big.Int
+	mu  *big.Int
+	k   uint
 	tab [][]*big.Int
 }
 
 func newCombTable(g, mod *big.Int, expBits int) *combTable {
 	windows := (expBits + combWindow - 1) / combWindow
-	t := &combTable{mod: mod, tab: make([][]*big.Int, windows)}
+	k := uint(mod.BitLen())
+	t := &combTable{
+		mod: mod,
+		mu:  new(big.Int).Quo(new(big.Int).Lsh(one, 2*k), mod),
+		k:   k,
+		tab: make([][]*big.Int, windows),
+	}
+	// Each entry is copied out of the scratch z, which reduce grows to
+	// twice the modulus width, so the table holds modulus-width values.
+	var z, prod, quo big.Int
 	base := new(big.Int).Set(g)
 	for i := range t.tab {
 		row := make([]*big.Int, 1<<combWindow-1)
-		row[0] = new(big.Int).Set(base)
+		row[0] = base
 		for j := 1; j < len(row); j++ {
-			v := new(big.Int).Mul(row[j-1], base)
-			row[j] = v.Mod(v, mod)
+			row[j] = new(big.Int).Set(t.reduce(&z, &quo, prod.Mul(row[j-1], base)))
 		}
 		t.tab[i] = row
 		// Next window base: base^(2^combWindow) = row[last] · base.
-		next := new(big.Int).Mul(row[len(row)-1], base)
-		base = next.Mod(next, mod)
+		base = new(big.Int).Set(t.reduce(&z, &quo, prod.Mul(row[len(row)-1], base)))
 	}
 	return t
 }
 
-// exp sets z = g^e mod m for 0 <= e < 2^(4·len(tab)) and returns z:
-// one multiplication per non-zero 4-bit digit, all through the scratch
+// reduce sets z = x mod m for 0 <= x < m² and returns z, through the
+// scratch value quo: the quotient estimate ⌊⌊x/2^(k-1)⌋·mu/2^(k+1)⌋
+// falls short of ⌊x/m⌋ by at most 2 (HAC 14.42), so at most two
+// subtractions finish it. z must not be x or quo. Only operands the
+// table itself produced qualify: a value a peer sent may exceed m², and
+// its reduction wants mod.
+func (t *combTable) reduce(z, quo, x *big.Int) *big.Int {
+	quo.Rsh(x, t.k-1)
+	z.Mul(quo, t.mu)
+	quo.Rsh(z, t.k+1)
+	z.Sub(x, z.Mul(quo, t.mod))
+	for z.Cmp(t.mod) >= 0 {
+		z.Sub(z, t.mod)
+	}
+	return z
+}
+
+// exp sets z = g^e mod m for 0 <= e < 2^(6·len(tab)) and returns z:
+// one multiplication per non-zero 6-bit digit, all through the scratch
 // values prod and quo. z must not be e.
 func (t *combTable) exp(z, prod, quo, e *big.Int) *big.Int {
 	z.SetInt64(1)
-	for i := 0; i < len(t.tab) && 4*i < e.BitLen(); i++ {
-		d := e.Bit(4*i) | e.Bit(4*i+1)<<1 | e.Bit(4*i+2)<<2 | e.Bit(4*i+3)<<3
+	for i := 0; i < len(t.tab) && combWindow*i < e.BitLen(); i++ {
+		var d uint
+		for b := combWindow - 1; b >= 0; b-- {
+			d = d<<1 | e.Bit(combWindow*i+b)
+		}
 		if d != 0 {
-			mulMod(z, prod, quo, z, t.tab[i][d-1], t.mod)
+			t.reduce(z, quo, prod.Mul(z, t.tab[i][d-1]))
 		}
 	}
 	return z

@@ -1,6 +1,7 @@
 package damgardjurik
 
 import (
+	"bytes"
 	"math/big"
 	"sync"
 	"testing"
@@ -115,39 +116,112 @@ func TestScalarMulLargeExponent(t *testing.T) {
 	}
 }
 
-// TestCombTableMatchesExp runs the comb through one result and one
-// scratch back to back, so nothing may leak from one call into the next,
-// and through fresh ones, against Exp.
-func TestCombTableMatchesExp(t *testing.T) {
-	p, _, err := KnownSafePrimes(64)
-	if err != nil {
-		t.Fatal(err)
+// combCase is a comb over a generator of H_p at degree s: modulus
+// p^(s+1), exponents below the subgroup order p-1.
+type combCase struct {
+	s        int
+	g, ord   *big.Int
+	tab      *combTable
+	expLimit *big.Int // 2^(6·windows): the comb's exponent range
+}
+
+// combCases builds combs for the 64-bit and the 512-bit test prime (the
+// paper's 1024-bit key) at s = 1, 2, 3. The 64-bit prime's order has 64
+// bits, so its top window holds 4 of its 6 bits below the order and
+// straddles the first word boundary.
+func combCases(t testing.TB) []combCase {
+	t.Helper()
+	var cases []combCase
+	for _, bits := range []int{64, 512} {
+		p, _, err := KnownSafePrimes(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ord := new(big.Int).Sub(p, one)
+		for s := 1; s <= 3; s++ {
+			pPowS := pow(p, s)
+			ps1 := new(big.Int).Mul(pPowS, p)
+			g := generatorH(nil, p, pPowS, ps1)
+			tab := newCombTable(g, ps1, ord.BitLen())
+			limit := new(big.Int).Lsh(one, uint(combWindow*len(tab.tab)))
+			cases = append(cases, combCase{s: s, g: g, ord: ord, tab: tab, expLimit: limit})
+		}
 	}
-	ps1 := new(big.Int).Mul(p, p)
-	g := generatorH(nil, p, p, ps1)
-	ord := new(big.Int).Sub(p, big.NewInt(1))
-	tab := newCombTable(g, ps1, ord.BitLen())
-	var z, prod, quo big.Int
-	check := func(es ...*big.Int) bool {
-		for _, e := range es {
-			want := new(big.Int).Exp(g, e, ps1)
-			if tab.exp(&z, &prod, &quo, e).Cmp(want) != 0 || tab.exp(new(big.Int), new(big.Int), new(big.Int), e).Cmp(want) != 0 {
-				return false
+	return cases
+}
+
+// TestCombTableMatchesExp runs the Barrett comb against Exp at s = 1, 2,
+// 3, through one result and one scratch back to back, so nothing may
+// leak from one call into the next, and through fresh ones. The edge
+// exponents: 0, 1, every digit all ones, the subgroup order less one,
+// and a lone digit at either end of the top window, which the order
+// leaves short. Barrett's reduction itself is checked against Mod at
+// the ends of its range [0, m²).
+func TestCombTableMatchesExp(t *testing.T) {
+	for _, c := range combCases(t) {
+		var z, prod, quo big.Int
+		check := func(es ...*big.Int) bool {
+			for _, e := range es {
+				want := new(big.Int).Exp(c.g, e, c.tab.mod)
+				if c.tab.exp(&z, &prod, &quo, e).Cmp(want) != 0 || c.tab.exp(new(big.Int), new(big.Int), new(big.Int), e).Cmp(want) != 0 {
+					return false
+				}
+			}
+			return true
+		}
+		top := uint(combWindow * (len(c.tab.tab) - 1))
+		edges := []*big.Int{
+			big.NewInt(0),
+			big.NewInt(1),
+			new(big.Int).Sub(c.expLimit, one),
+			new(big.Int).Sub(c.ord, one),
+			new(big.Int).Lsh(one, top),
+			new(big.Int).Lsh(one, top+combWindow-1),
+			big.NewInt(0),
+		}
+		if !check(edges...) {
+			t.Errorf("%d-bit prime, s=%d: comb disagrees with Exp at an edge exponent", c.ord.BitLen(), c.s)
+		}
+		f := func(raw, raw2 uint64) bool {
+			e := new(big.Int).Mod(new(big.Int).SetUint64(raw), c.ord)
+			e2 := new(big.Int).Lsh(new(big.Int).SetUint64(raw2), uint(c.ord.BitLen()-64))
+			return check(e, e2, e)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Errorf("%d-bit prime, s=%d: %v", c.ord.BitLen(), c.s, err)
+		}
+		m := c.tab.mod
+		sq := new(big.Int).Mul(m, m)
+		for _, x := range []*big.Int{
+			big.NewInt(0), big.NewInt(1),
+			new(big.Int).Sub(m, one), new(big.Int).Set(m), new(big.Int).Add(m, one),
+			new(big.Int).Mul(new(big.Int).Sub(m, one), new(big.Int).Sub(m, one)),
+			new(big.Int).Sub(sq, one),
+		} {
+			if got, want := c.tab.reduce(new(big.Int), new(big.Int), x), new(big.Int).Mod(x, m); got.Cmp(want) != 0 {
+				t.Errorf("%d-bit prime, s=%d: reduce(%v) = %v, want %v", c.ord.BitLen(), c.s, x, got, want)
 			}
 		}
-		return true
 	}
-	if !check(big.NewInt(0), new(big.Int).Sub(ord, big.NewInt(1)), big.NewInt(1), big.NewInt(0)) {
-		t.Error("comb disagrees with Exp at the ends of the exponent range")
-	}
-	f := func(raw, raw2 uint64) bool {
-		e := new(big.Int).Mod(new(big.Int).SetUint64(raw), ord)
-		e2 := new(big.Int).Mod(new(big.Int).SetUint64(raw2), ord)
-		return check(e, e2, e)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
+}
+
+// FuzzCombTableMatchesExp: for any exponent in the comb's range, at any
+// of combCases' primes and degrees, the Barrett comb agrees with Exp.
+func FuzzCombTableMatchesExp(f *testing.F) {
+	cases := combCases(f)
+	f.Add(uint8(0), []byte{0})
+	f.Add(uint8(1), bytes.Repeat([]byte{0xff}, 9))
+	f.Add(uint8(2), []byte{0x02, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(3), bytes.Repeat([]byte{0xa5}, 64))
+	f.Fuzz(func(t *testing.T, pick uint8, raw []byte) {
+		c := cases[int(pick)%len(cases)]
+		e := new(big.Int).SetBytes(raw)
+		e.Mod(e, c.expLimit)
+		var z, prod, quo big.Int
+		if got, want := c.tab.exp(&z, &prod, &quo, e), new(big.Int).Exp(c.g, e, c.tab.mod); got.Cmp(want) != 0 {
+			t.Fatalf("%d-bit prime, s=%d, e=%v: comb = %v, want %v", c.ord.BitLen(), c.s, e, got, want)
+		}
+	})
 }
 
 // lcgReader is a trivially deterministic entropy source: two instances

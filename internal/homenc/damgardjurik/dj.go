@@ -315,6 +315,13 @@ func (s *Scheme) Add(a, b homenc.Ciphertext) homenc.Ciphertext {
 	return homenc.Ciphertext{V: mod(z, &quo, z, s.NS1)}
 }
 
+// AddPublic implements homenc.Scheme: E(a) +h m = E(a)·(1+n)^m mod
+// n^(s+1), the addition of m encrypted with randomizer 1. The result
+// keeps a's randomizer: anyone holding a and m computes it.
+func (s *Scheme) AddPublic(a homenc.Ciphertext, m *big.Int) homenc.Ciphertext {
+	return s.Add(a, homenc.Ciphertext{V: s.powOnePlusN(m)})
+}
+
 // MergeVec implements homenc.Scheme: a[i]^(2^shift)·b[i] mod n^(s+1).
 // Every result is below the modulus, so the image is sized at modulus
 // width up front; the vector's exponentiations fan out over at most

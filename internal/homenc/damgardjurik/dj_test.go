@@ -68,6 +68,42 @@ func TestHomomorphicAddQuick(t *testing.T) {
 	}
 }
 
+// TestAddPublicMatchesPlaintextSum: adding a public plaintext shifts the
+// decryption by it modulo n^s — for negative values, zero, and values at
+// and past the plaintext space — at s = 1, 2, 3, with the factorization
+// and without it. The result is c·(1+n)^m mod n^(s+1) exactly: a
+// function of the ciphertext and the plaintext alone, which any holder
+// of both computes.
+func TestAddPublicMatchesPlaintextSum(t *testing.T) {
+	for _, s := range []int{1, 2, 3} {
+		for _, crt := range []bool{true, false} {
+			sch := thresholdScheme(t, s, 4, crt)
+			c := sch.Encrypt(big.NewInt(987654321))
+			base := sch.Decrypt(c)
+			onePlusN := new(big.Int).Add(sch.N, one)
+			for _, m := range []*big.Int{
+				big.NewInt(-1),
+				big.NewInt(-123456789),
+				new(big.Int).Neg(sch.NS),
+				big.NewInt(0),
+				new(big.Int).Set(sch.NS),
+				new(big.Int).Add(sch.NS, big.NewInt(5)),
+				new(big.Int).Mul(sch.NS1, big.NewInt(3)),
+			} {
+				got := sch.AddPublic(c, m)
+				mr := new(big.Int).Mod(m, sch.NS)
+				if want := new(big.Int).Add(base, mr); sch.Decrypt(got).Cmp(want.Mod(want, sch.NS)) != 0 {
+					t.Errorf("s=%d crt=%v m=%v: Decrypt(AddPublic) = %v, want %v", s, crt, m, sch.Decrypt(got), want)
+				}
+				want := new(big.Int).Exp(onePlusN, mr, sch.NS1)
+				if want.Mod(want.Mul(want, c.V), sch.NS1); got.V.Cmp(want) != 0 {
+					t.Errorf("s=%d crt=%v m=%v: AddPublic = %v, want c·(1+n)^m = %v", s, crt, m, got.V, want)
+				}
+			}
+		}
+	}
+}
+
 func TestScalarMulQuick(t *testing.T) {
 	sch := testScheme(t, 128, 1)
 	f := func(a uint16, k uint8) bool {

@@ -65,6 +65,12 @@ type Scheme interface {
 	Encrypt(m *big.Int) Ciphertext
 	// Add returns a +h b.
 	Add(a, b Ciphertext) Ciphertext
+	// AddPublic returns a +h m for a plaintext m every participant
+	// holds (which may be negative; it is reduced into the plaintext
+	// space), drawing no randomness: the result keeps a's randomizer.
+	// Anyone holding a and m can compute it, so it hides nothing a does
+	// not; a value that must stay secret goes through Encrypt and Add.
+	AddPublic(a Ciphertext, m *big.Int) Ciphertext
 	// ScalarMul returns k ·h a for a non-negative integer k.
 	ScalarMul(a Ciphertext, k *big.Int) Ciphertext
 	// MergeVec returns the vector 2^shift ·h a[i] +h b[i] — the whole

@@ -115,6 +115,12 @@ func (s *Scheme) Add(a, b homenc.Ciphertext) homenc.Ciphertext {
 	return homenc.Ciphertext{V: z}
 }
 
+// AddPublic implements homenc.Scheme: Add(a, Encrypt(m)), whose
+// stand-in encryption draws nothing either.
+func (s *Scheme) AddPublic(a homenc.Ciphertext, m *big.Int) homenc.Ciphertext {
+	return s.Add(a, homenc.Ciphertext{V: m})
+}
+
 // MergeVec implements homenc.Scheme. An element costs a shift and an
 // addition, so the kernel runs serial whatever workers allows. A first
 // pass over the operands' lengths sizes the result image and one scratch

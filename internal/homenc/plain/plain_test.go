@@ -44,6 +44,25 @@ func TestModularSpace(t *testing.T) {
 	}
 }
 
+// TestAddPublicIsAddOfEncrypt: the stand-in's public add is the
+// arithmetic of Add(a, Encrypt(m)), with and without a plaintext space,
+// for negative values, zero and values at and past the space.
+func TestAddPublicIsAddOfEncrypt(t *testing.T) {
+	for _, space := range []*big.Int{nil, big.NewInt(97)} {
+		s, err := New(space, 0, 3, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := s.Encrypt(big.NewInt(40))
+		for _, m := range []int64{-1, -200, 0, 96, 97, 1000} {
+			got := s.AddPublic(a, big.NewInt(m))
+			if want := s.Add(a, s.Encrypt(big.NewInt(m))); got.V.Cmp(want.V) != 0 {
+				t.Errorf("space %v, m=%d: AddPublic = %v, Add(a, Encrypt(m)) = %v", space, m, got.V, want.V)
+			}
+		}
+	}
+}
+
 func TestThresholdBookkeeping(t *testing.T) {
 	s, err := New(nil, 0, 5, 3)
 	if err != nil {
