@@ -26,7 +26,9 @@ var (
 	ErrBadK = errors.New("chiaroscuro: negative cluster count")
 	// ErrBadEpsilon rejects a privacy budget that is not positive and
 	// finite in a mode that perturbs releases (every mode but
-	// Centralized; CentralizedDP accepts a Budget instead).
+	// Centralized; CentralizedDP accepts a Budget instead), and, in the
+	// distributed modes, a Budget that plans more than Epsilon over
+	// MaxIterations.
 	ErrBadEpsilon = errors.New("chiaroscuro: privacy budget must be positive and finite")
 	// ErrBadRange rejects DMin > DMax (or NaN bounds): the measure range
 	// calibrates the Laplace sensitivity and must be a real interval.

@@ -119,21 +119,16 @@ type Config struct {
 	InitCentroids []timeseries.Series // C_init (data-independent seeds)
 	DMin, DMax    float64             // per-measure range (Sum sensitivity)
 
-	Epsilon  float64   // total privacy budget ε (paper: ln 2)
-	Budget   dp.Budget // concentration strategy (default Greedy{ε})
-	SumShare float64   // per-iteration ε split between sums and counts
+	Epsilon float64   // total privacy budget ε (paper: ln 2)
+	Budget  dp.Budget // concentration strategy (default Greedy{ε})
 
 	MaxIterations int     // n_it^max (default 10)
-	Threshold     float64 // θ convergence threshold (0 = run all iterations)
+	Threshold     float64 // θ convergence threshold (0: stop only at an exact fixpoint)
 
-	Smooth      bool    // SMA smoothing (Section 5.2)
-	SMAFraction float64 // window fraction (default 0.2)
-	CountFloor  float64 // aberrant filter on perturbed counts (default 1)
-	RangeSlack  float64 // aberrant filter slack (default 1)
+	Smooth bool // SMA smoothing (Section 5.2)
 
-	NoiseShares int     // nν (default: population size)
-	Exchanges   int     // ne gossip cycles per sum phase (default: Theorem 3)
-	EmaxTarget  float64 // gossip error target for the Theorem 3 default (default 1e-6)
+	NoiseShares int // nν (default: population size)
+	Exchanges   int // ne gossip cycles per sum phase (default: Theorem 3, at emaxTarget)
 
 	FracBits uint   // fixed-point fractional bits (default homenc.DefaultFracBits)
 	Seed     uint64 // simulation seed
@@ -297,17 +292,8 @@ func (cfg Config) Normalize(np int) Config {
 	if cfg.NoiseShares <= 0 {
 		cfg.NoiseShares = np
 	}
-	if cfg.EmaxTarget <= 0 {
-		cfg.EmaxTarget = 1e-6
-	}
 	if cfg.Exchanges <= 0 {
-		cfg.Exchanges = dp.Theorem3Exchanges(np, 1, cfg.EmaxTarget, 0.005)
-	}
-	if cfg.CountFloor == 0 {
-		cfg.CountFloor = 1
-	}
-	if cfg.RangeSlack == 0 {
-		cfg.RangeSlack = 1
+		cfg.Exchanges = dp.Theorem3Exchanges(np, 1, emaxTarget, 0.005)
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = parallel.Workers()
@@ -444,38 +430,21 @@ func (nw *Network) Run() (*Result, error) {
 // and decryption phase loops, so a cancelled run returns ctx.Err()
 // promptly even mid-phase.
 func (nw *Network) RunContext(ctx context.Context) (*Result, error) {
-	centroids := kmeans.Compact(nw.cfg.InitCentroids)
 	res := &Result{}
-	for it := 1; it <= nw.cfg.MaxIterations; it++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		epsIter := nw.cfg.Budget.Epsilon(it)
-		if epsIter <= 0 {
-			break // privacy budget exhausted
-		}
-		if err := nw.acct.Spend(epsIter); err != nil {
-			return nil, err
-		}
+	loop := kmeans.Loop{MaxIterations: nw.cfg.MaxIterations, Threshold: nw.cfg.Threshold, Budget: nw.cfg.Budget, Acct: nw.acct}
+	out, err := loop.Run(ctx, 1, kmeans.Compact(nw.cfg.InitCentroids), func(it int, cur []timeseries.Series, epsIter float64) ([]timeseries.Series, bool, error) {
 		nw.curIter = it
-		trace, next, err := nw.iterate(ctx, it, centroids, epsIter)
+		trace, next, err := nw.iterate(ctx, it, cur, epsIter)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		res.TotalEpsilon += epsIter
 		res.Traces = append(res.Traces, *trace)
-		if len(next) == 0 {
-			break // noise overwhelmed every centroid
-		}
-		if nw.cfg.Threshold > 0 && len(next) == len(centroids) &&
-			kmeans.MaxShift(centroids, next) <= nw.cfg.Threshold {
-			centroids = next
-			res.Converged = true
-			break
-		}
-		centroids = next
+		return next, false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.Centroids = centroids
+	res.Centroids, res.TotalEpsilon, res.Converged = out.Centroids, out.Epsilon, out.Converged
 	res.AvgMessages = nw.engine.AvgMessages()
 	res.AvgBytes = nw.engine.AvgBytes()
 	return res, nil
@@ -562,7 +531,7 @@ func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.S
 	// cluster's release prices them all); each participant draws its
 	// noise-shares from its own stream.
 	noise := eesum.NoiseConfig{
-		Lambdas: NoiseLambdas(k, n, epsIter, nw.cfg.SumShare, nw.cfg.DMin, nw.cfg.DMax),
+		Lambdas: NoiseLambdas(k, n, epsIter, nw.cfg.DMin, nw.cfg.DMax),
 		NShares: nw.cfg.NoiseShares,
 	}
 	streams := eesum.NodeNoiseStreams(nw.rng, nw.np)
@@ -619,7 +588,7 @@ func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.S
 		if err != nil {
 			return nil, nil, err
 		}
-		perCentroids[i] = nw.postprocess(vals, k, n)
+		perCentroids[i] = Postprocess(vals, k, n, nw.cfg)
 	}
 	if nw.tamper != nil {
 		nw.tamper(perCentroids)
@@ -641,25 +610,16 @@ func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.S
 	return trace, next, nil
 }
 
-// postprocess turns a decoded k·(n+1) value vector into centroids.
-func (nw *Network) postprocess(vals []float64, k, n int) []timeseries.Series {
-	return Postprocess(vals, k, n, PostprocessParams{
-		DMin: nw.cfg.DMin, DMax: nw.cfg.DMax,
-		RangeSlack: nw.cfg.RangeSlack, CountFloor: nw.cfg.CountFloor,
-		Smooth: nw.cfg.Smooth, SMAFraction: nw.cfg.SMAFraction,
-	})
-}
-
-// PostprocessParams carries the convergence-step knobs of Section 5.2
-// and footnote 8, shared between the simulated Network and the
-// networked peer runtime.
-type PostprocessParams struct {
-	DMin, DMax  float64
-	RangeSlack  float64 // aberrant filter slack (fraction of the range width)
-	CountFloor  float64 // aberrant filter on perturbed counts
-	Smooth      bool
-	SMAFraction float64
-}
+// The convergence-step constants of Section 5.2 and footnote 8, and the
+// gossip error target of the Theorem 3 exchange default. They are the
+// same in every deployment, so no two participants can disagree on them.
+const (
+	sumShare    = 0.5  // share of an iteration's ε spent on the sums; the counts get the rest
+	smaFraction = 0.2  // SMA window as a fraction of the series length
+	countFloor  = 1    // a perturbed count below this makes its mean lost
+	rangeSlack  = 1    // a mean is aberrant outside [DMin, DMax] widened by this many range widths
+	emaxTarget  = 1e-6 // relative gossip error target (Theorem 3)
+)
 
 // BuildContribution is the assignment step every participant runs
 // locally: assign row to the closest live centroid and build the
@@ -696,7 +656,7 @@ func BuildContribution(row timeseries.Series, centroids []timeseries.Series, cod
 // them (disjoint clusters compose in parallel, so one cluster's release
 // prices them all). Shared between the simulated Network and the
 // networked peer runtime, which must derive identical scales.
-func NoiseLambdas(k, n int, epsIter, sumShare, dmin, dmax float64) []float64 {
+func NoiseLambdas(k, n int, epsIter, dmin, dmax float64) []float64 {
 	epsSum, epsCount := dp.SplitIteration(epsIter, sumShare)
 	sens := dp.SumSensitivity(n, dmin, dmax)
 	lambdas := make([]float64, k*(n+1))
@@ -712,31 +672,28 @@ func NoiseLambdas(k, n int, epsIter, sumShare, dmin, dmax float64) []float64 {
 
 // Postprocess turns a decoded k·(n+1) value vector into centroids:
 // divide sums by counts, smooth, and apply the aberrant filters
-// (Section 5.2 and footnote 8). Lost or aberrant means come back nil.
-func Postprocess(vals []float64, k, n int, p PostprocessParams) []timeseries.Series {
+// (Section 5.2 and footnote 8), with cfg's range and smoothing. Lost or
+// aberrant means come back nil.
+func Postprocess(vals []float64, k, n int, cfg Config) []timeseries.Series {
 	out := make([]timeseries.Series, k)
-	rangeWidth := p.DMax - p.DMin
-	lo := p.DMin - p.RangeSlack*rangeWidth
-	hi := p.DMax + p.RangeSlack*rangeWidth
+	rangeWidth := cfg.DMax - cfg.DMin
+	lo := cfg.DMin - rangeSlack*rangeWidth
+	hi := cfg.DMax + rangeSlack*rangeWidth
 	var window int
-	if p.Smooth {
-		frac := p.SMAFraction
-		if frac <= 0 {
-			frac = 0.2
-		}
-		window = int(math.Round(frac * float64(n)))
+	if cfg.Smooth {
+		window = int(math.Round(smaFraction * float64(n)))
 	}
 	for c := 0; c < k; c++ {
 		base := c * (n + 1)
 		count := vals[base+n]
-		if count < p.CountFloor {
+		if count < countFloor {
 			continue // lost mean
 		}
 		mean := make(timeseries.Series, n)
 		for j := 0; j < n; j++ {
 			mean[j] = vals[base+j] / count
 		}
-		if p.Smooth && window > 0 {
+		if window > 0 {
 			mean = mean.SMA(window)
 		}
 		if !mean.InRange(lo, hi) {

@@ -204,21 +204,30 @@ func TotalSpent(b Budget, maxIt int) float64 {
 }
 
 // Accountant tracks cumulative ε spending and enforces the global cap.
-// It is used by the perturbed k-means driver so a buggy strategy can
-// never silently overrun the budget.
+// The clustering loop (kmeans.Loop) charges every release to one, so a
+// buggy strategy can never silently overrun the budget.
 type Accountant struct {
 	Cap   float64
 	spent float64
 }
 
-// Spend consumes eps from the budget; it returns an error if the cap
-// would be exceeded (beyond a tiny float tolerance).
-func (a *Accountant) Spend(eps float64) error {
+// Check returns the error Spend(eps) would, without spending: check
+// before a release, spend once something was released.
+func (a *Accountant) Check(eps float64) error {
 	if eps < 0 {
 		return errors.New("dp: negative spend")
 	}
 	if a.spent+eps > a.Cap*(1+1e-9) {
 		return fmt.Errorf("dp: budget exceeded: spent %.6g + %.6g > cap %.6g", a.spent, eps, a.Cap)
+	}
+	return nil
+}
+
+// Spend consumes eps from the budget; it returns an error if the cap
+// would be exceeded (beyond a tiny float tolerance).
+func (a *Accountant) Spend(eps float64) error {
+	if err := a.Check(eps); err != nil {
+		return err
 	}
 	a.spent += eps
 	return nil

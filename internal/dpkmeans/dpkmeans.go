@@ -31,7 +31,7 @@ type Config struct {
 	Smooth        bool                // apply SMA smoothing to perturbed means (Section 5.2)
 	SMAFraction   float64             // window as a fraction of the series length (paper: 0.2)
 	MaxIterations int                 // n_it^max (paper: 10, or 5 for UF(5))
-	Threshold     float64             // θ convergence threshold (0 = run all iterations)
+	Threshold     float64             // θ convergence threshold (0: stop only at an exact fixpoint)
 	CountFloor    float64             // perturbed counts below this make the mean aberrant (default 1)
 	RangeSlack    float64             // aberrant if a measure leaves [DMin-slack*R, DMax+slack*R] (default 1)
 	Churn         float64             // per-iteration probability that a series is disconnected
@@ -126,30 +126,13 @@ func RunContext(ctx context.Context, d *timeseries.Dataset, cfg Config) (*Result
 	if maxIt <= 0 {
 		maxIt = 10
 	}
+	loop := kmeans.Loop{MaxIterations: maxIt, Threshold: cfg.Threshold, Budget: cfg.Budget}
+	mech := &dp.Mechanism{
+		Sensitivity: dp.SumSensitivity(d.Dim(), cfg.DMin, cfg.DMax),
+		RNG:         cfg.RNG,
+	}
 	if cfg.Budget != nil {
-		if cap := cfg.Budget.MaxIterations(); cap > 0 && cap < maxIt {
-			maxIt = cap
-		}
-	}
-	countFloor := cfg.CountFloor
-	if countFloor == 0 {
-		countFloor = 1
-	}
-	slack := cfg.RangeSlack
-	if slack == 0 {
-		slack = 1
-	}
-	rangeWidth := cfg.DMax - cfg.DMin
-	lo, hi := cfg.DMin-slack*rangeWidth, cfg.DMax+slack*rangeWidth
-
-	var mech *dp.Mechanism
-	var acct *dp.Accountant
-	if cfg.Budget != nil {
-		mech = &dp.Mechanism{
-			Sensitivity: dp.SumSensitivity(d.Dim(), cfg.DMin, cfg.DMax),
-			RNG:         cfg.RNG,
-		}
-		acct = &dp.Accountant{Cap: totalCap(cfg.Budget, maxIt)}
+		loop.Acct = &dp.Accountant{Cap: dp.TotalSpent(cfg.Budget, maxIt)}
 	}
 
 	res := &Result{}
@@ -165,20 +148,17 @@ func RunContext(ctx context.Context, d *timeseries.Dataset, cfg Config) (*Result
 	}
 	var prevInter float64
 	drops := 0
-	for it := 1; it <= maxIt; it++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	out, err := loop.Run(ctx, 1, centroids, func(it int, cur []timeseries.Series, epsIter float64) ([]timeseries.Series, bool, error) {
 		active := d
 		if cfg.Churn > 0 {
 			active = churnSubset(d, cfg.Churn, cfg.RNG)
 			if active.Len() == 0 {
-				break
+				return nil, false, nil // nobody left to release
 			}
 		}
-		a, err := kmeans.Assign(active, centroids)
+		a, err := kmeans.Assign(active, cur)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		exactMeans := a.Means()
 		pre := a.InertiaAgainst(exactMeans)
@@ -186,7 +166,8 @@ func RunContext(ctx context.Context, d *timeseries.Dataset, cfg Config) (*Result
 		stats := IterationStats{
 			Iteration:    it,
 			PreInertia:   pre,
-			CentroidsIn:  len(centroids),
+			CentroidsIn:  len(cur),
+			EpsilonSpent: epsIter,
 			ActiveSeries: active.Len(),
 		}
 
@@ -195,17 +176,7 @@ func RunContext(ctx context.Context, d *timeseries.Dataset, cfg Config) (*Result
 			next = kmeans.Compact(exactMeans)
 			stats.PostInertia = pre
 		} else {
-			epsIter := cfg.Budget.Epsilon(it)
-			if epsIter <= 0 {
-				break // budget exhausted: stop releasing
-			}
-			if err := acct.Spend(epsIter); err != nil {
-				return nil, err
-			}
-			stats.EpsilonSpent = epsIter
-			res.TotalEpsilon += epsIter
-			epsSum, epsCount := dp.SplitIteration(epsIter, cfg.SumShare)
-			perturbed, pCounts := perturbMeans(a, mech, epsSum, epsCount, cfg, lo, hi, countFloor)
+			perturbed, pCounts := perturbMeans(a, mech, epsIter, cfg)
 			stats.PostInertia = a.InertiaAgainst(perturbed)
 			if cfg.StopOnQualityDrop {
 				stats.InterInertia = interInertia(perturbed, pCounts, globalCenter)
@@ -224,30 +195,23 @@ func RunContext(ctx context.Context, d *timeseries.Dataset, cfg Config) (*Result
 			}
 			res.History = append(res.History, hist)
 		}
-		if len(next) == 0 {
-			break // every mean became aberrant: noise overwhelmed the centroids
+		if !cfg.StopOnQualityDrop || cfg.Budget == nil {
+			return next, false, nil
 		}
-		if cfg.StopOnQualityDrop && cfg.Budget != nil {
-			if it > 1 && stats.InterInertia < prevInter {
-				drops++
-				if drops >= patience {
-					centroids = next
-					break // quality started dropping: the noise is winning
-				}
-			} else {
-				drops = 0
-			}
-			prevInter = stats.InterInertia
+		// Footnote 9: stop once quality has dropped patience times in a
+		// row — the noise is winning.
+		if it > 1 && stats.InterInertia < prevInter {
+			drops++
+		} else {
+			drops = 0
 		}
-		if cfg.Threshold > 0 && len(next) == len(centroids) &&
-			kmeans.MaxShift(centroids, next) <= cfg.Threshold {
-			centroids = next
-			res.Converged = true
-			break
-		}
-		centroids = next
+		prevInter = stats.InterInertia
+		return next, drops >= patience, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.Centroids = centroids
+	res.Centroids, res.TotalEpsilon, res.Converged = out.Centroids, out.Epsilon, out.Converged
 	return res, nil
 }
 
@@ -279,9 +243,17 @@ func interInertia(means []timeseries.Series, counts []float64, g timeseries.Seri
 // perturbMeans releases the per-cluster (sum, count) pairs through the
 // Laplace mechanism, divides, smooths, and filters aberrant means,
 // mirroring lines 7–12 of Algorithm 3.
-func perturbMeans(a *kmeans.Assignment, mech *dp.Mechanism, epsSum, epsCount float64,
-	cfg Config, lo, hi, countFloor float64) ([]timeseries.Series, []float64) {
-
+func perturbMeans(a *kmeans.Assignment, mech *dp.Mechanism, epsIter float64, cfg Config) ([]timeseries.Series, []float64) {
+	epsSum, epsCount := dp.SplitIteration(epsIter, cfg.SumShare)
+	countFloor, slack := cfg.CountFloor, cfg.RangeSlack
+	if countFloor == 0 {
+		countFloor = 1
+	}
+	if slack == 0 {
+		slack = 1
+	}
+	rangeWidth := cfg.DMax - cfg.DMin
+	lo, hi := cfg.DMin-slack*rangeWidth, cfg.DMax+slack*rangeWidth
 	k := len(a.Sums)
 	out := make([]timeseries.Series, k)
 	outCounts := make([]float64, k)
@@ -327,10 +299,4 @@ func churnSubset(d *timeseries.Dataset, churn float64, rng *randx.RNG) *timeseri
 		}
 	}
 	return d.Subset(keep)
-}
-
-// totalCap computes the exact amount a strategy will request over maxIt
-// iterations, so the accountant enforces it strictly.
-func totalCap(b dp.Budget, maxIt int) float64 {
-	return dp.TotalSpent(b, maxIt)
 }

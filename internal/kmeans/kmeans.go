@@ -3,6 +3,10 @@
 // Definition 1. It is both the non-private baseline ("No perturbation" in
 // Figures 2–3) and the computational core reused by the perturbed variant
 // in package dpkmeans.
+//
+// Loop, Algorithm 1 written once, drives every mode over its own release
+// source: Run's exact means, dpkmeans' Laplace-perturbed ones, a
+// core.Network iteration, a networked node's.
 package kmeans
 
 import (
@@ -10,6 +14,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"chiaroscuro/internal/timeseries"
@@ -164,10 +169,7 @@ func (a *Assignment) Means() []timeseries.Series {
 // the squared distance to the assigned centroid.
 func IntraInertia(d *timeseries.Dataset, centroids []timeseries.Series) (float64, error) {
 	live := Compact(centroids)
-	if len(live) == 0 {
-		return 0, ErrNoCentroids
-	}
-	a, err := Assign(d, live)
+	a, err := Assign(d, live) // ErrNoCentroids when none is live
 	if err != nil {
 		return 0, err
 	}
@@ -179,10 +181,7 @@ func IntraInertia(d *timeseries.Dataset, centroids []timeseries.Series) (float64
 // global center of mass g.
 func InterInertia(d *timeseries.Dataset, centroids []timeseries.Series) (float64, error) {
 	live := Compact(centroids)
-	if len(live) == 0 {
-		return 0, ErrNoCentroids
-	}
-	a, err := Assign(d, live)
+	a, err := Assign(d, live) // ErrNoCentroids when none is live
 	if err != nil {
 		return 0, err
 	}
@@ -194,8 +193,12 @@ func InterInertia(d *timeseries.Dataset, centroids []timeseries.Series) (float64
 	return q, nil
 }
 
-// Compact drops nil (lost) centroids, preserving order.
+// Compact drops nil (lost) centroids, preserving order. A set with no
+// nil entry comes back as is, not copied.
 func Compact(centroids []timeseries.Series) []timeseries.Series {
+	if !slices.ContainsFunc(centroids, func(c timeseries.Series) bool { return c == nil }) {
+		return centroids
+	}
 	out := centroids[:0:0]
 	for _, c := range centroids {
 		if c != nil {
@@ -223,7 +226,6 @@ func MaxShift(old, new []timeseries.Series) float64 {
 
 // Config parametrizes a centralized k-means run.
 type Config struct {
-	K             int                 // number of clusters (only used by seeding helpers)
 	InitCentroids []timeseries.Series // C_init; required
 	Threshold     float64             // θ convergence threshold on MaxShift
 	MaxIterations int                 // n_it^max safety bound (Section 4.2.4)
@@ -264,48 +266,35 @@ func RunContext(ctx context.Context, d *timeseries.Dataset, cfg Config) (*Result
 	if d.Len() == 0 {
 		return nil, errors.New("kmeans: empty dataset")
 	}
-	centroids := Compact(cfg.InitCentroids)
-	if len(centroids) == 0 {
-		return nil, ErrNoCentroids
-	}
 	maxIt := cfg.MaxIterations
 	if maxIt <= 0 {
 		maxIt = 100
 	}
 	res := &Result{}
-	for it := 1; it <= maxIt; it++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		a, err := Assign(d, centroids)
-		if err != nil {
-			return nil, err
-		}
-		means := Compact(a.Means())
-		if len(means) == 0 {
-			// All clusters lost: cannot happen with non-empty data, but be safe.
-			res.Centroids = centroids
-			return res, nil
-		}
-		shift := MaxShift(centroids, means)
-		stats := IterationStats{
-			Iteration:    it,
-			IntraInertia: a.SSE / float64(d.Len()),
-			Centroids:    len(centroids),
-			Shift:        shift,
-		}
-		res.Stats = append(res.Stats, stats)
-		if cfg.OnIteration != nil {
-			cfg.OnIteration(stats, means)
-		}
-		converged := len(means) == len(centroids) && shift <= cfg.Threshold
-		centroids = means
-		if converged {
-			res.Converged = true
-			break
-		}
+	// No live seed fails the first Assign with ErrNoCentroids.
+	out, err := Loop{MaxIterations: maxIt, Threshold: cfg.Threshold}.Run(ctx, 1, Compact(cfg.InitCentroids),
+		func(it int, cur []timeseries.Series, _ float64) ([]timeseries.Series, bool, error) {
+			a, err := Assign(d, cur)
+			if err != nil {
+				return nil, false, err
+			}
+			means := Compact(a.Means())
+			stats := IterationStats{
+				Iteration:    it,
+				IntraInertia: a.SSE / float64(d.Len()),
+				Centroids:    len(cur),
+				Shift:        MaxShift(cur, means),
+			}
+			res.Stats = append(res.Stats, stats)
+			if cfg.OnIteration != nil {
+				cfg.OnIteration(stats, means)
+			}
+			return means, false, nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	res.Centroids = centroids
+	res.Centroids, res.Converged = out.Centroids, out.Converged
 	return res, nil
 }
 

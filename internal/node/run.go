@@ -16,10 +16,13 @@ import (
 // full clustering protocol to completion, returning this participant's
 // own released view.
 //
-// The iteration schedule is fixed (Exchanges + DissCycles +
-// DecryptCycles per iteration, MaxIterations iterations or until the
-// budget runs dry): with no global observer, participants stay in
-// lockstep by construction rather than by agreement. The first
+// kmeans.Loop decides how many iterations run and charges each to the
+// node's accountant; the node is its release source: it journals each
+// iteration boundary and hands back its full slot layout, lost means as
+// nil slots. A resumed node re-enters the loop at its journaled
+// iteration. The schedule is fixed (Exchanges + DissCycles +
+// DecryptCycles per iteration): with no global observer, participants
+// stay in lockstep by construction rather than by agreement. The first
 // iteration's released centroids are bit-identical to the in-memory
 // simulator at the same seed and parameters; from the second iteration
 // on each participant continues from its own decoded view (the
@@ -68,12 +71,9 @@ func (nd *Node) RunContext(ctx context.Context) (*Result, error) {
 		nd.resumeSweep()
 		startIter = rz.iter
 		centroids = rz.centroids
-		res.TotalEpsilon = rz.totalBefore
 		res.Traces = append(res.Traces, rz.traces...)
-		if rz.totalBefore > 0 {
-			if err := nd.acct.Spend(rz.totalBefore); err != nil {
-				return nil, err
-			}
+		if err := nd.acct.Spend(rz.totalBefore); err != nil {
+			return nil, err
 		}
 		perIter := nd.cfg.Proto.Exchanges + nd.cfg.Proto.DissCycles + nd.cfg.Proto.DecryptCycles
 		for i := 0; i < (startIter-1)*perIter; i++ {
@@ -83,17 +83,8 @@ func (nd *Node) RunContext(ctx context.Context) (*Result, error) {
 			eesum.NodeNoiseStream(nd.protoRNG, nd.cfg.N, -1)
 		}
 	}
-	for it := startIter; it <= nd.cfg.Proto.MaxIterations; it++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		epsIter := nd.cfg.Proto.Budget.Epsilon(it)
-		if epsIter <= 0 {
-			break // privacy budget exhausted
-		}
-		if err := nd.acct.Spend(epsIter); err != nil {
-			return nil, err
-		}
+	loop := kmeans.Loop{MaxIterations: nd.cfg.Proto.MaxIterations, Budget: nd.cfg.Proto.Budget, Acct: nd.acct}
+	out, err := loop.Run(ctx, startIter, centroids, func(it int, cur []timeseries.Series, epsIter float64) ([]timeseries.Series, bool, error) {
 		nd.iterNow.Store(int64(it))
 		// Journal the iteration boundary — except when resuming into
 		// this very iteration, whose record (and checkpoints) the
@@ -102,37 +93,36 @@ func (nd *Node) RunContext(ctx context.Context) (*Result, error) {
 		// exchanges.
 		if nd.state != nil && (rz == nil || it != rz.iter) {
 			if err := nd.state.saveIteration(iterationRecord{
-				iter: it, epsIter: epsIter, totalBefore: res.TotalEpsilon,
-				centroids: centroids, traces: res.Traces, counters: nd.counters.Snapshot(),
+				iter: it, epsIter: epsIter, totalBefore: nd.acct.Spent(),
+				centroids: cur, traces: res.Traces, counters: nd.counters.Snapshot(),
 			}); err != nil {
-				return nil, fmt.Errorf("node %d: journal write failed: %w", nd.cfg.Index, err)
+				return nil, false, fmt.Errorf("node %d: journal write failed: %w", nd.cfg.Index, err)
 			}
 		}
 		var rzIter *resumePoint
 		if rz != nil && it == rz.iter && rz.pos != nil {
 			rzIter = rz
 		}
-		trace, next, err := nd.iterate(it, centroids, epsIter, rzIter)
+		trace, next, err := nd.iterate(it, cur, epsIter, rzIter)
 		if err != nil {
 			if jerr := nd.journalErr(); jerr != nil {
-				return nil, jerr
+				return nil, false, jerr
 			}
-			return nil, ctxErr(ctx, err)
+			return nil, false, ctxErr(ctx, err)
 		}
-		res.TotalEpsilon += epsIter
 		res.Traces = append(res.Traces, *trace)
-		if len(kmeans.Compact(next)) == 0 {
-			break // noise overwhelmed every centroid in this node's view
-		}
-		// Keep the full slot layout (lost means stay nil): participants
+		// The full slot layout goes on (lost means stay nil): participants
 		// may disagree on which slots died, but the protocol dimensions
 		// stay population-wide constants.
-		centroids = next
+		return next, false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res.Centroids = kmeans.Compact(centroids)
+	res.Centroids, res.TotalEpsilon = out.Centroids, nd.acct.Spent()
 	res.AvgMessages = nd.sched.AvgMessages()
 	res.AvgBytes = nd.sched.AvgBytes()
 	res.Counters = nd.counters.Snapshot()
@@ -169,7 +159,7 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 	// draws, so a resumed iteration derives it too.
 	myStream := eesum.NodeNoiseStream(nd.protoRNG, nd.cfg.N, nd.cfg.Index)
 	noise := eesum.NoiseConfig{
-		Lambdas: core.NoiseLambdas(k, n, epsIter, nd.cfg.Proto.SumShare, nd.cfg.Proto.DMin, nd.cfg.Proto.DMax),
+		Lambdas: core.NoiseLambdas(k, n, epsIter, nd.cfg.Proto.DMin, nd.cfg.Proto.DMax),
 		NShares: nd.cfg.Proto.NoiseShares,
 	}
 	var st *iterState
@@ -222,11 +212,7 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 	}
 
 	// --- Convergence step (local).
-	next := core.Postprocess(vals, k, n, core.PostprocessParams{
-		DMin: nd.cfg.Proto.DMin, DMax: nd.cfg.Proto.DMax,
-		RangeSlack: nd.cfg.Proto.RangeSlack, CountFloor: nd.cfg.Proto.CountFloor,
-		Smooth: nd.cfg.Proto.Smooth, SMAFraction: nd.cfg.Proto.SMAFraction,
-	})
+	next := core.Postprocess(vals, k, n, nd.cfg.Proto)
 	released := kmeans.Compact(next)
 	trace.CentroidsOut = len(released)
 	if hook := nd.cfg.Proto.Observer.Iteration; hook != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"chiaroscuro/internal/core"
+	"chiaroscuro/internal/dp"
 	"chiaroscuro/internal/dpkmeans"
 	"chiaroscuro/internal/kmeans"
 	"chiaroscuro/internal/mux"
@@ -87,7 +88,8 @@ type Options struct {
 	// MaxIterations bounds the run (default 10, the paper's n_it^max).
 	MaxIterations int
 	// Threshold is the θ convergence bound on centroid movement
-	// (0 = run all iterations; must be 0 in Networked mode).
+	// (0 stops only at an exact fixpoint, which no perturbed release
+	// reaches; must be 0 in Networked mode).
 	Threshold float64
 	// Smooth enables the circular moving-average smoothing of the
 	// released means (Section 5.2).
@@ -405,6 +407,9 @@ func validateOptions(d *Dataset, o *Options) error {
 	if o.FaultPolicy.MaxRetries < 0 || o.FaultPolicy.Backoff < 0 || o.FaultPolicy.SuspicionK < 0 {
 		return fmt.Errorf("%w: %+v", ErrBadFaultPolicy, o.FaultPolicy)
 	}
+	if o.MaxIterations == 0 {
+		o.MaxIterations = 10
+	}
 	badEps := !(o.Epsilon > 0) || math.IsInf(o.Epsilon, 1)
 	switch o.Mode {
 	case CentralizedDP:
@@ -417,6 +422,11 @@ func validateOptions(d *Dataset, o *Options) error {
 	case Simulated, Networked:
 		if badEps {
 			return fmt.Errorf("%w: %v", ErrBadEpsilon, o.Epsilon)
+		}
+		// The run's accountant is capped at Epsilon: a Budget planning
+		// more would fail at the first release past the cap.
+		if o.Budget != nil && dp.TotalSpent(o.Budget, o.MaxIterations) > o.Epsilon*(1+1e-9) {
+			return fmt.Errorf("%w: Budget %s plans more than Epsilon %v over %d iterations", ErrBadEpsilon, o.Budget.Name(), o.Epsilon, o.MaxIterations)
 		}
 	}
 	if o.Mode == Simulated || o.Mode == Networked {
@@ -437,9 +447,6 @@ func validateOptions(d *Dataset, o *Options) error {
 		if o.Threshold != 0 {
 			return ErrThresholdNetworked
 		}
-	}
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 10
 	}
 	return nil
 }

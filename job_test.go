@@ -74,6 +74,7 @@ func TestNewJobValidation(t *testing.T) {
 		{"sim negative epsilon", data, func(o *Options) { o.Epsilon = -1 }, ErrBadEpsilon},
 		{"sim infinite epsilon", data, func(o *Options) { o.Epsilon = math.Inf(1) }, ErrBadEpsilon},
 		{"sim NaN epsilon", data, func(o *Options) { o.Epsilon = math.NaN() }, ErrBadEpsilon},
+		{"budget plans more than epsilon", data, func(o *Options) { o.Epsilon, o.Budget = 1, UniformFast(4, 2) }, ErrBadEpsilon},
 		{"dp no budget no epsilon", data, func(o *Options) {
 			o.Mode = CentralizedDP
 			o.Epsilon, o.Budget, o.Scheme = 0, nil, nil
@@ -187,6 +188,51 @@ func TestJobEpsilonMatchesGreedyBudget(t *testing.T) {
 		for i := range want.History {
 			sameCentroids(t, got.History[i], want.History[i])
 		}
+	}
+}
+
+// TestBudgetReleasesAcrossModes pins one budget rule in every private
+// mode: UniformFast(ε, 3) under a cap of 10 iterations releases exactly
+// 3 iterations, each spending ε/3, and the run reports ε in total.
+func TestBudgetReleasesAcrossModes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full crypto e2e")
+	}
+	const eps = 3e4 // ε/3 is exact, and the noise spares every centroid
+	data, _ := GenerateCER(8, 5)
+	scheme, err := NewTestScheme(128, 4, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{CentralizedDP, Simulated, Networked} {
+		t.Run(mode.String(), func(t *testing.T) {
+			job, err := NewJob(data, Options{
+				Mode: mode, Scheme: scheme,
+				K: 2, InitCentroids: SeedCentroids("cer", 2, 6),
+				DMin: CERMin, DMax: CERMax,
+				Epsilon: eps, Budget: UniformFast(eps, 3), MaxIterations: 10,
+				Exchanges: 8, FracBits: 24, Seed: 9, Workers: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs, res, err := collect(t, job, context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var spent []float64
+			for _, ev := range evs {
+				if r, ok := ev.(IterationReleased); ok {
+					spent = append(spent, r.EpsilonSpent)
+				}
+			}
+			if len(spent) != 3 || spent[0] != eps/3 || spent[1] != eps/3 || spent[2] != eps/3 {
+				t.Fatalf("released ε per iteration %v, want 3 × %v", spent, eps/3.0)
+			}
+			if res.TotalEpsilon != eps {
+				t.Fatalf("TotalEpsilon %v, want %v", res.TotalEpsilon, eps)
+			}
+		})
 	}
 }
 
