@@ -116,10 +116,8 @@ func DecodePackedState(sch homenc.Scheme, pc homenc.PackedCodec, ms []*big.Int, 
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, dim)
-	for j, m := range slots {
-		out[j] = pc.Codec.Decode(m, omega)
-	}
+	out := make([]float64, len(slots))
+	pc.Codec.DecodeVec(out, slots, omega)
 	return out, nil
 }
 

@@ -162,40 +162,61 @@ func NewCodec(fracBits uint) Codec {
 	return Codec{FracBits: fracBits}
 }
 
-// Encode converts x to its fixed-point integer representation
-// round(x · 2^FracBits). It panics on NaN/Inf: those are programming
-// errors upstream, not data.
+// Encode converts x to its fixed-point integer representation: x·2^FracBits
+// rounded to the nearest integer, ties away from zero. The result is
+// exact for every finite x and every FracBits: x is an integer mantissa
+// of at most 53 bits times a power of two, so scaling shifts that
+// mantissa left, or right with the first bit shifted out rounding the
+// magnitude up. It panics on NaN/Inf: those are programming errors
+// upstream, not data.
 func (c Codec) Encode(x float64) *big.Int {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		panic("homenc: cannot encode NaN/Inf")
 	}
-	scaled := new(big.Float).SetPrec(128).SetFloat64(x)
-	scaled.Mul(scaled, new(big.Float).SetPrec(128).SetMantExp(big.NewFloat(1), int(c.FracBits)))
-	i, _ := scaled.Int(nil)
-	// Round-to-nearest: big.Float.Int truncates toward zero, so adjust
-	// when the fractional remainder reaches one half in magnitude.
-	frac := new(big.Float).Sub(scaled, new(big.Float).SetInt(i))
-	frac.Abs(frac)
-	if frac.Cmp(big.NewFloat(0.5)) >= 0 {
-		if scaled.Sign() >= 0 {
-			i.Add(i, big.NewInt(1))
-		} else {
-			i.Sub(i, big.NewInt(1))
-		}
+	frac, exp := math.Frexp(x) // x = frac·2^exp with 0.5 ≤ |frac| < 1, or 0
+	mant := int64(frac * (1 << 53))
+	mag := uint64(mant)
+	if mant < 0 {
+		mag = uint64(-mant)
 	}
-	return i
+	z := new(big.Int)
+	if shift := exp - 53 + int(c.FracBits); shift >= 0 {
+		z.SetUint64(mag).Lsh(z, uint(shift))
+	} else {
+		// A shift of 54 or more leaves a magnitude below one half: 0.
+		r := uint(-shift)
+		z.SetUint64(mag>>r + mag>>(r-1)&1)
+	}
+	if mant < 0 {
+		z.Neg(z)
+	}
+	return z
 }
 
 // Decode converts a (possibly negative, already centered) fixed-point
 // integer back to float64, dividing by an extra integer divisor (the
 // epidemic weight, so the 2^e scaling of Algorithm 2 cancels). A nil or
-// zero divisor means divide by one.
+// zero divisor means divide by one. It is DecodeVec of one value.
 func (c Codec) Decode(v *big.Int, divisor *big.Int) float64 {
-	num := new(big.Float).SetPrec(256).SetInt(v)
+	var out [1]float64
+	c.DecodeVec(out[:], []*big.Int{v}, divisor)
+	return out[0]
+}
+
+// DecodeVec decodes vs into dst (at least len(vs) long), every value
+// over the one divisor, as Decode does each: v / (2^FracBits · divisor)
+// in 256-bit arithmetic, rounded once more to float64. The denominator
+// is built once per vector, and the numerator and quotient reuse one
+// pair of big.Floats.
+func (c Codec) DecodeVec(dst []float64, vs []*big.Int, divisor *big.Int) {
 	den := new(big.Float).SetPrec(256).SetMantExp(big.NewFloat(1), int(c.FracBits))
 	if divisor != nil && divisor.Sign() != 0 {
 		den.Mul(den, new(big.Float).SetPrec(256).SetInt(divisor))
 	}
-	out, _ := new(big.Float).Quo(num, den).Float64()
-	return out
+	var num, quo big.Float
+	num.SetPrec(256)
+	quo.SetPrec(256)
+	for i, v := range vs {
+		dst[i], _ = quo.Quo(num.SetInt(v), den).Float64()
+	}
 }

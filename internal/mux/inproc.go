@@ -24,70 +24,75 @@ const maxQueued = 64 << 10
 // writer's Close is delivered before io.EOF, as on TCP, which is the
 // contract internal/node's commit-point taxonomy was written against.
 //
-// Deadlines are stored values, not timers. A runtime timer exists only
-// while a goroutine is blocked in Read or Write, is stopped before that
-// call returns, and holds nothing but its own channel: whatever
-// deadlines an exchange set, a closed connection, its queues and its
-// peer are unreachable from any runtime root. A timer armed per
-// SetDeadline call whose callback reaches the connection would instead
-// keep it live until the deadline would have fired — under the
-// ten-minute exchange timeout of a large virtual population, every
-// connection dialed in the last ten minutes.
+// Deadlines are stored values, not timers. A blocked Read or Write
+// waits on its queue's condition variable, and only while it waits with
+// a deadline is it an entry of the host's sweeper, whose one timer
+// serves every blocked call on the host: blocking allocates nothing,
+// and whatever deadlines an exchange set, a closed connection, its
+// queues and its peer are unreachable from any runtime root. A timer
+// armed per SetDeadline call whose callback reaches the connection
+// would instead keep it live until the deadline would have fired —
+// under the ten-minute exchange timeout of a large virtual population,
+// every connection dialed in the last ten minutes.
 type inprocConn struct {
 	in, out *queue
 }
 
-// newInprocPair returns the two ends of a fresh connection.
-func newInprocPair() (*inprocConn, *inprocConn) {
+// newInprocPair returns the two ends of a fresh connection whose
+// blocked calls' deadlines sw expires.
+func newInprocPair(sw *sweeper) (*inprocConn, *inprocConn) {
 	qs := new([2]queue)
+	for i := range qs {
+		qs[i].cond.L = &qs[i].mu
+		qs[i].sw = sw
+	}
 	return &inprocConn{in: &qs[0], out: &qs[1]}, &inprocConn{in: &qs[1], out: &qs[0]}
 }
 
 // queue is one direction of a connection.
 type queue struct {
-	mu  sync.Mutex
+	mu   sync.Mutex
+	cond sync.Cond // on mu: where blocked Reads and Writes wait
+	sw   *sweeper  // expires the deadlines of blocked calls
+
 	buf []byte // pooled; nil while nothing is queued
 	off int    // the unread bytes are buf[off:]
 
 	wclosed bool // writing end closed: io.EOF once drained
 	rclosed bool // reading end closed: queued bytes are gone, writes fail
 
-	rdl, wdl time.Time // the reader's read deadline, the writer's write deadline
-
-	// rwait and wwait are non-nil while a Read or a Write may be blocked
-	// on them; closing one wakes its waiters to look at the queue again.
-	rwait, wwait chan struct{}
+	r, w side // the reader's and the writer's
 }
 
-func wake(ch *chan struct{}) {
-	if *ch != nil {
-		close(*ch)
-		*ch = nil
+// side is what a queue keeps for its reader, or for its writer.
+type side struct {
+	dl     time.Time // the deadline
+	parked uint16    // calls waiting on cond
+	slot   int32     // the side's place in sw's heap plus one, 0 when absent; sw.mu guards it
+}
+
+// wake makes every call waiting on q look at the queue again.
+func (q *queue) wake() {
+	if q.r.parked > 0 || q.w.parked > 0 {
+		q.cond.Broadcast()
 	}
 }
 
 func expired(dl time.Time) bool { return !dl.IsZero() && !time.Now().Before(dl) }
 
-// block parks the caller until *ch is woken or dl passes; the caller
-// then re-examines the queue, deadline included. q.mu is held on entry
-// and on return.
-func (q *queue) block(ch *chan struct{}, dl time.Time) {
-	if *ch == nil {
-		*ch = make(chan struct{})
+// block parks the caller on side s until a wake or s's deadline passes;
+// the caller then re-examines the queue, deadline included. q.mu is held
+// on entry and on return. A side with a deadline is in the sweeper's
+// heap only while a call of it is parked.
+func (q *queue) block(s *side) {
+	if !s.dl.IsZero() {
+		q.sw.add(q, s)
 	}
-	woken := *ch
-	q.mu.Unlock()
-	if dl.IsZero() {
-		<-woken
-	} else {
-		t := time.NewTimer(time.Until(dl))
-		select {
-		case <-woken:
-		case <-t.C:
-		}
-		t.Stop()
+	s.parked++
+	q.cond.Wait()
+	if s.parked--; s.parked == 0 {
+		q.sw.remove(s)
 	}
-	q.mu.Lock()
 }
 
 // release hands the queue's buffer back to the pool.
@@ -103,7 +108,7 @@ func (q *queue) read(p []byte) (int, error) {
 		switch {
 		case q.rclosed:
 			return 0, io.ErrClosedPipe
-		case expired(q.rdl):
+		case expired(q.r.dl):
 			return 0, os.ErrDeadlineExceeded
 		case q.off < len(q.buf):
 			n := copy(p, q.buf[q.off:])
@@ -111,7 +116,7 @@ func (q *queue) read(p []byte) (int, error) {
 				q.release()
 			}
 			if len(q.buf)-q.off <= maxQueued {
-				wake(&q.wwait)
+				q.wake()
 			}
 			return n, nil
 		case q.wclosed:
@@ -119,7 +124,7 @@ func (q *queue) read(p []byte) (int, error) {
 		case len(p) == 0:
 			return 0, nil
 		}
-		q.block(&q.rwait, q.rdl)
+		q.block(&q.r)
 	}
 }
 
@@ -130,16 +135,16 @@ func (q *queue) write(p []byte) (int, error) {
 		switch {
 		case q.wclosed || q.rclosed:
 			return 0, io.ErrClosedPipe
-		case expired(q.wdl):
+		case expired(q.w.dl):
 			return 0, os.ErrDeadlineExceeded
 		case len(p) == 0:
 			return 0, nil
 		case len(q.buf)-q.off <= maxQueued:
 			q.push(p)
-			wake(&q.rwait)
+			q.wake()
 			return len(p), nil
 		}
-		q.block(&q.wwait, q.wdl)
+		q.block(&q.w)
 	}
 }
 
@@ -168,16 +173,14 @@ func (q *queue) closeRead() {
 	q.mu.Lock()
 	q.rclosed = true
 	q.release()
-	wake(&q.rwait)
-	wake(&q.wwait)
+	q.wake()
 	q.mu.Unlock()
 }
 
 func (q *queue) closeWrite() {
 	q.mu.Lock()
 	q.wclosed = true
-	wake(&q.rwait)
-	wake(&q.wwait)
+	q.wake()
 	q.mu.Unlock()
 }
 
@@ -187,8 +190,8 @@ func (q *queue) setReadDeadline(t time.Time) error {
 	if q.rclosed {
 		return io.ErrClosedPipe
 	}
-	q.rdl = t
-	wake(&q.rwait)
+	q.r.dl = t
+	q.wake()
 	return nil
 }
 
@@ -198,8 +201,8 @@ func (q *queue) setWriteDeadline(t time.Time) error {
 	if q.wclosed {
 		return io.ErrClosedPipe
 	}
-	q.wdl = t
-	wake(&q.wwait)
+	q.w.dl = t
+	q.wake()
 	return nil
 }
 

@@ -13,14 +13,14 @@ import (
 	"time"
 )
 
-// blockedOn waits until a goroutine is parked on the given wait channel
-// of q (q.rwait: a Read; q.wwait: a Write).
-func blockedOn(t *testing.T, q *queue, ch *chan struct{}) {
+// blockedOn waits until a goroutine is parked on the given side of q
+// (q.r: a Read; q.w: a Write).
+func blockedOn(t *testing.T, q *queue, s *side) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		q.mu.Lock()
-		parked := *ch != nil
+		parked := s.parked > 0
 		q.mu.Unlock()
 		if parked {
 			return
@@ -172,21 +172,21 @@ func TestInProcConnContract(t *testing.T) {
 		}},
 		{"deadline set under a blocked read", func(t *testing.T, a, b *inprocConn) {
 			done := goRead(a, 8)
-			blockedOn(t, a.in, &a.in.rwait)
+			blockedOn(t, a.in, &a.in.r)
 			_ = a.SetReadDeadline(time.Now().Add(soon))
 			wantResult(t, "read", done, 0, os.ErrDeadlineExceeded)
 		}},
 		{"deadline set under a blocked write", func(t *testing.T, a, b *inprocConn) {
 			fill(t, a)
 			done := goWrite(a, []byte("x"))
-			blockedOn(t, a.out, &a.out.wwait)
+			blockedOn(t, a.out, &a.out.w)
 			_ = a.SetDeadline(time.Now().Add(soon))
 			wantResult(t, "write", done, 0, os.ErrDeadlineExceeded)
 		}},
 		{"deadline cleared under a blocked read", func(t *testing.T, a, b *inprocConn) {
 			_ = a.SetDeadline(time.Now().Add(soon))
 			done := goRead(a, 8)
-			blockedOn(t, a.in, &a.in.rwait)
+			blockedOn(t, a.in, &a.in.r)
 			_ = a.SetDeadline(time.Time{}) // dispatch and serveConn hand a connection off like this
 			stillBlocked(t, "read", done)
 			_, _ = b.Write([]byte("late"))
@@ -196,7 +196,7 @@ func TestInProcConnContract(t *testing.T) {
 			fill(t, a)
 			_ = a.SetWriteDeadline(time.Now().Add(soon))
 			done := goWrite(a, []byte("x"))
-			blockedOn(t, a.out, &a.out.wwait)
+			blockedOn(t, a.out, &a.out.w)
 			_ = a.SetWriteDeadline(time.Time{})
 			stillBlocked(t, "write", done)
 			if _, err := io.CopyN(io.Discard, b, int64(a.out.unread())); err != nil {
@@ -206,8 +206,8 @@ func TestInProcConnContract(t *testing.T) {
 		}},
 		{"close under a blocked read", func(t *testing.T, a, b *inprocConn) {
 			own, peers := goRead(a, 8), goRead(b, 8)
-			blockedOn(t, a.in, &a.in.rwait)
-			blockedOn(t, b.in, &b.in.rwait)
+			blockedOn(t, a.in, &a.in.r)
+			blockedOn(t, b.in, &b.in.r)
 			_ = a.Close()
 			wantResult(t, "own read", own, 0, io.ErrClosedPipe)
 			wantResult(t, "peer's read", peers, 0, io.EOF)
@@ -216,8 +216,8 @@ func TestInProcConnContract(t *testing.T) {
 			fill(t, a)
 			fill(t, b)
 			own, peers := goWrite(a, []byte("x")), goWrite(b, []byte("x"))
-			blockedOn(t, a.out, &a.out.wwait)
-			blockedOn(t, b.out, &b.out.wwait)
+			blockedOn(t, a.out, &a.out.w)
+			blockedOn(t, b.out, &b.out.w)
 			_ = a.Close()
 			wantResult(t, "own write", own, 0, io.ErrClosedPipe)
 			wantResult(t, "peer's write", peers, 0, io.ErrClosedPipe)
@@ -227,7 +227,7 @@ func TestInProcConnContract(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			for _, swap := range []bool{false, true} {
-				a, b := newInprocPair()
+				a, b := newInprocPair(new(sweeper))
 				if swap {
 					a, b = b, a
 				}
@@ -254,7 +254,7 @@ func TestInProcConnCopyThrough(t *testing.T) {
 		sizes = append(sizes, n)
 		left -= n
 	}
-	a, b := newInprocPair()
+	a, b := newInprocPair(new(sweeper))
 	_ = a.SetDeadline(time.Now().Add(10 * time.Minute))
 	_ = b.SetDeadline(time.Now().Add(10 * time.Minute))
 	werr := make(chan error, 1)
@@ -270,7 +270,7 @@ func TestInProcConnCopyThrough(t *testing.T) {
 		}
 		werr <- nil
 	}()
-	blockedOn(t, a.out, &a.out.wwait)
+	blockedOn(t, a.out, &a.out.w)
 	if a.out.unread() <= maxQueued {
 		t.Fatalf("writer waits with only %d bytes queued", a.out.unread())
 	}
@@ -298,11 +298,13 @@ func TestInProcConnCopyThrough(t *testing.T) {
 	}
 }
 
-// newTestPair is the connection TestInProcConnReclaimed exercises. Point
-// it at net.Pipe to see what the host's own connection replaced: no end
-// is finalized and tens of megabytes stay live, pinned by the deadline
-// timers.
-var newTestPair = func() (net.Conn, net.Conn) { return newInprocPair() }
+// newTestPair is the connection TestInProcConnReclaimed exercises, its
+// deadlines expired by one sweeper as a host's are. Point it at net.Pipe
+// to see what the host's own connection replaced: no end is finalized
+// and tens of megabytes stay live, pinned by the deadline timers.
+var newTestPair = func() (net.Conn, net.Conn) { return newInprocPair(&testSweep) }
+
+var testSweep sweeper
 
 // TestInProcConnReclaimed pins the property the flat heap rests on:
 // once both ends of a connection are closed, nothing the runtime holds
@@ -359,7 +361,7 @@ func TestInProcConnReclaimed(t *testing.T) {
 		}
 		<-reading
 		if ic, ok := b.(*inprocConn); ok && blockReader {
-			blockedOn(t, ic.in, &ic.in.rwait)
+			blockedOn(t, ic.in, &ic.in.r)
 		}
 		_ = a.Close()
 		if err := <-served; err != nil {
@@ -387,5 +389,129 @@ func TestInProcConnReclaimed(t *testing.T) {
 	}
 	if after := heap(); after > before+1<<20 {
 		t.Errorf("heap grew from %d to %d bytes over %d closed connections", before, after, conns)
+	}
+}
+
+// readAt parks a read on c and reports its error and when it returned.
+func readAt(c net.Conn) <-chan timedResult {
+	done := make(chan timedResult, 1)
+	go func() {
+		_, err := c.Read(make([]byte, 8))
+		done <- timedResult{err, time.Now()}
+	}()
+	return done
+}
+
+type timedResult struct {
+	err error
+	at  time.Time
+}
+
+// TestInProcConnStaggeredDeadlines parks reads on connections sharing
+// one sweeper: first one with a late deadline, which the sweeper's timer
+// is armed for, then others with earlier deadlines in shuffled order.
+// Each read fails with os.ErrDeadlineExceeded, none before its own
+// deadline, the early ones before the late deadline, and the sweeper's
+// heap is empty once they all have.
+func TestInProcConnStaggeredDeadlines(t *testing.T) {
+	var sw sweeper
+	defer sw.stop()
+	start := time.Now()
+	late := start.Add(time.Second)
+	dls := []time.Time{late}
+	for _, k := range []int{5, 2, 7, 0, 3, 6, 1, 4} {
+		dls = append(dls, start.Add(time.Duration(20+10*k)*time.Millisecond))
+	}
+	done := make([]<-chan timedResult, len(dls))
+	for i, dl := range dls {
+		a, b := newInprocPair(&sw)
+		defer a.Close()
+		defer b.Close()
+		_ = a.SetReadDeadline(dl)
+		done[i] = readAt(a)
+		if i == 0 {
+			blockedOn(t, a.in, &a.in.r) // the timer is armed for the late deadline
+		}
+	}
+	for i := len(dls) - 1; i >= 0; i-- {
+		select {
+		case r := <-done[i]:
+			if !errors.Is(r.err, os.ErrDeadlineExceeded) {
+				t.Errorf("read %d: %v, want %v", i, r.err, os.ErrDeadlineExceeded)
+			}
+			if r.at.Before(dls[i]) {
+				t.Errorf("read %d returned %v before its deadline", i, dls[i].Sub(r.at))
+			}
+			if i > 0 && !r.at.Before(late) {
+				t.Errorf("read %d, due %v after the start, returned only at the late deadline", i, dls[i].Sub(start))
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("read %d still blocked", i)
+		}
+	}
+	if n := sw.pending(); n != 0 {
+		t.Fatalf("%d entries left in the sweeper's heap", n)
+	}
+}
+
+// TestInProcConnDeadlineMovedLater moves a parked read's deadline later:
+// the sweeper's timer, armed for the old deadline, must not end the read
+// then, and the read fails at the new one.
+func TestInProcConnDeadlineMovedLater(t *testing.T) {
+	var sw sweeper
+	defer sw.stop()
+	a, b := newInprocPair(&sw)
+	defer a.Close()
+	defer b.Close()
+	_ = a.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	done := readAt(a)
+	blockedOn(t, a.in, &a.in.r)
+	later := time.Now().Add(200 * time.Millisecond)
+	_ = a.SetReadDeadline(later)
+	select {
+	case r := <-done:
+		if !errors.Is(r.err, os.ErrDeadlineExceeded) {
+			t.Fatalf("read: %v, want %v", r.err, os.ErrDeadlineExceeded)
+		}
+		if r.at.Before(later) {
+			t.Fatalf("read returned %v before its moved deadline", later.Sub(r.at))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("read still blocked")
+	}
+}
+
+// TestInProcConnWakeAllocs pins that parking costs nothing: a read that
+// blocks with a deadline, and so enters the sweeper's heap, and is then
+// woken by a write allocates nothing.
+func TestInProcConnWakeAllocs(t *testing.T) {
+	var sw sweeper
+	defer sw.stop()
+	a, b := newInprocPair(&sw)
+	defer a.Close()
+	_ = b.SetReadDeadline(time.Now().Add(10 * time.Minute))
+	got := make(chan struct{})
+	go func() {
+		defer close(got)
+		p := make([]byte, 1)
+		for {
+			if _, err := b.Read(p); err != nil {
+				return
+			}
+			got <- struct{}{}
+		}
+	}()
+	msg := []byte{1}
+	allocs := testing.AllocsPerRun(200, func() {
+		blockedOn(t, b.in, &b.in.r)
+		if _, err := a.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		<-got
+	})
+	_ = b.Close()
+	<-got
+	if allocs != 0 {
+		t.Fatalf("a parked read woken by a write: %v allocations, want 0", allocs)
 	}
 }

@@ -32,12 +32,15 @@
 // so Figure 5(b) wire numbers stay honest while a single process
 // sustains populations the kernel's socket limits would otherwise cap.
 // The connection is a buffered byte stream with TCP's close semantics
-// whose queues live in recycled frame-pool buffers and whose deadlines
-// are stored values rather than runtime timers, so a finished exchange
-// leaves nothing reachable: the host's heap is flat in the number of
-// exchanges ever made, whatever the exchange timeout. Pairs on
-// different hosts fall back to TCP with the same frames, which any
-// single chiaroscurod daemon also accepts.
+// whose queues live in recycled frame-pool buffers. Its deadlines are
+// stored values: a blocked call waits on its queue's condition variable
+// and, while it waits, is an entry of the host's one deadline sweeper (a
+// heap of blocked calls under a single runtime timer), so blocking
+// allocates nothing and a finished exchange leaves nothing reachable:
+// the host's heap is flat in the number of exchanges ever made,
+// whatever the exchange timeout. Pairs on different hosts fall back to
+// TCP with the same frames, which any single chiaroscurod daemon also
+// accepts.
 //
 // Determinism is untouched: virtual nodes run the same main protocol
 // loop, mirror the same schedule, and a 12-peer population on one Host
@@ -77,6 +80,8 @@ type Host struct {
 	jitter *randx.Jitter // membership-pump pacing, seeded from the protocol seed
 
 	counters wireproto.CounterSet // host-side membership traffic
+
+	sweep sweeper // the deadlines of calls blocked on in-process connections
 
 	// mu guards nodes, and orders an in-process dial's wg.Add against
 	// Close: stopped is set under it.
@@ -225,6 +230,7 @@ func (h *Host) Close() error {
 	}
 	h.ep.CloseAll()
 	h.wg.Wait()
+	h.sweep.stop()
 	return err
 }
 
@@ -387,7 +393,7 @@ func (d hostDialer) Dial(peer int, addr string, timeout time.Duration) (net.Conn
 		}
 		h.wg.Add(1)
 		h.mu.Unlock()
-		client, server := newInprocPair()
+		client, server := newInprocPair(&h.sweep)
 		go h.serveConn(h.ep.Track(server))
 		return client, nil
 	}

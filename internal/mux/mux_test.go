@@ -352,10 +352,10 @@ func TestDialRacesClose(t *testing.T) {
 }
 
 // TestDialCloseAllocs caps what an in-process connection costs before a
-// byte is exchanged: the pair, the host's tracking wrapper, and the
-// serve goroutine's one blocked read (its wake channel, the timer armed
-// for it while it waits, the frame-length scratch). Queue buffers come
-// from the frame pool, deadlines are values — neither allocates.
+// byte is exchanged: the pair and the host's tracking wrapper, and the
+// serve goroutine. Its one read parks without allocating: queue buffers
+// and the frame-length scratch come from the frame pool, deadlines are
+// values, and the host's sweeper expires them with one timer.
 func TestDialCloseAllocs(t *testing.T) {
 	ts := newSetup(t, 4, 0)
 	h, err := mux.NewHost(node.Config{N: ts.n, Scheme: ts.scheme, Proto: ts.proto}, ts.data.Dim())
@@ -372,10 +372,54 @@ func TestDialCloseAllocs(t *testing.T) {
 		_ = conn.SetDeadline(time.Now().Add(10 * time.Minute))
 		_ = conn.Close()
 	})
-	if allocs > 10 {
-		t.Fatalf("dial + close costs %.1f allocations, want at most 10", allocs)
+	if allocs > 7 {
+		t.Fatalf("dial + close costs %.1f allocations, want at most 7", allocs)
 	}
 	t.Logf("dial + close: %.1f allocations", allocs)
+}
+
+// TestHostCloseUnparksInProcCalls closes a host while reads on its
+// in-process connections are parked with deadlines, at both ends: every
+// read returns, no goroutine is left, and the sweeper's heap is empty.
+func TestHostCloseUnparksInProcCalls(t *testing.T) {
+	ts := newSetup(t, 4, 0)
+	baseline := runtime.NumGoroutine()
+	h, err := mux.NewHost(node.Config{N: ts.n, Scheme: ts.scheme, Proto: ts.proto}, ts.data.Dim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const conns = 8
+	var wg sync.WaitGroup
+	for i := 0; i < conns; i++ {
+		conn, err := h.Transport().Dial(1, h.Addr(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(10 * time.Minute))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := conn.Read(make([]byte, 8)); err == nil {
+				t.Error("read on a closed host's connection succeeded")
+			}
+		}()
+	}
+	// Each connection parks two reads: the client's, and the host's serve
+	// goroutine waiting for the first frame.
+	for deadline := time.Now().Add(10 * time.Second); mux.SweepPending(h) < 2*conns; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d reads parked", mux.SweepPending(h), 2*conns)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if n := mux.SweepPending(h); n != 0 {
+		t.Fatalf("%d entries left in the sweeper's heap after Close", n)
+	}
+	waitGoroutines(t, baseline, "after Close")
 }
 
 // TestAddNodeValidation pins the host-side provisioning checks.

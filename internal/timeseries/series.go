@@ -44,12 +44,27 @@ func (s Series) Dist2(o Series) float64 {
 	if len(s) != len(o) {
 		panic(fmt.Sprintf("timeseries: length mismatch %d != %d", len(s), len(o)))
 	}
-	var d2 float64
-	for i, v := range s {
-		d := v - o[i]
-		d2 += d * d
+	// Four terms a pass, added one by one in index order, so the sum is
+	// the plain loop's bit for bit. The additions are one dependency
+	// chain; with four of them a pass the loop is bound by their latency
+	// wherever the linker places it, while the plain loop's speed moved
+	// by up to a fifth with its code alignment. k-means assignment calls
+	// this k times per series.
+	var sum float64
+	i := 0
+	for ; i+4 <= len(s); i += 4 {
+		a, b := s[i:i+4:i+4], o[i:i+4:i+4]
+		d0, d1, d2, d3 := a[0]-b[0], a[1]-b[1], a[2]-b[2], a[3]-b[3]
+		sum += d0 * d0
+		sum += d1 * d1
+		sum += d2 * d2
+		sum += d3 * d3
 	}
-	return d2
+	for ; i < len(s); i++ {
+		d := s[i] - o[i]
+		sum += d * d
+	}
+	return sum
 }
 
 // Dist returns the Euclidean distance between s and o.

@@ -20,6 +20,28 @@ func TestDist2(t *testing.T) {
 	}
 }
 
+// TestDist2MatchesPlainLoop pins the unrolled Dist2 to the one-term-a-
+// pass loop bit for bit, at every length around the unrolling.
+func TestDist2MatchesPlainLoop(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 9))
+	for n := 0; n <= 13; n++ {
+		for trial := 0; trial < 20; trial++ {
+			s, o := make(Series, n), make(Series, n)
+			for i := range s {
+				s[i], o[i] = rng.NormFloat64()*1e3, rng.NormFloat64()
+			}
+			var want float64
+			for i, v := range s {
+				d := v - o[i]
+				want += d * d
+			}
+			if got := s.Dist2(o); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("length %d: Dist2 = %v, plain loop %v", n, got, want)
+			}
+		}
+	}
+}
+
 func TestDistSymmetryQuick(t *testing.T) {
 	f := func(x, y [8]int32) bool {
 		a, b := make(Series, 8), make(Series, 8)

@@ -59,8 +59,8 @@ func TestFrameRoundTripAllocs(t *testing.T) {
 		_, err := ScanDec(p, lim)
 		return err
 	})
-	if got := testing.AllocsPerRun(100, dec); got > 6 {
-		t.Errorf("dec frame round trip: %v allocs, ceiling 6", got)
+	if got := testing.AllocsPerRun(100, dec); got > 5 {
+		t.Errorf("dec frame round trip: %v allocs, ceiling 5", got)
 	}
 
 	state := func(shift uint) eesum.SumState {
@@ -77,7 +77,7 @@ func TestFrameRoundTripAllocs(t *testing.T) {
 		}
 		return err
 	})
-	if got := testing.AllocsPerRun(100, sum); got > 16 {
-		t.Errorf("sum frame round trip: %v allocs, ceiling 16", got)
+	if got := testing.AllocsPerRun(100, sum); got > 15 {
+		t.Errorf("sum frame round trip: %v allocs, ceiling 15", got)
 	}
 }

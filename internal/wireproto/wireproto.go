@@ -174,18 +174,28 @@ func ReadFrame(r io.Reader, maxFrame int) (Frame, error) {
 	if maxFrame <= 0 || maxFrame > maxFrameHard {
 		maxFrame = maxFrameHard
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	// The length is read into a pooled buffer, which the frame keeps when
+	// it fits: a buffer on the stack would escape through r.Read.
+	body := GetBuf(4)
+	if _, err := io.ReadFull(r, body); err != nil {
+		PutBuf(body)
 		return Frame{}, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(body)
 	if n < headerBytes {
+		PutBuf(body)
 		return Frame{}, fmt.Errorf("%w: frame shorter than its header", ErrMalformed)
 	}
 	if uint64(n) > uint64(maxFrame) {
+		PutBuf(body)
 		return Frame{}, fmt.Errorf("%w: frame of %d bytes exceeds limit %d", ErrMalformed, n, maxFrame)
 	}
-	body := GetBuf(int(n))
+	if int(n) <= cap(body) {
+		body = body[:n]
+	} else {
+		PutBuf(body)
+		body = GetBuf(int(n))
+	}
 	if _, err := io.ReadFull(r, body); err != nil {
 		PutBuf(body)
 		return Frame{}, err
