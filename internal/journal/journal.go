@@ -24,10 +24,12 @@
 // beyond what the file's own bytes justify (every record length is
 // checked against both MaxRecord and the remaining file size before
 // the body is read), so a hostile journal cannot panic or balloon the
-// process.
+// process. Open and Decode, the in-memory form the fuzzers run, share
+// this one decoder.
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -78,7 +80,12 @@ func Open(path string) (*Journal, []Record, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	recs, clean, err := replay(f)
+	info, err := f.Stat()
+	if err != nil {
+		_ = f.Close()
+		return nil, nil, err
+	}
+	recs, clean, err := decode(f, info.Size())
 	if err != nil {
 		_ = f.Close()
 		return nil, nil, err
@@ -95,25 +102,30 @@ func Open(path string) (*Journal, []Record, error) {
 	return &Journal{f: f, path: path}, recs, nil
 }
 
-// replay decodes every committed record, returning them plus the byte
-// offset of the clean prefix (everything before it decoded; everything
-// after is a torn tail to truncate).
-func replay(f *os.File) ([]Record, int64, error) {
-	info, err := f.Stat()
-	if err != nil {
-		return nil, 0, err
-	}
-	size := info.Size()
+// Decode replays the records of an in-memory journal image, with the
+// same torn-tail tolerance as Open (the tail is simply ignored). It runs
+// Open's decoder, and is its pure-function face for tests and fuzzing.
+func Decode(data []byte) ([]Record, error) {
+	recs, _, err := decode(bytes.NewReader(data), int64(len(data)))
+	return recs, err
+}
+
+// decode reads every committed record of the size-byte journal image r,
+// returning them plus the byte offset of the clean prefix (everything
+// before it decoded; everything after is a torn tail to truncate). Each
+// record body is an allocation of its own, so a record the caller keeps
+// does not pin the rest of the image.
+func decode(r io.ReaderAt, size int64) ([]Record, int64, error) {
 	var recs []Record
 	var off int64
 	var hdr [recordHdrLen]byte
 	for off < size {
 		if size-off < recordHdrLen {
-			// A header the file cannot hold: torn mid-append. Only legal at
-			// the very tail, which this is by construction of the loop.
+			// A header the image cannot hold: torn mid-append. Only legal
+			// at the very tail, which this is by construction of the loop.
 			return recs, off, nil
 		}
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
+		if _, err := r.ReadAt(hdr[:], off); err != nil {
 			return nil, 0, err
 		}
 		n := int64(binary.BigEndian.Uint32(hdr[0:4]))
@@ -125,7 +137,7 @@ func replay(f *os.File) ([]Record, int64, error) {
 			return recs, off, nil
 		}
 		body := make([]byte, n)
-		if _, err := f.ReadAt(body, off+recordHdrLen); err != nil {
+		if _, err := r.ReadAt(body, off+recordHdrLen); err != nil {
 			return nil, 0, err
 		}
 		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(hdr[4:8]) {
@@ -135,33 +147,6 @@ func replay(f *os.File) ([]Record, int64, error) {
 		off += recordHdrLen + n
 	}
 	return recs, off, nil
-}
-
-// Decode replays the records of an in-memory journal image, with the
-// same torn-tail tolerance as Open (the tail is simply ignored). It is
-// the pure-function face of the decoder, for tests and fuzzing.
-func Decode(data []byte) ([]Record, error) {
-	var recs []Record
-	off := 0
-	for off < len(data) {
-		if len(data)-off < recordHdrLen {
-			return recs, nil // torn tail
-		}
-		n := int(binary.BigEndian.Uint32(data[off : off+4]))
-		if n < 1 || n > MaxRecord {
-			return nil, fmt.Errorf("%w: record length %d at offset %d", ErrCorrupt, n, off)
-		}
-		if len(data)-off-recordHdrLen < n {
-			return recs, nil // torn tail
-		}
-		body := data[off+recordHdrLen : off+recordHdrLen+n]
-		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(data[off+4:off+8]) {
-			return nil, fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorrupt, off)
-		}
-		recs = append(recs, Record{Kind: body[0], Payload: append([]byte(nil), body[1:]...)})
-		off += recordHdrLen + n
-	}
-	return recs, nil
 }
 
 // Append writes one record. The bytes reach the OS immediately but are

@@ -177,7 +177,6 @@ func (h *Host) AddNode(cfg node.Config) (*node.Node, error) {
 	obs := cfg.Proto.Observer // participant-specific; everything else shared
 	cfg.Proto = h.shared.Proto
 	cfg.Proto.Observer = obs
-	cfg.External = true
 	cfg.Addr = h.addr
 	cfg.Book = h.book
 	cfg.Schedule = h.sched.View()

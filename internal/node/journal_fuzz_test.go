@@ -100,9 +100,9 @@ func parentLayoutCheckpoint(tb testing.TB, p []byte, lim wireproto.Limits) []byt
 		tb.Fatal(err)
 	}
 	st := ck.st
-	dec := senc{b: make([]byte, 21)} // the zero exchange header
-	dec.b = homenc.AppendInt(st.DecCTs.AppendTo(dec.b), st.DecOmega)
-	dec.b = append(dec.b, byte(len(st.DecParts)>>8), byte(len(st.DecParts)))
+	dec := wireproto.Enc{B: make([]byte, 21)} // the zero exchange header
+	dec.B = homenc.AppendInt(st.DecCTs.AppendTo(dec.B), st.DecOmega)
+	dec.U16(uint16(len(st.DecParts)))
 	idxs := make([]int, 0, len(st.DecParts))
 	for idx := range st.DecParts {
 		idxs = append(idxs, idx)
@@ -110,24 +110,22 @@ func parentLayoutCheckpoint(tb testing.TB, p []byte, lim wireproto.Limits) []byt
 	slices.Sort(idxs)
 	for _, idx := range idxs {
 		ps := st.DecParts[idx].PartialDecryptions(idx)
-		dec.u32(uint32(idx))
-		dec.u32(uint32(len(ps)))
+		dec.U32(uint32(idx))
+		dec.U32(uint32(len(ps)))
 		for _, x := range ps {
-			dec.u32(uint32(x.Index))
-			dec.b = homenc.AppendInt(dec.b, x.V)
+			dec.U32(uint32(x.Index))
+			dec.B = homenc.AppendInt(dec.B, x.V)
 		}
 	}
-	dec.u32(0) // no fresh partials
-	e := senc{}
+	dec.U32(0) // no fresh partials
+	var e wireproto.Enc
 	for _, v := range []int{ck.pos.iter, ck.pos.phase, ck.pos.cycle, ck.pos.seq} {
-		e.u32(uint32(v))
+		e.U32(uint32(v))
 	}
-	for _, seg := range [][]byte{sumB, dissB, dec.b} {
-		e.u32(uint32(len(seg)))
-		e.b = append(e.b, seg...)
+	for _, seg := range [][]byte{sumB, dissB, dec.B} {
+		e.Blob(seg)
 	}
-	encodeCounters(&e, ck.counters)
-	return e.b
+	return ck.counters.AppendTo(e.B)
 }
 
 // FuzzDecodeCheckpoint: a checkpoint record — the journal's biggest

@@ -126,19 +126,18 @@ type Config struct {
 	Listen    string // listen address (default "127.0.0.1:0")
 	Bootstrap string // address of any live peer ("" for the first node)
 
-	// External marks a virtual node hosted behind a shared listener
-	// (mux.Host): the node opens no listener and runs no membership
-	// loops of its own — inbound frames arrive via Deliver, the host
-	// handles hello/view gossip, and Join passively waits for the shared
-	// book to cover the population. Addr is then required: the shared
-	// listener's address this participant advertises.
-	External bool
-	Addr     string
-
-	// Book, when set, is a shared address book (one per mux.Host instead
-	// of one per participant). The node registers itself in it via
-	// AddLocal. Nil: the node owns a private book.
+	// Book, when set, makes the node a virtual node hosted behind a
+	// shared listener (mux.Host), and is the host's address book, shared
+	// with the co-located participants. A hosted node opens no listener
+	// and runs no membership loops of its own — inbound frames arrive
+	// via Deliver, the host handles hello/view gossip, and Join passively
+	// waits for the shared book to cover the population. It registers
+	// itself in the book via AddLocal. Nil: the node listens on its own
+	// and owns a private book.
 	Book *Book
+	// Addr is the shared listener's address a hosted node advertises
+	// (required when Book is set).
+	Addr string
 
 	// Schedule, when set, is this participant's cursor over a shared
 	// ScheduleSource (one schedule mirror per process instead of one
@@ -208,13 +207,12 @@ type Node struct {
 	epoch    uint64
 	maxEpoch int // EESum epoch bound a peer state may legitimately carry
 
-	ln   net.Listener // nil for external (mux-hosted) nodes
+	ln   net.Listener // nil for hosted nodes
 	addr string
 	ep   *Endpoint // connections, framing accounting, membership
 
-	book       *Book
-	sharedBook bool // book is shared with co-located participants
-	reg        *registry
+	book *Book
+	reg  *registry
 
 	sched    *ScheduleView // cursor over the schedule mirror (never executes exchanges)
 	digest   uint64        // shared-config digest carried in hellos
@@ -349,9 +347,9 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Index < 0 || cfg.Index >= cfg.N {
 		return nil, fmt.Errorf("node: index %d out of range for population %d", cfg.Index, cfg.N)
 	}
-	if cfg.External {
+	if cfg.Book != nil {
 		if cfg.Addr == "" {
-			return nil, errors.New("node: external node needs the shared listener address")
+			return nil, errors.New("node: hosted node needs the shared listener address")
 		}
 		// The host owns the listener and the membership loops.
 		cfg.ViewInterval = -1
@@ -390,7 +388,7 @@ func New(cfg Config) (*Node, error) {
 		evicted:    make(map[int]bool),
 		stop:       make(chan struct{}),
 	}
-	if !cfg.External {
+	if cfg.Book == nil {
 		// A relaunch first tries the address its journal recorded: Go
 		// listeners set SO_REUSEADDR, so rebinding the dead process's
 		// port works immediately and every peer's address book stays
@@ -431,7 +429,6 @@ func New(cfg Config) (*Node, error) {
 		})
 	}
 	nd.book = cfg.Book
-	nd.sharedBook = cfg.Book != nil
 	if nd.book == nil {
 		nd.book = NewBook(cfg.N)
 	}
@@ -446,7 +443,7 @@ func New(cfg Config) (*Node, error) {
 			return nil, err
 		}
 	}
-	if !cfg.External {
+	if !nd.hosted() {
 		nd.wg.Add(1)
 		go nd.serve()
 	}
@@ -456,6 +453,9 @@ func New(cfg Config) (*Node, error) {
 	}
 	return nd, nil
 }
+
+// hosted reports whether the node runs on a mux.Host (Config.Book).
+func (nd *Node) hosted() bool { return nd.cfg.Book != nil }
 
 // Addr returns the node's listen address.
 func (nd *Node) Addr() string { return nd.addr }
@@ -505,7 +505,7 @@ func (nd *Node) Join() error {
 			return fmt.Errorf("node %d: roster has %d of %d peers after join timeout", nd.cfg.Index, nd.book.Size(), nd.cfg.N)
 		}
 		before := nd.book.Size()
-		if !nd.cfg.External {
+		if !nd.hosted() {
 			if target := nd.helloTarget(); target != "" {
 				nd.hello(target)
 			}
@@ -857,7 +857,7 @@ func (nd *Node) peerFailed(peer int, s slot) {
 		nd.suspMu.Unlock()
 		return // already unreachable (departed or evicted)
 	}
-	if nd.sharedBook {
+	if nd.hosted() {
 		nd.evicted[peer] = true
 	} else {
 		nd.book.MarkGone(peer)

@@ -2,7 +2,6 @@ package node
 
 import (
 	"fmt"
-	"math"
 
 	"chiaroscuro/internal/core"
 	"chiaroscuro/internal/journal"
@@ -161,130 +160,42 @@ func (st *State) savedAddr() string {
 	return st.identity.addr
 }
 
-// --- binary cursors (journal-local; mirrors wireproto's enc/dec) ---
+// --- record codecs ---
 
-type senc struct{ b []byte }
-
-func (e *senc) u8(v byte) { e.b = append(e.b, v) }
-func (e *senc) u32(v uint32) {
-	e.b = append(e.b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-func (e *senc) u64(v uint64) {
-	e.u32(uint32(v >> 32))
-	e.u32(uint32(v))
-}
-func (e *senc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *senc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
-// msg appends a length-prefixed wire message, encoded in place.
-func (e *senc) msg(m wireproto.Message) {
-	e.u32(uint32(m.Size()))
-	e.b = m.AppendTo(e.b)
-}
-
-type sdec struct {
-	b   []byte
-	err error
-}
-
-func (d *sdec) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", journal.ErrCorrupt, msg)
-	}
-}
-
-func (d *sdec) u8() byte {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail("short state record")
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *sdec) u32() uint32 {
-	if d.err != nil || len(d.b) < 4 {
-		d.fail("short state record")
-		return 0
-	}
-	v := uint32(d.b[0])<<24 | uint32(d.b[1])<<16 | uint32(d.b[2])<<8 | uint32(d.b[3])
-	d.b = d.b[4:]
-	return v
-}
-
-func (d *sdec) u64() uint64 {
-	hi := d.u32()
-	return uint64(hi)<<32 | uint64(d.u32())
-}
-
-func (d *sdec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *sdec) str(maxLen int) string {
-	n := int(d.u32())
-	if d.err != nil {
-		return ""
-	}
-	if n > maxLen || len(d.b) < n {
-		d.fail("string exceeds bound")
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func (d *sdec) blob(maxLen int) []byte {
-	n := int(d.u32())
-	if d.err != nil {
+// The records are written and read with wireproto's cursor (Enc/Dec).
+// corrupt marks a record's decode failure as journal corruption, once
+// per record.
+func corrupt(what string, err error) error {
+	if err == nil {
 		return nil
 	}
-	if n > maxLen || len(d.b) < n {
-		d.fail("blob exceeds bound")
-		return nil
-	}
-	p := d.b[:n]
-	d.b = d.b[n:]
-	return p
-}
-
-func (d *sdec) done() error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("%w: trailing bytes in state record", journal.ErrCorrupt)
-	}
-	return nil
+	return fmt.Errorf("%w: %s record: %v", journal.ErrCorrupt, what, err)
 }
 
 // --- identity record ---
 
 func encodeIdentity(id identity) []byte {
-	var e senc
-	e.u64(id.digest)
-	e.u32(uint32(id.index))
-	e.u32(uint32(id.n))
-	e.u64(id.epoch)
-	e.u64(id.seed)
-	e.str(id.addr)
-	return e.b
+	var e wireproto.Enc
+	e.U64(id.digest)
+	e.U32(uint32(id.index))
+	e.U32(uint32(id.n))
+	e.U64(id.epoch)
+	e.U64(id.seed)
+	e.Blob([]byte(id.addr))
+	return e.B
 }
 
 func decodeIdentity(p []byte) (identity, error) {
-	d := sdec{b: p}
+	d := wireproto.Dec{B: p}
 	id := identity{
-		digest: d.u64(),
-		index:  int(d.u32()),
-		n:      int(d.u32()),
-		epoch:  d.u64(),
-		seed:   d.u64(),
+		digest: d.U64(),
+		index:  int(d.U32()),
+		n:      int(d.U32()),
+		epoch:  d.U64(),
+		seed:   d.U64(),
 	}
-	id.addr = d.str(256)
-	return id, d.done()
+	id.addr = string(d.Blob(256))
+	return id, corrupt("identity", d.Done())
 }
 
 // --- iteration record ---
@@ -302,120 +213,99 @@ type iterationRecord struct {
 	counters    wireproto.Counters
 }
 
-func encodeCounters(e *senc, c wireproto.Counters) {
-	for _, v := range []int64{
-		c.Initiated, c.Responded, c.Timeouts, c.Rejected, c.BadFrames,
-		c.Retries, c.Suspected, c.Evicted, c.Resumed, c.BytesSent, c.BytesRecv,
-	} {
-		e.u64(uint64(v))
-	}
-}
-
-func decodeCounters(d *sdec) wireproto.Counters {
-	var c wireproto.Counters
-	for _, p := range []*int64{
-		&c.Initiated, &c.Responded, &c.Timeouts, &c.Rejected, &c.BadFrames,
-		&c.Retries, &c.Suspected, &c.Evicted, &c.Resumed, &c.BytesSent, &c.BytesRecv,
-	} {
-		*p = int64(d.u64())
-	}
-	return c
-}
-
 func encodeIteration(r iterationRecord) []byte {
-	var e senc
-	e.u32(uint32(r.iter))
-	e.f64(r.epsIter)
-	e.f64(r.totalBefore)
-	e.u32(uint32(len(r.centroids)))
+	var e wireproto.Enc
+	e.U32(uint32(r.iter))
+	e.F64(r.epsIter)
+	e.F64(r.totalBefore)
+	e.U32(uint32(len(r.centroids)))
 	for _, c := range r.centroids {
 		if c == nil {
-			e.u8(0)
+			e.U8(0)
 			continue
 		}
-		e.u8(1)
-		e.u32(uint32(len(c)))
+		e.U8(1)
+		e.U32(uint32(len(c)))
 		for _, v := range c {
-			e.f64(v)
+			e.F64(v)
 		}
 	}
-	e.u32(uint32(len(r.traces)))
+	e.U32(uint32(len(r.traces)))
 	for _, t := range r.traces {
-		e.u32(uint32(t.Iteration))
-		e.u32(uint32(t.CentroidsIn))
-		e.u32(uint32(t.CentroidsOut))
-		e.f64(t.EpsilonSpent)
-		e.u32(uint32(t.SumCycles))
-		e.u32(uint32(t.DissCycles))
-		e.u32(uint32(t.DecryptCycles))
-		e.f64(t.Agreement)
-		e.u32(uint32(len(t.Deviants)))
+		e.U32(uint32(t.Iteration))
+		e.U32(uint32(t.CentroidsIn))
+		e.U32(uint32(t.CentroidsOut))
+		e.F64(t.EpsilonSpent)
+		e.U32(uint32(t.SumCycles))
+		e.U32(uint32(t.DissCycles))
+		e.U32(uint32(t.DecryptCycles))
+		e.F64(t.Agreement)
+		e.U32(uint32(len(t.Deviants)))
 		for _, dv := range t.Deviants {
-			e.u32(uint32(dv))
+			e.U32(uint32(dv))
 		}
-		e.f64(t.PreInertia)
-		e.f64(t.PostInertia)
+		e.F64(t.PreInertia)
+		e.F64(t.PostInertia)
 	}
-	encodeCounters(&e, r.counters)
-	return e.b
+	return r.counters.AppendTo(e.B)
 }
 
 func decodeIteration(p []byte) (iterationRecord, error) {
-	d := sdec{b: p}
+	d := wireproto.Dec{B: p}
 	r := iterationRecord{
-		iter:        int(d.u32()),
-		epsIter:     d.f64(),
-		totalBefore: d.f64(),
+		iter:        int(d.U32()),
+		epsIter:     d.F64(),
+		totalBefore: d.F64(),
 	}
-	k := int(d.u32())
-	if d.err == nil && k > stateVecMax {
-		d.fail("centroid count exceeds bound")
+	k := int(d.U32())
+	if k > stateVecMax {
+		d.Fail("centroid count exceeds bound")
 	}
-	for i := 0; i < k && d.err == nil; i++ {
-		if d.u8() == 0 {
+	for i := 0; i < k && d.Err() == nil; i++ {
+		if d.U8() == 0 {
 			r.centroids = append(r.centroids, nil)
 			continue
 		}
-		dim := int(d.u32())
-		if d.err == nil && dim > stateVecMax {
-			d.fail("centroid length exceeds bound")
+		dim := int(d.U32())
+		if dim > stateVecMax {
+			d.Fail("centroid length exceeds bound")
 			break
 		}
-		c := make(timeseries.Series, 0, min(dim, len(d.b)/8+1))
-		for j := 0; j < dim && d.err == nil; j++ {
-			c = append(c, d.f64())
+		c := make(timeseries.Series, 0, min(dim, len(d.B)/8+1))
+		for j := 0; j < dim && d.Err() == nil; j++ {
+			c = append(c, d.F64())
 		}
 		r.centroids = append(r.centroids, c)
 	}
-	nt := int(d.u32())
-	if d.err == nil && nt > stateVecMax {
-		d.fail("trace count exceeds bound")
+	nt := int(d.U32())
+	if nt > stateVecMax {
+		d.Fail("trace count exceeds bound")
 	}
-	for i := 0; i < nt && d.err == nil; i++ {
+	for i := 0; i < nt && d.Err() == nil; i++ {
 		var t core.IterationTrace
-		t.Iteration = int(d.u32())
-		t.CentroidsIn = int(d.u32())
-		t.CentroidsOut = int(d.u32())
-		t.EpsilonSpent = d.f64()
-		t.SumCycles = int(d.u32())
-		t.DissCycles = int(d.u32())
-		t.DecryptCycles = int(d.u32())
-		t.Agreement = d.f64()
-		ndv := int(d.u32())
-		if d.err == nil && ndv > stateVecMax {
-			d.fail("deviant count exceeds bound")
+		t.Iteration = int(d.U32())
+		t.CentroidsIn = int(d.U32())
+		t.CentroidsOut = int(d.U32())
+		t.EpsilonSpent = d.F64()
+		t.SumCycles = int(d.U32())
+		t.DissCycles = int(d.U32())
+		t.DecryptCycles = int(d.U32())
+		t.Agreement = d.F64()
+		ndv := int(d.U32())
+		if ndv > stateVecMax {
+			d.Fail("deviant count exceeds bound")
 			break
 		}
-		for j := 0; j < ndv && d.err == nil; j++ {
-			t.Deviants = append(t.Deviants, int(d.u32()))
+		for j := 0; j < ndv && d.Err() == nil; j++ {
+			t.Deviants = append(t.Deviants, int(d.U32()))
 		}
-		t.PreInertia = d.f64()
-		t.PostInertia = d.f64()
+		t.PreInertia = d.F64()
+		t.PostInertia = d.F64()
 		r.traces = append(r.traces, t)
 	}
-	r.counters = decodeCounters(&d)
-	if err := d.done(); err != nil {
-		return iterationRecord{}, err
+	r.counters = d.Counters()
+	if err := d.Done(); err != nil {
+		return iterationRecord{}, corrupt("iteration", err)
 	}
 	return r, nil
 }
@@ -435,24 +325,27 @@ type checkpointRecord struct {
 	counters wireproto.Counters
 }
 
-// countersSize is the encoded size of a wireproto.Counters snapshot
-// (a capacity hint: encodeCounters is what defines the record).
-const countersSize = 11 * 8
-
 func encodeCheckpoint(s slot, st *iterState, ctrs wireproto.Counters) []byte {
-	sum := sumOut(st, wireproto.ExchangeHdr{})
-	diss := &wireproto.DissMsg{ID: st.CorID, Vec: st.CorVec}
-	dec := decOut(st, wireproto.ExchangeHdr{}, nil)
-	e := senc{b: make([]byte, 0, 4*4+3*4+sum.Size()+diss.Size()+dec.Size()+countersSize)}
-	e.u32(uint32(s.iter))
-	e.u32(uint32(s.phase))
-	e.u32(uint32(s.cycle))
-	e.u32(uint32(s.seq))
-	e.msg(sum)
-	e.msg(diss)
-	e.msg(dec)
-	encodeCounters(&e, ctrs)
-	return e.b
+	segs := []wireproto.Message{
+		sumOut(st, wireproto.ExchangeHdr{}),
+		&wireproto.DissMsg{ID: st.CorID, Vec: st.CorVec},
+		decOut(st, wireproto.ExchangeHdr{}, nil),
+	}
+	size := 4*4 + ctrs.Size()
+	for _, m := range segs {
+		size += 4 + m.Size()
+	}
+	e := wireproto.Enc{B: make([]byte, 0, size)}
+	e.U32(uint32(s.iter))
+	e.U32(uint32(s.phase))
+	e.U32(uint32(s.cycle))
+	e.U32(uint32(s.seq))
+	// Each segment is a Blob, encoded in place.
+	for _, m := range segs {
+		e.U32(uint32(m.Size()))
+		e.B = m.AppendTo(e.B)
+	}
+	return ctrs.AppendTo(e.B)
 }
 
 // decodeCheckpoint rebuilds the live iteration state from a checkpoint.
@@ -466,15 +359,15 @@ func decodeCheckpoint(p []byte, lim wireproto.Limits) (checkpointRecord, error) 
 	}
 	sum, err := wireproto.ScanSum(sumB, lim)
 	if err != nil {
-		return checkpointRecord{}, fmt.Errorf("%w: checkpoint sum segment: %v", journal.ErrCorrupt, err)
+		return checkpointRecord{}, corrupt("checkpoint", err)
 	}
 	diss, err := wireproto.UnmarshalDiss(dissB, lim)
 	if err != nil {
-		return checkpointRecord{}, fmt.Errorf("%w: checkpoint diss segment: %v", journal.ErrCorrupt, err)
+		return checkpointRecord{}, corrupt("checkpoint", err)
 	}
 	dec, err := wireproto.ScanDec(decB, lim)
 	if err != nil {
-		return checkpointRecord{}, fmt.Errorf("%w: checkpoint dec segment: %v", journal.ErrCorrupt, err)
+		return checkpointRecord{}, corrupt("checkpoint", err)
 	}
 	// The journal's bytes become the sum states' images: restoring them
 	// materializes no value.
@@ -496,26 +389,26 @@ func decodeCheckpoint(p []byte, lim wireproto.Limits) (checkpointRecord, error) 
 // inDecPhase peeks at a checkpoint payload's phase field. Anything too
 // short to have one is left for decodeCheckpoint to refuse.
 func inDecPhase(p []byte) bool {
-	d := sdec{b: p}
-	d.u32()
-	return int(d.u32()) == phaseDec && d.err == nil
+	d := wireproto.Dec{B: p}
+	d.U32()
+	return int(d.U32()) == phaseDec && d.Err() == nil
 }
 
 // splitCheckpoint decodes a checkpoint's fixed fields — the committed
 // slot and the counter snapshot — and bounds its three protocol
 // segments, leaving them encoded.
 func splitCheckpoint(p []byte, lim wireproto.Limits) (r checkpointRecord, sumB, dissB, decB []byte, err error) {
-	d := sdec{b: p}
-	r.pos = slot{iter: int(d.u32()), phase: int(d.u32()), cycle: int(d.u32()), seq: int(d.u32())}
-	sumB = d.blob(lim.MaxFrameLen)
-	dissB = d.blob(lim.MaxFrameLen)
-	decB = d.blob(lim.MaxFrameLen)
-	r.counters = decodeCounters(&d)
-	if err := d.done(); err != nil {
-		return checkpointRecord{}, nil, nil, nil, err
-	}
+	d := wireproto.Dec{B: p}
+	r.pos = slot{iter: int(d.U32()), phase: int(d.U32()), cycle: int(d.U32()), seq: int(d.U32())}
+	sumB = d.Blob(lim.MaxFrameLen)
+	dissB = d.Blob(lim.MaxFrameLen)
+	decB = d.Blob(lim.MaxFrameLen)
+	r.counters = d.Counters()
 	if r.pos.phase < phaseSum || r.pos.phase > phaseDec {
-		return checkpointRecord{}, nil, nil, nil, fmt.Errorf("%w: checkpoint phase %d out of range", journal.ErrCorrupt, r.pos.phase)
+		d.Fail(fmt.Sprintf("phase %d out of range", r.pos.phase))
+	}
+	if err := d.Done(); err != nil {
+		return checkpointRecord{}, nil, nil, nil, corrupt("checkpoint", err)
 	}
 	return r, sumB, dissB, decB, nil
 }
@@ -530,7 +423,7 @@ func peekCheckpoint(p []byte, lim wireproto.Limits) (checkpointRecord, int, erro
 	}
 	dec, err := wireproto.ScanDec(decB, lim)
 	if err != nil {
-		return checkpointRecord{}, 0, fmt.Errorf("%w: checkpoint dec segment: %v", journal.ErrCorrupt, err)
+		return checkpointRecord{}, 0, corrupt("checkpoint", err)
 	}
 	return r, len(dec.Parts), nil
 }

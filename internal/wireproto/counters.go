@@ -1,6 +1,9 @@
 package wireproto
 
-import "sync/atomic"
+import (
+	"encoding/binary"
+	"sync/atomic"
+)
 
 // CounterSet is the live wire-level accounting every networked
 // component keeps: exchanges by role, timeouts, fault-tolerance
@@ -38,19 +41,12 @@ type Counters struct {
 
 // Snapshot copies the current counter values.
 func (c *CounterSet) Snapshot() Counters {
-	return Counters{
-		Initiated: c.Initiated.Load(),
-		Responded: c.Responded.Load(),
-		Timeouts:  c.Timeouts.Load(),
-		Rejected:  c.Rejected.Load(),
-		BadFrames: c.BadFrames.Load(),
-		Retries:   c.Retries.Load(),
-		Suspected: c.Suspected.Load(),
-		Evicted:   c.Evicted.Load(),
-		Resumed:   c.Resumed.Load(),
-		BytesSent: c.BytesSent.Load(),
-		BytesRecv: c.BytesRecv.Load(),
+	var s Counters
+	dst := s.fields()
+	for i, v := range c.fields() {
+		*dst[i] = v.Load()
 	}
+	return s
 }
 
 // Restore overwrites the live counters with a snapshot — the
@@ -58,17 +54,18 @@ func (c *CounterSet) Snapshot() Counters {
 // counting where its last durable checkpoint left off, so replayed
 // runs report totals comparable to uncrashed ones.
 func (c *CounterSet) Restore(s Counters) {
-	c.Initiated.Store(s.Initiated)
-	c.Responded.Store(s.Responded)
-	c.Timeouts.Store(s.Timeouts)
-	c.Rejected.Store(s.Rejected)
-	c.BadFrames.Store(s.BadFrames)
-	c.Retries.Store(s.Retries)
-	c.Suspected.Store(s.Suspected)
-	c.Evicted.Store(s.Evicted)
-	c.Resumed.Store(s.Resumed)
-	c.BytesSent.Store(s.BytesSent)
-	c.BytesRecv.Store(s.BytesRecv)
+	src := s.fields()
+	for i, v := range c.fields() {
+		v.Store(*src[i])
+	}
+}
+
+// fields lists the live counters in Counters.fields' order.
+func (c *CounterSet) fields() [11]*atomic.Int64 {
+	return [11]*atomic.Int64{
+		&c.Initiated, &c.Responded, &c.Timeouts, &c.Rejected, &c.BadFrames,
+		&c.Retries, &c.Suspected, &c.Evicted, &c.Resumed, &c.BytesSent, &c.BytesRecv,
+	}
 }
 
 // Exchanges returns the total exchange count (both roles).
@@ -77,15 +74,37 @@ func (c Counters) Exchanges() int64 { return c.Initiated + c.Responded }
 // Add accumulates o into c field by field — the one place a population
 // or a run series folds its counters.
 func (c *Counters) Add(o Counters) {
-	c.Initiated += o.Initiated
-	c.Responded += o.Responded
-	c.Timeouts += o.Timeouts
-	c.Rejected += o.Rejected
-	c.BadFrames += o.BadFrames
-	c.Retries += o.Retries
-	c.Suspected += o.Suspected
-	c.Evicted += o.Evicted
-	c.Resumed += o.Resumed
-	c.BytesSent += o.BytesSent
-	c.BytesRecv += o.BytesRecv
+	theirs := o.fields()
+	for i, p := range c.fields() {
+		*p += *theirs[i]
+	}
+}
+
+// fields lists the snapshot's counters in their encoding order.
+func (c *Counters) fields() [11]*int64 {
+	return [11]*int64{
+		&c.Initiated, &c.Responded, &c.Timeouts, &c.Rejected, &c.BadFrames,
+		&c.Retries, &c.Suspected, &c.Evicted, &c.Resumed, &c.BytesSent, &c.BytesRecv,
+	}
+}
+
+// Size implements Message: a snapshot is every counter as a u64.
+func (c Counters) Size() int { return len(c.fields()) * 8 }
+
+// AppendTo implements Message. A node's journal records a snapshot with
+// every commit.
+func (c Counters) AppendTo(dst []byte) []byte {
+	for _, p := range c.fields() {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(*p))
+	}
+	return dst
+}
+
+// Counters reads a snapshot Counters.AppendTo wrote.
+func (d *Dec) Counters() Counters {
+	var c Counters
+	for _, p := range c.fields() {
+		*p = int64(d.U64())
+	}
+	return c
 }

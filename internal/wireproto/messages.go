@@ -35,24 +35,24 @@ const FlagAbort byte = 0x01
 const hdrSize = 5*4 + 1
 
 func (h ExchangeHdr) appendTo(dst []byte) []byte {
-	e := enc{b: dst}
-	e.u32(h.Iter)
-	e.u32(h.Cycle)
-	e.u32(h.Seq)
-	e.u32(h.From)
-	e.u32(h.To)
-	e.u8(h.Flags)
-	return e.b
+	e := Enc{B: dst}
+	e.U32(h.Iter)
+	e.U32(h.Cycle)
+	e.U32(h.Seq)
+	e.U32(h.From)
+	e.U32(h.To)
+	e.U8(h.Flags)
+	return e.B
 }
 
-func decodeHdr(d *dec) ExchangeHdr {
+func decodeHdr(d *Dec) ExchangeHdr {
 	return ExchangeHdr{
-		Iter:  d.u32(),
-		Cycle: d.u32(),
-		Seq:   d.u32(),
-		From:  d.u32(),
-		To:    d.u32(),
-		Flags: d.u8(),
+		Iter:  d.U32(),
+		Cycle: d.U32(),
+		Seq:   d.U32(),
+		From:  d.U32(),
+		To:    d.U32(),
+		Flags: d.U8(),
 	}
 }
 
@@ -60,7 +60,7 @@ func decodeHdr(d *dec) ExchangeHdr {
 // letting a listener route a request to its scheduled slot without
 // paying for the full (possibly large) message decode.
 func PeekHdr(data []byte) (ExchangeHdr, error) {
-	d := dec{b: data}
+	d := Dec{B: data}
 	h := decodeHdr(&d)
 	if d.err != nil {
 		return ExchangeHdr{}, d.err
@@ -86,22 +86,22 @@ type Hello struct {
 
 // MarshalHello encodes a Hello payload.
 func MarshalHello(h Hello) []byte {
-	var e enc
-	e.u32(h.Index)
-	e.str(h.Addr)
-	e.u32(h.N)
-	e.u64(h.Digest)
-	return e.bytes()
+	var e Enc
+	e.U32(h.Index)
+	e.Str(h.Addr)
+	e.U32(h.N)
+	e.U64(h.Digest)
+	return e.B
 }
 
 // UnmarshalHello decodes a Hello payload.
 func UnmarshalHello(data []byte, lim Limits) (Hello, error) {
-	d := dec{b: data}
-	h := Hello{Index: d.u32()}
-	h.Addr = d.str(lim.MaxAddrLen)
-	h.N = d.u32()
-	h.Digest = d.u64()
-	return h, d.done()
+	d := Dec{B: data}
+	h := Hello{Index: d.U32()}
+	h.Addr = d.Str(lim.MaxAddrLen)
+	h.N = d.U32()
+	h.Digest = d.U64()
+	return h, d.Done()
 }
 
 // Resume is a restarted peer's re-announcement: the Hello identity
@@ -123,30 +123,30 @@ type Resume struct {
 
 // MarshalResume encodes a Resume payload (KindResume).
 func MarshalResume(r Resume) []byte {
-	var e enc
-	e.u32(r.Index)
-	e.str(r.Addr)
-	e.u32(r.N)
-	e.u64(r.Digest)
-	e.u32(r.Iter)
-	e.u32(r.Phase)
-	e.u32(r.Cycle)
-	e.u32(r.Seq)
-	return e.bytes()
+	var e Enc
+	e.U32(r.Index)
+	e.Str(r.Addr)
+	e.U32(r.N)
+	e.U64(r.Digest)
+	e.U32(r.Iter)
+	e.U32(r.Phase)
+	e.U32(r.Cycle)
+	e.U32(r.Seq)
+	return e.B
 }
 
 // UnmarshalResume decodes a Resume payload.
 func UnmarshalResume(data []byte, lim Limits) (Resume, error) {
-	d := dec{b: data}
-	r := Resume{Index: d.u32()}
-	r.Addr = d.str(lim.MaxAddrLen)
-	r.N = d.u32()
-	r.Digest = d.u64()
-	r.Iter = d.u32()
-	r.Phase = d.u32()
-	r.Cycle = d.u32()
-	r.Seq = d.u32()
-	return r, d.done()
+	d := Dec{B: data}
+	r := Resume{Index: d.U32()}
+	r.Addr = d.Str(lim.MaxAddrLen)
+	r.N = d.U32()
+	r.Digest = d.U64()
+	r.Iter = d.U32()
+	r.Phase = d.U32()
+	r.Cycle = d.U32()
+	r.Seq = d.U32()
+	return r, d.Done()
 }
 
 // Reject is a handshake refusal with a human-readable reason, sent in
@@ -164,16 +164,16 @@ func MarshalReject(r Reject) []byte {
 	if len(r.Reason) > maxRejectReason {
 		r.Reason = r.Reason[:maxRejectReason]
 	}
-	var e enc
-	e.str(r.Reason)
-	return e.bytes()
+	var e Enc
+	e.Str(r.Reason)
+	return e.B
 }
 
 // UnmarshalReject decodes a Reject payload.
 func UnmarshalReject(data []byte) (Reject, error) {
-	d := dec{b: data}
-	r := Reject{Reason: d.str(maxRejectReason)}
-	return r, d.done()
+	d := Dec{B: data}
+	r := Reject{Reason: d.Str(maxRejectReason)}
+	return r, d.Done()
 }
 
 // ViewItem is one serializable Newscast news item: who (population
@@ -187,34 +187,34 @@ type ViewItem struct {
 
 // MarshalView encodes a view exchange (or HelloAck roster) payload.
 func MarshalView(items []ViewItem) []byte {
-	var e enc
-	e.u32(uint32(len(items)))
+	var e Enc
+	e.U32(uint32(len(items)))
 	for _, it := range items {
-		e.u32(it.Index)
-		e.str(it.Addr)
-		e.u64(uint64(it.Heartbeat))
+		e.U32(it.Index)
+		e.Str(it.Addr)
+		e.U64(uint64(it.Heartbeat))
 	}
-	return e.bytes()
+	return e.B
 }
 
 // UnmarshalView decodes a view payload, bounded by lim.MaxPeers.
 func UnmarshalView(data []byte, lim Limits) ([]ViewItem, error) {
-	d := dec{b: data}
-	n := int(d.u32())
+	d := Dec{B: data}
+	n := int(d.U32())
 	if d.err == nil && n > lim.MaxPeers {
 		return nil, fmt.Errorf("wireproto: view of %d items exceeds bound %d", n, lim.MaxPeers)
 	}
 	items := make([]ViewItem, 0, min(n, len(data)/7+1))
 	for i := 0; i < n; i++ {
-		it := ViewItem{Index: d.u32()}
-		it.Addr = d.str(lim.MaxAddrLen)
-		it.Heartbeat = int64(d.u64())
+		it := ViewItem{Index: d.U32()}
+		it.Addr = d.Str(lim.MaxAddrLen)
+		it.Heartbeat = int64(d.U64())
 		if d.err != nil {
 			break
 		}
 		items = append(items, it)
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	return items, nil
@@ -227,16 +227,16 @@ type Leave struct {
 
 // MarshalLeave encodes a Leave payload.
 func MarshalLeave(l Leave) []byte {
-	var e enc
-	e.u32(l.Index)
-	return e.bytes()
+	var e Enc
+	e.U32(l.Index)
+	return e.B
 }
 
 // UnmarshalLeave decodes a Leave payload.
 func UnmarshalLeave(data []byte) (Leave, error) {
-	d := dec{b: data}
-	l := Leave{Index: d.u32()}
-	return l, d.done()
+	d := Dec{B: data}
+	l := Leave{Index: d.U32()}
+	return l, d.Done()
 }
 
 // --- encrypted sum phase ---
@@ -284,10 +284,10 @@ func (m *SumOut) Size() int { return hdrSize + sideSize(m.Means) + sideSize(m.No
 
 // AppendTo implements Message.
 func (m *SumOut) AppendTo(dst []byte) []byte {
-	e := enc{b: appendSide(appendSide(m.Hdr.appendTo(dst), m.Means), m.Noise)}
-	e.f64(m.CtrSigma)
-	e.f64(m.CtrOmega)
-	return e.b
+	e := Enc{B: appendSide(appendSide(m.Hdr.appendTo(dst), m.Means), m.Noise)}
+	e.F64(m.CtrSigma)
+	e.F64(m.CtrOmega)
+	return e.B
 }
 
 // MarshalSum encodes a SumMsg payload.
@@ -320,10 +320,10 @@ func (v SumSideView) Operand() eesum.SumOperand {
 	return eesum.SumOperand{CTs: v.CTs.Operand(), Omega: intOf(v.omega), Epoch: v.Epoch}
 }
 
-func scanSumSide(d *dec, lim Limits) SumSideView {
+func scanSumSide(d *Dec, lim Limits) SumSideView {
 	v := SumSideView{CTs: d.vector(lim.MaxDim, lim.MaxCTBytes)}
 	v.omega = d.intImage(lim.MaxCTBytes)
-	v.Epoch = int(d.u32())
+	v.Epoch = int(d.U32())
 	return v
 }
 
@@ -345,13 +345,13 @@ func (v SumView) Peer() eesum.SumPeer {
 
 // ScanSum scans a SumMsg payload.
 func ScanSum(data []byte, lim Limits) (SumView, error) {
-	d := dec{b: data}
+	d := Dec{B: data}
 	v := SumView{Hdr: decodeHdr(&d)}
 	v.Means = scanSumSide(&d, lim)
 	v.Noise = scanSumSide(&d, lim)
-	v.CtrSigma = d.f64()
-	v.CtrOmega = d.f64()
-	return v, d.done()
+	v.CtrSigma = d.F64()
+	v.CtrOmega = d.F64()
+	return v, d.Done()
 }
 
 // UnmarshalSum decodes a SumMsg payload.
@@ -394,28 +394,28 @@ func (m *DissMsg) Size() int { return hdrSize + 8 + 4 + 8*len(m.Vec) }
 
 // AppendTo implements Message.
 func (m *DissMsg) AppendTo(dst []byte) []byte {
-	e := enc{b: m.Hdr.appendTo(dst)}
-	e.u64(m.ID)
-	e.u32(uint32(len(m.Vec)))
+	e := Enc{B: m.Hdr.appendTo(dst)}
+	e.U64(m.ID)
+	e.U32(uint32(len(m.Vec)))
 	for _, v := range m.Vec {
-		e.f64(v)
+		e.F64(v)
 	}
-	return e.b
+	return e.B
 }
 
 // UnmarshalDiss decodes a DissMsg payload.
 func UnmarshalDiss(data []byte, lim Limits) (DissMsg, error) {
-	d := dec{b: data}
-	m := DissMsg{Hdr: decodeHdr(&d), ID: d.u64()}
-	n := int(d.u32())
+	d := Dec{B: data}
+	m := DissMsg{Hdr: decodeHdr(&d), ID: d.U64()}
+	n := int(d.U32())
 	if d.err == nil && n > lim.MaxDim {
 		return m, fmt.Errorf("wireproto: correction vector of %d exceeds bound %d", n, lim.MaxDim)
 	}
-	m.Vec = make([]float64, 0, min(n, len(d.b)/8+1))
+	m.Vec = make([]float64, 0, min(n, len(d.B)/8+1))
 	for i := 0; i < n && d.err == nil; i++ {
-		m.Vec = append(m.Vec, d.f64())
+		m.Vec = append(m.Vec, d.F64())
 	}
-	return m, d.done()
+	return m, d.Done()
 }
 
 // --- epidemic decryption ---
@@ -460,8 +460,8 @@ func (m *DecMsg) omega() *big.Int {
 
 // AppendTo implements Message.
 func (m *DecMsg) AppendTo(dst []byte) []byte {
-	e := enc{b: homenc.AppendInt(m.CTs.AppendTo(m.Hdr.appendTo(dst)), m.omega())}
-	e.u16(uint16(len(m.Parts)))
+	e := Enc{B: homenc.AppendInt(m.CTs.AppendTo(m.Hdr.appendTo(dst)), m.omega())}
+	e.U16(uint16(len(m.Parts)))
 	// Canonical share-index order: encoding must not depend on map
 	// iteration order (peers compare and hash frames in tests).
 	idxs := make([]int, 0, len(m.Parts))
@@ -470,10 +470,10 @@ func (m *DecMsg) AppendTo(dst []byte) []byte {
 	}
 	slices.Sort(idxs)
 	for _, idx := range idxs {
-		e.u32(uint32(idx))
-		e.b = m.Parts[idx].AppendTo(e.b)
+		e.U32(uint32(idx))
+		e.B = m.Parts[idx].AppendTo(e.B)
 	}
-	return m.Fresh.AppendTo(e.b)
+	return m.Fresh.AppendTo(e.B)
 }
 
 // DecView is the structural scan of a DecMsg payload: every bound of
@@ -515,17 +515,17 @@ func (v DecView) Detach(threshold int) (*homenc.Vector, *big.Int, map[int]*homen
 
 // ScanDec scans a DecMsg payload.
 func ScanDec(data []byte, lim Limits) (DecView, error) {
-	d := dec{b: data}
+	d := Dec{B: data}
 	v := DecView{Hdr: decodeHdr(&d)}
 	v.CTs = d.vector(lim.MaxDim, lim.MaxCTBytes)
 	v.omega = d.intImage(lim.MaxCTBytes)
-	nParts := int(d.u16())
+	nParts := int(d.U16())
 	if d.err == nil && nParts > lim.MaxParts {
 		return v, fmt.Errorf("wireproto: %d partial sets exceed bound %d", nParts, lim.MaxParts)
 	}
 	v.Parts = make(map[int]homenc.VectorView, nParts)
 	for i := 0; i < nParts && d.err == nil; i++ {
-		idx := int(d.u32())
+		idx := int(d.U32())
 		ps := d.vector(lim.MaxDim+1, lim.MaxCTBytes)
 		if d.err == nil {
 			if _, dup := v.Parts[idx]; dup {
@@ -535,36 +535,36 @@ func ScanDec(data []byte, lim Limits) (DecView, error) {
 		}
 	}
 	v.Fresh = d.vector(lim.MaxDim+1, lim.MaxCTBytes)
-	return v, d.done()
+	return v, d.Done()
 }
 
 // vector consumes one ciphertext vector from the cursor, unbuilt.
-func (d *dec) vector(maxLen, maxBytes int) homenc.VectorView {
+func (d *Dec) vector(maxLen, maxBytes int) homenc.VectorView {
 	if d.err != nil {
 		return homenc.VectorView{}
 	}
-	v, rest, err := homenc.ScanVectorBound(d.b, maxLen, maxBytes)
+	v, rest, err := homenc.ScanVectorBound(d.B, maxLen, maxBytes)
 	if err != nil {
 		d.err = err
 		return homenc.VectorView{}
 	}
-	d.b = rest
+	d.B = rest
 	return v
 }
 
 // intImage consumes one homenc canonical integer from the cursor and
 // returns its encoding, unbuilt.
-func (d *dec) intImage(maxBytes int) []byte {
+func (d *Dec) intImage(maxBytes int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	size, _, err := homenc.ScanIntBound(d.b, maxBytes)
+	size, _, err := homenc.ScanIntBound(d.B, maxBytes)
 	if err != nil {
 		d.err = err
 		return nil
 	}
-	img := d.b[:size]
-	d.b = d.b[size:]
+	img := d.B[:size]
+	d.B = d.B[size:]
 	return img
 }
 

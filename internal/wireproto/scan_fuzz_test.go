@@ -27,26 +27,26 @@ type eagerDec struct {
 	Fresh []*big.Int
 }
 
-func (d *dec) eagerInt(maxBytes int) *big.Int {
+func (d *Dec) eagerInt(maxBytes int) *big.Int {
 	if d.err != nil {
 		return nil
 	}
-	v, rest, err := homenc.UnmarshalIntBound(d.b, maxBytes)
+	v, rest, err := homenc.UnmarshalIntBound(d.B, maxBytes)
 	if err != nil {
 		d.err = err
 		return nil
 	}
-	d.b = rest
+	d.B = rest
 	return v
 }
 
-func eagerInts(d *dec, maxLen, maxBytes int) []*big.Int {
-	n := int(d.u32())
+func eagerInts(d *Dec, maxLen, maxBytes int) []*big.Int {
+	n := int(d.U32())
 	if d.err == nil && n > maxLen {
-		d.fail("vector exceeds bound")
+		d.Fail("vector exceeds bound")
 		return nil
 	}
-	vs := make([]*big.Int, 0, min(n, len(d.b)/5+1))
+	vs := make([]*big.Int, 0, min(n, len(d.B)/5+1))
 	for i := 0; i < n && d.err == nil; i++ {
 		vs = append(vs, d.eagerInt(maxBytes))
 	}
@@ -54,17 +54,17 @@ func eagerInts(d *dec, maxLen, maxBytes int) []*big.Int {
 }
 
 func eagerUnmarshalDec(data []byte, lim Limits) (eagerDec, error) {
-	d := dec{b: data}
+	d := Dec{B: data}
 	m := eagerDec{Hdr: decodeHdr(&d)}
 	m.CTs = eagerInts(&d, lim.MaxDim, lim.MaxCTBytes)
 	m.Omega = d.eagerInt(lim.MaxCTBytes)
-	nParts := int(d.u16())
+	nParts := int(d.U16())
 	if d.err == nil && nParts > lim.MaxParts {
 		return m, errors.New("wireproto: partial sets exceed bound")
 	}
 	m.Parts = make(map[int][]*big.Int, nParts)
 	for i := 0; i < nParts && d.err == nil; i++ {
-		idx := int(d.u32())
+		idx := int(d.U32())
 		ps := eagerInts(&d, lim.MaxDim+1, lim.MaxCTBytes)
 		if d.err == nil {
 			if _, dup := m.Parts[idx]; dup {
@@ -74,36 +74,36 @@ func eagerUnmarshalDec(data []byte, lim Limits) (eagerDec, error) {
 		}
 	}
 	m.Fresh = eagerInts(&d, lim.MaxDim+1, lim.MaxCTBytes)
-	return m, d.done()
+	return m, d.Done()
 }
 
-func eagerMarshalInts(e *enc, vs []*big.Int) {
-	e.u32(uint32(len(vs)))
+func eagerMarshalInts(e *Enc, vs []*big.Int) {
+	e.U32(uint32(len(vs)))
 	for _, v := range vs {
-		e.raw(homenc.AppendInt(nil, v))
+		e.B = homenc.AppendInt(e.B, v)
 	}
 }
 
 func eagerMarshalDec(m eagerDec) []byte {
-	e := enc{b: m.Hdr.appendTo(nil)}
+	e := Enc{B: m.Hdr.appendTo(nil)}
 	eagerMarshalInts(&e, m.CTs)
 	omega := m.Omega
 	if omega == nil {
 		omega = new(big.Int)
 	}
-	e.raw(homenc.AppendInt(nil, omega))
-	e.u16(uint16(len(m.Parts)))
+	e.B = homenc.AppendInt(e.B, omega)
+	e.U16(uint16(len(m.Parts)))
 	idxs := make([]int, 0, len(m.Parts))
 	for idx := range m.Parts {
 		idxs = append(idxs, idx)
 	}
 	slices.Sort(idxs)
 	for _, idx := range idxs {
-		e.u32(uint32(idx))
+		e.U32(uint32(idx))
 		eagerMarshalInts(&e, m.Parts[idx])
 	}
 	eagerMarshalInts(&e, m.Fresh)
-	return e.bytes()
+	return e.B
 }
 
 func sameInts(t *testing.T, tag string, got []homenc.Ciphertext, want []*big.Int) {
@@ -142,16 +142,16 @@ func FuzzDecScanMatchesEager(f *testing.F) {
 		f.Add(frame[4+headerBytes:])
 	}
 	// Valid but non-canonical integers: a leading zero byte, negative zero.
-	e := enc{b: ExchangeHdr{}.appendTo(nil)}
-	e.u32(2)
-	e.raw([]byte{0x01, 0, 0, 0, 2, 0x00, 0x07, 0x02, 0, 0, 0, 0})
-	e.raw([]byte{0x02, 0, 0, 0, 0})
-	e.u16(1)
-	e.u32(4)
-	e.u32(1)
-	e.raw([]byte{0x02, 0, 0, 0, 3, 0x00, 0x00, 0x09})
-	e.u32(0)
-	f.Add(e.bytes())
+	e := Enc{B: ExchangeHdr{}.appendTo(nil)}
+	e.U32(2)
+	e.B = append(e.B, 0x01, 0, 0, 0, 2, 0x00, 0x07, 0x02, 0, 0, 0, 0)
+	e.B = append(e.B, 0x02, 0, 0, 0, 0)
+	e.U16(1)
+	e.U32(4)
+	e.U32(1)
+	e.B = append(e.B, 0x02, 0, 0, 0, 3, 0x00, 0x00, 0x09)
+	e.U32(0)
+	f.Add(e.B)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 40))
 

@@ -256,95 +256,105 @@ func NewLimits(ctBytes, dim, parts, peers int) Limits {
 
 // --- primitive cursors ---
 
-// enc is an append-only payload builder.
-type enc struct{ b []byte }
+// Enc is an append-only payload encoder. The wire's messages are
+// written with it, and so are the records of a node's journal.
+type Enc struct{ B []byte }
 
-func (e *enc) u8(v byte)     { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16)  { e.b = binary.BigEndian.AppendUint16(e.b, v) }
-func (e *enc) u32(v uint32)  { e.b = binary.BigEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64)  { e.b = binary.BigEndian.AppendUint64(e.b, v) }
-func (e *enc) raw(p []byte)  { e.b = append(e.b, p...) }
-func (e *enc) str(s string)  { e.u16(uint16(len(s))); e.b = append(e.b, s...) }
-func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *enc) bytes() []byte { return e.b }
+func (e *Enc) U8(v byte)     { e.B = append(e.B, v) }
+func (e *Enc) U16(v uint16)  { e.B = binary.BigEndian.AppendUint16(e.B, v) }
+func (e *Enc) U32(v uint32)  { e.B = binary.BigEndian.AppendUint32(e.B, v) }
+func (e *Enc) U64(v uint64)  { e.B = binary.BigEndian.AppendUint64(e.B, v) }
+func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 
-// dec is a sticky-error payload reader.
-type dec struct {
-	b   []byte
+// Str appends a u16-length-prefixed string.
+func (e *Enc) Str(s string) { e.U16(uint16(len(s))); e.B = append(e.B, s...) }
+
+// Blob appends a u32-length-prefixed byte string.
+func (e *Enc) Blob(p []byte) { e.U32(uint32(len(p))); e.B = append(e.B, p...) }
+
+// Dec is a sticky-error payload reader: B is what is left to read, and
+// after the first failure every read returns a zero value.
+type Dec struct {
+	B   []byte
 	err error
 }
 
-func (d *dec) fail(msg string) {
+// Fail records msg as the decode failure unless one is recorded already.
+func (d *Dec) Fail(msg string) {
 	if d.err == nil {
 		d.err = errors.New("wireproto: " + msg)
 	}
 }
 
-func (d *dec) u8() byte {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail("short payload")
-		return 0
+// Err returns the first failure, if any.
+func (d *Dec) Err() error { return d.err }
+
+func (d *Dec) U8() byte {
+	if p := d.next(1); p != nil {
+		return p[0]
 	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
+	return 0
 }
 
-func (d *dec) u16() uint16 {
-	if d.err != nil || len(d.b) < 2 {
-		d.fail("short payload")
-		return 0
+func (d *Dec) U16() uint16 {
+	if p := d.next(2); p != nil {
+		return binary.BigEndian.Uint16(p)
 	}
-	v := binary.BigEndian.Uint16(d.b)
-	d.b = d.b[2:]
-	return v
+	return 0
 }
 
-func (d *dec) u32() uint32 {
-	if d.err != nil || len(d.b) < 4 {
-		d.fail("short payload")
-		return 0
+func (d *Dec) U32() uint32 {
+	if p := d.next(4); p != nil {
+		return binary.BigEndian.Uint32(p)
 	}
-	v := binary.BigEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
+	return 0
 }
 
-func (d *dec) u64() uint64 {
-	if d.err != nil || len(d.b) < 8 {
-		d.fail("short payload")
-		return 0
+func (d *Dec) U64() uint64 {
+	if p := d.next(8); p != nil {
+		return binary.BigEndian.Uint64(p)
 	}
-	v := binary.BigEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
+	return 0
 }
 
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
+func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
 
-func (d *dec) str(maxLen int) string {
-	n := int(d.u16())
-	if d.err != nil {
-		return ""
-	}
+// Str reads a string Enc.Str wrote, of at most maxLen bytes.
+func (d *Dec) Str(maxLen int) string {
+	return string(d.take(int(d.U16()), maxLen, "string"))
+}
+
+// Blob reads a byte string Enc.Blob wrote, of at most maxLen bytes. The
+// result aliases the payload.
+func (d *Dec) Blob(maxLen int) []byte {
+	return d.take(int(d.U32()), maxLen, "byte string")
+}
+
+// take consumes n bytes, refusing more than maxLen.
+func (d *Dec) take(n, maxLen int, what string) []byte {
 	if n > maxLen {
-		d.fail("string exceeds bound")
-		return ""
+		d.Fail(what + " exceeds bound")
 	}
-	if len(d.b) < n {
-		d.fail("short payload")
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
+	return d.next(n)
 }
 
-func (d *dec) done() error {
+// next consumes n bytes; nil once the reader has failed.
+func (d *Dec) next(n int) []byte {
+	if d.err != nil || len(d.B) < n {
+		d.Fail("short payload")
+		return nil
+	}
+	p := d.B[:n]
+	d.B = d.B[n:]
+	return p
+}
+
+// Done returns the first failure, or an error if bytes are left over.
+func (d *Dec) Done() error {
 	if d.err != nil {
 		return d.err
 	}
-	if len(d.b) != 0 {
+	if len(d.B) != 0 {
 		return errors.New("wireproto: trailing bytes")
 	}
 	return nil

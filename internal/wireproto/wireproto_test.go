@@ -218,17 +218,17 @@ func TestDecMsgRoundTrip(t *testing.T) {
 func TestDecMsgRejectsDuplicateShares(t *testing.T) {
 	lim := testLimits()
 	// Hand-build a payload whose two part sets claim the same share index.
-	e := enc{b: ExchangeHdr{}.appendTo(nil)}
-	e.u32(0)                                    // no cts
-	e.raw(homenc.AppendInt(nil, big.NewInt(1))) // omega
-	e.u16(2)                                    // two part sets
+	e := Enc{B: ExchangeHdr{}.appendTo(nil)}
+	e.U32(0)                                   // no cts
+	e.B = homenc.AppendInt(e.B, big.NewInt(1)) // omega
+	e.U16(2)                                   // two part sets
 	for i := 0; i < 2; i++ {
-		e.u32(2) // same share index both times
-		e.u32(1) // one partial
-		e.raw(homenc.AppendInt(nil, big.NewInt(7)))
+		e.U32(2) // same share index both times
+		e.U32(1) // one partial
+		e.B = homenc.AppendInt(e.B, big.NewInt(7))
 	}
-	e.u32(0) // no fresh partials
-	if _, err := ScanDec(e.bytes(), lim); err == nil {
+	e.U32(0) // no fresh partials
+	if _, err := ScanDec(e.B, lim); err == nil {
 		t.Fatal("duplicate share index accepted")
 	}
 }
@@ -265,6 +265,34 @@ func TestCounterSet(t *testing.T) {
 	snap := cs.Snapshot()
 	if snap.Exchanges() != 7 || snap.BytesSent != 100 {
 		t.Fatalf("snapshot mismatch: %+v", snap)
+	}
+
+	// Every counter keeps its name through Restore, Snapshot, Add and
+	// the snapshot's encoding.
+	want := Counters{
+		Initiated: 1, Responded: 2, Timeouts: 3, Rejected: 4, BadFrames: 5, Retries: 6,
+		Suspected: 7, Evicted: 8, Resumed: 9, BytesSent: 10, BytesRecv: 11,
+	}
+	var live CounterSet
+	live.Restore(want)
+	byName := Counters{
+		Initiated: live.Initiated.Load(), Responded: live.Responded.Load(), Timeouts: live.Timeouts.Load(),
+		Rejected: live.Rejected.Load(), BadFrames: live.BadFrames.Load(), Retries: live.Retries.Load(),
+		Suspected: live.Suspected.Load(), Evicted: live.Evicted.Load(), Resumed: live.Resumed.Load(),
+		BytesSent: live.BytesSent.Load(), BytesRecv: live.BytesRecv.Load(),
+	}
+	if byName != want || live.Snapshot() != want {
+		t.Fatalf("restored %+v, snapshot %+v, want %+v", byName, live.Snapshot(), want)
+	}
+	twice := want
+	twice.Add(want)
+	if twice.Initiated != 2 || twice.Resumed != 18 || twice.BytesRecv != 22 {
+		t.Fatalf("added %+v", twice)
+	}
+	enc := want.AppendTo(nil)
+	d := Dec{B: enc}
+	if got := d.Counters(); got != want || d.Done() != nil || len(enc) != want.Size() || enc[8*5-1] != 5 {
+		t.Fatalf("snapshot encodes to %x and decodes to %+v", enc, got)
 	}
 }
 

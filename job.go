@@ -429,6 +429,11 @@ func validateOptions(d *Dataset, o *Options) error {
 			return fmt.Errorf("%w: Budget %s plans more than Epsilon %v over %d iterations", ErrBadEpsilon, o.Budget.Name(), o.Epsilon, o.MaxIterations)
 		}
 	}
+	// A budget that grants the first iteration nothing would stop the
+	// run before its first release.
+	if o.Mode != Centralized && o.Budget != nil && !(o.Budget.Epsilon(1) > 0) {
+		return fmt.Errorf("%w: Budget %s grants iteration 1 no privacy budget", ErrBadEpsilon, o.Budget.Name())
+	}
 	if o.Mode == Simulated || o.Mode == Networked {
 		if d.Len() < 2 {
 			return fmt.Errorf("%w: %d series", ErrTooFewParticipants, d.Len())

@@ -75,6 +75,15 @@ func TestNewJobValidation(t *testing.T) {
 		{"sim infinite epsilon", data, func(o *Options) { o.Epsilon = math.Inf(1) }, ErrBadEpsilon},
 		{"sim NaN epsilon", data, func(o *Options) { o.Epsilon = math.NaN() }, ErrBadEpsilon},
 		{"budget plans more than epsilon", data, func(o *Options) { o.Epsilon, o.Budget = 1, UniformFast(4, 2) }, ErrBadEpsilon},
+		{"uniform-fast budget with limit 0", data, func(o *Options) { o.Budget = UniformFast(o.Epsilon, 0) }, ErrBadEpsilon},
+		{"dp greedy-floor budget with floor 0", data, func(o *Options) {
+			o.Mode = CentralizedDP
+			o.Budget, o.Scheme = GreedyFloor(math.Ln2, 0), nil
+		}, ErrBadEpsilon},
+		{"dp greedy budget of 0", data, func(o *Options) {
+			o.Mode = CentralizedDP
+			o.Budget, o.Scheme = Greedy(0), nil
+		}, ErrBadEpsilon},
 		{"dp no budget no epsilon", data, func(o *Options) {
 			o.Mode = CentralizedDP
 			o.Epsilon, o.Budget, o.Scheme = 0, nil, nil
