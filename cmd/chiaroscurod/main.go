@@ -30,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"net/http"
 	"os"
@@ -293,6 +294,11 @@ func main() {
 		}
 		fmt.Printf("  centroid %d: %.3f…\n", i, preview)
 	}
+	// Every participant releases the one elected vector: the digests of
+	// all hosted nodes, and of every other daemon, must agree.
+	for i, r := range results {
+		fmt.Printf("chiaroscurod: node %d release digest %016x\n", pop.Nodes()[i].Index(), releaseDigest(r.Centroids))
+	}
 	if *vnodes == 1 {
 		_ = pop.Nodes()[0].Leave()
 	}
@@ -454,4 +460,25 @@ func serveMetrics(addr string, pop *mux.Population, prog *progress) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "chiaroscurod:", err)
 	os.Exit(1)
+}
+
+// releaseDigest is FNV-1a over a release's float bits, as the benchmark
+// computes it: equal digests mean bit-identical centroids.
+func releaseDigest(centroids []timeseries.Series) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		for i := range b {
+			b[i] = byte(v >> (8 * i))
+		}
+		_, _ = h.Write(b[:]) // hash.Hash.Write never fails
+	}
+	put(uint64(len(centroids)))
+	for _, c := range centroids {
+		put(uint64(len(c)))
+		for _, v := range c {
+			put(math.Float64bits(v))
+		}
+	}
+	return h.Sum64()
 }

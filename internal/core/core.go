@@ -16,10 +16,11 @@
 //     a. the encrypted means and the encrypted noise-shares are summed
 //     by two EESum states running in lockstep on the same gossip
 //     exchanges, alongside the cleartext participant counter;
-//     b. the noise surplus correction is agreed on by min-identifier
-//     dissemination and applied;
-//     c. the perturbed encrypted means are decrypted epidemically with
-//     τ distinct key-shares;
+//     b. every participant applies its own noise surplus correction to
+//     its own sums and perturbs its means; min-identifier dissemination
+//     elects one perturbed vector for everyone;
+//     c. the elected vector is decrypted epidemically with τ distinct
+//     key-shares, so every participant releases the same centroids;
 //  3. Convergence step — each participant divides sums by counts,
 //     smooths (Section 5.2), drops aberrant means (footnote 8), and
 //     checks the θ / iteration-cap termination criterion locally.
@@ -28,7 +29,7 @@
 // everything that travels between participants is either
 // homomorphically encrypted (means, noise), differentially private
 // (decrypted perturbed means), or data-independent (weights, epochs,
-// counters, correction identifiers).
+// counters, election identifiers).
 package core
 
 import (
@@ -37,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 
 	"chiaroscuro/internal/dp"
 	"chiaroscuro/internal/eesum"
@@ -204,6 +206,14 @@ type IterationTrace struct {
 	Deviants      []int   // participants flagged by the Section 4.4 cross-check
 	PreInertia    float64 // only when Config.TraceQuality
 	PostInertia   float64 // only when Config.TraceQuality
+
+	// ShareApplications counts key-share applications to the elected
+	// vector: over every participant in the simulator, the participant's
+	// own (0 or 1) in a networked trace. DistinctReleases counts the
+	// distinct vectors released: over every participant in the
+	// simulator, 1 in a networked trace.
+	ShareApplications int
+	DistinctReleases  int
 }
 
 // Result is the outcome of a full protocol run.
@@ -469,16 +479,15 @@ type (
 )
 
 func (ps sumPhase) Exchange(a, b sim.NodeID, full bool)  { ps[a].ExchangeSum(ps[b], full) }
-func (ps dissPhase) Exchange(a, b sim.NodeID, full bool) { ps[a].ExchangeCorrection(ps[b], full) }
+func (ps dissPhase) Exchange(a, b sim.NodeID, full bool) { ps[a].ExchangeDiss(ps[b], full) }
 func (ps decPhase) Exchange(a, b sim.NodeID, full bool)  { ps[a].ExchangeDec(ps[b], full) }
 func (sumPhase) ConcurrentExchangeSafe() bool            { return true }
 func (decPhase) ConcurrentExchangeSafe() bool            { return true }
 
-// correctionAgreed reports whether every participant holds the same
-// correction proposal.
-func correctionAgreed(ps []*eesum.Participant) bool {
+// elected reports whether every participant holds the same vector.
+func elected(ps []*eesum.Participant) bool {
 	for _, p := range ps[1:] {
-		if p.CorID != ps[0].CorID {
+		if p.VecID != ps[0].VecID {
 			return false
 		}
 	}
@@ -552,22 +561,25 @@ func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.S
 	}
 	trace.SumCycles = nw.cfg.Exchanges
 
-	// Noise correction: propose, disseminate (min identifier), apply.
+	// Noise correction, moved before the dissemination: every
+	// participant perturbs its own means with its own correction
+	// proposal, and the dissemination elects the smallest identifier's
+	// vector for everyone.
 	for _, p := range ps {
-		p.ProposeCorrection()
+		if err := p.Propose(); err != nil {
+			return nil, nil, err
+		}
 	}
-	diss, err := nw.runPhase(ctx, it, PhaseDissemination, dissPhase(ps), nw.cfg.DissCycles, nw.dissCap, func() bool { return correctionAgreed(ps) })
+	diss, err := nw.runPhase(ctx, it, PhaseDissemination, dissPhase(ps), nw.cfg.DissCycles, nw.dissCap, func() bool { return elected(ps) })
 	trace.DissCycles = diss
 	if err != nil {
 		return nil, nil, err
 	}
-	if !correctionAgreed(ps) {
+	if !elected(ps) {
 		return nil, nil, fmt.Errorf("%w: correction dissemination did not converge in %d cycles", ErrPhaseBudget, diss)
 	}
 	for _, p := range ps {
-		if err := p.StartDecryption(); err != nil {
-			return nil, nil, err
-		}
+		p.StartDecryption()
 	}
 
 	// --- Algorithm 3 (c): epidemic decryption of the perturbed means.
@@ -580,16 +592,22 @@ func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.S
 		return nil, nil, fmt.Errorf("%w: epidemic decryption did not complete in %d cycles", ErrPhaseBudget, dec)
 	}
 
-	// --- Convergence step inputs: every participant decodes its own
-	// perturbed means and post-processes locally.
+	// --- Convergence step inputs: every participant decodes the
+	// elected vector with the shares it gathered and filters locally.
 	perCentroids := make([][]timeseries.Series, nw.np)
+	var released [][]float64
 	for i, p := range ps {
 		vals, err := p.Release(k * (n + 1))
 		if err != nil {
 			return nil, nil, err
 		}
-		perCentroids[i] = Postprocess(vals, k, n, nw.cfg)
+		trace.ShareApplications += p.Applications()
+		if !slices.ContainsFunc(released, func(r []float64) bool { return slices.Equal(r, vals) }) {
+			released = append(released, vals)
+		}
+		perCentroids[i] = nw.cfg.Release(vals, k, n)
 	}
+	trace.DistinctReleases = len(released)
 	if nw.tamper != nil {
 		nw.tamper(perCentroids)
 	}
@@ -670,38 +688,21 @@ func NoiseLambdas(k, n int, epsIter, dmin, dmax float64) []float64 {
 	return lambdas
 }
 
-// Postprocess turns a decoded k·(n+1) value vector into centroids:
-// divide sums by counts, smooth, and apply the aberrant filters
-// (Section 5.2 and footnote 8), with cfg's range and smoothing. Lost or
-// aberrant means come back nil.
-func Postprocess(vals []float64, k, n int, cfg Config) []timeseries.Series {
-	out := make([]timeseries.Series, k)
-	rangeWidth := cfg.DMax - cfg.DMin
-	lo := cfg.DMin - rangeSlack*rangeWidth
-	hi := cfg.DMax + rangeSlack*rangeWidth
+// Release turns a decoded k·(n+1) value vector into centroids with the
+// release filter (kmeans.Filter) at cfg's range and smoothing. Lost or
+// aberrant means come back nil; vals is left as it is.
+func (cfg Config) Release(vals []float64, k, n int) []timeseries.Series {
+	sums, counts := make([]timeseries.Series, k), make([]float64, k)
+	for c := range sums {
+		base := c * (n + 1)
+		sums[c] = timeseries.Series(vals[base : base+n]).Clone()
+		counts[c] = vals[base+n]
+	}
 	var window int
 	if cfg.Smooth {
 		window = int(math.Round(smaFraction * float64(n)))
 	}
-	for c := 0; c < k; c++ {
-		base := c * (n + 1)
-		count := vals[base+n]
-		if count < countFloor {
-			continue // lost mean
-		}
-		mean := make(timeseries.Series, n)
-		for j := 0; j < n; j++ {
-			mean[j] = vals[base+j] / count
-		}
-		if window > 0 {
-			mean = mean.SMA(window)
-		}
-		if !mean.InRange(lo, hi) {
-			continue // aberrant mean
-		}
-		out[c] = mean
-	}
-	return out
+	return kmeans.NewFilter(cfg.DMin, cfg.DMax, rangeSlack, countFloor, window).Means(sums, counts)
 }
 
 // crossAgreement returns the maximum distance between corresponding

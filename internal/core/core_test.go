@@ -101,8 +101,9 @@ func TestProtocolMatchesCentralizedLowNoise(t *testing.T) {
 }
 
 func TestParticipantsAgree(t *testing.T) {
-	// The unicity argument of Section 4.2.3: all participants' decoded
-	// centroids must agree up to gossip error.
+	// The unicity argument of Section 4.2.3, made exact: every
+	// participant decrypts the one elected vector, so every decoded view
+	// is bit-identical.
 	const np, n, k = 24, 4, 2
 	data, centers := blobs(np, n, k, 52)
 	sch, err := plain.New(nil, 256, np, 4)
@@ -126,8 +127,8 @@ func TestParticipantsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range res.Traces {
-		if tr.Agreement > 0.01 {
-			t.Errorf("iteration %d: cross-participant disagreement %v", tr.Iteration, tr.Agreement)
+		if tr.Agreement != 0 || tr.DistinctReleases != 1 {
+			t.Errorf("iteration %d: cross-participant disagreement %v over %d distinct releases", tr.Iteration, tr.Agreement, tr.DistinctReleases)
 		}
 	}
 }

@@ -241,8 +241,9 @@ func interInertia(means []timeseries.Series, counts []float64, g timeseries.Seri
 }
 
 // perturbMeans releases the per-cluster (sum, count) pairs through the
-// Laplace mechanism, divides, smooths, and filters aberrant means,
-// mirroring lines 7–12 of Algorithm 3.
+// Laplace mechanism and the release filter (kmeans.Filter), mirroring
+// lines 7–12 of Algorithm 3. It returns the released means and, for each
+// surviving one, its perturbed count.
 func perturbMeans(a *kmeans.Assignment, mech *dp.Mechanism, epsIter float64, cfg Config) ([]timeseries.Series, []float64) {
 	epsSum, epsCount := dp.SplitIteration(epsIter, cfg.SumShare)
 	countFloor, slack := cfg.CountFloor, cfg.RangeSlack
@@ -252,11 +253,7 @@ func perturbMeans(a *kmeans.Assignment, mech *dp.Mechanism, epsIter float64, cfg
 	if slack == 0 {
 		slack = 1
 	}
-	rangeWidth := cfg.DMax - cfg.DMin
-	lo, hi := cfg.DMin-slack*rangeWidth, cfg.DMax+slack*rangeWidth
 	k := len(a.Sums)
-	out := make([]timeseries.Series, k)
-	outCounts := make([]float64, k)
 	var window int
 	if cfg.Smooth {
 		frac := cfg.SMAFraction
@@ -265,29 +262,23 @@ func perturbMeans(a *kmeans.Assignment, mech *dp.Mechanism, epsIter float64, cfg
 		}
 		window = int(math.Round(frac * float64(len(a.Sums[0]))))
 	}
+	// Perturb even empty clusters: the protocol cannot know a cluster is
+	// empty before decryption, and an empty cluster's perturbed mean is
+	// exactly the "irrelevant value" footnote 8 predicts will be ignored
+	// (the filter drops it).
+	sums, counts := make([]timeseries.Series, k), make([]float64, k)
 	for c := 0; c < k; c++ {
-		// Perturb even empty clusters: the protocol cannot know a cluster
-		// is empty before decryption, and an empty cluster's perturbed
-		// mean is exactly the "irrelevant value" footnote 8 predicts will
-		// be ignored (it fails the aberrant filter below).
-		sum := a.Sums[c].Clone()
-		mech.PerturbSum(sum, epsSum)
-		count := mech.PerturbCount(float64(a.Counts[c]), epsCount)
-		if count < countFloor {
-			continue // lost mean
-		}
-		mean := sum
-		mean.Scale(1 / count)
-		if cfg.Smooth && window > 0 {
-			mean = mean.SMA(window)
-		}
-		if !mean.InRange(lo, hi) {
-			continue // aberrant mean
-		}
-		out[c] = mean
-		outCounts[c] = count
+		sums[c] = a.Sums[c].Clone()
+		mech.PerturbSum(sums[c], epsSum)
+		counts[c] = mech.PerturbCount(float64(a.Counts[c]), epsCount)
 	}
-	return out, outCounts
+	out := kmeans.NewFilter(cfg.DMin, cfg.DMax, slack, countFloor, window).Means(sums, counts)
+	for c, m := range out {
+		if m == nil {
+			counts[c] = 0
+		}
+	}
+	return out, counts
 }
 
 // churnSubset samples the series that remain connected this iteration.

@@ -3,27 +3,36 @@ package eesum
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"chiaroscuro/internal/sim"
 )
 
 // DecryptionLatency is the counting-only model of the epidemic
 // decryption used for the large-population latency experiment (Figure
-// 4(b)), where what matters is how many exchanges each node needs to
-// gather τ distinct key-shares, not the crypto itself.
+// 4(b)) and the phase-length validation grid, where what matters is how
+// many exchanges each node needs to gather τ distinct key-shares, not
+// the crypto itself. It follows Participant's union rule: a node's set
+// starts empty, two nodes merge their sets by union capped at the
+// lowest τ share ids (a full set never changes; the responder of a
+// half-completed exchange keeps its set), and while the union is below
+// τ each side whose share neither set holds adds it — its one key-share
+// application of the iteration.
 //
-// Exact mode tracks the actual identifier sets (memory ∝ n·τ — the same
-// platform limitation the paper reports at one million participants).
-// Mean-field mode tracks only set sizes, approximating membership tests
-// probabilistically; it scales to millions of nodes.
+// Exact mode tracks the actual share sets (memory ∝ n·τ — the same
+// platform limitation the paper reports at one million participants)
+// and mirrors Participant.ExchangeDec exactly. Mean-field mode tracks
+// only set sizes, taking the overlap of two sets as that of random
+// subsets of the n shares; it scales to millions of nodes.
 type DecryptionLatency struct {
 	Threshold int
 	Exact     bool
 
-	n     int
-	count []int32
-	sets  []map[int32]struct{} // exact mode only
-	rng   interface{ Float64() float64 }
+	n       int
+	count   []int32
+	sets    [][]int32 // exact mode only: ascending share ids, never written in place
+	applied []bool
+	rng     interface{ Float64() float64 }
 }
 
 // NewDecryptionLatency builds the latency model for n nodes, each owning
@@ -37,89 +46,92 @@ func NewDecryptionLatency(n, threshold int, exact bool, rng interface{ Float64()
 		Exact:     exact,
 		n:         n,
 		count:     make([]int32, n),
+		applied:   make([]bool, n),
 		rng:       rng,
 	}
 	if exact {
-		dl.sets = make([]map[int32]struct{}, n)
-		for i := range dl.sets {
-			dl.sets[i] = map[int32]struct{}{int32(i): {}}
-			dl.count[i] = 1
-		}
-	} else {
-		for i := range dl.count {
-			dl.count[i] = 1 // own share
-		}
+		dl.sets = make([][]int32, n)
 	}
 	return dl, nil
 }
 
 // Exchange mirrors Participant.ExchangeDec at the counting level.
 func (dl *DecryptionLatency) Exchange(a, b sim.NodeID, full bool) {
-	if dl.Exact {
-		if dl.count[b] > dl.count[a] {
-			dl.adopt(a, b)
-		} else if full && dl.count[a] > dl.count[b] {
-			dl.adopt(b, a)
-		}
-		dl.insert(a, int32(b))
-		if full {
-			dl.insert(b, int32(a))
-		}
-		return
-	}
-	// Mean-field: adopt the larger count, then gain the peer's share
-	// with probability 1 - count/n (chance it was not yet collected).
-	if dl.count[b] > dl.count[a] {
-		dl.count[a] = dl.count[b]
-	} else if full && dl.count[a] > dl.count[b] {
-		dl.count[b] = dl.count[a]
-	}
 	th := int32(dl.Threshold)
-	if dl.count[a] < th && dl.rng.Float64() > float64(dl.count[a])/float64(dl.n) {
-		dl.count[a]++
+	if dl.count[a] >= th && (!full || dl.count[b] >= th) {
+		return // full sets never change
 	}
-	if full && dl.count[b] < th && dl.rng.Float64() > float64(dl.count[b])/float64(dl.n) {
-		dl.count[b]++
+	if dl.Exact {
+		dl.exchangeExact(a, b, full)
+		return
+	}
+	// Mean-field: the union of two random subsets of the n shares, plus
+	// each side's share with the chance neither set holds it.
+	ca, cb := float64(dl.count[a]), float64(dl.count[b])
+	u := ca + cb - ca*cb/float64(dl.n)
+	if u < float64(th) {
+		miss := 1 - u/float64(dl.n)
+		if dl.rng.Float64() < miss {
+			u++
+			dl.applied[a] = true
+		}
+		if dl.rng.Float64() < miss {
+			u++
+			dl.applied[b] = true
+		}
+	}
+	merged := min(th, int32(math.Round(u))) // ≥ either count: u ≥ max(ca, cb)
+	if dl.count[a] < th {
+		dl.count[a] = merged
+	}
+	if full && dl.count[b] < th {
+		dl.count[b] = merged
 	}
 }
 
-// adopt copies the more advanced side's share-set, truncating at
-// Threshold over the ascending share ids — never over Go map iteration
-// order, which would make the surviving set (and every later membership
-// test) nondeterministic. The public transitions cap every set at
-// Threshold, so the truncation branch is defensive here; the protocol's
-// live truncation path is CopyParts (wire peers may present more than τ
-// parts), which applies the same ordered rule.
-func (dl *DecryptionLatency) adopt(to, from sim.NodeID) {
-	src := dl.sets[from]
-	dst := make(map[int32]struct{}, len(src))
-	if len(src) <= dl.Threshold {
-		//lint:orderfree whole-set copy into a set: every key lands regardless of order
-		for k := range src {
-			dst[k] = struct{}{}
+// exchangeExact is Exchange over the share sets themselves.
+func (dl *DecryptionLatency) exchangeExact(a, b sim.NodeID, full bool) {
+	merged := unionSorted(dl.sets[a], dl.sets[b])
+	if len(merged) < dl.Threshold {
+		ka, kb := !slices.Contains(merged, int32(a)), !slices.Contains(merged, int32(b))
+		if ka {
+			merged = insertSorted(merged, int32(a))
+			dl.applied[a] = true
 		}
-	} else {
-		for _, k := range sortedKeys(src) {
-			if len(dst) == dl.Threshold {
-				break
-			}
-			dst[k] = struct{}{}
+		if kb {
+			merged = insertSorted(merged, int32(b))
+			dl.applied[b] = true
 		}
 	}
-	dl.sets[to] = dst
-	dl.count[to] = int32(len(dst))
-	dl.insert(to, int32(to))
+	merged = merged[:min(len(merged), dl.Threshold)]
+	if int(dl.count[a]) < dl.Threshold {
+		dl.sets[a], dl.count[a] = merged, int32(len(merged))
+	}
+	if full && int(dl.count[b]) < dl.Threshold {
+		dl.sets[b], dl.count[b] = merged, int32(len(merged))
+	}
 }
 
-func (dl *DecryptionLatency) insert(node sim.NodeID, share int32) {
-	if dl.count[node] >= int32(dl.Threshold) {
-		return
+// unionSorted merges two ascending sets into a new one.
+func unionSorted(x, y []int32) []int32 {
+	out := make([]int32, 0, len(x)+len(y)+2)
+	for len(x) > 0 || len(y) > 0 {
+		switch {
+		case len(y) == 0 || (len(x) > 0 && x[0] < y[0]):
+			out, x = append(out, x[0]), x[1:]
+		case len(x) == 0 || y[0] < x[0]:
+			out, y = append(out, y[0]), y[1:]
+		default:
+			out, x, y = append(out, x[0]), x[1:], y[1:]
+		}
 	}
-	if _, ok := dl.sets[node][share]; ok {
-		return
-	}
-	dl.sets[node][share] = struct{}{}
-	dl.count[node]++
+	return out
+}
+
+// insertSorted inserts v into the ascending set s, which it owns.
+func insertSorted(s []int32, v int32) []int32 {
+	i, _ := slices.BinarySearch(s, v)
+	return slices.Insert(s, i, v)
 }
 
 // Done reports whether node i gathered enough shares.
@@ -136,6 +148,17 @@ func (dl *DecryptionLatency) FractionDone() float64 {
 		}
 	}
 	return float64(done) / float64(dl.n)
+}
+
+// Applications returns how many nodes applied their key-share so far.
+func (dl *DecryptionLatency) Applications() int {
+	n := 0
+	for _, a := range dl.applied {
+		if a {
+			n++
+		}
+	}
+	return n
 }
 
 // ExpectedDecryptMessages is the closed-form "Tendencies" estimate for

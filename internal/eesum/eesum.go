@@ -8,12 +8,14 @@
 //     scaling at decode time;
 //   - epidemic noise generation (Section 4.2.2): each participant
 //     contributes a Laplace noise-share (Definition 5), the shares are
-//     EESum-aggregated alongside a cleartext participant counter, and a
-//     min-identifier correction dissemination removes the surplus
-//     shares;
-//   - epidemic decryption (Section 4.2.3): each participant applies its
-//     own key-share to the converged ciphertexts and gossips the set of
-//     partial decryptions until τ distinct key-shares are gathered.
+//     EESum-aggregated alongside a cleartext participant counter; each
+//     participant removes its own estimate of the surplus shares from
+//     its own sums and stands for election with the perturbed means,
+//     and a min-identifier dissemination elects one of them;
+//   - epidemic decryption (Section 4.2.3, over the elected vector only):
+//     participants gossip grow-only sets of partial decryptions, merged
+//     by union, each applying its own key-share at most once, until τ
+//     distinct key-shares are gathered.
 //
 // Two drivers run the machine: internal/core over the in-memory cycle
 // engine, internal/node over the wire. DecryptionLatency is the

@@ -61,7 +61,7 @@ type (
 )
 
 func (ps sums) Exchange(a, b sim.NodeID, full bool)        { ps[a].ExchangeSum(ps[b], full) }
-func (ps corrections) Exchange(a, b sim.NodeID, full bool) { ps[a].ExchangeCorrection(ps[b], full) }
+func (ps corrections) Exchange(a, b sim.NodeID, full bool) { ps[a].ExchangeDiss(ps[b], full) }
 func (ps decryptions) Exchange(a, b sim.NodeID, full bool) { ps[a].ExchangeDec(ps[b], full) }
 func (sums) ConcurrentExchangeSafe() bool                  { return true }
 func (decryptions) ConcurrentExchangeSafe() bool           { return true }

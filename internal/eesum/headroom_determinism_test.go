@@ -1,7 +1,12 @@
 package eesum
 
 import (
+	"math/big"
+	"slices"
 	"testing"
+
+	"chiaroscuro/internal/homenc"
+	"chiaroscuro/internal/homenc/plain"
 
 	"chiaroscuro/internal/randx"
 	"chiaroscuro/internal/sim"
@@ -35,12 +40,11 @@ func latencyCounts(t *testing.T, n, tau, cycles int, seed uint64) [][]int32 {
 	return out
 }
 
-// TestDecryptionLatencyExactModeReproducible pins the determinism fix in
-// DecryptionLatency.adopt: two exact-mode runs at the same seed must
-// produce identical per-node share counts at every cycle — the
-// bit-per-seed reproducibility the Figure 4(b) experiment relies on.
-// Threshold-sized adopted sets are where map-iteration-order truncation
-// would bite, so τ is kept small relative to the cycle count.
+// TestDecryptionLatencyExactModeReproducible: two exact-mode runs at
+// the same seed must produce identical per-node share counts at every
+// cycle — the bit-per-seed reproducibility the Figure 4(b) experiment
+// relies on. Capped unions are where an order-dependent truncation would
+// bite, so τ is kept small relative to the cycle count.
 func TestDecryptionLatencyExactModeReproducible(t *testing.T) {
 	const n, tau, cycles = 200, 12, 16
 	want := latencyCounts(t, n, tau, cycles, 77)
@@ -57,30 +61,89 @@ func TestDecryptionLatencyExactModeReproducible(t *testing.T) {
 	}
 }
 
-// TestDecryptionLatencyAdoptDeterministic drives adopt directly with an
-// over-full source set (the defensive case the truncation exists for)
-// and checks the survivors are the smallest share ids, not map order.
-func TestDecryptionLatencyAdoptDeterministic(t *testing.T) {
+// TestDecryptionLatencyUnionDeterministic drives the exact model's
+// union directly: a union above τ keeps the smallest share ids, on both
+// sides, and a full set never changes.
+func TestDecryptionLatencyUnionDeterministic(t *testing.T) {
 	const n, tau = 8, 3
-	for rep := 0; rep < 20; rep++ {
-		rng := randx.New(5, 5)
-		dl, err := NewDecryptionLatency(n, tau, true, rng)
+	dl, err := NewDecryptionLatency(n, tau, true, randx.New(5, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := func(i int, ids ...int32) {
+		dl.sets[i], dl.count[i] = ids, int32(len(ids))
+	}
+	set(0, 4, 6)
+	set(1, 2, 5)
+	dl.Exchange(0, 1, true)
+	for _, i := range []int{0, 1} {
+		if !slices.Equal(dl.sets[i], []int32{2, 4, 5}) {
+			t.Fatalf("node %d holds %v, want the smallest ids {2,4,5}", i, dl.sets[i])
+		}
+	}
+	set(2, 1)
+	dl.Exchange(2, 0, true)
+	if !slices.Equal(dl.sets[0], []int32{2, 4, 5}) || !slices.Equal(dl.sets[2], []int32{1, 2, 4}) {
+		t.Fatalf("full set %v, joining set %v: want {2,4,5} kept and {1,2,4}", dl.sets[0], dl.sets[2])
+	}
+	if dl.Applications() != 0 {
+		t.Fatalf("%d key-shares applied where every union reached τ", dl.Applications())
+	}
+}
+
+// mirrored drives the in-memory participants and the exact model over
+// one schedule.
+type mirrored struct {
+	ps []*Participant
+	dl *DecryptionLatency
+}
+
+func (m mirrored) Exchange(a, b sim.NodeID, full bool) {
+	m.ps[a].ExchangeDec(m.ps[b], full)
+	m.dl.Exchange(a, b, full)
+}
+
+// TestDecryptionLatencyMirrorsParticipants: the exact model is the
+// union rule of Participant.ExchangeDec at the counting level, also
+// under mid-exchange churn. Over one schedule, every node's share set
+// and the key-share applications match after every cycle.
+func TestDecryptionLatencyMirrorsParticipants(t *testing.T) {
+	for _, c := range []struct {
+		n, tau int
+		churn  float64
+	}{{12, 4, 0}, {12, 4, 0.2}, {30, 10, 0.1}, {9, 9, 0}} {
+		sch, err := plain.New(nil, 0, c.n, c.tau)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Hand node 1 a set larger than τ (cannot arise through the
-		// public transitions, which cap at τ — adopt must still
-		// truncate deterministically rather than by map order).
-		dl.sets[1] = map[int32]struct{}{6: {}, 2: {}, 5: {}, 0: {}, 7: {}}
-		dl.count[1] = int32(len(dl.sets[1]))
-		dl.adopt(0, 1)
-		for _, want := range []int32{0, 2, 5} {
-			if _, ok := dl.sets[0][want]; !ok {
-				t.Fatalf("rep %d: adopted set %v, want the smallest ids {0,2,5}", rep, dl.sets[0])
+		ps := decrypting(testEnv(sch, homenc.Codec{}, 1), c.n, []homenc.Ciphertext{sch.Encrypt(big.NewInt(3))})
+		dl, err := NewDecryptionLatency(c.n, c.tau, true, randx.New(1, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := sim.New(sim.Config{N: c.n, Seed: 3, Churn: c.churn, MidFailure: c.churn > 0}, &sim.UniformSampler{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cycle := 0; cycle < 40; cycle++ {
+			e.RunCycleOn(mirrored{ps, dl})
+			applied := 0
+			for i, p := range ps {
+				applied += p.Applications()
+				ids := make([]int32, 0, len(p.DecParts))
+				for _, idx := range sortedKeys(p.DecParts) {
+					ids = append(ids, int32(idx-1))
+				}
+				if !slices.Equal(ids, dl.sets[i]) {
+					t.Fatalf("%+v cycle %d node %d: participant holds %v, model %v", c, cycle, i, ids, dl.sets[i])
+				}
+			}
+			if applied != dl.Applications() {
+				t.Fatalf("%+v cycle %d: %d applications, model %d", c, cycle, applied, dl.Applications())
 			}
 		}
-		if len(dl.sets[0]) != tau {
-			t.Fatalf("rep %d: adopted set has %d entries, want %d", rep, len(dl.sets[0]), tau)
+		if dl.FractionDone() < 1 {
+			t.Fatalf("%+v: not every node finished in 40 cycles", c)
 		}
 	}
 }

@@ -46,9 +46,8 @@ func TestNoiseGenExactPopulation(t *testing.T) {
 		run(e, 15, sums(ps))
 		// Surplus should be zero: corrections are all-zero vectors.
 		for i, p := range ps {
-			p.ProposeCorrection()
-			if p.CorVec[0] != 0 {
-				t.Fatalf("trial %d: node %d proposed nonzero correction %v with exact nν", trial, i, p.CorVec[0])
+			if _, cor := proposal(p); cor[0] != 0 {
+				t.Fatalf("trial %d: node %d proposed nonzero correction %v with exact nν", trial, i, cor[0])
 			}
 		}
 		est, err := estimate(env, ps[0].Noise.State(), plainDecrypt)
@@ -85,23 +84,50 @@ func TestNoiseGenSurplusCorrection(t *testing.T) {
 		}
 	}
 	nonZero := 0
-	for _, p := range ps {
-		p.ProposeCorrection()
-		if p.CorVec[0] != 0 || p.CorVec[1] != 0 {
+	cors := make([][]float64, n)
+	for i, p := range ps {
+		_, cors[i] = proposal(p)
+		if cors[i][0] != 0 || cors[i][1] != 0 {
 			nonZero++
 		}
 	}
 	if nonZero == 0 {
 		t.Fatal("no node proposed a surplus correction despite nν < population")
 	}
-	// Disseminate and check unicity.
+	// Applying a correction shifts the noise estimate by -correction:
+	// the means are zeros, so the perturbed means are the corrected noise.
+	before, err := estimate(env, ps[0].Noise.State(), plainDecrypt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perturbed, err := ps[0].perturb(cors[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := estimate(env, perturbed.State(), plainDecrypt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < 2; d++ {
+		wantShift := -cors[0][d]
+		if math.Abs((after[d]-before[d])-wantShift) > 1e-4 {
+			t.Errorf("dim %d: correction shifted by %v, want %v", d, after[d]-before[d], wantShift)
+		}
+	}
+	// Every node stands for election with its own perturbed means; the
+	// dissemination elects one vector for everyone.
+	for _, p := range ps {
+		if err := p.Propose(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	e2, err := sim.New(sim.Config{N: n, Seed: 8}, &sim.UniformSampler{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	agreed := func() bool {
 		for _, p := range ps[1:] {
-			if p.CorID != ps[0].CorID {
+			if p.VecID != ps[0].VecID {
 				return false
 			}
 		}
@@ -113,25 +139,17 @@ func TestNoiseGenSurplusCorrection(t *testing.T) {
 	if !agreed() {
 		t.Fatal("correction dissemination did not converge")
 	}
-	// Applying the correction shifts node 0's noise estimate by
-	// -correction.
-	before, err := estimate(env, ps[0].Noise.State(), plainDecrypt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ps[0].StartDecryption(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := estimate(env, ps[0].Noise.State(), plainDecrypt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for d := 0; d < 2; d++ {
-		wantShift := -ps[0].CorVec[d]
-		if math.Abs((after[d]-before[d])-wantShift) > 1e-4 {
-			t.Errorf("dim %d: correction shifted by %v, want %v", d, after[d]-before[d], wantShift)
+	for i, p := range ps {
+		if p.Vec != ps[0].Vec || p.VecOmega != ps[0].VecOmega {
+			t.Fatalf("node %d holds the elected identifier with another vector", i)
 		}
 	}
+}
+
+// proposal draws p's correction proposal from its stream, as Propose
+// does, from the counter's estimate.
+func proposal(p *Participant) (uint64, []float64) {
+	return CorrectionProposal(p.stream, p.noise, p.CtrS/p.CtrW, p.CtrW > 0)
 }
 
 func TestPerturbMeansLockstep(t *testing.T) {
@@ -155,23 +173,27 @@ func TestPerturbMeansLockstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.ProposeCorrection()
-	if err := p.StartDecryption(); err != nil {
-		t.Fatal(err)
-	}
-	noiseEst, err := estimate(env, p.Noise.State(), plainDecrypt) // corrected
+	noiseEst, err := estimate(env, p.Noise.State(), plainDecrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perturbed, err := estimate(env, p.Means.State(), plainDecrypt)
+	// nν is the population: the counter finds no surplus, and the
+	// correction is zero.
+	if math.Round(p.CtrS/p.CtrW) != n {
+		t.Fatalf("counter estimate %v, want %d", p.CtrS/p.CtrW, n)
+	}
+	if err := p.Propose(); err != nil {
+		t.Fatal(err)
+	}
+	perturbed, err := estimate(env, SumSide{CTs: p.Vec, Omega: p.VecOmega}.State(), plainDecrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(perturbed[0]-(meanEst[0]+noiseEst[0])) > 1e-6 {
 		t.Errorf("perturbed = %v, want mean %v + noise %v", perturbed[0], meanEst[0], noiseEst[0])
 	}
-	if p.DecCTs.Values()[0].V.Cmp(p.Means.State().CTs[0].V) != 0 || p.DecOmega.Cmp(p.Means.Omega) != 0 {
-		t.Error("the decryption did not start on the perturbed means")
+	if p.VecOmega.Cmp(p.Means.Omega) != 0 {
+		t.Error("the elected vector does not carry the means' weight")
 	}
 }
 
@@ -182,8 +204,7 @@ func TestPerturbMeansOutOfLockstep(t *testing.T) {
 	ps := population(testEnv(sch, codec, 1), init, NoiseConfig{Lambdas: uniformLambdas(1, 1), NShares: 4}, randx.New(1, 1))
 	// The means move, the noise does not.
 	ps[0].Means = mergeSum(sch, ps[0].Means.Operand(), ps[1].Means.Operand(), 1)
-	ps[0].ProposeCorrection()
-	if err := ps[0].StartDecryption(); err == nil {
+	if err := ps[0].Propose(); err == nil {
 		t.Error("out-of-lockstep perturbation must fail")
 	}
 }
@@ -204,12 +225,12 @@ func (r *countingReader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestStartDecryptionDrawsNoRandomness: the disseminated correction is
-// public, so subtracting it from the noise sum and adding the noise into
-// the means draw no randomizer — the scheme's entropy source is not read
-// — and the correction still shifts the noise estimate by exactly
-// -correction.
-func TestStartDecryptionDrawsNoRandomness(t *testing.T) {
+// TestProposeDrawsNoRandomness: the correction is public, so
+// subtracting it from the noise sum and adding the noise into the means
+// — Propose's perturbation, before the dissemination — draw no
+// randomizer: the scheme's entropy source is not read. The correction
+// still shifts the noise estimate by exactly -correction.
+func TestProposeDrawsNoRandomness(t *testing.T) {
 	const n, dim = 4, 3
 	p, q, err := damgardjurik.KnownSafePrimes(64)
 	if err != nil {
@@ -234,24 +255,30 @@ func TestStartDecryptionDrawsNoRandomness(t *testing.T) {
 		t.Fatal(err)
 	}
 	part.CtrW = 1.0 / n // the counter as converged: n participants
-	part.ProposeCorrection()
-	if slices.Max(part.CorVec) == 0 && slices.Min(part.CorVec) == 0 {
+	_, cor := proposal(part)
+	if slices.Max(cor) == 0 && slices.Min(cor) == 0 {
 		t.Fatal("the correction is zero: nothing to subtract")
 	}
 	drawn := random.n
-	if err := part.StartDecryption(); err != nil {
+	perturbed, err := part.perturb(cor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps[1].CtrW = 1.0 / n
+	if err := ps[1].Propose(); err != nil {
 		t.Fatal(err)
 	}
 	if got := random.n - drawn; got != 0 {
-		t.Errorf("StartDecryption read %d bytes of randomness, want 0", got)
+		t.Errorf("the perturbation read %d bytes of randomness, want 0", got)
 	}
-	after, err := estimate(env, part.Noise.State(), decrypt)
+	// The means are zeros: the perturbed means are the corrected noise.
+	after, err := estimate(env, perturbed.State(), decrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := range after {
-		if shift := after[j] - before[j]; math.Abs(shift+part.CorVec[j]) > 1e-4 {
-			t.Errorf("dim %d: correction shifted the noise estimate by %v, want %v", j, shift, -part.CorVec[j])
+		if shift := after[j] - before[j]; math.Abs(shift+cor[j]) > 1e-4 {
+			t.Errorf("dim %d: correction shifted the noise estimate by %v, want %v", j, shift, -cor[j])
 		}
 	}
 }
@@ -259,11 +286,12 @@ func TestStartDecryptionDrawsNoRandomness(t *testing.T) {
 // decrypting gives every participant the same converged state to
 // decrypt.
 func decrypting(env *Env, n int, cts []homenc.Ciphertext) []*Participant {
+	elected := homenc.NewVector(cts)
 	ps := make([]*Participant, n)
 	for i := range ps {
 		ps[i] = NewParticipant(env, i, nil, NoiseConfig{})
-		ps[i].DecCTs, ps[i].DecOmega = homenc.NewVector(cts), big.NewInt(1)
-		ps[i].DecParts = make(map[int]*homenc.Vector)
+		ps[i].VecID, ps[i].Vec, ps[i].VecOmega = 1, elected, big.NewInt(1)
+		ps[i].StartDecryption()
 	}
 	return ps
 }
@@ -324,12 +352,16 @@ func TestEpidemicDecryptionDamgardJurik(t *testing.T) {
 	}
 	run(e, 20, sums(ps))
 
-	// Every node decrypts its own converged state epidemically.
+	// Every node stands for election with its own converged state; the
+	// elected one is decrypted epidemically.
 	for _, p := range ps {
-		p.ProposeCorrection()
-		if err := p.StartDecryption(); err != nil {
+		if err := p.Propose(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	run(e, 20, corrections(ps))
+	for _, p := range ps {
+		p.StartDecryption()
 	}
 	if cycles := settle(e, ps, 100); cycles >= 100 {
 		t.Fatal("epidemic decryption did not complete")

@@ -9,6 +9,7 @@ package eesum
 
 import (
 	"math/big"
+	"slices"
 
 	"chiaroscuro/internal/homenc"
 	"chiaroscuro/internal/randx"
@@ -54,10 +55,11 @@ func (s SumSide) State() SumState {
 // Participant is one participant's live protocol state for one
 // iteration: the encrypted side of its Diptych (Definition 6) — the
 // means sum and the noise sum running in lockstep, with the cleartext
-// participant counter — then the correction proposal of the noise
-// generation (Section 4.2.2), then the epidemic decryption state
-// (Section 4.2.3). The exported fields are what an exchange leg sends
-// and a journal checkpoint records; the methods are the transitions.
+// participant counter — then the perturbed means it stands for election
+// with (Section 4.2.2's correction, applied before the dissemination),
+// then the key-shares gathered over the elected vector (Section 4.2.3).
+// The exported fields are what an exchange leg sends and a journal
+// checkpoint records; the methods are the transitions.
 //
 // A participant belongs to one exchange at a time. Once its decryption
 // state is Settled no transition writes to it, so the wire runtime may
@@ -66,12 +68,15 @@ type Participant struct {
 	Means, Noise SumSide
 	CtrS, CtrW   float64 // the counter's σ and ω
 
-	CorID  uint64
-	CorVec []float64 // nil until the proposal is drawn
+	// The vector this participant holds elected: the identifier of the
+	// correction proposal it was perturbed with (the smallest wins), the
+	// perturbed means and their weight. Vec is nil until Propose.
+	VecID    uint64
+	Vec      *homenc.Vector
+	VecOmega *big.Int
 
-	DecCTs   *homenc.Vector
-	DecOmega *big.Int
-	DecParts map[int]*homenc.Vector // nil until the decryption starts
+	DecParts map[int]*homenc.Vector // the share set; nil until the decryption starts
+	Own      *homenc.Vector         // this participant's key-share over Vec, once applied
 
 	env    *Env
 	index  int        // 0-based; the key-share index is index+1
@@ -174,169 +179,245 @@ func (p *Participant) ExchangeSum(q *Participant, full bool) {
 	}
 }
 
-// --- Noise correction (Section 4.2.2) ---
+// --- Election of the vector to decrypt (Section 4.2.2 and Algorithm 3,
+// lines 6–7) ---
 
-// ProposeCorrection draws the participant's surplus-correction proposal
-// from its stream once the sum phase has ended (CorrectionProposal, from
-// the counter's estimate). A participant resumed past this point draws
-// too — the stream must advance — but keeps the proposal it was
-// restored with, or the smaller one it had adopted since.
-func (p *Participant) ProposeCorrection() {
+// Propose ends the participant's sum phase: it draws its surplus-
+// correction proposal from its stream (CorrectionProposal, from the
+// counter's estimate), applies it to its own noise sum, adds the noise
+// into its own means, and stands for election with the result: the
+// proposal's identifier, the perturbed means and their weight. Every
+// participant does this work, as each did at the decryption boundary
+// before; the dissemination then keeps the smallest identifier's vector,
+// so one vector is decrypted and released. A participant resumed past
+// this point draws too — the stream must advance — but keeps the vector
+// it was restored with.
+func (p *Participant) Propose() error {
 	est, ok := 0.0, p.CtrW > 0
 	if ok {
 		est = p.CtrS / p.CtrW
 	}
-	id, vec := CorrectionProposal(p.stream, p.noise, est, ok)
-	if p.CorVec == nil {
-		p.CorID, p.CorVec = id, vec
+	id, cor := CorrectionProposal(p.stream, p.noise, est, ok)
+	if p.Vec != nil {
+		return nil
+	}
+	perturbed, err := p.perturb(cor)
+	if err != nil {
+		return err
+	}
+	p.VecID, p.Vec, p.VecOmega = id, perturbed.CTs, perturbed.Omega
+	return nil
+}
+
+// perturb subtracts the correction cor from the noise sum and adds the
+// noise into the means: the perturbed means, an image of their own. The
+// correction is public and added without a randomizer.
+func (p *Participant) perturb(cor []float64) (SumSide, error) {
+	sch := p.env.Scheme
+	neg := make([]*big.Int, len(cor))
+	for j, x := range cor {
+		neg[j] = new(big.Int).Neg(p.env.Pack.Codec.Encode(x))
+	}
+	// The correction rewrites ciphertext slots, so it runs on the noise
+	// state's values decoded into a slab of this participant's own: the
+	// state may be shared with another participant, and is never
+	// written. Packing is linear, so the packed negated correction
+	// subtracts exactly per slot.
+	noise := p.Noise.State()
+	if err := AddEncryptedState(sch, noise, p.env.Pack.Pack(neg), p.env.workers(len(noise.CTs))); err != nil {
+		return SumSide{}, err
+	}
+	corrected := SumOperand{CTs: homenc.ValuesOperand(noise.CTs), Omega: noise.Omega, Epoch: noise.Epoch}
+	return PerturbState(sch, p.Means.Operand(), corrected)
+}
+
+// CommitDiss is this side's min-identifier dissemination step: the
+// vector with the smaller identifier wins, and is held as it is — a
+// vector is immutable, so two participants may hold the same one.
+func (p *Participant) CommitDiss(id uint64, vec *homenc.Vector, omega *big.Int) {
+	if id < p.VecID {
+		p.VecID, p.Vec, p.VecOmega = id, vec, omega
 	}
 }
 
-// CommitCorrection is this side's min-identifier dissemination step:
-// the proposal with the smaller identifier wins.
-func (p *Participant) CommitCorrection(id uint64, vec []float64) {
-	if id < p.CorID {
-		p.CorID, p.CorVec = id, vec
-	}
-}
-
-// ExchangeCorrection runs a whole dissemination exchange between
-// initiator p and responder q in memory.
-func (p *Participant) ExchangeCorrection(q *Participant, full bool) {
-	p.CommitCorrection(q.CorID, q.CorVec)
+// ExchangeDiss runs a whole dissemination exchange between initiator p
+// and responder q in memory. The smaller identifier wins either way, so
+// q may read p's state after p's commit.
+func (p *Participant) ExchangeDiss(q *Participant, full bool) {
+	p.CommitDiss(q.VecID, q.Vec, q.VecOmega)
 	if full {
-		q.CommitCorrection(p.CorID, p.CorVec)
+		q.CommitDiss(p.VecID, p.Vec, p.VecOmega)
 	}
 }
 
 // StartDecryption is the boundary between the dissemination and the
-// decryption (Algorithm 3, lines 6–7): the agreed correction is
-// subtracted from the noise sum, the noise added into the means, and
-// the decryption starts on the perturbed means with no key-share
-// gathered. A participant resumed past this boundary holds its result
-// already and keeps it.
-func (p *Participant) StartDecryption() error {
+// decryption: the decryption starts over the elected vector with no
+// key-share gathered. Every key-share application and the release read
+// the vector's values, so they are decoded now, once: participants that
+// elected the same vector share it. A participant resumed past this
+// boundary keeps the share set it was restored with.
+func (p *Participant) StartDecryption() {
 	if p.DecParts != nil {
-		return nil
+		return
 	}
-	sch := p.env.Scheme
-	cor := make([]*big.Int, len(p.CorVec))
-	for j, x := range p.CorVec {
-		cor[j] = new(big.Int).Neg(p.env.Pack.Codec.Encode(x))
-	}
-	// The correction rewrites ciphertext slots, so it runs on the noise
-	// state's values decoded into a slab of this participant's own: the
-	// state it replaces may be shared with another participant, and is
-	// never written. Packing is linear, so the packed negated correction
-	// subtracts exactly per slot.
-	noise := p.Noise.State()
-	if err := AddEncryptedState(sch, noise, p.env.Pack.Pack(cor), p.env.workers(len(noise.CTs))); err != nil {
-		return err
-	}
-	corrected := SumSide{CTs: homenc.NewVector(noise.CTs), Omega: noise.Omega, Epoch: noise.Epoch}
-	means, err := PerturbState(sch, p.Means.Operand(), corrected.Operand())
-	if err != nil {
-		return err
-	}
-	// The decryption reads the perturbed means' values on every leg: they
-	// are decoded now, once, while the vector is still this participant's
-	// alone.
-	means.CTs.Seal()
-	p.Noise, p.Means = corrected, means
-	p.DecCTs, p.DecOmega = means.CTs, means.Omega
-	p.DecParts = make(map[int]*homenc.Vector, sch.Threshold())
-	return nil
+	p.Vec.Seal()
+	p.DecParts = make(map[int]*homenc.Vector, p.env.Scheme.Threshold())
 }
 
-// --- Epidemic decryption (Section 4.2.3) ---
+// --- Epidemic decryption (Section 4.2.3, over one elected vector) ---
+//
+// A share set is grow-only, capped at τ and merged by union: when two
+// sides that elected the same vector meet, each takes the union of both
+// sets, plus the key-shares applied for the exchange, keeping the lowest
+// τ share indices. A full set never changes. While the union of both sets
+// is below τ, a side whose key-share neither set holds sends it along:
+// it applies its key-share then, at most once an iteration, and keeps
+// the result (Own) for every later peer that lacks it. A leg naming
+// another vector merges nothing — shares over two vectors must never
+// combine — so a participant that missed the elected vector ends the
+// phase unsettled.
 
 // DecPeer is the other side of a decryption exchange, in whatever form
 // a driver holds it: another participant in memory, a scanned frame on
-// the wire.
+// the wire. Its share set is read by position, in ascending share index.
 type DecPeer interface {
-	// Gathered returns how many key-shares the peer's state holds.
+	// Elected returns the identifier of the vector the peer decrypts.
+	Elected() uint64
+	// Gathered returns how many key-shares the peer's set holds.
 	Gathered() int
-	// Wants reports whether the peer's state still wants key-share idx
-	// (DecNeeds).
-	Wants(idx, threshold int) bool
-	// Ciphertexts returns the values of the peer's ciphertext vector.
-	Ciphertexts() []homenc.Ciphertext
-	// Detach returns the peer's whole state for adoption — ciphertexts,
-	// weight, and the gathered partials capped at threshold (CopyParts) —
+	// ShareAt returns the i-th smallest share index of the peer's set.
+	ShareAt(i int) int
+	// PartAt returns the partial decryptions under ShareAt(i),
 	// independent of the peer.
-	Detach(threshold int) (*homenc.Vector, *big.Int, map[int]*homenc.Vector)
+	PartAt(i int) *homenc.Vector
 }
 
 // DecPrep is one side of a decryption exchange, prepared from both
 // sides' pre-exchange states before either changes.
 type DecPrep struct {
-	// Fresh is this side's key-share over the peer's post-adoption
-	// ciphertexts — what its response or fin leg carries — or nil when
-	// the peer does not want it.
+	// Fresh is this side's key-share for the peer — what its response or
+	// fin leg carries — or nil when none is due.
 	Fresh *homenc.Vector
+	// PeerSends reports whether the peer's key-share is due to this side
+	// on the peer's leg.
+	PeerSends bool
 
-	adopt, peerAdopts bool
-	cts               *homenc.Vector // the peer's state, detached (only when adopt)
-	omega             *big.Int
-	parts             map[int]*homenc.Vector
+	peerShare int
+	keys      []int                  // the share set after the commit, ascending; nil: unchanged
+	take      map[int]*homenc.Vector // the entries of keys that come from the peer's set
 }
 
-// PrepareDec prepares participant p's side of a decryption exchange: it
-// decides the exchange (Section 4.2.3's latency rule: the less advanced
-// side adopts the more advanced side's whole state) and computes p's
-// key-share for the peer, if the peer's post-adoption state wants it.
-// Adoption decisions depend only on the pre-exchange states, and after
-// an adoption both sides hold the same ciphertexts, so the share is
-// computed once and CommitDec reuses it for p's own state. An initiator
-// whose exchange is scheduled to end half-completed (!full) computes
-// nothing for the peer. It is generic rather than a method taking the
-// interface so that a driver's peer — a scanned frame on every exchange
-// leg — is not boxed onto the heap.
-func PrepareDec[P DecPeer](p *Participant, peer P, full bool) DecPrep {
+// PrepareDec prepares participant p's side of a decryption exchange with
+// the peer holding key-share peerShare: whether each side's key-share
+// is due to the other, p's own applied if it is (once an iteration),
+// and the share set p commits to. It reads only the two pre-exchange
+// states, so an exchange that ends half-completed leaves the committing
+// side as a full one does. It is generic rather than a method taking
+// the interface so that a driver's peer — a scanned frame on every
+// exchange leg — is not boxed onto the heap.
+func PrepareDec[P DecPeer](p *Participant, peer P, peerShare int) DecPrep {
+	x := DecPrep{peerShare: peerShare}
 	tau, share := p.env.Scheme.Threshold(), p.share()
-	x := DecPrep{
-		adopt:      DecAdopts(len(p.DecParts), peer.Gathered()),
-		peerAdopts: DecAdopts(peer.Gathered(), len(p.DecParts)),
+	u, same := decUnion(p, peer, peerShare)
+	if !same || len(p.DecParts) >= tau {
+		return x // another vector, or a full set: it never changes
 	}
-	if x.adopt {
-		x.cts, x.omega, x.parts = peer.Detach(tau)
-	}
-	switch {
-	case !full:
-	case x.peerAdopts:
-		if DecNeeds(p.DecParts, tau, share) {
-			x.Fresh = p.ownShare(p.DecCTs.Values())
+	_, haveOwn := p.DecParts[share]
+	if u.size < tau {
+		x.PeerSends = DecShareDue(p, peer, peerShare)
+		if !haveOwn && !u.peerHasOwn {
+			x.Fresh = p.keyShare()
 		}
-	case !peer.Wants(share, tau):
-	case x.adopt:
-		x.Fresh = p.ownShare(x.cts.Values())
-	default:
-		x.Fresh = p.ownShare(peer.Ciphertexts())
+	}
+	// The union of both sets and both fresh shares, lowest τ indices.
+	keys := make([]int, 0, u.size+2)
+	for idx := range p.DecParts {
+		keys = append(keys, idx)
+	}
+	for i := range peer.Gathered() {
+		if idx := peer.ShareAt(i); p.DecParts[idx] == nil {
+			keys = append(keys, idx)
+		}
+	}
+	if x.Fresh != nil {
+		keys = append(keys, share)
+	}
+	if x.PeerSends {
+		keys = append(keys, peerShare)
+	}
+	slices.Sort(keys)
+	x.keys = keys[:min(len(keys), tau)]
+	x.take = make(map[int]*homenc.Vector, len(x.keys)-len(p.DecParts))
+	for i := range peer.Gathered() {
+		idx := peer.ShareAt(i)
+		if _, mine := p.DecParts[idx]; !mine && slices.Contains(x.keys, idx) {
+			x.take[idx] = peer.PartAt(i)
+		}
+	}
+	if x.Fresh != nil {
+		x.take[share] = x.Fresh
 	}
 	return x
 }
 
-// CommitDec applies this side's transition: adopt, then the peer's
-// key-share, then this side's own — the commit point, applied exactly
-// once. fresh is the peer's key-share over this side's post-adoption
-// ciphertexts (nil: none arrived).
-func (p *Participant) CommitDec(x DecPrep, peerShare int, fresh *homenc.Vector) {
-	tau, share := p.env.Scheme.Threshold(), p.share()
-	if x.adopt {
-		p.DecCTs, p.DecOmega, p.DecParts = x.cts, x.omega, x.parts
+// DecShareDue reports whether the peer's key-share is due to p as a
+// fresh share on the peer's leg: both decrypt the same vector, the union
+// of their sets is below τ, and neither set holds it. The peer decides
+// the same from the same two states, so a driver can refuse a leg whose
+// share is missing or unasked for.
+func DecShareDue[P DecPeer](p *Participant, peer P, peerShare int) bool {
+	u, same := decUnion(p, peer, peerShare)
+	_, have := p.DecParts[peerShare]
+	return same && u.size < p.env.Scheme.Threshold() && !have && !u.peerHasTheirs
+}
+
+// setUnion describes the union of two sides' share sets.
+type setUnion struct {
+	size          int
+	peerHasOwn    bool // the peer's set holds this side's key-share
+	peerHasTheirs bool // the peer's set holds the peer's own key-share
+}
+
+// decUnion returns the union of p's share set and the peer's; same is
+// false when the two decrypt different vectors, or p's decryption has
+// not started.
+func decUnion[P DecPeer](p *Participant, peer P, peerShare int) (u setUnion, same bool) {
+	if p.DecParts == nil || peer.Elected() != p.VecID {
+		return u, false
 	}
-	if fresh != nil && DecNeeds(p.DecParts, tau, peerShare) {
-		p.DecParts[peerShare] = fresh
-	}
-	if DecNeeds(p.DecParts, tau, share) {
-		own := x.Fresh
-		if own == nil || !(x.adopt || x.peerAdopts) {
-			own = p.ownShare(p.DecCTs.Values())
+	u.size = len(p.DecParts)
+	for i := range peer.Gathered() {
+		idx := peer.ShareAt(i)
+		if _, mine := p.DecParts[idx]; !mine {
+			u.size++
 		}
-		if own != nil {
-			p.DecParts[share] = own
+		u.peerHasOwn = u.peerHasOwn || idx == p.share()
+		u.peerHasTheirs = u.peerHasTheirs || idx == peerShare
+	}
+	return u, true
+}
+
+// CommitDec applies this side's transition — the commit point, applied
+// exactly once: the share set becomes the prepared union. fresh is the
+// peer's key-share as it arrived (nil: none).
+func (p *Participant) CommitDec(x DecPrep, fresh *homenc.Vector) {
+	if x.keys == nil {
+		return
+	}
+	parts := make(map[int]*homenc.Vector, len(x.keys))
+	for _, idx := range x.keys {
+		v := p.DecParts[idx]
+		if v == nil {
+			v = x.take[idx]
+		}
+		if v == nil && idx == x.peerShare {
+			v = fresh
+		}
+		if v != nil {
+			parts[idx] = v
 		}
 	}
+	p.DecParts = parts
 }
 
 // ExchangeDec runs a whole decryption exchange between initiator p and
@@ -344,21 +425,42 @@ func (p *Participant) CommitDec(x DecPrep, peerShare int, fresh *homenc.Vector) 
 // the other's pre-exchange state, then p commits, and q too unless the
 // exchange ends half-completed.
 func (p *Participant) ExchangeDec(q *Participant, full bool) {
-	xp, xq := PrepareDec(p, memPeer{q}, full), PrepareDec(q, memPeer{p}, true)
-	p.CommitDec(xp, q.share(), xq.Fresh)
+	xp, xq := PrepareDec(p, newMemPeer(q), q.share()), PrepareDec(q, newMemPeer(p), p.share())
+	p.CommitDec(xp, xq.Fresh)
 	if full {
-		q.CommitDec(xq, p.share(), xp.Fresh)
+		q.CommitDec(xq, xp.Fresh)
 	}
 }
 
 // memPeer is a participant as the peer of an in-memory exchange.
-type memPeer struct{ p *Participant }
+type memPeer struct {
+	p    *Participant
+	keys []int
+}
 
-func (m memPeer) Gathered() int                    { return len(m.p.DecParts) }
-func (m memPeer) Wants(idx, threshold int) bool    { return DecNeeds(m.p.DecParts, threshold, idx) }
-func (m memPeer) Ciphertexts() []homenc.Ciphertext { return m.p.DecCTs.Values() }
-func (m memPeer) Detach(threshold int) (*homenc.Vector, *big.Int, map[int]*homenc.Vector) {
-	return m.p.DecCTs, m.p.DecOmega, CopyParts(m.p.DecParts, threshold)
+func newMemPeer(p *Participant) memPeer { return memPeer{p, sortedKeys(p.DecParts)} }
+
+func (m memPeer) Elected() uint64             { return m.p.VecID }
+func (m memPeer) Gathered() int               { return len(m.keys) }
+func (m memPeer) ShareAt(i int) int           { return m.keys[i] }
+func (m memPeer) PartAt(i int) *homenc.Vector { return m.p.DecParts[m.keys[i]] }
+
+// keyShare returns this participant's key-share over the elected
+// vector, applying it the first time it is due.
+func (p *Participant) keyShare() *homenc.Vector {
+	if p.Own == nil {
+		p.Own = p.ownShare(p.Vec.Values())
+	}
+	return p.Own
+}
+
+// Applications returns how many times the participant applied its
+// key-share this iteration: 0 or 1.
+func (p *Participant) Applications() int {
+	if p.Own == nil {
+		return 0
+	}
+	return 1
 }
 
 // ownShare applies this participant's key-share to a ciphertext vector
@@ -383,16 +485,14 @@ func (p *Participant) ownShare(cts []homenc.Ciphertext) *homenc.Vector {
 }
 
 // Settled reports whether the decryption state can no longer change: τ
-// key-shares are gathered. No peer state holds more than τ (the wire
-// runtime's limits cap them there), so such a state never adopts, never
-// wants a share and owes no peer one computed from anything but itself —
-// PrepareDec and CommitDec become pure reads, and its remaining
-// exchanges commute with one another.
+// key-shares are gathered. A full set never changes and owes no peer a
+// key-share, so PrepareDec and CommitDec become pure reads, and its
+// remaining exchanges commute with one another.
 func (p *Participant) Settled() bool { return len(p.DecParts) >= p.env.Scheme.Threshold() }
 
 // Release combines the gathered key-shares into the plaintexts of the
-// held ciphertexts and decodes the dim released values with the held
-// weight. It fails below the threshold.
+// elected vector and decodes the dim released values with its weight.
+// It fails below the threshold.
 func (p *Participant) Release(dim int) ([]float64, error) {
 	sch := p.env.Scheme
 	parts := make(map[int][]homenc.PartialDecryption, len(p.DecParts))
@@ -400,10 +500,10 @@ func (p *Participant) Release(dim int) ([]float64, error) {
 	for idx, ps := range p.DecParts {
 		parts[idx] = ps.PartialDecryptions(idx)
 	}
-	cts := p.DecCTs.Values()
+	cts := p.Vec.Values()
 	ms, err := CombineParts(sch, cts, parts, sch.Threshold(), p.env.workers(len(cts)))
 	if err != nil {
 		return nil, err
 	}
-	return DecodePackedState(sch, p.env.Pack, ms, p.DecOmega, dim)
+	return DecodePackedState(sch, p.env.Pack, ms, p.VecOmega, dim)
 }

@@ -1,6 +1,6 @@
 // Transport-agnostic exchange transitions: the state updates of the
 // encrypted epidemic protocols (Algorithm 2 sum merge, Section 4.2.3
-// decryption adoption/partial gathering, Section 4.2.2 noise streams)
+// partial decryption and combination, Section 4.2.2 noise streams)
 // expressed over portable per-participant states, with no reference to
 // the simulation engine. Participant is built from these functions.
 
@@ -73,8 +73,8 @@ func mergeSum(sch homenc.Scheme, a, b SumOperand, workers int) SumSide {
 // AddEncryptedState homomorphically adds v_j · st.Omega into st.CTs in
 // place — the "encrypted perturbation" of Algorithm 3 line 7 shape,
 // shifting the decoded estimate by exactly v. v is public (the
-// disseminated correction travels in the clear), so it is added with
-// AddPublic: no fresh randomizer would hide anything.
+// correction's effect is what the released vector shows), so it is
+// added with AddPublic: no fresh randomizer would hide anything.
 func AddEncryptedState(sch homenc.Scheme, st SumState, v []*big.Int, workers int) error {
 	if len(v) != len(st.CTs) {
 		return errors.New("eesum: dimension mismatch")
@@ -132,25 +132,6 @@ func DimWorkers(dim, workers int) int {
 
 // --- Epidemic decryption transitions (Section 4.2.3) ---
 
-// DecAdopts reports whether the side holding gathered shares `mine`
-// adopts the peer state holding `theirs` — the latency optimization of
-// Section 4.2.3: the less advanced side erases its partially-decrypted
-// state and takes over the more advanced side's wholesale. Ties adopt
-// nothing.
-func DecAdopts(mine, theirs int) bool { return theirs > mine }
-
-// DecNeeds reports whether a state with the given gathered partials
-// (in whatever form the caller holds them: values, wire images, scanned
-// views) still wants key-share idx: below the threshold and not yet
-// present.
-func DecNeeds[V any](parts map[int]V, threshold, idx int) bool {
-	if len(parts) >= threshold {
-		return false
-	}
-	_, dup := parts[idx]
-	return !dup
-}
-
 // DecPartials computes key-share idx's partial decryption of every
 // element of cts — the unit of work one participant contributes to a
 // peer's (or its own) decryption state.
@@ -176,33 +157,10 @@ func DecPartials(sch homenc.Scheme, idx int, cts []homenc.Ciphertext, workers in
 	return ps, nil
 }
 
-// CopyParts copies a gathered-partials map, capped at threshold entries
-// (the adopting side never needs more than τ distinct shares). The cap
-// keeps the lowest share indices: truncating by map iteration order
-// would make which shares survive — and every downstream state —
-// nondeterministic across runs of the same seed.
-func CopyParts[V any](parts map[int]V, threshold int) map[int]V {
-	dst := make(map[int]V, threshold)
-	if len(parts) <= threshold {
-		//lint:orderfree whole-map copy into a map: every entry lands regardless of order
-		for k, v := range parts {
-			dst[k] = v
-		}
-		return dst
-	}
-	for _, k := range sortedKeys(parts) {
-		if len(dst) == threshold {
-			break
-		}
-		dst[k] = parts[k]
-	}
-	return dst
-}
-
 // sortedKeys returns a map's keys in ascending order — the deterministic
 // iteration order for any truncation decision.
-func sortedKeys[V any, K ~int | ~int32](m map[K]V) []K {
-	ks := make([]K, 0, len(m))
+func sortedKeys[V any](m map[int]V) []int {
+	ks := make([]int, 0, len(m))
 	for k := range m {
 		ks = append(ks, k)
 	}

@@ -21,9 +21,9 @@ import (
 // held under, never repeated per element.
 //
 // Vectors that cross the wire are immutable, and most of them are sent
-// or received far more often than they change: a decryption state is
-// re-sent on every leg of every decryption cycle but changes only when
-// a share is gathered or a state adopted. A Vector therefore carries a
+// or received far more often than they change: a share set is re-sent
+// on every leg of every decryption cycle but changes only when a share
+// is gathered. A Vector therefore carries a
 // cached wire image — the canonical encoding, built at the first send,
 // taken from the frame the vector arrived in, or written by the merge
 // (or the VectorWriter) that produced it — and materializes big.Int

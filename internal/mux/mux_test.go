@@ -180,6 +180,35 @@ func TestVirtualBitMatchesTCPAndSimulator(t *testing.T) {
 	}
 }
 
+// TestEveryParticipantReleasesIdentically: the dissemination elects one
+// perturbed vector and every participant decrypts it, so every
+// participant of a networked run releases bit-identical centroids — at
+// populations 2, 3 and 12, with the phase lengths a deployment derives,
+// over TCP and over virtual nodes alike.
+func TestEveryParticipantReleasesIdentically(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full crypto e2e")
+	}
+	for _, n := range []int{2, 3, 12} {
+		ts := newSetup(t, n, 0)
+		ts.proto.DissCycles, ts.proto.DecryptCycles = 0, 0 // derived, as a deployment's
+		tcp, virt := launchTCP(t, ts), launchVirtual(t, ts, n)
+		for i := range tcp {
+			if len(tcp[i].Centroids) == 0 {
+				t.Fatalf("n=%d: participant %d released no centroids", n, i)
+			}
+			assertCentroidsEqual(t, "tcp participant vs participant 0", tcp[0].Centroids, tcp[i].Centroids)
+			assertCentroidsEqual(t, "virtual participant vs tcp participant 0", tcp[0].Centroids, virt[i].Centroids)
+			for _, tr := range append(tcp[i].Traces, virt[i].Traces...) {
+				if tr.DistinctReleases != 1 || tr.ShareApplications > 1 {
+					t.Fatalf("n=%d: participant %d traced %d releases and %d key-share applications",
+						n, i, tr.DistinctReleases, tr.ShareApplications)
+				}
+			}
+		}
+	}
+}
+
 // TestVirtualChurnMatchesSimulator pins the virtual runtime under the
 // Section 6.1.5 churn model: the shared schedule mirror reproduces the
 // simulator's churn draws even though one draw now serves every

@@ -202,8 +202,8 @@ func TestRetryRecoversExchange(t *testing.T) {
 	ndA.book.Learn(1, ndB.Addr())
 	ndB.book.Learn(0, ndA.Addr())
 
-	stA := &iterState{CorID: 5, CorVec: []float64{1, 2, 3}}
-	stB := &iterState{CorID: 3, CorVec: []float64{9, 8, 7}}
+	stA := electState(5, 1, 2, 3)
+	stB := electState(3, 9, 8, 7)
 
 	s := slot{iter: 1, phase: phaseDiss, cycle: 0, seq: 0}
 	done := make(chan struct{})
@@ -214,10 +214,10 @@ func TestRetryRecoversExchange(t *testing.T) {
 	ndA.initiate(phaseDiss, stA, 1, s, true)
 	<-done
 
-	// Both sides adopted the smaller correction identifier.
+	// Both sides hold the smaller identifier's vector.
 	for name, st := range map[string]*iterState{"initiator": stA, "responder": stB} {
-		if st.CorID != 3 || st.CorVec[0] != 9 {
-			t.Fatalf("%s holds corID %d vec %v, want the exchanged 3/[9 8 7]", name, st.CorID, st.CorVec)
+		if st.VecID != 3 || st.Vec.Values()[0].V.Int64() != 9 {
+			t.Fatalf("%s holds vector %d %v, want the exchanged 3/[9 8 7]", name, st.VecID, st.Vec.Values())
 		}
 	}
 	ca, cb := ndA.Counters(), ndB.Counters()
@@ -273,7 +273,7 @@ func TestSuspicionEvictsPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	nd.book.Learn(1, "127.0.0.1:1") // reachable on paper, refused on dial
-	st := &iterState{CorVec: []float64{1}}
+	st := electState(1, 1)
 
 	nd.initiate(phaseDiss, st, 1, slot{iter: 1, phase: phaseDiss, cycle: 0, seq: 0}, true)
 	if got := nd.book.Addr(1); got == "" {
@@ -405,9 +405,11 @@ func TestResponderSurvivesFinCut(t *testing.T) {
 	ndA.book.Learn(1, ndB.Addr())
 	ndB.book.Learn(0, ndA.Addr())
 
-	stA := &iterState{CorID: 5, CorVec: []float64{1}}
-	stB := &iterState{CorID: 3, CorVec: []float64{9}}
-	preB := stB.CorID
+	// The initiator holds the smaller identifier, so only the fin carries
+	// a vector the responder would adopt.
+	stA := electState(3, 9)
+	stB := electState(5, 1)
+	preB := stB.VecID
 
 	s := slot{iter: 1, phase: phaseDiss, cycle: 0, seq: 0}
 	done := make(chan struct{})
@@ -426,7 +428,7 @@ func TestResponderSurvivesFinCut(t *testing.T) {
 	if ndA.Counters().Initiated != 1 {
 		t.Fatalf("initiator committed %d times, want 1", ndA.Counters().Initiated)
 	}
-	if stB.CorID != preB {
+	if stB.VecID != preB {
 		t.Fatal("responder applied a half-completed exchange")
 	}
 	if ndB.Counters().Timeouts == 0 {

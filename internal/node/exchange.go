@@ -27,16 +27,22 @@ func sumOut(st *iterState, hdr wireproto.ExchangeHdr) *wireproto.SumOut {
 	return &wireproto.SumOut{Hdr: hdr, Means: st.Means, Noise: st.Noise, CtrSigma: st.CtrS, CtrOmega: st.CtrW}
 }
 
+// dissOut is the elected vector as a journal checkpoint records it.
+func dissOut(st *iterState) *wireproto.DissMsg {
+	return &wireproto.DissMsg{ID: st.VecID, CTs: st.Vec, Omega: st.VecOmega}
+}
+
 // decOut is the iteration's decryption state in sending form.
 func decOut(st *iterState, hdr wireproto.ExchangeHdr, fresh *homenc.Vector) *wireproto.DecMsg {
-	return &wireproto.DecMsg{Hdr: hdr, CTs: st.DecCTs, Omega: st.DecOmega, Parts: st.DecParts, Fresh: fresh}
+	return &wireproto.DecMsg{Hdr: hdr, ID: st.VecID, Parts: st.DecParts, Fresh: fresh}
 }
 
 // seal builds both forms of every vector of the decryption state, so
 // that sending it (the image) and combining it (the values) are reads
 // from here on: a settled state is shared between goroutines.
 func seal(st *iterState) {
-	st.DecCTs.Seal()
+	st.Vec.Seal()
+	st.Own.Seal()
 	//lint:orderfree every part is sealed; order is not protocol state
 	for _, ps := range st.DecParts {
 		ps.Seal()
@@ -303,9 +309,9 @@ func dialOutcome(err error) tryOutcome {
 // engine's frames — under every crypto call of an exchange — stay some
 // 180 B smaller (PERF.md).
 type half[H any] interface {
-	// scan decodes and vets the peer's state leg — the request, or the
-	// response — and returns it with its header.
-	scan(nd *Node, st *iterState, payload []byte) (H, wireproto.ExchangeHdr, bool)
+	// scan decodes and vets the state leg of the scheduled peer — its
+	// request, or (resp) its response — and returns it with its header.
+	scan(nd *Node, st *iterState, payload []byte, peer int, resp bool) (H, wireproto.ExchangeHdr, bool)
 	// prepare computes this side's half from both pre-exchange states,
 	// before either changes; full is false when the exchange is to end
 	// half-completed.
@@ -370,7 +376,7 @@ func initiateLegs[H half[H]](nd *Node, req byte, st *iterState, peer int, s slot
 	if err != nil || f.Kind != req+1 {
 		return tryRetry
 	}
-	resp, _, ok := zero.scan(nd, st, f.Payload)
+	resp, _, ok := zero.scan(nd, st, f.Payload, peer, true)
 	if !ok {
 		return tryReject
 	}
@@ -401,7 +407,7 @@ func respondLegs[H half[H]](nd *Node, req byte, st *iterState, s slot, from int,
 	defer in.conn.Close()
 	defer in.frame.Release()
 	var zero H
-	reqLeg, hdr, ok := zero.scan(nd, st, in.frame.Payload)
+	reqLeg, hdr, ok := zero.scan(nd, st, in.frame.Payload, from, false)
 	if !ok || int(hdr.From) != from {
 		return tryReject
 	}
@@ -448,7 +454,7 @@ func respondLegs[H half[H]](nd *Node, req byte, st *iterState, s slot, from int,
 // reads the peer's ciphertexts straight out of it.
 type sumHalf struct{ payload []byte }
 
-func (sumHalf) scan(nd *Node, st *iterState, payload []byte) (sumHalf, wireproto.ExchangeHdr, bool) {
+func (sumHalf) scan(nd *Node, st *iterState, payload []byte, _ int, _ bool) (sumHalf, wireproto.ExchangeHdr, bool) {
 	v, err := wireproto.ScanSum(payload, nd.lim)
 	return sumHalf{payload}, v.Hdr, err == nil && nd.validSumState(v.Means, st.Means.CTs.Len()) && nd.validSumState(v.Noise, st.Noise.CTs.Len())
 }
@@ -474,80 +480,151 @@ func (h sumHalf) commit(nd *Node, st *iterState, _ int, initiator bool) {
 	st.CommitSum(v.Peer(), initiator)
 }
 
-// --- correction dissemination phase ---
+// --- dissemination phase (election of the vector to decrypt) ---
 
-// dissHalf: either state leg carries the side's correction proposal,
-// the fin is bare, and either side keeps the smaller identifier.
-type dissHalf struct{ peer wireproto.DissMsg }
-
-func (dissHalf) scan(nd *Node, st *iterState, payload []byte) (dissHalf, wireproto.ExchangeHdr, bool) {
-	m, err := wireproto.UnmarshalDiss(payload, nd.lim)
-	return dissHalf{m}, m.Hdr, err == nil && len(m.Vec) == len(st.CorVec)
+// dissHalf: the request carries the initiator's identifier alone; the
+// response and the fin carry the sender's identifier, plus its vector
+// when the receiver's identifier is the larger — the only side that
+// adopts it. Either side keeps the smaller identifier's vector. A leg
+// with a vector the receiver would not adopt, or without one it would,
+// is refused.
+type dissHalf struct {
+	peer wireproto.DissView // the peer's latest leg
+	last wireproto.DissMsg  // initiator: what its fin carries
 }
 
-func (h dissHalf) prepare(*iterState, bool) dissHalf { return h }
-
-func (dissHalf) holdsLeg() bool { return false } // the proposal is decoded, not viewed
-
-func (dissHalf) out(st *iterState, hdr wireproto.ExchangeHdr) wireproto.Message {
-	return &wireproto.DissMsg{Hdr: hdr, ID: st.CorID, Vec: st.CorVec}
+// scan vets the request (it carries no vector) or the response (a
+// vector exactly when the responder's identifier is the smaller).
+func (dissHalf) scan(nd *Node, st *iterState, payload []byte, _ int, resp bool) (dissHalf, wireproto.ExchangeHdr, bool) {
+	v, err := wireproto.ScanDiss(payload, nd.lim)
+	return dissHalf{peer: v}, v.Hdr, err == nil && validElect(v, resp && v.ID < st.VecID, st.Vec.Len())
 }
 
-func (dissHalf) fin(hdr wireproto.ExchangeHdr) wireproto.Message { return wireproto.Fin{Hdr: hdr} }
+func (h dissHalf) prepare(st *iterState, full bool) dissHalf {
+	// The fin (only the initiator's prepare sees the response) says the
+	// identifier the initiator holds after its commit, with its vector
+	// when that is its own, smaller one.
+	h.last = wireproto.DissMsg{ID: min(st.VecID, h.peer.ID)}
+	if full && st.VecID < h.peer.ID {
+		h.last.CTs, h.last.Omega = st.Vec, st.VecOmega
+	}
+	return h
+}
 
-func (h dissHalf) scanFin(_ *Node, _ *iterState, payload []byte) (dissHalf, wireproto.ExchangeHdr, bool) {
-	hdr, err := wireproto.PeekHdr(payload)
-	return h, hdr, err == nil
+func (dissHalf) holdsLeg() bool { return false } // the request carries no vector
+
+// out is the request (zero half: the identifier alone) or the response
+// (the vector too when the initiator's identifier is the larger).
+func (h dissHalf) out(st *iterState, hdr wireproto.ExchangeHdr) wireproto.Message {
+	m := &wireproto.DissMsg{Hdr: hdr, ID: st.VecID}
+	if st.VecID < h.peer.ID {
+		m.CTs, m.Omega = st.Vec, st.VecOmega
+	}
+	return m
+}
+
+func (h dissHalf) fin(hdr wireproto.ExchangeHdr) wireproto.Message {
+	m := h.last
+	m.Hdr = hdr
+	return &m
+}
+
+// scanFin vets the fin against the request it closes: it names the
+// smaller of the two identifiers, with the initiator's vector exactly
+// when that is smaller than the responder's.
+func (h dissHalf) scanFin(nd *Node, st *iterState, payload []byte) (dissHalf, wireproto.ExchangeHdr, bool) {
+	v, err := wireproto.ScanDiss(payload, nd.lim)
+	if err != nil || v.Hdr.Flags&wireproto.FlagAbort != 0 {
+		return h, v.Hdr, err == nil
+	}
+	ok := v.ID == min(h.peer.ID, st.VecID) && validElect(v, v.ID < st.VecID, st.Vec.Len())
+	h.peer = v
+	return h, v.Hdr, ok
 }
 
 func (h dissHalf) commit(_ *Node, st *iterState, _ int, _ bool) {
-	st.CommitCorrection(h.peer.ID, h.peer.Vec)
+	if h.peer.Carries() {
+		st.CommitDiss(h.peer.ID, h.peer.CTs.Copy(), h.peer.Omega())
+	}
+}
+
+// validElect reports whether a dissemination leg carries a vector
+// exactly when one is due — and then one of the deployment's length
+// with a positive weight.
+func validElect(v wireproto.DissView, due bool, dim int) bool {
+	if !due {
+		return !v.Carries() && v.Omega().Sign() == 0
+	}
+	return v.CTs.Len() == dim && v.Omega().Sign() > 0
 }
 
 // --- epidemic decryption phase ---
 
-// decHalf: either state leg carries the side's decryption state; the
-// response and the fin carry the sender's key-share over the receiver's
-// post-adoption ciphertexts (a half-completed exchange's fin carries
-// none), and either side commits the adopt-then-apply rule with the
-// share it received. The share is the sender's: its index is the peer's.
+// decHalf: every leg names the vector its sender decrypts; the request
+// and the response carry the sender's share set, and the response and
+// the fin the sender's key-share when one is due to the receiver (a
+// half-completed exchange's fin carries none). Either side commits the
+// union rule (eesum.PrepareDec) with the share it received. The share is
+// the sender's: its index is the peer's.
 type decHalf struct {
-	peer wireproto.DecView // the peer's latest leg: its state, then (responder) its fin
-	prep eesum.DecPrep
+	peer      wireproto.DecView // the peer's latest leg: its state, then (responder) its fin
+	peerShare int               // the peer's key-share index
+	self      uint64            // the vector this side decrypts, which its fin names
+	prep      eesum.DecPrep
 }
 
-func (decHalf) scan(nd *Node, st *iterState, payload []byte) (decHalf, wireproto.ExchangeHdr, bool) {
+// scan vets the request or (resp) the response: the share set, and a
+// key-share exactly when the rule owes one — never on a request. The
+// key-share is filed under the scheduled peer's index, never one a
+// header names.
+func (decHalf) scan(nd *Node, st *iterState, payload []byte, peer int, resp bool) (decHalf, wireproto.ExchangeHdr, bool) {
 	v, err := wireproto.ScanDec(payload, nd.lim)
-	return decHalf{peer: v}, v.Hdr, err == nil && validDecState(v, st.DecCTs.Len(), nd.cfg.Scheme.NumShares())
+	h := decHalf{peer: v, peerShare: peer + 1}
+	if err != nil || !validDecState(v, st.Vec.Len(), nd.cfg.Scheme.NumShares()) {
+		return h, v.Hdr, false
+	}
+	due := resp && eesum.DecShareDue(st, v, h.peerShare)
+	return h, v.Hdr, (v.Fresh.Len() > 0) == due
 }
 
-func (h decHalf) prepare(st *iterState, full bool) decHalf {
-	h.prep = eesum.PrepareDec(st, h.peer, full)
+func (h decHalf) prepare(st *iterState, _ bool) decHalf {
+	h.self = st.VecID
+	h.prep = eesum.PrepareDec(st, h.peer, h.peerShare)
 	return h
 }
 
-// holdsLeg: prepare detaches a state to adopt from the request, and the
-// share the responder commits arrives on the fin.
+// holdsLeg: prepare detaches what the commit takes from the request.
 func (decHalf) holdsLeg() bool { return false }
 
 func (h decHalf) out(st *iterState, hdr wireproto.ExchangeHdr) wireproto.Message {
 	return decOut(st, hdr, h.prep.Fresh)
 }
 
+// fin carries the initiator's key-share, unless it aborts the exchange.
 func (h decHalf) fin(hdr wireproto.ExchangeHdr) wireproto.Message {
-	return &wireproto.DecMsg{Hdr: hdr, Fresh: h.prep.Fresh}
+	m := &wireproto.DecMsg{Hdr: hdr, ID: h.self}
+	if hdr.Flags&wireproto.FlagAbort == 0 {
+		m.Fresh = h.prep.Fresh
+	}
+	return m
 }
 
+// scanFin vets the fin: it names the request's vector, carries no share
+// set, and carries the initiator's key-share exactly when one is due.
 func (h decHalf) scanFin(nd *Node, st *iterState, payload []byte) (decHalf, wireproto.ExchangeHdr, bool) {
 	v, err := wireproto.ScanDec(payload, nd.lim)
+	if err != nil || v.Hdr.Flags&wireproto.FlagAbort != 0 {
+		return h, v.Hdr, err == nil
+	}
+	ok := v.ID == h.peer.ID && len(v.Parts) == 0 && (v.Fresh.Len() > 0) == h.prep.PeerSends && validShare(v.Fresh, st.Vec.Len())
 	h.peer = v
-	return h, v.Hdr, err == nil && validShare(v.Fresh, st.DecCTs.Len())
+	return h, v.Hdr, ok
 }
 
 // commit applies the key-share the peer sent on its response or fin
 // leg, which scan or scanFin vetted.
-func (h decHalf) commit(_ *Node, st *iterState, peer int, _ bool) {
-	st.CommitDec(h.prep, peer+1, h.peer.Fresh.Copy())
+func (h decHalf) commit(_ *Node, st *iterState, _ int, _ bool) {
+	st.CommitDec(h.prep, h.peer.Fresh.Copy())
 }
 
 // validShare reports whether a key-share sent along with a leg is
@@ -557,17 +634,15 @@ func validShare(fresh homenc.VectorView, dim int) bool {
 }
 
 // validDecState vets a peer's decryption leg before any of it can be
-// adopted or applied: the ciphertext vector covers the full dimension,
-// every gathered partial set is a full-length vector under a share index
-// the deployment has, and so is the key-share it carries — a malformed
-// map must not be able to panic CombineParts after adoption.
+// taken or applied: every gathered partial set is a full-length vector
+// under a share index the deployment has, and so is the key-share it
+// carries — a malformed set must not be able to panic CombineParts.
 func validDecState(m wireproto.DecView, dim, numShares int) bool {
-	if m.CTs.Len() != dim || !validShare(m.Fresh, dim) {
+	if !validShare(m.Fresh, dim) {
 		return false
 	}
-	//lint:orderfree pure validation: rejects on any bad entry, order cannot change the verdict
-	for idx, ps := range m.Parts {
-		if idx < 1 || idx > numShares || ps.Len() != dim {
+	for _, p := range m.Parts {
+		if p.Idx < 1 || p.Idx > numShares || p.V.Len() != dim {
 			return false
 		}
 	}

@@ -17,13 +17,16 @@ import (
 
 // TestHostileDecLegsRejected sends a real node decryption legs a hostile
 // peer could write: part sets and key-shares of the wrong length, part
-// sets under share indices the deployment does not have, and well-formed
-// requests in the two frame layouts this version refuses. Each is
-// refused and counted — Rejected for a leg that frames correctly but
-// fails the vetting, BadFrames for a frame the wire layer refuses — is
-// tried once only, and leaves the participant's decryption state as it
-// was: a commit would at least have added the node's own key-share. The
-// control rows run the same request well-formed, and do commit.
+// sets under share indices the deployment does not have, key-shares the
+// union rule does not owe, legs naming another vector, and well-formed
+// requests in the two frame layouts this version refuses. Each refused
+// leg is counted — Rejected for a leg that frames correctly but fails
+// the vetting, BadFrames for a frame the wire layer refuses — is tried
+// once only, and leaves the participant's decryption state as it was: a
+// commit would at least have added the node's own key-share. A leg
+// naming another vector that carries no share commits and merges
+// nothing: shares over two vectors never meet. The control rows run the
+// same exchange well-formed, and do commit.
 func TestHostileDecLegsRejected(t *testing.T) {
 	ts := newSetup(t, 2, 0)
 	var cts []homenc.Ciphertext
@@ -44,11 +47,23 @@ func TestHostileDecLegsRejected(t *testing.T) {
 		return homenc.NewVector(vals)
 	}
 	// The peer is participant 0 (key-share 1); the node under test is
-	// participant 1.
+	// participant 1, with an empty share set over the elected vector 7.
+	// τ is 2: a request holding share 1 gets the node's share back and
+	// owes none on the fin; an empty one owes share 1 on the fin.
+	const elected, other = 7, 8
 	s := slot{iter: 1, phase: phaseDec, cycle: 2, seq: 0}
 	hdr := wireproto.ExchangeHdr{Iter: uint32(s.iter), Cycle: uint32(s.cycle), Seq: uint32(s.seq), From: 0, To: 1}
-	peerState := func(parts map[int]*homenc.Vector) *wireproto.DecMsg {
-		return &wireproto.DecMsg{Hdr: hdr, CTs: homenc.NewVector(cts), Omega: big.NewInt(1), Parts: parts}
+	leg := func(id uint64, parts map[int]*homenc.Vector, fresh *homenc.Vector) *wireproto.DecMsg {
+		return &wireproto.DecMsg{Hdr: hdr, ID: id, Parts: parts, Fresh: fresh}
+	}
+	// A response answers the node's request: its header is the request's.
+	respLeg := func(id uint64, parts map[int]*homenc.Vector, fresh *homenc.Vector) *wireproto.DecMsg {
+		m := leg(id, parts, fresh)
+		m.Hdr.From, m.Hdr.To = 1, 0
+		return m
+	}
+	req := func(id uint64, parts map[int]*homenc.Vector, fresh *homenc.Vector) func(uint64) []byte {
+		return reqFrame(wireproto.Marshal(leg(id, parts, fresh)))
 	}
 	// frameIn writes payload as a decryption request in the given frame
 	// version's layout: 1 had no target field, 2 had one.
@@ -65,9 +80,13 @@ func TestHostileDecLegsRejected(t *testing.T) {
 		}
 		return append(b, p...)
 	}
-	valid := wireproto.Marshal(peerState(map[int]*homenc.Vector{1: share(1, dim)}))
+	holding := map[int]*homenc.Vector{1: share(1, dim)}
+	valid := wireproto.Marshal(leg(elected, holding, nil))
 
-	type want struct{ rejected, badFrames, committed int64 }
+	type want struct {
+		rejected, badFrames, committed int64
+		settles                        bool // the commit gathers τ = 2 key-shares
+	}
 	rows := []struct {
 		name string
 		// responder rows: the raw request frame (epoch bytes 6..13 are
@@ -79,15 +98,30 @@ func TestHostileDecLegsRejected(t *testing.T) {
 		resp *wireproto.DecMsg
 		want want
 	}{
-		{name: "control: request", req: reqFrame(valid), fin: &wireproto.DecMsg{Hdr: hdr, Fresh: share(1, dim)}, want: want{committed: 1}},
-		{name: "request: part set one short", req: reqFrame(wireproto.Marshal(peerState(map[int]*homenc.Vector{1: share(1, dim-1)}))), want: want{rejected: 1}},
-		{name: "request: part index 0", req: reqFrame(wireproto.Marshal(peerState(map[int]*homenc.Vector{0: share(1, dim)}))), want: want{rejected: 1}},
-		{name: "request: part index above NumShares", req: reqFrame(wireproto.Marshal(peerState(map[int]*homenc.Vector{ts.scheme.NumShares() + 1: share(1, dim)}))), want: want{rejected: 1}},
-		{name: "fin: key-share one short", req: reqFrame(valid), fin: &wireproto.DecMsg{Hdr: hdr, Fresh: share(1, dim-1)}, want: want{rejected: 1}},
+		{name: "control: request", req: reqFrame(valid), fin: leg(elected, nil, nil), want: want{committed: 1, settles: true}},
+		{name: "control: empty request", req: req(elected, nil, nil), fin: leg(elected, nil, share(1, dim)), want: want{committed: 1, settles: true}},
+		{name: "request: part set one short", req: req(elected, map[int]*homenc.Vector{1: share(1, dim-1)}, nil), want: want{rejected: 1}},
+		{name: "request: part index 0", req: req(elected, map[int]*homenc.Vector{0: share(1, dim)}, nil), want: want{rejected: 1}},
+		{name: "request: part index above NumShares", req: req(elected, map[int]*homenc.Vector{ts.scheme.NumShares() + 1: share(1, dim)}, nil), want: want{rejected: 1}},
+		{name: "request: carries a key-share", req: req(elected, nil, share(1, dim)), want: want{rejected: 1}},
+		{name: "request: another vector", req: req(other, holding, nil), fin: leg(other, nil, nil), want: want{committed: 1}},
+		{name: "fin: key-share one short", req: req(elected, nil, nil), fin: leg(elected, nil, share(1, dim-1)), want: want{rejected: 1}},
+		{name: "fin: key-share missing", req: req(elected, nil, nil), fin: leg(elected, nil, nil), want: want{rejected: 1}},
+		{name: "fin: key-share not owed", req: reqFrame(valid), fin: leg(elected, nil, share(1, dim)), want: want{rejected: 1}},
+		{name: "fin: another vector", req: req(elected, nil, nil), fin: leg(other, nil, share(1, dim)), want: want{rejected: 1}},
+		{name: "fin: carries a part set", req: reqFrame(valid), fin: leg(elected, holding, nil), want: want{rejected: 1}},
 		{name: "request: version-1 frame", req: rawFrame(frameIn(1, valid)), want: want{badFrames: 1}},
 		{name: "request: version-2 frame", req: rawFrame(frameIn(2, valid)), want: want{badFrames: 1}},
-		{name: "control: response", resp: &wireproto.DecMsg{Hdr: hdr, CTs: homenc.NewVector(cts), Omega: big.NewInt(1), Fresh: share(1, dim)}, want: want{committed: 1}},
-		{name: "response: key-share one short", resp: &wireproto.DecMsg{Hdr: hdr, CTs: homenc.NewVector(cts), Omega: big.NewInt(1), Fresh: share(1, dim-1)}, want: want{rejected: 1}},
+		{name: "control: response", resp: respLeg(elected, nil, share(1, dim)), want: want{committed: 1, settles: true}},
+		{name: "response: key-share one short", resp: respLeg(elected, nil, share(1, dim-1)), want: want{rejected: 1}},
+		{name: "response: key-share missing", resp: respLeg(elected, nil, nil), want: want{rejected: 1}},
+		{name: "response: key-share over another vector", resp: respLeg(other, nil, share(1, dim)), want: want{rejected: 1}},
+		{name: "response: another vector", resp: respLeg(other, holding, nil), want: want{committed: 1}},
+		{name: "response: header names another share", resp: func() *wireproto.DecMsg {
+			m := respLeg(elected, nil, share(1, dim))
+			m.Hdr.To = 1 // the share still files under the scheduled peer's index
+			return m
+		}(), want: want{committed: 1, settles: true}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -104,12 +138,12 @@ func TestHostileDecLegsRejected(t *testing.T) {
 			}
 			t.Cleanup(func() { _ = nd.Close() })
 			st := eesum.NewParticipant(nd.env, nd.cfg.Index, nil, eesum.NoiseConfig{})
-			st.DecCTs, st.DecOmega, st.DecParts = homenc.NewVector(cts), big.NewInt(1), make(map[int]*homenc.Vector)
-			preCTs, preOmega := st.DecCTs, st.DecOmega
+			st.VecID, st.Vec, st.VecOmega = elected, homenc.NewVector(cts), big.NewInt(1)
+			st.StartDecryption()
 
 			attempts := int64(1)
 			if row.resp != nil {
-				requests := peerAnswering(t, nd, row.resp)
+				requests := peerAnswering(t, nd, wireproto.KindDecReq, row.resp)
 				nd.initiate(phaseDec, st, 0, s, true)
 				attempts = requests.Load()
 			} else {
@@ -121,7 +155,11 @@ func TestHostileDecLegsRejected(t *testing.T) {
 					defer close(done)
 					nd.respond(phaseDec, st, s, 0)
 				}()
-				sendRequest(t, nd, row.req(nd.epoch), row.fin)
+				var fin wireproto.Message
+				if row.fin != nil {
+					fin = row.fin
+				}
+				sendRequest(t, nd, wireproto.KindDecReq, row.req(nd.epoch), fin)
 				<-done
 			}
 
@@ -134,11 +172,11 @@ func TestHostileDecLegsRejected(t *testing.T) {
 			if c.Retries != 0 || attempts != 1 {
 				t.Fatalf("the leg was tried %d times with %d retries, want once", attempts, c.Retries)
 			}
-			if row.want.committed != 0 {
-				return
+			if gathered := len(st.DecParts); row.want.settles != st.Settled() || (!row.want.settles && gathered > 0) {
+				t.Fatalf("%d key-shares gathered after the exchange", gathered)
 			}
-			if st.DecCTs != preCTs || st.DecOmega != preOmega || len(st.DecParts) != 0 {
-				t.Fatalf("refused leg changed the state: %d key-shares gathered", len(st.DecParts))
+			if row.want.settles && (st.DecParts[1] == nil || st.DecParts[2] == nil) {
+				t.Fatal("the key-shares are not filed under the two participants' indices")
 			}
 		})
 	}
@@ -149,6 +187,111 @@ func TestHostileDecLegsRejected(t *testing.T) {
 func reqFrame(payload []byte) func(epoch uint64) []byte {
 	return func(epoch uint64) []byte {
 		return frameBytes(wireproto.KindDecReq, epoch, 1, payload)
+	}
+}
+
+// TestHostileDissLegsRejected sends a real node dissemination legs a
+// hostile peer could write: a vector on a leg toward the side holding
+// the smaller identifier, a vector missing where it is due, one of the
+// wrong length or with no weight, a request carrying a vector, and a fin
+// naming an identifier that is neither side's. Each is Rejected, tried
+// once, and leaves the node holding its own vector. The control rows
+// elect the peer's smaller identifier, or keep the node's.
+func TestHostileDissLegsRejected(t *testing.T) {
+	ts := newSetup(t, 2, 0)
+	// The node under test is participant 1, holding vector 5 of four
+	// elements; the peer is participant 0.
+	const mine = 5
+	s := slot{iter: 1, phase: phaseDiss, cycle: 1, seq: 0}
+	hdr := wireproto.ExchangeHdr{Iter: uint32(s.iter), Cycle: uint32(s.cycle), Seq: uint32(s.seq), From: 0, To: 1}
+	leg := func(id uint64, vals ...int64) *wireproto.DissMsg {
+		m := &wireproto.DissMsg{Hdr: hdr, ID: id}
+		if len(vals) > 0 {
+			m.CTs, m.Omega = electState(id, vals...).Vec, big.NewInt(1)
+		}
+		return m
+	}
+	zeroWeight := leg(3, 1, 2, 3, 4)
+	zeroWeight.Omega = nil
+	req := func(m *wireproto.DissMsg) func(uint64) []byte {
+		return func(epoch uint64) []byte { return frameBytes(wireproto.KindDissReq, epoch, 1, wireproto.Marshal(m)) }
+	}
+	rows := []struct {
+		name    string
+		req     func(epoch uint64) []byte
+		fin     *wireproto.DissMsg
+		resp    *wireproto.DissMsg
+		elected uint64 // the node's identifier after the exchange
+		reject  bool
+	}{
+		{name: "control: request from the smaller identifier", req: req(leg(3)), fin: leg(3, 1, 2, 3, 4), elected: 3},
+		{name: "control: request from the larger identifier", req: req(leg(9)), fin: leg(mine), elected: mine},
+		{name: "request: carries a vector", req: req(leg(3, 1, 2, 3, 4)), reject: true},
+		{name: "fin: vector from the larger identifier", req: req(leg(9)), fin: leg(mine, 1, 2, 3, 4), reject: true},
+		{name: "fin: vector missing", req: req(leg(3)), fin: leg(3), reject: true},
+		{name: "fin: vector one short", req: req(leg(3)), fin: leg(3, 1, 2, 3), reject: true},
+		{name: "fin: zero weight", req: req(leg(3)), fin: zeroWeight, reject: true},
+		{name: "fin: another identifier", req: req(leg(3)), fin: leg(2, 1, 2, 3, 4), reject: true},
+		{name: "control: response from the smaller identifier", resp: leg(3, 1, 2, 3, 4), elected: 3},
+		{name: "control: response from the larger identifier", resp: leg(9), elected: mine},
+		{name: "response: vector from the larger identifier", resp: leg(9, 1, 2, 3, 4), reject: true},
+		{name: "response: vector missing", resp: leg(3), reject: true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			nd, err := New(Config{
+				Index: 1, N: 2,
+				Series: ts.data.Row(1), Scheme: ts.scheme, Proto: ts.proto,
+				ExchangeTimeout: time.Second,
+				FinTimeout:      time.Second,
+				ViewInterval:    -1,
+				Policy:          Policy{MaxRetries: 3, Backoff: time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = nd.Close() })
+			st := electState(mine, 7, 7, 7, 7)
+			own := st.Vec
+
+			attempts := int64(1)
+			if row.resp != nil {
+				requests := peerAnswering(t, nd, wireproto.KindDissReq, row.resp)
+				nd.initiate(phaseDiss, st, 0, s, true)
+				attempts = requests.Load()
+			} else {
+				nd.book.Learn(0, "127.0.0.1:1")
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					nd.respond(phaseDiss, st, s, 0)
+				}()
+				var fin wireproto.Message
+				if row.fin != nil {
+					fin = row.fin
+				}
+				sendRequest(t, nd, wireproto.KindDissReq, row.req(nd.epoch), fin)
+				<-done
+			}
+
+			c := nd.Counters()
+			wantRejected, wantCommitted := int64(0), int64(1)
+			if row.reject {
+				wantRejected, wantCommitted = 1, 0
+			}
+			if c.Rejected != wantRejected || c.Initiated+c.Responded != wantCommitted || c.Retries != 0 || attempts != 1 {
+				t.Fatalf("rejected/committed/retries/attempts = %d/%d/%d/%d, want %d/%d/0/1",
+					c.Rejected, c.Initiated+c.Responded, c.Retries, attempts, wantRejected, wantCommitted)
+			}
+			switch {
+			case row.reject || row.elected == mine:
+				if st.VecID != mine || st.Vec != own {
+					t.Fatalf("the node holds vector %d, want its own", st.VecID)
+				}
+			case st.VecID != row.elected || st.Vec.Len() != 4 || st.Vec.Values()[0].V.Int64() != 1:
+				t.Fatalf("the node holds vector %d %v, want %d", st.VecID, st.Vec.Values(), row.elected)
+			}
+		})
 	}
 }
 
@@ -170,10 +313,11 @@ func frameBytes(kind byte, epoch uint64, target int, payload []byte) []byte {
 	return buf.Bytes()
 }
 
-// sendRequest plays the initiating peer against the node's listener:
-// it writes the request frame and, when the node answers with a
-// response, the fin (if any); then it waits for the node to hang up.
-func sendRequest(t *testing.T, nd *Node, frame []byte, fin *wireproto.DecMsg) {
+// sendRequest plays the initiating peer of a phase whose request is of
+// kind req against the node's listener: it writes the request frame
+// and, when the node answers with a response, the fin (if any); then it
+// waits for the node to hang up.
+func sendRequest(t *testing.T, nd *Node, req byte, frame []byte, fin wireproto.Message) {
 	t.Helper()
 	conn, err := net.Dial("tcp", nd.Addr())
 	if err != nil {
@@ -192,11 +336,11 @@ func sendRequest(t *testing.T, nd *Node, frame []byte, fin *wireproto.DecMsg) {
 		return // refused: the node hung up without answering
 	}
 	f.Release()
-	if f.Kind != wireproto.KindDecResp {
+	if f.Kind != req+1 {
 		t.Fatalf("the node answered with kind %#x", f.Kind)
 	}
 	if fin != nil {
-		if _, err := wireproto.WriteMessage(conn, wireproto.KindDecFin, nd.epoch, -1, fin); err != nil {
+		if _, err := wireproto.WriteMessage(conn, req+2, nd.epoch, -1, fin); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,9 +348,9 @@ func sendRequest(t *testing.T, nd *Node, frame []byte, fin *wireproto.DecMsg) {
 }
 
 // peerAnswering stands up participant 0 as a listener that reads each
-// request the node sends it and answers it with resp; the count is of
-// the requests it received.
-func peerAnswering(t *testing.T, nd *Node, resp *wireproto.DecMsg) *atomic.Int64 {
+// request the node sends it and answers it with resp, a response to a
+// request of kind req; the count is of the requests it received.
+func peerAnswering(t *testing.T, nd *Node, req byte, resp wireproto.Message) *atomic.Int64 {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -225,7 +369,7 @@ func peerAnswering(t *testing.T, nd *Node, resp *wireproto.DecMsg) *atomic.Int64
 			if f, err := wireproto.ReadFrame(conn, nd.lim.MaxFrameLen); err == nil {
 				f.Release()
 				requests.Add(1)
-				_, _ = wireproto.WriteMessage(conn, wireproto.KindDecResp, nd.epoch, -1, resp)
+				_, _ = wireproto.WriteMessage(conn, req+1, nd.epoch, -1, resp)
 				_, _ = conn.Read(make([]byte, 1)) // the fin, or the hang-up
 			}
 			_ = conn.Close()

@@ -85,23 +85,30 @@ func journaledRecords(tb testing.TB) (ckpts, iters [][]byte, lim wireproto.Limit
 	return ckpts, iters, nodes[0].lim
 }
 
-// parentLayoutCheckpoint rewrites a decryption-phase checkpoint with its
-// decryption segment in the layout before a key-share's partial
-// decryptions were a plain vector — the share index repeated before
-// every element.
+// parentLayoutCheckpoint rewrites a decryption-phase checkpoint with
+// its dissemination and decryption segments in the layout before the
+// dissemination elected the vector to decrypt: the dissemination
+// carried the cleartext correction (here, zeros), and the decryption
+// segment the ciphertexts and their weight ahead of the share set.
 func parentLayoutCheckpoint(tb testing.TB, p []byte, lim wireproto.Limits) []byte {
 	tb.Helper()
 	ck, err := decodeCheckpoint(p, lim)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	_, sumB, dissB, _, err := splitCheckpoint(p, lim)
+	_, sumB, _, _, err := splitCheckpoint(p, lim)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	st := ck.st
-	dec := wireproto.Enc{B: make([]byte, 21)} // the zero exchange header
-	dec.B = homenc.AppendInt(st.DecCTs.AppendTo(dec.B), st.DecOmega)
+	diss := wireproto.Enc{B: make([]byte, 21)} // the zero exchange header
+	diss.U64(st.VecID)
+	diss.U32(uint32(st.Vec.Len()))
+	for range st.Vec.Len() {
+		diss.F64(0)
+	}
+	dec := wireproto.Enc{B: make([]byte, 21)}
+	dec.B = homenc.AppendInt(st.Vec.AppendTo(dec.B), st.VecOmega)
 	dec.U16(uint16(len(st.DecParts)))
 	idxs := make([]int, 0, len(st.DecParts))
 	for idx := range st.DecParts {
@@ -109,20 +116,15 @@ func parentLayoutCheckpoint(tb testing.TB, p []byte, lim wireproto.Limits) []byt
 	}
 	slices.Sort(idxs)
 	for _, idx := range idxs {
-		ps := st.DecParts[idx].PartialDecryptions(idx)
 		dec.U32(uint32(idx))
-		dec.U32(uint32(len(ps)))
-		for _, x := range ps {
-			dec.U32(uint32(x.Index))
-			dec.B = homenc.AppendInt(dec.B, x.V)
-		}
+		dec.B = st.DecParts[idx].AppendTo(dec.B)
 	}
 	dec.U32(0) // no fresh partials
 	var e wireproto.Enc
 	for _, v := range []int{ck.pos.iter, ck.pos.phase, ck.pos.cycle, ck.pos.seq} {
 		e.U32(uint32(v))
 	}
-	for _, seg := range [][]byte{sumB, dissB, dec.B} {
+	for _, seg := range [][]byte{sumB, diss.B, dec.B} {
 		e.Blob(seg)
 	}
 	return ck.counters.AppendTo(e.B)
@@ -134,8 +136,8 @@ func parentLayoutCheckpoint(tb testing.TB, p []byte, lim wireproto.Limits) []byt
 // has a canonical form (the record the encoder writes for the decoded
 // state) that decodes and re-encodes to itself byte for byte. The real
 // records of a journaled run are canonical already; a record whose
-// decryption segment is in the layout that repeated the share index
-// before every partial decryption is corrupt.
+// dissemination and decryption segments are in the layout before the
+// dissemination elected the vector to decrypt is corrupt.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	ckpts, _, lim := journaledRecords(f)
 	var withParts []byte
@@ -157,7 +159,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	}
 	parent := parentLayoutCheckpoint(f, withParts, lim)
 	if _, err := decodeCheckpoint(parent, lim); !errors.Is(err, journal.ErrCorrupt) {
-		f.Fatalf("a parent-layout decryption segment decodes with %v, want ErrCorrupt", err)
+		f.Fatalf("parent-layout dissemination and decryption segments decode with %v, want ErrCorrupt", err)
 	}
 	f.Add(parent)
 	f.Fuzz(func(t *testing.T, p []byte) {

@@ -246,7 +246,7 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 	}
 	checkDec := func(t *testing.T, who string, got, want *iterState) {
 		t.Helper()
-		if got.DecOmega.Cmp(want.DecOmega) != 0 || !samePlain(got.DecCTs.Values(), want.DecCTs.Values()) {
+		if got.VecID != want.VecID || got.VecOmega.Cmp(want.VecOmega) != 0 || !samePlain(got.Vec.Values(), want.Vec.Values()) {
 			t.Fatalf("%s decryption state differs from the reference", who)
 		}
 		if len(got.DecParts) != len(want.DecParts) {
@@ -304,16 +304,17 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 			// stands in for it.
 			mk := func(nd *Node) *iterState {
 				id := uint64(5 - 2*nd.cfg.Index)
-				return &iterState{CorID: id, CorVec: []float64{float64(id)}}
+				return electState(id, int64(id))
 			}
 			stA, stB := mk(ndA), mk(ndB)
 			refA := mk(ndA)
-			refA.ExchangeCorrection(mk(ndB), false)
+			refA.ExchangeDiss(mk(ndB), false)
 			return stA, stB, func(t *testing.T, initMerged bool) {
 				check := func(who string, got, want *iterState) {
 					t.Helper()
-					if got.CorID != want.CorID || len(got.CorVec) != 1 || got.CorVec[0] != want.CorVec[0] {
-						t.Fatalf("%s correction = (%d, %v), want (%d, %v)", who, got.CorID, got.CorVec, want.CorID, want.CorVec)
+					g, w := got.Vec.Values(), want.Vec.Values()
+					if got.VecID != want.VecID || len(g) != 1 || g[0].V.Cmp(w[0].V) != 0 || got.VecOmega.Cmp(want.VecOmega) != 0 {
+						t.Fatalf("%s elected (%d, %v), want (%d, %v)", who, got.VecID, g, want.VecID, w)
 					}
 				}
 				wantA := mk(ndA)
@@ -327,7 +328,8 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 		{"dec", phaseDec, func(ndA, ndB *Node) (*iterState, *iterState, func(*testing.T, bool)) {
 			mk := func(nd *Node) *iterState {
 				st := eesum.NewParticipant(nd.env, nd.cfg.Index, nil, eesum.NoiseConfig{})
-				st.DecCTs, st.DecOmega, st.DecParts = homenc.NewVector(cts), big.NewInt(1), make(map[int]*homenc.Vector)
+				st.VecID, st.Vec, st.VecOmega = 7, homenc.NewVector(cts), big.NewInt(1)
+				st.StartDecryption()
 				return st
 			}
 			stA, stB := mk(ndA), mk(ndB)
@@ -411,6 +413,16 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 			}
 		})
 	}
+}
+
+// electState is a participant holding the elected vector id: the
+// given values as ciphertexts, with weight 1.
+func electState(id uint64, vals ...int64) *iterState {
+	cts := make([]homenc.Ciphertext, len(vals))
+	for j, v := range vals {
+		cts[j].V = big.NewInt(v)
+	}
+	return &iterState{VecID: id, Vec: homenc.NewVector(cts), VecOmega: big.NewInt(1)}
 }
 
 // TestLeaveMarksPeerGone checks the graceful departure path: a leave

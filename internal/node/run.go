@@ -111,9 +111,8 @@ func (nd *Node) RunContext(ctx context.Context) (*Result, error) {
 			return nil, false, ctxErr(ctx, err)
 		}
 		res.Traces = append(res.Traces, *trace)
-		// The full slot layout goes on (lost means stay nil): participants
-		// may disagree on which slots died, but the protocol dimensions
-		// stay population-wide constants.
+		// The full slot layout goes on (lost means stay nil): the
+		// protocol dimensions stay population-wide constants.
 		return next, false, nil
 	})
 	if err != nil {
@@ -180,17 +179,18 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 	nd.runPhase(it, phaseSum, nd.cfg.Proto.Exchanges, st, rz)
 	trace.SumCycles = nd.cfg.Proto.Exchanges
 
-	// --- Algorithm 3 (b): correction proposal from own stream, min-
-	// identifier dissemination, local application. The counter freezes
-	// when the sum phase ends, so a resume past that point replays the
-	// proposal with the identical estimate.
-	st.ProposeCorrection()
+	// --- Algorithm 3 (b): the correction proposal from own stream,
+	// applied to own sums, then the min-identifier dissemination elects
+	// one perturbed vector. The counter freezes when the sum phase ends,
+	// so a resume past that point replays the proposal with the identical
+	// estimate.
+	if err := st.Propose(); err != nil {
+		return nil, nil, fmt.Errorf("node %d: %w", nd.cfg.Index, err)
+	}
 	nd.phaseNow.Store(int64(phaseDiss))
 	nd.runPhase(it, phaseDiss, nd.cfg.Proto.DissCycles, st, rz)
 	trace.DissCycles = nd.cfg.Proto.DissCycles
-	if err := st.StartDecryption(); err != nil {
-		return nil, nil, fmt.Errorf("node %d: %w", nd.cfg.Index, err)
-	}
+	st.StartDecryption()
 
 	// --- Algorithm 3 (c): epidemic threshold decryption over the wire.
 	nd.phaseNow.Store(int64(phaseDec))
@@ -212,9 +212,10 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 	}
 
 	// --- Convergence step (local).
-	next := core.Postprocess(vals, k, n, nd.cfg.Proto)
+	next := nd.cfg.Proto.Release(vals, k, n)
 	released := kmeans.Compact(next)
 	trace.CentroidsOut = len(released)
+	trace.ShareApplications, trace.DistinctReleases = st.Applications(), 1
 	if hook := nd.cfg.Proto.Observer.Iteration; hook != nil {
 		hook(*trace, released)
 	}

@@ -1,9 +1,11 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 
 	"chiaroscuro/internal/core"
+	"chiaroscuro/internal/homenc"
 	"chiaroscuro/internal/journal"
 	"chiaroscuro/internal/timeseries"
 	"chiaroscuro/internal/wireproto"
@@ -246,6 +248,8 @@ func encodeIteration(r iterationRecord) []byte {
 		}
 		e.F64(t.PreInertia)
 		e.F64(t.PostInertia)
+		e.U32(uint32(t.ShareApplications))
+		e.U32(uint32(t.DistinctReleases))
 	}
 	return r.counters.AppendTo(e.B)
 }
@@ -301,6 +305,8 @@ func decodeIteration(p []byte) (iterationRecord, error) {
 		}
 		t.PreInertia = d.F64()
 		t.PostInertia = d.F64()
+		t.ShareApplications = int(d.U32())
+		t.DistinctReleases = int(d.U32())
 		r.traces = append(r.traces, t)
 	}
 	r.counters = d.Counters()
@@ -314,8 +320,11 @@ func decodeIteration(p []byte) (iterationRecord, error) {
 
 // checkpointRecord is one commit point's full iteration state. The
 // three protocol segments reuse the wire codecs (with zeroed exchange
-// headers): the journal speaks the same canonical encoding as the wire,
-// so the bounded decoders and their fuzzing cover both — and so a
+// headers) — the sum states, the elected vector with its identifier and
+// weight, and the share set with this participant's own key-share, if
+// applied, as the fresh share. The journal speaks the same canonical
+// encoding as the wire, so the bounded decoders and their fuzzing cover
+// both — and so a
 // checkpoint is written from the state's cached wire images rather than
 // re-encoded at every commit, and a replayed checkpoint hands the
 // restored state the journal's bytes as its images.
@@ -328,8 +337,8 @@ type checkpointRecord struct {
 func encodeCheckpoint(s slot, st *iterState, ctrs wireproto.Counters) []byte {
 	segs := []wireproto.Message{
 		sumOut(st, wireproto.ExchangeHdr{}),
-		&wireproto.DissMsg{ID: st.CorID, Vec: st.CorVec},
-		decOut(st, wireproto.ExchangeHdr{}, nil),
+		dissOut(st),
+		decOut(st, wireproto.ExchangeHdr{}, st.Own),
 	}
 	size := 4*4 + ctrs.Size()
 	for _, m := range segs {
@@ -361,7 +370,7 @@ func decodeCheckpoint(p []byte, lim wireproto.Limits) (checkpointRecord, error) 
 	if err != nil {
 		return checkpointRecord{}, corrupt("checkpoint", err)
 	}
-	diss, err := wireproto.UnmarshalDiss(dissB, lim)
+	diss, err := wireproto.ScanDiss(dissB, lim)
 	if err != nil {
 		return checkpointRecord{}, corrupt("checkpoint", err)
 	}
@@ -378,10 +387,17 @@ func decodeCheckpoint(p []byte, lim wireproto.Limits) (checkpointRecord, error) 
 		CtrW:  sum.CtrOmega,
 	}
 	if r.pos.phase >= phaseDiss {
-		r.st.CorID, r.st.CorVec = diss.ID, diss.Vec
+		if !diss.Carries() {
+			return checkpointRecord{}, corrupt("checkpoint", errors.New("no elected vector"))
+		}
+		r.st.VecID, r.st.Vec, r.st.VecOmega = diss.ID, diss.CTs.Copy(), diss.Omega()
 	}
 	if r.pos.phase >= phaseDec {
-		r.st.DecCTs, r.st.DecOmega, r.st.DecParts = dec.Detach(len(dec.Parts))
+		r.st.DecParts = make(map[int]*homenc.Vector, len(dec.Parts))
+		for _, p := range dec.Parts {
+			r.st.DecParts[p.Idx] = p.V.Copy()
+		}
+		r.st.Own = dec.Fresh.Copy()
 	}
 	return r, nil
 }

@@ -37,10 +37,9 @@ func TestCheckpointReseedsImages(t *testing.T) {
 		Noise:    eesum.SumSide{CTs: homenc.NewVector(vec(50)), Omega: big.NewInt(12), Epoch: 7},
 		CtrS:     3.5,
 		CtrW:     0.25,
-		CorID:    99,
-		CorVec:   []float64{1, -2, 3},
-		DecCTs:   homenc.NewVector(vec(90)),
-		DecOmega: big.NewInt(12),
+		VecID:    99,
+		Vec:      homenc.NewVector(vec(90)),
+		VecOmega: big.NewInt(12),
 		DecParts: map[int]*homenc.Vector{2: partials(2), 5: partials(5)},
 	}
 	pos := slot{iter: 1, phase: phaseDec, cycle: 4, seq: 1}
@@ -79,7 +78,7 @@ func TestCheckpointReseedsImages(t *testing.T) {
 	if got := ck.st.DecParts[5].PartialDecryptions(5)[3]; got.Index != 5 || got.V.Int64() != 503 {
 		t.Fatalf("restored partial = %+v", got)
 	}
-	if got := ck.st.DecCTs.Values()[2].V; got.Cmp(st.DecCTs.Values()[2].V) != 0 {
-		t.Fatalf("restored decryption ciphertext = %v", got)
+	if got := ck.st.Vec.Values()[2].V; got.Cmp(st.Vec.Values()[2].V) != 0 || ck.st.VecID != 99 {
+		t.Fatalf("restored elected ciphertext = %v (vector %d)", got, ck.st.VecID)
 	}
 }

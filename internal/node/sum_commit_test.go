@@ -57,7 +57,7 @@ func TestSumCommitMaterializesNothing(t *testing.T) {
 		st.CtrS = 1
 		payload := bytes.Clone(frame)
 		before := homenc.ReadWireStats()
-		h, hdr, ok := sumHalf{}.scan(nd, st, payload)
+		h, hdr, ok := sumHalf{}.scan(nd, st, payload, 1, initiator)
 		if !ok || hdr.Seq != 3 {
 			t.Fatalf("initiator %v: the frame did not scan (header %+v)", initiator, hdr)
 		}

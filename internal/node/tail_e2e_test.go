@@ -40,29 +40,30 @@ func releaseDigest(centroids []timeseries.Series) uint64 {
 
 // settledTailSerialDigests are the sixteen participants' releases of
 // TestSettledTailBitMatchesSimulator's run as the slot-serial runtime
-// produces them: captured from the commit before settled states served
-// passively (99279d7), where every participation of every peer ran in
-// slot order. Each participant decrypts its own view (its own or an
-// adopted ciphertext vector), so the sixteen differ; the simulator only
-// vouches for participant 0. After an intended protocol change the
-// failure message prints the new table.
+// produces them. The table was first captured from the commit before
+// settled states served passively (99279d7), where every participation
+// of every peer ran in slot order, and recaptured once when the
+// dissemination started electing the one vector every participant
+// decrypts: the sixteen releases are now identical, and the simulator's.
+// After an intended protocol change the failure message prints the new
+// table.
 var settledTailSerialDigests = [16]uint64{
-	0x992691860899ad0e,
-	0x4e2359c32e6d94ca,
-	0x4e2359c32e6d94ca,
-	0x992691860899ad0e,
-	0x992691860899ad0e,
-	0xbe6334fcfef6d728,
-	0x4e2359c32e6d94ca,
-	0x992691860899ad0e,
-	0x992691860899ad0e,
-	0x992691860899ad0e,
-	0x992691860899ad0e,
-	0xbe6334fcfef6d728,
-	0x992691860899ad0e,
-	0x992691860899ad0e,
-	0xbe6334fcfef6d728,
-	0x992691860899ad0e,
+	0x1a097a8053b1958c,
+	0x1a097a8053b1958c,
+	0x1a097a8053b1958c,
+	0x1a097a8053b1958c,
+	0x1a097a8053b1958c,
+	0x1a097a8053b1958c,
+	0x1a097a8053b1958c,
+	0x1a097a8053b1958c,
+	0x1a097a8053b1958c,
+	0x1a097a8053b1958c,
+	0x1a097a8053b1958c,
+	0x1a097a8053b1958c,
+	0x1a097a8053b1958c,
+	0x1a097a8053b1958c,
+	0x1a097a8053b1958c,
+	0x1a097a8053b1958c,
 }
 
 // TestSettledTailBitMatchesSimulator pins that taking the settled tail

@@ -229,7 +229,8 @@ func settledPair(t *testing.T, dialerA Dialer) (ndA, ndB *Node, stA, stB *iterSt
 	}
 	settled := func(nd *Node) *iterState {
 		st := eesum.NewParticipant(nd.env, nd.cfg.Index, nil, eesum.NoiseConfig{})
-		st.DecCTs, st.DecOmega, st.DecParts = homenc.NewVector(cts), big.NewInt(1), make(map[int]*homenc.Vector)
+		st.VecID, st.Vec, st.VecOmega = 7, homenc.NewVector(cts), big.NewInt(1)
+		st.StartDecryption()
 		for _, holder := range []*Node{ndA, ndB} {
 			ps, err := eesum.DecPartials(ts.scheme, holder.cfg.Index+1, cts, 1)
 			if err != nil {

@@ -9,8 +9,8 @@ import (
 	"chiaroscuro/internal/homenc"
 )
 
-// decRoundTripState is a decryption state of the vnode benchmark's
-// shape: 50 ciphertexts, τ = 5 gathered partial vectors.
+// decRoundTripState is a decryption leg of the vnode benchmark's
+// shape: τ = 5 gathered partial vectors of 50 elements.
 func decRoundTripState() *DecMsg {
 	const dim, tau = 50, 5
 	vals := make([]int64, dim)
@@ -19,8 +19,7 @@ func decRoundTripState() *DecMsg {
 	}
 	m := &DecMsg{
 		Hdr:   ExchangeHdr{Iter: 1, Cycle: 3, Seq: 2, From: 0, To: 1},
-		CTs:   homenc.NewVector(cts(vals...)),
-		Omega: big.NewInt(400),
+		ID:    0xC0FFEE,
 		Parts: map[int]*homenc.Vector{},
 	}
 	for share := 1; share <= tau; share++ {

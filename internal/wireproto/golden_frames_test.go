@@ -50,9 +50,15 @@ func vectorOf(vals []*big.Int) *homenc.Vector {
 	return homenc.NewVector(cts)
 }
 
+// dissOf is the sending form of a dissemination leg written out
+// eagerly.
+func dissOf(m eagerDiss) *DissMsg {
+	return &DissMsg{Hdr: m.Hdr, ID: m.ID, CTs: vectorOf(m.CTs), Omega: m.Omega}
+}
+
 // decOf is the sending form of a decryption leg written out eagerly.
 func decOf(m eagerDec) *DecMsg {
-	out := &DecMsg{Hdr: m.Hdr, CTs: vectorOf(m.CTs), Omega: m.Omega, Fresh: vectorOf(m.Fresh)}
+	out := &DecMsg{Hdr: m.Hdr, ID: m.ID, Fresh: vectorOf(m.Fresh)}
 	if m.Parts != nil {
 		out.Parts = make(map[int]*homenc.Vector, len(m.Parts))
 		for idx, ps := range m.Parts {
@@ -62,14 +68,14 @@ func decOf(m eagerDec) *DecMsg {
 	return out
 }
 
-// goldenLeg is one exchange leg of the golden set. A decryption leg
-// also carries its eager form, whose independent encoder the frame's
+// goldenLeg is one exchange leg of the golden set. A dissemination or
+// decryption leg also carries its eager encoding, which the frame's
 // payload must match.
 type goldenLeg struct {
 	name  string
 	kind  byte
 	msg   Message
-	eager *eagerDec
+	eager []byte
 }
 
 // goldenLegs is the fixed message set behind testdata/golden_frames.json:
@@ -85,9 +91,13 @@ func goldenLegs() []goldenLeg {
 		Noise:    SideOf(eesum.SumState{CTs: ctsOf("7", "8", "9", "0x200000000", "-1"), Omega: big.NewInt(3), Epoch: 5}),
 		CtrSigma: 12.5, CtrOmega: 0.25,
 	}
-	diss := &DissMsg{Hdr: hdr, ID: 0xDEADBEEF01, Vec: []float64{1.5, -2.25, 0, 1e-9}}
+	dissReq := eagerDiss{Hdr: hdr, ID: 0xDEADBEEF01}
+	dissResp := eagerDiss{Hdr: hdr, ID: 0xBEEF02, CTs: intsOf("99", "-100", "0xFFFFFFFFFFFFFFFFFFFF", "0"), Omega: big.NewInt(8)}
+	dissFin := dissResp
+	dissFin.ID = 0xBEEF01
+	dissAbort := eagerDiss{Hdr: abort, ID: 0xBEEF02}
 	decReq := eagerDec{
-		Hdr: hdr, CTs: intsOf("99", "-100", "0xFFFFFFFFFFFFFFFFFFFF", "0"), Omega: big.NewInt(8),
+		Hdr: hdr, ID: 0xBEEF01,
 		Parts: map[int][]*big.Int{
 			3: intsOf("11", "12", "-13", "0x1000000000000000000000000"),
 			1: intsOf("21", "22", "23", "24"),
@@ -95,28 +105,29 @@ func goldenLegs() []goldenLeg {
 	}
 	decResp := decReq
 	decResp.Fresh = intsOf("31", "32", "-33", "0")
-	decFin := eagerDec{Hdr: hdr, Fresh: intsOf("41", "42", "43", "0x7FFFFFFFFFFFFFFFFF")}
-	decAbort := eagerDec{Hdr: abort}
+	decFin := eagerDec{Hdr: hdr, ID: 0xBEEF01, Fresh: intsOf("41", "42", "43", "0x7FFFFFFFFFFFFFFFFF")}
+	decAbort := eagerDec{Hdr: abort, ID: 0xBEEF01}
 	return []goldenLeg{
 		{"sum-req", KindSumReq, sum, nil},
 		{"sum-resp", KindSumResp, sum, nil},
 		{"sum-fin", KindSumFin, Fin{Hdr: hdr}, nil},
 		{"sum-fin-abort", KindSumFin, Fin{Hdr: abort}, nil},
-		{"diss-req", KindDissReq, diss, nil},
-		{"diss-resp", KindDissResp, diss, nil},
-		{"diss-fin", KindDissFin, Fin{Hdr: hdr}, nil},
-		{"dec-req", KindDecReq, decOf(decReq), &decReq},
-		{"dec-resp", KindDecResp, decOf(decResp), &decResp},
-		{"dec-fin", KindDecFin, decOf(decFin), &decFin},
-		{"dec-fin-abort", KindDecFin, decOf(decAbort), &decAbort},
+		{"diss-req", KindDissReq, dissOf(dissReq), eagerMarshalDiss(dissReq)},
+		{"diss-resp", KindDissResp, dissOf(dissResp), eagerMarshalDiss(dissResp)},
+		{"diss-fin", KindDissFin, dissOf(dissFin), eagerMarshalDiss(dissFin)},
+		{"diss-fin-abort", KindDissFin, dissOf(dissAbort), eagerMarshalDiss(dissAbort)},
+		{"dec-req", KindDecReq, decOf(decReq), eagerMarshalDec(decReq)},
+		{"dec-resp", KindDecResp, decOf(decResp), eagerMarshalDec(decResp)},
+		{"dec-fin", KindDecFin, decOf(decFin), eagerMarshalDec(decFin)},
+		{"dec-fin-abort", KindDecFin, decOf(decAbort), eagerMarshalDec(decAbort)},
 	}
 }
 
 // TestGoldenFrames pins the wire format byte for byte against the
 // committed testdata, in both of a frame's uses: untargeted (the target
 // field 0xFFFFFFFF) and routed to a population index. The decryption
-// legs are also checked against the independent eager encoder of
-// scan_fuzz_test.go, so the committed bytes are not vouched for only by
+// and dissemination legs are also checked against the independent eager
+// encoders of scan_fuzz_test.go, so the committed bytes are not vouched for only by
 // the encoder that wrote them. Every leg is written twice — the second
 // write is served from the cached images.
 func TestGoldenFrames(t *testing.T) {
@@ -139,8 +150,8 @@ func TestGoldenFrames(t *testing.T) {
 			if !bytes.Equal(first.Bytes(), second.Bytes()) {
 				t.Fatalf("%s/%s: cached-image write differs from the first", leg.name, v.tag)
 			}
-			if leg.eager != nil && !bytes.Equal(first.Bytes()[4+headerBytes:], eagerMarshalDec(*leg.eager)) {
-				t.Fatalf("%s/%s: payload\n%x\nthe eager encoder writes\n%x", leg.name, v.tag, first.Bytes()[4+headerBytes:], eagerMarshalDec(*leg.eager))
+			if leg.eager != nil && !bytes.Equal(first.Bytes()[4+headerBytes:], leg.eager) {
+				t.Fatalf("%s/%s: payload\n%x\nthe eager encoder writes\n%x", leg.name, v.tag, first.Bytes()[4+headerBytes:], leg.eager)
 			}
 			got[leg.name+"/"+v.tag] = hex.EncodeToString(first.Bytes())
 		}

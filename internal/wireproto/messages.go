@@ -363,11 +363,10 @@ func UnmarshalSum(data []byte, lim Limits) (SumMsg, error) {
 	return SumMsg{Hdr: v.Hdr, Means: v.Means.State(), Noise: v.Noise.State(), CtrSigma: v.CtrSigma, CtrOmega: v.CtrOmega}, nil
 }
 
-// Fin is the bare commit leg closing a sum or dissemination exchange
-// (KindSumFin, KindDissFin): the responder applies its half only when
-// it arrives, which is what reproduces the half-completed exchange of
-// Section 6.1.5 when the initiator (or the link) dies in between. It is
-// read with PeekHdr.
+// Fin is the bare commit leg closing a sum exchange (KindSumFin): the
+// responder applies its half only when it arrives, which is what
+// reproduces the half-completed exchange of Section 6.1.5 when the
+// initiator (or the link) dies in between. It is read with PeekHdr.
 type Fin struct {
 	Hdr ExchangeHdr
 }
@@ -378,92 +377,103 @@ func (f Fin) Size() int { return hdrSize }
 // AppendTo implements Message.
 func (f Fin) AppendTo(dst []byte) []byte { return f.Hdr.appendTo(dst) }
 
-// --- noise-correction dissemination ---
+// --- election of the vector to decrypt (the correction dissemination) ---
 
-// DissMsg carries one side's correction proposal (KindDissReq,
-// KindDissResp): the random identifier and the surplus correction
-// vector (min identifier wins, Section 4.2.2).
+// DissMsg is the sending form of a dissemination leg (KindDissReq,
+// KindDissResp, KindDissFin): the identifier of the vector the sender
+// holds elected (min identifier wins, Section 4.2.2) and, only on a leg
+// toward a side holding a larger identifier, the vector itself — the
+// perturbed means as an image — and its weight. The request carries the
+// identifier alone; the response carries the vector when the responder's
+// identifier is the smaller, the fin when the initiator's was. CTs nil
+// encodes as the empty vector and Omega nil as zero: no vector.
 type DissMsg struct {
-	Hdr ExchangeHdr
-	ID  uint64
-	Vec []float64
+	Hdr   ExchangeHdr
+	ID    uint64
+	CTs   *homenc.Vector
+	Omega *big.Int
 }
 
 // Size implements Message.
-func (m *DissMsg) Size() int { return hdrSize + 8 + 4 + 8*len(m.Vec) }
+func (m *DissMsg) Size() int {
+	return hdrSize + 8 + m.CTs.WireSize() + homenc.IntWireSize(orZero(m.Omega))
+}
 
 // AppendTo implements Message.
 func (m *DissMsg) AppendTo(dst []byte) []byte {
 	e := Enc{B: m.Hdr.appendTo(dst)}
 	e.U64(m.ID)
-	e.U32(uint32(len(m.Vec)))
-	for _, v := range m.Vec {
-		e.F64(v)
-	}
-	return e.B
+	return homenc.AppendInt(m.CTs.AppendTo(e.B), orZero(m.Omega))
 }
 
-// UnmarshalDiss decodes a DissMsg payload.
-func UnmarshalDiss(data []byte, lim Limits) (DissMsg, error) {
+// zero stands in for an absent weight.
+var zero = new(big.Int)
+
+func orZero(v *big.Int) *big.Int {
+	if v == nil {
+		return zero
+	}
+	return v
+}
+
+// DissView is the structural scan of a DissMsg payload: every bound of
+// Limits enforced, no big.Int built. It aliases the payload; a receiver
+// adopting the vector detaches it with Copy.
+type DissView struct {
+	Hdr   ExchangeHdr
+	ID    uint64
+	CTs   homenc.VectorView
+	omega []byte
+}
+
+// Carries reports whether the leg carries a vector.
+func (v DissView) Carries() bool { return v.CTs.Len() > 0 }
+
+// Omega materializes the vector's weight (zero on a leg without one).
+func (v DissView) Omega() *big.Int { return intOf(v.omega) }
+
+// ScanDiss scans a DissMsg payload.
+func ScanDiss(data []byte, lim Limits) (DissView, error) {
 	d := Dec{B: data}
-	m := DissMsg{Hdr: decodeHdr(&d), ID: d.U64()}
-	n := int(d.U32())
-	if d.err == nil && n > lim.MaxDim {
-		return m, fmt.Errorf("wireproto: correction vector of %d exceeds bound %d", n, lim.MaxDim)
-	}
-	m.Vec = make([]float64, 0, min(n, len(d.B)/8+1))
-	for i := 0; i < n && d.err == nil; i++ {
-		m.Vec = append(m.Vec, d.F64())
-	}
-	return m, d.Done()
+	v := DissView{Hdr: decodeHdr(&d), ID: d.U64()}
+	v.CTs = d.vector(lim.MaxDim, lim.MaxCTBytes)
+	v.omega = d.intImage(lim.MaxCTBytes)
+	return v, d.Done()
 }
 
 // --- epidemic decryption ---
 
 // DecMsg is the sending form of a decryption leg (KindDecReq,
-// KindDecResp, KindDecFin): one side's epidemic decryption state — the
-// ciphertext vector it is decrypting, the weight that decodes it, and
-// the partial decryptions gathered so far — plus, on the response and
-// fin legs, the sender's own key-share applied to the receiver's
-// (post-adoption) ciphertexts. A key-share's partial decryptions are a
-// vector of group elements like the ciphertexts: a gathered set is keyed
-// by its share index, and Fresh is the sender's share, implied by who
-// sent it. Fresh is empty on KindDecReq; CTs/Omega/Parts are empty on
-// KindDecFin. Every vector carries its cached image: a state that is
-// re-sent unchanged, leg after leg, is appended with a few copies.
+// KindDecResp, KindDecFin): the identifier of the vector the sender
+// decrypts, its share set — the partial decryptions gathered so far, a
+// vector of group elements per key-share, keyed by share index — and,
+// on the response and fin legs, the sender's own key-share when one is
+// due to the receiver (Fresh: its index is the sender's). Parts is
+// empty on KindDecFin, Fresh on KindDecReq. The ciphertexts themselves
+// never travel here: both sides elected them in the dissemination.
 type DecMsg struct {
 	Hdr   ExchangeHdr
-	CTs   *homenc.Vector
-	Omega *big.Int // nil encodes as zero
+	ID    uint64
 	Parts map[int]*homenc.Vector
 	Fresh *homenc.Vector
 }
 
 // Size implements Message.
 func (m *DecMsg) Size() int {
-	size := hdrSize + m.CTs.WireSize() + homenc.IntWireSize(m.omega()) + 2 + m.Fresh.WireSize()
+	size := hdrSize + 8 + 2 + m.Fresh.WireSize()
 	for _, ps := range m.Parts {
 		size += 4 + ps.WireSize()
 	}
 	return size
 }
 
-// zero stands in for the absent weight of a fin leg.
-var zero = new(big.Int)
-
-func (m *DecMsg) omega() *big.Int {
-	if m.Omega == nil {
-		return zero
-	}
-	return m.Omega
-}
-
 // AppendTo implements Message.
 func (m *DecMsg) AppendTo(dst []byte) []byte {
-	e := Enc{B: homenc.AppendInt(m.CTs.AppendTo(m.Hdr.appendTo(dst)), m.omega())}
+	e := Enc{B: m.Hdr.appendTo(dst)}
+	e.U64(m.ID)
 	e.U16(uint16(len(m.Parts)))
-	// Canonical share-index order: encoding must not depend on map
-	// iteration order (peers compare and hash frames in tests).
+	// Ascending share-index order: the encoding must not depend on map
+	// iteration order, and the scan requires it.
 	idxs := make([]int, 0, len(m.Parts))
 	for idx := range m.Parts {
 		idxs = append(idxs, idx)
@@ -476,62 +486,55 @@ func (m *DecMsg) AppendTo(dst []byte) []byte {
 	return m.Fresh.AppendTo(e.B)
 }
 
+// PartView is one scanned key-share's partial decryptions.
+type PartView struct {
+	Idx int
+	V   homenc.VectorView
+}
+
 // DecView is the structural scan of a DecMsg payload: every bound of
 // Limits enforced — exactly the frames an eager decode would accept —
-// with no big.Int built. It aliases the payload; what a receiver keeps
-// (an adopted state, an accepted Fresh vector) it detaches with Copy,
-// and what the crypto needs it materializes with Values. It is the peer
-// of an eesum.Participant's decryption exchange (eesum.DecPeer).
+// with no big.Int built, and the share set in strictly ascending index
+// order. It aliases the payload; what a receiver keeps (a part it takes,
+// an accepted Fresh vector) it detaches with Copy. It is the peer of an
+// eesum.Participant's decryption exchange (eesum.DecPeer).
 type DecView struct {
 	Hdr   ExchangeHdr
-	CTs   homenc.VectorView
-	omega []byte
-	Parts map[int]homenc.VectorView
+	ID    uint64
+	Parts []PartView
 	Fresh homenc.VectorView
 }
 
-// Omega materializes the state's weight.
-func (v DecView) Omega() *big.Int { return intOf(v.omega) }
+// Elected returns the identifier of the vector the sender decrypts.
+func (v DecView) Elected() uint64 { return v.ID }
 
 // Gathered returns how many partial sets the state carries.
 func (v DecView) Gathered() int { return len(v.Parts) }
 
-// Wants reports whether the state still wants key-share idx.
-func (v DecView) Wants(idx, threshold int) bool { return eesum.DecNeeds(v.Parts, threshold, idx) }
+// ShareAt returns the i-th smallest share index of the set.
+func (v DecView) ShareAt(i int) int { return v.Parts[i].Idx }
 
-// Ciphertexts materializes the state's ciphertext vector.
-func (v DecView) Ciphertexts() []homenc.Ciphertext { return v.CTs.Values() }
-
-// Detach copies the state out of the payload for adoption: the vectors
-// keep the images they arrived with, and the partial sets are capped at
-// threshold (eesum.CopyParts).
-func (v DecView) Detach(threshold int) (*homenc.Vector, *big.Int, map[int]*homenc.Vector) {
-	parts := make(map[int]*homenc.Vector, threshold)
-	for idx, ps := range eesum.CopyParts(v.Parts, threshold) {
-		parts[idx] = ps.Copy()
-	}
-	return v.CTs.Copy(), v.Omega(), parts
-}
+// PartAt detaches the i-th share's partial decryptions from the
+// payload: the vector keeps the image it arrived with.
+func (v DecView) PartAt(i int) *homenc.Vector { return v.Parts[i].V.Copy() }
 
 // ScanDec scans a DecMsg payload.
 func ScanDec(data []byte, lim Limits) (DecView, error) {
 	d := Dec{B: data}
-	v := DecView{Hdr: decodeHdr(&d)}
-	v.CTs = d.vector(lim.MaxDim, lim.MaxCTBytes)
-	v.omega = d.intImage(lim.MaxCTBytes)
+	v := DecView{Hdr: decodeHdr(&d), ID: d.U64()}
 	nParts := int(d.U16())
 	if d.err == nil && nParts > lim.MaxParts {
 		return v, fmt.Errorf("wireproto: %d partial sets exceed bound %d", nParts, lim.MaxParts)
 	}
-	v.Parts = make(map[int]homenc.VectorView, nParts)
+	v.Parts = make([]PartView, 0, nParts)
 	for i := 0; i < nParts && d.err == nil; i++ {
 		idx := int(d.U32())
 		ps := d.vector(lim.MaxDim+1, lim.MaxCTBytes)
 		if d.err == nil {
-			if _, dup := v.Parts[idx]; dup {
-				return v, errors.New("wireproto: duplicate partial share index")
+			if i > 0 && idx <= v.Parts[i-1].Idx {
+				return v, errors.New("wireproto: partial share indices not strictly ascending")
 			}
-			v.Parts[idx] = ps
+			v.Parts = append(v.Parts, PartView{idx, ps})
 		}
 	}
 	v.Fresh = d.vector(lim.MaxDim+1, lim.MaxCTBytes)

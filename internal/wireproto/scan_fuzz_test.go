@@ -13,18 +13,26 @@ import (
 	"chiaroscuro/internal/homenc"
 )
 
-// eagerDec is the decode-everything DecMsg the exchange legs used before
-// the structural scan; eagerUnmarshalDec and eagerMarshalDec are that
-// decoder and encoder, written out field by field with no homenc vector
-// code, as the reference the scan is fuzzed against and the golden
-// frames are checked against. A part set and Fresh are vectors of
-// integers like the ciphertexts: a part set's share index is its key.
+// eagerDec and eagerDiss are the decode-everything forms of a
+// decryption and a dissemination leg; eagerUnmarshalDec,
+// eagerMarshalDec and their dissemination twins are those decoders and
+// encoders, written out field by field with no homenc vector code, as
+// the reference the scans are fuzzed against and the golden frames are
+// checked against. A part set and Fresh are vectors of integers like
+// the ciphertexts: a part set's share index is its key, and the set is
+// written in ascending index order.
 type eagerDec struct {
 	Hdr   ExchangeHdr
-	CTs   []*big.Int
-	Omega *big.Int
+	ID    uint64
 	Parts map[int][]*big.Int
 	Fresh []*big.Int
+}
+
+type eagerDiss struct {
+	Hdr   ExchangeHdr
+	ID    uint64
+	CTs   []*big.Int
+	Omega *big.Int
 }
 
 func (d *Dec) eagerInt(maxBytes int) *big.Int {
@@ -55,25 +63,33 @@ func eagerInts(d *Dec, maxLen, maxBytes int) []*big.Int {
 
 func eagerUnmarshalDec(data []byte, lim Limits) (eagerDec, error) {
 	d := Dec{B: data}
-	m := eagerDec{Hdr: decodeHdr(&d)}
-	m.CTs = eagerInts(&d, lim.MaxDim, lim.MaxCTBytes)
-	m.Omega = d.eagerInt(lim.MaxCTBytes)
+	m := eagerDec{Hdr: decodeHdr(&d), ID: d.U64()}
 	nParts := int(d.U16())
 	if d.err == nil && nParts > lim.MaxParts {
 		return m, errors.New("wireproto: partial sets exceed bound")
 	}
 	m.Parts = make(map[int][]*big.Int, nParts)
+	last := -1
 	for i := 0; i < nParts && d.err == nil; i++ {
 		idx := int(d.U32())
 		ps := eagerInts(&d, lim.MaxDim+1, lim.MaxCTBytes)
 		if d.err == nil {
-			if _, dup := m.Parts[idx]; dup {
-				return m, errors.New("wireproto: duplicate partial share index")
+			if idx <= last {
+				return m, errors.New("wireproto: partial share indices not ascending")
 			}
+			last = idx
 			m.Parts[idx] = ps
 		}
 	}
 	m.Fresh = eagerInts(&d, lim.MaxDim+1, lim.MaxCTBytes)
+	return m, d.Done()
+}
+
+func eagerUnmarshalDiss(data []byte, lim Limits) (eagerDiss, error) {
+	d := Dec{B: data}
+	m := eagerDiss{Hdr: decodeHdr(&d), ID: d.U64()}
+	m.CTs = eagerInts(&d, lim.MaxDim, lim.MaxCTBytes)
+	m.Omega = d.eagerInt(lim.MaxCTBytes)
 	return m, d.Done()
 }
 
@@ -86,12 +102,7 @@ func eagerMarshalInts(e *Enc, vs []*big.Int) {
 
 func eagerMarshalDec(m eagerDec) []byte {
 	e := Enc{B: m.Hdr.appendTo(nil)}
-	eagerMarshalInts(&e, m.CTs)
-	omega := m.Omega
-	if omega == nil {
-		omega = new(big.Int)
-	}
-	e.B = homenc.AppendInt(e.B, omega)
+	e.U64(m.ID)
 	e.U16(uint16(len(m.Parts)))
 	idxs := make([]int, 0, len(m.Parts))
 	for idx := range m.Parts {
@@ -103,6 +114,18 @@ func eagerMarshalDec(m eagerDec) []byte {
 		eagerMarshalInts(&e, m.Parts[idx])
 	}
 	eagerMarshalInts(&e, m.Fresh)
+	return e.B
+}
+
+func eagerMarshalDiss(m eagerDiss) []byte {
+	e := Enc{B: m.Hdr.appendTo(nil)}
+	e.U64(m.ID)
+	eagerMarshalInts(&e, m.CTs)
+	omega := m.Omega
+	if omega == nil {
+		omega = new(big.Int)
+	}
+	e.B = homenc.AppendInt(e.B, omega)
 	return e.B
 }
 
@@ -118,14 +141,8 @@ func sameInts(t *testing.T, tag string, got []homenc.Ciphertext, want []*big.Int
 	}
 }
 
-// FuzzDecScanMatchesEager is the differential check behind the
-// decode-on-demand receive path: on arbitrary payloads the structural
-// scan accepts exactly what the eager decoder accepted, every value it
-// materializes — straight from the view, or later from a detached copy
-// — equals the eager decode's, and a state relayed from its detached
-// images re-encodes to the bytes the eager path would have re-marshalled
-// (canonical even when the input was not).
-func FuzzDecScanMatchesEager(f *testing.F) {
+// goldenPayloads returns the payloads of the named golden frames.
+func goldenPayloads(f *testing.F, names ...string) [][]byte {
 	raw, err := os.ReadFile("testdata/golden_frames.json")
 	if err != nil {
 		f.Fatal(err)
@@ -134,23 +151,37 @@ func FuzzDecScanMatchesEager(f *testing.F) {
 	if err := json.Unmarshal(raw, &golden); err != nil {
 		f.Fatal(err)
 	}
-	for _, name := range []string{"dec-req/untargeted", "dec-resp/untargeted", "dec-fin/untargeted", "dec-fin-abort/untargeted", "sum-req/untargeted"} {
+	var out [][]byte
+	for _, name := range names {
 		frame, err := hex.DecodeString(golden[name])
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(frame[4+headerBytes:])
+		out = append(out, frame[4+headerBytes:])
+	}
+	return out
+}
+
+// FuzzDecScanMatchesEager is the differential check behind the
+// decode-on-demand receive path: on arbitrary payloads the structural
+// scan accepts exactly what the eager decoder accepted, every value it
+// materializes — straight from the view, or later from a detached copy
+// — equals the eager decode's, and a state relayed from its detached
+// images re-encodes to the bytes the eager path would have re-marshalled
+// (canonical even when the input was not).
+func FuzzDecScanMatchesEager(f *testing.F) {
+	for _, p := range goldenPayloads(f, "dec-req/untargeted", "dec-resp/untargeted", "dec-fin/untargeted", "dec-fin-abort/untargeted", "sum-req/untargeted") {
+		f.Add(p)
 	}
 	// Valid but non-canonical integers: a leading zero byte, negative zero.
 	e := Enc{B: ExchangeHdr{}.appendTo(nil)}
-	e.U32(2)
-	e.B = append(e.B, 0x01, 0, 0, 0, 2, 0x00, 0x07, 0x02, 0, 0, 0, 0)
-	e.B = append(e.B, 0x02, 0, 0, 0, 0)
+	e.U64(7)
 	e.U16(1)
 	e.U32(4)
+	e.U32(2)
+	e.B = append(e.B, 0x01, 0, 0, 0, 2, 0x00, 0x07, 0x02, 0, 0, 0, 0)
 	e.U32(1)
 	e.B = append(e.B, 0x02, 0, 0, 0, 3, 0x00, 0x00, 0x09)
-	e.U32(0)
 	f.Add(e.B)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 40))
@@ -165,31 +196,32 @@ func FuzzDecScanMatchesEager(f *testing.F) {
 		if gotErr != nil {
 			return
 		}
-		if got.Hdr != want.Hdr || got.Omega().Cmp(want.Omega) != 0 {
-			t.Fatalf("header/weight (%+v, %v), eager decode has (%+v, %v)", got.Hdr, got.Omega(), want.Hdr, want.Omega)
+		if got.Hdr != want.Hdr || got.ID != want.ID {
+			t.Fatalf("header/vector (%+v, %d), eager decode has (%+v, %d)", got.Hdr, got.ID, want.Hdr, want.ID)
 		}
-		relay := DecMsg{Hdr: got.Hdr, CTs: got.CTs.Copy(), Omega: got.Omega(), Parts: map[int]*homenc.Vector{}, Fresh: got.Fresh.Copy()}
-		sameInts(t, "ciphertexts", got.CTs.Values(), want.CTs)
-		sameInts(t, "relayed ciphertexts", relay.CTs.Values(), want.CTs)
+		relay := DecMsg{Hdr: got.Hdr, ID: got.ID, Parts: map[int]*homenc.Vector{}, Fresh: got.Fresh.Copy()}
 		if len(got.Parts) != len(want.Parts) {
 			t.Fatalf("%d part sets, eager decode has %d", len(got.Parts), len(want.Parts))
 		}
-		for idx, ps := range want.Parts {
-			view, ok := got.Parts[idx]
+		for i, view := range got.Parts {
+			ps, ok := want.Parts[view.Idx]
 			if !ok {
-				t.Fatalf("part set %d missing from the scan", idx)
+				t.Fatalf("part set %d missing from the eager decode", view.Idx)
 			}
-			relay.Parts[idx] = view.Copy()
-			sameInts(t, "part set", view.Values(), ps)
+			if got.ShareAt(i) != view.Idx {
+				t.Fatalf("ShareAt(%d) = %d, want %d", i, got.ShareAt(i), view.Idx)
+			}
+			relay.Parts[view.Idx] = got.PartAt(i)
+			sameInts(t, "part set", view.V.Values(), ps)
 			// What Release combines: the relayed image decoded as the
 			// key-share's partial decryptions, under its key.
-			combined := relay.Parts[idx].PartialDecryptions(idx)
+			combined := relay.Parts[view.Idx].PartialDecryptions(view.Idx)
 			if len(combined) != len(ps) {
-				t.Fatalf("part set %d: %d partial decryptions, eager decode has %d", idx, len(combined), len(ps))
+				t.Fatalf("part set %d: %d partial decryptions, eager decode has %d", view.Idx, len(combined), len(ps))
 			}
 			for j, p := range combined {
-				if p.Index != idx || p.V.Cmp(ps[j]) != 0 {
-					t.Fatalf("part set %d[%d] = (%d, %v), eager decode has (%d, %v)", idx, j, p.Index, p.V, idx, ps[j])
+				if p.Index != view.Idx || p.V.Cmp(ps[j]) != 0 {
+					t.Fatalf("part set %d[%d] = (%d, %v), eager decode has (%d, %v)", view.Idx, j, p.Index, p.V, view.Idx, ps[j])
 				}
 			}
 		}
@@ -197,6 +229,45 @@ func FuzzDecScanMatchesEager(f *testing.F) {
 		sameInts(t, "relayed fresh", relay.Fresh.Values(), want.Fresh)
 		if relay.Size() != len(Marshal(&relay)) || !bytes.Equal(Marshal(&relay), eagerMarshalDec(want)) {
 			t.Fatalf("relayed state re-encodes to\n%x\nthe eager path re-marshalled\n%x", Marshal(&relay), eagerMarshalDec(want))
+		}
+	})
+}
+
+// FuzzDissScanMatchesEager is FuzzDecScanMatchesEager for the
+// dissemination leg: the scan accepts what the eager decoder accepts,
+// the vector and weight it materializes are the eager decode's, and the
+// vector relayed from its detached image re-encodes canonically.
+func FuzzDissScanMatchesEager(f *testing.F) {
+	for _, p := range goldenPayloads(f, "diss-req/untargeted", "diss-resp/untargeted", "diss-fin/untargeted", "diss-fin-abort/untargeted", "dec-req/untargeted") {
+		f.Add(p)
+	}
+	// A valid but non-canonical vector element and weight.
+	e := Enc{B: ExchangeHdr{}.appendTo(nil)}
+	e.U64(3)
+	e.U32(1)
+	e.B = append(e.B, 0x01, 0, 0, 0, 2, 0x00, 0x07)
+	e.B = append(e.B, 0x01, 0, 0, 0, 2, 0x00, 0x05)
+	f.Add(e.B)
+	f.Add([]byte{})
+
+	lim := testLimits()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantErr := eagerUnmarshalDiss(data, lim)
+		got, gotErr := ScanDiss(data, lim)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("scan error %v, eager decode error %v", gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		if got.Hdr != want.Hdr || got.ID != want.ID || got.Omega().Cmp(want.Omega) != 0 || got.Carries() != (len(want.CTs) > 0) {
+			t.Fatalf("scan (%+v, %d, %v), eager decode has (%+v, %d, %v)", got.Hdr, got.ID, got.Omega(), want.Hdr, want.ID, want.Omega)
+		}
+		relay := DissMsg{Hdr: got.Hdr, ID: got.ID, CTs: got.CTs.Copy(), Omega: got.Omega()}
+		sameInts(t, "vector", got.CTs.Values(), want.CTs)
+		sameInts(t, "relayed vector", relay.CTs.Values(), want.CTs)
+		if relay.Size() != len(Marshal(&relay)) || !bytes.Equal(Marshal(&relay), eagerMarshalDiss(want)) {
+			t.Fatalf("relayed leg re-encodes to\n%x\nthe eager path re-marshalled\n%x", Marshal(&relay), eagerMarshalDiss(want))
 		}
 	})
 }

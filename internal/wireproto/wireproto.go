@@ -36,7 +36,7 @@ import (
 // Version is the protocol version byte. A frame of any other version —
 // the two earlier layouts included — is refused as malformed: there is
 // no negotiation, populations are provisioned together.
-const Version = 3
+const Version = 4
 
 // Message kinds.
 const (

@@ -149,16 +149,56 @@ func TestSumMsgRejectsOversizeDim(t *testing.T) {
 
 func TestDissAndFinRoundTrip(t *testing.T) {
 	lim := testLimits()
-	m := DissMsg{Hdr: ExchangeHdr{Iter: 2, Seq: 9, From: 1, To: 2}, ID: 0xDEAD, Vec: []float64{1.5, -2.25}}
-	got, err := UnmarshalDiss(Marshal(&m), lim)
-	if err != nil || got.ID != m.ID || !reflect.DeepEqual(got.Vec, m.Vec) || got.Hdr != m.Hdr {
-		t.Fatalf("diss round trip: %+v, %v", got, err)
+	hdr := ExchangeHdr{Iter: 2, Seq: 9, From: 1, To: 2}
+	for _, m := range []DissMsg{
+		{Hdr: hdr, ID: 0xDEAD},
+		{Hdr: hdr, ID: 0xBEEF, CTs: homenc.NewVector(cts(15, -225)), Omega: big.NewInt(6)},
+	} {
+		wire := Marshal(&m)
+		got, err := ScanDiss(wire, lim)
+		if err != nil || got.ID != m.ID || got.Hdr != m.Hdr || len(wire) != m.Size() {
+			t.Fatalf("diss round trip: %+v, %v", got, err)
+		}
+		if got.Carries() != (m.CTs != nil) || got.Omega().Cmp(orZero(m.Omega)) != 0 {
+			t.Fatalf("diss vector: carries %v, weight %v", got.Carries(), got.Omega())
+		}
+		if m.CTs != nil && got.CTs.Values()[1].V.Int64() != -225 {
+			t.Fatalf("diss vector values %v", got.CTs.Values())
+		}
 	}
 	// A fin is its header alone, read back the way a responder reads it.
 	f := Fin{Hdr: ExchangeHdr{Iter: 2, Cycle: 1, Seq: 9, From: 1, To: 2, Flags: FlagAbort}}
 	gotF, err := PeekHdr(Marshal(f))
 	if err != nil || gotF != f.Hdr || f.Size() != len(Marshal(f)) {
 		t.Fatalf("fin round trip: %+v, %v", gotF, err)
+	}
+}
+
+// TestDissBoundsRejected: a dissemination leg is refused, before its
+// vector is built, when the vector is longer than MaxDim, an element or
+// the weight is wider than MaxCTBytes, or trailing bytes follow.
+func TestDissBoundsRejected(t *testing.T) {
+	lim := testLimits()
+	wide := new(big.Int).Lsh(big.NewInt(1), uint(8*lim.MaxCTBytes))
+	long := make([]int64, lim.MaxDim+1)
+	for _, c := range []struct {
+		name string
+		m    DissMsg
+	}{
+		{"vector over MaxDim", DissMsg{ID: 1, CTs: homenc.NewVector(cts(long...)), Omega: big.NewInt(1)}},
+		{"element over MaxCTBytes", DissMsg{ID: 1, CTs: homenc.NewVector([]homenc.Ciphertext{{V: wide}}), Omega: big.NewInt(1)}},
+		{"weight over its bound", DissMsg{ID: 1, CTs: homenc.NewVector(cts(3)), Omega: wide}},
+	} {
+		if _, err := ScanDiss(Marshal(&c.m), lim); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	ok := Marshal(&DissMsg{ID: 1, CTs: homenc.NewVector(cts(3)), Omega: big.NewInt(1)})
+	if _, err := ScanDiss(ok, lim); err != nil {
+		t.Fatalf("control leg refused: %v", err)
+	}
+	if _, err := ScanDiss(append(ok, 0), lim); err == nil {
+		t.Error("trailing byte accepted")
 	}
 }
 
@@ -173,9 +213,8 @@ func cts(vals ...int64) []homenc.Ciphertext {
 func TestDecMsgRoundTrip(t *testing.T) {
 	lim := testLimits()
 	m := DecMsg{
-		Hdr:   ExchangeHdr{Iter: 1, Cycle: 4, Seq: 0, From: 2, To: 6},
-		CTs:   homenc.NewVector(cts(99, -100)),
-		Omega: big.NewInt(8),
+		Hdr: ExchangeHdr{Iter: 1, Cycle: 4, Seq: 0, From: 2, To: 6},
+		ID:  0xC0FFEE,
 		Parts: map[int]*homenc.Vector{
 			3: homenc.NewVector(cts(11, 12)),
 			1: homenc.NewVector(cts(21, 22)),
@@ -190,10 +229,10 @@ func TestDecMsgRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Hdr != m.Hdr || got.Omega().Cmp(m.Omega) != 0 || got.CTs.Len() != 2 {
+	if got.Hdr != m.Hdr || got.Elected() != m.ID {
 		t.Fatalf("dec header mismatch: %+v", got)
 	}
-	if len(got.Parts) != 2 || got.Parts[3].Len() != 2 || got.Parts[1].Values()[1].V.Int64() != 22 {
+	if got.Gathered() != 2 || got.ShareAt(0) != 1 || got.ShareAt(1) != 3 || got.PartAt(0).Values()[1].V.Int64() != 22 {
 		t.Fatalf("parts mismatch: %+v", got.Parts)
 	}
 	fresh := got.Fresh.Values()
@@ -203,33 +242,34 @@ func TestDecMsgRoundTrip(t *testing.T) {
 	// Encoding is canonical: a state rebuilt from the images it arrived
 	// in — no value materialized — re-encodes to the identical bytes,
 	// regardless of map iteration order.
-	relay := DecMsg{Hdr: got.Hdr, CTs: got.CTs.Copy(), Omega: got.Omega(), Parts: map[int]*homenc.Vector{}, Fresh: got.Fresh.Copy()}
-	for idx, ps := range got.Parts {
-		relay.Parts[idx] = ps.Copy()
+	relay := DecMsg{Hdr: got.Hdr, ID: got.ID, Parts: map[int]*homenc.Vector{}, Fresh: got.Fresh.Copy()}
+	for i := range got.Gathered() {
+		relay.Parts[got.ShareAt(i)] = got.PartAt(i)
 	}
 	if !bytes.Equal(wire, Marshal(&relay)) {
 		t.Fatal("dec encoding not canonical")
 	}
-	if got := relay.CTs.Values(); len(got) != 2 || got[1].V.Int64() != -100 {
-		t.Fatalf("relayed ciphertexts materialize to %+v", got)
-	}
 }
 
+// TestDecMsgRejectsDuplicateShares: a share set must come in strictly
+// ascending share index, so a repeated index — or any other order — is
+// refused.
 func TestDecMsgRejectsDuplicateShares(t *testing.T) {
 	lim := testLimits()
-	// Hand-build a payload whose two part sets claim the same share index.
-	e := Enc{B: ExchangeHdr{}.appendTo(nil)}
-	e.U32(0)                                   // no cts
-	e.B = homenc.AppendInt(e.B, big.NewInt(1)) // omega
-	e.U16(2)                                   // two part sets
-	for i := 0; i < 2; i++ {
-		e.U32(2) // same share index both times
-		e.U32(1) // one partial
-		e.B = homenc.AppendInt(e.B, big.NewInt(7))
-	}
-	e.U32(0) // no fresh partials
-	if _, err := ScanDec(e.B, lim); err == nil {
-		t.Fatal("duplicate share index accepted")
+	for _, idxs := range [][2]uint32{{2, 2}, {3, 1}} {
+		// Hand-build a payload whose two part sets come in this order.
+		e := Enc{B: ExchangeHdr{}.appendTo(nil)}
+		e.U64(7) // the vector
+		e.U16(2) // two part sets
+		for _, idx := range idxs {
+			e.U32(idx)
+			e.U32(1) // one partial
+			e.B = homenc.AppendInt(e.B, big.NewInt(7))
+		}
+		e.U32(0) // no fresh partials
+		if _, err := ScanDec(e.B, lim); err == nil {
+			t.Fatalf("share indices %v accepted", idxs)
+		}
 	}
 }
 
@@ -248,7 +288,7 @@ func TestGarbagePayloadsError(t *testing.T) {
 		if _, err := ScanDec(g, lim); err == nil {
 			t.Fatalf("dec accepted garbage %x", g)
 		}
-		if _, err := UnmarshalDiss(g, lim); err == nil {
+		if _, err := ScanDiss(g, lim); err == nil {
 			t.Fatalf("diss accepted garbage %x", g)
 		}
 		if _, err := UnmarshalHello(g, lim); err == nil {

@@ -114,7 +114,7 @@ func BenchmarkNetworkedWAN16(b *testing.B) {
 }
 
 // BenchmarkDecFrameRoundTrip is one decryption leg at the vnode
-// benchmark's shape (50 ciphertexts, τ = 5 gathered partial vectors) as
+// benchmark's shape (τ = 5 gathered partial vectors of 50 elements) as
 // a peer in steady state pays it: write from cached wire images, read
 // into a pooled buffer, structural scan, release. Its allocs/op is the
 // per-frame allocation count BENCH_*.json tracks.
@@ -126,8 +126,7 @@ func BenchmarkDecFrameRoundTrip(b *testing.B) {
 	}
 	msg := &wireproto.DecMsg{
 		Hdr:   wireproto.ExchangeHdr{Iter: 1, Cycle: 3, Seq: 2, From: 0, To: 1},
-		CTs:   homenc.NewVector(cts),
-		Omega: big.NewInt(400),
+		ID:    0xC0FFEE,
 		Parts: map[int]*homenc.Vector{},
 	}
 	for share := 1; share <= tau; share++ {
