@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"math/bits"
 )
 
 // PhaseFailureBound is the probability, per phase, that a phase of the
@@ -24,15 +25,26 @@ var ErrPhaseBudget = errors.New("core: phase ran out of cycles")
 //     correction identifier, done in log₃ np + O(log log np) cycles (Karp
 //     et al., "Randomized Rumor Spreading", FOCS 2000): ⌈log₃ np⌉ + 4,
 //     plus one under Newscast's bounded views;
-//   - decryption is the τ-share gathering of Fig. 4(b), whose tail is
-//     the spreading time plus the coupon-collector cost of the last
-//     share: ⌈τ/4⌉ + ⌈log₃ np⌉ + 2 + ⌈np/(np−τ+1)⌉;
+//   - decryption is the τ-share gathering of Fig. 4(b) over the elected
+//     vector, where two participants leave an exchange with the union of
+//     their share sets: ⌈log₂ τ⌉ + 2, plus one when 2τ > np. Every
+//     participant exchanges at least once a cycle and its first exchange
+//     gives it two shares, so with disjoint sets a set doubles each
+//     cycle and holds τ shares after ⌈log₂ τ⌉ of them. An exchange whose
+//     two sets overlap, or whose partner lags, costs a participant at
+//     most one doubling: its next exchange with a peer at the front
+//     catches it up. Two such events are the tail; a third for one
+//     participant stays below the bound (the counting model checks it at
+//     the deployed populations). While 2τ ≤ np, two sets of τ/2 shares
+//     drawn from np overlap by at most a quarter on average, one lag
+//     event; past that the last doubling falls short in most exchanges,
+//     and every participant needs one more;
 //   - under loss, both add the longest offline spell any of the np
 //     participants has at that probability, ⌈ln(np/bound) / ln(1/loss)⌉.
 //
-// The terms are fitted to the schedule the engine draws, and the grid in
-// phases_test.go checks every one of them against the adaptive
-// simulator with a cycle to spare.
+// The grid in phases_test.go checks both lengths against the adaptive
+// simulator with a cycle to spare, and the decryption's tail against
+// the counting model at the populations the benchmark and soaks run.
 func PhaseCycles(np, tau int, loss float64, newscast bool) (diss, dec int) {
 	np = max(np, 2)
 	tau = min(max(tau, 1), np)
@@ -44,7 +56,10 @@ func PhaseCycles(np, tau int, loss float64, newscast bool) (diss, dec int) {
 	if newscast {
 		diss++
 	}
-	dec = (tau+3)/4 + spread + 2 + (np+np-tau)/(np-tau+1)
+	dec = bits.Len(uint(tau-1)) + 2
+	if 2*tau > np {
+		dec++
+	}
 	if loss > 0 {
 		spell := int(math.Ceil(math.Log(float64(np)/PhaseFailureBound) / -math.Log(loss)))
 		diss += spell

@@ -22,12 +22,12 @@ func TestPhaseCyclesValues(t *testing.T) {
 		newscast  bool
 		diss, dec int
 	}{
-		{12, 4, 0, false, 7, 8},
-		{16, 5, 0, false, 7, 9},
-		{400, 9, 0, false, 10, 13},
-		{400, 9, 0, true, 11, 13},
-		{16, 5, 0.5, false, 31, 33},
-		{2, 2, 0, false, 5, 6},
+		{12, 4, 0, false, 7, 4},
+		{16, 5, 0, false, 7, 5},
+		{400, 9, 0, false, 10, 6},
+		{400, 9, 0, true, 11, 6},
+		{16, 5, 0.5, false, 31, 29},
+		{2, 2, 0, false, 5, 4},
 	} {
 		diss, dec := PhaseCycles(c.np, c.tau, c.loss, c.newscast)
 		if diss != c.diss || dec != c.dec {
@@ -196,6 +196,43 @@ func TestPhaseCyclesCoverCountingModel(t *testing.T) {
 			t.Logf("%d seeds: worst %d/%d cycles, derived %d/%d", seeds, worstDiss, worstDec, diss, dec)
 			if worstDiss > diss-1 || worstDec > dec-1 {
 				t.Errorf("a seed needed %d/%d cycles: the derived %d/%d leave no spare cycle", worstDiss, worstDec, diss, dec)
+			}
+		})
+	}
+}
+
+// TestDecryptionTailAtDeployedLengths runs the counting models
+// (countingLengths: uniform sampling, no loss) at the populations the
+// benchmark, the soaks and CI's daemons run, with enough seeds to see
+// the tail the derived decryption length must hold at
+// PhaseFailureBound. No seed may need more than the derived length; the
+// histogram of the decryption cycles needed is logged.
+func TestDecryptionTailAtDeployedLengths(t *testing.T) {
+	for _, c := range []struct{ np, tau, seeds int }{
+		{12, 4, 1_000_000},
+		{16, 5, 1_000_000},
+		{400, 9, 20_000},
+		{2000, 5, 2_000},
+		{2, 2, 1_000_000},
+		{3, 2, 1_000_000},
+	} {
+		t.Run(fmt.Sprintf("n%d/tau%d", c.np, c.tau), func(t *testing.T) {
+			t.Parallel()
+			_, dec := PhaseCycles(c.np, c.tau, 0, false)
+			seeds := c.seeds
+			if testing.Short() || raceEnabled {
+				seeds = max(seeds/200, 10)
+			}
+			hist := make([]int, 2*dec+1)
+			for s := 0; s < seeds; s++ {
+				_, dec := countingLengths(t, gridPoint{np: c.np, tau: c.tau}, uint64(s), len(hist)-1)
+				hist[dec]++
+			}
+			t.Logf("%d seeds, derived %d cycles; seeds by cycles needed: %v", seeds, dec, hist)
+			for cycles, n := range hist[dec+1:] {
+				if n > 0 {
+					t.Errorf("%d seeds needed %d cycles, more than the derived %d", n, dec+1+cycles, dec)
+				}
 			}
 		})
 	}

@@ -45,12 +45,13 @@ type NetworkTrace = core.IterationTrace
 // of np participants and any decryption threshold up to bits.Len(np):
 // core.PhaseCycles(np, bits.Len(np), 0, false), the gossip convergence
 // model's lengths at a failure probability of 10⁻⁶ per phase (a phase
-// that still ends unfinished fails with ErrPhaseBudget). Networked runs
-// need fixed lengths — no participant can observe global convergence —
-// and Networked mode derives its own from the scheme's threshold, the
-// churn and the peer sampler when Options leaves them zero. A simulation
-// configured with the lengths a networked run used is cycle-for-cycle
-// identical to it.
+// that still ends unfinished fails with ErrPhaseBudget). PhaseCycles
+// never decreases in τ, so these lengths cover every smaller threshold.
+// Networked runs need fixed lengths — no participant can observe global
+// convergence — and Networked mode derives its own from the scheme's
+// threshold, the churn and the peer sampler when Options leaves them
+// zero. A simulation configured with the lengths a networked run used is
+// cycle-for-cycle identical to it.
 func FixedPhaseCycles(np int) (dissCycles, decryptCycles int) {
 	return core.PhaseCycles(np, bits.Len(uint(np)), 0, false)
 }

@@ -2,7 +2,10 @@ package chiaroscuro
 
 import (
 	"errors"
+	"math/bits"
 	"testing"
+
+	"chiaroscuro/internal/core"
 )
 
 // churnSetup is a 16-participant plain-scheme run at τ = 5 under Fig.
@@ -62,4 +65,34 @@ func TestChurnSeedCompletesWithDerivedPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameCentroids(t, got.Centroids, want.Centroids)
+}
+
+// TestFixedPhaseCyclesCoversEveryThreshold holds FixedPhaseCycles to its
+// doc: for np from 2 to 2,000, its lengths cover core.PhaseCycles at
+// every threshold up to bits.Len(np) without loss. That rests on
+// PhaseCycles never decreasing in τ or in loss, which it checks too.
+func TestFixedPhaseCyclesCoversEveryThreshold(t *testing.T) {
+	losses := []float64{0, 0.01, 0.1, 0.25, 0.5, 0.9, 0.99}
+	for np := 2; np <= 2000; np++ {
+		fixedDiss, fixedDec := FixedPhaseCycles(np)
+		prevDiss, prevDec := 0, 0
+		for tau := 1; tau <= np; tau++ {
+			diss, dec := core.PhaseCycles(np, tau, 0, false)
+			if diss < prevDiss || dec < prevDec {
+				t.Fatalf("PhaseCycles(%d, %d, 0) = %d/%d, below %d/%d at τ = %d", np, tau, diss, dec, prevDiss, prevDec, tau-1)
+			}
+			prevDiss, prevDec = diss, dec
+			if tau <= bits.Len(uint(np)) && (diss > fixedDiss || dec > fixedDec) {
+				t.Fatalf("FixedPhaseCycles(%d) = %d/%d, short of PhaseCycles(%d, %d, 0) = %d/%d", np, fixedDiss, fixedDec, np, tau, diss, dec)
+			}
+			lossDiss, lossDec := 0, 0
+			for _, loss := range losses {
+				diss, dec := core.PhaseCycles(np, tau, loss, false)
+				if diss < lossDiss || dec < lossDec {
+					t.Fatalf("PhaseCycles(%d, %d, %v) = %d/%d, below %d/%d at a smaller loss", np, tau, loss, diss, dec, lossDiss, lossDec)
+				}
+				lossDiss, lossDec = diss, dec
+			}
+		}
+	}
 }
