@@ -185,11 +185,11 @@ func printStats(res *chiaroscuro.Result) {
 
 func printTraces(res *chiaroscuro.Result) {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "iter\tcentroids\tε spent\tsum cycles\tdecrypt cycles\tagreement\tinertia")
+	fmt.Fprintln(w, "iter\tcentroids\tε spent\tsum cycles\tdecrypt cycles\tkey-shares applied\tinertia")
 	for _, tr := range res.Traces {
-		fmt.Fprintf(w, "%d\t%d→%d\t%.4f\t%d\t%d\t%.2e\t%.4g\n",
+		fmt.Fprintf(w, "%d\t%d→%d\t%.4f\t%d\t%d\t%d\t%.4g\n",
 			tr.Iteration, tr.CentroidsIn, tr.CentroidsOut, tr.EpsilonSpent,
-			tr.SumCycles, tr.DecryptCycles, tr.Agreement, tr.PreInertia)
+			tr.SumCycles, tr.DecryptCycles, tr.ShareApplications, tr.PreInertia)
 	}
 	w.Flush()
 	fmt.Printf("final: %d centroids, ε spent %.4f, %.0f msgs/participant, %.1f kB/participant\n",

@@ -37,10 +37,6 @@ var (
 	ErrBadIterations = errors.New("chiaroscuro: negative iteration cap")
 	// ErrBadThreshold rejects a negative (or NaN) convergence threshold.
 	ErrBadThreshold = errors.New("chiaroscuro: invalid convergence threshold")
-	// ErrThresholdNetworked rejects a convergence threshold in Networked
-	// mode: networked runs use the fixed iteration schedule (no
-	// participant can observe global convergence), so θ must be 0.
-	ErrThresholdNetworked = errors.New("chiaroscuro: networked runs use the fixed iteration schedule; set Threshold to 0")
 	// ErrBadChurn rejects a disconnection probability outside [0, 1).
 	ErrBadChurn = errors.New("chiaroscuro: churn must be in [0, 1)")
 	// ErrNilScheme rejects a distributed run without an encryption

@@ -93,9 +93,9 @@ func main() {
 	}
 
 	for _, tr := range res.Traces {
-		fmt.Printf("  iteration %d: %d→%d centroids, ε %.4f, %d sum + %d decrypt cycles, cross-device agreement %.1e\n",
+		fmt.Printf("  iteration %d: %d→%d centroids, ε %.4f, %d sum + %d decrypt cycles, %d key-shares applied\n",
 			tr.Iteration, tr.CentroidsIn, tr.CentroidsOut, tr.EpsilonSpent,
-			tr.SumCycles, tr.DecryptCycles, tr.Agreement)
+			tr.SumCycles, tr.DecryptCycles, tr.ShareApplications)
 	}
 	fmt.Printf("\ndone in %v: %d centroids released, ε spent %.4f\n",
 		time.Since(start).Round(time.Millisecond), len(res.Centroids), res.TotalEpsilon)

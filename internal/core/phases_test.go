@@ -171,13 +171,9 @@ func TestPhaseCyclesCoverAdaptiveSimulator(t *testing.T) {
 // TestPhaseCyclesCoverCountingModel extends the grid to 2,000
 // participants on the counting models of both phases — min-identifier
 // spreading, and eesum.DecryptionLatency's exact share sets — driven by
-// the engine's own schedule. The τ = ⌈n/3⌉ points are left to the
-// recorded long run (PERF.md): 667-share sets cost seconds per seed.
+// the engine's own schedule.
 func TestPhaseCyclesCoverCountingModel(t *testing.T) {
 	for _, g := range validationGrid([]int{2000}) {
-		if g.tau > 5 {
-			continue
-		}
 		t.Run(g.String(), func(t *testing.T) {
 			t.Parallel()
 			diss, dec := PhaseCycles(g.np, g.tau, g.churn, g.newscast)

@@ -12,9 +12,9 @@ import (
 // the epidemic decryption used to decrypt many vectors at once (plain
 // scheme; np, τ = 12, 4 / 50, 4 / 50, 16 / 200, 4 / 200, 66), with
 // adaptive phases and with the lengths a deployment derives
-// (PhaseCycles). Every participant must release the one elected vector,
-// no participant may apply its key-share more than once, and no phase
-// may run out of cycles.
+// (PhaseCycles). Every participant must release the one elected vector
+// (the simulator fails the run otherwise), no participant may apply its
+// key-share more than once, and no phase may run out of cycles.
 func TestOneReleasePerIteration(t *testing.T) {
 	seeds := 5
 	if testing.Short() || raceEnabled {
@@ -52,9 +52,6 @@ func TestOneReleasePerIteration(t *testing.T) {
 						t.Fatal(err)
 					}
 					tr := res.Traces[0]
-					if tr.DistinctReleases != 1 || tr.Agreement != 0 {
-						t.Errorf("seed %d: %d distinct releases (disagreement %v), want one", s, tr.DistinctReleases, tr.Agreement)
-					}
 					if tr.ShareApplications < g.tau || tr.ShareApplications > g.np {
 						t.Errorf("seed %d: %d key-share applications, want between τ = %d and np = %d", s, tr.ShareApplications, g.tau, g.np)
 					}

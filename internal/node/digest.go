@@ -1,6 +1,8 @@
 package node
 
 import (
+	"math"
+
 	"chiaroscuro/internal/core"
 	"chiaroscuro/internal/homenc"
 )
@@ -8,11 +10,12 @@ import (
 // ConfigDigest hashes the shared protocol parameters every peer of a
 // population must agree on — population size, cluster count, fixed-
 // point precision, packing slot layout, the fixed per-phase cycle
-// budgets, iteration cap and the protocol vector dimension. Two daemons
-// provisioned inconsistently (different -k, -pack-slots, -frac-bits,
-// -population, …) produce different digests; the hello handshake
-// carries the digest so the mismatch is rejected at the door (with
-// ErrConfigMismatch) instead of diverging silently mid-run.
+// budgets, iteration cap, convergence threshold θ and the protocol
+// vector dimension. Two daemons provisioned inconsistently (different
+// -k, -pack-slots, -frac-bits, -population, …) produce different
+// digests; the hello handshake carries the digest so the mismatch is
+// rejected at the door (with ErrConfigMismatch) instead of diverging
+// silently mid-run — or, for θ, stopping at different iterations.
 //
 // The seed is deliberately excluded: it is already enforced by the
 // population epoch on every frame. proto must be normalized (node.New
@@ -28,6 +31,7 @@ func ConfigDigest(proto core.Config, n, seriesDim int, pack homenc.PackedCodec) 
 		uint64(int64(proto.DissCycles)),
 		uint64(int64(proto.DecryptCycles)),
 		uint64(int64(proto.MaxIterations)),
+		math.Float64bits(proto.Threshold),
 		uint64(int64(seriesDim)),
 		uint64(int64(pack.Slots)),
 		uint64(pack.SlotBits),

@@ -38,6 +38,11 @@ func TestConfigDigestSensitivity(t *testing.T) {
 			p.Exchanges = 11
 			return ConfigDigest(p.Normalize(ts.n), ts.n, ts.data.Dim(), pack)
 		},
+		"threshold": func() uint64 {
+			p := ts.proto
+			p.Threshold = 0.5
+			return ConfigDigest(p.Normalize(ts.n), ts.n, ts.data.Dim(), pack)
+		},
 		"series-dim": func() uint64 { return ConfigDigest(ts.proto.Normalize(ts.n), ts.n, ts.data.Dim()+1, pack) },
 		"pack-slots": func() uint64 {
 			p2 := pack

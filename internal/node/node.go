@@ -13,9 +13,9 @@
 // identically on both sides, so the distributed execution is
 // conflict-serializable in the schedule order: a networked run releases
 // bit-identical centroids to an in-memory simulation of the same seed
-// and parameters (first iteration exactly; later iterations each
-// participant continues from its own decoded view, as a real deployment
-// must). The one stretch that leaves schedule order is the tail of the
+// and parameters, every iteration: each participant continues from its
+// own decoded view, which is the one elected vector's release for all
+// of them. The one stretch that leaves schedule order is the tail of the
 // epidemic decryption: a participant holding τ key-shares is read-only
 // until the phase ends, so its remaining exchanges commute with one
 // another as well — it serves its responder slots the moment their
@@ -194,6 +194,7 @@ type Result struct {
 	Centroids    []timeseries.Series // this participant's released view (compacted)
 	Traces       []core.IterationTrace
 	TotalEpsilon float64
+	Converged    bool    // θ stopped the run
 	AvgMessages  float64 // scheduled messages per participant (mirror accounting)
 	AvgBytes     float64 // scheduled bytes per participant (mirror accounting)
 	Counters     wireproto.Counters
@@ -288,9 +289,6 @@ func Provision(cfg *Config, seriesDim int) (Deployment, error) {
 	}
 	if err := cfg.Proto.Validate(cfg.N, seriesDim, cfg.Scheme); err != nil {
 		return Deployment{}, err
-	}
-	if cfg.Proto.Threshold != 0 {
-		return Deployment{}, errors.New("node: networked runs use the fixed iteration schedule; set Threshold to 0")
 	}
 	cfg.Proto = cfg.Proto.Normalize(cfg.N)
 	// No participant can observe global convergence, so every phase has a

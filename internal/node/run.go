@@ -16,19 +16,17 @@ import (
 // full clustering protocol to completion, returning this participant's
 // own released view.
 //
-// kmeans.Loop decides how many iterations run and charges each to the
-// node's accountant; the node is its release source: it journals each
-// iteration boundary and hands back its full slot layout, lost means as
-// nil slots. A resumed node re-enters the loop at its journaled
-// iteration. The schedule is fixed (Exchanges + DissCycles +
-// DecryptCycles per iteration): with no global observer, participants
-// stay in lockstep by construction rather than by agreement. The first
-// iteration's released centroids are bit-identical to the in-memory
-// simulator at the same seed and parameters; from the second iteration
-// on each participant continues from its own decoded view (the
-// simulator instead replays participant 0's view for everyone), so
-// views may drift within the gossip-error envelope the paper's unicity
-// argument bounds.
+// kmeans.Loop decides how many iterations run, applies θ and charges
+// each iteration to the node's accountant; the node is its release
+// source: it journals each iteration boundary and hands back its live
+// centroids, lost means dropped, as the simulator does. A resumed node
+// re-enters the loop at its journaled iteration. The schedule is fixed
+// (Exchanges + DissCycles + DecryptCycles per iteration): with no
+// global observer, participants stay in lockstep by construction rather
+// than by agreement. Every participant decodes the one elected vector,
+// so every release is bit-identical to the in-memory simulator's at
+// the same seed and parameters, and θ stops every participant at the
+// same iteration.
 func (nd *Node) Run() (*Result, error) {
 	return nd.RunContext(context.Background())
 }
@@ -83,7 +81,7 @@ func (nd *Node) RunContext(ctx context.Context) (*Result, error) {
 			eesum.NodeNoiseStream(nd.protoRNG, nd.cfg.N, -1)
 		}
 	}
-	loop := kmeans.Loop{MaxIterations: nd.cfg.Proto.MaxIterations, Budget: nd.cfg.Proto.Budget, Acct: nd.acct}
+	loop := kmeans.Loop{MaxIterations: nd.cfg.Proto.MaxIterations, Threshold: nd.cfg.Proto.Threshold, Budget: nd.cfg.Proto.Budget, Acct: nd.acct}
 	out, err := loop.Run(ctx, startIter, centroids, func(it int, cur []timeseries.Series, epsIter float64) ([]timeseries.Series, bool, error) {
 		nd.iterNow.Store(int64(it))
 		// Journal the iteration boundary — except when resuming into
@@ -111,8 +109,6 @@ func (nd *Node) RunContext(ctx context.Context) (*Result, error) {
 			return nil, false, ctxErr(ctx, err)
 		}
 		res.Traces = append(res.Traces, *trace)
-		// The full slot layout goes on (lost means stay nil): the
-		// protocol dimensions stay population-wide constants.
 		return next, false, nil
 	})
 	if err != nil {
@@ -121,7 +117,7 @@ func (nd *Node) RunContext(ctx context.Context) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res.Centroids, res.TotalEpsilon = out.Centroids, nd.acct.Spent()
+	res.Centroids, res.TotalEpsilon, res.Converged = out.Centroids, nd.acct.Spent(), out.Converged
 	res.AvgMessages = nd.sched.AvgMessages()
 	res.AvgBytes = nd.sched.AvgBytes()
 	res.Counters = nd.counters.Snapshot()
@@ -150,7 +146,7 @@ func ctxErr(ctx context.Context, err error) error {
 func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, rz *resumePoint) (*core.IterationTrace, []timeseries.Series, error) {
 	k := len(centroids)
 	n := len(nd.cfg.Series)
-	trace := &core.IterationTrace{Iteration: it, CentroidsIn: len(kmeans.Compact(centroids)), EpsilonSpent: epsIter}
+	trace := &core.IterationTrace{Iteration: it, CentroidsIn: k, EpsilonSpent: epsIter}
 
 	// --- Noise streams: every participant derives the same family from
 	// the shared seed and builds only stream Index (the simulator
@@ -212,12 +208,11 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 	}
 
 	// --- Convergence step (local).
-	next := nd.cfg.Proto.Release(vals, k, n)
-	released := kmeans.Compact(next)
-	trace.CentroidsOut = len(released)
-	trace.ShareApplications, trace.DistinctReleases = st.Applications(), 1
+	next := kmeans.Compact(nd.cfg.Proto.Release(vals, k, n))
+	trace.CentroidsOut = len(next)
+	trace.ShareApplications = st.Applications()
 	if hook := nd.cfg.Proto.Observer.Iteration; hook != nil {
-		hook(*trace, released)
+		hook(*trace, next)
 	}
 	return trace, next, nil
 }

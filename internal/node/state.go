@@ -241,15 +241,9 @@ func encodeIteration(r iterationRecord) []byte {
 		e.U32(uint32(t.SumCycles))
 		e.U32(uint32(t.DissCycles))
 		e.U32(uint32(t.DecryptCycles))
-		e.F64(t.Agreement)
-		e.U32(uint32(len(t.Deviants)))
-		for _, dv := range t.Deviants {
-			e.U32(uint32(dv))
-		}
 		e.F64(t.PreInertia)
 		e.F64(t.PostInertia)
 		e.U32(uint32(t.ShareApplications))
-		e.U32(uint32(t.DistinctReleases))
 	}
 	return r.counters.AppendTo(e.B)
 }
@@ -294,19 +288,9 @@ func decodeIteration(p []byte) (iterationRecord, error) {
 		t.SumCycles = int(d.U32())
 		t.DissCycles = int(d.U32())
 		t.DecryptCycles = int(d.U32())
-		t.Agreement = d.F64()
-		ndv := int(d.U32())
-		if ndv > stateVecMax {
-			d.Fail("deviant count exceeds bound")
-			break
-		}
-		for j := 0; j < ndv && d.Err() == nil; j++ {
-			t.Deviants = append(t.Deviants, int(d.U32()))
-		}
 		t.PreInertia = d.F64()
 		t.PostInertia = d.F64()
 		t.ShareApplications = int(d.U32())
-		t.DistinctReleases = int(d.U32())
 		r.traces = append(r.traces, t)
 	}
 	r.counters = d.Counters()

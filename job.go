@@ -87,9 +87,10 @@ type Options struct {
 
 	// MaxIterations bounds the run (default 10, the paper's n_it^max).
 	MaxIterations int
-	// Threshold is the θ convergence bound on centroid movement
-	// (0 stops only at an exact fixpoint, which no perturbed release
-	// reaches; must be 0 in Networked mode).
+	// Threshold is the θ convergence bound on centroid movement (0
+	// stops only at an exact fixpoint, which no perturbed release
+	// reaches). In Networked mode every participant evaluates it on the
+	// same release, so all of them stop at the same iteration.
 	Threshold float64
 	// Smooth enables the circular moving-average smoothing of the
 	// released means (Section 5.2).
@@ -448,11 +449,6 @@ func validateOptions(d *Dataset, o *Options) error {
 			o.K = live
 		}
 	}
-	if o.Mode == Networked {
-		if o.Threshold != 0 {
-			return ErrThresholdNetworked
-		}
-	}
 	return nil
 }
 
@@ -642,6 +638,7 @@ func (g *netEngine) run(ctx context.Context, em *emitter) (*Result, error) {
 		Centroids:    r0.Centroids,
 		Traces:       r0.Traces,
 		TotalEpsilon: r0.TotalEpsilon,
+		Converged:    r0.Converged,
 		AvgMessages:  r0.AvgMessages,
 		AvgBytes:     r0.AvgBytes,
 		Wire:         &ws,

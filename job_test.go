@@ -31,7 +31,8 @@ func simSetup(t *testing.T) (*Dataset, Options) {
 
 // TestNewJobValidation table-tests every invalid Options combination
 // against its typed sentinel: NewJob must reject eagerly, before any
-// protocol machinery spins up.
+// protocol machinery spins up. A nil sentinel marks a combination that
+// must be accepted.
 func TestNewJobValidation(t *testing.T) {
 	data, base := simSetup(t)
 	shortScheme, err := NewSimulationScheme(256, 4, 2) // fewer shares than participants
@@ -94,7 +95,7 @@ func TestNewJobValidation(t *testing.T) {
 		{"networked threshold", data, func(o *Options) {
 			o.Mode = Networked
 			o.Threshold = 0.1
-		}, ErrThresholdNetworked},
+		}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

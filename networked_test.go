@@ -87,9 +87,50 @@ func TestNetworkedNewscastVirtualMatchesSimulated(t *testing.T) {
 	sameCentroids(t, got.Centroids, want.Centroids)
 }
 
+// TestNetworkedThresholdStopsWithSimulator: every participant evaluates
+// θ on the same release, so a networked run with θ > 0 stops at the
+// simulator's iteration, before the cap, with bit-identical centroids.
+// The first release loses a mean, so the drivers are also held together
+// past a lost mean.
+func TestNetworkedThresholdStopsWithSimulator(t *testing.T) {
+	const n = 12
+	data, _ := GenerateCER(n, 11)
+	scheme, err := NewSimulationScheme(64, n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diss, dec := FixedPhaseCycles(n)
+	opts := Options{
+		Scheme: scheme, K: 2, InitCentroids: SeedCentroids("cer", 2, 12),
+		DMin: CERMin, DMax: CERMax,
+		Epsilon: 1e4, MaxIterations: 10, Threshold: 1, Exchanges: 10,
+		DissCycles: diss, DecryptCycles: dec,
+		FracBits: 24, Seed: 35, Workers: 2,
+		VirtualNodes: n / 2, ExchangeTimeout: 3 * time.Second,
+	}
+	want, err := runMode(data, Simulated, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Converged || len(want.Traces) < 2 || len(want.Traces) >= opts.MaxIterations {
+		t.Fatalf("simulator: converged %v after %d iterations; want θ to stop it after the first and before the cap %d",
+			want.Converged, len(want.Traces), opts.MaxIterations)
+	}
+	got, err := runMode(data, Networked, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Converged || len(got.Traces) != len(want.Traces) {
+		t.Fatalf("networked: converged %v after %d iterations, simulator converged after %d",
+			got.Converged, len(got.Traces), len(want.Traces))
+	}
+	sameCentroids(t, got.Centroids, want.Centroids)
+}
+
 // TestRunNetworkedMultiIteration checks the runtime survives several
-// iterations end to end (later iterations proceed from each node's own
-// decoded view, so only liveness and shape are asserted).
+// iterations end to end with real threshold crypto (liveness and shape;
+// TestNetworkedThresholdStopsWithSimulator holds later iterations to
+// the simulator's bits).
 func TestRunNetworkedMultiIteration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full crypto e2e")
