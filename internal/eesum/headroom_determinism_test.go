@@ -131,8 +131,8 @@ func TestDecryptionLatencyMirrorsParticipants(t *testing.T) {
 			for i, p := range ps {
 				applied += p.Applications()
 				ids := make([]int32, 0, len(p.DecParts))
-				for _, idx := range sortedKeys(p.DecParts) {
-					ids = append(ids, int32(idx-1))
+				for _, e := range p.DecParts {
+					ids = append(ids, int32(e.Idx-1))
 				}
 				if !slices.Equal(ids, dl.sets[i]) {
 					t.Fatalf("%+v cycle %d node %d: participant holds %v, model %v", c, cycle, i, ids, dl.sets[i])

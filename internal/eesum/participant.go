@@ -8,6 +8,8 @@
 package eesum
 
 import (
+	"cmp"
+	"math"
 	"math/big"
 	"slices"
 
@@ -75,8 +77,8 @@ type Participant struct {
 	Vec      *homenc.Vector
 	VecOmega *big.Int
 
-	DecParts map[int]*homenc.Vector // the share set; nil until the decryption starts
-	Own      *homenc.Vector         // this participant's key-share over Vec, once applied
+	DecParts []Part         // the share set, ascending share index; nil until the decryption starts
+	Own      *homenc.Vector // this participant's key-share over Vec, once applied
 
 	env    *Env
 	index  int        // 0-based; the key-share index is index+1
@@ -261,7 +263,7 @@ func (p *Participant) StartDecryption() {
 		return
 	}
 	p.Vec.Seal()
-	p.DecParts = make(map[int]*homenc.Vector, p.env.Scheme.Threshold())
+	p.DecParts = make([]Part, 0, p.env.Scheme.Threshold())
 }
 
 // --- Epidemic decryption (Section 4.2.3, over one elected vector) ---
@@ -276,99 +278,155 @@ func (p *Participant) StartDecryption() {
 // another vector merges nothing — shares over two vectors must never
 // combine — so a participant that missed the elected vector ends the
 // phase unsettled.
+//
+// Either side decides all of this from the share indices of the two
+// sets alone, so each sends the other only the parts it lacks and will
+// keep: a leg names the indices its sender holds and carries the
+// partial decryptions of just those. Two full sets exchange indices and
+// nothing else.
 
-// DecPeer is the other side of a decryption exchange, in whatever form
-// a driver holds it: another participant in memory, a scanned frame on
-// the wire. Its share set is read by position, in ascending share index.
-type DecPeer interface {
-	// Elected returns the identifier of the vector the peer decrypts.
-	Elected() uint64
-	// Gathered returns how many key-shares the peer's set holds.
-	Gathered() int
-	// ShareAt returns the i-th smallest share index of the peer's set.
-	ShareAt(i int) int
-	// PartAt returns the partial decryptions under ShareAt(i),
-	// independent of the peer.
-	PartAt(i int) *homenc.Vector
+// Part is an entry of a share set: one key-share's partial decryptions
+// of the elected vector, under the key-share's index.
+type Part struct {
+	Idx int
+	V   *homenc.Vector
 }
 
-// DecPrep is one side of a decryption exchange, prepared from both
-// sides' pre-exchange states before either changes.
+// partOf returns what a share set, ascending, holds under share index
+// idx, or nil.
+func partOf(set []Part, idx int) *homenc.Vector {
+	if i, ok := slices.BinarySearchFunc(set, idx, func(e Part, idx int) int { return cmp.Compare(e.Idx, idx) }); ok {
+		return set[i].V
+	}
+	return nil
+}
+
+// DecPeer is the other side's decryption leg as it arrived, in whatever
+// form a driver holds it: a share set in memory, a scanned frame on the
+// wire. It names the vector its sender decrypts and has entries in
+// strictly ascending share index, each with or without the partial
+// decryptions under it. The entries are read with a cursor: the first
+// is at cursor 0, and Entry returns the next one's.
+type DecPeer interface {
+	// Elected returns the identifier of the vector the sender decrypts.
+	Elected() uint64
+	// Gathered returns how many entries the leg has.
+	Gathered() int
+	// Entry returns the share index of the entry at cursor c, whether
+	// the entry carries its partial decryptions, and the cursor of the
+	// next entry.
+	Entry(c int) (idx int, carries bool, next int)
+	// Part returns the partial decryptions the entry at cursor c
+	// carries, independent of the leg.
+	Part(c int) *homenc.Vector
+}
+
+// DecPrep is one side of a decryption exchange, planned from the share
+// indices of both sides' pre-exchange sets before either changes.
 type DecPrep struct {
-	// Fresh is this side's key-share for the peer — what its response or
-	// fin leg carries — or nil when none is due.
-	Fresh *homenc.Vector
+	// Send is what this side's leg carries to the peer: the entries of
+	// its set that the peer lacks and will keep, ascending.
+	Send []Part
+	// OwnDue reports whether this side's key-share is due to the peer on
+	// this side's leg (Fresh).
+	OwnDue bool
 	// PeerSends reports whether the peer's key-share is due to this side
 	// on the peer's leg.
 	PeerSends bool
 
 	peerShare int
-	keys      []int                  // the share set after the commit, ascending; nil: unchanged
-	take      map[int]*homenc.Vector // the entries of keys that come from the peer's set
+	keys      []int // the share set after the commit, ascending; nil: unchanged
+	owed      int   // how many partial decryptions the peer's leg owes this side
 }
 
-// PrepareDec prepares participant p's side of a decryption exchange with
-// the peer holding key-share peerShare: whether each side's key-share
-// is due to the other, p's own applied if it is (once an iteration),
-// and the share set p commits to. It reads only the two pre-exchange
-// states, so an exchange that ends half-completed leaves the committing
-// side as a full one does. It is generic rather than a method taking
-// the interface so that a driver's peer — a scanned frame on every
-// exchange leg — is not boxed onto the heap.
+// PrepareDec plans participant p's side of a decryption exchange with
+// the peer whose leg names its share set and who holds key-share
+// peerShare: whether each side's key-share is due to the other, the set
+// p commits to, the entries p's leg owes the peer and how many the
+// peer's leg owes p. Both sides plan the same union from the same two
+// index lists, so what one sends is what the other takes. It reads only
+// the indices of the two pre-exchange sets — the peer's leg need carry
+// no part — so an exchange that ends half-completed leaves the
+// committing side as a full one does; and it applies nothing (Fresh
+// does). It is generic rather than a method taking the interface so
+// that a driver's peer — a scanned frame on every exchange leg — is not
+// boxed onto the heap.
 func PrepareDec[P DecPeer](p *Participant, peer P, peerShare int) DecPrep {
 	x := DecPrep{peerShare: peerShare}
-	tau, share := p.env.Scheme.Threshold(), p.share()
-	u, same := decUnion(p, peer, peerShare)
-	if !same || len(p.DecParts) >= tau {
-		return x // another vector, or a full set: it never changes
+	tau := p.env.Scheme.Threshold()
+	if p.DecParts == nil || peer.Elected() != p.VecID {
+		return x // another vector: nothing is owed either way
 	}
-	_, haveOwn := p.DecParts[share]
-	if u.size < tau {
-		x.PeerSends = DecShareDue(p, peer, peerShare)
-		if !haveOwn && !u.peerHasOwn {
-			x.Fresh = p.keyShare()
+	full := len(p.DecParts) >= tau
+	if full && peer.Gathered() >= tau {
+		return x // two full sets: neither changes, nothing travels
+	}
+	var buf [2]int
+	fresh := buf[:0] // the indices of the key-shares applied for the exchange
+	if !full {
+		u := decUnion(p, peer, peerShare)
+		if u.size < tau {
+			x.PeerSends = partOf(p.DecParts, peerShare) == nil && !u.peerHasTheirs
+			x.OwnDue = partOf(p.DecParts, p.share()) == nil && !u.peerHasOwn
 		}
-	}
-	// The union of both sets and both fresh shares, lowest τ indices.
-	keys := make([]int, 0, u.size+2)
-	for idx := range p.DecParts {
-		keys = append(keys, idx)
-	}
-	for i := range peer.Gathered() {
-		if idx := peer.ShareAt(i); p.DecParts[idx] == nil {
-			keys = append(keys, idx)
+		if x.OwnDue {
+			fresh = append(fresh, p.share())
 		}
-	}
-	if x.Fresh != nil {
-		keys = append(keys, share)
-	}
-	if x.PeerSends {
-		keys = append(keys, peerShare)
-	}
-	slices.Sort(keys)
-	x.keys = keys[:min(len(keys), tau)]
-	x.take = make(map[int]*homenc.Vector, len(x.keys)-len(p.DecParts))
-	for i := range peer.Gathered() {
-		idx := peer.ShareAt(i)
-		if _, mine := p.DecParts[idx]; !mine && slices.Contains(x.keys, idx) {
-			x.take[idx] = peer.PartAt(i)
+		if x.PeerSends {
+			fresh = append(fresh, peerShare)
 		}
+		slices.Sort(fresh)
+		x.keys = make([]int, 0, min(tau, len(p.DecParts)+peer.Gathered()+len(fresh)))
 	}
-	if x.Fresh != nil {
-		x.take[share] = x.Fresh
+	// Walk the union of both sets and the fresh shares up to its τ-th
+	// smallest index: p keeps that much unless its set is full, and so
+	// does the peer.
+	give := peer.Gathered() < tau
+	mine, left := p.DecParts, peer.Gathered()
+	var theirs, c, next int
+	if left > 0 {
+		theirs, _, next = peer.Entry(0)
+	}
+	for kept := 0; kept < tau; kept++ {
+		idx := math.MaxInt
+		if len(mine) > 0 {
+			idx = mine[0].Idx
+		}
+		if left > 0 {
+			idx = min(idx, theirs)
+		}
+		if len(fresh) > 0 {
+			idx = min(idx, fresh[0])
+		}
+		if idx == math.MaxInt {
+			break
+		}
+		inMine, inPeer := len(mine) > 0 && mine[0].Idx == idx, left > 0 && theirs == idx
+		switch {
+		case inMine && !inPeer && give:
+			if x.Send == nil {
+				x.Send = make([]Part, 0, tau-kept)
+			}
+			x.Send = append(x.Send, mine[0])
+		case inPeer && !inMine && !full:
+			x.owed++
+		}
+		if !full {
+			x.keys = append(x.keys, idx)
+		}
+		if inMine {
+			mine = mine[1:]
+		}
+		if inPeer {
+			if c, left = next, left-1; left > 0 {
+				theirs, _, next = peer.Entry(c)
+			}
+		}
+		if len(fresh) > 0 && fresh[0] == idx {
+			fresh = fresh[1:]
+		}
 	}
 	return x
-}
-
-// DecShareDue reports whether the peer's key-share is due to p as a
-// fresh share on the peer's leg: both decrypt the same vector, the union
-// of their sets is below τ, and neither set holds it. The peer decides
-// the same from the same two states, so a driver can refuse a leg whose
-// share is missing or unasked for.
-func DecShareDue[P DecPeer](p *Participant, peer P, peerShare int) bool {
-	u, same := decUnion(p, peer, peerShare)
-	_, have := p.DecParts[peerShare]
-	return same && u.size < p.env.Scheme.Threshold() && !have && !u.peerHasTheirs
 }
 
 // setUnion describes the union of two sides' share sets.
@@ -378,72 +436,117 @@ type setUnion struct {
 	peerHasTheirs bool // the peer's set holds the peer's own key-share
 }
 
-// decUnion returns the union of p's share set and the peer's; same is
-// false when the two decrypt different vectors, or p's decryption has
-// not started.
-func decUnion[P DecPeer](p *Participant, peer P, peerShare int) (u setUnion, same bool) {
-	if p.DecParts == nil || peer.Elected() != p.VecID {
-		return u, false
-	}
-	u.size = len(p.DecParts)
-	for i := range peer.Gathered() {
-		idx := peer.ShareAt(i)
-		if _, mine := p.DecParts[idx]; !mine {
+// decUnion returns the union of p's share set and the one the peer's leg
+// names.
+func decUnion[P DecPeer](p *Participant, peer P, peerShare int) setUnion {
+	u := setUnion{size: len(p.DecParts)}
+	for c, i := 0, 0; i < peer.Gathered(); i++ {
+		idx, _, next := peer.Entry(c)
+		c = next
+		if partOf(p.DecParts, idx) == nil {
 			u.size++
 		}
 		u.peerHasOwn = u.peerHasOwn || idx == p.share()
 		u.peerHasTheirs = u.peerHasTheirs || idx == peerShare
 	}
-	return u, true
+	return u
 }
 
-// CommitDec applies this side's transition — the commit point, applied
-// exactly once: the share set becomes the prepared union. fresh is the
-// peer's key-share as it arrived (nil: none).
-func (p *Participant) CommitDec(x DecPrep, fresh *homenc.Vector) {
+// CarriesOwed reports whether the peer's leg carries exactly the partial
+// decryptions it owes p: one for each share index p will keep that only
+// the peer's set holds, and no other — none p holds, none outside the
+// lowest τ p keeps, none under a key-share that travels fresh. Entries
+// carrying nothing are not looked at.
+func CarriesOwed[P DecPeer](p *Participant, x DecPrep, leg P) bool {
+	carried := 0
+	for c, i := 0, 0; i < leg.Gathered(); i++ {
+		idx, carries, next := leg.Entry(c)
+		c = next
+		if !carries {
+			continue
+		}
+		if _, kept := slices.BinarySearch(x.keys, idx); !kept || partOf(p.DecParts, idx) != nil ||
+			(x.OwnDue && idx == p.share()) || (x.PeerSends && idx == x.peerShare) {
+			return false
+		}
+		carried++
+	}
+	return carried == x.owed
+}
+
+// Fresh returns p's key-share for the peer when x owes the peer one,
+// applying it the first time it is due (at most once an iteration), and
+// nil otherwise: what p's response or fin carries.
+func (p *Participant) Fresh(x DecPrep) *homenc.Vector {
+	if !x.OwnDue {
+		return nil
+	}
+	return p.keyShare()
+}
+
+// CommitDec applies p's transition — the commit point, applied exactly
+// once: the share set becomes the planned union, whose new entries come
+// from the peer's leg (CarriesOwed vetted it) and from the two fresh
+// key-shares. fresh is the peer's key-share as it arrived (nil: none).
+func CommitDec[P DecPeer](p *Participant, x DecPrep, leg P, fresh *homenc.Vector) {
 	if x.keys == nil {
 		return
 	}
-	parts := make(map[int]*homenc.Vector, len(x.keys))
+	parts := make([]Part, 0, len(x.keys))
+	c, left := 0, leg.Gathered()
 	for _, idx := range x.keys {
-		v := p.DecParts[idx]
-		if v == nil {
-			v = x.take[idx]
-		}
-		if v == nil && idx == x.peerShare {
+		v := partOf(p.DecParts, idx)
+		switch {
+		case v != nil:
+		case x.OwnDue && idx == p.share():
+			v = p.keyShare()
+		case x.PeerSends && idx == x.peerShare:
 			v = fresh
+		default:
+			// Owed on the leg, whose entries ascend as the keys do.
+			for ; left > 0; left-- {
+				e, _, next := leg.Entry(c)
+				if e > idx {
+					break
+				}
+				if e == idx {
+					v = leg.Part(c)
+				}
+				c = next
+			}
 		}
 		if v != nil {
-			parts[idx] = v
+			parts = append(parts, Part{idx, v})
 		}
 	}
 	p.DecParts = parts
 }
 
 // ExchangeDec runs a whole decryption exchange between initiator p and
-// responder q in memory, as the wire legs do: both sides prepare against
-// the other's pre-exchange state, then p commits, and q too unless the
-// exchange ends half-completed.
+// responder q in memory, as the wire legs do: both sides plan against
+// the other's pre-exchange set and apply the key-shares due, then p
+// commits what q's leg sends, and q what p's does unless the exchange
+// ends half-completed.
 func (p *Participant) ExchangeDec(q *Participant, full bool) {
-	xp, xq := PrepareDec(p, newMemPeer(q), q.share()), PrepareDec(q, newMemPeer(p), p.share())
-	p.CommitDec(xp, xq.Fresh)
+	xp, xq := PrepareDec(p, memLeg{q.VecID, q.DecParts}, q.share()), PrepareDec(q, memLeg{p.VecID, p.DecParts}, p.share())
+	fp, fq := p.Fresh(xp), q.Fresh(xq)
+	CommitDec(p, xp, memLeg{q.VecID, xq.Send}, fq)
 	if full {
-		q.CommitDec(xq, xp.Fresh)
+		CommitDec(q, xq, memLeg{p.VecID, xp.Send}, fp)
 	}
 }
 
-// memPeer is a participant as the peer of an in-memory exchange.
-type memPeer struct {
-	p    *Participant
-	keys []int
+// memLeg is a side's share set, or the entries its leg sends, as the
+// peer of an in-memory exchange.
+type memLeg struct {
+	id    uint64
+	parts []Part
 }
 
-func newMemPeer(p *Participant) memPeer { return memPeer{p, sortedKeys(p.DecParts)} }
-
-func (m memPeer) Elected() uint64             { return m.p.VecID }
-func (m memPeer) Gathered() int               { return len(m.keys) }
-func (m memPeer) ShareAt(i int) int           { return m.keys[i] }
-func (m memPeer) PartAt(i int) *homenc.Vector { return m.p.DecParts[m.keys[i]] }
+func (m memLeg) Elected() uint64              { return m.id }
+func (m memLeg) Gathered() int                { return len(m.parts) }
+func (m memLeg) Entry(c int) (int, bool, int) { return m.parts[c].Idx, true, c + 1 }
+func (m memLeg) Part(c int) *homenc.Vector    { return m.parts[c].V }
 
 // keyShare returns this participant's key-share over the elected
 // vector, applying it the first time it is due.
@@ -496,9 +599,8 @@ func (p *Participant) Settled() bool { return len(p.DecParts) >= p.env.Scheme.Th
 func (p *Participant) Release(dim int) ([]float64, error) {
 	sch := p.env.Scheme
 	parts := make(map[int][]homenc.PartialDecryption, len(p.DecParts))
-	//lint:orderfree whole-map conversion: every entry lands regardless of order
-	for idx, ps := range p.DecParts {
-		parts[idx] = ps.PartialDecryptions(idx)
+	for _, e := range p.DecParts {
+		parts[e.Idx] = e.V.PartialDecryptions(e.Idx)
 	}
 	cts := p.Vec.Values()
 	ms, err := CombineParts(sch, cts, parts, sch.Threshold(), p.env.workers(len(cts)))

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"math/bits"
 	"slices"
@@ -368,6 +369,23 @@ type VectorView struct {
 // within maxBytes, every byte present — and returns a view of it plus
 // the remaining bytes.
 func ScanVectorBound(data []byte, maxLen, maxBytes int) (VectorView, []byte, error) {
+	v, rest, err := scanVector(data, maxLen, maxBytes)
+	if err == nil && v.n > 0 {
+		wireStats.scanned.Add(1)
+	}
+	return v, rest, err
+}
+
+// VettedVector returns the view of the vector encoding at the front of
+// data, which ScanVectorBound has already accepted, and the bytes after
+// it: how a reader walks a buffer it vetted once. It checks no bound
+// and counts no scan.
+func VettedVector(data []byte) (VectorView, []byte) {
+	v, rest, _ := scanVector(data, math.MaxInt, math.MaxInt)
+	return v, rest
+}
+
+func scanVector(data []byte, maxLen, maxBytes int) (VectorView, []byte, error) {
 	if len(data) < 4 {
 		return VectorView{}, nil, errors.New("homenc: short vector")
 	}
@@ -387,9 +405,6 @@ func ScanVectorBound(data []byte, maxLen, maxBytes int) (VectorView, []byte, err
 		}
 		canonical = canonical && canon
 		off += size
-	}
-	if n > 0 {
-		wireStats.scanned.Add(1)
 	}
 	return VectorView{n: int(n), canonical: canonical, b: data[:off]}, data[off:], nil
 }

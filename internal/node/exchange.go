@@ -32,9 +32,11 @@ func dissOut(st *iterState) *wireproto.DissMsg {
 	return &wireproto.DissMsg{ID: st.VecID, CTs: st.Vec, Omega: st.VecOmega}
 }
 
-// decOut is the iteration's decryption state in sending form.
-func decOut(st *iterState, hdr wireproto.ExchangeHdr, fresh *homenc.Vector) *wireproto.DecMsg {
-	return &wireproto.DecMsg{Hdr: hdr, ID: st.VecID, Parts: st.DecParts, Fresh: fresh}
+// decOut is the iteration's decryption state as a journal checkpoint
+// records it: the whole share set, and this participant's own key-share
+// once applied.
+func decOut(st *iterState) *wireproto.DecMsg {
+	return &wireproto.DecMsg{ID: st.VecID, Shares: st.DecParts, Parts: st.DecParts, Fresh: st.Own}
 }
 
 // seal builds both forms of every vector of the decryption state, so
@@ -43,9 +45,8 @@ func decOut(st *iterState, hdr wireproto.ExchangeHdr, fresh *homenc.Vector) *wir
 func seal(st *iterState) {
 	st.Vec.Seal()
 	st.Own.Seal()
-	//lint:orderfree every part is sealed; order is not protocol state
-	for _, ps := range st.DecParts {
-		ps.Seal()
+	for _, e := range st.DecParts {
+		e.V.Seal()
 	}
 }
 
@@ -560,93 +561,107 @@ func validElect(v wireproto.DissView, due bool, dim int) bool {
 
 // --- epidemic decryption phase ---
 
-// decHalf: every leg names the vector its sender decrypts; the request
-// and the response carry the sender's share set, and the response and
-// the fin the sender's key-share when one is due to the receiver (a
-// half-completed exchange's fin carries none). Either side commits the
-// union rule (eesum.PrepareDec) with the share it received. The share is
-// the sender's: its index is the peer's.
+// decHalf: every leg names the vector its sender decrypts. The request
+// names the initiator's share indices and carries no partial
+// decryptions; the response names the responder's and carries the parts
+// the initiator lacks and will keep; the fin carries the parts the
+// responder lacks and will keep. The response and the fin carry the
+// sender's key-share too when one is due to the receiver (a
+// half-completed exchange's fin carries nothing). Both sides plan the
+// union rule (eesum.PrepareDec) from the two index lists, so a side
+// commits what the other's next leg carries: the initiator the
+// response, the responder the fin. The key-share is the sender's: its
+// index is the peer's.
 type decHalf struct {
-	peer      wireproto.DecView // the peer's latest leg: its state, then (responder) its fin
+	peer      wireproto.DecView // the peer's latest leg: its response, or its request (whose frame is released: only its ID is read) then its fin
 	peerShare int               // the peer's key-share index
 	self      uint64            // the vector this side decrypts, which its fin names
 	prep      eesum.DecPrep
+	fresh     *homenc.Vector // this side's key-share for the peer, when due
 }
 
-// scan vets the request or (resp) the response: the share set, and a
-// key-share exactly when the rule owes one — never on a request. The
-// key-share is filed under the scheduled peer's index, never one a
-// header names.
+// scan vets the request — indices alone — or (resp) the response: the
+// parts the initiator is owed and no other, and a key-share exactly
+// when the rule owes one. The key-share is filed under the scheduled
+// peer's index, never one a header names.
 func (decHalf) scan(nd *Node, st *iterState, payload []byte, peer int, resp bool) (decHalf, wireproto.ExchangeHdr, bool) {
 	v, err := wireproto.ScanDec(payload, nd.lim)
 	h := decHalf{peer: v, peerShare: peer + 1}
-	if err != nil || !validDecState(v, st.Vec.Len(), nd.cfg.Scheme.NumShares()) {
+	carried, ok := nd.validDecLeg(v, st.Vec.Len())
+	if err != nil || !ok || (!resp && (carried > 0 || v.Fresh.Len() > 0)) {
 		return h, v.Hdr, false
 	}
-	due := resp && eesum.DecShareDue(st, v, h.peerShare)
-	return h, v.Hdr, (v.Fresh.Len() > 0) == due
+	h.prep = eesum.PrepareDec(st, v, h.peerShare)
+	return h, v.Hdr, !resp || ((v.Fresh.Len() > 0) == h.prep.PeerSends && eesum.CarriesOwed(st, h.prep, v))
 }
 
+// prepare applies this side's key-share when it is due: the planning
+// was done by scan.
 func (h decHalf) prepare(st *iterState, _ bool) decHalf {
 	h.self = st.VecID
-	h.prep = eesum.PrepareDec(st, h.peer, h.peerShare)
+	h.fresh = st.Fresh(h.prep)
 	return h
 }
 
-// holdsLeg: prepare detaches what the commit takes from the request.
+// holdsLeg: the responder commits what the fin carries, not the request.
 func (decHalf) holdsLeg() bool { return false }
 
 func (h decHalf) out(st *iterState, hdr wireproto.ExchangeHdr) wireproto.Message {
-	return decOut(st, hdr, h.prep.Fresh)
+	return &wireproto.DecMsg{Hdr: hdr, ID: st.VecID, Shares: st.DecParts, Parts: h.prep.Send, Fresh: h.fresh}
 }
 
-// fin carries the initiator's key-share, unless it aborts the exchange.
+// fin carries what the responder is owed, unless it aborts the exchange.
 func (h decHalf) fin(hdr wireproto.ExchangeHdr) wireproto.Message {
 	m := &wireproto.DecMsg{Hdr: hdr, ID: h.self}
 	if hdr.Flags&wireproto.FlagAbort == 0 {
-		m.Fresh = h.prep.Fresh
+		m.Shares, m.Parts, m.Fresh = h.prep.Send, h.prep.Send, h.fresh
 	}
 	return m
 }
 
-// scanFin vets the fin: it names the request's vector, carries no share
-// set, and carries the initiator's key-share exactly when one is due.
+// scanFin vets the fin: it names the request's vector, carries the
+// parts the responder is owed and no other — every entry with its
+// partial decryptions — and the initiator's key-share exactly when one
+// is due.
 func (h decHalf) scanFin(nd *Node, st *iterState, payload []byte) (decHalf, wireproto.ExchangeHdr, bool) {
 	v, err := wireproto.ScanDec(payload, nd.lim)
 	if err != nil || v.Hdr.Flags&wireproto.FlagAbort != 0 {
 		return h, v.Hdr, err == nil
 	}
-	ok := v.ID == h.peer.ID && len(v.Parts) == 0 && (v.Fresh.Len() > 0) == h.prep.PeerSends && validShare(v.Fresh, st.Vec.Len())
+	carried, ok := nd.validDecLeg(v, st.Vec.Len())
+	ok = ok && v.ID == h.peer.ID && carried == v.Gathered() &&
+		(v.Fresh.Len() > 0) == h.prep.PeerSends && eesum.CarriesOwed(st, h.prep, v)
 	h.peer = v
 	return h, v.Hdr, ok
 }
 
-// commit applies the key-share the peer sent on its response or fin
-// leg, which scan or scanFin vetted.
+// commit applies the parts and the key-share the peer sent on its
+// response or fin leg, which scan or scanFin vetted.
 func (h decHalf) commit(_ *Node, st *iterState, _ int, _ bool) {
-	st.CommitDec(h.prep, h.peer.Fresh.Copy())
+	eesum.CommitDec(st, h.prep, h.peer, h.peer.Fresh.Copy())
 }
 
-// validShare reports whether a key-share sent along with a leg is
-// usable: none, or one partial decryption per ciphertext.
-func validShare(fresh homenc.VectorView, dim int) bool {
-	return fresh.Len() == 0 || fresh.Len() == dim
-}
-
-// validDecState vets a peer's decryption leg before any of it can be
-// taken or applied: every gathered partial set is a full-length vector
-// under a share index the deployment has, and so is the key-share it
-// carries — a malformed set must not be able to panic CombineParts.
-func validDecState(m wireproto.DecView, dim, numShares int) bool {
-	if !validShare(m.Fresh, dim) {
-		return false
+// validDecLeg vets a peer's decryption leg before any of it can be
+// taken or applied — every entry names a share index the deployment has
+// and carries a full-length vector or nothing, and so does the key-share:
+// a malformed set must not be able to panic CombineParts — and returns
+// how many entries carry a vector.
+func (nd *Node) validDecLeg(v wireproto.DecView, dim int) (carried int, ok bool) {
+	if v.Fresh.Len() != 0 && v.Fresh.Len() != dim {
+		return 0, false
 	}
-	for _, p := range m.Parts {
-		if p.Idx < 1 || p.Idx > numShares || p.V.Len() != dim {
-			return false
+	shares := nd.cfg.Scheme.NumShares()
+	for c, i := 0, 0; i < v.Gathered(); i++ {
+		idx, part, next := v.At(c)
+		if idx < 1 || idx > shares || (part.Len() != 0 && part.Len() != dim) {
+			return 0, false
 		}
+		if part.Len() > 0 {
+			carried++
+		}
+		c = next
 	}
-	return true
+	return carried, true
 }
 
 // validSumState vets a peer's EESum state: full dimension and an epoch

@@ -56,7 +56,7 @@ func TestGoldenJournal(t *testing.T) {
 	dissState.VecID, dissState.Vec, dissState.VecOmega = 0xC0FFEE, cts(200), big.NewInt(1<<21)
 	decState := sumState()
 	decState.VecID, decState.Vec, decState.VecOmega = dissState.VecID, dissState.Vec, dissState.VecOmega
-	decState.DecParts = map[int]*homenc.Vector{2: partials(2), 3: partials(3)}
+	decState.DecParts = []eesum.Part{{Idx: 2, V: partials(2)}, {Idx: 3, V: partials(3)}}
 	decState.Own = partials(3)
 
 	id := identity{digest: 0x0123456789ABCDEF, index: 2, n: 9, epoch: 77, seed: 4242, addr: "127.0.0.1:7421"}

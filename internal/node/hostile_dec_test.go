@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/big"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,19 +17,23 @@ import (
 )
 
 // TestHostileDecLegsRejected sends a real node decryption legs a hostile
-// peer could write: part sets and key-shares of the wrong length, part
-// sets under share indices the deployment does not have, key-shares the
-// union rule does not owe, legs naming another vector, and well-formed
-// requests in the two frame layouts this version refuses. Each refused
-// leg is counted — Rejected for a leg that frames correctly but fails
-// the vetting, BadFrames for a frame the wire layer refuses — is tried
-// once only, and leaves the participant's decryption state as it was: a
-// commit would at least have added the node's own key-share. A leg
-// naming another vector that carries no share commits and merges
-// nothing: shares over two vectors never meet. The control rows run the
-// same exchange well-formed, and do commit.
+// peer could write: a request carrying partial decryptions, parts the
+// node already holds, parts outside the lowest τ it keeps, owed parts
+// missing, parts and key-shares of the wrong length, share indices the
+// deployment does not have or out of order, key-shares the union rule
+// does not owe, legs naming another vector, and well-formed requests in
+// the two frame layouts this version refuses. Each refused leg is
+// counted — Rejected for a leg that frames correctly but fails the
+// vetting, BadFrames for a frame the wire layer refuses — is tried once
+// only, and leaves the participant's share set as it was. A leg naming
+// another vector that carries nothing commits and merges nothing:
+// shares over two vectors never meet. The control rows run the same
+// exchanges well-formed, and do commit the union.
 func TestHostileDecLegsRejected(t *testing.T) {
-	ts := newSetup(t, 2, 0)
+	ts := newSetup(t, 9, 0)
+	if tau := ts.scheme.Threshold(); tau != 3 {
+		t.Fatalf("τ = %d, the rows are written for 3", tau)
+	}
 	var cts []homenc.Ciphertext
 	for _, v := range []int64{5 << 24, -3 << 24, 7 << 24, 1 << 24} {
 		cts = append(cts, ts.scheme.Encrypt(big.NewInt(v)))
@@ -46,24 +51,44 @@ func TestHostileDecLegsRejected(t *testing.T) {
 		}
 		return homenc.NewVector(vals)
 	}
+	part := func(idx int) eesum.Part { return eesum.Part{Idx: idx, V: share(idx, dim)} }
 	// The peer is participant 0 (key-share 1); the node under test is
-	// participant 1, with an empty share set over the elected vector 7.
-	// τ is 2: a request holding share 1 gets the node's share back and
-	// owes none on the fin; an empty one owes share 1 on the fin.
+	// participant 1 (key-share 2), holding key-share 5's partial
+	// decryptions of the elected vector 7. τ is 3: a peer naming share 1
+	// is owed share 5 and the node's key-share and owes share 1's part;
+	// an empty peer owes its key-share too; a peer naming shares 1, 3
+	// and 6 is owed nothing and owes the parts of shares 1 and 3.
 	const elected, other = 7, 8
 	s := slot{iter: 1, phase: phaseDec, cycle: 2, seq: 0}
 	hdr := wireproto.ExchangeHdr{Iter: uint32(s.iter), Cycle: uint32(s.cycle), Seq: uint32(s.seq), From: 0, To: 1}
-	leg := func(id uint64, parts map[int]*homenc.Vector, fresh *homenc.Vector) *wireproto.DecMsg {
-		return &wireproto.DecMsg{Hdr: hdr, ID: id, Parts: parts, Fresh: fresh}
+	// leg names the share indices bare, alone, and carries the parts
+	// carry, ascending.
+	leg := func(id uint64, bare []int, carry []eesum.Part, fresh *homenc.Vector) *wireproto.DecMsg {
+		m := &wireproto.DecMsg{Hdr: hdr, ID: id, Parts: carry, Fresh: fresh}
+		for _, idx := range bare {
+			m.Shares = append(m.Shares, eesum.Part{Idx: idx})
+		}
+		m.Shares = append(m.Shares, carry...)
+		slices.SortFunc(m.Shares, func(a, b eesum.Part) int { return a.Idx - b.Idx })
+		return m
 	}
 	// A response answers the node's request: its header is the request's.
-	respLeg := func(id uint64, parts map[int]*homenc.Vector, fresh *homenc.Vector) *wireproto.DecMsg {
-		m := leg(id, parts, fresh)
+	respLeg := func(id uint64, bare []int, carry []eesum.Part, fresh *homenc.Vector) *wireproto.DecMsg {
+		m := leg(id, bare, carry, fresh)
 		m.Hdr.From, m.Hdr.To = 1, 0
 		return m
 	}
-	req := func(id uint64, parts map[int]*homenc.Vector, fresh *homenc.Vector) func(uint64) []byte {
-		return reqFrame(wireproto.Marshal(leg(id, parts, fresh)))
+	req := func(id uint64, bare []int, carry []eesum.Part, fresh *homenc.Vector) func(uint64) []byte {
+		return reqFrame(wireproto.Marshal(leg(id, bare, carry, fresh)))
+	}
+	// swapped is a leg naming shares 1 and 3 with their two indices
+	// swapped on the wire.
+	swapped := func(m *wireproto.DecMsg) []byte {
+		b := wireproto.Marshal(m)
+		const first = 21 + 8 + 2 // after the header, the identifier and the count
+		binary.BigEndian.PutUint32(b[first:], 3)
+		binary.BigEndian.PutUint32(b[first+8:], 1)
+		return b
 	}
 	// frameIn writes payload as a decryption request in the given frame
 	// version's layout: 1 had no target field, 2 had one.
@@ -80,13 +105,15 @@ func TestHostileDecLegsRejected(t *testing.T) {
 		}
 		return append(b, p...)
 	}
-	holding := map[int]*homenc.Vector{1: share(1, dim)}
-	valid := wireproto.Marshal(leg(elected, holding, nil))
+	one, wide := []int{1}, []int{1, 3, 6}
+	valid := wireproto.Marshal(leg(elected, one, nil, nil))
+	union, wideUnion, unchanged := []int{1, 2, 5}, []int{1, 3, 5}, []int{5}
 
 	type want struct {
 		rejected, badFrames, committed int64
-		settles                        bool // the commit gathers τ = 2 key-shares
+		set                            []int // the node's share indices after the exchange
 	}
+	refused := want{rejected: 1, set: unchanged}
 	rows := []struct {
 		name string
 		// responder rows: the raw request frame (epoch bytes 6..13 are
@@ -98,35 +125,53 @@ func TestHostileDecLegsRejected(t *testing.T) {
 		resp *wireproto.DecMsg
 		want want
 	}{
-		{name: "control: request", req: reqFrame(valid), fin: leg(elected, nil, nil), want: want{committed: 1, settles: true}},
-		{name: "control: empty request", req: req(elected, nil, nil), fin: leg(elected, nil, share(1, dim)), want: want{committed: 1, settles: true}},
-		{name: "request: part set one short", req: req(elected, map[int]*homenc.Vector{1: share(1, dim-1)}, nil), want: want{rejected: 1}},
-		{name: "request: part index 0", req: req(elected, map[int]*homenc.Vector{0: share(1, dim)}, nil), want: want{rejected: 1}},
-		{name: "request: part index above NumShares", req: req(elected, map[int]*homenc.Vector{ts.scheme.NumShares() + 1: share(1, dim)}, nil), want: want{rejected: 1}},
-		{name: "request: carries a key-share", req: req(elected, nil, share(1, dim)), want: want{rejected: 1}},
-		{name: "request: another vector", req: req(other, holding, nil), fin: leg(other, nil, nil), want: want{committed: 1}},
-		{name: "fin: key-share one short", req: req(elected, nil, nil), fin: leg(elected, nil, share(1, dim-1)), want: want{rejected: 1}},
-		{name: "fin: key-share missing", req: req(elected, nil, nil), fin: leg(elected, nil, nil), want: want{rejected: 1}},
-		{name: "fin: key-share not owed", req: reqFrame(valid), fin: leg(elected, nil, share(1, dim)), want: want{rejected: 1}},
-		{name: "fin: another vector", req: req(elected, nil, nil), fin: leg(other, nil, share(1, dim)), want: want{rejected: 1}},
-		{name: "fin: carries a part set", req: reqFrame(valid), fin: leg(elected, holding, nil), want: want{rejected: 1}},
-		{name: "request: version-1 frame", req: rawFrame(frameIn(1, valid)), want: want{badFrames: 1}},
-		{name: "request: version-2 frame", req: rawFrame(frameIn(2, valid)), want: want{badFrames: 1}},
-		{name: "control: response", resp: respLeg(elected, nil, share(1, dim)), want: want{committed: 1, settles: true}},
-		{name: "response: key-share one short", resp: respLeg(elected, nil, share(1, dim-1)), want: want{rejected: 1}},
-		{name: "response: key-share missing", resp: respLeg(elected, nil, nil), want: want{rejected: 1}},
-		{name: "response: key-share over another vector", resp: respLeg(other, nil, share(1, dim)), want: want{rejected: 1}},
-		{name: "response: another vector", resp: respLeg(other, holding, nil), want: want{committed: 1}},
+		{name: "control: request", req: reqFrame(valid), fin: leg(elected, nil, []eesum.Part{part(1)}, nil), want: want{committed: 1, set: union}},
+		{name: "control: empty request", req: req(elected, nil, nil, nil), fin: leg(elected, nil, nil, share(1, dim)), want: want{committed: 1, set: union}},
+		{name: "control: request naming τ shares", req: req(elected, wide, nil, nil), fin: leg(elected, nil, []eesum.Part{part(1), part(3)}, nil), want: want{committed: 1, set: wideUnion}},
+		{name: "request: carries a part", req: req(elected, nil, []eesum.Part{part(1)}, nil), want: refused},
+		{name: "request: part set one short", req: req(elected, nil, []eesum.Part{{Idx: 1, V: share(1, dim-1)}}, nil), want: refused},
+		{name: "request: part index 0", req: req(elected, []int{0}, nil, nil), want: refused},
+		{name: "request: part index above NumShares", req: req(elected, []int{ts.scheme.NumShares() + 1}, nil, nil), want: refused},
+		{name: "request: carries a key-share", req: req(elected, nil, nil, share(1, dim)), want: refused},
+		{name: "request: indices out of order", req: reqFrame(swapped(leg(elected, []int{1, 3}, nil, nil))), want: refused},
+		{name: "request: another vector", req: req(other, one, nil, nil), fin: leg(other, nil, nil, nil), want: want{committed: 1, set: unchanged}},
+		{name: "fin: owed part missing", req: reqFrame(valid), fin: leg(elected, nil, nil, nil), want: refused},
+		{name: "fin: names an owed part without it", req: reqFrame(valid), fin: leg(elected, one, nil, nil), want: refused},
+		{name: "fin: a part the node holds", req: reqFrame(valid), fin: leg(elected, nil, []eesum.Part{part(1), part(5)}, nil), want: refused},
+		// The initiator's whole part set: share 6 is outside what the node keeps.
+		{name: "fin: carries a part set", req: req(elected, wide, nil, nil), fin: leg(elected, nil, []eesum.Part{part(1), part(3), part(6)}, nil), want: refused},
+		{name: "fin: a part the node holds in place of an owed one", req: reqFrame(valid), fin: leg(elected, nil, []eesum.Part{part(5)}, nil), want: refused},
+		{name: "fin: a part outside the kept set in place of an owed one", req: req(elected, wide, nil, nil), fin: leg(elected, nil, []eesum.Part{part(1), part(6)}, nil), want: refused},
+		{name: "fin: part one short", req: reqFrame(valid), fin: leg(elected, nil, []eesum.Part{{Idx: 1, V: share(1, dim-1)}}, nil), want: refused},
+		{name: "fin: key-share one short", req: req(elected, nil, nil, nil), fin: leg(elected, nil, nil, share(1, dim-1)), want: refused},
+		{name: "fin: key-share missing", req: req(elected, nil, nil, nil), fin: leg(elected, nil, nil, nil), want: refused},
+		{name: "fin: key-share not owed", req: reqFrame(valid), fin: leg(elected, nil, []eesum.Part{part(1)}, share(1, dim)), want: refused},
+		{name: "fin: another vector", req: req(elected, nil, nil, nil), fin: leg(other, nil, nil, share(1, dim)), want: refused},
+		{name: "request: version-1 frame", req: rawFrame(frameIn(1, valid)), want: want{badFrames: 1, set: unchanged}},
+		{name: "request: version-2 frame", req: rawFrame(frameIn(2, valid)), want: want{badFrames: 1, set: unchanged}},
+		{name: "control: response", resp: respLeg(elected, nil, []eesum.Part{part(1)}, nil), want: want{committed: 1, set: union}},
+		{name: "control: empty response", resp: respLeg(elected, nil, nil, share(1, dim)), want: want{committed: 1, set: union}},
+		{name: "control: response naming τ shares", resp: respLeg(elected, []int{6}, []eesum.Part{part(1), part(3)}, nil), want: want{committed: 1, set: wideUnion}},
+		{name: "response: owed part missing", resp: respLeg(elected, one, nil, nil), want: refused},
+		{name: "response: a part the node holds", resp: respLeg(elected, nil, []eesum.Part{part(1), part(5)}, nil), want: refused},
+		{name: "response: a part outside the kept set", resp: respLeg(elected, nil, []eesum.Part{part(1), part(3), part(6)}, nil), want: refused},
+		{name: "response: a part the node holds in place of an owed one", resp: respLeg(elected, one, []eesum.Part{part(5)}, nil), want: refused},
+		{name: "response: a part outside the kept set in place of an owed one", resp: respLeg(elected, []int{3}, []eesum.Part{part(1), part(6)}, nil), want: refused},
+		{name: "response: key-share one short", resp: respLeg(elected, nil, nil, share(1, dim-1)), want: refused},
+		{name: "response: key-share missing", resp: respLeg(elected, nil, nil, nil), want: refused},
+		{name: "response: key-share over another vector", resp: respLeg(other, nil, nil, share(1, dim)), want: refused},
+		{name: "response: another vector", resp: respLeg(other, one, nil, nil), want: want{committed: 1, set: unchanged}},
+		{name: "response: another vector carrying a part", resp: respLeg(other, nil, []eesum.Part{part(1)}, nil), want: refused},
 		{name: "response: header names another share", resp: func() *wireproto.DecMsg {
-			m := respLeg(elected, nil, share(1, dim))
+			m := respLeg(elected, nil, nil, share(1, dim))
 			m.Hdr.To = 1 // the share still files under the scheduled peer's index
 			return m
-		}(), want: want{committed: 1, settles: true}},
+		}(), want: want{committed: 1, set: union}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			nd, err := New(Config{
-				Index: 1, N: 2,
+				Index: 1, N: ts.n,
 				Series: ts.data.Row(1), Scheme: ts.scheme, Proto: ts.proto,
 				ExchangeTimeout: time.Second,
 				FinTimeout:      time.Second,
@@ -140,6 +185,7 @@ func TestHostileDecLegsRejected(t *testing.T) {
 			st := eesum.NewParticipant(nd.env, nd.cfg.Index, nil, eesum.NoiseConfig{})
 			st.VecID, st.Vec, st.VecOmega = elected, homenc.NewVector(cts), big.NewInt(1)
 			st.StartDecryption()
+			st.DecParts = append(st.DecParts, part(5))
 
 			attempts := int64(1)
 			if row.resp != nil {
@@ -172,11 +218,15 @@ func TestHostileDecLegsRejected(t *testing.T) {
 			if c.Retries != 0 || attempts != 1 {
 				t.Fatalf("the leg was tried %d times with %d retries, want once", attempts, c.Retries)
 			}
-			if gathered := len(st.DecParts); row.want.settles != st.Settled() || (!row.want.settles && gathered > 0) {
-				t.Fatalf("%d key-shares gathered after the exchange", gathered)
+			var set []int
+			for _, e := range st.DecParts {
+				set = append(set, e.Idx)
+				if e.V.Len() != dim {
+					t.Fatalf("key-share %d holds %d partial decryptions", e.Idx, e.V.Len())
+				}
 			}
-			if row.want.settles && (st.DecParts[1] == nil || st.DecParts[2] == nil) {
-				t.Fatal("the key-shares are not filed under the two participants' indices")
+			if !slices.Equal(set, row.want.set) {
+				t.Fatalf("the node holds key-shares %v after the exchange, want %v", set, row.want.set)
 			}
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -110,14 +109,9 @@ func parentLayoutCheckpoint(tb testing.TB, p []byte, lim wireproto.Limits) []byt
 	dec := wireproto.Enc{B: make([]byte, 21)}
 	dec.B = homenc.AppendInt(st.Vec.AppendTo(dec.B), st.VecOmega)
 	dec.U16(uint16(len(st.DecParts)))
-	idxs := make([]int, 0, len(st.DecParts))
-	for idx := range st.DecParts {
-		idxs = append(idxs, idx)
-	}
-	slices.Sort(idxs)
-	for _, idx := range idxs {
-		dec.U32(uint32(idx))
-		dec.B = st.DecParts[idx].AppendTo(dec.B)
+	for _, e := range st.DecParts {
+		dec.U32(uint32(e.Idx))
+		dec.B = e.V.AppendTo(dec.B)
 	}
 	dec.U32(0) // no fresh partials
 	var e wireproto.Enc

@@ -325,7 +325,7 @@ func Provision(cfg *Config, seriesDim int) (Deployment, error) {
 	// dissemination phase stay unpacked (cleartext per-variable floats),
 	// so MaxDim must admit the full k·(n+1) length even when the
 	// ciphertext vectors travel packed. Exact per-phase lengths are
-	// enforced at the use sites (validSumState, validDecState, the
+	// enforced at the use sites (validSumState, validDecLeg, the
 	// corVec length checks).
 	fullDim := len(kmeans.Compact(cfg.Proto.InitCentroids)) * (seriesDim + 1)
 	return Deployment{

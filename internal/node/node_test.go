@@ -252,9 +252,12 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 		if len(got.DecParts) != len(want.DecParts) {
 			t.Fatalf("%s holds %d key-shares, want %d", who, len(got.DecParts), len(want.DecParts))
 		}
-		//lint:orderfree pure comparison: fails on any differing entry
-		for idx, wp := range want.DecParts {
-			gv, wv := got.DecParts[idx].Values(), wp.Values()
+		for i, wp := range want.DecParts {
+			idx := wp.Idx
+			if got.DecParts[i].Idx != idx {
+				t.Fatalf("%s holds key-share %d where the reference holds %d", who, got.DecParts[i].Idx, idx)
+			}
+			gv, wv := got.DecParts[i].V.Values(), wp.V.Values()
 			if len(gv) != len(wv) {
 				t.Fatalf("%s key-share %d covers %d elements, want %d", who, idx, len(gv), len(wv))
 			}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"chiaroscuro/internal/core"
-	"chiaroscuro/internal/homenc"
+	"chiaroscuro/internal/eesum"
 	"chiaroscuro/internal/journal"
 	"chiaroscuro/internal/timeseries"
 	"chiaroscuro/internal/wireproto"
@@ -322,7 +322,7 @@ func encodeCheckpoint(s slot, st *iterState, ctrs wireproto.Counters) []byte {
 	segs := []wireproto.Message{
 		sumOut(st, wireproto.ExchangeHdr{}),
 		dissOut(st),
-		decOut(st, wireproto.ExchangeHdr{}, st.Own),
+		decOut(st),
 	}
 	size := 4*4 + ctrs.Size()
 	for _, m := range segs {
@@ -377,9 +377,14 @@ func decodeCheckpoint(p []byte, lim wireproto.Limits) (checkpointRecord, error) 
 		r.st.VecID, r.st.Vec, r.st.VecOmega = diss.ID, diss.CTs.Copy(), diss.Omega()
 	}
 	if r.pos.phase >= phaseDec {
-		r.st.DecParts = make(map[int]*homenc.Vector, len(dec.Parts))
-		for _, p := range dec.Parts {
-			r.st.DecParts[p.Idx] = p.V.Copy()
+		r.st.DecParts = make([]eesum.Part, 0, dec.Gathered())
+		for c, i := 0, 0; i < dec.Gathered(); i++ {
+			idx, part, next := dec.At(c)
+			if part.Len() == 0 {
+				return checkpointRecord{}, corrupt("checkpoint", fmt.Errorf("key-share %d without its partial decryptions", idx))
+			}
+			r.st.DecParts = append(r.st.DecParts, eesum.Part{Idx: idx, V: part.Copy()})
+			c = next
 		}
 		r.st.Own = dec.Fresh.Copy()
 	}
@@ -425,7 +430,7 @@ func peekCheckpoint(p []byte, lim wireproto.Limits) (checkpointRecord, int, erro
 	if err != nil {
 		return checkpointRecord{}, 0, corrupt("checkpoint", err)
 	}
-	return r, len(dec.Parts), nil
+	return r, dec.Gathered(), nil
 }
 
 // replayCheckpoints splits an iteration's retained checkpoints into the

@@ -40,7 +40,7 @@ func TestCheckpointReseedsImages(t *testing.T) {
 		VecID:    99,
 		Vec:      homenc.NewVector(vec(90)),
 		VecOmega: big.NewInt(12),
-		DecParts: map[int]*homenc.Vector{2: partials(2), 5: partials(5)},
+		DecParts: []eesum.Part{{Idx: 2, V: partials(2)}, {Idx: 5, V: partials(5)}},
 	}
 	pos := slot{iter: 1, phase: phaseDec, cycle: 4, seq: 1}
 	ctrs := wireproto.Counters{Initiated: 8, Responded: 9, BytesSent: 1234}
@@ -75,7 +75,7 @@ func TestCheckpointReseedsImages(t *testing.T) {
 			t.Fatalf("restored means[%d] = %v, want %v", j, got, want.V)
 		}
 	}
-	if got := ck.st.DecParts[5].PartialDecryptions(5)[3]; got.Index != 5 || got.V.Int64() != 503 {
+	if got := ck.st.DecParts[1].V.PartialDecryptions(5)[3]; ck.st.DecParts[1].Idx != 5 || got.Index != 5 || got.V.Int64() != 503 {
 		t.Fatalf("restored partial = %+v", got)
 	}
 	if got := ck.st.Vec.Values()[2].V; got.Cmp(st.Vec.Values()[2].V) != 0 || ck.st.VecID != 99 {

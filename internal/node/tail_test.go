@@ -240,7 +240,7 @@ func settledPair(t *testing.T, dialerA Dialer) (ndA, ndB *Node, stA, stB *iterSt
 			for j, p := range ps {
 				vals[j].V = p.V
 			}
-			st.DecParts[holder.cfg.Index+1] = homenc.NewVector(vals)
+			st.DecParts = append(st.DecParts, eesum.Part{Idx: holder.cfg.Index + 1, V: homenc.NewVector(vals)})
 		}
 		seal(st)
 		return st

@@ -5,8 +5,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"maps"
 	"math/big"
 	"os"
+	"slices"
 	"testing"
 
 	"chiaroscuro/internal/eesum"
@@ -56,13 +58,15 @@ func dissOf(m eagerDiss) *DissMsg {
 	return &DissMsg{Hdr: m.Hdr, ID: m.ID, CTs: vectorOf(m.CTs), Omega: m.Omega}
 }
 
-// decOf is the sending form of a decryption leg written out eagerly.
+// decOf is the sending form of a decryption leg written out eagerly: an
+// entry with no partial decryptions names its index alone.
 func decOf(m eagerDec) *DecMsg {
 	out := &DecMsg{Hdr: m.Hdr, ID: m.ID, Fresh: vectorOf(m.Fresh)}
-	if m.Parts != nil {
-		out.Parts = make(map[int]*homenc.Vector, len(m.Parts))
-		for idx, ps := range m.Parts {
-			out.Parts[idx] = vectorOf(ps)
+	for _, idx := range slices.Sorted(maps.Keys(m.Parts)) {
+		e := eesum.Part{Idx: idx, V: vectorOf(m.Parts[idx])}
+		out.Shares = append(out.Shares, e)
+		if len(m.Parts[idx]) > 0 {
+			out.Parts = append(out.Parts, e)
 		}
 	}
 	return out
@@ -96,16 +100,24 @@ func goldenLegs() []goldenLeg {
 	dissFin := dissResp
 	dissFin.ID = 0xBEEF01
 	dissAbort := eagerDiss{Hdr: abort, ID: 0xBEEF02}
-	decReq := eagerDec{
+	// The request names its sender's share indices alone; the response
+	// names the responder's and carries the parts of two of them, and a
+	// key-share; the fin carries one part and a key-share.
+	decReq := eagerDec{Hdr: hdr, ID: 0xBEEF01, Parts: map[int][]*big.Int{3: {}, 1: {}}}
+	decResp := eagerDec{
 		Hdr: hdr, ID: 0xBEEF01,
 		Parts: map[int][]*big.Int{
-			3: intsOf("11", "12", "-13", "0x1000000000000000000000000"),
-			1: intsOf("21", "22", "23", "24"),
+			2: {},
+			4: intsOf("11", "12", "-13", "0x1000000000000000000000000"),
+			6: intsOf("21", "22", "23", "24"),
 		},
+		Fresh: intsOf("31", "32", "-33", "0"),
 	}
-	decResp := decReq
-	decResp.Fresh = intsOf("31", "32", "-33", "0")
-	decFin := eagerDec{Hdr: hdr, ID: 0xBEEF01, Fresh: intsOf("41", "42", "43", "0x7FFFFFFFFFFFFFFFFF")}
+	decFin := eagerDec{
+		Hdr: hdr, ID: 0xBEEF01,
+		Parts: map[int][]*big.Int{5: intsOf("51", "-52", "0", "54")},
+		Fresh: intsOf("41", "42", "43", "0x7FFFFFFFFFFFFFFFFF"),
+	}
 	decAbort := eagerDec{Hdr: abort, ID: 0xBEEF01}
 	return []goldenLeg{
 		{"sum-req", KindSumReq, sum, nil},

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"slices"
 
 	"chiaroscuro/internal/eesum"
 	"chiaroscuro/internal/homenc"
@@ -444,25 +443,35 @@ func ScanDiss(data []byte, lim Limits) (DissView, error) {
 // --- epidemic decryption ---
 
 // DecMsg is the sending form of a decryption leg (KindDecReq,
-// KindDecResp, KindDecFin): the identifier of the vector the sender
-// decrypts, its share set — the partial decryptions gathered so far, a
-// vector of group elements per key-share, keyed by share index — and,
-// on the response and fin legs, the sender's own key-share when one is
-// due to the receiver (Fresh: its index is the sender's). Parts is
-// empty on KindDecFin, Fresh on KindDecReq. The ciphertexts themselves
-// never travel here: both sides elected them in the dissemination.
+// KindDecResp, KindDecFin) and of a journal checkpoint's share set: the
+// identifier of the vector the sender decrypts, entries in ascending
+// share index — each a share index with the partial decryptions under
+// it (a vector of group elements) or, when they do not travel, the
+// empty vector — and Fresh, the sender's own key-share when one is due
+// to the receiver (its index is the sender's). Shares are the indices
+// the message names, and Parts the entries among them whose partial
+// decryptions it carries: a request names the sender's set and carries
+// none of it; a response names the set and carries what the initiator
+// lacks and will keep; a fin names and carries just what the responder
+// lacks and will keep; a checkpoint carries its whole set. The
+// ciphertexts themselves never travel here: both sides elected them in
+// the dissemination.
 type DecMsg struct {
-	Hdr   ExchangeHdr
-	ID    uint64
-	Parts map[int]*homenc.Vector
-	Fresh *homenc.Vector
+	Hdr    ExchangeHdr
+	ID     uint64
+	Shares []eesum.Part // ascending; only the indices are read
+	Parts  []eesum.Part // a subsequence of Shares
+	Fresh  *homenc.Vector
 }
 
 // Size implements Message.
 func (m *DecMsg) Size() int {
 	size := hdrSize + 8 + 2 + m.Fresh.WireSize()
-	for _, ps := range m.Parts {
-		size += 4 + ps.WireSize()
+	parts := m.Parts
+	for _, e := range m.Shares {
+		var v *homenc.Vector
+		v, parts = carried(e.Idx, parts)
+		size += 4 + v.WireSize()
 	}
 	return size
 }
@@ -471,74 +480,96 @@ func (m *DecMsg) Size() int {
 func (m *DecMsg) AppendTo(dst []byte) []byte {
 	e := Enc{B: m.Hdr.appendTo(dst)}
 	e.U64(m.ID)
-	e.U16(uint16(len(m.Parts)))
-	// Ascending share-index order: the encoding must not depend on map
-	// iteration order, and the scan requires it.
-	idxs := make([]int, 0, len(m.Parts))
-	for idx := range m.Parts {
-		idxs = append(idxs, idx)
-	}
-	slices.Sort(idxs)
-	for _, idx := range idxs {
-		e.U32(uint32(idx))
-		e.B = m.Parts[idx].AppendTo(e.B)
+	e.U16(uint16(len(m.Shares)))
+	parts := m.Parts
+	for _, s := range m.Shares {
+		var v *homenc.Vector
+		v, parts = carried(s.Idx, parts)
+		e.U32(uint32(s.Idx))
+		e.B = v.AppendTo(e.B)
 	}
 	return m.Fresh.AppendTo(e.B)
 }
 
-// PartView is one scanned key-share's partial decryptions.
-type PartView struct {
-	Idx int
-	V   homenc.VectorView
+// carried returns the partial decryptions under share index idx when
+// they head parts (nil: the index travels alone) and the rest of parts.
+func carried(idx int, parts []eesum.Part) (*homenc.Vector, []eesum.Part) {
+	if len(parts) > 0 && parts[0].Idx == idx {
+		return parts[0].V, parts[1:]
+	}
+	return nil, parts
 }
 
 // DecView is the structural scan of a DecMsg payload: every bound of
 // Limits enforced — exactly the frames an eager decode would accept —
-// with no big.Int built, and the share set in strictly ascending index
-// order. It aliases the payload; what a receiver keeps (a part it takes,
-// an accepted Fresh vector) it detaches with Copy. It is the peer of an
-// eesum.Participant's decryption exchange (eesum.DecPeer).
+// with no big.Int built and nothing allocated, and the entries in
+// strictly ascending share index. It aliases the payload, and is walked
+// with the cursor of eesum.DecPeer — it is the peer of an
+// eesum.Participant's decryption exchange — over the entries the scan
+// vetted; what a receiver keeps (a part it takes, an accepted Fresh
+// vector) it detaches with Copy.
 type DecView struct {
-	Hdr   ExchangeHdr
-	ID    uint64
-	Parts []PartView
-	Fresh homenc.VectorView
+	Hdr     ExchangeHdr
+	ID      uint64
+	n       int
+	entries []byte
+	Fresh   homenc.VectorView
 }
 
 // Elected returns the identifier of the vector the sender decrypts.
 func (v DecView) Elected() uint64 { return v.ID }
 
-// Gathered returns how many partial sets the state carries.
-func (v DecView) Gathered() int { return len(v.Parts) }
+// Gathered returns how many entries the leg has.
+func (v DecView) Gathered() int { return v.n }
 
-// ShareAt returns the i-th smallest share index of the set.
-func (v DecView) ShareAt(i int) int { return v.Parts[i].Idx }
+// Entry returns the share index of the entry at cursor c — a byte
+// offset into the entries, 0 for the first — whether it carries partial
+// decryptions, and the cursor of the next entry.
+func (v DecView) Entry(c int) (idx int, carries bool, next int) {
+	idx, part, next := v.At(c)
+	return idx, part.Len() > 0, next
+}
 
-// PartAt detaches the i-th share's partial decryptions from the
-// payload: the vector keeps the image it arrived with.
-func (v DecView) PartAt(i int) *homenc.Vector { return v.Parts[i].V.Copy() }
+// At returns the entry at cursor c: its share index, the partial
+// decryptions it carries (the empty vector: none) and the cursor of the
+// next entry.
+func (v DecView) At(c int) (idx int, part homenc.VectorView, next int) {
+	part, rest := homenc.VettedVector(v.entries[c+4:])
+	return int(binary.BigEndian.Uint32(v.entries[c:])), part, len(v.entries) - len(rest)
+}
 
-// ScanDec scans a DecMsg payload.
+// Part detaches the partial decryptions of the entry at cursor c from
+// the payload: the vector keeps the image it arrived with.
+func (v DecView) Part(c int) *homenc.Vector {
+	_, part, _ := v.At(c)
+	return part.Copy()
+}
+
+// ScanDec scans a DecMsg payload. A payload it refuses scans to a view
+// with no entries.
 func ScanDec(data []byte, lim Limits) (DecView, error) {
 	d := Dec{B: data}
 	v := DecView{Hdr: decodeHdr(&d), ID: d.U64()}
-	nParts := int(d.U16())
-	if d.err == nil && nParts > lim.MaxParts {
-		return v, fmt.Errorf("wireproto: %d partial sets exceed bound %d", nParts, lim.MaxParts)
+	n := int(d.U16())
+	if d.err == nil && n > lim.MaxParts {
+		return v, fmt.Errorf("wireproto: %d partial sets exceed bound %d", n, lim.MaxParts)
 	}
-	v.Parts = make([]PartView, 0, nParts)
-	for i := 0; i < nParts && d.err == nil; i++ {
+	entries := d.B
+	for i, last := 0, -1; i < n && d.err == nil; i++ {
 		idx := int(d.U32())
-		ps := d.vector(lim.MaxDim+1, lim.MaxCTBytes)
-		if d.err == nil {
-			if i > 0 && idx <= v.Parts[i-1].Idx {
-				return v, errors.New("wireproto: partial share indices not strictly ascending")
-			}
-			v.Parts = append(v.Parts, PartView{idx, ps})
+		d.vector(lim.MaxDim+1, lim.MaxCTBytes)
+		if d.err == nil && idx <= last {
+			return v, errors.New("wireproto: partial share indices not strictly ascending")
 		}
+		last = idx
 	}
-	v.Fresh = d.vector(lim.MaxDim+1, lim.MaxCTBytes)
-	return v, d.Done()
+	entries = entries[:len(entries)-len(d.B)]
+	fresh := d.vector(lim.MaxDim+1, lim.MaxCTBytes)
+	if err := d.Done(); err != nil {
+		return v, err
+	}
+	v.n, v.entries, v.Fresh = n, entries, fresh
+	return v, nil
 }
 
 // vector consumes one ciphertext vector from the cursor, unbuilt.

@@ -5,11 +5,13 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"maps"
 	"math/big"
 	"os"
 	"slices"
 	"testing"
 
+	"chiaroscuro/internal/eesum"
 	"chiaroscuro/internal/homenc"
 )
 
@@ -164,11 +166,14 @@ func goldenPayloads(f *testing.F, names ...string) [][]byte {
 
 // FuzzDecScanMatchesEager is the differential check behind the
 // decode-on-demand receive path: on arbitrary payloads the structural
-// scan accepts exactly what the eager decoder accepted, every value it
-// materializes — straight from the view, or later from a detached copy
-// — equals the eager decode's, and a state relayed from its detached
-// images re-encodes to the bytes the eager path would have re-marshalled
-// (canonical even when the input was not).
+// scan accepts exactly what the eager decoder accepted; walking its
+// entries visits the eager decode's share indices in ascending order,
+// each carrying partial decryptions exactly when the eager entry has
+// any; every value it materializes — straight from the view, or later
+// from a detached copy — equals the eager decode's; and a leg relayed
+// from its detached images, naming the same indices and carrying the
+// same parts, re-encodes to the bytes the eager path would have
+// re-marshalled (canonical even when the input was not).
 func FuzzDecScanMatchesEager(f *testing.F) {
 	for _, p := range goldenPayloads(f, "dec-req/untargeted", "dec-resp/untargeted", "dec-fin/untargeted", "dec-fin-abort/untargeted", "sum-req/untargeted") {
 		f.Add(p)
@@ -183,6 +188,19 @@ func FuzzDecScanMatchesEager(f *testing.F) {
 	e.U32(1)
 	e.B = append(e.B, 0x02, 0, 0, 0, 3, 0x00, 0x00, 0x09)
 	f.Add(e.B)
+	// A leg between two full sets, naming indices alone, and a mixed one.
+	settled := &DecMsg{ID: 7}
+	mixed := &DecMsg{ID: 7, Fresh: homenc.NewVector(cts(5, -6))}
+	for idx := 1; idx <= 3; idx++ {
+		p := eesum.Part{Idx: 2 * idx, V: homenc.NewVector(cts(int64(idx), -int64(idx)))}
+		settled.Shares = append(settled.Shares, p)
+		mixed.Shares = append(mixed.Shares, p)
+		if idx != 2 {
+			mixed.Parts = append(mixed.Parts, p)
+		}
+	}
+	f.Add(Marshal(settled))
+	f.Add(Marshal(mixed))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 40))
 
@@ -199,36 +217,48 @@ func FuzzDecScanMatchesEager(f *testing.F) {
 		if got.Hdr != want.Hdr || got.ID != want.ID {
 			t.Fatalf("header/vector (%+v, %d), eager decode has (%+v, %d)", got.Hdr, got.ID, want.Hdr, want.ID)
 		}
-		relay := DecMsg{Hdr: got.Hdr, ID: got.ID, Parts: map[int]*homenc.Vector{}, Fresh: got.Fresh.Copy()}
-		if len(got.Parts) != len(want.Parts) {
-			t.Fatalf("%d part sets, eager decode has %d", len(got.Parts), len(want.Parts))
+		relay := DecMsg{Hdr: got.Hdr, ID: got.ID, Fresh: got.Fresh.Copy()}
+		if got.Gathered() != len(want.Parts) {
+			t.Fatalf("%d entries, eager decode has %d", got.Gathered(), len(want.Parts))
 		}
-		for i, view := range got.Parts {
-			ps, ok := want.Parts[view.Idx]
-			if !ok {
-				t.Fatalf("part set %d missing from the eager decode", view.Idx)
+		last := -1
+		for c, i := 0, 0; i < got.Gathered(); i++ {
+			idx, carries, next := got.Entry(c)
+			ps, ok := want.Parts[idx]
+			if !ok || idx <= last {
+				t.Fatalf("entry %d: share %d after %d, eager decode has %v", i, idx, last, slices.Sorted(maps.Keys(want.Parts)))
 			}
-			if got.ShareAt(i) != view.Idx {
-				t.Fatalf("ShareAt(%d) = %d, want %d", i, got.ShareAt(i), view.Idx)
+			last = idx
+			if carries != (len(ps) > 0) {
+				t.Fatalf("entry %d carries partial decryptions: %v, eager decode has %d", idx, carries, len(ps))
 			}
-			relay.Parts[view.Idx] = got.PartAt(i)
-			sameInts(t, "part set", view.V.Values(), ps)
-			// What Release combines: the relayed image decoded as the
-			// key-share's partial decryptions, under its key.
-			combined := relay.Parts[view.Idx].PartialDecryptions(view.Idx)
-			if len(combined) != len(ps) {
-				t.Fatalf("part set %d: %d partial decryptions, eager decode has %d", view.Idx, len(combined), len(ps))
-			}
-			for j, p := range combined {
-				if p.Index != view.Idx || p.V.Cmp(ps[j]) != 0 {
-					t.Fatalf("part set %d[%d] = (%d, %v), eager decode has (%d, %v)", view.Idx, j, p.Index, p.V, view.Idx, ps[j])
+			_, view, _ := got.At(c)
+			sameInts(t, "part set", view.Values(), ps)
+			entry := eesum.Part{Idx: idx}
+			if carries {
+				entry.V = got.Part(c)
+				relay.Parts = append(relay.Parts, entry)
+				// What Release combines: the relayed image decoded as the
+				// key-share's partial decryptions, under its key.
+				combined := entry.V.PartialDecryptions(idx)
+				if len(combined) != len(ps) {
+					t.Fatalf("part set %d: %d partial decryptions, eager decode has %d", idx, len(combined), len(ps))
 				}
+				for j, p := range combined {
+					if p.Index != idx || p.V.Cmp(ps[j]) != 0 {
+						t.Fatalf("part set %d[%d] = (%d, %v), eager decode has (%d, %v)", idx, j, p.Index, p.V, idx, ps[j])
+					}
+				}
+			} else if got.Part(c) != nil {
+				t.Fatalf("entry %d carries nothing but detaches a vector", idx)
 			}
+			relay.Shares = append(relay.Shares, entry)
+			c = next
 		}
 		sameInts(t, "fresh", got.Fresh.Values(), want.Fresh)
 		sameInts(t, "relayed fresh", relay.Fresh.Values(), want.Fresh)
 		if relay.Size() != len(Marshal(&relay)) || !bytes.Equal(Marshal(&relay), eagerMarshalDec(want)) {
-			t.Fatalf("relayed state re-encodes to\n%x\nthe eager path re-marshalled\n%x", Marshal(&relay), eagerMarshalDec(want))
+			t.Fatalf("relayed leg re-encodes to\n%x\nthe eager path re-marshalled\n%x", Marshal(&relay), eagerMarshalDec(want))
 		}
 	})
 }

@@ -35,8 +35,10 @@ import (
 
 // Version is the protocol version byte. A frame of any other version —
 // the two earlier layouts included — is refused as malformed: there is
-// no negotiation, populations are provisioned together.
-const Version = 4
+// no negotiation, populations are provisioned together. Version 5 kept
+// version 4's layout and changed what a decryption leg may carry: only
+// the partial decryptions its receiver lacks and will keep.
+const Version = 5
 
 // Message kinds.
 const (
@@ -243,9 +245,9 @@ func NewLimits(ctBytes, dim, parts, peers int) Limits {
 		MaxPeers:   peers,
 		MaxAddrLen: 256,
 	}
-	// A decryption response is the largest message: a full state (dim
-	// ciphertexts) plus up to parts×dim gathered partials plus dim fresh
-	// partials, each integer costing at most MaxCTBytes+5 bytes.
+	// A decryption response is the largest exchange leg: up to parts×dim
+	// gathered partials plus dim fresh partials, each integer costing at
+	// most MaxCTBytes+5 bytes; the bound leaves a vector of slack.
 	perInt := l.MaxCTBytes + 16
 	l.MaxFrameLen = headerBytes + 64 + (parts+2)*(dim+1)*perInt + peers*(l.MaxAddrLen+16)
 	if l.MaxFrameLen > maxFrameHard {

@@ -212,14 +212,16 @@ func cts(vals ...int64) []homenc.Ciphertext {
 
 func TestDecMsgRoundTrip(t *testing.T) {
 	lim := testLimits()
+	one := eesum.Part{Idx: 1, V: homenc.NewVector(cts(21, 22))}
+	three := eesum.Part{Idx: 3, V: homenc.NewVector(cts(11, 12))}
+	four := eesum.Part{Idx: 4, V: homenc.NewVector(cts(41, 42))}
+	// Share 1 is named alone: its part stays behind.
 	m := DecMsg{
-		Hdr: ExchangeHdr{Iter: 1, Cycle: 4, Seq: 0, From: 2, To: 6},
-		ID:  0xC0FFEE,
-		Parts: map[int]*homenc.Vector{
-			3: homenc.NewVector(cts(11, 12)),
-			1: homenc.NewVector(cts(21, 22)),
-		},
-		Fresh: homenc.NewVector(cts(31, 32)),
+		Hdr:    ExchangeHdr{Iter: 1, Cycle: 4, Seq: 0, From: 2, To: 6},
+		ID:     0xC0FFEE,
+		Shares: []eesum.Part{one, three, four},
+		Parts:  []eesum.Part{three, four},
+		Fresh:  homenc.NewVector(cts(31, 32)),
 	}
 	wire := Marshal(&m)
 	if len(wire) != m.Size() {
@@ -229,25 +231,39 @@ func TestDecMsgRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Hdr != m.Hdr || got.Elected() != m.ID {
+	if got.Hdr != m.Hdr || got.Elected() != m.ID || got.Gathered() != 3 {
 		t.Fatalf("dec header mismatch: %+v", got)
 	}
-	if got.Gathered() != 2 || got.ShareAt(0) != 1 || got.ShareAt(1) != 3 || got.PartAt(0).Values()[1].V.Int64() != 22 {
-		t.Fatalf("parts mismatch: %+v", got.Parts)
+	// Encoding is canonical: a leg rebuilt from the images it arrived
+	// in — no value materialized — re-encodes to the identical bytes.
+	relay := DecMsg{Hdr: got.Hdr, ID: got.ID, Fresh: got.Fresh.Copy()}
+	for c, i := 0, 0; i < got.Gathered(); i++ {
+		idx, carries, next := got.Entry(c)
+		if idx != m.Shares[i].Idx || carries != (idx != 1) {
+			t.Fatalf("entry %d = (%d, %v), want (%d, %v)", i, idx, carries, m.Shares[i].Idx, idx != 1)
+		}
+		entry := eesum.Part{Idx: idx}
+		if carries {
+			entry.V = got.Part(c)
+			relay.Parts = append(relay.Parts, entry)
+		}
+		relay.Shares = append(relay.Shares, entry)
+		c = next
+	}
+	if v := relay.Parts[0].V.Values(); v[1].V.Int64() != 12 {
+		t.Fatalf("share 3's part = %v", v)
 	}
 	fresh := got.Fresh.Values()
 	if len(fresh) != 2 || fresh[0].V.Int64() != 31 || fresh[1].V.Int64() != 32 {
 		t.Fatalf("fresh mismatch: %+v", fresh)
 	}
-	// Encoding is canonical: a state rebuilt from the images it arrived
-	// in — no value materialized — re-encodes to the identical bytes,
-	// regardless of map iteration order.
-	relay := DecMsg{Hdr: got.Hdr, ID: got.ID, Parts: map[int]*homenc.Vector{}, Fresh: got.Fresh.Copy()}
-	for i := range got.Gathered() {
-		relay.Parts[got.ShareAt(i)] = got.PartAt(i)
-	}
 	if !bytes.Equal(wire, Marshal(&relay)) {
 		t.Fatal("dec encoding not canonical")
+	}
+	// A leg naming indices alone costs 8 bytes an index.
+	bare := DecMsg{Hdr: m.Hdr, ID: m.ID, Shares: m.Shares}
+	if got, want := bare.Size(), hdrSize+8+2+3*8+4; got != want {
+		t.Fatalf("an indices-only leg of 3 shares is %d bytes, want %d", got, want)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"chiaroscuro/internal/core"
+	"chiaroscuro/internal/eesum"
 	"chiaroscuro/internal/faultnet"
 	"chiaroscuro/internal/homenc"
 	"chiaroscuro/internal/mux"
@@ -114,45 +115,55 @@ func BenchmarkNetworkedWAN16(b *testing.B) {
 }
 
 // BenchmarkDecFrameRoundTrip is one decryption leg at the vnode
-// benchmark's shape (τ = 5 gathered partial vectors of 50 elements) as
-// a peer in steady state pays it: write from cached wire images, read
-// into a pooled buffer, structural scan, release. Its allocs/op is the
-// per-frame allocation count BENCH_*.json tracks.
+// benchmark's shape (τ = 5 key-shares, partial vectors of 50 elements)
+// as a peer in steady state pays it: write from cached wire images, read
+// into a pooled buffer, structural scan, release. The parts case carries
+// all five partial vectors (a leg to a peer holding none of them); the
+// settled case is a leg between two full sets, which names the five
+// indices alone. Its allocs/op is the per-frame allocation count
+// BENCH_*.json tracks.
 func BenchmarkDecFrameRoundTrip(b *testing.B) {
 	const dim, tau = 50, 5
 	cts := make([]homenc.Ciphertext, dim)
 	for j := range cts {
 		cts[j] = homenc.Ciphertext{V: big.NewInt(int64(j+1) << 40)}
 	}
-	msg := &wireproto.DecMsg{
-		Hdr:   wireproto.ExchangeHdr{Iter: 1, Cycle: 3, Seq: 2, From: 0, To: 1},
-		ID:    0xC0FFEE,
-		Parts: map[int]*homenc.Vector{},
+	set := make([]eesum.Part, tau)
+	for i := range set {
+		set[i] = eesum.Part{Idx: i + 1, V: homenc.NewVector(cts)}
 	}
-	for share := 1; share <= tau; share++ {
-		msg.Parts[share] = homenc.NewVector(cts)
-	}
+	hdr := wireproto.ExchangeHdr{Iter: 1, Cycle: 3, Seq: 2, From: 0, To: 1}
 	lim := wireproto.NewLimits(64, dim, tau, 400)
-	var buf bytes.Buffer
-	roundTrip := func() {
-		buf.Reset()
-		if _, err := wireproto.WriteMessage(&buf, wireproto.KindDecReq, 7, 1, msg); err != nil {
-			b.Fatal(err)
-		}
-		f, err := wireproto.ReadFrame(&buf, lim.MaxFrameLen)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := wireproto.ScanDec(f.Payload, lim); err != nil {
-			b.Fatal(err)
-		}
-		f.Release()
-	}
-	roundTrip() // build the images and warm the pool, as every frame after a peer's first is
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		roundTrip()
+	for _, c := range []struct {
+		name string
+		msg  *wireproto.DecMsg
+	}{
+		{"parts", &wireproto.DecMsg{Hdr: hdr, ID: 0xC0FFEE, Shares: set, Parts: set}},
+		{"settled", &wireproto.DecMsg{Hdr: hdr, ID: 0xC0FFEE, Shares: set}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			roundTrip := func() {
+				buf.Reset()
+				if _, err := wireproto.WriteMessage(&buf, wireproto.KindDecReq, 7, 1, c.msg); err != nil {
+					b.Fatal(err)
+				}
+				f, err := wireproto.ReadFrame(&buf, lim.MaxFrameLen)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := wireproto.ScanDec(f.Payload, lim); err != nil {
+					b.Fatal(err)
+				}
+				f.Release()
+			}
+			roundTrip() // build the images and warm the pool, as every frame after a peer's first is
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				roundTrip()
+			}
+		})
 	}
 }
 
