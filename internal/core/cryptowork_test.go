@@ -40,9 +40,9 @@ func (s *workScheme) Combine(c homenc.Ciphertext, parts []homenc.PartialDecrypti
 	return s.Scheme.Combine(c, parts)
 }
 
-func (s *workScheme) MergeVec(a homenc.Operand, shift uint, b homenc.Operand, workers int) *homenc.Vector {
+func (s *workScheme) MergeVec(dst *homenc.Vector, a homenc.Operand, shift uint, b homenc.Operand, workers int) {
 	s.merged.Add(int64(a.Len()))
-	return s.Scheme.MergeVec(a, shift, b, workers)
+	s.Scheme.MergeVec(dst, a, shift, b, workers)
 }
 
 // TestSimulatorCryptoWork pins the crypto work of one simulated run on

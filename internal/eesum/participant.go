@@ -33,10 +33,12 @@ func (e *Env) workers(n int) int { return DimWorkers(n, e.Workers) }
 // integer weight and its epoch. The vector a merge produces is its
 // canonical wire image and nothing else — the bytes the next send and
 // the journal checkpoint want — so between exchanges a state holds no
-// big.Int values; they exist only inside the merge kernel and, once per
-// iteration, for the decryption. A state is replaced wholesale, never
-// modified in place, and two participants may hold the same one: it is
-// only ever read (Operand), never materialized into.
+// big.Int values; they exist only inside the merge kernel. A state's
+// vector belongs to one participant: a merge writes into the
+// participant's spare image (CommitSum), and a responder adopting its
+// initiator's result copies it into its own (ExchangeSum), so no two
+// participants hold the same state. The image stays valid until its
+// owner's next-but-one sum commit, which rewrites it.
 type SumSide struct {
 	CTs   *homenc.Vector
 	Omega *big.Int
@@ -79,6 +81,11 @@ type Participant struct {
 
 	DecParts []Part         // the share set, ascending share index; nil until the decryption starts
 	Own      *homenc.Vector // this participant's key-share over Vec, once applied
+
+	// The images the next sum commit writes the means and the noise
+	// into: the states the last commit replaced, reused. Propose drops
+	// them.
+	spare [2]*homenc.Vector
 
 	env    *Env
 	index  int        // 0-based; the key-share index is index+1
@@ -158,26 +165,49 @@ func (p *Participant) sumPeer() SumPeer {
 // update rule on both lockstep sums and the pairwise average on the
 // counter. Both sides compute in (initiator, responder) order. The
 // peer's states are only read — a driver passes them straight from the
-// frame they arrived in — and the new states are the kernel's images.
+// frame they arrived in — and the kernel writes the new states into
+// this participant's spare images, which then swap with the current
+// ones: past the first few commits, a commit allocates no image.
 func (p *Participant) CommitSum(peer SumPeer, initiator bool) {
 	a, b := p.sumPeer(), peer
 	if !initiator {
 		a, b = b, a
 	}
 	sch, w := p.env.Scheme, p.env.workers(a.Means.CTs.Len())
-	p.Means = mergeSum(sch, a.Means, b.Means, w)
-	p.Noise = mergeSum(sch, a.Noise, b.Noise, w)
+	means := mergeSumInto(sch, p.spareImage(0), a.Means, b.Means, w)
+	noise := mergeSumInto(sch, p.spareImage(1), a.Noise, b.Noise, w)
+	p.swapIn(means, noise)
 	p.CtrS, p.CtrW = (a.CtrS+b.CtrS)/2, (a.CtrW+b.CtrW)/2
 }
 
+// spareImage returns spare image i, a new one when there is none yet.
+func (p *Participant) spareImage(i int) *homenc.Vector {
+	if p.spare[i] == nil {
+		p.spare[i] = new(homenc.Vector)
+	}
+	return p.spare[i]
+}
+
+// swapIn makes means and noise, written into the spare images, the
+// participant's states, and the images of the states they replace its
+// spares.
+func (p *Participant) swapIn(means, noise SumSide) {
+	p.spare = [2]*homenc.Vector{p.Means.CTs, p.Noise.CTs}
+	p.Means, p.Noise = means, noise
+}
+
 // ExchangeSum runs a whole sum exchange between initiator p and
-// responder q in memory. The merge is computed once; q takes the same
-// result unless the exchange ends half-completed (!full: the responder
-// dropped out, Section 6.1.5).
+// responder q in memory. The merge is computed once; q copies the result
+// into its own spare images unless the exchange ends half-completed
+// (!full: the responder dropped out, Section 6.1.5).
 func (p *Participant) ExchangeSum(q *Participant, full bool) {
 	p.CommitSum(q.sumPeer(), true)
 	if full {
-		q.Means, q.Noise, q.CtrS, q.CtrW = p.Means, p.Noise, p.CtrS, p.CtrW
+		means, noise := p.Means, p.Noise
+		means.CTs = q.spareImage(0).Set(means.CTs)
+		noise.CTs = q.spareImage(1).Set(noise.CTs)
+		q.swapIn(means, noise)
+		q.CtrS, q.CtrW = p.CtrS, p.CtrW
 	}
 }
 
@@ -193,8 +223,10 @@ func (p *Participant) ExchangeSum(q *Participant, full bool) {
 // before; the dissemination then keeps the smallest identifier's vector,
 // so one vector is decrypted and released. A participant resumed past
 // this point draws too — the stream must advance — but keeps the vector
-// it was restored with.
+// it was restored with. The sum states stop changing here, so the spare
+// images go.
 func (p *Participant) Propose() error {
+	p.spare = [2]*homenc.Vector{}
 	est, ok := 0.0, p.CtrW > 0
 	if ok {
 		est = p.CtrS / p.CtrW
@@ -221,10 +253,9 @@ func (p *Participant) perturb(cor []float64) (SumSide, error) {
 		neg[j] = new(big.Int).Neg(p.env.Pack.Codec.Encode(x))
 	}
 	// The correction rewrites ciphertext slots, so it runs on the noise
-	// state's values decoded into a slab of this participant's own: the
-	// state may be shared with another participant, and is never
-	// written. Packing is linear, so the packed negated correction
-	// subtracts exactly per slot.
+	// state's values decoded into a slab of their own: the state, an
+	// image, is not written. Packing is linear, so the packed negated
+	// correction subtracts exactly per slot.
 	noise := p.Noise.State()
 	if err := AddEncryptedState(sch, noise, p.env.Pack.Pack(neg), p.env.workers(len(noise.CTs))); err != nil {
 		return SumSide{}, err
@@ -254,15 +285,12 @@ func (p *Participant) ExchangeDiss(q *Participant, full bool) {
 
 // StartDecryption is the boundary between the dissemination and the
 // decryption: the decryption starts over the elected vector with no
-// key-share gathered. Every key-share application and the release read
-// the vector's values, so they are decoded now, once: participants that
-// elected the same vector share it. A participant resumed past this
-// boundary keeps the share set it was restored with.
+// key-share gathered. A participant resumed past this boundary keeps
+// the share set it was restored with.
 func (p *Participant) StartDecryption() {
 	if p.DecParts != nil {
 		return
 	}
-	p.Vec.Seal()
 	p.DecParts = make([]Part, 0, p.env.Scheme.Threshold())
 }
 
@@ -549,10 +577,14 @@ func (m memLeg) Entry(c int) (int, bool, int) { return m.parts[c].Idx, true, c +
 func (m memLeg) Part(c int) *homenc.Vector    { return m.parts[c].V }
 
 // keyShare returns this participant's key-share over the elected
-// vector, applying it the first time it is due.
+// vector, applying it the first time it is due: read from the vector's
+// image, written as the image it is sent and journaled as. A failure
+// cannot happen for a provisioned share index; it would just leave the
+// share unapplied.
 func (p *Participant) keyShare() *homenc.Vector {
 	if p.Own == nil {
-		p.Own = p.ownShare(p.Vec.Values())
+		cts := p.Vec.Operand()
+		p.Own, _ = partials(p.env.Scheme, p.share(), cts, p.env.workers(cts.Len()))
 	}
 	return p.Own
 }
@@ -566,27 +598,6 @@ func (p *Participant) Applications() int {
 	return 1
 }
 
-// ownShare applies this participant's key-share to a ciphertext vector
-// and returns the partial decryptions as the image they are sent and
-// journaled as: the values DecPartials computed are written into it
-// and dropped. A failure cannot happen for a provisioned share index; it
-// would just leave the share unapplied.
-func (p *Participant) ownShare(cts []homenc.Ciphertext) *homenc.Vector {
-	ps, err := DecPartials(p.env.Scheme, p.share(), cts, p.env.workers(len(cts)))
-	if err != nil {
-		return nil
-	}
-	size := 0
-	for _, x := range ps {
-		size += (x.V.BitLen() + 7) / 8
-	}
-	w := homenc.NewVectorWriter(len(ps), size)
-	for _, x := range ps {
-		w.Append(x.V)
-	}
-	return w.Vector()
-}
-
 // Settled reports whether the decryption state can no longer change: τ
 // key-shares are gathered. A full set never changes and owes no peer a
 // key-share, so PrepareDec and CommitDec become pure reads, and its
@@ -595,15 +606,20 @@ func (p *Participant) Settled() bool { return len(p.DecParts) >= p.env.Scheme.Th
 
 // Release combines the gathered key-shares into the plaintexts of the
 // elected vector and decodes the dim released values with its weight.
-// It fails below the threshold.
+// It reads the vector and the τ lowest key-shares — the whole set — from
+// their images. It fails below the threshold.
 func (p *Participant) Release(dim int) ([]float64, error) {
 	sch := p.env.Scheme
-	parts := make(map[int][]homenc.PartialDecryption, len(p.DecParts))
-	for _, e := range p.DecParts {
-		parts[e.Idx] = e.V.PartialDecryptions(e.Idx)
+	tau := sch.Threshold()
+	if len(p.DecParts) < tau {
+		return nil, errIncomplete
 	}
-	cts := p.Vec.Values()
-	ms, err := CombineParts(sch, cts, parts, sch.Threshold(), p.env.workers(len(cts)))
+	shares, parts := make([]int, tau), make([]homenc.Operand, tau)
+	for k, e := range p.DecParts[:tau] {
+		shares[k], parts[k] = e.Idx, e.V.Operand()
+	}
+	cts := p.Vec.Operand()
+	ms, err := combine(sch, cts, shares, parts, p.env.workers(cts.Len()))
 	if err != nil {
 		return nil, err
 	}

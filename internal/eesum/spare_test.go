@@ -1,0 +1,98 @@
+package eesum
+
+import (
+	"bytes"
+	"math/big"
+	"sync"
+	"testing"
+
+	"chiaroscuro/internal/homenc"
+	"chiaroscuro/internal/homenc/plain"
+)
+
+// sparePair returns two participants of a plain deployment whose
+// plaintext space is bounded, so repeated merges keep their values — and
+// their images — the same width, each holding the state merged
+// elsewhere that a journal or a frame would leave it: an image.
+func sparePair(t *testing.T, dim int) (p, q *Participant) {
+	t.Helper()
+	space := new(big.Int).Lsh(big.NewInt(1), 127) // 2^127 − 1: odd, so doubling keeps the values spread
+	sch, err := plain.New(space.Sub(space, big.NewInt(1)), 64, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &Env{Scheme: sch, Pack: homenc.PackedCodec{Codec: homenc.NewCodec(0), Slots: 1}, Workers: 1}
+	a, b := mergeOperands(dim, fixedPoint)
+	mk := func(index int, st SumState) *Participant {
+		x := NewParticipant(env, index, nil, NoiseConfig{})
+		x.Means = SumSide{CTs: imageOf(t, st.CTs), Omega: st.Omega, Epoch: st.Epoch}
+		x.Noise = SumSide{CTs: imageOf(t, st.CTs), Omega: st.Omega, Epoch: st.Epoch}
+		x.CtrS = 1
+		return x
+	}
+	return mk(0, a), mk(1, b)
+}
+
+// TestCommitSumReusesSpareImages: past its first few commits, a sum
+// commit writes both new states into the participant's spare images, so
+// it allocates neither image — only the kernel's scratch and the new
+// weights. The in-memory exchange's responder copies the result into its
+// own spares, and allocates no image either.
+func TestCommitSumReusesSpareImages(t *testing.T) {
+	const dim = 50
+	if raceEnabled {
+		t.Skip("math/big's pools drop entries under the race detector")
+	}
+	p, q := sparePair(t, dim)
+	for i := 0; i < 200; i++ { // the values fill the plaintext space, the spares their steady size
+		p.ExchangeSum(q, true)
+	}
+	img := p.Means.CTs.WireSize()
+	peer := q.sumPeer()
+	const slack = 800 // both merges' scratch words and weights (≈ 490 B), below one image (≈ 1 KB)
+	if got := bytesPerRun(100, func() { p.CommitSum(peer, true) }); got > float64(slack) {
+		t.Errorf("a steady-state sum commit allocated %.0f bytes, want at most %d (one %d-byte image would exceed it)", got, slack, img)
+	}
+	if got := bytesPerRun(100, func() { p.ExchangeSum(q, true) }); got > float64(slack) {
+		t.Errorf("a steady-state in-memory exchange allocated %.0f bytes, want at most %d (one %d-byte image would exceed it)", got, slack, img)
+	}
+}
+
+// TestExchangeSumResponderOwnsItsImages is the aliasing guard of the
+// spare images: after a full in-memory exchange the responder holds the
+// initiator's result in images of its own, so the initiator's further
+// commits — which rewrite its spares, the image it would otherwise have
+// shared among them — leave the responder's bytes as they were, also
+// while another goroutine reads them (the simulator runs disjoint pairs
+// concurrently).
+func TestExchangeSumResponderOwnsItsImages(t *testing.T) {
+	const dim = 20
+	p, q := sparePair(t, dim)
+	_, r := sparePair(t, dim)
+	p.ExchangeSum(q, true)
+	if q.Means.CTs == p.Means.CTs || q.Noise.CTs == p.Noise.CTs {
+		t.Fatal("the responder holds the initiator's images")
+	}
+	means, noise := q.Means.CTs.AppendTo(nil), q.Noise.CTs.AppendTo(nil)
+	if !bytes.Equal(means, p.Means.CTs.AppendTo(nil)) {
+		t.Fatal("the responder's means differ from the initiator's result")
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			if !bytes.Equal(q.Means.CTs.AppendTo(nil), means) || !bytes.Equal(q.Noise.CTs.AppendTo(nil), noise) {
+				t.Error("the responder's images changed under the initiator's later commits")
+				return
+			}
+		}
+	}()
+	for i := 0; i < 4; i++ {
+		p.ExchangeSum(r, i%2 == 0)
+	}
+	wg.Wait()
+	if !bytes.Equal(q.Means.CTs.AppendTo(nil), means) || !bytes.Equal(q.Noise.CTs.AppendTo(nil), noise) {
+		t.Fatal("the responder's images changed under the initiator's later commits")
+	}
+}

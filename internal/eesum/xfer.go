@@ -8,9 +8,9 @@ package eesum
 
 import (
 	"errors"
+	"maps"
 	"math/big"
 	"slices"
-	"sync"
 
 	"chiaroscuro/internal/homenc"
 	"chiaroscuro/internal/parallel"
@@ -50,24 +50,27 @@ func MergeSum(sch homenc.Scheme, a, b SumState, workers int) SumState {
 	return mergeSum(sch, op(a), op(b), workers).State()
 }
 
-// mergeSum is the local update rule of Algorithm 2 as a pure function of
+// mergeSum is mergeSumInto a vector of its own.
+func mergeSum(sch homenc.Scheme, a, b SumOperand, workers int) SumSide {
+	return mergeSumInto(sch, new(homenc.Vector), a, b, workers)
+}
+
+// mergeSumInto is the local update rule of Algorithm 2 as a function of
 // the two exchanging sides' states: the staler side is rescaled to the
 // fresher epoch (ciphertext exponentiation, weight shift), the vectors
 // are added homomorphically, the weights added, and the epoch advanced.
-// The operands are only read, and the result's vector is an image.
-// Both sides of a full exchange adopt the result.
-func mergeSum(sch homenc.Scheme, a, b SumOperand, workers int) SumSide {
+// The operands are only read, and the result's vector is written into
+// dst, as an image: dst must be neither operand's. Both sides of a full
+// exchange adopt the result.
+func mergeSumInto(sch homenc.Scheme, dst *homenc.Vector, a, b SumOperand, workers int) SumSide {
 	stale, fresh := a, b
 	if b.Epoch < a.Epoch {
 		stale, fresh = b, a
 	}
 	shift := uint(fresh.Epoch - stale.Epoch)
 	omega := new(big.Int).Lsh(stale.Omega, shift)
-	return SumSide{
-		CTs:   sch.MergeVec(stale.CTs, shift, fresh.CTs, workers),
-		Omega: omega.Add(omega, fresh.Omega),
-		Epoch: fresh.Epoch + 1,
-	}
+	sch.MergeVec(dst, stale.CTs, shift, fresh.CTs, workers)
+	return SumSide{CTs: dst, Omega: omega.Add(omega, fresh.Omega), Epoch: fresh.Epoch + 1}
 }
 
 // AddEncryptedState homomorphically adds v_j · st.Omega into st.CTs in
@@ -97,7 +100,9 @@ func PerturbState(sch homenc.Scheme, means, noise SumOperand) (SumSide, error) {
 	if means.Omega.Cmp(noise.Omega) != 0 || means.Epoch != noise.Epoch {
 		return SumSide{}, errors.New("eesum: means and noise states not in lockstep")
 	}
-	return SumSide{CTs: sch.MergeVec(means.CTs, 0, noise.CTs, 1), Omega: means.Omega, Epoch: means.Epoch}, nil
+	perturbed := new(homenc.Vector)
+	sch.MergeVec(perturbed, means.CTs, 0, noise.CTs, 1)
+	return SumSide{CTs: perturbed, Omega: means.Omega, Epoch: means.Epoch}, nil
 }
 
 // DecodePackedState decodes the decrypted plaintexts of a (possibly
@@ -131,80 +136,148 @@ func DimWorkers(dim, workers int) int {
 }
 
 // --- Epidemic decryption transitions (Section 4.2.3) ---
+//
+// The decryption reads its vectors where they are — a participant's
+// elected vector and gathered parts are images — element by element
+// (homenc.OperandReader), decoding each element into scratch the kernel
+// reuses. DecPartials and CombineParts adapt the kernels to callers that
+// hold values.
+
+// errIncomplete: fewer than τ key-shares were gathered.
+var errIncomplete = errors.New("eesum: decryption incomplete")
 
 // DecPartials computes key-share idx's partial decryption of every
 // element of cts — the unit of work one participant contributes to a
-// peer's (or its own) decryption state.
+// peer's (or its own) decryption state. It is partials over values,
+// the partial decryptions decoded back into values.
 func DecPartials(sch homenc.Scheme, idx int, cts []homenc.Ciphertext, workers int) ([]homenc.PartialDecryption, error) {
+	v, err := partials(sch, idx, homenc.ValuesOperand(cts), workers)
+	if err != nil {
+		return nil, err
+	}
 	ps := make([]homenc.PartialDecryption, len(cts))
-	var firstErr error
-	var mu sync.Mutex
-	parallel.ForEach(workers, len(cts), func(j int) {
-		p, err := sch.PartialDecrypt(idx, cts[j])
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		ps[j] = p
-	})
-	if firstErr != nil {
-		return nil, firstErr
+	for j, c := range v.CopyValues() {
+		ps[j] = homenc.PartialDecryption{Index: idx, V: c.V}
 	}
 	return ps, nil
 }
 
-// sortedKeys returns a map's keys in ascending order — the deterministic
-// iteration order for any truncation decision.
-func sortedKeys[V any](m map[int]V) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
+// partials applies key-share idx to every element of cts and returns the
+// partial decryptions as the image they are sent and journaled as: each
+// goes from the scheme straight into it. The elements fan out over at
+// most workers contiguous chunks, each reading its slice of cts and
+// filling its own region of the image, as the Damgård–Jurik merge does.
+func partials(sch homenc.Scheme, idx int, cts homenc.Operand, workers int) (*homenc.Vector, error) {
+	n := cts.Len()
+	chunks := max(1, min(workers, n))
+	w := homenc.NewVectorWriter(n, partialBytes(cts))
+	ops := make([]homenc.Operand, chunks)
+	parts := make([]homenc.VectorWriter, chunks)
+	for c := range parts {
+		ops[c] = cts.Slice(c*n/chunks, (c+1)*n/chunks)
+		parts[c] = w.Chunk(ops[c].Len(), partialBytes(ops[c]))
 	}
-	slices.Sort(ks)
-	return ks
+	errs := make([]error, chunks)
+	parallel.ForEach(chunks, chunks, func(c int) { errs[c] = partialsInto(sch, &parts[c], idx, ops[c]) })
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	w.Join(parts)
+	return w.Vector(), nil
+}
+
+// partialBytes bounds the magnitude bytes of the partial decryptions of
+// cts. A partial decryption is an element of its ciphertext's group, as
+// wide as the ciphertext give or take a leading byte; a writer that
+// still runs short grows.
+func partialBytes(cts homenc.Operand) int {
+	size, r := 0, cts.Reader()
+	for i := 0; i < cts.Len(); i++ {
+		size += (r.NextBits()+7)/8 + 1
+	}
+	return size
+}
+
+// partialsInto appends key-share idx's partial decryption of every
+// element of cts to w.
+func partialsInto(sch homenc.Scheme, w *homenc.VectorWriter, idx int, cts homenc.Operand) error {
+	var x big.Int
+	r := cts.Reader()
+	for i := 0; i < cts.Len(); i++ {
+		p, err := sch.PartialDecrypt(idx, homenc.Ciphertext{V: r.Next(&x)})
+		if err != nil {
+			return err
+		}
+		w.Append(p.V)
+	}
+	return nil
 }
 
 // CombineParts combines τ gathered partial-decryption vectors into the
 // plaintext vector of cts. parts maps share index to per-element
-// partials; threshold distinct shares must be present.
+// partials; threshold distinct shares must be present. It is combine
+// over values.
 func CombineParts(sch homenc.Scheme, cts []homenc.Ciphertext, parts map[int][]homenc.PartialDecryption, threshold, workers int) ([]*big.Int, error) {
 	if len(parts) < threshold {
-		return nil, errors.New("eesum: decryption incomplete")
+		return nil, errIncomplete
 	}
-	out := make([]*big.Int, len(cts))
-	// Select which τ shares combine over ascending share ids, never map
-	// order: the plaintext is share-set independent, but the combining
-	// subset must not vary across runs of the same seed.
-	order := sortedKeys(parts)
-	if len(order) > threshold {
-		order = order[:threshold]
+	shares := slices.Sorted(maps.Keys(parts))[:threshold]
+	ops := make([]homenc.Operand, threshold)
+	for k, idx := range shares {
+		vals := make([]homenc.Ciphertext, len(parts[idx]))
+		for j, p := range parts[idx] {
+			vals[j].V = p.V
+		}
+		ops[k] = homenc.ValuesOperand(vals)
 	}
-	var mu sync.Mutex
-	var firstErr error
-	parallel.ForEach(workers, len(cts), func(j int) {
-		ps := make([]homenc.PartialDecryption, 0, threshold)
-		for _, k := range order {
-			ps = append(ps, parts[k][j])
+	return combine(sch, homenc.ValuesOperand(cts), shares, ops, workers)
+}
+
+// combine decrypts every element of cts from the partial decryptions
+// parts[k] of key-share shares[k], handing the scheme the shares in the
+// order given. It reads every vector element by element, decoding into
+// scratch it reuses, and fans the elements out over at most workers
+// contiguous chunks.
+func combine(sch homenc.Scheme, cts homenc.Operand, shares []int, parts []homenc.Operand, workers int) ([]*big.Int, error) {
+	n := cts.Len()
+	out := make([]*big.Int, n)
+	chunks := max(1, min(workers, n))
+	errs := make([]error, chunks)
+	parallel.ForEach(chunks, chunks, func(c int) {
+		lo, hi := c*n/chunks, (c+1)*n/chunks
+		in := make([]homenc.Operand, len(parts))
+		for k, p := range parts {
+			in[k] = p.Slice(lo, hi)
 		}
-		m, err := sch.Combine(cts[j], ps)
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
-		}
-		out[j] = m
+		errs[c] = combineInto(sch, out[lo:hi], cts.Slice(lo, hi), shares, in)
 	})
-	if firstErr != nil {
-		return nil, firstErr
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// combineInto decrypts every element of cts into out.
+func combineInto(sch homenc.Scheme, out []*big.Int, cts homenc.Operand, shares []int, parts []homenc.Operand) error {
+	scratch := make([]big.Int, len(parts)+1)
+	ps := make([]homenc.PartialDecryption, len(parts))
+	rs := make([]homenc.OperandReader, len(parts))
+	for k, p := range parts {
+		ps[k].Index, rs[k] = shares[k], p.Reader()
+	}
+	r := cts.Reader()
+	for j := range out {
+		c := r.Next(&scratch[len(parts)])
+		for k := range rs {
+			ps[k].V = rs[k].Next(&scratch[k])
+		}
+		m, err := sch.Combine(homenc.Ciphertext{V: c}, ps)
+		if err != nil {
+			return err
+		}
+		out[j] = m
+	}
+	return nil
 }
 
 // --- Noise streams (Section 4.2.2) ---

@@ -324,19 +324,21 @@ func (s *Scheme) AddPublic(a homenc.Ciphertext, m *big.Int) homenc.Ciphertext {
 
 // MergeVec implements homenc.Scheme: a[i]^(2^shift)·b[i] mod n^(s+1).
 // Every result is below the modulus, so the image is sized at modulus
-// width up front; the vector's exponentiations fan out over at most
-// workers contiguous chunks, each filling its own region of that image.
-func (s *Scheme) MergeVec(a homenc.Operand, shift uint, b homenc.Operand, workers int) *homenc.Vector {
+// width up front — dst's buffer, once it has held one merge, holds every
+// later one; the vector's exponentiations fan out over at most workers
+// contiguous chunks, each filling its own region of that image.
+func (s *Scheme) MergeVec(dst *homenc.Vector, a homenc.Operand, shift uint, b homenc.Operand, workers int) {
 	n := a.Len()
 	if n != b.Len() {
 		panic("damgardjurik: MergeVec length mismatch")
 	}
 	width := s.CiphertextBytes()
-	out := homenc.NewVectorWriter(n, n*width)
+	out := dst.Rewrite(n, n*width)
 	chunks := min(workers, n)
 	if chunks <= 1 {
 		s.mergeInto(&out, a, shift, b)
-		return out.Vector()
+		out.Vector()
+		return
 	}
 	parts := make([]homenc.VectorWriter, chunks)
 	for c := range parts {
@@ -348,7 +350,7 @@ func (s *Scheme) MergeVec(a homenc.Operand, shift uint, b homenc.Operand, worker
 		s.mergeInto(&parts[c], a.Slice(lo, hi), shift, b.Slice(lo, hi))
 	})
 	out.Join(parts)
-	return out.Vector()
+	out.Vector()
 }
 
 // mergeInto appends a[i]^(2^shift)·b[i] mod n^(s+1) to w, element by

@@ -228,7 +228,8 @@ func TestPartialDecryptMatchesExp(t *testing.T) {
 
 // TestMergeVecShiftMatchesScalarMul: the merge's squaring chain (shifts
 // below crtDirectExpBits) and its exponentiation (from there on) write
-// the image Add(ScalarMul(a, 2^shift), b) writes, byte for byte.
+// the image Add(ScalarMul(a, 2^shift), b) writes, byte for byte — also
+// into a vector every earlier merge wrote, serially and in chunks.
 func TestMergeVecShiftMatchesScalarMul(t *testing.T) {
 	for _, s := range []int{1, 2} {
 		sch := testScheme(t, 128, s)
@@ -239,6 +240,8 @@ func TestMergeVecShiftMatchesScalarMul(t *testing.T) {
 			b[i] = sch.Encrypt(big.NewInt(int64(3 * i)))
 		}
 		a[0].V = big.NewInt(2) // a short element: narrower than the modulus
+		// One vector every merge rewrites, as a participant's spare.
+		merged := new(homenc.Vector)
 		for shift := uint(0); shift <= 40; shift++ {
 			k := new(big.Int).Lsh(one, shift)
 			want := make([]homenc.Ciphertext, len(a))
@@ -250,7 +253,8 @@ func TestMergeVecShiftMatchesScalarMul(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4} {
-				got := sch.MergeVec(homenc.ValuesOperand(a), shift, homenc.ValuesOperand(b), workers).AppendTo(nil)
+				sch.MergeVec(merged, homenc.ValuesOperand(a), shift, homenc.ValuesOperand(b), workers)
+				got := merged.AppendTo(nil)
 				if !bytes.Equal(got, wantImg) {
 					t.Fatalf("s=%d shift %d, %d workers: image %x, want %x", s, shift, workers, got, wantImg)
 				}

@@ -19,14 +19,17 @@
 // wire image (Vector), the bytes its next send and its next journal
 // record want. The merge kernels (Scheme.MergeVec) read their operands
 // in place, from values, an owned image or a scanned frame (Operand),
-// and append each result straight into the image they return; an
-// encoded element is decoded into scratch that lives for one kernel
-// call. big.Int values are transient: they exist for the crypto in
-// flight, and when a vector's values are wanted (to decrypt it, say)
-// they are decoded into one slab — one []big.Int over one []big.Word —
-// whose values live and die together. Keeping one ciphertext of such a
-// vector reachable keeps the whole slab; code that wants to keep a
-// single value for long should copy it.
+// and append each result straight into an image the caller supplies, so
+// a participant merges into a buffer of its own that it reuses from one
+// exchange to the next; an encoded element is decoded into scratch that
+// lives for one kernel call. The decryption reads its vectors the same
+// way, element by element, and writes key-share applications as images.
+// big.Int values are transient: they exist for the crypto in flight.
+// Where a caller does want a vector's values, they are decoded into one
+// slab — one []big.Int over one []big.Word — whose values live and die
+// together. Keeping one ciphertext of such a vector reachable keeps the
+// whole slab; code that wants to keep a single value for long should
+// copy it.
 package homenc
 
 import (
@@ -73,18 +76,19 @@ type Scheme interface {
 	AddPublic(a Ciphertext, m *big.Int) Ciphertext
 	// ScalarMul returns k ·h a for a non-negative integer k.
 	ScalarMul(a Ciphertext, k *big.Int) Ciphertext
-	// MergeVec returns the vector 2^shift ·h a[i] +h b[i] — the whole
+	// MergeVec writes the vector 2^shift ·h a[i] +h b[i] — the whole
 	// update rule of Algorithm 2 (rescale the staler side, add) in one
-	// pass. It reads each operand element by element in the form the
-	// operand has, decoding an encoded element into scratch it reuses
-	// across the call, and appends each result to the canonical image
-	// of the vector it returns, which holds no values. The operands are
-	// only read; they must have equal length. workers bounds how many
-	// goroutines the kernel may spread the vector over: a kernel whose
-	// elements cost an exponentiation fans out, chunks filling disjoint
-	// regions of the one image; one whose elements cost an addition runs
-	// serial, where the fan-out costs more than it saves.
-	MergeVec(a Operand, shift uint, b Operand, workers int) *Vector
+	// pass — into dst, as its canonical image (Vector.Rewrite: dst's
+	// buffer is reused when it is large enough). It reads each operand
+	// element by element in the form the operand has, decoding an
+	// encoded element into scratch it reuses across the call. The
+	// operands are only read; they must have equal length, and dst must
+	// be neither of them. workers bounds how many goroutines the kernel
+	// may spread the vector over: a kernel whose elements cost an
+	// exponentiation fans out, chunks filling disjoint regions of the
+	// one image; one whose elements cost an addition runs serial, where
+	// the fan-out costs more than it saves.
+	MergeVec(dst *Vector, a Operand, shift uint, b Operand, workers int)
 	// CiphertextBytes is the wire size of one ciphertext, for the
 	// bandwidth accounting of Figure 5(b).
 	CiphertextBytes() int

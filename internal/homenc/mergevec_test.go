@@ -203,7 +203,7 @@ func TestMergeVecMatchesElementwise(t *testing.T) {
 							opA, bytesA := fa.of(t, rng, c.sch, a)
 							opB, bytesB := fb.of(t, rng, c.sch, b)
 							wasBytesA, wasBytesB := bytes.Clone(bytesA), bytes.Clone(bytesB)
-							got := c.sch.MergeVec(opA, shift, opB, workers)
+							got := mergeVec(c.sch, opA, shift, opB, workers)
 							if got.Len() != n {
 								t.Fatalf("shift %d, %s + %s: %d results for %d elements", shift, fa.name, fb.name, got.Len(), n)
 							}
@@ -229,6 +229,13 @@ func TestMergeVecMatchesElementwise(t *testing.T) {
 	}
 }
 
+// mergeVec merges into a vector of its own.
+func mergeVec(sch homenc.Scheme, a homenc.Operand, shift uint, b homenc.Operand, workers int) *homenc.Vector {
+	dst := new(homenc.Vector)
+	sch.MergeVec(dst, a, shift, b, workers)
+	return dst
+}
+
 // TestPlainMergeVecStaysInItsSlab: the plain kernel sizes its result
 // image and its scratch slab before it computes, so the arithmetic never
 // outgrows either — a merge is the image, the vector and the slab its
@@ -243,7 +250,7 @@ func TestPlainMergeVecStaysInItsSlab(t *testing.T) {
 		for _, f := range operandForms {
 			opA, _ := f.of(t, rng, c.sch, a)
 			opB, _ := f.of(t, rng, c.sch, b)
-			if got := testing.AllocsPerRun(10, func() { c.sch.MergeVec(opA, shift, opB, 2) }); got > 3 {
+			if got := testing.AllocsPerRun(10, func() { mergeVec(c.sch, opA, shift, opB, 2) }); got > 3 {
 				t.Errorf("shift %d, %s: %.0f allocations, want the image, the vector and the scratch slab", shift, f.name, got)
 			}
 		}
@@ -262,7 +269,7 @@ func TestMergeVecWindowsAreIsolated(t *testing.T) {
 			for _, shift := range []uint{0, 40} {
 				a, b := drawVector(c, rng, 7), drawVector(c, rng, 7)
 				wasA, wasB := snapshot(a), snapshot(b)
-				merged := c.sch.MergeVec(homenc.ValuesOperand(a), shift, homenc.ValuesOperand(b), 2)
+				merged := mergeVec(c.sch, homenc.ValuesOperand(a), shift, homenc.ValuesOperand(b), 2)
 				img := merged.AppendTo(nil)
 				got := merged.CopyValues()
 				for i := range got {
@@ -290,7 +297,7 @@ func TestMergeVecRejectsLengthMismatch(t *testing.T) {
 				}
 			}()
 			rng := randx.New(29, 1)
-			c.sch.MergeVec(homenc.ValuesOperand(drawVector(c, rng, 3)), 1, homenc.ValuesOperand(drawVector(c, rng, 2)), 1)
+			mergeVec(c.sch, homenc.ValuesOperand(drawVector(c, rng, 3)), 1, homenc.ValuesOperand(drawVector(c, rng, 2)), 1)
 		})
 	}
 }
@@ -325,8 +332,8 @@ func FuzzMergeVecFromView(f *testing.F) {
 				vb = va
 			}
 			s := uint(shift % 48)
-			got := c.sch.MergeVec(va.Operand(), s, vb.Operand(), 2)
-			want := c.sch.MergeVec(homenc.ValuesOperand(va.Values()), s, homenc.ValuesOperand(vb.Values()), 1)
+			got := mergeVec(c.sch, va.Operand(), s, vb.Operand(), 2)
+			want := mergeVec(c.sch, homenc.ValuesOperand(va.Values()), s, homenc.ValuesOperand(vb.Values()), 1)
 			if !bytes.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
 				t.Fatalf("%s, shift %d: merging the view differs from merging its values", c.name, s)
 			}

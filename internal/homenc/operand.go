@@ -120,21 +120,69 @@ func (r *OperandReader) NextBits() int {
 // VectorWriter builds a vector's canonical image one value at a time —
 // the output side of a merge kernel. Each value goes from the kernel's
 // scratch straight into the image, and Vector publishes the image once
-// the last one is in.
+// the last one is in: as a new Vector, or as the Vector whose buffer
+// Rewrite lent it.
 type VectorWriter struct {
 	n, left int
 	img     []byte
-	carved  int // bytes past len(img) handed to Chunk writers
-	region  int // a Chunk writer's region: its capacity until it outgrows it
+	carved  int     // bytes past len(img) handed to Chunk writers
+	region  int     // a Chunk writer's region: its capacity until it outgrows it
+	dst     *Vector // the vector the image is published as; nil: a new one
 }
 
 // NewVectorWriter starts the image of an n-element vector whose values
 // take at most size magnitude bytes in all, so that appending never
 // regrows the image.
 func NewVectorWriter(n, size int) VectorWriter {
-	img := make([]byte, 4, 4+n*intHeader+size)
-	binary.BigEndian.PutUint32(img, uint32(n))
+	return startImage(make([]byte, 0, imageBytes(n, size)), n)
+}
+
+// imageBytes is the size of the image of an n-element vector whose
+// values take size magnitude bytes in all.
+func imageBytes(n, size int) int { return 4 + n*intHeader + size }
+
+// startImage starts an n-element vector's image in img, which is empty.
+func startImage(img []byte, n int) VectorWriter {
+	img = binary.BigEndian.AppendUint32(img, uint32(n))
 	return VectorWriter{n: n, left: n, img: img}
+}
+
+// Rewrite starts v over as the image of an n-element vector whose values
+// take at most size magnitude bytes in all, writing into v's own buffer
+// when it is large enough. A buffer that is not is replaced by one a
+// quarter larger than needed (exactly as large when v had none), so a
+// vector its owner rewrites again and again, its values growing a
+// little with each rewrite, stops regrowing after its first few. v is
+// published (VectorWriter.Vector) when the writer is done; until then
+// it must not be read — it may be neither operand of the kernel writing
+// it.
+func (v *Vector) Rewrite(n, size int) VectorWriter {
+	img, need := v.img[:0], imageBytes(n, size)
+	if cap(img) < need {
+		if cap(img) > 0 {
+			need += need / 4
+		}
+		img = make([]byte, 0, need)
+	}
+	w := startImage(img, n)
+	w.dst = v
+	return w
+}
+
+// Set makes v a copy of x with an image of its own, written into v's
+// buffer when it is large enough, and returns v.
+func (v *Vector) Set(x *Vector) *Vector {
+	img := v.img[:0]
+	switch {
+	case x.Len() == 0:
+		img = append(img, emptyImage...)
+	case x.img == nil:
+		img = appendVector(img, x.cts)
+	default:
+		img = append(img, x.img...)
+	}
+	v.n, v.cts, v.img = x.Len(), nil, img
+	return v
 }
 
 // Append encodes v as the next element. v is only read.
@@ -178,11 +226,16 @@ func (w *VectorWriter) Join(chunks []VectorWriter) {
 	w.img, w.carved = img, 0
 }
 
-// Vector publishes the image as an image-only Vector. Every element
+// Vector publishes the image as an image-only Vector: the one Rewrite
+// started over, or a new one (nil for the empty vector). Every element
 // must have been appended.
 func (w *VectorWriter) Vector() *Vector {
 	if w.left != 0 {
 		panic("homenc: vector image published with elements missing")
+	}
+	if w.dst != nil {
+		w.dst.n, w.dst.cts, w.dst.img = w.n, nil, w.img
+		return w.dst
 	}
 	if w.n == 0 {
 		return nil
@@ -192,9 +245,9 @@ func (w *VectorWriter) Vector() *Vector {
 
 // CopyValues returns the vector's values in a slice of its own — decoded
 // from the image into a slab of their own when the vector holds no
-// values. Unlike Values it leaves the vector as it is, so it is a read
-// even of a vector that several goroutines share, and the caller may
-// replace elements of the result.
+// values. It leaves the vector as it is, so it is a read even of a
+// vector that several goroutines share, and the caller may replace
+// elements of the result.
 func (v *Vector) CopyValues() []Ciphertext {
 	switch {
 	case v.Len() == 0:

@@ -125,9 +125,9 @@ func (s *Scheme) AddPublic(a homenc.Ciphertext, m *big.Int) homenc.Ciphertext {
 // addition, so the kernel runs serial whatever workers allows. A first
 // pass over the operands' lengths sizes the result image and one scratch
 // slab — the widest element of a, of b, and of the working value — so
-// the call allocates the image, the vector and the scratch, whatever
-// the operands.
-func (s *Scheme) MergeVec(a homenc.Operand, shift uint, b homenc.Operand, _ int) *homenc.Vector {
+// the call allocates the scratch, and the image only when dst's buffer
+// is too small for it, whatever the operands.
+func (s *Scheme) MergeVec(dst *homenc.Vector, a homenc.Operand, shift uint, b homenc.Operand, _ int) {
 	n := a.Len()
 	if n != b.Len() {
 		panic("plain: MergeVec length mismatch")
@@ -139,7 +139,7 @@ func (s *Scheme) MergeVec(a homenc.Operand, shift uint, b homenc.Operand, _ int)
 		size += s.mergeBytes(ba, shift, bb)
 		wa, wb, wz = max(wa, words(ba)), max(wb, words(bb)), max(wz, s.mergeWords(ba, shift, bb))
 	}
-	out := homenc.NewVectorWriter(n, size)
+	out := dst.Rewrite(n, size)
 	scratch := make([]big.Word, wa+wb+wz)
 	var x, y, z, quo big.Int
 	x.SetBits(scratch[:0:wa])
@@ -150,7 +150,7 @@ func (s *Scheme) MergeVec(a homenc.Operand, shift uint, b homenc.Operand, _ int)
 		s.merge(&z, &quo, ra.Next(&x), shift, rb.Next(&y))
 		out.Append(&z)
 	}
-	return out.Vector()
+	out.Vector()
 }
 
 // ScalarMul implements homenc.Scheme.

@@ -27,12 +27,12 @@ import (
 // is gathered. A Vector therefore carries a
 // cached wire image — the canonical encoding, built at the first send,
 // taken from the frame the vector arrived in, or written by the merge
-// (or the VectorWriter) that produced it — and materializes big.Int
-// values only when the crypto asks for them. The receive side scans a
-// frame structurally (ScanVectorBound and ScanIntBound: every bound
-// checked, nothing allocated) into views that alias the frame; a merge
-// reads a view in place (VectorView.Operand), and Copy detaches one into
-// an owned Vector.
+// (or the VectorWriter) that produced it — and the crypto reads that
+// image element by element (Operand) rather than materializing it. The
+// receive side scans a frame structurally (ScanVectorBound and
+// ScanIntBound: every bound checked, nothing allocated) into views that
+// alias the frame; a merge reads a view in place (VectorView.Operand),
+// and Copy detaches one into an owned, canonical image.
 
 const (
 	wirePositive byte = 0x01
@@ -236,18 +236,17 @@ func ReadWireStats() WireStats {
 // emptyImage is the encoding of a zero-length vector.
 var emptyImage = make([]byte, 4)
 
-// Vector is an immutable ciphertext vector together with its cached
-// wire image (the MarshalVector encoding). It holds its values, its
-// image, or both: a vector encrypted locally starts with values and is
-// encoded at its first send; a vector a merge kernel produced, or one
-// adopted from a peer, starts with its image and is materialized only if
-// the crypto needs its values. A nil *Vector is the empty vector. The
-// missing form is built lazily, by whichever call needs it first, so a
-// Vector that one goroutine owns needs no locking; a Vector that several
-// goroutines are about to read must be Sealed — both forms built —
-// before it is published to them, after which every method is a pure
-// read. Operand, AppendTo of an image and CopyValues never build a form:
-// they are reads of any Vector.
+// Vector is a ciphertext vector together with its cached wire image
+// (the MarshalVector encoding). A vector encrypted locally starts with
+// its values and is encoded at its first send; every other vector — a
+// merge kernel's output, a key-share application, one adopted from a
+// peer or a journal — is its image and nothing else. A nil *Vector is
+// the empty vector. The image of a values vector is built lazily, by its
+// first send, so such a Vector needs its one owner; a Vector that is an
+// image has no lazy form, and every method of it is a pure read, by any
+// number of goroutines. A Vector does not change once published, except
+// that the participant owning a sum state reuses its buffer: Rewrite
+// and Set start the Vector over, and nobody else may hold it then.
 type Vector struct {
 	n   int
 	cts []Ciphertext
@@ -264,31 +263,6 @@ func (v *Vector) Len() int {
 		return 0
 	}
 	return v.n
-}
-
-// Values returns the ciphertexts, materializing them from the image on
-// first use. The slice is shared: callers must not modify it.
-func (v *Vector) Values() []Ciphertext {
-	if v == nil {
-		return nil
-	}
-	if v.cts == nil && v.n > 0 {
-		v.cts = decodeVector(v.img[4:], v.n)
-	}
-	return v.cts
-}
-
-// Seal builds whichever of the two forms is still missing, so that no
-// later call writes to the vector: the step that makes it safe to share
-// between goroutines. It costs nothing extra over the vector's life —
-// the image would be built at its first send, the values at its first
-// use.
-func (v *Vector) Seal() {
-	if v == nil {
-		return
-	}
-	v.Values()
-	v.buildImage()
 }
 
 // buildImage encodes the vector unless its image is already cached.
@@ -329,30 +303,6 @@ func decodeVector(b []byte, n int) []Ciphertext {
 		cts[i].V = &ints[i]
 	}
 	return cts
-}
-
-// PartialDecryptions returns the vector as key-share share's partial
-// decryptions — the form Combine reads a gathered share in. Like
-// CopyValues it leaves the vector as it is: the values are the vector's
-// own when it holds them, and are otherwise decoded from its image into
-// one slab of their own.
-func (v *Vector) PartialDecryptions(share int) []PartialDecryption {
-	if v.Len() == 0 {
-		return nil
-	}
-	ps := make([]PartialDecryption, v.n)
-	if v.cts != nil {
-		for i, c := range v.cts {
-			ps[i] = PartialDecryption{Index: share, V: c.V}
-		}
-		return ps
-	}
-	wireStats.materialized.Add(1)
-	ints := decodeInts(v.img[4:], v.n)
-	for i := range ps {
-		ps[i] = PartialDecryption{Index: share, V: &ints[i]}
-	}
-	return ps
 }
 
 // VectorView is a scanned, not yet materialized ciphertext vector: it
@@ -423,14 +373,36 @@ func (v VectorView) Values() []Ciphertext {
 
 // Copy detaches the view into an owned Vector that keeps the image it
 // arrived with. An encoding that is valid but not canonical (a peer
-// other than this implementation produced it) is materialized instead,
-// so whatever this side sends on is canonical again.
+// other than this implementation produced it) is re-encoded canonically,
+// so whatever this side sends on is canonical again, and the copy is an
+// image either way.
 func (v VectorView) Copy() *Vector {
 	if v.n == 0 {
 		return nil
 	}
 	if !v.canonical {
-		return NewVector(v.Values())
+		return &Vector{n: v.n, img: canonicalImage(v.b, v.n)}
 	}
 	return &Vector{n: v.n, img: bytes.Clone(v.b)}
+}
+
+// canonicalImage re-encodes the valid encoding b of an n-element vector
+// the way AppendInt encodes each value: its magnitude without leading
+// zero bytes, and zero positive.
+func canonicalImage(b []byte, n int) []byte {
+	img := append(make([]byte, 0, len(b)), b[:4]...)
+	b = b[4:]
+	for i := 0; i < n; i++ {
+		size := encodedSize(b)
+		tag, mag := b[0], b[intHeader:size]
+		for len(mag) > 0 && mag[0] == 0 {
+			mag = mag[1:]
+		}
+		if len(mag) == 0 {
+			tag = wirePositive
+		}
+		img = append(binary.BigEndian.AppendUint32(append(img, tag), uint32(len(mag))), mag...)
+		b = b[size:]
+	}
+	return img
 }

@@ -52,8 +52,8 @@ func FuzzCiphertextWire(f *testing.F) {
 // FuzzVectorWire feeds arbitrary bytes to the bounded vector scan:
 // hostile counts and lengths must be rejected without large allocations,
 // and an accepted vector must read the same values whichever way it is
-// taken — materialized from the view, detached and relayed, or decoded
-// as a key-share's partial decryptions — and relay canonically.
+// taken — materialized from the view, or detached into an image (without
+// materializing it) and decoded — and relay canonically.
 func FuzzVectorWire(f *testing.F) {
 	good, _ := MarshalVector([]Ciphertext{{V: big.NewInt(5)}, {V: big.NewInt(-9)}})
 	f.Add(good)
@@ -69,14 +69,18 @@ func FuzzVectorWire(f *testing.F) {
 			t.Fatalf("scanned %d elements past the bound", view.Len())
 		}
 		cts := view.Values()
+		before := ReadWireStats()
 		relay := view.Copy()
-		ps := relay.PartialDecryptions(3)
+		if got := ReadWireStats().Materialized - before.Materialized; got != 0 {
+			t.Fatalf("detaching the view materialized %d vectors", got)
+		}
+		ps := relay.CopyValues()
 		if len(cts) != view.Len() || relay.Len() != view.Len() || len(ps) != view.Len() {
 			t.Fatalf("%d values, %d relayed, %d partials of a %d-element view", len(cts), relay.Len(), len(ps), view.Len())
 		}
 		for i, c := range cts {
-			if ps[i].Index != 3 || ps[i].V.Cmp(c.V) != 0 {
-				t.Fatalf("partial %d = (%d, %v), want (3, %v)", i, ps[i].Index, ps[i].V, c.V)
+			if ps[i].V.Cmp(c.V) != 0 {
+				t.Fatalf("partial %d = %v, want %v", i, ps[i].V, c.V)
 			}
 		}
 		out, err := MarshalVector(cts)

@@ -216,8 +216,8 @@ func TestRetryRecoversExchange(t *testing.T) {
 
 	// Both sides hold the smaller identifier's vector.
 	for name, st := range map[string]*iterState{"initiator": stA, "responder": stB} {
-		if st.VecID != 3 || st.Vec.Values()[0].V.Int64() != 9 {
-			t.Fatalf("%s holds vector %d %v, want the exchanged 3/[9 8 7]", name, st.VecID, st.Vec.Values())
+		if st.VecID != 3 || st.Vec.CopyValues()[0].V.Int64() != 9 {
+			t.Fatalf("%s holds vector %d %v, want the exchanged 3/[9 8 7]", name, st.VecID, st.Vec.CopyValues())
 		}
 	}
 	ca, cb := ndA.Counters(), ndB.Counters()

@@ -2,6 +2,7 @@ package node
 
 import (
 	"errors"
+	"net"
 	"time"
 
 	"chiaroscuro/internal/eesum"
@@ -14,40 +15,54 @@ import (
 // two regimes. While an exchange can still change it, only the exchange
 // the main loop is currently processing touches it. Once the decryption
 // state is settled (Participant.Settled) nothing writes to it until the
-// phase ends: the main loop seals it and publishes it through the
-// registry, and from then on the main loop's initiator slots and the
-// passively served responder slots read it concurrently. Journal
-// checkpoints, which lazily cache the sum states' wire images, are
-// serialized by Node.commitMu.
+// phase ends: the main loop publishes it through the registry, and from
+// then on the main loop's initiator slots and the passively served
+// responder slots read it concurrently. Every vector of a decryption
+// state is an image, which sending and combining read element by element
+// (homenc.Operand), so those reads build nothing. Journal checkpoints,
+// which lazily cache the image of a sum state no exchange has merged
+// yet, are serialized by Node.commitMu.
 type iterState = eesum.Participant
 
 // sumOut is the iteration's sum-phase state as an exchange leg (or a
 // journal checkpoint, with a zero header) sends it.
-func sumOut(st *iterState, hdr wireproto.ExchangeHdr) *wireproto.SumOut {
-	return &wireproto.SumOut{Hdr: hdr, Means: st.Means, Noise: st.Noise, CtrSigma: st.CtrS, CtrOmega: st.CtrW}
+func sumOut(st *iterState, hdr wireproto.ExchangeHdr) wireproto.SumOut {
+	return wireproto.SumOut{Hdr: hdr, Means: st.Means, Noise: st.Noise, CtrSigma: st.CtrS, CtrOmega: st.CtrW}
 }
 
 // dissOut is the elected vector as a journal checkpoint records it.
-func dissOut(st *iterState) *wireproto.DissMsg {
-	return &wireproto.DissMsg{ID: st.VecID, CTs: st.Vec, Omega: st.VecOmega}
+func dissOut(st *iterState) wireproto.DissMsg {
+	return wireproto.DissMsg{ID: st.VecID, CTs: st.Vec, Omega: st.VecOmega}
 }
 
 // decOut is the iteration's decryption state as a journal checkpoint
 // records it: the whole share set, and this participant's own key-share
 // once applied.
-func decOut(st *iterState) *wireproto.DecMsg {
-	return &wireproto.DecMsg{ID: st.VecID, Shares: st.DecParts, Parts: st.DecParts, Fresh: st.Own}
+func decOut(st *iterState) wireproto.DecMsg {
+	return wireproto.DecMsg{ID: st.VecID, Shares: st.DecParts, Parts: st.DecParts, Fresh: st.Own}
 }
 
-// seal builds both forms of every vector of the decryption state, so
-// that sending it (the image) and combining it (the values) are reads
-// from here on: a settled state is shared between goroutines.
-func seal(st *iterState) {
-	st.Vec.Seal()
-	st.Own.Seal()
-	for _, e := range st.DecParts {
-		e.V.Seal()
+// leg is where an exchange leg goes: the connection, the leg's kind and
+// the population index it is addressed to (< 0: untargeted), so a
+// multiplexed listener on the far side can route it without decoding the
+// payload. Exchange request legs carry the target; every later leg
+// travels on an already-routed connection.
+type leg struct {
+	nd     *Node
+	conn   net.Conn
+	kind   byte
+	target int
+}
+
+// send writes m as the leg. It is generic over the message so that the
+// message travels by value into the pooled frame, not boxed onto the
+// heap as an interface.
+func send[M wireproto.Message](l leg, m M) error {
+	n, err := wireproto.WriteMessage(l.conn, l.kind, l.nd.epoch, l.target, m)
+	if err == nil {
+		l.nd.counters.BytesSent.Add(int64(n))
 	}
+	return err
 }
 
 // hdrFor stamps an exchange header for a scheduled slot.
@@ -321,11 +336,12 @@ type half[H any] interface {
 	// request: when it does not, the request's buffer goes back to the
 	// pool before the two network waits.
 	holdsLeg() bool
-	// out is this side's state leg: the request (of the zero half) or
-	// the response.
-	out(st *iterState, hdr wireproto.ExchangeHdr) wireproto.Message
-	// fin is the initiator's commit leg, and scanFin decodes and vets it.
-	fin(hdr wireproto.ExchangeHdr) wireproto.Message
+	// out sends this side's state leg: the request (of the zero half)
+	// or the response.
+	out(l leg, st *iterState, hdr wireproto.ExchangeHdr) error
+	// fin sends the initiator's commit leg, and scanFin decodes and vets
+	// it.
+	fin(l leg, hdr wireproto.ExchangeHdr) error
 	scanFin(nd *Node, st *iterState, payload []byte) (H, wireproto.ExchangeHdr, bool)
 	// commit applies this side's machine transition.
 	commit(nd *Node, st *iterState, peer int, initiator bool)
@@ -369,7 +385,7 @@ func initiateLegs[H half[H]](nd *Node, req byte, st *iterState, peer int, s slot
 	hdr := nd.hdrFor(s, peer)
 	// Request legs carry the destination index so a multiplexed
 	// listener can route them; later legs ride the routed connection.
-	if err := nd.writeMsg(conn, req, peer, zero.out(st, hdr)); err != nil {
+	if err := zero.out(leg{nd, conn, req, peer}, st, hdr); err != nil {
 		return tryRetry
 	}
 	f, err := nd.ep.read(conn)
@@ -396,7 +412,7 @@ func initiateLegs[H half[H]](nd *Node, req byte, st *iterState, peer int, s slot
 		if !full {
 			hdr.Flags |= wireproto.FlagAbort
 		}
-		_ = nd.writeMsg(conn, req+2, -1, h.fin(hdr))
+		_ = h.fin(leg{nd, conn, req + 2, -1}, hdr)
 	}
 	return tryCommitted
 }
@@ -421,7 +437,7 @@ func respondLegs[H half[H]](nd *Node, req byte, st *iterState, s slot, from int,
 	if !h.holdsLeg() {
 		in.frame.Release()
 	}
-	if err := nd.writeMsg(in.conn, req+1, -1, h.out(st, hdr)); err != nil {
+	if err := h.out(leg{nd, in.conn, req + 1, -1}, st, hdr); err != nil {
 		return tryRetry
 	}
 	_ = in.conn.SetReadDeadline(time.Now().Add(nd.cfg.FinTimeout))
@@ -464,11 +480,11 @@ func (h sumHalf) prepare(*iterState, bool) sumHalf { return h }
 
 func (sumHalf) holdsLeg() bool { return true }
 
-func (sumHalf) out(st *iterState, hdr wireproto.ExchangeHdr) wireproto.Message {
-	return sumOut(st, hdr)
+func (sumHalf) out(l leg, st *iterState, hdr wireproto.ExchangeHdr) error {
+	return send(l, sumOut(st, hdr))
 }
 
-func (sumHalf) fin(hdr wireproto.ExchangeHdr) wireproto.Message { return wireproto.Fin{Hdr: hdr} }
+func (sumHalf) fin(l leg, hdr wireproto.ExchangeHdr) error { return send(l, wireproto.Fin{Hdr: hdr}) }
 
 func (h sumHalf) scanFin(_ *Node, _ *iterState, payload []byte) (sumHalf, wireproto.ExchangeHdr, bool) {
 	hdr, err := wireproto.PeekHdr(payload)
@@ -516,18 +532,18 @@ func (dissHalf) holdsLeg() bool { return false } // the request carries no vecto
 
 // out is the request (zero half: the identifier alone) or the response
 // (the vector too when the initiator's identifier is the larger).
-func (h dissHalf) out(st *iterState, hdr wireproto.ExchangeHdr) wireproto.Message {
-	m := &wireproto.DissMsg{Hdr: hdr, ID: st.VecID}
+func (h dissHalf) out(l leg, st *iterState, hdr wireproto.ExchangeHdr) error {
+	m := wireproto.DissMsg{Hdr: hdr, ID: st.VecID}
 	if st.VecID < h.peer.ID {
 		m.CTs, m.Omega = st.Vec, st.VecOmega
 	}
-	return m
+	return send(l, m)
 }
 
-func (h dissHalf) fin(hdr wireproto.ExchangeHdr) wireproto.Message {
+func (h dissHalf) fin(l leg, hdr wireproto.ExchangeHdr) error {
 	m := h.last
 	m.Hdr = hdr
-	return &m
+	return send(l, m)
 }
 
 // scanFin vets the fin against the request it closes: it names the
@@ -606,17 +622,17 @@ func (h decHalf) prepare(st *iterState, _ bool) decHalf {
 // holdsLeg: the responder commits what the fin carries, not the request.
 func (decHalf) holdsLeg() bool { return false }
 
-func (h decHalf) out(st *iterState, hdr wireproto.ExchangeHdr) wireproto.Message {
-	return &wireproto.DecMsg{Hdr: hdr, ID: st.VecID, Shares: st.DecParts, Parts: h.prep.Send, Fresh: h.fresh}
+func (h decHalf) out(l leg, st *iterState, hdr wireproto.ExchangeHdr) error {
+	return send(l, wireproto.DecMsg{Hdr: hdr, ID: st.VecID, Shares: st.DecParts, Parts: h.prep.Send, Fresh: h.fresh})
 }
 
 // fin carries what the responder is owed, unless it aborts the exchange.
-func (h decHalf) fin(hdr wireproto.ExchangeHdr) wireproto.Message {
-	m := &wireproto.DecMsg{Hdr: hdr, ID: h.self}
+func (h decHalf) fin(l leg, hdr wireproto.ExchangeHdr) error {
+	m := wireproto.DecMsg{Hdr: hdr, ID: h.self}
 	if hdr.Flags&wireproto.FlagAbort == 0 {
 		m.Shares, m.Parts, m.Fresh = h.prep.Send, h.prep.Send, h.fresh
 	}
-	return m
+	return send(l, m)
 }
 
 // scanFin vets the fin: it names the request's vector, carries the

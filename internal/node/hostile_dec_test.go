@@ -338,8 +338,8 @@ func TestHostileDissLegsRejected(t *testing.T) {
 				if st.VecID != mine || st.Vec != own {
 					t.Fatalf("the node holds vector %d, want its own", st.VecID)
 				}
-			case st.VecID != row.elected || st.Vec.Len() != 4 || st.Vec.Values()[0].V.Int64() != 1:
-				t.Fatalf("the node holds vector %d %v, want %d", st.VecID, st.Vec.Values(), row.elected)
+			case st.VecID != row.elected || st.Vec.Len() != 4 || st.Vec.CopyValues()[0].V.Int64() != 1:
+				t.Fatalf("the node holds vector %d %v, want %d", st.VecID, st.Vec.CopyValues(), row.elected)
 			}
 		})
 	}

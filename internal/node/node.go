@@ -776,18 +776,6 @@ func (nd *Node) dispatch(conn net.Conn, f wireproto.Frame) {
 	f.Release()
 }
 
-// writeMsg writes an exchange leg addressed to a population index (< 0:
-// untargeted), so a multiplexed listener on the far side can route it
-// without decoding the payload. Exchange request legs carry the target;
-// every later leg travels on an already-routed connection.
-func (nd *Node) writeMsg(conn net.Conn, kind byte, target int, m wireproto.Message) error {
-	n, err := wireproto.WriteMessage(conn, kind, nd.epoch, target, m)
-	if err == nil {
-		nd.counters.BytesSent.Add(int64(n))
-	}
-	return err
-}
-
 // dial opens a connection to a peer with the exchange deadline set.
 // When retries are on, each attempt gets an even share of the exchange
 // deadline as its dial budget, so a blackholed first dial cannot eat

@@ -246,7 +246,7 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 	}
 	checkDec := func(t *testing.T, who string, got, want *iterState) {
 		t.Helper()
-		if got.VecID != want.VecID || got.VecOmega.Cmp(want.VecOmega) != 0 || !samePlain(got.Vec.Values(), want.Vec.Values()) {
+		if got.VecID != want.VecID || got.VecOmega.Cmp(want.VecOmega) != 0 || !samePlain(got.Vec.CopyValues(), want.Vec.CopyValues()) {
 			t.Fatalf("%s decryption state differs from the reference", who)
 		}
 		if len(got.DecParts) != len(want.DecParts) {
@@ -257,7 +257,7 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 			if got.DecParts[i].Idx != idx {
 				t.Fatalf("%s holds key-share %d where the reference holds %d", who, got.DecParts[i].Idx, idx)
 			}
-			gv, wv := got.DecParts[i].V.Values(), wp.V.Values()
+			gv, wv := got.DecParts[i].V.CopyValues(), wp.V.CopyValues()
 			if len(gv) != len(wv) {
 				t.Fatalf("%s key-share %d covers %d elements, want %d", who, idx, len(gv), len(wv))
 			}
@@ -315,7 +315,7 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 			return stA, stB, func(t *testing.T, initMerged bool) {
 				check := func(who string, got, want *iterState) {
 					t.Helper()
-					g, w := got.Vec.Values(), want.Vec.Values()
+					g, w := got.Vec.CopyValues(), want.Vec.CopyValues()
 					if got.VecID != want.VecID || len(g) != 1 || g[0].V.Cmp(w[0].V) != 0 || got.VecOmega.Cmp(want.VecOmega) != 0 {
 						t.Fatalf("%s elected (%d, %v), want (%d, %v)", who, got.VecID, g, want.VecID, w)
 					}

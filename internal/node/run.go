@@ -275,7 +275,7 @@ func (nd *Node) cycleDone(it, phase, c, cycles int) {
 // settled — read-only until the phase ends, so its remaining exchanges
 // commute with one another on this side. The remaining cycles are drawn
 // up front (the schedule cursor ends where the serial walk would leave
-// it) and the state is sealed and published: the responder slots are
+// it) and the state is published: the responder slots are
 // served passively, each by the goroutine that delivers its request and
 // in whatever order they arrive, while this loop walks the initiator
 // slots — serially and in slot order, so the dial order per directed
@@ -315,7 +315,6 @@ func (nd *Node) runTail(from slot, cur []sim.Scheduled, cycles int, st *iterStat
 	for i := range slab {
 		tails[i] = &slab[i]
 	}
-	seal(st)
 	for _, cl := range nd.reg.settle(tails) {
 		nd.servePassive(cl.t, cl.in)
 	}

@@ -75,10 +75,10 @@ func TestCheckpointReseedsImages(t *testing.T) {
 			t.Fatalf("restored means[%d] = %v, want %v", j, got, want.V)
 		}
 	}
-	if got := ck.st.DecParts[1].V.PartialDecryptions(5)[3]; ck.st.DecParts[1].Idx != 5 || got.Index != 5 || got.V.Int64() != 503 {
+	if got := ck.st.DecParts[1].V.CopyValues()[3]; ck.st.DecParts[1].Idx != 5 || got.V.Int64() != 503 {
 		t.Fatalf("restored partial = %+v", got)
 	}
-	if got := ck.st.Vec.Values()[2].V; got.Cmp(st.Vec.Values()[2].V) != 0 || ck.st.VecID != 99 {
+	if got := ck.st.Vec.CopyValues()[2].V; got.Cmp(st.Vec.CopyValues()[2].V) != 0 || ck.st.VecID != 99 {
 		t.Fatalf("restored elected ciphertext = %v (vector %d)", got, ck.st.VecID)
 	}
 }

@@ -200,7 +200,7 @@ func TestRegistryTailRendezvous(t *testing.T) {
 
 // settledPair builds two directly connected nodes whose decryption
 // states are settled on the same ciphertext vector: both key-shares of
-// a τ = 2 scheme gathered, sealed as runTail seals them.
+// a τ = 2 scheme gathered, every vector an image as a run's are.
 func settledPair(t *testing.T, dialerA Dialer) (ndA, ndB *Node, stA, stB *iterState) {
 	t.Helper()
 	ts := newSetup(t, 2, 0)
@@ -229,7 +229,7 @@ func settledPair(t *testing.T, dialerA Dialer) (ndA, ndB *Node, stA, stB *iterSt
 	}
 	settled := func(nd *Node) *iterState {
 		st := eesum.NewParticipant(nd.env, nd.cfg.Index, nil, eesum.NoiseConfig{})
-		st.VecID, st.Vec, st.VecOmega = 7, homenc.NewVector(cts), big.NewInt(1)
+		st.VecID, st.Vec, st.VecOmega = 7, imageOf(t, cts), big.NewInt(1)
 		st.StartDecryption()
 		for _, holder := range []*Node{ndA, ndB} {
 			ps, err := eesum.DecPartials(ts.scheme, holder.cfg.Index+1, cts, 1)
@@ -240,12 +240,26 @@ func settledPair(t *testing.T, dialerA Dialer) (ndA, ndB *Node, stA, stB *iterSt
 			for j, p := range ps {
 				vals[j].V = p.V
 			}
-			st.DecParts = append(st.DecParts, eesum.Part{Idx: holder.cfg.Index + 1, V: homenc.NewVector(vals)})
+			st.DecParts = append(st.DecParts, eesum.Part{Idx: holder.cfg.Index + 1, V: imageOf(t, vals)})
 		}
-		seal(st)
 		return st
 	}
 	return ndA, ndB, settled(ndA), settled(ndB)
+}
+
+// imageOf returns cts as an image-only vector, as a participant holds
+// the vectors of its decryption state.
+func imageOf(t *testing.T, cts []homenc.Ciphertext) *homenc.Vector {
+	t.Helper()
+	enc, err := homenc.MarshalVector(cts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _, err := homenc.ScanVectorBound(enc, len(cts), homenc.DefaultMaxIntBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.Copy()
 }
 
 // respCutDialer severs the first exchange connection it opens at the

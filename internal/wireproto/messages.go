@@ -279,10 +279,10 @@ type SumOut struct {
 }
 
 // Size implements Message.
-func (m *SumOut) Size() int { return hdrSize + sideSize(m.Means) + sideSize(m.Noise) + 16 }
+func (m SumOut) Size() int { return hdrSize + sideSize(m.Means) + sideSize(m.Noise) + 16 }
 
 // AppendTo implements Message.
-func (m *SumOut) AppendTo(dst []byte) []byte {
+func (m SumOut) AppendTo(dst []byte) []byte {
 	e := Enc{B: appendSide(appendSide(m.Hdr.appendTo(dst), m.Means), m.Noise)}
 	e.F64(m.CtrSigma)
 	e.F64(m.CtrOmega)
@@ -394,12 +394,12 @@ type DissMsg struct {
 }
 
 // Size implements Message.
-func (m *DissMsg) Size() int {
+func (m DissMsg) Size() int {
 	return hdrSize + 8 + m.CTs.WireSize() + homenc.IntWireSize(orZero(m.Omega))
 }
 
 // AppendTo implements Message.
-func (m *DissMsg) AppendTo(dst []byte) []byte {
+func (m DissMsg) AppendTo(dst []byte) []byte {
 	e := Enc{B: m.Hdr.appendTo(dst)}
 	e.U64(m.ID)
 	return homenc.AppendInt(m.CTs.AppendTo(e.B), orZero(m.Omega))
@@ -465,7 +465,7 @@ type DecMsg struct {
 }
 
 // Size implements Message.
-func (m *DecMsg) Size() int {
+func (m DecMsg) Size() int {
 	size := hdrSize + 8 + 2 + m.Fresh.WireSize()
 	parts := m.Parts
 	for _, e := range m.Shares {
@@ -477,7 +477,7 @@ func (m *DecMsg) Size() int {
 }
 
 // AppendTo implements Message.
-func (m *DecMsg) AppendTo(dst []byte) []byte {
+func (m DecMsg) AppendTo(dst []byte) []byte {
 	e := Enc{B: m.Hdr.appendTo(dst)}
 	e.U64(m.ID)
 	e.U16(uint16(len(m.Shares)))

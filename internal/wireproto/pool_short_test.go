@@ -134,9 +134,11 @@ func TestRefusedFramesReturnToPool(t *testing.T) {
 // -race a payload touched after its release is additionally a data race
 // with the buffer's next user.
 func TestMembershipSurvivesFrameReuse(t *testing.T) {
+	// Restored after the host has closed — cleanups run last in, first
+	// out — since a serve goroutine may still be releasing the frame of
+	// the last answer when the test returns.
+	t.Cleanup(wireproto.SetPoolKeep(1))
 	h, lim := idleHost(t)
-	restore := wireproto.SetPoolKeep(1)
-	defer restore()
 
 	addr := func(i int) string { return fmt.Sprintf("peer-%d.%s:7000", i, strings.Repeat("x", 40)) }
 	view := func(i int) []byte {

@@ -144,8 +144,9 @@ func WriteFrameTarget(w io.Writer, kind byte, epoch uint64, target int, payload 
 // WriteMessage frames m (target as for WriteFrameTarget) in a single
 // pooled buffer — the frame header is reserved ahead of the payload,
 // which the message appends in place — and emits it with one Write. It
-// returns the frame's wire size.
-func WriteMessage(w io.Writer, kind byte, epoch uint64, target int, m Message) (int, error) {
+// returns the frame's wire size. It is generic so that a message passed
+// by value is not boxed onto the heap.
+func WriteMessage[M Message](w io.Writer, kind byte, epoch uint64, target int, m M) (int, error) {
 	size := m.Size()
 	if size > maxFrameHard-headerBytes {
 		return 0, fmt.Errorf("wireproto: payload of %d bytes exceeds the frame ceiling", size)

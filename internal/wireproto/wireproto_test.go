@@ -250,7 +250,7 @@ func TestDecMsgRoundTrip(t *testing.T) {
 		relay.Shares = append(relay.Shares, entry)
 		c = next
 	}
-	if v := relay.Parts[0].V.Values(); v[1].V.Int64() != 12 {
+	if v := relay.Parts[0].V.CopyValues(); v[1].V.Int64() != 12 {
 		t.Fatalf("share 3's part = %v", v)
 	}
 	fresh := got.Fresh.Values()
