@@ -564,7 +564,7 @@ func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.S
 		return nil, nil, fmt.Errorf("%w: correction dissemination did not converge in %d cycles", ErrPhaseBudget, diss)
 	}
 	for _, p := range ps {
-		p.StartDecryption()
+		p.StartDecryption(k * (n + 1))
 	}
 
 	// --- Algorithm 3 (c): epidemic decryption of the perturbed means.
@@ -584,7 +584,7 @@ func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.S
 	// and the release filter runs once, on that one release.
 	var vals []float64
 	for i, p := range ps {
-		v, err := p.Release(k * (n + 1))
+		v, err := p.Release()
 		if err != nil {
 			return nil, nil, err
 		}

@@ -11,13 +11,15 @@ import (
 // DecryptionLatency is the counting-only model of the epidemic
 // decryption used for the large-population latency experiment (Figure
 // 4(b)) and the phase-length validation grid, where what matters is how
-// many exchanges each node needs to gather τ distinct key-shares, not
-// the crypto itself. It follows Participant's union rule: a node's set
-// starts empty, two nodes merge their sets by union capped at the
-// lowest τ share ids (a full set never changes; the responder of a
-// half-completed exchange keeps its set), and while the union is below
-// τ each side whose share neither set holds adds it — its one key-share
-// application of the iteration.
+// many exchanges each node needs to be released, not the crypto itself.
+// It follows Participant's rule: a node's set starts empty, two nodes
+// not yet released merge their sets by union capped at the lowest τ
+// share ids (the responder of a half-completed exchange keeps its set),
+// and while the union is below τ each side whose share neither set holds
+// adds it — its one key-share application of the iteration. A node whose
+// set reaches τ combines it, once, and is released; a released node
+// releases every node it meets that is not, which combines nothing, and
+// then keeps the set it had.
 //
 // Exact mode tracks the actual share sets (memory ∝ n·τ — the same
 // platform limitation the paper reports at one million participants)
@@ -28,11 +30,13 @@ type DecryptionLatency struct {
 	Threshold int
 	Exact     bool
 
-	n       int
-	count   []int32
-	sets    [][]int32 // exact mode only: ascending share ids, never written in place
-	applied []bool
-	rng     interface{ Float64() float64 }
+	n        int
+	count    []int32
+	sets     [][]int32 // exact mode only: ascending share ids, never written in place
+	applied  []bool
+	released []bool
+	combines int
+	rng      interface{ Float64() float64 }
 }
 
 // NewDecryptionLatency builds the latency model for n nodes, each owning
@@ -47,6 +51,7 @@ func NewDecryptionLatency(n, threshold int, exact bool, rng interface{ Float64()
 		n:         n,
 		count:     make([]int32, n),
 		applied:   make([]bool, n),
+		released:  make([]bool, n),
 		rng:       rng,
 	}
 	if exact {
@@ -57,16 +62,33 @@ func NewDecryptionLatency(n, threshold int, exact bool, rng interface{ Float64()
 
 // Exchange mirrors Participant.ExchangeDec at the counting level.
 func (dl *DecryptionLatency) Exchange(a, b sim.NodeID, full bool) {
-	th := int32(dl.Threshold)
-	if dl.count[a] >= th && (!full || dl.count[b] >= th) {
-		return // full sets never change
-	}
-	if dl.Exact {
-		dl.exchangeExact(a, b, full)
+	ra, rb := dl.released[a], dl.released[b]
+	switch {
+	case ra && (!full || rb):
+		return // released nodes never change
+	case ra || rb:
+		// The released side's leg releases the other (b, when a is
+		// released, only past a completed exchange: the case above).
+		dl.released[a], dl.released[b] = true, true
 		return
 	}
-	// Mean-field: the union of two random subsets of the n shares, plus
-	// each side's share with the chance neither set holds it.
+	var merged int32
+	if dl.Exact {
+		merged = dl.unionExact(a, b, full)
+	} else {
+		merged = dl.unionMeanField(a, b)
+	}
+	dl.commit(a, merged)
+	if full {
+		dl.commit(b, merged)
+	}
+}
+
+// unionMeanField is the union of two random subsets of the n shares,
+// plus each side's share with the chance neither set holds it, capped
+// at τ: the size both sides commit to.
+func (dl *DecryptionLatency) unionMeanField(a, b sim.NodeID) int32 {
+	th := int32(dl.Threshold)
 	ca, cb := float64(dl.count[a]), float64(dl.count[b])
 	u := ca + cb - ca*cb/float64(dl.n)
 	if u < float64(th) {
@@ -80,17 +102,13 @@ func (dl *DecryptionLatency) Exchange(a, b sim.NodeID, full bool) {
 			dl.applied[b] = true
 		}
 	}
-	merged := min(th, int32(math.Round(u))) // ≥ either count: u ≥ max(ca, cb)
-	if dl.count[a] < th {
-		dl.count[a] = merged
-	}
-	if full && dl.count[b] < th {
-		dl.count[b] = merged
-	}
+	return min(th, int32(math.Round(u))) // ≥ either count: u ≥ max(ca, cb)
 }
 
-// exchangeExact is Exchange over the share sets themselves.
-func (dl *DecryptionLatency) exchangeExact(a, b sim.NodeID, full bool) {
+// unionExact is unionMeanField over the share sets themselves: it
+// stores the merged set for a, and for b when the exchange completes,
+// and returns its size.
+func (dl *DecryptionLatency) unionExact(a, b sim.NodeID, full bool) int32 {
 	merged := unionSorted(dl.sets[a], dl.sets[b])
 	if len(merged) < dl.Threshold {
 		ka, kb := !slices.Contains(merged, int32(a)), !slices.Contains(merged, int32(b))
@@ -104,11 +122,20 @@ func (dl *DecryptionLatency) exchangeExact(a, b sim.NodeID, full bool) {
 		}
 	}
 	merged = merged[:min(len(merged), dl.Threshold)]
-	if int(dl.count[a]) < dl.Threshold {
-		dl.sets[a], dl.count[a] = merged, int32(len(merged))
+	dl.sets[a] = merged
+	if full {
+		dl.sets[b] = merged
 	}
-	if full && int(dl.count[b]) < dl.Threshold {
-		dl.sets[b], dl.count[b] = merged, int32(len(merged))
+	return int32(len(merged))
+}
+
+// commit sets node i's set size to the union's, releasing it — one
+// combine — when the union fills it.
+func (dl *DecryptionLatency) commit(i sim.NodeID, merged int32) {
+	dl.count[i] = merged
+	if merged >= int32(dl.Threshold) {
+		dl.released[i] = true
+		dl.combines++
 	}
 }
 
@@ -134,10 +161,12 @@ func insertSorted(s []int32, v int32) []int32 {
 	return slices.Insert(s, i, v)
 }
 
-// Done reports whether node i gathered enough shares.
-func (dl *DecryptionLatency) Done(i sim.NodeID) bool {
-	return dl.count[i] >= int32(dl.Threshold)
-}
+// Done reports whether node i is released.
+func (dl *DecryptionLatency) Done(i sim.NodeID) bool { return dl.released[i] }
+
+// Combines returns how many nodes combined τ key-shares themselves so
+// far; every other released node took a peer's release.
+func (dl *DecryptionLatency) Combines() int { return dl.combines }
 
 // FractionDone returns the fraction of nodes that finished.
 func (dl *DecryptionLatency) FractionDone() float64 {

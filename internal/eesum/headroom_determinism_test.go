@@ -3,6 +3,7 @@ package eesum
 import (
 	"math/big"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"chiaroscuro/internal/homenc"
@@ -63,7 +64,9 @@ func TestDecryptionLatencyExactModeReproducible(t *testing.T) {
 
 // TestDecryptionLatencyUnionDeterministic drives the exact model's
 // union directly: a union above τ keeps the smallest share ids, on both
-// sides, and a full set never changes.
+// sides, and releases both — two combines. A node meeting a released
+// one is released by it without combining, and keeps the set it had;
+// the released set never changes.
 func TestDecryptionLatencyUnionDeterministic(t *testing.T) {
 	const n, tau = 8, 3
 	dl, err := NewDecryptionLatency(n, tau, true, randx.New(5, 5))
@@ -77,17 +80,17 @@ func TestDecryptionLatencyUnionDeterministic(t *testing.T) {
 	set(1, 2, 5)
 	dl.Exchange(0, 1, true)
 	for _, i := range []int{0, 1} {
-		if !slices.Equal(dl.sets[i], []int32{2, 4, 5}) {
-			t.Fatalf("node %d holds %v, want the smallest ids {2,4,5}", i, dl.sets[i])
+		if !slices.Equal(dl.sets[i], []int32{2, 4, 5}) || !dl.Done(i) {
+			t.Fatalf("node %d holds %v, released %v: want the smallest ids {2,4,5}, released", i, dl.sets[i], dl.Done(i))
 		}
 	}
 	set(2, 1)
 	dl.Exchange(2, 0, true)
-	if !slices.Equal(dl.sets[0], []int32{2, 4, 5}) || !slices.Equal(dl.sets[2], []int32{1, 2, 4}) {
-		t.Fatalf("full set %v, joining set %v: want {2,4,5} kept and {1,2,4}", dl.sets[0], dl.sets[2])
+	if !slices.Equal(dl.sets[0], []int32{2, 4, 5}) || !slices.Equal(dl.sets[2], []int32{1}) || !dl.Done(2) {
+		t.Fatalf("released set %v, joining set %v (released %v): want {2,4,5} kept and {1} kept, released", dl.sets[0], dl.sets[2], dl.Done(2))
 	}
-	if dl.Applications() != 0 {
-		t.Fatalf("%d key-shares applied where every union reached τ", dl.Applications())
+	if dl.Applications() != 0 || dl.Combines() != 2 {
+		t.Fatalf("%d key-shares applied and %d combines, want 0 and 2: every union reached τ, and the rumour combines nothing", dl.Applications(), dl.Combines())
 	}
 }
 
@@ -104,9 +107,10 @@ func (m mirrored) Exchange(a, b sim.NodeID, full bool) {
 }
 
 // TestDecryptionLatencyMirrorsParticipants: the exact model is the
-// union rule of Participant.ExchangeDec at the counting level, also
-// under mid-exchange churn. Over one schedule, every node's share set
-// and the key-share applications match after every cycle.
+// rule of Participant.ExchangeDec at the counting level, also under
+// mid-exchange churn. Over one schedule, every node's release state and
+// share set, the key-share applications and the combines match after
+// every cycle, and every node is released within 40 cycles.
 func TestDecryptionLatencyMirrorsParticipants(t *testing.T) {
 	for _, c := range []struct {
 		n, tau int
@@ -116,7 +120,9 @@ func TestDecryptionLatencyMirrorsParticipants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps := decrypting(testEnv(sch, homenc.Codec{}, 1), c.n, []homenc.Ciphertext{sch.Encrypt(big.NewInt(3))})
+		// One ciphertext: one Combine call a combining participant.
+		counted := &combineCounter{Scheme: sch}
+		ps := decrypting(testEnv(counted, homenc.Codec{}, 1), c.n, []homenc.Ciphertext{sch.Encrypt(big.NewInt(3))})
 		dl, err := NewDecryptionLatency(c.n, c.tau, true, randx.New(1, 1))
 		if err != nil {
 			t.Fatal(err)
@@ -134,16 +140,34 @@ func TestDecryptionLatencyMirrorsParticipants(t *testing.T) {
 				for _, e := range p.DecParts {
 					ids = append(ids, int32(e.Idx-1))
 				}
-				if !slices.Equal(ids, dl.sets[i]) {
-					t.Fatalf("%+v cycle %d node %d: participant holds %v, model %v", c, cycle, i, ids, dl.sets[i])
+				if !slices.Equal(ids, dl.sets[i]) || p.Settled() != dl.Done(i) {
+					t.Fatalf("%+v cycle %d node %d: participant holds %v released %v, model %v released %v",
+						c, cycle, i, ids, p.Settled(), dl.sets[i], dl.Done(i))
 				}
 			}
 			if applied != dl.Applications() {
 				t.Fatalf("%+v cycle %d: %d applications, model %d", c, cycle, applied, dl.Applications())
 			}
+			if got := int(counted.combines.Load()); got != dl.Combines() {
+				t.Fatalf("%+v cycle %d: %d combines, model %d", c, cycle, got, dl.Combines())
+			}
 		}
 		if dl.FractionDone() < 1 {
 			t.Fatalf("%+v: not every node finished in 40 cycles", c)
 		}
+		if dl.Combines() >= c.n && c.tau < c.n {
+			t.Fatalf("%+v: all %d nodes combined; the release spread to none", c, dl.Combines())
+		}
 	}
+}
+
+// combineCounter counts a scheme's Combine calls.
+type combineCounter struct {
+	homenc.Scheme
+	combines atomic.Int64
+}
+
+func (s *combineCounter) Combine(c homenc.Ciphertext, parts []homenc.PartialDecryption) (*big.Int, error) {
+	s.combines.Add(1)
+	return s.Scheme.Combine(c, parts)
 }

@@ -284,14 +284,14 @@ func TestProposeDrawsNoRandomness(t *testing.T) {
 }
 
 // decrypting gives every participant the same converged state to
-// decrypt.
+// decrypt: one value a ciphertext, unpacked.
 func decrypting(env *Env, n int, cts []homenc.Ciphertext) []*Participant {
 	elected := homenc.NewVector(cts)
 	ps := make([]*Participant, n)
 	for i := range ps {
 		ps[i] = NewParticipant(env, i, nil, NoiseConfig{})
 		ps[i].VecID, ps[i].Vec, ps[i].VecOmega = 1, elected, big.NewInt(1)
-		ps[i].StartDecryption()
+		ps[i].StartDecryption(len(cts))
 	}
 	return ps
 }
@@ -313,7 +313,7 @@ func TestEpidemicDecryptionPlain(t *testing.T) {
 		t.Fatal("epidemic decryption did not complete")
 	}
 	for _, node := range []int{0, 5, 11} {
-		vals, err := ps[node].Release(2)
+		vals, err := ps[node].Release()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +321,7 @@ func TestEpidemicDecryptionPlain(t *testing.T) {
 			t.Errorf("node %d decrypted %v/%v", node, vals[0], vals[1])
 		}
 	}
-	if _, err := NewParticipant(env, 0, nil, NoiseConfig{}).Release(2); err == nil {
+	if _, err := NewParticipant(env, 0, nil, NoiseConfig{}).Release(); err == nil {
 		t.Error("a release below the threshold must fail")
 	}
 }
@@ -361,13 +361,13 @@ func TestEpidemicDecryptionDamgardJurik(t *testing.T) {
 	}
 	run(e, 20, corrections(ps))
 	for _, p := range ps {
-		p.StartDecryption()
+		p.StartDecryption(1)
 	}
 	if cycles := settle(e, ps, 100); cycles >= 100 {
 		t.Fatal("epidemic decryption did not complete")
 	}
 	for _, node := range []int{0, 2, 9} {
-		vals, err := ps[node].Release(1)
+		vals, err := ps[node].Release()
 		if err != nil {
 			t.Fatal(err)
 		}

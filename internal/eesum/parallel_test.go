@@ -86,7 +86,7 @@ func runDecryption(t *testing.T, workers int) []float64 {
 	if settle(e, ps, 64) == 64 {
 		t.Fatal("decryption did not complete")
 	}
-	vals, err := ps[0].Release(dim)
+	vals, err := ps[0].Release()
 	if err != nil {
 		t.Fatal(err)
 	}

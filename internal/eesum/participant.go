@@ -9,6 +9,7 @@ package eesum
 
 import (
 	"cmp"
+	"errors"
 	"math"
 	"math/big"
 	"slices"
@@ -61,9 +62,10 @@ func (s SumSide) State() SumState {
 // means sum and the noise sum running in lockstep, with the cleartext
 // participant counter — then the perturbed means it stands for election
 // with (Section 4.2.2's correction, applied before the dissemination),
-// then the key-shares gathered over the elected vector (Section 4.2.3).
-// The exported fields are what an exchange leg sends and a journal
-// checkpoint records; the methods are the transitions.
+// then the key-shares gathered over the elected vector (Section 4.2.3),
+// and at last the release they decode to. The exported fields are what
+// an exchange leg sends and a journal checkpoint records; the methods
+// are the transitions.
 //
 // A participant belongs to one exchange at a time. Once its decryption
 // state is Settled no transition writes to it, so the wire runtime may
@@ -81,6 +83,10 @@ type Participant struct {
 
 	DecParts []Part         // the share set, ascending share index; nil until the decryption starts
 	Own      *homenc.Vector // this participant's key-share over Vec, once applied
+	// Released is the decoded release of Vec, its relDim values: combined
+	// from the share set in the commit that fills it, or taken from a
+	// released peer. It is shared, never written; nil until settled.
+	Released []float64
 
 	// The images the next sum commit writes the means and the noise
 	// into: the states the last commit replaced, reused. Propose drops
@@ -91,6 +97,8 @@ type Participant struct {
 	index  int        // 0-based; the key-share index is index+1
 	stream *randx.RNG // this participant's noise stream (NodeNoiseStream)
 	noise  NoiseConfig
+	relDim int   // how many values the elected vector releases
+	relErr error // why a settled participant holds no release
 }
 
 // NewParticipant binds participant index of a deployment to one
@@ -284,34 +292,52 @@ func (p *Participant) ExchangeDiss(q *Participant, full bool) {
 }
 
 // StartDecryption is the boundary between the dissemination and the
-// decryption: the decryption starts over the elected vector with no
-// key-share gathered. A participant resumed past this boundary keeps
-// the share set it was restored with.
-func (p *Participant) StartDecryption() {
+// decryption: the decryption starts over the elected vector, which
+// releases dim values, with no key-share gathered. A participant resumed
+// past this boundary keeps the share set and the release it was
+// restored with.
+func (p *Participant) StartDecryption(dim int) {
+	p.relDim = dim
 	if p.DecParts != nil {
 		return
 	}
 	p.DecParts = make([]Part, 0, p.env.Scheme.Threshold())
 }
 
+// ReleaseDim returns how many values the elected vector releases: the
+// length of a release.
+func (p *Participant) ReleaseDim() int { return p.relDim }
+
 // --- Epidemic decryption (Section 4.2.3, over one elected vector) ---
 //
 // A share set is grow-only, capped at τ and merged by union: when two
-// sides that elected the same vector meet, each takes the union of both
-// sets, plus the key-shares applied for the exchange, keeping the lowest
-// τ share indices. A full set never changes. While the union of both sets
-// is below τ, a side whose key-share neither set holds sends it along:
-// it applies its key-share then, at most once an iteration, and keeps
-// the result (Own) for every later peer that lacks it. A leg naming
-// another vector merges nothing — shares over two vectors must never
-// combine — so a participant that missed the elected vector ends the
-// phase unsettled.
+// sides that elected the same vector and are not yet released meet,
+// each takes the union of both sets, plus the key-shares applied for the
+// exchange, keeping the lowest τ share indices. While the union of both
+// sets is below τ, a side whose key-share neither set holds sends it
+// along: it applies its key-share then, at most once an iteration, and
+// keeps the result (Own) for every later peer that lacks it.
 //
-// Either side decides all of this from the share indices of the two
-// sets alone, so each sends the other only the parts it lacks and will
-// keep: a leg names the indices its sender holds and carries the
-// partial decryptions of just those. Two full sets exchange indices and
-// nothing else.
+// The commit that fills a set to τ combines it and decodes the release
+// at once, and the participant is released: nothing of its decryption
+// state changes again. From then on its legs name no entries and carry
+// the release itself — a request only says that its sender is released
+// — and a side not yet released takes a released peer's release as its
+// own, without combining anything. That is the release spreading as a
+// rumour: a side becomes released in exactly the exchange where the
+// union of its set with a full one would have filled it, so the sides
+// still gathering, their sets and their key-share applications are what
+// they would be if every side combined for itself, and any τ key-shares
+// of one vector decode to the same release. A leg naming another vector
+// merges nothing — shares or releases over two vectors must never meet —
+// so a participant that missed the elected vector ends the phase
+// unsettled.
+//
+// Either side decides all of this from the two pre-exchange legs alone
+// — the share indices they name and whether they are released — so each
+// sends the other only what it lacks and will keep: a leg names the
+// indices its sender holds and carries the partial decryptions of just
+// those.
 
 // Part is an entry of a share set: one key-share's partial decryptions
 // of the elected vector, under the key-share's index.
@@ -331,13 +357,21 @@ func partOf(set []Part, idx int) *homenc.Vector {
 
 // DecPeer is the other side's decryption leg as it arrived, in whatever
 // form a driver holds it: a share set in memory, a scanned frame on the
-// wire. It names the vector its sender decrypts and has entries in
-// strictly ascending share index, each with or without the partial
-// decryptions under it. The entries are read with a cursor: the first
-// is at cursor 0, and Entry returns the next one's.
+// wire. It names the vector its sender decrypts and whether the sender
+// is released; a leg of a sender that is not has entries in strictly
+// ascending share index, each with or without the partial decryptions
+// under it. The entries are read with a cursor: the first is at cursor
+// 0, and Entry returns the next one's.
 type DecPeer interface {
 	// Elected returns the identifier of the vector the sender decrypts.
 	Elected() uint64
+	// Released reports whether the sender is released: its leg then
+	// names no entries.
+	Released() bool
+	// Release returns the release the leg carries, which its receiver
+	// may keep as it is: the leg's own values are not handed out. It is
+	// nil on a leg that carries none.
+	Release() []float64
 	// Gathered returns how many entries the leg has.
 	Gathered() int
 	// Entry returns the share index of the entry at cursor c, whether
@@ -349,8 +383,8 @@ type DecPeer interface {
 	Part(c int) *homenc.Vector
 }
 
-// DecPrep is one side of a decryption exchange, planned from the share
-// indices of both sides' pre-exchange sets before either changes.
+// DecPrep is one side of a decryption exchange, planned from both sides'
+// pre-exchange legs before either changes.
 type DecPrep struct {
 	// Send is what this side's leg carries to the peer: the entries of
 	// its set that the peer lacks and will keep, ascending.
@@ -361,61 +395,61 @@ type DecPrep struct {
 	// PeerSends reports whether the peer's key-share is due to this side
 	// on the peer's leg.
 	PeerSends bool
+	// SendsRelease reports whether this side is released: its response
+	// or fin carries its release and nothing else, whatever the peer
+	// holds.
+	SendsRelease bool
 
+	takes     bool // the peer is released over the same vector: this side takes its release
 	peerShare int
 	keys      []int // the share set after the commit, ascending; nil: unchanged
 	owed      int   // how many partial decryptions the peer's leg owes this side
 }
 
 // PrepareDec plans participant p's side of a decryption exchange with
-// the peer whose leg names its share set and who holds key-share
-// peerShare: whether each side's key-share is due to the other, the set
-// p commits to, the entries p's leg owes the peer and how many the
-// peer's leg owes p. Both sides plan the same union from the same two
-// index lists, so what one sends is what the other takes. It reads only
-// the indices of the two pre-exchange sets — the peer's leg need carry
-// no part — so an exchange that ends half-completed leaves the
-// committing side as a full one does; and it applies nothing (Fresh
-// does). It is generic rather than a method taking the interface so
-// that a driver's peer — a scanned frame on every exchange leg — is not
-// boxed onto the heap.
+// the peer whose leg names its share set — or says it is released — and
+// who holds key-share peerShare: whether p takes the peer's release,
+// whether each side's key-share is due to the other, the set p commits
+// to, the entries p's leg owes the peer and how many the peer's leg owes
+// p. Both sides plan the same union from the same two index lists, so
+// what one sends is what the other takes. It reads only the
+// pre-exchange legs — the peer's need carry no part — so an exchange
+// that ends half-completed leaves the committing side as a full one
+// does; and it applies nothing (Fresh does). It is generic rather than a
+// method taking the interface so that a driver's peer — a scanned frame
+// on every exchange leg — is not boxed onto the heap.
 func PrepareDec[P DecPeer](p *Participant, peer P, peerShare int) DecPrep {
-	x := DecPrep{peerShare: peerShare}
+	x := DecPrep{peerShare: peerShare, SendsRelease: p.Settled()}
+	if x.SendsRelease || p.DecParts == nil || peer.Elected() != p.VecID {
+		return x // released, or another vector: p takes nothing and owes nothing
+	}
+	if peer.Released() {
+		x.takes = true
+		return x
+	}
 	tau := p.env.Scheme.Threshold()
-	if p.DecParts == nil || peer.Elected() != p.VecID {
-		return x // another vector: nothing is owed either way
-	}
-	full := len(p.DecParts) >= tau
-	if full && peer.Gathered() >= tau {
-		return x // two full sets: neither changes, nothing travels
-	}
 	var buf [2]int
 	fresh := buf[:0] // the indices of the key-shares applied for the exchange
-	if !full {
-		u := decUnion(p, peer, peerShare)
-		if u.size < tau {
-			x.PeerSends = partOf(p.DecParts, peerShare) == nil && !u.peerHasTheirs
-			x.OwnDue = partOf(p.DecParts, p.share()) == nil && !u.peerHasOwn
-		}
-		if x.OwnDue {
-			fresh = append(fresh, p.share())
-		}
-		if x.PeerSends {
-			fresh = append(fresh, peerShare)
-		}
-		slices.Sort(fresh)
-		x.keys = make([]int, 0, min(tau, len(p.DecParts)+peer.Gathered()+len(fresh)))
+	if u := decUnion(p, peer, peerShare); u.size < tau {
+		x.PeerSends = partOf(p.DecParts, peerShare) == nil && !u.peerHasTheirs
+		x.OwnDue = partOf(p.DecParts, p.share()) == nil && !u.peerHasOwn
 	}
+	if x.OwnDue {
+		fresh = append(fresh, p.share())
+	}
+	if x.PeerSends {
+		fresh = append(fresh, peerShare)
+	}
+	slices.Sort(fresh)
+	x.keys = make([]int, 0, min(tau, len(p.DecParts)+peer.Gathered()+len(fresh)))
 	// Walk the union of both sets and the fresh shares up to its τ-th
-	// smallest index: p keeps that much unless its set is full, and so
-	// does the peer.
-	give := peer.Gathered() < tau
+	// smallest index: that much is what both sides keep.
 	mine, left := p.DecParts, peer.Gathered()
 	var theirs, c, next int
 	if left > 0 {
 		theirs, _, next = peer.Entry(0)
 	}
-	for kept := 0; kept < tau; kept++ {
+	for len(x.keys) < tau {
 		idx := math.MaxInt
 		if len(mine) > 0 {
 			idx = mine[0].Idx
@@ -431,17 +465,15 @@ func PrepareDec[P DecPeer](p *Participant, peer P, peerShare int) DecPrep {
 		}
 		inMine, inPeer := len(mine) > 0 && mine[0].Idx == idx, left > 0 && theirs == idx
 		switch {
-		case inMine && !inPeer && give:
+		case inMine && !inPeer:
 			if x.Send == nil {
-				x.Send = make([]Part, 0, tau-kept)
+				x.Send = make([]Part, 0, tau-len(x.keys))
 			}
 			x.Send = append(x.Send, mine[0])
-		case inPeer && !inMine && !full:
+		case inPeer && !inMine:
 			x.owed++
 		}
-		if !full {
-			x.keys = append(x.keys, idx)
-		}
+		x.keys = append(x.keys, idx)
 		if inMine {
 			mine = mine[1:]
 		}
@@ -483,8 +515,9 @@ func decUnion[P DecPeer](p *Participant, peer P, peerShare int) setUnion {
 // CarriesOwed reports whether the peer's leg carries exactly the partial
 // decryptions it owes p: one for each share index p will keep that only
 // the peer's set holds, and no other — none p holds, none outside the
-// lowest τ p keeps, none under a key-share that travels fresh. Entries
-// carrying nothing are not looked at.
+// lowest τ p keeps, none under a key-share that travels fresh, none at
+// all when either side is released. Entries carrying nothing are not
+// looked at.
 func CarriesOwed[P DecPeer](p *Participant, x DecPrep, leg P) bool {
 	carried := 0
 	for c, i := 0, 0; i < leg.Gathered(); i++ {
@@ -513,10 +546,18 @@ func (p *Participant) Fresh(x DecPrep) *homenc.Vector {
 }
 
 // CommitDec applies p's transition — the commit point, applied exactly
-// once: the share set becomes the planned union, whose new entries come
-// from the peer's leg (CarriesOwed vetted it) and from the two fresh
-// key-shares. fresh is the peer's key-share as it arrived (nil: none).
+// once. A side taking a released peer's release keeps the one the
+// peer's leg carries. Otherwise the share set becomes the planned union,
+// whose new entries come from the peer's leg (CarriesOwed vetted it) and
+// from the two fresh key-shares, and a union that fills the set settles
+// p: it combines and decodes the release here, before the commit
+// returns, so a settled state is never written again. fresh is the
+// peer's key-share as it arrived (nil: none).
 func CommitDec[P DecPeer](p *Participant, x DecPrep, leg P, fresh *homenc.Vector) {
+	if x.takes {
+		p.take(leg.Release())
+		return
+	}
 	if x.keys == nil {
 		return
 	}
@@ -548,30 +589,56 @@ func CommitDec[P DecPeer](p *Participant, x DecPrep, leg P, fresh *homenc.Vector
 		}
 	}
 	p.DecParts = parts
+	if len(parts) >= p.env.Scheme.Threshold() {
+		p.settle()
+	}
 }
 
 // ExchangeDec runs a whole decryption exchange between initiator p and
 // responder q in memory, as the wire legs do: both sides plan against
-// the other's pre-exchange set and apply the key-shares due, then p
+// the other's pre-exchange leg and apply the key-shares due, then p
 // commits what q's leg sends, and q what p's does unless the exchange
 // ends half-completed.
 func (p *Participant) ExchangeDec(q *Participant, full bool) {
-	xp, xq := PrepareDec(p, memLeg{q.VecID, q.DecParts}, q.share()), PrepareDec(q, memLeg{p.VecID, p.DecParts}, p.share())
+	xp, xq := PrepareDec(p, q.request(), q.share()), PrepareDec(q, p.request(), p.share())
 	fp, fq := p.Fresh(xp), q.Fresh(xq)
-	CommitDec(p, xp, memLeg{q.VecID, xq.Send}, fq)
+	CommitDec(p, xp, q.answer(xq), fq)
 	if full {
-		CommitDec(q, xq, memLeg{p.VecID, xp.Send}, fp)
+		CommitDec(q, xq, p.answer(xp), fp)
 	}
 }
 
-// memLeg is a side's share set, or the entries its leg sends, as the
-// peer of an in-memory exchange.
+// request is p's leg as a request names it: its share set, or only that
+// p is released.
+func (p *Participant) request() memLeg {
+	if p.Settled() {
+		return memLeg{id: p.VecID, released: true}
+	}
+	return memLeg{id: p.VecID, parts: p.DecParts}
+}
+
+// answer is p's response or fin under its plan x: its release when it is
+// released, else the entries x sends. A released side's commit changes
+// nothing, so the answer reads the same after it.
+func (p *Participant) answer(x DecPrep) memLeg {
+	if x.SendsRelease {
+		return memLeg{id: p.VecID, released: true, release: p.Released}
+	}
+	return memLeg{id: p.VecID, parts: x.Send}
+}
+
+// memLeg is a side's leg in an in-memory exchange: its share set or the
+// entries it sends, or its release.
 type memLeg struct {
-	id    uint64
-	parts []Part
+	id       uint64
+	parts    []Part
+	released bool
+	release  []float64
 }
 
 func (m memLeg) Elected() uint64              { return m.id }
+func (m memLeg) Released() bool               { return m.released }
+func (m memLeg) Release() []float64           { return m.release }
 func (m memLeg) Gathered() int                { return len(m.parts) }
 func (m memLeg) Entry(c int) (int, bool, int) { return m.parts[c].Idx, true, c + 1 }
 func (m memLeg) Part(c int) *homenc.Vector    { return m.parts[c].V }
@@ -598,30 +665,53 @@ func (p *Participant) Applications() int {
 	return 1
 }
 
-// Settled reports whether the decryption state can no longer change: τ
-// key-shares are gathered. A full set never changes and owes no peer a
-// key-share, so PrepareDec and CommitDec become pure reads, and its
-// remaining exchanges commute with one another.
-func (p *Participant) Settled() bool { return len(p.DecParts) >= p.env.Scheme.Threshold() }
+// Settled reports whether the decryption state can no longer change:
+// the participant is released (or its release failed to decode). A
+// settled side takes nothing and owes no peer anything, so PrepareDec
+// and CommitDec become pure reads, and its remaining exchanges commute
+// with one another.
+func (p *Participant) Settled() bool { return p.Released != nil || p.relErr != nil }
 
-// Release combines the gathered key-shares into the plaintexts of the
-// elected vector and decodes the dim released values with its weight.
-// It reads the vector and the τ lowest key-shares — the whole set — from
-// their images. It fails below the threshold.
-func (p *Participant) Release(dim int) ([]float64, error) {
+// errNoRelease: a released peer held no release, its own decode having
+// failed.
+var errNoRelease = errors.New("eesum: the released peer's decode failed")
+
+// settle combines the full share set into the plaintexts of the elected
+// vector and decodes the relDim released values with its weight. It
+// reads the vector and the τ lowest key-shares — the whole set — from
+// their images. A decode that fails settles p with the error.
+func (p *Participant) settle() {
 	sch := p.env.Scheme
 	tau := sch.Threshold()
-	if len(p.DecParts) < tau {
-		return nil, errIncomplete
-	}
 	shares, parts := make([]int, tau), make([]homenc.Operand, tau)
 	for k, e := range p.DecParts[:tau] {
 		shares[k], parts[k] = e.Idx, e.V.Operand()
 	}
 	cts := p.Vec.Operand()
 	ms, err := combine(sch, cts, shares, parts, p.env.workers(cts.Len()))
-	if err != nil {
-		return nil, err
+	if err == nil {
+		p.Released, err = DecodePackedState(sch, p.env.Pack, ms, p.VecOmega, p.relDim)
 	}
-	return DecodePackedState(sch, p.env.Pack, ms, p.VecOmega, dim)
+	p.relErr = err
+}
+
+// take makes a released peer's release p's own; nil is a peer whose
+// decode failed.
+func (p *Participant) take(rel []float64) {
+	if rel == nil {
+		p.relErr = errNoRelease
+		return
+	}
+	p.Released = rel
+}
+
+// Release returns the release: the relDim decoded values of the elected
+// vector, shared with every participant holding it — the caller must not
+// write them. It fails before the participant is settled, and with the
+// decode's error when that failed.
+func (p *Participant) Release() ([]float64, error) {
+	if !p.Settled() {
+		return nil, errIncomplete
+	}
+	return p.Released, p.relErr
 }

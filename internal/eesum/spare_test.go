@@ -17,7 +17,14 @@ import (
 func sparePair(t *testing.T, dim int) (p, q *Participant) {
 	t.Helper()
 	space := new(big.Int).Lsh(big.NewInt(1), 127) // 2^127 − 1: odd, so doubling keeps the values spread
-	sch, err := plain.New(space.Sub(space, big.NewInt(1)), 64, 4, 2)
+	return plainPair(t, dim, space.Sub(space, big.NewInt(1)))
+}
+
+// plainPair is sparePair in a plain deployment of plaintext space space
+// (nil: unbounded, so every merge widens the values).
+func plainPair(t *testing.T, dim int, space *big.Int) (p, q *Participant) {
+	t.Helper()
+	sch, err := plain.New(space, 64, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +62,25 @@ func TestCommitSumReusesSpareImages(t *testing.T) {
 	}
 	if got := bytesPerRun(100, func() { p.ExchangeSum(q, true) }); got > float64(slack) {
 		t.Errorf("a steady-state in-memory exchange allocated %.0f bytes, want at most %d (one %d-byte image would exceed it)", got, slack, img)
+	}
+
+	// With no plaintext modulus the values widen by a bit a merge, as a
+	// plain deployment's sums do: a spare that outgrows its buffer
+	// regrows it by doubling, so after its first few commits the
+	// participant commits until its images have grown by three quarters
+	// without allocating one (a quarter's headroom would regrow within
+	// the first quarter).
+	p, q = plainPair(t, dim, nil)
+	peer = q.sumPeer()
+	for i := 0; i < 4; i++ {
+		p.CommitSum(peer, true)
+	}
+	start := p.Means.CTs.WireSize()
+	for commits := 0; p.Means.CTs.WireSize() < start*7/4; commits++ {
+		if got := bytesPerRun(1, func() { p.CommitSum(peer, true) }); got >= float64(start) {
+			t.Fatalf("commit %d past the first four allocated %.0f bytes, an image: the spares regrew with the %d-byte image at %d bytes",
+				commits, got, p.Means.CTs.WireSize(), start)
+		}
 	}
 }
 

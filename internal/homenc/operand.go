@@ -149,10 +149,10 @@ func startImage(img []byte, n int) VectorWriter {
 
 // Rewrite starts v over as the image of an n-element vector whose values
 // take at most size magnitude bytes in all, writing into v's own buffer
-// when it is large enough. A buffer that is not is replaced by one a
-// quarter larger than needed (exactly as large when v had none), so a
-// vector its owner rewrites again and again, its values growing a
-// little with each rewrite, stops regrowing after its first few. v is
+// when it is large enough. A buffer that is not is replaced by one
+// twice as large as needed (exactly as large when v had none), so a
+// vector its owner rewrites again and again, its values growing with
+// each rewrite, regrows a logarithmic number of times. v is
 // published (VectorWriter.Vector) when the writer is done; until then
 // it must not be read — it may be neither operand of the kernel writing
 // it.
@@ -160,7 +160,7 @@ func (v *Vector) Rewrite(n, size int) VectorWriter {
 	img, need := v.img[:0], imageBytes(n, size)
 	if cap(img) < need {
 		if cap(img) > 0 {
-			need += need / 4
+			need *= 2
 		}
 		img = make([]byte, 0, need)
 	}

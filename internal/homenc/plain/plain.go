@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
+	"slices"
 
 	"chiaroscuro/internal/homenc"
 )
@@ -172,29 +173,43 @@ func (s *Scheme) Threshold() int { return s.threshold }
 
 // PartialDecrypt implements homenc.Scheme. The partial decryption of the
 // plain scheme carries no information (the plaintext is already public
-// within the simulation); only the index bookkeeping matters.
+// within the simulation); only the index bookkeeping matters. It is c's
+// own value, not a copy: a caller that encodes it at once (the
+// decryption's VectorWriter) allocates nothing, and one that keeps it
+// keeps c's value, which nothing writes.
 func (s *Scheme) PartialDecrypt(index int, c homenc.Ciphertext) (homenc.PartialDecryption, error) {
 	if index < 1 || index > s.nShares {
 		return homenc.PartialDecryption{}, fmt.Errorf("plain: key-share index %d out of range", index)
 	}
-	return homenc.PartialDecryption{Index: index, V: new(big.Int).Set(c.V)}, nil
+	return homenc.PartialDecryption{Index: index, V: c.V}, nil
 }
 
 // Combine implements homenc.Scheme: it checks that at least Threshold
 // distinct shares contributed (the protocol invariant of Section 4.2.3)
-// and returns the plaintext.
+// and returns the plaintext. Shares in strictly ascending index order —
+// as the decryption hands them over — are checked in place; any other
+// order is sorted first.
 func (s *Scheme) Combine(c homenc.Ciphertext, parts []homenc.PartialDecryption) (*big.Int, error) {
-	seen := make(map[int]bool, len(parts))
-	for _, p := range parts {
+	ascending := true
+	for i, p := range parts {
 		if p.Index < 1 || p.Index > s.nShares {
 			return nil, fmt.Errorf("plain: key-share index %d out of range", p.Index)
 		}
-		if seen[p.Index] {
-			return nil, fmt.Errorf("plain: duplicate key-share %d", p.Index)
-		}
-		seen[p.Index] = true
+		ascending = ascending && (i == 0 || parts[i-1].Index < p.Index)
 	}
-	if len(seen) < s.threshold {
+	if !ascending {
+		idx := make([]int, len(parts))
+		for i, p := range parts {
+			idx[i] = p.Index
+		}
+		slices.Sort(idx)
+		for i := 1; i < len(idx); i++ {
+			if idx[i] == idx[i-1] {
+				return nil, fmt.Errorf("plain: duplicate key-share %d", idx[i])
+			}
+		}
+	}
+	if len(parts) < s.threshold {
 		return nil, errors.New("plain: not enough distinct key-shares")
 	}
 	return new(big.Int).Set(c.V), nil

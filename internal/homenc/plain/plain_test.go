@@ -89,9 +89,27 @@ func TestThresholdBookkeeping(t *testing.T) {
 	if _, err := s.Combine(c, parts[:2]); err == nil {
 		t.Error("below-threshold combine must fail")
 	}
-	dup := []homenc.PartialDecryption{parts[0], parts[0], parts[1]}
-	if _, err := s.Combine(c, dup); err == nil {
-		t.Error("duplicate shares must fail")
+	// Distinct shares combine in any order; a repeated or unknown one is
+	// refused whether the order is ascending or not.
+	if got, err := s.Combine(c, []homenc.PartialDecryption{parts[2], parts[0], parts[1]}); err != nil || got.Cmp(big.NewInt(42)) != 0 {
+		t.Errorf("Combine of unordered distinct shares = %v, %v; want 42", got, err)
+	}
+	for _, bad := range []struct {
+		name string
+		idx  []int
+	}{
+		{"duplicate shares", []int{1, 1, 2}},
+		{"duplicate shares out of order", []int{2, 1, 2}},
+		{"a share index above NumShares", []int{1, 2, 6}},
+		{"share index 0", []int{0, 1, 2}},
+	} {
+		ps := make([]homenc.PartialDecryption, len(bad.idx))
+		for i, idx := range bad.idx {
+			ps[i] = homenc.PartialDecryption{Index: idx, V: c.V}
+		}
+		if _, err := s.Combine(c, ps); err == nil {
+			t.Errorf("%s %v must fail", bad.name, bad.idx)
+		}
 	}
 	if _, err := s.PartialDecrypt(9, c); err == nil {
 		t.Error("out-of-range index must fail")
@@ -113,5 +131,28 @@ func TestImmutability(t *testing.T) {
 	_ = s.Add(a, a)
 	if a.V.Cmp(big.NewInt(1)) != 0 {
 		t.Error("Add mutated an operand")
+	}
+}
+
+// TestDecryptionAllocs pins the plain decryption's garbage: a partial
+// decryption is the ciphertext's own value, so applying a key-share
+// allocates nothing, and combining ascending shares allocates only the
+// plaintext it returns.
+func TestDecryptionAllocs(t *testing.T) {
+	s, err := New(nil, 0, 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.Encrypt(new(big.Int).Lsh(big.NewInt(12345), 200))
+	parts := make([]homenc.PartialDecryption, 3)
+	if got := testing.AllocsPerRun(100, func() {
+		for i := range parts {
+			parts[i], _ = s.PartialDecrypt(i+1, c)
+		}
+	}); got != 0 {
+		t.Errorf("three partial decryptions allocated %v times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { _, _ = s.Combine(c, parts) }); got > 2 {
+		t.Errorf("a combine allocated %v times, want at most 2: the plaintext and its words", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"sync"
@@ -19,12 +20,15 @@ import (
 // TestDecryptionLegsCarryOnlyTheDelta taps every connection a
 // 30-participant virtual-node run (τ = 5) dials and holds each
 // decryption exchange on it to the delta rule, as read off the frames:
-// the request names the initiator's share indices and carries nothing;
-// the response carries the parts the initiator lacks and keeps — the
-// lowest τ of the union of both sets and the key-shares that travelled
-// fresh — and no other; the fin the parts the responder lacks and keeps;
-// and a leg between two full sets carries no part and no key-share. The
-// run still releases the simulator's bits.
+// between two sides not yet released, the request names the initiator's
+// share indices and carries nothing; the response carries the parts the
+// initiator lacks and keeps — the lowest τ of the union of both sets and
+// the key-shares that travelled fresh — and no other; the fin the parts
+// the responder lacks and keeps. A released side's legs name nothing
+// and carry no key-share: its request is only marked, and its response
+// and fin carry the release, every one of them the same bits; a side
+// facing a released one sends nothing. The run still releases the
+// simulator's bits.
 func TestDecryptionLegsCarryOnlyTheDelta(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full crypto e2e")
@@ -70,22 +74,23 @@ func TestDecryptionLegsCarryOnlyTheDelta(t *testing.T) {
 	if len(tap.bad) > 0 {
 		t.Fatalf("%d of %d decryption exchanges broke the delta rule, first: %s", len(tap.bad), tap.exchanges, tap.bad[0])
 	}
-	// The rule must have been exercised both ways: parts did travel, and
-	// full sets did meet.
-	if tap.parts == 0 || tap.settled == 0 {
-		t.Fatalf("%d exchanges tapped: %d parts carried, %d between full sets", tap.exchanges, tap.parts, tap.settled)
+	// The rule must have been exercised every way: parts did travel, the
+	// release spread, and released sides met.
+	if tap.parts == 0 || tap.releases == 0 || tap.settled == 0 {
+		t.Fatalf("%d exchanges tapped: %d parts carried, %d releases carried, %d between released sides", tap.exchanges, tap.parts, tap.releases, tap.settled)
 	}
-	t.Logf("%d decryption exchanges, %d between full sets; %d parts carried, %.1f a participant",
-		tap.exchanges, tap.settled, tap.parts, float64(tap.parts)/n)
+	t.Logf("%d decryption exchanges, %d between released sides; %d parts carried, %.1f a participant; %d releases carried",
+		tap.exchanges, tap.settled, tap.parts, float64(tap.parts)/n, tap.releases)
 }
 
 // decTap checks the decryption exchanges of every tapped connection.
 type decTap struct {
 	lim wireproto.Limits
 
-	mu                        sync.Mutex
-	exchanges, settled, parts int
-	bad                       []string
+	mu                                  sync.Mutex
+	exchanges, settled, parts, releases int
+	release                             []float64 // the first release carried
+	bad                                 []string
 }
 
 // tapDialer wraps a participant's dialer so that every connection it
@@ -131,12 +136,14 @@ func (c *tapConn) Close() error {
 
 // decLeg is what the check reads of a scanned decryption leg.
 type decLeg struct {
-	hdr     wireproto.ExchangeHdr
-	id      uint64
-	names   []int // the share indices the leg names
-	carries []int // those whose partial decryptions it carries
-	fresh   bool
-	abort   bool
+	hdr      wireproto.ExchangeHdr
+	id       uint64
+	names    []int // the share indices the leg names
+	carries  []int // those whose partial decryptions it carries
+	fresh    bool
+	abort    bool
+	released bool
+	release  []float64
 }
 
 // legs scans the decryption legs of a tapped stream, by kind.
@@ -150,7 +157,7 @@ func (d *decTap) legs(stream []byte) map[byte]decLeg {
 		}
 		if f.Kind >= wireproto.KindDecReq && f.Kind <= wireproto.KindDecFin {
 			if v, err := wireproto.ScanDec(f.Payload, d.lim); err == nil {
-				l := decLeg{hdr: v.Hdr, id: v.ID, fresh: v.Fresh.Len() > 0, abort: v.Hdr.Flags&wireproto.FlagAbort != 0}
+				l := decLeg{hdr: v.Hdr, id: v.ID, fresh: v.Fresh.Len() > 0, abort: v.Hdr.Flags&wireproto.FlagAbort != 0, released: v.Released(), release: v.Release()}
 				for c, i := 0, 0; i < v.Gathered(); i++ {
 					idx, carries, next := v.Entry(c)
 					l.names = append(l.names, idx)
@@ -177,15 +184,62 @@ func (d *decTap) check(written, read []byte) {
 		return
 	}
 	fin, finished := w[wireproto.KindDecFin]
+	finished = finished && !fin.abort
 	tau := d.lim.MaxParts
 	var bad []string
-	if len(req.carries) > 0 || req.fresh {
-		bad = append(bad, fmt.Sprintf("%+v: the request carries partial decryptions", req.hdr))
+	if len(req.carries) > 0 || req.fresh || len(req.release) > 0 {
+		bad = append(bad, fmt.Sprintf("%+v: the request carries partial decryptions or a release", req.hdr))
 	}
-	settled := len(req.names) >= tau && len(resp.names) >= tau
-	if settled && (len(resp.carries) > 0 || resp.fresh || (finished && (len(fin.names) > 0 || fin.fresh))) {
-		bad = append(bad, fmt.Sprintf("%+v: a leg between two full sets carries partial decryptions", req.hdr))
+	var releases [][]float64
+	for _, l := range []struct {
+		name   string
+		leg    decLeg
+		answer bool
+	}{{"request", req, false}, {"response", resp, true}, {"fin", fin, finished}} {
+		if !l.leg.released {
+			continue
+		}
+		if len(l.leg.names) > 0 || l.leg.fresh || (l.answer && len(l.leg.release) == 0) {
+			bad = append(bad, fmt.Sprintf("%+v: a released %s names %v, carries a key-share %v and %d released values", req.hdr, l.name, l.leg.names, l.leg.fresh, len(l.leg.release)))
+		}
+		if l.answer {
+			releases = append(releases, l.leg.release)
+		}
 	}
+	if finished && fin.released != req.released {
+		bad = append(bad, fmt.Sprintf("%+v: the fin is marked released %v, the request %v", req.hdr, fin.released, req.released))
+	}
+	if req.released || resp.released {
+		// Only the release travels to or from a released side.
+		if len(resp.carries) > 0 || resp.fresh || (finished && (len(fin.carries) > 0 || fin.fresh)) {
+			bad = append(bad, fmt.Sprintf("%+v: a leg of an exchange with a released side carries partial decryptions", req.hdr))
+		}
+	} else {
+		bad = append(bad, d.delta(req, resp, fin, finished, tau)...)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.exchanges++
+	if req.released && resp.released {
+		d.settled++
+	}
+	for _, rel := range releases {
+		if d.release == nil {
+			d.release = rel
+		}
+		if !slices.EqualFunc(rel, d.release, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			bad = append(bad, fmt.Sprintf("%+v: a leg carries a release other than the first one carried", req.hdr))
+		}
+	}
+	d.releases += len(releases)
+	d.parts += len(resp.carries) + len(fin.carries)
+	d.bad = append(d.bad, bad...)
+}
+
+// delta holds an exchange between two sides not yet released to the
+// union rule.
+func (d *decTap) delta(req, resp, fin decLeg, finished bool, tau int) []string {
+	var bad []string
 	// The union both sides keep the lowest τ of. A fresh key-share is
 	// its sender's, under the sender's population index plus one.
 	union := slices.Concat(req.names, resp.names)
@@ -201,7 +255,7 @@ func (d *decTap) check(written, read []byte) {
 	// owed is what a receiver holding mine lacks of theirs and keeps.
 	owed := func(mine, theirs []int) []int {
 		var due []int
-		if req.id != resp.id || len(mine) >= tau {
+		if req.id != resp.id {
 			return due
 		}
 		for _, idx := range theirs {
@@ -214,17 +268,10 @@ func (d *decTap) check(written, read []byte) {
 	if want := owed(req.names, resp.names); !slices.Equal(resp.carries, want) {
 		bad = append(bad, fmt.Sprintf("%+v: the response carries the parts of %v, the initiator lacks and keeps %v", req.hdr, resp.carries, want))
 	}
-	if finished && !fin.abort {
+	if finished {
 		if want := owed(resp.names, req.names); !slices.Equal(fin.carries, want) || len(fin.names) != len(fin.carries) {
 			bad = append(bad, fmt.Sprintf("%+v: the fin names %v and carries %v, the responder lacks and keeps %v", req.hdr, fin.names, fin.carries, want))
 		}
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.exchanges++
-	if settled {
-		d.settled++
-	}
-	d.parts += len(resp.carries) + len(fin.carries)
-	d.bad = append(d.bad, bad...)
+	return bad
 }

@@ -36,10 +36,12 @@ func dissOut(st *iterState) wireproto.DissMsg {
 }
 
 // decOut is the iteration's decryption state as a journal checkpoint
-// records it: the whole share set, and this participant's own key-share
-// once applied.
+// records it: the whole share set, this participant's own key-share once
+// applied, and its release once released. A release that failed to
+// decode is not recorded: the resumed participant's full set settles
+// again in its next exchange, to the same error.
 func decOut(st *iterState) wireproto.DecMsg {
-	return wireproto.DecMsg{ID: st.VecID, Shares: st.DecParts, Parts: st.DecParts, Fresh: st.Own}
+	return wireproto.DecMsg{ID: st.VecID, Shares: st.DecParts, Parts: st.DecParts, Fresh: st.Own, Released: st.Released != nil, Release: st.Released}
 }
 
 // leg is where an exchange leg goes: the connection, the leg's kind and
@@ -577,33 +579,36 @@ func validElect(v wireproto.DissView, due bool, dim int) bool {
 
 // --- epidemic decryption phase ---
 
-// decHalf: every leg names the vector its sender decrypts. The request
-// names the initiator's share indices and carries no partial
-// decryptions; the response names the responder's and carries the parts
-// the initiator lacks and will keep; the fin carries the parts the
-// responder lacks and will keep. The response and the fin carry the
-// sender's key-share too when one is due to the receiver (a
-// half-completed exchange's fin carries nothing). Both sides plan the
-// union rule (eesum.PrepareDec) from the two index lists, so a side
-// commits what the other's next leg carries: the initiator the
-// response, the responder the fin. The key-share is the sender's: its
-// index is the peer's.
+// decHalf: every leg names the vector its sender decrypts. A side not
+// yet released sends its share indices: the request carries no partial
+// decryptions, the response carries the parts the initiator lacks and
+// will keep, and the fin the parts the responder lacks and will keep;
+// the response and the fin carry the sender's key-share too when one is
+// due to the receiver (a half-completed exchange's fin carries nothing).
+// A released side names no entries: its request says it is released,
+// and its response and fin carry its release. Both sides plan the rule
+// (eesum.PrepareDec) from the two pre-exchange legs, so a side commits
+// what the other's next leg carries: the initiator the response, the
+// responder the fin. The key-share is the sender's: its index is the
+// peer's.
 type decHalf struct {
-	peer      wireproto.DecView // the peer's latest leg: its response, or its request (whose frame is released: only its ID is read) then its fin
+	peer      wireproto.DecView // the peer's latest leg: its response, or its request (whose frame is released: only its ID and mark are read) then its fin
 	peerShare int               // the peer's key-share index
 	self      uint64            // the vector this side decrypts, which its fin names
 	prep      eesum.DecPrep
 	fresh     *homenc.Vector // this side's key-share for the peer, when due
+	release   []float64      // this side's release, which its fin carries, when it was released before the exchange
 }
 
-// scan vets the request — indices alone — or (resp) the response: the
-// parts the initiator is owed and no other, and a key-share exactly
-// when the rule owes one. The key-share is filed under the scheduled
+// scan vets the request — indices alone, or the release mark alone — or
+// (resp) the response: the parts the initiator is owed and no other, a
+// key-share exactly when the rule owes one, and a release exactly when
+// the responder is released. The key-share is filed under the scheduled
 // peer's index, never one a header names.
 func (decHalf) scan(nd *Node, st *iterState, payload []byte, peer int, resp bool) (decHalf, wireproto.ExchangeHdr, bool) {
 	v, err := wireproto.ScanDec(payload, nd.lim)
 	h := decHalf{peer: v, peerShare: peer + 1}
-	carried, ok := nd.validDecLeg(v, st.Vec.Len())
+	carried, ok := nd.validDecLeg(v, st, resp)
 	if err != nil || !ok || (!resp && (carried > 0 || v.Fresh.Len() > 0)) {
 		return h, v.Hdr, false
 	}
@@ -616,43 +621,60 @@ func (decHalf) scan(nd *Node, st *iterState, payload []byte, peer int, resp bool
 func (h decHalf) prepare(st *iterState, _ bool) decHalf {
 	h.self = st.VecID
 	h.fresh = st.Fresh(h.prep)
+	if h.prep.SendsRelease {
+		h.release = st.Released
+	}
 	return h
 }
 
 // holdsLeg: the responder commits what the fin carries, not the request.
 func (decHalf) holdsLeg() bool { return false }
 
+// out is the request (zero half) or the response: a released side's
+// names no entries, and only the response carries the release.
 func (h decHalf) out(l leg, st *iterState, hdr wireproto.ExchangeHdr) error {
+	if st.Settled() {
+		m := wireproto.DecMsg{Hdr: hdr, ID: st.VecID, Released: true}
+		if l.kind != wireproto.KindDecReq {
+			m.Release = st.Released
+		}
+		return send(l, m)
+	}
 	return send(l, wireproto.DecMsg{Hdr: hdr, ID: st.VecID, Shares: st.DecParts, Parts: h.prep.Send, Fresh: h.fresh})
 }
 
-// fin carries what the responder is owed, unless it aborts the exchange.
+// fin carries what the responder is owed — the initiator's release when
+// it was released before the exchange — unless it aborts the exchange.
 func (h decHalf) fin(l leg, hdr wireproto.ExchangeHdr) error {
 	m := wireproto.DecMsg{Hdr: hdr, ID: h.self}
-	if hdr.Flags&wireproto.FlagAbort == 0 {
+	switch {
+	case hdr.Flags&wireproto.FlagAbort != 0:
+	case h.prep.SendsRelease:
+		m.Released, m.Release = true, h.release
+	default:
 		m.Shares, m.Parts, m.Fresh = h.prep.Send, h.prep.Send, h.fresh
 	}
 	return send(l, m)
 }
 
-// scanFin vets the fin: it names the request's vector, carries the
-// parts the responder is owed and no other — every entry with its
-// partial decryptions — and the initiator's key-share exactly when one
-// is due.
+// scanFin vets the fin: it names the request's vector and is released
+// exactly when the request was, carries the parts the responder is owed
+// and no other — every entry with its partial decryptions — and the
+// initiator's key-share exactly when one is due.
 func (h decHalf) scanFin(nd *Node, st *iterState, payload []byte) (decHalf, wireproto.ExchangeHdr, bool) {
 	v, err := wireproto.ScanDec(payload, nd.lim)
 	if err != nil || v.Hdr.Flags&wireproto.FlagAbort != 0 {
 		return h, v.Hdr, err == nil
 	}
-	carried, ok := nd.validDecLeg(v, st.Vec.Len())
-	ok = ok && v.ID == h.peer.ID && carried == v.Gathered() &&
+	carried, ok := nd.validDecLeg(v, st, true)
+	ok = ok && v.ID == h.peer.ID && v.Released() == h.peer.Released() && carried == v.Gathered() &&
 		(v.Fresh.Len() > 0) == h.prep.PeerSends && eesum.CarriesOwed(st, h.prep, v)
 	h.peer = v
 	return h, v.Hdr, ok
 }
 
-// commit applies the parts and the key-share the peer sent on its
-// response or fin leg, which scan or scanFin vetted.
+// commit applies the parts, the key-share or the release the peer sent
+// on its response or fin leg, which scan or scanFin vetted.
 func (h decHalf) commit(_ *Node, st *iterState, _ int, _ bool) {
 	eesum.CommitDec(st, h.prep, h.peer, h.peer.Fresh.Copy())
 }
@@ -660,9 +682,26 @@ func (h decHalf) commit(_ *Node, st *iterState, _ int, _ bool) {
 // validDecLeg vets a peer's decryption leg before any of it can be
 // taken or applied — every entry names a share index the deployment has
 // and carries a full-length vector or nothing, and so does the key-share:
-// a malformed set must not be able to panic CombineParts — and returns
-// how many entries carry a vector.
-func (nd *Node) validDecLeg(v wireproto.DecView, dim int) (carried int, ok bool) {
+// a malformed set must not be able to panic the combine — and returns
+// how many entries carry a vector. A released leg names no entries (a
+// key-share on it is one the rule does not owe, which the caller
+// refuses); a request (answer false) carries no release, and a response
+// or fin (answer true) carries one of the iteration's length. When the
+// receiver is released over the same vector, that release must be its
+// own bit for bit: every participant releases the same values.
+func (nd *Node) validDecLeg(v wireproto.DecView, st *iterState, answer bool) (carried int, ok bool) {
+	if v.Released() {
+		switch {
+		case v.Gathered() > 0:
+			return 0, false
+		case !answer:
+			return 0, v.ReleaseLen() == 0
+		case v.ReleaseLen() != st.ReleaseDim():
+			return 0, false
+		}
+		return 0, v.ID != st.VecID || !st.Settled() || v.SameRelease(st.Released)
+	}
+	dim := st.Vec.Len()
 	if v.Fresh.Len() != 0 && v.Fresh.Len() != dim {
 		return 0, false
 	}

@@ -58,6 +58,8 @@ func TestGoldenJournal(t *testing.T) {
 	decState.VecID, decState.Vec, decState.VecOmega = dissState.VecID, dissState.Vec, dissState.VecOmega
 	decState.DecParts = []eesum.Part{{Idx: 2, V: partials(2)}, {Idx: 3, V: partials(3)}}
 	decState.Own = partials(3)
+	// Released by a peer's release: its set stays below τ.
+	decState.Released = []float64{1.5, -0.25, 0, 3e300}
 
 	id := identity{digest: 0x0123456789ABCDEF, index: 2, n: 9, epoch: 77, seed: 4242, addr: "127.0.0.1:7421"}
 	iter := iterationRecord{

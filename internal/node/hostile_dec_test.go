@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"math/big"
 	"net"
 	"slices"
@@ -29,6 +30,13 @@ import (
 // another vector that carries nothing commits and merges nothing:
 // shares over two vectors never meet. The control rows run the same
 // exchanges well-formed, and do commit the union.
+//
+// The rumour rows do the same for released legs: a release carried
+// together with entries or a key-share, of the wrong length, holding a
+// NaN or an infinity, in a request, missing from the fin of a released
+// initiator, or differing by one bit from the node's own release is
+// refused; a well-formed release releases the node, and one naming
+// another vector merges nothing.
 func TestHostileDecLegsRejected(t *testing.T) {
 	ts := newSetup(t, 9, 0)
 	if tau := ts.scheme.Threshold(); tau != 3 {
@@ -112,8 +120,60 @@ func TestHostileDecLegsRejected(t *testing.T) {
 	type want struct {
 		rejected, badFrames, committed int64
 		set                            []int // the node's share indices after the exchange
+		released                       bool  // the node holds its release after the exchange
 	}
 	refused := want{rejected: 1, set: unchanged}
+
+	// newNode is the node under test: participant 1.
+	newNode := func(t *testing.T) *Node {
+		nd, err := New(Config{
+			Index: 1, N: ts.n,
+			Series: ts.data.Row(1), Scheme: ts.scheme, Proto: ts.proto,
+			ExchangeTimeout: time.Second,
+			FinTimeout:      time.Second,
+			ViewInterval:    -1,
+			Policy:          Policy{MaxRetries: 3, Backoff: time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = nd.Close() })
+		return nd
+	}
+	// own is the release of the elected vector; flipped differs from it
+	// in the last bit of its last value.
+	own := make([]float64, releaseDim(newNode(t), dim))
+	for j := range own {
+		own[j] = 1.5*float64(j) - 3
+	}
+	flipped := slices.Clone(own)
+	flipped[len(flipped)-1] = math.Float64frombits(math.Float64bits(flipped[len(flipped)-1]) ^ 1)
+	with := func(at int, x float64) []float64 {
+		r := slices.Clone(own)
+		r[at] = x
+		return r
+	}
+	// rel is a released leg: the mark, and the release unless it is nil.
+	rel := func(id uint64, release []float64) *wireproto.DecMsg {
+		return &wireproto.DecMsg{Hdr: hdr, ID: id, Released: true, Release: release}
+	}
+	relResp := func(id uint64, release []float64) *wireproto.DecMsg {
+		m := rel(id, release)
+		m.Hdr.From, m.Hdr.To = 1, 0
+		return m
+	}
+	// withEntries and withFresh add what a released leg must not carry.
+	withEntries := func(m *wireproto.DecMsg) *wireproto.DecMsg {
+		m.Shares = []eesum.Part{{Idx: 1}}
+		return m
+	}
+	withFresh := func(m *wireproto.DecMsg) *wireproto.DecMsg {
+		m.Fresh = share(1, dim)
+		return m
+	}
+	relReq := reqFrame(wireproto.Marshal(rel(elected, nil)))
+	holdsOwn := want{committed: 1, set: unchanged, released: true}
+	refusedReleased := want{rejected: 1, set: unchanged, released: true}
 	rows := []struct {
 		name string
 		// responder rows: the raw request frame (epoch bytes 6..13 are
@@ -123,7 +183,9 @@ func TestHostileDecLegsRejected(t *testing.T) {
 		fin *wireproto.DecMsg
 		// initiator rows: the response the peer answers the node with.
 		resp *wireproto.DecMsg
-		want want
+		// nodeReleased starts the node released, holding own.
+		nodeReleased bool
+		want         want
 	}{
 		{name: "control: request", req: reqFrame(valid), fin: leg(elected, nil, []eesum.Part{part(1)}, nil), want: want{committed: 1, set: union}},
 		{name: "control: empty request", req: req(elected, nil, nil, nil), fin: leg(elected, nil, nil, share(1, dim)), want: want{committed: 1, set: union}},
@@ -167,25 +229,39 @@ func TestHostileDecLegsRejected(t *testing.T) {
 			m.Hdr.To = 1 // the share still files under the scheduled peer's index
 			return m
 		}(), want: want{committed: 1, set: union}},
+		{name: "control: released request", req: relReq, fin: rel(elected, own), want: holdsOwn},
+		{name: "control: released request to a released node", req: relReq, fin: rel(elected, own), nodeReleased: true, want: holdsOwn},
+		{name: "control: request to a released node", req: reqFrame(valid), fin: leg(elected, nil, nil, nil), nodeReleased: true, want: holdsOwn},
+		{name: "request: released, naming entries", req: reqFrame(wireproto.Marshal(withEntries(rel(elected, nil)))), want: refused},
+		{name: "request: carries a release", req: reqFrame(wireproto.Marshal(rel(elected, own))), want: refused},
+		{name: "fin: a release with entries", req: relReq, fin: withEntries(rel(elected, own)), want: refused},
+		{name: "fin: a release with a key-share", req: relReq, fin: withFresh(rel(elected, own)), want: refused},
+		{name: "fin: a release one short", req: relReq, fin: rel(elected, own[1:]), want: refused},
+		{name: "fin: a release holding a NaN", req: relReq, fin: rel(elected, with(0, math.NaN())), want: refused},
+		{name: "fin: a release holding +Inf", req: relReq, fin: rel(elected, with(1, math.Inf(1))), want: refused},
+		{name: "fin: a release holding -Inf", req: relReq, fin: rel(elected, with(1, math.Inf(-1))), want: refused},
+		{name: "fin: no release after a released request", req: relReq, fin: leg(elected, nil, nil, nil), want: refused},
+		{name: "fin: a release one bit off the node's", req: relReq, fin: rel(elected, flipped), nodeReleased: true, want: refusedReleased},
+		{name: "control: released response", resp: relResp(elected, own), want: holdsOwn},
+		{name: "control: released response naming another vector", resp: relResp(other, own), want: want{committed: 1, set: unchanged}},
+		{name: "response: a release with entries", resp: withEntries(relResp(elected, own)), want: refused},
+		{name: "response: a release with a key-share", resp: withFresh(relResp(elected, own)), want: refused},
+		{name: "response: a release of the wrong length", resp: relResp(elected, append(slices.Clone(own), 1)), want: refused},
+		{name: "response: a release holding a NaN", resp: relResp(elected, with(2, math.NaN())), want: refused},
+		{name: "response: marked released without a release", resp: relResp(elected, nil), want: refused},
+		{name: "response: a release one bit off the node's", resp: relResp(elected, flipped), nodeReleased: true, want: refusedReleased},
+		{name: "control: released response to a released node", resp: relResp(elected, own), nodeReleased: true, want: holdsOwn},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			nd, err := New(Config{
-				Index: 1, N: ts.n,
-				Series: ts.data.Row(1), Scheme: ts.scheme, Proto: ts.proto,
-				ExchangeTimeout: time.Second,
-				FinTimeout:      time.Second,
-				ViewInterval:    -1,
-				Policy:          Policy{MaxRetries: 3, Backoff: time.Millisecond},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = nd.Close() })
+			nd := newNode(t)
 			st := eesum.NewParticipant(nd.env, nd.cfg.Index, nil, eesum.NoiseConfig{})
 			st.VecID, st.Vec, st.VecOmega = elected, homenc.NewVector(cts), big.NewInt(1)
-			st.StartDecryption()
+			st.StartDecryption(len(own))
 			st.DecParts = append(st.DecParts, part(5))
+			if row.nodeReleased {
+				st.Released = own
+			}
 
 			attempts := int64(1)
 			if row.resp != nil {
@@ -227,6 +303,12 @@ func TestHostileDecLegsRejected(t *testing.T) {
 			}
 			if !slices.Equal(set, row.want.set) {
 				t.Fatalf("the node holds key-shares %v after the exchange, want %v", set, row.want.set)
+			}
+			// A node that settles by union decodes its own release; every
+			// other one holds own or none.
+			if released := st.Released != nil; released != (row.want.released || len(set) == 3) ||
+				(row.want.released && !slices.Equal(st.Released, own)) {
+				t.Fatalf("the node holds release %v after the exchange, want own %v: %v", st.Released, row.want.released, own)
 			}
 		})
 	}

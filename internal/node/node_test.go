@@ -332,7 +332,7 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 			mk := func(nd *Node) *iterState {
 				st := eesum.NewParticipant(nd.env, nd.cfg.Index, nil, eesum.NoiseConfig{})
 				st.VecID, st.Vec, st.VecOmega = 7, homenc.NewVector(cts), big.NewInt(1)
-				st.StartDecryption()
+				st.StartDecryption(releaseDim(nd, len(cts)))
 				return st
 			}
 			stA, stB := mk(ndA), mk(ndB)

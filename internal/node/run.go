@@ -186,7 +186,7 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 	nd.phaseNow.Store(int64(phaseDiss))
 	nd.runPhase(it, phaseDiss, nd.cfg.Proto.DissCycles, st, rz)
 	trace.DissCycles = nd.cfg.Proto.DissCycles
-	st.StartDecryption()
+	st.StartDecryption(k * (n + 1))
 
 	// --- Algorithm 3 (c): epidemic threshold decryption over the wire.
 	nd.phaseNow.Store(int64(phaseDec))
@@ -202,7 +202,7 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 	if !st.Settled() {
 		return nil, nil, fmt.Errorf("node %d: %w: gathered %d of %d key-shares in %d decryption cycles", nd.cfg.Index, core.ErrPhaseBudget, len(st.DecParts), nd.cfg.Scheme.Threshold(), nd.cfg.Proto.DecryptCycles)
 	}
-	vals, err := st.Release(k * (n + 1))
+	vals, err := st.Release()
 	if err != nil {
 		return nil, nil, err
 	}

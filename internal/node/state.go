@@ -387,6 +387,7 @@ func decodeCheckpoint(p []byte, lim wireproto.Limits) (checkpointRecord, error) 
 			c = next
 		}
 		r.st.Own = dec.Fresh.Copy()
+		r.st.Released = dec.Release()
 	}
 	return r, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math/big"
 	"net"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -200,7 +201,8 @@ func TestRegistryTailRendezvous(t *testing.T) {
 
 // settledPair builds two directly connected nodes whose decryption
 // states are settled on the same ciphertext vector: both key-shares of
-// a τ = 2 scheme gathered, every vector an image as a run's are.
+// a τ = 2 scheme gathered and released, every vector an image as a
+// run's are.
 func settledPair(t *testing.T, dialerA Dialer) (ndA, ndB *Node, stA, stB *iterState) {
 	t.Helper()
 	ts := newSetup(t, 2, 0)
@@ -230,7 +232,7 @@ func settledPair(t *testing.T, dialerA Dialer) (ndA, ndB *Node, stA, stB *iterSt
 	settled := func(nd *Node) *iterState {
 		st := eesum.NewParticipant(nd.env, nd.cfg.Index, nil, eesum.NoiseConfig{})
 		st.VecID, st.Vec, st.VecOmega = 7, imageOf(t, cts), big.NewInt(1)
-		st.StartDecryption()
+		st.StartDecryption(releaseDim(nd, len(cts)))
 		for _, holder := range []*Node{ndA, ndB} {
 			ps, err := eesum.DecPartials(ts.scheme, holder.cfg.Index+1, cts, 1)
 			if err != nil {
@@ -242,10 +244,16 @@ func settledPair(t *testing.T, dialerA Dialer) (ndA, ndB *Node, stA, stB *iterSt
 			}
 			st.DecParts = append(st.DecParts, eesum.Part{Idx: holder.cfg.Index + 1, V: imageOf(t, vals)})
 		}
+		// Both sides hold the same release, as after a settling commit.
+		st.Released = slices.Repeat([]float64{0.5}, st.ReleaseDim())
 		return st
 	}
 	return ndA, ndB, settled(ndA), settled(ndB)
 }
+
+// releaseDim is how many values a vector of n ciphertexts releases in
+// nd's slot layout.
+func releaseDim(nd *Node, n int) int { return n * max(1, nd.env.Pack.Slots) }
 
 // imageOf returns cts as an image-only vector, as a participant holds
 // the vectors of its decryption state.

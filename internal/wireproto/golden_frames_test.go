@@ -61,7 +61,7 @@ func dissOf(m eagerDiss) *DissMsg {
 // decOf is the sending form of a decryption leg written out eagerly: an
 // entry with no partial decryptions names its index alone.
 func decOf(m eagerDec) *DecMsg {
-	out := &DecMsg{Hdr: m.Hdr, ID: m.ID, Fresh: vectorOf(m.Fresh)}
+	out := &DecMsg{Hdr: m.Hdr, ID: m.ID, Fresh: vectorOf(m.Fresh), Released: m.Released, Release: m.Release}
 	for _, idx := range slices.Sorted(maps.Keys(m.Parts)) {
 		e := eesum.Part{Idx: idx, V: vectorOf(m.Parts[idx])}
 		out.Shares = append(out.Shares, e)
@@ -119,6 +119,10 @@ func goldenLegs() []goldenLeg {
 		Fresh: intsOf("41", "42", "43", "0x7FFFFFFFFFFFFFFFFF"),
 	}
 	decAbort := eagerDec{Hdr: abort, ID: 0xBEEF01}
+	// A released side's request is only marked; its response carries
+	// the release and nothing else.
+	decReqReleased := eagerDec{Hdr: hdr, ID: 0xBEEF01, Released: true}
+	decRespReleased := eagerDec{Hdr: hdr, ID: 0xBEEF01, Released: true, Release: []float64{12.5, -0.75, 0, 1e-300, -4e21}}
 	return []goldenLeg{
 		{"sum-req", KindSumReq, sum, nil},
 		{"sum-resp", KindSumResp, sum, nil},
@@ -132,6 +136,8 @@ func goldenLegs() []goldenLeg {
 		{"dec-resp", KindDecResp, decOf(decResp), eagerMarshalDec(decResp)},
 		{"dec-fin", KindDecFin, decOf(decFin), eagerMarshalDec(decFin)},
 		{"dec-fin-abort", KindDecFin, decOf(decAbort), eagerMarshalDec(decAbort)},
+		{"dec-req-released", KindDecReq, decOf(decReqReleased), eagerMarshalDec(decReqReleased)},
+		{"dec-resp-released", KindDecResp, decOf(decRespReleased), eagerMarshalDec(decRespReleased)},
 	}
 }
 

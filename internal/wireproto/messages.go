@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 
 	"chiaroscuro/internal/eesum"
@@ -443,30 +444,39 @@ func ScanDiss(data []byte, lim Limits) (DissView, error) {
 // --- epidemic decryption ---
 
 // DecMsg is the sending form of a decryption leg (KindDecReq,
-// KindDecResp, KindDecFin) and of a journal checkpoint's share set: the
-// identifier of the vector the sender decrypts, entries in ascending
-// share index — each a share index with the partial decryptions under
-// it (a vector of group elements) or, when they do not travel, the
-// empty vector — and Fresh, the sender's own key-share when one is due
-// to the receiver (its index is the sender's). Shares are the indices
-// the message names, and Parts the entries among them whose partial
-// decryptions it carries: a request names the sender's set and carries
-// none of it; a response names the set and carries what the initiator
-// lacks and will keep; a fin names and carries just what the responder
-// lacks and will keep; a checkpoint carries its whole set. The
-// ciphertexts themselves never travel here: both sides elected them in
-// the dissemination.
+// KindDecResp, KindDecFin) and of a journal checkpoint's decryption
+// state: the identifier of the vector the sender decrypts, entries in
+// ascending share index — each a share index with the partial
+// decryptions under it (a vector of group elements) or, when they do
+// not travel, the empty vector — Fresh, the sender's own key-share when
+// one is due to the receiver (its index is the sender's), and the
+// release mark. Shares are the indices the message names, and Parts the
+// entries among them whose partial decryptions it carries: a request
+// names the sender's set and carries none of it; a response names the
+// set and carries what the initiator lacks and will keep; a fin names
+// and carries just what the responder lacks and will keep; a checkpoint
+// carries its whole set. A released sender's legs name no entries and
+// carry no key-share: its request is only marked Released, and its
+// response and fin carry the Release too. A checkpoint records the set,
+// the own key-share and the release together. The ciphertexts
+// themselves never travel here: both sides elected them in the
+// dissemination.
 type DecMsg struct {
-	Hdr    ExchangeHdr
-	ID     uint64
-	Shares []eesum.Part // ascending; only the indices are read
-	Parts  []eesum.Part // a subsequence of Shares
-	Fresh  *homenc.Vector
+	Hdr      ExchangeHdr
+	ID       uint64
+	Shares   []eesum.Part // ascending; only the indices are read
+	Parts    []eesum.Part // a subsequence of Shares
+	Fresh    *homenc.Vector
+	Released bool      // the sender is released
+	Release  []float64 // its release, when the message carries it
 }
 
 // Size implements Message.
 func (m DecMsg) Size() int {
-	size := hdrSize + 8 + 2 + m.Fresh.WireSize()
+	size := hdrSize + 8 + 2 + m.Fresh.WireSize() + 1
+	if m.Released {
+		size += 2 + 8*len(m.Release)
+	}
 	parts := m.Parts
 	for _, e := range m.Shares {
 		var v *homenc.Vector
@@ -488,7 +498,17 @@ func (m DecMsg) AppendTo(dst []byte) []byte {
 		e.U32(uint32(s.Idx))
 		e.B = v.AppendTo(e.B)
 	}
-	return m.Fresh.AppendTo(e.B)
+	e.B = m.Fresh.AppendTo(e.B)
+	if !m.Released {
+		e.U8(0)
+		return e.B
+	}
+	e.U8(1)
+	e.U16(uint16(len(m.Release)))
+	for _, x := range m.Release {
+		e.F64(x)
+	}
+	return e.B
 }
 
 // carried returns the partial decryptions under share index idx when
@@ -502,22 +522,56 @@ func carried(idx int, parts []eesum.Part) (*homenc.Vector, []eesum.Part) {
 
 // DecView is the structural scan of a DecMsg payload: every bound of
 // Limits enforced — exactly the frames an eager decode would accept —
-// with no big.Int built and nothing allocated, and the entries in
-// strictly ascending share index. It aliases the payload, and is walked
-// with the cursor of eesum.DecPeer — it is the peer of an
-// eesum.Participant's decryption exchange — over the entries the scan
-// vetted; what a receiver keeps (a part it takes, an accepted Fresh
-// vector) it detaches with Copy.
+// with no big.Int built and nothing allocated, the entries in strictly
+// ascending share index and every released value finite. It aliases the
+// payload, and is walked with the cursor of eesum.DecPeer — it is the
+// peer of an eesum.Participant's decryption exchange — over the entries
+// the scan vetted; what a receiver keeps (a part it takes, an accepted
+// Fresh vector, a release) it detaches with Copy or Release.
 type DecView struct {
-	Hdr     ExchangeHdr
-	ID      uint64
-	n       int
-	entries []byte
-	Fresh   homenc.VectorView
+	Hdr      ExchangeHdr
+	ID       uint64
+	n        int
+	entries  []byte
+	Fresh    homenc.VectorView
+	released bool
+	release  []byte // the release's values, 8 bytes each
 }
 
 // Elected returns the identifier of the vector the sender decrypts.
 func (v DecView) Elected() uint64 { return v.ID }
+
+// Released reports whether the leg is marked released.
+func (v DecView) Released() bool { return v.released }
+
+// ReleaseLen returns how many released values the leg carries.
+func (v DecView) ReleaseLen() int { return len(v.release) / 8 }
+
+// Release decodes the released values the leg carries into a slice of
+// their own; nil when the leg is not marked released.
+func (v DecView) Release() []float64 {
+	if !v.released {
+		return nil
+	}
+	out := make([]float64, v.ReleaseLen())
+	for i := range out {
+		out[i] = math.Float64frombits(binary.BigEndian.Uint64(v.release[8*i:]))
+	}
+	return out
+}
+
+// SameRelease reports whether the leg carries rel, bit for bit.
+func (v DecView) SameRelease(rel []float64) bool {
+	if v.ReleaseLen() != len(rel) {
+		return false
+	}
+	for i, x := range rel {
+		if binary.BigEndian.Uint64(v.release[8*i:]) != math.Float64bits(x) {
+			return false
+		}
+	}
+	return true
+}
 
 // Gathered returns how many entries the leg has.
 func (v DecView) Gathered() int { return v.n }
@@ -565,11 +619,39 @@ func ScanDec(data []byte, lim Limits) (DecView, error) {
 	}
 	entries = entries[:len(entries)-len(d.B)]
 	fresh := d.vector(lim.MaxDim+1, lim.MaxCTBytes)
+	released, release, err := scanRelease(&d, lim.MaxDim)
+	if err != nil {
+		return v, err
+	}
 	if err := d.Done(); err != nil {
 		return v, err
 	}
-	v.n, v.entries, v.Fresh = n, entries, fresh
+	v.n, v.entries, v.Fresh, v.released, v.release = n, entries, fresh, released, release
 	return v, nil
+}
+
+// scanRelease consumes a decryption leg's release mark and the values
+// it carries: at most maxLen, each finite.
+func scanRelease(d *Dec, maxLen int) (released bool, release []byte, err error) {
+	switch mark := d.U8(); {
+	case d.err != nil:
+		return false, nil, d.err
+	case mark > 1:
+		return false, nil, fmt.Errorf("wireproto: release mark %d", mark)
+	case mark == 0:
+		return false, nil, nil
+	}
+	n := int(d.U16())
+	if d.err == nil && n > maxLen {
+		return false, nil, fmt.Errorf("wireproto: release of %d values exceeds bound %d", n, maxLen)
+	}
+	release = d.next(8 * n)
+	for i := 0; i+8 <= len(release); i += 8 {
+		if x := math.Float64frombits(binary.BigEndian.Uint64(release[i:])); math.IsNaN(x) || math.IsInf(x, 0) {
+			return false, nil, errors.New("wireproto: release value not finite")
+		}
+	}
+	return true, release, d.err
 }
 
 // vector consumes one ciphertext vector from the cursor, unbuilt.

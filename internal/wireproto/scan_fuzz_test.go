@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"maps"
+	"math"
 	"math/big"
 	"os"
 	"slices"
@@ -22,12 +23,15 @@ import (
 // the reference the scans are fuzzed against and the golden frames are
 // checked against. A part set and Fresh are vectors of integers like
 // the ciphertexts: a part set's share index is its key, and the set is
-// written in ascending index order.
+// written in ascending index order. A released leg's values follow its
+// mark.
 type eagerDec struct {
-	Hdr   ExchangeHdr
-	ID    uint64
-	Parts map[int][]*big.Int
-	Fresh []*big.Int
+	Hdr      ExchangeHdr
+	ID       uint64
+	Parts    map[int][]*big.Int
+	Fresh    []*big.Int
+	Released bool
+	Release  []float64
 }
 
 type eagerDiss struct {
@@ -84,6 +88,23 @@ func eagerUnmarshalDec(data []byte, lim Limits) (eagerDec, error) {
 		}
 	}
 	m.Fresh = eagerInts(&d, lim.MaxDim+1, lim.MaxCTBytes)
+	switch mark := d.U8(); {
+	case mark > 1:
+		d.Fail("release mark")
+	case mark == 1:
+		m.Released = true
+		n := int(d.U16())
+		if n > lim.MaxDim {
+			d.Fail("release exceeds bound")
+		}
+		for i := 0; i < n && d.err == nil; i++ {
+			x := d.F64()
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				d.Fail("release value not finite")
+			}
+			m.Release = append(m.Release, x)
+		}
+	}
 	return m, d.Done()
 }
 
@@ -116,6 +137,15 @@ func eagerMarshalDec(m eagerDec) []byte {
 		eagerMarshalInts(&e, m.Parts[idx])
 	}
 	eagerMarshalInts(&e, m.Fresh)
+	if !m.Released {
+		e.U8(0)
+		return e.B
+	}
+	e.U8(1)
+	e.U16(uint16(len(m.Release)))
+	for _, x := range m.Release {
+		e.F64(x)
+	}
 	return e.B
 }
 
@@ -170,12 +200,14 @@ func goldenPayloads(f *testing.F, names ...string) [][]byte {
 // entries visits the eager decode's share indices in ascending order,
 // each carrying partial decryptions exactly when the eager entry has
 // any; every value it materializes — straight from the view, or later
-// from a detached copy — equals the eager decode's; and a leg relayed
-// from its detached images, naming the same indices and carrying the
-// same parts, re-encodes to the bytes the eager path would have
-// re-marshalled (canonical even when the input was not).
+// from a detached copy — equals the eager decode's, the release bit for
+// bit; and a leg relayed from its detached images, naming the same
+// indices and carrying the same parts and release, re-encodes to the
+// bytes the eager path would have re-marshalled (canonical even when
+// the input was not).
 func FuzzDecScanMatchesEager(f *testing.F) {
-	for _, p := range goldenPayloads(f, "dec-req/untargeted", "dec-resp/untargeted", "dec-fin/untargeted", "dec-fin-abort/untargeted", "sum-req/untargeted") {
+	for _, p := range goldenPayloads(f, "dec-req/untargeted", "dec-resp/untargeted", "dec-fin/untargeted", "dec-fin-abort/untargeted",
+		"dec-req-released/untargeted", "dec-resp-released/untargeted", "sum-req/untargeted") {
 		f.Add(p)
 	}
 	// Valid but non-canonical integers: a leading zero byte, negative zero.
@@ -201,6 +233,11 @@ func FuzzDecScanMatchesEager(f *testing.F) {
 	}
 	f.Add(Marshal(settled))
 	f.Add(Marshal(mixed))
+	// A checkpoint's decryption state: a set, the own key-share and the
+	// release, with a negative zero and a subnormal among its values.
+	checkpoint := *mixed
+	checkpoint.Released, checkpoint.Release = true, []float64{math.Copysign(0, -1), 5e-324, -7.25}
+	f.Add(Marshal(&checkpoint))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 40))
 
@@ -217,7 +254,11 @@ func FuzzDecScanMatchesEager(f *testing.F) {
 		if got.Hdr != want.Hdr || got.ID != want.ID {
 			t.Fatalf("header/vector (%+v, %d), eager decode has (%+v, %d)", got.Hdr, got.ID, want.Hdr, want.ID)
 		}
-		relay := DecMsg{Hdr: got.Hdr, ID: got.ID, Fresh: got.Fresh.Copy()}
+		relay := DecMsg{Hdr: got.Hdr, ID: got.ID, Fresh: got.Fresh.Copy(), Released: got.Released(), Release: got.Release()}
+		if got.Released() != want.Released || !slices.EqualFunc(relay.Release, want.Release, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) ||
+			(got.Released() && !got.SameRelease(want.Release)) {
+			t.Fatalf("release %v %v, eager decode has %v %v", got.Released(), relay.Release, want.Released, want.Release)
+		}
 		if got.Gathered() != len(want.Parts) {
 			t.Fatalf("%d entries, eager decode has %d", got.Gathered(), len(want.Parts))
 		}

@@ -35,10 +35,11 @@ import (
 
 // Version is the protocol version byte. A frame of any other version —
 // the two earlier layouts included — is refused as malformed: there is
-// no negotiation, populations are provisioned together. Version 5 kept
-// version 4's layout and changed what a decryption leg may carry: only
-// the partial decryptions its receiver lacks and will keep.
-const Version = 5
+// no negotiation, populations are provisioned together. Version 6 ends
+// every decryption leg with its sender's release mark: a released
+// participant's legs carry its decoded release instead of share
+// indices and partial decryptions.
+const Version = 6
 
 // Message kinds.
 const (

@@ -260,10 +260,16 @@ func TestDecMsgRoundTrip(t *testing.T) {
 	if !bytes.Equal(wire, Marshal(&relay)) {
 		t.Fatal("dec encoding not canonical")
 	}
-	// A leg naming indices alone costs 8 bytes an index.
+	// A leg naming indices alone costs 8 bytes an index, past the empty
+	// key-share and the release mark.
 	bare := DecMsg{Hdr: m.Hdr, ID: m.ID, Shares: m.Shares}
-	if got, want := bare.Size(), hdrSize+8+2+3*8+4; got != want {
+	if got, want := bare.Size(), hdrSize+8+2+3*8+4+1; got != want {
 		t.Fatalf("an indices-only leg of 3 shares is %d bytes, want %d", got, want)
+	}
+	// A released leg costs 8 bytes a released value.
+	released := DecMsg{Hdr: m.Hdr, ID: m.ID, Released: true, Release: []float64{1, 2, 3}}
+	if got, want := released.Size(), hdrSize+8+2+4+1+2+3*8; got != want || len(Marshal(&released)) != want {
+		t.Fatalf("a released leg of 3 values is %d bytes (%d marshalled), want %d", got, len(Marshal(&released)), want)
 	}
 }
 
