@@ -251,7 +251,7 @@ func NewNetwork(data *timeseries.Dataset, sch homenc.Scheme, cfg Config) (*Netwo
 	diss, dec := PhaseCycles(np, sch.Threshold(), cfg.Churn, cfg.Newscast)
 	nw := &Network{
 		cfg:     cfg,
-		env:     &eesum.Env{Scheme: sch, Pack: pack, Workers: cfg.Workers},
+		env:     &eesum.Env{Scheme: sch, Pack: pack, Workers: cfg.Workers, SumEpochs: HeadroomNeeded(cfg.Exchanges)},
 		data:    data,
 		np:      np,
 		rng:     ProtocolRNG(cfg.Seed),

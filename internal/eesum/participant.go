@@ -25,6 +25,11 @@ type Env struct {
 	Scheme  homenc.Scheme
 	Pack    homenc.PackedCodec
 	Workers int
+	// SumEpochs bounds the epoch a sum state reaches by the end of the
+	// sum phase (0: unknown). A scheme with unbounded plaintexts widens
+	// its values by up to a bit an epoch, and a participant sizes its
+	// spare images for the width that bound allows.
+	SumEpochs int
 }
 
 // workers is the worker count of a loop over a vector of n elements.
@@ -84,7 +89,7 @@ type Participant struct {
 	DecParts []Part         // the share set, ascending share index; nil until the decryption starts
 	Own      *homenc.Vector // this participant's key-share over Vec, once applied
 	// Released is the decoded release of Vec, its relDim values: combined
-	// from the share set in the commit that fills it, or taken from a
+	// from the share set once a commit fills it (Settle), or taken from a
 	// released peer. It is shared, never written; nil until settled.
 	Released []float64
 
@@ -182,8 +187,8 @@ func (p *Participant) CommitSum(peer SumPeer, initiator bool) {
 		a, b = b, a
 	}
 	sch, w := p.env.Scheme, p.env.workers(a.Means.CTs.Len())
-	means := mergeSumInto(sch, p.spareImage(0), a.Means, b.Means, w)
-	noise := mergeSumInto(sch, p.spareImage(1), a.Noise, b.Noise, w)
+	means := mergeSumInto(sch, p.sizedSpare(0, a.Means, b.Means), a.Means, b.Means, w)
+	noise := mergeSumInto(sch, p.sizedSpare(1, a.Noise, b.Noise), a.Noise, b.Noise, w)
 	p.swapIn(means, noise)
 	p.CtrS, p.CtrW = (a.CtrS+b.CtrS)/2, (a.CtrW+b.CtrW)/2
 }
@@ -194,6 +199,32 @@ func (p *Participant) spareImage(i int) *homenc.Vector {
 		p.spare[i] = new(homenc.Vector)
 	}
 	return p.spare[i]
+}
+
+// sizedSpare is spare image i with room for the image of the state
+// merged from a and b as it will be at the end of the sum, when the
+// scheme's values widen as they merge (unbounded plaintexts, with
+// Env.SumEpochs set): a spare then allocates once a sum instead of
+// regrowing as its values widen.
+func (p *Participant) sizedSpare(i int, a, b SumOperand) *homenc.Vector {
+	v := p.spareImage(i)
+	if end := p.env.SumEpochs; end > 0 && p.env.Scheme.PlaintextSpace() == nil {
+		v.Expect(eventualImage(a, b, end))
+	}
+	return v
+}
+
+// eventualImage is the image size a state merged from a and b can reach
+// by epoch end. A merged value is at most one bit wider than the wider
+// of its operands, the staler shifted to the fresher's epoch, and its
+// epoch is the fresher's plus one: a value's width less its epoch never
+// grows, so an operand at epoch e widens by at most a byte an element
+// for every eight epochs it has to go.
+func eventualImage(a, b SumOperand, end int) int {
+	grown := func(o SumOperand) int {
+		return o.CTs.Size() + o.CTs.Len()*((max(end-o.Epoch, 0)+7)/8)
+	}
+	return 4 + max(grown(a), grown(b))
 }
 
 // swapIn makes means and noise, written into the spare images, the
@@ -295,10 +326,12 @@ func (p *Participant) ExchangeDiss(q *Participant, full bool) {
 // decryption: the decryption starts over the elected vector, which
 // releases dim values, with no key-share gathered. A participant resumed
 // past this boundary keeps the share set and the release it was
-// restored with.
+// restored with, and settles here if its set is full but its release
+// was not recorded.
 func (p *Participant) StartDecryption(dim int) {
 	p.relDim = dim
 	if p.DecParts != nil {
+		p.Settle()
 		return
 	}
 	p.DecParts = make([]Part, 0, p.env.Scheme.Threshold())
@@ -318,9 +351,9 @@ func (p *Participant) ReleaseDim() int { return p.relDim }
 // along: it applies its key-share then, at most once an iteration, and
 // keeps the result (Own) for every later peer that lacks it.
 //
-// The commit that fills a set to τ combines it and decodes the release
-// at once, and the participant is released: nothing of its decryption
-// state changes again. From then on its legs name no entries and carry
+// A set filled to τ is combined and the release decoded right after the
+// commit that fills it (Settle), and the participant is released:
+// nothing of its decryption state changes again. From then on its legs name no entries and carry
 // the release itself — a request only says that its sender is released
 // — and a side not yet released takes a released peer's release as its
 // own, without combining anything. That is the release spreading as a
@@ -549,9 +582,10 @@ func (p *Participant) Fresh(x DecPrep) *homenc.Vector {
 // once. A side taking a released peer's release keeps the one the
 // peer's leg carries. Otherwise the share set becomes the planned union,
 // whose new entries come from the peer's leg (CarriesOwed vetted it) and
-// from the two fresh key-shares, and a union that fills the set settles
-// p: it combines and decodes the release here, before the commit
-// returns, so a settled state is never written again. fresh is the
+// from the two fresh key-shares. A union that fills the set leaves p to
+// Settle, which combines and decodes the release: the caller settles p
+// before anything reads its state again, and an initiator sends its fin
+// first, so that its peer does not wait on the combine. fresh is the
 // peer's key-share as it arrived (nil: none).
 func CommitDec[P DecPeer](p *Participant, x DecPrep, leg P, fresh *homenc.Vector) {
 	if x.takes {
@@ -589,9 +623,6 @@ func CommitDec[P DecPeer](p *Participant, x DecPrep, leg P, fresh *homenc.Vector
 		}
 	}
 	p.DecParts = parts
-	if len(parts) >= p.env.Scheme.Threshold() {
-		p.settle()
-	}
 }
 
 // ExchangeDec runs a whole decryption exchange between initiator p and
@@ -606,6 +637,8 @@ func (p *Participant) ExchangeDec(q *Participant, full bool) {
 	if full {
 		CommitDec(q, xq, p.answer(xp), fp)
 	}
+	p.Settle()
+	q.Settle()
 }
 
 // request is p's leg as a request names it: its share set, or only that
@@ -676,13 +709,21 @@ func (p *Participant) Settled() bool { return p.Released != nil || p.relErr != n
 // failed.
 var errNoRelease = errors.New("eesum: the released peer's decode failed")
 
-// settle combines the full share set into the plaintexts of the elected
-// vector and decodes the relDim released values with its weight. It
-// reads the vector and the τ lowest key-shares — the whole set — from
-// their images. A decode that fails settles p with the error.
-func (p *Participant) settle() {
+// Settle releases p once its share set is full and it is not settled
+// yet, and does nothing otherwise: it combines the set into the
+// plaintexts of the elected vector and decodes the relDim released
+// values with its weight, reading the vector and the τ lowest
+// key-shares — the whole set — from their images. A decode that fails
+// settles p with the error. A settled state is never written again.
+func (p *Participant) Settle() {
+	if p.Settled() || len(p.DecParts) == 0 {
+		return
+	}
 	sch := p.env.Scheme
 	tau := sch.Threshold()
+	if len(p.DecParts) < tau {
+		return
+	}
 	shares, parts := make([]int, tau), make([]homenc.Operand, tau)
 	for k, e := range p.DecParts[:tau] {
 		shares[k], parts[k] = e.Idx, e.V.Operand()

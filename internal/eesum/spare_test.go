@@ -3,6 +3,7 @@ package eesum
 import (
 	"bytes"
 	"math/big"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -82,6 +83,41 @@ func TestCommitSumReusesSpareImages(t *testing.T) {
 				commits, got, p.Means.CTs.WireSize(), start)
 		}
 	}
+
+	// Sized from the epoch the sum ends by (Env.SumEpochs), each image
+	// regrows at most once a sum: the first commit allocates the two new
+	// spares, the second replaces the buffers of the two states the
+	// participant started with, and no later commit allocates an image,
+	// however much the values widen before that epoch.
+	p, q = plainPair(t, dim, nil)
+	p.env.SumEpochs = 64
+	peer = q.sumPeer()
+	start = p.Means.CTs.WireSize()
+	regrew := 0
+	for commit := 1; p.Means.Epoch < p.env.SumEpochs; commit++ {
+		if got := allocatedBy(func() { p.CommitSum(peer, true) }); got >= uint64(start) {
+			regrew++
+			if commit > 2 {
+				t.Errorf("commit %d, to epoch %d, allocated %d bytes: an image regrew", commit, p.Means.Epoch, got)
+			}
+		}
+	}
+	if regrew != 2 {
+		t.Errorf("%d commits allocated images, want 2: one for the new spares, one for the states the sum started with", regrew)
+	}
+	if end := p.Means.CTs.WireSize(); end < start+5*dim {
+		t.Fatalf("the image only grew from %d to %d bytes: the values did not widen", start, end)
+	}
+}
+
+// allocatedBy returns how many bytes one call of f allocates.
+func allocatedBy(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestExchangeSumResponderOwnsItsImages is the aliasing guard of the

@@ -134,6 +134,96 @@ func TestCodecDecodeVecMatchesReference(t *testing.T) {
 	}
 }
 
+// decodeCases are DecodeVec's edge rows, every value over every
+// divisor: zero over a negative divisor (−0), float64 ties and
+// near-ties, results in the subnormal range down to the half of the
+// smallest subnormal that ties to zero, overflow to ±Inf, and divisors
+// wider than the 53 bits the reference keeps of them or than the 256
+// bits it computes the quotient in.
+func decodeCases() (vs, divs []*big.Int) {
+	pow := func(e uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), e) }
+	add := func(x *big.Int, d int64) *big.Int { return new(big.Int).Add(x, big.NewInt(d)) }
+	vs = []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(-1), big.NewInt(3), big.NewInt(-5),
+		add(pow(53), 1), add(pow(53), 3), add(pow(54), 2), add(pow(54), -3), // ties at 53 bits, both ways
+		pow(1100), new(big.Int).Neg(pow(1100)), // past MaxFloat64
+		add(pow(255), -1), pow(300), add(pow(300), 1),
+	}
+	divs = []*big.Int{
+		nil, big.NewInt(-7), pow(1070), pow(1074), pow(1075), pow(1076), new(big.Int).Neg(pow(1076)),
+		add(pow(60), 1<<7), add(pow(60), 1<<7+1), // a tie, and not one, at the divisor's 53 bits
+		add(pow(300), 1), add(pow(600), -1),
+	}
+	return vs, divs
+}
+
+// TestCodecDecodeVecEdges pins DecodeVec to the reference on the edge
+// rows, bit for bit, at the FracBits the protocol uses and at none.
+func TestCodecDecodeVecEdges(t *testing.T) {
+	vs, divs := decodeCases()
+	for _, div := range divs {
+		for _, f := range []uint{0, 30} {
+			got := make([]float64, len(vs))
+			Codec{FracBits: f}.DecodeVec(got, vs, div)
+			for i, v := range vs {
+				if want := decodeReference(v, div, f); math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Errorf("FracBits %d: DecodeVec(%v / %v) = %v (%#x), reference %v (%#x)",
+						f, v, div, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+func FuzzCodecDecodeVec(f *testing.F) {
+	vs, divs := decodeCases()
+	for i, v := range vs {
+		d := divs[i%len(divs)]
+		var db []byte
+		if d != nil {
+			db = d.Bytes()
+		}
+		f.Add(v.Bytes(), v.Sign() < 0, db, d != nil && d.Sign() < 0, uint8(30))
+	}
+	f.Fuzz(func(t *testing.T, vb []byte, vneg bool, db []byte, dneg bool, fb uint8) {
+		if len(vb) > 200 || len(db) > 200 {
+			return
+		}
+		v, d := new(big.Int).SetBytes(vb), new(big.Int).SetBytes(db)
+		if vneg {
+			v.Neg(v)
+		}
+		if dneg {
+			d.Neg(d)
+		}
+		c := Codec{FracBits: uint(fb)}
+		var got [1]float64
+		c.DecodeVec(got[:], []*big.Int{v}, d)
+		if want := decodeReference(v, d, uint(fb)); math.Float64bits(got[0]) != math.Float64bits(want) {
+			t.Fatalf("FracBits %d: DecodeVec(%v / %v) = %v, reference %v", fb, v, d, got[0], want)
+		}
+	})
+}
+
+// TestCodecDecodeVecAllocs pins that a decoded value costs no
+// allocation: a vector of 64 values allocates what one value does, the
+// growth of DecodeVec's four scratch integers, and no more.
+func TestCodecDecodeVecAllocs(t *testing.T) {
+	c := NewCodec(0)
+	vs := make([]*big.Int, 64)
+	for i := range vs {
+		vs[i] = c.Encode(float64(i)*1234.5678 - 40000)
+		vs[i].Lsh(vs[i], 40) // a sum's weight 2^40 on it
+	}
+	omega := new(big.Int).Lsh(big.NewInt(1), 40)
+	dst := make([]float64, len(vs))
+	one := testing.AllocsPerRun(100, func() { c.DecodeVec(dst[:1], vs[:1], omega) })
+	all := testing.AllocsPerRun(100, func() { c.DecodeVec(dst, vs, omega) })
+	if all > one || one > 4 {
+		t.Errorf("DecodeVec: %v allocations for one value, %v for %d; want at most 4, whatever the length", one, all, len(vs))
+	}
+}
+
 // TestCodecEncodeAllocs pins what one Encode costs: the result and its
 // one word, and a second slab of words when the result is wider than
 // one — nothing per conversion step.

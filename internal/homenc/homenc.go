@@ -209,18 +209,99 @@ func (c Codec) Decode(v *big.Int, divisor *big.Int) float64 {
 
 // DecodeVec decodes vs into dst (at least len(vs) long), every value
 // over the one divisor, as Decode does each: v / (2^FracBits · divisor)
-// in 256-bit arithmetic, rounded once more to float64. The denominator
-// is built once per vector, and the numerator and quotient reuse one
-// pair of big.Floats.
+// rounded to a 256-bit binary float, then rounded once more to float64,
+// always to nearest, ties to even — bit for bit what the big.Float
+// computation codec_test.go keeps as the reference returns. That one
+// rounds |v| to 256 bits, and |divisor| to 256 and then to 53 bits (the
+// precision of the 2^FracBits it is multiplied into); none of the three
+// changes a value that is not wider. DecodeVec does the same in integer
+// arithmetic on four big.Ints reused across the vector, so a value
+// allocates nothing once they have grown: the two operands rounded, a
+// division leaving a 257- or 258-bit quotient, that quotient rounded to
+// 256 bits with the remainder as its sticky bit, and the result rounded
+// to float64's 53 bits, fewer below 2^-1022.
+//
+// In the protocol's regime — |v| below 2^255, the divisor below 2^53
+// and 2^FracBits·divisor far below 2^200 — no operand is rounded and
+// the 256-bit step never changes the result, so DecodeVec is the one
+// correct rounding of the exact quotient q. A float64 tie t has at most
+// 54 significant bits; when q ≠ t, v − t·2^FracBits·divisor is a
+// nonzero multiple of min(1, ulp(t)), so |q − t| is at least
+// min(1, ulp(t)) / (2^FracBits·divisor), which exceeds 2^-254·|q|: more
+// than the 2^-256·|q| the 256-bit rounding may move q. That rounding
+// neither reaches a tie nor crosses one, and keeps an exact tie exact,
+// so rounding twice equals rounding once.
 func (c Codec) DecodeVec(dst []float64, vs []*big.Int, divisor *big.Int) {
-	den := new(big.Float).SetPrec(256).SetMantExp(big.NewFloat(1), int(c.FracBits))
+	var den, num, quo, rem big.Int
+	den.SetInt64(1)
+	denExp, negDen := int(c.FracBits), false
 	if divisor != nil && divisor.Sign() != 0 {
-		den.Mul(den, new(big.Float).SetPrec(256).SetInt(divisor))
+		den.Abs(divisor)
+		denExp += roundBits(&den, quoBits, false)
+		denExp += roundBits(&den, 53, false)
+		negDen = divisor.Sign() < 0
 	}
-	var num, quo big.Float
-	num.SetPrec(256)
-	quo.SetPrec(256)
 	for i, v := range vs {
-		dst[i], _ = quo.Quo(num.SetInt(v), den).Float64()
+		dst[i] = decodeQuo(v, &den, denExp, negDen, &num, &quo, &rem)
 	}
 }
+
+// quoBits is the precision of DecodeVec's intermediate quotient.
+const quoBits = 256
+
+// decodeQuo returns v / (den·2^denExp), negated when negDen, as
+// DecodeVec rounds it; num, quo and rem are its scratch.
+func decodeQuo(v, den *big.Int, denExp int, negDen bool, num, quo, rem *big.Int) float64 {
+	neg := (v.Sign() < 0) != negDen
+	if v.Sign() == 0 {
+		if neg {
+			return math.Copysign(0, -1)
+		}
+		return 0
+	}
+	num.Abs(v)
+	exp := roundBits(num, quoBits, false) - denExp
+	shift := quoBits + 1 + den.BitLen() - num.BitLen() // ≥ 2: the quotient has 257 or 258 bits
+	num.Lsh(num, uint(shift))
+	exp -= shift
+	quo.QuoRem(num, den, rem)
+	exp += roundBits(quo, quoBits, rem.Sign() != 0)
+	// float64 keeps 53 bits down to 2^-1022, one fewer for each binade
+	// below: the smallest subnormal is 2^-1074, and half of it ties to 0.
+	prec := 53
+	if lead := exp + quo.BitLen() - 1; lead < -1022 {
+		prec = lead + 1075
+	}
+	var x float64
+	if prec >= 0 {
+		exp += roundBits(quo, prec, false)
+		x = math.Ldexp(float64(quo.Uint64()), exp) // exact, or ±Inf past MaxFloat64
+	}
+	if neg {
+		x = -x
+	}
+	return x
+}
+
+// roundBits rounds m ≥ 0 to at most prec significant bits, to nearest
+// with ties to even, and returns how many low bits it shifted out: the
+// value is then m·2^dropped. sticky says that nonzero bits follow m's
+// lowest one, so that a dropped exact half is not a tie. A carry may
+// leave m at 2^prec. With prec 0 only a value above one half of the
+// first bit out rounds up, to 1.
+func roundBits(m *big.Int, prec int, sticky bool) int {
+	drop := m.BitLen() - prec
+	if drop <= 0 {
+		return 0
+	}
+	half := m.Bit(drop-1) == 1
+	rest := sticky || m.TrailingZeroBits() < uint(drop-1)
+	m.Rsh(m, uint(drop))
+	if half && (rest || m.Bit(0) == 1) {
+		m.Add(m, bigOne)
+	}
+	return drop
+}
+
+// bigOne is 1, only ever read.
+var bigOne = big.NewInt(1)

@@ -49,6 +49,19 @@ func (v VectorView) Operand() Operand {
 	return Operand{n: v.n, enc: v.b[4:]}
 }
 
+// Size returns how many bytes the operand's elements take in a vector
+// image: their headers and magnitudes, without the count prefix.
+func (o Operand) Size() int {
+	if o.cts == nil {
+		return len(o.enc)
+	}
+	size := 0
+	for _, c := range o.cts {
+		size += intHeader + (c.V.BitLen()+7)/8
+	}
+	return size
+}
+
 // Len returns the element count.
 func (o Operand) Len() int { return o.n }
 
@@ -149,17 +162,21 @@ func startImage(img []byte, n int) VectorWriter {
 
 // Rewrite starts v over as the image of an n-element vector whose values
 // take at most size magnitude bytes in all, writing into v's own buffer
-// when it is large enough. A buffer that is not is replaced by one
-// twice as large as needed (exactly as large when v had none), so a
-// vector its owner rewrites again and again, its values growing with
-// each rewrite, regrows a logarithmic number of times. v is
+// when it is large enough. A buffer that is not is replaced by one as
+// large as the owner expects to need (Expect) when that is enough, else
+// by one twice as large as needed (exactly as large when v had none), so
+// a vector its owner rewrites again and again, its values growing with
+// each rewrite, regrows a logarithmic number of times at most. v is
 // published (VectorWriter.Vector) when the writer is done; until then
 // it must not be read — it may be neither operand of the kernel writing
 // it.
 func (v *Vector) Rewrite(n, size int) VectorWriter {
 	img, need := v.img[:0], imageBytes(n, size)
 	if cap(img) < need {
-		if cap(img) > 0 {
+		switch {
+		case need <= v.expected:
+			need = v.expected
+		case cap(img) > 0:
 			need *= 2
 		}
 		img = make([]byte, 0, need)
@@ -168,6 +185,13 @@ func (v *Vector) Rewrite(n, size int) VectorWriter {
 	w.dst = v
 	return w
 }
+
+// Expect tells v that its owner will rewrite it with images of up to
+// size bytes: a Rewrite that finds v's buffer too small allocates that
+// much, when it is more than the rewrite needs. A vector its owner
+// rewrites again and again with widening values is then sized once, for
+// the widest, instead of regrowing as they widen.
+func (v *Vector) Expect(size int) { v.expected = size }
 
 // Set makes v a copy of x with an image of its own, written into v's
 // buffer when it is large enough, and returns v.

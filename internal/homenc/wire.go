@@ -251,6 +251,9 @@ type Vector struct {
 	n   int
 	cts []Ciphertext
 	img []byte
+	// expected is the image size the owner expects to rewrite v up to
+	// (Expect): what Rewrite allocates when the buffer is too small.
+	expected int
 }
 
 // NewVector wraps a ciphertext vector. The caller must not modify cts

@@ -515,3 +515,109 @@ func TestInProcConnWakeAllocs(t *testing.T) {
 		t.Fatalf("a parked read woken by a write: %v allocations, want 0", allocs)
 	}
 }
+
+// recycledPair dials on sw, closes both ends and takes pairs from the
+// pool until it hands that pair out again, which it then opens as a new
+// connection: it returns the old ends and the new ones. A sync.Pool may
+// drop what it is given (the race detector makes it drop a quarter) or
+// keep it out of another processor's reach, so it starts over a few
+// times; the pairs it takes in between go back unopened.
+func recycledPair(t *testing.T, sw *sweeper) (a, b, c, d *inprocConn) {
+	t.Helper()
+	for round := 0; round < 20; round++ {
+		a, b = newInprocPair(sw)
+		_ = a.Close()
+		_ = b.Close()
+		var held []*pair
+		for i := 0; i < 8; i++ {
+			p := pairs.Get().(*pair)
+			if p == a.p {
+				c, d = p.open(sw)
+				break
+			}
+			held = append(held, p)
+		}
+		for _, p := range held {
+			pairs.Put(p)
+		}
+		if c != nil {
+			return a, b, c, d
+		}
+	}
+	t.Fatal("a closed pair was never handed out again")
+	return
+}
+
+// TestInProcConnStaleEnds reuses a recycled pair and then calls every
+// method on the previous connection's ends, as a connection set's
+// shutdown, a registry dropping a stale request or a late deadline
+// does: each fails like a closed end or does nothing, and the new
+// connection keeps its bytes, its deadlines and its open ends.
+func TestInProcConnStaleEnds(t *testing.T) {
+	var sw sweeper
+	defer sw.stop()
+	a, b, c, d := recycledPair(t, &sw)
+	defer c.Close()
+	defer d.Close()
+	if _, err := c.Write([]byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	for _, stale := range []*inprocConn{a, b} {
+		wantResult(t, "stale Read", goRead(stale, 8), 0, io.ErrClosedPipe)
+		wantResult(t, "stale Write", goWrite(stale, []byte("old")), 0, io.ErrClosedPipe)
+		for _, set := range []func(time.Time) error{stale.SetDeadline, stale.SetReadDeadline, stale.SetWriteDeadline} {
+			if err := set(time.Now().Add(-time.Second)); !errors.Is(err, io.ErrClosedPipe) {
+				t.Errorf("stale deadline: %v, want %v", err, io.ErrClosedPipe)
+			}
+		}
+		if err := stale.Close(); err != nil {
+			t.Errorf("stale Close: %v", err)
+		}
+	}
+	// The new ends are open, have no deadline and hold exactly their own
+	// bytes, in both directions.
+	got := make([]byte, 8)
+	if n, err := d.Read(got); err != nil || string(got[:n]) != "new" {
+		t.Fatalf("new connection read (%q, %v), want \"new\"", got[:n], err)
+	}
+	if _, err := d.Write([]byte("back")); err != nil {
+		t.Fatalf("new connection write: %v", err)
+	}
+	if n, err := c.Read(got); err != nil || string(got[:n]) != "back" {
+		t.Fatalf("new connection read (%q, %v), want \"back\"", got[:n], err)
+	}
+	done := goRead(d, 8)
+	blockedOn(t, d.in, &d.in.r)
+	stillBlocked(t, "new connection's read", done)
+	_ = c.Close()
+	wantResult(t, "new connection's read after its peer closed", done, 0, io.EOF)
+}
+
+// TestInProcConnParkedPairNotRecycled closes both ends while a read is
+// parked on one of them: the pair must stay out of the pool until that
+// read has looked at its queue again, so the closing call leaves the
+// generation alone. One processor keeps the woken read from running
+// before the second Close has decided.
+func TestInProcConnParkedPairNotRecycled(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var sw sweeper
+	defer sw.stop()
+	for i := 0; i < 20; i++ {
+		a, b := newInprocPair(&sw)
+		_ = b.SetReadDeadline(time.Now().Add(10 * time.Minute))
+		done := goRead(b, 8)
+		blockedOn(t, b.in, &b.in.r)
+		_ = a.Close()
+		_ = b.Close()
+		b.in.mu.Lock()
+		gen := b.in.gen
+		b.in.mu.Unlock()
+		if gen != b.gen {
+			t.Fatal("a pair was recycled with a read still parked on it")
+		}
+		wantResult(t, "parked read", done, 0, io.ErrClosedPipe)
+	}
+	if n := sw.pending(); n != 0 {
+		t.Fatalf("%d entries left in the sweeper's heap", n)
+	}
+}

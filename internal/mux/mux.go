@@ -32,15 +32,18 @@
 // so Figure 5(b) wire numbers stay honest while a single process
 // sustains populations the kernel's socket limits would otherwise cap.
 // The connection is a buffered byte stream with TCP's close semantics
-// whose queues live in recycled frame-pool buffers. Its deadlines are
-// stored values: a blocked call waits on its queue's condition variable
-// and, while it waits, is an entry of the host's one deadline sweeper (a
-// heap of blocked calls under a single runtime timer), so blocking
-// allocates nothing and a finished exchange leaves nothing reachable:
-// the host's heap is flat in the number of exchanges ever made,
-// whatever the exchange timeout. Pairs on different hosts fall back to
-// TCP with the same frames, which any single chiaroscurod daemon also
-// accepts.
+// whose bytes live in recycled frame-pool buffers and whose two queues
+// are a pooled pair: once both ends are closed and no call waits on it,
+// the pair goes back to the pool for the next dial, and an end that
+// outlives it is turned stale by the pair's generation. Its deadlines
+// are stored values: a blocked call waits on its queue's condition
+// variable and, while it waits, is an entry of the host's one deadline
+// sweeper (a heap of blocked calls under a single runtime timer), so
+// blocking allocates nothing and a finished exchange leaves nothing
+// reachable but the pooled pair: the host's heap is flat in the number
+// of exchanges ever made, whatever the exchange timeout. Pairs on
+// different hosts fall back to TCP with the same frames, which any
+// single chiaroscurod daemon also accepts.
 //
 // Determinism is untouched: virtual nodes run the same main protocol
 // loop, mirror the same schedule, and a 12-peer population on one Host
@@ -371,11 +374,12 @@ func covers(items []wireproto.ViewItem, n int) bool {
 
 // Transport returns the host's dialer: co-located destinations (the
 // host's own listener address) get the host's in-process connection — a
-// buffered byte stream that costs no socket, no timer and, once closed,
-// no memory — whose server end feeds the same routing path as an
-// accepted TCP connection; anything else is dialed over TCP. Byte
-// accounting is unchanged either way — both ends count the frames they
-// write and read.
+// buffered byte stream that costs no socket and no timer, and once
+// closed leaves its two small ends to the garbage collector and its
+// queues to the next dial — whose server end feeds the same routing
+// path as an accepted TCP connection; anything else is dialed over TCP.
+// Byte accounting is unchanged either way — both ends count the frames
+// they write and read.
 func (h *Host) Transport() node.Dialer { return hostDialer{h} }
 
 type hostDialer struct{ h *Host }

@@ -381,10 +381,13 @@ func TestDialRacesClose(t *testing.T) {
 }
 
 // TestDialCloseAllocs caps what an in-process connection costs before a
-// byte is exchanged: the pair and the host's tracking wrapper, and the
-// serve goroutine. Its one read parks without allocating: queue buffers
-// and the frame-length scratch come from the frame pool, deadlines are
-// values, and the host's sweeper expires them with one timer.
+// byte is exchanged: its two ends, the host's tracking wrapper and the
+// serve goroutine. The queues come from the pool of closed pairs — a
+// new pair only while the previous dial's serve goroutine has not
+// closed its end yet, which under load is every dial — and its one
+// read parks without allocating: queue buffers and the frame-length
+// scratch come from the frame pool, deadlines are values, and the
+// host's sweeper expires them with one timer.
 func TestDialCloseAllocs(t *testing.T) {
 	ts := newSetup(t, 4, 0)
 	h, err := mux.NewHost(node.Config{N: ts.n, Scheme: ts.scheme, Proto: ts.proto}, ts.data.Dim())
@@ -401,8 +404,8 @@ func TestDialCloseAllocs(t *testing.T) {
 		_ = conn.SetDeadline(time.Now().Add(10 * time.Minute))
 		_ = conn.Close()
 	})
-	if allocs > 7 {
-		t.Fatalf("dial + close costs %.1f allocations, want at most 7", allocs)
+	if allocs > 6 {
+		t.Fatalf("dial + close costs %.1f allocations, want at most 6", allocs)
 	}
 	t.Logf("dial + close: %.1f allocations", allocs)
 }

@@ -63,7 +63,8 @@ func (sw *sweeper) remove(s *side) {
 // fire is the timer's callback: it takes every side whose deadline has
 // passed out of the heap and wakes its queue, one at a time and without
 // holding the sweeper's lock while it holds the queue's, then arms the
-// timer for the earliest deadline left.
+// timer for the earliest deadline left. A queue whose pair was recycled
+// in between gets a spurious wake: its calls look again and wait on.
 func (sw *sweeper) fire() {
 	sw.mu.Lock()
 	sw.armed = time.Time{}

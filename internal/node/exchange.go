@@ -37,9 +37,11 @@ func dissOut(st *iterState) wireproto.DissMsg {
 
 // decOut is the iteration's decryption state as a journal checkpoint
 // records it: the whole share set, this participant's own key-share once
-// applied, and its release once released. A release that failed to
-// decode is not recorded: the resumed participant's full set settles
-// again in its next exchange, to the same error.
+// applied, and its release once released. The initiator whose commit
+// filled its set journals before it settles, and a release that failed
+// to decode is not recorded: either way the resumed participant's full
+// set settles again when its decryption resumes, to the same release or
+// error.
 func decOut(st *iterState) wireproto.DecMsg {
 	return wireproto.DecMsg{ID: st.VecID, Shares: st.DecParts, Parts: st.DecParts, Fresh: st.Own, Released: st.Released != nil, Release: st.Released}
 }
@@ -416,6 +418,10 @@ func initiateLegs[H half[H]](nd *Node, req byte, st *iterState, peer int, s slot
 		}
 		_ = h.fin(leg{nd, conn, req + 2, -1}, hdr)
 	}
+	// A decryption commit that filled the share set left the combine
+	// until the fin was out; the state is settled before the main loop
+	// looks at it again.
+	st.Settle()
 	return tryCommitted
 }
 
@@ -674,9 +680,14 @@ func (h decHalf) scanFin(nd *Node, st *iterState, payload []byte) (decHalf, wire
 }
 
 // commit applies the parts, the key-share or the release the peer sent
-// on its response or fin leg, which scan or scanFin vetted.
-func (h decHalf) commit(_ *Node, st *iterState, _ int, _ bool) {
+// on its response or fin leg, which scan or scanFin vetted. A responder
+// whose set this fills settles at once, before its journal commit; an
+// initiator does after its fin (initiateLegs).
+func (h decHalf) commit(_ *Node, st *iterState, _ int, initiator bool) {
 	eesum.CommitDec(st, h.prep, h.peer, h.peer.Fresh.Copy())
+	if !initiator {
+		st.Settle()
+	}
 }
 
 // validDecLeg vets a peer's decryption leg before any of it can be

@@ -370,7 +370,7 @@ func New(cfg Config) (*Node, error) {
 
 	nd := &Node{
 		cfg:        cfg,
-		env:        &eesum.Env{Scheme: cfg.Scheme, Pack: dep.Pack, Workers: cfg.Proto.Workers},
+		env:        &eesum.Env{Scheme: cfg.Scheme, Pack: dep.Pack, Workers: cfg.Proto.Workers, SumEpochs: core.HeadroomNeeded(cfg.Proto.Exchanges)},
 		lim:        dep.Lim,
 		epoch:      cfg.Epoch,
 		maxEpoch:   core.HeadroomNeeded(cfg.Proto.Exchanges),

@@ -528,6 +528,39 @@ func TestRegistryAwaitParkedAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestRegistryCycleAllocatesNothing pins the registry's steady state:
+// once its maps have their size and its one wait timer exists, a
+// delivery, the owner's await of it, a wait that times out and the
+// slot's release allocate nothing — no channel per slot, no timer per
+// wait.
+func TestRegistryCycleAllocatesNothing(t *testing.T) {
+	const runs = 200
+	r := newRegistry(nil)
+	conn := newFakeConn()
+	pos := 0
+	cycle := func() {
+		s := slot{iter: 1, phase: phaseSum, cycle: pos}
+		if _, ok := r.deliver(s, inbound{conn: conn}); !ok {
+			t.Fatal("delivery refused")
+		}
+		if _, ok := r.await(s, time.Second); !ok {
+			t.Fatal("parked request not returned")
+		}
+		if _, ok := r.await(slot{iter: 1, phase: phaseSum, cycle: pos + 1}, time.Microsecond); ok {
+			t.Fatal("await invented a request")
+		}
+		r.release(s)
+		pos++
+		r.advance(slot{iter: 1, phase: phaseSum, cycle: pos})
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Fatalf("a deliver → await → release cycle allocates %.0f objects, want 0", allocs)
+	}
+}
+
 // fakeConn is a net.Conn stub recording Close for registry tests.
 type fakeConn struct {
 	net.Conn

@@ -62,8 +62,8 @@ type inbound struct {
 // goroutine that delivers it, the moment it arrives. busy is the claim —
 // set under the registry lock by whoever takes a request, so a slot is
 // served by one goroutine at a time and its owner alone touches
-// attempts; a redial arriving meanwhile parks in the slot's channel for
-// the owner to pick up. A zero deadline means the slot waits as long as
+// attempts; a redial arriving meanwhile parks under the slot for the
+// owner to pick up. A zero deadline means the slot waits as long as
 // the tail lasts (the main loop arms it once its own initiator slots are
 // through); closed slots are tombstoned like released ones.
 type tailSlot struct {
@@ -95,41 +95,38 @@ const (
 // a delivery does not close a slot — the owner may re-await it while
 // re-serving a retried exchange; release tombstones the slot when its
 // owner is done for good, so a late delivery can never strand a
-// connection in an unreachable channel. For a slot of a settled tail
-// the request is claimed by its deliverer instead. Which of the two
-// happens is decided under mu, and settle moves what is already parked
-// over under the same lock, so no request falls between the regimes or
-// is served twice.
+// connection where nobody will look for it. For a slot of a settled
+// tail the request is claimed by its deliverer instead. Which of the
+// two happens is decided under mu, and settle moves what is already
+// parked over under the same lock, so no request falls between the
+// regimes or is served twice.
+//
+// Only the owner's goroutine waits on a registry — await and waitTail
+// run on the main loop, one at a time — and every change a wait waits
+// for happens under mu. So one wake channel and one timer serve every
+// wait: a delivery, or a tail slot closing or going idle, posts a wake,
+// and the woken owner re-reads the state under mu; a wake meant for
+// another wait is only a spurious one.
 type registry struct {
 	mu      sync.Mutex
-	pending map[slot]chan inbound
+	pending map[slot]inbound   // parked requests, at most one a slot
 	done    map[slot]bool      // consumed or abandoned slots (pruned by advance)
 	tail    map[slot]*tailSlot // open passively-served slots
 	horizon slot               // the owner's current position; earlier slots are stale
 	closed  bool
 	stop    <-chan struct{} // closed on node shutdown; wakes blocked awaits (nil: never)
-	wake    chan struct{}   // a tail slot closed or went idle; wakes waitTail
+	wake    chan struct{}   // something the owner may wait on changed
+	timer   *time.Timer     // the owner's wait timer; stopped between waits
 }
 
 func newRegistry(stop <-chan struct{}) *registry {
 	return &registry{
-		pending: make(map[slot]chan inbound),
+		pending: make(map[slot]inbound),
 		done:    make(map[slot]bool),
 		tail:    make(map[slot]*tailSlot),
 		stop:    stop,
 		wake:    make(chan struct{}, 1),
 	}
-}
-
-// channel returns the slot's channel, creating it if needed. Callers
-// hold r.mu.
-func (r *registry) channel(s slot) chan inbound {
-	if ch, ok := r.pending[s]; ok {
-		return ch
-	}
-	ch := make(chan inbound, 1)
-	r.pending[s] = ch
-	return ch
 }
 
 // deliver hands a request to its slot. Requests for slots already
@@ -152,17 +149,12 @@ func (r *registry) deliver(s slot, in inbound) (*tailSlot, bool) {
 		r.mu.Unlock()
 		return t, true
 	}
-	ch := r.channel(s)
-	var stale net.Conn
-	select {
-	case old := <-ch:
-		stale = old.conn
-	default:
-	}
-	ch <- in // buffered and just drained: never blocks under the lock
+	stale, replaced := r.pending[s]
+	r.pending[s] = in
+	r.signal()
 	r.mu.Unlock()
-	if stale != nil {
-		_ = stale.Close()
+	if replaced {
+		_ = stale.conn.Close()
 	}
 	return nil, true
 }
@@ -170,14 +162,24 @@ func (r *registry) deliver(s slot, in inbound) (*tailSlot, bool) {
 // take removes and returns the request parked for s, if any. Callers
 // hold r.mu.
 func (r *registry) take(s slot) (inbound, bool) {
-	if ch, ok := r.pending[s]; ok {
-		select {
-		case in := <-ch:
-			return in, true
-		default:
-		}
+	in, ok := r.pending[s]
+	if ok {
+		delete(r.pending, s)
 	}
-	return inbound{}, false
+	return in, ok
+}
+
+// startTimer arms the owner's wait timer for d and returns its channel;
+// the wait that armed it stops it when it ends. Since Go 1.23 (go.mod)
+// a timer delivers no tick from before a Reset or Stop, so the timer is
+// reused without draining.
+func (r *registry) startTimer(d time.Duration) <-chan time.Time {
+	if r.timer == nil {
+		r.timer = time.NewTimer(d)
+	} else {
+		r.timer.Reset(d)
+	}
+	return r.timer.C
 }
 
 // await blocks until a request for slot s arrives, the deadline passes,
@@ -188,40 +190,39 @@ func (r *registry) take(s slot) (inbound, bool) {
 // non-positive timeout polls: an already-parked request is returned,
 // nothing is waited for.
 func (r *registry) await(s slot, timeout time.Duration) (inbound, bool) {
-	r.mu.Lock()
-	if r.closed || r.done[s] {
-		r.mu.Unlock()
-		return inbound{}, false
-	}
-	ch := r.channel(s)
-	r.mu.Unlock()
 	// The request is usually there already (initiators run ahead): look
-	// before paying for a timer.
-	select {
-	case in := <-ch:
-		return in, true
-	default:
+	// before arming the timer.
+	in, ok, over := r.look(s)
+	if ok || over || timeout <= 0 {
+		return in, ok
 	}
-	if timeout <= 0 {
-		return inbound{}, false
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case in := <-ch:
-		return in, true
-	case <-t.C:
-		// Resolve the race between the timer and a delivery: whatever is
-		// parked now is the last word.
+	expired := r.startTimer(timeout)
+	defer r.timer.Stop()
+	for {
 		select {
-		case in := <-ch:
-			return in, true
-		default:
-			return inbound{}, false
+		case <-r.wake: // a delivery, maybe for s: look again
+		case <-expired:
+			in, ok, _ = r.look(s) // whatever is parked now is the last word
+			return in, ok
+		case <-r.stop:
+			return inbound{}, false // close drains the parked conn, if any
 		}
-	case <-r.stop:
-		return inbound{}, false // close drains the parked conn, if any
+		if in, ok, over = r.look(s); ok || over {
+			return in, ok
+		}
 	}
+}
+
+// look takes the request parked for s, if any; over reports that none
+// can come any more: the slot is released or the registry closed.
+func (r *registry) look(s slot) (in inbound, ok, over bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed || r.done[s] {
+		return inbound{}, false, true
+	}
+	in, ok = r.take(s)
+	return in, ok, false
 }
 
 // release tombstones a slot its owner is done with: later deliveries
@@ -237,7 +238,6 @@ func (r *registry) release(s slot) {
 func (r *registry) tombstone(s slot) {
 	stale, parked := r.take(s)
 	r.done[s] = true
-	delete(r.pending, s)
 	r.mu.Unlock()
 	if parked {
 		_ = stale.conn.Close()
@@ -283,8 +283,9 @@ func (r *registry) closeTail(t *tailSlot) {
 	r.tombstone(t.s)
 }
 
-// signal wakes waitTail without blocking: one pending wake-up is
-// enough, the waiter re-reads the state it waits on.
+// signal wakes the owner's wait without blocking: one pending wake-up
+// is enough, the waiter re-reads the state it waits on. Callers hold
+// r.mu.
 func (r *registry) signal() {
 	select {
 	case r.wake <- struct{}{}:
@@ -360,27 +361,13 @@ func (r *registry) tailOpenBefore(pos slot) bool {
 // (its connection deadlines bound it): the slot's fate is its server's
 // to book. tailPending means the slice (or the node) ran out first.
 func (r *registry) waitTail(t *tailSlot, poll time.Duration) tailStatus {
-	var slice <-chan time.Time
+	status, wait := r.tailState(t, poll)
+	if status != tailPending {
+		return status
+	}
+	slice := r.startTimer(wait)
+	defer r.timer.Stop()
 	for {
-		r.mu.Lock()
-		if t.closed {
-			r.mu.Unlock()
-			return tailClosed
-		}
-		if !t.busy && !t.deadline.IsZero() {
-			left := time.Until(t.deadline)
-			if left <= 0 {
-				r.closeTail(t)
-				return tailExpired
-			}
-			poll = min(poll, left)
-		}
-		r.mu.Unlock()
-		if slice == nil {
-			tm := time.NewTimer(poll)
-			defer tm.Stop()
-			slice = tm.C
-		}
 		select {
 		case <-r.wake: // some tail slot closed or went idle: look again
 		case <-slice:
@@ -388,7 +375,30 @@ func (r *registry) waitTail(t *tailSlot, poll time.Duration) tailStatus {
 		case <-r.stop:
 			return tailPending
 		}
+		if status, _ = r.tailState(t, poll); status != tailPending {
+			return status
+		}
 	}
+}
+
+// tailState is waitTail's look at t: closed, expired — tombstoned by
+// this call — or pending, and then for at most how much of poll to wait.
+func (r *registry) tailState(t *tailSlot, poll time.Duration) (tailStatus, time.Duration) {
+	r.mu.Lock()
+	if t.closed {
+		r.mu.Unlock()
+		return tailClosed, 0
+	}
+	if !t.busy && !t.deadline.IsZero() {
+		left := time.Until(t.deadline)
+		if left <= 0 {
+			r.closeTail(t)
+			return tailExpired, 0
+		}
+		poll = min(poll, left)
+	}
+	r.mu.Unlock()
+	return tailPending, poll
 }
 
 // expireTail tombstones a tail slot nobody is serving — the early
@@ -411,13 +421,9 @@ func (r *registry) advance(pos slot) {
 	r.mu.Lock()
 	r.horizon = pos
 	//lint:orderfree independent per-slot close-out; each entry is handled exactly once
-	for s, ch := range r.pending {
+	for s, in := range r.pending {
 		if s.before(pos) {
-			select {
-			case in := <-ch:
-				_ = in.conn.Close()
-			default:
-			}
+			_ = in.conn.Close()
 			delete(r.pending, s)
 		}
 	}
@@ -442,12 +448,8 @@ func (r *registry) close() {
 	}
 	r.signal()
 	//lint:orderfree independent per-slot drain during shutdown
-	for s, ch := range r.pending {
-		select {
-		case in := <-ch:
-			_ = in.conn.Close()
-		default:
-		}
+	for s, in := range r.pending {
+		_ = in.conn.Close()
 		delete(r.pending, s)
 	}
 	r.mu.Unlock()
