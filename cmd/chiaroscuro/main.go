@@ -22,6 +22,8 @@ import (
 	"text/tabwriter"
 
 	"chiaroscuro"
+	"chiaroscuro/internal/cmdinput"
+	"chiaroscuro/internal/dp"
 )
 
 func main() {
@@ -43,8 +45,12 @@ func main() {
 		quiet   = flag.Bool("quiet", false, "suppress the live per-iteration event stream")
 	)
 	flag.Parse()
+	strategy, err := dp.NewBudget(*budget, *eps, *param)
+	if err != nil {
+		fatal(err)
+	}
 
-	data, dmin, dmax, kind, err := loadData(*csvPath, *dataset, *size, *seed)
+	data, dmin, dmax, kind, err := cmdinput.LoadData(*csvPath, *dataset, *size, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -70,18 +76,14 @@ func main() {
 
 	case "dp":
 		opts.Mode = chiaroscuro.CentralizedDP
-		if opts.Budget, err = makeBudget(*budget, *eps, *param); err != nil {
-			fatal(err)
-		}
+		opts.Budget = strategy
 		title = fmt.Sprintf("perturbed k-means (%s, ε=%.3f)", *budget, *eps)
 
 	case "network", "networked":
 		if data.Len() > 512 {
 			fatal(fmt.Errorf("the distributed modes simulate one participant per series; use -n <= 512 (got %d)", data.Len()))
 		}
-		if opts.Budget, err = makeBudget(*budget, *eps, *param); err != nil {
-			fatal(err)
-		}
+		opts.Budget = strategy
 		if *real || *mode == "networked" {
 			opts.Scheme, err = chiaroscuro.NewTestScheme(*keyBits, 3, data.Len(), max(2, data.Len()/4))
 		} else {
@@ -137,38 +139,6 @@ func main() {
 	default:
 		printTraces(res)
 	}
-}
-
-func loadData(csvPath, dataset string, size int, seed uint64) (d *chiaroscuro.Dataset, dmin, dmax float64, kind string, err error) {
-	if csvPath != "" {
-		d, err = chiaroscuro.LoadCSV(csvPath)
-		if err != nil {
-			return nil, 0, 0, "", err
-		}
-		dmin, dmax = d.Range()
-		return d, dmin, dmax, "cer", nil
-	}
-	switch dataset {
-	case "cer":
-		d, _ = chiaroscuro.GenerateCER(size, seed)
-		return d, chiaroscuro.CERMin, chiaroscuro.CERMax, "cer", nil
-	case "numed":
-		d, _ = chiaroscuro.GenerateNUMED(size, seed)
-		return d, chiaroscuro.NUMEDMin, chiaroscuro.NUMEDMax, "numed", nil
-	}
-	return nil, 0, 0, "", fmt.Errorf("unknown dataset %q", dataset)
-}
-
-func makeBudget(name string, eps float64, param int) (chiaroscuro.Budget, error) {
-	switch name {
-	case "G":
-		return chiaroscuro.Greedy(eps), nil
-	case "GF":
-		return chiaroscuro.GreedyFloor(eps, param), nil
-	case "UF":
-		return chiaroscuro.UniformFast(eps, param), nil
-	}
-	return nil, fmt.Errorf("unknown budget strategy %q (want G, GF, UF)", name)
 }
 
 func printStats(res *chiaroscuro.Result) {

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"chiaroscuro"
+	"chiaroscuro/internal/cmdinput"
 	"chiaroscuro/internal/core"
 	"chiaroscuro/internal/mux"
 	"chiaroscuro/internal/node"
@@ -158,7 +159,7 @@ func main() {
 		fatal(err)
 	}
 
-	data, dmin, dmax, kind, err := loadData(*csvPath, *dataset, *population, *seed)
+	data, dmin, dmax, kind, err := cmdinput.LoadData(*csvPath, *dataset, *population, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -355,26 +356,6 @@ func loadKeyFile(path string, population int) (keyFile, error) {
 		return keyFile{}, fmt.Errorf("key file index %d out of range", kf.Index)
 	}
 	return kf, nil
-}
-
-func loadData(csvPath, dataset string, size int, seed uint64) (d *chiaroscuro.Dataset, dmin, dmax float64, kind string, err error) {
-	if csvPath != "" {
-		d, err = chiaroscuro.LoadCSV(csvPath)
-		if err != nil {
-			return nil, 0, 0, "", err
-		}
-		dmin, dmax = d.Range()
-		return d, dmin, dmax, "cer", nil
-	}
-	switch dataset {
-	case "cer":
-		d, _ = chiaroscuro.GenerateCER(size, seed)
-		return d, chiaroscuro.CERMin, chiaroscuro.CERMax, "cer", nil
-	case "numed":
-		d, _ = chiaroscuro.GenerateNUMED(size, seed)
-		return d, chiaroscuro.NUMEDMin, chiaroscuro.NUMEDMax, "numed", nil
-	}
-	return nil, 0, 0, "", fmt.Errorf("unknown dataset %q", dataset)
 }
 
 // serveMetrics exposes wire counters and protocol progress: Prometheus

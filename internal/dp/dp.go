@@ -191,7 +191,7 @@ func NewBudget(name string, eps float64, param int) (Budget, error) {
 		}
 		return UniformFast{Eps: eps, Limit: param}, nil
 	}
-	return nil, fmt.Errorf("dp: unknown budget strategy %q", name)
+	return nil, fmt.Errorf("dp: unknown budget strategy %q (want G, GF or UF)", name)
 }
 
 // TotalSpent sums the budget a strategy would spend over maxIt iterations.

@@ -1,6 +1,7 @@
 package eesum
 
 import (
+	"bytes"
 	"math"
 	"math/big"
 	"testing"
@@ -236,16 +237,20 @@ func TestAddEncryptedShiftsEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := ps[3].Means.State()
-	if err := AddEncryptedState(sch, st, []*big.Int{codec.Encode(2.5)}, 1); err != nil {
+	img := ps[3].Means.CTs.AppendTo(nil)
+	shifted, err := AddEncryptedState(sch, ps[3].Means.Operand(), []*big.Int{codec.Encode(2.5)}, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := estimate(env, st, plainDecrypt)
+	after, err := estimate(env, shifted.State(), plainDecrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(after[0]-before[0]-2.5) > 1e-4 {
 		t.Errorf("AddEncryptedState shifted estimate by %v, want 2.5", after[0]-before[0])
+	}
+	if !bytes.Equal(ps[3].Means.CTs.AppendTo(nil), img) {
+		t.Error("AddEncryptedState wrote the state it read")
 	}
 }
 

@@ -59,9 +59,10 @@ func bytesPerRun(runs int, f func()) float64 {
 
 // TestMergeSumAllocs pins the property the vector kernel exists for: a
 // merge allocates per vector, not per ciphertext. The plain merge of
-// values, decoded back into values (MergeSum), is the image, the
-// decoded slab and a handful of headers (213 allocations at the commit
-// before the kernel). Fed the way a sum commit feeds it — this side's
+// values, encoded into images and decoded back into values (MergeSum),
+// is the two input images, the result image, the decoded slab and a
+// handful of headers (213 allocations at the commit before the kernel).
+// Fed the way a sum commit feeds it — this side's
 // state an image, the peer's a view still in its frame — it allocates
 // the result image and a small constant: decoding either operand would
 // add a 50-value slab. The Damgård–Jurik merge, sides three epochs
@@ -75,8 +76,8 @@ func TestMergeSumAllocs(t *testing.T) {
 	const dim = 50
 	sch := plainScheme(t, 5)
 	a, b := mergeOperands(dim, fixedPoint)
-	if got := testing.AllocsPerRun(100, func() { MergeSum(sch, a, b, 1) }); got > 8 {
-		t.Errorf("plain MergeSum of %d elements: %.0f allocations, want at most 8", dim, got)
+	if got := testing.AllocsPerRun(100, func() { MergeSum(sch, a, b, 1) }); got > 12 {
+		t.Errorf("plain MergeSum of %d elements: %.0f allocations, want at most 12", dim, got)
 	}
 	own := SumSide{CTs: imageOf(t, a.CTs), Omega: a.Omega, Epoch: a.Epoch}.Operand()
 	frame, err := homenc.MarshalVector(b.CTs)

@@ -148,17 +148,21 @@ func (p *Participant) Start(contribution []*big.Int) {
 }
 
 // encrypt builds an initial EESum state: epoch 0, weight 1 on
-// participant 0 and 0 elsewhere.
+// participant 0 and 0 elsewhere. Each ciphertext goes from the scheme
+// straight into the state's image, which has room for every element at
+// the scheme's ciphertext width, so that once a commit replaces the
+// state the image serves as a spare.
 func (p *Participant) encrypt(vec []*big.Int) SumSide {
-	cts := make([]homenc.Ciphertext, len(vec))
-	for j, v := range vec {
-		cts[j] = p.env.Scheme.Encrypt(v)
+	sch := p.env.Scheme
+	w := homenc.NewVectorWriter(len(vec), len(vec)*sch.CiphertextBytes())
+	for _, v := range vec {
+		w.Append(sch.Encrypt(v).V)
 	}
 	omega := big.NewInt(0)
 	if p.index == 0 {
 		omega = big.NewInt(1)
 	}
-	return SumSide{CTs: homenc.NewVector(cts), Omega: omega}
+	return SumSide{CTs: w.Vector(), Omega: omega}
 }
 
 // --- Sum phase (Algorithm 2 on both sums, push-pull on the counter) ---
@@ -284,23 +288,22 @@ func (p *Participant) Propose() error {
 
 // perturb subtracts the correction cor from the noise sum and adds the
 // noise into the means: the perturbed means, an image of their own. The
-// correction is public and added without a randomizer.
+// correction is public and added without a randomizer; it reads the
+// noise state's image and writes the corrected noise into an image of
+// its own, which the means merge with. Packing is linear, so the packed
+// negated correction subtracts exactly per slot.
 func (p *Participant) perturb(cor []float64) (SumSide, error) {
 	sch := p.env.Scheme
 	neg := make([]*big.Int, len(cor))
 	for j, x := range cor {
 		neg[j] = new(big.Int).Neg(p.env.Pack.Codec.Encode(x))
 	}
-	// The correction rewrites ciphertext slots, so it runs on the noise
-	// state's values decoded into a slab of their own: the state, an
-	// image, is not written. Packing is linear, so the packed negated
-	// correction subtracts exactly per slot.
-	noise := p.Noise.State()
-	if err := AddEncryptedState(sch, noise, p.env.Pack.Pack(neg), p.env.workers(len(noise.CTs))); err != nil {
+	noise := p.Noise.Operand()
+	corrected, err := AddEncryptedState(sch, noise, p.env.Pack.Pack(neg), p.env.workers(noise.CTs.Len()))
+	if err != nil {
 		return SumSide{}, err
 	}
-	corrected := SumOperand{CTs: homenc.ValuesOperand(noise.CTs), Omega: noise.Omega, Epoch: noise.Epoch}
-	return PerturbState(sch, p.Means.Operand(), corrected)
+	return PerturbState(sch, p.Means.Operand(), corrected.Operand())
 }
 
 // CommitDiss is this side's min-identifier dissemination step: the

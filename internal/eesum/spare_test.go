@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"math/big"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"chiaroscuro/internal/homenc"
 	"chiaroscuro/internal/homenc/plain"
+	"chiaroscuro/internal/randx"
 )
 
 // sparePair returns two participants of a plain deployment whose
@@ -39,6 +41,24 @@ func plainPair(t *testing.T, dim int, space *big.Int) (p, q *Participant) {
 		return x
 	}
 	return mk(0, a), mk(1, b)
+}
+
+// startedPair returns two participants of the bounded plain deployment
+// of sparePair, each holding the states its Start encrypted.
+func startedPair(t *testing.T, dim int) (p, q *Participant) {
+	t.Helper()
+	p, q = sparePair(t, dim)
+	noise := NoiseConfig{Lambdas: slices.Repeat([]float64{1}, dim), NShares: 2}
+	rng := randx.New(53, 1)
+	for i, x := range []*Participant{p, q} {
+		*x = *NewParticipant(x.env, i, randx.New(53, uint64(2+i)), noise)
+		contribution := make([]*big.Int, dim)
+		for j := range contribution {
+			contribution[j] = fixedPoint(rng)
+		}
+		x.Start(contribution)
+	}
+	return p, q
 }
 
 // TestCommitSumReusesSpareImages: past its first few commits, a sum
@@ -107,6 +127,21 @@ func TestCommitSumReusesSpareImages(t *testing.T) {
 	}
 	if end := p.Means.CTs.WireSize(); end < start+5*dim {
 		t.Fatalf("the image only grew from %d to %d bytes: the values did not widen", start, end)
+	}
+
+	// Start encrypts each state into an image with room for every
+	// element at the scheme's ciphertext width, so Start's images serve
+	// as spares too: the first commit allocates the two spares it writes
+	// into, the second writes into the images Start left, and no commit
+	// after the first allocates an image.
+	p, q = startedPair(t, dim)
+	peer = q.sumPeer()
+	for commit := 1; commit <= 4; commit++ {
+		img := p.Means.CTs.WireSize()
+		got := allocatedBy(func() { p.CommitSum(peer, true) })
+		if allocated := got >= uint64(img); allocated != (commit == 1) {
+			t.Errorf("commit %d of a started participant allocated %d bytes (an image is %d): want the spares at the first commit only", commit, got, img)
+		}
 	}
 }
 

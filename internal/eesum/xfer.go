@@ -21,8 +21,9 @@ import (
 // integer epidemic weight, and the deferred-division epoch. Its logical
 // value is CTs / (Omega · 2^FracBits); the 2^Epoch scaling is common to
 // numerator and weight and cancels at decode time. A participant keeps
-// its states as SumSides, whose vectors are images; values are for
-// callers that hold them already.
+// its states as SumSides, whose vectors are images; the value form
+// exists only at the edge of the adapters below, for callers that hold
+// values already.
 type SumState struct {
 	CTs   []homenc.Ciphertext
 	Omega *big.Int
@@ -39,13 +40,13 @@ type SumOperand struct {
 	Epoch int
 }
 
-// MergeSum is mergeSum over states in value form, its result decoded
-// back into values. It adapts the one kernel to callers that hold values
-// — today only the benchmark's layer probe; the protocol merges
-// SumOperands.
+// MergeSum is mergeSum over states in value form: they are encoded into
+// images first, and the result is decoded back into values. It adapts
+// the one kernel to callers that hold values — today only the
+// benchmark's layer probe; the protocol merges SumOperands.
 func MergeSum(sch homenc.Scheme, a, b SumState, workers int) SumState {
 	op := func(st SumState) SumOperand {
-		return SumOperand{CTs: homenc.ValuesOperand(st.CTs), Omega: st.Omega, Epoch: st.Epoch}
+		return SumOperand{CTs: homenc.NewVector(st.CTs).Operand(), Omega: st.Omega, Epoch: st.Epoch}
 	}
 	return mergeSum(sch, op(a), op(b), workers).State()
 }
@@ -73,19 +74,26 @@ func mergeSumInto(sch homenc.Scheme, dst *homenc.Vector, a, b SumOperand, worker
 	return SumSide{CTs: dst, Omega: omega.Add(omega, fresh.Omega), Epoch: fresh.Epoch + 1}
 }
 
-// AddEncryptedState homomorphically adds v_j · st.Omega into st.CTs in
-// place — the "encrypted perturbation" of Algorithm 3 line 7 shape,
-// shifting the decoded estimate by exactly v. v is public (the
+// AddEncryptedState returns st with v_j · st.Omega added homomorphically
+// to its element j — the "encrypted perturbation" of Algorithm 3 line 7
+// shape, shifting the decoded estimate by exactly v. st is only read:
+// each sum goes from the scheme straight into the result's own image,
+// the elements fanned out over at most workers chunks. v is public (the
 // correction's effect is what the released vector shows), so it is
 // added with AddPublic: no fresh randomizer would hide anything.
-func AddEncryptedState(sch homenc.Scheme, st SumState, v []*big.Int, workers int) error {
-	if len(v) != len(st.CTs) {
-		return errors.New("eesum: dimension mismatch")
+func AddEncryptedState(sch homenc.Scheme, st SumOperand, v []*big.Int, workers int) (SumSide, error) {
+	if len(v) != st.CTs.Len() {
+		return SumSide{}, errors.New("eesum: dimension mismatch")
 	}
-	parallel.ForEach(workers, len(st.CTs), func(j int) {
-		st.CTs[j] = sch.AddPublic(st.CTs[j], new(big.Int).Mul(v[j], st.Omega))
+	cts, err := mapImage(st.CTs, workers, func(w *homenc.VectorWriter, lo int, cts homenc.Operand) error {
+		var x, m big.Int
+		r := cts.Reader()
+		for _, vj := range v[lo : lo+cts.Len()] {
+			w.Append(sch.AddPublic(homenc.Ciphertext{V: r.Next(&x)}, m.Mul(vj, st.Omega)).V)
+		}
+		return nil
 	})
-	return nil
+	return SumSide{CTs: cts, Omega: st.Omega, Epoch: st.Epoch}, err
 }
 
 // PerturbState adds the noise state's ciphertexts element-wise into the
@@ -141,17 +149,17 @@ func DimWorkers(dim, workers int) int {
 // elected vector and gathered parts are images — element by element
 // (homenc.OperandReader), decoding each element into scratch the kernel
 // reuses. DecPartials and CombineParts adapt the kernels to callers that
-// hold values.
+// hold values, encoding them into images first.
 
 // errIncomplete: fewer than τ key-shares were gathered.
 var errIncomplete = errors.New("eesum: decryption incomplete")
 
 // DecPartials computes key-share idx's partial decryption of every
 // element of cts — the unit of work one participant contributes to a
-// peer's (or its own) decryption state. It is partials over values,
+// peer's (or its own) decryption state. It is partials over cts encoded,
 // the partial decryptions decoded back into values.
 func DecPartials(sch homenc.Scheme, idx int, cts []homenc.Ciphertext, workers int) ([]homenc.PartialDecryption, error) {
-	v, err := partials(sch, idx, homenc.ValuesOperand(cts), workers)
+	v, err := partials(sch, idx, homenc.NewVector(cts).Operand(), workers)
 	if err != nil {
 		return nil, err
 	}
@@ -164,21 +172,39 @@ func DecPartials(sch homenc.Scheme, idx int, cts []homenc.Ciphertext, workers in
 
 // partials applies key-share idx to every element of cts and returns the
 // partial decryptions as the image they are sent and journaled as: each
-// goes from the scheme straight into it. The elements fan out over at
-// most workers contiguous chunks, each reading its slice of cts and
-// filling its own region of the image, as the Damgård–Jurik merge does.
+// goes from the scheme straight into it.
 func partials(sch homenc.Scheme, idx int, cts homenc.Operand, workers int) (*homenc.Vector, error) {
+	return mapImage(cts, workers, func(w *homenc.VectorWriter, _ int, cts homenc.Operand) error {
+		var x big.Int
+		r := cts.Reader()
+		for i := 0; i < cts.Len(); i++ {
+			p, err := sch.PartialDecrypt(idx, homenc.Ciphertext{V: r.Next(&x)})
+			if err != nil {
+				return err
+			}
+			w.Append(p.V)
+		}
+		return nil
+	})
+}
+
+// mapImage returns the image of a vector computed element by element
+// from cts: the elements fan out over at most workers contiguous chunks,
+// and fill appends the results for one chunk — the elements of cts from
+// index lo on — to its own region of the one image, as the Damgård–Jurik
+// merge does.
+func mapImage(cts homenc.Operand, workers int, fill func(w *homenc.VectorWriter, lo int, cts homenc.Operand) error) (*homenc.Vector, error) {
 	n := cts.Len()
 	chunks := max(1, min(workers, n))
-	w := homenc.NewVectorWriter(n, partialBytes(cts))
+	w := homenc.NewVectorWriter(n, groupBytes(cts))
 	ops := make([]homenc.Operand, chunks)
 	parts := make([]homenc.VectorWriter, chunks)
 	for c := range parts {
 		ops[c] = cts.Slice(c*n/chunks, (c+1)*n/chunks)
-		parts[c] = w.Chunk(ops[c].Len(), partialBytes(ops[c]))
+		parts[c] = w.Chunk(ops[c].Len(), groupBytes(ops[c]))
 	}
 	errs := make([]error, chunks)
-	parallel.ForEach(chunks, chunks, func(c int) { errs[c] = partialsInto(sch, &parts[c], idx, ops[c]) })
+	parallel.ForEach(chunks, chunks, func(c int) { errs[c] = fill(&parts[c], c*n/chunks, ops[c]) })
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
@@ -186,11 +212,12 @@ func partials(sch homenc.Scheme, idx int, cts homenc.Operand, workers int) (*hom
 	return w.Vector(), nil
 }
 
-// partialBytes bounds the magnitude bytes of the partial decryptions of
-// cts. A partial decryption is an element of its ciphertext's group, as
-// wide as the ciphertext give or take a leading byte; a writer that
-// still runs short grows.
-func partialBytes(cts homenc.Operand) int {
+// groupBytes bounds the magnitude bytes of a vector whose elements are,
+// each, an element of the group of the ciphertext of cts it is computed
+// from — a partial decryption, or a ciphertext a public value was added
+// to: as wide as the ciphertext give or take a leading byte. A writer
+// that still runs short grows.
+func groupBytes(cts homenc.Operand) int {
 	size, r := 0, cts.Reader()
 	for i := 0; i < cts.Len(); i++ {
 		size += (r.NextBits()+7)/8 + 1
@@ -198,25 +225,10 @@ func partialBytes(cts homenc.Operand) int {
 	return size
 }
 
-// partialsInto appends key-share idx's partial decryption of every
-// element of cts to w.
-func partialsInto(sch homenc.Scheme, w *homenc.VectorWriter, idx int, cts homenc.Operand) error {
-	var x big.Int
-	r := cts.Reader()
-	for i := 0; i < cts.Len(); i++ {
-		p, err := sch.PartialDecrypt(idx, homenc.Ciphertext{V: r.Next(&x)})
-		if err != nil {
-			return err
-		}
-		w.Append(p.V)
-	}
-	return nil
-}
-
 // CombineParts combines τ gathered partial-decryption vectors into the
 // plaintext vector of cts. parts maps share index to per-element
 // partials; threshold distinct shares must be present. It is combine
-// over values.
+// over cts and the partials encoded.
 func CombineParts(sch homenc.Scheme, cts []homenc.Ciphertext, parts map[int][]homenc.PartialDecryption, threshold, workers int) ([]*big.Int, error) {
 	if len(parts) < threshold {
 		return nil, errIncomplete
@@ -228,9 +240,9 @@ func CombineParts(sch homenc.Scheme, cts []homenc.Ciphertext, parts map[int][]ho
 		for j, p := range parts[idx] {
 			vals[j].V = p.V
 		}
-		ops[k] = homenc.ValuesOperand(vals)
+		ops[k] = homenc.NewVector(vals).Operand()
 	}
-	return combine(sch, homenc.ValuesOperand(cts), shares, ops, workers)
+	return combine(sch, homenc.NewVector(cts).Operand(), shares, ops, workers)
 }
 
 // combine decrypts every element of cts from the partial decryptions

@@ -253,7 +253,7 @@ func TestMergeVecShiftMatchesScalarMul(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4} {
-				sch.MergeVec(merged, homenc.ValuesOperand(a), shift, homenc.ValuesOperand(b), workers)
+				sch.MergeVec(merged, homenc.NewVector(a).Operand(), shift, homenc.NewVector(b).Operand(), workers)
 				got := merged.AppendTo(nil)
 				if !bytes.Equal(got, wantImg) {
 					t.Fatalf("s=%d shift %d, %d workers: image %x, want %x", s, shift, workers, got, wantImg)

@@ -14,19 +14,22 @@
 //     does the same: its large-scale latency experiments simulate the
 //     epidemic algorithms without paying for crypto at every node).
 //
-// State at rest is an image. A ciphertext vector the protocol keeps
-// between exchanges — an EESum state above all — exists as its canonical
-// wire image (Vector), the bytes its next send and its next journal
-// record want. The merge kernels (Scheme.MergeVec) read their operands
-// in place, from values, an owned image or a scanned frame (Operand),
-// and append each result straight into an image the caller supplies, so
-// a participant merges into a buffer of its own that it reuses from one
-// exchange to the next; an encoded element is decoded into scratch that
-// lives for one kernel call. The decryption reads its vectors the same
-// way, element by element, and writes key-share applications as images.
-// big.Int values are transient: they exist for the crypto in flight.
-// Where a caller does want a vector's values, they are decoded into one
-// slab — one []big.Int over one []big.Word — whose values live and die
+// State at rest is an image. Every ciphertext vector the protocol keeps
+// — an EESum state above all — exists as its canonical wire image
+// (Vector) and nothing else: the bytes its next send and its next
+// journal record want. A producer appends each ciphertext straight into
+// the image as the scheme returns it (VectorWriter): the encryption of a
+// contribution, a merge, a public correction, a key-share application.
+// The merge kernels (Scheme.MergeVec) read their operands in place, from
+// an owned image or a scanned frame (Operand), and append each result
+// straight into an image the caller supplies, so a participant merges
+// into a buffer of its own that it reuses from one exchange to the
+// next; an encoded element is decoded into scratch that lives for one
+// kernel call. The decryption reads its vectors the same way, element
+// by element. big.Int values are transient: they exist for the crypto
+// in flight. Where a caller does want a vector's values (a test, or an
+// adapter for callers holding values), they are decoded into one slab —
+// one []big.Int over one []big.Word — whose values live and die
 // together. Keeping one ciphertext of such a vector reachable keeps the
 // whole slab; code that wants to keep a single value for long should
 // copy it.
@@ -80,8 +83,8 @@ type Scheme interface {
 	// update rule of Algorithm 2 (rescale the staler side, add) in one
 	// pass — into dst, as its canonical image (Vector.Rewrite: dst's
 	// buffer is reused when it is large enough). It reads each operand
-	// element by element in the form the operand has, decoding an
-	// encoded element into scratch it reuses across the call. The
+	// element by element, decoding each element into scratch it reuses
+	// across the call. The
 	// operands are only read; they must have equal length, and dst must
 	// be neither of them. workers bounds how many goroutines the kernel
 	// may spread the vector over: a kernel whose elements cost an

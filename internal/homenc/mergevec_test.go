@@ -126,8 +126,9 @@ func sloppyVector(rng *randx.RNG, cts []homenc.Ciphertext) []byte {
 }
 
 // operandForm presents a vector to the kernel in one of the forms it
-// reads: values, an owned image, a scanned view of a canonical frame,
-// or a scanned view of a valid non-canonical one. It returns the
+// reads: the image NewVector encodes, an owned image copied from a
+// frame, a scanned view of a canonical frame, or a scanned view of a
+// valid non-canonical one. It returns the
 // operand and the bytes the operand reads, if any, so a test can check
 // they are left alone.
 type operandForm struct {
@@ -145,15 +146,16 @@ func scanned(t *testing.T, sch homenc.Scheme, enc []byte) homenc.VectorView {
 }
 
 var operandForms = []operandForm{
-	{"values", func(_ *testing.T, _ *randx.RNG, _ homenc.Scheme, cts []homenc.Ciphertext) (homenc.Operand, []byte) {
-		return homenc.ValuesOperand(cts), nil
+	{"new-vector", func(_ *testing.T, _ *randx.RNG, _ homenc.Scheme, cts []homenc.Ciphertext) (homenc.Operand, []byte) {
+		v := homenc.NewVector(cts)
+		return v.Operand(), v.AppendTo(nil)
 	}},
 	{"image", func(t *testing.T, _ *randx.RNG, sch homenc.Scheme, cts []homenc.Ciphertext) (homenc.Operand, []byte) {
 		enc, err := homenc.MarshalVector(cts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := scanned(t, sch, enc).Copy() // an owned image, no values
+		v := scanned(t, sch, enc).Copy() // an owned image
 		img := v.AppendTo(nil)
 		return v.Operand(), img
 	}},
@@ -269,7 +271,7 @@ func TestMergeVecWindowsAreIsolated(t *testing.T) {
 			for _, shift := range []uint{0, 40} {
 				a, b := drawVector(c, rng, 7), drawVector(c, rng, 7)
 				wasA, wasB := snapshot(a), snapshot(b)
-				merged := mergeVec(c.sch, homenc.ValuesOperand(a), shift, homenc.ValuesOperand(b), 2)
+				merged := mergeVec(c.sch, homenc.NewVector(a).Operand(), shift, homenc.NewVector(b).Operand(), 2)
 				img := merged.AppendTo(nil)
 				got := merged.CopyValues()
 				for i := range got {
@@ -297,7 +299,7 @@ func TestMergeVecRejectsLengthMismatch(t *testing.T) {
 				}
 			}()
 			rng := randx.New(29, 1)
-			mergeVec(c.sch, homenc.ValuesOperand(drawVector(c, rng, 3)), 1, homenc.ValuesOperand(drawVector(c, rng, 2)), 1)
+			mergeVec(c.sch, homenc.NewVector(drawVector(c, rng, 3)).Operand(), 1, homenc.NewVector(drawVector(c, rng, 2)).Operand(), 1)
 		})
 	}
 }
@@ -333,7 +335,7 @@ func FuzzMergeVecFromView(f *testing.F) {
 			}
 			s := uint(shift % 48)
 			got := mergeVec(c.sch, va.Operand(), s, vb.Operand(), 2)
-			want := mergeVec(c.sch, homenc.ValuesOperand(va.Values()), s, homenc.ValuesOperand(vb.Values()), 1)
+			want := mergeVec(c.sch, homenc.NewVector(va.Values()).Operand(), s, homenc.NewVector(vb.Values()).Operand(), 1)
 			if !bytes.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
 				t.Fatalf("%s, shift %d: merging the view differs from merging its values", c.name, s)
 			}

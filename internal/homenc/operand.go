@@ -8,36 +8,22 @@ import (
 )
 
 // The merge kernels' two sides. A kernel reads each operand element by
-// element from whichever form the operand has — values, an owned
-// Vector's image, or a scanned VectorView that still aliases its frame
-// — and appends each result straight into the one image it returns.
-// Nothing in between is materialized: an encoded element is decoded
-// into a scratch value the kernel reuses for the next one.
+// element from its encoding — an owned Vector's image, or a scanned
+// VectorView that still aliases its frame — and appends each result
+// straight into the one image it returns. Nothing in between is
+// materialized: an encoded element is decoded into a scratch value the
+// kernel reuses for the next one.
 
-// Operand is a ciphertext vector as a merge kernel reads it: its values,
-// or its element encodings read in place. An Operand only reads: it
-// never builds or caches the vector's other form, so a vector several
+// Operand is a ciphertext vector as a merge kernel reads it: its element
+// encodings, read in place. An Operand only reads, so a vector several
 // goroutines share may be read through Operands concurrently.
 type Operand struct {
 	n   int
-	cts []Ciphertext // the values; nil when enc holds the elements
-	enc []byte       // the element encodings, count prefix stripped
+	enc []byte // the element encodings, count prefix stripped
 }
 
-// ValuesOperand reads a vector of ciphertext values.
-func ValuesOperand(cts []Ciphertext) Operand { return Operand{n: len(cts), cts: cts} }
-
-// Operand returns the vector as a kernel operand: its values when it
-// holds them (they need no decoding), its image otherwise.
-func (v *Vector) Operand() Operand {
-	switch {
-	case v.Len() == 0:
-		return Operand{}
-	case v.cts != nil:
-		return Operand{n: v.n, cts: v.cts}
-	}
-	return Operand{n: v.n, enc: v.img[4:]}
-}
+// Operand returns the vector's image as a kernel operand.
+func (v *Vector) Operand() Operand { return Operand{n: v.Len(), enc: v.image()[4:]} }
 
 // Operand returns the scanned vector as a kernel operand, reading the
 // scanned buffer in place: it is valid only as long as that buffer is.
@@ -51,26 +37,14 @@ func (v VectorView) Operand() Operand {
 
 // Size returns how many bytes the operand's elements take in a vector
 // image: their headers and magnitudes, without the count prefix.
-func (o Operand) Size() int {
-	if o.cts == nil {
-		return len(o.enc)
-	}
-	size := 0
-	for _, c := range o.cts {
-		size += intHeader + (c.V.BitLen()+7)/8
-	}
-	return size
-}
+func (o Operand) Size() int { return len(o.enc) }
 
 // Len returns the element count.
 func (o Operand) Len() int { return o.n }
 
 // Slice returns elements [lo, hi) — one chunk of a fanned-out merge.
-// An encoding is walked from its start, one header per element.
+// The encoding is walked from its start, one header per element.
 func (o Operand) Slice(lo, hi int) Operand {
-	if o.cts != nil {
-		return ValuesOperand(o.cts[lo:hi])
-	}
 	enc := o.enc
 	for i := 0; i < lo; i++ {
 		enc = enc[encodedSize(enc):]
@@ -87,26 +61,19 @@ func (o Operand) Slice(lo, hi int) Operand {
 func encodedSize(b []byte) int { return intHeader + int(binary.BigEndian.Uint32(b[1:])) }
 
 // Reader returns a reader positioned at the first element.
-func (o Operand) Reader() OperandReader { return OperandReader{cts: o.cts, enc: o.enc} }
+func (o Operand) Reader() OperandReader { return OperandReader{enc: o.enc} }
 
 // OperandReader reads an Operand's elements in order. Reading past the
 // last element panics.
 type OperandReader struct {
-	cts []Ciphertext
 	enc []byte
 }
 
-// Next returns the next element. A value is returned as it is stored;
-// an encoding is decoded into scratch, whose words are reused when they
-// suffice — so a kernel that passes the same scratch for every element
-// decodes a whole vector into one small, growing buffer. The result is
-// read-only, and valid until scratch is next written.
+// Next decodes the next element into scratch, whose words are reused
+// when they suffice — so a kernel that passes the same scratch for
+// every element decodes a whole vector into one small, growing buffer —
+// and returns scratch.
 func (r *OperandReader) Next(scratch *big.Int) *big.Int {
-	if r.cts != nil {
-		v := r.cts[0].V
-		r.cts = r.cts[1:]
-		return v
-	}
 	r.enc = r.enc[setInt(scratch, r.enc):]
 	return scratch
 }
@@ -116,11 +83,6 @@ func (r *OperandReader) Next(scratch *big.Int) *big.Int {
 // — which is what a kernel sizing its output image reads before it
 // computes.
 func (r *OperandReader) NextBits() int {
-	if r.cts != nil {
-		v := r.cts[0].V
-		r.cts = r.cts[1:]
-		return v.BitLen()
-	}
 	size := encodedSize(r.enc)
 	n := 8 * (size - intHeader)
 	if size > intHeader {
@@ -196,16 +158,7 @@ func (v *Vector) Expect(size int) { v.expected = size }
 // Set makes v a copy of x with an image of its own, written into v's
 // buffer when it is large enough, and returns v.
 func (v *Vector) Set(x *Vector) *Vector {
-	img := v.img[:0]
-	switch {
-	case x.Len() == 0:
-		img = append(img, emptyImage...)
-	case x.img == nil:
-		img = appendVector(img, x.cts)
-	default:
-		img = append(img, x.img...)
-	}
-	v.n, v.cts, v.img = x.Len(), nil, img
+	v.n, v.img = x.Len(), append(v.img[:0], x.image()...)
 	return v
 }
 
@@ -250,7 +203,7 @@ func (w *VectorWriter) Join(chunks []VectorWriter) {
 	w.img, w.carved = img, 0
 }
 
-// Vector publishes the image as an image-only Vector: the one Rewrite
+// Vector publishes the image as a Vector: the one Rewrite
 // started over, or a new one (nil for the empty vector). Every element
 // must have been appended.
 func (w *VectorWriter) Vector() *Vector {
@@ -258,7 +211,7 @@ func (w *VectorWriter) Vector() *Vector {
 		panic("homenc: vector image published with elements missing")
 	}
 	if w.dst != nil {
-		w.dst.n, w.dst.cts, w.dst.img = w.n, nil, w.img
+		w.dst.n, w.dst.img = w.n, w.img
 		return w.dst
 	}
 	if w.n == 0 {
@@ -267,17 +220,13 @@ func (w *VectorWriter) Vector() *Vector {
 	return &Vector{n: w.n, img: w.img}
 }
 
-// CopyValues returns the vector's values in a slice of its own — decoded
-// from the image into a slab of their own when the vector holds no
-// values. It leaves the vector as it is, so it is a read even of a
-// vector that several goroutines share, and the caller may replace
+// CopyValues returns the vector's values decoded from its image into a
+// slab of their own. It leaves the vector as it is, so it is a read even
+// of a vector that several goroutines share, and the caller may replace
 // elements of the result.
 func (v *Vector) CopyValues() []Ciphertext {
-	switch {
-	case v.Len() == 0:
+	if v.Len() == 0 {
 		return nil
-	case v.cts != nil:
-		return append([]Ciphertext(nil), v.cts...)
 	}
 	return decodeVector(v.img[4:], v.n)
 }

@@ -24,11 +24,11 @@ import (
 // Vectors that cross the wire are immutable, and most of them are sent
 // or received far more often than they change: a share set is re-sent
 // on every leg of every decryption cycle but changes only when a share
-// is gathered. A Vector therefore carries a
-// cached wire image — the canonical encoding, built at the first send,
-// taken from the frame the vector arrived in, or written by the merge
-// (or the VectorWriter) that produced it — and the crypto reads that
-// image element by element (Operand) rather than materializing it. The
+// is gathered. A Vector is therefore its wire image and nothing else —
+// the canonical encoding, written by the encryption, merge or key-share
+// application that produced it (a VectorWriter), or taken from the frame
+// or journal record it arrived in — and the crypto reads that image
+// element by element (Operand) rather than materializing it. The
 // receive side scans a frame structurally (ScanVectorBound and
 // ScanIntBound: every bound checked, nothing allocated) into views that
 // alias the frame; a merge reads a view in place (VectorView.Operand),
@@ -208,26 +208,24 @@ func setInt(z *big.Int, enc []byte) int {
 
 // wireStats counts how often the wire images pay off; see WireStats.
 var wireStats struct {
-	sends, builds, scanned, materialized atomic.Int64
+	sends, scanned, materialized atomic.Int64
 }
 
 // WireStats reports, process-wide, the property the wire images depend
-// on — a vector is sent or received more often than it changes.
-// Sends counts vectors appended to a frame or journal record, Builds
-// how many of those had to be encoded first (the rest were served from
-// a cached image, a merge's result included); Scanned counts scans of
-// non-empty vectors off received frames (a sum leg is scanned twice: to
-// vet it, and to merge from it), Materialized how many vectors were ever
-// turned into big.Int values — a merge turns none.
+// on — a vector is sent or received more often than it changes. Sends
+// counts vectors appended to a frame or journal record, each straight
+// from its image; Scanned counts scans of non-empty vectors off received
+// frames (a sum leg is scanned twice: to vet it, and to merge from it),
+// Materialized how many vectors were ever turned into big.Int values —
+// a merge turns none.
 type WireStats struct {
-	Sends, Builds, Scanned, Materialized int64
+	Sends, Scanned, Materialized int64
 }
 
 // ReadWireStats snapshots the process-wide wire-image counters.
 func ReadWireStats() WireStats {
 	return WireStats{
 		Sends:        wireStats.sends.Load(),
-		Builds:       wireStats.builds.Load(),
 		Scanned:      wireStats.scanned.Load(),
 		Materialized: wireStats.materialized.Load(),
 	}
@@ -236,29 +234,28 @@ func ReadWireStats() WireStats {
 // emptyImage is the encoding of a zero-length vector.
 var emptyImage = make([]byte, 4)
 
-// Vector is a ciphertext vector together with its cached wire image
-// (the MarshalVector encoding). A vector encrypted locally starts with
-// its values and is encoded at its first send; every other vector — a
-// merge kernel's output, a key-share application, one adopted from a
-// peer or a journal — is its image and nothing else. A nil *Vector is
-// the empty vector. The image of a values vector is built lazily, by its
-// first send, so such a Vector needs its one owner; a Vector that is an
-// image has no lazy form, and every method of it is a pure read, by any
-// number of goroutines. A Vector does not change once published, except
-// that the participant owning a sum state reuses its buffer: Rewrite
-// and Set start the Vector over, and nobody else may hold it then.
+// Vector is a ciphertext vector as its canonical wire image (the
+// MarshalVector encoding), which is what the merge kernels and the
+// decryption read and what its sends and journal records append. A nil
+// *Vector is the empty vector. Every method of a Vector but Rewrite and
+// Set is a pure read, by any number of goroutines. A Vector does not
+// change once published, except that the participant owning a sum state
+// reuses its buffer: Rewrite and Set start the Vector over, and nobody
+// else may hold it then.
 type Vector struct {
 	n   int
-	cts []Ciphertext
 	img []byte
 	// expected is the image size the owner expects to rewrite v up to
 	// (Expect): what Rewrite allocates when the buffer is too small.
 	expected int
 }
 
-// NewVector wraps a ciphertext vector. The caller must not modify cts
-// afterwards: the cached image would go stale.
-func NewVector(cts []Ciphertext) *Vector { return &Vector{n: len(cts), cts: cts} }
+// NewVector encodes a ciphertext vector as its image; cts is only read.
+// A producer that has its ciphertexts one at a time appends them to a
+// VectorWriter instead, and builds no slice of them.
+func NewVector(cts []Ciphertext) *Vector {
+	return &Vector{n: len(cts), img: appendVector(make([]byte, 0, vectorWireSize(cts)), cts)}
+}
 
 // Len returns the element count.
 func (v *Vector) Len() int {
@@ -268,34 +265,24 @@ func (v *Vector) Len() int {
 	return v.n
 }
 
-// buildImage encodes the vector unless its image is already cached.
-func (v *Vector) buildImage() {
-	if v.img == nil {
-		wireStats.builds.Add(1)
-		v.img = appendVector(make([]byte, 0, vectorWireSize(v.cts)), v.cts)
+// image returns the vector's encoding: the empty vector's for a nil or
+// never written Vector.
+func (v *Vector) image() []byte {
+	if v.Len() == 0 {
+		return emptyImage
 	}
+	return v.img
 }
 
 // WireSize is the length of the vector's encoding.
-func (v *Vector) WireSize() int {
-	switch {
-	case v == nil:
-		return len(emptyImage)
-	case v.img != nil:
-		return len(v.img)
-	}
-	return vectorWireSize(v.cts)
-}
+func (v *Vector) WireSize() int { return len(v.image()) }
 
-// AppendTo appends the vector's encoding to dst, encoding it first if
-// no image is cached yet.
+// AppendTo appends the vector's encoding to dst.
 func (v *Vector) AppendTo(dst []byte) []byte {
-	if v == nil {
-		return append(dst, emptyImage...)
+	if v != nil {
+		wireStats.sends.Add(1)
 	}
-	wireStats.sends.Add(1)
-	v.buildImage()
-	return append(dst, v.img...)
+	return append(dst, v.image()...)
 }
 
 func decodeVector(b []byte, n int) []Ciphertext {

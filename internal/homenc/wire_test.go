@@ -3,6 +3,7 @@ package homenc
 import (
 	"bytes"
 	"math/big"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -112,14 +113,15 @@ func TestWireDeterministic(t *testing.T) {
 // TestPartialDecryptionsAllocs pins what a gathered share costs the
 // release: its image is read element by element into one scratch value,
 // which grows to the widest element once — nothing per element, no
-// intermediate vector, from an image and from values alike.
+// intermediate vector, from an image copied off a frame and from one
+// NewVector encoded alike.
 func TestPartialDecryptionsAllocs(t *testing.T) {
 	vals := make([]Ciphertext, 50)
 	for i := range vals {
 		vals[i].V = new(big.Int).Lsh(big.NewInt(int64(i+1)), 1000)
 	}
-	fromValues := NewVector(vals)
-	view, _, err := ScanVectorBound(fromValues.AppendTo(nil), len(vals), DefaultMaxIntBytes)
+	encoded := NewVector(vals)
+	view, _, err := ScanVectorBound(encoded.AppendTo(nil), len(vals), DefaultMaxIntBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func TestPartialDecryptionsAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		v    *Vector
-	}{{"image", fromImage}, {"values", fromValues}} {
+	}{{"copied", fromImage}, {"encoded", encoded}} {
 		var scratch big.Int
 		if got := testing.AllocsPerRun(50, func() {
 			r := c.v.Operand().Reader()
@@ -142,4 +144,41 @@ func TestPartialDecryptionsAllocs(t *testing.T) {
 	if got := ReadWireStats().Materialized - before.Materialized; got != 0 {
 		t.Errorf("reading the shares materialized %d vectors", got)
 	}
+}
+
+// TestNewVectorSharedReads: a vector NewVector built is its image from
+// the start, so goroutines that send it and read it through operands at
+// once only read it: nothing encodes it under them, and the race
+// detector finds no write.
+func TestNewVectorSharedReads(t *testing.T) {
+	vals := make([]Ciphertext, 16)
+	for i := range vals {
+		vals[i].V = new(big.Int).Lsh(big.NewInt(int64(i*i-30)), 40)
+	}
+	want, err := MarshalVector(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewVector(vals)
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(send bool) {
+			defer wg.Done()
+			if send {
+				if got := v.AppendTo(nil); !bytes.Equal(got, want) {
+					t.Errorf("sent %x, want %x", got, want)
+				}
+				return
+			}
+			var x big.Int
+			r := v.Operand().Reader()
+			for i := range vals {
+				if r.Next(&x).Cmp(vals[i].V) != 0 {
+					t.Errorf("element %d read %v, want %v", i, &x, vals[i].V)
+				}
+			}
+		}(g%2 == 0)
+	}
+	wg.Wait()
 }

@@ -297,31 +297,3 @@ func RunContext(ctx context.Context, d *timeseries.Dataset, cfg Config) (*Result
 	res.Centroids, res.Converged = out.Centroids, out.Converged
 	return res, nil
 }
-
-// SeedPlusPlus chooses k initial centroids with the k-means++ heuristic
-// (distance-squared weighted sampling), reading at most sample rows. It
-// is exposed for the non-private baseline; the private protocol must use
-// data-independent seeds (see datasets.SeedCentroids).
-func SeedPlusPlus(d *timeseries.Dataset, k, sample int, pick func(n int) int, pickW func(w []float64) int) []timeseries.Series {
-	t := d.Len()
-	if sample <= 0 || sample > t {
-		sample = t
-	}
-	first := pick(sample)
-	out := []timeseries.Series{d.Row(first).Clone()}
-	w := make([]float64, sample)
-	for len(out) < k {
-		for i := 0; i < sample; i++ {
-			row := d.Row(i)
-			best := math.Inf(1)
-			for _, c := range out {
-				if d2 := row.Dist2(c); d2 < best {
-					best = d2
-				}
-			}
-			w[i] = best
-		}
-		out = append(out, d.Row(pickW(w)).Clone())
-	}
-	return out
-}

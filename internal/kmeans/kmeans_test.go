@@ -210,20 +210,6 @@ func TestRunTerminatesQuick(t *testing.T) {
 	}
 }
 
-func TestSeedPlusPlus(t *testing.T) {
-	d := twoBlobs(t, 500)
-	rng := randx.New(6, 6)
-	seeds := SeedPlusPlus(d, 2, 0, rng.IntN, rng.Categorical)
-	if len(seeds) != 2 {
-		t.Fatalf("got %d seeds", len(seeds))
-	}
-	// The two seeds should land in different blobs with overwhelming
-	// probability (d² weighting).
-	if seeds[0].Dist(seeds[1]) < 5 {
-		t.Errorf("k-means++ seeds too close: %v vs %v", seeds[0], seeds[1])
-	}
-}
-
 func TestRunEmptyDataset(t *testing.T) {
 	d := timeseries.NewDataset(2)
 	if _, err := Run(d, Config{InitCentroids: []timeseries.Series{{0, 0}}}); err == nil {

@@ -19,9 +19,11 @@ import (
 // then on the main loop's initiator slots and the passively served
 // responder slots read it concurrently. Every vector of a decryption
 // state is an image, which sending and combining read element by element
-// (homenc.Operand), so those reads build nothing. Journal checkpoints,
-// which lazily cache the image of a sum state no exchange has merged
-// yet, are serialized by Node.commitMu.
+// (homenc.Operand), so those reads build nothing. So is every other
+// vector of the state: a Vector has no lazy form, and a journal
+// checkpoint appends the state's images as they are, writing none of
+// them. Node.commitMu serializes checkpoints for the journal's sake
+// (one writer, counter snapshots in commit order), not the state's.
 type iterState = eesum.Participant
 
 // sumOut is the iteration's sum-phase state as an exchange leg (or a

@@ -589,6 +589,8 @@ func (nd *Node) attachState(st *State) error {
 // a time, every checkpoint's counter snapshot covers exactly the
 // commits journaled up to and including it, and the commit hook — a
 // harness's kill switch, written for one caller — is never re-entered.
+// Encoding a checkpoint only appends the state's vector images, so it
+// writes nothing that the goroutines serving a settled state read.
 //
 // A journal that stops taking writes halts the node instead of running
 // on: continuing un-journaled would let a later crash replay exchanges

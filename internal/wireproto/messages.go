@@ -257,8 +257,8 @@ type SumMsg struct {
 // at rest is already one: its vector is the image the next send appends.
 type SumSide = eesum.SumSide
 
-// SideOf wraps a plain EESum state for sending. The caller must not
-// modify st.CTs afterwards.
+// SideOf encodes a plain EESum state for sending: its vector becomes
+// an image of its own.
 func SideOf(st eesum.SumState) SumSide {
 	return SumSide{CTs: homenc.NewVector(st.CTs), Omega: st.Omega, Epoch: st.Epoch}
 }
