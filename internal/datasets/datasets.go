@@ -75,10 +75,6 @@ var cerArchetypes = []cerArchetype{
 	{"weekend-surge", 0.005, 0.8, []cerBump{{11, 5.0, 8.0}, {21, 1.5, 6.0}}, 1.3},
 }
 
-// CERArchetypes returns the number of distinct household archetypes used
-// by the CER-like generator (useful for choosing k in demos).
-func CERArchetypes() int { return len(cerArchetypes) }
-
 // GenerateCER produces t CER-like daily electricity load series of
 // CERLen hourly measures, clamped to [CERMin, CERMax]. The label slice
 // gives the archetype index each series was drawn from (handy for

@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"chiaroscuro/internal/timeseries"
 )
@@ -34,89 +35,110 @@ type Assignment struct {
 	SSE    float64             // Σ over series of squared distance to closest centroid
 }
 
+// assignBlock is how many rows Assign sums into one partial before
+// adding it into the result. A fixed block makes the float reduction's
+// order — rows in order within a block, blocks in order — the same at
+// every core count.
+const assignBlock = 4096
+
 // Assign performs the assignment step: each series of d goes to its
-// closest centroid. Work is split across all CPUs. It never mutates the
-// centroids. An empty centroid set returns ErrNoCentroids.
+// closest centroid. Blocks of assignBlock rows are summed on up to
+// GOMAXPROCS workers, each reusing one partial, and every block's
+// partial is added into the result in block order, so the result is
+// bit-identical at every core count. It never mutates the centroids.
+// An empty centroid set returns ErrNoCentroids.
 func Assign(d *timeseries.Dataset, centroids []timeseries.Series) (*Assignment, error) {
 	k := len(centroids)
 	if k == 0 {
 		return nil, ErrNoCentroids
 	}
-	n := d.Dim()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > d.Len() {
-		workers = 1
-	}
-	type partial struct {
-		sums   []timeseries.Series
-		counts []int64
-		sq     []float64
-		sse    float64
-	}
-	parts := make([]partial, workers)
-	var wg sync.WaitGroup
-	chunk := (d.Len() + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > d.Len() {
-			hi = d.Len()
-		}
-		if lo >= hi {
-			continue
-		}
+	out := newAssignment(k, d.Dim())
+	blocks := (d.Len() + assignBlock - 1) / assignBlock
+	var (
+		next  atomic.Int64 // blocks claimed
+		mu    sync.Mutex
+		turn  = sync.NewCond(&mu)
+		added int // blocks added into out, under mu
+		wg    sync.WaitGroup
+	)
+	for w := min(runtime.GOMAXPROCS(0), blocks); w > 0; w-- {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			p := partial{
-				sums:   make([]timeseries.Series, k),
-				counts: make([]int64, k),
-				sq:     make([]float64, k),
-			}
-			for i := range p.sums {
-				p.sums[i] = make(timeseries.Series, n)
-			}
-			for i := lo; i < hi; i++ {
-				row := d.Row(i)
-				best, bestD2 := 0, math.Inf(1)
-				for c, ctr := range centroids {
-					d2 := row.Dist2(ctr)
-					if d2 < bestD2 {
-						best, bestD2 = c, d2
-					}
+			p := newAssignment(k, d.Dim())
+			for b := int(next.Add(1) - 1); b < blocks; b = int(next.Add(1) - 1) {
+				p.reset()
+				p.assign(d, centroids, b*assignBlock, min((b+1)*assignBlock, d.Len()))
+				mu.Lock()
+				for added != b {
+					turn.Wait()
 				}
-				p.sums[best].Add(row)
-				p.counts[best]++
-				var sq float64
-				for _, v := range row {
-					sq += v * v
-				}
-				p.sq[best] += sq
-				p.sse += bestD2
+				out.add(p)
+				added++
+				turn.Broadcast()
+				mu.Unlock()
 			}
-			parts[w] = p
-		}(w, lo, hi)
+		}()
 	}
 	wg.Wait()
-	out := &Assignment{
+	return out, nil
+}
+
+// newAssignment returns a zero assignment to k centroids of n points.
+func newAssignment(k, n int) *Assignment {
+	a := &Assignment{
 		Sums:   make([]timeseries.Series, k),
 		Counts: make([]int64, k),
 		SqSums: make([]float64, k),
 	}
-	for i := range out.Sums {
-		out.Sums[i] = make(timeseries.Series, n)
+	for c := range a.Sums {
+		a.Sums[c] = make(timeseries.Series, n)
 	}
-	for _, p := range parts {
-		if p.sums == nil {
-			continue
-		}
-		for c := range out.Sums {
-			out.Sums[c].Add(p.sums[c])
-			out.Counts[c] += p.counts[c]
-			out.SqSums[c] += p.sq[c]
-		}
-		out.SSE += p.sse
+	return a
+}
+
+// reset zeroes a for the next block.
+func (a *Assignment) reset() {
+	for c := range a.Sums {
+		clear(a.Sums[c])
 	}
-	return out, nil
+	clear(a.Counts)
+	clear(a.SqSums)
+	a.SSE = 0
+}
+
+// assign adds rows [lo, hi) of d, each to its closest centroid.
+func (a *Assignment) assign(d *timeseries.Dataset, centroids []timeseries.Series, lo, hi int) {
+	var sse float64
+	for i := lo; i < hi; i++ {
+		row := d.Row(i)
+		best, bestD2 := 0, math.Inf(1)
+		for c, ctr := range centroids {
+			d2 := row.Dist2(ctr)
+			if d2 < bestD2 {
+				best, bestD2 = c, d2
+			}
+		}
+		a.Sums[best].Add(row)
+		a.Counts[best]++
+		var sq float64
+		for _, v := range row {
+			sq += v * v
+		}
+		a.SqSums[best] += sq
+		sse += bestD2
+	}
+	a.SSE += sse
+}
+
+// add adds the partial p into a.
+func (a *Assignment) add(p *Assignment) {
+	for c := range a.Sums {
+		a.Sums[c].Add(p.Sums[c])
+		a.Counts[c] += p.Counts[c]
+		a.SqSums[c] += p.SqSums[c]
+	}
+	a.SSE += p.SSE
 }
 
 // InertiaAgainst returns the mean squared distance of the assigned series

@@ -2,6 +2,8 @@ package kmeans
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -80,6 +82,40 @@ func TestAssignMatchesSerial(t *testing.T) {
 	}
 	if math.Abs(sse-a.SSE)/sse > 1e-9 {
 		t.Errorf("SSE %v != serial %v", a.SSE, sse)
+	}
+}
+
+// TestAssignBitsIndependentOfCores runs Assign over a dataset of
+// several blocks and a partial one at GOMAXPROCS 1, 2, 3, 4 and 7: every
+// sum, count and squared sum must carry the same bits at each.
+func TestAssignBitsIndependentOfCores(t *testing.T) {
+	rng := randx.New(4, 4)
+	d, _ := datasets.GenerateCER(4*assignBlock+123, rng)
+	cents := datasets.SeedCentroids("cer", 5, rng)
+	bits := func(a *Assignment) []uint64 {
+		out := []uint64{math.Float64bits(a.SSE)}
+		for c := range a.Sums {
+			out = append(out, uint64(a.Counts[c]), math.Float64bits(a.SqSums[c]))
+			for _, v := range a.Sums[c] {
+				out = append(out, math.Float64bits(v))
+			}
+		}
+		return out
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []uint64
+	for _, procs := range []int{1, 2, 3, 4, 7} {
+		runtime.GOMAXPROCS(procs)
+		a, err := Assign(d, cents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := bits(a)
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Fatalf("Assign at GOMAXPROCS %d differs from GOMAXPROCS 1", procs)
+		}
 	}
 }
 

@@ -10,3 +10,6 @@ func (sw *sweeper) pending() int {
 // SweepPending reports how many blocked in-process calls' queue sides
 // h's sweeper holds.
 func SweepPending(h *Host) int { return h.sweep.pending() }
+
+// HostConns reports how many connections h's own endpoint tracks.
+func HostConns(h *Host) int { return h.ep.Conns() }

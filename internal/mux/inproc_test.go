@@ -187,7 +187,7 @@ func TestInProcConnContract(t *testing.T) {
 			_ = a.SetDeadline(time.Now().Add(soon))
 			done := goRead(a, 8)
 			blockedOn(t, a.in, &a.in.r)
-			_ = a.SetDeadline(time.Time{}) // dispatch and serveConn hand a connection off like this
+			_ = a.SetDeadline(time.Time{}) // a node taking over an exchange request clears it like this
 			stillBlocked(t, "read", done)
 			_, _ = b.Write([]byte("late"))
 			wantResult(t, "read", done, 4, nil)

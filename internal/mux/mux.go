@@ -4,19 +4,19 @@
 // demo daemon into a deployment unit for the paper's massive
 // populations.
 //
-// A Host owns one TCP accept loop and routes inbound frames to its
-// virtual nodes by the frame's target field (wireproto), so N
-// co-located peers cost one listener and one accept goroutine instead
-// of N. Untargeted frames are membership traffic — hello,
-// resume, view gossip, leave — answered centrally against the single
-// shared address book by the host's node.Endpoint, the handler a
-// standalone node answers with too. Expensive per-participant state is
-// shared across the host: one schedule mirror (node.ScheduleSource)
-// instead of one sim.Engine per peer, one address book, one scheme
-// instance (whose randomizer pools and comb tables are already
-// process-wide). NewHost takes the participants' shared node.Config and
-// provisions it through node.Provision, as each of its virtual nodes
-// does.
+// A Host owns one TCP listener, served by its node.Endpoint — the one
+// inbound path a standalone node has too — which routes frames to the
+// virtual nodes by their target field (wireproto), so N co-located peers
+// cost one listener and one accept goroutine instead of N. Untargeted
+// frames are membership traffic — hello, resume, view gossip, leave —
+// answered against the single shared address book. A connection is
+// tracked by the endpoint of the node serving it alone. Expensive
+// per-participant state is shared across the host: one schedule mirror
+// (node.ScheduleSource) instead of one sim.Engine per peer, one address
+// book, one scheme instance (whose randomizer pools and comb tables are
+// already process-wide). NewHost takes the participants' shared
+// node.Config and provisions it through node.Provision, as each of its
+// virtual nodes does.
 //
 // Launch is the one place a population is laid out: from the shared
 // node.Config and a slice of participant indices it builds one TCP
@@ -130,12 +130,12 @@ func NewHost(shared node.Config, seriesDim int) (*Host, error) {
 		nodes:     make(map[int]*node.Node),
 		stop:      make(chan struct{}),
 	}
-	h.ep = node.NewEndpoint(&h.shared, dep, h.book, &h.counters, h.reinstate)
+	h.ep = node.NewEndpoint(&h.shared, dep, h.book, &h.counters, h.reinstate, h.route)
 	// Pump pacing draws from the seeded lineage; the stream is keyed by
 	// the host's listen address so co-bootstrapping hosts decorrelate.
 	h.jitter = randx.NewJitter(shared.Proto.Seed^0x6A177E12, addrStream(h.addr))
 	h.wg.Add(1)
-	go h.serve()
+	go h.ep.Serve(ln, &h.wg)
 	if h.bootstrap != "" {
 		h.wg.Add(1)
 		go h.pump()
@@ -236,57 +236,11 @@ func (h *Host) Close() error {
 	return err
 }
 
-// serve accepts connections on the shared listener; each is routed by
-// its first frame.
-func (h *Host) serve() {
-	defer h.wg.Done()
-	for {
-		conn, err := h.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		h.wg.Add(1)
-		go h.serveConn(h.ep.Track(conn))
-	}
-}
-
-// serveConn reads one frame and routes it: targeted frames go to the
-// virtual node they name (which takes ownership of the connection — the
-// remaining exchange legs travel on it — and of the frame's pooled
-// buffer), untargeted frames are membership traffic the host's endpoint
-// answers against the shared book, exactly as a standalone node's does.
-func (h *Host) serveConn(conn net.Conn) {
-	defer h.wg.Done()
-	_ = conn.SetReadDeadline(time.Now().Add(h.shared.ExchangeTimeout))
-	f, err := wireproto.ReadFrame(conn, h.dep.Lim.MaxFrameLen)
-	if err != nil {
-		if errors.Is(err, wireproto.ErrMalformed) {
-			h.counters.BadFrames.Add(1)
-		}
-		_ = conn.Close()
-		return
-	}
-	if f.Epoch == h.shared.Epoch && f.Target >= 0 {
-		h.mu.Lock()
-		nd := h.nodes[f.Target]
-		h.mu.Unlock()
-		if nd != nil {
-			_ = conn.SetDeadline(time.Time{})
-			nd.Deliver(conn, f)
-			return
-		}
-	}
-	// Everything below answers from decoded copies: the frame's buffer
-	// goes back to the pool on every path.
-	defer f.Release()
-	if f.Epoch != h.shared.Epoch || f.Target >= 0 {
-		h.counters.Rejected.Add(1)
-		_ = conn.Close()
-		return
-	}
-
-	h.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(len(f.Payload))))
-	h.ep.Answer(conn, f)
+// route names the hosted node a frame addressed to target goes to.
+func (h *Host) route(target int) *node.Node {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.nodes[target]
 }
 
 // reinstate lifts a returning peer's suspicion eviction on every hosted
@@ -376,8 +330,9 @@ func covers(items []wireproto.ViewItem, n int) bool {
 // host's own listener address) get the host's in-process connection — a
 // buffered byte stream that costs no socket and no timer, and once
 // closed leaves its two small ends to the garbage collector and its
-// queues to the next dial — whose server end feeds the same routing
-// path as an accepted TCP connection; anything else is dialed over TCP.
+// queues to the next dial — whose server end takes the path an accepted
+// TCP connection takes (node.Endpoint.ServeConn); anything else is
+// dialed over TCP.
 // Byte accounting is unchanged either way — both ends count the frames
 // they write and read.
 func (h *Host) Transport() node.Dialer { return hostDialer{h} }
@@ -386,21 +341,29 @@ type hostDialer struct{ h *Host }
 
 func (d hostDialer) Dial(peer int, addr string, timeout time.Duration) (net.Conn, error) {
 	h := d.h
-	if addr == h.addr {
-		// The serve goroutine is registered under the lock Close sets
-		// stopped under: Close's wg.Wait never races this Add.
-		h.mu.Lock()
-		if h.stopped.Load() {
-			h.mu.Unlock()
-			return nil, errors.New("mux: host closed")
-		}
-		h.wg.Add(1)
-		h.mu.Unlock()
-		client, server := newInprocPair(&h.sweep)
-		go h.serveConn(h.ep.Track(server))
-		return client, nil
+	if addr != h.addr {
+		return net.DialTimeout("tcp", addr, timeout)
 	}
-	return net.DialTimeout("tcp", addr, timeout)
+	// The serve goroutine is registered under the lock Close sets
+	// stopped under: Close's wg.Wait never races this Add. A hosted
+	// destination's endpoint serves the connection, the host's any other.
+	h.mu.Lock()
+	if h.stopped.Load() {
+		h.mu.Unlock()
+		return nil, errors.New("mux: host closed")
+	}
+	ep := h.ep
+	if nd := h.nodes[peer]; nd != nil {
+		ep = nd.Endpoint()
+	}
+	h.wg.Add(1)
+	h.mu.Unlock()
+	client, server := newInprocPair(&h.sweep)
+	go func() {
+		defer h.wg.Done()
+		ep.ServeConn(server)
+	}()
+	return client, nil
 }
 
 // addrStream folds an address string into a jitter stream id (FNV-1a).

@@ -2,6 +2,7 @@ package mux_test
 
 import (
 	"context"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"chiaroscuro/internal/node"
 	"chiaroscuro/internal/randx"
 	"chiaroscuro/internal/timeseries"
+	"chiaroscuro/internal/wireproto"
 )
 
 // testSetup is a shared deployment description for sim-vs-wire-vs-
@@ -452,6 +454,73 @@ func TestHostCloseUnparksInProcCalls(t *testing.T) {
 		t.Fatalf("%d entries left in the sweeper's heap after Close", n)
 	}
 	waitGoroutines(t, baseline, "after Close")
+}
+
+// TestConnTrackedOnce pins who tracks a connection to a hosted node: the
+// endpoint of the node that serves it, and no other. An in-process
+// exchange request parked at node 1 is in node 1's set and not in the
+// host's; a TCP connection, which the host's listener accepts and
+// routes to node 2, moves out of the host's set into node 2's.
+func TestConnTrackedOnce(t *testing.T) {
+	ts := newSetup(t, 4, 0)
+	const epoch = 0x5EED
+	h, err := mux.NewHost(node.Config{N: ts.n, Scheme: ts.scheme, Proto: ts.proto, Epoch: epoch}, ts.data.Dim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	nodes := make([]*node.Node, ts.n)
+	for i := range nodes {
+		if nodes[i], err = h.AddNode(node.Config{Index: i, Series: ts.data.Row(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// request writes the first sum request of the run, from participant
+	// 0 to participant to: the nodes are not running, so it parks.
+	request := func(conn net.Conn, to int) {
+		var e wireproto.Enc
+		e.U32(0) // iteration
+		e.U32(0) // cycle
+		e.U32(0) // sequence
+		e.U32(0) // from
+		e.U32(uint32(to))
+		e.U8(0) // flags
+		if err := wireproto.WriteFrameTarget(conn, wireproto.KindSumReq, epoch, to, e.B); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// tracked waits until the nodes' endpoints track want connections
+	// each, then checks that the host's tracks none.
+	tracked := func(what string, want ...int) {
+		t.Helper()
+		for i, nd := range nodes {
+			for deadline := time.Now().Add(10 * time.Second); nd.Endpoint().Conns() != want[i]; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: node %d tracks %d connections, want %d", what, i, nd.Endpoint().Conns(), want[i])
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		if n := mux.HostConns(h); n != 0 {
+			t.Fatalf("%s: the host's endpoint tracks %d connections, want 0", what, n)
+		}
+	}
+
+	inproc, err := h.Transport().Dial(1, h.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inproc.Close()
+	request(inproc, 1)
+	tracked("in-process", 0, 1, 0, 0)
+
+	tcp, err := net.Dial("tcp", h.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	request(tcp, 2)
+	tracked("TCP", 0, 1, 1, 0)
 }
 
 // TestAddNodeValidation pins the host-side provisioning checks.

@@ -10,12 +10,16 @@ import (
 	"chiaroscuro/internal/wireproto"
 )
 
-// Endpoint is a listener's end of the wire — a standalone node's, or a
-// mux.Host's shared by every node it hosts: the connections it opens
-// and accepts, the byte accounting of the frames it reads and writes,
-// and the membership round trips (hello, resume, view gossip, leave) it
-// answers and asks over its address book. Both kinds of listener speak
-// membership through one, so they answer every frame alike.
+// Endpoint is one end of the wire — a node's, or a mux.Host's: the
+// connections it opens and serves, the byte accounting of the frames it
+// reads and writes, and the membership round trips (hello, resume, view
+// gossip, leave) it answers and asks over its address book. It is every
+// listener's one inbound path: Serve accepts, and ServeConn reads each
+// connection's first frame, answers membership itself and routes an
+// exchange request to the node that serves it. Each end of a connection
+// is tracked by exactly one endpoint — the dialing node's, or the
+// serving node's (a host's until it routes the end) — so that
+// endpoint's shutdown closes it.
 type Endpoint struct {
 	n        int
 	epoch    uint64
@@ -29,25 +33,95 @@ type Endpoint struct {
 	// reinstate lifts a returning peer's suspicion eviction: on the node
 	// itself, or on every node a host hosts.
 	reinstate func(peer int)
+	// route names the node that serves a frame addressed to target (< 0:
+	// an untargeted exchange request), or nil to refuse it: a node's
+	// endpoint routes to the node, a host's through its node map.
+	route func(target int) *Node
 }
 
 // NewEndpoint returns the endpoint of a listener provisioned with cfg
 // and d (Provision) over book. Its traffic is counted into counters.
-func NewEndpoint(cfg *Config, d Deployment, book *Book, counters *wireproto.CounterSet, reinstate func(peer int)) *Endpoint {
+func NewEndpoint(cfg *Config, d Deployment, book *Book, counters *wireproto.CounterSet, reinstate func(peer int), route func(target int) *Node) *Endpoint {
 	return &Endpoint{
 		n: cfg.N, epoch: cfg.Epoch, digest: d.Digest, lim: d.Lim, timeout: cfg.ExchangeTimeout,
-		dialer: cfg.Dialer, book: book, counters: counters, reinstate: reinstate,
+		dialer: cfg.Dialer, book: book, counters: counters, reinstate: reinstate, route: route,
 	}
 }
 
-// Track registers a fresh connection with the endpoint and wraps it so
+// track registers a fresh connection with the endpoint and wraps it so
 // that its Close deregisters it. A conn arriving after CloseAll is
 // closed at once (its I/O fails fast).
-func (ep *Endpoint) Track(conn net.Conn) net.Conn {
+func (ep *Endpoint) track(conn net.Conn) net.Conn {
 	if !ep.live.add(conn) {
 		_ = conn.Close()
 	}
 	return &trackedConn{Conn: conn, set: &ep.live}
+}
+
+// Conns reports how many open connections the endpoint tracks.
+func (ep *Endpoint) Conns() int {
+	ep.live.mu.Lock()
+	defer ep.live.mu.Unlock()
+	return len(ep.live.conns)
+}
+
+// Serve accepts connections on ln until it is closed, serving each on a
+// goroutine of its own; wg counts the loop and every such goroutine.
+func (ep *Endpoint) Serve(ln net.Listener, wg *sync.WaitGroup) {
+	defer wg.Done()
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return // listener closed
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ep.ServeConn(conn)
+		}()
+	}
+}
+
+// ServeConn serves one inbound connection, tracked from its first
+// byte. It reads the first frame and answers untargeted membership
+// itself. An exchange request, or any frame addressed to a participant,
+// goes to the node route names, whose endpoint takes the connection over
+// and is credited with the frame's bytes; the node then owns the
+// connection and the frame's pooled buffer. Anything else is Rejected.
+func (ep *Endpoint) ServeConn(conn net.Conn) {
+	c := ep.track(conn)
+	_ = c.SetReadDeadline(time.Now().Add(ep.timeout))
+	f, err := wireproto.ReadFrame(c, ep.lim.MaxFrameLen)
+	if err != nil {
+		if errors.Is(err, wireproto.ErrMalformed) {
+			ep.counters.BadFrames.Add(1)
+		}
+		_ = c.Close()
+		return
+	}
+	phase := requestPhase(f.Kind)
+	routed := f.Target >= 0 || phase >= 0
+	var nd *Node
+	if routed && f.Epoch == ep.epoch {
+		nd = ep.route(f.Target)
+	}
+	srv := ep // whoever serves the frame
+	if nd != nil && nd.ep != ep {
+		ep.live.remove(conn) // a host hands the connection to its node
+		srv, c = nd.ep, nd.ep.track(conn)
+	}
+	srv.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(len(f.Payload))))
+	switch {
+	case nd != nil && phase >= 0:
+		nd.serveRequest(c, f, phase)
+		return
+	case nd != nil || !routed && f.Epoch == ep.epoch:
+		srv.Answer(c, f)
+	default:
+		ep.counters.Rejected.Add(1)
+		_ = c.Close()
+	}
+	f.Release()
 }
 
 // CloseAll closes every tracked connection and refuses later ones: a
@@ -63,7 +137,7 @@ func (ep *Endpoint) dial(peer int, addr string, dialTimeout, ioTimeout time.Dura
 	if err != nil {
 		return nil, err
 	}
-	conn = ep.Track(conn)
+	conn = ep.track(conn)
 	_ = conn.SetDeadline(time.Now().Add(ioTimeout))
 	return conn, nil
 }
@@ -247,9 +321,7 @@ func (cs *connSet) closeAll() {
 }
 
 // trackedConn removes itself from its set on Close, so the set only
-// holds genuinely open connections. A connection handed from a host to
-// the node it routes to is tracked by both; closing it twice is
-// harmless.
+// holds genuinely open connections.
 type trackedConn struct {
 	net.Conn
 	set *connSet

@@ -38,10 +38,10 @@
 // (0x10, 0x20 and 0x30 for the sum, the dissemination and the
 // decryption).
 //
-// Membership. The hello, resume, view and leave round trips are
-// answered and asked by an Endpoint, which a mux.Host shares with its
-// virtual nodes: a standalone node and a host answer every membership
-// frame alike.
+// Membership. Every listener, a node's or a mux.Host's, serves through
+// an Endpoint, which answers the hello, resume, view and leave round
+// trips itself and routes exchange requests to the node that serves
+// them; that node's endpoint alone tracks the connection.
 package node
 
 import (
@@ -129,11 +129,11 @@ type Config struct {
 	// Book, when set, makes the node a virtual node hosted behind a
 	// shared listener (mux.Host), and is the host's address book, shared
 	// with the co-located participants. A hosted node opens no listener
-	// and runs no membership loops of its own — inbound frames arrive
-	// via Deliver, the host handles hello/view gossip, and Join passively
-	// waits for the shared book to cover the population. It registers
-	// itself in the book via AddLocal. Nil: the node listens on its own
-	// and owns a private book.
+	// and runs no membership loops of its own — the host's endpoint
+	// routes its frames to it and handles hello/view gossip, and Join
+	// passively waits for the shared book to cover the population. It
+	// registers itself in the book via AddLocal. Nil: the node listens on
+	// its own and owns a private book.
 	Book *Book
 	// Addr is the shared listener's address a hosted node advertises
 	// (required when Book is set).
@@ -431,7 +431,7 @@ func New(cfg Config) (*Node, error) {
 		nd.book = NewBook(cfg.N)
 	}
 	nd.book.AddLocal(cfg.Index, nd.addr)
-	nd.ep = NewEndpoint(&cfg, dep, nd.book, &nd.counters, nd.Reinstate)
+	nd.ep = NewEndpoint(&cfg, dep, nd.book, &nd.counters, nd.Reinstate, nd.route)
 	nd.reg = newRegistry(nd.stop)
 	if cfg.State != nil {
 		if err := nd.attachState(cfg.State); err != nil {
@@ -443,7 +443,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	if !nd.hosted() {
 		nd.wg.Add(1)
-		go nd.serve()
+		go nd.ep.Serve(nd.ln, &nd.wg)
 	}
 	if cfg.ViewInterval > 0 {
 		nd.wg.Add(1)
@@ -698,82 +698,37 @@ func (nd *Node) JournalLag() (entries int, bytes int64) {
 	return nd.state.Lag()
 }
 
-// serve accepts connections; each is one interaction (membership round
-// trip, or a full three-leg exchange — owned by the main loop once
-// parked, or served right on the connection's goroutine when it is for
-// a settled tail slot).
-func (nd *Node) serve() {
-	defer nd.wg.Done()
-	for {
-		conn, err := nd.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		nd.wg.Add(1)
-		go nd.handleConn(nd.ep.Track(conn))
+// Endpoint returns the endpoint that serves the node's connections.
+func (nd *Node) Endpoint() *Endpoint { return nd.ep }
+
+// route routes the node's endpoint's frames: all are the node's to
+// serve but those addressed to another participant.
+func (nd *Node) route(target int) *Node {
+	if target >= 0 && target != nd.cfg.Index {
+		return nil
 	}
+	return nd
 }
 
-func (nd *Node) handleConn(conn net.Conn) {
-	defer nd.wg.Done()
-	_ = conn.SetReadDeadline(time.Now().Add(nd.cfg.ExchangeTimeout))
-	f, err := nd.ep.read(conn)
-	if err != nil {
-		_ = conn.Close()
-		return
-	}
-	nd.dispatch(conn, f)
-}
-
-// Deliver hands the node one frame read off a connection the node does
-// not own the accept loop for — the mux.Host route-in path. The node
-// takes ownership of the connection (response legs travel back on it,
-// and shutdown closes it) and of the frame's pooled buffer (the caller
-// must not touch or release f afterwards); the frame's wire bytes are
-// credited here, so byte accounting matches a connection the node read
-// itself. Deliver returns once the frame is parked or refused — or, for
-// a request to a settled tail slot, once the whole exchange has been
-// served on the caller's goroutine.
-func (nd *Node) Deliver(conn net.Conn, f wireproto.Frame) {
-	conn = nd.ep.Track(conn)
-	nd.counters.BytesRecv.Add(int64(wireproto.FrameWireSize(len(f.Payload))))
-	nd.dispatch(conn, f)
-}
-
-// dispatch routes one decoded inbound frame. An exchange request goes
-// through the registry, which either parks the connection — and the
-// frame, which the main protocol loop releases once it has served the
-// request — or, for a settled tail slot, claims the request for service
-// right here; every other kind is a membership round trip the endpoint
-// answers from decoded copies, so the frame's buffer goes back to the
-// pool as soon as dispatch is done with it.
-func (nd *Node) dispatch(conn net.Conn, f wireproto.Frame) {
-	switch phase := requestPhase(f.Kind); {
-	case f.Epoch != nd.epoch || (f.Target >= 0 && f.Target != nd.cfg.Index):
+// serveRequest takes over an exchange request of phase its endpoint
+// routed to the node, with its connection and frame. The registry
+// either parks both — the main protocol loop releases the frame once it
+// has served the request — or, for a settled tail slot, claims the
+// request for service right here, on the delivering goroutine.
+func (nd *Node) serveRequest(conn net.Conn, f wireproto.Frame, phase int) {
+	hdr, err := wireproto.PeekHdr(f.Payload)
+	if err != nil || int(hdr.To) != nd.cfg.Index || int(hdr.From) >= nd.cfg.N {
 		nd.counters.Rejected.Add(1)
 		_ = conn.Close()
-
-	case phase >= 0:
-		hdr, err := wireproto.PeekHdr(f.Payload)
-		if err != nil || int(hdr.To) != nd.cfg.Index || int(hdr.From) >= nd.cfg.N {
-			nd.counters.Rejected.Add(1)
-			_ = conn.Close()
-			break
-		}
-		s := slot{iter: int(hdr.Iter), phase: phase, cycle: int(hdr.Cycle), seq: int(hdr.Seq)}
-		// Whoever serves the request owns the connection, and the frame,
-		// from here on.
-		_ = conn.SetDeadline(time.Time{})
-		in := inbound{frame: f, conn: conn}
-		if t, _ := nd.reg.deliver(s, in); t != nil {
-			nd.servePassive(t, in)
-		}
+		f.Release()
 		return
-
-	default:
-		nd.ep.Answer(conn, f)
 	}
-	f.Release()
+	s := slot{iter: int(hdr.Iter), phase: phase, cycle: int(hdr.Cycle), seq: int(hdr.Seq)}
+	_ = conn.SetDeadline(time.Time{})
+	in := inbound{frame: f, conn: conn}
+	if t, _ := nd.reg.deliver(s, in); t != nil {
+		nd.servePassive(t, in)
+	}
 }
 
 // dial opens a connection to a peer with the exchange deadline set.

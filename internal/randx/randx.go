@@ -58,11 +58,6 @@ func (r *RNG) Laplace(lambda float64) float64 {
 	return lambda * math.Log(1+2*u)
 }
 
-// Exponential returns an exponential variate with mean lambda.
-func (r *RNG) Exponential(lambda float64) float64 {
-	return -lambda * math.Log(1-r.Float64())
-}
-
 // Gamma returns a Gamma(shape, scale) variate with density
 //
 //	g(x; k, θ) = x^(k-1) e^(-x/θ) / (Γ(k) θ^k),  x >= 0.

@@ -27,12 +27,6 @@ type ConcurrentExchanger interface {
 	ConcurrentExchangeSafe() bool
 }
 
-// scheduled is one pre-drawn exchange of a cycle.
-type scheduled struct {
-	a, b NodeID
-	full bool
-}
-
 // RunCycleOn executes one cycle of p, concurrently when p opts in via
 // ConcurrentExchanger and the engine has more than one worker, serially
 // otherwise. Both paths draw the same RNG sequence and produce the same
@@ -49,7 +43,7 @@ func (e *Engine) RunCycleOn(p Exchanger) int {
 // accounting and sampler view updates all happen here, in the serial
 // cycle's exact order — the protocol exchanges are the only work left
 // to execute.
-func (e *Engine) schedule() []scheduled {
+func (e *Engine) schedule() []Scheduled {
 	e.resampleChurn()
 	sched := e.sched[:0]
 	order := e.rng.Perm(e.cfg.N)
@@ -71,7 +65,7 @@ func (e *Engine) schedule() []scheduled {
 				full = false
 			}
 		}
-		sched = append(sched, scheduled{a, b, full})
+		sched = append(sched, Scheduled{A: a, B: b, Full: full})
 		e.msgs[a]++
 		e.msgs[b]++
 		e.bytes[a] += int64(e.cfg.MessageBytes)
@@ -99,15 +93,15 @@ func (e *Engine) runCycleParallel(p Exchanger) int {
 		end := start
 		for end < len(sched) {
 			s := sched[end]
-			if e.mark[s.a] == e.markGen || e.mark[s.b] == e.markGen {
+			if e.mark[s.A] == e.markGen || e.mark[s.B] == e.markGen {
 				break
 			}
-			e.mark[s.a], e.mark[s.b] = e.markGen, e.markGen
+			e.mark[s.A], e.mark[s.B] = e.markGen, e.markGen
 			end++
 		}
 		batch := sched[start:end]
 		parallel.ForEach(e.workers, len(batch), func(i int) {
-			p.Exchange(batch[i].a, batch[i].b, batch[i].full)
+			p.Exchange(batch[i].A, batch[i].B, batch[i].Full)
 		})
 		start = end
 	}

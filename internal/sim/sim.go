@@ -17,6 +17,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 
 	"chiaroscuro/internal/parallel"
 	"chiaroscuro/internal/randx"
@@ -87,7 +88,7 @@ type Engine struct {
 	cycle int
 
 	// Parallel cycle mode scratch state (see parallel.go).
-	sched   []scheduled
+	sched   []Scheduled
 	mark    []int
 	markGen int
 }
@@ -161,7 +162,7 @@ func (e *Engine) resampleChurn() {
 func (e *Engine) RunCycle(x Exchange) int {
 	sched := e.schedule()
 	for _, s := range sched {
-		x(s.a, s.b, s.full)
+		x(s.A, s.B, s.Full)
 	}
 	e.cycle++
 	return len(sched)
@@ -186,13 +187,9 @@ type Scheduled struct {
 // connections. A run driven by DrawCycle schedules is exchange-for-
 // exchange identical to a RunCycle simulation at the same seed.
 func (e *Engine) DrawCycle() []Scheduled {
-	sched := e.schedule()
-	out := make([]Scheduled, len(sched))
-	for i, s := range sched {
-		out[i] = Scheduled{A: s.a, B: s.b, Full: s.full}
-	}
+	sched := slices.Clone(e.schedule())
 	e.cycle++
-	return out
+	return sched
 }
 
 // RunCycles runs the given number of cycles.

@@ -240,9 +240,6 @@ func (d *Dataset) Row(i int) Series {
 	return Series(d.data[i*d.n : (i+1)*d.n])
 }
 
-// Raw exposes the underlying row-major buffer (length Len()*Dim()).
-func (d *Dataset) Raw() []float64 { return d.data }
-
 // Centroid returns the dimension-wise mean g of the whole dataset
 // (the "center of mass" used by the inter-cluster inertia).
 func (d *Dataset) Centroid() Series {
