@@ -612,11 +612,10 @@ func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.S
 // gossip error target of the Theorem 3 exchange default. They are the
 // same in every deployment, so no two participants can disagree on them.
 const (
-	sumShare    = 0.5  // share of an iteration's ε spent on the sums; the counts get the rest
-	smaFraction = 0.2  // SMA window as a fraction of the series length
-	countFloor  = 1    // a perturbed count below this makes its mean lost
-	rangeSlack  = 1    // a mean is aberrant outside [DMin, DMax] widened by this many range widths
-	emaxTarget  = 1e-6 // relative gossip error target (Theorem 3)
+	sumShare   = 0.5  // share of an iteration's ε spent on the sums; the counts get the rest
+	countFloor = 1    // a perturbed count below this makes its mean lost
+	rangeSlack = 1    // a mean is aberrant outside [DMin, DMax] widened by this many range widths
+	emaxTarget = 1e-6 // relative gossip error target (Theorem 3)
 )
 
 // BuildContribution is the assignment step every participant runs
@@ -680,7 +679,7 @@ func (cfg Config) Release(vals []float64, k, n int) []timeseries.Series {
 	}
 	var window int
 	if cfg.Smooth {
-		window = int(math.Round(smaFraction * float64(n)))
+		window = kmeans.SMAWindow(n)
 	}
 	return kmeans.NewFilter(cfg.DMin, cfg.DMax, rangeSlack, countFloor, window).Means(sums, counts)
 }

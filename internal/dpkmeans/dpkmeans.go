@@ -29,7 +29,6 @@ type Config struct {
 	SumShare      float64             // fraction of each iteration's ε spent on sums (default 0.5)
 	DMin, DMax    float64             // per-measure range (defines Sum sensitivity)
 	Smooth        bool                // apply SMA smoothing to perturbed means (Section 5.2)
-	SMAFraction   float64             // window as a fraction of the series length (paper: 0.2)
 	MaxIterations int                 // n_it^max (paper: 10, or 5 for UF(5))
 	Threshold     float64             // θ convergence threshold (0: stop only at an exact fixpoint)
 	CountFloor    float64             // perturbed counts below this make the mean aberrant (default 1)
@@ -256,11 +255,7 @@ func perturbMeans(a *kmeans.Assignment, mech *dp.Mechanism, epsIter float64, cfg
 	k := len(a.Sums)
 	var window int
 	if cfg.Smooth {
-		frac := cfg.SMAFraction
-		if frac <= 0 {
-			frac = 0.2
-		}
-		window = int(math.Round(frac * float64(len(a.Sums[0]))))
+		window = kmeans.SMAWindow(len(a.Sums[0]))
 	}
 	// Perturb even empty clusters: the protocol cannot know a cluster is
 	// empty before decryption, and an empty cluster's perturbed mean is

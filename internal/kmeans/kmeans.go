@@ -16,7 +16,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"chiaroscuro/internal/timeseries"
 )
@@ -42,46 +41,130 @@ type Assignment struct {
 const assignBlock = 4096
 
 // Assign performs the assignment step: each series of d goes to its
-// closest centroid. Blocks of assignBlock rows are summed on up to
-// GOMAXPROCS workers, each reusing one partial, and every block's
-// partial is added into the result in block order, so the result is
+// closest centroid. Blocks of assignBlock rows are summed into partials
+// on up to GOMAXPROCS workers, and every block's partial is added into
+// the result in block order (blockOrder), so the result is
 // bit-identical at every core count. It never mutates the centroids.
 // An empty centroid set returns ErrNoCentroids.
 func Assign(d *timeseries.Dataset, centroids []timeseries.Series) (*Assignment, error) {
-	k := len(centroids)
+	k, n := len(centroids), d.Dim()
 	if k == 0 {
 		return nil, ErrNoCentroids
 	}
-	out := newAssignment(k, d.Dim())
 	blocks := (d.Len() + assignBlock - 1) / assignBlock
-	var (
-		next  atomic.Int64 // blocks claimed
-		mu    sync.Mutex
-		turn  = sync.NewCond(&mu)
-		added int // blocks added into out, under mu
-		wg    sync.WaitGroup
-	)
-	for w := min(runtime.GOMAXPROCS(0), blocks); w > 0; w-- {
+	workers := min(runtime.GOMAXPROCS(0), blocks)
+	o := &blockOrder{out: newAssignment(k, n), ring: make([]*Assignment, 2*workers), free: takePartials(k, n, 2*workers)}
+	o.freed = sync.NewCond(&o.mu)
+	var wg sync.WaitGroup
+	for w := workers; w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := newAssignment(k, d.Dim())
-			for b := int(next.Add(1) - 1); b < blocks; b = int(next.Add(1) - 1) {
+			for p, b := o.claim(blocks); p != nil; p, b = o.claim(blocks) {
 				p.reset()
 				p.assign(d, centroids, b*assignBlock, min((b+1)*assignBlock, d.Len()))
-				mu.Lock()
-				for added != b {
-					turn.Wait()
-				}
-				out.add(p)
-				added++
-				turn.Broadcast()
-				mu.Unlock()
+				o.finish(b, p)
 			}
 		}()
 	}
 	wg.Wait()
-	return out, nil
+	keepPartials(o.free)
+	return o.out, nil
+}
+
+// blockOrder adds Assign's block partials into the result in block
+// order without making a worker wait for its own block's turn: a
+// finished block waits in the ring instead, and whoever finishes the
+// next block in order adds it and every finished block after it. A
+// worker takes a free partial before it claims a block, and there are
+// len(ring) partials, so every claimed block not yet added has a ring
+// slot of its own: block mod len(ring).
+type blockOrder struct {
+	mu    sync.Mutex
+	freed *sync.Cond // a partial went back to free
+	out   *Assignment
+	ring  []*Assignment // finished blocks waiting for their turn
+	free  []*Assignment // partials not in use
+	next  int           // blocks claimed
+	added int           // blocks added into out
+}
+
+// claim returns a free partial and the block to sum into it, or nil
+// once every block is claimed. It waits only while every partial is in
+// use.
+func (o *blockOrder) claim(blocks int) (*Assignment, int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for len(o.free) == 0 && o.next < blocks {
+		o.freed.Wait()
+	}
+	if o.next == blocks {
+		return nil, 0
+	}
+	p := o.free[len(o.free)-1]
+	o.free = o.free[:len(o.free)-1]
+	o.next++
+	return p, o.next - 1
+}
+
+// finish hands in block b's partial: into the ring, unless b is next
+// in order, in which case the caller adds it and the finished blocks
+// that follow it, outside the lock, and frees their partials.
+func (o *blockOrder) finish(b int, p *Assignment) {
+	o.mu.Lock()
+	if b != o.added {
+		o.ring[b%len(o.ring)] = p
+		o.mu.Unlock()
+		return
+	}
+	for p != nil {
+		o.mu.Unlock()
+		o.out.add(p)
+		o.mu.Lock()
+		o.added++
+		o.free = append(o.free, p)
+		o.freed.Broadcast()
+		i := o.added % len(o.ring)
+		p, o.ring[i] = o.ring[i], nil
+	}
+	o.mu.Unlock()
+}
+
+// kept holds Assign's partials across calls, under a mutex rather than
+// in a sync.Pool: a pool is emptied by every collection, and the
+// benchmark collects between jobs.
+var kept struct {
+	sync.Mutex
+	parts []*Assignment
+}
+
+// takePartials returns m partials for k centroids of n points, kept
+// ones first. A kept partial serves any k up to the one it was built
+// for, resliced (a run's k only shrinks, as Compact drops lost means);
+// one too small or of another series length is dropped.
+func takePartials(k, n, m int) []*Assignment {
+	parts := make([]*Assignment, 0, m)
+	kept.Lock()
+	for len(kept.parts) > 0 && len(parts) < m {
+		p := kept.parts[len(kept.parts)-1]
+		kept.parts = kept.parts[:len(kept.parts)-1]
+		if cap(p.Sums) >= k && len(p.Sums[:1][0]) == n {
+			p.Sums, p.Counts, p.SqSums = p.Sums[:k], p.Counts[:k], p.SqSums[:k]
+			parts = append(parts, p)
+		}
+	}
+	kept.Unlock()
+	for len(parts) < m {
+		parts = append(parts, newAssignment(k, n))
+	}
+	return parts
+}
+
+// keepPartials keeps a call's partials for the next.
+func keepPartials(parts []*Assignment) {
+	kept.Lock()
+	kept.parts = append(kept.parts, parts...)
+	kept.Unlock()
 }
 
 // newAssignment returns a zero assignment to k centroids of n points.

@@ -1,6 +1,14 @@
 package kmeans
 
-import "chiaroscuro/internal/timeseries"
+import (
+	"math"
+
+	"chiaroscuro/internal/timeseries"
+)
+
+// SMAWindow is the Section 5.2 smoothing window for series of n
+// measures: 20 % of the series length.
+func SMAWindow(n int) int { return int(math.Round(0.2 * float64(n))) }
 
 // Filter is the release filter every perturbed release source applies
 // (Section 5.2 and footnote 8), written once: the centralized DP model

@@ -13,17 +13,22 @@ import (
 // iterState is the participant's live protocol state for one iteration:
 // the eesum machine, driven here by frames. It is unlocked, under one of
 // two regimes. While an exchange can still change it, only the exchange
-// the main loop is currently processing touches it. Once the decryption
+// of the participant's one current slot touches it: the main loop's
+// initiator attempt, or the serve of its one open responder slot, on
+// whichever goroutine holds the request (respond). Once the decryption
 // state is settled (Participant.Settled) nothing writes to it until the
 // phase ends: the main loop publishes it through the registry, and from
-// then on the main loop's initiator slots and the passively served
-// responder slots read it concurrently. Every vector of a decryption
-// state is an image, which sending and combining read element by element
-// (homenc.Operand), so those reads build nothing. So is every other
-// vector of the state: a Vector has no lazy form, and a journal
-// checkpoint appends the state's images as they are, writing none of
-// them. Node.commitMu serializes checkpoints for the journal's sake
-// (one writer, counter snapshots in commit order), not the state's.
+// then on the main loop's initiator slots and the serves of the open
+// responder slots read it concurrently. Either way the main loop touches
+// it again only once the slots it waits for are closed — a stopped node
+// touches it no more (iterate), since a serve may still be in flight.
+// Every vector of a decryption state is an image, which sending and
+// combining read element by element (homenc.Operand), so those reads
+// build nothing. So is every other vector of the state: a Vector has no
+// lazy form, and a journal checkpoint appends the state's images as
+// they are, writing none of them. Node.commitMu serializes checkpoints
+// for the journal's sake (one writer, counter snapshots in commit
+// order), not the state's.
 type iterState = eesum.Participant
 
 // sumOut is the iteration's sum-phase state as an exchange leg (or a
@@ -159,96 +164,84 @@ func (nd *Node) initiate(phase int, st *iterState, peer int, s slot, full bool) 
 }
 
 // respond drives one responder slot of a phase's exchange in slot
-// order: await the request, serve it, and — when a pre-commit
-// connection failure suggests the initiator failed before its own merge
-// and will redial — re-await the slot within its absolute deadline. A
-// served attempt commits at most once; every re-served attempt starts
-// from the same untouched state, so the response bytes are identical
-// across attempts. from is the scheduled initiator: when it is
-// known-unreachable (crash-suspected or departed) the wait is cut short
-// instead of burning the deadline — under a restart storm those
+// order, while st can still change: it opens the slot for one exchange
+// timeout, serves the request already parked for it, if any, and waits
+// until the slot closes. A request that arrives meanwhile — the first
+// one or a redial — is served by the goroutine that delivers it. Either
+// way servePassive serves it, as in a settled tail; since this is the
+// participant's one open slot, nothing else touches st meanwhile. The
+// phase is s's; from is the scheduled initiator.
+func (nd *Node) respond(_ int, st *iterState, s slot, from int) {
+	t := &nd.serial
+	*t = tailSlot{s: s, from: from, st: st}
+	if in, ok := nd.reg.open(t, time.Now().Add(nd.cfg.ExchangeTimeout)); ok {
+		nd.servePassive(t, in)
+	}
+	nd.waitClosed(t)
+}
+
+// servePassive serves a claimed responder slot on the goroutine that
+// holds its request: the one that opened the slot, or the one that
+// delivered the request to the open slot. A served attempt commits at
+// most once, and every re-served attempt starts from the same untouched
+// state, so the response bytes are identical across attempts. The slot
+// stays open for the initiator's redial only after a failure strictly
+// before this side's merge, within the retry budget and the slot's
+// deadline (zero: none yet); after a lost fin, only for one backoff
+// envelope — the far more likely reading of a lost fin is an initiator
+// that committed and died, and nobody redials a committed slot. The
+// loop only continues with a redial that parked while the previous
+// attempt was still running; one arriving later is claimed by whoever
+// delivers it.
+func (nd *Node) servePassive(t *tailSlot, in inbound) {
+	ex := &phases[t.s.phase]
+	for {
+		out := ex.respond(nd, ex.req, t.st, t.s, t.from, in)
+		reopen, window := false, nd.cfg.ExchangeTimeout
+		switch out {
+		case tryReject:
+			nd.counters.Rejected.Add(1)
+		case tryAbandon:
+			nd.counters.Timeouts.Add(1)
+		case tryRetry, tryFinLost:
+			deadline := nd.reg.tailDeadline(t)
+			reopen = t.attempts < nd.policy.MaxRetries && (deadline.IsZero() || time.Now().Before(deadline))
+			if !reopen {
+				nd.counters.Timeouts.Add(1)
+				break
+			}
+			nd.counters.Retries.Add(1)
+			if out == tryFinLost {
+				window = 8*nd.policy.Backoff + 250*time.Millisecond
+			}
+		}
+		var ok bool
+		if in, ok = nd.reg.finish(t, reopen, window); !ok {
+			return
+		}
+	}
+}
+
+// waitClosed is the one wait for an open responder slot: until it is
+// served to a terminal outcome, expires unserved at its deadline, or —
+// while nobody serves it — is released early because its scheduled
+// initiator is known to be unreachable (crash-suspected or departed),
+// instead of burning the deadline: under a restart storm those
 // abandoned waits, 50 slots × the full exchange timeout per storm, were
 // the collapse from 227 to 1.45 cycles/s the crash-storm soak measured.
-func (nd *Node) respond(phase int, st *iterState, s slot, from int) {
-	defer nd.reg.release(s)
-	deadline := time.Now().Add(nd.cfg.ExchangeTimeout)
-	wait := nd.cfg.ExchangeTimeout
-	for attempt := 0; ; attempt++ {
-		in, ok := nd.awaitSlot(s, from, min(wait, time.Until(deadline)))
-		if !ok {
-			nd.counters.Timeouts.Add(1)
-			return
+// A slot that closes unserved costs one Timeouts count. A stopped
+// node's wait returns at once, and an attempt still in flight then owns
+// the slot and its state.
+func (nd *Node) waitClosed(t *tailSlot) {
+	status := tailPending
+	for status == tailPending && !nd.stopped.Load() {
+		status = nd.reg.waitTail(t, suspicionPoll)
+		if status == tailPending && nd.peerUnreachable(t.from) && nd.reg.expireTail(t) {
+			status = tailExpired
 		}
-		out := nd.serveSlot(phase, st, s, from, in)
-		if !nd.bookResponse(out, attempt, deadline) {
-			return
-		}
-		wait = nd.redialWindow(out)
 	}
-}
-
-// serveSlot serves one attempt at a responder slot of a phase's
-// exchange: the one responder, run by the main loop in slot order while
-// st can still change, and by whichever goroutine delivered the request
-// once st is settled (servePassive) — when preparing and committing
-// find nothing to compute or change, and all that remains of the
-// exchange is the same validation, the same three legs and the same
-// commit record. It owns in: the connection is closed and the frame
-// released.
-func (nd *Node) serveSlot(phase int, st *iterState, s slot, from int, in inbound) tryOutcome {
-	ex := &phases[phase]
-	return ex.respond(nd, ex.req, st, s, from, in)
-}
-
-// bookResponse counts one served attempt of a responder slot and
-// reports whether the slot stays open for the initiator's redial: only
-// after a failure strictly before this side's merge, within the retry
-// budget and the slot's deadline (zero: none yet). Every other outcome
-// closes the slot.
-func (nd *Node) bookResponse(out tryOutcome, attempt int, deadline time.Time) bool {
-	switch out {
-	case tryReject:
-		nd.counters.Rejected.Add(1)
-	case tryAbandon:
+	if status == tailExpired {
 		nd.counters.Timeouts.Add(1)
-	case tryRetry, tryFinLost:
-		if attempt >= nd.policy.MaxRetries || (!deadline.IsZero() && !time.Now().Before(deadline)) {
-			nd.counters.Timeouts.Add(1)
-			return false
-		}
-		nd.counters.Retries.Add(1)
-		return true
-	}
-	return false
-}
-
-// redialWindow is how long a responder slot waits for the redial after
-// an attempt that bookResponse kept open. After a lost fin it waits only
-// for a redial already in flight: one backoff envelope, not the slot's
-// whole deadline — the far more likely reading of a lost fin is an
-// initiator that committed and died, and nobody redials a committed
-// slot.
-func (nd *Node) redialWindow(out tryOutcome) time.Duration {
-	if out == tryFinLost {
-		return 8*nd.policy.Backoff + 250*time.Millisecond
-	}
-	return nd.cfg.ExchangeTimeout
-}
-
-// servePassive serves a claimed tail slot on the goroutine that
-// delivered its request (or, for requests parked before the node
-// settled, on the main loop as it settles): the same serveSlot, the
-// same bookkeeping and the same redial rules as respond, minus the wait
-// for the slot's turn. The loop only continues with a redial that
-// parked while the previous attempt was still running.
-func (nd *Node) servePassive(t *tailSlot, in inbound) {
-	for {
-		out := nd.serveSlot(t.s.phase, t.st, t.s, t.from, in)
-		reopen := nd.bookResponse(out, t.attempts, nd.reg.tailDeadline(t))
-		var ok bool
-		if in, ok = nd.reg.finish(t, reopen, nd.redialWindow(out)); !ok {
-			return
-		}
 	}
 }
 
@@ -256,22 +249,12 @@ func (nd *Node) servePassive(t *tailSlot, in inbound) {
 // has walked its initiator slots and now waits, against a single
 // deadline, for whatever responder slots are still open. A slot whose
 // initiator never shows up costs one Timeouts count, as in slot order,
-// but the waits overlap instead of adding up; one whose initiator is
-// known to be unreachable is released as soon as that is known. progress
-// is called each time the wait has moved past a slot.
+// but the waits overlap instead of adding up. progress is called each
+// time the wait has moved past a slot.
 func (nd *Node) awaitTail(tails []*tailSlot, progress func()) {
 	nd.reg.armTail(time.Now().Add(nd.cfg.ExchangeTimeout))
 	for _, t := range tails {
-		status := tailPending
-		for status == tailPending && !nd.stopped.Load() {
-			status = nd.reg.waitTail(t, suspicionPoll)
-			if status == tailPending && nd.peerUnreachable(t.from) && nd.reg.expireTail(t) {
-				status = tailExpired
-			}
-		}
-		if status == tailExpired {
-			nd.counters.Timeouts.Add(1)
-		}
+		nd.waitClosed(t)
 		progress()
 	}
 }
@@ -279,34 +262,6 @@ func (nd *Node) awaitTail(tails []*tailSlot, progress func()) {
 // suspicionPoll is how often a waiting responder re-checks whether the
 // initiator it awaits became unreachable.
 const suspicionPoll = 250 * time.Millisecond
-
-// awaitSlot is registry.await sliced into short waits so the responder
-// can release a slot early once its scheduled initiator is known to be
-// unreachable. The early exit still performs one final zero-timeout
-// poll — a request parked in the race window is served, and the caller
-// counts exactly one timeout either way, keeping counter totals
-// identical to a full-deadline wait. The check only ever fires for
-// peers the suspicion policy evicted or the book marked gone, so runs
-// without suspicion (every deterministic replay test) behave exactly as
-// before.
-func (nd *Node) awaitSlot(s slot, from int, timeout time.Duration) (inbound, bool) {
-	deadline := time.Now().Add(timeout)
-	for {
-		slice := min(suspicionPoll, time.Until(deadline))
-		if slice <= 0 {
-			return nd.reg.await(s, 0)
-		}
-		if in, ok := nd.reg.await(s, slice); ok {
-			return in, true
-		}
-		if nd.stopped.Load() {
-			return inbound{}, false
-		}
-		if nd.peerUnreachable(from) {
-			return nd.reg.await(s, 0)
-		}
-	}
-}
 
 // dialOutcome classifies a dial error for the retry loop.
 func dialOutcome(err error) tryOutcome {

@@ -15,13 +15,16 @@
 // bit-identical centroids to an in-memory simulation of the same seed
 // and parameters, every iteration: each participant continues from its
 // own decoded view, which is the one elected vector's release for all
-// of them. The one stretch that leaves schedule order is the tail of the
+// of them. The main loop decides only when a responder slot opens, and
+// whoever holds the slot's request serves it (respond, servePassive);
+// while an exchange can change the state, one slot is open at a time.
+// The one stretch that leaves schedule order is the tail of the
 // epidemic decryption: a participant holding τ key-shares is read-only
 // until the phase ends, so its remaining exchanges commute with one
-// another as well — it serves its responder slots the moment their
-// requests arrive and only walks its initiator slots in order (see
-// runTail), which no participant's state can tell from the serial
-// execution.
+// another as well — it opens its responder slots all at once, serves
+// them the moment their requests arrive and only walks its initiator
+// slots in order (see runTail), which no participant's state can tell
+// from the serial execution.
 //
 // Exchange shape. Each scheduled exchange is a three-leg round trip on
 // one TCP connection: REQ (initiator state) → RESP (responder pre-merge
@@ -212,8 +215,9 @@ type Node struct {
 	addr string
 	ep   *Endpoint // connections, framing accounting, membership
 
-	book *Book
-	reg  *registry
+	book   *Book
+	reg    *registry
+	serial tailSlot // the responder slot the main loop opens in slot order (respond)
 
 	sched    *ScheduleView // cursor over the schedule mirror (never executes exchanges)
 	digest   uint64        // shared-config digest carried in hellos
@@ -712,9 +716,9 @@ func (nd *Node) route(target int) *Node {
 
 // serveRequest takes over an exchange request of phase its endpoint
 // routed to the node, with its connection and frame. The registry
-// either parks both — the main protocol loop releases the frame once it
-// has served the request — or, for a settled tail slot, claims the
-// request for service right here, on the delivering goroutine.
+// either parks both until the request's slot opens, or, for an open
+// slot, claims the request for service right here, on the delivering
+// goroutine.
 func (nd *Node) serveRequest(conn net.Conn, f wireproto.Frame, phase int) {
 	hdr, err := wireproto.PeekHdr(f.Payload)
 	if err != nil || int(hdr.To) != nd.cfg.Index || int(hdr.From) >= nd.cfg.N {
@@ -832,7 +836,7 @@ func (nd *Node) Reinstate(peer int) {
 
 // peerUnreachable reports whether a peer is currently hopeless to hear
 // from: evicted by this node's suspicion, or without an address in the
-// book (departed, or evicted there). The responder's await loop uses it
+// book (departed, or evicted there). A responder slot's wait uses it
 // to stop burning a full exchange deadline on an initiator that is
 // known to be down — if the initiator resumes, its announcement
 // reinstates it before it re-enters the schedule.

@@ -477,19 +477,22 @@ func TestNewRejectsMismatchedCentroids(t *testing.T) {
 	}
 }
 
-// TestRegistryOrdering pins the registry contract: early requests park,
-// stale requests are refused, pruning closes passed slots.
+// TestRegistryOrdering pins the registry contract: an early request
+// parks until its slot opens, a stale one is refused, and a slot nobody
+// serves expires at its deadline.
 func TestRegistryOrdering(t *testing.T) {
 	r := newRegistry(nil)
 	s0 := slot{iter: 1, phase: phaseSum, cycle: 0, seq: 0}
 	s1 := slot{iter: 1, phase: phaseSum, cycle: 0, seq: 3}
 	c1, c2 := newFakeConn(), newFakeConn()
-	if _, ok := r.deliver(s1, inbound{conn: c1}); !ok {
-		t.Fatal("early delivery refused")
+	if tl, ok := r.deliver(s1, inbound{conn: c1}); !ok || tl != nil {
+		t.Fatal("early delivery refused or claimed")
 	}
-	if in, ok := r.await(s1, time.Second); !ok || in.conn != c1 {
-		t.Fatal("parked request not delivered")
+	early := &tailSlot{s: s1}
+	if in, ok := r.open(early, time.Now().Add(time.Second)); !ok || in.conn != c1 {
+		t.Fatal("parked request not claimed by its slot's open")
 	}
+	r.finish(early, false, 0)
 	r.advance(slot{iter: 1, phase: phaseDiss})
 	if _, ok := r.deliver(s0, inbound{conn: c2}); ok {
 		t.Fatal("stale delivery accepted")
@@ -497,59 +500,120 @@ func TestRegistryOrdering(t *testing.T) {
 	if !c2.closed.Load() {
 		t.Fatal("stale connection left open")
 	}
-	if _, ok := r.await(slot{iter: 2, phase: phaseSum}, 20*time.Millisecond); ok {
-		t.Fatal("await invented a request")
+	const due = 20 * time.Millisecond
+	unserved := &tailSlot{s: slot{iter: 2, phase: phaseSum}}
+	start := time.Now()
+	if _, ok := r.open(unserved, start.Add(due)); ok {
+		t.Fatal("open invented a request")
+	}
+	status := r.waitTail(unserved, time.Second)
+	for status == tailPending {
+		status = r.waitTail(unserved, time.Second)
+	}
+	if status != tailExpired || time.Since(start) < due {
+		t.Fatalf("unserved slot ended %v after %v, want expired at its %v deadline", status, time.Since(start), due)
 	}
 }
 
-// TestRegistryAwaitParkedAllocatesNothing pins the await fast path: the
-// request is almost always parked before the responder reaches its slot
-// (initiators run ahead), and picking it up must not pay for the timer
-// only an actual wait needs.
+// TestRegistrySlotOrder pins what keeps responder slots in schedule
+// order: while one slot is open, a request for a later slot parks —
+// its deliverer does not serve it — and only that slot's own open
+// claims it.
+func TestRegistrySlotOrder(t *testing.T) {
+	r := newRegistry(nil)
+	s0 := slot{iter: 1, phase: phaseSum, cycle: 0}
+	s1 := slot{iter: 1, phase: phaseSum, cycle: 1}
+	cur := &tailSlot{s: s0}
+	if _, ok := r.open(cur, time.Now().Add(time.Second)); ok {
+		t.Fatal("open invented a request")
+	}
+	later := newFakeConn()
+	if tl, ok := r.deliver(s1, inbound{conn: later}); !ok || tl != nil {
+		t.Fatal("a request for a later slot was refused or claimed while an earlier slot is open")
+	}
+	tl, ok := r.deliver(s0, inbound{conn: newFakeConn()})
+	if !ok || tl != cur {
+		t.Fatal("the request for the open slot was not claimed by its deliverer")
+	}
+	if _, ok := r.finish(tl, false, 0); ok {
+		t.Fatal("closing the open slot handed out another slot's request")
+	}
+	if r.waitTail(cur, time.Second) != tailClosed {
+		t.Fatal("served slot left open")
+	}
+	next := &tailSlot{s: s1}
+	if in, ok := r.open(next, time.Now().Add(time.Second)); !ok || in.conn != later || later.closed.Load() {
+		t.Fatal("the later slot's open did not claim the request parked for it")
+	}
+}
+
+// TestRegistryAwaitParkedAllocatesNothing pins the fast path of a slot
+// whose request is already parked: the request is almost always there
+// before the responder opens its slot (initiators run ahead), and
+// claiming it must not pay for the timer only an actual wait needs.
 func TestRegistryAwaitParkedAllocatesNothing(t *testing.T) {
 	const runs = 100
 	r := newRegistry(nil)
-	slots := make([]slot, runs+1) // AllocsPerRun adds one warm-up call
-	for i := range slots {
-		slots[i] = slot{iter: 1, phase: phaseSum, cycle: i}
-		if _, ok := r.deliver(slots[i], inbound{conn: newFakeConn()}); !ok {
+	tails := make([]tailSlot, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range tails {
+		tails[i] = tailSlot{s: slot{iter: 1, phase: phaseSum, cycle: i}}
+		if _, ok := r.deliver(tails[i].s, inbound{conn: newFakeConn()}); !ok {
 			t.Fatal("delivery refused")
 		}
 	}
 	next := 0
 	allocs := testing.AllocsPerRun(runs, func() {
-		if _, ok := r.await(slots[next], time.Second); !ok {
-			t.Fatal("parked request not returned")
+		cur := &tails[next]
+		if _, ok := r.open(cur, time.Now().Add(time.Second)); !ok {
+			t.Fatal("parked request not claimed by its slot's open")
 		}
+		r.finish(cur, false, 0)
 		next++
+		r.advance(slot{iter: 1, phase: phaseSum, cycle: next})
 	})
 	if allocs != 0 {
-		t.Fatalf("await of a parked request allocates %.0f objects per call, want 0", allocs)
+		t.Fatalf("claiming a parked request allocates %.0f objects per slot, want 0", allocs)
+	}
+	if r.timer != nil {
+		t.Fatal("claiming a parked request armed the wait timer")
 	}
 }
 
 // TestRegistryCycleAllocatesNothing pins the registry's steady state:
 // once its maps have their size and its one wait timer exists, a
-// delivery, the owner's await of it, a wait that times out and the
-// slot's release allocate nothing — no channel per slot, no timer per
-// wait.
+// delivery, the open that claims it, the finish that closes the slot,
+// and a second slot that expires unserved allocate nothing — no channel
+// per slot, no timer per wait.
 func TestRegistryCycleAllocatesNothing(t *testing.T) {
 	const runs = 200
 	r := newRegistry(nil)
 	conn := newFakeConn()
+	var served, unserved tailSlot
 	pos := 0
 	cycle := func() {
 		s := slot{iter: 1, phase: phaseSum, cycle: pos}
 		if _, ok := r.deliver(s, inbound{conn: conn}); !ok {
 			t.Fatal("delivery refused")
 		}
-		if _, ok := r.await(s, time.Second); !ok {
-			t.Fatal("parked request not returned")
+		served = tailSlot{s: s}
+		if _, ok := r.open(&served, time.Now().Add(time.Second)); !ok {
+			t.Fatal("parked request not claimed by its slot's open")
 		}
-		if _, ok := r.await(slot{iter: 1, phase: phaseSum, cycle: pos + 1}, time.Microsecond); ok {
-			t.Fatal("await invented a request")
+		r.finish(&served, false, 0)
+		if r.waitTail(&served, time.Second) != tailClosed {
+			t.Fatal("served slot left open")
 		}
-		r.release(s)
+		unserved = tailSlot{s: slot{iter: 1, phase: phaseSum, cycle: pos, seq: 1}}
+		if _, ok := r.open(&unserved, time.Now().Add(100*time.Microsecond)); ok {
+			t.Fatal("open invented a request")
+		}
+		status := r.waitTail(&unserved, time.Second)
+		for status == tailPending {
+			status = r.waitTail(&unserved, time.Second)
+		}
+		if status != tailExpired {
+			t.Fatalf("unserved slot ended %v, want expired", status)
+		}
 		pos++
 		r.advance(slot{iter: 1, phase: phaseSum, cycle: pos})
 	}
@@ -557,7 +621,7 @@ func TestRegistryCycleAllocatesNothing(t *testing.T) {
 		cycle()
 	}
 	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
-		t.Fatalf("a deliver → await → release cycle allocates %.0f objects, want 0", allocs)
+		t.Fatalf("a deliver → open → finish cycle and an expiring slot allocate %.0f objects, want 0", allocs)
 	}
 }
 

@@ -172,7 +172,9 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 	// --- Algorithm 3 (a): means and noise sums in lockstep, counter
 	// piggybacking, over the wire.
 	nd.phaseNow.Store(int64(phaseSum))
-	nd.runPhase(it, phaseSum, nd.cfg.Proto.Exchanges, st, rz)
+	if err := nd.runPhase(it, phaseSum, nd.cfg.Proto.Exchanges, st, rz); err != nil {
+		return nil, nil, err
+	}
 	trace.SumCycles = nd.cfg.Proto.Exchanges
 
 	// --- Algorithm 3 (b): the correction proposal from own stream,
@@ -184,21 +186,18 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 		return nil, nil, fmt.Errorf("node %d: %w", nd.cfg.Index, err)
 	}
 	nd.phaseNow.Store(int64(phaseDiss))
-	nd.runPhase(it, phaseDiss, nd.cfg.Proto.DissCycles, st, rz)
+	if err := nd.runPhase(it, phaseDiss, nd.cfg.Proto.DissCycles, st, rz); err != nil {
+		return nil, nil, err
+	}
 	trace.DissCycles = nd.cfg.Proto.DissCycles
 	st.StartDecryption(k * (n + 1))
 
 	// --- Algorithm 3 (c): epidemic threshold decryption over the wire.
 	nd.phaseNow.Store(int64(phaseDec))
-	nd.runPhase(it, phaseDec, nd.cfg.Proto.DecryptCycles, st, rz)
-	trace.DecryptCycles = nd.cfg.Proto.DecryptCycles
-
-	if nd.stopped.Load() {
-		// A node stopped inside a settled tail holds all its key-shares:
-		// without this it would go on to release, and to journal the next
-		// iteration, after its death.
-		return nil, nil, errStopped
+	if err := nd.runPhase(it, phaseDec, nd.cfg.Proto.DecryptCycles, st, rz); err != nil {
+		return nil, nil, err
 	}
+	trace.DecryptCycles = nd.cfg.Proto.DecryptCycles
 	if !st.Settled() {
 		return nil, nil, fmt.Errorf("node %d: %w: gathered %d of %d key-shares in %d decryption cycles", nd.cfg.Index, core.ErrPhaseBudget, len(st.DecParts), nd.cfg.Scheme.Threshold(), nd.cfg.Proto.DecryptCycles)
 	}
@@ -230,19 +229,23 @@ var errStopped = errors.New("node: closed during the run")
 // drawn (the schedule cursor must advance) and the registry horizon
 // still moves (stale deliveries from retrying peers get closed out
 // instead of stranding connections).
-func (nd *Node) runPhase(it, phase, cycles int, st *iterState, rz *resumePoint) {
+//
+// A node stopped under the phase returns errStopped: its waits return
+// at once, so a serve may still be in flight, and it owns st — the
+// caller must touch st no more. (A node stopped inside a settled tail
+// also holds all its key-shares: it would otherwise go on to release,
+// and to journal the next iteration, after its death.)
+func (nd *Node) runPhase(it, phase, cycles int, st *iterState, rz *resumePoint) error {
 	me := nd.cfg.Index
-	for c := 0; c < cycles; c++ {
-		if nd.stopped.Load() {
-			return
-		}
+cycles:
+	for c := 0; c < cycles && !nd.stopped.Load(); c++ {
 		sched := nd.sched.DrawCycle()
 		for seq, ex := range sched {
 			if ex.A != me && ex.B != me {
 				continue
 			}
 			if nd.stopped.Load() {
-				return
+				break cycles
 			}
 			s := slot{iter: it, phase: phase, cycle: c, seq: seq}
 			if rz.committed(s) {
@@ -250,7 +253,7 @@ func (nd *Node) runPhase(it, phase, cycles int, st *iterState, rz *resumePoint) 
 			}
 			if phase == phaseDec && st.Settled() {
 				nd.runTail(s, sched, cycles, st, rz)
-				return
+				break cycles
 			}
 			if ex.A == me {
 				nd.initiate(phase, st, ex.B, s, ex.Full)
@@ -260,6 +263,10 @@ func (nd *Node) runPhase(it, phase, cycles int, st *iterState, rz *resumePoint) 
 		}
 		nd.cycleDone(it, phase, c, cycles)
 	}
+	if nd.stopped.Load() {
+		return errStopped
+	}
+	return nil
 }
 
 // cycleDone moves the registry horizon past cycle c and reports it.
@@ -275,8 +282,8 @@ func (nd *Node) cycleDone(it, phase, c, cycles int) {
 // settled — read-only until the phase ends, so its remaining exchanges
 // commute with one another on this side. The remaining cycles are drawn
 // up front (the schedule cursor ends where the serial walk would leave
-// it) and the state is published: the responder slots are
-// served passively, each by the goroutine that delivers its request and
+// it) and the state is published: the responder slots are all opened
+// at once, each served by the goroutine that delivers its request and
 // in whatever order they arrive, while this loop walks the initiator
 // slots — serially and in slot order, so the dial order per directed
 // pair, and with it every seeded fault verdict, is the serial
