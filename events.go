@@ -82,8 +82,8 @@ type PhaseProgress struct {
 // population's nodes it disconnected for that cycle (fires when
 // Options.Churn > 0; Cycle counts engine cycles, cumulative across
 // phases and iterations). Reason ChurnEvicted events fire in Networked
-// mode when the fault policy's peer suspicion evicts an unreachable
-// peer from the address book (Disconnected counts the evicted peers,
+// mode when the fault policy's peer suspicion makes a node evict an
+// unreachable peer (Disconnected counts the evicted peers,
 // always 1 per event). Reason ChurnResumed events are the eviction's
 // inverse: a peer relaunched from its crash-recovery journal announced
 // itself and was reinstated (Disconnected counts the reinstated peers,

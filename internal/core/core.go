@@ -96,8 +96,8 @@ type Observer struct {
 	// Churn fires whenever participants drop out of the run's view —
 	// on every churn-model resampling (reason ChurnModel, with the
 	// number of disconnected nodes), and, in the networked runtime,
-	// when peer suspicion evicts an unresponsive peer from the address
-	// book (reason ChurnEvicted, down = 1) — and when an evicted peer
+	// when a node's peer suspicion evicts an unresponsive peer (reason
+	// ChurnEvicted, down = 1) — and when an evicted peer
 	// comes back (reason ChurnResumed, down = 1): a crash-recovered
 	// peer's resume announcement lifted the eviction.
 	Churn func(iter, cycle, down int, reason string)

@@ -112,9 +112,16 @@ func GenerateKey(random io.Reader, bits, s, nShares, threshold int) (*Scheme, er
 }
 
 // NewFromPrimes builds a scheme from two distinct safe primes p = 2p'+1,
-// q = 2q'+1. random is used for the Shamir sharing polynomial (nil =
-// crypto/rand).
+// q = 2q'+1. random draws the key material — the Shamir sharing
+// polynomial and the randomizer subgroups' generators — and also feeds
+// Encrypt as the scheme's Random (nil = crypto/rand for both).
 func NewFromPrimes(random io.Reader, p, q *big.Int, s, nShares, threshold int) (*Scheme, error) {
+	return newFromPrimes(random, random, p, q, s, nShares, threshold)
+}
+
+// newFromPrimes is NewFromPrimes with the key material drawn from keys
+// and Encrypt's randomizers from random (nil = crypto/rand).
+func newFromPrimes(keys, random io.Reader, p, q *big.Int, s, nShares, threshold int) (*Scheme, error) {
 	if s < 1 {
 		return nil, errors.New("damgardjurik: s must be >= 1")
 	}
@@ -145,7 +152,7 @@ func NewFromPrimes(random io.Reader, p, q *big.Int, s, nShares, threshold int) (
 
 	// Share d over Z_{N^S · m̄}.
 	shareMod := new(big.Int).Mul(pk.NS, mbar)
-	shares, err := shamir.Split(new(big.Int).Mod(d, shareMod), shareMod, threshold, nShares, random)
+	shares, err := shamir.Split(new(big.Int).Mod(d, shareMod), shareMod, threshold, nShares, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +179,7 @@ func NewFromPrimes(random io.Reader, p, q *big.Int, s, nShares, threshold int) (
 		decExp:    decExp,
 		d:         d,
 		Random:    random,
-		crt:       newCRTContext(random, p, q, s, decExp),
+		crt:       newCRTContext(keys, p, q, s, decExp),
 	}
 	sch.pool = newRandomizerPool(func() *big.Int { return sch.newRandomizer(nil) })
 	sch.precomputeInverses()

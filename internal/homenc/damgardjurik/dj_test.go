@@ -197,6 +197,45 @@ func TestThresholdS2(t *testing.T) {
 	}
 }
 
+// TestTestSchemesShareKeyShares pins that NewTestScheme's key material
+// is fixed: separately started processes each build their own instance
+// from the same parameters, and a release combines partial decryptions
+// taken under both. Encryption must stay randomized all the same.
+func TestTestSchemesShareKeyShares(t *testing.T) {
+	for _, tc := range []struct{ keyBits, s, nShares, threshold int }{{128, 1, 2, 2}, {256, 2, 5, 3}} {
+		a, err := NewTestScheme(tc.keyBits, tc.s, tc.nShares, tc.threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewTestScheme(tc.keyBits, tc.s, tc.nShares, tc.threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := big.NewInt(123456)
+		c := a.Encrypt(m)
+		var parts []homenc.PartialDecryption
+		for idx := 1; idx <= tc.threshold; idx++ {
+			sch := a
+			if idx%2 == 0 {
+				sch = b
+			}
+			p, err := sch.PartialDecrypt(idx, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, p)
+		}
+		for _, sch := range []*Scheme{a, b} {
+			if got, err := sch.Combine(c, parts); err != nil || got.Cmp(m) != 0 {
+				t.Fatalf("%+v: partials of two instances combine to %v (err %v), want %v", tc, got, err, m)
+			}
+		}
+		if a.Encrypt(m).V.Cmp(b.Encrypt(m).V) == 0 || a.Encrypt(m).V.Cmp(a.Encrypt(m).V) == 0 {
+			t.Fatalf("%+v: two encryptions of one value are identical", tc)
+		}
+	}
+}
+
 func TestLargePlaintextHeadroom(t *testing.T) {
 	// The EESum protocol scales plaintexts by 2^exchanges; make sure a
 	// realistically huge plaintext round-trips (2^400 at a 512-bit key).

@@ -3,6 +3,7 @@ package damgardjurik
 import (
 	"fmt"
 	"math/big"
+	"math/rand/v2"
 )
 
 // Precomputed safe primes for tests, examples and benchmarks. They make
@@ -42,13 +43,20 @@ func KnownSafePrimes(primeBits int) (p, q *big.Int, err error) {
 	return p, q, nil
 }
 
+// testKeySeed seeds the key material of every NewTestScheme instance.
+var testKeySeed = [32]byte([]byte("chiaroscuro test key material..."))
+
 // NewTestScheme builds a scheme from the precomputed safe primes. It is
 // the standard entry point for tests, examples and benchmarks. keyBits
 // is the modulus size (twice the prime size): 128, 256, 512 or 1024.
+// Its key material comes from a fixed seeded stream, so every instance
+// with equal parameters holds the same key-shares — separately started
+// processes combine each other's partial decryptions — while Encrypt
+// still draws its randomizers from crypto/rand.
 func NewTestScheme(keyBits, s, nShares, threshold int) (*Scheme, error) {
 	p, q, err := KnownSafePrimes(keyBits / 2)
 	if err != nil {
 		return nil, err
 	}
-	return NewFromPrimes(nil, p, q, s, nShares, threshold)
+	return newFromPrimes(rand.NewChaCha8(testKeySeed), nil, p, q, s, nShares, threshold)
 }

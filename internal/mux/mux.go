@@ -168,7 +168,7 @@ func (h *Host) Err() error {
 // AddNode provisions one virtual node on this host. The caller supplies
 // the participant-specific fields (Index, Series, Observer, fault
 // policy, dialer, hooks); the host fills in everything shared — the
-// listener address, book, schedule cursor, epoch and, when no dialer is
+// listener address, book, schedule cursor and, when no dialer is
 // given, the in-process transport. Nodes must be added before the run
 // starts.
 func (h *Host) AddNode(cfg node.Config) (*node.Node, error) {
@@ -183,7 +183,6 @@ func (h *Host) AddNode(cfg node.Config) (*node.Node, error) {
 	cfg.Addr = h.addr
 	cfg.Book = h.book
 	cfg.Schedule = h.sched.View()
-	cfg.Epoch = h.shared.Epoch
 	cfg.Bootstrap = ""
 	if len(cfg.Series) != h.seriesDim {
 		return nil, fmt.Errorf("mux: node %d series has %d points, host expects %d", cfg.Index, len(cfg.Series), h.seriesDim)

@@ -463,8 +463,14 @@ func TestHostCloseUnparksInProcCalls(t *testing.T) {
 // routes to node 2, moves out of the host's set into node 2's.
 func TestConnTrackedOnce(t *testing.T) {
 	ts := newSetup(t, 4, 0)
-	const epoch = 0x5EED
-	h, err := mux.NewHost(node.Config{N: ts.n, Scheme: ts.scheme, Proto: ts.proto, Epoch: epoch}, ts.data.Dim())
+	shared := node.Config{N: ts.n, Scheme: ts.scheme, Proto: ts.proto}
+	provisioned := shared
+	dep, err := node.Provision(&provisioned, ts.data.Dim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := dep.Epoch
+	h, err := mux.NewHost(shared, ts.data.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func (b *Book) Roster() []wireproto.ViewItem {
 }
 
 // Learn records a directly-announced peer address (a hello) as the
-// freshest knowledge about that index, reinstating an evicted peer.
+// freshest knowledge about that index, clearing a departure mark.
 func (b *Book) Learn(idx int, addr string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

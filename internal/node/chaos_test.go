@@ -12,6 +12,7 @@ import (
 
 	"chiaroscuro/internal/core"
 	"chiaroscuro/internal/faultnet"
+	"chiaroscuro/internal/wireproto"
 )
 
 // checkNoLeak polls until the live goroutine count is back at (or
@@ -245,11 +246,13 @@ func (refusingDialer) Dial(peer int, addr string, timeout time.Duration) (net.Co
 	return tcpDialer{}.Dial(peer, addr, timeout)
 }
 
-// TestSuspicionEvictsPeer pins the suspicion policy: after SuspicionK
-// consecutive initiator-side failures the peer is evicted from the
-// address book, the eviction is counted and reported to the churn
-// observer, and later slots fast-fail on the missing address instead of
-// burning their retry budget.
+// TestSuspicionEvictsPeer pins the suspicion policy on a standalone
+// node: after SuspicionK consecutive initiator-side failures the peer is
+// evicted — unreachable, its book entry untouched — the eviction is
+// counted and reported to the churn observer, and later slots fast-fail
+// instead of burning their retry budget. A resume announcement from the
+// peer, answered by the node's endpoint, lifts the eviction and is
+// reported as resumed.
 func TestSuspicionEvictsPeer(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	ts := newSetup(t, 2, 0)
@@ -257,9 +260,17 @@ func TestSuspicionEvictsPeer(t *testing.T) {
 		down   int
 		reason string
 	}
+	var mu sync.Mutex // the resume is reported on a connection goroutine
 	var churns []churnEv
+	seen := func() []churnEv {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]churnEv(nil), churns...)
+	}
 	ts.proto.Observer.Churn = func(iter, cycle, down int, reason string) {
+		mu.Lock()
 		churns = append(churns, churnEv{down, reason})
+		mu.Unlock()
 	}
 	cfg := Config{
 		Index: 0, N: 2,
@@ -272,28 +283,31 @@ func TestSuspicionEvictsPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd.book.Learn(1, "127.0.0.1:1") // reachable on paper, refused on dial
+	const peerAddr = "127.0.0.1:1" // reachable on paper, refused on dial
+	nd.book.Learn(1, peerAddr)
 	st := electState(1, 1)
 
 	nd.initiate(phaseDiss, st, 1, slot{iter: 1, phase: phaseDiss, cycle: 0, seq: 0}, true)
-	if got := nd.book.Addr(1); got == "" {
+	if nd.peerUnreachable(1) {
 		t.Fatal("one failure already evicted the peer (SuspicionK = 2)")
 	}
 	nd.initiate(phaseDiss, st, 1, slot{iter: 1, phase: phaseDiss, cycle: 1, seq: 0}, true)
 
-	if got := nd.book.Addr(1); got != "" {
-		// evicted: addr must be gone
-		t.Fatalf("peer still resolvable at %q after %d consecutive failures", got, 2)
+	if !nd.peerUnreachable(1) {
+		t.Fatalf("peer still reachable after %d consecutive failures", 2)
+	}
+	if got := nd.book.Addr(1); got != peerAddr {
+		t.Fatalf("eviction touched the book: peer 1 at %q, want %q", got, peerAddr)
 	}
 	c := nd.Counters()
 	if c.Evicted != 1 || c.Suspected != 2 {
 		t.Fatalf("evicted/suspected = %d/%d, want 1/2", c.Evicted, c.Suspected)
 	}
-	if len(churns) != 1 || churns[0].reason != core.ChurnEvicted || churns[0].down != 1 {
-		t.Fatalf("churn observer saw %+v, want one %q event", churns, core.ChurnEvicted)
+	if ev := seen(); len(ev) != 1 || ev[0].reason != core.ChurnEvicted || ev[0].down != 1 {
+		t.Fatalf("churn observer saw %+v, want one %q event", ev, core.ChurnEvicted)
 	}
-	// The third slot fast-fails on the missing address: one timeout, no
-	// retries burned, no second eviction.
+	// The third slot fast-fails on the eviction: one timeout, no retries
+	// burned, no second eviction.
 	before := c.Timeouts
 	nd.initiate(phaseDiss, st, 1, slot{iter: 1, phase: phaseDiss, cycle: 2, seq: 0}, true)
 	c = nd.Counters()
@@ -304,10 +318,17 @@ func TestSuspicionEvictsPeer(t *testing.T) {
 	if c.Evicted != 1 {
 		t.Fatalf("evicted twice: %d", c.Evicted)
 	}
-	// A direct hello reinstates the peer.
-	nd.book.Learn(1, "127.0.0.1:1")
-	if nd.book.Addr(1) == "" {
-		t.Fatal("hello did not reinstate the evicted peer")
+	// The peer's resume announcement, answered by the node's endpoint,
+	// reinstates it.
+	resume := wireproto.MarshalResume(wireproto.Resume{Index: 1, Addr: peerAddr, N: 2, Digest: nd.digest})
+	if _, err := nd.ep.Ask(-1, nd.Addr(), 5*time.Second, wireproto.KindResume, resume); err != nil {
+		t.Fatal(err)
+	}
+	if nd.peerUnreachable(1) {
+		t.Fatal("the resume announcement did not reinstate the evicted peer")
+	}
+	if ev := seen(); len(ev) != 2 || ev[1].reason != core.ChurnResumed || ev[1].down != 1 {
+		t.Fatalf("churn observer saw %+v, want the eviction and then one %q event", ev, core.ChurnResumed)
 	}
 	_ = nd.Close()
 	checkNoLeak(t, baseline)

@@ -43,7 +43,7 @@ type Endpoint struct {
 // and d (Provision) over book. Its traffic is counted into counters.
 func NewEndpoint(cfg *Config, d Deployment, book *Book, counters *wireproto.CounterSet, reinstate func(peer int), route func(target int) *Node) *Endpoint {
 	return &Endpoint{
-		n: cfg.N, epoch: cfg.Epoch, digest: d.Digest, lim: d.Lim, timeout: cfg.ExchangeTimeout,
+		n: cfg.N, epoch: d.Epoch, digest: d.Digest, lim: d.Lim, timeout: cfg.ExchangeTimeout,
 		dialer: cfg.Dialer, book: book, counters: counters, reinstate: reinstate, route: route,
 	}
 }

@@ -124,7 +124,7 @@ const (
 
 // crashes consults the crash hook for one of this node's send legs.
 func (nd *Node) crashes(leg int, s slot) bool {
-	return nd.crashHook != nil && nd.crashHook(leg, s.phase, s.iter, s.cycle, s.seq)
+	return nd.cfg.CrashHook != nil && nd.cfg.CrashHook(leg, s.phase, s.iter, s.cycle, s.seq)
 }
 
 // initiate drives one initiator slot of a phase's exchange under the
@@ -150,13 +150,13 @@ func (nd *Node) initiate(phase int, st *iterState, peer int, s slot, full bool) 
 		case tryHalf:
 			return
 		case tryRetry:
-			if attempt >= nd.policy.MaxRetries {
+			if attempt >= nd.cfg.Policy.MaxRetries {
 				nd.counters.Timeouts.Add(1)
 				nd.peerFailed(peer, s)
 				return
 			}
 			nd.counters.Retries.Add(1)
-			if !nd.sleep(backoffDelay(nd.jitter, nd.policy.Backoff, attempt, 8*nd.policy.Backoff)) {
+			if !nd.sleep(backoffDelay(nd.jitter, nd.cfg.Policy.Backoff, attempt, 8*nd.cfg.Policy.Backoff)) {
 				return // shutting down
 			}
 		}
@@ -205,14 +205,14 @@ func (nd *Node) servePassive(t *tailSlot, in inbound) {
 			nd.counters.Timeouts.Add(1)
 		case tryRetry, tryFinLost:
 			deadline := nd.reg.tailDeadline(t)
-			reopen = t.attempts < nd.policy.MaxRetries && (deadline.IsZero() || time.Now().Before(deadline))
+			reopen = t.attempts < nd.cfg.Policy.MaxRetries && (deadline.IsZero() || time.Now().Before(deadline))
 			if !reopen {
 				nd.counters.Timeouts.Add(1)
 				break
 			}
 			nd.counters.Retries.Add(1)
 			if out == tryFinLost {
-				window = 8*nd.policy.Backoff + 250*time.Millisecond
+				window = 8*nd.cfg.Policy.Backoff + 250*time.Millisecond
 			}
 		}
 		var ok bool
@@ -692,5 +692,5 @@ func (nd *Node) validDecLeg(v wireproto.DecView, st *iterState, answer bool) (ca
 // otherwise drive a 2^(epoch diff) ciphertext rescaling of unbounded
 // cost. Nothing of the state has been materialized yet.
 func (nd *Node) validSumState(st wireproto.SumSideView, dim int) bool {
-	return st.CTs.Len() == dim && st.Epoch >= 0 && st.Epoch <= nd.maxEpoch
+	return st.CTs.Len() == dim && st.Epoch >= 0 && st.Epoch <= nd.env.SumEpochs
 }

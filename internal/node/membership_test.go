@@ -18,8 +18,9 @@ import (
 )
 
 // membershipSetup provisions a four-participant deployment for the
-// membership tests and returns it with its configuration digest.
-func membershipSetup(t *testing.T) (n int, data *timeseries.Dataset, scheme *damgardjurik.Scheme, proto core.Config, digest uint64) {
+// membership tests and returns it with what its participants derive
+// alike: the configuration digest and the population epoch.
+func membershipSetup(t *testing.T) (n int, data *timeseries.Dataset, scheme *damgardjurik.Scheme, proto core.Config, dep node.Deployment) {
 	t.Helper()
 	n = 4
 	data, _ = datasets.GenerateCER(n, randx.New(7, 0))
@@ -39,17 +40,12 @@ func membershipSetup(t *testing.T) (n int, data *timeseries.Dataset, scheme *dam
 		Epsilon: 1e4, MaxIterations: 1, Exchanges: 10, DissCycles: 8, DecryptCycles: 10,
 		FracBits: 24, Seed: 21,
 	}
-	norm := proto.Normalize(n)
-	pack, err := core.PackingFor(norm, n, data.Dim(), scheme)
-	if err != nil {
+	cfg := node.Config{N: n, Scheme: scheme, Proto: proto}
+	if dep, err = node.Provision(&cfg, data.Dim()); err != nil {
 		t.Fatal(err)
 	}
-	return n, data, scheme, proto, node.ConfigDigest(norm, n, data.Dim(), pack)
+	return n, data, scheme, proto, dep
 }
-
-// membershipEpoch is the population epoch both listeners are provisioned
-// with, so the test's frames pass the door.
-const membershipEpoch = 0x5EED
 
 // reply is what a listener answered one membership frame with.
 type reply struct {
@@ -58,9 +54,9 @@ type reply struct {
 	reason string
 }
 
-// ask sends one untargeted frame on a fresh connection and reads the
-// answer, if any.
-func ask(t *testing.T, addr string, kind byte, payload []byte) reply {
+// ask sends one untargeted frame of the population epoch on a fresh
+// connection and reads the answer, if any.
+func ask(t *testing.T, epoch uint64, addr string, kind byte, payload []byte) reply {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -68,7 +64,7 @@ func ask(t *testing.T, addr string, kind byte, payload []byte) reply {
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := wireproto.WriteFrameTarget(conn, kind, membershipEpoch, -1, payload); err != nil {
+	if err := wireproto.WriteFrameTarget(conn, kind, epoch, -1, payload); err != nil {
 		t.Fatal(err)
 	}
 	f, err := wireproto.ReadFrame(conn, 0)
@@ -98,16 +94,17 @@ func ask(t *testing.T, addr string, kind byte, payload []byte) reply {
 // the address the hosted participant advertises (its own listener's, or
 // the host's).
 func TestMembershipParity(t *testing.T) {
-	n, data, scheme, proto, digest := membershipSetup(t)
+	n, data, scheme, proto, dep := membershipSetup(t)
+	digest := dep.Digest
 	nd, err := node.New(node.Config{
 		Index: 0, N: n, Series: data.Row(0), Scheme: scheme, Proto: proto,
-		Epoch: membershipEpoch, ViewInterval: -1,
+		ViewInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = nd.Close() })
-	h, err := mux.NewHost(node.Config{N: n, Scheme: scheme, Proto: proto, Epoch: membershipEpoch}, data.Dim())
+	h, err := mux.NewHost(node.Config{N: n, Scheme: scheme, Proto: proto}, data.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +146,8 @@ func TestMembershipParity(t *testing.T) {
 	}
 	for _, fr := range frames {
 		nd0, h0 := nd.Counters(), h.Counters()
-		got := self(ask(t, nd.Addr(), fr.kind, fr.payload), nd.Addr())
-		want := self(ask(t, h.Addr(), fr.kind, fr.payload), h.Addr())
+		got := self(ask(t, dep.Epoch, nd.Addr(), fr.kind, fr.payload), nd.Addr())
+		want := self(ask(t, dep.Epoch, h.Addr(), fr.kind, fr.payload), h.Addr())
 		if got.kind != fr.wantKind || want.kind != fr.wantKind {
 			t.Fatalf("%s: node replied %#x, host %#x, want %#x", fr.name, got.kind, want.kind, fr.wantKind)
 		}
@@ -176,7 +173,7 @@ func TestMembershipParity(t *testing.T) {
 // no frame as malformed (the frame is well formed, its roster is not),
 // and retries its hello without pushing its roster on that round.
 func TestMembershipMalformedRosterReply(t *testing.T) {
-	n, data, scheme, proto, _ := membershipSetup(t)
+	n, data, scheme, proto, dep := membershipSetup(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +199,7 @@ func TestMembershipMalformedRosterReply(t *testing.T) {
 					views.Add(1)
 				}
 				f.Release()
-				_ = wireproto.WriteFrameTarget(conn, ack, membershipEpoch, -1, []byte{0xFF})
+				_ = wireproto.WriteFrameTarget(conn, ack, dep.Epoch, -1, []byte{0xFF})
 			}
 			_ = conn.Close()
 		}
@@ -210,8 +207,7 @@ func TestMembershipMalformedRosterReply(t *testing.T) {
 
 	nd, err := node.New(node.Config{
 		Index: 0, N: n, Series: data.Row(0), Scheme: scheme, Proto: proto,
-		Epoch: membershipEpoch, ViewInterval: -1,
-		Bootstrap: ln.Addr().String(), JoinTimeout: 200 * time.Millisecond,
+		ViewInterval: -1, Bootstrap: ln.Addr().String(), JoinTimeout: 200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +221,7 @@ func TestMembershipMalformedRosterReply(t *testing.T) {
 	}
 
 	base := hellos.Load()
-	h, err := mux.NewHost(node.Config{N: n, Scheme: scheme, Proto: proto, Epoch: membershipEpoch, Bootstrap: ln.Addr().String()}, data.Dim())
+	h, err := mux.NewHost(node.Config{N: n, Scheme: scheme, Proto: proto, Bootstrap: ln.Addr().String()}, data.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +249,9 @@ func TestMembershipMalformedRosterReply(t *testing.T) {
 // shared book, and one resume announcement to the host must lift the
 // returning peer's eviction in all of them.
 func TestHostResumeReinstatesEveryNode(t *testing.T) {
-	n, data, scheme, proto, digest := membershipSetup(t)
-	h, err := mux.NewHost(node.Config{N: n, Scheme: scheme, Proto: proto, Epoch: membershipEpoch}, data.Dim())
+	n, data, scheme, proto, dep := membershipSetup(t)
+	digest := dep.Digest
+	h, err := mux.NewHost(node.Config{N: n, Scheme: scheme, Proto: proto}, data.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +266,7 @@ func TestHostResumeReinstatesEveryNode(t *testing.T) {
 		nodes = append(nodes, nd)
 	}
 	hello := wireproto.MarshalHello(wireproto.Hello{Index: back, Addr: "192.0.2.3:3", N: uint32(n), Digest: digest})
-	if r := ask(t, h.Addr(), wireproto.KindHello, hello); r.kind != wireproto.KindHelloAck {
+	if r := ask(t, dep.Epoch, h.Addr(), wireproto.KindHello, hello); r.kind != wireproto.KindHelloAck {
 		t.Fatalf("hello answered %#x", r.kind)
 	}
 	for _, nd := range nodes {
@@ -279,7 +276,7 @@ func TestHostResumeReinstatesEveryNode(t *testing.T) {
 		}
 	}
 	resume := wireproto.MarshalResume(wireproto.Resume{Index: back, Addr: "192.0.2.3:3", N: uint32(n), Digest: digest})
-	if r := ask(t, h.Addr(), wireproto.KindResume, resume); r.kind != wireproto.KindResumeAck {
+	if r := ask(t, dep.Epoch, h.Addr(), wireproto.KindResume, resume); r.kind != wireproto.KindResumeAck {
 		t.Fatalf("resume answered %#x", r.kind)
 	}
 	for _, nd := range nodes {

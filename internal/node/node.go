@@ -15,16 +15,17 @@
 // bit-identical centroids to an in-memory simulation of the same seed
 // and parameters, every iteration: each participant continues from its
 // own decoded view, which is the one elected vector's release for all
-// of them. The main loop decides only when a responder slot opens, and
-// whoever holds the slot's request serves it (respond, servePassive);
-// while an exchange can change the state, one slot is open at a time.
-// The one stretch that leaves schedule order is the tail of the
-// epidemic decryption: a participant holding τ key-shares is read-only
-// until the phase ends, so its remaining exchanges commute with one
-// another as well — it opens its responder slots all at once, serves
-// them the moment their requests arrive and only walks its initiator
-// slots in order (see runTail), which no participant's state can tell
-// from the serial execution.
+// of them. Every phase is one walk over the participant's own slots
+// (runPhase). The main loop decides only when a responder slot opens,
+// and whoever holds the slot's request serves it (respond,
+// servePassive); while an exchange can change the state, one slot is
+// open at a time. The one stretch that leaves schedule order is the
+// tail of the epidemic decryption: a participant holding τ key-shares
+// is read-only until the phase ends, so its remaining exchanges commute
+// with one another as well — the walk opens the rest of its responder
+// slots all at once (openTail), serves them the moment their requests
+// arrive and goes on through its initiator slots in order, which no
+// participant's state can tell from the serial execution.
 //
 // Exchange shape. Each scheduled exchange is a three-leg round trip on
 // one TCP connection: REQ (initiator state) → RESP (responder pre-merge
@@ -110,10 +111,10 @@ type Policy struct {
 	// (capped at 8×) with ±50% jitter. Defaults to 25ms when
 	// MaxRetries > 0.
 	Backoff time.Duration
-	// SuspicionK evicts a peer from the address book after this many
-	// consecutive initiator-side exchange failures (0 = never). Later
-	// exchanges to an evicted peer fast-fail instead of burning their
-	// deadline; a direct hello from the peer reinstates it.
+	// SuspicionK evicts a peer after this many consecutive
+	// initiator-side exchange failures (0 = never). Later exchanges to
+	// an evicted peer fast-fail instead of burning their deadline; a
+	// resume announcement from the peer reinstates it.
 	SuspicionK int
 }
 
@@ -124,7 +125,6 @@ type Config struct {
 	Series timeseries.Series // this participant's own time-series
 	Scheme homenc.Scheme     // shared threshold scheme (key material)
 	Proto  core.Config       // shared protocol parameters (seed included)
-	Epoch  uint64            // population epoch for the wire (0: derived from seed)
 
 	Listen    string // listen address (default "127.0.0.1:0")
 	Bootstrap string // address of any live peer ("" for the first node)
@@ -205,11 +205,10 @@ type Result struct {
 
 // Node is one live networked participant.
 type Node struct {
-	cfg      Config
-	env      *eesum.Env // the machine's scheme, slot layout and worker bound
-	lim      wireproto.Limits
-	epoch    uint64
-	maxEpoch int // EESum epoch bound a peer state may legitimately carry
+	cfg   Config
+	env   *eesum.Env // the machine's scheme, slot layout, worker bound and sum epoch bound
+	lim   wireproto.Limits
+	epoch uint64
 
 	ln   net.Listener // nil for hosted nodes
 	addr string
@@ -229,10 +228,6 @@ type Node struct {
 	iterNow  atomic.Int64 // current iteration, for metrics
 	phaseNow atomic.Int64 // current phase rank, for metrics
 
-	policy     Policy
-	crashHook  CrashHook
-	commitHook CommitHook
-
 	// state is the durable crash-recovery journal (nil: volatile node);
 	// stateErr is the first journal write failure, sticky — it halts the
 	// node, and RunContext reports it. commitMu serializes exchange
@@ -250,9 +245,9 @@ type Node struct {
 	resumeAnn wireproto.Resume
 
 	// suspect counts consecutive initiator-side failures per peer for
-	// the suspicion policy; evicted is the node-local eviction overlay
-	// used when the book is shared (one participant's suspicion must not
-	// expel a peer for its co-located siblings). Guarded by suspMu: the
+	// the suspicion policy; evicted is the node's own eviction overlay
+	// (a book, which co-located siblings may share, records only
+	// graceful leaves). Guarded by suspMu: the
 	// main loop writes strikes, but a resume announcement arriving on a
 	// connection goroutine reinstates peers, and responder waits consult
 	// the eviction state to release early.
@@ -278,10 +273,11 @@ type Deployment struct {
 	Pack   homenc.PackedCodec // the slot layout ciphertext vectors travel in
 	Lim    wireproto.Limits   // the wire decoders' bounds
 	Digest uint64             // ConfigDigest, compared by the hello handshake
+	Epoch  uint64             // the population epoch every frame carries
 }
 
 // Provision validates what every participant of a population shares —
-// N, Scheme, Proto, Epoch, Listen, ExchangeTimeout and Dialer of cfg —
+// N, Scheme, Proto, Listen, ExchangeTimeout and Dialer of cfg —
 // for series of seriesDim points, fills in their defaults, normalizes
 // Proto exactly as the simulator does, derives the phase lengths Proto
 // leaves zero (core.PhaseCycles), and derives the Deployment.
@@ -311,9 +307,6 @@ func Provision(cfg *Config, seriesDim int) (Deployment, error) {
 	if cfg.ExchangeTimeout <= 0 {
 		cfg.ExchangeTimeout = 30 * time.Second
 	}
-	if cfg.Epoch == 0 {
-		cfg.Epoch = cfg.Proto.Seed ^ 0xC41A305C0
-	}
 	if cfg.Dialer == nil {
 		cfg.Dialer = tcpDialer{}
 	}
@@ -336,6 +329,7 @@ func Provision(cfg *Config, seriesDim int) (Deployment, error) {
 		Pack:   pack,
 		Lim:    wireproto.NewLimits(cfg.Scheme.CiphertextBytes(), fullDim, cfg.Scheme.Threshold(), cfg.N),
 		Digest: ConfigDigest(cfg.Proto, cfg.N, seriesDim, pack),
+		Epoch:  cfg.Proto.Seed ^ 0xC41A305C0,
 	}, nil
 }
 
@@ -373,22 +367,18 @@ func New(cfg Config) (*Node, error) {
 	}
 
 	nd := &Node{
-		cfg:        cfg,
-		env:        &eesum.Env{Scheme: cfg.Scheme, Pack: dep.Pack, Workers: cfg.Proto.Workers, SumEpochs: core.HeadroomNeeded(cfg.Proto.Exchanges)},
-		lim:        dep.Lim,
-		epoch:      cfg.Epoch,
-		maxEpoch:   core.HeadroomNeeded(cfg.Proto.Exchanges),
-		digest:     dep.Digest,
-		addr:       cfg.Addr,
-		protoRNG:   core.ProtocolRNG(cfg.Proto.Seed),
-		jitter:     randx.NewJitter(cfg.Proto.Seed^0x6A177E12, uint64(cfg.Index)),
-		acct:       &dp.Accountant{Cap: cfg.Proto.Epsilon * (1 + 1e-9)},
-		policy:     cfg.Policy,
-		crashHook:  cfg.CrashHook,
-		commitHook: cfg.CommitHook,
-		suspect:    make(map[int]int),
-		evicted:    make(map[int]bool),
-		stop:       make(chan struct{}),
+		cfg:      cfg,
+		env:      &eesum.Env{Scheme: cfg.Scheme, Pack: dep.Pack, Workers: cfg.Proto.Workers, SumEpochs: core.HeadroomNeeded(cfg.Proto.Exchanges)},
+		lim:      dep.Lim,
+		epoch:    dep.Epoch,
+		digest:   dep.Digest,
+		addr:     cfg.Addr,
+		protoRNG: core.ProtocolRNG(cfg.Proto.Seed),
+		jitter:   randx.NewJitter(cfg.Proto.Seed^0x6A177E12, uint64(cfg.Index)),
+		acct:     &dp.Accountant{Cap: cfg.Proto.Epsilon * (1 + 1e-9)},
+		suspect:  make(map[int]int),
+		evicted:  make(map[int]bool),
+		stop:     make(chan struct{}),
 	}
 	if cfg.Book == nil {
 		// A relaunch first tries the address its journal recorded: Go
@@ -751,8 +741,8 @@ func (nd *Node) dial(idx int) (net.Conn, error) {
 		return nil, errNoAddress
 	}
 	timeout := nd.cfg.ExchangeTimeout
-	if nd.policy.MaxRetries > 0 {
-		timeout /= time.Duration(nd.policy.MaxRetries + 1)
+	if nd.cfg.Policy.MaxRetries > 0 {
+		timeout /= time.Duration(nd.cfg.Policy.MaxRetries + 1)
 		if timeout < 250*time.Millisecond {
 			timeout = 250 * time.Millisecond
 		}
@@ -760,10 +750,10 @@ func (nd *Node) dial(idx int) (net.Conn, error) {
 	return nd.ep.dial(idx, addr, timeout, nd.cfg.ExchangeTimeout)
 }
 
-// errNoAddress marks a dial to a peer the address book cannot resolve
-// (never learned, departed, or evicted by suspicion). It fails fast and
-// is not retried: retrying cannot conjure an address, and the gossip
-// layer reinstating the peer serves later slots, not this one.
+// errNoAddress marks a dial to a peer the node cannot resolve (never
+// learned, departed, or evicted by suspicion). It fails fast and is not
+// retried: retrying cannot conjure an address, and a reinstatement of
+// the peer serves later slots, not this one.
 var errNoAddress = errors.New("node: no address for peer")
 
 // --- peer suspicion ---
@@ -772,14 +762,12 @@ var errNoAddress = errors.New("node: no address for peer")
 // peer; strikes are charged only by the main protocol loop, but the
 // maps are shared with Reinstate (connection goroutines) and the
 // responder's early-release check, hence suspMu. After SuspicionK
-// consecutive failures a peer is evicted: later exchanges fast-fail
-// instead of burning their deadline, and the churn observer reports the
-// eviction. With a private book the eviction is recorded there, and a
-// direct hello from the peer reinstates it (Book.Learn clears the gone
-// mark); with a shared book the eviction lives in the node-local
-// overlay instead — one participant's suspicion must not expel a peer
-// for every co-located sibling. Either way a KindResume announcement
-// from the peer lifts the eviction (Reinstate).
+// consecutive failures a peer is evicted into the node's own overlay —
+// on a host one participant's suspicion must not expel a peer for
+// every co-located sibling, and a standalone node follows the same
+// rule: later exchanges fast-fail instead of burning their deadline,
+// and the churn observer reports the eviction. Only a KindResume
+// announcement from the peer lifts it (Reinstate), reported as resumed.
 func (nd *Node) peerOK(peer int) {
 	nd.suspMu.Lock()
 	delete(nd.suspect, peer)
@@ -787,13 +775,13 @@ func (nd *Node) peerOK(peer int) {
 }
 
 func (nd *Node) peerFailed(peer int, s slot) {
-	if nd.policy.SuspicionK <= 0 {
+	if nd.cfg.Policy.SuspicionK <= 0 {
 		return
 	}
 	nd.suspMu.Lock()
 	nd.suspect[peer]++
 	nd.counters.Suspected.Add(1)
-	if nd.suspect[peer] < nd.policy.SuspicionK {
+	if nd.suspect[peer] < nd.cfg.Policy.SuspicionK {
 		nd.suspMu.Unlock()
 		return
 	}
@@ -802,11 +790,7 @@ func (nd *Node) peerFailed(peer int, s slot) {
 		nd.suspMu.Unlock()
 		return // already unreachable (departed or evicted)
 	}
-	if nd.hosted() {
-		nd.evicted[peer] = true
-	} else {
-		nd.book.MarkGone(peer)
-	}
+	nd.evicted[peer] = true
 	nd.suspMu.Unlock()
 	nd.counters.Evicted.Add(1)
 	if hook := nd.cfg.Proto.Observer.Churn; hook != nil {
@@ -836,7 +820,7 @@ func (nd *Node) Reinstate(peer int) {
 
 // peerUnreachable reports whether a peer is currently hopeless to hear
 // from: evicted by this node's suspicion, or without an address in the
-// book (departed, or evicted there). A responder slot's wait uses it
+// book (never learned, or departed). A responder slot's wait uses it
 // to stop burning a full exchange deadline on an initiator that is
 // known to be down — if the initiator resumes, its announcement
 // reinstates it before it re-enters the schedule.

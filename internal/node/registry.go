@@ -61,10 +61,11 @@ type inbound struct {
 // tailSlot is one open responder slot: a request for it is served by
 // whoever holds it (Node.servePassive) — the main loop, for a request
 // parked before the slot opened, or the goroutine that delivers it
-// while the slot is open. The main loop opens one slot at a time while
-// its state can change (Node.respond, due ExchangeTimeout later) and
-// all of a settled decryption tail's at once (settle; a zero deadline
-// waits until the main loop's own initiator slots are through, armTail).
+// while the slot is open. The main loop's walk opens one slot at a time
+// while its state can change (Node.respond, due ExchangeTimeout later)
+// and the rest of a settled decryption phase's at once (Node.openTail
+// through settle; a zero deadline waits until the walk is through its
+// initiator slots, armTail).
 // busy is the claim — set under the registry lock by whoever takes a
 // request, so a slot is served by one goroutine at a time and its
 // server alone touches attempts; a redial arriving meanwhile parks
@@ -97,7 +98,9 @@ const (
 // parked until its slot opens — open and settle claim what is parked,
 // under the same lock that decides park-or-claim for every arrival, so
 // no request is served twice or falls between the two — or passes:
-// advance prunes entries that fall behind the owner's position. A
+// advance prunes entries that fall behind the owner's position, which
+// moves with each cycle the walk reports (in a settled tail too, once
+// no open slot precedes the cycle's end). A
 // served attempt that failed before its merge leaves the slot open for
 // the initiator's redial; a slot closes for good once served to a
 // terminal outcome or expired, and is tombstoned, so a late delivery

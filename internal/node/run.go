@@ -74,9 +74,7 @@ func (nd *Node) RunContext(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 		perIter := nd.cfg.Proto.Exchanges + nd.cfg.Proto.DissCycles + nd.cfg.Proto.DecryptCycles
-		for i := 0; i < (startIter-1)*perIter; i++ {
-			_ = nd.sched.DrawCycle()
-		}
+		nd.sched.DrawCycles((startIter - 1) * perIter)
 		for it := 1; it < startIter; it++ {
 			eesum.NodeNoiseStream(nd.protoRNG, nd.cfg.N, -1)
 		}
@@ -219,16 +217,20 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 // errStopped is what a run returns when the node was closed under it.
 var errStopped = errors.New("node: closed during the run")
 
-// runPhase executes one phase's fixed cycle budget: every cycle's
-// schedule is drawn from the mirror engine (identical on every
-// participant), and this node's participations execute strictly in
-// schedule order — until, in the decryption phase, a slot boundary finds
-// the state settled and runTail takes the rest of the phase. A non-nil
-// rz is the resume point: slots it holds as committed were executed (and
-// journaled) by the pre-crash run and are skipped — the cycle is still
-// drawn (the schedule cursor must advance) and the registry horizon
-// still moves (stale deliveries from retrying peers get closed out
-// instead of stranding connections).
+// runPhase executes one phase's fixed cycle budget: it draws the
+// phase's cycles from the mirror engine (identical on every participant)
+// and walks this node's participations in schedule order. In the
+// decryption phase, the first own slot that finds the state settled —
+// read-only until the phase ends, so its remaining exchanges commute on
+// this side — opens every remaining responder slot at once (openTail);
+// the walk goes on through the initiator slots alone, serially, so the
+// dial order per directed pair, and with it every seeded fault verdict,
+// is the serial execution's, and awaitTail then waits once for whatever
+// responder slots are still open. A non-nil rz is the resume point:
+// slots it holds as committed were executed (and journaled) by the
+// pre-crash run and are skipped; their cycles are still reported and the
+// registry horizon still moves past them (stale deliveries from retrying
+// peers get closed out instead of stranding connections).
 //
 // A node stopped under the phase returns errStopped: its waits return
 // at once, so a serve may still be in flight, and it owns st — the
@@ -237,83 +239,72 @@ var errStopped = errors.New("node: closed during the run")
 // and to journal the next iteration, after its death.)
 func (nd *Node) runPhase(it, phase, cycles int, st *iterState, rz *resumePoint) error {
 	me := nd.cfg.Index
-cycles:
-	for c := 0; c < cycles && !nd.stopped.Load(); c++ {
-		sched := nd.sched.DrawCycle()
-		for seq, ex := range sched {
+	sched := nd.sched.DrawCycles(cycles)
+	// reported cycles are done; cycle c follows once the walk has moved
+	// past it and no responder slot up to it is still open, and the
+	// registry horizon moves with it.
+	reported := 0
+	report := func(through int) {
+		for reported < through {
+			next := slot{iter: it, phase: phase, cycle: reported + 1}
+			if nd.reg.tailOpenBefore(next) {
+				return
+			}
+			nd.reg.advance(next)
+			if hook := nd.cfg.Proto.Observer.Phase; hook != nil {
+				hook(it, core.Phase(phase), reported+1, cycles)
+			}
+			reported++
+		}
+	}
+	var tails []*tailSlot
+	settled := false
+walk:
+	for c, cyc := range sched {
+		for seq, ex := range cyc {
 			if ex.A != me && ex.B != me {
 				continue
 			}
 			if nd.stopped.Load() {
-				break cycles
+				break walk
 			}
 			s := slot{iter: it, phase: phase, cycle: c, seq: seq}
 			if rz.committed(s) {
 				continue // already executed before the crash
 			}
-			if phase == phaseDec && st.Settled() {
-				nd.runTail(s, sched, cycles, st, rz)
-				break cycles
+			report(c)
+			if !settled && phase == phaseDec && st.Settled() {
+				settled, tails = true, nd.openTail(s, sched, st, rz)
 			}
 			if ex.A == me {
 				nd.initiate(phase, st, ex.B, s, ex.Full)
-			} else {
+			} else if !settled {
 				nd.respond(phase, st, s, ex.A)
 			}
 		}
-		nd.cycleDone(it, phase, c, cycles)
 	}
 	if nd.stopped.Load() {
 		return errStopped
 	}
+	nd.awaitTail(tails, func() { report(cycles) })
+	if nd.stopped.Load() {
+		return errStopped
+	}
+	report(cycles)
 	return nil
 }
 
-// cycleDone moves the registry horizon past cycle c and reports it.
-func (nd *Node) cycleDone(it, phase, c, cycles int) {
-	nd.reg.advance(slot{iter: it, phase: phase, cycle: c + 1})
-	if hook := nd.cfg.Proto.Observer.Phase; hook != nil {
-		hook(it, core.Phase(phase), c+1, cycles)
-	}
-}
-
-// runTail runs the rest of the decryption phase, from own slot `from`
-// of the already-drawn cycle cur on, for a participant whose state is
-// settled — read-only until the phase ends, so its remaining exchanges
-// commute with one another on this side. The remaining cycles are drawn
-// up front (the schedule cursor ends where the serial walk would leave
-// it) and the state is published: the responder slots are all opened
-// at once, each served by the goroutine that delivers its request and
-// in whatever order they arrive, while this loop walks the initiator
-// slots — serially and in slot order, so the dial order per directed
-// pair, and with it every seeded fault verdict, is the serial
-// execution's — and then waits once for whatever responder slots are
-// still open. Cycles are reported exactly once and in order, each as
-// soon as every own slot up to it is done.
-func (nd *Node) runTail(from slot, cur []sim.Scheduled, cycles int, st *iterState, rz *resumePoint) {
-	me, it := nd.cfg.Index, from.iter
-	type dial struct {
-		s    slot
-		peer int
-		full bool
-	}
-	// A participant initiates once per cycle and is picked about once.
-	dials := make([]dial, 0, cycles-from.cycle)
-	slab := make([]tailSlot, 0, 2*(cycles-from.cycle))
-	for c := from.cycle; c < cycles; c++ {
-		sched, first := cur, from.seq
-		if c > from.cycle {
-			sched, first = nd.sched.DrawCycle(), 0
-		}
-		for seq := first; seq < len(sched); seq++ {
-			ex := sched[seq]
-			s := slot{iter: it, phase: phaseDec, cycle: c, seq: seq}
-			if (ex.A != me && ex.B != me) || rz.committed(s) {
-				continue
-			}
-			if ex.A == me {
-				dials = append(dials, dial{s, ex.B, ex.Full})
-			} else {
+// openTail opens every own responder slot of a settled decryption phase
+// from slot from on that rz does not hold as committed, and serves the
+// requests already parked for them.
+func (nd *Node) openTail(from slot, sched [][]sim.Scheduled, st *iterState, rz *resumePoint) []*tailSlot {
+	me := nd.cfg.Index
+	// A participant is picked about once a cycle.
+	slab := make([]tailSlot, 0, 2*(len(sched)-from.cycle))
+	for c := from.cycle; c < len(sched); c++ {
+		for seq, ex := range sched[c] {
+			s := slot{iter: from.iter, phase: phaseDec, cycle: c, seq: seq}
+			if ex.B == me && !s.before(from) && !rz.committed(s) {
 				slab = append(slab, tailSlot{s: s, from: ex.A, st: st})
 			}
 		}
@@ -325,29 +316,5 @@ func (nd *Node) runTail(from slot, cur []sim.Scheduled, cycles int, st *iterStat
 	for _, cl := range nd.reg.settle(tails) {
 		nd.servePassive(cl.t, cl.in)
 	}
-
-	// reported cycles are done; cycle c follows once the dials have moved
-	// past it and no responder slot up to it is still open.
-	reported := from.cycle
-	report := func(through int) {
-		for reported < through && !nd.reg.tailOpenBefore(slot{iter: it, phase: phaseDec, cycle: reported + 1}) {
-			if hook := nd.cfg.Proto.Observer.Phase; hook != nil {
-				hook(it, core.Phase(phaseDec), reported+1, cycles)
-			}
-			reported++
-		}
-	}
-	for _, d := range dials {
-		if nd.stopped.Load() {
-			return
-		}
-		report(d.s.cycle)
-		nd.initiate(phaseDec, st, d.peer, d.s, d.full)
-	}
-	nd.awaitTail(tails, func() { report(cycles) })
-	if nd.stopped.Load() {
-		return
-	}
-	report(cycles)
-	nd.reg.advance(slot{iter: it, phase: phaseDec, cycle: cycles})
+	return tails
 }

@@ -61,15 +61,17 @@ func (src *ScheduleSource) bindChurn(fn func(iter, cycle, down int)) {
 	src.mu.Unlock()
 }
 
-// cycle returns the schedule of cumulative cycle i, drawing forward as
-// needed.
-func (src *ScheduleSource) cycle(i int) []sim.Scheduled {
+// draw returns the schedules of cumulative cycles [from, from+n),
+// drawing forward as needed, as a capped subslice of the retained
+// schedules: a drawn cycle never changes, so the subslice stays valid
+// (and is never written through) as later draws grow the source.
+func (src *ScheduleSource) draw(from, n int) [][]sim.Scheduled {
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	for len(src.cycles) <= i {
+	for len(src.cycles) < from+n {
 		src.cycles = append(src.cycles, src.eng.DrawCycle())
 	}
-	return src.cycles[i]
+	return src.cycles[from : from+n : from+n]
 }
 
 // AvgMessages and AvgBytes expose the mirror's scheduled-traffic
@@ -101,11 +103,12 @@ type ScheduleView struct {
 	pos int
 }
 
-// DrawCycle returns the next cycle's schedule, identical across every
-// view of the same source.
-func (v *ScheduleView) DrawCycle() []sim.Scheduled {
-	c := v.src.cycle(v.pos)
-	v.pos++
+// DrawCycles returns the next n cycles' schedules, identical across
+// every view of the same source. Nothing is copied: the result shares
+// the source's retained schedules and must not be written to.
+func (v *ScheduleView) DrawCycles(n int) [][]sim.Scheduled {
+	c := v.src.draw(v.pos, n)
+	v.pos += n
 	return c
 }
 

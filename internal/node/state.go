@@ -601,7 +601,7 @@ func (nd *Node) commit(s slot, st *iterState, initiator bool) {
 	if initiator {
 		count = &nd.counters.Initiated
 	}
-	if nd.state == nil && nd.commitHook == nil {
+	if nd.state == nil && nd.cfg.CommitHook == nil {
 		count.Add(1)
 		return
 	}
@@ -615,7 +615,7 @@ func (nd *Node) commit(s slot, st *iterState, initiator bool) {
 			return
 		}
 	}
-	if nd.commitHook != nil && nd.commitHook(s.phase, s.iter, s.cycle, s.seq, initiator) {
+	if nd.cfg.CommitHook != nil && nd.cfg.CommitHook(s.phase, s.iter, s.cycle, s.seq, initiator) {
 		nd.halt() // simulated kill −9 at a commit point
 	}
 }

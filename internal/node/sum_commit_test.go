@@ -23,7 +23,7 @@ func TestSumCommitMaterializesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &eesum.Env{Scheme: sch, Pack: homenc.PackedCodec{Codec: homenc.NewCodec(24), Slots: 1}, Workers: 2}
+	env := &eesum.Env{Scheme: sch, Pack: homenc.PackedCodec{Codec: homenc.NewCodec(24), Slots: 1}, Workers: 2, SumEpochs: 8}
 	state := func(base int64, omega int64, epoch int) eesum.SumState {
 		cts := make([]homenc.Ciphertext, dim)
 		for j := range cts {
@@ -45,7 +45,7 @@ func TestSumCommitMaterializesNothing(t *testing.T) {
 		return v.Means.Copy()
 	}
 	mine, theirs := state(5, 2, 3), state(900, 7, 5)
-	nd := &Node{lim: lim, maxEpoch: 8}
+	nd := &Node{lim: lim, env: env}
 	frame := wireproto.Marshal(&wireproto.SumOut{
 		Hdr:   wireproto.ExchangeHdr{Iter: 1, Cycle: 2, Seq: 3, From: 1, To: 0},
 		Means: wireproto.SideOf(theirs), Noise: wireproto.SideOf(theirs),

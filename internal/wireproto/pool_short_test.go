@@ -18,12 +18,10 @@ import (
 	"chiaroscuro/internal/wireproto"
 )
 
-const shortEpoch = 99
-
 // idleHost is an 8-participant mux.Host with participants 0..3 hosted
 // and none of them running: whatever arrives is refused, answered as
-// membership traffic, or parked.
-func idleHost(t *testing.T) (*mux.Host, wireproto.Limits) {
+// membership traffic, or parked. It comes with the population epoch.
+func idleHost(t *testing.T) (*mux.Host, wireproto.Limits, uint64) {
 	t.Helper()
 	const n, tau = 8, 2
 	data, _ := datasets.GenerateCER(n, randx.New(7, 0))
@@ -35,14 +33,20 @@ func idleHost(t *testing.T) (*mux.Host, wireproto.Limits) {
 	for c := range seeds {
 		seeds[c] = make(timeseries.Series, data.Dim())
 	}
-	h, err := mux.NewHost(node.Config{
-		N: n, Scheme: scheme, Epoch: shortEpoch,
+	shared := node.Config{
+		N: n, Scheme: scheme,
 		Proto: core.Config{
 			K: 2, InitCentroids: seeds, DMin: datasets.CERMin, DMax: datasets.CERMax,
 			Epsilon: 1e4, MaxIterations: 1, Exchanges: 4, DissCycles: 4, DecryptCycles: 4,
 			FracBits: 24, Seed: 21,
 		},
-	}, data.Dim())
+	}
+	provisioned := shared
+	dep, err := node.Provision(&provisioned, data.Dim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := mux.NewHost(shared, data.Dim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +56,7 @@ func idleHost(t *testing.T) (*mux.Host, wireproto.Limits) {
 			t.Fatal(err)
 		}
 	}
-	return h, wireproto.NewLimits(scheme.CiphertextBytes(), 2*(data.Dim()+1), tau, n)
+	return h, wireproto.NewLimits(scheme.CiphertextBytes(), 2*(data.Dim()+1), tau, n), dep.Epoch
 }
 
 // roundTrip dials the host in process, sends one frame and reads until
@@ -85,7 +89,7 @@ func roundTrip(t *testing.T, h *mux.Host, lim wireproto.Limits, kind byte, epoch
 // epoch, nobody hosted under the target) and through a hosted node's
 // (a request whose header names somebody else).
 func TestRefusedFramesReturnToPool(t *testing.T) {
-	h, lim := idleHost(t)
+	h, lim, epoch := idleHost(t)
 	const rounds, size = 32, 30 << 10
 	payload := make([]byte, size) // an all-zero exchange header: from 0, to 0
 	for _, tc := range []struct {
@@ -93,9 +97,9 @@ func TestRefusedFramesReturnToPool(t *testing.T) {
 		epoch  uint64
 		target int
 	}{
-		{"host: wrong epoch", shortEpoch + 1, 1},
-		{"host: target not hosted", shortEpoch, 6},
-		{"node: header names another participant", shortEpoch, 1},
+		{"host: wrong epoch", epoch + 1, 1},
+		{"host: target not hosted", epoch, 6},
+		{"node: header names another participant", epoch, 1},
 	} {
 		refuse := func() {
 			if _, answered := roundTrip(t, h, lim, wireproto.KindSumReq, tc.epoch, tc.target, payload); answered {
@@ -138,7 +142,7 @@ func TestMembershipSurvivesFrameReuse(t *testing.T) {
 	// out — since a serve goroutine may still be releasing the frame of
 	// the last answer when the test returns.
 	t.Cleanup(wireproto.SetPoolKeep(1))
-	h, lim := idleHost(t)
+	h, lim, epoch := idleHost(t)
 
 	addr := func(i int) string { return fmt.Sprintf("peer-%d.%s:7000", i, strings.Repeat("x", 40)) }
 	view := func(i int) []byte {
@@ -159,7 +163,7 @@ func TestMembershipSurvivesFrameReuse(t *testing.T) {
 		{wireproto.KindView, -1, view(4)},
 		{wireproto.KindView, 3, view(5)},
 	} {
-		f, answered := roundTrip(t, h, lim, leg.kind, shortEpoch, leg.target, leg.payload)
+		f, answered := roundTrip(t, h, lim, leg.kind, epoch, leg.target, leg.payload)
 		if answered != (leg.kind != wireproto.KindLeave) {
 			t.Fatalf("kind %d to target %d: answered = %v", leg.kind, leg.target, answered)
 		}

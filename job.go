@@ -180,11 +180,12 @@ type FaultPolicy struct {
 	// attempt (capped at 8×) with ±50% jitter. Defaults to 25ms when
 	// MaxRetries > 0.
 	Backoff time.Duration
-	// SuspicionK evicts a peer from a node's address book after this
-	// many consecutive initiator-side exchange failures (0 = never).
-	// Later exchanges to an evicted peer fail fast instead of burning
-	// their deadline; the peer's own hello reinstates it. Evictions
-	// surface as Churn events with Reason ChurnEvicted.
+	// SuspicionK makes a node evict a peer after this many consecutive
+	// initiator-side exchange failures (0 = never). Later exchanges to
+	// an evicted peer fail fast instead of burning their deadline; the
+	// peer's resume announcement reinstates it. Evictions surface as
+	// Churn events with Reason ChurnEvicted, reinstatements with
+	// ChurnResumed.
 	SuspicionK int
 }
 

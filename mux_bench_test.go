@@ -184,15 +184,21 @@ func BenchmarkInProcExchange(b *testing.B) {
 		b.Fatal(err)
 	}
 	diss, dec := FixedPhaseCycles(n)
-	h, err := mux.NewHost(node.Config{
-		N: n, Scheme: scheme, Epoch: 7,
+	shared := node.Config{
+		N: n, Scheme: scheme,
 		Proto: core.Config{
 			K: 2, InitCentroids: SeedCentroids("cer", 2, 8), DMin: CERMin, DMax: CERMax,
 			Epsilon: 1e4, MaxIterations: 1, Exchanges: 10, DissCycles: diss, DecryptCycles: dec,
 			FracBits: 24, Seed: 1,
 		},
 		ExchangeTimeout: 10 * time.Minute,
-	}, data.Dim())
+	}
+	provisioned := shared
+	dep, err := node.Provision(&provisioned, data.Dim())
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := mux.NewHost(shared, data.Dim())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -211,7 +217,7 @@ func BenchmarkInProcExchange(b *testing.B) {
 		}
 		defer conn.Close()
 		_ = conn.SetDeadline(time.Now().Add(10 * time.Minute))
-		if err := wireproto.WriteFrameTarget(conn, wireproto.KindView, 7, -1, req); err != nil {
+		if err := wireproto.WriteFrameTarget(conn, wireproto.KindView, dep.Epoch, -1, req); err != nil {
 			b.Fatal(err)
 		}
 		f, err := wireproto.ReadFrame(conn, lim.MaxFrameLen)
