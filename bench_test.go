@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/big"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -216,11 +217,11 @@ func BenchmarkMergeSumDJ1024Packed5(b *testing.B) {
 	benchMergeSum(b, sch, 5)
 }
 
-// --- The sum leg as the wire runtime runs it: this side's states at rest
-// (images, as its previous commit left them), the peer's scanned off
-// its SumOut frame and merged from there, and the new states appended to
+// --- The sum leg as the wire runtime runs it: this side's state at rest
+// (an image, as its previous commit left it), the peer's scanned off
+// its SumOut frame and merged from there, and the new state appended to
 // the next frame — the work one sum leg does between two frames. B/op is
-// the number to watch: the result images and a few headers, nothing per
+// the number to watch: the result image and a few headers, nothing per
 // ciphertext of either operand.
 
 func benchMergeSumFromFrame(b *testing.B, sch homenc.Scheme, dim int) {
@@ -234,14 +235,14 @@ func benchMergeSumFromFrame(b *testing.B, sch homenc.Scheme, dim int) {
 	}
 	mine, theirs := side(3, 4), side(5, 7)
 	lim := wireproto.NewLimits(sch.CiphertextBytes(), dim, 3, 5)
-	rest, err := wireproto.ScanSum(wireproto.Marshal(&wireproto.SumOut{Means: wireproto.SideOf(mine), Noise: wireproto.SideOf(mine)}), lim)
+	rest, err := wireproto.ScanSum(wireproto.Marshal(&wireproto.SumOut{Means: wireproto.SideOf(mine)}), lim)
 	if err != nil {
 		b.Fatal(err)
 	}
-	means, noise := rest.Means.Copy(), rest.Noise.Copy()
+	sum := rest.Means.Copy()
 	frame := wireproto.Marshal(&wireproto.SumOut{
 		Hdr:   wireproto.ExchangeHdr{Iter: 1, Cycle: 3, Seq: 2, From: 1, To: 0},
-		Means: wireproto.SideOf(theirs), Noise: wireproto.SideOf(theirs), CtrSigma: 1, CtrOmega: 1,
+		Means: wireproto.SideOf(theirs), CtrSigma: 1, CtrOmega: 1,
 	})
 	env := &eesum.Env{Scheme: sch, Pack: homenc.PackedCodec{Codec: homenc.NewCodec(0), Slots: 1}, Workers: 1}
 	p := eesum.NewParticipant(env, 0, nil, eesum.NoiseConfig{})
@@ -249,13 +250,13 @@ func benchMergeSumFromFrame(b *testing.B, sch homenc.Scheme, dim int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Means, p.Noise = means, noise
+		p.Means = sum
 		v, err := wireproto.ScanSum(frame, lim)
 		if err != nil {
 			b.Fatal(err)
 		}
 		p.CommitSum(v.Peer(), true)
-		out := wireproto.SumOut{Means: p.Means, Noise: p.Noise, CtrSigma: p.CtrS, CtrOmega: p.CtrW}
+		out := wireproto.SumOut{Means: p.Means, CtrSigma: p.CtrS, CtrOmega: p.CtrW}
 		next = out.AppendTo(next[:0])
 	}
 }
@@ -330,12 +331,14 @@ func (ps sumCycle) Exchange(a, b sim.NodeID, full bool) { ps[a].ExchangeSum(ps[b
 func (sumCycle) ConcurrentExchangeSafe() bool           { return true }
 
 // sumParticipants starts one participant machine per contribution, with
-// no noise variables: a sum exchange then costs the means merge alone.
+// noise-shares far below the codec's resolution: each sum is then its
+// contributions' own.
 func sumParticipants(sch homenc.Scheme, codec homenc.Codec, contributions [][]*big.Int) sumCycle {
 	env := &eesum.Env{Scheme: sch, Pack: homenc.PackedCodec{Codec: codec, Slots: 1}, Workers: parallel.Workers()}
+	silent := eesum.NoiseConfig{Lambdas: slices.Repeat([]float64{1e-300}, len(contributions[0])), NShares: 1}
 	ps := make(sumCycle, len(contributions))
 	for i, vec := range contributions {
-		ps[i] = eesum.NewParticipant(env, i, nil, eesum.NoiseConfig{})
+		ps[i] = eesum.NewParticipant(env, i, randx.New(0, uint64(i)), silent)
 		ps[i].Start(vec)
 	}
 	return ps

@@ -1,7 +1,7 @@
 // Command chiaroscurod is the Chiaroscuro node daemon: one process per
 // participant, speaking the binary wire protocol of internal/wireproto
-// and running the full encrypted Diptych — encrypted means/noise sums,
-// correction dissemination, epidemic threshold decryption — against
+// and running the full encrypted Diptych — the encrypted sum of the
+// means and the noise, correction dissemination, epidemic threshold decryption — against
 // its peers over TCP.
 //
 // Every daemon of a population is provisioned with the same protocol

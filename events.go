@@ -23,7 +23,7 @@ type Event interface{ isEvent() }
 type Phase int
 
 const (
-	// PhaseSum is the lockstep encrypted means/noise gossip sum.
+	// PhaseSum is the encrypted gossip sum of the means and the noise.
 	PhaseSum Phase = Phase(core.PhaseSum)
 	// PhaseDissemination is the min-identifier correction dissemination.
 	PhaseDissemination Phase = Phase(core.PhaseDissemination)

@@ -14,12 +14,13 @@
 //     its encrypted means contribution: its series in the chosen
 //     cluster's slots, a count of one, zeros elsewhere;
 //  2. Computation step (Algorithm 3) —
-//     a. the encrypted means and the encrypted noise-shares are summed
-//     by two EESum states running in lockstep on the same gossip
-//     exchanges, alongside the cleartext participant counter;
+//     a. each participant folds its noise-share into its means
+//     contribution and encrypts the sum, and one EESum state sums them
+//     over the gossip exchanges, alongside the cleartext participant
+//     counter;
 //     b. every participant applies its own noise surplus correction to
-//     its own sums and perturbs its means; min-identifier dissemination
-//     elects one perturbed vector for everyone;
+//     its own sum, which perturbs its means; min-identifier
+//     dissemination elects one perturbed vector for everyone;
 //     c. the elected vector is decrypted epidemically with τ distinct
 //     key-shares, so every participant releases the same centroids;
 //  3. Convergence step — each participant divides sums by counts,
@@ -52,9 +53,9 @@ import (
 )
 
 // Phase identifies one of the three gossip phases of a protocol
-// iteration (Algorithm 3): the lockstep encrypted means/noise sum, the
-// min-identifier correction dissemination, the epidemic threshold
-// decryption. The networked peer runtime orders its exchange slots by
+// iteration (Algorithm 3): the encrypted sum of the means and the
+// noise, the min-identifier correction dissemination, the epidemic
+// threshold decryption. The networked peer runtime orders its exchange slots by
 // the same ranks.
 type Phase int
 
@@ -194,7 +195,7 @@ type IterationTrace struct {
 	CentroidsIn   int // live centroids used for assignment
 	CentroidsOut  int // centroids surviving perturbation + filters
 	EpsilonSpent  float64
-	SumCycles     int     // gossip cycles of the means/noise sum phase
+	SumCycles     int     // gossip cycles of the encrypted sum phase
 	DissCycles    int     // cycles of the correction dissemination
 	DecryptCycles int     // cycles of the epidemic decryption
 	PreInertia    float64 // only when Config.TraceQuality
@@ -535,8 +536,8 @@ func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.S
 		ps[i].Start(nw.env.Pack.Pack(BuildContribution(nw.data.Row(i), centroids, nw.env.Pack.Codec)))
 	})
 
-	// --- Algorithm 3 (a)+(b): means and noise sums run in lockstep on
-	// the same gossip exchanges, the counter piggybacking.
+	// --- Algorithm 3 (a)+(b): the sum of the means and the noise runs
+	// on the gossip exchanges, the counter piggybacking.
 	for c := 0; c < nw.cfg.Exchanges; c++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err

@@ -50,22 +50,25 @@ func (s *workScheme) MergeVec(dst *homenc.Vector, a homenc.Operand, shift uint, 
 // share-count test: a full in-memory exchange computes each merge once
 // for both sides, and a participant applies its key-share at most once,
 // to the one elected vector — at most np × 25 partial decryptions. Any
-// double merge or re-applied share moves the constants. Every
-// participant perturbs its own means before the election; the
-// correction is public and added without encrypting it, so encryptions
-// are the contributions and noise-shares alone. Only the participants
-// whose share set fills by union combine it — 6 of the 12, 25
-// ciphertexts each; the others take a released peer's release.
+// double merge or re-applied share moves the constants. A contribution
+// packs to 25 ciphertexts, and each participant encrypts it once with
+// its noise-shares folded in: 12 × 25 = 300 encryptions. The sum phase
+// runs 10 cycles of 12 exchanges, one merge of 25 pairs each: 3,000
+// pairs merged, and nothing else merges. Every participant perturbs its
+// own sum before the election; the correction is public and added
+// without encrypting it, 12 × 25 = 300 AddPublic calls. Only the
+// participants whose share set fills by union combine it — 6 of the 12,
+// 25 ciphertexts each; the others take a released peer's release.
 func TestSimulatorCryptoWork(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full crypto e2e")
 	}
 	const (
-		wantEncrypt   = 600
+		wantEncrypt   = 300
 		wantAddPublic = 300
 		wantPartial   = 250
 		wantCombine   = 150
-		wantMerged    = 6300
+		wantMerged    = 3000
 	)
 	const np = 12
 	data, _ := datasets.GenerateCER(np, randx.New(7, 0))

@@ -27,20 +27,17 @@ import (
 
 // CER dataset constants from Table 2 and Section 6.1.1 of the paper.
 const (
-	CERLen  = 24  // measures per series (one per hour)
-	CERMin  = 0.0 // measure range lower bound
-	CERMax  = 80.0
-	CERSize = 3_000_000 // series used in the paper's experiments
+	CERLen = 24  // measures per series (one per hour)
+	CERMin = 0.0 // measure range lower bound
+	CERMax = 80.0
 
-	NUMEDLen  = 20 // one measure per week
-	NUMEDMin  = 0.0
-	NUMEDMax  = 50.0
-	NUMEDSize = 1_200_000
+	NUMEDLen = 20 // one measure per week
+	NUMEDMin = 0.0
+	NUMEDMax = 50.0
 
 	A3Clusters = 50
 	A3BasePts  = 7_500
 	A3Replicas = 100
-	A3Size     = A3BasePts * A3Replicas // 750K
 	A3Min      = 0.0
 	A3Max      = 100.0
 )

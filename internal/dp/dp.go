@@ -32,31 +32,6 @@ func LaplaceScale(sensitivity, epsilon float64) float64 {
 	return sensitivity / epsilon
 }
 
-// CompensatedScale applies the Lemma 2 correction for a gossip
-// approximation error bounded by emax (relative): the sensitivity grows
-// by (1+emax) and the noise magnitude by 1/(1-emax), so
-//
-//	λ' = (1+emax) * sensitivity / ε
-//
-// with the generated noise further inflated by 1+emax/(1-emax)
-// (CompensationFactor).
-func CompensatedScale(sensitivity, epsilon, emax float64) float64 {
-	if emax < 0 || emax >= 1 {
-		panic("dp: emax must be in [0,1)")
-	}
-	return (1 + emax) * sensitivity / epsilon
-}
-
-// CompensationFactor returns 1 + emax/(1-emax), the multiplicative
-// inflation Lemma 2 applies to the gossip-approximated noise so that the
-// worst-case shrunk noise still dominates Laplace(λ).
-func CompensationFactor(emax float64) float64 {
-	if emax < 0 || emax >= 1 {
-		panic("dp: emax must be in [0,1)")
-	}
-	return 1 + emax/(1-emax)
-}
-
 // Theorem3Exchanges returns the minimum number of gossip exchanges per
 // participant that Newscast needs so that, with probability 1-iota, every
 // node's sum estimate is within emax of the exact value (Theorem 3, from
@@ -235,9 +210,6 @@ func (a *Accountant) Spend(eps float64) error {
 
 // Spent returns the cumulative ε consumed so far.
 func (a *Accountant) Spent() float64 { return a.spent }
-
-// Remaining returns the budget left.
-func (a *Accountant) Remaining() float64 { return a.Cap - a.spent }
 
 // Mechanism perturbs aggregates with Laplace noise. SumEps and CountEps
 // are the per-iteration budget split between the k sum vectors and the k

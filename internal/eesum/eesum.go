@@ -7,11 +7,12 @@
 //     homomorphically, and keep an integer weight that cancels the
 //     scaling at decode time;
 //   - epidemic noise generation (Section 4.2.2): each participant
-//     contributes a Laplace noise-share (Definition 5), the shares are
-//     EESum-aggregated alongside a cleartext participant counter; each
+//     adds a Laplace noise-share (Definition 5) into its contribution
+//     before it encrypts it, so one EESum state aggregates the means and
+//     the noise alongside a cleartext participant counter; each
 //     participant removes its own estimate of the surplus shares from
-//     its own sums and stands for election with the perturbed means,
-//     and a min-identifier dissemination elects one of them;
+//     its own sum and stands for election with the perturbed means, and
+//     a min-identifier dissemination elects one of them;
 //   - epidemic decryption (Section 4.2.3, over the elected vector only):
 //     participants gossip grow-only sets of partial decryptions, merged
 //     by union, each applying its own key-share at most once, until τ

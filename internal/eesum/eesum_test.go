@@ -48,10 +48,12 @@ func population(env *Env, contributions [][]*big.Int, noise NoiseConfig, rng *ra
 	return ps
 }
 
-// sumsOf starts participants with no noise variables: their exchanges
-// run the means sum (and the counter) alone.
+// sumsOf starts participants whose noise-shares lie far below every
+// codec's resolution, so they encode to zero: their exchanges run the
+// means sum (and the counter) alone.
 func sumsOf(env *Env, contributions [][]*big.Int) []*Participant {
-	return population(env, contributions, NoiseConfig{}, randx.New(0, 0))
+	silent := NoiseConfig{Lambdas: uniformLambdas(len(contributions[0]), 1e-300), NShares: 1}
+	return population(env, contributions, silent, randx.New(0, 0))
 }
 
 // The phase exchangers the tests drive participants with.

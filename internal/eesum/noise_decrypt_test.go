@@ -14,7 +14,7 @@ import (
 )
 
 // zeros is a means contribution of dim encoded zeros, for tests about
-// the noise side.
+// the noise: the sum then carries the noise-shares alone.
 func zeros(n, dim int) [][]*big.Int {
 	out := make([][]*big.Int, n)
 	for i := range out {
@@ -50,7 +50,7 @@ func TestNoiseGenExactPopulation(t *testing.T) {
 				t.Fatalf("trial %d: node %d proposed nonzero correction %v with exact nν", trial, i, cor[0])
 			}
 		}
-		est, err := estimate(env, ps[0].Noise.State(), plainDecrypt)
+		est, err := estimate(env, ps[0].Means.State(), plainDecrypt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestNoiseGenExactPopulation(t *testing.T) {
 func TestNoiseGenSurplusCorrection(t *testing.T) {
 	// With nν below the true population, the counter detects the surplus,
 	// every node proposes a correction, dissemination agrees on one, and
-	// applying it changes the encrypted noise state.
+	// applying it changes the encrypted sum.
 	const n = 32
 	const nShares = 20 // under-estimate of the population
 	codec := homenc.NewCodec(24)
@@ -95,8 +95,9 @@ func TestNoiseGenSurplusCorrection(t *testing.T) {
 		t.Fatal("no node proposed a surplus correction despite nν < population")
 	}
 	// Applying a correction shifts the noise estimate by -correction:
-	// the means are zeros, so the perturbed means are the corrected noise.
-	before, err := estimate(env, ps[0].Noise.State(), plainDecrypt)
+	// the means are zeros, so the sum is the noise and the perturbed
+	// means are the corrected noise.
+	before, err := estimate(env, ps[0].Means.State(), plainDecrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +153,14 @@ func proposal(p *Participant) (uint64, []float64) {
 	return CorrectionProposal(p.stream, p.noise, p.CtrS/p.CtrW, p.CtrW > 0)
 }
 
-func TestPerturbMeansLockstep(t *testing.T) {
-	// The means and noise sums ride the same exchanges, so they stay in
-	// lockstep and their ciphertexts add directly (Algorithm 3, line 7).
+// TestFoldedSumIsMeansPlusNoise: Start folds each noise-share into its
+// contribution, and the one sum that results is exactly what summing the
+// means and the noise apart and adding them (Algorithm 3, line 7) gives:
+// three populations with the same streams run the same exchanges — the
+// means with their noise, the means alone, the noise alone — and the
+// first's estimate is the sum of the other two's, as is the vector it
+// stands for election with once the correction is zero.
+func TestFoldedSumIsMeansPlusNoise(t *testing.T) {
 	const n = 16
 	codec := homenc.NewCodec(20)
 	env := testEnv(plainScheme(t, n), codec, 1)
@@ -162,23 +168,39 @@ func TestPerturbMeansLockstep(t *testing.T) {
 	for i := range meansInit {
 		meansInit[i] = []*big.Int{codec.Encode(float64(i))}
 	}
-	ps := population(env, meansInit, NoiseConfig{Lambdas: uniformLambdas(1, 2), NShares: n}, randx.New(33, 33))
-	e, err := sim.New(sim.Config{N: n, Seed: 9}, &sim.UniformSampler{})
-	if err != nil {
-		t.Fatal(err)
+	noise := NoiseConfig{Lambdas: uniformLambdas(1, 2), NShares: n}
+	silent := NoiseConfig{Lambdas: uniformLambdas(1, 1e-300), NShares: n}
+	estimates := make([]float64, 3)
+	var folded *Participant
+	for k, pop := range []struct {
+		init  [][]*big.Int
+		noise NoiseConfig
+	}{{meansInit, noise}, {meansInit, silent}, {zeros(n, 1), noise}} {
+		ps := population(env, pop.init, pop.noise, randx.New(33, 33))
+		e, err := sim.New(sim.Config{N: n, Seed: 9}, &sim.UniformSampler{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(e, 12, sums(ps))
+		est, err := estimate(env, ps[4].Means.State(), plainDecrypt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		estimates[k] = est[0]
+		if k == 0 {
+			folded = ps[4]
+		}
 	}
-	run(e, 12, sums(ps))
-	p := ps[4]
-	meanEst, err := estimate(env, p.Means.State(), plainDecrypt)
-	if err != nil {
-		t.Fatal(err)
+	means, alone := estimates[1], estimates[2]
+	if math.Abs(estimates[0]-(means+alone)) > 1e-6 {
+		t.Errorf("folded sum = %v, want mean %v + noise %v", estimates[0], means, alone)
 	}
-	noiseEst, err := estimate(env, p.Noise.State(), plainDecrypt)
-	if err != nil {
-		t.Fatal(err)
+	if alone == 0 {
+		t.Fatal("the noise-shares summed to zero: nothing was folded in")
 	}
 	// nν is the population: the counter finds no surplus, and the
 	// correction is zero.
+	p := folded
 	if math.Round(p.CtrS/p.CtrW) != n {
 		t.Fatalf("counter estimate %v, want %d", p.CtrS/p.CtrW, n)
 	}
@@ -189,23 +211,11 @@ func TestPerturbMeansLockstep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(perturbed[0]-(meanEst[0]+noiseEst[0])) > 1e-6 {
-		t.Errorf("perturbed = %v, want mean %v + noise %v", perturbed[0], meanEst[0], noiseEst[0])
+	if math.Abs(perturbed[0]-(means+alone)) > 1e-6 {
+		t.Errorf("perturbed = %v, want mean %v + noise %v", perturbed[0], means, alone)
 	}
 	if p.VecOmega.Cmp(p.Means.Omega) != 0 {
-		t.Error("the elected vector does not carry the means' weight")
-	}
-}
-
-func TestPerturbMeansOutOfLockstep(t *testing.T) {
-	codec := homenc.NewCodec(20)
-	sch := plainScheme(t, 4)
-	init := [][]*big.Int{{big.NewInt(1)}, {big.NewInt(1)}, {big.NewInt(1)}, {big.NewInt(1)}}
-	ps := population(testEnv(sch, codec, 1), init, NoiseConfig{Lambdas: uniformLambdas(1, 1), NShares: 4}, randx.New(1, 1))
-	// The means move, the noise does not.
-	ps[0].Means = mergeSum(sch, ps[0].Means.Operand(), ps[1].Means.Operand(), 1)
-	if err := ps[0].Propose(); err == nil {
-		t.Error("out-of-lockstep perturbation must fail")
+		t.Error("the elected vector does not carry the sum's weight")
 	}
 }
 
@@ -226,10 +236,10 @@ func (r *countingReader) Read(p []byte) (int, error) {
 }
 
 // TestProposeDrawsNoRandomness: the correction is public, so
-// subtracting it from the noise sum and adding the noise into the means
-// — Propose's perturbation, before the dissemination — draw no
-// randomizer: the scheme's entropy source is not read. The correction
-// still shifts the noise estimate by exactly -correction.
+// subtracting it from the sum — Propose's perturbation, before the
+// dissemination — draws no randomizer: the scheme's entropy source is
+// not read. The correction still shifts the noise estimate by exactly
+// -correction.
 func TestProposeDrawsNoRandomness(t *testing.T) {
 	const n, dim = 4, 3
 	p, q, err := damgardjurik.KnownSafePrimes(64)
@@ -250,7 +260,7 @@ func TestProposeDrawsNoRandomness(t *testing.T) {
 	}
 	decrypt := func(c homenc.Ciphertext) *big.Int { return homenc.Centered(sch.Decrypt(c), sch.NS) }
 	part := ps[0]
-	before, err := estimate(env, part.Noise.State(), decrypt)
+	before, err := estimate(env, part.Means.State(), decrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +281,8 @@ func TestProposeDrawsNoRandomness(t *testing.T) {
 	if got := random.n - drawn; got != 0 {
 		t.Errorf("the perturbation read %d bytes of randomness, want 0", got)
 	}
-	// The means are zeros: the perturbed means are the corrected noise.
+	// The means are zeros: the sum is the noise, and the perturbed means
+	// are the corrected noise.
 	after, err := estimate(env, perturbed.State(), decrypt)
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ type Env struct {
 	// SumEpochs bounds the epoch a sum state reaches by the end of the
 	// sum phase (0: unknown). A scheme with unbounded plaintexts widens
 	// its values by up to a bit an epoch, and a participant sizes its
-	// spare images for the width that bound allows.
+	// spare image for the width that bound allows.
 	SumEpochs int
 }
 
@@ -63,9 +63,9 @@ func (s SumSide) State() SumState {
 }
 
 // Participant is one participant's live protocol state for one
-// iteration: the encrypted side of its Diptych (Definition 6) — the
-// means sum and the noise sum running in lockstep, with the cleartext
-// participant counter — then the perturbed means it stands for election
+// iteration: the encrypted side of its Diptych (Definition 6) as one
+// EESum state, the means with the noise folded in, and the cleartext
+// participant counter, then the perturbed means it stands for election
 // with (Section 4.2.2's correction, applied before the dissemination),
 // then the key-shares gathered over the elected vector (Section 4.2.3),
 // and at last the release they decode to. The exported fields are what
@@ -76,8 +76,10 @@ func (s SumSide) State() SumState {
 // state is Settled no transition writes to it, so the wire runtime may
 // serve several exchanges from it concurrently.
 type Participant struct {
-	Means, Noise SumSide
-	CtrS, CtrW   float64 // the counter's σ and ω
+	// Means is the sum of every participant's contribution and
+	// noise-share: Algorithm 3's M.s +h N.s, one state from the start.
+	Means      SumSide
+	CtrS, CtrW float64 // the counter's σ and ω
 
 	// The vector this participant holds elected: the identifier of the
 	// correction proposal it was perturbed with (the smallest wins), the
@@ -93,10 +95,9 @@ type Participant struct {
 	// released peer. It is shared, never written; nil until settled.
 	Released []float64
 
-	// The images the next sum commit writes the means and the noise
-	// into: the states the last commit replaced, reused. Propose drops
-	// them.
-	spare [2]*homenc.Vector
+	// The image the next sum commit writes into: the state the last
+	// commit replaced, reused. Propose drops it.
+	spare *homenc.Vector
 
 	env    *Env
 	index  int        // 0-based; the key-share index is index+1
@@ -127,11 +128,14 @@ func (p *Participant) Resume(env *Env, index int, stream *randx.RNG, noise Noise
 func (p *Participant) share() int { return p.index + 1 }
 
 // Start begins an iteration from the participant's packed, encoded
-// means contribution (the assignment step's output): it encrypts the
-// contribution, draws its noise-share vector (Definition 5) from its
-// stream and encrypts that, and seeds the counter. Participant 0 holds
-// the epidemic weight 1 of both sums and the counter (Section 3.2,
-// footnote 5).
+// means contribution (the assignment step's output): it draws its
+// noise-share vector (Definition 5) from its stream, adds it, packed and
+// encoded, into the contribution, encrypts the sum once, and seeds the
+// counter. The noise configuration must pack to the contribution's
+// length. Participant 0 holds the epidemic weight 1 of the sum and the
+// counter (Section 3.2, footnote 5). Packing, encryption and the update
+// rule are linear, so the sum is Algorithm 3's M.s +h N.s exactly
+// (DESIGN.md §1, "One encrypted sum").
 func (p *Participant) Start(contribution []*big.Int) {
 	codec := p.env.Pack.Codec
 	shares := NoiseShareVector(p.stream, p.noise)
@@ -139,8 +143,14 @@ func (p *Participant) Start(contribution []*big.Int) {
 	for j, x := range shares {
 		noise[j] = codec.Encode(x)
 	}
-	p.Means = p.encrypt(contribution)
-	p.Noise = p.encrypt(p.env.Pack.Pack(noise))
+	folded := p.env.Pack.Pack(noise)
+	if len(folded) != len(contribution) {
+		panic("eesum: the noise-shares pack to another length than the contribution")
+	}
+	for j, c := range contribution {
+		folded[j] = new(big.Int).Add(folded[j], c)
+	}
+	p.Means = p.encrypt(folded)
 	p.CtrS, p.CtrW = 1, 0
 	if p.index == 0 {
 		p.CtrW = 1
@@ -165,53 +175,51 @@ func (p *Participant) encrypt(vec []*big.Int) SumSide {
 	return SumSide{CTs: w.Vector(), Omega: omega}
 }
 
-// --- Sum phase (Algorithm 2 on both sums, push-pull on the counter) ---
+// --- Sum phase (Algorithm 2 on the sum, push-pull on the counter) ---
 
-// SumPeer is the other side of a sum exchange as it arrived: its two
-// EESum states, read where they are, and its counter.
+// SumPeer is the other side of a sum exchange as it arrived: its EESum
+// state, read where it is, and its counter.
 type SumPeer struct {
-	Means, Noise SumOperand
-	CtrS, CtrW   float64
+	Means      SumOperand
+	CtrS, CtrW float64
 }
 
 func (p *Participant) sumPeer() SumPeer {
-	return SumPeer{Means: p.Means.Operand(), Noise: p.Noise.Operand(), CtrS: p.CtrS, CtrW: p.CtrW}
+	return SumPeer{Means: p.Means.Operand(), CtrS: p.CtrS, CtrW: p.CtrW}
 }
 
 // CommitSum applies this side's half of a sum exchange: Algorithm 2's
-// update rule on both lockstep sums and the pairwise average on the
-// counter. Both sides compute in (initiator, responder) order. The
-// peer's states are only read — a driver passes them straight from the
-// frame they arrived in — and the kernel writes the new states into
-// this participant's spare images, which then swap with the current
-// ones: past the first few commits, a commit allocates no image.
+// update rule on the sum and the pairwise average on the counter. Both
+// sides compute in (initiator, responder) order. The peer's state is
+// only read — a driver passes it straight from the frame it arrived in —
+// and the kernel writes the new state into this participant's spare
+// image, which then swaps with the current one: past the first few
+// commits, a commit allocates no image.
 func (p *Participant) CommitSum(peer SumPeer, initiator bool) {
 	a, b := p.sumPeer(), peer
 	if !initiator {
 		a, b = b, a
 	}
 	sch, w := p.env.Scheme, p.env.workers(a.Means.CTs.Len())
-	means := mergeSumInto(sch, p.sizedSpare(0, a.Means, b.Means), a.Means, b.Means, w)
-	noise := mergeSumInto(sch, p.sizedSpare(1, a.Noise, b.Noise), a.Noise, b.Noise, w)
-	p.swapIn(means, noise)
+	p.swapIn(mergeSumInto(sch, p.sizedSpare(a.Means, b.Means), a.Means, b.Means, w))
 	p.CtrS, p.CtrW = (a.CtrS+b.CtrS)/2, (a.CtrW+b.CtrW)/2
 }
 
-// spareImage returns spare image i, a new one when there is none yet.
-func (p *Participant) spareImage(i int) *homenc.Vector {
-	if p.spare[i] == nil {
-		p.spare[i] = new(homenc.Vector)
+// spareImage returns the spare image, a new one when there is none yet.
+func (p *Participant) spareImage() *homenc.Vector {
+	if p.spare == nil {
+		p.spare = new(homenc.Vector)
 	}
-	return p.spare[i]
+	return p.spare
 }
 
-// sizedSpare is spare image i with room for the image of the state
+// sizedSpare is the spare image with room for the image of the state
 // merged from a and b as it will be at the end of the sum, when the
 // scheme's values widen as they merge (unbounded plaintexts, with
-// Env.SumEpochs set): a spare then allocates once a sum instead of
+// Env.SumEpochs set): the spare then allocates once a sum instead of
 // regrowing as its values widen.
-func (p *Participant) sizedSpare(i int, a, b SumOperand) *homenc.Vector {
-	v := p.spareImage(i)
+func (p *Participant) sizedSpare(a, b SumOperand) *homenc.Vector {
+	v := p.spareImage()
 	if end := p.env.SumEpochs; end > 0 && p.env.Scheme.PlaintextSpace() == nil {
 		v.Expect(eventualImage(a, b, end))
 	}
@@ -231,25 +239,22 @@ func eventualImage(a, b SumOperand, end int) int {
 	return 4 + max(grown(a), grown(b))
 }
 
-// swapIn makes means and noise, written into the spare images, the
-// participant's states, and the images of the states they replace its
-// spares.
-func (p *Participant) swapIn(means, noise SumSide) {
-	p.spare = [2]*homenc.Vector{p.Means.CTs, p.Noise.CTs}
-	p.Means, p.Noise = means, noise
+// swapIn makes sum, written into the spare image, the participant's
+// state, and the image of the state it replaces its spare.
+func (p *Participant) swapIn(sum SumSide) {
+	p.spare, p.Means = p.Means.CTs, sum
 }
 
 // ExchangeSum runs a whole sum exchange between initiator p and
 // responder q in memory. The merge is computed once; q copies the result
-// into its own spare images unless the exchange ends half-completed
+// into its own spare image unless the exchange ends half-completed
 // (!full: the responder dropped out, Section 6.1.5).
 func (p *Participant) ExchangeSum(q *Participant, full bool) {
 	p.CommitSum(q.sumPeer(), true)
 	if full {
-		means, noise := p.Means, p.Noise
-		means.CTs = q.spareImage(0).Set(means.CTs)
-		noise.CTs = q.spareImage(1).Set(noise.CTs)
-		q.swapIn(means, noise)
+		sum := p.Means
+		sum.CTs = q.spareImage().Set(sum.CTs)
+		q.swapIn(sum)
 		q.CtrS, q.CtrW = p.CtrS, p.CtrW
 	}
 }
@@ -259,17 +264,16 @@ func (p *Participant) ExchangeSum(q *Participant, full bool) {
 
 // Propose ends the participant's sum phase: it draws its surplus-
 // correction proposal from its stream (CorrectionProposal, from the
-// counter's estimate), applies it to its own noise sum, adds the noise
-// into its own means, and stands for election with the result: the
-// proposal's identifier, the perturbed means and their weight. Every
-// participant does this work, as each did at the decryption boundary
-// before; the dissemination then keeps the smallest identifier's vector,
-// so one vector is decrypted and released. A participant resumed past
-// this point draws too — the stream must advance — but keeps the vector
-// it was restored with. The sum states stop changing here, so the spare
-// images go.
+// counter's estimate), subtracts it from its own sum, and stands for
+// election with the result: the proposal's identifier, the perturbed
+// means and their weight. Every participant does this work, as each did
+// at the decryption boundary before; the dissemination then keeps the
+// smallest identifier's vector, so one vector is decrypted and released.
+// A participant resumed past this point draws too — the stream must
+// advance — but keeps the vector it was restored with. The sum state
+// stops changing here, so the spare image goes.
 func (p *Participant) Propose() error {
-	p.spare = [2]*homenc.Vector{}
+	p.spare = nil
 	est, ok := 0.0, p.CtrW > 0
 	if ok {
 		est = p.CtrS / p.CtrW
@@ -286,24 +290,18 @@ func (p *Participant) Propose() error {
 	return nil
 }
 
-// perturb subtracts the correction cor from the noise sum and adds the
-// noise into the means: the perturbed means, an image of their own. The
-// correction is public and added without a randomizer; it reads the
-// noise state's image and writes the corrected noise into an image of
-// its own, which the means merge with. Packing is linear, so the packed
-// negated correction subtracts exactly per slot.
+// perturb subtracts the correction cor from the sum: the perturbed
+// means, an image of their own. The correction is public and added
+// without a randomizer; it reads the sum's image and writes the result
+// into an image of its own. Packing is linear, so the packed negated
+// correction subtracts exactly per slot.
 func (p *Participant) perturb(cor []float64) (SumSide, error) {
-	sch := p.env.Scheme
 	neg := make([]*big.Int, len(cor))
 	for j, x := range cor {
 		neg[j] = new(big.Int).Neg(p.env.Pack.Codec.Encode(x))
 	}
-	noise := p.Noise.Operand()
-	corrected, err := AddEncryptedState(sch, noise, p.env.Pack.Pack(neg), p.env.workers(noise.CTs.Len()))
-	if err != nil {
-		return SumSide{}, err
-	}
-	return PerturbState(sch, p.Means.Operand(), corrected.Operand())
+	sum := p.Means.Operand()
+	return AddEncryptedState(p.env.Scheme, sum, p.env.Pack.Pack(neg), p.env.workers(sum.CTs.Len()))
 }
 
 // CommitDiss is this side's min-identifier dissemination step: the

@@ -36,7 +36,6 @@ func plainPair(t *testing.T, dim int, space *big.Int) (p, q *Participant) {
 	mk := func(index int, st SumState) *Participant {
 		x := NewParticipant(env, index, nil, NoiseConfig{})
 		x.Means = SumSide{CTs: imageOf(t, st.CTs), Omega: st.Omega, Epoch: st.Epoch}
-		x.Noise = SumSide{CTs: imageOf(t, st.CTs), Omega: st.Omega, Epoch: st.Epoch}
 		x.CtrS = 1
 		return x
 	}
@@ -44,7 +43,7 @@ func plainPair(t *testing.T, dim int, space *big.Int) (p, q *Participant) {
 }
 
 // startedPair returns two participants of the bounded plain deployment
-// of sparePair, each holding the states its Start encrypted.
+// of sparePair, each holding the state its Start encrypted.
 func startedPair(t *testing.T, dim int) (p, q *Participant) {
 	t.Helper()
 	p, q = sparePair(t, dim)
@@ -62,10 +61,10 @@ func startedPair(t *testing.T, dim int) (p, q *Participant) {
 }
 
 // TestCommitSumReusesSpareImages: past its first few commits, a sum
-// commit writes both new states into the participant's spare images, so
-// it allocates neither image — only the kernel's scratch and the new
-// weights. The in-memory exchange's responder copies the result into its
-// own spares, and allocates no image either.
+// commit writes the new state into the participant's spare image, so it
+// allocates no image — only the kernel's scratch and the new weight. The
+// in-memory exchange's responder copies the result into its own spare,
+// and allocates no image either.
 func TestCommitSumReusesSpareImages(t *testing.T) {
 	const dim = 50
 	if raceEnabled {
@@ -77,7 +76,7 @@ func TestCommitSumReusesSpareImages(t *testing.T) {
 	}
 	img := p.Means.CTs.WireSize()
 	peer := q.sumPeer()
-	const slack = 800 // both merges' scratch words and weights (≈ 490 B), below one image (≈ 1 KB)
+	const slack = 400 // the merge's scratch words and weight (≈ 245 B), below half an image (≈ 865 B)
 	if got := bytesPerRun(100, func() { p.CommitSum(peer, true) }); got > float64(slack) {
 		t.Errorf("a steady-state sum commit allocated %.0f bytes, want at most %d (one %d-byte image would exceed it)", got, slack, img)
 	}
@@ -105,10 +104,10 @@ func TestCommitSumReusesSpareImages(t *testing.T) {
 	}
 
 	// Sized from the epoch the sum ends by (Env.SumEpochs), each image
-	// regrows at most once a sum: the first commit allocates the two new
-	// spares, the second replaces the buffers of the two states the
-	// participant started with, and no later commit allocates an image,
-	// however much the values widen before that epoch.
+	// regrows at most once a sum: the first commit allocates the new
+	// spare, the second replaces the buffer of the state the participant
+	// started with, and no later commit allocates an image, however much
+	// the values widen before that epoch.
 	p, q = plainPair(t, dim, nil)
 	p.env.SumEpochs = 64
 	peer = q.sumPeer()
@@ -123,17 +122,17 @@ func TestCommitSumReusesSpareImages(t *testing.T) {
 		}
 	}
 	if regrew != 2 {
-		t.Errorf("%d commits allocated images, want 2: one for the new spares, one for the states the sum started with", regrew)
+		t.Errorf("%d commits allocated images, want 2: one for the new spare, one for the state the sum started with", regrew)
 	}
 	if end := p.Means.CTs.WireSize(); end < start+5*dim {
 		t.Fatalf("the image only grew from %d to %d bytes: the values did not widen", start, end)
 	}
 
-	// Start encrypts each state into an image with room for every
-	// element at the scheme's ciphertext width, so Start's images serve
-	// as spares too: the first commit allocates the two spares it writes
-	// into, the second writes into the images Start left, and no commit
-	// after the first allocates an image.
+	// Start encrypts the state into an image with room for every element
+	// at the scheme's ciphertext width, so Start's image serves as a
+	// spare too: the first commit allocates the spare it writes into, the
+	// second writes into the image Start left, and no commit after the
+	// first allocates an image.
 	p, q = startedPair(t, dim)
 	peer = q.sumPeer()
 	for commit := 1; commit <= 4; commit++ {
@@ -156,10 +155,10 @@ func allocatedBy(f func()) uint64 {
 }
 
 // TestExchangeSumResponderOwnsItsImages is the aliasing guard of the
-// spare images: after a full in-memory exchange the responder holds the
-// initiator's result in images of its own, so the initiator's further
-// commits — which rewrite its spares, the image it would otherwise have
-// shared among them — leave the responder's bytes as they were, also
+// spare image: after a full in-memory exchange the responder holds the
+// initiator's result in an image of its own, so the initiator's further
+// commits — which rewrite its spare, the image it would otherwise have
+// shared — leave the responder's bytes as they were, also
 // while another goroutine reads them (the simulator runs disjoint pairs
 // concurrently).
 func TestExchangeSumResponderOwnsItsImages(t *testing.T) {
@@ -167,20 +166,20 @@ func TestExchangeSumResponderOwnsItsImages(t *testing.T) {
 	p, q := sparePair(t, dim)
 	_, r := sparePair(t, dim)
 	p.ExchangeSum(q, true)
-	if q.Means.CTs == p.Means.CTs || q.Noise.CTs == p.Noise.CTs {
-		t.Fatal("the responder holds the initiator's images")
+	if q.Means.CTs == p.Means.CTs {
+		t.Fatal("the responder holds the initiator's image")
 	}
-	means, noise := q.Means.CTs.AppendTo(nil), q.Noise.CTs.AppendTo(nil)
-	if !bytes.Equal(means, p.Means.CTs.AppendTo(nil)) {
-		t.Fatal("the responder's means differ from the initiator's result")
+	sum := q.Means.CTs.AppendTo(nil)
+	if !bytes.Equal(sum, p.Means.CTs.AppendTo(nil)) {
+		t.Fatal("the responder's sum differs from the initiator's result")
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			if !bytes.Equal(q.Means.CTs.AppendTo(nil), means) || !bytes.Equal(q.Noise.CTs.AppendTo(nil), noise) {
-				t.Error("the responder's images changed under the initiator's later commits")
+			if !bytes.Equal(q.Means.CTs.AppendTo(nil), sum) {
+				t.Error("the responder's image changed under the initiator's later commits")
 				return
 			}
 		}
@@ -189,7 +188,7 @@ func TestExchangeSumResponderOwnsItsImages(t *testing.T) {
 		p.ExchangeSum(r, i%2 == 0)
 	}
 	wg.Wait()
-	if !bytes.Equal(q.Means.CTs.AppendTo(nil), means) || !bytes.Equal(q.Noise.CTs.AppendTo(nil), noise) {
-		t.Fatal("the responder's images changed under the initiator's later commits")
+	if !bytes.Equal(q.Means.CTs.AppendTo(nil), sum) {
+		t.Fatal("the responder's image changed under the initiator's later commits")
 	}
 }

@@ -8,9 +8,7 @@ package eesum
 
 import (
 	"errors"
-	"maps"
 	"math/big"
-	"slices"
 
 	"chiaroscuro/internal/homenc"
 	"chiaroscuro/internal/parallel"
@@ -21,9 +19,9 @@ import (
 // integer epidemic weight, and the deferred-division epoch. Its logical
 // value is CTs / (Omega · 2^FracBits); the 2^Epoch scaling is common to
 // numerator and weight and cancels at decode time. A participant keeps
-// its states as SumSides, whose vectors are images; the value form
-// exists only at the edge of the adapters below, for callers that hold
-// values already.
+// its state as a SumSide, whose vector is an image; the value form
+// exists only at the edge of the adapters in probe.go, for callers that
+// hold values already.
 type SumState struct {
 	CTs   []homenc.Ciphertext
 	Omega *big.Int
@@ -38,17 +36,6 @@ type SumOperand struct {
 	CTs   homenc.Operand
 	Omega *big.Int
 	Epoch int
-}
-
-// MergeSum is mergeSum over states in value form: they are encoded into
-// images first, and the result is decoded back into values. It adapts
-// the one kernel to callers that hold values — today only the
-// benchmark's layer probe; the protocol merges SumOperands.
-func MergeSum(sch homenc.Scheme, a, b SumState, workers int) SumState {
-	op := func(st SumState) SumOperand {
-		return SumOperand{CTs: homenc.NewVector(st.CTs).Operand(), Omega: st.Omega, Epoch: st.Epoch}
-	}
-	return mergeSum(sch, op(a), op(b), workers).State()
 }
 
 // mergeSum is mergeSumInto a vector of its own.
@@ -96,23 +83,6 @@ func AddEncryptedState(sch homenc.Scheme, st SumOperand, v []*big.Int, workers i
 	return SumSide{CTs: cts, Omega: st.Omega, Epoch: st.Epoch}, err
 }
 
-// PerturbState adds the noise state's ciphertexts element-wise into the
-// means state (Algorithm 3 line 7: M.s = M.s +h N.s) and returns the
-// perturbed means. Both states must have run in lockstep on the same
-// exchanges, so their weights and epochs agree and the ciphertexts add
-// directly.
-func PerturbState(sch homenc.Scheme, means, noise SumOperand) (SumSide, error) {
-	if means.CTs.Len() != noise.CTs.Len() {
-		return SumSide{}, errors.New("eesum: dimension mismatch between means and noise")
-	}
-	if means.Omega.Cmp(noise.Omega) != 0 || means.Epoch != noise.Epoch {
-		return SumSide{}, errors.New("eesum: means and noise states not in lockstep")
-	}
-	perturbed := new(homenc.Vector)
-	sch.MergeVec(perturbed, means.CTs, 0, noise.CTs, 1)
-	return SumSide{CTs: perturbed, Omega: means.Omega, Epoch: means.Epoch}, nil
-}
-
 // DecodePackedState decodes the decrypted plaintexts of a (possibly
 // packed) SumState: they are centered into the plaintext space, split
 // into their dim slot values, and each slot decoded with the weight.
@@ -148,27 +118,11 @@ func DimWorkers(dim, workers int) int {
 // The decryption reads its vectors where they are — a participant's
 // elected vector and gathered parts are images — element by element
 // (homenc.OperandReader), decoding each element into scratch the kernel
-// reuses. DecPartials and CombineParts adapt the kernels to callers that
-// hold values, encoding them into images first.
+// reuses. DecPartials and CombineParts (probe.go) adapt the kernels to
+// callers that hold values, encoding them into images first.
 
 // errIncomplete: fewer than τ key-shares were gathered.
 var errIncomplete = errors.New("eesum: decryption incomplete")
-
-// DecPartials computes key-share idx's partial decryption of every
-// element of cts — the unit of work one participant contributes to a
-// peer's (or its own) decryption state. It is partials over cts encoded,
-// the partial decryptions decoded back into values.
-func DecPartials(sch homenc.Scheme, idx int, cts []homenc.Ciphertext, workers int) ([]homenc.PartialDecryption, error) {
-	v, err := partials(sch, idx, homenc.NewVector(cts).Operand(), workers)
-	if err != nil {
-		return nil, err
-	}
-	ps := make([]homenc.PartialDecryption, len(cts))
-	for j, c := range v.CopyValues() {
-		ps[j] = homenc.PartialDecryption{Index: idx, V: c.V}
-	}
-	return ps, nil
-}
 
 // partials applies key-share idx to every element of cts and returns the
 // partial decryptions as the image they are sent and journaled as: each
@@ -223,26 +177,6 @@ func groupBytes(cts homenc.Operand) int {
 		size += (r.NextBits()+7)/8 + 1
 	}
 	return size
-}
-
-// CombineParts combines τ gathered partial-decryption vectors into the
-// plaintext vector of cts. parts maps share index to per-element
-// partials; threshold distinct shares must be present. It is combine
-// over cts and the partials encoded.
-func CombineParts(sch homenc.Scheme, cts []homenc.Ciphertext, parts map[int][]homenc.PartialDecryption, threshold, workers int) ([]*big.Int, error) {
-	if len(parts) < threshold {
-		return nil, errIncomplete
-	}
-	shares := slices.Sorted(maps.Keys(parts))[:threshold]
-	ops := make([]homenc.Operand, threshold)
-	for k, idx := range shares {
-		vals := make([]homenc.Ciphertext, len(parts[idx]))
-		for j, p := range parts[idx] {
-			vals[j].V = p.V
-		}
-		ops[k] = homenc.NewVector(vals).Operand()
-	}
-	return combine(sch, homenc.NewVector(cts).Operand(), shares, ops, workers)
 }
 
 // combine decrypts every element of cts from the partial decryptions

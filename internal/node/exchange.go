@@ -34,7 +34,7 @@ type iterState = eesum.Participant
 // sumOut is the iteration's sum-phase state as an exchange leg (or a
 // journal checkpoint, with a zero header) sends it.
 func sumOut(st *iterState, hdr wireproto.ExchangeHdr) wireproto.SumOut {
-	return wireproto.SumOut{Hdr: hdr, Means: st.Means, Noise: st.Noise, CtrSigma: st.CtrS, CtrOmega: st.CtrW}
+	return wireproto.SumOut{Hdr: hdr, Means: st.Means, CtrSigma: st.CtrS, CtrOmega: st.CtrW}
 }
 
 // dissOut is the elected vector as a journal checkpoint records it.
@@ -425,20 +425,20 @@ func respondLegs[H half[H]](nd *Node, req byte, st *iterState, s slot, from int,
 	return tryCommitted
 }
 
-// --- sum phase (encrypted means + noise lockstep + counter) ---
+// --- sum phase (encrypted sum + counter) ---
 
-// sumHalf: either state leg carries the side's two EESum states and its
+// sumHalf: either state leg carries the side's EESum state and its
 // counter, the fin is bare, and either side commits Algorithm 2's update
 // rule against the other's state, read off its leg. The half keeps the
 // leg's payload — the frame is held until the commit — rather than its
-// 184-byte scanned view, so the engine's frames under every exchange
+// 112-byte scanned view, so the engine's frames under every exchange
 // stay small; the commit scans the payload again and the merge kernel
 // reads the peer's ciphertexts straight out of it.
 type sumHalf struct{ payload []byte }
 
 func (sumHalf) scan(nd *Node, st *iterState, payload []byte, _ int, _ bool) (sumHalf, wireproto.ExchangeHdr, bool) {
 	v, err := wireproto.ScanSum(payload, nd.lim)
-	return sumHalf{payload}, v.Hdr, err == nil && nd.validSumState(v.Means, st.Means.CTs.Len()) && nd.validSumState(v.Noise, st.Noise.CTs.Len())
+	return sumHalf{payload}, v.Hdr, err == nil && nd.validSumState(v.Means, st.Means.CTs.Len())
 }
 
 func (h sumHalf) prepare(*iterState, bool) sumHalf { return h }
@@ -451,9 +451,11 @@ func (sumHalf) out(l leg, st *iterState, hdr wireproto.ExchangeHdr) error {
 
 func (sumHalf) fin(l leg, hdr wireproto.ExchangeHdr) error { return send(l, wireproto.Fin{Hdr: hdr}) }
 
+// scanFin vets the fin: it is bare, so one carrying anything past its
+// header — a state, say — is refused.
 func (h sumHalf) scanFin(_ *Node, _ *iterState, payload []byte) (sumHalf, wireproto.ExchangeHdr, bool) {
 	hdr, err := wireproto.PeekHdr(payload)
-	return h, hdr, err == nil
+	return h, hdr, err == nil && len(payload) == wireproto.Fin{Hdr: hdr}.Size()
 }
 
 func (h sumHalf) commit(nd *Node, st *iterState, _ int, initiator bool) {

@@ -47,7 +47,6 @@ func TestGoldenJournal(t *testing.T) {
 	sumState := func() *iterState {
 		return &iterState{
 			Means: eesum.SumSide{CTs: cts(3), Omega: big.NewInt(1 << 20), Epoch: 5},
-			Noise: eesum.SumSide{CTs: cts(70), Omega: big.NewInt(1 << 20), Epoch: 5},
 			CtrS:  2.75,
 			CtrW:  0.125,
 		}

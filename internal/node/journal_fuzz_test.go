@@ -131,7 +131,8 @@ func parentLayoutCheckpoint(tb testing.TB, p []byte, lim wireproto.Limits) []byt
 // state) that decodes and re-encodes to itself byte for byte. The real
 // records of a journaled run are canonical already; a record whose
 // dissemination and decryption segments are in the layout before the
-// dissemination elected the vector to decrypt is corrupt.
+// dissemination elected the vector to decrypt is corrupt, and so is one
+// whose sum segment carries the means and the noise as two states.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	ckpts, _, lim := journaledRecords(f)
 	var withParts []byte
@@ -156,6 +157,11 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		f.Fatalf("parent-layout dissemination and decryption segments decode with %v, want ErrCorrupt", err)
 	}
 	f.Add(parent)
+	twoState := twoStateCheckpoint(f, withParts, lim)
+	if _, err := decodeCheckpoint(twoState, lim); !errors.Is(err, journal.ErrCorrupt) {
+		f.Fatalf("a two-state sum segment decodes with %v, want ErrCorrupt", err)
+	}
+	f.Add(twoState)
 	f.Fuzz(func(t *testing.T, p []byte) {
 		ck, err := decodeCheckpoint(p, lim)
 		if err != nil {

@@ -1,8 +1,8 @@
 // Package node is the networked Chiaroscuro peer runtime: it drives
-// the full encrypted Diptych protocol — assignment, encrypted
-// means/noise sums, noise-surplus correction, epidemic threshold
-// decryption, centroid update — over real TCP connections framed by
-// internal/wireproto.
+// the full encrypted Diptych protocol — assignment, the encrypted sum of
+// the means with every noise-share folded in, noise-surplus correction,
+// epidemic threshold decryption, centroid update — over real TCP
+// connections framed by internal/wireproto.
 //
 // Determinism model. Every participant is provisioned with the same
 // seed and protocol parameters, mirrors the simulation engine

@@ -3,6 +3,7 @@ package node
 import (
 	"math/big"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -280,9 +281,11 @@ func TestCrashMidExchangeLeavesHalfCompletedState(t *testing.T) {
 		states func(ndA, ndB *Node) (stA, stB *iterState, check func(t *testing.T, initMerged bool))
 	}{
 		{"sum", phaseSum, func(ndA, ndB *Node) (*iterState, *iterState, func(*testing.T, bool)) {
+			// The noise-shares pack to the four plaintexts of a
+			// contribution, whatever the deployment's slot count.
 			mk := func(nd *Node) *iterState {
 				st := eesum.NewParticipant(nd.env, nd.cfg.Index, randx.New(9, uint64(nd.cfg.Index)),
-					eesum.NoiseConfig{Lambdas: []float64{1, 1, 1, 1}, NShares: 2})
+					eesum.NoiseConfig{Lambdas: slices.Repeat([]float64{1}, 4*max(1, nd.env.Pack.Slots)), NShares: 2})
 				st.Start(vecs[nd.cfg.Index])
 				return st
 			}

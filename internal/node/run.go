@@ -161,13 +161,14 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 		st.Resume(nd.env, nd.cfg.Index, myStream, noise)
 	} else {
 		// --- Assignment step (local, cleartext). The contribution is
-		// packed into the deployment's shared slot layout before
-		// encryption; the noise shares come from this node's own stream.
+		// packed into the deployment's shared slot layout, and the
+		// noise-shares from this node's own stream folded into it,
+		// before encryption.
 		st = eesum.NewParticipant(nd.env, nd.cfg.Index, myStream, noise)
 		st.Start(nd.env.Pack.Pack(core.BuildContribution(nd.cfg.Series, centroids, nd.env.Pack.Codec)))
 	}
 
-	// --- Algorithm 3 (a): means and noise sums in lockstep, counter
+	// --- Algorithm 3 (a): the sum of the means and the noise, counter
 	// piggybacking, over the wire.
 	nd.phaseNow.Store(int64(phaseSum))
 	if err := nd.runPhase(it, phaseSum, nd.cfg.Proto.Exchanges, st, rz); err != nil {
@@ -176,7 +177,7 @@ func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, 
 	trace.SumCycles = nd.cfg.Proto.Exchanges
 
 	// --- Algorithm 3 (b): the correction proposal from own stream,
-	// applied to own sums, then the min-identifier dissemination elects
+	// applied to own sum, then the min-identifier dissemination elects
 	// one perturbed vector. The counter freezes when the sum phase ends,
 	// so a resume past that point replays the proposal with the identical
 	// estimate.

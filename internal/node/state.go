@@ -304,7 +304,7 @@ func decodeIteration(p []byte) (iterationRecord, error) {
 
 // checkpointRecord is one commit point's full iteration state. The
 // three protocol segments reuse the wire codecs (with zeroed exchange
-// headers) — the sum states, the elected vector with its identifier and
+// headers) — the sum state, the elected vector with its identifier and
 // weight, and the share set with this participant's own key-share, if
 // applied, as the fresh share. The journal speaks the same canonical
 // encoding as the wire, so the bounded decoders and their fuzzing cover
@@ -362,11 +362,10 @@ func decodeCheckpoint(p []byte, lim wireproto.Limits) (checkpointRecord, error) 
 	if err != nil {
 		return checkpointRecord{}, corrupt("checkpoint", err)
 	}
-	// The journal's bytes become the sum states' images: restoring them
+	// The journal's bytes become the sum state's image: restoring it
 	// materializes no value.
 	r.st = &iterState{
 		Means: sum.Means.Copy(),
-		Noise: sum.Noise.Copy(),
 		CtrS:  sum.CtrSigma,
 		CtrW:  sum.CtrOmega,
 	}

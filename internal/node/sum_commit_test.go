@@ -38,7 +38,7 @@ func TestSumCommitMaterializesNothing(t *testing.T) {
 	// atRest returns a state the way a participant holds it between
 	// exchanges: an image, as the journal (or a merge) left it.
 	atRest := func(st eesum.SumState) eesum.SumSide {
-		v, err := wireproto.ScanSum(wireproto.Marshal(&wireproto.SumOut{Means: wireproto.SideOf(st), Noise: wireproto.SideOf(st)}), lim)
+		v, err := wireproto.ScanSum(wireproto.Marshal(&wireproto.SumOut{Means: wireproto.SideOf(st)}), lim)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,13 +47,13 @@ func TestSumCommitMaterializesNothing(t *testing.T) {
 	mine, theirs := state(5, 2, 3), state(900, 7, 5)
 	nd := &Node{lim: lim, env: env}
 	frame := wireproto.Marshal(&wireproto.SumOut{
-		Hdr:   wireproto.ExchangeHdr{Iter: 1, Cycle: 2, Seq: 3, From: 1, To: 0},
-		Means: wireproto.SideOf(theirs), Noise: wireproto.SideOf(theirs),
+		Hdr:      wireproto.ExchangeHdr{Iter: 1, Cycle: 2, Seq: 3, From: 1, To: 0},
+		Means:    wireproto.SideOf(theirs),
 		CtrSigma: 0.5, CtrOmega: 0.25,
 	})
 	for _, initiator := range []bool{true, false} {
 		st := eesum.NewParticipant(env, 0, nil, eesum.NoiseConfig{})
-		st.Means, st.Noise = atRest(mine), atRest(mine)
+		st.Means = atRest(mine)
 		st.CtrS = 1
 		payload := bytes.Clone(frame)
 		before := homenc.ReadWireStats()
@@ -73,17 +73,16 @@ func TestSumCommitMaterializesNothing(t *testing.T) {
 			a, b = b, a
 		}
 		want := eesum.MergeSum(sch, a, b, 1)
-		for _, got := range []eesum.SumSide{st.Means, st.Noise} {
-			if got.Epoch != want.Epoch || got.Omega.Cmp(want.Omega) != 0 {
-				t.Fatalf("initiator %v: committed (epoch %d, weight %v), want (%d, %v)", initiator, got.Epoch, got.Omega, want.Epoch, want.Omega)
-			}
-			wantImg, err := homenc.MarshalVector(want.CTs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got.CTs.AppendTo(nil), wantImg) {
-				t.Fatalf("initiator %v: committed ciphertexts differ from the update rule's", initiator)
-			}
+		got := st.Means
+		if got.Epoch != want.Epoch || got.Omega.Cmp(want.Omega) != 0 {
+			t.Fatalf("initiator %v: committed (epoch %d, weight %v), want (%d, %v)", initiator, got.Epoch, got.Omega, want.Epoch, want.Omega)
+		}
+		wantImg, err := homenc.MarshalVector(want.CTs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.CTs.AppendTo(nil), wantImg) {
+			t.Fatalf("initiator %v: committed ciphertexts differ from the update rule's", initiator)
 		}
 		if st.CtrS != 0.75 || st.CtrW != 0.125 {
 			t.Fatalf("initiator %v: counter (%v, %v), want (0.75, 0.125)", initiator, st.CtrS, st.CtrW)

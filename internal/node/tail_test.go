@@ -348,7 +348,7 @@ func TestPassiveServeSurvivesResponseCut(t *testing.T) {
 // it later, is crashed.
 //
 // The main loop serves a gated slot itself when the victim settles late:
-// runTail hands it the requests already parked for its tail. Such a
+// openTail hands it the requests already parked for its tail. Such a
 // serve must not wait for the main loop's request-leg hook, which the
 // loop can only reach after the serve; the gate tells it apart by the
 // goroutine, the one that runs the request legs.

@@ -4,8 +4,8 @@
 // conflict-free exchange batches of the parallel simulation cycle.
 //
 // The process-wide default worker count is runtime.NumCPU(), overridable
-// programmatically with SetWorkers or from the environment with
-// CHIAROSCURO_WORKERS (CI sets it to 1 to force fully serial runs).
+// from the environment with CHIAROSCURO_WORKERS (CI sets it to 1 to
+// force fully serial runs).
 // Every fan-out assigns each index to exactly one worker, so any
 // computation whose index i writes only slot i is deterministic
 // regardless of the worker count.
@@ -68,21 +68,11 @@ func setWorkers(v int) {
 // Workers returns the process-wide default worker count (>= 1).
 func Workers() int { return int(defaultWorkers.Load()) }
 
-// SetWorkers overrides the process-wide default worker count and the
-// shared spawn budget; values below 1 reset it to runtime.NumCPU(). It
-// must not be called concurrently with running fan-outs.
-func SetWorkers(v int) {
-	if v < 1 {
-		v = runtime.NumCPU()
-	}
-	setWorkers(v)
-}
-
 // ForEach runs fn(i) for every i in [0, n) and returns when all calls
 // completed. The calling goroutine always participates; up to
 // workers-1 helper goroutines are spawned while the process-wide spawn
 // budget allows, so total worker concurrency stays bounded by the
-// SetWorkers/CHIAROSCURO_WORKERS setting no matter how fan-outs nest
+// CHIAROSCURO_WORKERS setting no matter how fan-outs nest
 // or race. workers <= 1 (or a single-element range) is exactly a plain
 // inline loop. Indices are handed out dynamically, which keeps cores
 // busy when per-index cost is skewed (the big.Int exponent sizes of

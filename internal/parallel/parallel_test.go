@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -53,18 +52,16 @@ func TestEnvWorkers(t *testing.T) {
 	}
 }
 
+// TestWorkersDefaultAndOverride: the default is at least one worker, and
+// the override CHIAROSCURO_WORKERS applies (setWorkers) sets it.
 func TestWorkersDefaultAndOverride(t *testing.T) {
 	orig := Workers()
-	defer SetWorkers(orig)
+	defer setWorkers(orig)
 	if orig < 1 {
 		t.Fatalf("default workers %d < 1", orig)
 	}
-	SetWorkers(3)
+	setWorkers(3)
 	if got := Workers(); got != 3 {
-		t.Fatalf("SetWorkers(3) -> %d", got)
-	}
-	SetWorkers(0) // reset to NumCPU
-	if got := Workers(); got != runtime.NumCPU() {
-		t.Fatalf("SetWorkers(0) -> %d, want NumCPU %d", got, runtime.NumCPU())
+		t.Fatalf("setWorkers(3) -> %d", got)
 	}
 }

@@ -218,16 +218,6 @@ func (d *Dataset) Append(s Series) {
 	d.t++
 }
 
-// AppendRaw adds t series stored contiguously in raw. It panics if
-// len(raw) is not a multiple of the series length.
-func (d *Dataset) AppendRaw(raw []float64) {
-	if len(raw)%d.n != 0 {
-		panic("timeseries: raw buffer is not a whole number of series")
-	}
-	d.data = append(d.data, raw...)
-	d.t += len(raw) / d.n
-}
-
 // Len returns the number of series t.
 func (d *Dataset) Len() int { return d.t }
 

@@ -203,20 +203,6 @@ func TestFromSeriesRagged(t *testing.T) {
 	}
 }
 
-func TestAppendRaw(t *testing.T) {
-	d := NewDataset(2)
-	d.AppendRaw([]float64{1, 2, 3, 4})
-	if d.Len() != 2 || d.Row(1)[1] != 4 {
-		t.Errorf("AppendRaw wrong: len=%d", d.Len())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("AppendRaw with ragged buffer should panic")
-		}
-	}()
-	d.AppendRaw([]float64{1})
-}
-
 func TestFullInertiaTwoPoints(t *testing.T) {
 	d := NewDataset(1)
 	d.Append(Series{0})

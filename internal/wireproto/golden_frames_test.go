@@ -92,7 +92,6 @@ func goldenLegs() []goldenLeg {
 	sum := &SumOut{
 		Hdr:      hdr,
 		Means:    SideOf(eesum.SumState{CTs: ctsOf("10", "-20", "0", "0x400000000000000005", "-0x10000000000000000"), Omega: big.NewInt(3), Epoch: 5}),
-		Noise:    SideOf(eesum.SumState{CTs: ctsOf("7", "8", "9", "0x200000000", "-1"), Omega: big.NewInt(3), Epoch: 5}),
 		CtrSigma: 12.5, CtrOmega: 0.25,
 	}
 	dissReq := eagerDiss{Hdr: hdr, ID: 0xDEADBEEF01}

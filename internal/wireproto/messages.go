@@ -241,27 +241,9 @@ func UnmarshalLeave(data []byte) (Leave, error) {
 
 // --- encrypted sum phase ---
 
-// SumMsg carries one side's full sum-phase state: the encrypted means
-// EESum state, the encrypted noise EESum state running in lockstep, and
-// the cleartext participant counter piggybacking on the same exchange.
-// It is the decoded form; the exchange legs send a SumOut.
-type SumMsg struct {
-	Hdr      ExchangeHdr
-	Means    eesum.SumState
-	Noise    eesum.SumState
-	CtrSigma float64
-	CtrOmega float64
-}
-
 // SumSide is one EESum state in wire-ready form. A participant's state
 // at rest is already one: its vector is the image the next send appends.
 type SumSide = eesum.SumSide
-
-// SideOf encodes a plain EESum state for sending: its vector becomes
-// an image of its own.
-func SideOf(st eesum.SumState) SumSide {
-	return SumSide{CTs: homenc.NewVector(st.CTs), Omega: st.Omega, Epoch: st.Epoch}
-}
 
 func sideSize(s SumSide) int { return s.CTs.WireSize() + homenc.IntWireSize(s.Omega) + 4 }
 
@@ -270,29 +252,26 @@ func appendSide(dst []byte, s SumSide) []byte {
 	return binary.BigEndian.AppendUint32(dst, uint32(s.Epoch))
 }
 
-// SumOut is the sending form of a SumMsg (KindSumReq and KindSumResp).
+// SumOut is one side's full sum-phase state (KindSumReq and KindSumResp,
+// and a journal checkpoint's sum segment): its EESum state — the means
+// with the noise-shares folded in — and the cleartext participant
+// counter piggybacking on the same exchange.
 type SumOut struct {
 	Hdr      ExchangeHdr
 	Means    SumSide
-	Noise    SumSide
 	CtrSigma float64
 	CtrOmega float64
 }
 
 // Size implements Message.
-func (m SumOut) Size() int { return hdrSize + sideSize(m.Means) + sideSize(m.Noise) + 16 }
+func (m SumOut) Size() int { return hdrSize + sideSize(m.Means) + 16 }
 
 // AppendTo implements Message.
 func (m SumOut) AppendTo(dst []byte) []byte {
-	e := Enc{B: appendSide(appendSide(m.Hdr.appendTo(dst), m.Means), m.Noise)}
+	e := Enc{B: appendSide(m.Hdr.appendTo(dst), m.Means)}
 	e.F64(m.CtrSigma)
 	e.F64(m.CtrOmega)
 	return e.B
-}
-
-// MarshalSum encodes a SumMsg payload.
-func MarshalSum(m SumMsg) []byte {
-	return Marshal(&SumOut{Hdr: m.Hdr, Means: SideOf(m.Means), Noise: SideOf(m.Noise), CtrSigma: m.CtrSigma, CtrOmega: m.CtrOmega})
 }
 
 // SumSideView is one scanned, not yet materialized EESum state; it
@@ -327,12 +306,11 @@ func scanSumSide(d *Dec, lim Limits) SumSideView {
 	return v
 }
 
-// SumView is the structural scan of a SumMsg payload: every bound of
+// SumView is the structural scan of a SumOut payload: every bound of
 // Limits enforced, no big.Int built. It aliases the payload.
 type SumView struct {
 	Hdr      ExchangeHdr
 	Means    SumSideView
-	Noise    SumSideView
 	CtrSigma float64
 	CtrOmega float64
 }
@@ -340,27 +318,17 @@ type SumView struct {
 // Peer returns the scanned side as the other side of a sum exchange,
 // read in place: valid only as long as the payload is.
 func (v SumView) Peer() eesum.SumPeer {
-	return eesum.SumPeer{Means: v.Means.Operand(), Noise: v.Noise.Operand(), CtrS: v.CtrSigma, CtrW: v.CtrOmega}
+	return eesum.SumPeer{Means: v.Means.Operand(), CtrS: v.CtrSigma, CtrW: v.CtrOmega}
 }
 
-// ScanSum scans a SumMsg payload.
+// ScanSum scans a SumOut payload.
 func ScanSum(data []byte, lim Limits) (SumView, error) {
 	d := Dec{B: data}
 	v := SumView{Hdr: decodeHdr(&d)}
 	v.Means = scanSumSide(&d, lim)
-	v.Noise = scanSumSide(&d, lim)
 	v.CtrSigma = d.F64()
 	v.CtrOmega = d.F64()
 	return v, d.Done()
-}
-
-// UnmarshalSum decodes a SumMsg payload.
-func UnmarshalSum(data []byte, lim Limits) (SumMsg, error) {
-	v, err := ScanSum(data, lim)
-	if err != nil {
-		return SumMsg{}, err
-	}
-	return SumMsg{Hdr: v.Hdr, Means: v.Means.State(), Noise: v.Noise.State(), CtrSigma: v.CtrSigma, CtrOmega: v.CtrOmega}, nil
 }
 
 // Fin is the bare commit leg closing a sum exchange (KindSumFin): the

@@ -1,7 +1,7 @@
 // Package wireproto is Chiaroscuro's binary wire protocol: the framing
 // and message encodings that carry every protocol interaction of the
 // Diptych between real peers — Newscast view exchanges, the encrypted
-// means/noise push-pull (EESum states as homenc wire encodings), the
+// sum push-pull (one EESum state as homenc wire encodings), the
 // noise-correction dissemination, epidemic partial-decryption shares,
 // and membership (hello/roster/leave).
 //
@@ -35,11 +35,13 @@ import (
 
 // Version is the protocol version byte. A frame of any other version —
 // the two earlier layouts included — is refused as malformed: there is
-// no negotiation, populations are provisioned together. Version 6 ends
+// no negotiation, populations are provisioned together. Version 6 ended
 // every decryption leg with its sender's release mark: a released
 // participant's legs carry its decoded release instead of share
-// indices and partial decryptions.
-const Version = 6
+// indices and partial decryptions. Version 7 sends one EESum state on a
+// sum leg, the means with the noise-shares folded in, where the earlier
+// versions sent the means and the noise states apart.
+const Version = 7
 
 // Message kinds.
 const (
@@ -56,7 +58,7 @@ const (
 	KindResume    byte = 0x06 // restarted peer -> anyone: identity + journal position
 	KindResumeAck byte = 0x07 // receiver -> restarted peer: current roster view
 
-	// Encrypted sum phase (means + noise EESum lockstep + counter).
+	// Encrypted sum phase (one EESum state, noise folded in, + counter).
 	KindSumReq  byte = 0x10 // initiator state push
 	KindSumResp byte = 0x11 // responder pre-merge state
 	KindSumFin  byte = 0x12 // commit: responder applies its half

@@ -118,7 +118,6 @@ func TestSumMsgRoundTrip(t *testing.T) {
 	m := SumMsg{
 		Hdr:      ExchangeHdr{Iter: 1, Cycle: 2, Seq: 3, From: 4, To: 5},
 		Means:    sumState(10, -20, 30),
-		Noise:    sumState(7, 8, 9),
 		CtrSigma: 12.5,
 		CtrOmega: 1,
 	}
@@ -129,8 +128,8 @@ func TestSumMsgRoundTrip(t *testing.T) {
 	if got.Hdr != m.Hdr || got.CtrSigma != m.CtrSigma || got.CtrOmega != m.CtrOmega {
 		t.Fatalf("header/counter mismatch: %+v", got)
 	}
-	if !sumStatesEqual(got.Means, m.Means) || !sumStatesEqual(got.Noise, m.Noise) {
-		t.Fatal("sum states mismatch")
+	if !sumStatesEqual(got.Means, m.Means) {
+		t.Fatal("sum state mismatch")
 	}
 }
 
@@ -140,8 +139,7 @@ func TestSumMsgRejectsOversizeDim(t *testing.T) {
 	for i := range cts {
 		cts[i] = homenc.Ciphertext{V: big.NewInt(int64(i))}
 	}
-	m := SumMsg{Means: eesum.SumState{CTs: cts, Omega: big.NewInt(1)},
-		Noise: sumState(1)}
+	m := SumMsg{Means: eesum.SumState{CTs: cts, Omega: big.NewInt(1)}}
 	if _, err := UnmarshalSum(MarshalSum(m), lim); err == nil {
 		t.Fatal("oversize dimension accepted")
 	}
