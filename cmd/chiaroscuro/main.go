@@ -9,8 +9,9 @@
 //	chiaroscuro -mode network    # full distributed protocol (simulated population)
 //	chiaroscuro -mode networked  # same protocol over real loopback TCP
 //
-// Data comes either from a CSV file (one series per row) or from the
-// built-in generators (-dataset cer|numed).
+// Data comes either from a CSV file (one series per row, with its
+// measure range given by -dmin and -dmax) or from the built-in
+// generators (-dataset cer|numed).
 package main
 
 import (
@@ -31,6 +32,8 @@ func main() {
 		mode    = flag.String("mode", "dp", "baseline, dp, network, or networked")
 		dataset = flag.String("dataset", "cer", "built-in generator: cer or numed")
 		csvPath = flag.String("csv", "", "CSV file with one series per row (overrides -dataset)")
+		dmin    = flag.Float64("dmin", math.NaN(), "lowest measure the noise is calibrated to (required with -csv; default: the generator's)")
+		dmax    = flag.Float64("dmax", math.NaN(), "highest measure the noise is calibrated to (required with -csv; default: the generator's)")
 		size    = flag.Int("n", 20000, "number of series to generate")
 		k       = flag.Int("k", 10, "number of clusters")
 		eps     = flag.Float64("epsilon", math.Ln2, "total privacy budget")
@@ -50,17 +53,17 @@ func main() {
 		fatal(err)
 	}
 
-	data, dmin, dmax, kind, err := cmdinput.LoadData(*csvPath, *dataset, *size, *seed)
+	data, lo, hi, kind, err := cmdinput.LoadData(*csvPath, *dataset, *size, *seed, *dmin, *dmax)
 	if err != nil {
 		fatal(err)
 	}
 	seeds := chiaroscuro.SeedCentroids(kind, *k, *seed+1)
-	fmt.Printf("dataset: %d series × %d measures in [%g, %g]\n", data.Len(), data.Dim(), dmin, dmax)
+	fmt.Printf("dataset: %d series × %d measures in [%g, %g]\n", data.Len(), data.Dim(), lo, hi)
 
 	opts := chiaroscuro.Options{
 		InitCentroids: seeds,
 		K:             *k,
-		DMin:          dmin, DMax: dmax,
+		DMin:          lo, DMax: hi,
 		Epsilon:       *eps,
 		Smooth:        *smooth,
 		MaxIterations: *maxIt,

@@ -119,6 +119,8 @@ func main() {
 		population  = flag.Int("population", 2, "population size (all daemons must agree)")
 		dataset     = flag.String("dataset", "cer", "built-in generator: cer or numed")
 		csvPath     = flag.String("csv", "", "CSV file with one series per row (row = participant index)")
+		dmin        = flag.Float64("dmin", math.NaN(), "lowest measure the noise is calibrated to (required with -csv; default: the generator's)")
+		dmax        = flag.Float64("dmax", math.NaN(), "highest measure the noise is calibrated to (required with -csv; default: the generator's)")
 		k           = flag.Int("k", 2, "number of clusters")
 		eps         = flag.Float64("epsilon", math.Ln2, "total privacy budget")
 		maxIt       = flag.Int("iterations", 1, "protocol iterations (fixed schedule)")
@@ -159,7 +161,7 @@ func main() {
 		fatal(err)
 	}
 
-	data, dmin, dmax, kind, err := cmdinput.LoadData(*csvPath, *dataset, *population, *seed)
+	data, lo, hi, kind, err := cmdinput.LoadData(*csvPath, *dataset, *population, *seed, *dmin, *dmax)
 	if err != nil {
 		fatal(err)
 	}
@@ -175,8 +177,8 @@ func main() {
 	proto := core.Config{
 		K:             *k,
 		InitCentroids: seeds,
-		DMin:          dmin,
-		DMax:          dmax,
+		DMin:          lo,
+		DMax:          hi,
 		Epsilon:       *eps,
 		MaxIterations: *maxIt,
 		Smooth:        *smooth,

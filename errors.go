@@ -30,9 +30,11 @@ var (
 	// distributed modes, a Budget that plans more than Epsilon over
 	// MaxIterations.
 	ErrBadEpsilon = errors.New("chiaroscuro: privacy budget must be positive and finite")
-	// ErrBadRange rejects DMin > DMax (or NaN bounds): the measure range
-	// calibrates the Laplace sensitivity and must be a real interval.
-	ErrBadRange = errors.New("chiaroscuro: invalid measure range (DMin must not exceed DMax)")
+	// ErrBadRange rejects DMin > DMax (or NaN bounds) and, in the private
+	// modes, a dataset with a measure outside [DMin, DMax] (NaN
+	// included): the measure range calibrates the Laplace sensitivity
+	// and must be a real interval that bounds every measure.
+	ErrBadRange = errors.New("chiaroscuro: invalid measure range ([DMin, DMax] must be an interval that bounds every measure)")
 	// ErrBadIterations rejects a negative iteration cap.
 	ErrBadIterations = errors.New("chiaroscuro: negative iteration cap")
 	// ErrBadThreshold rejects a negative (or NaN) convergence threshold.

@@ -2,9 +2,11 @@
 // Section 4 of the paper — the iterative protocol of Algorithms 1 and
 // 3 — over a simulated population: one eesum.Participant machine per
 // participant, each holding its Diptych (Definition 6), driven by the
-// in-memory cycle engine. Beside the drivers it keeps what only an
-// omniscient simulation can do: stop a phase at global convergence,
-// assert that every participant released the same values, and trace
+// in-memory cycle engine. Iterate is the one iteration body, at the
+// boundaries between the phases; the simulated Network and every
+// networked node (internal/node) only build their participants and run
+// each phase. Beside that, the Network keeps what only an omniscient
+// simulation can do: stop a phase at global convergence and trace
 // quality.
 //
 // Every iteration:
@@ -446,13 +448,6 @@ func (nw *Network) RunContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// observePhase reports one completed gossip cycle to the observer.
-func (nw *Network) observePhase(it int, phase Phase, cycle, of int) {
-	if hook := nw.cfg.Observer.Phase; hook != nil {
-		hook(it, phase, cycle, of)
-	}
-}
-
 // The in-memory exchangers, one per gossip phase: each runs a whole
 // exchange between two participants' machines. Sum and decryption
 // exchanges touch only their two participants, so the engine's parallel
@@ -480,19 +475,21 @@ func elected(ps []*eesum.Participant) bool {
 	return true
 }
 
-// allSettled reports whether every participant gathered τ key-shares.
-func allSettled(ps []*eesum.Participant) bool {
+// unsettled counts the participants that gathered fewer than τ
+// key-shares.
+func unsettled(ps []*eesum.Participant) int {
+	open := 0
 	for _, p := range ps {
 		if !p.Settled() {
-			return false
+			open++
 		}
 	}
-	return true
+	return open
 }
 
-// runPhase runs one of the phases that follow the sum and returns how
-// many cycles it ran. A fixed length (the networked deployment's
-// schedule) runs every cycle, past convergence too; a zero length is
+// runPhase runs one phase and returns how many cycles it ran. A fixed
+// length (the sum's, and the networked deployment's schedule for the
+// others) runs every cycle, past convergence too; a zero length is
 // adaptive and stops as soon as done holds, or after limit cycles.
 func (nw *Network) runPhase(ctx context.Context, it int, phase Phase, x sim.Exchanger, fixed, limit int, done func() bool) (int, error) {
 	budget := fixed
@@ -506,83 +503,116 @@ func (nw *Network) runPhase(ctx context.Context, it int, phase Phase, x sim.Exch
 		}
 		nw.engine.RunCycleOn(x)
 		// An adaptive phase's length is convergence-determined: of = 0.
-		nw.observePhase(it, phase, c+1, fixed)
+		if hook := nw.cfg.Observer.Phase; hook != nil {
+			hook(it, phase, c+1, fixed)
+		}
 	}
 	return c, nil
 }
 
-// iterate runs one full Chiaroscuro iteration (Algorithms 1 and 3).
+// iterate runs iteration it over the whole population: every
+// participant starts from its own series, and every phase runs on the
+// engine.
 func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.Series, epsIter float64) (*IterationTrace, []timeseries.Series, error) {
-	k := len(centroids)
-	n := nw.data.Dim()
+	var ps []*eesum.Participant
+	d := Driver{
+		Start: func(noise eesum.NoiseConfig) []*eesum.Participant {
+			streams := eesum.NodeNoiseStreams(nw.rng, nw.np)
+			ps = make([]*eesum.Participant, nw.np)
+			parallel.ForEach(nw.cfg.Workers, nw.np, func(i int) {
+				ps[i] = StartParticipant(nw.env, i, streams[i], noise, nw.data.Row(i), centroids)
+			})
+			return ps
+		},
+		Run: func(phase Phase) (int, error) {
+			switch phase {
+			case PhaseSum:
+				return nw.runPhase(ctx, it, phase, sumPhase(ps), nw.cfg.Exchanges, 0, nil)
+			case PhaseDissemination:
+				return nw.runPhase(ctx, it, phase, dissPhase(ps), nw.cfg.DissCycles, nw.dissCap, func() bool { return elected(ps) })
+			}
+			return nw.runPhase(ctx, it, phase, decPhase(ps), nw.cfg.DecryptCycles, nw.decCap, func() bool { return unsettled(ps) == 0 })
+		},
+	}
+	if nw.cfg.TraceQuality {
+		d.Trace = func(tr *IterationTrace, released []timeseries.Series) { nw.traceQuality(tr, centroids, released) }
+	}
+	return nw.cfg.Iterate(it, centroids, epsIter, d)
+}
+
+// Driver is what Iterate runs one iteration through: the participants
+// one process holds (the simulator's whole population, or a networked
+// node's one) and the way it runs a phase over them.
+type Driver struct {
+	// Start returns the driver's participants for the iteration, each
+	// started from its own series (StartParticipant) or resumed, under
+	// noise.
+	Start func(noise eesum.NoiseConfig) []*eesum.Participant
+	// Run runs one phase over the participants and returns how many
+	// cycles it ran. Once it fails, Iterate touches no participant
+	// again: a networked node stopped under a phase may still be
+	// serving from its participant.
+	Run func(phase Phase) (int, error)
+	// Trace, when set, adds what only the driver can see to the trace
+	// before the observer reads it; released is the filtered release,
+	// lost means nil.
+	Trace func(tr *IterationTrace, released []timeseries.Series)
+}
+
+// Iterate runs iteration it of Algorithms 1 and 3 through d, at the
+// boundaries between its phases, and returns its trace and its live
+// released centroids. centroids are the loop's live centroids (at least
+// one), and epsIter the iteration's budget.
+//
+//   - Assignment step: every participant starts from its means
+//     contribution with its noise-shares folded in. The noise
+//     configuration prices the sum coordinates with the time-series Sum
+//     sensitivity and the count coordinates with sensitivity 1,
+//     splitting the iteration budget between them (disjoint clusters
+//     compose in parallel, so one cluster's release prices them all).
+//   - Algorithm 3 (a): the sum phase, the counter piggybacking.
+//   - Algorithm 3 (b): every participant perturbs its own sum with its
+//     own correction proposal, and the dissemination elects the
+//     smallest identifier's vector for everyone.
+//   - Algorithm 3 (c): the epidemic decryption of the elected vector.
+//   - Convergence step: any τ key-shares of one vector decode to the
+//     same plaintext, so every release must equal the first bit for
+//     bit; one that differs fails the iteration, and the release filter
+//     runs once, on that one release.
+//
+// A phase that ends with a participant unfinished fails with
+// ErrPhaseBudget. For a driver of one participant, the election and
+// the agreement hold by construction.
+func (cfg Config) Iterate(it int, centroids []timeseries.Series, epsIter float64, d Driver) (*IterationTrace, []timeseries.Series, error) {
+	k, n := len(centroids), len(centroids[0])
 	trace := &IterationTrace{Iteration: it, CentroidsIn: k, EpsilonSpent: epsIter}
+	ps := d.Start(eesum.NoiseConfig{Lambdas: NoiseLambdas(k, n, epsIter, cfg.DMin, cfg.DMax), NShares: cfg.NoiseShares})
 
-	// --- Assignment step (local, cleartext): every participant builds
-	// its means contribution, packed into the deployment's slot layout,
-	// and starts its machine on it. The noise configuration prices the
-	// sum coordinates with the time-series Sum sensitivity and the count
-	// coordinates with sensitivity 1, splitting the iteration budget
-	// between them (disjoint clusters compose in parallel, so one
-	// cluster's release prices them all); each participant draws its
-	// noise-shares from its own stream.
-	noise := eesum.NoiseConfig{
-		Lambdas: NoiseLambdas(k, n, epsIter, nw.cfg.DMin, nw.cfg.DMax),
-		NShares: nw.cfg.NoiseShares,
+	var err error
+	if trace.SumCycles, err = d.Run(PhaseSum); err != nil {
+		return nil, nil, err
 	}
-	streams := eesum.NodeNoiseStreams(nw.rng, nw.np)
-	ps := make([]*eesum.Participant, nw.np)
-	parallel.ForEach(nw.cfg.Workers, nw.np, func(i int) {
-		ps[i] = eesum.NewParticipant(nw.env, i, streams[i], noise)
-		ps[i].Start(nw.env.Pack.Pack(BuildContribution(nw.data.Row(i), centroids, nw.env.Pack.Codec)))
-	})
-
-	// --- Algorithm 3 (a)+(b): the sum of the means and the noise runs
-	// on the gossip exchanges, the counter piggybacking.
-	for c := 0; c < nw.cfg.Exchanges; c++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		nw.engine.RunCycleOn(sumPhase(ps))
-		nw.observePhase(it, PhaseSum, c+1, nw.cfg.Exchanges)
-	}
-	trace.SumCycles = nw.cfg.Exchanges
-
-	// Noise correction, moved before the dissemination: every
-	// participant perturbs its own means with its own correction
-	// proposal, and the dissemination elects the smallest identifier's
-	// vector for everyone.
 	for _, p := range ps {
 		if err := p.Propose(); err != nil {
 			return nil, nil, err
 		}
 	}
-	diss, err := nw.runPhase(ctx, it, PhaseDissemination, dissPhase(ps), nw.cfg.DissCycles, nw.dissCap, func() bool { return elected(ps) })
-	trace.DissCycles = diss
-	if err != nil {
+	if trace.DissCycles, err = d.Run(PhaseDissemination); err != nil {
 		return nil, nil, err
 	}
 	if !elected(ps) {
-		return nil, nil, fmt.Errorf("%w: correction dissemination did not converge in %d cycles", ErrPhaseBudget, diss)
+		return nil, nil, fmt.Errorf("%w: correction dissemination did not converge in %d cycles", ErrPhaseBudget, trace.DissCycles)
 	}
 	for _, p := range ps {
 		p.StartDecryption(k * (n + 1))
 	}
-
-	// --- Algorithm 3 (c): epidemic decryption of the perturbed means.
-	dec, err := nw.runPhase(ctx, it, PhaseDecryption, decPhase(ps), nw.cfg.DecryptCycles, nw.decCap, func() bool { return allSettled(ps) })
-	trace.DecryptCycles = dec
-	if err != nil {
+	if trace.DecryptCycles, err = d.Run(PhaseDecryption); err != nil {
 		return nil, nil, err
 	}
-	if !allSettled(ps) {
-		return nil, nil, fmt.Errorf("%w: epidemic decryption did not complete in %d cycles", ErrPhaseBudget, dec)
+	if open := unsettled(ps); open > 0 {
+		return nil, nil, fmt.Errorf("%w: %d of %d participants gathered fewer than τ key-shares in %d decryption cycles", ErrPhaseBudget, open, len(ps), trace.DecryptCycles)
 	}
 
-	// --- Convergence step inputs: every participant decodes the
-	// elected vector with the shares it gathered. Any τ key-shares of
-	// one vector decode to the same plaintext, so every release must
-	// equal participant 0's bit for bit; one that differs fails the run,
-	// and the release filter runs once, on that one release.
 	var vals []float64
 	for i, p := range ps {
 		v, err := p.Release()
@@ -596,14 +626,13 @@ func (nw *Network) iterate(ctx context.Context, it int, centroids []timeseries.S
 			return nil, nil, fmt.Errorf("core: iteration %d: participant %d released other values than participant 0", it, i)
 		}
 	}
-	released := nw.cfg.Release(vals, k, n)
+	released := cfg.Release(vals, k, n)
 	next := kmeans.Compact(released)
 	trace.CentroidsOut = len(next)
-
-	if nw.cfg.TraceQuality {
-		nw.traceQuality(trace, centroids, released)
+	if d.Trace != nil {
+		d.Trace(trace, released)
 	}
-	if hook := nw.cfg.Observer.Iteration; hook != nil {
+	if hook := cfg.Observer.Iteration; hook != nil {
 		hook(*trace, next)
 	}
 	return trace, next, nil
@@ -648,12 +677,22 @@ func BuildContribution(row timeseries.Series, centroids []timeseries.Series, cod
 	return vec
 }
 
+// StartParticipant binds participant index of the deployment env to an
+// iteration, as eesum.NewParticipant does, and starts it from its
+// assignment step: row's contribution under centroids, packed into the
+// deployment's slot layout.
+func StartParticipant(env *eesum.Env, index int, stream *randx.RNG, noise eesum.NoiseConfig, row timeseries.Series, centroids []timeseries.Series) *eesum.Participant {
+	p := eesum.NewParticipant(env, index, stream, noise)
+	p.Start(env.Pack.Pack(BuildContribution(row, centroids, env.Pack.Codec)))
+	return p
+}
+
 // NoiseLambdas builds the per-variable Laplace scale vector of one
 // iteration: the k·n sum slots use the time-series Sum sensitivity, the
 // k count slots sensitivity 1, with the iteration budget split between
 // them (disjoint clusters compose in parallel, so one cluster's release
-// prices them all). Shared between the simulated Network and the
-// networked peer runtime, which must derive identical scales.
+// prices them all). Iterate derives it for both drivers, so every
+// participant derives the identical scales.
 func NoiseLambdas(k, n int, epsIter, dmin, dmax float64) []float64 {
 	epsSum, epsCount := dp.SplitIteration(epsIter, sumShare)
 	sens := dp.SumSensitivity(n, dmin, dmax)

@@ -134,9 +134,6 @@ var numedRegimes = []numedRegime{
 	{"fast-progressor", 1, 2.5, 0.30, 0.065, 0.010, 0.004, 0.002, 0.12, 0.02},
 }
 
-// NUMEDRegimes returns the number of distinct tumor-response regimes.
-func NUMEDRegimes() int { return len(numedRegimes) }
-
 // GenerateNUMED produces t NUMED-like tumor-growth series of NUMEDLen
 // weekly measures clamped to [NUMEDMin, NUMEDMax], using the Claret
 // tumor-growth-inhibition model with per-patient parameters.

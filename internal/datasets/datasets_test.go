@@ -94,7 +94,7 @@ func TestGenerateNUMEDShape(t *testing.T) {
 		t.Errorf("NUMED range [%v,%v] outside [%v,%v]", lo, hi, NUMEDMin, NUMEDMax)
 	}
 	// Balanced regimes: max/min cluster size ratio should stay modest.
-	counts := make([]int, NUMEDRegimes())
+	counts := make([]int, len(numedRegimes))
 	for _, l := range labels {
 		counts[l]++
 	}
@@ -111,8 +111,8 @@ func TestNUMEDRegimesDiverge(t *testing.T) {
 	// Responders should shrink on average, progressors grow.
 	rng := randx.New(4, 4)
 	d, labels := GenerateNUMED(6000, rng)
-	slope := make([]float64, NUMEDRegimes())
-	n := make([]int, NUMEDRegimes())
+	slope := make([]float64, len(numedRegimes))
+	n := make([]int, len(numedRegimes))
 	for i, l := range labels {
 		row := d.Row(i)
 		slope[l] += row[NUMEDLen-1] - row[0]

@@ -2,7 +2,6 @@ package datasets
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -96,50 +95,4 @@ func WriteProfilesCSV(w io.Writer, ps []Profile) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadProfilesCSV reads profiles written by WriteProfilesCSV.
-func ReadProfilesCSV(r io.Reader) ([]Profile, error) {
-	cr := csv.NewReader(r)
-	var out []Profile
-	dim := -1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(rec) < 3 {
-			return nil, fmt.Errorf("datasets: profile row has %d fields, want >= 3", len(rec))
-		}
-		if dim == -1 {
-			dim = len(rec) - 2
-		}
-		if len(rec)-2 != dim {
-			return nil, timeseries.ErrRagged
-		}
-		user, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("datasets: bad user label %q: %w", rec[0], err)
-		}
-		rep, err := strconv.Atoi(rec[1])
-		if err != nil {
-			return nil, fmt.Errorf("datasets: bad rep label %q: %w", rec[1], err)
-		}
-		s := make(timeseries.Series, dim)
-		for j, f := range rec[2:] {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("datasets: bad measure %q: %w", f, err)
-			}
-			s[j] = v
-		}
-		out = append(out, Profile{User: user, Rep: rep, Series: s})
-	}
-	if len(out) == 0 {
-		return nil, io.ErrUnexpectedEOF
-	}
-	return out, nil
 }

@@ -2,9 +2,14 @@ package datasets
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"io"
+	"strconv"
 	"testing"
 
 	"chiaroscuro/internal/randx"
+	"chiaroscuro/internal/timeseries"
 )
 
 func TestGenerateProfilesDeterministicAndLabeled(t *testing.T) {
@@ -56,7 +61,7 @@ func TestProfilesCSVRoundTrip(t *testing.T) {
 	if err := WriteProfilesCSV(&buf, ps); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadProfilesCSV(&buf)
+	got, err := readProfilesCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,4 +82,50 @@ func TestProfilesCSVRoundTrip(t *testing.T) {
 	if ds.Len() != len(ps) || len(owners) != len(ps) || owners[4] != 1 {
 		t.Fatalf("ProfilesDataset shape wrong: len %d owners %v", ds.Len(), owners)
 	}
+}
+
+// readProfilesCSV reads profiles written by WriteProfilesCSV.
+func readProfilesCSV(r io.Reader) ([]Profile, error) {
+	cr := csv.NewReader(r)
+	var out []Profile
+	dim := -1
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(rec) < 3 {
+			return nil, fmt.Errorf("datasets: profile row has %d fields, want >= 3", len(rec))
+		}
+		if dim == -1 {
+			dim = len(rec) - 2
+		}
+		if len(rec)-2 != dim {
+			return nil, timeseries.ErrRagged
+		}
+		user, err := strconv.Atoi(rec[0])
+		if err != nil {
+			return nil, fmt.Errorf("datasets: bad user label %q: %w", rec[0], err)
+		}
+		rep, err := strconv.Atoi(rec[1])
+		if err != nil {
+			return nil, fmt.Errorf("datasets: bad rep label %q: %w", rec[1], err)
+		}
+		s := make(timeseries.Series, dim)
+		for j, f := range rec[2:] {
+			v, err := strconv.ParseFloat(f, 64)
+			if err != nil {
+				return nil, fmt.Errorf("datasets: bad measure %q: %w", f, err)
+			}
+			s[j] = v
+		}
+		out = append(out, Profile{User: user, Rep: rep, Series: s})
+	}
+	if len(out) == 0 {
+		return nil, io.ErrUnexpectedEOF
+	}
+	return out, nil
 }

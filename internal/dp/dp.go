@@ -59,15 +59,6 @@ func DeltaAtom(delta float64, nReleased int) float64 {
 	return math.Pow(delta, 1/float64(nReleased))
 }
 
-// IotaForDelta inverts δ_atom = (1-ι)² (Lemma 2): the per-gossip-run
-// failure probability allowed for a target per-value δ_atom.
-func IotaForDelta(deltaAtom float64) float64 {
-	if deltaAtom <= 0 || deltaAtom > 1 {
-		panic("dp: deltaAtom must be in (0,1]")
-	}
-	return 1 - math.Sqrt(deltaAtom)
-}
-
 // Budget distributes a global privacy budget ε over k-means iterations.
 // Implementations must never allocate more than ε in total (the paper's
 // privacy-budget constraint).

@@ -35,7 +35,7 @@ func TestTheorem3PaperExample(t *testing.T) {
 		t.Errorf("Theorem 3 exchanges = %d, paper says 47", ne)
 	}
 	// The stricter Lemma 2 relation δ_atom=(1-ι)² costs at most one more.
-	neStrict := Theorem3Exchanges(1_000_000, 1, 1e-12, IotaForDelta(dAtom))
+	neStrict := Theorem3Exchanges(1_000_000, 1, 1e-12, iotaForDelta(dAtom))
 	if neStrict < ne || neStrict > ne+1 {
 		t.Errorf("strict ne = %d, want %d or %d", neStrict, ne, ne+1)
 	}
@@ -242,5 +242,14 @@ func TestPanics(t *testing.T) {
 	mustPanic("LaplaceScale eps<=0", func() { LaplaceScale(1, 0) })
 	mustPanic("Theorem3 bad iota", func() { Theorem3Exchanges(10, 1, 0.1, 0) })
 	mustPanic("DeltaAtom bad delta", func() { DeltaAtom(0, 1) })
-	mustPanic("IotaForDelta bad", func() { IotaForDelta(0) })
+	mustPanic("iotaForDelta bad", func() { iotaForDelta(0) })
+}
+
+// iotaForDelta inverts δ_atom = (1-ι)² (Lemma 2): the per-gossip-run
+// failure probability allowed for a target per-value δ_atom.
+func iotaForDelta(deltaAtom float64) float64 {
+	if deltaAtom <= 0 || deltaAtom > 1 {
+		panic("dp: deltaAtom must be in (0,1]")
+	}
+	return 1 - math.Sqrt(deltaAtom)
 }

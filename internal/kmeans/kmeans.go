@@ -281,23 +281,6 @@ func IntraInertia(d *timeseries.Dataset, centroids []timeseries.Series) (float64
 	return a.SSE / float64(d.Len()), nil
 }
 
-// InterInertia returns the inter-cluster inertia q_inter of Definition 1:
-// the cardinality-weighted mean squared distance of each centroid to the
-// global center of mass g.
-func InterInertia(d *timeseries.Dataset, centroids []timeseries.Series) (float64, error) {
-	live := Compact(centroids)
-	a, err := Assign(d, live) // ErrNoCentroids when none is live
-	if err != nil {
-		return 0, err
-	}
-	g := d.Centroid()
-	var q float64
-	for c, ctr := range live {
-		q += float64(a.Counts[c]) / float64(d.Len()) * ctr.Dist2(g)
-	}
-	return q, nil
-}
-
 // Compact drops nil (lost) centroids, preserving order. A set with no
 // nil entry comes back as is, not copied.
 func Compact(centroids []timeseries.Series) []timeseries.Series {

@@ -197,7 +197,7 @@ func TestFullInertiaDecomposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inter, err := InterInertia(d, res.Centroids)
+	inter, err := interInertia(d, res.Centroids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,4 +263,21 @@ func BenchmarkAssignCER10k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// interInertia returns the inter-cluster inertia q_inter of Definition 1:
+// the cardinality-weighted mean squared distance of each centroid to the
+// global center of mass g.
+func interInertia(d *timeseries.Dataset, centroids []timeseries.Series) (float64, error) {
+	live := Compact(centroids)
+	a, err := Assign(d, live) // ErrNoCentroids when none is live
+	if err != nil {
+		return 0, err
+	}
+	g := d.Centroid()
+	var q float64
+	for c, ctr := range live {
+		q += float64(a.Counts[c]) / float64(d.Len()) * ctr.Dist2(g)
+	}
+	return q, nil
 }

@@ -21,7 +21,8 @@ import (
 // then on the main loop's initiator slots and the serves of the open
 // responder slots read it concurrently. Either way the main loop touches
 // it again only once the slots it waits for are closed — a stopped node
-// touches it no more (iterate), since a serve may still be in flight.
+// touches it no more (core.Config.Iterate returns at the failed phase),
+// since a serve may still be in flight.
 // Every vector of a decryption state is an image, which sending and
 // combining read element by element (homenc.Operand), so those reads
 // build nothing. So is every other vector of the state: a Vector has no

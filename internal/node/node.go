@@ -192,15 +192,12 @@ type Config struct {
 // CommitHook observes exchange commit points; see Config.CommitHook.
 type CommitHook func(phase, iter, cycle, seq int, initiator bool) bool
 
-// Result is the participant's own outcome of a networked run.
+// Result is the participant's own outcome of a networked run: its
+// released view, in the simulator's shape (AvgMessages and AvgBytes
+// are the schedule mirror's accounting), and its wire counters.
 type Result struct {
-	Centroids    []timeseries.Series // this participant's released view (compacted)
-	Traces       []core.IterationTrace
-	TotalEpsilon float64
-	Converged    bool    // θ stopped the run
-	AvgMessages  float64 // scheduled messages per participant (mirror accounting)
-	AvgBytes     float64 // scheduled bytes per participant (mirror accounting)
-	Counters     wireproto.Counters
+	core.Result
+	Counters wireproto.Counters
 }
 
 // Node is one live networked participant.
@@ -342,6 +339,11 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.Index < 0 || cfg.Index >= cfg.N {
 		return nil, fmt.Errorf("node: index %d out of range for population %d", cfg.Index, cfg.N)
+	}
+	// The noise is calibrated to the Sum sensitivity over [DMin, DMax]
+	// (Definition 4), which a measure outside it escapes.
+	if !cfg.Series.InRange(cfg.Proto.DMin, cfg.Proto.DMax) {
+		return nil, fmt.Errorf("node %d: a measure lies outside [%v, %v]", cfg.Index, cfg.Proto.DMin, cfg.Proto.DMax)
 	}
 	if cfg.Book != nil {
 		if cfg.Addr == "" {

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"math"
 	"math/big"
 	"net"
 	"slices"
@@ -477,6 +478,30 @@ func TestNewRejectsMismatchedCentroids(t *testing.T) {
 	if err == nil {
 		_ = nd.Close()
 		t.Fatalf("3-point centroids accepted for a %d-point series", ts.data.Dim())
+	}
+}
+
+// TestNewRefusesSeriesOutsideRange: a participant's noise is calibrated
+// to [DMin, DMax], so its own series at the range's top is accepted and
+// one with a measure above it, or a NaN, is refused at construction.
+func TestNewRefusesSeriesOutsideRange(t *testing.T) {
+	ts := newSetup(t, 2, 0)
+	for _, c := range []struct {
+		v  float64
+		ok bool
+	}{{datasets.CERMax, true}, {1e4, false}, {math.NaN(), false}} {
+		row := ts.data.Row(0).Clone()
+		for j := range row {
+			row[j] = datasets.CERMax
+		}
+		row[len(row)-1] = c.v
+		nd, err := New(Config{Index: 0, N: 2, Series: row, Scheme: ts.scheme, Proto: ts.proto, ViewInterval: -1})
+		if err == nil {
+			_ = nd.Close()
+		}
+		if (err == nil) != c.ok {
+			t.Errorf("a series ending in %g: New error %v, want accepted %v", c.v, err, c.ok)
+		}
 	}
 }
 

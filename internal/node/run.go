@@ -104,7 +104,7 @@ func (nd *Node) RunContext(ctx context.Context) (*Result, error) {
 			if jerr := nd.journalErr(); jerr != nil {
 				return nil, false, jerr
 			}
-			return nil, false, ctxErr(ctx, err)
+			return nil, false, ctxErr(ctx, fmt.Errorf("node %d: %w", nd.cfg.Index, err))
 		}
 		res.Traces = append(res.Traces, *trace)
 		return next, false, nil
@@ -132,87 +132,39 @@ func ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// iterate runs one full protocol iteration over the wire. A non-nil rz
-// resumes the iteration mid-flight from its journaled checkpoint: the
-// restored state replaces the locally-built one, every slot the journal
-// holds as committed is skipped (its merge is already in the restored
-// state — re-executing it would double-apply), and the shared-seed
-// noise draws the pre-crash run consumed are replayed and discarded so
-// the stream cursor advances identically. Phase-boundary transitions
-// the pre-crash run already performed (the correction proposal, the
-// noise perturbation) keep their restored results.
+// iterate runs one protocol iteration over the wire, through
+// core.Config.Iterate: the node is a driver of one participant, and runs
+// each phase through its slot walk. A non-nil rz resumes the iteration
+// mid-flight from its journaled checkpoint: the restored state replaces
+// the locally-built one, every slot the journal holds as committed is
+// skipped (its merge is already in the restored state — re-executing it
+// would double-apply), and the phase-boundary transitions the pre-crash
+// run already performed (the correction proposal, the decryption start)
+// keep their restored results while their draws are replayed.
 func (nd *Node) iterate(it int, centroids []timeseries.Series, epsIter float64, rz *resumePoint) (*core.IterationTrace, []timeseries.Series, error) {
-	k := len(centroids)
-	n := len(nd.cfg.Series)
-	trace := &core.IterationTrace{Iteration: it, CentroidsIn: k, EpsilonSpent: epsIter}
-
-	// --- Noise streams: every participant derives the same family from
-	// the shared seed and builds only stream Index (the simulator
-	// materializes all of them). Deriving the family consumes base-RNG
-	// draws, so a resumed iteration derives it too.
-	myStream := eesum.NodeNoiseStream(nd.protoRNG, nd.cfg.N, nd.cfg.Index)
-	noise := eesum.NoiseConfig{
-		Lambdas: core.NoiseLambdas(k, n, epsIter, nd.cfg.Proto.DMin, nd.cfg.Proto.DMax),
-		NShares: nd.cfg.Proto.NoiseShares,
-	}
 	var st *iterState
-	if rz != nil {
-		st = rz.st
-		st.Resume(nd.env, nd.cfg.Index, myStream, noise)
-	} else {
-		// --- Assignment step (local, cleartext). The contribution is
-		// packed into the deployment's shared slot layout, and the
-		// noise-shares from this node's own stream folded into it,
-		// before encryption.
-		st = eesum.NewParticipant(nd.env, nd.cfg.Index, myStream, noise)
-		st.Start(nd.env.Pack.Pack(core.BuildContribution(nd.cfg.Series, centroids, nd.env.Pack.Codec)))
-	}
-
-	// --- Algorithm 3 (a): the sum of the means and the noise, counter
-	// piggybacking, over the wire.
-	nd.phaseNow.Store(int64(phaseSum))
-	if err := nd.runPhase(it, phaseSum, nd.cfg.Proto.Exchanges, st, rz); err != nil {
-		return nil, nil, err
-	}
-	trace.SumCycles = nd.cfg.Proto.Exchanges
-
-	// --- Algorithm 3 (b): the correction proposal from own stream,
-	// applied to own sum, then the min-identifier dissemination elects
-	// one perturbed vector. The counter freezes when the sum phase ends,
-	// so a resume past that point replays the proposal with the identical
-	// estimate.
-	if err := st.Propose(); err != nil {
-		return nil, nil, fmt.Errorf("node %d: %w", nd.cfg.Index, err)
-	}
-	nd.phaseNow.Store(int64(phaseDiss))
-	if err := nd.runPhase(it, phaseDiss, nd.cfg.Proto.DissCycles, st, rz); err != nil {
-		return nil, nil, err
-	}
-	trace.DissCycles = nd.cfg.Proto.DissCycles
-	st.StartDecryption(k * (n + 1))
-
-	// --- Algorithm 3 (c): epidemic threshold decryption over the wire.
-	nd.phaseNow.Store(int64(phaseDec))
-	if err := nd.runPhase(it, phaseDec, nd.cfg.Proto.DecryptCycles, st, rz); err != nil {
-		return nil, nil, err
-	}
-	trace.DecryptCycles = nd.cfg.Proto.DecryptCycles
-	if !st.Settled() {
-		return nil, nil, fmt.Errorf("node %d: %w: gathered %d of %d key-shares in %d decryption cycles", nd.cfg.Index, core.ErrPhaseBudget, len(st.DecParts), nd.cfg.Scheme.Threshold(), nd.cfg.Proto.DecryptCycles)
-	}
-	vals, err := st.Release()
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// --- Convergence step (local).
-	next := kmeans.Compact(nd.cfg.Proto.Release(vals, k, n))
-	trace.CentroidsOut = len(next)
-	trace.ShareApplications = st.Applications()
-	if hook := nd.cfg.Proto.Observer.Iteration; hook != nil {
-		hook(*trace, next)
-	}
-	return trace, next, nil
+	return nd.cfg.Proto.Iterate(it, centroids, epsIter, core.Driver{
+		Start: func(noise eesum.NoiseConfig) []*eesum.Participant {
+			// Every participant derives the same family of noise streams
+			// from the shared seed and builds only stream Index (the
+			// simulator materializes all of them). Deriving the family
+			// consumes base-RNG draws, so a resumed iteration derives it
+			// too.
+			stream := eesum.NodeNoiseStream(nd.protoRNG, nd.cfg.N, nd.cfg.Index)
+			if rz != nil {
+				st = rz.st
+				st.Resume(nd.env, nd.cfg.Index, stream, noise)
+			} else {
+				st = core.StartParticipant(nd.env, nd.cfg.Index, stream, noise, nd.cfg.Series, centroids)
+			}
+			return []*eesum.Participant{st}
+		},
+		Run: func(phase core.Phase) (int, error) {
+			cycles := [...]int{nd.cfg.Proto.Exchanges, nd.cfg.Proto.DissCycles, nd.cfg.Proto.DecryptCycles}[phase]
+			nd.phaseNow.Store(int64(phase))
+			return cycles, nd.runPhase(it, int(phase), cycles, st, rz)
+		},
+	})
 }
 
 // errStopped is what a run returns when the node was closed under it.

@@ -112,10 +112,11 @@ func (s Series) Clamp(lo, hi float64) {
 	}
 }
 
-// InRange reports whether every measure lies in [lo, hi].
+// InRange reports whether every measure lies in [lo, hi]; a NaN does
+// not.
 func (s Series) InRange(lo, hi float64) bool {
 	for _, v := range s {
-		if v < lo || v > hi || math.IsNaN(v) {
+		if !(v >= lo && v <= hi) {
 			return false
 		}
 	}
@@ -260,6 +261,10 @@ func (d *Dataset) Range() (lo, hi float64) {
 	}
 	return lo, hi
 }
+
+// InRange reports whether every measure of every series lies in
+// [lo, hi] (Series.InRange over the whole buffer).
+func (d *Dataset) InRange(lo, hi float64) bool { return Series(d.data).InRange(lo, hi) }
 
 // Subset returns a new dataset containing the rows whose indices are
 // listed in idx. Rows are copied.

@@ -74,7 +74,8 @@ type Options struct {
 	K int
 
 	// DMin, DMax bound each measure; they calibrate the Laplace
-	// sensitivity (Definition 4) in every private mode.
+	// sensitivity (Definition 4) in every private mode, which refuses a
+	// dataset with a measure outside them (ErrBadRange).
 	DMin, DMax float64
 
 	// Epsilon is the total privacy budget (paper: ln 2). Required in
@@ -397,6 +398,11 @@ func validateOptions(d *Dataset, o *Options) error {
 	if o.DMin > o.DMax || math.IsNaN(o.DMin) || math.IsNaN(o.DMax) {
 		return fmt.Errorf("%w: [%v, %v]", ErrBadRange, o.DMin, o.DMax)
 	}
+	// The private modes calibrate their noise to the Sum sensitivity over
+	// [DMin, DMax] (Definition 4), which a measure outside it escapes.
+	if o.Mode != Centralized && !d.InRange(o.DMin, o.DMax) {
+		return fmt.Errorf("%w: a measure lies outside [%v, %v]", ErrBadRange, o.DMin, o.DMax)
+	}
 	if o.Workers < 0 {
 		return fmt.Errorf("%w: %d", ErrBadWorkers, o.Workers)
 	}
@@ -587,14 +593,20 @@ func (g *simEngine) run(ctx context.Context, em *emitter) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return distributedResult(res), nil
+}
+
+// distributedResult maps a distributed run's outcome, the simulator's or
+// a networked participant's, onto a Job's.
+func distributedResult(r *core.Result) *Result {
 	return &Result{
-		Centroids:    res.Centroids,
-		Traces:       res.Traces,
-		TotalEpsilon: res.TotalEpsilon,
-		Converged:    res.Converged,
-		AvgMessages:  res.AvgMessages,
-		AvgBytes:     res.AvgBytes,
-	}, nil
+		Centroids:    r.Centroids,
+		Traces:       r.Traces,
+		TotalEpsilon: r.TotalEpsilon,
+		Converged:    r.Converged,
+		AvgMessages:  r.AvgMessages,
+		AvgBytes:     r.AvgBytes,
+	}
 }
 
 // --- Networked backend ---
@@ -633,15 +645,8 @@ func (g *netEngine) run(ctx context.Context, em *emitter) (*Result, error) {
 		}
 		return nil, fmt.Errorf("chiaroscuro: %w", err)
 	}
-	r0 := results[0]
+	out := distributedResult(&results[0].Result)
 	ws := WireStats(pop.Counters())
-	return &Result{
-		Centroids:    r0.Centroids,
-		Traces:       r0.Traces,
-		TotalEpsilon: r0.TotalEpsilon,
-		Converged:    r0.Converged,
-		AvgMessages:  r0.AvgMessages,
-		AvgBytes:     r0.AvgBytes,
-		Wire:         &ws,
-	}, nil
+	out.Wire = &ws
+	return out, nil
 }

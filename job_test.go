@@ -42,6 +42,11 @@ func TestNewJobValidation(t *testing.T) {
 	two, _ := GenerateCER(2, 4)
 	one := NewDataset(two.Dim())
 	one.Append(two.Row(0))
+	nan := NewDataset(data.Dim())
+	for i := 0; i < data.Len(); i++ {
+		nan.Append(data.Row(i))
+	}
+	nan.Row(3)[5] = math.NaN()
 
 	cases := []struct {
 		name string
@@ -65,6 +70,10 @@ func TestNewJobValidation(t *testing.T) {
 		{"NaN churn", data, func(o *Options) { o.Churn = math.NaN() }, ErrBadChurn},
 		{"inverted range", data, func(o *Options) { o.DMin, o.DMax = 5, -5 }, ErrBadRange},
 		{"NaN range", data, func(o *Options) { o.DMin = math.NaN() }, ErrBadRange},
+		{"measure above DMax", data, func(o *Options) { o.DMax = CERMin + 1 }, ErrBadRange},
+		{"NaN measure", nan, func(o *Options) {}, ErrBadRange},
+		{"dp measure above DMax", data, func(o *Options) { o.Mode, o.DMax = CentralizedDP, CERMin+1 }, ErrBadRange},
+		{"centralized measure above DMax", data, func(o *Options) { o.Mode, o.DMax = Centralized, CERMin+1 }, nil},
 		{"negative workers", data, func(o *Options) { o.Workers = -1 }, ErrBadWorkers},
 		{"negative pack slots", data, func(o *Options) { o.PackSlots = -1 }, ErrBadPackSlots},
 		{"negative exchanges", data, func(o *Options) { o.Exchanges = -1 }, ErrBadCycles},
@@ -105,6 +114,30 @@ func TestNewJobValidation(t *testing.T) {
 				t.Fatalf("NewJob error = %v, want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestNewJobRefusesMeasuresOutsideRange: the private modes calibrate
+// their noise to [DMin, DMax], so a row at the range's top is accepted
+// and a row of 10⁴ (a measure 125× the top of the CER range) is
+// refused with ErrBadRange, not released under too little noise.
+func TestNewJobRefusesMeasuresOutsideRange(t *testing.T) {
+	data, base := simSetup(t)
+	for _, c := range []struct {
+		v    float64
+		want error
+	}{{CERMax, nil}, {1e4, ErrBadRange}} {
+		row := data.Row(0)
+		for j := range row {
+			row[j] = c.v
+		}
+		for _, mode := range []Mode{CentralizedDP, Simulated, Networked} {
+			opts := base
+			opts.Mode = mode
+			if _, err := NewJob(data, opts); !errors.Is(err, c.want) {
+				t.Errorf("%v with an all-%g row: %v, want %v", mode, c.v, err, c.want)
+			}
+		}
 	}
 }
 
