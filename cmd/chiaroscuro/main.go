@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 	"text/tabwriter"
 
 	"chiaroscuro"
@@ -170,6 +171,13 @@ func printTraces(res *chiaroscuro.Result) {
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "chiaroscuro:", err)
+	fmt.Fprintln(os.Stderr, errorLine(err))
 	os.Exit(1)
+}
+
+// errorLine is the line fatal prints for err: its message behind the
+// command's name, which the library's errors already carry.
+func errorLine(err error) string {
+	const prefix = "chiaroscuro: "
+	return prefix + strings.TrimPrefix(err.Error(), prefix)
 }

@@ -380,7 +380,7 @@ func SumAbsBound(cfg Config, np, seriesDim int, codec homenc.Codec) *big.Int {
 		}
 	}
 	lambdaMax := sens / (minEps / 2)
-	bound := float64(np)*maxMeasure + 64*lambdaMax
+	bound := float64(float64(np)*maxMeasure) + float64(64*lambdaMax)
 	return codec.Encode(bound)
 }
 

@@ -94,9 +94,9 @@ func GenerateCER(t int, rng *randx.RNG) (*timeseries.Dataset, []int) {
 		for h := 0; h < CERLen; h++ {
 			v := a.base
 			for _, b := range a.bumps {
-				v += b.height * gaussBump(float64(h)+0.5, b.center+jitterPhase, b.width)
+				v += float64(b.height * gaussBump(float64(h)+0.5, b.center+jitterPhase, b.width))
 			}
-			v *= hh
+			v = float64(v * hh)
 			v += math.Abs(rng.Gaussian(0, 0.25)) // appliance noise, non-negative-ish
 			row[h] = v
 		}
@@ -155,7 +155,7 @@ func GenerateNUMED(t int, rng *randx.RNG) (*timeseries.Dataset, []int) {
 		lamb := math.Max(1e-3, rng.Gaussian(reg.lambMu, reg.lambSig))
 		for w := 0; w < NUMEDLen; w++ {
 			tw := float64(w)
-			y := y0 * math.Exp(kG*tw-(kD/lamb)*(1-math.Exp(-lamb*tw)))
+			y := float64(y0 * math.Exp(float64(kG*tw)-float64((kD/lamb)*(1-math.Exp(-lamb*tw)))))
 			y += rng.Gaussian(0, 0.15) // measurement noise
 			row[w] = y
 		}
@@ -176,8 +176,8 @@ func GenerateA3Base(rng *randx.RNG) (*timeseries.Dataset, []int) {
 	centers := make([]pt, 0, A3Clusters)
 	cells := rng.Perm(56)
 	for _, c := range cells[:A3Clusters] {
-		cx := float64(c%8)*12.5 + 6.25
-		cy := float64(c/8)*14.3 + 7.15
+		cx := float64(float64(c%8)*12.5) + 6.25
+		cy := float64(float64(c/8)*14.3) + 7.15
 		centers = append(centers, pt{
 			x: cx + rng.Uniform(-2.5, 2.5),
 			y: cy + rng.Uniform(-2.5, 2.5),

@@ -234,7 +234,7 @@ func interInertia(means []timeseries.Series, counts []float64, g timeseries.Seri
 		if m == nil || counts[i] <= 0 {
 			continue
 		}
-		q += counts[i] / total * m.Dist2(g)
+		q += float64(counts[i] / total * m.Dist2(g))
 	}
 	return q
 }

@@ -55,6 +55,8 @@ func Assign(d *timeseries.Dataset, centroids []timeseries.Series) (*Assignment, 
 	workers := min(runtime.GOMAXPROCS(0), blocks)
 	o := &blockOrder{out: newAssignment(k, n), ring: make([]*Assignment, 2*workers), free: takePartials(k, n, 2*workers)}
 	o.freed = sync.NewCond(&o.mu)
+	half := takeHalf(k)
+	halfDistances(half, centroids, n)
 	var wg sync.WaitGroup
 	for w := workers; w > 0; w-- {
 		wg.Add(1)
@@ -62,13 +64,13 @@ func Assign(d *timeseries.Dataset, centroids []timeseries.Series) (*Assignment, 
 			defer wg.Done()
 			for p, b := o.claim(blocks); p != nil; p, b = o.claim(blocks) {
 				p.reset()
-				p.assign(d, centroids, b*assignBlock, min((b+1)*assignBlock, d.Len()))
+				p.assign(d, centroids, half, b*assignBlock, min((b+1)*assignBlock, d.Len()))
 				o.finish(b, p)
 			}
 		}()
 	}
 	wg.Wait()
-	keepPartials(o.free)
+	keep(o.free, half)
 	return o.out, nil
 }
 
@@ -130,12 +132,13 @@ func (o *blockOrder) finish(b int, p *Assignment) {
 	o.mu.Unlock()
 }
 
-// kept holds Assign's partials across calls, under a mutex rather than
-// in a sync.Pool: a pool is emptied by every collection, and the
-// benchmark collects between jobs.
+// kept holds Assign's partials and its half-distance table across
+// calls, under a mutex rather than in a sync.Pool: a pool is emptied by
+// every collection, and the benchmark collects between jobs.
 var kept struct {
 	sync.Mutex
 	parts []*Assignment
+	half  []float64
 }
 
 // takePartials returns m partials for k centroids of n points, kept
@@ -160,10 +163,26 @@ func takePartials(k, n, m int) []*Assignment {
 	return parts
 }
 
-// keepPartials keeps a call's partials for the next.
-func keepPartials(parts []*Assignment) {
+// takeHalf returns a k×k half-distance table, the kept one if it is
+// large enough. A concurrent call finds none kept and makes its own.
+func takeHalf(k int) []float64 {
+	kept.Lock()
+	h := kept.half
+	kept.half = nil
+	kept.Unlock()
+	if cap(h) < k*k {
+		return make([]float64, k*k)
+	}
+	return h[:k*k]
+}
+
+// keep keeps a call's partials and half-distance table for the next.
+func keep(parts []*Assignment, half []float64) {
 	kept.Lock()
 	kept.parts = append(kept.parts, parts...)
+	if cap(half) > cap(kept.half) {
+		kept.half = half
+	}
 	kept.Unlock()
 }
 
@@ -190,23 +209,62 @@ func (a *Assignment) reset() {
 	a.SSE = 0
 }
 
-// assign adds rows [lo, hi) of d, each to its closest centroid.
-func (a *Assignment) assign(d *timeseries.Dataset, centroids []timeseries.Series, lo, hi int) {
+// halfDistances fills the k×k table half for assign: half[b·k+c] is
+// ½‖c_b − c_c‖ shrunk by the relative margin (n+6)·2⁻⁵⁰, over five
+// times what the rounding of Dist2 over series of length n, of Sqrt
+// and of the shrink needs. An entry is 0, never skipping, where Dist2 is not
+// finite or is below 2⁻⁹⁰⁰, so that no overflow and no underflow enter
+// the bound; a diagonal entry is +Inf, so that a row never revisits its
+// current best. DESIGN.md §6 has the argument.
+func halfDistances(half []float64, centroids []timeseries.Series, n int) {
+	k := len(centroids)
+	shrink := 1 - float64(float64(n+6)*0x1p-50)
+	for b := range centroids {
+		half[b*k+b] = math.Inf(1)
+		for c := b + 1; c < k; c++ {
+			var h float64
+			if d2 := centroids[b].Dist2(centroids[c]); d2 >= 0x1p-900 && d2 <= math.MaxFloat64 {
+				h = math.Sqrt(d2) / 2 * shrink
+			}
+			half[b*k+c], half[c*k+b] = h, h
+		}
+	}
+}
+
+// assign adds rows [lo, hi) of d, each to its closest centroid: the
+// lowest-indexed one at the least Dist2, or centroid 0 at +Inf when no
+// Dist2 is finite (a NaN never wins). A row starts from the previous
+// row's winner in the block and visits the centroids in index order,
+// skipping each c with half[best][c] > ‖row − best‖: by the triangle
+// inequality and the table's margin, c's Dist2 is then strictly above
+// the best's, so it can neither win nor tie. The winner and its Dist2
+// are the full scan's, bit for bit, whatever the starting guess.
+func (a *Assignment) assign(d *timeseries.Dataset, centroids []timeseries.Series, half []float64, lo, hi int) {
+	k := len(centroids)
 	var sse float64
+	guess := 0
 	for i := lo; i < hi; i++ {
 		row := d.Row(i)
-		best, bestD2 := 0, math.Inf(1)
+		best, bestD2 := guess, row.Dist2(centroids[guess])
+		if !(bestD2 < math.Inf(1)) {
+			best, bestD2 = 0, math.Inf(1)
+		}
+		bound, hb := math.Sqrt(bestD2), half[best*k:(best+1)*k]
 		for c, ctr := range centroids {
-			d2 := row.Dist2(ctr)
-			if d2 < bestD2 {
+			if hb[c] > bound {
+				continue
+			}
+			if d2 := row.Dist2(ctr); d2 < bestD2 || d2 == bestD2 && c < best {
 				best, bestD2 = c, d2
+				bound, hb = math.Sqrt(d2), half[c*k:(c+1)*k]
 			}
 		}
+		guess = best
 		a.Sums[best].Add(row)
 		a.Counts[best]++
 		var sq float64
 		for _, v := range row {
-			sq += v * v
+			sq += float64(v * v)
 		}
 		a.SqSums[best] += sq
 		sse += bestD2
@@ -241,10 +299,10 @@ func (a *Assignment) InertiaAgainst(reps []timeseries.Series) float64 {
 		// Σ||s - r||² = Σ||s||² - 2 r·Σs + n_c ||r||²
 		var dot, norm2 float64
 		for j, v := range rep {
-			dot += v * a.Sums[c][j]
-			norm2 += v * v
+			dot += float64(v * a.Sums[c][j])
+			norm2 += float64(v * v)
 		}
-		sse += a.SqSums[c] - 2*dot + float64(a.Counts[c])*norm2
+		sse += a.SqSums[c] - float64(2*dot) + float64(float64(a.Counts[c])*norm2)
 		total += a.Counts[c]
 	}
 	if total == 0 {

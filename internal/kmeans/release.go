@@ -26,7 +26,7 @@ type Filter struct {
 // window measures.
 func NewFilter(dmin, dmax, slack, countFloor float64, window int) Filter {
 	width := dmax - dmin
-	return Filter{CountFloor: countFloor, Lo: dmin - slack*width, Hi: dmax + slack*width, Window: window}
+	return Filter{CountFloor: countFloor, Lo: dmin - float64(slack*width), Hi: dmax + float64(slack*width), Window: window}
 }
 
 // Means turns perturbed per-cluster sums and counts into the released

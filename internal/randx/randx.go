@@ -4,7 +4,10 @@
 // and small conveniences for the synthetic data generators.
 //
 // All sampling is driven by an explicit *RNG so every experiment in the
-// repository is reproducible from a seed.
+// repository is reproducible from a seed. Every product that meets an
+// addition is wrapped in an explicit float64 conversion, which Go's spec
+// says rounds it: a compiler may not fuse it into a multiply-add (arm64
+// does otherwise), so a seed draws the same bits on every architecture.
 package randx
 
 import (
@@ -33,13 +36,13 @@ func (r *RNG) Split(id uint64) *RNG {
 
 // Uniform returns a uniform variate in [lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // Gaussian returns a normal variate with the given mean and standard
 // deviation.
 func (r *RNG) Gaussian(mean, stddev float64) float64 {
-	return mean + stddev*r.NormFloat64()
+	return mean + float64(stddev*r.NormFloat64())
 }
 
 // LogNormal returns exp(N(mu, sigma)).
@@ -51,11 +54,11 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 // i.e. density f(x) = exp(-|x|/lambda) / (2 lambda)  (Definition 4).
 func (r *RNG) Laplace(lambda float64) float64 {
 	// Inverse CDF on u ~ U(-1/2, 1/2): x = -lambda * sign(u) * ln(1-2|u|).
-	u := r.Float64() - 0.5
+	u := float64(r.Float64()) - 0.5
 	if u >= 0 {
-		return -lambda * math.Log(1-2*u)
+		return -lambda * math.Log(1-float64(2*u))
 	}
-	return lambda * math.Log(1+2*u)
+	return lambda * math.Log(1+float64(2*u))
 }
 
 // Gamma returns a Gamma(shape, scale) variate with density
@@ -83,17 +86,17 @@ func (r *RNG) Gamma(shape, scale float64) float64 {
 		var x, v float64
 		for {
 			x = r.NormFloat64()
-			v = 1 + c*x
+			v = 1 + float64(c*x)
 			if v > 0 {
 				break
 			}
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return scale * d * v
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return scale * d * v
 		}
 	}

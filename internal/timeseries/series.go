@@ -49,20 +49,22 @@ func (s Series) Dist2(o Series) float64 {
 	// chain; with four of them a pass the loop is bound by their latency
 	// wherever the linker places it, while the plain loop's speed moved
 	// by up to a fifth with its code alignment. k-means assignment calls
-	// this k times per series.
+	// this up to k times per series. Each square is converted to float64,
+	// which rounds it before the addition: arm64 would otherwise fuse the
+	// two into one multiply-add, with other bits than amd64's.
 	var sum float64
 	i := 0
 	for ; i+4 <= len(s); i += 4 {
 		a, b := s[i:i+4:i+4], o[i:i+4:i+4]
 		d0, d1, d2, d3 := a[0]-b[0], a[1]-b[1], a[2]-b[2], a[3]-b[3]
-		sum += d0 * d0
-		sum += d1 * d1
-		sum += d2 * d2
-		sum += d3 * d3
+		sum += float64(d0 * d0)
+		sum += float64(d1 * d1)
+		sum += float64(d2 * d2)
+		sum += float64(d3 * d3)
 	}
 	for ; i < len(s); i++ {
 		d := s[i] - o[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum
 }
